@@ -74,15 +74,33 @@ class BTEModel:
         With ``comps`` given, only those components contribute (band
         partitioning: each rank sums its own bands, zeros elsewhere, and the
         allreduce completes the picture).
+
+        Components are ``(d, b)`` row-major, so each direction's bands are
+        one slab of rows: the sum is accumulated a slab at a time, in
+        direction order — the order (and so the bits) of an ``np.add.at``
+        scatter over the components, without its per-element dispatch.  The
+        scatter remains for ``comps`` that are not the same band set for
+        every direction they touch.
         """
         nb = self.bands.nbands
         out = np.zeros((nb, I.shape[1]))
         if comps is None:
-            w = self.weight_comp
-            np.add.at(out, self.comp_band, w[:, None] * I)
-        else:
-            w = self.weight_comp[comps]
-            np.add.at(out, self.comp_band[comps], w[:, None] * I[comps])
+            for d, w in enumerate(self.dirs.weights):
+                out += w * I[d * nb:(d + 1) * nb]
+            return out
+        comps = np.asarray(comps)
+        bands = self.comp_band[comps]
+        dirs = self.comp_dir[comps]
+        ndirs = len(np.unique(dirs))
+        if ndirs and len(comps) % ndirs == 0:
+            shape = (ndirs, len(comps) // ndirs)
+            bands, dirs = bands.reshape(shape), dirs.reshape(shape)
+            if ((dirs == dirs[:, :1]).all() and (bands == bands[0]).all()
+                    and len(np.unique(bands[0])) == shape[1]):
+                for rows in comps.reshape(shape):
+                    out[bands[0]] += self.weight_comp[rows[0]] * I[rows]
+                return out
+        np.add.at(out, bands.ravel(), self.weight_comp[comps][:, None] * I[comps])
         return out
 
     def heat_flux(self, I: np.ndarray) -> np.ndarray:

@@ -14,11 +14,13 @@ Implements the paper's two CPU parallel strategies (Sec. III-C, Fig. 3):
 Rank programs execute real numerics on real exchanged data (tests assert
 agreement with the serial solver to round-off) while virtual clocks are
 charged from the calibrated :class:`~repro.perfmodel.costs.CostModel` — see
-DESIGN.md for the substitution rationale.  Per-rank work is computed on
-full-size arrays with writes restricted to the owned portion: stale entries
-are never *read* (ghost columns are refreshed by the halo exchange before
-each step; unowned outputs are discarded), which keeps the generated code
-close to the serial version it derives from.
+DESIGN.md for the substitution rationale.  Rank states keep full-size
+arrays so the generated code stays close to the serial version it derives
+from, but a rank only does its own work: band ranks evaluate the RHS on
+their owned component rows alone (``compute_rhs(..., rows=owned)``), cell
+ranks on every row of their mesh columns, where stale entries are never
+*read* (ghost columns are refreshed by the halo exchange before each step;
+unowned outputs are discarded).
 
 Note: a distributed run always starts from the declared initial conditions
 (each rank builds its state from the problem), so ``run_steps`` describes a
@@ -116,7 +118,7 @@ def rank_program(comm):
         for cb in PRE_STEP_CALLBACKS:
             cb.fn(state)
         with state.profile_scope('solve'), trace_phase('solve'):
-            rhs = compute_rhs(state, state.u, state.time)
+            rhs = compute_rhs(state, state.u, state.time, owned)
             state.u[owned] = kernels.euler_update(
                 state.u[owned], state.dt, rhs[owned], 0.0)
         comm.compute(COST_SOLVE[comm.rank], phase='solve for intensity')

@@ -2,16 +2,18 @@
 
 Generates the nested-loop solver of the paper's Section II-B sketch: a
 sequential time loop around a (vectorised) cell sweep, with the component
-loop structure taken from ``assemblyLoops``.  The emitted source is plain
-Python over NumPy + :mod:`repro.fvm.kernels`, kept deliberately readable
-(comments carry the classified symbolic terms they implement).
+loop structure taken from ``assemblyLoops`` and each block swept in
+cache-sized tiles of component rows (no face-sized whole-array temporary
+exists; the only per-step array is the returned RHS).  The emitted source
+is plain Python over NumPy + :mod:`repro.fvm.kernels`, kept deliberately
+readable (comments carry the classified symbolic terms they implement).
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.codegen.emit import ExprEmitter
+from repro.codegen.emit import ExprEmitter, emit_tile_body
 from repro.codegen.state import SolverState
 from repro.codegen.target_base import (
     CodegenTarget,
@@ -40,23 +42,30 @@ def _indent(lines: list[str], level: int = 1) -> list[str]:
 def emit_rhs_function(
     problem: "Problem", emitter: ExprEmitter, fusion: str = "off"
 ) -> list[str]:
-    """Source of ``compute_rhs(state, u, t)`` — shared by CPU targets.
+    """Source of ``compute_rhs(state, u, t, rows=None)`` — shared by CPU targets.
 
-    With ``fusion`` 'auto'/'on' the surface and volume statements are
-    compiled into fused vector programs and the statement bodies become
-    single ``VM_*.run(...)`` calls over the same leaf arrays; the unfused
-    emission is still performed for its reads/FLOP estimates, so the
-    prologue (normals, function coefficients) is identical either way.
+    The RHS is assembled one cache-sized tile of component rows at a time
+    (:func:`repro.codegen.emit.emit_tile_body`) inside each
+    ``assemblyLoops`` block, so no face-sized whole-array temporary exists.
+    With ``fusion`` 'auto'/'on' the tile's statements are fused vector
+    programs; the prologue (normals, function coefficients) is identical
+    either way.
     """
     form = emitter.form
     fcoefs = emitter.function_coefficients()
-    surface = emitter.emit_sum(form.surface_terms, "surface")
-    volume = emitter.emit_sum(form.volume_terms, "volume")
-    fused_surface = emitter.try_fuse(form.surface_terms, "surface", "surface", fusion)
-    fused_volume = emitter.try_fuse(form.volume_terms, "volume", "volume", fusion)
+    reads, tile = emit_tile_body(
+        emitter, fusion,
+        gather=["u1, u2 = geom.gather_sides(u, ghost, sel, out=sides)"],
+        divergence="geom.surface_divergence(flux)",
+        overrides="overrides",
+        store="rhs[sel] = source + div",
+    )
 
     body: list[str] = [
-        '"""Semi-discrete RHS du/dt: volume sources + surface divergence."""',
+        '"""Semi-discrete RHS du/dt: volume sources + surface divergence.',
+        "",
+        "``rows`` restricts the evaluation to those component rows (a rank's",
+        'owned bands); the other rows of the result are left unset."""',
         "geom = state.geom",
         "dt = state.dt",
     ]
@@ -66,83 +75,48 @@ def emit_rhs_function(
         ]
         for axis in range(problem.config.dimension):
             name = ("normal_x", "normal_y", "normal_z")[axis]
-            if name in surface.reads:
+            if name in reads:
                 body.append(f"{name} = geom.normal[:, {axis}]")
-        if "face_dist" in surface.reads:
+        if "face_dist" in reads:
             body.append("face_dist = geom.face_dist")
     for name, coef in fcoefs.items():
         body += [
             f"# function coefficient {name!r} evaluated on centres",
             f"fcoef_{name} = eval_fcoef(state, coef_fn_{name}, geom.cell_center, t)",
         ]
-        if f"fcoef_{name}_face" in (surface.reads | volume.reads):
+        if f"fcoef_{name}_face" in reads:
             body.append(
                 f"fcoef_{name}_face = eval_fcoef(state, coef_fn_{name}, geom.center, t)"
             )
     body += [
         "",
-        "# boundary ghost values (user callbacks execute on the CPU)",
+        "# boundary ghost values and FLUX overrides, once per evaluation",
+        "# (user callbacks execute on the CPU)",
         "ghost = state.bset.ghost_values(u, t, dt, state.extra)",
     ]
     if form.surface_terms:
-        body += [
-            "u1, u2 = geom.gather_sides(u, ghost)",
-            "flux = state.buffer('flux', (NCOMP, geom.nfaces))",
-        ]
+        body.append("overrides = state.bset.flux_overrides(u, t, dt, state.extra)")
     body += [
-        "source = state.buffer('source', (NCOMP, geom.ncells))"
-        if form.volume_terms
-        else "source = 0.0"
+        "rhs = np.empty((NCOMP, geom.ncells))",
+        "height = kernels.tile_rows(geom.nfaces, NCOMP)",
     ]
+    if form.surface_terms:
+        body += [
+            "sides = (state.buffer('u1', (height, geom.nfaces)),",
+            "         state.buffer('u2', (height, geom.nfaces)))",
+        ]
     body += [
         "",
         "# component blocks follow assemblyLoops order: "
         + ", ".join(problem.config.assembly_order),
-        "for sel in state.comp_blocks:",
+        "for block in state.row_blocks(rows):",
+        "    # ... in tiles of rows that keep every temporary cache-resident",
+        "    for sel in kernels.row_tiles(block, NCOMP, height):",
     ]
-    block: list[str] = []
-    if form.surface_terms:
-        block += [f"# RHS surface: {t}" for t in map(str, form.surface_terms)]
-        if fused_surface is not None:
-            stats = fused_surface.program.stats
-            block.append(
-                f"# fused: {stats['n_instructions']} instrs over "
-                f"{stats['n_registers']} registers"
-            )
-            block.append(f"flux[sel] = {fused_surface.code}")
-        else:
-            if surface.prelude:
-                block.append("# hoisted coefficient-only subexpressions")
-                block += surface.prelude
-            block.append(f"flux[sel] = {surface.code}")
-    if form.volume_terms:
-        block += [f"# RHS volume: {t}" for t in map(str, form.volume_terms)]
-        if fused_volume is not None:
-            stats = fused_volume.program.stats
-            block.append(
-                f"# fused: {stats['n_instructions']} instrs over "
-                f"{stats['n_registers']} registers"
-            )
-            block.append(f"source[sel] = {fused_volume.code}")
-        else:
-            block += volume.prelude
-            block.append(f"source[sel] = {volume.code}")
-    if not block:
-        block = ["pass"]
-    body += _indent(block)
-    if form.surface_terms:
-        body += [
-            "",
-            "# FLUX-type boundary callbacks override their faces",
-            "for faces, values in state.bset.flux_overrides(u, t, dt, state.extra):",
-            "    flux[:, faces] = values",
-            "div = geom.surface_divergence(flux)",
-            "return source + div",
-        ]
-    else:
-        body += ["return source + np.zeros((NCOMP, geom.ncells))"]
+    body += _indent(tile, 2)
+    body.append("return rhs")
 
-    return ["def compute_rhs(state, u, t):"] + _indent(body)
+    return ["def compute_rhs(state, u, t, rows=None):"] + _indent(body)
 
 
 def emit_step_and_run(problem: "Problem", scheme: str) -> list[str]:

@@ -9,9 +9,11 @@ as locals prepared by the generated function):
 
 ================  ==========================================================
 ``u``             unknown, ``(ncomp, ncells)``
-``u1``, ``u2``    owner/neighbour face values, ``(ncomp, nfaces)``
-``sel``           component-block selector from ``assemblyLoops`` (an index
-                  array or ``slice(None)``)
+``u1``, ``u2``    owner/neighbour face values, ``(ncomp, nfaces)`` — inside
+                  a row tile (:func:`emit_tile_body`) the tile's own
+                  ``(nsel, nfaces)`` gathers, read without ``[sel]``
+``sel``           component-row selector (an index array or a slice): a
+                  block from ``assemblyLoops``, or one tile of it
 ``normal_x`` ...  face normal components, ``(nfaces,)``
 ``coef_<c>``      scalar coefficient (float) or per-component vector
 ``cmap_<v>``      component map of a known variable onto the unknown's
@@ -24,6 +26,7 @@ as locals prepared by the generated function):
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -480,6 +483,84 @@ class ExprEmitter:
         }
 
 
+def tile_local(code: str) -> str:
+    """Statement code as it reads inside a row tile.
+
+    The emitter addresses face-side values as rows of full-height arrays
+    (``u1[sel]``); a tile gathers exactly its own rows, so there the same
+    operands are the gathered arrays themselves.
+    """
+    return re.sub(r"\bu([12])\[sel\]", r"u\1", code)
+
+
+def emit_tile_body(
+    emitter: ExprEmitter,
+    fusion: str,
+    *,
+    gather: list[str],
+    divergence: str,
+    store: str,
+    overrides: str | None = None,
+) -> tuple[set[str], list[str]]:
+    """The statements every target runs on one tile of component rows.
+
+    gather ``u1``/``u2`` → surface statement → FLUX overrides → divergence
+    → volume statement → store.  ``sel`` is the tile's row selector; the
+    caller wraps the body in its tile loop and supplies what differs per
+    target: the ``gather`` lines binding ``u1, u2``, the ``divergence``
+    expression over ``flux``, the name of a precomputed ``(faces, values)``
+    override list (CPU only), and the ``store`` statement consuming
+    ``source`` and ``div``.  Every operation is elementwise per row (the
+    CSR divergence is per column), so results do not depend on the tiling.
+
+    With ``fusion`` 'auto'/'on' the statements become ``VM_*.run(...)``
+    calls over the same leaf arrays; the unfused emission still provides
+    the reads the caller's prologue must bind, returned first.
+    """
+    form = emitter.form
+    surface = emitter.emit_sum(form.surface_terms, "surface")
+    volume = emitter.emit_sum(form.volume_terms, "volume")
+    body: list[str] = []
+
+    def statement(name: str, target: str, plain: EmittedExpr, terms: list[Expr]) -> None:
+        fused = emitter.try_fuse(terms, name, name, fusion)
+        body.extend(f"# RHS {name}: {t}" for t in map(str, terms))
+        if fused is not None:
+            stats = fused.program.stats
+            body.append(f"# fused: {stats['n_instructions']} instrs over "
+                        f"{stats['n_registers']} registers")
+            body.append(f"{target} = {tile_local(fused.code)}")
+        else:
+            if plain.prelude:
+                body.append("# hoisted coefficient-only subexpressions")
+                body.extend(plain.prelude)
+            body.append(f"{target} = {tile_local(plain.code)}")
+
+    if form.surface_terms:
+        body += gather
+        statement("surface", "flux", surface, form.surface_terms)
+        if not any(r in ("u1", "u2", "u") or r.startswith("var_")
+                   for r in surface.reads):
+            # no (row, face) leaf: the statement yields less than a full
+            # tile, which the overrides and the divergence need
+            body.append("flux = np.broadcast_to(flux, u1.shape).copy()")
+        if overrides is not None:
+            body += [
+                "# FLUX-type boundary callbacks override their faces",
+                f"for faces, values in {overrides}:",
+                "    flux[:, faces] = values[sel]",
+            ]
+        body.append(f"div = {divergence}")
+    else:
+        body.append("div = 0.0")
+    if form.volume_terms:
+        statement("volume", "source", volume, form.volume_terms)
+    else:
+        body.append("source = 0.0")
+    body.append(store)
+    return surface.reads | volume.reads, body
+
+
 def _count_flops(term: Expr) -> int:
     """Static FLOP count per produced value of one integrand."""
     flops = 0
@@ -502,4 +583,10 @@ def _count_flops(term: Expr) -> int:
     return flops
 
 
-__all__ = ["ExprEmitter", "EmittedExpr", "FusedStatement"]
+__all__ = [
+    "ExprEmitter",
+    "EmittedExpr",
+    "FusedStatement",
+    "emit_tile_body",
+    "tile_local",
+]

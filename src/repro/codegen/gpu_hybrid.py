@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.codegen.emit import ExprEmitter
+from repro.codegen.emit import ExprEmitter, emit_tile_body
 from repro.codegen.placement import Task, TaskGraph, optimize_placement, plan_transfers
 from repro.codegen.placement.transfers import ArrayUse
 from repro.codegen.state import SolverState
@@ -103,12 +103,19 @@ def _reject_reconstructions(form) -> None:
 def _emit_kernel_source(
     problem: "Problem", emitter: ExprEmitter, fusion: str = "off"
 ) -> list[str]:
-    """The flattened interior kernel (one thread per DOF, vectorised body)."""
-    form = emitter.form
-    surface = emitter.emit_sum(form.surface_terms, "surface")
-    volume = emitter.emit_sum(form.volume_terms, "volume")
-    fused_surface = emitter.try_fuse(form.surface_terms, "surface", "surface", fusion)
-    fused_volume = emitter.try_fuse(form.volume_terms, "volume", "volume", fusion)
+    """The flattened interior kernel (one thread per DOF, vectorised body
+    swept in row tiles — :func:`repro.codegen.emit.emit_tile_body`)."""
+    reads, tile = emit_tile_body(
+        emitter, fusion,
+        gather=[
+            "# owner/neighbour gathers restricted to interior faces",
+            "ut = u[sel]",
+            "u1 = np.take(ut, owner, axis=1, out=sides[0][:len(ut)], mode='clip')",
+            "u2 = np.take(ut, NEIGH_INT, axis=1, out=sides[1][:len(ut)], mode='clip')",
+        ],
+        divergence="(DIV_INT @ flux.T).T",
+        store="u_new[sel] = u[sel] + DT * (source + div)  # explicit update, Eq. (3)",
+    )
     known = emitter.referenced_known_variables()
     args = ["u"] + [f"var_{n}" for n in known] + ["u_new"]
     lines = [
@@ -121,43 +128,19 @@ def _emit_kernel_source(
         '(paper Sec. III-D).  Boundary faces contribute zero here; the CPU',
         'adds their part after the device result returns.  ``sel`` restricts',
         'the component rows (multi-device band partitioning launches one',
-        'kernel per rank over its own bands)."""',
+        'kernel per rank over its own bands); only those rows are touched."""',
+        "owner = OWNER_INT",
+        "height = kernels.tile_rows(len(owner), NCOMP)",
     ]
-    if form.surface_terms:
-        body += [
-            "# owner/neighbour gathers restricted to interior faces",
-            "owner = OWNER_INT",
-            "u1 = u[:, owner]",
-            "u2 = u[:, NEIGH_INT]",
-        ]
-        for axis, name in enumerate(("normal_x", "normal_y", "normal_z")):
-            if name in surface.reads:
-                body.append(f"{name} = NORMALS_INT[:, {axis}]")
-        if "face_dist" in surface.reads:
-            body.append("face_dist = FACEDIST_INT")
-        body += [f"# face flux: {t}" for t in map(str, form.surface_terms)]
-        if fused_surface is not None:
-            body.append(f"flux = {fused_surface.code}")
-        else:
-            body += surface.prelude
-            body.append(f"flux = {surface.code}")
-        body.append("div = (DIV_INT @ flux.T).T")
-    else:
-        body.append("div = 0.0")
-    if form.volume_terms:
-        body += [f"# volume source: {t}" for t in map(str, form.volume_terms)]
-        if fused_volume is not None:
-            body.append(f"source = {fused_volume.code}")
-        else:
-            body += volume.prelude
-            body.append(f"source = {volume.code}")
-    else:
-        body.append("source = 0.0")
-    body += [
-        "# explicit update, Eq. (3)",
-        "u_new[sel] = u[sel] + DT * (source + div)",
-    ]
-    return lines + _indent(body)
+    if emitter.form.surface_terms:
+        body.append("sides = np.empty((2, height, len(owner)))")
+    for axis, name in enumerate(("normal_x", "normal_y", "normal_z")):
+        if name in reads:
+            body.append(f"{name} = NORMALS_INT[:, {axis}]")
+    if "face_dist" in reads:
+        body.append("face_dist = FACEDIST_INT")
+    body.append("for sel in kernels.row_tiles(sel, NCOMP, height):")
+    return lines + _indent(body + _indent(tile))
 
 
 def _emit_boundary_source(

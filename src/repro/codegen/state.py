@@ -249,9 +249,10 @@ class SolverState:
     def buffer(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
         """A reusable scratch array (allocated once, reused every step).
 
-        The generated hot loop calls this instead of ``np.empty`` so the
-        per-step flux/source temporaries stop churning the allocator —
-        the "be easy on the memory" guidance for the innermost loop.
+        The generated hot loop calls this instead of ``np.empty`` for
+        arrays whose lifetime is one statement: the tile-sized ``u1``/``u2``
+        gather targets of ``compute_rhs`` (a few rows of faces, refilled
+        for every tile) and the degraded-device ``u_new``.
         """
         buf = self._scratch.get(name)
         if buf is None or buf.shape != shape:
@@ -417,6 +418,20 @@ class SolverState:
 
         rec(0, np.ones(space.ncomp, dtype=bool))
         return [b for b in blocks if len(b)]
+
+    def row_blocks(self, rows=None) -> list[Any]:
+        """``comp_blocks`` restricted to the component rows ``rows``.
+
+        ``rows`` is a sorted index array (a band-partitioned rank's owned
+        components) or ``None`` for all rows; the block structure — and so
+        the ``assemblyLoops`` order — is unchanged, blocks just shrink.
+        """
+        if rows is None:
+            return self.comp_blocks
+        return [
+            rows if isinstance(blk, slice) else blk[np.isin(blk, rows)]
+            for blk in self.comp_blocks
+        ]
 
     # ------------------------------------------------------------ checkpoints
     def save_checkpoint(self, path) -> None:

@@ -64,6 +64,33 @@ _ADOPTABLE = ("add", "mul", "recip", "pow_const")
 #: exactly what lets the differential tests pin the ``out=`` path down).
 _MIN_INPLACE = 4096
 
+
+def _fit(buf: np.ndarray, shape: tuple[int, ...]) -> np.ndarray | None:
+    """``buf``, or its leading rows, as an ``out=`` target of ``shape``.
+
+    Generated kernels sweep row tiles, and the last tile of a sweep is
+    usually shorter than the one the scratch was adopted from: it runs in
+    a view of the same buffer instead of evicting it, so a fused kernel
+    allocates nothing after its first tile.  None when ``shape`` differs
+    in more than a shorter leading axis.
+    """
+    if buf.shape == shape:
+        return buf
+    if (len(shape) == buf.ndim and shape[1:] == buf.shape[1:]
+            and 0 < shape[0] < buf.shape[0]):
+        return buf[: shape[0]]
+    return None
+
+
+def _out_for(buf: np.ndarray | None, *operands: Any) -> np.ndarray | None:
+    """The VM-owned ``out=`` target of one elementwise float64 op, if any."""
+    if buf is None or not all(
+        type(a) is np.ndarray and a.dtype is _F64 for a in operands
+    ):
+        return None
+    return _fit(buf, np.broadcast_shapes(*(a.shape for a in operands)))
+
+
 #: Compiled specialisations keyed by generated source (programs repeat
 #: across binds of the same cached artifact; compiling once is enough).
 _CODE_CACHE: dict[str, Any] = {}
@@ -96,43 +123,38 @@ def _specialize(program: FusedProgram) -> tuple[str, dict[str, Any]]:
             emit(f"    r{d} = slots[{instr.imm}]")
         elif op == "const":
             emit(f"    r{d} = {const_ref(instr.imm)}")
-        elif op in ("add", "mul"):
-            i, j = instr.args
-            sym = "+" if op == "add" else "*"
-            ufunc = "_np_add" if op == "add" else "_np_mul"
+        elif op in _ADOPTABLE:
+            # out= into VM-owned scratch when every operand is a float64
+            # array and the scratch fits (the all-shapes-equal case skips
+            # the broadcast); otherwise the plain operator, whose fresh
+            # result is adopted as the scratch of later calls
+            regs = [f"r{a}" for a in instr.args]
+            if op in ("add", "mul"):
+                sym, ufunc = ("+", "_np_add") if op == "add" else ("*", "_np_mul")
+                fast = f"{regs[0]} {sym} {regs[1]}"
+                inplace = f"{ufunc}({regs[0]}, {regs[1]}, out=_b)"
+            elif op == "recip":
+                fast = f"1.0 / {regs[0]}"
+                inplace = f"_np_div(1.0, {regs[0]}, out=_b)"
+            else:
+                e = const_ref(instr.imm)
+                fast = f"{regs[0]} ** {e}"
+                inplace = f"_np_pow({regs[0]}, {e}, out=_b)"
+            arrays = " and ".join(
+                f"type({r}) is _nd and {r}.dtype is _F64" for r in regs)
+            same = " == ".join(f"{r}.shape" for r in regs) + " == _b.shape"
+            shape = (f"_bshape({regs[0]}.shape, {regs[1]}.shape)"
+                     if len(regs) == 2 else f"{regs[0]}.shape")
             emit(f"    _b = bufs[{d}]")
-            emit(f"    if (_b is not None and type(r{i}) is _nd "
-                 f"and type(r{j}) is _nd")
-            emit(f"            and r{i}.dtype is _F64 and r{j}.dtype is _F64")
-            emit(f"            and (r{i}.shape == r{j}.shape == _b.shape")
-            emit(f"                 or _b.shape == _bshape(r{i}.shape, "
-                 f"r{j}.shape))):")
-            emit(f"        r{d} = {ufunc}(r{i}, r{j}, out=_b)")
+            emit(f"    if _b is not None and {arrays}:")
+            emit(f"        if not ({same}):")
+            emit(f"            _b = _fit(_b, {shape})")
             emit("    else:")
-            emit(f"        r{d} = r{i} {sym} r{j}")
-            emit(f"        if (type(r{d}) is _nd and r{d}.dtype is _F64")
-            emit(f"                and r{d}.size >= _MIN_INPLACE):")
-            emit(f"            bufs[{d}] = r{d}")
-        elif op == "recip":
-            (i,) = instr.args
-            emit(f"    _b = bufs[{d}]")
-            emit(f"    if (_b is not None and type(r{i}) is _nd "
-                 f"and r{i}.dtype is _F64 and _b.shape == r{i}.shape):")
-            emit(f"        r{d} = _np_div(1.0, r{i}, out=_b)")
+            emit("        _b = None")
+            emit("    if _b is not None:")
+            emit(f"        r{d} = {inplace}")
             emit("    else:")
-            emit(f"        r{d} = 1.0 / r{i}")
-            emit(f"        if (type(r{d}) is _nd and r{d}.dtype is _F64")
-            emit(f"                and r{d}.size >= _MIN_INPLACE):")
-            emit(f"            bufs[{d}] = r{d}")
-        elif op == "pow_const":
-            (i,) = instr.args
-            e = const_ref(instr.imm)
-            emit(f"    _b = bufs[{d}]")
-            emit(f"    if (_b is not None and type(r{i}) is _nd "
-                 f"and r{i}.dtype is _F64 and _b.shape == r{i}.shape):")
-            emit(f"        r{d} = _np_pow(r{i}, {e}, out=_b)")
-            emit("    else:")
-            emit(f"        r{d} = r{i} ** {e}")
+            emit(f"        r{d} = {fast}")
             emit(f"        if (type(r{d}) is _nd and r{d}.dtype is _F64")
             emit(f"                and r{d}.size >= _MIN_INPLACE):")
             emit(f"            bufs[{d}] = r{d}")
@@ -193,7 +215,7 @@ class VectorVM:
             "_np_add": np.add, "_np_mul": np.multiply,
             "_np_div": np.true_divide, "_np_pow": np.power,
             "_np_where": np.where, "_isscalar": np.isscalar,
-            "_bshape": np.broadcast_shapes,
+            "_bshape": np.broadcast_shapes, "_fit": _fit,
             "_MIN_INPLACE": _MIN_INPLACE,
         }
         for key, value in names.items():
@@ -276,67 +298,26 @@ class VectorVM:
             args = instr.args
             dst = instr.dst
             if op == "add":
-                a = regs[args[0]]
-                b = regs[args[1]]
-                buf = bufs[dst]
-                if (
-                    buf is not None
-                    and type(a) is np.ndarray
-                    and type(b) is np.ndarray
-                    and a.dtype is _F64
-                    and b.dtype is _F64
-                    and buf.shape == np.broadcast_shapes(a.shape, b.shape)
-                ):
-                    np.add(a, b, out=buf)
-                    value = buf
-                else:
-                    value = a + b
+                a, b = regs[args[0]], regs[args[1]]
+                out = _out_for(bufs[dst], a, b)
+                value = a + b if out is None else np.add(a, b, out=out)
             elif op == "mul":
-                a = regs[args[0]]
-                b = regs[args[1]]
-                buf = bufs[dst]
-                if (
-                    buf is not None
-                    and type(a) is np.ndarray
-                    and type(b) is np.ndarray
-                    and a.dtype is _F64
-                    and b.dtype is _F64
-                    and buf.shape == np.broadcast_shapes(a.shape, b.shape)
-                ):
-                    np.multiply(a, b, out=buf)
-                    value = buf
-                else:
-                    value = a * b
+                a, b = regs[args[0]], regs[args[1]]
+                out = _out_for(bufs[dst], a, b)
+                value = a * b if out is None else np.multiply(a, b, out=out)
             elif op == "load":
                 value = slots[instr.imm]
             elif op == "const":
                 value = instr.imm
             elif op == "recip":
                 a = regs[args[0]]
-                buf = bufs[dst]
-                if (
-                    buf is not None
-                    and type(a) is np.ndarray
-                    and a.dtype is _F64
-                    and buf.shape == a.shape
-                ):
-                    np.true_divide(1.0, a, out=buf)
-                    value = buf
-                else:
-                    value = 1.0 / a
+                out = _out_for(bufs[dst], a)
+                value = 1.0 / a if out is None else np.true_divide(1.0, a, out=out)
             elif op == "pow_const":
                 a = regs[args[0]]
-                buf = bufs[dst]
-                if (
-                    buf is not None
-                    and type(a) is np.ndarray
-                    and a.dtype is _F64
-                    and buf.shape == a.shape
-                ):
-                    np.power(a, instr.imm, out=buf)
-                    value = buf
-                else:
-                    value = a ** instr.imm
+                out = _out_for(bufs[dst], a)
+                value = (a ** instr.imm if out is None
+                         else np.power(a, instr.imm, out=out))
             elif op == "pow":
                 base = regs[args[0]]
                 exponent = regs[args[1]]
@@ -364,7 +345,7 @@ class VectorVM:
             regs[dst] = value
             if (
                 op in _ADOPTABLE
-                and value is not bufs[dst]
+                and out is None
                 and type(value) is np.ndarray
                 and value.dtype is _F64
             ):

@@ -157,18 +157,35 @@ class FVGeometry:
             return self.divergence @ face_flux
         return (self.divergence @ face_flux.T).T
 
-    def gather_sides(self, u: np.ndarray, ghost: np.ndarray | None = None
-                     ) -> tuple[np.ndarray, np.ndarray]:
+    def gather_sides(
+        self,
+        u: np.ndarray,
+        ghost: np.ndarray | None = None,
+        rows=None,
+        out: tuple[np.ndarray, np.ndarray] | None = None,
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Owner-side and neighbour-side values of ``u`` on every face.
 
         ``u`` has shape ``(..., ncells)``.  On boundary faces the neighbour
         side is taken from ``ghost`` (shape ``(..., nbfaces)``) when given,
         otherwise it duplicates the owner value (zero-gradient).
+
+        ``rows`` restricts the gather to those component rows of ``u`` and
+        ``ghost`` (a slice or index array): nothing outside them is read.
+        ``out`` is a pair of ``(>= nrows, nfaces)`` scratch arrays; their
+        leading rows are filled and returned instead of fresh arrays, which
+        is how the tiled kernels gather without allocating.
         """
-        u1 = u[..., self.owner]
-        u2 = u[..., self.neighbor_safe]
+        if rows is not None:
+            u = u[rows]
+            if ghost is not None:
+                ghost = ghost[rows]
+        o1, o2 = (None, None) if out is None else (o[: len(u)] for o in out)
+        # mode='clip' only skips take's bounds-check buffering of ``out``;
+        # owner/neighbor_safe are valid cell ids by construction
+        u1 = np.take(u, self.owner, axis=-1, out=o1, mode="clip")
+        u2 = np.take(u, self.neighbor_safe, axis=-1, out=o2, mode="clip")
         if ghost is not None and len(self.bfaces):
-            u2 = u2.copy()
             u2[..., self.bfaces] = ghost
         return u1, u2
 

@@ -9,7 +9,39 @@ leading component axis: arguments are ``(nfaces,)``/``(ncells,)`` or
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 import numpy as np
+
+#: Working-set budget of one component-row tile: the bytes of one
+#: ``(rows, nfaces)`` float64 face array.  A tile keeps about six such arrays
+#: live (two gathered sides, the hoisted projection, the select's branches,
+#: the flux), and at 512 KiB they all stay inside a 4 MiB L2.  Measured, not
+#: configured — the sweep is in EXPERIMENTS.md ("Component tiling"): step
+#: time is flat within noise from ~200 KiB to 1-2 MiB and rises on both
+#: sides (per-tile call overhead below, L2 spills above).
+TILE_BYTES = 512 * 1024
+
+
+def tile_rows(nfaces: int, ncomp: int) -> int:
+    """Component rows per tile for face arrays ``nfaces`` wide."""
+    return min(ncomp, max(1, TILE_BYTES // (8 * nfaces)))
+
+
+def row_tiles(rows, ncomp: int, height: int) -> Iterator:
+    """Split a component-row selector into tiles of at most ``height`` rows.
+
+    ``rows`` is a slice or a sorted index array (a ``comp_blocks`` entry, a
+    rank's owned components, a kernel chunk); each tile is a selector of
+    the same kind over the same rows, in order.
+    """
+    if isinstance(rows, slice):
+        start, stop, _ = rows.indices(ncomp)
+        for lo in range(start, stop, height):
+            yield slice(lo, min(lo + height, stop))
+    else:
+        for lo in range(0, len(rows), height):
+            yield rows[lo:lo + height]
 
 
 def upwind_flux(vn: np.ndarray, u_owner: np.ndarray, u_neighbor: np.ndarray) -> np.ndarray:
@@ -170,6 +202,9 @@ def flop_count_euler(ncomp: int, ncells: int) -> int:
 
 
 __all__ = [
+    "TILE_BYTES",
+    "tile_rows",
+    "row_tiles",
     "upwind_flux",
     "central_flux",
     "euler_update",

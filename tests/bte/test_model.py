@@ -58,6 +58,48 @@ class TestEnergyReduction:
         assert abs(q[0, 0]) > abs(q[1, 0]) * 0.5
 
 
+def _scattered_band_energies(model, I, comps=None):
+    """The definition: an ordered scatter-add over the components."""
+    comps = np.arange(model.ncomp) if comps is None else np.asarray(comps)
+    out = np.zeros((model.bands.nbands, I.shape[1]))
+    np.add.at(out, model.comp_band[comps],
+              model.weight_comp[comps][:, None] * I[comps])
+    return out
+
+
+class TestBandEnergies:
+    """The slab accumulation is the scatter-add, bit for bit."""
+
+    @pytest.fixture
+    def intensity(self, model):
+        rng = np.random.default_rng(3)
+        return rng.standard_normal((model.ncomp, 17)) * 10.0 ** rng.integers(
+            -3, 6, size=(model.ncomp, 1))
+
+    def test_all_components(self, model, intensity):
+        assert np.array_equal(model.band_energies(intensity),
+                              _scattered_band_energies(model, intensity))
+
+    @pytest.mark.parametrize("bands", [[0, 1, 2], [3], [1, 4, 5], [5, 0]])
+    def test_band_partition_blocks(self, model, intensity, bands):
+        """A rank's owned components: the same bands of every direction."""
+        comps = np.flatnonzero(np.isin(model.comp_band, bands))
+        assert np.array_equal(model.band_energies(intensity, comps),
+                              _scattered_band_energies(model, intensity, comps))
+
+    @pytest.mark.parametrize("comps", [
+        [],                      # nothing owned
+        [0, 1, 2, 9],            # different band sets per direction
+        list(range(5, 21)),      # directions cut mid-slab
+        [13, 12, 1, 0],          # unsorted
+        [0, 0, 6, 6],            # repeated components accumulate
+    ])
+    def test_irregular_subsets_keep_the_scatter(self, model, intensity, comps):
+        comps = np.array(comps, dtype=int)
+        assert np.array_equal(model.band_energies(intensity, comps),
+                              _scattered_band_energies(model, intensity, comps))
+
+
 class TestIsothermalCallback:
     def test_signed_integrand_signs(self, model):
         """Outgoing directions (s.n > 0) upwind the interior value; incoming

@@ -4,8 +4,13 @@ import numpy as np
 import pytest
 
 from repro.bte.problem import build_bte_problem, hotspot_scenario
-from repro.codegen.emit import ExprEmitter
+from repro.codegen.emit import ExprEmitter, tile_local
 from repro.ir.lowering import lower_conservation_form
+
+
+def _is_flux_line(line: str) -> bool:
+    """The surface statement of the tile body."""
+    return line.strip().startswith("flux = ")
 
 
 @pytest.fixture
@@ -22,9 +27,12 @@ class TestHoisting:
         defs = [ln for ln in src.splitlines() if ln.strip().startswith("cse_s0 =")]
         assert len(defs) == 1
         # and the flux line reuses the temp instead of re-deriving it
-        flux_line = next(ln for ln in src.splitlines() if "flux[sel] =" in ln)
+        flux_line = next(ln for ln in src.splitlines() if _is_flux_line(ln))
         assert flux_line.count("cse_s0") == 3
         assert "normal_x" not in flux_line  # folded into the temp
+        # both sit inside the row-tile loop: the temp is tile-sized
+        tile_loop = src.index("for sel in kernels.row_tiles(")
+        assert tile_loop < src.index("cse_s0 =") < src.index(flux_line)
 
     def test_cse_can_be_disabled(self, tiny_scenario):
         problem, _ = build_bte_problem(tiny_scenario)
@@ -54,14 +62,15 @@ class TestHoisting:
         em = ExprEmitter(p2, form)
         plain = em.emit_sum(form.surface_terms, "surface", cse=False)
         src = solver.source
-        flux_line = next(ln for ln in src.splitlines() if "flux[sel] =" in ln)
+        flux_line = next(ln for ln in src.splitlines() if _is_flux_line(ln))
         indent = flux_line[: len(flux_line) - len(flux_line.lstrip())]
         new_src = []
         for ln in src.splitlines():
             if ln.strip().startswith("cse_s"):
                 continue
-            if "flux[sel] =" in ln:
-                new_src.append(f"{indent}flux[sel] = {plain.code}")
+            if _is_flux_line(ln):
+                # the tile reads its own gathered sides (u1, not u1[sel])
+                new_src.append(f"{indent}flux = {tile_local(plain.code)}")
             else:
                 new_src.append(ln)
         solver.source = "\n".join(new_src)

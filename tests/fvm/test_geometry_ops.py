@@ -76,6 +76,24 @@ class TestGathers:
         assert u1.shape == (3, geom.nfaces)
         assert np.allclose(u2[:, geom.bfaces], 0.0)
 
+    def test_row_restricted_gather_into_scratch(self, geom):
+        rng = np.random.default_rng(1)
+        u = rng.standard_normal((7, geom.ncells))
+        ghost = rng.standard_normal((7, geom.boundary_face_count()))
+        full1, full2 = geom.gather_sides(u, ghost)
+        scratch = (np.empty((4, geom.nfaces)), np.empty((4, geom.nfaces)))
+        for rows in (slice(2, 5), np.array([0, 3, 6]), slice(6, 7)):
+            u1, u2 = geom.gather_sides(u, ghost, rows, out=scratch)
+            # the leading rows of the scratch, not fresh arrays
+            assert np.shares_memory(u1, scratch[0]) and np.shares_memory(u2, scratch[1])
+            assert np.array_equal(u1, full1[rows]) and np.array_equal(u2, full2[rows])
+
+    def test_row_restricted_gather_reads_no_other_row(self, geom):
+        u = np.full((4, geom.ncells), np.nan)
+        u[1] = 1.0
+        u1, u2 = geom.gather_sides(u, None, slice(1, 2))
+        assert np.isfinite(u1).all() and np.isfinite(u2).all()
+
     def test_region_slots_consistent(self, geom):
         for r, faces in geom.region_faces.items():
             slots = geom.region_slots[r]
@@ -115,6 +133,25 @@ class TestKernels:
         v = np.arange(6.0).reshape(2, 3)
         out = kernels.reduction_sum(v, weights=np.array([1.0, 2.0]), axis=0)
         assert np.allclose(out, v[0] + 2 * v[1])
+
+    @pytest.mark.parametrize("rows", [slice(None), slice(3, 17),
+                                      np.array([0, 2, 3, 9, 10, 11, 19])])
+    @pytest.mark.parametrize("height", [1, 4, 5, 20, 1000])
+    def test_row_tiles_partition_the_rows_in_order(self, rows, height):
+        ncomp = 20
+        tiles = list(kernels.row_tiles(rows, ncomp, height))
+        covered = np.concatenate([np.arange(ncomp)[t] for t in tiles])
+        assert np.array_equal(covered, np.arange(ncomp)[rows])
+        sizes = [len(np.arange(ncomp)[t]) for t in tiles]
+        assert all(n == height for n in sizes[:-1]) and 0 < sizes[-1] <= height
+        # a tile is the same kind of selector as the rows it splits
+        assert all(isinstance(t, type(rows)) for t in tiles)
+
+    def test_tile_rows_is_derived_from_the_face_count(self, monkeypatch):
+        monkeypatch.setattr(kernels, "TILE_BYTES", 1024)
+        assert kernels.tile_rows(16, 100) == 8       # 1024 / (8 * 16)
+        assert kernels.tile_rows(16, 5) == 5         # never more than ncomp
+        assert kernels.tile_rows(10_000, 100) == 1   # never less than a row
 
     def test_flop_counters_positive(self):
         assert kernels.flop_count_upwind(4, 100, 2) > 0

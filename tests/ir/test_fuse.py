@@ -230,6 +230,39 @@ def test_engines_agree_on_scratch_reuse_across_shapes():
         np.testing.assert_array_equal(got_interp, expected)
 
 
+def test_ragged_last_tile_runs_in_a_view_of_the_scratch():
+    # kernels sweep row tiles; the short last tile must neither evict the
+    # full tile's scratch nor allocate its own — on either engine
+    expr = Add(Mul(A, B), Pow(C, Num(-1)))
+    program = compile_expr(expr, leaf_key=str)
+    vm = VectorVM(program)
+    rng = np.random.default_rng(4)
+    full = {k: rng.random((13, 400)) + 1.0 for k in "abc"}
+    ragged = {k: v[:8] for k, v in full.items()}
+
+    def sweep(run):
+        outs = []
+        for env in (full, ragged):
+            got = run(*(env[k] for k in program.slots))
+            np.testing.assert_array_equal(got, evaluate(expr, env))
+            outs.append(got)
+        return outs
+
+    for run, bufs_of in ((vm.run, lambda: vm._tls.bufs),
+                         (vm.run_interpreted, lambda: vm._tls.interp_bufs)):
+        sweep(run)
+        adopted = [id(b) for b in bufs_of()]
+        assert any(b is not None for b in bufs_of())
+        out_full, out_ragged = sweep(run)
+        assert adopted == [id(b) for b in bufs_of()]  # nothing re-adopted
+        # both tiles were written into VM-owned scratch, the ragged one
+        # into the leading rows of the full tile's buffer
+        owner = next(b for b in bufs_of() if b is not None
+                     and np.shares_memory(b, out_full))
+        assert np.shares_memory(owner, out_ragged)
+        assert out_ragged.shape == (8, 400)
+
+
 def test_conditional_compiles_to_where():
     expr = Conditional(Cmp(">", A, Num(0)), A, Mul(A, Num(-1)))
     program = compile_expr(expr, leaf_key=str)
