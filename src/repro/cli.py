@@ -17,8 +17,6 @@ Commands
     faults (message drop/delay/dup, rank stalls, device OOM/kernel faults)
     that the resilient runtime recovers from; ``--checkpoint-every N`` /
     ``--restore FILE`` write and resume ``repro.checkpoint/1`` snapshots.
-    ``--fusion on|off|auto`` collapses each generated kernel's expression
-    tree into a single fused vector program (results stay bit-identical).
 ``analyze FILE [FILE] [--json F] [--dot F]``
     Analyze a trace and/or run-report JSON from ``bte --trace/--report``:
     critical-path phase breakdown, kernel/boundary and compute/comm
@@ -342,8 +340,6 @@ def cmd_bte(args: argparse.Namespace) -> int:
         problem.extra["heartbeat_s"] = args.heartbeat_s
     if args.restore:
         problem.extra["restore_from"] = args.restore
-    if args.fusion:
-        problem.extra["fusion"] = args.fusion
     if args.tuned:
         problem.extra["tuned"] = True
         if args.tune_db:
@@ -411,14 +407,6 @@ def cmd_bte(args: argparse.Namespace) -> int:
     info = getattr(solver, "generation_info", None)
     if info and args.verbose:
         _say(f"codegen cache: {info.get('cache')} (key {info.get('key')})")
-    finfo = getattr(solver, "fusion_info", None)
-    if finfo and finfo.get("mode", "off") != "off":
-        progs = finfo.get("programs", {})
-        n_instr = sum(s.get("n_instructions", 0) for s in progs.values())
-        n_temps = sum(s.get("temporaries_eliminated", 0) for s in progs.values())
-        _say(f"fusion: mode={finfo['mode']}, {len(progs)} fused program(s), "
-             f"{n_instr} instruction(s), {n_temps} temporar"
-             f"{'y' if n_temps == 1 else 'ies'} eliminated")
 
     T = solver.state.extra["T"]
     # state.time, not steps*dt: a --restore run resumes mid-trajectory
@@ -532,8 +520,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
         # deliberate slow-down knob (same maths, more launches): the
         # injected-regression drill for `bte compare`
         problem.extra["gpu_kernel_chunks"] = args.chunks
-    if args.fusion:
-        problem.extra["fusion"] = args.fusion
     mode = "gpu" if args.gpu else "cpu"
     _say(f"profiling {scenario.name}: {args.nx}x{args.nx} cells, "
          f"{model.ncomp} components/cell, {args.steps} steps "
@@ -1040,10 +1026,6 @@ def main(argv: list[str] | None = None) -> int:
     p_bte.add_argument("--restore", default=None, metavar="FILE",
                        help="restore solver state from a checkpoint before "
                             "stepping")
-    p_bte.add_argument("--fusion", choices=("on", "off", "auto"), default=None,
-                       help="expression fusion: collapse each kernel's "
-                            "expression tree into one fused vector program "
-                            "(bit-identical results; default off)")
     p_bte.add_argument("--sanitize", action="store_true",
                        help="run under the runtime sanitizer (NaN/Inf "
                             "guards, halo checksums, drift/CFL heuristics; "
@@ -1101,10 +1083,6 @@ def main(argv: list[str] | None = None) -> int:
     p_prof.add_argument("--chunks", type=int, default=0, metavar="N",
                         help="split device kernels into N chunked launches "
                              "(slow-down injection for `bte compare` drills)")
-    p_prof.add_argument("--fusion", choices=("on", "off", "auto"),
-                        default=None,
-                        help="expression fusion mode (bit-identical; "
-                             "default off)")
     p_prof.add_argument("--top", type=int, default=0, metavar="N",
                         help="show only the N most expensive rows")
     p_prof.add_argument("--tolerance", type=float, default=None, metavar="X",

@@ -35,8 +35,6 @@ import numpy as np
 
 from repro.codegen.cpu_serial import emit_rhs_function, eval_fcoef
 from repro.codegen.emit import ExprEmitter
-from repro.codegen.vectorvm import install_vms
-from repro.ir.fuse import fusion_mode, fusion_summary
 from repro.codegen.state import SolverState
 from repro.codegen.target_base import (
     CodegenTarget,
@@ -196,10 +194,9 @@ class CPUDistributedTarget(CodegenTarget):
         )
         ir = build_ir(problem, form, flavor="distributed")
         emitter = ExprEmitter(problem, form)
-        fusion = fusion_mode(problem.extra)
 
         lines = source_header("cpu_distributed", problem, print_ir(ir))
-        lines += emit_rhs_function(problem, emitter, fusion=fusion)
+        lines += emit_rhs_function(problem, emitter)
         lines.append(
             _RANK_PROGRAM_CELLS if cfg.partition_strategy == "cells" else _RANK_PROGRAM_BANDS
         )
@@ -213,7 +210,6 @@ class CPUDistributedTarget(CodegenTarget):
         static: dict = dict(emitter.component_tables())
         static["NCOMP"] = ncomp
         static["NPARTS"] = nparts
-        static["FUSED_PROGRAMS"] = dict(emitter.fused_programs)
 
         # partitioning is part of the build: the Metis-style cut and the
         # halo layout are pure functions of (mesh, nparts, flux_order)
@@ -251,7 +247,6 @@ class CPUDistributedTarget(CodegenTarget):
                 "classified_form": form,
                 "expanded_expr": expanded,
                 "layout": layout,
-                "fusion_info": fusion_summary(fusion, emitter.fused_programs),
             },
         )
 
@@ -269,8 +264,6 @@ class CPUDistributedTarget(CodegenTarget):
         env["run_spmd"] = run_spmd
         env["eval_fcoef"] = eval_fcoef
         env["trace_phase"] = phase_span
-        # rank programs run on real threads; the VMs keep thread-local scratch
-        install_vms(env, env.pop("FUSED_PROGRAMS", None))
         for name, coef in problem.entities.coefficients.items():
             if coef.is_function:
                 env[f"coef_fn_{name}"] = coef.value

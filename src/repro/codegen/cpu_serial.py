@@ -21,9 +21,7 @@ from repro.codegen.target_base import (
     attach_artifact_attrs,
     source_header,
 )
-from repro.codegen.vectorvm import install_vms
 from repro.ir.build import build_ir
-from repro.ir.fuse import fusion_mode, fusion_summary
 from repro.ir.lowering import lower_conservation_form
 from repro.ir.nodes import print_ir
 from repro.fvm.timesteppers import make_stepper
@@ -39,22 +37,17 @@ def _indent(lines: list[str], level: int = 1) -> list[str]:
     return [pad + ln if ln else ln for ln in lines]
 
 
-def emit_rhs_function(
-    problem: "Problem", emitter: ExprEmitter, fusion: str = "off"
-) -> list[str]:
+def emit_rhs_function(problem: "Problem", emitter: ExprEmitter) -> list[str]:
     """Source of ``compute_rhs(state, u, t, rows=None)`` — shared by CPU targets.
 
     The RHS is assembled one cache-sized tile of component rows at a time
     (:func:`repro.codegen.emit.emit_tile_body`) inside each
     ``assemblyLoops`` block, so no face-sized whole-array temporary exists.
-    With ``fusion`` 'auto'/'on' the tile's statements are fused vector
-    programs; the prologue (normals, function coefficients) is identical
-    either way.
     """
     form = emitter.form
     fcoefs = emitter.function_coefficients()
     reads, tile = emit_tile_body(
-        emitter, fusion,
+        emitter,
         gather=["u1, u2 = geom.gather_sides(u, ghost, sel, out=sides)"],
         divergence="geom.surface_divergence(flux)",
         overrides="overrides",
@@ -190,10 +183,9 @@ def build_cpu_artifact(target: CodegenTarget, problem: "Problem"):
     )
     ir = build_ir(problem, form, flavor="cpu")
     emitter = ExprEmitter(problem, form)
-    fusion = fusion_mode(problem.extra)
 
     lines = source_header("cpu_serial", problem, print_ir(ir))
-    lines += emit_rhs_function(problem, emitter, fusion=fusion)
+    lines += emit_rhs_function(problem, emitter)
     lines += emit_step_and_run(problem, problem.config.stepper)
     source = "\n".join(lines) + "\n"
 
@@ -202,13 +194,11 @@ def build_cpu_artifact(target: CodegenTarget, problem: "Problem"):
         static_env={
             **emitter.component_tables(),
             "NCOMP": unknown.space.ncomp,
-            "FUSED_PROGRAMS": dict(emitter.fused_programs),
         },
         attrs={
             "ir": ir,
             "classified_form": form,
             "expanded_expr": expanded,
-            "fusion_info": fusion_summary(fusion, emitter.fused_programs),
         },
     )
 
@@ -221,7 +211,6 @@ def bind_cpu_env(problem: "Problem", artifact) -> dict:
     env["stepper"] = make_stepper(problem.config.stepper)
     env["eval_fcoef"] = eval_fcoef
     env["trace_phase"] = phase_span
-    install_vms(env, env.pop("FUSED_PROGRAMS", None))
     # function coefficients bind live: callables come from the problem's
     # entity table, not the artifact (their code identity is in the key)
     for name, coef in problem.entities.coefficients.items():

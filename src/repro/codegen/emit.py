@@ -9,9 +9,9 @@ as locals prepared by the generated function):
 
 ================  ==========================================================
 ``u``             unknown, ``(ncomp, ncells)``
-``u1``, ``u2``    owner/neighbour face values, ``(ncomp, nfaces)`` — inside
-                  a row tile (:func:`emit_tile_body`) the tile's own
-                  ``(nsel, nfaces)`` gathers, read without ``[sel]``
+``u1``, ``u2``    owner/neighbour face values of the rows in ``sel``,
+                  ``(nsel, nfaces)`` — one row tile's gathers
+                  (:func:`emit_tile_body`)
 ``sel``           component-row selector (an index array or a slice): a
                   block from ``assemblyLoops``, or one tile of it
 ``normal_x`` ...  face normal components, ``(nfaces,)``
@@ -26,7 +26,6 @@ as locals prepared by the generated function):
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -52,30 +51,14 @@ from repro.util.errors import CodegenError
 
 if TYPE_CHECKING:
     from repro.dsl.problem import Problem
-    from repro.ir.fuse import FusedProgram
     from repro.ir.lowering import ClassifiedForm
 
 _AXIS_NAMES = {1: "normal_x", 2: "normal_y", 3: "normal_z"}
 
 #: math functions usable inside equation terms — the source-string view of
 #: the unified :mod:`repro.symbolic.functions` registry (shared with the
-#: interpreter's ``DEFAULT_FUNCTIONS`` and the fused vector VM)
+#: interpreter's ``DEFAULT_FUNCTIONS``)
 _MATH_FUNCS = FUNCTION_CODES
-
-
-@dataclass
-class FusedStatement:
-    """A statement compiled to a fused vector program plus its call site.
-
-    ``code`` replaces the unfused expression string in the generated
-    source: ``VM_<NAME>.run(<slot code strings>)``.  The slot keys *are*
-    emitted source fragments, so the call site reads exactly the locals
-    the unfused expression would.
-    """
-
-    name: str
-    program: "FusedProgram"
-    code: str
 
 
 @dataclass
@@ -114,9 +97,9 @@ class ExprEmitter:
         self.entities = problem.entities
         self.space = self.unknown.space
         self.var_mode = var_mode
-        #: fused programs compiled by :meth:`try_fuse`, keyed by VM name;
-        #: builds lift this into ``static_env["FUSED_PROGRAMS"]``
-        self.fused_programs: dict[str, "FusedProgram"] = {}
+        # common-subexpression hoisting is live only inside emit_sum(cse=True)
+        self._cse_table: dict | None = None
+        self._cse_lines: list[str] = []
 
     # ------------------------------------------------------------- public API
     def emit_volume(self, term: Expr) -> EmittedExpr:
@@ -142,7 +125,7 @@ class ExprEmitter:
             return EmittedExpr("0.0", 0)
         self._cse_table = {} if cse else None
         self._cse_tag = tag if tag is not None else context[0]
-        self._cse_lines: list[str] = []
+        self._cse_lines = []
         try:
             parts = [self._emit(t, context) for t in terms]
         finally:
@@ -155,41 +138,6 @@ class ExprEmitter:
         for p in parts:
             reads |= p.reads
         return EmittedExpr(code, flops, reads, prelude=prelude)
-
-    def try_fuse(
-        self, terms: list[Expr], context: str, vm_name: str, mode: str
-    ) -> FusedStatement | None:
-        """Compile a statement into a fused vector program (or fall back).
-
-        Leaves keep their normal emitted code strings and become the
-        program's slots, so the generated call passes exactly the arrays
-        the unfused expression would read.  ``mode='auto'`` returns None
-        on an unfusable statement; ``mode='on'`` raises.  Work estimates
-        (FLOPs/bytes) always come from the unfused :meth:`emit_sum`, so
-        placement and virtual timings are identical fused or unfused.
-        """
-        from repro.ir.fuse import UnfusableError, compile_terms
-
-        if mode == "off" or not terms:
-            return None
-        reads: set[str] = set()
-        saved = getattr(self, "_cse_table", None)
-        self._cse_table = None  # slot code must be self-contained (no temps)
-        try:
-            program = compile_terms(
-                terms, lambda node: self._walk(node, context, reads)
-            )
-        except UnfusableError as exc:
-            if mode == "on":
-                raise CodegenError(
-                    f"fusion='on' but the {context} statement is unfusable: {exc}"
-                ) from exc
-            return None
-        finally:
-            self._cse_table = saved
-        code = f"VM_{vm_name.upper()}.run({', '.join(program.slots)})"
-        self.fused_programs[vm_name] = program
-        return FusedStatement(vm_name, program, code)
 
     # ------------------------------------------------------------- internals
     #: leaf name prefixes that are constant within one RHS evaluation
@@ -230,7 +178,7 @@ class ExprEmitter:
         return n_leaves >= 2  # hoisting single leaves buys nothing
 
     def _walk(self, node: Expr, ctx: str, reads: set[str]) -> str:
-        table = getattr(self, "_cse_table", None)
+        table = self._cse_table
         if table is not None and self._is_invariant_compound(node):
             key = (ctx, node)
             if key not in table:
@@ -272,6 +220,8 @@ class ExprEmitter:
             return "(" + " * ".join(self._walk(a, ctx, reads) for a in node.args) + ")"
         if isinstance(node, Pow):
             base = self._walk(node.base, ctx, reads)
+            if isinstance(node.base, Num) and node.base.value < 0:
+                base = f"({base})"  # ``-1.0 ** x`` would parse as ``-(1.0 ** x)``
             if isinstance(node.exponent, Num):
                 e = node.exponent.value
                 if e == -1:
@@ -342,14 +292,12 @@ class ExprEmitter:
         if ctx != "surface":
             raise CodegenError("face-side values only exist in surface terms")
         inner = node.expr
-        if isinstance(inner, Indexed) and inner.base == self.unknown.name:
+        if (isinstance(inner, Indexed) and inner.base == self.unknown.name) or (
+            isinstance(inner, Sym) and inner.name == f"_{self.unknown.name}_1"
+        ):
             name = "u1" if node.side == 1 else "u2"
             reads.add(name)
-            return f"{name}[sel]"
-        if isinstance(inner, Sym) and inner.name == f"_{self.unknown.name}_1":
-            name = "u1" if node.side == 1 else "u2"
-            reads.add(name)
-            return f"{name}[sel]"
+            return name
         raise CodegenError(
             f"face reconstruction of {inner} is not supported (only the "
             "unknown can be upwinded/averaged)"
@@ -483,19 +431,8 @@ class ExprEmitter:
         }
 
 
-def tile_local(code: str) -> str:
-    """Statement code as it reads inside a row tile.
-
-    The emitter addresses face-side values as rows of full-height arrays
-    (``u1[sel]``); a tile gathers exactly its own rows, so there the same
-    operands are the gathered arrays themselves.
-    """
-    return re.sub(r"\bu([12])\[sel\]", r"u\1", code)
-
-
 def emit_tile_body(
     emitter: ExprEmitter,
-    fusion: str,
     *,
     gather: list[str],
     divergence: str,
@@ -512,29 +449,19 @@ def emit_tile_body(
     override list (CPU only), and the ``store`` statement consuming
     ``source`` and ``div``.  Every operation is elementwise per row (the
     CSR divergence is per column), so results do not depend on the tiling.
-
-    With ``fusion`` 'auto'/'on' the statements become ``VM_*.run(...)``
-    calls over the same leaf arrays; the unfused emission still provides
-    the reads the caller's prologue must bind, returned first.
+    Returns the reads the caller's prologue must bind, then the body.
     """
     form = emitter.form
     surface = emitter.emit_sum(form.surface_terms, "surface")
     volume = emitter.emit_sum(form.volume_terms, "volume")
     body: list[str] = []
 
-    def statement(name: str, target: str, plain: EmittedExpr, terms: list[Expr]) -> None:
-        fused = emitter.try_fuse(terms, name, name, fusion)
+    def statement(name: str, target: str, expr: EmittedExpr, terms: list[Expr]) -> None:
         body.extend(f"# RHS {name}: {t}" for t in map(str, terms))
-        if fused is not None:
-            stats = fused.program.stats
-            body.append(f"# fused: {stats['n_instructions']} instrs over "
-                        f"{stats['n_registers']} registers")
-            body.append(f"{target} = {tile_local(fused.code)}")
-        else:
-            if plain.prelude:
-                body.append("# hoisted coefficient-only subexpressions")
-                body.extend(plain.prelude)
-            body.append(f"{target} = {tile_local(plain.code)}")
+        if expr.prelude:
+            body.append("# hoisted coefficient-only subexpressions")
+            body.extend(expr.prelude)
+        body.append(f"{target} = {expr.code}")
 
     if form.surface_terms:
         body += gather
@@ -586,7 +513,5 @@ def _count_flops(term: Expr) -> int:
 __all__ = [
     "ExprEmitter",
     "EmittedExpr",
-    "FusedStatement",
     "emit_tile_body",
-    "tile_local",
 ]

@@ -36,7 +36,6 @@ from repro.fem.assemble import (
 from repro.fem.p1 import build_p1
 from repro.fem.weakform import lower_weak_form
 from repro.fvm.boundary import BCKind
-from repro.ir.fuse import fusion_mode, fusion_summary
 from repro.symbolic.evaluate import evaluate
 from repro.symbolic.expr import Expr, Sym
 from repro.util.errors import CodegenError, ConfigError
@@ -177,21 +176,8 @@ def run_steps(state, nsteps):
 '''
 
 
-def _eval_coefficient(
-    problem: "Problem",
-    expr: Expr,
-    points: np.ndarray,
-    fusion: str = "off",
-    programs: dict | None = None,
-    tag: str = "",
-):
-    """Evaluate a weak-term coefficient product at points (or a scalar).
-
-    Under the ``fusion`` knob the expression is compiled to a fused vector
-    program and run through the VM at assembly time (bit-identical by the
-    fusion equivalence contract), so the baked operators match the unfused
-    build exactly; the program stats feed the build's ``fusion_info``.
-    """
+def _eval_coefficient(problem: "Problem", expr: Expr, points: np.ndarray):
+    """Evaluate a weak-term coefficient product at points (or a scalar)."""
     ents = problem.entities
 
     def lookup(node: Expr):
@@ -204,23 +190,6 @@ def _eval_coefficient(
             return float(coef.value)
         raise CodegenError(f"cannot evaluate weak coefficient leaf {node}")
 
-    if fusion != "off":
-        from repro.codegen.vectorvm import VectorVM
-        from repro.ir.fuse import UnfusableError, compile_expr, node_leaf_key
-
-        try:
-            program = compile_expr(expr, node_leaf_key())
-        except UnfusableError as exc:
-            if fusion == "on":
-                raise CodegenError(
-                    f"fusion='on' but weak coefficient {tag or expr} is "
-                    f"unfusable: {exc}"
-                ) from exc
-        else:
-            if programs is not None and tag:
-                programs[tag] = program
-            vm = VectorVM(program)
-            return vm.run(*[lookup(n) for n in program.slot_nodes])
     return evaluate(expr, lookup)
 
 
@@ -242,40 +211,28 @@ class FEMTarget(CodegenTarget):
         form = lower_weak_form(problem, unknown.name, problem.equation.source)
 
         # --- assemble the signed operator sum -------------------------------
-        fusion = fusion_mode(problem.extra)
-        fused_programs: dict = {}
         A = sp.csr_matrix((p1.nnodes, p1.nnodes))
         load = np.zeros(p1.nnodes)
-        for i, term in enumerate(form.bilinear):
-            coeff = _eval_coefficient(
-                problem, term.coefficient, p1.mesh.cell_centroids,
-                fusion=fusion, programs=fused_programs, tag=f"bilinear{i}",
-            )
+        for term in form.bilinear:
+            coeff = _eval_coefficient(problem, term.coefficient, p1.mesh.cell_centroids)
             if term.kind == "stiffness":
                 A = A + assemble_stiffness(p1, coeff)
             elif term.kind == "mass":
                 A = A + assemble_mass(p1, coeff)
             elif term.kind == "advection":
                 vel_cols = [
-                    _eval_coefficient(
-                        problem, c, p1.mesh.cell_centroids,
-                        fusion=fusion, programs=fused_programs,
-                        tag=f"bilinear{i}_vel{j}",
-                    )
+                    _eval_coefficient(problem, c, p1.mesh.cell_centroids)
                     * np.ones(p1.nelem)
-                    for j, c in enumerate(term.velocity)
+                    for c in term.velocity
                 ]
                 A = A + assemble_advection(p1, np.stack(vel_cols, axis=1))
             else:  # pragma: no cover - guarded by the classifier
                 raise CodegenError(f"unexpected bilinear kind {term.kind}")
-        for i, term in enumerate(form.linear):
+        for term in form.linear:
             coeff = term.coefficient
             # the load integrates f * phi_i with nodal quadrature: evaluate
             # the coefficient at the nodes
-            values = _eval_coefficient(
-                problem, coeff, p1.mesh.nodes,
-                fusion=fusion, programs=fused_programs, tag=f"linear{i}",
-            )
+            values = _eval_coefficient(problem, coeff, p1.mesh.nodes)
             load += lumped_mass(p1) * (values * np.ones(p1.nnodes))
 
         inv_ml = 1.0 / lumped_mass(p1)
@@ -345,7 +302,6 @@ class FEMTarget(CodegenTarget):
                 "weak_form": form,
                 "p1": p1,
                 "operators": {"A": A, "load": load, "lumped_mass": 1.0 / inv_ml},
-                "fusion_info": fusion_summary(fusion, fused_programs),
             },
         )
 

@@ -46,9 +46,7 @@ from repro.codegen.target_base import (
 )
 from repro.gpu.device import Device
 from repro.gpu.kernel import Kernel, model_launch
-from repro.codegen.vectorvm import install_vms
 from repro.ir.build import build_ir
-from repro.ir.fuse import fusion_mode, fusion_summary
 from repro.ir.lowering import lower_conservation_form
 from repro.ir.nodes import print_ir
 from repro.obs import get_tracer, phase_span
@@ -100,13 +98,11 @@ def _reject_reconstructions(form) -> None:
             )
 
 
-def _emit_kernel_source(
-    problem: "Problem", emitter: ExprEmitter, fusion: str = "off"
-) -> list[str]:
+def _emit_kernel_source(problem: "Problem", emitter: ExprEmitter) -> list[str]:
     """The flattened interior kernel (one thread per DOF, vectorised body
     swept in row tiles — :func:`repro.codegen.emit.emit_tile_body`)."""
     reads, tile = emit_tile_body(
-        emitter, fusion,
+        emitter,
         gather=[
             "# owner/neighbour gathers restricted to interior faces",
             "ut = u[sel]",
@@ -143,15 +139,10 @@ def _emit_kernel_source(
     return lines + _indent(body + _indent(tile))
 
 
-def _emit_boundary_source(
-    problem: "Problem", emitter: ExprEmitter, fusion: str = "off"
-) -> list[str]:
+def _emit_boundary_source(problem: "Problem", emitter: ExprEmitter) -> list[str]:
     """CPU-side boundary contribution (rhs part from boundary faces)."""
     form = emitter.form
     surface = emitter.emit_sum(form.surface_terms, "surface")
-    # same surface program, its own VM: boundary shapes (nbfaces) differ from
-    # the interior kernel's, and a VM's scratch assumes stable shapes
-    fused = emitter.try_fuse(form.surface_terms, "surface", "surface_bdry", fusion)
     lines = [
         "",
         "",
@@ -181,11 +172,8 @@ def _emit_boundary_source(
     if "face_dist" in surface.reads:
         body.append("face_dist = geom.face_dist[bfaces]")
     body += [f"# face flux: {t}" for t in map(str, form.surface_terms)]
-    if fused is not None:
-        body.append(f"flux = {fused.code}")
-    else:
-        body += surface.prelude
-        body.append(f"flux = {surface.code}")
+    body += surface.prelude
+    body.append(f"flux = {surface.code}")
     body += [
         "# FLUX-type callbacks override their faces",
         "for faces, values in state.bset.flux_overrides(u, t, dt, state.extra):",
@@ -465,14 +453,12 @@ class GPUHybridTarget(CodegenTarget):
         lines.append("# placement decided by the min-cut optimiser:")
         lines += ["#   " + ln for ln in placement.report().splitlines()]
         lines += ["#   " + ln for ln in transfer_plan.report().splitlines()]
-        fusion = fusion_mode(problem.extra)
-        lines += _emit_kernel_source(problem, emitter, fusion=fusion)
-        lines += _emit_boundary_source(problem, emitter, fusion=fusion)
+        lines += _emit_kernel_source(problem, emitter)
+        lines += _emit_boundary_source(problem, emitter)
         lines.append(_STEP_AND_RUN)
         source = "\n".join(lines) + "\n"
 
         static: dict = dict(emitter.component_tables())
-        static["FUSED_PROGRAMS"] = dict(emitter.fused_programs)
         static["NCOMP"] = state.ncomp
         static["NCELLS"] = state.ncells
         static["NDOF"] = ndof
@@ -514,7 +500,6 @@ class GPUHybridTarget(CodegenTarget):
                     "flops_per_thread": flops_per_dof * flop_factor,
                     "bytes_per_thread": bytes_per_dof * byte_factor,
                 },
-                "fusion_info": fusion_summary(fusion, emitter.fused_programs),
             },
         )
 
@@ -559,9 +544,6 @@ class GPUHybridTarget(CodegenTarget):
         env["record_degraded"] = _record_degraded
         env["get_tracer"] = get_tracer
         env["trace_phase"] = phase_span
-        # one VM per call site (interior kernel vs boundary assembler); the
-        # degraded host path re-runs the same kernel, so faults stay fused
-        install_vms(env, env.pop("FUSED_PROGRAMS", None))
 
         solver = GeneratedSolver(
             self.name, artifact.source, env, state,

@@ -39,11 +39,9 @@ from repro.codegen.target_base import (
     attach_artifact_attrs,
     source_header,
 )
-from repro.codegen.vectorvm import install_vms
 from repro.gpu.device import Device
 from repro.gpu.kernel import Kernel
 from repro.ir.build import build_ir
-from repro.ir.fuse import fusion_mode, fusion_summary
 from repro.ir.lowering import lower_conservation_form
 from repro.ir.nodes import print_ir
 from repro.obs import get_tracer, phase_span
@@ -255,16 +253,14 @@ class GPUMultiTarget(CodegenTarget):
         lines = source_header("gpu_multi", problem, print_ir(ir))
         lines.append(f"# band partitioning across {nparts} device(s); each rank")
         lines.append("# pairs one CPU process with one GPU (paper Fig. 7)")
-        fusion = fusion_mode(problem.extra)
-        lines += _emit_kernel_source(problem, emitter, fusion=fusion)
-        lines += _emit_boundary_source(problem, emitter, fusion=fusion)
+        lines += _emit_kernel_source(problem, emitter)
+        lines += _emit_boundary_source(problem, emitter)
         lines.append(_RANK_PROGRAM)
         source = "\n".join(lines) + "\n"
 
         known_vars = emitter.referenced_known_variables()
 
         static: dict = dict(emitter.component_tables())
-        static["FUSED_PROGRAMS"] = dict(emitter.fused_programs)
         static["NCOMP"] = ncomp
         static["NCELLS"] = ncells
         static["NPARTS"] = nparts
@@ -290,7 +286,6 @@ class GPUMultiTarget(CodegenTarget):
                     "flops_per_thread": flops_per_dof,
                     "bytes_per_thread": bytes_per_dof,
                 },
-                "fusion_info": fusion_summary(fusion, emitter.fused_programs),
             },
         )
 
@@ -324,8 +319,6 @@ class GPUMultiTarget(CodegenTarget):
         env["VirtualClock"] = VirtualClock
         env["get_tracer"] = get_tracer
         env["trace_phase"] = phase_span
-        # rank threads share this namespace: the VMs keep thread-local scratch
-        install_vms(env, env.pop("FUSED_PROGRAMS", None))
 
         controller = _make_gpu_controller(problem, owned_box, network, geom)
 

@@ -25,7 +25,6 @@ from repro.codegen.target_base import (
     source_header,
 )
 from repro.ir.build import build_ir
-from repro.ir.fuse import fusion_mode, fusion_summary
 from repro.ir.lowering import ClassifiedForm, lower_conservation_form
 from repro.ir.nodes import print_ir
 from repro.symbolic.evaluate import evaluate
@@ -77,47 +76,10 @@ def run_steps(state, nsteps):
 '''
 
 
-def compile_term_programs(form: ClassifiedForm, mode: str):
-    """Fuse each classified integrand into its own vector program.
-
-    The interpreter evaluates per component with node-bound leaves, so
-    programs are compiled per *term* (matching its per-term ``evaluate``
-    calls exactly) with ``slot_nodes`` retained for lookup binding.
-    Returns ``(volume_programs, surface_programs, stats_programs)`` where
-    the per-term lists hold a program or None (unfusable under 'auto').
-    """
-    from repro.ir.fuse import UnfusableError, compile_expr, node_leaf_key
-
-    def fuse_all(terms, tag):
-        out = []
-        for i, term in enumerate(terms):
-            if mode == "off":
-                out.append(None)
-                continue
-            try:
-                program = compile_expr(term, node_leaf_key())
-            except UnfusableError as exc:
-                if mode == "on":
-                    raise CodegenError(
-                        f"fusion='on' but {tag} term {i} is unfusable: {exc}"
-                    ) from exc
-                program = None
-            out.append(program)
-        return out
-
-    volume = fuse_all(form.volume_terms, "volume")
-    surface = fuse_all(form.surface_terms, "surface")
-    stats = {
-        **{f"volume{i}": p for i, p in enumerate(volume) if p is not None},
-        **{f"surface{i}": p for i, p in enumerate(surface) if p is not None},
-    }
-    return volume, surface, stats
-
-
 class _TermInterpreter:
     """Evaluates classified integrands against a solver state."""
 
-    def __init__(self, problem: "Problem", form: ClassifiedForm, fusion: str = "off"):
+    def __init__(self, problem: "Problem", form: ClassifiedForm):
         self.problem = problem
         self.form = form
         self.unknown = form.unknown
@@ -128,15 +90,6 @@ class _TermInterpreter:
                     raise CodegenError(
                         "the interpreted target supports order-1 fluxes only"
                     )
-        volume_programs, surface_programs, _ = compile_term_programs(form, fusion)
-        from repro.codegen.vectorvm import VectorVM
-
-        self.volume_vms = [
-            VectorVM(p) if p is not None else None for p in volume_programs
-        ]
-        self.surface_vms = [
-            VectorVM(p) if p is not None else None for p in surface_programs
-        ]
 
     # ------------------------------------------------------------- leaf envs
     def _entity_value(self, name: str, comp_values: tuple[int, ...], state,
@@ -221,21 +174,13 @@ class _TermInterpreter:
                 raise DSLError(f"unbound surface leaf {node}")
 
             if self.form.volume_terms:
-                for term, vm in zip(self.form.volume_terms, self.volume_vms):
-                    value = (
-                        vm.run(*[lookup_volume(n) for n in vm.program.slot_nodes])
-                        if vm is not None
-                        else evaluate(term, lookup_volume)
-                    )
+                for term in self.form.volume_terms:
+                    value = evaluate(term, lookup_volume)
                     out[flat] += np.broadcast_to(value, (state.ncells,))
             if self.form.surface_terms:
                 flux = np.zeros(geom.nfaces)
-                for term, vm in zip(self.form.surface_terms, self.surface_vms):
-                    value = (
-                        vm.run(*[lookup_surface(n) for n in vm.program.slot_nodes])
-                        if vm is not None
-                        else evaluate(term, lookup_surface)
-                    )
+                for term in self.form.surface_terms:
+                    value = evaluate(term, lookup_surface)
                     flux += np.broadcast_to(value, (geom.nfaces,))
                 for faces, values in state.bset.flux_overrides(
                     u, t, state.dt, state.extra
@@ -260,13 +205,9 @@ class InterpretedTarget(CodegenTarget):
             problem.equation.source, unknown, problem.entities, problem.operators
         )
         ir = build_ir(problem, form, flavor="cpu")
-        fusion = fusion_mode(problem.extra)
-        _, _, stats_programs = compile_term_programs(form, fusion)
 
         lines = source_header("interpreted", problem, print_ir(ir))
         lines.append("# no generated numerics: interpret_rhs walks the symbolic form")
-        if stats_programs:
-            lines.append(f"# fused per-term vector programs: {sorted(stats_programs)}")
         lines.append(_SOURCE_STUB)
         source = "\n".join(lines) + "\n"
         return self.make_artifact(
@@ -275,7 +216,6 @@ class InterpretedTarget(CodegenTarget):
                 "ir": ir,
                 "classified_form": form,
                 "expanded_expr": expanded,
-                "fusion_info": fusion_summary(fusion, stats_programs),
             },
         )
 
@@ -283,11 +223,7 @@ class InterpretedTarget(CodegenTarget):
         # the interpreter holds problem references, so it is rebuilt per
         # bind from the cached classified form (the expensive lowering)
         state = SolverState(problem)
-        interp = _TermInterpreter(
-            problem,
-            artifact.attrs["classified_form"],
-            fusion=fusion_mode(problem.extra),
-        )
+        interp = _TermInterpreter(problem, artifact.attrs["classified_form"])
         env = {
             "interpret_rhs": interp.rhs,
             "PRE_STEP_CALLBACKS": list(problem.pre_step_callbacks),

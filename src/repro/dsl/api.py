@@ -167,8 +167,8 @@ def register_function(name: str, fn: Callable, code: str | None = None) -> None:
     Unlike :func:`custom_operator` (a symbolic macro expanded at parse
     time), this binds a numeric implementation for ``Call(name, ...)``
     nodes in the unified function registry, making it available to the
-    interpreter, the fused vector VM and — when ``code`` names it inside
-    a generated module (e.g. ``"np.hypot"``) — emitted source.
+    interpreter and — when ``code`` names it inside a generated module
+    (e.g. ``"np.hypot"``) — emitted source.
     """
     from repro.symbolic.functions import register_function as _register
 

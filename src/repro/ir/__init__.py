@@ -15,12 +15,6 @@ The stages mirror Section II of the paper:
    solver configuration into an :class:`~repro.ir.nodes.IRProgram`, a
    computational graph "including metadata ... and comment nodes to
    facilitate generation of easily readable code".
-
-An optional fifth stage, :mod:`repro.ir.fuse`, collapses each kernel's
-arithmetic expression tree into a single-pass fused vector program
-(register-allocated, CSE-shared, constant-folded) executed by
-:mod:`repro.codegen.vectorvm`; it is gated by the ``fusion`` knob and is
-bit-identical to evaluating the emitted expression.
 """
 
 from repro.ir.nodes import (
@@ -52,17 +46,6 @@ from repro.ir.lowering import (
     render_stage_listing,
 )
 from repro.ir.build import build_ir
-from repro.ir.fuse import (
-    MAX_REGISTERS,
-    OPCODES,
-    UnfusableError,
-    Instr,
-    FusedProgram,
-    compile_terms,
-    compile_expr,
-    fusion_mode,
-    fusion_summary,
-)
 
 __all__ = [
     "IRNode",
@@ -90,13 +73,4 @@ __all__ = [
     "lower_conservation_form",
     "render_stage_listing",
     "build_ir",
-    "MAX_REGISTERS",
-    "OPCODES",
-    "UnfusableError",
-    "Instr",
-    "FusedProgram",
-    "compile_terms",
-    "compile_expr",
-    "fusion_mode",
-    "fusion_summary",
 ]

@@ -361,7 +361,6 @@ class Analysis:
     trace_stats: dict[str, Any] = field(default_factory=dict)
     kernels: list[dict[str, Any]] = field(default_factory=list)
     profile_drift: dict[str, Any] | None = None
-    fusion: dict[str, Any] | None = None
 
     def to_dict(self) -> dict[str, Any]:
         doc: dict[str, Any] = {
@@ -380,8 +379,6 @@ class Analysis:
             doc["kernels"] = self.kernels
         if self.profile_drift is not None:
             doc["profile_drift"] = self.profile_drift
-        if self.fusion is not None:
-            doc["fusion"] = self.fusion
         return doc
 
     # ------------------------------------------------------------- rendering
@@ -485,25 +482,6 @@ class Analysis:
                 f"{_fmt_ratio(drift.get('max_abs'))} "
                 f"(tolerance {_fmt_ratio(drift.get('tolerance'))}, {status})"
             )
-        if self.fusion is not None and self.fusion.get("mode", "off") != "off":
-            progs = self.fusion.get("programs") or {}
-            lines.append("")
-            lines.append(f"expression fusion: mode={self.fusion['mode']}, "
-                         f"{len(progs)} fused program(s)")
-            if progs:
-                lines.append(
-                    f"  {'program':<16} {'instrs':>6} {'regs':>5} "
-                    f"{'slots':>5} {'temps-elim':>10} {'cse':>4} {'folded':>6}"
-                )
-                for name, st in sorted(progs.items()):
-                    lines.append(
-                        f"  {name:<16} {st.get('n_instructions', 0):>6} "
-                        f"{st.get('n_registers', 0):>5} "
-                        f"{st.get('n_slots', 0):>5} "
-                        f"{st.get('temporaries_eliminated', 0):>10} "
-                        f"{st.get('cse_hits', 0):>4} "
-                        f"{st.get('constants_folded', 0):>6}"
-                    )
         if self.trace_stats:
             lines.append("")
             lines.append(
@@ -570,7 +548,6 @@ def analyze(trace_path: str | Path | None = None,
         profile = report.get("profile") or {}
         if profile.get("drift") is not None:
             analysis.profile_drift = profile["drift"]
-        analysis.fusion = report.get("fusion")
 
     if trace_path is not None:
         spans, flows = load_trace_doc(trace_path)

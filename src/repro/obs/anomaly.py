@@ -51,9 +51,6 @@ DEFAULT_THRESHOLDS: dict[str, float] = {
     # bench gate: tolerated overhead ratio drift of the always-on
     # observability (event log ring + flight recorder), the 5% budget
     "obs_overhead": 0.05,
-    # bench gate: tolerated fused/unfused wall-time ratio drift above the
-    # ideal 1.0 ("fusion never runs slower", with room for timer noise)
-    "fusion_overhead": 0.15,
     # bench gate: tolerated elastic-runtime on/off wall ratio above the
     # ideal 1.0.  Looser than obs_overhead: the imbalance watcher does
     # real periodic work (one decision allgather every check_every

@@ -48,11 +48,6 @@ DEFAULT_WALL_THRESHOLD = DEFAULT_THRESHOLDS["bench_wall_regression"]
 #: near 1.0, not seconds — gated by the 5% always-on overhead budget.
 OBS_OVERHEAD_THRESHOLD = DEFAULT_THRESHOLDS["obs_overhead"]
 
-#: Fusion speed entries (``fused_vs_unfused*``) are fused/unfused wall
-#: ratios gated against the ideal 1.0: fused must never run slower than
-#: the emitted expression (with room for timer noise).
-FUSION_OVERHEAD_THRESHOLD = DEFAULT_THRESHOLDS["fusion_overhead"]
-
 #: Elastic-runtime overhead (``rebalance_overhead*``): on/off wall ratio
 #: gated against the ideal 1.0.  The imbalance watcher's periodic
 #: decision allgather is real work, so the budget is looser than the
@@ -122,12 +117,12 @@ class BenchDelta:
             # a speedup floor: positive (= regression) only when the
             # measured speedup falls below the required minimum
             return (SERVE_DEDUP_SPEEDUP_MIN - self.cur_s) / SERVE_DEDUP_SPEEDUP_MIN
-        if ("_on_vs_off_" in self.name or "fused_vs_unfused" in self.name
+        if ("_on_vs_off_" in self.name
                 or "rebalance_overhead" in self.name
                 or "serve_overhead" in self.name):
-            # overhead/speed ratios are judged against the ideal 1.0 — "the
-            # instrumentation is free" / "fusion never loses" — not against
-            # the baseline's own equally-noisy measurement of the same ideal
+            # overhead ratios are judged against the ideal 1.0 — "the
+            # instrumentation is free" — not against the baseline's own
+            # equally-noisy measurement of the same ideal
             return self.cur_s - 1.0
         if not self.base_s:
             return None
@@ -195,8 +190,6 @@ def _threshold_for(name: str, threshold: float | None,
     if "_on_vs_off_" in name:
         # overhead ratios sit near 1.0; the budget is absolute-ish (5%)
         return OBS_OVERHEAD_THRESHOLD
-    if "fused_vs_unfused" in name:
-        return FUSION_OVERHEAD_THRESHOLD
     if "rebalance_overhead" in name:
         # elastic-controller overhead ratio, judged against the ideal 1.0
         # with its own (looser) budget — the watcher does real collective
@@ -289,12 +282,6 @@ def run_benchmarks(nx: int = 16, ndirs: int = 4, bands: int = 4,
     ``events_on_vs_off_wall_s`` toggles the structured event-log ring,
     ``blackbox_on_vs_off_wall_s`` toggles the flight recorder, and
     ``profile_on_vs_off_wall_s`` toggles the per-launch kernel profiler.
-
-    Fusion ratios (``fused_vs_unfused_wall_s`` / ``..._gpu_wall_s``;
-    interleaved min-of-4 fused/unfused wall ratios; gated against the
-    ideal 1.0 with ``DEFAULT_THRESHOLDS['fusion_overhead']``): the fused
-    vector-program fast path must not run slower than the emitted
-    expression it replaces.
 
     Solver-service entries: ``serve_overhead_wall_s`` (served/direct wall
     ratio of one warm solve, vs the ideal 1.0 under
@@ -422,53 +409,6 @@ def run_benchmarks(nx: int = 16, ndirs: int = 4, bands: int = 4,
     finally:
         set_profiler(None)
 
-    # expression fusion: interleaved min-of-4 fused-vs-unfused solves of
-    # the same problem.  The ratio is gated against the ideal 1.0 with the
-    # fusion budget — "the fused vector program never runs slower than the
-    # emitted expression" is a tested property, like the overhead ratios.
-    # Runs a multiple of the suite's step count so one timed solve is long
-    # enough to amortise bind-time VM setup (the simulated-GPU path needs a
-    # longer window — its per-solve scheduling noise is larger), and pauses
-    # the cyclic GC during the timed windows — by this point the suite has
-    # churned enough garbage that collector pauses would otherwise
-    # dominate a min-of-4 ratio.
-    def fused_ratio(gpu: bool = False) -> float:
-        import gc
-
-        steps = (8 if gpu else 4) * nsteps
-
-        def one(fused: bool) -> float:
-            # problem construction (mesh build) happens outside the
-            # timed window on both sides — the ratio judges the solve
-            p = _bte_problem(nx, ndirs, bands, steps, gpu=gpu)
-            if fused:
-                p.extra["fusion"] = "auto"
-            t0 = time.perf_counter()
-            p.solve()
-            return time.perf_counter() - t0
-
-        fused_best = unfused_best = float("inf")
-        gc.collect()
-        gc.disable()
-        try:
-            one(True)   # warmup: VM specialization + import costs land
-            one(False)  # here, not in the first timed repeat
-            for i in range(4):
-                # alternate pair order so monotonic machine drift hits
-                # both sides equally instead of always taxing the first
-                for fused in ((True, False) if i % 2 == 0 else (False, True)):
-                    t = one(fused)
-                    if fused:
-                        fused_best = min(fused_best, t)
-                    else:
-                        unfused_best = min(unfused_best, t)
-        finally:
-            gc.enable()
-        return fused_best / max(unfused_best, 1e-9)
-
-    timings["fused_vs_unfused_wall_s"] = fused_ratio()
-    timings["fused_vs_unfused_gpu_wall_s"] = fused_ratio(gpu=True)
-
     # elastic runtime.  (a) rebalance_overhead_wall_s: the controller on a
     # balanced, fault-free 2-rank cell run vs the plain SPMD path —
     # interleaved min-of-4 ratio against the ideal 1.0 (the watcher is one
@@ -549,8 +489,7 @@ def run_benchmarks(nx: int = 16, ndirs: int = 4, bands: int = 4,
         # longer window than one suite run: the service's fixed per-job
         # cost (submit hop, dedup keying, warm generate, result packaging;
         # ~3 ms) is constant, so the ratio only means something once a
-        # solve is long enough to amortise it — same trick as the fusion
-        # bench, with a wider window because the budget is tighter
+        # solve is long enough to amortise it
         serve_steps = 24 * nsteps
 
         def serve_problem():
@@ -614,7 +553,6 @@ __all__ = [
     "BenchDelta",
     "DEFAULT_THRESHOLD",
     "DEFAULT_WALL_THRESHOLD",
-    "FUSION_OVERHEAD_THRESHOLD",
     "MIN_BASE_SECONDS",
     "OBS_OVERHEAD_THRESHOLD",
     "SERVE_DEDUP_SPEEDUP_MIN",

@@ -80,7 +80,6 @@ class RunReport:
     events: dict[str, Any] | None = None
     trace: dict[str, Any] | None = None
     tuning: dict[str, Any] | None = None
-    fusion: dict[str, Any] | None = None
     metrics: dict[str, Any] | None = None
     profile: dict[str, Any] | None = None
 
@@ -93,8 +92,8 @@ class RunReport:
         }
         for key in ("comm", "gpu", "placement", "resilience", "rebalance",
                     "diagnostics",
-                    "health", "events", "trace", "tuning", "fusion",
-                    "metrics", "profile"):
+                    "health", "events", "trace", "tuning", "metrics",
+                    "profile"):
             value = getattr(self, key)
             if value is not None:
                 doc[key] = value
@@ -330,10 +329,6 @@ def build_run_report(solver, tracer=None, **extra_meta: Any) -> RunReport:
         report.trace = tracer.summary()
 
     report.tuning = _tuning_section(solver)
-
-    # expression-fusion stats (mode + per-program instruction/register
-    # counts) — attached by every target's build_artifact
-    report.fusion = getattr(solver, "fusion_info", None)
 
     from repro.obs.metrics import get_metrics
 

@@ -94,7 +94,10 @@ def evaluate(
 
 def _eval(expr: Expr, lookup: Callable[[Expr], Any], funcs: Mapping[str, Callable[..., Any]]) -> Any:
     if isinstance(expr, Num):
-        return expr.value
+        # literals are reals: ``Num`` stores integral values as ``int`` only
+        # as a normal form, and integer arithmetic (int-array powers, int64
+        # wrap-around) is not what the generated float64 code computes
+        return float(expr.value)
     if isinstance(expr, (Sym, Indexed, FaceNormal, FaceDistance, SideValue)):
         return lookup(expr)
     if isinstance(expr, Add):
@@ -110,8 +113,7 @@ def _eval(expr: Expr, lookup: Callable[[Expr], Any], funcs: Mapping[str, Callabl
     if isinstance(expr, Pow):
         base = _eval(expr.base, lookup, funcs)
         exponent = _eval(expr.exponent, lookup, funcs)
-        # integer negative powers on array inputs: use true division to avoid
-        # numpy integer-power errors
+        # x^(-1) is a true division, as the emitter spells it (``1.0 / x``)
         if np.isscalar(exponent) and exponent == -1:
             return 1.0 / base
         return base ** exponent
@@ -121,7 +123,10 @@ def _eval(expr: Expr, lookup: Callable[[Expr], Any], funcs: Mapping[str, Callabl
         cond = _eval(expr.cond, lookup, funcs)
         then = _eval(expr.then, lookup, funcs)
         other = _eval(expr.otherwise, lookup, funcs)
-        return np.where(cond, then, other) if isinstance(cond, np.ndarray) else (then if cond else other)
+        # also for a scalar condition: a Python branch would hand back a
+        # Python float where the generated code has a 0-d array (1/0.0 raises
+        # on the one and is inf on the other)
+        return np.where(cond, then, other)
     if isinstance(expr, Call):
         fn = funcs.get(expr.func)
         if fn is None:

@@ -4,10 +4,9 @@ Historically :data:`repro.symbolic.evaluate.DEFAULT_FUNCTIONS` (numpy
 callables for the interpreter) and ``repro.codegen.emit._MATH_FUNCS``
 (numpy source strings for the code generators) were two hand-maintained
 copies of the same table.  This module is now the one source of truth:
-both views are derived from it, and the fused vector VM
-(:mod:`repro.codegen.vectorvm`) resolves ``call`` instructions against it,
-so a function registered here is automatically usable by ``evaluate()``,
-by emitted source (when it has a ``code`` string), and by fused programs.
+both views are derived from it, so a function registered here is
+automatically usable by ``evaluate()`` and by emitted source (when it has
+a ``code`` string).
 
 Registered functions must be *pure* and elementwise-broadcasting over
 scalars and numpy arrays — the differential tests rely on a function
@@ -32,7 +31,7 @@ class RegisteredFunction:
     ``code`` is a Python expression string naming the callable inside a
     generated module's namespace (e.g. ``"np.abs"``).  Functions without a
     ``code`` string cannot appear in emitted source, but still work in the
-    interpreter and in fused vector programs, which call ``fn`` directly.
+    interpreter, which calls ``fn`` directly.
     """
 
     name: str
@@ -64,7 +63,7 @@ def register_function(name: str, fn: Callable[..., Any], code: str | None = None
     ``fn`` must accept scalars and numpy arrays and broadcast elementwise.
     Pass ``code`` (a source expression such as ``"np.hypot"``) only when the
     callable is importable from a generated module's namespace; without it
-    the function is interpreter/fused-VM only.
+    the function is interpreter only.
     """
     if not name or not isinstance(name, str):
         raise DSLError(f"function name must be a non-empty string, got {name!r}")

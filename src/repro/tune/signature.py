@@ -44,7 +44,6 @@ _EXTRA_KEYS = (
     "gpu_byte_factor",
     "gpu_kernel_chunks",
     "placement_override",
-    "fusion",
 )
 
 #: Knob fields normalised out of :func:`tuning_key` so one tuning-database

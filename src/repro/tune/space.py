@@ -39,8 +39,6 @@ class TuneConfig:
     placement_force_offload: bool | None = None
     #: hybrid GPU target: split the interior kernel into N launches
     gpu_kernel_chunks: int | None = None
-    #: expression fusion mode: ``"on"``, ``"off"`` or ``"auto"``
-    fusion: str | None = None
 
     @property
     def is_default(self) -> bool:
@@ -92,10 +90,6 @@ def apply_config(problem: "Problem", config: TuneConfig) -> "Problem":
         problem.extra["gpu_force_offload"] = config.placement_force_offload
     if config.gpu_kernel_chunks is not None:
         problem.extra["gpu_kernel_chunks"] = int(config.gpu_kernel_chunks)
-    if config.fusion is not None:
-        if config.fusion not in ("on", "off", "auto"):
-            raise ConfigError(f"fusion must be on/off/auto (got {config.fusion!r})")
-        problem.extra["fusion"] = config.fusion
     return problem
 
 
@@ -140,11 +134,6 @@ def build_space(problem: "Problem") -> list[TuneConfig]:
         for chunks in (2, 4):
             space.append(TuneConfig(gpu_kernel_chunks=chunks))
 
-    # fusion never changes answers (bit-identical by contract), only wall
-    # time — 'auto' fuses what it can and falls back per statement
-    if problem.extra.get("fusion", "off") != "auto":
-        space.append(TuneConfig(fusion="auto"))
-
     return space
 
 
@@ -155,7 +144,6 @@ AXES = (
     "partition",
     "placement_force_offload",
     "gpu_kernel_chunks",
-    "fusion",
 )
 
 
@@ -169,8 +157,6 @@ def axis_of(config: TuneConfig) -> str | None:
         return "placement_force_offload"
     if config.gpu_kernel_chunks is not None:
         return "gpu_kernel_chunks"
-    if config.fusion is not None:
-        return "fusion"
     return None
 
 

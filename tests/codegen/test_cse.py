@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.bte.problem import build_bte_problem, hotspot_scenario
-from repro.codegen.emit import ExprEmitter, tile_local
+from repro.codegen.emit import ExprEmitter
 from repro.ir.lowering import lower_conservation_form
 
 
@@ -69,8 +69,7 @@ class TestHoisting:
             if ln.strip().startswith("cse_s"):
                 continue
             if _is_flux_line(ln):
-                # the tile reads its own gathered sides (u1, not u1[sel])
-                new_src.append(f"{indent}flux = {tile_local(plain.code)}")
+                new_src.append(f"{indent}flux = {plain.code}")
             else:
                 new_src.append(ln)
         solver.source = "\n".join(new_src)

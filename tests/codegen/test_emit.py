@@ -53,7 +53,9 @@ class TestScalarEmission:
         em = ExprEmitter(p, form)
         out = em.emit_sum(form.surface_terms, "surface")
         assert "np.where" in out.code
-        assert "u1[sel]" in out.code and "u2[sel]" in out.code
+        # face sides are the tile's own gathers: bare names, no row selector
+        assert "u1" in out.code and "u2" in out.code
+        assert "u1[sel]" not in out.code and "u2[sel]" not in out.code
         assert "normal_x" in out.code
 
     def test_empty_terms_emit_zero(self):

@@ -1,0 +1,272 @@
+"""Property-based emitter equivalence: emitted source is bit-identical to
+``evaluate()``.
+
+Hypothesis generates random well-typed expression trees over a fixed leaf
+pool (the :mod:`tests.symbolic.test_parser_fuzz` idiom), emits each through
+:class:`repro.codegen.emit.ExprEmitter` and ``eval()``s the source.  For
+every tree and every environment — scalars, arrays, NaN/Inf payloads — the
+result must match :func:`repro.symbolic.evaluate.evaluate` **bit for bit**
+(``tobytes()`` equality, not ``allclose``), and when one side raises, the
+other must raise the same exception type.  Both the plain emission
+(``emit_volume``) and the statement form with hoisted coefficient-only
+temporaries (``emit_sum``) are held to it.
+
+The trees deliberately include the nodes the emitter special-cases:
+``Pow`` with constant/dynamic/−1 exponents, ``Cmp`` embedded in
+``Conditional``, registered ``Call`` functions, and pure-constant subtrees.
+
+Leaves are bound once, in the namespace the emitted source runs in; the
+interpreter reads each leaf by evaluating that leaf's own emitted spelling
+(``coef_a``, ``u[sel]``) there, so the two sides cannot see different
+inputs and every difference is a difference in how a compound node is
+computed.
+"""
+
+from __future__ import annotations
+
+import os
+import warnings
+
+import numpy as np
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
+
+from repro.codegen.emit import ExprEmitter
+from repro.dsl.problem import Problem
+from repro.ir.lowering import lower_conservation_form
+from repro.mesh.grid import structured_grid
+from repro.symbolic.evaluate import evaluate
+from repro.symbolic.expr import (
+    Add,
+    Call,
+    Cmp,
+    Conditional,
+    Expr,
+    Mul,
+    Num,
+    Pow,
+    Sym,
+)
+
+# CI runs with a pinned derandomised profile so failures reproduce
+settings.register_profile("ci", derandomize=True, max_examples=60)
+if os.environ.get("HYPOTHESIS_PROFILE"):
+    settings.load_profile(os.environ["HYPOTHESIS_PROFILE"])
+
+#: three scalar coefficients and the unknown, as the lowering spells them
+COEFS = ("a", "b", "c")
+LEAVES = tuple(Sym(f"_{name}_1") for name in (*COEFS, "u"))
+
+_FUNCS_1 = ("abs", "sqrt", "exp", "cos", "tanh")
+_FUNCS_2 = ("min", "max")
+
+
+def _make_emitter() -> ExprEmitter:
+    p = Problem("emit-properties")
+    p.set_domain(1)
+    p.set_steps(1e-3, 1)
+    p.set_mesh(structured_grid((4,)))
+    p.add_variable("u")
+    for name in COEFS:
+        p.add_coefficient(name, 1.0)
+    equation = "-a*u"
+    p.set_conservation_form("u", equation)
+    _, form = lower_conservation_form(equation, p.unknown, p.entities, p.operators)
+    return ExprEmitter(p, form)
+
+
+EMITTER = _make_emitter()
+LEAF_CODE = {leaf_: EMITTER.emit_volume(leaf_).code for leaf_ in LEAVES}
+
+
+def leaf() -> st.SearchStrategy[Expr]:
+    return st.one_of(
+        st.sampled_from(LEAVES),
+        st.integers(min_value=-4, max_value=4).map(Num),
+        st.floats(
+            min_value=-8.0, max_value=8.0, allow_nan=False, allow_infinity=False
+        ).map(Num),
+    )
+
+
+def trees() -> st.SearchStrategy[Expr]:
+    def compound(children: st.SearchStrategy[Expr]) -> st.SearchStrategy[Expr]:
+        pair = st.tuples(children, children)
+        return st.one_of(
+            pair.map(lambda ab: Add(*ab)),
+            st.tuples(children, children, children).map(lambda abc: Add(*abc)),
+            pair.map(lambda ab: Mul(*ab)),
+            # the emitter's three power spellings: 1.0/x, x**const, x**y
+            children.map(lambda b: Pow(b, Num(-1))),
+            st.tuples(children, st.sampled_from([-3, -2, 2, 3, 0.5])).map(
+                lambda be: Pow(be[0], Num(be[1]))
+            ),
+            pair.map(lambda be: Pow(*be)),
+            st.tuples(
+                st.sampled_from((">", "<", ">=", "<=", "==", "!=")),
+                children, children, children, children,
+            ).map(lambda t: Conditional(Cmp(t[0], t[1], t[2]), t[3], t[4])),
+            st.tuples(st.sampled_from(_FUNCS_1), children).map(
+                lambda fa: Call(fa[0], fa[1])
+            ),
+            st.tuples(st.sampled_from(_FUNCS_2), children, children).map(
+                lambda fab: Call(fab[0], fab[1], fab[2])
+            ),
+        )
+
+    return st.recursive(leaf(), compound, max_leaves=14)
+
+
+_FINITE = st.floats(min_value=-8.0, max_value=8.0,
+                    allow_nan=False, allow_infinity=False)
+
+
+def _rows(element: st.SearchStrategy[float], n: int) -> st.SearchStrategy[np.ndarray]:
+    return st.lists(element, min_size=n, max_size=n).map(
+        lambda vs: np.asarray(vs, dtype=np.float64)
+    )
+
+
+def scalar_envs() -> st.SearchStrategy[dict]:
+    """Every coefficient a plain float; the unknown a single DOF."""
+    value = st.one_of(_FINITE, st.sampled_from([0.0, -0.0, 1.0, -1.0]))
+    env = {f"coef_{name}": value for name in COEFS}
+    env["u"] = _rows(value, 1).map(lambda row: row[None, :])
+    return st.fixed_dictionaries(env)
+
+
+def array_envs(n: int = 7, special: bool = False) -> st.SearchStrategy[dict]:
+    """Per-cell arrays everywhere (the unknown carries its component axis)."""
+    element = _FINITE
+    if special:
+        element = st.one_of(
+            element,
+            st.sampled_from([float("nan"), float("inf"), float("-inf"),
+                             0.0, -0.0]),
+        )
+    env = {f"coef_{name}": _rows(element, n) for name in COEFS}
+    env["u"] = _rows(element, n).map(lambda row: row[None, :])
+    return st.fixed_dictionaries(env)
+
+
+def _outcome(fn):
+    """Run ``fn``; normalise to (bit-pattern, None) or (None, error type)."""
+    with warnings.catch_warnings(), np.errstate(all="ignore"):
+        warnings.simplefilter("ignore")
+        try:
+            value = fn()
+        except Exception as exc:  # noqa: BLE001 - compared by type below
+            return None, type(exc)
+    arr = np.asarray(value)
+    return (arr.shape, arr.dtype.str, arr.tobytes()), None
+
+
+def _run_statement(emitted, namespace: dict):
+    """Hoisted temporaries first, then the statement — as a kernel body does."""
+    scope = dict(namespace)
+    for line in emitted.prelude:
+        exec(line, scope)  # noqa: S102 - executing our own emission
+    return eval(emitted.code, scope)  # noqa: S307
+
+
+def assert_emitted_matches(expr: Expr, env: dict) -> None:
+    namespace = {"np": np, "sel": slice(None), **env}
+    leaf_values = {
+        leaf_: eval(code, namespace)  # noqa: S307 - evaluating our own emission
+        for leaf_, code in LEAF_CODE.items()
+    }
+    expected, expected_err = _outcome(lambda: evaluate(expr, leaf_values.__getitem__))
+
+    plain = EMITTER.emit_volume(expr)
+    statement = EMITTER.emit_sum([expr], "volume")
+    for label, run in (
+        ("emit_volume", lambda: eval(plain.code, dict(namespace))),  # noqa: S307
+        ("emit_sum", lambda: _run_statement(statement, namespace)),
+    ):
+        got, got_err = _outcome(run)
+        assert got_err is expected_err, (
+            f"{label}: raised {got_err} vs evaluate's {expected_err} for {expr}"
+        )
+        assert got == expected, f"{label}: bit mismatch for {expr}"
+
+
+@seed(20260808)
+@given(expr=trees(), env=scalar_envs())
+@settings(max_examples=150, deadline=None)
+def test_emitted_matches_evaluate_scalar(expr, env):
+    assert_emitted_matches(expr, env)
+
+
+@seed(20260808)
+@given(expr=trees(), env=array_envs())
+@settings(max_examples=150, deadline=None)
+def test_emitted_matches_evaluate_array(expr, env):
+    assert_emitted_matches(expr, env)
+
+
+@seed(20260808)
+@given(expr=trees(), env=array_envs(special=True))
+@settings(max_examples=150, deadline=None)
+def test_emitted_propagates_nan_inf(expr, env):
+    """NaN payloads, signed zeros and infinities must propagate identically."""
+    assert_emitted_matches(expr, env)
+
+
+@seed(20260808)
+@given(expr=trees(), scalar=scalar_envs(), arrays=array_envs())
+@settings(max_examples=75, deadline=None)
+def test_emitted_mixed_scalar_array_env(expr, scalar, arrays):
+    """Scalar coefficients against an array unknown: broadcasting must match."""
+    assert_emitted_matches(expr, {**scalar, "u": arrays["u"]})
+
+
+@seed(20260808)
+@given(env=array_envs())
+@settings(max_examples=30, deadline=None)
+def test_conditional_array_condition_uses_where(env):
+    a, b = LEAVES[0], LEAVES[1]
+    expr = Conditional(Cmp(">", a, b), Mul(a, Num(2)), Mul(b, Num(-1)))
+    assert_emitted_matches(expr, env)
+
+
+@seed(20260808)
+@given(env=scalar_envs())
+@settings(max_examples=30, deadline=None)
+def test_conditional_scalar_condition_broadcasts_like_where(env):
+    a, b = LEAVES[0], LEAVES[1]
+    expr = Conditional(Cmp("<=", a, b), Add(a, b), Add(a, Mul(b, Num(-1))))
+    assert_emitted_matches(expr, env)
+
+
+# -- the trees the suite found on its first run, pinned ----------------------
+_ZEROS = {**{f"coef_{name}": 0.0 for name in COEFS}, "u": np.zeros((1, 1))}
+
+
+def test_negative_literal_base_keeps_its_sign():
+    """``-1.0 ** -2.0`` parses as ``-(1.0 ** -2.0)``; the emitter used to
+    write exactly that for ``(-1)^(-2)`` and return -1.0."""
+    expr = Pow(Num(-1), Num(-2))
+    assert eval(EMITTER.emit_volume(expr).code) == 1.0  # noqa: S307
+    assert_emitted_matches(expr, _ZEROS)
+
+
+def test_scalar_condition_is_a_where_not_a_python_branch():
+    """``evaluate`` used to pick a branch in Python when the condition was a
+    scalar, so ``1/conditional(...)`` raised ZeroDivisionError where the
+    emitted ``np.where`` yields inf."""
+    a = LEAVES[0]
+    expr = Pow(Conditional(Cmp(">", a, a), a, a), Num(-1))
+    with np.errstate(divide="ignore"):
+        assert np.isinf(evaluate(expr, {str(a): 0.0}))
+    assert_emitted_matches(expr, _ZEROS)
+
+
+def test_integral_literals_are_floats():
+    """``evaluate`` used to compute ``conditional(c, 2, 3)^(-2)`` on an int64
+    array and raise numpy's integers-to-negative-powers ValueError."""
+    a, b = LEAVES[0], LEAVES[1]
+    expr = Pow(Conditional(Cmp(">", a, b), Num(2), Num(3)), Num(-2))
+    env = {**_ZEROS, "coef_a": np.array([1.0, 0.0]), "coef_b": np.array([0.0, 1.0])}
+    assert_emitted_matches(expr, env)
+    assert evaluate(Add(Num(2), Num(3)), {}) == 5.0
+    assert isinstance(evaluate(Add(Num(2), Num(3)), {}), float)

@@ -6,8 +6,8 @@ elementwise per row and the CSR divergence is per column, so the tile
 height must not change a single bit of the solution.  The property suite
 solves one small BTE hotspot problem (FLUX-override walls top and bottom,
 symmetry ghosts left and right) under randomly drawn configurations —
-target, fusion, ``assemblyLoops`` order, ``flux_order``, an injected
-device fault — at four tile heights and demands equal digests:
+target, ``assemblyLoops`` order, ``flux_order``, an injected device
+fault — at four tile heights and demands equal digests:
 
 * one row per tile,
 * the derived height (``TILE_BYTES`` as shipped),
@@ -86,13 +86,11 @@ def digest(solver) -> str:
     return h.hexdigest()
 
 
-def solve(monkeypatch, rows, target, fusion="off", loops=None, order=1,
-          fault=False):
+def solve(monkeypatch, rows, target, loops=None, order=1, fault=False):
     """One solve with tiles of ``rows`` component rows (None: as shipped)."""
     configure, _, device = TARGETS[target]
     problem = build_problem()
     configure(problem)
-    problem.extra["fusion"] = fusion
     if loops is not None:
         problem.set_assembly_loops(list(loops))
     if order == 2:
@@ -113,20 +111,18 @@ def solve(monkeypatch, rows, target, fusion="off", loops=None, order=1,
 @settings(max_examples=20, deadline=None)
 @given(
     target=st.sampled_from(sorted(TARGETS)),
-    fusion=st.sampled_from(("off", "on")),
     loops=st.sampled_from(LOOPS),
     order=st.sampled_from((1, 2)),
     fault=st.booleans(),
     ragged=st.integers(min_value=2, max_value=7),
 )
-def test_tile_height_never_changes_a_bit(target, fusion, loops, order, fault,
-                                         ragged):
+def test_tile_height_never_changes_a_bit(target, loops, order, fault, ragged):
     _, second_order, device = TARGETS[target]
     order = order if second_order else 1
     fault = fault and device is not None
     with pytest.MonkeyPatch.context() as monkeypatch:
         def run(rows):
-            return solve(monkeypatch, rows, target, fusion, loops, order, fault)
+            return solve(monkeypatch, rows, target, loops, order, fault)
 
         whole = run(10_000)  # one tile per block: the untiled evaluation
         ncomp = whole.state.ncomp
@@ -136,17 +132,17 @@ def test_tile_height_never_changes_a_bit(target, fusion, loops, order, fault,
         for rows in (1, None, ragged):
             assert digest(run(rows)) == expected, (
                 f"tiles of {rows} rows changed the result on {target} "
-                f"(fusion={fusion}, loops={loops}, order={order}, fault={fault})"
+                f"(loops={loops}, order={order}, fault={fault})"
             )
 
 
 @pytest.mark.parametrize("target", sorted(TARGETS))
-def test_faulted_and_fused_ragged_tiles_match_whole_blocks(monkeypatch, target):
-    """The corner the property suite may not draw: ragged tiles + fusion
-    (+ the degraded CPU re-execution on device targets), non-trivial
+def test_faulted_ragged_tiles_match_whole_blocks(monkeypatch, target):
+    """The corner the property suite may not draw: ragged tiles + the
+    degraded CPU re-execution on device targets, non-trivial
     ``assemblyLoops``."""
     fault = TARGETS[target][2] is not None
-    args = dict(target=target, fusion="on", loops=("b", "cells", "d"), fault=fault)
+    args = dict(target=target, loops=("b", "cells", "d"), fault=fault)
     assert (digest(solve(monkeypatch, 3, **args))
             == digest(solve(monkeypatch, 10_000, **args)))
 

@@ -286,3 +286,85 @@ class TestProfileRegistryCLI:
         assert entry["report"]["schema"] == "repro.run_report/1"
         assert entry["profile"]["schema"] == "repro.profile/1"
         assert entry["meta"]["wall_s"] > 0
+
+
+#: a ``bte --fusion auto --report`` document from before the fused path was
+#: deleted (PR 14), trimmed to the sections ``analyze``/``compare`` read
+_STALE_REPORT = {
+    "schema": "repro.run_report/1",
+    "meta": {"problem": "bte-hotspot", "target": "cpu", "nsteps_run": 2,
+             "dt": 1e-12, "virtual_time_s": 2e-12, "ncells": 64, "ncomp": 20},
+    "timers": {
+        "solve": {"total": 0.0011, "count": 2, "min": 0.00034,
+                  "max": 0.00076, "mean": 0.00055, "p50": 0.00055,
+                  "p95": 0.00074},
+        "post_step": {"total": 0.00065, "count": 2, "min": 0.00028,
+                      "max": 0.00037, "mean": 0.00032, "p50": 0.00032,
+                      "p95": 0.00036},
+    },
+    "phases": {"solve": 0.629, "post_step": 0.371},
+    "fusion": {"mode": "auto", "programs": {
+        "surface": {"n_instructions": 18, "n_registers": 5, "n_slots": 7,
+                    "temporaries_eliminated": 4, "cse_hits": 2,
+                    "constants_folded": 0},
+        "volume": {"n_instructions": 9, "n_registers": 3, "n_slots": 3,
+                   "temporaries_eliminated": 2, "cse_hits": 1,
+                   "constants_folded": 0},
+    }},
+    "profile": {
+        "schema": "repro.profile/1",
+        "meta": {"problem": "bte-hotspot", "target": "cpu", "nsteps": 2,
+                 "ncells": 64, "ncomp": 20, "nranks": 1,
+                 "problem_key": "9281adde28bda111" * 4, "per_launch": False},
+        "ranks": [{"rank": 0, "kernels": [
+            {"name": "solve", "kind": "phase", "clock": "wall", "count": 2,
+             "total_s": 0.0011, "self_s": 0.0011, "mean_s": 0.00055,
+             "measured_s_per_step": 0.00055,
+             "predicted_s_per_step": 0.0015616, "drift": 0.3528},
+            {"name": "post_step", "kind": "phase", "clock": "wall",
+             "count": 2, "total_s": 0.00065, "self_s": 0.00065,
+             "mean_s": 0.00032, "measured_s_per_step": 0.00032,
+             "predicted_s_per_step": 0.0007264, "drift": 0.4466},
+        ]}],
+        "drift": {"tolerance": 0.5, "max_abs": 0.6472, "exceeded": True},
+    },
+}
+
+
+class TestDocumentsFromBeforeTheFusedPathWasDeleted:
+    def test_report_with_a_fusion_section_analyzes_and_compares(
+            self, tmp_path, capsys):
+        path = tmp_path / "stale_report.json"
+        path.write_text(json.dumps(_STALE_REPORT))
+        assert main(["analyze", str(path)]) == 0
+        assert main(["compare", str(path), str(path)]) == 0
+        captured = capsys.readouterr()
+        assert "solve" in captured.out and "post_step" in captured.out
+        assert "fusion" not in (captured.out + captured.err).lower()
+
+    def test_bench_compare_reports_the_fused_ratios_missing(
+            self, tmp_path, capsys, monkeypatch):
+        import repro.obs.regress as regress
+
+        timings = {"serial_wall_s": 0.31, "gpu_hybrid_virtual_s": 0.0494}
+        baseline = tmp_path / "BENCH_old.json"
+        baseline.write_text(json.dumps({
+            "schema": "repro.bench/1", "name": "bte-suite@2026-08-08",
+            "meta": {"date": "2026-08-08", "nx": 16, "steps": 5},
+            "timings": {**timings,
+                        "fused_vs_unfused_wall_s": 1.0648,
+                        "fused_vs_unfused_gpu_wall_s": 1.0641},
+        }))
+        monkeypatch.setattr(regress, "run_benchmarks",
+                            lambda **kwargs: dict(timings))
+        assert main(["bench", "--out", str(tmp_path / "BENCH_new.json"),
+                     "--compare", str(baseline)]) == 0
+        rows = [ln for ln in capsys.readouterr().out.splitlines()
+                if "fused_vs_unfused" in ln]
+        assert len(rows) == 2 and all("missing" in ln for ln in rows)
+
+    def test_the_removed_flag_is_an_argparse_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bte", "--fusion", "auto"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --fusion" in capsys.readouterr().err

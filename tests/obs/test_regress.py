@@ -138,6 +138,15 @@ class TestSeedBaseline:
         assert doc["timings"], "seed baseline must carry timings"
         assert any(k.endswith("_virtual_s") for k in doc["timings"])
 
+    def test_seed_lists_the_nineteen_suite_entries(self):
+        from pathlib import Path
+
+        seed = Path(__file__).parents[2] / "benchmarks" / "BENCH_seed.json"
+        names = set(load_bench(seed)["timings"])
+        assert len(names) == 19
+        # the fused/unfused ratios left with the fused path (PR 14)
+        assert not any("fused" in name for name in names)
+
     def test_seed_carries_profiler_overhead_entry(self):
         from pathlib import Path
 

@@ -1,21 +1,19 @@
 """The unified function registry (`repro.symbolic.functions`).
 
-One table backs every consumer of named functions: ``evaluate()``, the
-code generators' emitted source, and the fused vector VM.  These tests
-pin the registry's contract — registration, builtin restore, live views —
-and the regression the unification exists for: a function registered once
-(e.g. via the ``finch.register_function`` DSL API) is immediately usable
-by *all three* execution paths, and a custom symbolic operator built on
-registry functions (the ``examples/custom_operator.py`` flow) solves
-bit-identically with fusion on and off.
+One table backs every consumer of named functions: ``evaluate()`` and the
+code generators' emitted source.  These tests pin the registry's contract
+— registration, builtin restore, live views — and the regression the
+unification exists for: a function registered once (e.g. via the
+``finch.register_function`` DSL API) is immediately usable by *both*
+execution paths, and a custom symbolic operator built on registry
+functions (the ``examples/custom_operator.py`` flow) solves identically on
+the generated ``cpu`` target and the ``interpreted`` one.
 """
 
 import numpy as np
 import pytest
 
 import repro.dsl as finch
-from repro.codegen.vectorvm import VectorVM
-from repro.ir.fuse import UnfusableError, compile_expr
 from repro.mesh import structured_grid
 from repro.symbolic.evaluate import evaluate
 from repro.symbolic.expr import Add, Call, Mul, Num, SideValue, Sym
@@ -80,9 +78,9 @@ class TestRegistry:
         assert FUNCTION_CODES["halved"] == "np.halved"
 
     def test_codeless_functions_hidden_from_code_view(self, registered):
-        registered("vmonly", lambda x: x + 1)
-        assert "vmonly" in FUNCTION_CALLABLES
-        assert "vmonly" not in FUNCTION_CODES
+        registered("interponly", lambda x: x + 1)
+        assert "interponly" in FUNCTION_CALLABLES
+        assert "interponly" not in FUNCTION_CODES
 
     def test_function_callables_snapshot_with_overrides(self, registered):
         registered("f1", lambda x: 1.0)
@@ -92,53 +90,50 @@ class TestRegistry:
 
 
 class TestAllConsumersShareTheTable:
-    def test_dsl_registration_reaches_evaluate_and_vm(self):
-        finch.register_function("softsign", lambda x: x / (1.0 + np.abs(x)))
+    def test_dsl_registration_reaches_evaluate_and_the_code_view(self):
+        finch.register_function(
+            "softsign", lambda x: x / (1.0 + np.abs(x)), code="softsign")
         try:
             expr = Call("softsign", Mul(Sym("a"), Num(2)))
-            env = {"a": np.array([-4.0, 0.0, 1.5])}
-            expected = evaluate(expr, env)
-            program = compile_expr(expr, leaf_key=str)
-            vm = VectorVM(program)
-            got = vm.run(*(env[k] for k in program.slots))
-            np.testing.assert_array_equal(got, expected)
-            np.testing.assert_array_equal(vm.run_interpreted(env["a"]),
-                                          expected)
+            a = np.array([-4.0, 0.0, 1.5])
+            np.testing.assert_array_equal(
+                evaluate(expr, {"a": a}), 2 * a / (1.0 + np.abs(2 * a)))
+            assert FUNCTION_CODES["softsign"] == "softsign"
         finally:
             unregister_function("softsign")
+        assert "softsign" not in FUNCTION_CODES
 
     def test_unregistered_name_fails_everywhere(self):
-        expr = Call("ghost_fn", Sym("a"))
         with pytest.raises(DSLError):
-            evaluate(expr, {"a": 1.0})
-        with pytest.raises(UnfusableError):
-            compile_expr(expr, leaf_key=str)
+            evaluate(Call("ghost_fn", Sym("a")), {"a": 1.0})
+        assert "ghost_fn" not in FUNCTION_CODES  # the emitter's lookup
 
 
 def rusanov(velocity, quantity):
     """The example's custom flux: central average + |v.n|/2 dissipation.
 
-    Builds on the registry's ``abs`` — the regression being tested is that
-    a custom operator's function calls flow through the unified table into
-    emitted source *and* fused programs, with identical numerics.
+    Builds on ``magnitude``, registered through the DSL — the regression
+    being tested is that a custom operator's function calls flow through
+    the unified table into emitted source *and* the interpreter, with
+    identical numerics.
     """
     vn = dot_with_normal(velocity)
     central = Mul(vn, Mul(Num(0.5),
                           Add(SideValue(quantity, 1), SideValue(quantity, 2))))
     dissipation = Mul(
         Num(-0.5),
-        Call("abs", vn),
+        Call("magnitude", vn),
         Add(SideValue(quantity, 2), Mul(Num(-1), SideValue(quantity, 1))),
     )
     return Add(central, dissipation)
 
 
 class TestCustomOperatorExampleFlow:
-    """examples/custom_operator.py in miniature, plus the fusion claim."""
+    """examples/custom_operator.py in miniature, on both execution paths."""
 
     @staticmethod
-    def solve(fusion):
-        finch.init_problem(f"rusanov-registry-{fusion}")
+    def solve(target):
+        finch.init_problem(f"rusanov-registry-{target}")
         finch.domain(2)
         finch.time_stepper(finch.EULER_EXPLICIT)
         n = 8
@@ -152,15 +147,17 @@ class TestCustomOperatorExampleFlow:
         finch.initial(
             u, lambda c: np.exp(-8 * ((c[:, 0] - 0.4) ** 2 + c[:, 1] ** 2)))
         finch.custom_operator("rusanov", rusanov, arity=2)
-        finch.conservation_form(u, "-surface(rusanov([bx;by], u))")
-        finch.current_problem().extra["fusion"] = fusion
-        solver = finch.solve(u)
+        finch.register_function("magnitude", np.abs, code="np.abs")
+        try:
+            finch.conservation_form(u, "-surface(rusanov([bx;by], u))")
+            solver = finch.solve(u, target=target)
+        finally:
+            unregister_function("magnitude")
         finch.finalize()
         return solver
 
-    def test_custom_operator_fuses_bit_identically(self):
-        unfused = self.solve("off")
-        fused = self.solve("on")
-        info = fused.fusion_info
-        assert info["mode"] == "on" and info["programs"]
-        assert np.array_equal(fused.solution(), unfused.solution())
+    def test_identical_on_cpu_and_interpreted(self):
+        generated = self.solve("cpu")
+        interpreted = self.solve("interp")
+        assert "np.abs(" in generated.source
+        assert np.array_equal(generated.solution(), interpreted.solution())

@@ -67,3 +67,19 @@ def test_default_db_path_follows_cache_dir(tmp_path):
     with cache_scope(cache_dir=tmp_path):
         assert default_db_path() == tmp_path / "tuned.json"
     assert default_db_path(tmp_path / "other") == tmp_path / "other" / "tuned.json"
+
+
+def test_entry_with_a_removed_knob_loads_as_identity(tmp_path):
+    """Databases written while ``fusion`` was a tuner axis still load: the
+    knob is unknown now, so the winner reads as the default config."""
+    path = tmp_path / "tuned.json"
+    path.write_text(json.dumps({
+        "schema": "repro.tune/1",
+        "entries": {"f" * 64: {
+            "config": {"fusion": "auto"}, "target": "cpu",
+            "virtual_s": 0.018816, "default_virtual_s": 0.018816,
+            "trials": 5, "date": "2026-08-08",
+        }},
+    }))
+    config = TuningDB.load(path).lookup_config("f" * 64)
+    assert config == TuneConfig() and config.is_default

@@ -1,5 +1,7 @@
 """Cache-key anatomy: stability, invalidation, runtime-binding exclusions."""
 
+import sys
+
 import pytest
 
 from repro.bte.problem import build_bte_problem, hotspot_scenario
@@ -26,6 +28,27 @@ class TestStability:
         import json
 
         json.dumps(problem_signature(make_problem(), "cpu"))
+
+
+class TestKeysSurviveTheFusionKnobRemoval:
+    """PR 14 dropped ``"fusion"`` from the hashed ``problem.extra`` keys.
+    Only keys that are *present* are hashed, so a problem that never set
+    the knob must keep the digests it had at the parent commit (07716a1):
+    warm compilation caches and registry timelines stay valid."""
+
+    def test_extra_section_is_empty_for_a_plain_problem(self):
+        assert problem_signature(make_problem(), "cpu")["extra"] == {}
+
+    # callback identities hash ``co_code``, which differs between CPython
+    # minor versions; the digests below were recorded under 3.11
+    @pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                        reason="digests recorded under CPython 3.11 bytecode")
+    def test_digests_equal_the_parent_commits(self):
+        problem = make_problem()
+        assert cache_key(problem, "cpu") == (
+            "c50572aaa18cedc5f70d25e01c3ea0443bc356089a8a98b6d9252e4ccd2f4923")
+        assert tuning_key(problem) == (
+            "b07dd3e3fa6af9c8e8005576a6d65db5c6fc7d32563f3ac0d8ad86ade1730b37")
 
 
 class TestInvalidation:
