@@ -124,6 +124,24 @@ def pseudo_temperature(
     Jacobian) with safeguarded steps; converges in 2-4 iterations from the
     previous step's temperature.
     """
+    return pseudo_temperature_closure(
+        bands, band_energy, T_guess, tol, max_iter, T_floor, T_ceil)[0]
+
+
+def pseudo_temperature_closure(
+    bands: BandSet,
+    band_energy: np.ndarray,
+    T_guess: np.ndarray | float = 300.0,
+    tol: float = 1e-10,
+    max_iter: int = 60,
+    T_floor: float = 1.0,
+    T_ceil: float = 5000.0,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`pseudo_temperature` together with what its converged iterate
+    already evaluated at the returned ``T``: ``(T, tau, e)`` with ``tau =
+    relaxation_times(bands, T)`` and ``e = band_energy_density(bands, T)``,
+    both ``(nbands, ncells)`` — the temperature update's ``beta`` and
+    ``4 pi Io`` without a second pass."""
     from repro.bte.scattering import relaxation_times  # local: no cycle at import
 
     band_energy = np.asarray(band_energy, dtype=np.float64)
@@ -149,7 +167,7 @@ def pseudo_temperature(
         scale = (np.abs(band_energy) / tau).sum(axis=0)
         active &= np.abs(resid) > tol * np.maximum(scale, 1e-300)
         if not active.any():
-            return T
+            return T, tau, e_T
         slope = (_band_heat_capacity(bands, T) / tau).sum(axis=0)
         step = np.clip(resid / np.maximum(slope, 1e-300), -100.0, 100.0)
         T = np.where(active, np.clip(T - step, T_floor, T_ceil), T)

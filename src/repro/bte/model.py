@@ -21,6 +21,7 @@ intensities substituted per Eq. (6).
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 
 import numpy as np
@@ -34,7 +35,7 @@ from repro.bte.angular import (
 from repro.bte.dispersion import BandSet, silicon_bands
 from repro.bte.equilibrium import (
     equilibrium_intensity,
-    pseudo_temperature,
+    pseudo_temperature_closure,
 )
 from repro.bte.scattering import relaxation_times
 from repro.fvm.boundary import BoundaryContext
@@ -129,10 +130,10 @@ class BTEModel:
             own = state.owned_comps
             e_partial = self.band_energies(I, comps=own)
             e_act = state.comm.allreduce(e_partial)
-            T = pseudo_temperature(self.bands, e_act, T_prev)
+            T, Io, beta = self._closure(e_act, T_prev)
             state.extra["T"] = T
-            state.fields["Io"].data[...] = equilibrium_intensity(self.bands, T)
-            state.fields["beta"].data[...] = relaxation_times(self.bands, T)
+            state.fields["Io"].data[...] = Io
+            state.fields["beta"].data[...] = beta
             return
 
         if getattr(state, "owned_cells", None) is not None:
@@ -140,19 +141,26 @@ class BTEModel:
             # to owned cells (ghost columns never feed volume terms)
             own = state.owned_cells
             e_act = self.band_energies(I[:, own])
-            T_own = pseudo_temperature(self.bands, e_act, T_prev[own])
+            T_own, Io, beta = self._closure(e_act, T_prev[own])
             T = T_prev.copy()
             T[own] = T_own
             state.extra["T"] = T
-            state.fields["Io"].data[:, own] = equilibrium_intensity(self.bands, T_own)
-            state.fields["beta"].data[:, own] = relaxation_times(self.bands, T_own)
+            state.fields["Io"].data[:, own] = Io
+            state.fields["beta"].data[:, own] = beta
             return
 
         e_act = self.band_energies(I)
-        T = pseudo_temperature(self.bands, e_act, T_prev)
+        T, Io, beta = self._closure(e_act, T_prev)
         state.extra["T"] = T
-        state.fields["Io"].data[...] = equilibrium_intensity(self.bands, T)
-        state.fields["beta"].data[...] = relaxation_times(self.bands, T)
+        state.fields["Io"].data[...] = Io
+        state.fields["beta"].data[...] = beta
+
+    def _closure(self, band_energy: np.ndarray, T_guess: np.ndarray):
+        """``(T, Io, beta)`` of the SMRT closure.  The converged iterate of
+        the temperature solve already holds ``tau(T)`` and ``e(T)``; ``Io``
+        is ``e / 4 pi`` exactly as :func:`equilibrium_intensity` forms it."""
+        T, tau, e_T = pseudo_temperature_closure(self.bands, band_energy, T_guess)
+        return T, e_T / (4.0 * math.pi), tau
 
     def initialize_state(self, state, T0: float) -> None:
         """Set the uniform-equilibrium initial condition at temperature T0."""

@@ -16,9 +16,9 @@ agreement with the serial solver to round-off) while virtual clocks are
 charged from the calibrated :class:`~repro.perfmodel.costs.CostModel` — see
 DESIGN.md for the substitution rationale.  Rank states keep full-size
 arrays so the generated code stays close to the serial version it derives
-from, but a rank only does its own work: band ranks evaluate the RHS on
-their owned component rows alone (``compute_rhs(..., rows=owned)``), cell
-ranks on every row of their mesh columns, where stale entries are never
+from, but a rank only does its own work: band ranks sweep their owned
+component rows alone (``compute_rhs(..., rows=owned)``), cell ranks every
+row but store only the mesh columns they own, so stale entries are never
 *read* (ghost columns are refreshed by the halo exchange before each step;
 unowned outputs are discarded).
 
@@ -79,9 +79,7 @@ def rank_program(comm):
             for q, data in received.items():
                 state.u[:, RECV_CELLS[comm.rank][q]] = data
         with state.profile_scope('solve'), trace_phase('solve'):
-            rhs = compute_rhs(state, state.u, state.time)
-            state.u[:, owned] = kernels.euler_update(
-                state.u[:, owned], state.dt, rhs[:, owned], 0.0)
+            compute_rhs(state, state.u, state.time)  # stores the owned columns
         comm.compute(COST_SOLVE[comm.rank], phase='solve for intensity')
         for cb in POST_STEP_CALLBACKS:
             with state.profile_scope('post_step'), trace_phase('post_step'):
@@ -116,9 +114,7 @@ def rank_program(comm):
         for cb in PRE_STEP_CALLBACKS:
             cb.fn(state)
         with state.profile_scope('solve'), trace_phase('solve'):
-            rhs = compute_rhs(state, state.u, state.time, owned)
-            state.u[owned] = kernels.euler_update(
-                state.u[owned], state.dt, rhs[owned], 0.0)
+            compute_rhs(state, state.u, state.time, owned)
         comm.compute(COST_SOLVE[comm.rank], phase='solve for intensity')
         for cb in POST_STEP_CALLBACKS:
             with state.profile_scope('post_step'), trace_phase('post_step'):
@@ -196,7 +192,8 @@ class CPUDistributedTarget(CodegenTarget):
         emitter = ExprEmitter(problem, form)
 
         lines = source_header("cpu_distributed", problem, print_ir(ir))
-        lines += emit_rhs_function(problem, emitter)
+        lines += emit_rhs_function(
+            problem, emitter, owned_columns=cfg.partition_strategy == "cells")
         lines.append(
             _RANK_PROGRAM_CELLS if cfg.partition_strategy == "cells" else _RANK_PROGRAM_BANDS
         )

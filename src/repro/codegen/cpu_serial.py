@@ -37,50 +37,73 @@ def _indent(lines: list[str], level: int = 1) -> list[str]:
     return [pad + ln if ln else ln for ln in lines]
 
 
-def emit_rhs_function(problem: "Problem", emitter: ExprEmitter) -> list[str]:
+_EULER = ("euler", "euler_explicit")
+
+
+def emit_rhs_function(problem: "Problem", emitter: ExprEmitter,
+                      owned_columns: bool = False) -> list[str]:
     """Source of ``compute_rhs(state, u, t, rows=None)`` — shared by CPU targets.
 
-    The RHS is assembled one cache-sized tile of component rows at a time
+    One cache-sized tile of component rows at a time
     (:func:`repro.codegen.emit.emit_tile_body`) inside each
     ``assemblyLoops`` block, so no face-sized whole-array temporary exists.
+    Under forward Euler the sweep stores the explicit update itself, ``u[sel]
+    = u[sel] + dt * rhs`` (a cell-partitioned rank, with ``owned_columns``,
+    only into the mesh columns it owns): no full-size ``rhs`` exists either.
+    Other steppers get the RHS back as a fresh array.
     """
     form = emitter.form
     fcoefs = emitter.function_coefficients()
-    reads, tile = emit_tile_body(
+    inplace = problem.config.stepper in _EULER
+    if not inplace:
+        store = "rhs[sel] = source + div"
+    elif owned_columns:
+        store = ("kernels.store_columns(u, sel, state.owned_cells, "
+                 "u[sel] + dt * (source + div))  # Eq. (3)")
+    else:
+        store = "u[sel] = u[sel] + dt * (source + div)  # explicit update, Eq. (3)"
+    tile = emit_tile_body(
         emitter,
         gather=["u1, u2 = geom.gather_sides(u, ghost, sel, out=sides)"],
+        gather_upwind=[
+            "uw = geom.gather_sides(u, ghost, sel, out=sides, upwind=(upw, uw_rows))"],
         divergence="geom.surface_divergence(flux)",
         overrides="overrides",
-        store="rhs[sel] = source + div",
+        store=store,
     )
 
-    body: list[str] = [
-        '"""Semi-discrete RHS du/dt: volume sources + surface divergence.',
+    body = [
+        '"""Semi-discrete RHS du/dt: volume sources + surface divergence —',
+        "returned, or under forward Euler stepped in place, ``u += dt * rhs`` (a",
+        "tile reads the unknown only through its own rows, and the boundary",
+        "values are evaluated from the pre-step ``u`` before the first store).",
         "",
-        "``rows`` restricts the evaluation to those component rows (a rank's",
-        'owned bands); the other rows of the result are left unset."""',
+        "``rows`` restricts the sweep to those component rows (a rank's owned",
+        'bands); the other rows are left untouched."""',
         "geom = state.geom",
         "dt = state.dt",
     ]
     if form.surface_terms:
-        body += [
-            "owner = geom.owner",
-        ]
-        for axis in range(problem.config.dimension):
-            name = ("normal_x", "normal_y", "normal_z")[axis]
-            if name in reads:
+        body.append("owner = geom.owner")
+        for axis, name in enumerate(("normal_x", "normal_y", "normal_z")):
+            if name in tile.reads:
                 body.append(f"{name} = geom.normal[:, {axis}]")
-        if "face_dist" in reads:
+        if "face_dist" in tile.reads:
             body.append("face_dist = geom.face_dist")
+    if tile.tables:
+        body.append(f"[{tile.tables}] = state.tables(invariant_tables)")
     for name, coef in fcoefs.items():
         body += [
             f"# function coefficient {name!r} evaluated on centres",
             f"fcoef_{name} = eval_fcoef(state, coef_fn_{name}, geom.cell_center, t)",
         ]
-        if f"fcoef_{name}_face" in reads:
+        if f"fcoef_{name}_face" in tile.reads:
             body.append(
                 f"fcoef_{name}_face = eval_fcoef(state, coef_fn_{name}, geom.center, t)"
             )
+    if tile.sweep:
+        body += ["# sub-expressions of known variables, once over their own rows"]
+        body += tile.sweep
     body += [
         "",
         "# boundary ghost values and FLUX overrides, once per evaluation",
@@ -89,14 +112,19 @@ def emit_rhs_function(problem: "Problem", emitter: ExprEmitter) -> list[str]:
     ]
     if form.surface_terms:
         body.append("overrides = state.bset.flux_overrides(u, t, dt, state.extra)")
-    body += [
-        "rhs = np.empty((NCOMP, geom.ncells))",
-        "height = kernels.tile_rows(geom.nfaces, NCOMP)",
-    ]
+    if inplace:
+        body.append("state.require_private_inputs(u, ghost"
+                    f"{', overrides' if form.surface_terms else ''})")
+    else:
+        body.append("rhs = np.empty((NCOMP, geom.ncells))")
+    body.append("height = kernels.tile_rows(geom.nfaces, NCOMP)")
     if form.surface_terms:
+        # the upwinded gather reads from the tile's [cells | ghosts] rows
+        width = ("geom.ncells + len(geom.bfaces)" if tile.surface.gathers_upwind
+                 else "geom.nfaces")
         body += [
             "sides = (state.buffer('u1', (height, geom.nfaces)),",
-            "         state.buffer('u2', (height, geom.nfaces)))",
+            f"         state.buffer('u2', (height, {width})))",
         ]
     body += [
         "",
@@ -106,10 +134,11 @@ def emit_rhs_function(problem: "Problem", emitter: ExprEmitter) -> list[str]:
         "    # ... in tiles of rows that keep every temporary cache-resident",
         "    for sel in kernels.row_tiles(block, NCOMP, height):",
     ]
-    body += _indent(tile, 2)
-    body.append("return rhs")
+    body += _indent(tile.lines, 2)
+    if not inplace:
+        body.append("return rhs")
 
-    return ["def compute_rhs(state, u, t, rows=None):"] + _indent(body)
+    return tile.setup + ["def compute_rhs(state, u, t, rows=None):"] + _indent(body)
 
 
 def emit_step_and_run(problem: "Problem", scheme: str) -> list[str]:
@@ -117,11 +146,10 @@ def emit_step_and_run(problem: "Problem", scheme: str) -> list[str]:
     lines: list[str] = ["", ""]
     lines.append("def step_once(state):")
     step_body = ['"""Advance one explicit step (Eq. 3 of the paper)."""']
-    if scheme == "euler":
+    if scheme in _EULER:
         step_body += [
             "with state.profile_scope('solve'), trace_phase('solve'):",
-            "    rhs = compute_rhs(state, state.u, state.time)",
-            "    state.u = kernels.euler_update(state.u, state.dt, rhs, 0.0)",
+            "    compute_rhs(state, state.u, state.time)",
         ]
     else:
         step_body += [

@@ -61,24 +61,53 @@ _AXIS_NAMES = {1: "normal_x", 2: "normal_y", 3: "normal_z"}
 _MATH_FUNCS = FUNCTION_CODES
 
 
+@dataclass(frozen=True)
+class Hoisted:
+    """A sub-expression evaluated ahead of the tiles, over the indices it
+    depends on: ``code`` runs with ``sel = trep_<rows>`` (one component per
+    row) and a tile reads ``ref``."""
+
+    name: str
+    code: str
+    rows: str
+
+    @property
+    def ref(self) -> str:
+        return f"{self.name}[tmap_{self.rows}[sel]]"
+
+
 @dataclass
 class EmittedExpr:
     """One emitted expression and its work estimate (per produced value).
 
-    ``prelude`` carries hoisted common-subexpression assignments (state-free
-    array temporaries); targets emit them immediately before the statement
-    that uses ``code``.
+    ``code`` may read sub-expressions moved out of it, which the target
+    evaluates first: ``tables`` once per bound geometry (their array leaves
+    are ``table_reads``; ``reads`` are those of everything else), ``sweep``
+    once per sweep, ``prelude`` (plain assignments) in every tile.  With
+    ``upwind = (rows, select)`` it reads the upwinded side as ``uw``: the
+    ``select`` between ``u1`` and ``u2``, or — unless a side is also read on
+    its own (``sides``) — one gather through the ``upw`` column table with
+    the tile's table rows ``tmap_<rows>[sel]``.
     """
 
     code: str
     flops: int
     reads: set[str] = field(default_factory=set)
     prelude: list[str] = field(default_factory=list)
+    tables: list[Hoisted] = field(default_factory=list)
+    table_reads: set[str] = field(default_factory=set)
+    sweep: list[Hoisted] = field(default_factory=list)
+    upwind: tuple[str, str] | None = None
+    sides: bool = False
+
+    @property
+    def gathers_upwind(self) -> bool:
+        return self.upwind is not None and not self.sides
 
     @property
     def bytes_per_value(self) -> int:
         # one 8-byte read per distinct array leaf + the 8-byte result write
-        return 8 * (len(self.reads) + 1)
+        return 8 * (len(self.reads | self.table_reads) + 1)
 
 
 class ExprEmitter:
@@ -97,9 +126,12 @@ class ExprEmitter:
         self.entities = problem.entities
         self.space = self.unknown.space
         self.var_mode = var_mode
-        # common-subexpression hoisting is live only inside emit_sum(cse=True)
-        self._cse_table: dict | None = None
-        self._cse_lines: list[str] = []
+        # live only inside emit_sum(cse=True): (context, node) -> the code
+        # reading the hoisted value; ``_out`` collects the definitions
+        self._hoisted: dict | None = None
+        self._out = EmittedExpr("", 0)
+        #: index subspaces of the tables emitted so far, by ``tmap_`` suffix
+        self.row_spaces: dict[str, tuple[str, ...]] = {}
 
     # ------------------------------------------------------------- public API
     def emit_volume(self, term: Expr) -> EmittedExpr:
@@ -110,91 +142,171 @@ class ExprEmitter:
         """Emit a surface integrand producing ``(nsel, nfaces)`` values."""
         return self._emit(term, context="surface")
 
-    def emit_sum(self, terms: list[Expr], context: str, cse: bool = True,
-                 tag: str | None = None) -> EmittedExpr:
+    def emit_sum(self, terms: list[Expr], context: str, cse: bool = True) -> EmittedExpr:
         """Sum of several integrands (zero if empty).
 
-        With ``cse`` (the default), repeated/compound *coefficient-only*
-        subexpressions — e.g. the projected velocity ``vg*(Sx*nx + Sy*ny)``
-        that first-order upwinding evaluates three times inside its
-        conditional — are hoisted into prelude temporaries.  They read only
-        normals/coefficients (never the solution or time), so evaluating
-        them once per statement is always safe.
+        With ``cse`` (the default) the statement is rewritten, every element
+        keeping its bits: a compound of coefficients and face geometry, or
+        of known variables, that depends on fewer indices than the unknown
+        is evaluated over those indices only — per bound geometry
+        (``tables``) or per sweep (``sweep``) — and row-gathered in the tile
+        (one depending on every index stays a tile temporary, ``prelude``;
+        one reading a function coefficient, which may depend on time, or the
+        unknown stays inline); ``conditional(c, A*k, B*k)`` selects between
+        the differing factors and applies the shared ones once; and a select
+        between the two face sides of the unknown on a tabled condition
+        becomes the single gathered side ``uw``.
         """
         if not terms:
             return EmittedExpr("0.0", 0)
-        self._cse_table = {} if cse else None
-        self._cse_tag = tag if tag is not None else context[0]
-        self._cse_lines = []
+        self._tag = context[0]  # names: tab_s0, swp_v1, cse_s0
+        self._hoisted = {} if cse else None
+        self._out = out = EmittedExpr("", 0)
         try:
             parts = [self._emit(t, context) for t in terms]
         finally:
-            prelude = list(self._cse_lines)
-            self._cse_table = None
-            self._cse_lines = []
-        code = " + ".join(f"({p.code})" for p in parts)
-        flops = sum(p.flops for p in parts) + (len(parts) - 1)
-        reads: set[str] = set()
+            self._hoisted = None
+        out.code = " + ".join(f"({p.code})" for p in parts)
+        out.flops = sum(p.flops for p in parts) + (len(parts) - 1)
         for p in parts:
-            reads |= p.reads
-        return EmittedExpr(code, flops, reads, prelude=prelude)
+            out.reads |= p.reads
+        return out
 
     # ------------------------------------------------------------- internals
-    #: leaf name prefixes that are constant within one RHS evaluation
-    _INVARIANT_PREFIXES = ("normal_", "coef_", "face_dist")
-
     def _emit(self, term: Expr, context: str) -> EmittedExpr:
         reads: set[str] = set()
         flops = _count_flops(term)
         code = self._walk(term, context, reads)
         return EmittedExpr(code, flops, reads)
 
-    def _is_invariant_compound(self, node: Expr) -> bool:
-        """Compound expression built purely from coefficients/geometry."""
-        if not isinstance(node, (Add, Mul, Pow)):
+    def _entity_of(self, node: Expr) -> str | None:
+        """Name of the entity a ``Sym``/``Indexed`` leaf refers to."""
+        if isinstance(node, Indexed):
+            return node.base
+        if isinstance(node, Sym) and node.name.startswith("_") and node.name.endswith("_1"):
+            return node.name[1:-2]
+        return None
+
+    def _is_unknown(self, node: Expr) -> bool:
+        """Whether ``node`` reads the unknown — which a statement may only at
+        the component it computes (``I[d,b]``, never ``I[d,1]``): every target
+        sweeps the rows independently and forward Euler stores in place."""
+        if self._entity_of(node) != self.unknown.name:
             return False
-        n_leaves = 0
+        if isinstance(node, Indexed) and node.indices != self.unknown.index_names():
+            raise CodegenError(
+                f"{node} reads the unknown outside the tile's own rows: a "
+                "statement may only read the component it computes",
+                code="RPR141")
+        return True
+
+    def _hoist_scope(self, node: Expr) -> tuple[str, tuple[str, ...]] | None:
+        """Where a compound may be evaluated ahead of its statement:
+        ``('bind', indices)`` — only non-function coefficients and face
+        geometry, on a strict subset of the unknown's indices: a
+        step-invariant table over that subspace; ``('sweep', indices)`` —
+        the same with known variables, which change between steps, not
+        within one; ``('tile', ())`` — invariant but on every index: a table
+        would be as large as a face array."""
+        if not isinstance(node, (Add, Mul, Pow, Cmp)):
+            return None
+        indices: set[str] = set()
+        leaves, variable, shaped = 0, False, False
         for sub in preorder(node):
-            if isinstance(sub, (Num,)):
+            if isinstance(sub, (Num, Add, Mul, Pow, Cmp)):
                 continue
-            if isinstance(sub, (Add, Mul, Pow)):
-                continue
-            if isinstance(sub, FaceNormal) or isinstance(sub, FaceDistance):
-                n_leaves += 1
-                continue
-            if isinstance(sub, Sym) and sub.name.startswith("_") and sub.name.endswith("_1"):
-                coef = self.entities.coefficients.get(sub.name[1:-2])
+            if isinstance(sub, (FaceNormal, FaceDistance)):
+                shaped = True
+            else:
+                name = self._entity_of(sub)
+                coef = self.entities.coefficients.get(name)
+                var = self.entities.variables.get(name)
                 if coef is not None and not coef.is_function:
-                    n_leaves += 1
-                    continue
-                return False
-            if isinstance(sub, Indexed):
-                coef = self.entities.coefficients.get(sub.base)
-                if coef is not None and not coef.is_function:
-                    n_leaves += 1
-                    continue
-                return False
-            return False
-        return n_leaves >= 2  # hoisting single leaves buys nothing
+                    indices.update(coef.index_names())
+                    shaped = shaped or bool(coef.indices)
+                elif var is not None and name != self.unknown.name:
+                    indices.update(var.index_names())
+                    variable = shaped = True
+                else:
+                    return None
+            leaves += 1
+        if not indices <= set(self.space.names):
+            return None  # the plain walk reports the foreign index
+        # a table needs an array to index: pure float arithmetic has none
+        if shaped and len(indices) < len(self.space.names):
+            if variable and isinstance(node, Cmp):
+                return None
+            rows = tuple(n for n in self.space.names if n in indices)
+            return ("sweep" if variable else "bind"), rows
+        if variable or isinstance(node, Cmp) or leaves < 2:
+            return None  # hoisting single leaves buys nothing
+        return "tile", ()
+
+    def _define(self, scope: tuple[str, tuple[str, ...]], code: str) -> str:
+        """Record a hoisted definition; returns the code that reads it."""
+        kind, rows = scope
+        out = self._out
+        if kind == "tile":
+            name = f"cse_{self._tag}{len(out.prelude)}"
+            out.prelude.append(f"{name} = {code}")
+            return name
+        suffix = "_".join(rows) or "none"
+        self.row_spaces[suffix] = rows
+        prefix, defs = ("tab", out.tables) if kind == "bind" else ("swp", out.sweep)
+        name = f"{prefix}_{self._tag}{len(defs)}"
+        defs.append(Hoisted(name, code, suffix))
+        return defs[-1].ref
+
+    def _walk_select(self, node: Conditional, ctx: str, reads: set[str]) -> str:
+        """``conditional(c, A*k, B*k)``: select between the factors that
+        differ, multiply by the shared ones once, each in its original
+        position — per element the same product as selecting between the
+        two full products."""
+        cond = self._walk(node.cond, ctx, reads)
+        then = node.then.args if isinstance(node.then, Mul) else (node.then,)
+        other = node.otherwise.args if isinstance(node.otherwise, Mul) else (node.otherwise,)
+        differ = [i for i, (a, b) in enumerate(zip(then, other)) if a != b]
+        if len(then) != len(other) or len(differ) != 1:
+            then, other, differ = (node.then,), (node.otherwise,), [0]
+        (i,) = differ
+        factors = [None if j == i else self._walk(a, ctx, reads)
+                   for j, a in enumerate(then)]
+        out = self._out
+        table = next((h for h in out.tables if h.ref == cond), None)
+        pair = [n.side for n in (then[i], other[i])
+                if isinstance(n, SideValue) and self._is_unknown(n.expr)]
+        if table and ctx == "surface" and sorted(pair) == [1, 2]:
+            # a tabled condition choosing between the two sides of the
+            # unknown *is* an index choice: which column to gather
+            (a, ca), (b, cb) = [(f"u{s}", ("owner", "other")[s - 1]) for s in pair]
+            upwind = (table.rows, f"np.where({cond}, {a}, {b})")
+            if out.upwind is None:
+                out.upwind = upwind
+                out.tables.append(Hoisted(
+                    "upw", f"np.where({table.name}, {ca}, {cb})", table.rows))
+            if out.upwind == upwind:
+                reads.update((a, b))
+                factors[i] = "uw"
+        if factors[i] is None:
+            factors[i] = (f"np.where({cond}, {self._walk(then[i], ctx, reads)}, "
+                          f"{self._walk(other[i], ctx, reads)})")
+        return "(" + " * ".join(factors) + ")" if len(factors) > 1 else factors[i]
 
     def _walk(self, node: Expr, ctx: str, reads: set[str]) -> str:
-        table = self._cse_table
-        if table is not None and self._is_invariant_compound(node):
+        hoisted = self._hoisted
+        scope = self._hoist_scope(node) if hoisted is not None else None
+        if scope is not None:
             key = (ctx, node)
-            if key not in table:
-                # build the temp's code without re-entering the CSE path
-                self._cse_table = None
+            if key not in hoisted:
+                # build the definition's code without re-entering the hoisting
+                self._hoisted = None
                 try:
-                    code = self._walk(node, ctx, reads)
+                    code = self._walk(
+                        node, ctx, self._out.table_reads if scope[0] == "bind" else reads)
                 finally:
-                    self._cse_table = table
-                name = f"cse_{self._cse_tag}{len(table)}"
-                table[key] = name
-                self._cse_lines.append(f"{name} = {code}")
-            else:
-                # leaves were already counted when the temp was defined
-                pass
-            return table[key]
+                    self._hoisted = hoisted
+                hoisted[key] = self._define(scope, code)
+            return hoisted[key]
         if isinstance(node, Num):
             return repr(float(node.value))
         if isinstance(node, Sym):
@@ -234,20 +346,13 @@ class ExprEmitter:
             rhs = self._walk(node.rhs, ctx, reads)
             return f"({lhs} {node.op} {rhs})"
         if isinstance(node, Conditional):
-            cond = self._walk(node.cond, ctx, reads)
-            then = self._walk(node.then, ctx, reads)
-            other = self._walk(node.otherwise, ctx, reads)
-            return f"np.where({cond}, {then}, {other})"
+            return self._walk_select(node, ctx, reads)
         if isinstance(node, Reconstruction):
             if ctx != "surface":
                 raise CodegenError("flux reconstructions only exist in surface terms")
             if node.scheme != "muscl":
                 raise CodegenError(f"unknown reconstruction scheme {node.scheme!r}")
-            qty = node.quantity
-            is_unknown = (
-                isinstance(qty, Indexed) and qty.base == self.unknown.name
-            ) or (isinstance(qty, Sym) and qty.name == f"_{self.unknown.name}_1")
-            if not is_unknown:
+            if not self._is_unknown(node.quantity):
                 raise CodegenError(
                     "second-order reconstruction supports only the unknown"
                 )
@@ -283,6 +388,7 @@ class ExprEmitter:
     ) -> str:
         kind = self.entities.kind_of(node.base)
         if kind == "variable":
+            self._is_unknown(node)  # RPR141 on a foreign row
             return self._emit_variable(node.base, ctx, side, reads)
         if kind == "coefficient":
             return self._emit_coefficient(node.base, ctx, reads)
@@ -292,11 +398,10 @@ class ExprEmitter:
         if ctx != "surface":
             raise CodegenError("face-side values only exist in surface terms")
         inner = node.expr
-        if (isinstance(inner, Indexed) and inner.base == self.unknown.name) or (
-            isinstance(inner, Sym) and inner.name == f"_{self.unknown.name}_1"
-        ):
+        if self._is_unknown(inner):
             name = "u1" if node.side == 1 else "u2"
             reads.add(name)
+            self._out.sides = True  # read on its own, not through an upwind select
             return name
         raise CodegenError(
             f"face reconstruction of {inner} is not supported (only the "
@@ -356,53 +461,51 @@ class ExprEmitter:
 
         Returns a dict with, for every known variable ``v`` referenced,
         ``cmap_v`` — the (ncomp_unknown,) map from unknown component to the
-        variable's component — and for every array coefficient ``c``,
-        ``coef_c`` broadcast to the unknown's component axis.
+        variable's component — for every array coefficient ``c``,
+        ``coef_c`` broadcast to the unknown's component axis, and for every
+        index subspace the emission so far built a table over,
+        ``tmap_<ix>`` (component -> table row) and ``trep_<ix>`` (the first
+        component of each row).  Call it after emitting.
         """
         import numpy as np
 
         out: dict[str, object] = {}
-        space = self.space
         referenced = self._referenced_entities()
         for name in referenced["variables"]:
-            if name == self.unknown.name:
-                continue
-            var = self.entities.variables[name]
-            if var.indices:
-                vspace = var.space
-                axes = [space.axis_values(ix) for ix in vspace.names]
-                flat = np.zeros(space.ncomp, dtype=np.int64)
-                for vals, size in zip(axes, vspace.sizes):
-                    flat = flat * size + vals
-                out[f"cmap_{name}"] = flat
-            else:
-                out[f"cmap_{name}"] = np.zeros(max(space.ncomp, 1), dtype=np.int64)
+            if name != self.unknown.name:
+                out[f"cmap_{name}"] = self._row_map(
+                    self.entities.variables[name].index_names())
         for name in referenced["coefficients"]:
             coef = self.entities.coefficients[name]
             if coef.is_function:
                 continue  # evaluated per step by the generated driver
             if coef.indices:
-                cspace = coef.space
-                axes = [space.axis_values(ix) for ix in cspace.names]
-                flat = np.zeros(space.ncomp, dtype=np.int64)
-                for vals, size in zip(axes, cspace.sizes):
-                    flat = flat * size + vals
                 values = np.asarray(coef.value, dtype=np.float64).reshape(-1)
-                out[f"coef_{name}"] = values[flat]
+                out[f"coef_{name}"] = values[self._row_map(coef.index_names())]
             else:
                 out[f"coef_{name}"] = float(coef.value)
+        for suffix, names in self.row_spaces.items():
+            rows = self._row_map(names)
+            out[f"tmap_{suffix}"] = rows
+            out[f"trep_{suffix}"] = np.unique(rows, return_index=True)[1]
         return out
+
+    def _row_map(self, names: tuple[str, ...]):
+        """Per component of the unknown, its flat (row-major) position in
+        the space of the indices ``names`` — all zeros when there are none."""
+        import numpy as np
+
+        flat = np.zeros(self.space.ncomp, dtype=np.int64)
+        for ix in names:
+            flat = flat * self.space.size(ix) + self.space.axis_values(ix)
+        return flat
 
     def _referenced_entities(self) -> dict[str, list[str]]:
         variables: list[str] = []
         coefficients: list[str] = []
         for term in list(self.form.volume_terms) + list(self.form.surface_terms):
             for node in preorder(term):
-                name: str | None = None
-                if isinstance(node, Indexed):
-                    name = node.base
-                elif isinstance(node, Sym) and node.name.startswith("_") and node.name.endswith("_1"):
-                    name = node.name[1:-2]
+                name = self._entity_of(node)
                 if name is None:
                     continue
                 kind = self.entities.kind_of(name)
@@ -431,40 +534,100 @@ class ExprEmitter:
         }
 
 
+@dataclass
+class TileBody:
+    """What :func:`emit_tile_body` hands a target: the ``lines`` of one
+    tile, the ``sweep`` lines run once before the first tile, the array
+    leaves (``reads``) those two need bound, the source (``setup``) of
+    ``invariant_tables`` and the comma-joined names (``tables``) of the list
+    it returns (both empty if nothing is tabled), and the emitted
+    ``surface`` statement."""
+
+    lines: list[str]
+    sweep: list[str]
+    reads: set[str]
+    setup: list[str]
+    tables: str
+    surface: EmittedExpr
+
+
+def hoisted_lines(defs: list[Hoisted]) -> list[str]:
+    """Assignments evaluating ``defs``, each over its own rows."""
+    lines: list[str] = []
+    rows = None
+    for h in defs:
+        if h.rows != rows:
+            rows = h.rows
+            lines.append(f"sel = trep_{rows}  # one component per row")
+        lines.append(f"{h.name} = {h.code}")
+    return lines
+
+
+def _invariant_tables(surface: EmittedExpr, volume: EmittedExpr) -> tuple[list[str], str]:
+    """Source of ``invariant_tables`` and the names of the list it returns."""
+    tables = surface.tables + volume.tables
+    if not tables:
+        return [], ""
+    reads = surface.table_reads | volume.table_reads
+    body = [
+        '"""Sub-expressions that never change between steps, each over the',
+        "indices it depends on (``tmap_*``: component -> row), on the faces",
+        "whose geometry is passed; ``owner``/``other`` are the columns of",
+        '``[cells | ghosts]`` holding each face\'s two sides."""',
+    ]
+    body += [f"{name} = normal[:, {axis - 1}]" for axis, name in _AXIS_NAMES.items()
+             if name in reads]
+    body += hoisted_lines(tables)
+    names = ", ".join(h.name for h in tables)
+    body.append(f"return [{names}]")
+    head = "def invariant_tables(normal, face_dist, owner, other):"
+    return [head] + ["    " + ln for ln in body] + ["", ""], names
+
+
 def emit_tile_body(
     emitter: ExprEmitter,
     *,
     gather: list[str],
+    gather_upwind: list[str],
     divergence: str,
     store: str,
     overrides: str | None = None,
-) -> tuple[set[str], list[str]]:
+) -> TileBody:
     """The statements every target runs on one tile of component rows.
 
-    gather ``u1``/``u2`` → surface statement → FLUX overrides → divergence
-    → volume statement → store.  ``sel`` is the tile's row selector; the
-    caller wraps the body in its tile loop and supplies what differs per
-    target: the ``gather`` lines binding ``u1, u2``, the ``divergence``
+    gather ``u1``/``u2`` (or the upwinded ``uw``) → surface statement →
+    FLUX overrides → divergence → volume statement → store.  ``sel`` is the
+    tile's row selector; the caller wraps the body in its tile loop and
+    supplies what differs per target: the ``gather`` lines binding ``u1,
+    u2``, the ``gather_upwind`` lines binding ``uw`` from the ``upw`` column
+    table and the tile's table rows ``uw_rows``, the ``divergence``
     expression over ``flux``, the name of a precomputed ``(faces, values)``
     override list (CPU only), and the ``store`` statement consuming
     ``source`` and ``div``.  Every operation is elementwise per row (the
-    CSR divergence is per column), so results do not depend on the tiling.
-    Returns the reads the caller's prologue must bind, then the body.
+    CSR divergence is per column) and a statement reads the unknown only
+    through the tile's own rows — ``u[sel]``, ``u1``/``u2``/``uw``; the
+    walker fails with RPR141 on anything else — so results do not depend on
+    the tiling and the store may overwrite ``u[sel]`` itself.
     """
     form = emitter.form
     surface = emitter.emit_sum(form.surface_terms, "surface")
     volume = emitter.emit_sum(form.volume_terms, "volume")
+    setup, tables = _invariant_tables(surface, volume)
+    sweep = hoisted_lines(surface.sweep + volume.sweep)
     body: list[str] = []
 
     def statement(name: str, target: str, expr: EmittedExpr, terms: list[Expr]) -> None:
         body.extend(f"# RHS {name}: {t}" for t in map(str, terms))
-        if expr.prelude:
-            body.append("# hoisted coefficient-only subexpressions")
-            body.extend(expr.prelude)
+        body.extend(expr.prelude)
         body.append(f"{target} = {expr.code}")
 
     if form.surface_terms:
-        body += gather
+        if surface.gathers_upwind:
+            body += [f"uw_rows = tmap_{surface.upwind[0]}[sel]", *gather_upwind]
+        else:
+            body += gather
+            if surface.upwind:  # a side is also read on its own: select from both
+                body.append(f"uw = {surface.upwind[1]}")
         statement("surface", "flux", surface, form.surface_terms)
         if not any(r in ("u1", "u2", "u") or r.startswith("var_")
                    for r in surface.reads):
@@ -485,7 +648,7 @@ def emit_tile_body(
     else:
         body.append("source = 0.0")
     body.append(store)
-    return surface.reads | volume.reads, body
+    return TileBody(body, sweep, surface.reads | volume.reads, setup, tables, surface)
 
 
 def _count_flops(term: Expr) -> int:
@@ -513,5 +676,8 @@ def _count_flops(term: Expr) -> int:
 __all__ = [
     "ExprEmitter",
     "EmittedExpr",
+    "Hoisted",
+    "TileBody",
     "emit_tile_body",
+    "hoisted_lines",
 ]

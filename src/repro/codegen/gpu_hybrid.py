@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.codegen.emit import ExprEmitter, emit_tile_body
+from repro.codegen.emit import ExprEmitter, emit_tile_body, hoisted_lines
 from repro.codegen.placement import Task, TaskGraph, optimize_placement, plan_transfers
 from repro.codegen.placement.transfers import ArrayUse
 from repro.codegen.state import SolverState
@@ -98,10 +98,13 @@ def _reject_reconstructions(form) -> None:
             )
 
 
-def _emit_kernel_source(problem: "Problem", emitter: ExprEmitter) -> list[str]:
-    """The flattened interior kernel (one thread per DOF, vectorised body
-    swept in row tiles — :func:`repro.codegen.emit.emit_tile_body`)."""
-    reads, tile = emit_tile_body(
+def _emit_device_source(problem: "Problem", emitter: ExprEmitter) -> list[str]:
+    """The step-invariant tables, the flattened interior kernel (one thread
+    per DOF, vectorised body swept in row tiles —
+    :func:`repro.codegen.emit.emit_tile_body`) and the CPU-side boundary
+    contribution (rhs part from boundary faces)."""
+    form = emitter.form
+    tile = emit_tile_body(
         emitter,
         gather=[
             "# owner/neighbour gathers restricted to interior faces",
@@ -109,41 +112,49 @@ def _emit_kernel_source(problem: "Problem", emitter: ExprEmitter) -> list[str]:
             "u1 = np.take(ut, owner, axis=1, out=sides[0][:len(ut)], mode='clip')",
             "u2 = np.take(ut, NEIGH_INT, axis=1, out=sides[1][:len(ut)], mode='clip')",
         ],
+        gather_upwind=[
+            "# the upwinded side of every interior face, one gather",
+            "uw = kernels.gather_upwind(u[sel], upw, uw_rows, sides[0])",
+        ],
         divergence="(DIV_INT @ flux.T).T",
         store="u_new[sel] = u[sel] + DT * (source + div)  # explicit update, Eq. (3)",
     )
     known = emitter.referenced_known_variables()
     args = ["u"] + [f"var_{n}" for n in known] + ["u_new"]
-    lines = [
-        "",
-        "",
-        f"def interior_kernel({', '.join(args)}, sel=slice(None)):",
-    ]
+    lines = ["", ""] + tile.setup
+    if tile.tables:
+        lines += [
+            "# over the interior faces, evaluated when the source is bound",
+            "INT_TABLES = invariant_tables(NORMALS_INT, FACEDIST_INT, OWNER_INT, NEIGH_INT)",
+            "",
+            "",
+        ]
+    lines.append(f"def interior_kernel({', '.join(args)}, sel=slice(None)):")
     body = [
         '"""Interior bulk: uniform work, no thread divergence between DOFs',
-        '(paper Sec. III-D).  Boundary faces contribute zero here; the CPU',
-        'adds their part after the device result returns.  ``sel`` restricts',
-        'the component rows (multi-device band partitioning launches one',
+        "(paper Sec. III-D).  Boundary faces contribute zero here; the CPU",
+        "adds their part after the device result returns.  ``sel`` restricts",
+        "the component rows (multi-device band partitioning launches one",
         'kernel per rank over its own bands); only those rows are touched."""',
+        "rows = sel",
         "owner = OWNER_INT",
         "height = kernels.tile_rows(len(owner), NCOMP)",
     ]
-    if emitter.form.surface_terms:
+    if form.surface_terms:
         body.append("sides = np.empty((2, height, len(owner)))")
     for axis, name in enumerate(("normal_x", "normal_y", "normal_z")):
-        if name in reads:
+        if name in tile.reads:
             body.append(f"{name} = NORMALS_INT[:, {axis}]")
-    if "face_dist" in reads:
+    if "face_dist" in tile.reads:
         body.append("face_dist = FACEDIST_INT")
-    body.append("for sel in kernels.row_tiles(sel, NCOMP, height):")
-    return lines + _indent(body + _indent(tile))
+    if tile.tables:
+        body.append(f"[{tile.tables}] = INT_TABLES")
+    body += tile.sweep
+    body.append("for sel in kernels.row_tiles(rows, NCOMP, height):")
+    lines += _indent(body + _indent(tile.lines))
 
-
-def _emit_boundary_source(problem: "Problem", emitter: ExprEmitter) -> list[str]:
-    """CPU-side boundary contribution (rhs part from boundary faces)."""
-    form = emitter.form
-    surface = emitter.emit_sum(form.surface_terms, "surface")
-    lines = [
+    surface = tile.surface  # the same statement, over the boundary faces
+    lines += [
         "",
         "",
         "def compute_boundary_contribution(state, u, t):",
@@ -153,7 +164,6 @@ def _emit_boundary_source(problem: "Problem", emitter: ExprEmitter) -> list[str]
         'concurrently with the interior kernel).  Returns du/dt|_boundary."""',
         "geom = state.geom",
         "dt = state.dt",
-        "sel = slice(None)",
     ]
     if not form.surface_terms:
         body.append("return np.zeros((NCOMP, geom.ncells))")
@@ -161,11 +171,19 @@ def _emit_boundary_source(problem: "Problem", emitter: ExprEmitter) -> list[str]
     body += [
         "bfaces = geom.bfaces",
         "owner = geom.owner[bfaces]",
+    ]
+    if tile.tables:  # the same tables, over the boundary faces' geometry
+        body.append(f"[{tile.tables}] = state.tables(invariant_tables, bfaces)")
+    body += hoisted_lines(surface.sweep)
+    body += [
+        "sel = slice(None)",
         "# ghost values from the boundary conditions (user callbacks)",
         "ghost = state.bset.ghost_values(u, t, dt, state.extra)",
         "u1 = u[:, owner]",
         "u2 = ghost",
     ]
+    if surface.upwind is not None:  # the sides are already gathered: select
+        body.append(f"uw = {surface.upwind[1]}")
     for axis, name in enumerate(("normal_x", "normal_y", "normal_z")):
         if name in surface.reads:
             body.append(f"{name} = geom.normal[bfaces, {axis}]")
@@ -453,8 +471,7 @@ class GPUHybridTarget(CodegenTarget):
         lines.append("# placement decided by the min-cut optimiser:")
         lines += ["#   " + ln for ln in placement.report().splitlines()]
         lines += ["#   " + ln for ln in transfer_plan.report().splitlines()]
-        lines += _emit_kernel_source(problem, emitter)
-        lines += _emit_boundary_source(problem, emitter)
+        lines += _emit_device_source(problem, emitter)
         lines.append(_STEP_AND_RUN)
         source = "\n".join(lines) + "\n"
 

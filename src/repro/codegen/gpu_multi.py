@@ -28,8 +28,7 @@ from repro.codegen.emit import ExprEmitter
 from repro.codegen.gpu_hybrid import (
     DEFAULT_BYTE_FACTOR,
     DEFAULT_FLOP_FACTOR,
-    _emit_boundary_source,
-    _emit_kernel_source,
+    _emit_device_source,
     _record_degraded,
 )
 from repro.codegen.state import SolverState
@@ -253,8 +252,7 @@ class GPUMultiTarget(CodegenTarget):
         lines = source_header("gpu_multi", problem, print_ir(ir))
         lines.append(f"# band partitioning across {nparts} device(s); each rank")
         lines.append("# pairs one CPU process with one GPU (paper Fig. 7)")
-        lines += _emit_kernel_source(problem, emitter)
-        lines += _emit_boundary_source(problem, emitter)
+        lines += _emit_device_source(problem, emitter)
         lines.append(_RANK_PROGRAM)
         source = "\n".join(lines) + "\n"
 

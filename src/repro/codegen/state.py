@@ -81,6 +81,8 @@ class SolverState:
         self.bset = self._build_boundary_set()
         self.comp_blocks = self._build_component_blocks()
         self._scratch: dict[str, np.ndarray] = {}
+        self._tables: tuple[Any, list] | None = None  # (builder, its tables)
+        self._sweep_inputs_checked = False
 
         # per-step solver metrics (residual, energy drift) — lazily
         # initialised by observe_step() when a live registry is installed
@@ -250,15 +252,41 @@ class SolverState:
         """A reusable scratch array (allocated once, reused every step).
 
         The generated hot loop calls this instead of ``np.empty`` for
-        arrays whose lifetime is one statement: the tile-sized ``u1``/``u2``
-        gather targets of ``compute_rhs`` (a few rows of faces, refilled
-        for every tile) and the degraded-device ``u_new``.
+        arrays whose lifetime is one statement: the tile-sized gather
+        targets of ``compute_rhs`` (a few rows of faces, refilled for every
+        tile) and the degraded-device ``u_new``.
         """
         buf = self._scratch.get(name)
         if buf is None or buf.shape != shape:
             buf = np.empty(shape, dtype=np.float64)
             self._scratch[name] = buf
         return buf
+
+    def tables(self, build, faces=slice(None)) -> list:
+        """The generated code's step-invariant tables over this state's
+        geometry, ``build(normal, face_dist, owner, neighbor_column)`` on
+        ``faces`` (one choice per generated source): built on first use and
+        again only for another ``build`` (a recompiled source), so every
+        state — each rank state of each run segment, hence each partition an
+        elastic run migrates to — holds its own."""
+        if self._tables is None or self._tables[0] is not build:
+            g = self.geom
+            self._tables = (build, build(g.normal[faces], g.face_dist[faces],
+                                         g.owner[faces], g.neighbor_column[faces]))
+        return self._tables[1]
+
+    def require_private_inputs(self, u: np.ndarray, ghost: np.ndarray,
+                               overrides=()) -> None:
+        """Row-locality guard of the in-place sweep, on this state's first
+        sweep: tiles read ``ghost`` and the FLUX override values after
+        earlier tiles advanced ``u``, so they must be copies, not views."""
+        if not self._sweep_inputs_checked and any(
+                np.may_share_memory(u, a) for a in (ghost, *(v for _, v in overrides))):
+            raise CodegenError(
+                "boundary ghost/flux values share memory with the unknown; the "
+                "in-place sweep needs copies evaluated from the pre-step state",
+                code="RPR141")
+        self._sweep_inputs_checked = True
 
     # ----------------------------------------------------------------- initial
     def _apply_initial_conditions(self) -> None:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
+from repro.fvm.kernels import gather_upwind
 from repro.mesh.mesh import Mesh
 
 
@@ -37,6 +38,9 @@ class FVGeometry:
     bfaces:
         ``(nbfaces,)`` boundary face ids, and ``bface_slot`` maps a face id
         to its position in that list (or -1).
+    neighbor_column:
+        Per face, the column of ``[cell values | ghost values]`` holding its
+        neighbour side (the neighbour cell, or the ghost slot behind them).
     """
 
     def __init__(self, mesh: Mesh):
@@ -59,6 +63,8 @@ class FVGeometry:
         self.bface_slot = np.full(self.nfaces, -1, dtype=np.int64)
         self.bface_slot[self.bfaces] = np.arange(len(self.bfaces))
         self.neighbor_safe = np.where(self.interior_mask, self.neighbor, self.owner)
+        self.neighbor_column = np.where(
+            self.interior_mask, self.neighbor, self.ncells + self.bface_slot)
 
         # gradient distance across each face (two-point diffusive fluxes):
         # interior = |projection of the centroid offset on the normal|;
@@ -163,7 +169,8 @@ class FVGeometry:
         ghost: np.ndarray | None = None,
         rows=None,
         out: tuple[np.ndarray, np.ndarray] | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
+        upwind: tuple[np.ndarray, np.ndarray] | None = None,
+    ):
         """Owner-side and neighbour-side values of ``u`` on every face.
 
         ``u`` has shape ``(..., ncells)``.  On boundary faces the neighbour
@@ -175,11 +182,23 @@ class FVGeometry:
         ``out`` is a pair of ``(>= nrows, nfaces)`` scratch arrays; their
         leading rows are filled and returned instead of fresh arrays, which
         is how the tiled kernels gather without allocating.
+
+        ``upwind=(columns, table_rows)`` returns one array instead: face
+        ``f`` of row ``i`` reads column ``columns[table_rows[i], f]`` of
+        ``[u | ghost]`` — the owner's where an upwind select would take the
+        owner side, else ``neighbor_column``'s (``out[1]`` then holds the
+        ``[u | ghost]`` rows, ``ncells + nbfaces`` wide).
         """
         if rows is not None:
             u = u[rows]
             if ghost is not None:
                 ghost = ghost[rows]
+        if upwind is not None:
+            width = self.ncells + len(self.bfaces)
+            cells = np.empty((len(u), width)) if out is None else out[1][: len(u)]
+            cells[:, : self.ncells] = u
+            cells[:, self.ncells:] = u[:, self.owner[self.bfaces]] if ghost is None else ghost
+            return gather_upwind(cells, *upwind, out=None if out is None else out[0])
         o1, o2 = (None, None) if out is None else (o[: len(u)] for o in out)
         # mode='clip' only skips take's bounds-check buffering of ``out``;
         # owner/neighbor_safe are valid cell ids by construction

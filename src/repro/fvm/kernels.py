@@ -14,12 +14,14 @@ from collections.abc import Iterator
 import numpy as np
 
 #: Working-set budget of one component-row tile: the bytes of one
-#: ``(rows, nfaces)`` float64 face array.  A tile keeps about six such arrays
-#: live (two gathered sides, the hoisted projection, the select's branches,
-#: the flux), and at 512 KiB they all stay inside a 4 MiB L2.  Measured, not
-#: configured — the sweep is in EXPERIMENTS.md ("Component tiling"): step
-#: time is flat within noise from ~200 KiB to 1-2 MiB and rises on both
-#: sides (per-tile call overhead below, L2 spills above).
+#: ``(rows, nfaces)`` float64 face array.  A tile keeps about three such
+#: arrays live (the upwinded side, the row-gathered projection table, the
+#: flux) plus its cell-sized source/update temporaries, and at 512 KiB they
+#: all stay inside a 4 MiB L2.  Measured, not configured — the sweep is in
+#: EXPERIMENTS.md ("Step-invariant tables"): with half the live arrays the
+#: tabled body had before, step time is flat within noise from ~380 KiB to
+#: ~1.5 MiB and rises on both sides (per-tile call overhead below, L2
+#: spills above), so the constant stays where it was.
 TILE_BYTES = 512 * 1024
 
 
@@ -42,6 +44,33 @@ def row_tiles(rows, ncomp: int, height: int) -> Iterator:
     else:
         for lo in range(0, len(rows), height):
             yield rows[lo:lo + height]
+
+
+def gather_upwind(cells: np.ndarray, columns: np.ndarray, table_rows: np.ndarray,
+                  out: np.ndarray | None = None) -> np.ndarray:
+    """The upwinded face side of a tile: ``result[i, f] = cells[i,
+    columns[table_rows[i], f]]``, ``columns`` being the generated code's
+    ``upw`` table (per value of the indices the flow direction depends on,
+    the column of ``cells`` each face reads).  One ``np.take`` per run of
+    equal ``table_rows`` — a tile that straddles two is segmented — into the
+    leading rows of ``out`` when given."""
+    n = len(cells)
+    out = np.empty((n, columns.shape[1])) if out is None else out[:n]
+    lo = 0
+    for hi in (*(np.flatnonzero(table_rows[1:] != table_rows[:-1]) + 1), n):
+        # mode='clip' only skips take's bounds-check buffering of ``out``
+        np.take(cells[lo:hi], columns[table_rows[lo]], axis=1, out=out[lo:hi],
+                mode="clip")
+        lo = hi
+    return out
+
+
+def store_columns(u: np.ndarray, rows, columns: np.ndarray, values: np.ndarray) -> None:
+    """``u[rows, columns] = values[:, columns]`` for a slice or index-array
+    ``rows``: a cell-partitioned rank advances only the mesh columns it owns."""
+    if not isinstance(rows, slice):
+        rows = rows[:, None]
+    u[rows, columns] = values[:, columns]
 
 
 def upwind_flux(vn: np.ndarray, u_owner: np.ndarray, u_neighbor: np.ndarray) -> np.ndarray:
@@ -146,23 +175,6 @@ def muscl_flux(geom, vn: np.ndarray, u: np.ndarray, ghost: np.ndarray | None = N
     return flux[0] if squeeze else flux
 
 
-def euler_update(
-    u: np.ndarray, dt: float, source: np.ndarray, divergence: np.ndarray
-) -> np.ndarray:
-    """One forward-Euler step of ``du/dt = source - div`` (Eq. 3 of the paper)."""
-    return u + dt * (source - divergence)
-
-
-def euler_update_inplace(
-    u_new: np.ndarray, u: np.ndarray, dt: float, source: np.ndarray, divergence: np.ndarray
-) -> np.ndarray:
-    """As :func:`euler_update` but writing into a preallocated buffer."""
-    np.subtract(source, divergence, out=u_new)
-    u_new *= dt
-    u_new += u
-    return u_new
-
-
 def axpy(y: np.ndarray, a: float, x: np.ndarray) -> np.ndarray:
     """In-place ``y += a * x``."""
     y += a * x
@@ -205,10 +217,10 @@ __all__ = [
     "TILE_BYTES",
     "tile_rows",
     "row_tiles",
+    "gather_upwind",
+    "store_columns",
     "upwind_flux",
     "central_flux",
-    "euler_update",
-    "euler_update_inplace",
     "axpy",
     "masked_scale",
     "reduction_sum",

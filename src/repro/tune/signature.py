@@ -14,7 +14,10 @@ function of:
 * the codegen options that shape the emitted source or the baked
   operators: stepper, flux order, assembly loop order, partitioning,
   GPU spec, machine rates (they steer the placement optimiser), network
-  name, and the GPU tuning knobs in ``problem.extra``.
+  name, and the GPU tuning knobs in ``problem.extra``;
+* the emitter itself (:func:`emitter_digest`): a persisted ``source.py``
+  calls helpers of ``geom``/``kernels``/``state`` as they were when it was
+  written, so an artifact stored by another emitter must be a miss.
 
 Deliberately **excluded** (bound fresh on every cache hit, see
 ``bind_artifact``): ``dt``/``nsteps``, initial values, and the pre/post
@@ -26,8 +29,11 @@ the entry while re-creating an identical closure does not.
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import importlib.util
 import json
+from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
@@ -46,14 +52,31 @@ _EXTRA_KEYS = (
     "placement_override",
 )
 
-#: Knob fields normalised out of :func:`tuning_key` so one tuning-database
-#: entry covers the problem regardless of the knobs currently applied.
-#: (``nparts`` stays — the rank count is a resource, not a knob.)
-_KNOB_SIG_FIELDS = ("assembly_order", "extra")
+#: Fields normalised out of :func:`tuning_key` so one tuning-database
+#: entry covers the problem regardless of the knobs currently applied, and
+#: outlives emitter changes (a stored best configuration is re-measurable,
+#: a stored artifact is not).  (``nparts`` stays — the rank count is a
+#: resource, not a knob.)
+_KNOB_SIG_FIELDS = ("assembly_order", "extra", "emitter")
 
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+@functools.cache
+def emitter_digest() -> str:
+    """Content hash of the modules that emit generated source
+    (``repro.codegen``) and of the helpers that source calls into
+    (``repro.fvm``: kernels, geometry, boundary sets); read once per
+    process."""
+    h = hashlib.sha256()
+    for package in ("repro.codegen", "repro.fvm"):
+        root = Path(importlib.util.find_spec(package).origin).parent
+        for path in sorted(root.rglob("*.py")):
+            h.update(str(path.relative_to(root.parent)).encode())
+            h.update(path.read_bytes())
+    return h.hexdigest()
 
 
 def _hash_array(arr: np.ndarray) -> str:
@@ -185,6 +208,7 @@ def problem_signature(problem: "Problem", target_name: str) -> dict[str, Any]:
     network = problem.extra.get("network_model")
     sig: dict[str, Any] = {
         "schema": SCHEMA,
+        "emitter": emitter_digest(),
         "target": target_name,
         "dimension": cfg.dimension,
         "solver_type": cfg.solver_type,
@@ -259,6 +283,7 @@ def tuning_key(problem: "Problem", target_name: str | None = None) -> str:
 __all__ = [
     "SCHEMA",
     "cache_key",
+    "emitter_digest",
     "mesh_signature",
     "problem_signature",
     "request_key",

@@ -97,3 +97,55 @@ class TestTemperatureInversion:
         E = total_energy_density(bands, T_true)
         T = energy_to_temperature(bands, E, T_guess=np.full(500, 300.0))
         assert np.allclose(T, T_true, rtol=1e-8)
+
+
+class TestPseudoTemperatureClosure:
+    """The converged iterate already holds ``tau(T)`` and ``e(T)``: the
+    temperature update takes ``beta`` and ``Io`` from it instead of
+    evaluating both a second time — the same bits."""
+
+    def _band_energy(self, bands, ncells=40):
+        rng = np.random.default_rng(3)
+        T_true = rng.uniform(280, 380, size=ncells)
+        return band_energy_density(bands, T_true) * rng.uniform(0.9, 1.1, (bands.nbands, 1))
+
+    def test_returns_what_a_second_pass_would_compute(self):
+        from repro.bte.equilibrium import pseudo_temperature, pseudo_temperature_closure
+        from repro.bte.scattering import relaxation_times
+
+        bands = silicon_bands(6)
+        e_act = self._band_energy(bands)
+        T, tau, e_T = pseudo_temperature_closure(bands, e_act, 300.0)
+        assert T.tobytes() == pseudo_temperature(bands, e_act, 300.0).tobytes()
+        assert tau.tobytes() == relaxation_times(bands, T).tobytes()
+        assert e_T.tobytes() == band_energy_density(bands, T).tobytes()
+
+    @pytest.mark.parametrize("partition", [None, "cells", "bands"])
+    def test_temperature_update_sets_the_fields_a_second_pass_would(self, partition):
+        from types import SimpleNamespace
+
+        from repro.bte.angular import uniform_directions_2d
+        from repro.bte.model import BTEModel
+        from repro.bte.scattering import relaxation_times
+
+        model = BTEModel(bands=silicon_bands(5), directions=uniform_directions_2d(4))
+        nb, ncells = model.bands.nbands, 12
+        rng = np.random.default_rng(9)
+        Io0 = equilibrium_intensity(model.bands, np.full(ncells, 300.0))
+        state = SimpleNamespace(
+            u=Io0[model.comp_band] * rng.uniform(0.9, 1.2, (model.ncomp, ncells)),
+            extra={"T": np.full(ncells, 300.0)},
+            fields={"Io": SimpleNamespace(data=np.zeros((nb, ncells))),
+                    "beta": SimpleNamespace(data=np.ones((nb, ncells)))},
+            owned_cells=np.arange(2, 9) if partition == "cells" else None,
+            owned_comps=np.arange(model.ncomp) if partition == "bands" else None,
+            comm=SimpleNamespace(allreduce=lambda x: x),
+        )
+        model.temperature_update(state)
+        own = state.owned_cells if partition == "cells" else slice(None)
+        T = state.extra["T"][own]
+        assert not np.array_equal(T, np.full(len(T), 300.0))
+        assert (state.fields["Io"].data[:, own].tobytes()
+                == equilibrium_intensity(model.bands, T).tobytes())
+        assert (state.fields["beta"].data[:, own].tobytes()
+                == relaxation_times(model.bands, T).tobytes())

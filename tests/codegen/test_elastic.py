@@ -189,3 +189,46 @@ class TestRunReportSection:
         _, _, solver = _solve(sc, axis="cells", nparts=2)
         report = build_run_report(solver)
         assert report.rebalance is None
+
+
+class TestTablesFollowTheRankState:
+    """Step-invariant tables are built from a rank state's own geometry,
+    once per state: the states a repartition creates build theirs anew."""
+
+    def test_tables_are_rebuilt_after_a_repartition(self):
+        p, _ = build_bte_problem(_scenario(8))
+        p.extra.update({"rebalance": True, "checkpoint_every": 2})
+        p.set_partitioning("cells", 3)
+        solver = p.generate()
+        ns = solver.namespace
+        make_rank_state, states = ns["make_rank_state"], []
+
+        def recording(rank):
+            states.append(make_rank_state(rank))
+            return states[-1]
+
+        ns["make_rank_state"] = recording
+        with fault_run("rank_kill:rank=1,at=12"):
+            solver.run()
+        (migration,) = get_rebalance_log().as_dict()["migrations"]
+        assert migration["kind"] == "rank_loss"
+        assert len(states) == 3 + 2  # three ranks, then the two survivors
+        build = ns["invariant_tables"]
+        tables = [st._tables for st in states]
+        assert all(t is not None and t[0] is build for t in tables)
+        assert len({id(t[1]) for t in tables}) == len(states)  # none shared
+        for st in states[3:]:
+            g = st.geom
+            fresh = build(g.normal, g.face_dist, g.owner, g.neighbor_column)
+            assert all(np.array_equal(a, b) for a, b in zip(st._tables[1], fresh))
+
+    def test_tables_differ_with_the_geometry(self):
+        def tables(nx):
+            sc = hotspot_scenario(nx=nx, ny=8, ndirs=8, n_freq_bands=5,
+                                  dt=1e-12, nsteps=1)
+            solver = build_bte_problem(sc)[0].solve()
+            return solver.state.tables(solver.namespace["invariant_tables"])
+
+        coarse, fine = tables(6), tables(8)
+        assert [t.shape[0] for t in coarse] == [t.shape[0] for t in fine] == [8, 8, 8]
+        assert coarse[1].shape[1] < fine[1].shape[1]  # one column per face

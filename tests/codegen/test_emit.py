@@ -85,15 +85,20 @@ class TestIndexedEmission:
         p, form = make_problem(self.EQ, ncomp_indices=True)
         em = ExprEmitter(p, form)
         out = em.emit_sum(form.volume_terms, "volume")
-        assert "state.fields['Io'].data[cmap_Io[sel], :]" in out.code
-        assert "state.fields['beta'].data[cmap_beta[sel], :]" in out.code
+        # Io/beta carry fewer indices than I: read once per sweep, over
+        # their own rows, and row-gathered by the statement
+        sweep = "\n".join(h.code for h in out.sweep)
+        assert "state.fields['Io'].data[cmap_Io[sel], :]" in sweep
+        assert "state.fields['beta'].data[cmap_beta[sel], :]" in sweep
+        assert "state.fields" not in out.code and "[tmap_b[sel]]" in out.code
 
     def test_local_var_mode(self):
         p, form = make_problem(self.EQ, ncomp_indices=True)
         em = ExprEmitter(p, form, var_mode="local")
         out = em.emit_sum(form.volume_terms, "volume")
-        assert "var_Io[cmap_Io[sel], :]" in out.code
-        assert "state.fields" not in out.code
+        sweep = "\n".join(h.code for h in out.sweep)
+        assert "var_Io[cmap_Io[sel], :]" in sweep
+        assert "state.fields" not in sweep + out.code
 
     def test_coefficient_broadcast(self):
         p, form = make_problem(self.EQ, ncomp_indices=True)

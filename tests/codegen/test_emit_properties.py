@@ -9,7 +9,11 @@ result must match :func:`repro.symbolic.evaluate.evaluate` **bit for bit**
 (``tobytes()`` equality, not ``allclose``), and when one side raises, the
 other must raise the same exception type.  Both the plain emission
 (``emit_volume``) and the statement form with hoisted coefficient-only
-temporaries (``emit_sum``) are held to it.
+temporaries (``emit_sum``) are held to it.  A second suite does the same
+over an indexed unknown in a surface statement, where ``emit_sum`` moves
+sub-expressions into step-invariant tables and per-sweep definitions,
+selects before it scales and replaces the upwind select by one gathered
+side.
 
 The trees deliberately include the nodes the emitter special-cases:
 ``Pow`` with constant/dynamic/−1 exponents, ``Cmp`` embedded in
@@ -31,7 +35,8 @@ import numpy as np
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from repro.codegen.emit import ExprEmitter
+from repro.codegen.emit import ExprEmitter, Hoisted, hoisted_lines
+from repro.dsl.entities import CELL, VAR_ARRAY
 from repro.dsl.problem import Problem
 from repro.ir.lowering import lower_conservation_form
 from repro.mesh.grid import structured_grid
@@ -42,9 +47,12 @@ from repro.symbolic.expr import (
     Cmp,
     Conditional,
     Expr,
+    FaceNormal,
+    Indexed,
     Mul,
     Num,
     Pow,
+    SideValue,
     Sym,
 )
 
@@ -89,10 +97,19 @@ def leaf() -> st.SearchStrategy[Expr]:
     )
 
 
-def trees() -> st.SearchStrategy[Expr]:
+def trees(leaves: st.SearchStrategy[Expr] | None = None) -> st.SearchStrategy[Expr]:
     def compound(children: st.SearchStrategy[Expr]) -> st.SearchStrategy[Expr]:
         pair = st.tuples(children, children)
         return st.one_of(
+            # conditional(c, A*k, B*k): the select-before-scale shape, with
+            # the shared factor on either side of the differing one
+            st.tuples(
+                st.sampled_from((">", "<=")), children, children,
+                children, children, children, st.booleans(),
+            ).map(lambda t: Conditional(
+                Cmp(t[0], t[1], t[2]),
+                Mul(t[3], t[5]) if t[6] else Mul(t[5], t[3]),
+                Mul(t[4], t[5]) if t[6] else Mul(t[5], t[4]))),
             pair.map(lambda ab: Add(*ab)),
             st.tuples(children, children, children).map(lambda abc: Add(*abc)),
             pair.map(lambda ab: Mul(*ab)),
@@ -114,7 +131,7 @@ def trees() -> st.SearchStrategy[Expr]:
             ),
         )
 
-    return st.recursive(leaf(), compound, max_leaves=14)
+    return st.recursive(leaf() if leaves is None else leaves, compound, max_leaves=14)
 
 
 _FINITE = st.floats(min_value=-8.0, max_value=8.0,
@@ -270,3 +287,194 @@ def test_integral_literals_are_floats():
     assert_emitted_matches(expr, env)
     assert evaluate(Add(Num(2), Num(3)), {}) == 5.0
     assert isinstance(evaluate(Add(Num(2), Num(3)), {}), float)
+
+
+# -- indexed unknown: tables, per-sweep terms, select-first, upwind ----------
+ND, NB, NCELLS = 3, 2, 4
+NFACES = NCELLS + 1
+NCOMP = ND * NB
+
+
+def _make_indexed_emitter() -> ExprEmitter:
+    p = Problem("emit-properties-indexed")
+    p.set_domain(1)
+    p.set_steps(1e-3, 1)
+    p.set_mesh(structured_grid((NCELLS,)))
+    d = p.add_index("d", (1, ND))
+    b = p.add_index("b", (1, NB))
+    p.add_variable("I", VAR_ARRAY, CELL, index=[d, b])
+    p.add_variable("Io", VAR_ARRAY, CELL, index=[b])
+    p.add_coefficient("k", 1.0)                                    # no index
+    p.add_coefficient("Sx", np.ones(ND), VAR_ARRAY, index=[d])     # index subsets
+    p.add_coefficient("vg", np.ones(NB), VAR_ARRAY, index=[b])
+    p.add_coefficient("w", np.ones((ND, NB)), VAR_ARRAY, index=[d, b])  # every index
+    p.add_coefficient("q", lambda x, t: x[:, 0] + t)               # time-dependent
+    equation = "Io[b] - surface(vg[b] * upwind([Sx[d]], I[d,b]))"
+    p.set_conservation_form("I", equation)
+    _, form = lower_conservation_form(equation, p.unknown, p.entities, p.operators)
+    return ExprEmitter(p, form, var_mode="local")
+
+
+IDX_EMITTER = _make_indexed_emitter()
+_I = Indexed("I", ("d", "b"))
+IDX_LEAVES = (
+    Sym("_k_1"), Indexed("Sx", ("d",)), Indexed("vg", ("b",)), Indexed("w", ("d", "b")),
+    Sym("_q_1"), Indexed("Io", ("b",)), FaceNormal(1), SideValue(_I, 1), SideValue(_I, 2),
+)
+IDX_LEAF_CODE = {lf: IDX_EMITTER.emit_surface(lf).code for lf in IDX_LEAVES}
+# every row map the suite can ask for, independent of emission order
+IDX_EMITTER.row_spaces.update({"none": (), "d": ("d",), "b": ("b",)})
+IDX_MAPS = {k: v for k, v in IDX_EMITTER.component_tables().items()
+            if k.startswith(("tmap_", "trep_", "cmap_"))}
+#: tiles a sweep could cut the six rows into: whole, straddling, index array
+IDX_TILES = ((slice(None),), (slice(0, 4), slice(4, 6)),
+             (np.array([0, 1, 4]), np.array([2, 3, 5])))
+
+
+def indexed_leaf() -> st.SearchStrategy[Expr]:
+    # the sides and the projected direction are drawn often enough for
+    # upwind-shaped selects to occur
+    return st.one_of(
+        st.sampled_from(IDX_LEAVES),
+        st.sampled_from(IDX_LEAVES[-3:] + (Indexed("Sx", ("d",)),)),
+        st.integers(min_value=-4, max_value=4).map(Num),
+        st.floats(min_value=-8.0, max_value=8.0, allow_nan=False,
+                  allow_infinity=False).map(Num),
+    )
+
+
+def indexed_envs(special: bool = False) -> st.SearchStrategy[dict]:
+    element = _FINITE
+    if special:
+        element = st.one_of(element, st.sampled_from(
+            [float("nan"), float("inf"), float("-inf"), 0.0, -0.0]))
+    space = IDX_EMITTER.space
+
+    def table(n: int) -> st.SearchStrategy[np.ndarray]:
+        return _rows(element, n)
+
+    return st.fixed_dictionaries({
+        "coef_k": st.one_of(_FINITE, st.sampled_from([0.0, -0.0, 1.0])),
+        "coef_Sx": table(ND).map(lambda v: v[space.axis_values("d")]),
+        "coef_vg": table(NB).map(lambda v: v[space.axis_values("b")]),
+        "coef_w": table(NCOMP),
+        "fcoef_q_face": table(NFACES),
+        "var_Io": table(NB * NCELLS).map(lambda v: v.reshape(NB, NCELLS)),
+        "normal_x": table(NFACES),
+        "u1": table(NCOMP * NFACES).map(lambda v: v.reshape(NCOMP, NFACES)),
+        "u2": table(NCOMP * NFACES).map(lambda v: v.reshape(NCOMP, NFACES)),
+    })
+
+
+def _full(value, exact_nans: bool = True) -> tuple:
+    """Bit pattern over the full ``(NCOMP, NFACES)`` shape.  When two
+    different NaNs meet in a product the CPU keeps one operand's payload,
+    and which one depends on where the element falls in numpy's vector
+    loop: a split sweep is compared with NaNs made canonical."""
+    arr = np.broadcast_to(np.asarray(value), (NCOMP, NFACES))
+    if not exact_nans and arr.dtype.kind in "fc":
+        arr = np.where(np.isnan(arr), np.nan, arr)
+    return arr.dtype.str, arr.tobytes()
+
+
+def _run_swept(emitted, namespace: dict, tiles) -> np.ndarray:
+    """As a target runs the statement: tables, per-sweep definitions, then
+    per tile the temporaries, the upwinded side and the statement."""
+    scope = dict(namespace)
+    for line in hoisted_lines(emitted.tables) + hoisted_lines(emitted.sweep):
+        exec(line, scope)  # noqa: S102 - executing our own emission
+    rows = []
+    for sel in tiles:
+        scope.update(sel=sel, u1=namespace["u1"][sel], u2=namespace["u2"][sel])
+        select = [f"uw = {emitted.upwind[1]}"] if emitted.upwind else []
+        for line in emitted.prelude + select:
+            exec(line, scope)  # noqa: S102
+        value = np.asarray(eval(emitted.code, scope))  # noqa: S307
+        rows.append((sel, np.broadcast_to(value, (len(scope["u1"]), NFACES))))
+    out = np.empty((NCOMP, NFACES), dtype=rows[0][1].dtype)
+    for sel, value in rows:
+        out[sel] = value
+    return out
+
+
+def assert_swept_matches(expr: Expr, env: dict) -> None:
+    namespace = {"np": np, "sel": slice(None), "owner": np.arange(NFACES) % NCELLS,
+                 "other": (np.arange(NFACES) + 1) % NCELLS, **IDX_MAPS, **env}
+    leaf_values = {lf: eval(code, namespace)  # noqa: S307
+                   for lf, code in IDX_LEAF_CODE.items()}
+    with warnings.catch_warnings(), np.errstate(all="ignore"):
+        warnings.simplefilter("ignore")
+        try:
+            expected, expected_err = evaluate(expr, leaf_values.__getitem__), None
+        except Exception as exc:  # noqa: BLE001 - compared by type below
+            expected, expected_err = None, type(exc)
+
+        emitted = IDX_EMITTER.emit_sum([expr], "surface")
+        for h in emitted.tables:  # invariant: coefficients and geometry only
+            assert not any(name in h.code for name in ("fcoef_", "var_", "u1", "u2"))
+        for h in emitted.sweep:   # constant within a sweep: no side, no time
+            assert "var_Io" in h.code
+            assert not any(name in h.code for name in ("fcoef_", "u1", "u2"))
+        for tiles in IDX_TILES:
+            try:
+                got, got_err = _run_swept(emitted, namespace, tiles), None
+            except Exception as exc:  # noqa: BLE001
+                got, got_err = None, type(exc)
+            assert got_err is expected_err, (
+                f"raised {got_err} vs evaluate's {expected_err} for {expr}")
+            whole = len(tiles) == 1
+            assert got_err or _full(got, whole) == _full(expected, whole), (
+                f"bit mismatch for {expr} in tiles {tiles}")
+
+
+@seed(20260929)
+@given(expr=trees(indexed_leaf()), env=indexed_envs())
+@settings(max_examples=150, deadline=None)
+def test_swept_emission_matches_evaluate(expr, env):
+    assert_swept_matches(expr, env)
+
+
+@seed(20260929)
+@given(expr=trees(indexed_leaf()), env=indexed_envs(special=True))
+@settings(max_examples=150, deadline=None)
+def test_swept_emission_propagates_nan_inf(expr, env):
+    assert_swept_matches(expr, env)
+
+
+@seed(20260929)
+@given(env=indexed_envs(special=True), flip=st.booleans(), first=st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_upwind_select_is_one_gathered_side(env, flip, first):
+    """The paper's flux: the select on the tabled ``s_d.n > 0`` becomes
+    ``uw``; with the sides swapped it gathers the other way round."""
+    s = Mul(FaceNormal(1), Indexed("Sx", ("d",)))
+    a, b = (SideValue(_I, 2), SideValue(_I, 1)) if flip else (
+        SideValue(_I, 1), SideValue(_I, 2))
+    pair = (Mul(a, s), Mul(b, s)) if first else (Mul(s, a), Mul(s, b))
+    expr = Mul(Num(-1), Indexed("vg", ("b",)), Conditional(Cmp(">", s, Num(0)), *pair))
+    emitted = IDX_EMITTER.emit_sum([expr], "surface")
+    first, second, columns = ("u2", "u1", "other, owner") if flip else (
+        "u1", "u2", "owner, other")
+    assert emitted.upwind == ("d", f"np.where(tab_s0[tmap_d[sel]], {first}, {second})")
+    assert Hoisted("upw", f"np.where(tab_s0, {columns})", "d") in emitted.tables
+    assert emitted.gathers_upwind
+    assert "uw" in emitted.code and "np.where" not in emitted.code
+    assert emitted.reads >= {"u1", "u2"}  # the byte estimate still counts both
+    assert_swept_matches(expr, env)
+
+
+def test_side_read_outside_the_select_keeps_both_gathers():
+    s = Mul(FaceNormal(1), Indexed("Sx", ("d",)))
+    upwind = Conditional(Cmp(">", s, Num(0)), Mul(SideValue(_I, 1), s),
+                         Mul(SideValue(_I, 2), s))
+    emitted = IDX_EMITTER.emit_sum([Add(upwind, SideValue(_I, 1))], "surface")
+    # the statement still reads ``uw``; the tile selects it from both gathers
+    assert emitted.upwind and emitted.sides and not emitted.gathers_upwind
+
+
+def test_function_coefficients_are_never_tabled():
+    """``q`` is ``f(x, t)``: a compound containing it stays in the tile."""
+    expr = Mul(Add(Sym("_q_1"), Indexed("Sx", ("d",))), FaceNormal(1))
+    emitted = IDX_EMITTER.emit_sum([expr], "surface")
+    assert not (emitted.tables or emitted.sweep or emitted.prelude)
+    assert "fcoef_q_face[None, :]" in emitted.code

@@ -68,7 +68,12 @@ def test_generated_matches_interpreted(picks, seed):
     np.testing.assert_allclose(a, b, rtol=0, atol=1e-12 * scale)
 
 
-def build_indexed_problem(nd: int, nb: int, seed: int, nsteps: int = 3) -> Problem:
+BTE_SHAPED = ("(Io[b] - I[d,b]) / tau[b]"
+              " - surface(vg[b] * upwind([Sx[d];Sy[d]], I[d,b]))")
+
+
+def build_indexed_problem(nd: int, nb: int, seed: int, nsteps: int = 3,
+                          equation: str = BTE_SHAPED) -> Problem:
     """A BTE-shaped random problem: indexed unknown, per-index coefficients,
     known variables, relaxation + advection."""
     rng = np.random.default_rng(seed)
@@ -91,10 +96,7 @@ def build_indexed_problem(nd: int, nb: int, seed: int, nsteps: int = 3) -> Probl
     init = rng.uniform(0.5, 1.5, (nd * nb, 16))
     p.initial_values["I"] = init
     p.initial_values["Io"] = rng.uniform(0.5, 1.5, (nb, 16))
-    p.set_conservation_form(
-        "I",
-        "(Io[b] - I[d,b]) / tau[b] - surface(vg[b] * upwind([Sx[d];Sy[d]], I[d,b]))",
-    )
+    p.set_conservation_form("I", equation)
     return p
 
 
@@ -148,3 +150,62 @@ class TestInterpreterTarget:
         p.set_flux_order(2)
         with pytest.raises(CodegenError, match="order-1"):
             p.generate(target="interp")
+
+
+# --------------------------------------------------------------------------
+# bit for bit: the tabled, select-first, in-place cpu sweep against the
+# interpreter, which evaluates every term per component with no rewrite
+# --------------------------------------------------------------------------
+
+def build_switch_problem() -> Problem:
+    """Conditionals whose branches are not the two face sides: a tabled
+    mask (``Sx[d] > 0``) choosing between a known variable and the unknown
+    with a shared factor, and a full-index one between plain coefficients."""
+    return build_indexed_problem(
+        4, 3, seed=11, nsteps=4,
+        equation="conditional(Sx[d] > 0, Io[b]*vg[b], I[d,b]*vg[b]) / tau[b]"
+                 " - conditional(Sx[d]*vg[b] > 0.3, tau[b]*Sy[d], vg[b]) * I[d,b]"
+                 " - surface(vg[b] * upwind([Sx[d];Sy[d]], I[d,b]))")
+
+
+def test_cpu_equals_interpreted_bitwise_on_the_bte_hotspot(tiny_scenario):
+    from repro.bte.problem import build_bte_problem
+
+    cpu = build_bte_problem(tiny_scenario)[0].solve(target="cpu")
+    assert "upwind=(upw, uw_rows)" in cpu.source  # tabled, gathered, in place
+    interp = build_bte_problem(tiny_scenario)[0].solve(target="interp")
+    assert cpu.solution().tobytes() == interp.solution().tobytes()
+    assert cpu.state.extra["T"].tobytes() == interp.state.extra["T"].tobytes()
+
+
+def test_cpu_equals_interpreted_bitwise_with_non_side_conditionals():
+    cpu = build_switch_problem().solve(target="cpu")
+    loop = cpu.source[cpu.source.index("for sel in kernels.row_tiles("):]
+    assert "np.where(tab_v1[tmap_d[sel]]," in loop  # the mask is a table ...
+    assert "uw = " in loop                           # ... and so is the upwind's
+    interp = build_switch_problem().solve(target="interp")
+    assert cpu.solution().tobytes() == interp.solution().tobytes()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_indexed_problem(3, 2, seed=5),  # 1/tau[b]: a (rows, 1) table
+    build_switch_problem,                         # ... and a (rows, 1) mask
+], ids=["indexed", "switch"])
+def test_gpu_boundary_part_reads_tables_without_a_face_axis(build):
+    """The device targets' CPU boundary function evaluates the tables on the
+    boundary faces' geometry; tables of coefficients alone have no face axis
+    to slice.  (The device sums interior and boundary parts separately, so
+    against the interpreter it is round-off, not bits.)"""
+    def solve(ranks):
+        p = build()
+        p.enable_gpu()
+        p.extra["gpu_force_offload"] = True
+        if ranks:
+            p.set_partitioning("bands", ranks, index="b")
+        return p.solve()
+
+    gpu, multi = solve(0), solve(2)
+    assert "state.tables(invariant_tables, bfaces)" in gpu.source
+    assert gpu.solution().tobytes() == multi.solution().tobytes()
+    interp = build().solve(target="interp")
+    np.testing.assert_allclose(gpu.solution(), interp.solution(), rtol=1e-13, atol=0)

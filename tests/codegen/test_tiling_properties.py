@@ -6,8 +6,12 @@ elementwise per row and the CSR divergence is per column, so the tile
 height must not change a single bit of the solution.  The property suite
 solves one small BTE hotspot problem (FLUX-override walls top and bottom,
 symmetry ghosts left and right) under randomly drawn configurations —
-target, ``assemblyLoops`` order, ``flux_order``, an injected device
-fault — at four tile heights and demands equal digests:
+target (band ranks sweep index-array ``rows``, ``gpu_kernel_chunks``
+launches row blocks), ``assemblyLoops`` order, ``flux_order``, an injected
+device fault — at four tile heights and demands equal digests.  The
+problem has 4 directions x 3+ bands, so every height but the first makes
+tiles that straddle two rows of the direction-indexed tables and the
+upwinded gather runs in segments:
 
 * one row per tile,
 * the derived height (``TILE_BYTES`` as shipped),
@@ -63,6 +67,11 @@ def use_gpu(problem):
     problem.extra["gpu_force_offload"] = True
 
 
+def use_gpu_chunks(problem):
+    use_gpu(problem)
+    problem.extra["gpu_kernel_chunks"] = 3  # one launch per block of rows
+
+
 def use_gpu_multi(problem):
     use_gpu(problem)
     problem.set_partitioning("bands", 2, index="b")
@@ -74,6 +83,7 @@ TARGETS = {
     "cells": (lambda p: p.set_partitioning("cells", 2), True, None),
     "bands": (lambda p: p.set_partitioning("bands", 2, index="b"), True, None),
     "gpu": (use_gpu, False, "gpu0"),
+    "gpu_chunks": (use_gpu_chunks, False, "gpu0"),
     "gpu_multi": (use_gpu_multi, False, "gpu1"),
 }
 LOOPS = (None, ("b", "cells", "d"), ("d", "cells", "b"), ("d", "b", "cells"))
@@ -174,13 +184,15 @@ def test_derived_height_on_a_mesh_that_needs_tiles(monkeypatch, target):
 # --------------------------------------------------------------------------
 
 class _RecordingRows(np.ndarray):
-    """An array that remembers the row keys it was indexed with."""
+    """An array that remembers the row keys it was indexed with (it, not
+    the tiles taken from it: those index their own rows)."""
 
     def __array_finalize__(self, obj):
-        self.keys = getattr(obj, "keys", [])
+        self.keys = None if isinstance(obj, _RecordingRows) else []
 
     def __getitem__(self, key):
-        self.keys.append(key)
+        if self.keys is not None:
+            self.keys.append(key)
         return super().__getitem__(key)
 
 
@@ -202,9 +214,9 @@ def test_band_ranks_gather_only_their_own_rows(monkeypatch):
         owned[rank] = state.owned_comps
         gather = state.geom.gather_sides
 
-        def gather_sides(u, ghost=None, rows=None, out=None):
+        def gather_sides(u, ghost=None, rows=None, **kwargs):
             gathered.setdefault(rank, []).append(rows)
-            return gather(u, ghost, rows, out=out)
+            return gather(u, ghost, rows, **kwargs)
 
         state.geom.gather_sides = gather_sides
         return state
@@ -237,7 +249,6 @@ def test_kernel_launch_touches_only_selected_rows(monkeypatch, rows):
     full = np.full_like(state.u, np.nan)
     ns["interior_kernel"](state.u, *known, full)
     u = state.u.copy().view(_RecordingRows)
-    u.keys = []
     part = np.full_like(state.u, np.nan)
     ns["interior_kernel"](u, *known, part, rows)
 
@@ -286,3 +297,99 @@ def test_surface_statement_without_a_row_leaf_fills_the_tile():
     assert "flux = np.broadcast_to(flux, u1.shape).copy()" in generated.source
     np.testing.assert_allclose(generated.solution(), solve("interp").solution(),
                                rtol=1e-13)
+
+
+# --------------------------------------------------------------------------
+# the upwinded gather, and the row locality the in-place store relies on
+# --------------------------------------------------------------------------
+
+@pytest.mark.parametrize("rows", [
+    slice(2, 9),                        # straddles three direction rows
+    slice(7, 8),                        # one row
+    np.array([0, 1, 4, 5, 6, 13, 14]),  # a band rank's strided rows
+    None,                               # every row
+])
+def test_upwind_gather_equals_the_select_of_two_gathers(rows):
+    solver = build_problem().generate()
+    solver.run(2)  # direction-dependent values on both sides
+    state, ns = solver.state, solver.namespace
+    geom, u = state.geom, state.u
+    ghost = state.bset.ghost_values(u, 0.0, state.dt, state.extra)
+    mask, _, columns = state.tables(ns["invariant_tables"])
+    table_rows = ns["tmap_d"] if rows is None else ns["tmap_d"][rows]
+    assert rows is None or isinstance(rows, slice) or len(set(table_rows)) > 1
+    u1, u2 = geom.gather_sides(u, ghost, rows)
+    expected = np.where(mask[table_rows], u1, u2)
+    got = geom.gather_sides(u, ghost, rows, upwind=(columns, table_rows))
+    assert got.tobytes() == expected.tobytes()
+    # into scratch taller than the tile, as the kernel bodies call it
+    n = len(expected)
+    scratch = (np.full((n + 3, geom.nfaces), np.nan),
+               np.full((n + 3, geom.ncells + len(geom.bfaces)), np.nan))
+    into = geom.gather_sides(u, ghost, rows, out=scratch, upwind=(columns, table_rows))
+    assert into.base is scratch[0] and into.tobytes() == expected.tobytes()
+    assert np.isnan(scratch[0][n:]).all()
+    # zero-gradient ghosts when none are given
+    u1, u2 = geom.gather_sides(u, None, rows)
+    assert np.array_equal(
+        geom.gather_sides(u, None, rows, upwind=(columns, table_rows)),
+        np.where(mask[table_rows], u1, u2))
+
+
+@pytest.mark.parametrize("equation", [
+    "(Io[b] - I[d,1]) / tau[b] - surface(vg[b] * upwind([Sx[d];Sy[d]], I[d,b]))",
+    "(Io[b] - I[d,b]) / tau[b] - surface(vg[b] * upwind([Sx[d];Sy[d]], I[2,b]))",
+])
+@pytest.mark.parametrize("configure", [lambda p: None, use_gpu], ids=["cpu", "gpu"])
+def test_statement_reading_the_unknown_outside_its_tile_is_rejected(equation, configure):
+    """Rows are swept independently and forward Euler stores in place: a
+    statement may read the unknown only at the component it computes.
+    ``I[d,1]`` (band 1 for every ``b``) would read another tile's rows, and
+    fails at generation with the catalogued code."""
+    from repro.util.errors import CodegenError
+    from tests.codegen.test_interpreter_oracle import build_indexed_problem
+
+    problem = build_indexed_problem(3, 2, seed=1, equation=equation)
+    configure(problem)
+    with pytest.raises(CodegenError, match="outside the tile's own rows") as err:
+        problem.generate()
+    assert err.value.code == "RPR141"
+
+
+def test_boundary_values_sharing_memory_with_the_unknown_are_rejected():
+    """``ghost``/override values are read after earlier tiles were stored:
+    the sweep checks once per state that they are not views of ``u``."""
+    from repro.util.errors import CodegenError
+
+    solver = build_problem().generate()
+    state = solver.state
+    nb = len(state.geom.bfaces)
+    state.bset.ghost_values = lambda u, *a, **k: u[:, :nb]
+    with pytest.raises(CodegenError, match="share memory") as err:
+        solver.run(1)
+    assert err.value.code == "RPR141"
+    # checked on the first sweep only: afterwards it costs one attribute test
+    clean = build_problem().generate()
+    clean.run(1)
+    assert clean.state._sweep_inputs_checked
+
+
+def test_rk_steppers_get_a_fresh_rhs_from_the_same_tile_body(monkeypatch):
+    """Only forward Euler stores in place; ``compute_rhs`` of an RK solver
+    returns a new array, leaves ``u`` alone, and tiles like the rest."""
+    def solve(rows):
+        problem = build_problem()
+        problem.set_stepper("rk2")
+        with monkeypatch.context() as patch:
+            patch.setattr(kernels, "TILE_BYTES", 8 * NFACES * rows)
+            return problem.solve()
+
+    solver = solve(10_000)
+    assert "rhs[sel] = source + div" in solver.source
+    assert "require_private_inputs" not in solver.source
+    state = solver.state
+    before = state.u.copy()
+    rhs = solver.namespace["compute_rhs"](state, state.u, state.time)
+    assert rhs.shape == before.shape and not np.shares_memory(rhs, state.u)
+    assert np.array_equal(state.u, before)
+    assert digest(solve(3)) == digest(solver)

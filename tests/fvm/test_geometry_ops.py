@@ -112,18 +112,6 @@ class TestKernels:
         vn = np.array([2.0])
         assert kernels.central_flux(vn, np.array([1.0]), np.array([3.0]))[0] == 4.0
 
-    def test_euler_update_matches_formula(self):
-        u = np.array([1.0, 2.0])
-        out = kernels.euler_update(u, 0.1, np.array([1.0, 1.0]), np.array([0.5, 0.5]))
-        assert np.allclose(out, u + 0.1 * 0.5)
-
-    def test_euler_update_inplace(self):
-        u = np.array([1.0, 2.0])
-        buf = np.empty_like(u)
-        out = kernels.euler_update_inplace(buf, u, 0.1, np.ones(2), np.zeros(2))
-        assert out is buf
-        assert np.allclose(buf, u + 0.1)
-
     def test_axpy(self):
         y = np.ones(3)
         kernels.axpy(y, 2.0, np.arange(3.0))
