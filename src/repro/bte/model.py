@@ -69,8 +69,11 @@ class BTEModel:
             )
         return self.weight_comp @ I
 
-    def band_energies(self, I: np.ndarray, comps: np.ndarray | None = None) -> np.ndarray:
-        """Per-band direction-integrated energy, ``(nbands, ncells)``.
+    def band_energies(self, I: np.ndarray, comps: np.ndarray | None = None,
+                      out: np.ndarray | None = None, work: np.ndarray | None = None
+                      ) -> np.ndarray:
+        """Per-band direction-integrated energy, ``(nbands, ncells)`` (into
+        ``out`` when given, with ``work`` of the same shape as scratch).
 
         With ``comps`` given, only those components contribute (band
         partitioning: each rank sums its own bands, zeros elsewhere, and the
@@ -79,29 +82,33 @@ class BTEModel:
         Components are ``(d, b)`` row-major, so each direction's bands are
         one slab of rows: the sum is accumulated a slab at a time, in
         direction order — the order (and so the bits) of an ``np.add.at``
-        scatter over the components, without its per-element dispatch.  The
-        scatter remains for ``comps`` that are not the same band set for
-        every direction they touch.
+        scatter over the components, without its per-element dispatch — the
+        weighted slab going through one reused scratch array.  The scatter
+        remains for ``comps`` that are not the same block of consecutive
+        bands for every direction they touch.
         """
-        nb = self.bands.nbands
-        out = np.zeros((nb, I.shape[1]))
-        if comps is None:
-            for d, w in enumerate(self.dirs.weights):
-                out += w * I[d * nb:(d + 1) * nb]
-            return out
-        comps = np.asarray(comps)
-        bands = self.comp_band[comps]
-        dirs = self.comp_dir[comps]
-        ndirs = len(np.unique(dirs))
-        if ndirs and len(comps) % ndirs == 0:
-            shape = (ndirs, len(comps) // ndirs)
-            bands, dirs = bands.reshape(shape), dirs.reshape(shape)
-            if ((dirs == dirs[:, :1]).all() and (bands == bands[0]).all()
-                    and len(np.unique(bands[0])) == shape[1]):
-                for rows in comps.reshape(shape):
-                    out[bands[0]] += self.weight_comp[rows[0]] * I[rows]
+        nb, ncells = self.bands.nbands, I.shape[1]
+        out = np.empty((nb, ncells)) if out is None else out
+        out.fill(0.0)
+        first, count = 0, nb  # the band block, and per direction (weight, first row)
+        slabs = [(w, d * nb) for d, w in enumerate(self.dirs.weights)]
+        if comps is not None:
+            comps = np.asarray(comps)
+            ndirs = max(1, len(np.unique(self.comp_dir[comps])))
+            rows = comps.reshape(ndirs, -1) if len(comps) and len(comps) % ndirs == 0 else None
+            if rows is not None:
+                first, count = self.comp_band[rows[0, 0]], rows.shape[1]
+            if (rows is None or first + count > nb
+                    or (rows != rows[:, :1] + np.arange(count)).any()
+                    or (self.comp_band[rows[:, 0]] != first).any()):
+                np.add.at(out, self.comp_band[comps],
+                          self.weight_comp[comps][:, None] * I[comps])
                 return out
-        np.add.at(out, bands.ravel(), self.weight_comp[comps][:, None] * I[comps])
+            slabs = [(self.weight_comp[r], r) for r in rows[:, 0]]
+        acc = out[first:first + count]
+        weighted = np.empty((count, ncells)) if work is None else work[:count]
+        for w, row in slabs:
+            np.add(acc, np.multiply(I[row:row + count], w, out=weighted), out=acc)
         return out
 
     def heat_flux(self, I: np.ndarray) -> np.ndarray:
@@ -115,52 +122,47 @@ class BTEModel:
         """The paper's ``postStepFunction``: E -> T -> (Io, beta).
 
         Reads the intensity from ``state.u``; keeps the per-cell temperature
-        in ``state.extra['T']`` (also the Newton starting guess).
+        in ``state.extra['T']`` (also the Newton starting guess).  Every
+        ``(nbands, ncells)`` array lives in ``state.buffer`` scratch, and
+        ``T``, ``Io`` and ``beta`` are published only once the closure has
+        converged: a ``SolverError`` leaves them as they were.
         """
         I = state.u
+        nb = self.bands.nbands
         T_prev = state.extra.get("T")
         if T_prev is None:
             T_prev = np.full(I.shape[1], float(state.extra.get("T0", 300.0)))
-
-        if getattr(state, "owned_comps", None) is not None:
+        cells = getattr(state, "owned_cells", None)
+        comps = getattr(state, "owned_comps", None)
+        if cells is not None:
+            # cell partitioning: bands are all local, the update restricts
+            # to owned cells (ghost columns never feed volume terms)
+            I = np.take(I, cells, axis=1, mode="clip",
+                        out=state.buffer("owned_intensity", (len(I), len(cells))))
+            T_prev, T_all = T_prev[cells], T_prev.copy()
+        # the closure's output scratch is free until the closure runs
+        e_act = self.band_energies(
+            I, comps, state.buffer("band_energy", (nb, I.shape[1])),
+            state.buffer("closure", (2, nb, I.shape[1]))[1])
+        if comps is not None:
             # band partitioning: each rank holds only its components' valid
             # intensities; the closure needs all bands -> allreduce of the
             # partial per-band, per-cell sums (the paper's only band-strategy
             # communication, Sec. III-C)
-            own = state.owned_comps
-            e_partial = self.band_energies(I, comps=own)
-            e_act = state.comm.allreduce(e_partial)
-            T, Io, beta = self._closure(e_act, T_prev)
+            e_act = state.comm.allreduce(e_act)
+        # the converged iterate already holds tau(T) and e(T); Io is e / 4 pi
+        # exactly as equilibrium_intensity forms it
+        T, tau, e_T = pseudo_temperature_closure(
+            self.bands, e_act, T_prev, buffer=state.buffer)
+        np.divide(e_T, 4.0 * math.pi, out=e_T)
+        Io, beta = state.fields["Io"].data, state.fields["beta"].data
+        if cells is None:
             state.extra["T"] = T
-            state.fields["Io"].data[...] = Io
-            state.fields["beta"].data[...] = beta
-            return
-
-        if getattr(state, "owned_cells", None) is not None:
-            # cell partitioning: bands are all local, the update restricts
-            # to owned cells (ghost columns never feed volume terms)
-            own = state.owned_cells
-            e_act = self.band_energies(I[:, own])
-            T_own, Io, beta = self._closure(e_act, T_prev[own])
-            T = T_prev.copy()
-            T[own] = T_own
-            state.extra["T"] = T
-            state.fields["Io"].data[:, own] = Io
-            state.fields["beta"].data[:, own] = beta
-            return
-
-        e_act = self.band_energies(I)
-        T, Io, beta = self._closure(e_act, T_prev)
-        state.extra["T"] = T
-        state.fields["Io"].data[...] = Io
-        state.fields["beta"].data[...] = beta
-
-    def _closure(self, band_energy: np.ndarray, T_guess: np.ndarray):
-        """``(T, Io, beta)`` of the SMRT closure.  The converged iterate of
-        the temperature solve already holds ``tau(T)`` and ``e(T)``; ``Io``
-        is ``e / 4 pi`` exactly as :func:`equilibrium_intensity` forms it."""
-        T, tau, e_T = pseudo_temperature_closure(self.bands, band_energy, T_guess)
-        return T, e_T / (4.0 * math.pi), tau
+            Io[...], beta[...] = e_T, tau
+        else:
+            T_all[cells] = T
+            state.extra["T"] = T_all
+            Io[:, cells], beta[:, cells] = e_T, tau
 
     def initialize_state(self, state, T0: float) -> None:
         """Set the uniform-equilibrium initial condition at temperature T0."""

@@ -21,6 +21,7 @@ import numpy as np
 
 from repro.bte import constants as C
 from repro.bte.dispersion import BandSet
+from repro.fvm.kernels import row_runs
 
 
 def impurity_rate(omega: np.ndarray) -> np.ndarray:
@@ -43,25 +44,47 @@ def ta_phonon_rate(omega: np.ndarray, T: np.ndarray | float) -> np.ndarray:
     return np.where(omega < C.OMEGA_12, normal, umklapp)
 
 
-def relaxation_times(bands: BandSet, T: np.ndarray | float) -> np.ndarray:
+def _rate_tables(bands: BandSet):
+    """``(nbands, 1)`` prefactors of every channel and the runs of
+    consecutive bands sharing one (LA / TA normal / TA Umklapp), built once
+    per band set (whose arrays are not mutated after construction)."""
+    tables = getattr(bands, "_rate_tables", None)
+    if tables is None:
+        omega = bands.omega[:, None]
+        channel = np.where(np.array(bands.branch) == "LA", 0,
+                           np.where(bands.omega < C.OMEGA_12, 1, 2))
+        runs = [(lo, hi, int(channel[lo])) for lo, hi in row_runs(channel)]
+        prefactor = (C.B_L * omega**2, C.B_TN * omega, C.B_TU * omega**2)
+        tables = bands._rate_tables = (
+            impurity_rate(omega), C.HBAR * omega, prefactor, runs)
+    return tables
+
+
+def relaxation_times(bands: BandSet, T: np.ndarray | float,
+                     out: np.ndarray | None = None) -> np.ndarray:
     """Per-band relaxation time ``tau`` at temperature ``T``.
 
     ``T`` is a scalar or an ``(ncells,)`` array; the result has shape
-    ``(nbands,)`` or ``(nbands, ncells)`` accordingly.
+    ``(nbands,)`` or ``(nbands, ncells)`` accordingly (written into ``out``
+    when given).  Each channel of :func:`la_phonon_rate` /
+    :func:`ta_phonon_rate` is evaluated on its own bands only, with the same
+    operations in the same order.
     """
     T = np.asarray(T, dtype=np.float64)
-    scalar = T.ndim == 0
-    Tc = T.reshape(1, -1)  # (1, ncells)
-    omega = bands.omega[:, None]  # (nbands, 1)
-    rate = impurity_rate(omega) * np.ones_like(Tc)
-    is_la = np.array([b == "LA" for b in bands.branch])[:, None]
-    rate = rate + np.where(
-        is_la,
-        la_phonon_rate(omega, Tc),
-        ta_phonon_rate(omega, Tc),
-    )
-    tau = 1.0 / rate
-    return tau[:, 0] if scalar else tau
+    Tc = T.reshape(-1)
+    impurity, hw, prefactor, runs = _rate_tables(bands)
+    tau = np.empty((bands.nbands, len(Tc))) if out is None else out
+    for lo, hi, channel in runs:
+        rows = tau[lo:hi]
+        if channel < 2:  # LA: ~T^3, TA normal: ~T^4
+            np.multiply(prefactor[channel][lo:hi], Tc ** (3 + channel), out=rows)
+        else:  # TA Umklapp: ~1/sinh(hbar omega / kB T)
+            np.divide(hw[lo:hi], C.KB * np.maximum(Tc, 1.0), out=rows)
+            np.sinh(np.clip(rows, 1e-12, 50.0, out=rows), out=rows)
+            np.divide(prefactor[2][lo:hi], rows, out=rows)
+    np.add(impurity, tau, out=tau)  # Matthiessen
+    np.divide(1.0, tau, out=tau)
+    return tau[:, 0] if T.ndim == 0 else tau
 
 
 __all__ = ["impurity_rate", "la_phonon_rate", "ta_phonon_rate", "relaxation_times"]

@@ -56,20 +56,21 @@ def emit_rhs_function(problem: "Problem", emitter: ExprEmitter,
     fcoefs = emitter.function_coefficients()
     inplace = problem.config.stepper in _EULER
     if not inplace:
-        store = "rhs[sel] = source + div"
+        store = "rhs[sel] = acc"
     elif owned_columns:
-        store = ("kernels.store_columns(u, sel, state.owned_cells, "
-                 "u[sel] + dt * (source + div))  # Eq. (3)")
+        store = "kernels.store_columns(u, sel, state.owned_cells, acc, out=cw)"
     else:
-        store = "u[sel] = u[sel] + dt * (source + div)  # explicit update, Eq. (3)"
+        store = "u[sel] = acc"
     tile = emit_tile_body(
         emitter,
-        gather=["u1, u2 = geom.gather_sides(u, ghost, sel, out=sides)"],
+        gather=["u1, u2 = geom.gather_sides(u, ghost, sel, out=(fu, fv))"],
         gather_upwind=[
-            "uw = geom.gather_sides(u, ghost, sel, out=sides, upwind=(upw, uw_rows))"],
-        divergence="geom.surface_divergence(flux)",
+            "uw = geom.gather_sides(u, ghost, sel, out=fu, upwind=(upw, uw_rows))"],
+        divergence="geom.surface_divergence(flux, out=acc, work=cw)",
         overrides="overrides",
         store=store,
+        dt="dt" if inplace else None,
+        buffer="state.buffer", nfaces="geom.nfaces", ncells="geom.ncells",
     )
 
     body = [
@@ -101,6 +102,11 @@ def emit_rhs_function(problem: "Problem", emitter: ExprEmitter,
             body.append(
                 f"fcoef_{name}_face = eval_fcoef(state, coef_fn_{name}, geom.center, t)"
             )
+    body += [
+        "# scratch, owned by the state: nothing below allocates a tile",
+        "height = kernels.tile_rows(geom.nfaces, NCOMP)",
+        *tile.scratch,
+    ]
     if tile.sweep:
         body += ["# sub-expressions of known variables, once over their own rows"]
         body += tile.sweep
@@ -108,7 +114,8 @@ def emit_rhs_function(problem: "Problem", emitter: ExprEmitter,
         "",
         "# boundary ghost values and FLUX overrides, once per evaluation",
         "# (user callbacks execute on the CPU)",
-        "ghost = state.bset.ghost_values(u, t, dt, state.extra)",
+        "ghost = state.bset.ghost_values(",
+        "    u, t, dt, state.extra, out=state.buffer('ghost', (NCOMP, len(geom.bfaces))))",
     ]
     if form.surface_terms:
         body.append("overrides = state.bset.flux_overrides(u, t, dt, state.extra)")
@@ -117,15 +124,6 @@ def emit_rhs_function(problem: "Problem", emitter: ExprEmitter,
                     f"{', overrides' if form.surface_terms else ''})")
     else:
         body.append("rhs = np.empty((NCOMP, geom.ncells))")
-    body.append("height = kernels.tile_rows(geom.nfaces, NCOMP)")
-    if form.surface_terms:
-        # the upwinded gather reads from the tile's [cells | ghosts] rows
-        width = ("geom.ncells + len(geom.bfaces)" if tile.surface.gathers_upwind
-                 else "geom.nfaces")
-        body += [
-            "sides = (state.buffer('u1', (height, geom.nfaces)),",
-            f"         state.buffer('u2', (height, {width})))",
-        ]
     body += [
         "",
         "# component blocks follow assemblyLoops order: "

@@ -12,6 +12,10 @@ as locals prepared by the generated function):
 ``u1``, ``u2``    owner/neighbour face values of the rows in ``sel``,
                   ``(nsel, nfaces)`` — one row tile's gathers
                   (:func:`emit_tile_body`)
+``us``            the unknown's rows of one tile, ``(nsel, ncells)``
+``f<i>``/``c<i>`` face-/cell-shaped scratch registers of one tile and
+                  ``s<i>`` of one sweep: views of preallocated pools, written
+                  through ``out=`` (:class:`_Registers`)
 ``sel``           component-row selector (an index array or a slice): a
                   block from ``assemblyLoops``, or one tile of it
 ``normal_x`` ...  face normal components, ``(nfaces,)``
@@ -27,7 +31,7 @@ as locals prepared by the generated function):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from repro.symbolic.expr import (
     Add,
@@ -59,21 +63,62 @@ _AXIS_NAMES = {1: "normal_x", 2: "normal_y", 3: "normal_z"}
 #: the unified :mod:`repro.symbolic.functions` registry (shared with the
 #: interpreter's ``DEFAULT_FUNCTIONS``)
 _MATH_FUNCS = FUNCTION_CODES
+_UFUNCS = {"+": "np.add", "*": "np.multiply"}
 
 
-@dataclass(frozen=True)
-class Hoisted:
+def _join(*kinds: str) -> str:
+    """Shape of an elementwise result (see :meth:`ExprEmitter._kind`)."""
+    shaped = set(kinds) - {"0"}
+    return shaped.pop() if len(shaped) == 1 else "t" if shaped else "0"
+
+
+class Hoisted(NamedTuple):
     """A sub-expression evaluated ahead of the tiles, over the indices it
-    depends on: ``code`` runs with ``sel = trep_<rows>`` (one component per
-    row) and a tile reads ``ref``."""
+    depends on: with ``sel = trep_<rows>`` (one component per row) ``lines``
+    run, then ``name = code``; a tile reads :meth:`ref`."""
 
     name: str
     code: str
     rows: str
+    lines: tuple[str, ...] = ()
 
-    @property
-    def ref(self) -> str:
-        return f"{self.name}[tmap_{self.rows}[sel]]"
+    def ref(self, scratch: str = "None") -> str:
+        """The tile's rows of the table — views where they can be, gathered
+        into ``scratch`` where not (:func:`repro.fvm.kernels.table_rows`)."""
+        return f"kernels.table_rows({self.name}, tmap_{self.rows}, sel, {scratch})"
+
+
+class _Registers:
+    """Scratch registers of one statement.  With an instance live the walker
+    writes every tile-shaped intermediate as a line ``np.op(a, b, out=r)``
+    over names ``<prefix>0..<prefix>(count-1)`` the target binds to
+    preallocated arrays of the tile's shape, instead of leaving it to a
+    fresh temporary of the expression; ``owner`` maps the code of a value
+    to the register it may be overwritten in."""
+
+    def __init__(self, prefix: str, lines: list[str]):
+        self.prefix, self.lines, self.count = prefix, lines, 0
+        self.free: list[str] = []
+        self.owner: dict[str, str] = {}
+
+    def take(self) -> str:
+        if not self.free:
+            self.count += 1
+            return f"{self.prefix}{self.count - 1}"
+        return self.free.pop()
+
+    def release(self, *codes: str) -> None:
+        self.free += [self.owner.pop(c) for c in codes if c in self.owner]
+
+    def emit(self, template: str, *operands: str) -> str:
+        """One line ``template.format(register)`` consuming ``operands``,
+        in place in the first of them that owns a register."""
+        owned = [self.owner.pop(c) for c in operands if c in self.owner]
+        self.free += owned[1:]
+        reg = owned[0] if owned else self.take()
+        self.lines.append(template.format(reg))
+        self.owner[reg] = reg
+        return reg
 
 
 @dataclass
@@ -87,7 +132,9 @@ class EmittedExpr:
     ``upwind = (rows, select)`` it reads the upwinded side as ``uw``: the
     ``select`` between ``u1`` and ``u2``, or — unless a side is also read on
     its own (``sides``) — one gather through the ``upw`` column table with
-    the tile's table rows ``tmap_<rows>[sel]``.
+    the tile's table rows ``tmap_<rows>[sel]``.  ``prelude`` and ``code``
+    write ``registers`` tile-shaped scratch arrays (``f0..`` surface, ``c0..``
+    volume), the lines of ``sweep`` ``sweep_registers`` more (``s0..``).
     """
 
     code: str
@@ -99,6 +146,8 @@ class EmittedExpr:
     sweep: list[Hoisted] = field(default_factory=list)
     upwind: tuple[str, str] | None = None
     sides: bool = False
+    registers: int = 0
+    sweep_registers: int = 0
 
     @property
     def gathers_upwind(self) -> bool:
@@ -130,6 +179,9 @@ class ExprEmitter:
         # reading the hoisted value; ``_out`` collects the definitions
         self._hoisted: dict | None = None
         self._out = EmittedExpr("", 0)
+        self._regs: _Registers | None = None  # live: intermediates go to scratch
+        self._sweep_regs: _Registers | None = None
+        self._within: tuple | None = None  # scope of the sweep definition being built
         #: index subspaces of the tables emitted so far, by ``tmap_`` suffix
         self.row_spaces: dict[str, tuple[str, ...]] = {}
 
@@ -155,18 +207,26 @@ class ExprEmitter:
         unknown stays inline); ``conditional(c, A*k, B*k)`` selects between
         the differing factors and applies the shared ones once; and a select
         between the two face sides of the unknown on a tabled condition
-        becomes the single gathered side ``uw``.
+        becomes the single gathered side ``uw``.  What is left in the tile
+        is emitted as register statements (:class:`_Registers`): no
+        arithmetic intermediate is a fresh array.
         """
         if not terms:
             return EmittedExpr("0.0", 0)
         self._tag = context[0]  # names: tab_s0, swp_v1, cse_s0
         self._hoisted = {} if cse else None
         self._out = out = EmittedExpr("", 0)
+        if cse:
+            self._regs = _Registers("f" if context == "surface" else "c", out.prelude)
+            self._sweep_regs = _Registers("s", [])
         try:
             parts = [self._emit(t, context) for t in terms]
+            out.code = (self._fold("+", [(p.code, self._kind(t)) for p, t in zip(parts, terms)])
+                        if cse else " + ".join(f"({p.code})" for p in parts))
+            if cse:
+                out.registers, out.sweep_registers = self._regs.count, self._sweep_regs.count
         finally:
-            self._hoisted = None
-        out.code = " + ".join(f"({p.code})" for p in parts)
+            self._hoisted = self._regs = self._sweep_regs = None
         out.flops = sum(p.flops for p in parts) + (len(parts) - 1)
         for p in parts:
             out.reads |= p.reads
@@ -242,20 +302,90 @@ class ExprEmitter:
             return None  # hoisting single leaves buys nothing
         return "tile", ()
 
-    def _define(self, scope: tuple[str, tuple[str, ...]], code: str) -> str:
-        """Record a hoisted definition; returns the code that reads it."""
+    def _define(self, scope: tuple[str, tuple[str, ...]], node: Expr, ctx: str,
+                reads: set[str]) -> str | Hoisted:
+        """Emit and record a hoisted definition.  Hoisting is not re-entered,
+        except that a sweep definition reads an earlier one over the same
+        rows by name (``Io/beta`` reads ``1/beta``); a table's code runs once
+        and stays a plain expression, a volume statement's sweep definition
+        gets registers of its own."""
         kind, rows = scope
-        out = self._out
+        out, regs = self._out, self._regs
+        saved = self._hoisted, self._within, regs, self._sweep_regs and self._sweep_regs.lines
+        lines: list[str] = []
+        if kind == "sweep":
+            self._within = scope
+        else:
+            self._hoisted = None
+        if kind == "sweep" and ctx == "volume" and regs is not None:
+            self._regs = self._sweep_regs
+            self._regs.lines = lines
+        elif kind != "tile":
+            self._regs = None
+        try:
+            code = self._walk(node, ctx, out.table_reads if kind == "bind" else reads,
+                              hoist=False)
+            if self._regs is not None:
+                self._regs.owner.pop(code, None)  # pinned: the definition lives there
+        finally:
+            self._hoisted, self._within, self._regs, lines_before = saved
+            if self._sweep_regs is not None:
+                self._sweep_regs.lines = lines_before
         if kind == "tile":
-            name = f"cse_{self._tag}{len(out.prelude)}"
+            name = f"cse_{self._tag}{sum(ln.startswith('cse_') for ln in out.prelude)}"
             out.prelude.append(f"{name} = {code}")
             return name
         suffix = "_".join(rows) or "none"
         self.row_spaces[suffix] = rows
         prefix, defs = ("tab", out.tables) if kind == "bind" else ("swp", out.sweep)
-        name = f"{prefix}_{self._tag}{len(defs)}"
-        defs.append(Hoisted(name, code, suffix))
-        return defs[-1].ref
+        defs.append(Hoisted(f"{prefix}_{self._tag}{len(defs)}", code, suffix, tuple(lines)))
+        return defs[-1]
+
+    def _kind(self, node: Expr) -> str:
+        """Shape of a node's value in a tile: ``'0'`` a scalar, ``'c'`` a
+        column ``(rows, 1)``, ``'r'`` a row ``(1, n)``, ``'t'`` a tile."""
+        if isinstance(node, (FaceNormal, FaceDistance)):
+            return "r"
+        if isinstance(node, (SideValue, Reconstruction)):
+            return "t"
+        name = self._entity_of(node)
+        if name is not None and name in self.entities.coefficients:
+            coef = self.entities.coefficients[name]
+            return "r" if coef.is_function else "c" if coef.indices else "0"
+        if name is not None:
+            return "t"  # a variable
+        return _join(*(self._kind(child) for child in node.children))
+
+    def _fold(self, op: str, items: list[tuple[str, str]]) -> str:
+        """``a op b op c`` over ``(code, kind)`` operands, evaluated left to
+        right as Python would — with registers live, from the first
+        tile-shaped intermediate on as ``np.op(acc, b, out=register)``."""
+        regs = self._regs
+        if len(items) == 1:
+            return items[0][0]
+        if regs is None:
+            return "(" + f" {op} ".join(code for code, _ in items) + ")"
+        inline, kind, acc = [items[0][0]], items[0][1], None
+        for code, k in items[1:]:
+            kind = _join(kind, k)
+            if kind != "t":
+                inline.append(code)
+                continue
+            if acc is None:
+                acc = inline[0] if len(inline) == 1 else "(" + f" {op} ".join(inline) + ")"
+            acc = regs.emit(f"{_UFUNCS[op]}({acc}, {code}, out={{}})", acc, code)
+        return acc or "(" + f" {op} ".join(inline) + ")"
+
+    def _inline(self, kind: str, expr: str, *operands: str) -> str:
+        """A compound with no ``out=`` form: the expression itself, or — a
+        tile with registers live — copied into a register (its value is a
+        fresh array, and may be less than a tile: a select between a row
+        and a scalar on one table row) the operands' registers are freed
+        for."""
+        if self._regs is None or kind != "t":
+            return expr
+        self._regs.release(*operands)
+        return self._regs.emit(f"{{}}[...] = {expr}")
 
     def _walk_select(self, node: Conditional, ctx: str, reads: set[str]) -> str:
         """``conditional(c, A*k, B*k)``: select between the factors that
@@ -272,7 +402,8 @@ class ExprEmitter:
         factors = [None if j == i else self._walk(a, ctx, reads)
                    for j, a in enumerate(then)]
         out = self._out
-        table = next((h for h in out.tables if h.ref == cond), None)
+        kinds = [self._kind(n) for n in (node.cond, then[i], other[i])]
+        table = next((h for h in out.tables if h.ref() == cond), None)
         pair = [n.side for n in (then[i], other[i])
                 if isinstance(n, SideValue) and self._is_unknown(n.expr)]
         if table and ctx == "surface" and sorted(pair) == [1, 2]:
@@ -288,25 +419,31 @@ class ExprEmitter:
                 reads.update((a, b))
                 factors[i] = "uw"
         if factors[i] is None:
-            factors[i] = (f"np.where({cond}, {self._walk(then[i], ctx, reads)}, "
-                          f"{self._walk(other[i], ctx, reads)})")
-        return "(" + " * ".join(factors) + ")" if len(factors) > 1 else factors[i]
+            a, b = self._walk(then[i], ctx, reads), self._walk(other[i], ctx, reads)
+            factors[i] = self._inline(_join(*kinds), f"np.where({cond}, {a}, {b})", cond, a, b)
+        return self._fold("*", [(f, _join(*kinds) if j == i else self._kind(a))
+                                for j, (f, a) in enumerate(zip(factors, then))])
 
-    def _walk(self, node: Expr, ctx: str, reads: set[str]) -> str:
+    def _walk(self, node: Expr, ctx: str, reads: set[str], hoist: bool = True) -> str:
         hoisted = self._hoisted
-        scope = self._hoist_scope(node) if hoisted is not None else None
+        scope = self._hoist_scope(node) if hoist and hoisted is not None else None
+        if self._within not in (None, scope):
+            scope = None  # inside a definition: only its own kind and rows
         if scope is not None:
             key = (ctx, node)
             if key not in hoisted:
-                # build the definition's code without re-entering the hoisting
-                self._hoisted = None
-                try:
-                    code = self._walk(
-                        node, ctx, self._out.table_reads if scope[0] == "bind" else reads)
-                finally:
-                    self._hoisted = hoisted
-                hoisted[key] = self._define(scope, code)
-            return hoisted[key]
+                hoisted[key] = self._define(scope, node, ctx, reads)
+            table, regs = hoisted[key], self._regs
+            if isinstance(table, str):
+                return table
+            if self._within is not None:
+                return table.name
+            if regs is None or isinstance(node, Cmp) or self._kind(node) != "t":
+                return table.ref()
+            # each read of a float table may need scratch for its rows
+            scratch = regs.take()
+            regs.owner[table.ref(scratch)] = scratch
+            return table.ref(scratch)
         if isinstance(node, Num):
             return repr(float(node.value))
         if isinstance(node, Sym):
@@ -326,25 +463,26 @@ class ExprEmitter:
                 raise CodegenError("face distances only exist in surface terms")
             reads.add("face_dist")
             return "face_dist[None, :]"
-        if isinstance(node, Add):
-            return "(" + " + ".join(self._walk(a, ctx, reads) for a in node.args) + ")"
-        if isinstance(node, Mul):
-            return "(" + " * ".join(self._walk(a, ctx, reads) for a in node.args) + ")"
+        if isinstance(node, (Add, Mul)):
+            return self._fold("+" if isinstance(node, Add) else "*",
+                              [(self._walk(a, ctx, reads), self._kind(a)) for a in node.args])
         if isinstance(node, Pow):
             base = self._walk(node.base, ctx, reads)
             if isinstance(node.base, Num) and node.base.value < 0:
                 base = f"({base})"  # ``-1.0 ** x`` would parse as ``-(1.0 ** x)``
             if isinstance(node.exponent, Num):
                 e = node.exponent.value
-                if e == -1:
+                if e != -1:
+                    return self._inline(self._kind(node), f"({base} ** {repr(float(e))})", base)
+                if self._regs is None or self._kind(node) != "t":
                     return f"(1.0 / {base})"
-                return f"({base} ** {repr(float(e))})"
+                return self._regs.emit(f"np.divide(1.0, {base}, out={{}})", base)
             exponent = self._walk(node.exponent, ctx, reads)
-            return f"({base} ** {exponent})"
+            return self._inline(self._kind(node), f"({base} ** {exponent})", base, exponent)
         if isinstance(node, Cmp):
             lhs = self._walk(node.lhs, ctx, reads)
             rhs = self._walk(node.rhs, ctx, reads)
-            return f"({lhs} {node.op} {rhs})"
+            return self._inline(self._kind(node), f"({lhs} {node.op} {rhs})", lhs, rhs)
         if isinstance(node, Conditional):
             return self._walk_select(node, ctx, reads)
         if isinstance(node, Reconstruction):
@@ -358,11 +496,12 @@ class ExprEmitter:
                 )
             vn = self._walk(node.velocity_normal, ctx, reads)
             reads.update({"u", "ghost", "geom"})
-            return f"kernels.muscl_flux(geom, {vn}, u[sel], ghost[sel])"
+            return self._inline("t", f"kernels.muscl_flux(geom, {vn}, u[sel], ghost[sel])", vn)
         if isinstance(node, Call):
             if node.func in _MATH_FUNCS:
-                args = ", ".join(self._walk(a, ctx, reads) for a in node.args)
-                return f"{_MATH_FUNCS[node.func]}({args})"
+                args = [self._walk(a, ctx, reads) for a in node.args]
+                return self._inline(
+                    self._kind(node), f"{_MATH_FUNCS[node.func]}({', '.join(args)})", *args)
             raise CodegenError(
                 f"callback {node.func!r} cannot appear inside an equation term; "
                 "use a function coefficient or a boundary/step callback instead"
@@ -418,7 +557,7 @@ class ExprEmitter:
                     "flux reconstruction (upwind/average)"
                 )
             reads.add("u")
-            return "u[sel]"
+            return "u[sel]" if self._regs is None else "us"
         # known variable: read through the live rank/serial state (each rank
         # owns its arrays) or as a direct array argument (GPU kernels), and
         # map its components onto the unknown's axis
@@ -429,6 +568,9 @@ class ExprEmitter:
         )
         cmap = f"cmap_{name}"
         reads.add(f"var_{name}")
+        if ctx == "volume" and self._regs is not None:
+            return self._regs.emit(
+                f"np.take({arr}, {cmap}[sel], axis=0, out={{}}, mode='clip')")
         if ctx == "volume":
             return f"{arr}[{cmap}[sel], :]"
         # surface context: known variables are evaluated on the owner side
@@ -534,32 +676,38 @@ class ExprEmitter:
         }
 
 
-@dataclass
-class TileBody:
-    """What :func:`emit_tile_body` hands a target: the ``lines`` of one
-    tile, the ``sweep`` lines run once before the first tile, the array
-    leaves (``reads``) those two need bound, the source (``setup``) of
+class TileBody(NamedTuple):
+    """What :func:`emit_tile_body` hands a target: the ``scratch`` lines
+    binding the register pools (before the sweep), the ``sweep`` lines run
+    once before the first tile, the ``lines`` of one tile, the array leaves
+    (``reads``) those need bound, the source (``setup``) of
     ``invariant_tables`` and the comma-joined names (``tables``) of the list
     it returns (both empty if nothing is tabled), and the emitted
     ``surface`` statement."""
 
-    lines: list[str]
+    scratch: list[str]
     sweep: list[str]
+    lines: list[str]
     reads: set[str]
     setup: list[str]
     tables: str
     surface: EmittedExpr
 
 
-def hoisted_lines(defs: list[Hoisted]) -> list[str]:
-    """Assignments evaluating ``defs``, each over its own rows."""
+def hoisted_lines(defs: list[Hoisted], registers: int = 0) -> list[str]:
+    """Assignments evaluating ``defs``, each over its own rows; the lines of
+    definitions that use them find the ``registers`` names ``s<i>`` bound to
+    the leading rows of ``sweep_pool``."""
     lines: list[str] = []
     rows = None
     for h in defs:
         if h.rows != rows:
             rows = h.rows
             lines.append(f"sel = trep_{rows}  # one component per row")
-        lines.append(f"{h.name} = {h.code}")
+            if registers:
+                names = ", ".join(f"s{i}" for i in range(registers))
+                lines.append(f"{names}, = sweep_pool[:, :len(sel)]")
+        lines += [*h.lines, f"{h.name} = {h.code}"]
     return lines
 
 
@@ -572,8 +720,8 @@ def _invariant_tables(surface: EmittedExpr, volume: EmittedExpr) -> tuple[list[s
     body = [
         '"""Sub-expressions that never change between steps, each over the',
         "indices it depends on (``tmap_*``: component -> row), on the faces",
-        "whose geometry is passed; ``owner``/``other`` are the columns of",
-        '``[cells | ghosts]`` holding each face\'s two sides."""',
+        "whose geometry is passed; ``owner``/``other`` name where each face's",
+        'two sides live: a cell, or ``~slot`` of the ghost values."""',
     ]
     body += [f"{name} = normal[:, {axis - 1}]" for axis, name in _AXIS_NAMES.items()
              if name in reads]
@@ -584,6 +732,11 @@ def _invariant_tables(surface: EmittedExpr, volume: EmittedExpr) -> tuple[list[s
     return [head] + ["    " + ln for ln in body] + ["", ""], names
 
 
+def _bind(names: list[str], pool: str) -> str:
+    """``a, b, = pool[:, :n]``: the tile's rows of every array of a pool."""
+    return f"{', '.join(names)}, = {pool}[:, :n]"
+
+
 def emit_tile_body(
     emitter: ExprEmitter,
     *,
@@ -591,6 +744,10 @@ def emit_tile_body(
     gather_upwind: list[str],
     divergence: str,
     store: str,
+    buffer: str,
+    nfaces: str,
+    ncells: str,
+    dt: str | None = None,
     overrides: str | None = None,
 ) -> TileBody:
     """The statements every target runs on one tile of component rows.
@@ -599,22 +756,47 @@ def emit_tile_body(
     FLUX overrides → divergence → volume statement → store.  ``sel`` is the
     tile's row selector; the caller wraps the body in its tile loop and
     supplies what differs per target: the ``gather`` lines binding ``u1,
-    u2``, the ``gather_upwind`` lines binding ``uw`` from the ``upw`` column
-    table and the tile's table rows ``uw_rows``, the ``divergence``
-    expression over ``flux``, the name of a precomputed ``(faces, values)``
-    override list (CPU only), and the ``store`` statement consuming
-    ``source`` and ``div``.  Every operation is elementwise per row (the
-    CSR divergence is per column) and a statement reads the unknown only
-    through the tile's own rows — ``u[sel]``, ``u1``/``u2``/``uw``; the
-    walker fails with RPR141 on anything else — so results do not depend on
-    the tiling and the store may overwrite ``u[sel]`` itself.
+    u2`` (into ``fu``, ``fv``), the ``gather_upwind`` lines binding ``uw``
+    (into ``fu``) from the ``upw`` column table and the tile's table rows
+    ``uw_rows``, the ``divergence`` call over ``flux`` (into ``acc``, with
+    scratch ``cw``), the name of a precomputed ``(faces, values)`` override
+    list (CPU only), and the ``store`` statement consuming ``acc``: the
+    right-hand side, or with ``dt`` named the forward-Euler update ``u[sel]
+    + dt * rhs``.  Nothing in a tile is a fresh array: the statements write
+    registers (:class:`_Registers`), which with the gather, divergence and
+    update targets are the tile's rows of two pools taken once per sweep
+    from ``buffer(name, shape)`` — ``nfaces``/``ncells`` wide, ``height``
+    rows — and the known-variable terms a third.  Every operation is
+    elementwise per row (the divergence is per column) and a statement
+    reads the unknown only through the tile's own rows — ``us``,
+    ``u1``/``u2``/``uw``; the walker fails with RPR141 on anything else — so
+    results do not depend on the tiling and the store may overwrite
+    ``u[sel]`` itself.
     """
     form = emitter.form
     surface = emitter.emit_sum(form.surface_terms, "surface")
     volume = emitter.emit_sum(form.volume_terms, "volume")
     setup, tables = _invariant_tables(surface, volume)
-    sweep = hoisted_lines(surface.sweep + volume.sweep)
-    body: list[str] = []
+    nsweep = volume.sweep_registers
+    sweep = hoisted_lines(surface.sweep + volume.sweep, nsweep)
+    face_regs = [f"f{i}" for i in range(surface.registers)]
+    # gather targets, and a tile for a statement that is no register of its
+    # own (a bare table, a leaf, a row): the overrides and the divergence
+    # need a full one
+    face_regs += ["fu"] if surface.gathers_upwind else ["fu", "fv"]
+    face_regs += ["fx"] if surface.code not in face_regs else []
+    cell_regs = [f"c{i}" for i in range(volume.registers)] + ["acc", "cw", "cu"]
+    scratch = [f"cell_pool = {buffer}('cells', ({len(cell_regs)}, height, {ncells}))"]
+    body = ["us = kernels.row_block(u, sel, out=cell_pool[-1])", "n = len(us)",
+            _bind(cell_regs, "cell_pool")]
+    if form.surface_terms:
+        scratch.append(
+            f"face_pool = {buffer}('faces', ({len(face_regs)}, height, {nfaces}))")
+        body.append(_bind(face_regs, "face_pool"))
+    if nsweep:
+        spaces = sorted({f"len(trep_{h.rows})" for h in volume.sweep})
+        rows = spaces[0] if len(spaces) == 1 else f"max({', '.join(spaces)})"
+        scratch.append(f"sweep_pool = {buffer}('sweep', ({nsweep}, {rows}, {ncells}))")
 
     def statement(name: str, target: str, expr: EmittedExpr, terms: list[Expr]) -> None:
         body.extend(f"# RHS {name}: {t}" for t in map(str, terms))
@@ -629,11 +811,8 @@ def emit_tile_body(
             if surface.upwind:  # a side is also read on its own: select from both
                 body.append(f"uw = {surface.upwind[1]}")
         statement("surface", "flux", surface, form.surface_terms)
-        if not any(r in ("u1", "u2", "u") or r.startswith("var_")
-                   for r in surface.reads):
-            # no (row, face) leaf: the statement yields less than a full
-            # tile, which the overrides and the divergence need
-            body.append("flux = np.broadcast_to(flux, u1.shape).copy()")
+        if "fx" in face_regs:
+            body += ["fx[...] = flux", "flux = fx"]
         if overrides is not None:
             body += [
                 "# FLUX-type boundary callbacks override their faces",
@@ -647,8 +826,13 @@ def emit_tile_body(
         statement("volume", "source", volume, form.volume_terms)
     else:
         body.append("source = 0.0")
+    body.append("np.add(source, div, out=acc)")
+    if dt is not None:
+        body += [f"np.multiply(acc, {dt}, out=acc)",
+                 "np.add(us, acc, out=acc)  # explicit update, Eq. (3)"]
     body.append(store)
-    return TileBody(body, sweep, surface.reads | volume.reads, setup, tables, surface)
+    return TileBody(scratch, sweep, body, surface.reads | volume.reads, setup, tables,
+                    surface)
 
 
 def _count_flops(term: Expr) -> int:

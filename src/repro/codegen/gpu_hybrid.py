@@ -44,6 +44,7 @@ from repro.codegen.target_base import (
     attach_artifact_attrs,
     source_header,
 )
+from repro.fvm.kernels import csr_slots
 from repro.gpu.device import Device
 from repro.gpu.kernel import Kernel, model_launch
 from repro.ir.build import build_ir
@@ -108,19 +109,20 @@ def _emit_device_source(problem: "Problem", emitter: ExprEmitter) -> list[str]:
         emitter,
         gather=[
             "# owner/neighbour gathers restricted to interior faces",
-            "ut = u[sel]",
-            "u1 = np.take(ut, owner, axis=1, out=sides[0][:len(ut)], mode='clip')",
-            "u2 = np.take(ut, NEIGH_INT, axis=1, out=sides[1][:len(ut)], mode='clip')",
+            "u1 = np.take(us, owner, axis=1, out=fu, mode='clip')",
+            "u2 = np.take(us, NEIGH_INT, axis=1, out=fv, mode='clip')",
         ],
         gather_upwind=[
             "# the upwinded side of every interior face, one gather",
-            "uw = kernels.gather_upwind(u[sel], upw, uw_rows, sides[0])",
+            "uw = kernels.gather_upwind(u, sel, upw, uw_rows, fu)",
         ],
-        divergence="(DIV_INT @ flux.T).T",
-        store="u_new[sel] = u[sel] + DT * (source + div)  # explicit update, Eq. (3)",
+        divergence="kernels.slot_divergence(DIV_INT, flux, acc, cw)",
+        store="u_new[sel] = acc",
+        dt="DT",
+        buffer="buffer", nfaces="len(owner)", ncells="NCELLS",
     )
     known = emitter.referenced_known_variables()
-    args = ["u"] + [f"var_{n}" for n in known] + ["u_new"]
+    args = ["u"] + [f"var_{n}" for n in known] + ["u_new", "buffer"]
     lines = ["", ""] + tile.setup
     if tile.tables:
         lines += [
@@ -135,13 +137,14 @@ def _emit_device_source(problem: "Problem", emitter: ExprEmitter) -> list[str]:
         "(paper Sec. III-D).  Boundary faces contribute zero here; the CPU",
         "adds their part after the device result returns.  ``sel`` restricts",
         "the component rows (multi-device band partitioning launches one",
-        'kernel per rank over its own bands); only those rows are touched."""',
+        "kernel per rank over its own bands); only those rows are touched.",
+        "``buffer(name, shape)`` hands out the workspace the tiles reuse",
+        '(the device\'s, or the host state\'s when the step degrades)."""',
         "rows = sel",
         "owner = OWNER_INT",
         "height = kernels.tile_rows(len(owner), NCOMP)",
+        *tile.scratch,
     ]
-    if form.surface_terms:
-        body.append("sides = np.empty((2, height, len(owner)))")
     for axis, name in enumerate(("normal_x", "normal_y", "normal_z")):
         if name in tile.reads:
             body.append(f"{name} = NORMALS_INT[:, {axis}]")
@@ -175,12 +178,14 @@ def _emit_device_source(problem: "Problem", emitter: ExprEmitter) -> list[str]:
     if tile.tables:  # the same tables, over the boundary faces' geometry
         body.append(f"[{tile.tables}] = state.tables(invariant_tables, bfaces)")
     body += hoisted_lines(surface.sweep)
+    registers = [f"f{i}" for i in range(surface.registers)]
     body += [
         "sel = slice(None)",
+        f"{', '.join(registers + ['fu', 'fv'])} = state.buffer('boundary_faces', "
+        f"({len(registers) + 2}, NCOMP, len(bfaces)))",
         "# ghost values from the boundary conditions (user callbacks)",
-        "ghost = state.bset.ghost_values(u, t, dt, state.extra)",
-        "u1 = u[:, owner]",
-        "u2 = ghost",
+        "u1 = np.take(u, owner, axis=1, out=fu, mode='clip')",
+        "u2 = state.bset.ghost_values(u, t, dt, state.extra, out=fv)",
     ]
     if surface.upwind is not None:  # the sides are already gathered: select
         body.append(f"uw = {surface.upwind[1]}")
@@ -192,11 +197,14 @@ def _emit_device_source(problem: "Problem", emitter: ExprEmitter) -> list[str]:
     body += [f"# face flux: {t}" for t in map(str, form.surface_terms)]
     body += surface.prelude
     body.append(f"flux = {surface.code}")
+    if surface.code not in registers:  # maybe less than an array of its own
+        body.append("flux = np.broadcast_to(flux, u1.shape).copy()")
     body += [
         "# FLUX-type callbacks override their faces",
         "for faces, values in state.bset.flux_overrides(u, t, dt, state.extra):",
         "    flux[:, BFACE_SLOT[faces]] = values",
-        "return (DIV_BDRY @ flux.T).T",
+        "return kernels.slot_divergence(",
+        "    DIV_BDRY, flux, state.buffer('du_boundary', (NCOMP, geom.ncells)))",
     ]
     return lines + _indent(body)
 
@@ -231,7 +239,7 @@ def step_once(state):
         # --- asynchronous interior kernel (one thread per DOF) -------------
         launch_time = host.now()
         kernel_args = [dev.buffers[n].array for n in ['u'] + KERNEL_VAR_NAMES] \
-            + [dev.buffers['u_new'].array]
+            + [dev.buffers['u_new'].array, dev.workspace]
         with state.profile_scope('solve'):
             if KERNEL_CHUNKS is None:
                 dev.launch(KERNEL, NDOF, *kernel_args, host_time=launch_time)
@@ -254,6 +262,7 @@ def step_once(state):
     trace.complete(HOST_TRACK, 'boundary_callbacks', launch_time, host.now(),
                    cat='phase')
 
+    u_new = state.buffer('u_new', state.u.shape)
     if faulted is None:
         # --- synchronize, fetch, combine -----------------------------------
         sync_time = dev.synchronize(host.now())
@@ -263,7 +272,7 @@ def step_once(state):
         host.advance_to(sync_time)
         d2h_start = host.now()
         with state.profile_scope('d2h'):
-            u_new, end = dev.d2h('u_new', host_time=d2h_start)
+            u_new, end = dev.d2h('u_new', out=u_new, host_time=d2h_start)
         host.advance_to(end)
         trace.complete(HOST_TRACK, 'd2h', d2h_start, host.now(), cat='transfer')
         state.gpu_phases['communication'] += host.now() - d2h_start
@@ -274,20 +283,19 @@ def step_once(state):
         # fully rewritten by the next successful h2d + launch before any read
         record_degraded('interior_update', dev.name, 'cpu',
                         type(faulted).__name__, step=state.step_index)
-        u_new = state.buffer('u_new_degraded', state.u.shape)
         with state.profile_scope('solve'):
             interior_kernel(state.u,
                             *[state.fields[n.replace('var_', '')].data
                               for n in KERNEL_VAR_NAMES],
-                            u_new)
+                            u_new, state.buffer)
         host.advance(COST_INTERIOR_CPU)
         trace.complete(HOST_TRACK, 'interior_update[degraded:cpu]',
                        launch_time, host.now(), cat='fault',
                        reason=type(faulted).__name__)
         state.gpu_phases['solve for intensity'] += COST_INTERIOR_CPU
     state.sanitize_kernel_output(KERNEL.name, u_new)
-    # u = u_new + u_bdry (the boundary part of the explicit update)
-    state.u = u_new + state.dt * du_bdry
+    # u = u_new + dt * u_bdry (the boundary part of the explicit update)
+    np.add(u_new, np.multiply(du_bdry, state.dt, out=du_bdry), out=state.u)
 
     state.time += state.dt
     state.step_index += 1
@@ -551,8 +559,8 @@ class GPUHybridTarget(CodegenTarget):
         env["NEIGH_INT"] = geom.neighbor[int_faces]
         env["NORMALS_INT"] = geom.normal[int_faces]
         env["FACEDIST_INT"] = geom.face_dist[int_faces]
-        env["DIV_INT"] = geom.divergence[:, int_faces]
-        env["DIV_BDRY"] = geom.divergence[:, geom.bfaces]
+        env["DIV_INT"] = csr_slots(geom.divergence[:, int_faces])
+        env["DIV_BDRY"] = csr_slots(geom.divergence[:, geom.bfaces])
         env["BFACE_SLOT"] = geom.bface_slot
         env["PRE_STEP_CALLBACKS"] = list(problem.pre_step_callbacks)
         env["POST_STEP_CALLBACKS"] = list(problem.post_step_callbacks)

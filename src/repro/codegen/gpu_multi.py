@@ -38,6 +38,7 @@ from repro.codegen.target_base import (
     attach_artifact_attrs,
     source_header,
 )
+from repro.fvm.kernels import csr_slots
 from repro.gpu.device import Device
 from repro.gpu.kernel import Kernel
 from repro.ir.build import build_ir
@@ -97,7 +98,7 @@ def rank_program(comm):
             mark = host.now()
             kernel_args = [dev.buffers['u'].array] \\
                 + [dev.buffers[n].array for n in KERNEL_VAR_NAMES] \\
-                + [dev.buffers['u_new'].array]
+                + [dev.buffers['u_new'].array, dev.workspace]
             with state.profile_scope('solve'):
                 dev.launch(KERNEL, len(own) * NCELLS, *kernel_args, own,
                            host_time=mark)
@@ -108,6 +109,7 @@ def rank_program(comm):
             du_bdry = compute_boundary_contribution(state, state.u, t)
         host.advance(COST_BOUNDARY[comm.rank])
         trace.complete(htrack, 'boundary_callbacks', mark, host.now(), cat='phase')
+        u_new = state.buffer('u_new', state.u.shape)
         if faulted is None:
             sync_time = dev.synchronize(host.now())
             if sync_time > host.now():
@@ -117,7 +119,7 @@ def rank_program(comm):
 
             # fetch and combine (owned rows only)
             mark = host.now()
-            u_new, end = dev.d2h('u_new', host_time=mark)
+            u_new, end = dev.d2h('u_new', out=u_new, host_time=mark)
             host.advance_to(end)
             trace.complete(htrack, 'd2h', mark, host.now(), cat='transfer')
             comm.compute(host.now() - mark, phase='communication')
@@ -127,12 +129,11 @@ def rank_program(comm):
             record_degraded('interior_update', dev.name, 'cpu',
                             type(faulted).__name__, rank=comm.rank,
                             step=state.step_index)
-            u_new = state.buffer('u_new_degraded', state.u.shape)
             with state.profile_scope('solve'):
                 interior_kernel(state.u,
                                 *[state.fields[n.replace('var_', '')].data
                                   for n in KERNEL_VAR_NAMES],
-                                u_new, own)
+                                u_new, state.buffer, own)
             host.advance(COST_INTERIOR_CPU[comm.rank])
             trace.complete(htrack, 'interior_update[degraded:cpu]', mark,
                            host.now(), cat='fault',
@@ -306,8 +307,8 @@ class GPUMultiTarget(CodegenTarget):
         env["NEIGH_INT"] = geom.neighbor[int_faces]
         env["NORMALS_INT"] = geom.normal[int_faces]
         env["FACEDIST_INT"] = geom.face_dist[int_faces]
-        env["DIV_INT"] = geom.divergence[:, int_faces]
-        env["DIV_BDRY"] = geom.divergence[:, geom.bfaces]
+        env["DIV_INT"] = csr_slots(geom.divergence[:, int_faces])
+        env["DIV_BDRY"] = csr_slots(geom.divergence[:, geom.bfaces])
         env["BFACE_SLOT"] = geom.bface_slot
         env["PRE_STEP_CALLBACKS"] = list(problem.pre_step_callbacks)
         env["POST_STEP_CALLBACKS"] = list(problem.post_step_callbacks)

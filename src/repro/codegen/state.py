@@ -11,6 +11,7 @@ temperature array there).
 from __future__ import annotations
 
 import json
+import weakref
 from pathlib import Path
 from time import perf_counter
 from typing import TYPE_CHECKING, Any
@@ -63,7 +64,9 @@ class SolverState:
         self.step_index = 0
         self.timers = TimerRegistry()
         self.extra: dict[str, Any] = dict(problem.extra)
-        self.extra.setdefault("state", self)
+        # a proxy, not ``self``: a state in a reference cycle (and the scratch
+        # it owns) would outlive its solver until the cyclic collector runs
+        self.extra.setdefault("state", weakref.proxy(self))
 
         # distributed context (set by the distributed/gpu targets):
         # exactly one of owned_comps/owned_cells is set on a rank state;
@@ -251,10 +254,13 @@ class SolverState:
     def buffer(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
         """A reusable scratch array (allocated once, reused every step).
 
-        The generated hot loop calls this instead of ``np.empty`` for
-        arrays whose lifetime is one statement: the tile-sized gather
-        targets of ``compute_rhs`` (a few rows of faces, refilled for every
-        tile) and the degraded-device ``u_new``.
+        The generated hot loop and the step callbacks call this instead of
+        ``np.empty`` for every array whose lifetime is one statement, one
+        tile or one step: the tile's register pools, the sweep terms, the
+        ghost values, the temperature update's band energies and closure
+        work arrays, the hybrid step's ``u_new`` and boundary part — so a
+        warmed-up step allocates nothing of the problem's size.  Contents
+        are whatever the last user left.
         """
         buf = self._scratch.get(name)
         if buf is None or buf.shape != shape:

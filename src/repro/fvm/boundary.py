@@ -148,8 +148,11 @@ class BoundarySet:
         time: float = 0.0,
         dt: float = 0.0,
         extra: dict[str, Any] | None = None,
+        out: np.ndarray | None = None,
     ) -> np.ndarray:
-        """Ghost array of shape ``(ncomp, n_boundary_faces)``.
+        """Ghost array of shape ``(ncomp, n_boundary_faces)``, filled into
+        ``out`` when given (a copy of the boundary values either way, never
+        a view of ``u``).
 
         FLUX regions get zero-gradient ghosts here (their flux is replaced
         afterwards by :meth:`flux_overrides`, so the ghost value is unused
@@ -157,9 +160,9 @@ class BoundarySet:
         """
         g = self.geom
         nb = g.boundary_face_count()
-        ghost = np.empty((self.ncomp, nb), dtype=np.float64)
+        ghost = np.empty((self.ncomp, nb), dtype=np.float64) if out is None else out
         # default: zero gradient everywhere (also covers FLUX regions)
-        ghost[:] = u[..., g.owner[g.bfaces]].reshape(self.ncomp, nb)
+        np.take(u.reshape(self.ncomp, -1), g.bowner, axis=1, out=ghost, mode="clip")
         for region, bc in self.conditions.items():
             slots = g.region_slots[region]
             if bc.kind == BCKind.DIRICHLET:
@@ -175,9 +178,8 @@ class BoundarySet:
             elif bc.kind == BCKind.NEUMANN0 or bc.kind == BCKind.FLUX:
                 pass  # zero gradient already in place
             elif bc.kind == BCKind.SYMMETRY:
-                faces = g.region_faces[region]
-                owner_vals = u[..., g.owner[faces]].reshape(self.ncomp, len(faces))
-                ghost[:, slots] = owner_vals[bc.reflection_map, :]
+                # the owner values are in place: read them at the mirrored rows
+                ghost[:, slots] = ghost[np.asarray(bc.reflection_map)[:, None], slots]
             elif bc.kind == BCKind.GHOST_CALLBACK:
                 ctx = self._context(bc, u, time, dt, extra)
                 vals = np.asarray(bc.callback(ctx), dtype=np.float64)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from repro.fvm.kernels import gather_upwind
+from repro.fvm.kernels import csr_slots, gather_upwind, slot_divergence
 from repro.mesh.mesh import Mesh
 
 
@@ -39,8 +39,8 @@ class FVGeometry:
         ``(nbfaces,)`` boundary face ids, and ``bface_slot`` maps a face id
         to its position in that list (or -1).
     neighbor_column:
-        Per face, the column of ``[cell values | ghost values]`` holding its
-        neighbour side (the neighbour cell, or the ghost slot behind them).
+        Per face, where its neighbour side lives: the neighbour cell, or
+        ``~slot`` (negative) for slot ``slot`` of the ghost values.
     """
 
     def __init__(self, mesh: Mesh):
@@ -64,7 +64,8 @@ class FVGeometry:
         self.bface_slot[self.bfaces] = np.arange(len(self.bfaces))
         self.neighbor_safe = np.where(self.interior_mask, self.neighbor, self.owner)
         self.neighbor_column = np.where(
-            self.interior_mask, self.neighbor, self.ncells + self.bface_slot)
+            self.interior_mask, self.neighbor, ~self.bface_slot)
+        self.bowner = self.owner[self.bfaces]  # owner cell of each ghost slot
 
         # gradient distance across each face (two-point diffusive fluxes):
         # interior = |projection of the centroid offset on the normal|;
@@ -90,6 +91,8 @@ class FVGeometry:
         }
 
         self.divergence = self._build_divergence()
+        self._div_slots: list | None = None  # its gather form, on first use
+        self._patches: tuple | None = None  # (upwind column table, its ghost reads)
         self._gradient_ops: list[sp.csr_matrix] | None = None
         # face-centre offsets from each side's cell centre (for linear
         # face extrapolation in second-order reconstructions)
@@ -152,23 +155,32 @@ class FVGeometry:
         return [(G @ face_values.T).T for G in self.gradient_ops]
 
     # ------------------------------------------------------------------ ops
-    def surface_divergence(self, face_flux: np.ndarray) -> np.ndarray:
+    def surface_divergence(self, face_flux: np.ndarray, out: np.ndarray | None = None,
+                           work: np.ndarray | None = None) -> np.ndarray:
         """``(1/V) sum_f A_f flux_f`` for every cell.
 
         ``face_flux`` has shape ``(nfaces,)`` or ``(ncomp, nfaces)`` (flux per
         unit area, signed w.r.t. the owner's outward normal); the result has
-        the matching cell shape.
+        the matching cell shape.  It is ``divergence @ face_flux`` bit for
+        bit, accumulated face slot by face slot in the flux's own row layout
+        (:func:`repro.fvm.kernels.slot_divergence`) into ``out``, with
+        ``work`` as scratch — both ``(ncomp, ncells)``, fresh when not given.
         """
-        if face_flux.ndim == 1:
-            return self.divergence @ face_flux
-        return (self.divergence @ face_flux.T).T
+        if self._div_slots is None:
+            self._div_slots = csr_slots(self.divergence)
+        flux = face_flux if face_flux.ndim == 2 else face_flux[None]
+        shape = (len(flux), self.ncells)
+        div = slot_divergence(self._div_slots, flux,
+                              np.empty(shape) if out is None else out,
+                              np.empty(shape) if work is None else work)
+        return div if face_flux.ndim == 2 else div[0]
 
     def gather_sides(
         self,
         u: np.ndarray,
         ghost: np.ndarray | None = None,
         rows=None,
-        out: tuple[np.ndarray, np.ndarray] | None = None,
+        out=None,
         upwind: tuple[np.ndarray, np.ndarray] | None = None,
     ):
         """Owner-side and neighbour-side values of ``u`` on every face.
@@ -183,22 +195,27 @@ class FVGeometry:
         leading rows are filled and returned instead of fresh arrays, which
         is how the tiled kernels gather without allocating.
 
-        ``upwind=(columns, table_rows)`` returns one array instead: face
-        ``f`` of row ``i`` reads column ``columns[table_rows[i], f]`` of
-        ``[u | ghost]`` — the owner's where an upwind select would take the
-        owner side, else ``neighbor_column``'s (``out[1]`` then holds the
-        ``[u | ghost]`` rows, ``ncells + nbfaces`` wide).
+        ``upwind=(columns, table_rows)`` returns one array instead (into the
+        leading rows of the single scratch array ``out``): face ``f`` of row
+        ``i`` reads ``columns[table_rows[i], f]`` — the owner cell where an
+        upwind select would take the owner side, else ``neighbor_column``'s
+        entry — straight from ``u``; the few inflow boundary faces of each
+        table row are then patched from ``ghost``.
         """
+        if upwind is not None:
+            columns, table_rows = upwind
+            if self._patches is None or self._patches[0] is not columns:
+                inflow = [self.bfaces[row[self.bfaces] < 0] for row in columns]
+                self._patches = (columns, [(faces, ~row[faces])
+                                           for faces, row in zip(inflow, columns)])
+            if ghost is None:
+                ghost = u[..., self.bowner]
+            return gather_upwind(u, slice(None) if rows is None else rows, columns,
+                                 table_rows, out, ghost, self._patches[1])
         if rows is not None:
             u = u[rows]
             if ghost is not None:
                 ghost = ghost[rows]
-        if upwind is not None:
-            width = self.ncells + len(self.bfaces)
-            cells = np.empty((len(u), width)) if out is None else out[1][: len(u)]
-            cells[:, : self.ncells] = u
-            cells[:, self.ncells:] = u[:, self.owner[self.bfaces]] if ghost is None else ghost
-            return gather_upwind(cells, *upwind, out=None if out is None else out[0])
         o1, o2 = (None, None) if out is None else (o[: len(u)] for o in out)
         # mode='clip' only skips take's bounds-check buffering of ``out``;
         # owner/neighbor_safe are valid cell ids by construction
@@ -207,9 +224,6 @@ class FVGeometry:
         if ghost is not None and len(self.bfaces):
             u2[..., self.bfaces] = ghost
         return u1, u2
-
-    def face_value_owner(self, u: np.ndarray) -> np.ndarray:
-        return u[..., self.owner]
 
     def boundary_face_count(self) -> int:
         return len(self.bfaces)

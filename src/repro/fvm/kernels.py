@@ -14,14 +14,18 @@ from collections.abc import Iterator
 import numpy as np
 
 #: Working-set budget of one component-row tile: the bytes of one
-#: ``(rows, nfaces)`` float64 face array.  A tile keeps about three such
-#: arrays live (the upwinded side, the row-gathered projection table, the
-#: flux) plus its cell-sized source/update temporaries, and at 512 KiB they
-#: all stay inside a 4 MiB L2.  Measured, not configured — the sweep is in
-#: EXPERIMENTS.md ("Step-invariant tables"): with half the live arrays the
-#: tabled body had before, step time is flat within noise from ~380 KiB to
-#: ~1.5 MiB and rises on both sides (per-tile call overhead below, L2
-#: spills above), so the constant stays where it was.
+#: ``(rows, nfaces)`` float64 face array.  A tile keeps two such arrays live
+#: (the upwinded side and the flux) plus five ``(rows, ncells)`` ones (the
+#: statement's registers, the divergence and its work array, the update),
+#: and at 512 KiB they all stay inside a 4 MiB L2.  The Newton closure
+#: (``bte.equilibrium``) sizes its cell blocks by the same constant: one
+#: ``(nbands, block)`` array per budget, about six live.  Measured, not
+#: configured — the sweeps are in EXPERIMENTS.md ("No allocation in steady
+#: state"): step time is flat within noise from ~256 KiB to ~640 KiB for the
+#: tile body and rises outside (per-tile call overhead below, L2 spills
+#: above); the closure alone is flat from ~128 KiB and 0.45 ms (under 1 % of
+#: a step) better unblocked, which is not worth a second constant, so this
+#: one stays where it was.
 TILE_BYTES = 512 * 1024
 
 
@@ -46,31 +50,125 @@ def row_tiles(rows, ncomp: int, height: int) -> Iterator:
             yield rows[lo:lo + height]
 
 
-def gather_upwind(cells: np.ndarray, columns: np.ndarray, table_rows: np.ndarray,
-                  out: np.ndarray | None = None) -> np.ndarray:
-    """The upwinded face side of a tile: ``result[i, f] = cells[i,
-    columns[table_rows[i], f]]``, ``columns`` being the generated code's
-    ``upw`` table (per value of the indices the flow direction depends on,
-    the column of ``cells`` each face reads).  One ``np.take`` per run of
-    equal ``table_rows`` — a tile that straddles two is segmented — into the
-    leading rows of ``out`` when given."""
-    n = len(cells)
-    out = np.empty((n, columns.shape[1])) if out is None else out[:n]
+def row_runs(values: np.ndarray) -> Iterator[tuple[int, int]]:
+    """``(lo, hi)`` of every maximal run of equal consecutive ``values``."""
     lo = 0
-    for hi in (*(np.flatnonzero(table_rows[1:] != table_rows[:-1]) + 1), n):
-        # mode='clip' only skips take's bounds-check buffering of ``out``
-        np.take(cells[lo:hi], columns[table_rows[lo]], axis=1, out=out[lo:hi],
-                mode="clip")
+    for hi in (*((values[1:] != values[:-1]).nonzero()[0] + 1), len(values)):
+        yield lo, hi
         lo = hi
+
+
+def row_block(a: np.ndarray, sel, lo: int = 0, hi: int | None = None,
+              out: np.ndarray | None = None) -> np.ndarray:
+    """Rows ``sel[lo:hi]`` of ``a`` (``sel``: a slice or an index array) — a
+    view when they are consecutive, else gathered into the leading rows of
+    ``out`` (a fresh array without one)."""
+    if isinstance(sel, slice):
+        start, stop, _ = sel.indices(len(a))
+        return a[start + lo:stop if hi is None else start + hi]
+    idx = sel[lo:hi]
+    if (idx[1:] - idx[:-1] == 1).all():
+        return a[idx[0]:idx[-1] + 1]
+    return np.take(a, idx, axis=0, out=None if out is None else out[:len(idx)],
+                   mode="clip")
+
+
+def table_rows(table: np.ndarray, row_of: np.ndarray, sel,
+               out: np.ndarray | None = None) -> np.ndarray:
+    """``table[row_of[sel]]`` without the copy where a view will do: a tile
+    inside one table row reads it as a broadcastable ``(1, n)`` view, one
+    over consecutive table rows as a slice; only a tile straddling
+    unrelated rows gathers them, into the leading rows of ``out``."""
+    rows = row_of[sel]
+    first = rows[0]
+    if first == rows[-1] and (rows == first).all():
+        return table[first:first + 1]
+    return row_block(table, rows, out=out)
+
+
+def gather_upwind(u: np.ndarray, sel, columns: np.ndarray, table_rows: np.ndarray,
+                  out: np.ndarray | None = None, ghost: np.ndarray | None = None,
+                  patches=None) -> np.ndarray:
+    """The upwinded face side of the rows ``sel`` of ``u``: ``result[i, f] =
+    [u | ghost][sel[i], columns[table_rows[i], f]]``, ``columns`` being the
+    generated code's ``upw`` table (per value of the indices the flow
+    direction depends on, the cell each face reads, or ``~slot`` for a ghost
+    slot).  One ``np.take`` straight from ``u`` per run of equal
+    ``table_rows`` — a tile that straddles two is segmented — into the
+    leading rows of ``out`` when given; ``patches[r] = (faces, slots)`` then
+    overwrites the few faces of table row ``r`` that read a ghost."""
+    n = len(table_rows)
+    out = np.empty((n, columns.shape[1])) if out is None else out[:n]
+    for lo, hi in row_runs(table_rows):
+        r = table_rows[lo]
+        # mode='clip' skips take's bounds-check buffering of ``out`` and
+        # parks the ghost columns on cell 0 until they are patched
+        row_block(u, sel, lo, hi).take(columns[r], axis=1, out=out[lo:hi], mode="clip")
+        if patches is not None and len(patches[r][0]):
+            faces, slots = patches[r]
+            out[lo:hi, faces] = row_block(ghost, sel, lo, hi)[:, slots]
     return out
 
 
-def store_columns(u: np.ndarray, rows, columns: np.ndarray, values: np.ndarray) -> None:
+def csr_slots(matrix) -> list[tuple[np.ndarray, np.ndarray, object]]:
+    """Gather form of a CSR operator (cells x faces): for the ``k``-th
+    stored entry of every row, ``(faces, weights, where)`` — its column, its
+    value, and the rows that have a ``k``-th entry: ``True`` (all of them),
+    a mask over the rows (most of them; ``faces``/``weights`` are padded),
+    or the row ids (few of them, e.g. a boundary-face operator;
+    ``faces``/``weights`` cover just those)."""
+    indptr, indices, data = matrix.indptr, matrix.indices, matrix.data
+    counts = np.diff(indptr)
+    slots = []
+    for k in range(int(counts.max(initial=0))):
+        present = counts > k
+        where = np.flatnonzero(present)
+        if 2 * len(where) < len(counts):
+            at = indptr[where] + k
+        else:
+            at = np.where(present, indptr[:-1] + k, 0)
+            where = True if present.all() else present
+        slots.append((indices[at].astype(np.intp), data[at], where))
+    return slots
+
+
+def slot_divergence(slots, flux: np.ndarray, out: np.ndarray,
+                    work: np.ndarray | None = None) -> np.ndarray:
+    """``out[:, c] = sum_k weights_k[c] * flux[:, faces_k[c]]`` over the
+    :func:`csr_slots` of an operator — what ``(matrix @ flux.T).T`` computes,
+    bit for bit (accumulated from ``+0.0`` in storage order, so a ``-0.0``
+    product leaves ``+0.0`` as CSR does), in the tile's own row layout: no
+    transposed copy in, no strided read back.  ``work`` is scratch of
+    ``out``'s shape for the slots most rows have."""
+    # when every row has a first entry, slot 0 writes ``0.0 + product``
+    # straight over whatever ``out`` held; otherwise start from zeros
+    overwrite = bool(slots) and slots[0][2] is True
+    if not overwrite:
+        out.fill(0.0)
+    for k, (faces, weights, where) in enumerate(slots):
+        if where is not True and where.dtype != bool:  # a few rows: in place
+            out[:, where] += weights * flux[:, faces]
+            continue
+        work = np.empty_like(out) if work is None else work
+        flux.take(faces, axis=1, out=work, mode="clip")
+        np.multiply(work, weights, out=work)
+        if overwrite and k == 0:
+            np.add(work, 0.0, out=out)
+        else:
+            np.add(out, work, out=out, where=where)
+    return out
+
+
+def store_columns(u: np.ndarray, rows, columns: np.ndarray, values: np.ndarray,
+                  out: np.ndarray | None = None) -> None:
     """``u[rows, columns] = values[:, columns]`` for a slice or index-array
-    ``rows``: a cell-partitioned rank advances only the mesh columns it owns."""
+    ``rows``: a cell-partitioned rank advances only the mesh columns it owns.
+    ``out`` is contiguous scratch of ``values``' shape for the picked columns."""
+    if out is not None:
+        out = out.reshape(-1)[:len(values) * len(columns)].reshape(len(values), -1)
     if not isinstance(rows, slice):
         rows = rows[:, None]
-    u[rows, columns] = values[:, columns]
+    u[rows, columns] = np.take(values, columns, axis=1, out=out, mode="clip")
 
 
 def upwind_flux(vn: np.ndarray, u_owner: np.ndarray, u_neighbor: np.ndarray) -> np.ndarray:
@@ -181,13 +279,6 @@ def axpy(y: np.ndarray, a: float, x: np.ndarray) -> np.ndarray:
     return y
 
 
-def masked_scale(values: np.ndarray, mask: np.ndarray, scale: float) -> np.ndarray:
-    """``values * scale`` where ``mask``, else ``values`` (no copy of falses)."""
-    out = values.copy()
-    out[..., mask] *= scale
-    return out
-
-
 def reduction_sum(values: np.ndarray, weights: np.ndarray | None = None, axis: int = 0) -> np.ndarray:
     """Weighted sum along an axis (the band/direction energy reductions)."""
     if weights is None:
@@ -217,12 +308,16 @@ __all__ = [
     "TILE_BYTES",
     "tile_rows",
     "row_tiles",
+    "row_runs",
+    "row_block",
+    "table_rows",
     "gather_upwind",
+    "csr_slots",
+    "slot_divergence",
     "store_columns",
     "upwind_flux",
     "central_flux",
     "axpy",
-    "masked_scale",
     "reduction_sum",
     "flop_count_upwind",
     "flop_count_euler",

@@ -197,6 +197,18 @@ class Device:
             self._m_allocated.set(self.allocated_bytes, device=self.name)
         return buf
 
+    def workspace(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
+        """Device-resident scratch for kernel bodies: allocated on first use
+        (no H2D, like :meth:`alloc_empty`; not an injectable ``alloc``) and
+        handed out again for every later launch asking for the same shape."""
+        buf = self.buffers.get(f"workspace:{name}")
+        if buf is None or buf.array.shape != shape:
+            self.free(f"workspace:{name}")
+            buf = DeviceBuffer(f"workspace:{name}", np.empty(shape), on_device=True)
+            self.buffers[buf.name] = buf
+            self.allocated_bytes += buf.nbytes
+        return buf.array
+
     def free(self, name: str) -> None:
         buf = self.buffers.pop(name, None)
         if buf is not None:

@@ -140,6 +140,7 @@ class TestPseudoTemperatureClosure:
             owned_cells=np.arange(2, 9) if partition == "cells" else None,
             owned_comps=np.arange(model.ncomp) if partition == "bands" else None,
             comm=SimpleNamespace(allreduce=lambda x: x),
+            buffer=lambda name, shape: np.empty(shape),
         )
         model.temperature_update(state)
         own = state.owned_cells if partition == "cells" else slice(None)

@@ -9,9 +9,12 @@ from repro.codegen.emit import ExprEmitter
 from repro.ir.lowering import lower_conservation_form
 
 
-def _is_flux_line(line: str) -> bool:
-    """The surface statement of the tile body."""
-    return line.strip().startswith("flux = ")
+def _surface_statement(src: str) -> list[str]:
+    """The lines of the tile body's surface statement."""
+    lines = [ln.strip() for ln in src.splitlines()]
+    start = max(i for i, ln in enumerate(lines) if ln.startswith("# RHS surface"))
+    stop = next(i for i in range(start, len(lines)) if lines[i].startswith("flux = "))
+    return lines[start + 1:stop + 1]
 
 
 def _tile_loop(src: str) -> str:
@@ -35,9 +38,10 @@ class TestHoisting:
         defs = [ln for ln in tables.splitlines() if ln.strip().startswith("tab_s1 =")]
         assert len(defs) == 1 and "normal_x[None, :] * coef_Sx[sel]" in defs[0]
         assert "sel = trep_d" in tables
-        flux_line = next(ln for ln in src.splitlines() if _is_flux_line(ln))
-        assert flux_line.count("tab_s1[tmap_d[sel]]") == 1  # select before scale
-        assert "normal_x" not in flux_line and "np.where" not in flux_line
+        flux = "\n".join(_surface_statement(src))
+        # select before scale: the tile's rows of the table, read once
+        assert flux.count("kernels.table_rows(tab_s1, tmap_d, sel, f0)") == 1
+        assert "normal_x" not in flux and "np.where" not in flux
         state = bte_solver.state
         mask, projected, columns = state.tables(bte_solver.namespace["invariant_tables"])
         assert projected.shape == mask.shape == columns.shape == (8, state.geom.nfaces)
@@ -52,13 +56,29 @@ class TestHoisting:
         assert "1.0 /" not in loop and "np.where" not in loop
         assert "cse_" not in src
         assert "np.empty((NCOMP" not in src and "euler_update" not in src
-        assert "u[sel] = u[sel] + dt * (source + div)" in loop
+        # u[sel] = u[sel] + dt * (source + div), finished in tile scratch
+        chain = ["np.add(source, div, out=acc)", "np.multiply(acc, dt, out=acc)",
+                 "np.add(us, acc, out=acc)  # explicit update, Eq. (3)", "u[sel] = acc"]
+        assert [ln.strip() for ln in loop.splitlines() if ln.strip()][-len(chain):] == chain
         # one gather per tile, through the upwind column table
         assert loop.count("geom.gather_sides(") == 1 and "upwind=(upw, uw_rows)" in loop
         assert "uw_rows = tmap_d[sel]" in loop
-        # 1/beta and Io/beta: once per sweep over the 5 bands' rows
+        # 1/beta and Io/beta: once per sweep over the 5 bands' rows, in place,
+        # the second reading the first by name
         head = src[src.index("def compute_rhs("):src.index("for block in")]
-        assert "sel = trep_b" in head and head.count("1.0 / state.fields['beta']") == 2
+        assert "sel = trep_b" in head and head.count("np.divide(1.0, s") == 1
+        assert "np.multiply(s1, swp_v0, out=s1)" in head
+
+    def test_tile_loop_allocates_and_copies_nothing(self, bte_solver):
+        """Every array statement of the hotspot tile writes through ``out=``
+        into the state's scratch: no fancy-indexed table rows, no transposed
+        copy, no expression temporary, and the store comes last."""
+        loop = _tile_loop(bte_solver.source)
+        assert "[tmap_" not in loop and ".T" not in loop
+        body = [ln.strip() for ln in loop.splitlines()[1:] if ln.strip()]
+        arrays = [ln for ln in body if ln.startswith(("np.", "uw =", "div =", "us ="))]
+        assert len(arrays) == 11 and all("out=" in ln for ln in arrays)
+        assert body[-1] == "u[sel] = acc"
 
     def test_cse_can_be_disabled(self, tiny_scenario):
         problem, _ = build_bte_problem(tiny_scenario)
@@ -69,7 +89,8 @@ class TestHoisting:
         em = ExprEmitter(problem, form)
         with_cse = em.emit_sum(form.surface_terms, "surface")
         without = em.emit_sum(form.surface_terms, "surface", cse=False)
-        assert with_cse.tables and with_cse.gathers_upwind and not with_cse.prelude
+        assert with_cse.tables and with_cse.gathers_upwind
+        assert not any(ln.startswith("cse_") for ln in with_cse.prelude)
         assert not (without.tables or without.sweep or without.prelude or without.upwind)
         assert "tab_" not in without.code and "uw" not in without.code
         # the geometry is read where the tables are built, not in the sweep
@@ -99,12 +120,14 @@ class TestHoisting:
             if ln.strip().startswith("uw = "):
                 new_src += [f"{indent}u1, u2 = geom.gather_sides(u, ghost, sel)",
                             f"{indent}normal_x, normal_y = geom.normal.T"]
-            elif _is_flux_line(ln):
+            elif ln.strip().startswith("flux = "):
                 new_src.append(f"{indent}flux = {surface.code}")
             elif ln.strip().startswith("source = "):
                 new_src.append(f"{indent}source = {volume.code}")
-            else:
-                new_src.append(ln)
+            elif not ln.strip().startswith(("np.multiply(uw", "np.multiply((-1.0 * coef_vg",
+                                            "np.multiply(-1.0, us", "np.multiply(c",
+                                            "np.add(c")):
+                new_src.append(ln)  # all but the register lines of the statements
         solver.source = "\n".join(new_src)
         assert "tab_" not in _tile_loop(solver.source)
         solver.recompile()
@@ -139,11 +162,14 @@ class TestHoisting:
 
         p, form = make_problem("-surface(upwind(b, u))")
         out = ExprEmitter(p, form).emit_sum(form.surface_terms, "surface")
-        assert out.prelude == ["cse_s0 = (coef_b * normal_x[None, :])"]
         assert not out.tables and out.upwind is None
         # select before scale: the shared factors multiply the select once
-        assert out.code == ("((-1.0 * (coef_b * normal_x[None, :] * "
-                            "np.where((cse_s0 > 0.0), u1, u2))))")
+        assert out.prelude == [
+            "cse_s0 = (coef_b * normal_x[None, :])",
+            "f0[...] = np.where((cse_s0 > 0.0), u1, u2)",
+            "np.multiply((coef_b * normal_x[None, :]), f0, out=f0)",
+            "np.multiply(-1.0, f0, out=f0)"]
+        assert out.code == "f0"
 
     def test_gpu_kernel_also_hoists(self, tiny_scenario):
         problem, _ = build_bte_problem(tiny_scenario)
@@ -156,8 +182,9 @@ class TestHoisting:
         kernel_src = kernel_src.split("def ")[0]
         assert "[tab_s0, tab_s1, upw] = INT_TABLES" in kernel_src
         loop = _tile_loop(kernel_src)
-        assert "kernels.gather_upwind(u[sel], upw, uw_rows, sides[0])" in loop
+        assert "kernels.gather_upwind(u, sel, upw, uw_rows, fu)" in loop
+        assert "kernels.slot_divergence(DIV_INT, flux, acc, cw)" in loop and ".T" not in loop
         assert "normal_x[None, :] *" not in loop and "np.where" not in loop
         # the CPU boundary part selects between its (already gathered) sides
         boundary = solver.source.split("def compute_boundary_contribution")[1]
-        assert "uw = np.where(tab_s0[tmap_d[sel]], u1, u2)" in boundary
+        assert "uw = np.where(kernels.table_rows(tab_s0, tmap_d, sel, None), u1, u2)" in boundary

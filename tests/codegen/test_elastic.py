@@ -221,6 +221,19 @@ class TestTablesFollowTheRankState:
             g = st.geom
             fresh = build(g.normal, g.face_dist, g.owner, g.neighbor_column)
             assert all(np.array_equal(a, b) for a, b in zip(st._tables[1], fresh))
+        # ... and so are the scratch pools, the divergence's slot tables and
+        # the upwind gather's inflow patch lists: nothing a tile writes or
+        # indexes through is shared between rank states
+        for attr in (lambda st: st._scratch["cells"], lambda st: st._scratch["faces"],
+                     lambda st: st._scratch["closure"], lambda st: st.geom._div_slots,
+                     lambda st: st.geom._patches[1]):
+            assert len({id(attr(st)) for st in states}) == len(states)
+        for st in states:
+            upw = st._tables[1][-1]
+            assert st.geom._patches[0] is upw
+            for (faces, slots), columns in zip(st.geom._patches[1], upw):
+                assert np.array_equal(faces, np.flatnonzero(columns < 0))
+                assert np.array_equal(st.geom.bfaces[slots], faces)
 
     def test_tables_differ_with_the_geometry(self):
         def tables(nx):

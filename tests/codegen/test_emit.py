@@ -40,23 +40,36 @@ def make_problem(equation, ncomp_indices=False, extra_setup=None):
     return p, form
 
 
+def text(out) -> str:
+    """A statement as its tile runs it: the register lines, then the value."""
+    return "\n".join([*out.prelude, out.code])
+
+
+def sweep_text(out) -> str:
+    return "\n".join(ln for h in out.sweep for ln in (*h.lines, h.code))
+
+
 class TestScalarEmission:
     def test_volume_code(self):
         p, form = make_problem("-k*u")
         em = ExprEmitter(p, form)
         out = em.emit_sum(form.volume_terms, "volume")
-        assert "coef_k" in out.code
-        assert "u[sel]" in out.code
+        # the product is written into the statement's one register
+        assert out.prelude == ["np.multiply((-1.0 * coef_k), us, out=c0)"]
+        assert (out.code, out.registers) == ("c0", 1)
+        assert em.emit_sum(form.volume_terms, "volume", cse=False).code == (
+            "((-1.0 * coef_k * u[sel]))")
 
     def test_surface_code_uses_where(self):
         p, form = make_problem("-surface(upwind(b, u))")
         em = ExprEmitter(p, form)
         out = em.emit_sum(form.surface_terms, "surface")
-        assert "np.where" in out.code
+        code = text(out)
+        assert "np.where" in code
         # face sides are the tile's own gathers: bare names, no row selector
-        assert "u1" in out.code and "u2" in out.code
-        assert "u1[sel]" not in out.code and "u2[sel]" not in out.code
-        assert "normal_x" in out.code
+        assert "u1" in code and "u2" in code
+        assert "u1[sel]" not in code and "u2[sel]" not in code
+        assert "normal_x" in code
 
     def test_empty_terms_emit_zero(self):
         p, form = make_problem("-k*u")
@@ -73,9 +86,12 @@ class TestScalarEmission:
         p, form = make_problem("-k*u")
         em = ExprEmitter(p, form)
         out = em.emit_sum(form.volume_terms, "volume")
-        ns = {"np": np, "sel": slice(None), "u": np.ones((1, 5)), "coef_k": 2.0}
-        result = eval(out.code, ns)  # noqa: S307 - evaluating our own emission
-        assert np.allclose(result, -2.0)
+        ns = {"np": np, "sel": slice(None), "us": np.ones((1, 5)), "coef_k": 2.0,
+              "c0": np.empty((1, 5))}
+        for line in out.prelude:
+            exec(line, ns)  # noqa: S102 - executing our own emission
+        result = eval(out.code, ns)  # noqa: S307
+        assert result is ns["c0"] and np.allclose(result, -2.0)
 
 
 class TestIndexedEmission:
@@ -87,24 +103,27 @@ class TestIndexedEmission:
         out = em.emit_sum(form.volume_terms, "volume")
         # Io/beta carry fewer indices than I: read once per sweep, over
         # their own rows, and row-gathered by the statement
-        sweep = "\n".join(h.code for h in out.sweep)
-        assert "state.fields['Io'].data[cmap_Io[sel], :]" in sweep
-        assert "state.fields['beta'].data[cmap_beta[sel], :]" in sweep
-        assert "state.fields" not in out.code and "[tmap_b[sel]]" in out.code
+        sweep = sweep_text(out)
+        assert "np.take(state.fields['Io'].data, cmap_Io[sel], axis=0, out=s1" in sweep
+        assert "np.take(state.fields['beta'].data, cmap_beta[sel], axis=0, out=s0" in sweep
+        # 1/beta and Io/beta, which reads 1/beta by name instead of redoing it
+        assert out.sweep_registers == 2 and "np.multiply(s1, swp_v0, out=s1)" in sweep
+        assert "state.fields" not in text(out)
+        assert "kernels.table_rows(swp_v0, tmap_b, sel, c" in text(out)
 
     def test_local_var_mode(self):
         p, form = make_problem(self.EQ, ncomp_indices=True)
         em = ExprEmitter(p, form, var_mode="local")
         out = em.emit_sum(form.volume_terms, "volume")
-        sweep = "\n".join(h.code for h in out.sweep)
-        assert "var_Io[cmap_Io[sel], :]" in sweep
-        assert "state.fields" not in sweep + out.code
+        sweep = sweep_text(out)
+        assert "np.take(var_Io, cmap_Io[sel], axis=0, out=s1" in sweep
+        assert "state.fields" not in sweep + text(out)
 
     def test_coefficient_broadcast(self):
         p, form = make_problem(self.EQ, ncomp_indices=True)
         em = ExprEmitter(p, form)
         out = em.emit_sum(form.surface_terms, "surface")
-        assert "coef_vg[sel][:, None]" in out.code
+        assert "coef_vg[sel][:, None]" in text(out)
 
     def test_component_tables(self):
         p, form = make_problem(self.EQ, ncomp_indices=True)
@@ -132,7 +151,7 @@ class TestFunctionCoefficients:
         em = ExprEmitter(p, form)
         assert "q" in em.function_coefficients()
         out = em.emit_sum(form.volume_terms, "volume")
-        assert "fcoef_q[None, :]" in out.code
+        assert "fcoef_q[None, :]" in text(out)
 
 
 class TestEmitterErrors:

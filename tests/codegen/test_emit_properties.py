@@ -178,12 +178,30 @@ def _outcome(fn):
     return (arr.shape, arr.dtype.str, arr.tobytes()), None
 
 
+def _registers(prefix: str, count: int, shape: tuple) -> dict:
+    """Scratch a target binds for a statement, filled with a value no
+    computation should pick up."""
+    return {f"{prefix}{i}": np.full(shape, -777.25) for i in range(count)}
+
+
 def _run_statement(emitted, namespace: dict):
-    """Hoisted temporaries first, then the statement — as a kernel body does."""
-    scope = dict(namespace)
+    """The register lines (hoisted temporaries among them) first, then the
+    statement — as a kernel body does."""
+    us = np.asarray(eval("u[sel]", dict(namespace)))  # noqa: S307
+    scope = {**namespace, "us": us,
+             **_registers("c", emitted.registers, np.broadcast_shapes(us.shape, (1, 1)))}
     for line in emitted.prelude:
         exec(line, scope)  # noqa: S102 - executing our own emission
     return eval(emitted.code, scope)  # noqa: S307
+
+
+def _refuses_complex(dtype, error) -> bool:
+    """A negative float to a fractional power is complex in Python: the
+    statement form writes float registers and refuses the value with a
+    casting ``TypeError`` where a bare expression would carry it on (into a
+    store that drops the imaginary part)."""
+    return bool(dtype) and np.dtype(dtype).kind == "c" and error is not None \
+        and issubclass(error, TypeError)
 
 
 def assert_emitted_matches(expr: Expr, env: dict) -> None:
@@ -201,6 +219,8 @@ def assert_emitted_matches(expr: Expr, env: dict) -> None:
         ("emit_sum", lambda: _run_statement(statement, namespace)),
     ):
         got, got_err = _outcome(run)
+        if _refuses_complex(label == "emit_sum" and expected and expected[1], got_err):
+            continue
         assert got_err is expected_err, (
             f"{label}: raised {got_err} vs evaluate's {expected_err} for {expr}"
         )
@@ -380,14 +400,17 @@ def _full(value, exact_nans: bool = True) -> tuple:
 def _run_swept(emitted, namespace: dict, tiles) -> np.ndarray:
     """As a target runs the statement: tables, per-sweep definitions, then
     per tile the temporaries, the upwinded side and the statement."""
-    scope = dict(namespace)
+    from repro.fvm import kernels
+
+    scope = dict(namespace, kernels=kernels)
     for line in hoisted_lines(emitted.tables) + hoisted_lines(emitted.sweep):
         exec(line, scope)  # noqa: S102 - executing our own emission
     rows = []
     for sel in tiles:
         scope.update(sel=sel, u1=namespace["u1"][sel], u2=namespace["u2"][sel])
+        scope.update(_registers("f", emitted.registers, scope["u1"].shape))
         select = [f"uw = {emitted.upwind[1]}"] if emitted.upwind else []
-        for line in emitted.prelude + select:
+        for line in select + emitted.prelude:
             exec(line, scope)  # noqa: S102
         value = np.asarray(eval(emitted.code, scope))  # noqa: S307
         rows.append((sel, np.broadcast_to(value, (len(scope["u1"]), NFACES))))
@@ -413,13 +436,15 @@ def assert_swept_matches(expr: Expr, env: dict) -> None:
         for h in emitted.tables:  # invariant: coefficients and geometry only
             assert not any(name in h.code for name in ("fcoef_", "var_", "u1", "u2"))
         for h in emitted.sweep:   # constant within a sweep: no side, no time
-            assert "var_Io" in h.code
+            assert "var_Io" in h.code or "swp_s" in h.code  # ... or an earlier one
             assert not any(name in h.code for name in ("fcoef_", "u1", "u2"))
         for tiles in IDX_TILES:
             try:
                 got, got_err = _run_swept(emitted, namespace, tiles), None
             except Exception as exc:  # noqa: BLE001
                 got, got_err = None, type(exc)
+            if _refuses_complex(expected is not None and np.asarray(expected).dtype, got_err):
+                continue
             assert got_err is expected_err, (
                 f"raised {got_err} vs evaluate's {expected_err} for {expr}")
             whole = len(tiles) == 1
@@ -455,10 +480,12 @@ def test_upwind_select_is_one_gathered_side(env, flip, first):
     emitted = IDX_EMITTER.emit_sum([expr], "surface")
     first, second, columns = ("u2", "u1", "other, owner") if flip else (
         "u1", "u2", "owner, other")
-    assert emitted.upwind == ("d", f"np.where(tab_s0[tmap_d[sel]], {first}, {second})")
+    assert emitted.upwind == (
+        "d", f"np.where(kernels.table_rows(tab_s0, tmap_d, sel, None), {first}, {second})")
     assert Hoisted("upw", f"np.where(tab_s0, {columns})", "d") in emitted.tables
     assert emitted.gathers_upwind
-    assert "uw" in emitted.code and "np.where" not in emitted.code
+    statement = "\n".join([*emitted.prelude, emitted.code])
+    assert "uw" in statement and "np.where" not in statement
     assert emitted.reads >= {"u1", "u2"}  # the byte estimate still counts both
     assert_swept_matches(expr, env)
 
@@ -476,5 +503,7 @@ def test_function_coefficients_are_never_tabled():
     """``q`` is ``f(x, t)``: a compound containing it stays in the tile."""
     expr = Mul(Add(Sym("_q_1"), Indexed("Sx", ("d",))), FaceNormal(1))
     emitted = IDX_EMITTER.emit_sum([expr], "surface")
-    assert not (emitted.tables or emitted.sweep or emitted.prelude)
-    assert "fcoef_q_face[None, :]" in emitted.code
+    assert not (emitted.tables or emitted.sweep)
+    assert emitted.prelude == [
+        "np.add(fcoef_q_face[None, :], coef_Sx[sel][:, None], out=f0)",
+        "np.multiply(f0, normal_x[None, :], out=f0)"]

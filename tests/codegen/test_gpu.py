@@ -185,12 +185,15 @@ class TestGeneratedKernelSource:
         solver = p.generate()
         src = solver.source
         assert (
-            "def interior_kernel(u, var_Io, var_beta, u_new, sel=slice(None)):" in src
-            or "def interior_kernel(u, var_beta, var_Io, u_new, sel=slice(None)):" in src
+            "def interior_kernel(u, var_Io, var_beta, u_new, buffer, sel=slice(None)):" in src
+            or "def interior_kernel(u, var_beta, var_Io, u_new, buffer, sel=slice(None)):" in src
         )
         assert "def compute_boundary_contribution" in src
         assert "OWNER_INT" in src
-        assert "u_new[sel] = u[sel] + DT * (source + div)" in src
+        # u_new[sel] = u[sel] + DT * (source + div), finished in tile scratch
+        for line in ("np.add(source, div, out=acc)", "np.multiply(acc, DT, out=acc)",
+                     "np.add(us, acc, out=acc)", "u_new[sel] = acc"):
+            assert line in src
 
     def test_kernel_work_estimates_attached(self, gpu_scenario):
         p, _ = build_bte_problem(gpu_scenario)

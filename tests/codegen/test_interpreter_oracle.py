@@ -181,7 +181,8 @@ def test_cpu_equals_interpreted_bitwise_on_the_bte_hotspot(tiny_scenario):
 def test_cpu_equals_interpreted_bitwise_with_non_side_conditionals():
     cpu = build_switch_problem().solve(target="cpu")
     loop = cpu.source[cpu.source.index("for sel in kernels.row_tiles("):]
-    assert "np.where(tab_v1[tmap_d[sel]]," in loop  # the mask is a table ...
+    # the mask is a table ...
+    assert "np.where(kernels.table_rows(tab_v1, tmap_d, sel, None)," in loop
     assert "uw = " in loop                           # ... and so is the upwind's
     interp = build_switch_problem().solve(target="interp")
     assert cpu.solution().tobytes() == interp.solution().tobytes()

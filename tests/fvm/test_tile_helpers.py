@@ -1,0 +1,214 @@
+"""The copy-free pieces of the tile body, each against the copy it replaced.
+
+* gather-form surface divergence == ``geom.divergence @ x`` (CSR), bit for
+  bit, on every mesh kind and on the device targets' column-sliced
+  operators, with signed zeros, inf and NaN in ``x``;
+* ``kernels.table_rows`` == ``table[row_of[sel]]``, as a view wherever one
+  exists;
+* the direct upwind gather with inflow patches == a gather from the widened
+  ``[u | ghost]`` copy, for every kind of boundary condition.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from repro.fvm import kernels
+from repro.fvm.boundary import BCKind, BoundaryCondition, BoundarySet
+from repro.fvm.geometry import FVGeometry
+from repro.mesh.grid import structured_grid, triangulated_grid
+from repro.mesh.mesh import build_mesh
+
+
+def mixed_mesh():
+    """Two quads and two triangles: cells with three and four faces."""
+    nodes = [(0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (2, 1), (0, 2), (1, 2)]
+    cells = [(0, 1, 4, 3), (1, 2, 5, 4), (3, 4, 7), (3, 7, 6)]
+    return build_mesh(np.array(nodes, dtype=float), cells)
+
+
+MESHES = {
+    "structured": lambda: structured_grid((6, 5)),
+    "triangles": lambda: triangulated_grid((4, 3)),
+    "mixed": mixed_mesh,
+    "line": lambda: structured_grid((5,)),
+}
+
+
+def hostile(shape, seed=0):
+    """Values with every special case a sum can trip over."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, size=shape)
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
+    where = rng.random(shape) < 0.25
+    x[where] = rng.choice(special, size=int(where.sum()))
+    x[0] = -0.0  # a whole row of negative zeros: every product is a signed zero
+    return x
+
+
+# --------------------------------------------------------------------------
+# gather-form divergence
+# --------------------------------------------------------------------------
+
+@pytest.mark.parametrize("mesh", sorted(MESHES))
+def test_surface_divergence_equals_the_csr_product_bitwise(mesh):
+    geom = FVGeometry(MESHES[mesh]())
+    x = hostile((7, geom.nfaces))
+    with np.errstate(invalid="ignore"):
+        expected = (geom.divergence @ x.T).T
+        got = geom.surface_divergence(x)
+        assert got.tobytes() == expected.tobytes()
+        # into scratch, as the tiles call it, whatever the scratch held
+        out, work = np.full((2, 7, geom.ncells), np.nan)
+        assert geom.surface_divergence(x, out=out, work=work) is out
+        assert out.tobytes() == expected.tobytes()
+        # one row, as the interpreter and the reference solver call it
+        assert geom.surface_divergence(x[3]).tobytes() == (geom.divergence @ x[3]).tobytes()
+
+
+@pytest.mark.parametrize("mesh", sorted(MESHES))
+@pytest.mark.parametrize("part", ["interior", "boundary"])
+def test_column_sliced_operators_equal_their_csr_product_bitwise(mesh, part):
+    """``DIV_INT`` / ``DIV_BDRY`` of the device targets: cells have fewer
+    entries than faces, some none at all."""
+    geom = FVGeometry(MESHES[mesh]())
+    faces = np.flatnonzero(geom.interior_mask) if part == "interior" else geom.bfaces
+    operator = geom.divergence[:, faces]
+    slots = kernels.csr_slots(operator)
+    x = hostile((5, len(faces)), seed=1)
+    with np.errstate(invalid="ignore"):
+        expected = (operator @ x.T).T
+        out = np.full((5, geom.ncells), np.nan)
+        got = kernels.slot_divergence(slots, x, out, np.full_like(out, np.nan))
+    assert got is out and got.tobytes() == expected.tobytes()
+    kinds = {True if w is True else w.dtype.kind for _, _, w in slots}
+    assert kinds <= {True, "b", "i"}
+
+
+def test_first_slot_reproduces_the_csr_start_from_positive_zero():
+    """CSR accumulates from ``+0.0``: a lone ``-0.0`` product stays ``+0.0``."""
+    geom = FVGeometry(structured_grid((3, 3)))
+    x = np.full((1, geom.nfaces), -0.0)
+    x[0, geom.owner == 4] = 0.0  # mixed signs of zero around the centre cell
+    got = geom.surface_divergence(x)
+    assert got.tobytes() == (geom.divergence @ x.T).T.tobytes()
+    assert not np.signbit(got).any()
+
+
+# --------------------------------------------------------------------------
+# table rows
+# --------------------------------------------------------------------------
+
+ND, NB = 4, 5
+TMAP_D = np.repeat(np.arange(ND), NB)   # component -> direction row
+TMAP_B = np.tile(np.arange(NB), ND)     # component -> band row
+
+
+@pytest.mark.parametrize("row_of, sel, shares", [
+    (TMAP_D, slice(5, 10), True),              # one table row: a (1, n) view
+    (TMAP_D, slice(7, 8), True),               # a single component
+    (TMAP_B, slice(5, 9), True),               # consecutive rows: a slice
+    (TMAP_B, slice(3, 8), False),              # wrapped run 3 4 0 1 2
+    (TMAP_D, slice(3, 12), False),             # straddles two table rows
+    (TMAP_D, np.array([5, 6, 9]), True),       # index array inside one row
+    (TMAP_B, np.array([1, 6, 11, 16]), True),  # b-outer block: one band
+    (TMAP_B, np.array([0, 1, 5, 6]), False),   # band rank: 0 1 0 1
+    (TMAP_D, np.array([0, 1, 5, 6]), False),
+])
+def test_table_rows_equal_the_fancy_index_and_share_memory_when_they_can(row_of, sel, shares):
+    table = np.random.default_rng(2).random((int(row_of.max()) + 1, 11))
+    scratch = np.full((9, 11), np.nan)
+    got = kernels.table_rows(table, row_of, sel, scratch)
+    expected = table[row_of[sel]]
+    assert np.broadcast_to(got, expected.shape).tobytes() == expected.tobytes()
+    assert np.shares_memory(got, table) == shares
+    if not shares:  # gathered into the scratch, nothing else touched
+        assert got.base is scratch and np.isnan(scratch[len(expected):]).all()
+        fresh = kernels.table_rows(table, row_of, sel)
+        assert fresh.tobytes() == expected.tobytes()
+    else:
+        assert np.isnan(scratch).all()
+
+
+def test_table_rows_of_a_bool_table_without_scratch():
+    mask = np.random.default_rng(3).random((ND, 7)) > 0.5
+    got = kernels.table_rows(mask, TMAP_D, slice(3, 12))
+    assert got.dtype == bool and np.array_equal(got, mask[TMAP_D[3:12]])
+
+
+def test_row_runs_and_row_block():
+    runs = list(kernels.row_runs(np.array([2, 2, 2, 0, 0, 5])))
+    assert runs == [(0, 3), (3, 5), (5, 6)]
+    a = np.arange(40.0).reshape(10, 4)
+    assert np.shares_memory(kernels.row_block(a, slice(2, 7), 1, 3), a)
+    assert np.array_equal(kernels.row_block(a, slice(2, 7), 1, 3), a[3:5])
+    assert np.array_equal(kernels.row_block(a, slice(None)), a)
+    consecutive = kernels.row_block(a, np.array([4, 5, 6, 9]), 0, 3)
+    assert np.shares_memory(consecutive, a) and np.array_equal(consecutive, a[4:7])
+    scratch = np.full((6, 4), np.nan)
+    strided = kernels.row_block(a, np.array([1, 3, 8]), out=scratch)
+    assert strided.base is scratch and np.array_equal(strided, a[[1, 3, 8]])
+    assert not np.shares_memory(kernels.row_block(a, np.array([1, 3, 8])), a)
+
+
+# --------------------------------------------------------------------------
+# direct upwind gather + inflow patches, for every kind of boundary condition
+# --------------------------------------------------------------------------
+
+NCOMP = ND * NB
+
+
+def boundary_set(geom, kind):
+    bset = BoundarySet(geom, NCOMP)
+    rng = np.random.default_rng(4)
+    for region in sorted(geom.region_faces):
+        if kind == BCKind.DIRICHLET:
+            bc = BoundaryCondition(region, kind, value=rng.random(NCOMP))
+        elif kind == BCKind.SYMMETRY:
+            bc = BoundaryCondition(region, kind, reflection_map=rng.permutation(NCOMP))
+        elif kind in (BCKind.GHOST_CALLBACK, BCKind.FLUX):
+            bc = BoundaryCondition(
+                region, kind, callback=lambda ctx: 2.0 * ctx.owner_values + ctx.region)
+        else:
+            bc = BoundaryCondition(region, kind)
+        bset.add(bc)
+    return bset
+
+
+@pytest.mark.parametrize("kind", [BCKind.DIRICHLET, BCKind.NEUMANN0, BCKind.SYMMETRY,
+                                  BCKind.GHOST_CALLBACK, BCKind.FLUX])
+@pytest.mark.parametrize("rows", [slice(3, 12), slice(None), np.array([0, 1, 5, 6, 7, 19])])
+def test_direct_gather_with_inflow_patches_equals_the_widened_copy(kind, rows):
+    geom = FVGeometry(structured_grid((5, 4)))
+    rng = np.random.default_rng(5)
+    u = rng.random((NCOMP, geom.ncells))
+    ghost = boundary_set(geom, kind).ghost_values(u, 0.0, 1e-3)
+    assert not np.shares_memory(ghost, u)
+    # one direction row per value of d: upwind where a random flow leaves the owner
+    outflow = rng.random((ND, geom.nfaces)) > 0.5
+    columns = np.where(outflow, geom.owner, geom.neighbor_column)
+    table_rows = TMAP_D[rows]
+    # the copy the tiles used to make: [cells | ghosts], ghost slots behind the cells
+    widened = np.concatenate([u, ghost], axis=1)[rows]
+    wide_columns = np.where(columns < 0, geom.ncells + ~columns, columns)
+    expected = np.take_along_axis(widened, wide_columns[table_rows], axis=1)
+    got = geom.gather_sides(u, ghost, rows, upwind=(columns, table_rows))
+    assert got.tobytes() == expected.tobytes()
+    scratch = np.full((len(expected) + 2, geom.nfaces), np.nan)
+    into = geom.gather_sides(u, ghost, rows, out=scratch, upwind=(columns, table_rows))
+    assert into.base is scratch and into.tobytes() == expected.tobytes()
+    # each table row patches only its own inflow boundary faces
+    for (faces, slots), row in zip(geom._patches[1], columns):
+        assert np.array_equal(faces, geom.bfaces[row[geom.bfaces] < 0])
+        assert np.array_equal(geom.bfaces[slots], faces)
+
+
+def test_ghost_values_fill_a_given_buffer():
+    geom = FVGeometry(structured_grid((5, 4)))
+    u = np.random.default_rng(6).random((NCOMP, geom.ncells))
+    for kind in (BCKind.DIRICHLET, BCKind.SYMMETRY, BCKind.GHOST_CALLBACK):
+        bset = boundary_set(geom, kind)
+        out = np.full((NCOMP, len(geom.bfaces)), np.nan)
+        assert bset.ghost_values(u, out=out) is out
+        assert out.tobytes() == bset.ghost_values(u).tobytes()
