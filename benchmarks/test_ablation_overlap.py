@@ -80,7 +80,8 @@ def test_ablation_executed_overlap(record_figure):
     solver = problem.generate()
     assert solver.target_name == "gpu"
     solver.run()
-    kernel_total = sum(r.duration for r in solver.device.default_stream.records)
+    records = solver.device.default_stream.records  # interior, finish, health
+    kernel_total = sum(r.duration for r in records if r.kernel == solver.kernel.name)
     boundary_total = solver.namespace["COST_BOUNDARY"] * scenario.nsteps
     intensity = solver.state.gpu_phases["solve for intensity"]
     record_figure(

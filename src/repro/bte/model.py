@@ -38,6 +38,7 @@ from repro.bte.equilibrium import (
     pseudo_temperature_closure,
 )
 from repro.bte.scattering import relaxation_times
+from repro.dsl.entities import Reduction
 from repro.fvm.boundary import BoundaryContext
 from repro.util.errors import ConfigError
 
@@ -111,6 +112,10 @@ class BTEModel:
             np.add(acc, np.multiply(I[row:row + count], w, out=weighted), out=acc)
         return out
 
+    def band_energy_reduction(self) -> Reduction:
+        """:meth:`band_energies` as the post-step record declares it."""
+        return Reduction("band_energy", self.band_energies, self.bands.nbands)
+
     def heat_flux(self, I: np.ndarray) -> np.ndarray:
         """Per-cell heat-flux vector ``q = sum w_d vg_b s_d I`` , (dim, ncells)."""
         s = self.dirs.vectors[self.comp_dir]  # (ncomp, dim)
@@ -118,32 +123,39 @@ class BTEModel:
         return wv.T @ I
 
     # --------------------------------------------------------------- post-step
-    def temperature_update(self, state) -> None:
+    def temperature_update(self, state, e_act: np.ndarray | None = None) -> None:
         """The paper's ``postStepFunction``: E -> T -> (Io, beta).
 
-        Reads the intensity from ``state.u``; keeps the per-cell temperature
-        in ``state.extra['T']`` (also the Newton starting guess).  Every
-        ``(nbands, ncells)`` array lives in ``state.buffer`` scratch, and
-        ``T``, ``Io`` and ``beta`` are published only once the closure has
-        converged: a ``SolverError`` leaves them as they were.
+        All it reads of the intensity is :meth:`band_energies`, declared on
+        the post-step record (:meth:`band_energy_reduction`): a device
+        target computes them where the unknown lives and hands them in as
+        ``e_act`` (this rank's partial sums, over all of the state's cells);
+        called without, the update reads ``state.u`` and reduces itself.
+        Keeps the per-cell temperature in ``state.extra['T']`` (also the
+        Newton starting guess).  Every ``(nbands, ncells)`` array lives in
+        ``state.buffer`` scratch, and ``T``, ``Io`` and ``beta`` are
+        published only once the closure has converged: a ``SolverError``
+        leaves them as they were.
         """
-        I = state.u
         nb = self.bands.nbands
         T_prev = state.extra.get("T")
         if T_prev is None:
-            T_prev = np.full(I.shape[1], float(state.extra.get("T0", 300.0)))
+            T_prev = np.full(state.ncells, float(state.extra.get("T0", 300.0)))
         cells = getattr(state, "owned_cells", None)
         comps = getattr(state, "owned_comps", None)
         if cells is not None:
-            # cell partitioning: bands are all local, the update restricts
-            # to owned cells (ghost columns never feed volume terms)
-            I = np.take(I, cells, axis=1, mode="clip",
-                        out=state.buffer("owned_intensity", (len(I), len(cells))))
             T_prev, T_all = T_prev[cells], T_prev.copy()
-        # the closure's output scratch is free until the closure runs
-        e_act = self.band_energies(
-            I, comps, state.buffer("band_energy", (nb, I.shape[1])),
-            state.buffer("closure", (2, nb, I.shape[1]))[1])
+        if e_act is None:
+            I = state.u
+            if cells is not None:
+                # cell partitioning: bands are all local, the update restricts
+                # to owned cells (ghost columns never feed volume terms)
+                I = np.take(I, cells, axis=1, mode="clip",
+                            out=state.buffer("owned_intensity", (len(I), len(cells))))
+            # the closure's output scratch is free until the closure runs
+            e_act = self.band_energies(
+                I, comps, state.buffer("band_energy", (nb, I.shape[1])),
+                state.buffer("closure", (2, nb, I.shape[1]))[1])
         if comps is not None:
             # band partitioning: each rank holds only its components' valid
             # intensities; the closure needs all bands -> allreduce of the

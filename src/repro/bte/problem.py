@@ -188,8 +188,10 @@ def build_bte_problem(scenario: BTEScenario, model: BTEModel | None = None) -> t
     problem.extra["bte_model"] = model
     problem.extra["scenario"] = scenario
 
-    # the per-step temperature evolution is a CPU post-step callback
-    problem.add_post_step(model.temperature_update, name="temperature_update")
+    # the per-step temperature evolution is a CPU post-step callback; the
+    # reduction it reads of the intensity is declared, so a device may run it
+    problem.add_post_step(model.temperature_update, name="temperature_update",
+                          reduce=model.band_energy_reduction())
 
     problem.set_conservation_form("I", BTE_EQUATION)
     return problem, model
@@ -307,7 +309,8 @@ def build_bte_problem_3d(scenario: BTEScenario3D, model: BTEModel | None = None
     problem.extra["T0"] = scenario.T0
     problem.extra["bte_model"] = model
     problem.extra["scenario"] = scenario
-    problem.add_post_step(model.temperature_update, name="temperature_update")
+    problem.add_post_step(model.temperature_update, name="temperature_update",
+                          reduce=model.band_energy_reduction())
     problem.set_conservation_form("I", BTE_EQUATION_3D)
     return problem, model
 

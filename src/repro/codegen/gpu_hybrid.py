@@ -1,26 +1,37 @@
 """Hybrid CPU/GPU code-generation target (paper Sec. II-B and III-D).
 
-Per step, exactly the paper's "one example configuration":
+The step is four tasks; the min-cut placement optimiser
+(:mod:`repro.codegen.placement`) — the paper's "automatically partitions
+tasks between the CPU and GPU by minimizing the data movement" — decides
+where the two movable ones run, and the step is emitted from its plan:
 
 .. code-block:: text
 
-    GPU kernel:  interior flux + source + explicit update, loops flattened,
-                 one thread per degree of freedom (launched asynchronously)
-    CPU code:    boundary contribution via the user callbacks, overlapped
-                 with the kernel (Fig. 6)
-                 synchronize, fetch u_new from the device
-                 u = u_new + u_bdry
-                 post-step temperature update (user callback, CPU)
-                 send the mutated arrays back to the device
+    interior_update     flux + source + explicit update of the interior,
+      (movable)         loops flattened, one thread per degree of freedom,
+                        launched asynchronously: u -> u_new on the device
+    boundary_callbacks  boundary part of the RHS via the user callbacks,
+      (cpu)             overlapped with the kernel (Fig. 6); it reads the
+                        owner values of the boundary faces (u_bdry) and
+                        returns the boundary cells' columns (du_bdry)
+    finish_step         u_new[:, boundary cells] += dt * du_bdry, the
+      (movable)         post-step callbacks' declared reductions, and the
+                        next step's u_bdry; then u and u_new swap
+    post_step_callbacks the temperature update (user callback) on the
+      (cpu)             reduced array; it refreshes Io and beta
 
-Before generating, the target builds the step's task graph and runs the
-min-cut placement optimiser (:mod:`repro.codegen.placement`) — the paper's
-"automatically partitions tasks between the CPU and GPU by minimizing the
-data movement"; the resulting plan and transfer schedule are attached to
-the solver (``solver.placement``, ``solver.transfer_plan``) and honoured by
-the generated code (user callbacks are pinned to the CPU; if the optimiser
-decides the interior update is not worth offloading — tiny problems — the
-kernel simply runs on the host path).
+With ``finish_step`` on the device (where the optimiser puts it once the
+unknown outweighs three small transfers) the unknown never leaves: a step
+moves ``Io``, ``beta``, ``du_bdry`` down and the reductions and ``u_bdry``
+up.  Pinned to the CPU (``placement_override={"finish_step": "cpu"}``) the
+same body runs on the host arrays after a ``d2h`` of ``u_new`` — the paper's
+"one example configuration", the unknown crossing both ways every step.
+Either way the device owns the unknown only while ``buffers['u'].on_device``:
+any host access takes it back (:meth:`SolverState.claim_unknown`) and the
+next step uploads it again.  The plan and transfer schedule are attached to
+the solver (``solver.placement``, ``solver.transfer_plan``); user callbacks
+are pinned to the CPU; if the optimiser decides the interior update is not
+worth offloading — tiny problems — the kernel simply runs on the host path.
 
 Numerics run for real on the simulated device's buffers; kernel and PCIe
 times come from the device model (see DESIGN.md).  Host work is charged to
@@ -70,6 +81,9 @@ if TYPE_CHECKING:
 #: ``problem.extra['gpu_flop_factor' / 'gpu_byte_factor']``.
 DEFAULT_FLOP_FACTOR = 200.0
 DEFAULT_BYTE_FACTOR = 16.0
+#: The finish kernel is one streaming pass over the unknown (read a value,
+#: weight it, add it into its band): no multiplier to calibrate.
+FINISH_WORK = {"name": "finish_step", "flops_per_thread": 2.0, "bytes_per_thread": 16.0}
 
 
 def _indent(lines: list[str], level: int = 1) -> list[str]:
@@ -102,8 +116,8 @@ def _reject_reconstructions(form) -> None:
 def _emit_device_source(problem: "Problem", emitter: ExprEmitter) -> list[str]:
     """The step-invariant tables, the flattened interior kernel (one thread
     per DOF, vectorised body swept in row tiles —
-    :func:`repro.codegen.emit.emit_tile_body`) and the CPU-side boundary
-    contribution (rhs part from boundary faces)."""
+    :func:`repro.codegen.emit.emit_tile_body`), the CPU-side boundary
+    contribution (rhs part from boundary faces) and ``finish_step``."""
     form = emitter.form
     tile = emit_tile_body(
         emitter,
@@ -134,8 +148,8 @@ def _emit_device_source(problem: "Problem", emitter: ExprEmitter) -> list[str]:
     lines.append(f"def interior_kernel({', '.join(args)}, sel=slice(None)):")
     body = [
         '"""Interior bulk: uniform work, no thread divergence between DOFs',
-        "(paper Sec. III-D).  Boundary faces contribute zero here; the CPU",
-        "adds their part after the device result returns.  ``sel`` restricts",
+        "(paper Sec. III-D).  Boundary faces contribute zero here;",
+        "``finish_step`` adds their part to what this wrote.  ``sel`` restricts",
         "the component rows (multi-device band partitioning launches one",
         "kernel per rank over its own bands); only those rows are touched.",
         "``buffer(name, shape)`` hands out the workspace the tiles reuse",
@@ -160,146 +174,208 @@ def _emit_device_source(problem: "Problem", emitter: ExprEmitter) -> list[str]:
     lines += [
         "",
         "",
-        "def compute_boundary_contribution(state, u, t):",
+        "def compute_boundary_contribution(state, u_bdry, t):",
     ]
     body = [
         '"""Boundary part of the RHS (per paper Fig. 6 this runs on the CPU,',
-        'concurrently with the interior kernel).  Returns du/dt|_boundary."""',
+        "concurrently with the interior kernel), from the owner values of the",
+        "boundary faces, ``u[:, BOWNER]`` — all it reads of the unknown.",
+        "Returns du/dt|_boundary in the boundary cells' columns, ``(NCOMP,",
+        'len(BCELLS))``."""',
         "geom = state.geom",
         "dt = state.dt",
+        "du_bdry, work = state.buffer('du_bdry', (2, NCOMP, len(BCELLS)))",
     ]
     if not form.surface_terms:
-        body.append("return np.zeros((NCOMP, geom.ncells))")
-        return lines + _indent(body)
-    body += [
-        "bfaces = geom.bfaces",
-        "owner = geom.owner[bfaces]",
-    ]
-    if tile.tables:  # the same tables, over the boundary faces' geometry
-        body.append(f"[{tile.tables}] = state.tables(invariant_tables, bfaces)")
-    body += hoisted_lines(surface.sweep)
-    registers = [f"f{i}" for i in range(surface.registers)]
-    body += [
-        "sel = slice(None)",
-        f"{', '.join(registers + ['fu', 'fv'])} = state.buffer('boundary_faces', "
-        f"({len(registers) + 2}, NCOMP, len(bfaces)))",
-        "# ghost values from the boundary conditions (user callbacks)",
-        "u1 = np.take(u, owner, axis=1, out=fu, mode='clip')",
-        "u2 = state.bset.ghost_values(u, t, dt, state.extra, out=fv)",
-    ]
-    if surface.upwind is not None:  # the sides are already gathered: select
-        body.append(f"uw = {surface.upwind[1]}")
-    for axis, name in enumerate(("normal_x", "normal_y", "normal_z")):
-        if name in surface.reads:
-            body.append(f"{name} = geom.normal[bfaces, {axis}]")
-    if "face_dist" in surface.reads:
-        body.append("face_dist = geom.face_dist[bfaces]")
-    body += [f"# face flux: {t}" for t in map(str, form.surface_terms)]
-    body += surface.prelude
-    body.append(f"flux = {surface.code}")
-    if surface.code not in registers:  # maybe less than an array of its own
-        body.append("flux = np.broadcast_to(flux, u1.shape).copy()")
-    body += [
-        "# FLUX-type callbacks override their faces",
-        "for faces, values in state.bset.flux_overrides(u, t, dt, state.extra):",
-        "    flux[:, BFACE_SLOT[faces]] = values",
-        "return kernels.slot_divergence(",
-        "    DIV_BDRY, flux, state.buffer('du_boundary', (NCOMP, geom.ncells)))",
-    ]
-    return lines + _indent(body)
-
-
-_STEP_AND_RUN = '''
-
-def step_once(state):
-    """One hybrid step (the paper's host-code sketch, Sec. II-B).
-
-    Device faults (OOM during the H2D batch, kernel launch faults) are
-    treated as transient: the step degrades gracefully by re-executing the
-    interior update on the host with the same generated kernel body — the
-    numerics are identical, only the timeline pays the CPU cost.
-    """
-    dev = state.device
-    host = state.host_clock
-    trace = get_tracer()
-    t = state.time
-
-    faulted = None
-    t0 = host.now()
-    try:
-        # --- send per-step host-mutated arrays to the device ---------------
-        with state.profile_scope('h2d'):
-            end = dev.h2d('u', state.u, t0)
-            for name in H2D_EACH_STEP:
-                end = max(end, dev.h2d(name, state.fields[name.replace('var_', '')].data, t0))
-        host.advance_to(end)
-        trace.complete(HOST_TRACK, 'h2d', t0, host.now(), cat='transfer')
-        state.gpu_phases['communication'] += host.now() - t0
-
-        # --- asynchronous interior kernel (one thread per DOF) -------------
-        launch_time = host.now()
-        kernel_args = [dev.buffers[n].array for n in ['u'] + KERNEL_VAR_NAMES] \
-            + [dev.buffers['u_new'].array, dev.workspace]
-        with state.profile_scope('solve'):
-            if KERNEL_CHUNKS is None:
-                dev.launch(KERNEL, NDOF, *kernel_args, host_time=launch_time)
-            else:
-                # tuned chunking: one launch per component-row block (same
-                # numerics; smaller launches queue back-to-back on the device)
-                for chunk in KERNEL_CHUNKS:
-                    dev.launch(KERNEL, len(chunk) * NCELLS, *kernel_args,
-                               chunk, host_time=launch_time)
-    except GPU_FAULTS as exc:
-        faulted = exc
-        launch_time = host.now()
-
-    # --- CPU boundary contribution, overlapped with the kernel (Fig. 6) ----
-    with state.profile_scope('boundary'), trace_phase('boundary'):
-        du_bdry = compute_boundary_contribution(state, state.u, t)
-    host.advance(COST_BOUNDARY)
-    # the host-timeline boundary span sits under the device kernel span —
-    # the paper's Fig. 6 overlap, directly visible in the exported trace
-    trace.complete(HOST_TRACK, 'boundary_callbacks', launch_time, host.now(),
-                   cat='phase')
-
-    u_new = state.buffer('u_new', state.u.shape)
-    if faulted is None:
-        # --- synchronize, fetch, combine -----------------------------------
-        sync_time = dev.synchronize(host.now())
-        if sync_time > host.now():
-            trace.complete(HOST_TRACK, 'sync_wait', host.now(), sync_time, cat='sync')
-        state.gpu_phases['solve for intensity'] += sync_time - launch_time
-        host.advance_to(sync_time)
-        d2h_start = host.now()
-        with state.profile_scope('d2h'):
-            u_new, end = dev.d2h('u_new', out=u_new, host_time=d2h_start)
-        host.advance_to(end)
-        trace.complete(HOST_TRACK, 'd2h', d2h_start, host.now(), cat='transfer')
-        state.gpu_phases['communication'] += host.now() - d2h_start
+        body += ["du_bdry.fill(0.0)", "return du_bdry"]
     else:
-        # --- graceful degradation: interior update re-placed on the host ---
-        # same generated body over the host field arrays, so the result is
-        # bit-identical; the device buffers for u/u_new are stale but are
-        # fully rewritten by the next successful h2d + launch before any read
-        record_degraded('interior_update', dev.name, 'cpu',
-                        type(faulted).__name__, step=state.step_index)
-        with state.profile_scope('solve'):
-            interior_kernel(state.u,
-                            *[state.fields[n.replace('var_', '')].data
-                              for n in KERNEL_VAR_NAMES],
-                            u_new, state.buffer)
-        host.advance(COST_INTERIOR_CPU)
-        trace.complete(HOST_TRACK, 'interior_update[degraded:cpu]',
-                       launch_time, host.now(), cat='fault',
-                       reason=type(faulted).__name__)
-        state.gpu_phases['solve for intensity'] += COST_INTERIOR_CPU
-    state.sanitize_kernel_output(KERNEL.name, u_new)
-    # u = u_new + dt * u_bdry (the boundary part of the explicit update)
-    np.add(u_new, np.multiply(du_bdry, state.dt, out=du_bdry), out=state.u)
+        body.append("bfaces = geom.bfaces")
+        if tile.tables:  # the same tables, over the boundary faces' geometry
+            body.append(f"[{tile.tables}] = state.tables(invariant_tables, bfaces)")
+        body += hoisted_lines(surface.sweep)
+        registers = [f"f{i}" for i in range(surface.registers)]
+        body += [
+            "sel = slice(None)",
+            f"{', '.join(registers + ['fv'])}, = state.buffer('boundary_faces', "
+            f"({len(registers) + 1}, NCOMP, len(bfaces)))",
+            "# ghost values from the boundary conditions (user callbacks)",
+            "u1 = u_bdry",
+            "u2 = state.bset.ghost_values(None, t, dt, state.extra, out=fv, owner_values=u_bdry)",
+            "# FLUX-type callbacks, evaluated before the flux's temporaries exist",
+            "overrides = state.bset.flux_overrides(None, t, dt, state.extra, owner_values=u_bdry)",
+        ]
+        if surface.upwind is not None:  # the sides are already gathered: select
+            body.append(f"uw = {surface.upwind[1]}")
+        for axis, name in enumerate(("normal_x", "normal_y", "normal_z")):
+            if name in surface.reads:
+                body.append(f"{name} = geom.normal[bfaces, {axis}]")
+        if "face_dist" in surface.reads:
+            body.append("face_dist = geom.face_dist[bfaces]")
+        body += [f"# face flux: {t}" for t in map(str, form.surface_terms)]
+        body += surface.prelude
+        body.append(f"flux = {surface.code}")
+        if surface.code not in registers:  # maybe less than an array of its own
+            body.append("flux = np.broadcast_to(flux, u1.shape).copy()")
+        body += [
+            "for faces, values in overrides:  # they override their faces",
+            "    flux[:, BFACE_SLOT[faces]] = values",
+            "return kernels.slot_divergence(DIV_BDRY, flux, du_bdry, work)",
+        ]
+    lines += _indent(body)
+    lines += ["", "", "def finish_step(u, du_bdry, u_bdry, reduced, buffer, sel=slice(None), comps=None):"]
+    return lines + _indent([
+        '"""What ends a step once the interior update ``u`` and the boundary',
+        "part exist — one body, launched on the device buffers or called on",
+        "the host arrays, wherever the plan put it.  Adds the boundary part",
+        "into the boundary cells' columns (``u + (du_bdry * dt)``, that",
+        "association; every other column is left alone, an exact -0.0",
+        "included), runs the post-step callbacks' declared reductions into",
+        "``reduced``, and gathers the owner values the next step's boundary",
+        "callbacks read — after the column update, so they are those of the",
+        "finished step.  ``sel``/``comps`` restrict a band-partitioned rank",
+        'to its own rows."""',
+        "cols = buffer('bdry_cols', du_bdry.shape)",
+        "np.take(u, BCELLS, axis=1, out=cols, mode='clip')",
+        "np.add(cols, np.multiply(du_bdry, DT, out=du_bdry), out=cols)",
+        "u[sel if isinstance(sel, slice) else sel[:, None], BCELLS] = cols[sel]",
+        "for reduce, out in zip(REDUCTIONS, reduced):",
+        "    reduce(u, comps, out, buffer('reduce_work', out.shape))",
+        "np.take(u, BOWNER, axis=1, out=u_bdry, mode='clip')",
+    ])
 
-    state.time += state.dt
-    state.step_index += 1
 
+def emit_device_step(name: str, plan: dict, launch: list[str], rank: str = "",
+                     tail: tuple[str, ...] = ()) -> list[str]:
+    """The device step ``name(state)``, emitted from ``plan``
+    (:func:`plan_device_step`): what is uploaded when, where ``finish_step``
+    runs and what comes back are read off it here, so the generated step has
+    no branch on them.  ``launch`` are the target's interior launch lines,
+    ``rank`` its index into per-rank cost tables, ``tail`` what follows."""
+    placement, transfers = plan["placement"], plan["transfer_plan"]
+    reductions = [a.name for a in plan["array_uses"]
+                  if "post_step_callbacks" in a.readers]
+    host_of = {"du_bdry": "du_bdry", "u_bdry": "u_bdry",
+               **{r: f"reduced[{i}]" for i, r in enumerate(reductions)}}
+
+    def pairs(names: list[str]) -> str:
+        return ", ".join(f"('{n}', {host_of[n]})" for n in names if n in host_of)
+
+    def cost(table: str) -> str:
+        return f"{table}[{rank}]" if rank else table
+
+    lines = [
+        f"def {name}(state):",
+        '    """One hybrid step, emitted from the plan in the header of this',
+        "    file (the paper's host-code sketch, Sec. II-B).",
+        "",
+        "    Device faults (OOM during an H2D batch, kernel launch faults) are",
+        "    treated as transient: the step degrades gracefully — the host takes",
+        "    the unknown back and re-executes the step with the same generated",
+        "    bodies, so the numerics are identical and only the timeline pays",
+        '    the CPU cost; the next step hands the unknown to the device again."""',
+        "    dev = state.device",
+        "    host = state.host_clock",
+        "    trace = get_tracer()",
+        "    t = state.time",
+        "    u = state.host_u  # current only while the host owns the unknown",
+        "    u_bdry = state.buffer('u_bdry', (NCOMP, len(BOWNER)))",
+        "    reduced = state.reduced",
+        "    own = state.owned_comps  # a band-partitioned rank's rows (None: all)",
+        "    sel = slice(None) if own is None else own",
+        "    resident = dev.buffers['u'].on_device",
+        "",
+        "    faulted = None",
+        "    try:",
+        "        # --- send the host-mutated arrays to the device --------------------",
+        "        uploads = [(n, state.fields[n[4:]].data) for n in H2D_EACH_STEP]",
+        "        if not resident:",
+        "            # ownership handoff, host -> device: the first step, or the host",
+        "            # touched the unknown; it also still has what the boundary reads",
+        "            uploads.insert(0, ('u', u))",
+        "            np.take(u, BOWNER, axis=1, out=u_bdry, mode='clip')",
+        "        state.device_transfers('h2d', uploads)",
+        "",
+        "        # --- asynchronous interior kernel (one thread per DOF) -------------",
+        "        launch_time = host.now()",
+        "        kernel_args = [dev.buffers[n].array",
+        "                       for n in ['u'] + KERNEL_VAR_NAMES + ['u_new']] + [dev.workspace]",
+        "        with state.profile_scope('solve'):",
+        *_indent(launch, 3),
+        "    except GPU_FAULTS as exc:",
+        "        faulted = exc",
+        "        launch_time = host.now()",
+        "",
+        "    # --- CPU boundary contribution, overlapped with the kernel (Fig. 6) ----",
+        "    with state.profile_scope('boundary'), trace_phase('boundary'):",
+        "        du_bdry = compute_boundary_contribution(state, u_bdry, t)",
+        f"    host.advance({cost('COST_BOUNDARY')})",
+        "    # the host-timeline boundary span sits under the device kernel span —",
+        "    # the paper's Fig. 6 overlap, directly visible in the exported trace",
+        "    trace.complete(state.host_track, 'boundary_callbacks', launch_time,",
+        "                   host.now(), cat='phase')",
+        "",
+    ]
+    if placement.device["finish_step"] == "gpu":
+        lines += [
+            "    if faulted is None:",
+            "        try:",
+            "            # --- finish where the unknown lives: only the boundary part",
+            "            # goes down, only what the CPU reads comes back ---------------",
+            "            state.await_device(launch_time)",
+            "            state.sanitize_kernel_output(",
+            "                KERNEL.name, lambda: dev.d2h('u_new', host_time=host.now())[0][sel])",
+            f"            state.device_transfers('h2d', [{pairs(transfers.h2d_each_step)}])",
+            "            launch_time = host.now()",
+            "            with state.profile_scope('solve'):",
+            "                dev.launch(FINISH, NCELLS * (NCOMP if own is None else len(own)),",
+            "                           *[dev.buffers[n].array for n in ('u_new', 'du_bdry', 'u_bdry')],",
+            f"                           [dev.buffers[n].array for n in {reductions!r}],",
+            "                           dev.workspace, sel, own, host_time=launch_time)",
+            "            state.await_device(launch_time)",
+            f"            state.device_transfers('d2h', [{pairs(transfers.d2h_each_step)}])",
+            "            dev.swap('u', 'u_new')",
+            "        except GPU_FAULTS as exc:",
+            "            faulted = exc",
+            "            launch_time = host.now()",
+        ]
+    else:
+        lines += [
+            "    if faulted is None:",
+            "        # --- synchronize, fetch over the host copy, finish on the host ----",
+            "        state.await_device(launch_time)",
+            "        state.device_transfers('d2h', [('u_new', u)])",
+            "        dev.mark_host_dirty('u')  # finish_step writes the host copy",
+            "        state.sanitize_kernel_output(KERNEL.name, lambda: u[sel])",
+            "        finish_step(u, du_bdry, u_bdry, reduced, state.buffer, sel, own)",
+        ]
+    lines += [
+        "    if faulted is not None:",
+        "        # --- graceful degradation: the step re-placed on the host ----------",
+        "        # the host takes the pre-step unknown back (fetched if the device",
+        "        # held it; else the upload that just went, or failed, is void) and",
+        "        # runs the same generated bodies over the host arrays — the kernel",
+        "        # in place, its rows being local — so the result is bit-identical",
+        "        record_degraded('interior_update', dev.name, 'cpu', type(faulted).__name__,",
+        f"                        {f'rank={rank}, ' if rank else ''}step=state.step_index)",
+        "        if resident:",
+        "            state.claim_unknown()",
+        "        dev.mark_host_dirty('u')",
+        "        with state.profile_scope('solve'):",
+        "            interior_kernel(u, *[state.fields[n[4:]].data for n in KERNEL_VAR_NAMES],",
+        "                            u, state.buffer, sel)",
+        "            state.sanitize_kernel_output(KERNEL.name, lambda: u[sel])",
+        "            finish_step(u, du_bdry, u_bdry, reduced, state.buffer, sel, own)",
+        f"        host.advance({cost('COST_INTERIOR_CPU')})",
+        "        trace.complete(state.host_track, 'interior_update[degraded:cpu]',",
+        "                       launch_time, host.now(), cat='fault',",
+        "                       reason=type(faulted).__name__)",
+        f"        state.charge_phase('solve for intensity', {cost('COST_INTERIOR_CPU')})",
+        *_indent(list(tail)),
+    ]
+    return ["", ""] + lines
+
+
+_RUN_STEPS = '''
 
 def run_steps(state, nsteps):
     """Sequential time loop around the hybrid step + CPU hooks."""
@@ -310,15 +386,17 @@ def run_steps(state, nsteps):
             with state.profile_scope('pre_step'), trace_phase('pre_step'):
                 cb.fn(state)
         step_once(state)
-        for cb in POST_STEP_CALLBACKS:
+        # a callback that declared its reduction is handed it; any other
+        # reads what it likes (state.u takes the unknown back to the host)
+        for cb, args in zip(POST_STEP_CALLBACKS, state.post_step_args):
             with state.profile_scope('post_step'), trace_phase('post_step'):
-                cb.fn(state)
+                cb.fn(state, *args)
         if POST_STEP_CALLBACKS:
             t0 = state.host_clock.now()
             state.host_clock.advance(COST_TEMP)
-            trace.complete(HOST_TRACK, 'temperature_update', t0,
+            trace.complete(state.host_track, 'temperature_update', t0,
                            state.host_clock.now(), cat='phase')
-            state.gpu_phases['temperature update'] += COST_TEMP
+            state.charge_phase('temperature update', COST_TEMP)
         state.observe_step()
         state.sanitize_step()
         state.maybe_checkpoint()
@@ -340,6 +418,189 @@ def _repin_graph(tg: TaskGraph, pins: dict[str, str]) -> TaskGraph:
     return out
 
 
+def plan_device_step(problem: "Problem", state: SolverState, emitter: ExprEmitter,
+                     rows: int, force_offload: bool) -> dict:
+    """The step's task graph — ``rows`` component rows per launch, edges
+    sized from the real arrays — its min-cut placement and the transfer
+    schedule that follows; returned as the artifact attributes the solver
+    carries (``placement``, ``transfer_plan``, ``array_uses`` for the
+    layer-2 verifier, ``kernel_spec``)."""
+    form, geom, unknown = emitter.form, state.geom, state.unknown
+    spec = problem.config.gpu_spec or default_gpu_spec()
+    cost = CostModel(problem.extra.get("machine_rates", CASCADE_LAKE_FINCH))
+    ncomp, ncells = state.host_u.shape
+    nbands = unknown.space.sizes[-1] if unknown.space.names else 1
+
+    # ---- work estimates for the device model ------------------------------
+    surface = emitter.emit_sum(form.surface_terms, "surface")
+    volume = emitter.emit_sum(form.volume_terms, "volume")
+    faces_per_cell = 2.0 * geom.nfaces / geom.ncells
+    kernel_spec = {
+        "name": f"{unknown.name}_interior_step",
+        "flops_per_thread": (
+            faces_per_cell * (surface.flops + 2)  # flux + area-weighted gather
+            + volume.flops
+            + 3  # explicit update
+        ) * float(problem.extra.get("gpu_flop_factor", DEFAULT_FLOP_FACTOR)),
+        "bytes_per_thread": (
+            faces_per_cell * surface.bytes_per_value / 2.0 + volume.bytes_per_value
+        ) * float(problem.extra.get("gpu_byte_factor", DEFAULT_BYTE_FACTOR)),
+    }
+
+    def on_gpu(**work) -> float:
+        return model_launch(spec, Kernel(body=lambda *a: None, **work),
+                            rows * ncells).duration
+
+    # ---- the task graph ---------------------------------------------------
+    reductions = [cb.reduce for cb in problem.post_step_callbacks if cb.reduce]
+    known = {n: float(state.fields[n].data.nbytes)
+             for n in emitter.referenced_known_variables()}
+    u_bytes = float(state.host_u.nbytes)
+    small = {"du_bdry": 8.0 * ncomp * len(geom.bcells),
+             "u_bdry": 8.0 * ncomp * len(geom.bowner),
+             **{r.name: 8.0 * r.rows * ncells for r in reductions}}
+    tg = TaskGraph()
+    tg.add_task(Task("interior_update", cost.intensity_step(ncells, rows),
+                     on_gpu(**kernel_spec)))
+    tg.add_task(Task("boundary_callbacks",
+                     cost.boundary_step(len(geom.bowner), rows), pinned="cpu"))
+    # the CPU cost model books the reduction inside the temperature update
+    # (the paper's one callback), so the host clock under the paper's plan
+    # reads as it always has: bytes alone decide where this task lands
+    tg.add_task(Task("finish_step", 0.0, on_gpu(**FINISH_WORK)))
+    tg.add_task(Task("post_step_callbacks", cost.temperature_step(ncells, nbands),
+                     pinned="cpu"))
+    tg.add_edge("interior_update", "finish_step", u_bytes, unknown.name)
+    tg.add_edge("finish_step", "interior_update", u_bytes, unknown.name)  # next step
+    tg.add_edge("boundary_callbacks", "finish_step", small["du_bdry"], "du_bdry")
+    tg.add_edge("finish_step", "boundary_callbacks", small["u_bdry"], "u_bdry")
+    # what a callback does not declare the plan cannot see (callbacks are not
+    # in the cache key): if it reads the unknown, the handoff pays that step
+    for r in reductions:
+        tg.add_edge("finish_step", "post_step_callbacks", small[r.name], r.name)
+    for name, nbytes in known.items():
+        tg.add_edge("post_step_callbacks", "interior_update", nbytes, name)
+
+    # explicit per-task placement overrides (tuner / user hook): re-pin
+    # before optimising so the transfer schedule matches the final plan
+    pins = dict(problem.extra.get("placement_override") or {})
+    placement = optimize_placement(_repin_graph(tg, pins) if pins else tg, spec)
+    if force_offload and placement.device["interior_update"] == "cpu":
+        # the user overrode the optimiser: rebuild the plan with the interior
+        # pinned to the device so the schedule matches the code that will run
+        placement = optimize_placement(
+            _repin_graph(tg, {**pins, "interior_update": "gpu"}), spec)
+
+    both = ("interior_update", "finish_step")
+    arrays = [
+        # the unknown is double-buffered: the kernel writes u_new while the
+        # overlapped CPU boundary callbacks read their copy of its owner
+        # values (Fig. 6 is safe), and finish_step flips the two
+        ArrayUse("u", u_bytes, readers=both, writers=both, double_buffered=True),
+        ArrayUse("geometry", float(geom.normal.nbytes + geom.area.nbytes),
+                 readers=("interior_update",), writers=(), mutated_each_step=False),
+        ArrayUse("du_bdry", small["du_bdry"],
+                 readers=("finish_step",), writers=("boundary_callbacks",)),
+        ArrayUse("u_bdry", small["u_bdry"],
+                 readers=("boundary_callbacks",), writers=("finish_step",)),
+        *[ArrayUse(r.name, small[r.name],
+                   readers=("post_step_callbacks",), writers=("finish_step",))
+          for r in reductions],
+        *[ArrayUse(f"var_{name}", nbytes,
+                   readers=("interior_update",), writers=("post_step_callbacks",))
+          for name, nbytes in known.items()],
+    ]
+    return {"placement": placement, "array_uses": arrays, "kernel_spec": kernel_spec,
+            "transfer_plan": plan_transfers(placement, arrays)}
+
+
+def plan_header(plan: dict) -> list[str]:
+    """The plan as the comment block at the top of the generated source."""
+    return (["# placement decided by the min-cut optimiser:"]
+            + ["#   " + ln for ln in plan["placement"].report().splitlines()]
+            + ["#   " + ln for ln in plan["transfer_plan"].report().splitlines()])
+
+
+def step_env(problem: "Problem", geom, plan: dict) -> dict:
+    """What the emitted device step reads that is not in the cache key's
+    static environment: geometry tables, the live callbacks, fault hooks."""
+    int_faces = np.flatnonzero(geom.interior_mask)
+    return {
+        "DT": problem.config.dt,  # runtime-bound: not part of the key
+        "OWNER_INT": geom.owner[int_faces],
+        "NEIGH_INT": geom.neighbor[int_faces],
+        "NORMALS_INT": geom.normal[int_faces],
+        "FACEDIST_INT": geom.face_dist[int_faces],
+        "DIV_INT": csr_slots(geom.divergence[:, int_faces]),
+        # the boundary exchange: owner cell of every boundary face, the cells
+        # that have one, and the divergence restricted to those rows
+        "BOWNER": geom.bowner,
+        "BCELLS": geom.bcells,
+        "DIV_BDRY": csr_slots(geom.divergence[geom.bcells][:, geom.bfaces]),
+        "BFACE_SLOT": geom.bface_slot,
+        "PRE_STEP_CALLBACKS": list(problem.pre_step_callbacks),
+        "POST_STEP_CALLBACKS": list(problem.post_step_callbacks),
+        "REDUCTIONS": [cb.reduce.fn for cb in problem.post_step_callbacks if cb.reduce],
+        # per-step H2D: the known variables the plan marked as host-mutated
+        # (for the BTE: Io and beta after the temperature update)
+        "H2D_EACH_STEP": [n for n in plan["transfer_plan"].h2d_each_step
+                          if n.startswith("var_")],
+        # resilience: the degraded (CPU re-execution) path for device faults
+        "GPU_FAULTS": (DeviceOOMError, KernelFaultError),
+        "record_degraded": _record_degraded,
+        "get_tracer": get_tracer,
+        "trace_phase": phase_span,
+    }
+
+
+def bind_kernels(solver: GeneratedSolver, kernel_spec: dict) -> Kernel:
+    """Wrap the *generated* bodies with their work estimates."""
+    ns = solver.namespace
+    ns["KERNEL"] = solver.kernel = Kernel(
+        body=ns["interior_kernel"], doc="generated flattened interior step",
+        **kernel_spec)
+    ns["FINISH"] = Kernel(body=ns["finish_step"], **FINISH_WORK)
+    return solver.kernel
+
+
+def attach_device(state: SolverState, device: Device, var_names: list[str],
+                  track: str) -> Device:
+    """Make ``device`` the state's: the device-resident buffers (the unknown
+    double-buffered, the known variables, the boundary exchange, one array
+    per declared reduction), a host clock with its phase totals, and the
+    host ends of the reductions, resolved here — at generate time — from
+    the post-step records."""
+    ncomp, ncells = state.host_u.shape
+    callbacks = state.problem.post_step_callbacks
+    device.alloc("u", state.host_u)
+    # the double buffer starts as a device-side copy, so rows a launch never
+    # writes (another rank's bands) read the same in both halves
+    device.alloc_empty("u_new", (ncomp, ncells)).array[...] = state.host_u
+    for name in var_names:
+        device.alloc(name, state.fields[name[4:]].data)
+    device.alloc_empty("du_bdry", (ncomp, len(state.geom.bcells)))
+    device.alloc_empty("u_bdry", (ncomp, len(state.geom.bowner)))
+    for cb in callbacks:
+        if cb.reduce:
+            device.alloc_empty(cb.reduce.name, (cb.reduce.rows, ncells))
+    # the host owns the unknown until the first step hands it over (initial
+    # conditions may still be written through state.u)
+    device.mark_host_dirty("u")
+    state.device = device
+    state.host_clock = VirtualClock()
+    state.host_track = track
+    state.gpu_phases = {
+        "solve for intensity": 0.0,
+        "temperature update": 0.0,
+        "communication": 0.0,
+    }
+    state.post_step_args = [
+        (state.buffer(cb.reduce.name, (cb.reduce.rows, ncells)),) if cb.reduce else ()
+        for cb in callbacks]
+    state.reduced = [args[0] for args in state.post_step_args if args]
+    return device
+
+
 class GPUHybridTarget(CodegenTarget):
     """Generation for the simulated-GPU hybrid path (``use_gpu()``)."""
 
@@ -359,88 +620,14 @@ class GPUHybridTarget(CodegenTarget):
             problem.equation.source, unknown, problem.entities, problem.operators
         )
         _reject_reconstructions(form)
-        ir = build_ir(problem, form, flavor="gpu")
         emitter = ExprEmitter(problem, form, var_mode="local")
-
         state = SolverState(problem)
         geom = state.geom
-        spec = problem.config.gpu_spec or default_gpu_spec()
-        machine = problem.extra.get("machine_rates", CASCADE_LAKE_FINCH)
-        cost = CostModel(machine)
+        force = bool(problem.extra.get("gpu_force_offload", False))
+        plan = plan_device_step(problem, state, emitter, state.ncomp, force)
+        placement = plan["placement"]
 
-        # ---- work estimates for the device model --------------------------
-        surface = emitter.emit_sum(form.surface_terms, "surface")
-        volume = emitter.emit_sum(form.volume_terms, "volume")
-        faces_per_cell = 2.0 * geom.nfaces / geom.ncells
-        flops_per_dof = (
-            faces_per_cell * (surface.flops + 2)  # flux + area-weighted gather
-            + volume.flops
-            + 3  # explicit update
-        )
-        bytes_per_dof = (
-            faces_per_cell * surface.bytes_per_value / 2.0 + volume.bytes_per_value
-        )
-        flop_factor = float(problem.extra.get("gpu_flop_factor", DEFAULT_FLOP_FACTOR))
-        byte_factor = float(problem.extra.get("gpu_byte_factor", DEFAULT_BYTE_FACTOR))
-
-        # ---- placement optimisation ---------------------------------------
-        ndof = state.ncomp * state.ncells
-        nbands = unknown.space.sizes[-1] if unknown.space.names else 1
-        kernel_stub = Kernel(
-            f"{unknown.name}_interior_step",
-            body=lambda *a: None,
-            flops_per_thread=flops_per_dof * flop_factor,
-            bytes_per_thread=bytes_per_dof * byte_factor,
-        )
-        gpu_interior_time = model_launch(spec, kernel_stub, ndof).duration
-        known_vars = emitter.referenced_known_variables()
-
-        tg = TaskGraph()
-        tg.add_task(Task(
-            "interior_update",
-            cost_cpu=cost.intensity_step(state.ncells, state.ncomp),
-            cost_gpu=gpu_interior_time,
-        ))
-        tg.add_task(Task(
-            "boundary_callbacks",
-            cost_cpu=cost.boundary_step(geom.boundary_face_count(), state.ncomp),
-            pinned="cpu",
-        ))
-        tg.add_task(Task(
-            "post_step_callbacks",
-            cost_cpu=cost.temperature_step(state.ncells, nbands),
-            pinned="cpu",
-        ))
-        u_bytes = float(state.u.nbytes)
-        tg.add_edge("interior_update", "post_step_callbacks", u_bytes, label=unknown.name)
-        tg.add_edge("boundary_callbacks", "post_step_callbacks",
-                    geom.boundary_face_count() * state.ncomp * 8.0, label="u_bdry")
-        known_bytes = 0.0
-        for name in known_vars:
-            nb = float(state.fields[name].data.nbytes)
-            known_bytes += nb
-            tg.add_edge("post_step_callbacks", "interior_update", nb, label=name)
-        # explicit per-task placement overrides (tuner / user hook): re-pin
-        # before optimising so the transfer schedule matches the final plan
-        override = dict(problem.extra.get("placement_override") or {})
-        if override:
-            tg = _repin_graph(tg, override)
-        placement = optimize_placement(tg, spec)
-
-        if placement.device["interior_update"] == "cpu" and problem.extra.get(
-            "gpu_force_offload", False
-        ):
-            # the user overrode the optimiser: rebuild the plan with the
-            # interior pinned to the device so the transfer schedule (the
-            # per-step Io/beta H2D, the u round trip) matches the code that
-            # will actually run
-            placement = optimize_placement(
-                _repin_graph(tg, {"interior_update": "gpu"}), spec
-            )
-
-        if placement.device["interior_update"] == "cpu" and not problem.extra.get(
-            "gpu_force_offload", False
-        ):
+        if placement.device["interior_update"] == "cpu":
             # the optimiser decided offloading does not pay (tiny problem or
             # transfer-dominated): build the serial CPU artifact instead,
             # annotated with the plan so callers can see why
@@ -458,50 +645,38 @@ class GPUHybridTarget(CodegenTarget):
             artifact.attrs["placement"] = placement
             return artifact
 
-        arrays = [
-            # the unknown is double-buffered: the kernel writes u_new while
-            # the overlapped CPU boundary callbacks read u (Fig. 6 is safe)
-            ArrayUse("u", u_bytes,
-                     readers=("interior_update", "boundary_callbacks", "post_step_callbacks"),
-                     writers=("interior_update", "post_step_callbacks"),
-                     double_buffered=True),
-            ArrayUse("geometry", float(geom.normal.nbytes + geom.area.nbytes),
-                     readers=("interior_update",), writers=(), mutated_each_step=False),
-        ] + [
-            ArrayUse(f"var_{name}", float(state.fields[name].data.nbytes),
-                     readers=("interior_update",), writers=("post_step_callbacks",))
-            for name in known_vars
-        ]
-        transfer_plan = plan_transfers(placement, arrays)
-
         # ---- source ---------------------------------------------------------
-        lines = source_header("gpu_hybrid", problem, print_ir(ir))
-        lines.append("# placement decided by the min-cut optimiser:")
-        lines += ["#   " + ln for ln in placement.report().splitlines()]
-        lines += ["#   " + ln for ln in transfer_plan.report().splitlines()]
+        ir = build_ir(problem, form, flavor="gpu", transfers=plan["transfer_plan"])
+        # tuned kernel chunking: split the launch over component-row blocks
+        # (same numerics; smaller launches queue back-to-back on the device)
+        chunks = int(problem.extra.get("gpu_kernel_chunks", 0) or 0)
+        launch = ["dev.launch(KERNEL, NDOF, *kernel_args, host_time=launch_time)"]
+        if chunks > 1:
+            launch = ["for chunk in KERNEL_CHUNKS:",
+                      "    dev.launch(KERNEL, len(chunk) * NCELLS, *kernel_args,",
+                      "               chunk, host_time=launch_time)"]
+        lines = source_header("gpu_hybrid", problem, print_ir(ir)) + plan_header(plan)
         lines += _emit_device_source(problem, emitter)
-        lines.append(_STEP_AND_RUN)
+        lines += emit_device_step(
+            "step_once", plan, launch,
+            tail=("", "state.time += state.dt", "state.step_index += 1"))
+        lines.append(_RUN_STEPS)
         source = "\n".join(lines) + "\n"
 
+        cost = CostModel(problem.extra.get("machine_rates", CASCADE_LAKE_FINCH))
+        nbands = unknown.space.sizes[-1] if unknown.space.names else 1
         static: dict = dict(emitter.component_tables())
         static["NCOMP"] = state.ncomp
         static["NCELLS"] = state.ncells
-        static["NDOF"] = ndof
+        static["NDOF"] = state.ncomp * state.ncells
         static["COST_BOUNDARY"] = cost.boundary_step(
             geom.boundary_face_count(), state.ncomp
         )
         static["COST_TEMP"] = cost.temperature_step(state.ncells, nbands)
         static["COST_INTERIOR_CPU"] = cost.intensity_step(state.ncells, state.ncomp)
-        # kernel argument order is fixed by the generated signature; the
-        # per-step H2D list is the subset the transfer plan marked as
-        # host-mutated (for the BTE: Io and beta after the temperature update)
-        static["KERNEL_VAR_NAMES"] = [f"var_{n}" for n in known_vars]
-        static["H2D_EACH_STEP"] = [
-            n for n in static["KERNEL_VAR_NAMES"] if n in transfer_plan.h2d_each_step
-        ]
-        static["HOST_TRACK"] = "hybrid/host"
-        # tuned kernel chunking: split the launch over component-row blocks
-        chunks = int(problem.extra.get("gpu_kernel_chunks", 0) or 0)
+        # kernel argument order is fixed by the generated signature
+        static["KERNEL_VAR_NAMES"] = [
+            f"var_{n}" for n in emitter.referenced_known_variables()]
         static["KERNEL_CHUNKS"] = (
             [np.asarray(c)
              for c in np.array_split(np.arange(state.ncomp),
@@ -512,20 +687,8 @@ class GPUHybridTarget(CodegenTarget):
         return self.make_artifact(
             problem, source,
             static_env=static,
-            attrs={
-                "ir": ir,
-                "classified_form": form,
-                "expanded_expr": expanded,
-                "placement": placement,
-                "transfer_plan": transfer_plan,
-                # kept for the layer-2 verifier (transfer completeness, races)
-                "array_uses": arrays,
-                "kernel_spec": {
-                    "name": f"{unknown.name}_interior_step",
-                    "flops_per_thread": flops_per_dof * flop_factor,
-                    "bytes_per_thread": bytes_per_dof * byte_factor,
-                },
-            },
+            attrs={"ir": ir, "classified_form": form, "expanded_expr": expanded,
+                   **plan},
         )
 
     def bind_artifact(self, problem: "Problem", artifact) -> GeneratedSolver:
@@ -549,27 +712,8 @@ class GPUHybridTarget(CodegenTarget):
             return solver
 
         state = SolverState(problem)
-        geom = state.geom
         spec = problem.config.gpu_spec or default_gpu_spec()
-        int_faces = np.flatnonzero(geom.interior_mask)
-
-        env: dict = dict(artifact.static_env)
-        env["DT"] = problem.config.dt  # runtime-bound: not part of the key
-        env["OWNER_INT"] = geom.owner[int_faces]
-        env["NEIGH_INT"] = geom.neighbor[int_faces]
-        env["NORMALS_INT"] = geom.normal[int_faces]
-        env["FACEDIST_INT"] = geom.face_dist[int_faces]
-        env["DIV_INT"] = csr_slots(geom.divergence[:, int_faces])
-        env["DIV_BDRY"] = csr_slots(geom.divergence[:, geom.bfaces])
-        env["BFACE_SLOT"] = geom.bface_slot
-        env["PRE_STEP_CALLBACKS"] = list(problem.pre_step_callbacks)
-        env["POST_STEP_CALLBACKS"] = list(problem.post_step_callbacks)
-        # resilience: the degraded (CPU re-execution) path for device faults
-        env["GPU_FAULTS"] = (DeviceOOMError, KernelFaultError)
-        env["record_degraded"] = _record_degraded
-        env["get_tracer"] = get_tracer
-        env["trace_phase"] = phase_span
-
+        env = {**artifact.static_env, **step_env(problem, state.geom, artifact.attrs)}
         solver = GeneratedSolver(
             self.name, artifact.source, env, state,
             code=artifact.code, module_name=artifact.module_name,
@@ -577,41 +721,17 @@ class GPUHybridTarget(CodegenTarget):
         if artifact.code is None:
             artifact.code = solver.code
         # observability: which wall-clock timer measures each placement task
+        # (finish_step shares 'solve' with the interior kernel)
         solver.task_timer_map = {
             "interior_update": "solve",
             "boundary_callbacks": "boundary",
             "post_step_callbacks": "post_step",
         }
-
-        # the kernel object wraps the *generated* body with the work estimates
-        kspec = artifact.attrs["kernel_spec"]
-        kernel = Kernel(
-            kspec["name"],
-            body=solver.namespace["interior_kernel"],
-            flops_per_thread=kspec["flops_per_thread"],
-            bytes_per_thread=kspec["bytes_per_thread"],
-            doc="generated flattened interior step",
-        )
-        solver.namespace["KERNEL"] = kernel
-
-        # device-resident buffers: the unknown (both directions each step),
-        # per-step refreshed known variables, static geometry (sent once)
-        device = Device(spec, name=f"gpu0:{spec.name}")
-        device.alloc("u", state.u)
-        device.alloc_empty("u_new", state.u.shape)
-        for vname in env["KERNEL_VAR_NAMES"]:
-            device.alloc(vname, state.fields[vname.replace("var_", "")].data)
-        state.device = device
-        state.host_clock = VirtualClock()
-        state.gpu_phases = {
-            "solve for intensity": 0.0,
-            "temperature update": 0.0,
-            "communication": 0.0,
-        }
-
         attach_artifact_attrs(solver, artifact)
-        solver.device = device
-        solver.kernel = kernel
+        bind_kernels(solver, artifact.attrs["kernel_spec"])
+        solver.device = attach_device(
+            state, Device(spec, name=f"gpu0:{spec.name}"),
+            env["KERNEL_VAR_NAMES"], "hybrid/host")
         return solver
 
 

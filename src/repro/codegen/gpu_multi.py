@@ -21,15 +21,17 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from repro.codegen.cpu_distributed import _band_count, _split_components
 from repro.codegen.emit import ExprEmitter
 from repro.codegen.gpu_hybrid import (
-    DEFAULT_BYTE_FACTOR,
-    DEFAULT_FLOP_FACTOR,
     _emit_device_source,
-    _record_degraded,
+    _reject_reconstructions,
+    attach_device,
+    bind_kernels,
+    emit_device_step,
+    plan_device_step,
+    plan_header,
+    step_env,
 )
 from repro.codegen.state import SolverState
 from repro.codegen.target_base import (
@@ -38,19 +40,15 @@ from repro.codegen.target_base import (
     attach_artifact_attrs,
     source_header,
 )
-from repro.fvm.kernels import csr_slots
 from repro.gpu.device import Device
-from repro.gpu.kernel import Kernel
 from repro.ir.build import build_ir
 from repro.ir.lowering import lower_conservation_form
 from repro.ir.nodes import print_ir
-from repro.obs import get_tracer, phase_span
 from repro.perfmodel.costs import CostModel
 from repro.perfmodel.machines import CASCADE_LAKE_FINCH, default_gpu_spec
 from repro.runtime.executor import run_spmd
 from repro.runtime.netmodel import IB_CLUSTER
-from repro.util.errors import CodegenError, DeviceOOMError, KernelFaultError
-from repro.util.timing import VirtualClock
+from repro.util.errors import CodegenError
 
 if TYPE_CHECKING:
     from repro.dsl.problem import Problem
@@ -63,90 +61,24 @@ def rank_program(comm):
     state = make_rank_state(comm.rank)
     state.comm = comm
     own = state.owned_comps
-    dev = make_device(comm.rank)
-    host = VirtualClock()
-    trace = get_tracer()
-    htrack = 'hybrid/rank%d' % comm.rank
-
     # device-resident buffers (geometry/coefficient tables ride in the
     # module namespace; they were sent once, like the static H2D plan)
-    dev.alloc('u', state.u)
-    dev.alloc_empty('u_new', state.u.shape)
-    for name in KERNEL_VAR_NAMES:
-        dev.alloc(name, state.fields[name.replace('var_', '')].data)
+    dev = attach_device(state, make_device(comm.rank), KERNEL_VAR_NAMES,
+                        'hybrid/rank%d' % comm.rank)
+    host = state.host_clock
 
     for _ in range(RUN_NSTEPS[0]):
-        t = state.time
         for cb in PRE_STEP_CALLBACKS:
             with state.profile_scope('pre_step'):
                 cb.fn(state)
+        device_step(state)
 
-        # H2D: the unknown + the refreshed closure fields; device faults
-        # (OOM / kernel fault) degrade the step onto the host CPU below
-        faulted = None
-        mark = host.now()
-        try:
-            end = dev.h2d('u', state.u, mark)
-            for name in KERNEL_VAR_NAMES:
-                end = max(end, dev.h2d(name, state.fields[name.replace('var_', '')].data, mark))
-            host.advance_to(end)
-            trace.complete(htrack, 'h2d', mark, host.now(), cat='transfer')
-            comm.compute(host.now() - mark, phase='communication')
-
-            # asynchronous interior kernel over the owned components,
-            # overlapped with the CPU boundary contribution (Fig. 6)
-            mark = host.now()
-            kernel_args = [dev.buffers['u'].array] \\
-                + [dev.buffers[n].array for n in KERNEL_VAR_NAMES] \\
-                + [dev.buffers['u_new'].array, dev.workspace]
-            with state.profile_scope('solve'):
-                dev.launch(KERNEL, len(own) * NCELLS, *kernel_args, own,
-                           host_time=mark)
-        except GPU_FAULTS as exc:
-            faulted = exc
-            mark = host.now()
-        with state.profile_scope('boundary'), trace_phase('boundary'):
-            du_bdry = compute_boundary_contribution(state, state.u, t)
-        host.advance(COST_BOUNDARY[comm.rank])
-        trace.complete(htrack, 'boundary_callbacks', mark, host.now(), cat='phase')
-        u_new = state.buffer('u_new', state.u.shape)
-        if faulted is None:
-            sync_time = dev.synchronize(host.now())
-            if sync_time > host.now():
-                trace.complete(htrack, 'sync_wait', host.now(), sync_time, cat='sync')
-            host.advance_to(sync_time)
-            comm.compute(host.now() - mark, phase='solve for intensity')
-
-            # fetch and combine (owned rows only)
-            mark = host.now()
-            u_new, end = dev.d2h('u_new', out=u_new, host_time=mark)
-            host.advance_to(end)
-            trace.complete(htrack, 'd2h', mark, host.now(), cat='transfer')
-            comm.compute(host.now() - mark, phase='communication')
-        else:
-            # graceful degradation: the same generated kernel body over the
-            # host arrays (bit-identical result), charged at the CPU rate
-            record_degraded('interior_update', dev.name, 'cpu',
-                            type(faulted).__name__, rank=comm.rank,
-                            step=state.step_index)
-            with state.profile_scope('solve'):
-                interior_kernel(state.u,
-                                *[state.fields[n.replace('var_', '')].data
-                                  for n in KERNEL_VAR_NAMES],
-                                u_new, state.buffer, own)
-            host.advance(COST_INTERIOR_CPU[comm.rank])
-            trace.complete(htrack, 'interior_update[degraded:cpu]', mark,
-                           host.now(), cat='fault',
-                           reason=type(faulted).__name__)
-            comm.compute(host.now() - mark, phase='solve for intensity')
-        state.sanitize_kernel_output(KERNEL.name, u_new[own])
-        state.u[own] = u_new[own] + state.dt * du_bdry[own]
-
-        # CPU temperature update; its band-energy allreduce advances the
-        # communicator clock itself — mirror that back onto the host
-        for cb in POST_STEP_CALLBACKS:
+        # CPU temperature update on the reduced array; its band-energy
+        # allreduce advances the communicator clock itself — mirror that
+        # back onto the host
+        for cb, args in zip(POST_STEP_CALLBACKS, state.post_step_args):
             with state.profile_scope('post_step'), trace_phase('post_step'):
-                cb.fn(state)
+                cb.fn(state, *args)
         comm.compute(COST_TEMP[comm.rank], phase='temperature update')
         host.advance_to(comm.clock.now())
 
@@ -218,10 +150,7 @@ class GPUMultiTarget(CodegenTarget):
         expanded, form = lower_conservation_form(
             problem.equation.source, unknown, problem.entities, problem.operators
         )
-        from repro.codegen.gpu_hybrid import _reject_reconstructions
-
         _reject_reconstructions(form)
-        ir = build_ir(problem, form, flavor="gpu")
         emitter = ExprEmitter(problem, form, var_mode="local")
 
         machine = problem.extra.get("machine_rates", CASCADE_LAKE_FINCH)
@@ -232,28 +161,23 @@ class GPUMultiTarget(CodegenTarget):
         owned_sets = _split_components(problem, nparts)
         nbands = _band_count(problem)
         ndirs = max(1, ncomp // max(nbands, 1))
-        n_comp_max = max(len(o) for o in owned_sets)
-
-        surface = emitter.emit_sum(form.surface_terms, "surface")
-        volume = emitter.emit_sum(form.volume_terms, "volume")
-        # faces_per_cell needs the face count; compute it from a throwaway
-        # geometry-bearing state (the same one the cost terms need below)
+        # the plan is one rank's: its largest band block per launch, the
+        # interior on the device whatever the size (that is the target)
         probe = SolverState(problem)
-        geom = probe.geom
-        faces_per_cell = 2.0 * geom.nfaces / geom.ncells
-        flop_factor = float(problem.extra.get("gpu_flop_factor", DEFAULT_FLOP_FACTOR))
-        byte_factor = float(problem.extra.get("gpu_byte_factor", DEFAULT_BYTE_FACTOR))
-        flops_per_dof = (
-            faces_per_cell * (surface.flops + 2) + volume.flops + 3
-        ) * flop_factor
-        bytes_per_dof = (
-            faces_per_cell * surface.bytes_per_value / 2.0 + volume.bytes_per_value
-        ) * byte_factor
+        plan = plan_device_step(problem, probe, emitter,
+                                max(len(o) for o in owned_sets), True)
+        ir = build_ir(problem, form, flavor="gpu", transfers=plan["transfer_plan"])
 
         lines = source_header("gpu_multi", problem, print_ir(ir))
         lines.append(f"# band partitioning across {nparts} device(s); each rank")
         lines.append("# pairs one CPU process with one GPU (paper Fig. 7)")
+        lines += plan_header(plan)
         lines += _emit_device_source(problem, emitter)
+        lines += emit_device_step(
+            "device_step", plan,
+            ["dev.launch(KERNEL, len(own) * NCELLS, *kernel_args, own,",
+             "           host_time=launch_time)"],
+            rank="state.comm.rank")
         lines.append(_RANK_PROGRAM)
         source = "\n".join(lines) + "\n"
 
@@ -267,7 +191,7 @@ class GPUMultiTarget(CodegenTarget):
         # per-rank cost vectors (each rank's clock advances by its own band
         # block's work — the elastic runtime rewrites these on migration)
         boundary_costs, temp_costs, interior_costs = _gpu_rank_costs(
-            cost, geom.boundary_face_count(), ncells, owned_sets, ndirs
+            cost, probe.geom.boundary_face_count(), ncells, owned_sets, ndirs
         )
         static["COST_BOUNDARY"] = boundary_costs
         static["COST_TEMP"] = temp_costs
@@ -276,16 +200,8 @@ class GPUMultiTarget(CodegenTarget):
         return self.make_artifact(
             problem, source,
             static_env=static,
-            attrs={
-                "ir": ir,
-                "classified_form": form,
-                "expanded_expr": expanded,
-                "kernel_spec": {
-                    "name": f"{unknown.name}_interior_step",
-                    "flops_per_thread": flops_per_dof,
-                    "bytes_per_thread": bytes_per_dof,
-                },
-            },
+            attrs={"ir": ir, "classified_form": form, "expanded_expr": expanded,
+                   **plan},
         )
 
     def bind_artifact(self, problem: "Problem", artifact) -> GeneratedSolver:
@@ -297,27 +213,12 @@ class GPUMultiTarget(CodegenTarget):
         # shared box: the elastic runtime swaps the owned sets mid-run;
         # make_rank_state and the merger read the box, not a fixed list
         owned_box = [_split_components(problem, cfg.nparts)]
-        int_faces = np.flatnonzero(geom.interior_mask)
-
-        env: dict = dict(artifact.static_env)
+        env: dict = {**artifact.static_env,
+                     **step_env(problem, geom, artifact.attrs)}
         env["RUN_NSTEPS"] = [cfg.nsteps]
-        env["DT"] = cfg.dt  # runtime-bound: not part of the cache key
         env["NETWORK"] = network
-        env["OWNER_INT"] = geom.owner[int_faces]
-        env["NEIGH_INT"] = geom.neighbor[int_faces]
-        env["NORMALS_INT"] = geom.normal[int_faces]
-        env["FACEDIST_INT"] = geom.face_dist[int_faces]
-        env["DIV_INT"] = csr_slots(geom.divergence[:, int_faces])
-        env["DIV_BDRY"] = csr_slots(geom.divergence[:, geom.bfaces])
-        env["BFACE_SLOT"] = geom.bface_slot
-        env["PRE_STEP_CALLBACKS"] = list(problem.pre_step_callbacks)
-        env["POST_STEP_CALLBACKS"] = list(problem.post_step_callbacks)
-        env["GPU_FAULTS"] = (DeviceOOMError, KernelFaultError)
-        env["record_degraded"] = _record_degraded
         env["run_spmd"] = run_spmd
-        env["VirtualClock"] = VirtualClock
-        env["get_tracer"] = get_tracer
-        env["trace_phase"] = phase_span
+        env["attach_device"] = attach_device
 
         controller = _make_gpu_controller(problem, owned_box, network, geom)
 
@@ -352,21 +253,13 @@ class GPUMultiTarget(CodegenTarget):
         )
         if artifact.code is None:
             artifact.code = solver.code
-        kspec = artifact.attrs["kernel_spec"]
-        kernel = Kernel(
-            kspec["name"],
-            body=solver.namespace["interior_kernel"],
-            flops_per_thread=kspec["flops_per_thread"],
-            bytes_per_thread=kspec["bytes_per_thread"],
-        )
-        solver.namespace["KERNEL"] = kernel
-        solver.kernel = kernel
+        attach_artifact_attrs(solver, artifact)
+        bind_kernels(solver, artifact.attrs["kernel_spec"])
         solver.task_timer_map = {
             "interior_update": "solve",
             "boundary_callbacks": "boundary",
             "post_step_callbacks": "post_step",
         }
-        attach_artifact_attrs(solver, artifact)
         if controller is not None:
             # the namespace is rebuilt by recompile(); partition swaps must
             # rewrite the live dict, so hand it over post-construction

@@ -8,10 +8,15 @@ where the tasks landed, classify every array:
 * ``static`` — read by GPU tasks, never written after setup: one H2D at
   initialisation (geometry, coefficient tables);
 * ``h2d_each_step`` — written by a CPU task, read by a GPU task (``Io``,
-  ``beta`` after the temperature update);
-* ``d2h_each_step`` — written by a GPU task, read by a CPU task (the
-  unknown, needed by the post-step);
-* ``host_only`` / ``device_only`` — never cross.
+  ``beta`` after the temperature update; the boundary part ``du_bdry``);
+* ``d2h_each_step`` — written by a GPU task, read by a CPU task (the band
+  energies the post-step reads, the owner values ``u_bdry`` the boundary
+  callbacks read);
+* ``host_only`` / ``device_only`` — never cross (the unknown itself, once
+  every task that touches it is on the device).
+
+With ``finish_step`` on the CPU the unknown is in both per-step lists: the
+paper's plan.  The hybrid targets emit their step from this schedule.
 """
 
 from __future__ import annotations
@@ -26,9 +31,9 @@ class ArrayUse:
     """Which tasks read/write one named array, and its size.
 
     ``double_buffered`` marks arrays the generated code shadows on the
-    device (the unknown: kernels write ``u_new`` while CPU tasks read
-    ``u``): the race verifier exempts them from same-step read/write
-    hazards.
+    device (the unknown: the kernel writes ``u_new`` while the overlapped
+    CPU boundary callbacks read their copy of the pre-step owner values):
+    the race verifier exempts them from same-step read/write hazards.
     """
 
     name: str

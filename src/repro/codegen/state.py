@@ -31,6 +31,7 @@ from repro.obs import (
     get_event_log,
     get_flight_recorder,
     get_metrics,
+    get_tracer,
 )
 from repro.runtime.faults import get_injector
 from repro.runtime.resilience import (
@@ -40,7 +41,13 @@ from repro.runtime.resilience import (
     get_resilience_log,
 )
 from repro.symbolic.expr import Call, Indexed, Num, Sym
-from repro.util.errors import CheckpointCorruptError, CodegenError, ConfigError
+from repro.util.errors import (
+    CheckpointCorruptError,
+    CodegenError,
+    ConfigError,
+    DeviceOOMError,
+    KernelFaultError,
+)
 from repro.util.misc import check_finite
 from repro.util.timing import TimerRegistry
 
@@ -72,6 +79,9 @@ class SolverState:
         # exactly one of owned_comps/owned_cells is set on a rank state;
         # callbacks use them (plus `comm`) to restrict work and reduce.
         self.comm = None  # repro.runtime.Communicator on rank states
+        # device context (set by the gpu targets' attach_device): while
+        # ``device.buffers['u'].on_device`` the device owns the unknown
+        self.device = None
         self.owned_comps: np.ndarray | None = None  # band partitioning
         self.owned_cells: np.ndarray | None = None  # cell partitioning
 
@@ -124,12 +134,66 @@ class SolverState:
     # ------------------------------------------------------------- properties
     @property
     def u(self) -> np.ndarray:
-        """The unknown's data, ``(ncomp, ncells)``."""
+        """The unknown's data, ``(ncomp, ncells)`` — on a device target a
+        host access: see :meth:`claim_unknown`."""
+        if self.device is not None:
+            self.claim_unknown()
         return self.fields[self.unknown.name].data
 
     @u.setter
     def u(self, values: np.ndarray) -> None:
-        self.fields[self.unknown.name].data[...] = values
+        self.u[...] = values
+
+    @property
+    def host_u(self) -> np.ndarray:
+        """The host array of the unknown, whoever owns it (generated code)."""
+        return self.fields[self.unknown.name].data
+
+    def claim_unknown(self) -> None:
+        """Ownership handoff, device -> host.  While the device owns the
+        unknown the host array is stale; any host access (``u``, a
+        checkpoint, a degraded step) takes it back with one counted ``d2h``
+        charged to the host clock, and marks the host copy as possibly
+        written — a write through the array ``u`` returned cannot be seen,
+        so reading and writing are one case — which makes the next step
+        upload it again."""
+        dev = self.device
+        if dev is not None and dev.buffers["u"].on_device:
+            self.device_transfers("d2h", [("u", self.host_u)])
+            dev.mark_host_dirty("u")
+
+    def device_transfers(self, kind: str, arrays) -> None:
+        """One batch of counted ``h2d``/``d2h`` copies of ``(name, host
+        array)`` pairs; the host clock resumes when the last has landed and
+        books the wait as communication."""
+        dev, host = self.device, self.host_clock
+        mark = end = host.now()
+        with self.profile_scope(kind):
+            for name, array in arrays:
+                end = (dev.h2d(name, array, mark) if kind == "h2d"
+                       else dev.d2h(name, out=array, host_time=mark)[1])
+        host.advance_to(end)
+        get_tracer().complete(self.host_track, kind, mark, end, cat="transfer")
+        self.charge_phase("communication", end - mark)
+
+    def await_device(self, since: float) -> None:
+        """Join the device timeline (``cudaDeviceSynchronize``); the wait
+        since ``since`` — a launch, with the host work that overlapped it —
+        is time spent solving for the intensity."""
+        host = self.host_clock
+        sync = self.device.synchronize(host.now())
+        if sync > host.now():
+            get_tracer().complete(self.host_track, "sync_wait", host.now(), sync,
+                                  cat="sync")
+        host.advance_to(sync)
+        self.charge_phase("solve for intensity", sync - since)
+
+    def charge_phase(self, phase: str, seconds: float) -> None:
+        """Book virtual seconds the host clock has advanced by: the phase
+        totals of the hybrid timeline and, on a rank, its communicator clock."""
+        self.gpu_phases[phase] += seconds
+        if self.comm is not None:
+            self.comm.compute(seconds, phase=phase)
 
     @property
     def ncomp(self) -> int:
@@ -142,10 +206,25 @@ class SolverState:
     def field(self, name: str) -> CellField:
         if name not in self.fields:
             raise CodegenError(f"no field named {name!r}")
+        if name == self.unknown.name:
+            self.claim_unknown()  # a host access, like ``u``
         return self.fields[name]
 
     def check_health(self) -> None:
-        """NaN/Inf guard, called by generated run loops between steps."""
+        """NaN/Inf guard, called by generated run loops between steps; it
+        runs where the unknown lives (one flag back from the device, the
+        array only when the flag says to look)."""
+        dev = self.device
+        if dev is not None and dev.buffers["u"].on_device:
+            mark = self.host_clock.now()
+            try:
+                finite, end = dev.all_finite("u", mark)
+            except (DeviceOOMError, KernelFaultError):
+                finite, end = False, mark  # device fault: check on the host
+            self.host_clock.advance_to(end)
+            self.charge_phase("communication", end - mark)
+            if finite:
+                return
         check_finite(self.unknown.name, self.u)
 
     def sanitize_step(self) -> None:
@@ -162,13 +241,16 @@ class SolverState:
         if san.enabled:
             san.check_state(self)
 
-    def sanitize_kernel_output(self, kernel: str, array: np.ndarray) -> None:
-        """Per-kernel NaN/Inf guard on device output (``--sanitize`` only)."""
+    def sanitize_kernel_output(self, kernel: str, array) -> None:
+        """Per-kernel NaN/Inf guard on device output (``--sanitize`` only);
+        ``array`` may be a zero-argument fetch of output that stays on the
+        device."""
         from repro.verify.sanitizer import get_sanitizer
 
         san = get_sanitizer()
         if san.enabled:
-            san.check_kernel_output(kernel, array, state=self)
+            san.check_kernel_output(kernel, array() if callable(array) else array,
+                                    state=self)
 
     def observe_step(self) -> None:
         """Per-step solver metrics, called by every generated run loop.
@@ -258,9 +340,9 @@ class SolverState:
         ``np.empty`` for every array whose lifetime is one statement, one
         tile or one step: the tile's register pools, the sweep terms, the
         ghost values, the temperature update's band energies and closure
-        work arrays, the hybrid step's ``u_new`` and boundary part — so a
-        warmed-up step allocates nothing of the problem's size.  Contents
-        are whatever the last user left.
+        work arrays, the hybrid step's boundary exchange — so a warmed-up
+        step allocates nothing of the problem's size.  Contents are
+        whatever the last user left.
         """
         buf = self._scratch.get(name)
         if buf is None or buf.shape != shape:
@@ -477,6 +559,7 @@ class SolverState:
         :meth:`restore_checkpoint` onto a solver built from the same problem
         resumes the run bit-exactly (tested).
         """
+        self.claim_unknown()
         payload: dict[str, Any] = {
             "__schema": np.array(CHECKPOINT_SCHEMA),
             "__time": np.array(self.time),
@@ -511,6 +594,7 @@ class SolverState:
             ) from exc
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read checkpoint {path}: {exc}") from exc
+        self.claim_unknown()
         with handle as data:
             if "__schema" in data:
                 schema = str(data["__schema"])

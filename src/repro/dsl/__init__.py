@@ -35,6 +35,7 @@ from repro.dsl.entities import (
     Variable,
     Coefficient,
     CallbackFunction,
+    Reduction,
     EntityTable,
     VAR_ARRAY,
     VAR_SCALAR,
@@ -86,6 +87,7 @@ __all__ = [
     "Variable",
     "Coefficient",
     "CallbackFunction",
+    "Reduction",
     "EntityTable",
     "VAR_ARRAY",
     "VAR_SCALAR",

@@ -13,7 +13,8 @@ from typing import Any
 
 import numpy as np
 
-from repro.dsl.entities import CELL, VAR_ARRAY, VAR_SCALAR, Index, Variable, Coefficient
+from repro.dsl.entities import (
+    CELL, VAR_ARRAY, VAR_SCALAR, Coefficient, Index, Reduction, Variable)
 from repro.dsl.problem import Problem
 from repro.fvm.boundary import BCKind
 from repro.mesh.gmsh_io import read_gmsh
@@ -218,10 +219,13 @@ def pre_step(fn: Callable, name: str | None = None) -> None:
     current_problem().add_pre_step(fn, name)
 
 
-def post_step(fn: Callable, name: str | None = None) -> None:
+def post_step(fn: Callable, name: str | None = None,
+              reduce: Reduction | None = None) -> None:
     """``postStepFunction(fn)`` — host callback after every step (the BTE
-    temperature update hangs here)."""
-    current_problem().add_post_step(fn, name)
+    temperature update hangs here).  ``reduce`` declares the one
+    :class:`Reduction` of the unknown the callback reads, see
+    :meth:`Problem.add_post_step`."""
+    current_problem().add_post_step(fn, name, reduce)
 
 
 # -------------------------------------------------------------------- actions

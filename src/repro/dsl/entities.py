@@ -149,6 +149,23 @@ class Coefficient:
         return tuple(i.name for i in self.indices)
 
 
+@dataclass(frozen=True)
+class Reduction:
+    """What a post-step callback reads of the unknown, as a pure array
+    function a device can run ("intentionally written for GPU processing").
+
+    ``fn(u, comps, out, work)`` fills and returns ``out``, shape
+    ``(rows, ncells)``, from the unknown ``u`` of shape ``(ncomp, ncells)``;
+    ``work`` is scratch of ``out``'s shape and ``comps`` the component rows a
+    band-partitioned rank owns (``None``: all).  ``name`` names the array in
+    the transfer plan.  Same bits wherever it runs.
+    """
+
+    name: str
+    fn: Callable[..., Any]
+    rows: int
+
+
 @dataclass
 class CallbackFunction:
     """A user Python function imported into the DSL.
@@ -157,12 +174,15 @@ class CallbackFunction:
     the CPU and plans data movement around them (the paper's central
     constraint).  ``fn`` signature depends on the role: boundary callbacks
     receive a :class:`repro.fvm.boundary.BoundaryContext`; step hooks receive
-    the solver state object.
+    the solver state object.  A post-step hook that declares a
+    :class:`Reduction` is called as ``fn(state, reduced)`` by the device
+    targets, which then move the reduced array instead of the unknown.
     """
 
     name: str
     fn: Callable[..., Any]
     doc: str = ""
+    reduce: Reduction | None = None
 
     def __post_init__(self) -> None:
         if not callable(self.fn):
@@ -236,6 +256,7 @@ __all__ = [
     "Variable",
     "Coefficient",
     "CallbackFunction",
+    "Reduction",
     "EntityTable",
     "VAR_ARRAY",
     "VAR_SCALAR",

@@ -22,6 +22,7 @@ from repro.dsl.entities import (
     Coefficient,
     EntityTable,
     Index,
+    Reduction,
     Variable,
 )
 from repro.fvm.boundary import BCKind
@@ -328,10 +329,15 @@ class Problem:
             CallbackFunction(name or fn.__name__, fn, doc=fn.__doc__ or "")
         )
 
-    def add_post_step(self, fn: Callable, name: str | None = None) -> None:
-        """``postStepFunction`` — e.g. the BTE temperature update."""
+    def add_post_step(self, fn: Callable, name: str | None = None,
+                      reduce: Reduction | None = None) -> None:
+        """``postStepFunction`` — e.g. the BTE temperature update.  With
+        ``reduce`` the callback declares that all it reads of the unknown is
+        that :class:`Reduction`; the device targets then compute it where
+        the unknown lives and call ``fn(state, reduced)``."""
         self.post_step_callbacks.append(
-            CallbackFunction(name or fn.__name__, fn, doc=fn.__doc__ or "")
+            CallbackFunction(name or fn.__name__, fn, doc=fn.__doc__ or "",
+                             reduce=reduce)
         )
 
     # ------------------------------------------------------------------ helpers

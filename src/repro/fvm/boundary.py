@@ -97,6 +97,11 @@ class BoundarySet:
     yields ``(boundary_slot_ids, flux_values)`` pairs applied after the bulk
     flux computation.  Symmetry regions may carry *per-region* reflection
     maps because the mirrored direction depends on the wall's orientation.
+
+    Both read ``u`` only at the owner cells of the boundary faces; a caller
+    that holds just those values — ``u[..., geom.bowner]``, shape
+    ``(ncomp, n_boundary_faces)``: all of the unknown a device-resident
+    step sends back — passes them as ``owner_values`` (and ``u=None``).
     """
 
     def __init__(self, geom: FVGeometry, ncomp: int):
@@ -124,8 +129,8 @@ class BoundarySet:
             raise ConfigError(f"boundary regions without conditions: {sorted(missing)}")
 
     def _context(
-        self, bc: BoundaryCondition, u: np.ndarray, time: float, dt: float,
-        extra: dict[str, Any] | None,
+        self, bc: BoundaryCondition, u: np.ndarray | None, time: float, dt: float,
+        extra: dict[str, Any] | None, owner_values: np.ndarray | None = None,
     ) -> BoundaryContext:
         g = self.geom
         faces = g.region_faces[bc.region]
@@ -136,7 +141,8 @@ class BoundarySet:
             centers=g.center[faces],
             areas=g.area[faces],
             owner_cells=g.owner[faces],
-            owner_values=u[..., g.owner[faces]],
+            owner_values=(u[..., g.owner[faces]] if owner_values is None
+                          else owner_values[..., g.region_slots[bc.region]]),
             time=time,
             dt=dt,
             extra=dict(extra or {}),
@@ -144,11 +150,12 @@ class BoundarySet:
 
     def ghost_values(
         self,
-        u: np.ndarray,
+        u: np.ndarray | None,
         time: float = 0.0,
         dt: float = 0.0,
         extra: dict[str, Any] | None = None,
         out: np.ndarray | None = None,
+        owner_values: np.ndarray | None = None,
     ) -> np.ndarray:
         """Ghost array of shape ``(ncomp, n_boundary_faces)``, filled into
         ``out`` when given (a copy of the boundary values either way, never
@@ -162,7 +169,10 @@ class BoundarySet:
         nb = g.boundary_face_count()
         ghost = np.empty((self.ncomp, nb), dtype=np.float64) if out is None else out
         # default: zero gradient everywhere (also covers FLUX regions)
-        np.take(u.reshape(self.ncomp, -1), g.bowner, axis=1, out=ghost, mode="clip")
+        if owner_values is None:
+            np.take(u.reshape(self.ncomp, -1), g.bowner, axis=1, out=ghost, mode="clip")
+        else:
+            ghost[...] = owner_values
         for region, bc in self.conditions.items():
             slots = g.region_slots[region]
             if bc.kind == BCKind.DIRICHLET:
@@ -181,7 +191,7 @@ class BoundarySet:
                 # the owner values are in place: read them at the mirrored rows
                 ghost[:, slots] = ghost[np.asarray(bc.reflection_map)[:, None], slots]
             elif bc.kind == BCKind.GHOST_CALLBACK:
-                ctx = self._context(bc, u, time, dt, extra)
+                ctx = self._context(bc, u, time, dt, extra, owner_values)
                 vals = np.asarray(bc.callback(ctx), dtype=np.float64)
                 if vals.shape != (self.ncomp, ctx.nfaces):
                     raise ConfigError(
@@ -193,10 +203,11 @@ class BoundarySet:
 
     def flux_overrides(
         self,
-        u: np.ndarray,
+        u: np.ndarray | None,
         time: float = 0.0,
         dt: float = 0.0,
         extra: dict[str, Any] | None = None,
+        owner_values: np.ndarray | None = None,
     ) -> list[tuple[np.ndarray, np.ndarray]]:
         """``(face_ids, flux_values)`` for every FLUX-callback region.
 
@@ -207,7 +218,7 @@ class BoundarySet:
         for region, bc in self.conditions.items():
             if bc.kind != BCKind.FLUX:
                 continue
-            ctx = self._context(bc, u, time, dt, extra)
+            ctx = self._context(bc, u, time, dt, extra, owner_values)
             vals = np.asarray(bc.callback(ctx), dtype=np.float64)
             if vals.shape != (self.ncomp, ctx.nfaces):
                 raise ConfigError(

@@ -66,6 +66,7 @@ class FVGeometry:
         self.neighbor_column = np.where(
             self.interior_mask, self.neighbor, ~self.bface_slot)
         self.bowner = self.owner[self.bfaces]  # owner cell of each ghost slot
+        self.bcells = np.unique(self.bowner)  # the cells with a boundary face, sorted
 
         # gradient distance across each face (two-point diffusive fluxes):
         # interior = |projection of the centroid offset on the normal|;

@@ -18,7 +18,8 @@ The hybrid executor uses that join to model the paper's Figure 6 overlap
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,6 +38,14 @@ from repro.util.logging import get_logger
 from repro.util.timing import VirtualClock
 
 logger = get_logger("gpu.device")
+
+
+def _finite_check(a: np.ndarray, flag: np.ndarray) -> None:
+    flag[0] = np.isfinite(a.sum())
+
+
+_FINITE_CHECK = Kernel("finite_check", _finite_check, flops_per_thread=1.0,
+                       bytes_per_thread=8.0, doc="sum reduction, one flag out")
 
 
 @dataclass
@@ -165,23 +174,10 @@ class Device:
     # ------------------------------------------------------------- memory
     def alloc(self, name: str, host_array: np.ndarray, host_time: float = 0.0) -> DeviceBuffer:
         """Allocate + copy ``host_array`` to the device (charged H2D)."""
-        if name in self.buffers:
-            raise CodegenError(f"device buffer {name!r} already allocated")
-        self._maybe_inject("alloc", what=name)
-        arr = np.array(host_array, dtype=np.float64, copy=True, order="C")
-        buf = DeviceBuffer(name, arr, on_device=True)
-        self.buffers[name] = buf
-        self.allocated_bytes += buf.nbytes
-        limit = self.spec.memory_gb * 1e9
-        if self.allocated_bytes > limit:
-            raise DeviceOOMError(
-                f"device {self.name}: out of memory "
-                f"({self.allocated_bytes / 1e9:.2f} GB > {self.spec.memory_gb} GB)"
-            )
+        buf = self.alloc_empty(name, np.shape(host_array))
+        buf.array[...] = host_array
         logger.debug("%s: alloc %r (%.3f MB, %.3f MB total)",
                      self.name, name, buf.nbytes / 1e6, self.allocated_bytes / 1e6)
-        if self.metrics.enabled:
-            self._m_allocated.set(self.allocated_bytes, device=self.name)
         self._charge_transfer(buf.nbytes, host_time, "h2d", name)
         return buf
 
@@ -190,11 +186,9 @@ class Device:
         if name in self.buffers:
             raise CodegenError(f"device buffer {name!r} already allocated")
         self._maybe_inject("alloc", what=name)
+        self._reserve(8 * math.prod(shape))
         buf = DeviceBuffer(name, np.zeros(shape, dtype=np.float64), on_device=True)
         self.buffers[name] = buf
-        self.allocated_bytes += buf.nbytes
-        if self.metrics.enabled:
-            self._m_allocated.set(self.allocated_bytes, device=self.name)
         return buf
 
     def workspace(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
@@ -204,17 +198,28 @@ class Device:
         buf = self.buffers.get(f"workspace:{name}")
         if buf is None or buf.array.shape != shape:
             self.free(f"workspace:{name}")
+            self._reserve(8 * math.prod(shape))
             buf = DeviceBuffer(f"workspace:{name}", np.empty(shape), on_device=True)
             self.buffers[buf.name] = buf
-            self.allocated_bytes += buf.nbytes
         return buf.array
 
     def free(self, name: str) -> None:
         buf = self.buffers.pop(name, None)
         if buf is not None:
-            self.allocated_bytes -= buf.nbytes
-            if self.metrics.enabled:
-                self._m_allocated.set(self.allocated_bytes, device=self.name)
+            self._reserve(-buf.nbytes)
+
+    def _reserve(self, nbytes: int) -> None:
+        """Account ``nbytes`` more (``free``: fewer) of device memory, for
+        every kind of allocation; over ``spec.memory_gb`` nothing is taken."""
+        total = self.allocated_bytes + nbytes
+        if total > self.spec.memory_gb * 1e9:
+            raise DeviceOOMError(
+                f"device {self.name}: out of memory "
+                f"({total / 1e9:.2f} GB > {self.spec.memory_gb} GB)"
+            )
+        self.allocated_bytes = total
+        if self.metrics.enabled:
+            self._m_allocated.set(total, device=self.name)
 
     def h2d(self, name: str, host_array: np.ndarray, host_time: float = 0.0) -> float:
         """Copy host data into an existing buffer; returns transfer end time."""
@@ -229,12 +234,33 @@ class Device:
         return self._charge_transfer(buf.nbytes, host_time, "h2d", name)
 
     def mark_host_dirty(self, name: str) -> None:
-        """Record that the host copy was modified: the device copy is stale.
+        """Record that the host copy was (or may have been) modified: the
+        device copy is stale until the next ``h2d``.
 
-        A degraded (CPU re-executed) task calls this so a later ``d2h``
-        cannot silently read the superseded device data.
+        This flag is the ownership protocol of a device-resident array:
+        whoever takes it back to the host — a host access through the
+        solver state, a degraded (CPU re-executed) step — calls this, so a
+        later ``d2h`` cannot silently read the superseded device data and
+        the next step knows to upload.
         """
         self._get(name).on_device = False
+
+    def swap(self, a: str, b: str) -> None:
+        """Exchange the storage of two buffers (a double buffer's flip)."""
+        x, y = self._get(a), self._get(b)
+        x.array, y.array = y.array, x.array
+
+    def all_finite(self, name: str, host_time: float = 0.0) -> tuple[bool, float]:
+        """Finite check where the buffer lives: one launch and one 8-byte
+        flag back; returns ``(flag, end_time)``.  The flag is the sum's
+        finiteness — false for any NaN/Inf, and at worst false for an
+        overflowing sum of finite values, so a false flag means "look"."""
+        array = self._get(name).array
+        self.launch(_FINITE_CHECK, array.size, array,
+                    self.workspace("finite_flag", (1,)), host_time=host_time)
+        flag, end = self.d2h("workspace:finite_flag",
+                             host_time=self.synchronize(host_time))
+        return bool(flag[0]), end
 
     def d2h(self, name: str, out: np.ndarray | None = None, host_time: float = 0.0
             ) -> tuple[np.ndarray, float]:

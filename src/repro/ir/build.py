@@ -38,8 +38,12 @@ if TYPE_CHECKING:
     from repro.dsl.problem import Problem
 
 
-def build_ir(problem: "Problem", form: ClassifiedForm, flavor: str = "cpu") -> IRProgram:
-    """Assemble the IR for one of the three generation flavours."""
+def build_ir(problem: "Problem", form: ClassifiedForm, flavor: str = "cpu",
+             transfers=None) -> IRProgram:
+    """Assemble the IR for one of the three generation flavours.  The gpu
+    flavour prints the per-step copies of ``transfers`` (the placement's
+    :class:`~repro.codegen.placement.TransferPlan`); without one, those of
+    the paper's plan: the unknown down and back, the post-step's updates."""
     if flavor not in ("cpu", "distributed", "gpu"):
         raise CodegenError(f"unknown IR flavour {flavor!r}")
     unknown = form.unknown
@@ -117,7 +121,9 @@ def build_ir(problem: "Problem", form: ClassifiedForm, flavor: str = "cpu") -> I
         step.body.append(ComputeGhosts(variable=unknown.name, has_callbacks=bc_has_callbacks))
         step.body.append(ApplyFluxBC(variable=unknown.name, regions=flux_regions))
         step.body.append(DeviceSync())
-        step.body.append(DeviceTransfer(direction="d2h", arrays=[unknown.name]))
+        step.body.append(DeviceTransfer(
+            direction="d2h", arrays=[unknown.name] if transfers is None
+            else list(transfers.d2h_each_step)))
         step.body.append(Comment("combine interior + boundary contributions"))
 
     for cb in problem.post_step_callbacks:
@@ -126,7 +132,10 @@ def build_ir(problem: "Problem", form: ClassifiedForm, flavor: str = "cpu") -> I
     if flavor == "gpu":
         # values the post-step mutated must return to the device
         mutated = [v for v in problem.entities.variables if v != unknown.name]
-        if problem.post_step_callbacks and mutated:
+        if transfers is not None:
+            step.body.append(DeviceTransfer(
+                direction="h2d", arrays=list(transfers.h2d_each_step)))
+        elif problem.post_step_callbacks and mutated:
             step.body.append(
                 DeviceTransfer(direction="h2d", arrays=sorted(mutated),
                                meta={"reason": "post-step updates"})

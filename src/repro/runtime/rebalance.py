@@ -413,6 +413,7 @@ class ElasticRunner:
             st.checkpoint_dir = str(self.workdir)
         res = self.resume
         if res is not None:
+            st.claim_unknown()  # field writes are a host access
             for name, arr in res["fields"].items():
                 st.fields[name].data[...] = arr
             if res.get("T") is not None:

@@ -240,6 +240,12 @@ def problem_signature(problem: "Problem", target_name: str) -> dict[str, Any]:
         "extra": {k: _hash_value(problem.extra[k])
                   for k in _EXTRA_KEYS if k in problem.extra},
     }
+    # callbacks stay out of the key, but a declared reduction is an array of
+    # the device targets' transfer plan (and of no other target's source)
+    reductions = [[cb.reduce.name, cb.reduce.rows]
+                  for cb in problem.post_step_callbacks if cb.reduce]
+    if reductions and target_name in ("gpu", "gpu_distributed"):
+        sig["reductions"] = reductions
     return sig
 
 

@@ -4,14 +4,18 @@ The task graph declares the only ordering the generated schedules honour:
 data edges.  Two tasks with no edge-path between them (in either direction)
 are genuinely unordered — the hybrid step may overlap them — so any shared
 buffer with a writer among them is a race.  Arrays the generated code
-double-buffers (the unknown: the kernel writes ``u_new`` while CPU tasks
-read ``u``) are declared as such on :class:`ArrayUse` and exempted.
+double-buffers (the unknown: the kernel writes ``u_new`` while the CPU
+boundary callbacks read the pre-step owner values ``u_bdry``) are declared
+as such on :class:`ArrayUse` and exempted.
 
 Transfer-plan completeness is checked by *recomputing* the expected
 classification from the placement + array uses and diffing it against the
 plan the solver actually carries: a device read whose per-step h2d is
 missing is a stale-device-buffer bug (RPR201), a host read without its d2h
-is the mirror image (RPR202).
+is the mirror image (RPR202).  That covers whatever the plan holds: the
+unknown both ways under the paper's plan, the boundary exchange
+(``du_bdry`` down, ``u_bdry`` up) and the declared reductions when
+``finish_step`` runs on the device.
 """
 
 from __future__ import annotations

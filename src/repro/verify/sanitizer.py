@@ -153,13 +153,34 @@ class Sanitizer:
             else None
         where = {} if rank is None else {"rank": rank}
         unknown = getattr(state, "unknown", None) or state.problem.unknown
-        u = state.u
-        self.check_array(unknown.name, u, step=state.step_index,
-                         time=state.time, **where)
         with self._lock:
             watch = self._watch.get(state)
             if watch is None:
                 watch = self._watch[state] = _StateWatch()
+
+        # residency first: reading ``state.u`` below is itself a host access
+        # that takes a device-resident unknown back
+        device = getattr(state, "device", None)
+        if device is not None:
+            self._count()
+            stale = [name for name, buf in device.buffers.items()
+                     if not getattr(buf, "on_device", True)]
+            if stale and "stale" not in watch.warned:
+                # stale buffers at step end are legal only for the degraded
+                # (fault-fallback) path and a plan that finishes the step on
+                # the host, which upload before any read; surface the fact
+                # as information, not an error
+                watch.warned.add("stale")
+                self.record(Diagnostic(
+                    code="RPR305", severity="info", layer="runtime",
+                    message=f"device buffer(s) {stale} host-dirty at step "
+                            f"{state.step_index} end (degraded path or "
+                            "pending h2d)",
+                    where={"step": state.step_index, **where}))
+
+        u = state.u
+        self.check_array(unknown.name, u, step=state.step_index,
+                         time=state.time, **where)
 
         self._count()
         if watch.prev_u is not None and watch.prev_u.shape == u.shape:
@@ -194,23 +215,6 @@ class Sanitizer:
                         f"drifted {drift * 100:.1f}% from its initial value "
                         f"by step {state.step_index}",
                         step=state.step_index, time=state.time, **where))
-
-        device = getattr(state, "device", None)
-        if device is not None:
-            self._count()
-            stale = [name for name, buf in device.buffers.items()
-                     if not getattr(buf, "on_device", True)]
-            if stale and "stale" not in watch.warned:
-                # stale buffers at step end are legal only for the degraded
-                # (fault-fallback) path, which rewrites them before any read;
-                # surface the fact as information, not an error
-                watch.warned.add("stale")
-                self.record(Diagnostic(
-                    code="RPR305", severity="info", layer="runtime",
-                    message=f"device buffer(s) {stale} host-dirty at step "
-                            f"{state.step_index} end (degraded path or "
-                            "pending h2d)",
-                    where={"step": state.step_index, **where}))
 
     def check_kernel_output(self, kernel: str, arr: np.ndarray,
                             state=None) -> None:

@@ -109,9 +109,11 @@ class TestKernelChunking:
 
     def test_transfer_plan_classification(self, gpu_scenario):
         """'Finch will automatically determine what variables need to be
-        updated and communicated during each step.'"""
+        updated and communicated during each step.'  The paper's plan, on
+        record under the override: ``finish_step`` on the CPU."""
         p, _ = build_bte_problem(gpu_scenario)
         p.enable_gpu()
+        p.extra["placement_override"] = {"finish_step": "cpu"}
         solver = p.generate()
         plan = solver.transfer_plan
         assert "geometry" in plan.static_h2d  # sent once
@@ -119,6 +121,47 @@ class TestKernelChunking:
         assert "var_beta" in plan.h2d_each_step
         assert "u" in plan.d2h_each_step
         assert "u" in plan.h2d_each_step  # the paper sends u both ways
+        assert set(plan.host_only) == {"du_bdry", "u_bdry", "band_energy"}
+        # ... and its virtual timeline is the one the round trip always had
+        # (the parent commit's reading after five steps, to the last bit)
+        solver.run(5)
+        assert solver.state.host_clock.now() == 0.05418733333333332
+        moved = solver.device.profiler.transfer_summary()
+        u_bytes = solver.state.host_u.nbytes
+        assert moved["d2h"]["bytes"] == 5 * u_bytes
+        assert moved["h2d"]["bytes"] == 5 * plan.bytes_h2d_per_step + sum(
+            solver.device.buffers[n].nbytes for n in ("u", "var_Io", "var_beta"))
+
+    def test_transfer_plan_keeps_the_unknown_resident(self):
+        """The default plan at a size where the unknown outweighs three small
+        transfers: ``finish_step`` lands on the device unforced, the unknown
+        never crosses, the five small arrays do."""
+        p, _ = build_bte_problem(hotspot_scenario(
+            nx=24, ny=24, ndirs=12, n_freq_bands=10, dt=1e-12, nsteps=4))
+        p.enable_gpu()
+        solver = p.generate()
+        task = solver.placement.graph.tasks["finish_step"]
+        assert solver.placement.device["finish_step"] == "gpu" and task.pinned is None
+        plan = solver.transfer_plan
+        assert plan.static_h2d == ["geometry"]
+        assert plan.device_only == ["u"]
+        assert sorted(plan.h2d_each_step) == ["du_bdry", "var_Io", "var_beta"]
+        assert sorted(plan.d2h_each_step) == ["band_energy", "u_bdry"]
+        assert not plan.host_only
+        small = {a.name: a.nbytes for a in solver.array_uses}
+        assert plan.bytes_d2h_per_step == small["band_energy"] + small["u_bdry"]
+        assert solver.placement.bytes_moved_per_step == (
+            plan.bytes_h2d_per_step + plan.bytes_d2h_per_step)
+        # the executed step moves what the plan says, plus the health flag
+        solver.run(1)
+        before = solver.device.profiler.transfer_summary()
+        solver.run(3)
+        after = solver.device.profiler.transfer_summary()
+        assert after["h2d"]["bytes"] - before["h2d"]["bytes"] == 3 * plan.bytes_h2d_per_step
+        assert after["d2h"]["bytes"] - before["d2h"]["bytes"] == 3 * plan.bytes_d2h_per_step + 8
+        for line in ("every step H2D:     du_bdry, var_", "every step D2H:     u_bdry, band_energy",
+                     "device only:        u", "h2d(du_bdry, var_", "d2h(u_bdry, band_energy)"):
+            assert line in solver.source, line
 
     def test_placement_report_in_source(self, gpu_scenario):
         p, _ = build_bte_problem(gpu_scenario)
@@ -176,6 +219,47 @@ class TestTimeline:
         assert rep.n_launches == gpu_scenario.nsteps
         assert rep.total_flops > 0
         assert 0 < rep.flop_fraction_of_peak <= 1
+
+
+class TestResidentTimeline:
+    """The same timeline properties with ``finish_step`` on the device (at
+    this size the optimiser keeps it on the host, so it is pinned)."""
+
+    @pytest.fixture
+    def solver(self, gpu_scenario):
+        p, _ = build_bte_problem(gpu_scenario)
+        p.enable_gpu()
+        p.extra["placement_override"] = {"finish_step": "gpu"}
+        return p.solve()
+
+    def test_three_kernels_per_run(self, solver, gpu_scenario):
+        names = [r.kernel for r in solver.device.default_stream.records]
+        n = gpu_scenario.nsteps
+        assert names == ["I_interior_step", "finish_step"] * n + ["finite_check"]
+        assert solver.device.profiler.report("I_interior_step").n_launches == n
+
+    def test_phases_add_up_to_the_host_clock(self, solver):
+        phases = solver.state.gpu_phases
+        assert all(v > 0 for v in phases.values())
+        assert sum(phases.values()) == pytest.approx(solver.state.host_clock.now(), rel=1e-12)
+
+    def test_boundary_still_overlaps_the_interior_kernel(self, solver, gpu_scenario):
+        records = solver.device.default_stream.records
+        interior = sum(r.duration for r in records if r.kernel == "I_interior_step")
+        finish = sum(r.duration for r in records if r.kernel == "finish_step")
+        boundary = solver.namespace["COST_BOUNDARY"] * gpu_scenario.nsteps
+        phase = solver.state.gpu_phases["solve for intensity"]
+        assert phase < interior + finish + boundary
+        assert phase >= (max(interior, boundary) + finish) * 0.99
+
+    def test_the_unknown_is_fetched_once_for_the_caller(self, solver):
+        moved = [t.nbytes for t in solver.device.profiler.transfers if t.kind == "d2h"]
+        u_bytes = solver.state.host_u.nbytes
+        assert u_bytes not in moved          # a whole run, and it never came back
+        solver.solution()
+        solver.solution()
+        moved = [t.nbytes for t in solver.device.profiler.transfers if t.kind == "d2h"]
+        assert moved.count(u_bytes) == 1     # the handoff; then the host owns it
 
 
 class TestGeneratedKernelSource:

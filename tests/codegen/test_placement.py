@@ -163,3 +163,66 @@ class TestTransferPlanning:
         assert "placement plan" in plan.report()
         tp = plan_transfers(plan, [ArrayUse("u", 8.0, readers=("kernel",), writers=("post",))])
         assert "every step H2D" in tp.report()
+
+
+class TestFinishStepPlacement:
+    """The movable task between the kernel and the callback: the optimiser
+    places it, nothing forces it."""
+
+    def artifact(self, nx, ndirs, bands, **extra):
+        from repro.bte.problem import build_bte_problem, hotspot_scenario
+        from repro.codegen import make_target
+
+        problem, _ = build_bte_problem(hotspot_scenario(
+            nx=nx, ny=nx, ndirs=ndirs, n_freq_bands=bands, dt=1e-12, nsteps=2))
+        problem.enable_gpu()
+        problem.extra.update(extra)
+        return make_target("gpu").build_artifact(problem)
+
+    def test_lands_on_the_gpu_unforced_at_the_paper_benchmark_size(self):
+        """nx=48, 1100 components: 20.3 MB of unknown against 4.4 MB of
+        boundary exchange and band energies."""
+        art = self.artifact(48, 20, 40)
+        placement, plan = art.attrs["placement"], art.attrs["transfer_plan"]
+        tasks = placement.graph.tasks
+        assert placement.device["finish_step"] == "gpu" and tasks["finish_step"].pinned is None
+        assert placement.device["interior_update"] == "gpu"
+        assert tasks["interior_update"].pinned is None  # nor was the interior
+        u_bytes = 8 * 1100 * 48 * 48
+        edges = {(e.src, e.dst, e.label): e.nbytes for e in placement.graph.edges}
+        assert edges[("interior_update", "finish_step", "I")] == u_bytes
+        assert edges[("finish_step", "post_step_callbacks", "band_energy")] == 8 * 55 * 48 * 48
+        assert edges[("finish_step", "boundary_callbacks", "u_bdry")] == 8 * 1100 * 192
+        assert edges[("boundary_callbacks", "finish_step", "du_bdry")] == 8 * 1100 * 188
+        # what crosses: 22.303 + 20.275 MB under the paper's plan
+        assert placement.bytes_moved_per_step <= 6.5e6
+        assert (plan.bytes_h2d_per_step, plan.bytes_d2h_per_step) == (3_681_920, 2_703_360)
+        assert max(plan.bytes_h2d_per_step, plan.bytes_d2h_per_step) < u_bytes / 4
+        report = [ln.strip() for ln in art.source.splitlines() if "finish_step " in ln]
+        assert report[0] == "#     finish_step              -> GPU"
+        assert "#   transfer plan:" in art.source and "device only:        u" in art.source
+
+    def test_the_override_reproduces_the_papers_plan(self):
+        art = self.artifact(48, 20, 40, placement_override={"finish_step": "cpu"})
+        placement, plan = art.attrs["placement"], art.attrs["transfer_plan"]
+        assert placement.device["finish_step"] == "cpu"
+        assert (plan.bytes_h2d_per_step, plan.bytes_d2h_per_step) == (22_302_720, 20_275_200)
+        assert placement.bytes_moved_per_step == 22_302_720 + 20_275_200
+        assert "finish_step              -> CPU   [pinned cpu]" in art.source
+
+    def test_stays_on_the_cpu_with_the_interior_of_a_tiny_problem(self):
+        art = self.artifact(4, 4, 2)
+        placement = art.attrs["placement"]
+        assert art.flavor == "cpu_fallback"
+        assert placement.device["interior_update"] == placement.device["finish_step"] == "cpu"
+        assert placement.bytes_moved_per_step == 0
+        assert "finish_step              -> CPU\n" in art.source
+
+    def test_below_break_even_a_forced_offload_keeps_the_round_trip(self):
+        """Three transfer latencies and a launch against twice a 10 KB
+        unknown: the optimiser's verdict, not a rule."""
+        art = self.artifact(8, 4, 4, gpu_force_offload=True)
+        placement = art.attrs["placement"]
+        assert placement.device["interior_update"] == "gpu"
+        assert placement.device["finish_step"] == "cpu"
+        assert placement.graph.tasks["finish_step"].pinned is None

@@ -10,7 +10,7 @@ from repro.fvm.boundary import (
     BoundaryContext,
 )
 from repro.fvm.geometry import FVGeometry
-from repro.mesh.grid import structured_grid
+from repro.mesh.grid import structured_grid, triangulated_grid
 from repro.util.errors import ConfigError
 
 
@@ -187,3 +187,57 @@ class TestFluxOverrides:
             {1: BoundaryCondition(region=1, kind=BCKind.FLUX, callback=lambda c: np.zeros((1, c.nfaces)))},
         )
         assert bset.has_callbacks()
+
+
+class TestOwnerValues:
+    """All ``ghost_values``/``flux_overrides`` read of ``u`` is its value at
+    the boundary faces' owner cells; handed those values alone — what a
+    device-resident step sends back — they compute the same bits."""
+
+    MESHES = {
+        "structured": lambda: structured_grid((5, 4)),
+        "triangles": lambda: triangulated_grid((4, 3)),
+    }
+    NCOMP = 4
+
+    def bset(self, geom, shift):
+        """One condition of every kind but one on the four regions; ``shift``
+        rotates which kind sits where (and which is left out)."""
+        ncomp = self.NCOMP
+        kinds = [
+            lambda r: BoundaryCondition(r, BCKind.DIRICHLET, value=np.arange(ncomp) - 1.5),
+            lambda r: BoundaryCondition(r, BCKind.NEUMANN0),
+            lambda r: BoundaryCondition(r, BCKind.SYMMETRY,
+                                        reflection_map=np.arange(ncomp)[::-1]),
+            lambda r: BoundaryCondition(
+                r, BCKind.GHOST_CALLBACK,
+                callback=lambda ctx: 2.0 * ctx.owner_values + ctx.time + ctx.owner_cells),
+            lambda r: BoundaryCondition(
+                r, BCKind.FLUX,
+                callback=lambda ctx: -ctx.owner_values * ctx.normals[:, 0] + ctx.dt),
+        ]
+        bset = BoundarySet(geom, ncomp)
+        for i, region in enumerate(sorted(geom.region_faces)):
+            bset.add(kinds[(i + shift) % len(kinds)](region))
+        return bset
+
+    @pytest.mark.parametrize("mesh", sorted(MESHES))
+    @pytest.mark.parametrize("shift", range(5))
+    def test_on_owner_values_equals_on_the_full_array(self, mesh, shift):
+        geom = FVGeometry(self.MESHES[mesh]())
+        bset = self.bset(geom, shift)
+        u = np.random.default_rng(shift).standard_normal((self.NCOMP, geom.ncells))
+        u[1, geom.bowner[::3]] = -0.0
+        owners = u[:, geom.bowner]
+        full = bset.ghost_values(u, 0.3, 0.1)
+        out = np.full_like(owners, np.nan)
+        compact = bset.ghost_values(None, 0.3, 0.1, out=out, owner_values=owners)
+        assert compact is out and not np.shares_memory(compact, owners)
+        assert compact.tobytes() == full.tobytes()
+        a = bset.flux_overrides(u, 0.3, 0.1)
+        b = bset.flux_overrides(None, 0.3, 0.1, owner_values=owners)
+        assert len(a) == len(b) == sum(
+            bc.kind == BCKind.FLUX for bc in bset.conditions.values())
+        for (faces_a, values_a), (faces_b, values_b) in zip(a, b):
+            assert np.array_equal(faces_a, faces_b)
+            assert values_a.tobytes() == values_b.tobytes()

@@ -86,6 +86,28 @@ def test_column_sliced_operators_equal_their_csr_product_bitwise(mesh, part):
     assert kinds <= {True, "b", "i"}
 
 
+@pytest.mark.parametrize("mesh", sorted(MESHES))
+def test_boundary_cell_rows_of_the_operator_equal_its_dense_columns_bitwise(mesh):
+    """The device targets' compact ``DIV_BDRY`` — the boundary operator's
+    rows of the cells that have a boundary face — against the full-row
+    operator it replaced: the same columns bit for bit (a corner cell's two
+    or three faces accumulate in the same order), and nothing anywhere else."""
+    geom = FVGeometry(MESHES[mesh]())
+    assert np.array_equal(geom.bcells, np.unique(geom.owner[geom.bfaces]))
+    assert np.bincount(geom.bowner).max() >= 2 or mesh == "line"  # corner cells
+    x = hostile((5, len(geom.bfaces)), seed=3)
+    with np.errstate(invalid="ignore"):
+        dense = kernels.slot_divergence(
+            kernels.csr_slots(geom.divergence[:, geom.bfaces]), x,
+            np.full((5, geom.ncells), np.nan))
+        out, work = np.full((2, 5, len(geom.bcells)), np.nan)
+        compact = kernels.slot_divergence(
+            kernels.csr_slots(geom.divergence[geom.bcells][:, geom.bfaces]), x, out, work)
+    assert compact.tobytes() == dense[:, geom.bcells].tobytes()
+    rest = np.setdiff1d(np.arange(geom.ncells), geom.bcells)
+    assert not dense[:, rest].any() and not np.signbit(dense[:, rest]).any()
+
+
 def test_first_slot_reproduces_the_csr_start_from_positive_zero():
     """CSR accumulates from ``+0.0``: a lone ``-0.0`` product stays ``+0.0``."""
     geom = FVGeometry(structured_grid((3, 3)))

@@ -29,6 +29,30 @@ class TestTypedOOM:
         with pytest.raises(DeviceOOMError, match="out of memory"):
             dev.alloc("big", np.zeros(int(5e9 // 8)))
 
+    def test_every_kind_of_allocation_enforces_the_limit(self):
+        """``alloc_empty`` and ``workspace`` draw on the same 4 GB as
+        ``alloc``; a refused request takes nothing and registers nothing."""
+        big = (int(3e9 // 8),)
+        dev = Device(LAPTOP_GPU)
+        dev.alloc_empty("a", big)
+        for attempt in (lambda: dev.alloc_empty("b", big),
+                        lambda: dev.workspace("w", big),
+                        lambda: dev.alloc("c", np.broadcast_to(0.0, big))):
+            with pytest.raises(DeviceOOMError, match="out of memory"):
+                attempt()
+        assert dev.allocated_bytes == 8 * big[0] and set(dev.buffers) == {"a"}
+
+    def test_free_is_the_inverse_and_a_resized_workspace_is_counted_once(self):
+        dev = Device(LAPTOP_GPU)
+        dev.workspace("w", (1000,))
+        dev.workspace("w", (int(3e9 // 8),))  # replaces the small one
+        assert dev.allocated_bytes == 8 * int(3e9 // 8)
+        with pytest.raises(DeviceOOMError):
+            dev.alloc_empty("x", (int(2e9 // 8),))
+        dev.free("workspace:w")
+        assert dev.allocated_bytes == 0
+        dev.alloc_empty("x", (int(2e9 // 8),))  # now it fits
+
     def test_typed_oom_is_still_a_codegen_error(self):
         # callers that catch the historical CodegenError keep working
         assert issubclass(DeviceOOMError, CodegenError)
@@ -56,6 +80,30 @@ class TestResidencyGuard:
         dev = Device(A6000)
         with pytest.raises(CodegenError):
             dev.mark_host_dirty("ghost")
+
+
+class TestOnDeviceHelpers:
+    def test_swap_exchanges_storage_not_residency(self):
+        dev = Device(A6000)
+        dev.alloc("a", np.zeros(3))
+        dev.alloc("b", np.ones(3))
+        dev.mark_host_dirty("a")
+        dev.swap("a", "b")
+        assert dev.buffers["a"].array[0] == 1.0 and dev.buffers["b"].array[0] == 0.0
+        assert not dev.buffers["a"].on_device and dev.buffers["b"].on_device
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_all_finite_is_one_launch_and_one_flag(self, bad):
+        dev = Device(A6000)
+        dev.alloc("x", np.arange(12.0).reshape(3, 4))
+        moved = len(dev.profiler.transfers)
+        finite, end = dev.all_finite("x", host_time=1.0)
+        assert finite and end > 1.0
+        assert len(dev.profiler.launches) == 1
+        (flag,) = dev.profiler.transfers[moved:]
+        assert (flag.kind, flag.nbytes) == ("d2h", 8)
+        dev.buffers["x"].array[1, 2] = bad
+        assert not dev.all_finite("x")[0]
 
 
 class TestInjectedDeviceFaults:

@@ -24,6 +24,20 @@ def gpu_solver():
     return p.generate()
 
 
+def resident_solver(ranks=0):
+    """The same solver with ``finish_step`` on the device: the unknown stays
+    there, the boundary exchange and the band energies cross."""
+    sc = hotspot_scenario(nx=4, ny=4, ndirs=4, n_freq_bands=2,
+                          dt=1e-12, nsteps=2)
+    p, _ = build_bte_problem(sc)
+    p.enable_gpu()
+    p.extra["gpu_force_offload"] = True
+    p.extra["placement_override"] = {"finish_step": "gpu"}
+    if ranks:
+        p.set_partitioning("bands", ranks, index="b")
+    return p.generate()
+
+
 def make_plan(device, graph, **kw):
     return PlacementPlan(device=device, objective_seconds=0.0,
                          cut_edges=[], bytes_moved_per_step=0.0,
@@ -54,6 +68,31 @@ class TestRealSolver:
         solver.transfer_plan.d2h_each_step.remove("u")
         report = verify_solver_placement(solver)
         assert "RPR202" in report.codes()
+
+    @pytest.mark.parametrize("ranks", [0, 2])
+    def test_resident_plan_verifies_clean(self, ranks):
+        solver = resident_solver(ranks)
+        assert solver.transfer_plan.device_only == ["u"]
+        report = verify_solver(solver)
+        assert not report.diagnostics, [d.render() for d in report.diagnostics]
+
+    @pytest.mark.parametrize("array, direction, code", [
+        ("du_bdry", "h2d", "RPR201"), ("var_Io", "h2d", "RPR201"),
+        ("var_beta", "h2d", "RPR201"), ("u_bdry", "d2h", "RPR202"),
+        ("band_energy", "d2h", "RPR202"),
+    ])
+    def test_deleting_any_one_transfer_of_the_resident_plan_is_caught(
+            self, array, direction, code):
+        import copy
+
+        solver = resident_solver()
+        # the plan object is the cached artifact's: mutate a copy
+        solver.transfer_plan = copy.deepcopy(solver.transfer_plan)
+        getattr(solver.transfer_plan, f"{direction}_each_step").remove(array)
+        report = verify_solver_placement(solver)
+        assert report.codes() == [code]
+        (diag,) = report.diagnostics
+        assert diag.where["array"] == array
 
     def test_undescribed_array_in_plan_trips_rpr207(self):
         solver = gpu_solver()
