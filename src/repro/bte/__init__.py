@@ -21,72 +21,42 @@ Everything the paper's demonstration needs, built from scratch:
   standing in for the authors' Fortran comparator (Fig. 9).
 """
 
-from repro.bte.dispersion import Branch, BandSet, silicon_bands, LA_BRANCH, TA_BRANCH
-from repro.bte.angular import (
-    DirectionSet,
-    uniform_directions_2d,
-    product_directions_3d,
-    reflection_map,
-)
-from repro.bte.scattering import relaxation_times
-from repro.bte.equilibrium import (
-    bose_einstein,
-    pseudo_temperature,
-    band_energy_density,
-    equilibrium_intensity,
-    energy_to_temperature,
-    total_energy_density,
-)
-from repro.bte.model import BTEModel
-from repro.bte.problem import (
-    BTEScenario,
-    BTEScenario3D,
-    hotspot_scenario,
-    corner_source_scenario,
-    coarse_3d_scenario,
-    build_bte_problem,
-    build_bte_problem_3d,
-)
-from repro.bte.reference import ReferenceBTESolver
-from repro.bte.conductivity import (
-    ConductivityResult,
-    bulk_conductivity,
-    mean_free_path,
-    majumdar_eprt,
-    effective_conductivity,
-    size_effect_curve,
-)
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "Branch",
-    "BandSet",
-    "silicon_bands",
-    "LA_BRANCH",
-    "TA_BRANCH",
-    "DirectionSet",
-    "uniform_directions_2d",
-    "product_directions_3d",
-    "reflection_map",
-    "relaxation_times",
-    "bose_einstein",
-    "band_energy_density",
-    "equilibrium_intensity",
-    "energy_to_temperature",
-    "pseudo_temperature",
-    "total_energy_density",
-    "BTEModel",
-    "BTEScenario",
-    "BTEScenario3D",
-    "hotspot_scenario",
-    "corner_source_scenario",
-    "coarse_3d_scenario",
-    "build_bte_problem",
-    "build_bte_problem_3d",
-    "ReferenceBTESolver",
-    "ConductivityResult",
-    "bulk_conductivity",
-    "mean_free_path",
-    "majumdar_eprt",
-    "effective_conductivity",
-    "size_effect_curve",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "dispersion": ("Branch", "BandSet", "silicon_bands", "LA_BRANCH", "TA_BRANCH"),
+    "angular": (
+        "DirectionSet",
+        "uniform_directions_2d",
+        "product_directions_3d",
+        "reflection_map",
+    ),
+    "scattering": ("relaxation_times",),
+    "equilibrium": (
+        "bose_einstein",
+        "pseudo_temperature",
+        "band_energy_density",
+        "equilibrium_intensity",
+        "energy_to_temperature",
+        "total_energy_density",
+    ),
+    "model": ("BTEModel",),
+    "problem": (
+        "BTEScenario",
+        "BTEScenario3D",
+        "hotspot_scenario",
+        "corner_source_scenario",
+        "coarse_3d_scenario",
+        "build_bte_problem",
+        "build_bte_problem_3d",
+    ),
+    "reference": ("ReferenceBTESolver",),
+    "conductivity": (
+        "ConductivityResult",
+        "bulk_conductivity",
+        "mean_free_path",
+        "majumdar_eprt",
+        "effective_conductivity",
+        "size_effect_curve",
+    ),
+})

@@ -95,7 +95,7 @@ class BTEModel:
         slabs = [(w, d * nb) for d, w in enumerate(self.dirs.weights)]
         if comps is not None:
             comps = np.asarray(comps)
-            ndirs = max(1, len(np.unique(self.comp_dir[comps])))
+            ndirs = max(1, np.count_nonzero(np.bincount(self.comp_dir[comps])))
             rows = comps.reshape(ndirs, -1) if len(comps) and len(comps) % ndirs == 0 else None
             if rows is not None:
                 first, count = self.comp_band[rows[0, 0]], rows.shape[1]

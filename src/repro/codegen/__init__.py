@@ -17,11 +17,17 @@ it with :func:`compile`/``exec`` and drive it through a shared
 :class:`~repro.codegen.state.SolverState`.
 """
 
-from repro.codegen.target_base import CodegenTarget, GeneratedSolver
-from repro.codegen.state import SolverState
-from repro.codegen.emit import ExprEmitter, EmittedExpr
-from repro.codegen.probes import TransientRecorder, LineProbe, wall_heat_flux
+from __future__ import annotations
+
 from repro.util.errors import CodegenError
+from repro.util.lazy import lazy_exports
+
+__getattr__, __dir__, _lazy = lazy_exports(__name__, {
+    "target_base": ("CodegenTarget", "GeneratedSolver"),
+    "state": ("SolverState",),
+    "emit": ("ExprEmitter", "EmittedExpr"),
+    "probes": ("TransientRecorder", "LineProbe", "wall_heat_flux"),
+})
 
 
 def make_target(name: str) -> CodegenTarget:
@@ -56,14 +62,4 @@ def make_target(name: str) -> CodegenTarget:
     )
 
 
-__all__ = [
-    "make_target",
-    "CodegenTarget",
-    "GeneratedSolver",
-    "SolverState",
-    "ExprEmitter",
-    "EmittedExpr",
-    "TransientRecorder",
-    "LineProbe",
-    "wall_heat_flux",
-]
+__all__ = ["make_target", *_lazy]

@@ -55,7 +55,6 @@ from repro.codegen.target_base import (
     attach_artifact_attrs,
     source_header,
 )
-from repro.fvm.kernels import csr_slots
 from repro.gpu.device import Device
 from repro.gpu.kernel import Kernel, model_launch
 from repro.ir.build import build_ir
@@ -531,12 +530,12 @@ def step_env(problem: "Problem", geom, plan: dict) -> dict:
         "NEIGH_INT": geom.neighbor[int_faces],
         "NORMALS_INT": geom.normal[int_faces],
         "FACEDIST_INT": geom.face_dist[int_faces],
-        "DIV_INT": csr_slots(geom.divergence[:, int_faces]),
+        "DIV_INT": geom.divergence_slots(faces=int_faces),
         # the boundary exchange: owner cell of every boundary face, the cells
         # that have one, and the divergence restricted to those rows
         "BOWNER": geom.bowner,
         "BCELLS": geom.bcells,
-        "DIV_BDRY": csr_slots(geom.divergence[geom.bcells][:, geom.bfaces]),
+        "DIV_BDRY": geom.divergence_slots(geom.bcells, geom.bfaces),
         "BFACE_SLOT": geom.bface_slot,
         "PRE_STEP_CALLBACKS": list(problem.pre_step_callbacks),
         "POST_STEP_CALLBACKS": list(problem.post_step_callbacks),

@@ -18,9 +18,8 @@ CPU and GPU tasks while considering data movement costs".
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
-
-import networkx as nx
 
 from repro.codegen.placement.graph import TaskGraph
 from repro.gpu.spec import DeviceSpec
@@ -125,6 +124,41 @@ class PlacementPlan:
         return "\n".join(lines)
 
 
+def _sink_side(cap: defaultdict, source: str, sink: str) -> tuple[float, set[str]]:
+    """Maximum ``source -> sink`` flow over the arc capacities ``cap[a][b]`` (a
+    nested ``defaultdict``, left holding the residuals) by shortest augmenting
+    paths, and the sink side of the minimum cut in networkx's convention: the
+    nodes that still reach the sink through unsaturated arcs; every other
+    node is on the source side.  An unbounded flow returns ``inf``."""
+    def reach(start: str, arcs: dict[str, dict[str, float]]) -> dict[str, str]:
+        parent, queue = {start: start}, [start]
+        for a in queue:  # breadth-first: ``queue`` grows while it is read
+            for b, residual in arcs[a].items():
+                if residual > 0 and b not in parent:
+                    parent[b] = a
+                    queue.append(b)
+        return parent
+
+    flow = 0.0
+    while sink in (parent := reach(source, cap)):
+        path = [sink]
+        while path[-1] != source:
+            path.append(parent[path[-1]])
+        arcs = list(zip(path[1:], path))
+        pushed = min(cap[a][b] for a, b in arcs)
+        if math.isinf(pushed):
+            return pushed, set()
+        flow += pushed
+        for a, b in arcs:
+            cap[a][b] -= pushed
+            cap[b][a] += pushed
+    reverse = defaultdict(dict)
+    for a, arcs in cap.items():
+        for b, residual in arcs.items():
+            reverse[b][a] = residual
+    return flow, set(reach(sink, reverse))
+
+
 def optimize_placement(graph: TaskGraph, link: DeviceSpec) -> PlacementPlan:
     """Solve the assignment by minimum s-t cut on ``graph``.
 
@@ -132,7 +166,7 @@ def optimize_placement(graph: TaskGraph, link: DeviceSpec) -> PlacementPlan:
     seconds so execution and transfer costs share a unit.
     """
     graph.validate()
-    g = nx.DiGraph()
+    cap: dict[str, dict[str, float]] = defaultdict(lambda: defaultdict(float))
 
     def transfer_seconds(nbytes: float) -> float:
         if nbytes <= 0:
@@ -140,27 +174,21 @@ def optimize_placement(graph: TaskGraph, link: DeviceSpec) -> PlacementPlan:
         return link.pcie_latency_s + nbytes / link.pcie_bw_bytes()
 
     for task in graph.tasks.values():
-        to_cpu_cost = _INF if task.pinned == "cpu" else task.cost_gpu
-        to_gpu_cost = _INF if task.pinned == "gpu" else task.cost_cpu
         # source(GPU)->task capacity = cost if task lands CPU-side
-        g.add_edge(_SOURCE, task.name, capacity=_cap(to_gpu_cost))
+        cap[_SOURCE][task.name] = _INF if task.pinned == "gpu" else task.cost_cpu
         # task->sink(CPU) capacity = cost if task lands GPU-side
-        g.add_edge(task.name, _SINK, capacity=_cap(to_cpu_cost))
-
+        cap[task.name][_SINK] = _INF if task.pinned == "cpu" else task.cost_gpu
     for edge in graph.edges:
         w = transfer_seconds(edge.nbytes)
-        for a, b in ((edge.src, edge.dst), (edge.dst, edge.src)):
-            if g.has_edge(a, b):
-                g[a][b]["capacity"] += w
-            else:
-                g.add_edge(a, b, capacity=w)
+        cap[edge.src][edge.dst] += w
+        cap[edge.dst][edge.src] += w
 
-    cut_value, (gpu_side, cpu_side) = nx.minimum_cut(g, _SOURCE, _SINK)
+    cut_value, cpu_side = _sink_side(cap, _SOURCE, _SINK)
     if math.isinf(cut_value):
         raise CodegenError("placement infeasible: conflicting pinned tasks")
 
     device = {
-        name: ("gpu" if name in gpu_side else "cpu") for name in graph.tasks
+        name: ("cpu" if name in cpu_side else "gpu") for name in graph.tasks
     }
     cut_edges = [
         (e.src, e.dst, e.nbytes)
@@ -185,11 +213,6 @@ def optimize_placement(graph: TaskGraph, link: DeviceSpec) -> PlacementPlan:
         bytes_moved_per_step=sum(b for _, _, b in cut_edges),
         graph=graph,
     )
-
-
-def _cap(value: float) -> float:
-    # networkx treats missing 'capacity' as infinite; keep explicit floats
-    return value if math.isfinite(value) else _INF
 
 
 __all__ = ["PlacementPlan", "optimize_placement"]

@@ -34,7 +34,6 @@ import numpy as np
 from repro.codegen.state import SolverState
 from repro.fvm import kernels
 from repro.obs import (
-    build_run_report,
     get_anomaly_monitor,
     get_event_log,
     get_tracer,
@@ -153,6 +152,8 @@ class GeneratedSolver:
     def run_report(self, tracer=None):
         """The merged :class:`~repro.obs.RunReport` for this solver's run
         (timers + comm + device + placement accuracy, whichever exist)."""
+        from repro.obs.report import build_run_report
+
         return build_run_report(self, tracer if tracer is not None else get_tracer())
 
     def __repr__(self) -> str:

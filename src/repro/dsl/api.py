@@ -17,7 +17,6 @@ from repro.dsl.entities import (
     CELL, VAR_ARRAY, VAR_SCALAR, Coefficient, Index, Reduction, Variable)
 from repro.dsl.problem import Problem
 from repro.fvm.boundary import BCKind
-from repro.mesh.gmsh_io import read_gmsh
 from repro.mesh.mesh import Mesh
 from repro.util.errors import ConfigError
 
@@ -109,6 +108,8 @@ def mesh(source: Mesh | str) -> Mesh:
 
             m = read_medit(source)
         else:
+            from repro.mesh.gmsh_io import read_gmsh
+
             m = read_gmsh(source)
     else:
         m = source

@@ -1,7 +1,10 @@
 """Finite-volume machinery shared by generated solvers and the reference code.
 
-* :class:`~repro.fvm.geometry.FVGeometry` — flat arrays + a sparse divergence
-  operator derived from a :class:`~repro.mesh.Mesh`;
+* :class:`~repro.fvm.geometry.FVGeometry` — flat arrays + the surface-divergence
+  operator in gather form (per-row face and weight lists built straight from
+  the owner/neighbour arrays of a :class:`~repro.mesh.Mesh`; the scipy CSR
+  matrix of the same operator exists on first use, for oracles and
+  second-order reconstructions);
 * :mod:`~repro.fvm.fields` — multi-component cell fields with index-space
   (direction x band) component bookkeeping;
 * :mod:`~repro.fvm.kernels` — the vectorised face/cell kernels generated code

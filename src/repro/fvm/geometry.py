@@ -1,22 +1,31 @@
-"""Flattened FV geometry and the sparse surface-divergence operator.
+"""Flattened FV geometry and the surface-divergence operator.
 
 The assembler's hot loop is entirely expressed on these arrays.  Following
-the HPC-python guidance (vectorise, stay contiguous, precompute sparse
-operators once), the per-step surface integral
+the HPC-python guidance (vectorise, stay contiguous, precompute operators
+once), the per-step surface integral
 
     (1/V_c) * sum_{f in faces(c)} A_f * flux_f
 
-is a single CSR sparse-matrix product: ``div = flux @ D.T`` where ``D`` has a
-``+A_f/V_owner`` entry for the face's owner and ``-A_f/V_neigh`` for its
-neighbour (the same physical flux leaves one cell and enters the other).
+is the operator ``D`` (cells x faces) with a ``+A_f/V_owner`` entry for the
+face's owner and ``-A_f/V_neigh`` for its neighbour (the same physical flux
+leaves one cell and enters the other).  The kernels apply it in *gather
+form* — per stored entry of a row, a face list and a weight list
+(:func:`repro.fvm.kernels.entry_slots`) — built straight from
+``owner``/``neighbor``/``area``/``inv_volume``, in the order a canonical CSR
+matrix stores the same entries, so the result is ``D @ flux`` bit for bit.
+``D`` itself (:attr:`FVGeometry.divergence`) and the Green-Gauss gradient
+operators are scipy CSR matrices built on first use: the test oracles and
+second-order reconstructions read them, a first-order solve never imports
+scipy.
 """
 
 from __future__ import annotations
 
-import numpy as np
-import scipy.sparse as sp
+from functools import cached_property
 
-from repro.fvm.kernels import csr_slots, gather_upwind, slot_divergence
+import numpy as np
+
+from repro.fvm.kernels import entry_slots, gather_upwind, slot_divergence
 from repro.mesh.mesh import Mesh
 
 
@@ -66,7 +75,9 @@ class FVGeometry:
         self.neighbor_column = np.where(
             self.interior_mask, self.neighbor, ~self.bface_slot)
         self.bowner = self.owner[self.bfaces]  # owner cell of each ghost slot
-        self.bcells = np.unique(self.bowner)  # the cells with a boundary face, sorted
+        # the cells with a boundary face, sorted (np.unique would import
+        # numpy.ma on first use: 20 ms of a 400 ms set-up)
+        self.bcells = np.flatnonzero(np.bincount(self.bowner, minlength=self.ncells))
 
         # gradient distance across each face (two-point diffusive fluxes):
         # interior = |projection of the centroid offset on the normal|;
@@ -91,37 +102,45 @@ class FVGeometry:
             r: self.bface_slot[faces] for r, faces in self.region_faces.items()
         }
 
-        self.divergence = self._build_divergence()
-        self._div_slots: list | None = None  # its gather form, on first use
+        self._div_slots: list | None = None  # the divergence's gather form, on first use
         self._patches: tuple | None = None  # (upwind column table, its ghost reads)
-        self._gradient_ops: list[sp.csr_matrix] | None = None
         # face-centre offsets from each side's cell centre (for linear
         # face extrapolation in second-order reconstructions)
         self.offset_owner = self.center - self.cell_center[self.owner]
         self.offset_neighbor = self.center - self.cell_center[self.neighbor_safe]
 
-    def _build_divergence(self) -> sp.csr_matrix:
-        rows: list[np.ndarray] = []
-        cols: list[np.ndarray] = []
-        vals: list[np.ndarray] = []
-        faces = np.arange(self.nfaces)
-        # owner: flux leaves through an outward normal -> +A/V
-        rows.append(self.owner)
-        cols.append(faces)
-        vals.append(self.area * self.inv_volume[self.owner])
-        # neighbour (interior only): the same flux enters -> -A/V
+    def _stencil(self, weight: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """COO ``(rows, cols, vals)`` of the cells x faces operator that adds
+        ``weight_f / V`` to a face's owner (the flux leaves through an outward
+        normal) and subtracts it from its neighbour (the same flux enters)."""
         inter = self.interior_mask
-        rows.append(self.neighbor[inter])
-        cols.append(faces[inter])
-        vals.append(-self.area[inter] * self.inv_volume[self.neighbor[inter]])
-        mat = sp.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(self.ncells, self.nfaces),
-        )
-        return mat.tocsr()
+        faces = np.arange(self.nfaces)
+        return (np.concatenate([self.owner, self.neighbor[inter]]),
+                np.concatenate([faces, faces[inter]]),
+                np.concatenate([weight * self.inv_volume[self.owner],
+                                -weight[inter] * self.inv_volume[self.neighbor[inter]]]))
 
-    @property
-    def gradient_ops(self) -> list[sp.csr_matrix]:
+    def _stencil_matrix(self, weight: np.ndarray):
+        import scipy.sparse as sp  # oracles and flux_order=2 only: see module docstring
+
+        rows, cols, vals = self._stencil(weight)
+        return sp.coo_matrix((vals, (rows, cols)), shape=(self.ncells, self.nfaces)).tocsr()
+
+    def divergence_slots(self, cells: np.ndarray | None = None,
+                         faces: np.ndarray | None = None) -> list:
+        """Gather form of the divergence, optionally restricted to the rows
+        ``cells`` and columns ``faces`` (sorted ids, renumbered by position):
+        ``csr_slots(divergence[cells][:, faces])`` without the matrix."""
+        return entry_slots(*self._stencil(self.area), (self.ncells, self.nfaces),
+                           row_ids=cells, col_ids=faces)
+
+    @cached_property
+    def divergence(self):
+        """The surface-divergence operator as a scipy CSR matrix."""
+        return self._stencil_matrix(self.area)
+
+    @cached_property
+    def gradient_ops(self) -> list:
         """Green-Gauss gradient operators, one CSR matrix per axis.
 
         ``grad_d(u) = G_d @ u_face`` with face values (e.g. the side
@@ -129,25 +148,7 @@ class FVGeometry:
         normal component.  Built lazily — only second-order
         reconstructions need them.
         """
-        if self._gradient_ops is None:
-            faces = np.arange(self.nfaces)
-            inter = self.interior_mask
-            ops = []
-            for d in range(self.dim):
-                rows = [self.owner, self.neighbor[inter]]
-                cols = [faces, faces[inter]]
-                w = self.area * self.normal[:, d]
-                vals = [
-                    w * self.inv_volume[self.owner],
-                    -(w[inter]) * self.inv_volume[self.neighbor[inter]],
-                ]
-                mat = sp.coo_matrix(
-                    (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                    shape=(self.ncells, self.nfaces),
-                )
-                ops.append(mat.tocsr())
-            self._gradient_ops = ops
-        return self._gradient_ops
+        return [self._stencil_matrix(self.area * self.normal[:, d]) for d in range(self.dim)]
 
     def green_gauss_gradient(self, face_values: np.ndarray) -> list[np.ndarray]:
         """Cell gradients from face values: list of ``(..., ncells)`` per axis."""
@@ -168,7 +169,7 @@ class FVGeometry:
         ``work`` as scratch — both ``(ncomp, ncells)``, fresh when not given.
         """
         if self._div_slots is None:
-            self._div_slots = csr_slots(self.divergence)
+            self._div_slots = self.divergence_slots()
         flux = face_flux if face_flux.ndim == 2 else face_flux[None]
         shape = (len(flux), self.ncells)
         div = slot_divergence(self._div_slots, flux,

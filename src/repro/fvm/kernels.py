@@ -110,15 +110,32 @@ def gather_upwind(u: np.ndarray, sel, columns: np.ndarray, table_rows: np.ndarra
     return out
 
 
-def csr_slots(matrix) -> list[tuple[np.ndarray, np.ndarray, object]]:
-    """Gather form of a CSR operator (cells x faces): for the ``k``-th
-    stored entry of every row, ``(faces, weights, where)`` — its column, its
-    value, and the rows that have a ``k``-th entry: ``True`` (all of them),
-    a mask over the rows (most of them; ``faces``/``weights`` are padded),
-    or the row ids (few of them, e.g. a boundary-face operator;
-    ``faces``/``weights`` cover just those)."""
-    indptr, indices, data = matrix.indptr, matrix.indices, matrix.data
-    counts = np.diff(indptr)
+def entry_slots(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, shape: tuple[int, int],
+                row_ids: np.ndarray | None = None, col_ids: np.ndarray | None = None,
+                ) -> list[tuple[np.ndarray, np.ndarray, object]]:
+    """Gather form of a sparse operator (cells x faces) given as COO entries:
+    for the ``k``-th stored entry of every row, ``(faces, weights, where)`` —
+    its column, its value, and the rows that have a ``k``-th entry: ``True``
+    (all of them), a mask over the rows (most of them; ``faces``/``weights``
+    are padded), or the row ids (few of them, e.g. a boundary-face operator;
+    ``faces``/``weights`` cover just those).  A row's entries are stored by
+    column, as a canonical CSR matrix stores them.  ``row_ids``/``col_ids``
+    (sorted) restrict the operator to those rows/columns, renumbered by
+    position: ``matrix[row_ids][:, col_ids]`` without a matrix."""
+    def renumber(index: np.ndarray, ids: np.ndarray | None, n: int) -> tuple[np.ndarray, int]:
+        if ids is None:
+            return index, n
+        position = np.full(n, -1, dtype=np.intp)
+        position[ids] = np.arange(len(ids))
+        return position[index], len(ids)
+
+    rows, nrows = renumber(rows, row_ids, shape[0])
+    cols, _ = renumber(cols, col_ids, shape[1])
+    keep = np.flatnonzero((rows >= 0) & (cols >= 0))
+    keep = keep[np.lexsort((cols[keep], rows[keep]))]
+    indices, data = cols[keep], vals[keep]
+    counts = np.bincount(rows[keep], minlength=nrows)
+    indptr = np.concatenate(([0], np.cumsum(counts)))
     slots = []
     for k in range(int(counts.max(initial=0))):
         present = counts > k
@@ -130,6 +147,12 @@ def csr_slots(matrix) -> list[tuple[np.ndarray, np.ndarray, object]]:
             where = True if present.all() else present
         slots.append((indices[at].astype(np.intp), data[at], where))
     return slots
+
+
+def csr_slots(matrix) -> list[tuple[np.ndarray, np.ndarray, object]]:
+    """:func:`entry_slots` of a scipy CSR matrix (canonical: sorted indices)."""
+    rows = np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr))
+    return entry_slots(rows, matrix.indices, matrix.data, matrix.shape)
 
 
 def slot_divergence(slots, flux: np.ndarray, out: np.ndarray,
@@ -312,6 +335,7 @@ __all__ = [
     "row_block",
     "table_rows",
     "gather_upwind",
+    "entry_slots",
     "csr_slots",
     "slot_divergence",
     "store_columns",

@@ -15,35 +15,19 @@ Metis partitioning:
   by the distributed runtime.
 """
 
-from repro.mesh.mesh import Mesh, build_mesh
-from repro.mesh.grid import structured_grid, interval_mesh
-from repro.mesh.partition import (
-    partition_cells,
-    partition_rcb,
-    partition_graph,
-    PartitionLayout,
-    build_partition_layout,
-)
-from repro.mesh.gmsh_io import read_gmsh, write_gmsh
-from repro.mesh.medit_io import read_medit, write_medit
-from repro.mesh.vtk_io import read_vtk, write_vtk
-from repro.mesh.grid import triangulated_grid
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "Mesh",
-    "build_mesh",
-    "structured_grid",
-    "interval_mesh",
-    "partition_cells",
-    "partition_rcb",
-    "partition_graph",
-    "PartitionLayout",
-    "build_partition_layout",
-    "read_gmsh",
-    "write_gmsh",
-    "read_medit",
-    "read_vtk",
-    "write_medit",
-    "write_vtk",
-    "triangulated_grid",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "mesh": ("Mesh", "build_mesh"),
+    "grid": ("structured_grid", "interval_mesh", "triangulated_grid"),
+    "partition": (
+        "partition_cells",
+        "partition_rcb",
+        "partition_graph",
+        "PartitionLayout",
+        "build_partition_layout",
+    ),
+    "gmsh_io": ("read_gmsh", "write_gmsh"),
+    "medit_io": ("read_medit", "write_medit"),
+    "vtk_io": ("read_vtk", "write_vtk"),
+})

@@ -43,6 +43,25 @@ def _default_marker(lo: np.ndarray, hi: np.ndarray, dim: int) -> Callable[[np.nd
     return marker
 
 
+_LO, _HI = slice(None, -1), slice(1, None)
+_QUAD = [(_LO, _LO), (_HI, _LO), (_HI, _HI), (_LO, _HI)]  # CCW
+#: per dimension, each cell corner as a (low | high) node choice per axis
+#: (3-D: bottom then top quad, the Gmsh hexahedron order)
+_CORNERS = {1: [(_LO,), (_HI,)], 2: _QUAD,
+            3: [(*c, _LO) for c in _QUAD] + [(*c, _HI) for c in _QUAD]}
+
+
+def _tensor_grid(axes: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes ``(nnodes, dim)`` and cells ``(ncells, 2**dim)`` of the tensor
+    grid over per-axis node coordinates, x running fastest in both:
+    node ``(i, j, k)`` has index ``(k*(ny+1) + j)*(nx+1) + i``."""
+    counts = [len(a) for a in axes]
+    nodes = np.stack([g.ravel(order="F") for g in np.meshgrid(*axes, indexing="ij")], axis=1)
+    ids = np.arange(len(nodes)).reshape(counts, order="F")
+    cells = np.stack([ids[c].ravel(order="F") for c in _CORNERS[len(axes)]], axis=1)
+    return nodes, cells
+
+
 def structured_grid(
     shape: Sequence[int],
     bounds: Sequence[tuple[float, float]] | None = None,
@@ -104,54 +123,7 @@ def structured_grid(
                 raise MeshError(f"grading for axis {a} is not strictly increasing")
         axes.append(lo[a] + (hi[a] - lo[a]) * s)
 
-    if dim == 1:
-        nodes = axes[0][:, None]
-        cells = [[i, i + 1] for i in range(shape[0])]
-    elif dim == 2:
-        nx, ny = shape
-        xs, ys = axes
-        # node (i, j) -> index j*(nx+1) + i ; CCW quad ordering
-        nodes = np.array([[xs[i], ys[j]] for j in range(ny + 1) for i in range(nx + 1)])
-
-        def nid(i: int, j: int) -> int:
-            return j * (nx + 1) + i
-
-        cells = [
-            [nid(i, j), nid(i + 1, j), nid(i + 1, j + 1), nid(i, j + 1)]
-            for j in range(ny)
-            for i in range(nx)
-        ]
-    else:
-        nx, ny, nz = shape
-        xs, ys, zs = axes
-        nodes = np.array(
-            [
-                [xs[i], ys[j], zs[k]]
-                for k in range(nz + 1)
-                for j in range(ny + 1)
-                for i in range(nx + 1)
-            ]
-        )
-
-        def nid3(i: int, j: int, k: int) -> int:
-            return (k * (ny + 1) + j) * (nx + 1) + i
-
-        cells = [
-            [
-                nid3(i, j, k),
-                nid3(i + 1, j, k),
-                nid3(i + 1, j + 1, k),
-                nid3(i, j + 1, k),
-                nid3(i, j, k + 1),
-                nid3(i + 1, j, k + 1),
-                nid3(i + 1, j + 1, k + 1),
-                nid3(i, j + 1, k + 1),
-            ]
-            for k in range(nz)
-            for j in range(ny)
-            for i in range(nx)
-        ]
-
+    nodes, cells = _tensor_grid(axes)
     marker = boundary_marker or _default_marker(lo, hi, dim)
     label = name or f"grid{'x'.join(str(s) for s in shape)}"
     mesh = build_mesh(nodes, cells, dim=dim, boundary_marker=marker, name=label)
@@ -193,11 +165,9 @@ def perturbed_grid(
     h = (hi - lo) / np.array([nx, ny])
     rng = np.random.default_rng(seed)
     nodes = base.nodes.copy()
-    for j in range(1, ny):
-        for i in range(1, nx):
-            k = j * (nx + 1) + i
-            nodes[k] += (rng.random(2) - 0.5) * 2.0 * amplitude * h
-    cells = [list(base.cell_nodes(c)) for c in range(base.ncells)]
+    interior = nodes.reshape(ny + 1, nx + 1, 2)[1:-1, 1:-1]  # a view, row-major like the draws
+    interior += (rng.random(interior.shape) - 0.5) * 2.0 * amplitude * h
+    cells = base.cell_node_indices.reshape(-1, 4)
     marker = boundary_marker or _default_marker(lo, hi, 2)
     mesh = build_mesh(nodes, cells, dim=2, boundary_marker=marker,
                       name=base.name)
@@ -232,24 +202,14 @@ def triangulated_grid(
     if np.any(hi <= lo):
         raise MeshError("each bounds pair must satisfy hi > lo")
 
-    xs = np.linspace(lo[0], hi[0], nx + 1)
-    ys = np.linspace(lo[1], hi[1], ny + 1)
-    nodes = np.array([[xs[i], ys[j]] for j in range(ny + 1) for i in range(nx + 1)])
-
-    def nid(i: int, j: int) -> int:
-        return j * (nx + 1) + i
-
-    cells: list[list[int]] = []
-    for j in range(ny):
-        for i in range(nx):
-            a, b = nid(i, j), nid(i + 1, j)
-            c, d = nid(i + 1, j + 1), nid(i, j + 1)
-            if (i + j) % 2 == 0:  # diagonal a-c
-                cells.append([a, b, c])
-                cells.append([a, c, d])
-            else:  # diagonal b-d
-                cells.append([a, b, d])
-                cells.append([b, c, d])
+    nodes, quads = _tensor_grid([np.linspace(lo[0], hi[0], nx + 1),
+                                 np.linspace(lo[1], hi[1], ny + 1)])
+    a, b, c, d = quads.T
+    # quad (i, j) splits along a-c when i + j is even, else along b-d
+    even = ((np.arange(nx)[None, :] + np.arange(ny)[:, None]) % 2 == 0).ravel()
+    cells = np.stack([np.stack([a, b, np.where(even, c, d)], axis=1),
+                      np.stack([np.where(even, a, b), c, d], axis=1)],
+                     axis=1).reshape(-1, 3)
 
     marker = boundary_marker or _default_marker(lo, hi, 2)
     label = name or f"tri{nx}x{ny}"

@@ -12,23 +12,42 @@ HPC-python guidance of keeping hot data contiguous):
   region id otherwise (the ids used by ``boundary(I, 1, FLUX, ...)``).
 
 Meshes are built with :func:`build_mesh` from a node array plus per-cell node
-lists; the structured generator (:mod:`repro.mesh.grid`) and the Gmsh reader
-(:mod:`repro.mesh.gmsh_io`) both go through it, so every mesh is validated
-the same way.
+ids (one ``(ncells, k)`` array from the generators of :mod:`repro.mesh.grid`,
+ragged lists from the Gmsh/Medit/VTK readers); everything goes through it, so
+every mesh is checked and validated the same way.  The builder is array code
+end to end — cells grouped by node count, local faces as one cell-major
+array, unique faces by sorted-node key, batched shoelace/Newell geometry —
+with two contracts the rest of the package leans on:
+
+* **faces are numbered in first-seen order**: face ``f`` is the ``f``-th
+  distinct face a traversal of the cells (cell by cell, local face by local
+  face) meets; its owner is the cell that met it first and traverses it with
+  sign ``+1``, the neighbour second with ``-1``.  Every per-face table
+  downstream (geometry, invariant tables, divergence slots, goldens) is
+  indexed by this numbering, so it is part of the bit-identity contract;
+* **every array equals, byte for byte, what the per-cell loop it replaced
+  produced** (``tests/mesh/reference_build.py`` keeps that loop as the
+  oracle), which is why the geometry primitives fix their operation order.
+
+Untrusted input is checked once, up front (ids integral and in range,
+coordinates finite: ``RPR504``), and :meth:`Mesh.validate` compares with
+``not (x > 0)`` so a NaN can never pass.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
 from repro.mesh.geometry import (
-    cell_closure_residual,
     edge_outward_normal,
+    newell_normal_area,
     polygon_area,
     polygon_centroid,
+    row_dot,
 )
 from repro.util.errors import MeshError
 
@@ -103,8 +122,7 @@ class Mesh:
 
     def boundary_regions(self) -> list[int]:
         """Sorted list of boundary region ids present in the mesh."""
-        regions = np.unique(self.face_region)
-        return [int(r) for r in regions if r > 0]
+        return sorted(set(self.face_region[self.face_region > 0].tolist()))
 
     def cell_neighbors(self) -> list[list[int]]:
         """Adjacency list of cells sharing a face (used by partitioners)."""
@@ -135,33 +153,43 @@ class Mesh:
         normals pointing away from the owner centroid, and boundary faces
         carrying a positive region id.
         """
-        if np.any(self.cell_volumes <= 0):
+        # every test is "not (x > 0)" rather than "x <= 0": a NaN must not pass
+        if not np.all(self.cell_volumes > 0):
             bad = int(np.argmin(self.cell_volumes))
             raise MeshError(f"non-positive volume in cell {bad}: {self.cell_volumes[bad]}")
-        if np.any(self.face_areas <= 0):
+        if not np.all(self.face_areas > 0):
             bad = int(np.argmin(self.face_areas))
             raise MeshError(f"non-positive area on face {bad}: {self.face_areas[bad]}")
         norms = np.linalg.norm(self.face_normals, axis=1)
-        if np.any(np.abs(norms - 1.0) > tol):
+        if not np.all(np.abs(norms - 1.0) <= tol):
             bad = int(np.argmax(np.abs(norms - 1.0)))
             raise MeshError(f"non-unit normal on face {bad}: |n| = {norms[bad]}")
+        # per-cell closure as one segmented sum: the signed area vectors padded
+        # to (ncells, most faces per cell, dim) and added face slot by face
+        # slot, i.e. in each cell's own face order
+        nfaces = np.diff(self.cell_face_offsets)
+        cell_of = np.repeat(np.arange(self.ncells), nfaces)
+        local = np.arange(len(cell_of)) - self.cell_face_offsets[cell_of]
+        faces = self.cell_face_indices
+        padded = np.zeros((self.ncells, int(nfaces.max()), self.dim))
+        padded[cell_of, local] = (self.face_normals[faces] * self.cell_face_signs[:, None]
+                                  * self.face_areas[faces][:, None])
+        total = np.zeros((self.ncells, self.dim))
+        for slot in range(padded.shape[1]):
+            total += padded[:, slot]
+        residual = np.abs(total).max(axis=1)
         # characteristic length to make the closure tolerance scale free
         h = float(np.mean(self.face_areas))
-        for c in range(self.ncells):
-            faces = self.cell_faces(c)
-            signs = self.cell_face_signs[
-                self.cell_face_offsets[c] : self.cell_face_offsets[c + 1]
-            ]
-            normals = self.face_normals[faces] * signs[:, None]
-            residual = cell_closure_residual(normals, self.face_areas[faces])
-            if residual > tol * max(h, 1.0) * len(faces):
-                raise MeshError(f"cell {c} is not closed: closure residual {residual}")
+        open_cells = np.flatnonzero(residual > tol * max(h, 1.0) * nfaces)
+        if len(open_cells):
+            c = open_cells[0]
+            raise MeshError(f"cell {c} is not closed: closure residual {residual[c]}")
         # outwardness of owner normals
         owners = self.face_cells[:, 0]
         outward = np.einsum(
             "fd,fd->f", self.face_normals, self.face_centers - self.cell_centroids[owners]
         )
-        if np.any(outward <= 0):
+        if not np.all(outward > 0):
             bad = int(np.argmin(outward))
             raise MeshError(f"face {bad} normal does not point out of its owner")
         boundary = self.face_cells[:, 1] < 0
@@ -184,43 +212,77 @@ class Mesh:
 # ---------------------------------------------------------------------------
 
 #: Node orderings of the six faces of a hexahedron in Gmsh corner order
-#: (0-3 bottom CCW viewed from below ... actually CCW from outside).
-_HEX_FACES = (
+#: (each CCW seen from outside for a right-handed brick).
+_HEX_FACES = np.array([
     (0, 3, 2, 1),  # z-min (outward -z)
     (4, 5, 6, 7),  # z-max (outward +z)
     (0, 1, 5, 4),  # y-min
     (2, 3, 7, 6),  # y-max
     (0, 4, 7, 3),  # x-min
     (1, 2, 6, 5),  # x-max
-)
+])
 
 
-def _ragged(arrays: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
-    offsets = np.zeros(len(arrays) + 1, dtype=np.int64)
-    for i, a in enumerate(arrays):
-        offsets[i + 1] = offsets[i] + len(a)
-    indices = np.fromiter(
-        (int(v) for a in arrays for v in a), dtype=np.int64, count=int(offsets[-1])
-    )
-    return offsets, indices
+def _flatten_cells(cells, nnodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(offsets, node ids)`` of ``cells`` — an ``(ncells, k)`` id array or
+    ragged per-cell lists — after checking every id is an integer in
+    ``[0, nnodes)``: numpy would wrap ``-1``, truncate ``0.5`` and raise a
+    bare ``IndexError`` past the end."""
+    if isinstance(cells, np.ndarray) and cells.ndim == 2:
+        sizes, flat = np.full(len(cells), cells.shape[1]), cells.ravel()
+    else:
+        try:
+            sizes = np.fromiter(map(len, cells), dtype=np.int64, count=len(cells))
+            flat = np.array(list(chain.from_iterable(cells)))
+        except (TypeError, ValueError) as exc:
+            raise MeshError(f"cells must be per-cell lists of node ids: {exc}",
+                            code="RPR504") from exc
+    offsets = np.zeros(len(sizes) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=offsets[1:])
+    if flat.dtype.kind not in "iuf" and flat.size:
+        raise MeshError(f"cell node ids must be integers, got {flat.dtype}", code="RPR504")
+    with np.errstate(invalid="ignore"):  # a NaN id fails the comparison below
+        ids = flat.astype(np.int64)
+    bad = np.flatnonzero((ids != flat) | (ids < 0) | (ids >= nnodes))
+    if len(bad):
+        cell = int(np.searchsorted(offsets, bad[0], side="right")) - 1
+        raise MeshError(f"cell {cell} references node {flat[bad[0]]}: node ids must be "
+                        f"integers in [0, {nnodes})", code="RPR504")
+    return offsets, ids
 
 
-def _newell_normal_area(coords: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
-    """Normal, area and center of a planar 3-D polygon (Newell's method)."""
-    n = np.zeros(3)
-    for i in range(len(coords)):
-        p, q = coords[i], coords[(i + 1) % len(coords)]
-        n += np.cross(p, q)
-    n *= 0.5
-    area = float(np.linalg.norm(n))
-    if area <= 0.0:
-        raise MeshError("degenerate 3-D face (zero area)")
-    return n / area, area, coords.mean(axis=0)
+def _unique_faces(fnodes: np.ndarray, cell_of: np.ndarray):
+    """Number the faces of a cell-major list of local faces ``(n, w)`` in
+    first-seen order (the order a traversal of the cells meets them — part
+    of the mesh's byte contract: every per-face table is indexed by it).
+
+    Returns ``(face_of, first)``: the face id of every local face, and per
+    face the position of its first local face (its owner's)."""
+    keys = np.sort(fnodes, axis=1)
+    order = np.lexsort(keys.T[::-1])  # stable: equal keys stay in traversal order
+    keys = keys[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = (keys[1:] != keys[:-1]).any(axis=1)
+    starts = np.flatnonzero(new)
+    crowded = starts[np.diff(starts, append=len(order)) > 2]
+    if len(crowded):
+        at = crowded[np.argmin(order[crowded + 2])]  # the third touch met first
+        raise MeshError(
+            f"face {tuple(keys[at].tolist())} shared by more than two cells "
+            f"({', '.join(str(cell_of[order[at + i]]) for i in range(3))})"
+        )
+    first = order[starts]
+    rank = np.argsort(first)
+    face_of_group = np.empty(len(starts), dtype=np.int64)
+    face_of_group[rank] = np.arange(len(starts))
+    face_of = np.empty(len(order), dtype=np.int64)
+    face_of[order] = face_of_group[np.cumsum(new) - 1]
+    return face_of, first[rank]
 
 
 def build_mesh(
     nodes: np.ndarray,
-    cells: Sequence[Sequence[int]],
+    cells: np.ndarray | Sequence[Sequence[int]],
     dim: int | None = None,
     boundary_marker: Callable[[np.ndarray, np.ndarray], int] | None = None,
     boundary_face_regions: dict[tuple[int, ...], int] | None = None,
@@ -232,11 +294,12 @@ def build_mesh(
     Parameters
     ----------
     nodes:
-        ``(nnodes, dim)`` coordinates.
+        ``(nnodes, dim)`` finite coordinates.
     cells:
-        Per-cell node index lists.  1-D: 2 nodes; 2-D: CCW polygon (order is
-        fixed automatically if given CW); 3-D: 8-node hexahedron in Gmsh
-        corner order (axis-aligned bricks are what the generator produces).
+        Per-cell node ids, as an ``(ncells, k)`` array or ragged lists.
+        1-D: 2 nodes; 2-D: CCW polygon (order is fixed automatically if
+        given CW); 3-D: 8-node hexahedron in Gmsh corner order (axis-aligned
+        bricks are what the generator produces).
     boundary_marker:
         ``f(face_center, outward_normal) -> region_id`` used to tag boundary
         faces (default: everything is region 1).
@@ -256,167 +319,97 @@ def build_mesh(
     ncells = len(cells)
     if ncells == 0:
         raise MeshError("mesh needs at least one cell")
+    if not np.isfinite(nodes).all():
+        bad = int(np.flatnonzero(~np.isfinite(nodes).all(axis=1))[0])
+        raise MeshError(f"node {bad} has a non-finite coordinate: {nodes[bad]}", code="RPR504")
+    offsets, cn = _flatten_cells(cells, len(nodes))
+    sizes = np.diff(offsets)
+    if dim == 1 and np.any(sizes != 2):
+        raise MeshError("1-D cells must have exactly 2 nodes")
+    if dim == 3 and np.any(sizes != 8):
+        raise MeshError("3-D cells must be 8-node hexahedra")
+    groups = []  # per cell size k: (the cells, their (n, k) block of positions into ``cn``)
+    for k in np.flatnonzero(np.bincount(sizes)):
+        g = np.flatnonzero(sizes == k)
+        groups.append((g, offsets[g, None] + np.arange(k)))
 
-    cells = [list(map(int, c)) for c in cells]
-
-    # enforce CCW polygons in 2-D so edge traversal gives outward normals
-    if dim == 2:
-        for i, c in enumerate(cells):
-            if polygon_area(nodes[c]) < 0:
-                cells[i] = c[::-1]
-
-    # ---- enumerate unique faces ------------------------------------------------
-    face_key_to_id: dict[tuple[int, ...], int] = {}
-    face_nodes_list: list[tuple[int, ...]] = []
-    face_owner: list[int] = []
-    face_neigh: list[int] = []
-    cell_faces_list: list[list[int]] = [[] for _ in range(ncells)]
-    cell_face_signs_list: list[list[int]] = [[] for _ in range(ncells)]
-    # geometry accumulated from the owner's traversal
-    normals: list[np.ndarray] = []
-    areas: list[float] = []
-    centers: list[np.ndarray] = []
-
-    def cell_local_faces(c: list[int]) -> list[tuple[int, ...]]:
-        if dim == 1:
-            if len(c) != 2:
-                raise MeshError("1-D cells must have exactly 2 nodes")
-            return [(c[0],), (c[1],)]
-        if dim == 2:
-            return [(c[i], c[(i + 1) % len(c)]) for i in range(len(c))]
-        if len(c) != 8:
-            raise MeshError("3-D cells must be 8-node hexahedra")
-        return [tuple(c[i] for i in f) for f in _HEX_FACES]
-
-    def face_geometry(fnodes: tuple[int, ...], cell_id: int) -> tuple[np.ndarray, float, np.ndarray]:
-        coords = nodes[list(fnodes)]
-        if dim == 1:
-            center = coords[0]
-            direction = center - cell_centroid_1d(cell_id)
-            normal = np.array([1.0 if direction[0] >= 0 else -1.0])
-            return normal, 1.0, center
-        if dim == 2:
-            normal, length = edge_outward_normal(coords[0], coords[1])
-            return normal, length, coords.mean(axis=0)
-        return _newell_normal_area(coords)
-
-    def cell_centroid_1d(cell_id: int) -> np.ndarray:
-        return nodes[cells[cell_id]].mean(axis=0)
-
-    for cid, c in enumerate(cells):
-        for fnodes in cell_local_faces(c):
-            key = tuple(sorted(fnodes))
-            fid = face_key_to_id.get(key)
-            if fid is None:
-                fid = len(face_nodes_list)
-                face_key_to_id[key] = fid
-                face_nodes_list.append(fnodes)
-                face_owner.append(cid)
-                face_neigh.append(-1)
-                n, a, ctr = face_geometry(fnodes, cid)
-                normals.append(n)
-                areas.append(a)
-                centers.append(ctr)
-                cell_face_signs_list[cid].append(1)
-            else:
-                if face_neigh[fid] != -1:
-                    raise MeshError(
-                        f"face {key} shared by more than two cells "
-                        f"({face_owner[fid]}, {face_neigh[fid]}, {cid})"
-                    )
-                face_neigh[fid] = cid
-                cell_face_signs_list[cid].append(-1)
-            cell_faces_list[cid].append(fid)
-
-    nfaces = len(face_nodes_list)
-    face_cells = np.stack(
-        [np.array(face_owner, dtype=np.int64), np.array(face_neigh, dtype=np.int64)], axis=1
-    )
-    face_normals = np.asarray(normals, dtype=np.float64).reshape(nfaces, dim)
-    face_areas = np.asarray(areas, dtype=np.float64)
-    face_centers = np.asarray(centers, dtype=np.float64).reshape(nfaces, dim)
-
-    # ---- cell geometry ----------------------------------------------------------
-    cell_centroids = np.zeros((ncells, dim))
-    cell_volumes = np.zeros(ncells)
+    # ---- local faces, cell-major in traversal order ------------------------------
     if dim == 1:
-        for cid, c in enumerate(cells):
-            coords = nodes[c]
-            cell_centroids[cid] = coords.mean(axis=0)
-            cell_volumes[cid] = float(abs(coords[1, 0] - coords[0, 0]))
+        fnodes, cf_off = cn[:, None], offsets.copy()
     elif dim == 2:
-        for cid, c in enumerate(cells):
-            coords = nodes[c]
-            cell_volumes[cid] = polygon_area(coords)  # positive (CCW enforced)
-            cell_centroids[cid] = polygon_centroid(coords)
+        # enforce CCW polygons so edge traversal gives outward normals
+        for _, at in groups:
+            ids = cn[at]
+            cw = polygon_area(nodes[ids]) < 0
+            ids[cw] = ids[cw, ::-1]
+            cn[at] = ids
+        nxt = np.arange(1, len(cn) + 1)
+        nxt[offsets[1:][sizes > 0] - 1] = offsets[:-1][sizes > 0]
+        fnodes, cf_off = np.stack([cn, cn[nxt]], axis=1), offsets.copy()
     else:
-        # divergence theorem: V = (1/3) sum_f A_f (n_f . c_f), outward normals
-        for cid, c in enumerate(cells):
-            cell_centroids[cid] = nodes[c].mean(axis=0)
-        for cid in range(ncells):
-            vol = 0.0
-            for local, fid in enumerate(cell_faces_list[cid]):
-                sign = cell_face_signs_list[cid][local]
-                vol += sign * face_areas[fid] * float(
-                    np.dot(face_normals[fid], face_centers[fid])
-                )
-            cell_volumes[cid] = vol / 3.0
+        fnodes = cn.reshape(ncells, 8)[:, _HEX_FACES].reshape(-1, 4)
+        cf_off = 6 * np.arange(ncells + 1)
+    cell_of = np.repeat(np.arange(ncells), np.diff(cf_off))
+    cf_idx, first = _unique_faces(fnodes, cell_of)
+    nfaces = len(first)
+    signs = np.where(np.arange(len(cf_idx)) == first[cf_idx], 1, -1)  # +1 owner / -1 neighbour
+    face_cells = np.full((nfaces, 2), -1, dtype=np.int64)
+    face_cells[:, 0] = cell_of[first]
+    face_cells[cf_idx[signs < 0], 1] = cell_of[signs < 0]
+    fnodes = fnodes[first]  # as the owner traverses them
 
-    # 3-D normals were oriented by the local face ordering; verify they point
-    # out of the owner and flip where construction order disagreed.
-    if dim == 3:
-        owners = face_cells[:, 0]
-        outward = np.einsum(
-            "fd,fd->f", face_normals, face_centers - cell_centroids[owners]
-        )
-        flip = outward < 0
+    # ---- face and cell geometry --------------------------------------------------
+    cell_volumes = np.zeros(ncells)
+    cell_centroids = np.zeros((ncells, dim))
+    coords = nodes[fnodes]  # (nfaces, nodes per face, dim)
+    if dim == 1:
+        ends = nodes[cn.reshape(ncells, 2)]
+        cell_centroids[:] = ends.mean(axis=1)
+        cell_volumes[:] = np.abs(ends[:, 1, 0] - ends[:, 0, 0])
+        face_centers = coords[:, 0]
+        away = face_centers - cell_centroids[face_cells[:, 0]]
+        face_normals = np.where(away >= 0, 1.0, -1.0)
+        face_areas = np.ones(nfaces)
+    elif dim == 2:
+        face_normals, face_areas = edge_outward_normal(coords[:, 0], coords[:, 1])
+        face_centers = coords.mean(axis=1)
+        for g, at in groups:
+            cell_volumes[g] = polygon_area(nodes[cn[at]])  # positive (CCW enforced)
+            cell_centroids[g] = polygon_centroid(nodes[cn[at]])
+    else:
+        face_normals, face_areas = newell_normal_area(coords)
+        face_centers = coords.mean(axis=1)
+        cell_centroids[:] = nodes[cn.reshape(ncells, 8)].mean(axis=1)
+        # normals were oriented by the local face ordering; flip those that
+        # point into their owner, which then sees the face with sign -1
+        flip = np.einsum("fd,fd->f", face_normals,
+                         face_centers - cell_centroids[face_cells[:, 0]]) < 0
         face_normals[flip] *= -1.0
-        if np.any(flip):
-            # a flipped owner normal means the owner sees the face with sign -1
-            for cid in range(ncells):
-                for local, fid in enumerate(cell_faces_list[cid]):
-                    if flip[fid]:
-                        cell_face_signs_list[cid][local] *= -1
-        # recompute volumes with corrected orientation
-        for cid in range(ncells):
-            vol = 0.0
-            for local, fid in enumerate(cell_faces_list[cid]):
-                sign = cell_face_signs_list[cid][local]
-                vol += sign * face_areas[fid] * float(
-                    np.dot(face_normals[fid], face_centers[fid])
-                )
-            cell_volumes[cid] = vol / 3.0
+        signs[flip[cf_idx]] *= -1
+        # divergence theorem: V = (1/3) sum_f A_f (n_f . c_f), outward normals
+        flux = signs * face_areas[cf_idx] * row_dot(face_normals, face_centers)[cf_idx]
+        cell_volumes[:] = flux.reshape(ncells, 6).sum(axis=1) / 3.0
 
     # ---- boundary regions --------------------------------------------------------
     face_region = np.zeros(nfaces, dtype=np.int64)
-    boundary = face_cells[:, 1] < 0
-    for fid in np.flatnonzero(boundary):
-        key = tuple(sorted(face_nodes_list[fid]))
-        if boundary_face_regions and key in boundary_face_regions:
-            face_region[fid] = boundary_face_regions[key]
-        elif boundary_marker is not None:
-            face_region[fid] = int(boundary_marker(face_centers[fid], face_normals[fid]))
-        else:
-            face_region[fid] = 1
-        if face_region[fid] <= 0:
+    for fid in np.flatnonzero(face_cells[:, 1] < 0):
+        region = None
+        if boundary_face_regions:
+            region = boundary_face_regions.get(tuple(sorted(fnodes[fid].tolist())))
+        if region is None:
+            region = (1 if boundary_marker is None
+                      else int(boundary_marker(face_centers[fid], face_normals[fid])))
+        if region <= 0:
             raise MeshError(f"boundary marker returned non-positive region for face {fid}")
-
-    cn_off, cn_idx = _ragged(cells)
-    fn_off, fn_idx = _ragged(face_nodes_list)
-    cf_off, cf_idx = _ragged(cell_faces_list)
-    signs = np.fromiter(
-        (s for row in cell_face_signs_list for s in row),
-        dtype=np.int64,
-        count=int(cf_off[-1]),
-    )
+        face_region[fid] = region
 
     mesh = Mesh(
         dim=dim,
         nodes=nodes,
-        cell_node_offsets=cn_off,
-        cell_node_indices=cn_idx,
-        face_node_offsets=fn_off,
-        face_node_indices=fn_idx,
+        cell_node_offsets=offsets,
+        cell_node_indices=cn,
+        face_node_offsets=fnodes.shape[1] * np.arange(nfaces + 1),
+        face_node_indices=fnodes.ravel(),
         face_cells=face_cells,
         face_normals=face_normals,
         face_areas=face_areas,

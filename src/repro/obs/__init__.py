@@ -27,55 +27,6 @@ import threading
 from contextlib import contextmanager
 from pathlib import Path
 
-from repro.obs.anomaly import (
-    AnomalyMonitor,
-    DEFAULT_THRESHOLDS,
-    get_anomaly_monitor,
-    health_section,
-)
-from repro.obs.blackbox import FlightRecorder, get_flight_recorder
-from repro.obs.log import (
-    Event,
-    EventLog,
-    events_run,
-    get_event_log,
-    log_event,
-    read_events,
-    set_event_log,
-)
-from repro.obs.metrics import (
-    NULL_METRICS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    NullMetrics,
-    get_metrics,
-    metrics_run,
-    set_metrics,
-)
-from repro.obs.profile import (
-    RunProfiler,
-    build_profile,
-    compare_profiles,
-    compare_table,
-    extract_profile,
-    get_profiler,
-    load_profile,
-    problem_key,
-    profile_run,
-    profile_table,
-    set_profiler,
-    write_profile,
-)
-from repro.obs.registry import (
-    RegistryError,
-    RunRegistry,
-    configure_registry,
-    get_registry,
-    registry_scope,
-)
-from repro.obs.report import RunReport, SCHEMA, build_run_report, placement_accuracy
 from repro.obs.tracer import (
     NULL_TRACER,
     CounterEvent,
@@ -87,6 +38,61 @@ from repro.obs.tracer import (
     new_trace_id,
     next_span_id,
 )
+from repro.util.lazy import lazy_exports
+
+# the collectors resolve on first use: a run that never opens the registry
+# or builds a report does not import them
+__getattr__, __dir__, _lazy = lazy_exports(__name__, {
+    "anomaly": (
+        "AnomalyMonitor",
+        "DEFAULT_THRESHOLDS",
+        "get_anomaly_monitor",
+        "health_section",
+    ),
+    "blackbox": ("FlightRecorder", "get_flight_recorder"),
+    "log": (
+        "Event",
+        "EventLog",
+        "events_run",
+        "get_event_log",
+        "log_event",
+        "read_events",
+        "set_event_log",
+    ),
+    "metrics": (
+        "NULL_METRICS",
+        "Counter",
+        "Gauge",
+        "Histogram",
+        "MetricsRegistry",
+        "NullMetrics",
+        "get_metrics",
+        "metrics_run",
+        "set_metrics",
+    ),
+    "profile": (
+        "RunProfiler",
+        "build_profile",
+        "compare_profiles",
+        "compare_table",
+        "extract_profile",
+        "get_profiler",
+        "load_profile",
+        "problem_key",
+        "profile_run",
+        "profile_table",
+        "set_profiler",
+        "write_profile",
+    ),
+    "registry": (
+        "RegistryError",
+        "RunRegistry",
+        "configure_registry",
+        "get_registry",
+        "registry_scope",
+    ),
+    "report": ("RunReport", "SCHEMA", "build_run_report", "placement_accuracy"),
+})
 
 _current: Tracer | NullTracer = NULL_TRACER
 
@@ -142,61 +148,9 @@ def trace_run(trace_path: str | Path | None = None, *,
             tracer.write(trace_path)
 
 
-__all__ = [
-    "AnomalyMonitor",
-    "Counter",
-    "CounterEvent",
-    "DEFAULT_THRESHOLDS",
-    "Event",
-    "EventLog",
-    "FlightRecorder",
-    "FlowEvent",
-    "Gauge",
-    "Histogram",
-    "InstantEvent",
-    "MetricsRegistry",
-    "NULL_METRICS",
-    "NULL_TRACER",
-    "NullMetrics",
-    "NullTracer",
-    "RegistryError",
-    "RunProfiler",
-    "RunRegistry",
-    "RunReport",
-    "SCHEMA",
-    "SpanEvent",
-    "Tracer",
-    "build_profile",
-    "build_run_report",
-    "compare_profiles",
-    "compare_table",
-    "configure_registry",
-    "extract_profile",
-    "events_run",
-    "get_anomaly_monitor",
-    "get_event_log",
-    "get_flight_recorder",
-    "get_metrics",
-    "get_profiler",
-    "get_registry",
-    "get_tracer",
-    "health_section",
-    "load_profile",
-    "log_event",
-    "metrics_run",
-    "new_trace_id",
-    "next_span_id",
-    "phase_span",
-    "placement_accuracy",
-    "problem_key",
-    "profile_run",
-    "profile_table",
-    "read_events",
-    "registry_scope",
-    "set_event_log",
-    "set_metrics",
-    "set_profiler",
-    "set_tracer",
-    "trace_run",
-    "write_profile",
-]
+__all__ = sorted([
+    *_lazy,
+    "NULL_TRACER", "CounterEvent", "FlowEvent", "InstantEvent", "NullTracer", "SpanEvent",
+    "Tracer", "new_trace_id", "next_span_id",
+    "get_tracer", "phase_span", "set_tracer", "trace_run",
+])

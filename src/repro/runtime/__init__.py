@@ -24,46 +24,26 @@ energies — while the strong-scaling numbers come from the cost model
   ``repro.checkpoint/1`` schema).
 """
 
-from repro.runtime.netmodel import NetworkModel, IB_CLUSTER, SHARED_MEMORY, ZERO_COST
-from repro.runtime.comm import World, Communicator, ReduceOp
-from repro.runtime.executor import run_spmd, SPMDResult
-from repro.runtime.faults import (
-    FaultInjector,
-    FaultRule,
-    fault_run,
-    get_injector,
-    parse_fault_spec,
-    set_injector,
-)
-from repro.runtime.halo import HaloExchanger
-from repro.runtime.resilience import (
-    CHECKPOINT_SCHEMA,
-    RetryPolicy,
-    checkpoint_path,
-    get_resilience_log,
-    resilience_section,
-)
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "NetworkModel",
-    "IB_CLUSTER",
-    "SHARED_MEMORY",
-    "ZERO_COST",
-    "World",
-    "Communicator",
-    "ReduceOp",
-    "run_spmd",
-    "SPMDResult",
-    "HaloExchanger",
-    "FaultInjector",
-    "FaultRule",
-    "fault_run",
-    "get_injector",
-    "parse_fault_spec",
-    "set_injector",
-    "CHECKPOINT_SCHEMA",
-    "RetryPolicy",
-    "checkpoint_path",
-    "get_resilience_log",
-    "resilience_section",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "netmodel": ("NetworkModel", "IB_CLUSTER", "SHARED_MEMORY", "ZERO_COST"),
+    "comm": ("World", "Communicator", "ReduceOp"),
+    "executor": ("run_spmd", "SPMDResult"),
+    "faults": (
+        "FaultInjector",
+        "FaultRule",
+        "fault_run",
+        "get_injector",
+        "parse_fault_spec",
+        "set_injector",
+    ),
+    "halo": ("HaloExchanger",),
+    "resilience": (
+        "CHECKPOINT_SCHEMA",
+        "RetryPolicy",
+        "checkpoint_path",
+        "get_resilience_log",
+        "resilience_section",
+    ),
+})

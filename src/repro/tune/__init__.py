@@ -22,34 +22,18 @@ story leaves open once placement is decided):
   ``bte --tuned``).
 """
 
-from repro.tune.cache import (
-    CompilationCache,
-    GenerationArtifact,
-    cache_scope,
-    configure_cache,
-    get_cache,
-)
-from repro.tune.db import TuningDB, default_db_path
-from repro.tune.signature import cache_key, problem_signature, tuning_key
-from repro.tune.space import TuneConfig, apply_config, build_space
-from repro.tune.tuner import Trial, TuneResult, maybe_apply_tuned, tune
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "CompilationCache",
-    "GenerationArtifact",
-    "TuneConfig",
-    "Trial",
-    "TuneResult",
-    "TuningDB",
-    "apply_config",
-    "build_space",
-    "cache_key",
-    "cache_scope",
-    "configure_cache",
-    "default_db_path",
-    "get_cache",
-    "maybe_apply_tuned",
-    "problem_signature",
-    "tune",
-    "tuning_key",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "cache": (
+        "CompilationCache",
+        "GenerationArtifact",
+        "cache_scope",
+        "configure_cache",
+        "get_cache",
+    ),
+    "db": ("TuningDB", "default_db_path"),
+    "signature": ("cache_key", "problem_signature", "tuning_key"),
+    "space": ("TuneConfig", "apply_config", "build_space"),
+    "tuner": ("Trial", "TuneResult", "maybe_apply_tuned", "tune"),
+})

@@ -17,68 +17,34 @@ Entry points: ``bte lint <script>`` on the CLI, :func:`lint_problem` /
 :func:`verify_solver` from code, :func:`sanitize_run` around a solve.
 """
 
-from repro.verify.codes import CATALOGUE, CodeInfo, describe, render_catalogue
-from repro.verify.diagnostics import Diagnostic, DiagnosticReport
-from repro.verify.lint import (
-    ScriptLint,
-    lint_paths,
-    lint_problem,
-    lint_script,
-    verify_solver,
-)
-from repro.verify.placement_checks import (
-    check_hazards,
-    check_placement,
-    check_transfers,
-    verify_solver_placement,
-)
-from repro.verify.sanitizer import (
-    Sanitizer,
-    SanitizerError,
-    get_sanitizer,
-    sanitize_run,
-    sanitizer_section,
-)
-from repro.verify.schedule import (
-    CollectiveOp,
-    RecvOp,
-    SendOp,
-    check_halo_symmetry,
-    halo_programs,
-    simulate_schedule,
-    verify_halo_layout,
-    verify_solver_schedule,
-)
-from repro.verify.static_checks import check_problem
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "CATALOGUE",
-    "CodeInfo",
-    "describe",
-    "render_catalogue",
-    "Diagnostic",
-    "DiagnosticReport",
-    "ScriptLint",
-    "lint_paths",
-    "lint_problem",
-    "lint_script",
-    "verify_solver",
-    "check_hazards",
-    "check_placement",
-    "check_transfers",
-    "verify_solver_placement",
-    "verify_solver_schedule",
-    "Sanitizer",
-    "SanitizerError",
-    "get_sanitizer",
-    "sanitize_run",
-    "sanitizer_section",
-    "CollectiveOp",
-    "RecvOp",
-    "SendOp",
-    "check_halo_symmetry",
-    "halo_programs",
-    "simulate_schedule",
-    "verify_halo_layout",
-    "check_problem",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "codes": ("CATALOGUE", "CodeInfo", "describe", "render_catalogue"),
+    "diagnostics": ("Diagnostic", "DiagnosticReport"),
+    "lint": ("ScriptLint", "lint_paths", "lint_problem", "lint_script", "verify_solver"),
+    "placement_checks": (
+        "check_hazards",
+        "check_placement",
+        "check_transfers",
+        "verify_solver_placement",
+    ),
+    "sanitizer": (
+        "Sanitizer",
+        "SanitizerError",
+        "get_sanitizer",
+        "sanitize_run",
+        "sanitizer_section",
+    ),
+    "schedule": (
+        "CollectiveOp",
+        "RecvOp",
+        "SendOp",
+        "check_halo_symmetry",
+        "halo_programs",
+        "simulate_schedule",
+        "verify_halo_layout",
+        "verify_solver_schedule",
+    ),
+    "static_checks": ("check_problem",),
+})

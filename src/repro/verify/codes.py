@@ -111,6 +111,7 @@ _RAW: list[tuple[str, str, str, str]] = [
     ("RPR501", "mesh", "malformed or truncated Gmsh file", "error"),
     ("RPR502", "mesh", "malformed or truncated Medit file", "error"),
     ("RPR503", "mesh", "malformed or truncated VTK file", "error"),
+    ("RPR504", "mesh", "cell node id not an integer in range, or non-finite coordinate", "error"),
     # ---- 7xx: autotuning / calibration persistence ------------------------
     ("RPR701", "tune", "tuning database malformed or unreadable", "error"),
     ("RPR702", "perfmodel", "calibration file malformed or unreadable", "error"),

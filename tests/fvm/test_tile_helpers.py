@@ -17,7 +17,7 @@ import pytest
 from repro.fvm import kernels
 from repro.fvm.boundary import BCKind, BoundaryCondition, BoundarySet
 from repro.fvm.geometry import FVGeometry
-from repro.mesh.grid import structured_grid, triangulated_grid
+from repro.mesh.grid import perturbed_grid, structured_grid, triangulated_grid
 from repro.mesh.mesh import build_mesh
 
 
@@ -34,6 +34,9 @@ MESHES = {
     "mixed": mixed_mesh,
     "line": lambda: structured_grid((5,)),
 }
+#: the slot builder's differential suite adds non-orthogonal quads and bricks
+SLOT_MESHES = {**MESHES, "perturbed": lambda: perturbed_grid((5, 4), seed=2),
+               "bricks": lambda: structured_grid((3, 2, 2))}
 
 
 def hostile(shape, seed=0):
@@ -116,6 +119,52 @@ def test_first_slot_reproduces_the_csr_start_from_positive_zero():
     got = geom.surface_divergence(x)
     assert got.tobytes() == (geom.divergence @ x.T).T.tobytes()
     assert not np.signbit(got).any()
+
+
+# --------------------------------------------------------------------------
+# the slot builder: straight from owner/neighbour, no matrix
+# --------------------------------------------------------------------------
+
+def assert_same_slots(got, expected):
+    assert len(got) == len(expected)
+    for (faces, weights, where), (efaces, eweights, ewhere) in zip(got, expected):
+        assert faces.dtype == efaces.dtype and np.array_equal(faces, efaces)
+        assert weights.tobytes() == eweights.tobytes()
+        if ewhere is True:
+            assert where is True
+        else:
+            assert where.dtype == ewhere.dtype and np.array_equal(where, ewhere)
+
+
+@pytest.mark.parametrize("mesh", sorted(SLOT_MESHES))
+def test_divergence_slots_equal_the_slots_of_the_sliced_scipy_matrix(mesh):
+    """``geom.divergence_slots(cells, faces)`` filters and renumbers COO
+    entries; the oracle slices the scipy CSR matrix (which stores a row's
+    entries by column) and reads its storage: entry for entry the same, for
+    the full operator and the three restrictions the device targets use."""
+    geom = FVGeometry(SLOT_MESHES[mesh]())
+    D, inter = geom.divergence, np.flatnonzero(geom.interior_mask)
+    assert D.has_canonical_format
+    assert_same_slots(geom.divergence_slots(), kernels.csr_slots(D))
+    assert_same_slots(geom.divergence_slots(faces=inter), kernels.csr_slots(D[:, inter]))
+    assert_same_slots(geom.divergence_slots(faces=geom.bfaces),
+                      kernels.csr_slots(D[:, geom.bfaces]))
+    assert_same_slots(geom.divergence_slots(geom.bcells, geom.bfaces),
+                      kernels.csr_slots(D[geom.bcells][:, geom.bfaces]))
+
+
+def test_entry_slots_order_a_row_by_column_not_by_insertion():
+    """COO entries arrive owner block first, neighbour block second; scipy's
+    ``tocsr`` stores each row by column, and the sum order is the bits."""
+    rows, cols = np.array([0, 1, 0, 1]), np.array([3, 2, 1, 0])
+    vals = np.array([1e16, 1.0, 1.0, -1e16])
+    (f0, w0, all0), (f1, w1, all1) = kernels.entry_slots(rows, cols, vals, (2, 4))
+    assert all0 is True and all1 is True
+    assert f0.tolist() == [1, 0] and f1.tolist() == [3, 2]
+    assert w0.tolist() == [1.0, -1e16] and w1.tolist() == [1e16, 1.0]
+    # an empty operator (one cell, no interior face) has no slots at all
+    geom = FVGeometry(structured_grid((1, 1)))
+    assert geom.divergence_slots(faces=np.flatnonzero(geom.interior_mask)) == []
 
 
 # --------------------------------------------------------------------------

@@ -144,3 +144,22 @@ class TestVtk:
         back = reread(read_vtk, buf.getvalue(), name="rt")
         assert back.ncells == mesh.ncells
         assert back.dim == 2
+
+
+class TestNonFiniteCoordinates:
+    """``float("nan")`` parses, so a ``nan`` token used to come back as a
+    mesh with NaN volumes that passed ``validate()``; the builder now rejects
+    it (RPR504) whichever reader it came through."""
+
+    @pytest.mark.parametrize("reader, writer", [
+        (read_gmsh, write_gmsh), (read_medit, write_medit), (read_vtk, write_vtk)])
+    @pytest.mark.parametrize("token", ["nan", "inf"])
+    def test_every_reader_rejects_a_nan_token(self, reader, writer, token):
+        buf = io.StringIO()
+        writer(structured_grid((2, 2), [(0.0, 1.0), (0.0, 1.0)]), buf)
+        text = buf.getvalue()
+        assert " 0.5 " in text.replace("\n", " ")
+        bad = text.replace("0.5", token, 1)
+        with pytest.raises(MeshError, match="non-finite coordinate") as ei:
+            reread(reader, bad)
+        assert ei.value.code == "RPR504"
