@@ -10,6 +10,12 @@ so waiting on a late sender shows up as communication time on the receiving
 rank, exactly as a real trace would attribute it.  Collectives are
 implemented with real rendezvous (a barrier + shared slots) and charged with
 the tree/ring costs from the :class:`~repro.runtime.netmodel.NetworkModel`.
+
+The threads stand in for MPI processes, not for parallel speed: under
+``run_spmd`` a rank runs only while it holds its world's
+:class:`~repro.runtime.turn.Turn`, and gives it up in two places here — a
+receive that finds its channel empty and a collective rendezvous (no-ops on
+a thread that holds no turn).  Clocks, stats and message order do not see it.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ from repro.runtime.resilience import (
     RetryPolicy,
     get_resilience_log,
 )
+from repro.runtime.turn import Turn
 from repro.util.errors import (
     CommFaultError,
     RankKilledError,
@@ -110,6 +117,8 @@ class World:
         self._coll_slots: list[Any] = [None] * nranks
         self._coll_result: Any = None
         self.timeout_s = 60.0  # deadlock guard for tests
+        # who may run rank code; run_spmd's rank threads take it, nobody else
+        self.turn = Turn()
         # liveness monitor (set by run_spmd when heartbeat_s is given);
         # Communicator.compute() beats it on every call
         self.monitor = None
@@ -395,7 +404,12 @@ class Communicator:
                 timeout = (self.world.timeout_s if fast_path
                            else min(policy.wall_timeout(attempt), self.world.timeout_s))
                 try:
-                    msg = ch.get(timeout=timeout)
+                    try:
+                        # a message that is already there costs no hand-off
+                        msg = ch.get_nowait()
+                    except queue.Empty:
+                        with self.world.turn.released():
+                            msg = ch.get(timeout=timeout)
                 except queue.Empty:
                     if self.world._poison is not None:
                         self._raise_poisoned(self.world._poison)
@@ -563,16 +577,17 @@ class Communicator:
         """All ranks deposit a value; one combines; all pick up the result."""
         w = self.world
         w._coll_slots[self.rank] = value
-        idx = w._barrier.wait()
-        if idx == 0:
-            w._coll_result = combine(list(w._coll_slots))
-        w._barrier.wait()
-        result = w._coll_result
-        w._barrier.wait()  # everyone read before slots are reused
-        if idx == 0:
-            w._coll_slots = [None] * w.nranks
-            w._coll_result = None
-        w._barrier.wait()
+        with w.turn.released():  # once around all four waits
+            idx = w._barrier.wait()
+            if idx == 0:
+                w._coll_result = combine(list(w._coll_slots))
+            w._barrier.wait()
+            result = w._coll_result
+            w._barrier.wait()  # everyone read before slots are reused
+            if idx == 0:
+                w._coll_slots = [None] * w.nranks
+                w._coll_result = None
+            w._barrier.wait()
         return result
 
     def allreduce(self, data: np.ndarray | float, op: ReduceOp = ReduceOp.SUM,

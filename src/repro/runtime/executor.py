@@ -4,6 +4,12 @@
 collects return values, per-rank virtual clocks and communication stats.
 Exceptions in any rank cancel the run and re-raise with the rank attached,
 so test failures point at the failing rank program rather than hanging.
+
+The threads give each rank a stack and blocking calls of its own, as an MPI
+process has; under one GIL they buy no parallel speed, and free-running they
+lose it (every NumPy call hands the GIL across).  So a rank runs only while
+it holds ``world.turn``: taken on entry, given up where
+:mod:`repro.runtime.comm` blocks, released on exit however the rank unwinds.
 """
 
 from __future__ import annotations
@@ -87,6 +93,7 @@ def run_spmd(
     lock = threading.Lock()
 
     def runner(rank: int) -> None:
+        world.turn.acquire()
         try:
             # the thread is named rank{r}, so this lands on a per-rank
             # wall-clock track next to the rank's virtual timeline
@@ -107,6 +114,8 @@ def run_spmd(
                 # (they would unwind before writing their migration
                 # checkpoint).
                 world.poison(rank, exc)
+        finally:
+            world.turn.release()
 
     threads = [
         threading.Thread(target=runner, args=(r,), name=f"rank{r}", daemon=True)
@@ -168,7 +177,8 @@ def _join_with_heartbeat(
 
     A rank whose heartbeat goes stale is declared dead: its
     :class:`HeartbeatError` joins the error list, the world is poisoned so
-    peers unwind, and its (stuck) thread is abandoned — it is a daemon.
+    peers unwind, and its (stuck) thread is abandoned — it is a daemon —
+    after forfeiting the turn, or the pill would reach nobody.
     """
     deadline = time.monotonic() + timeout_s
     pending = {t.name: t for t in threads}
@@ -181,7 +191,7 @@ def _join_with_heartbeat(
         if not pending:
             break
         now = time.monotonic()
-        for rank in monitor.stalled():
+        for rank in _stalled(monitor, world, threads):
             if rank in declared or f"rank{rank}" not in pending:
                 continue
             declared.add(rank)
@@ -196,11 +206,26 @@ def _join_with_heartbeat(
             world.poison(rank, exc)
             # abandon the stuck daemon thread; peers will unwind via the pill
             pending.pop(f"rank{rank}", None)
+            world.turn.release(threads[rank].ident)
         if now > deadline:
             world._barrier.abort()
             raise ReproError(
                 f"SPMD run timed out waiting for {', '.join(sorted(pending))}"
             )
+
+
+def _stalled(monitor, world: World, threads: list[threading.Thread]) -> list[int]:
+    """The silent ranks that could have run: waiting for the turn is not
+    silence, and once a silent holder has also held the turn for the deadline
+    the others' silence is its doing — it alone is declared."""
+    # the turn is read before the beats: a rank granted the turn in between
+    # is still listed as waiting, never as a holder that has not beaten yet
+    holder, held_s, waiting = world.turn.snapshot()
+    silent = [r for r in monitor.stalled() if threads[r].ident not in waiting]
+    holding = [r for r in silent if threads[r].ident == holder]
+    if holding and held_s > monitor.deadline_s:
+        return holding
+    return [r for r in silent if r not in holding]
 
 
 __all__ = ["run_spmd", "SPMDResult"]

@@ -62,6 +62,9 @@ class Job:
         self.start_seq = -1
         #: result futures, one per coalesced request (server-owned)
         self.futures: list[Any] = []
+        #: the job's ``serve_interrupt`` callback on ``problem`` (server-owned,
+        #: taken off again when the result or failure is delivered)
+        self.hook: Any = None
 
     @property
     def primary_tenant(self) -> str:

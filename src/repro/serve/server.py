@@ -6,7 +6,10 @@ One :class:`SolverService` owns:
   per-tenant quotas, typed RPR900/RPR901 rejections);
 * a :class:`~repro.serve.scheduler.SchedulerCore` and one asyncio worker
   task per simulated GPU slot — solves execute on a thread pool so the
-  event loop stays responsive;
+  event loop stays responsive.  That, not parallel speed, is what the
+  threads are for (one GIL): an attempt runs only while it holds the
+  service's :class:`~repro.runtime.turn.Turn`, and the per-step hook passes
+  it on once a slice (:data:`SLICE_S`) is used up;
 * the in-flight job table keyed by :func:`repro.serve.schema.job_key`
   (identical requests coalesce onto one job and one result object) and a
   completed-result cache backed by per-tenant hashtrees;
@@ -21,7 +24,7 @@ Threading contract: all scheduler/tenant/admission state is touched only
 from the service's event loop.  Client threads enter through
 ``asyncio.run_coroutine_threadsafe`` (see :mod:`repro.serve.client`);
 solver execution happens in executor threads but its results are handled
-back on the loop.
+back on the loop.  The loop thread and the HTTP endpoint never take the turn.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
+from repro.runtime.turn import Turn
 from repro.serve.admission import AdmissionController, TenantQuota
 from repro.serve.scheduler import Job, SchedulerCore, WorkerState
 from repro.serve.schema import (
@@ -54,6 +58,13 @@ if TYPE_CHECKING:
     from repro.dsl.problem import Problem
 
 logger = get_logger("serve")
+
+
+#: How long an attempt may keep the turn while another waits, checked at step
+#: boundaries.  Measured, not configured (EXPERIMENTS.md, PR 19 slice sweep):
+#: an nx=16-class job (20-35 ms alone) finishes inside one slice, and a small
+#: job behind a paper-size one waits a slice and a step, not the whole job.
+SLICE_S = 0.05
 
 
 class _PreemptedSignal(Exception):
@@ -125,6 +136,8 @@ class SolverService:
             "completed": 0, "failed": 0, "rejected": 0,
             "preemptions": 0, "resumes": 0, "worker_failures": 0,
         }
+        #: the right to run a solve; held by at most one executor thread
+        self.turn = Turn()
         self._inflight: dict[str, Job] = {}
         self._results: dict[str, JobResult] = {}
         self._records: list[JobRecord] = []
@@ -319,6 +332,7 @@ class SolverService:
         job = Job(key, problem, resolved, prio, tenant, cache_key=ck)
         job.futures.append(fut)
         problem.add_post_step(self._interrupt_hook(job), name="serve_interrupt")
+        job.hook = problem.post_step_callbacks[-1]
         self._inflight[key] = job
         victim = self.core.enqueue(job)
         if victim is not None:
@@ -398,6 +412,10 @@ class SolverService:
         core = self.core
         core.mark_running(job, worker)
         self._gauges()
+        if job.checkpoint:
+            job.resumes += 1
+            self.counters["resumes"] += 1
+            self._metric("serve_resumes_total", "jobs resumed from checkpoint")
         t0 = time.perf_counter()
         try:
             result = await self.loop.run_in_executor(
@@ -452,8 +470,16 @@ class SolverService:
 
     # ------------------------------------------------------------- execution
     def _execute_job(self, job: Job) -> JobResult:
-        """Runs on an executor thread: generate (cache-warm), maybe resume,
-        run the remaining steps and package the shared result."""
+        """Runs on an executor thread, holding the turn: generate
+        (cache-warm), maybe resume, run the remaining steps and package the
+        shared result.  ``wall_s`` counts from the moment the turn is held."""
+        self.turn.acquire()
+        try:
+            return self._solve_job(job)
+        finally:
+            self.turn.release()
+
+    def _solve_job(self, job: Job) -> JobResult:
         from repro.obs import phase_span
 
         t0 = time.perf_counter()
@@ -478,10 +504,6 @@ class SolverService:
             solver = problem.generate(job.target)
             state = solver.state
             if job.checkpoint:
-                job.resumes += 1
-                self.counters["resumes"] += 1
-                self._metric("serve_resumes_total",
-                             "jobs resumed from checkpoint")
                 from repro.runtime.resilience import get_resilience_log
 
                 get_resilience_log().record_resume(
@@ -510,12 +532,15 @@ class SolverService:
 
         Deliberately a *post-step callback*: callbacks are excluded from
         the ``repro.cache/1`` signature and bound per-solve, so attaching
-        one never perturbs artifact caching or dedup keys.
+        one never perturbs artifact caching or dedup keys.  A step boundary
+        is also where a long job lets a waiting one in (not on the rank
+        threads of an SPMD job: they do not hold the service's turn).
         """
 
         def serve_interrupt(state) -> None:
             flag = job.interrupt
             if flag is None:
+                self.turn.pass_on(SLICE_S)
                 return
             if flag == "preempt":
                 from repro.runtime.resilience import checkpoint_path
@@ -534,7 +559,14 @@ class SolverService:
         return serve_interrupt
 
     # --------------------------------------------------------------- delivery
+    @staticmethod
+    def _drop_hook(job: Job) -> None:
+        """The caller's problem leaves the service as it came in."""
+        callbacks = job.problem.post_step_callbacks
+        callbacks[:] = [cb for cb in callbacks if cb is not job.hook]
+
     def _deliver_result(self, job: Job, result: JobResult) -> None:
+        self._drop_hook(job)
         if self.config.reuse_results:
             self._results[job.key] = result
         self._inflight.pop(job.key, None)
@@ -554,6 +586,7 @@ class SolverService:
 
     def _deliver_failure(self, job: Job, exc: BaseException,
                          code: str | None = None) -> None:
+        self._drop_hook(job)
         job.error = repr(exc)
         job.error_code = getattr(exc, "code", None) or code
         self._inflight.pop(job.key, None)

@@ -15,7 +15,7 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.mesh import gmsh_io, medit_io, vtk_io
@@ -83,14 +83,18 @@ def gradings():
 
 
 @st.composite
-def boxes(draw, dim):
-    shape = tuple(draw(st.integers(1, 5 if dim < 3 else 3)) for _ in range(dim))
-    bounds = []
-    for _ in range(dim):
-        lo = draw(st.floats(-3.0, 3.0))
-        bounds.append((lo, lo + draw(st.floats(1e-6, 7.0))))
-    grading = [draw(gradings()) for _ in range(dim)]
-    return shape, bounds, grading
+def boxes(draw):
+    """Three axes of ``(cells, lower bound, width, grading)``; a test in
+    ``dim`` dimensions takes the first ``dim`` (see :func:`box_of`)."""
+    return [(draw(st.integers(1, 5)), draw(st.floats(-3.0, 3.0)),
+             draw(st.floats(1e-6, 7.0)), draw(gradings())) for _ in range(3)]
+
+
+def box_of(axes, dim):
+    axes = axes[:dim]
+    shape = tuple(n if dim < 3 else min(n, 3) for n, _, _, _ in axes)
+    bounds = [(lo, lo + width) for _, lo, width, _ in axes]
+    return shape, bounds, [g for _, _, _, g in axes]
 
 
 def axes_of(shape, bounds, grading):
@@ -107,14 +111,22 @@ def axes_of(shape, bounds, grading):
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 @settings(max_examples=25, deadline=None)
-@given(data=st.data())
-def test_structured_grids_incl_graded_and_one_cell_wide(dim, data):
-    shape, bounds, grading = data.draw(boxes(dim))
-    mesh = structured_grid(shape, bounds, grading=grading)
+@given(axes=boxes())
+# a 1e-6-wide cell at offset 1: coordinates ~1, area 1e-12, the shoelace
+# centroid cancels and *both* builders reject the mesh with the same text
+# (hypothesis found the draw once in a full run; see docs/architecture.md)
+@example(axes=[(1, 1.0, 1e-6, None)] * 3)
+def test_structured_grids_incl_graded_and_one_cell_wide(dim, axes):
+    shape, bounds, grading = box_of(axes, dim)
     nodes, cells = ref.tensor_grid_lists(axes_of(shape, bounds, grading))
     marker = _default_marker(*np.array(bounds, dtype=np.float64).T, dim)
-    assert_same_mesh(mesh, ref.build_mesh(nodes, cells, dim=dim, boundary_marker=marker,
-                                          name=mesh.name))
+    expected = outcome(ref.build_mesh, nodes, cells, dim=dim,
+                       boundary_marker=marker, name="box")
+    got = outcome(structured_grid, shape, bounds, grading=grading, name="box")
+    if isinstance(expected, str):
+        assert got == expected
+    else:
+        assert_same_mesh(got, expected)
     assert_same_outcome(nodes, cells, dim=dim, boundary_marker=marker)
 
 

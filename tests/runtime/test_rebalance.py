@@ -7,6 +7,9 @@ the :class:`HeartbeatMonitor` with a pluggable clock, the ``rank_kill`` /
 peer blocked in a receive unwind promptly when another rank dies.
 """
 
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -181,6 +184,38 @@ class TestHeartbeatInRunSpmd:
         assert isinstance(cause, HeartbeatError)
         assert cause.rank == 1
         assert cause.code == "RPR315"
+
+    @pytest.mark.parametrize("peers", ["waiting for the turn", "in a receive",
+                                       "in a collective"])
+    def test_rank_hung_while_holding_the_turn_is_the_one_declared(self, peers):
+        """Ranks take turns, so peers of a hung holder fall silent with it:
+        the holder is blamed (not the lowest rank), it forfeits the turn,
+        and the peers unwind long before the deadlock-guard timeout."""
+        hang = threading.Event()
+
+        def prog(comm):
+            comm.compute(1e-3)
+            if peers == "waiting for the turn":
+                comm.barrier()  # everybody has started and queued up again
+            if comm.rank == 1:
+                hang.wait(30.0)  # stuck in a callback, the turn in hand
+            elif peers == "in a receive":
+                comm.recv(1, tag=4)
+            elif peers == "in a collective":
+                comm.allreduce(np.ones(2))
+            comm.compute(1e-3)
+
+        t0 = time.monotonic()
+        try:
+            with pytest.raises(ReproError) as ei:
+                run_spmd(3, prog, heartbeat_s=0.05, timeout_s=30.0)
+        finally:
+            hang.set()
+        cause = ei.value.__cause__
+        assert isinstance(cause, HeartbeatError)
+        assert cause.rank == ei.value.failed_rank == 1
+        assert cause.code == "RPR315"
+        assert time.monotonic() - t0 < 10.0
 
     def test_healthy_run_unaffected_by_monitor(self):
         def prog(comm):

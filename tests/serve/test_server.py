@@ -210,3 +210,73 @@ def test_stop_fails_pending_jobs_with_rpr903():
         # submitting to a stopped service is a typed error too
         with pytest.raises(ServeError):
             asyncio.run(service.submit(make_problem(), tenant="alice"))
+
+
+def _callback_names(problem):
+    return [cb.name for cb in problem.post_step_callbacks]
+
+
+def test_served_problem_keeps_only_its_own_callbacks():
+    """The per-job ``serve_interrupt`` hook comes off when the result or the
+    failure is delivered: a problem solved once, three times, or to a
+    failure leaves the service with the callbacks it came in with."""
+    def failing(state):
+        raise ValueError("boom at step 1")
+
+    with cache_scope():
+        with serve_session(workers=2, reuse_results=False) as service:
+            client = service.client
+            problem = make_problem()
+            before = _callback_names(problem)
+            client.solve(problem, tenant="alice")
+            assert _callback_names(problem) == before
+            for _ in range(3):
+                client.solve(problem, tenant="alice")
+            assert _callback_names(problem) == before
+            assert "serve_interrupt" not in before
+
+            broken = make_problem()
+            broken.add_post_step(failing, name="failing")
+            before_broken = _callback_names(broken)
+            with pytest.raises(ValueError, match="boom"):
+                client.solve(broken, tenant="alice")
+            assert _callback_names(broken) == before_broken
+            doc = client.status()
+    assert doc["counters"]["completed"] == 4
+    assert doc["counters"]["failed"] == 1
+    # and a later direct solve of the same object runs no stale hook
+    assert np.array_equal(problem.solve().solution(),
+                          make_problem().solve().solution())
+
+
+def test_resumes_counted_once_per_resume_with_two_preempted_jobs():
+    """``resumes`` is service state, so it is counted on the loop (not on
+    the two executor threads, where concurrent ``+=`` can lose one)."""
+    nsteps = 6
+    with cache_scope():
+        directs = [make_problem(nsteps=nsteps, nx=nx).solve().solution().copy()
+                   for nx in (8, 10)]
+        # batch_max=1: one job per dispatch, so the two land on two workers
+        with serve_session(workers=2, batch_max=1,
+                           reuse_results=False) as service:
+            client = service.client
+            tickets = [client.submit(make_problem(nsteps=nsteps, nx=nx,
+                                                  slow_s=0.03), tenant="alice")
+                       for nx in (8, 10)]
+            wait_until(lambda: len([w for w in client.status()["workers"]
+                                    if w["job"] is not None]) == 2)
+            first = wait_until(lambda: client.preempt(), timeout_s=10)
+            wait_until(lambda: client.status()["counters"]["preemptions"] >= 1)
+            for job in client.status()["jobs"]:
+                if job["status"] == "running" and job["key"] != first:
+                    client.preempt(job["key"])
+            results = [t.result(120) for t in tickets]
+            doc = client.status()
+    for result, direct in zip(results, directs):
+        assert np.array_equal(result.u, direct)
+    preemptions = sum(r.preemptions for r in results)
+    assert preemptions >= 1
+    assert doc["counters"]["preemptions"] == preemptions
+    assert doc["counters"]["resumes"] == preemptions
+    done = {j["key"]: j for j in doc["jobs"] if j["status"] == "done"}
+    assert sum(j["resumes"] for j in done.values()) == preemptions
