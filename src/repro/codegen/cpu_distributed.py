@@ -206,6 +206,7 @@ class CPUDistributedTarget(CodegenTarget):
 
         static: dict = dict(emitter.component_tables())
         static["NCOMP"] = ncomp
+        static["NCELLS"] = problem.mesh.ncells
         static["NPARTS"] = nparts
 
         # partitioning is part of the build: the Metis-style cut and the

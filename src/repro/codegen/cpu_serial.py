@@ -50,7 +50,11 @@ def emit_rhs_function(problem: "Problem", emitter: ExprEmitter,
     Under forward Euler the sweep stores the explicit update itself, ``u[sel]
     = u[sel] + dt * rhs`` (a cell-partitioned rank, with ``owned_columns``,
     only into the mesh columns it owns): no full-size ``rhs`` exists either.
-    Other steppers get the RHS back as a fresh array.
+    Other steppers get the RHS back as a fresh array.  When the surface
+    statement folds through the divergence the tile covers the interior
+    faces only: the source then also defines the shared
+    ``compute_boundary_contribution``, called once before the sweep, and
+    every tile adds its rows of the result into the boundary cells' columns.
     """
     form = emitter.form
     fcoefs = emitter.function_coefficients()
@@ -64,14 +68,14 @@ def emit_rhs_function(problem: "Problem", emitter: ExprEmitter,
     tile = emit_tile_body(
         emitter,
         gather=["u1, u2 = geom.gather_sides(u, ghost, sel, out=(fu, fv))"],
-        gather_upwind=[
-            "uw = geom.gather_sides(u, ghost, sel, out=fu, upwind=(upw, uw_rows))"],
         divergence="geom.surface_divergence(flux, out=acc, work=cw)",
         overrides="overrides",
+        boundary="acc[:, bcells] += bdry[sel]",
         store=store,
         dt="dt" if inplace else None,
         buffer="state.buffer", nfaces="geom.nfaces", ncells="geom.ncells",
     )
+    folded = tile.surface.folded is not None
 
     body = [
         '"""Semi-discrete RHS du/dt: volume sources + surface divergence —',
@@ -84,14 +88,17 @@ def emit_rhs_function(problem: "Problem", emitter: ExprEmitter,
         "geom = state.geom",
         "dt = state.dt",
     ]
-    if form.surface_terms:
+    if form.surface_terms and not folded:
         body.append("owner = geom.owner")
         for axis, name in enumerate(("normal_x", "normal_y", "normal_z")):
             if name in tile.reads:
                 body.append(f"{name} = geom.normal[:, {axis}]")
         if "face_dist" in tile.reads:
             body.append("face_dist = geom.face_dist")
-    if tile.tables:
+    if folded:
+        body.append(f"[{tile.tables}] = state.tables("
+                    "folded_tables, geom.interior_faces, divergence=True)")
+    elif tile.tables:
         body.append(f"[{tile.tables}] = state.tables(invariant_tables)")
     for name, coef in fcoefs.items():
         body += [
@@ -110,19 +117,32 @@ def emit_rhs_function(problem: "Problem", emitter: ExprEmitter,
     if tile.sweep:
         body += ["# sub-expressions of known variables, once over their own rows"]
         body += tile.sweep
-    body += [
-        "",
-        "# boundary ghost values and FLUX overrides, once per evaluation",
-        "# (user callbacks execute on the CPU)",
-        "ghost = state.bset.ghost_values(",
-        "    u, t, dt, state.extra, out=state.buffer('ghost', (NCOMP, len(geom.bfaces))))",
-    ]
-    if form.surface_terms:
-        body.append("overrides = state.bset.flux_overrides(u, t, dt, state.extra)")
-    if inplace:
-        body.append("state.require_private_inputs(u, ghost"
-                    f"{', overrides' if form.surface_terms else ''})")
+    if folded:
+        body += [
+            "",
+            "# the boundary faces' part, from their owner values, once per",
+            "# evaluation (user callbacks execute on the CPU)",
+            "bcells = geom.bcells",
+            "u_bdry = state.buffer('u_bdry', (NCOMP, len(geom.bowner)))",
+            "bdry = compute_boundary_contribution(",
+            "    state, np.take(u, geom.bowner, axis=1, out=u_bdry, mode='clip'), t)",
+        ]
+        if inplace:
+            body.append("np.multiply(bdry, dt, out=bdry)  # u + (du_bdry * dt), as finish_step")
     else:
+        body += [
+            "",
+            "# boundary ghost values and FLUX overrides, once per evaluation",
+            "# (user callbacks execute on the CPU)",
+            "ghost = state.bset.ghost_values(",
+            "    u, t, dt, state.extra, out=state.buffer('ghost', (NCOMP, len(geom.bfaces))))",
+        ]
+        if form.surface_terms:
+            body.append("overrides = state.bset.flux_overrides(u, t, dt, state.extra)")
+        if inplace:
+            body.append("state.require_private_inputs(u, ghost"
+                        f"{', overrides' if form.surface_terms else ''})")
+    if not inplace:
         body.append("rhs = np.empty((NCOMP, geom.ncells))")
     body += [
         "",
@@ -136,7 +156,8 @@ def emit_rhs_function(problem: "Problem", emitter: ExprEmitter,
     if not inplace:
         body.append("return rhs")
 
-    return tile.setup + ["def compute_rhs(state, u, t, rows=None):"] + _indent(body)
+    boundary = tile.boundary if folded else []
+    return tile.setup + boundary + ["def compute_rhs(state, u, t, rows=None):"] + _indent(body)
 
 
 def emit_step_and_run(problem: "Problem", scheme: str) -> list[str]:
@@ -220,6 +241,7 @@ def build_cpu_artifact(target: CodegenTarget, problem: "Problem"):
         static_env={
             **emitter.component_tables(),
             "NCOMP": unknown.space.ncomp,
+            "NCELLS": problem.mesh.ncells,
         },
         attrs={
             "ir": ir,

@@ -13,9 +13,11 @@ as locals prepared by the generated function):
                   ``(nsel, nfaces)`` — one row tile's gathers
                   (:func:`emit_tile_body`)
 ``us``            the unknown's rows of one tile, ``(nsel, ncells)``
-``f<i>``/``c<i>`` face-/cell-shaped scratch registers of one tile and
-                  ``s<i>`` of one sweep: views of preallocated pools, written
-                  through ``out=`` (:class:`_Registers`)
+``f<i>``/``c<i>`` face-/cell-shaped scratch registers of one tile (``d<i>``:
+                  cell-shaped, of a surface statement folded through the
+                  divergence) and ``s<i>`` of one sweep: views of
+                  preallocated pools, written through ``out=``
+                  (:class:`_Registers`)
 ``sel``           component-row selector (an index array or a slice): a
                   block from ``assemblyLoops``, or one tile of it
 ``normal_x`` ...  face normal components, ``(nfaces,)``
@@ -121,6 +123,18 @@ class _Registers:
         return reg
 
 
+class Upwind(NamedTuple):
+    """The select between the two face sides of the unknown a statement
+    reads as ``uw``: the index subspace ``rows`` its tabled condition
+    depends on, the ``select`` between ``u1`` and ``u2``, and — if that
+    takes the owner side where the condition holds — the condition's table
+    (``owner_where``: the owner side can be copied over the other one)."""
+
+    rows: str
+    select: str
+    owner_where: Hoisted | None
+
+
 @dataclass
 class EmittedExpr:
     """One emitted expression and its work estimate (per produced value).
@@ -129,12 +143,15 @@ class EmittedExpr:
     evaluates first: ``tables`` once per bound geometry (their array leaves
     are ``table_reads``; ``reads`` are those of everything else), ``sweep``
     once per sweep, ``prelude`` (plain assignments) in every tile.  With
-    ``upwind = (rows, select)`` it reads the upwinded side as ``uw``: the
-    ``select`` between ``u1`` and ``u2``, or — unless a side is also read on
-    its own (``sides``) — one gather through the ``upw`` column table with
-    the tile's table rows ``tmap_<rows>[sel]``.  ``prelude`` and ``code``
-    write ``registers`` tile-shaped scratch arrays (``f0..`` surface, ``c0..``
-    volume), the lines of ``sweep`` ``sweep_registers`` more (``s0..``).
+    ``upwind`` (:class:`Upwind`) it reads the upwinded side as ``uw``, the
+    select between ``u1`` and ``u2``; ``sides`` says whether a side is also
+    read on its own.  ``prelude`` and ``code`` write ``registers`` tile-shaped
+    scratch arrays (``f0..`` surface, ``c0..`` volume), the lines of ``sweep``
+    ``sweep_registers`` more (``s0..``).  ``folded`` is the same surface
+    statement carried through the divergence, when it is linear in ``uw``
+    (:meth:`ExprEmitter._fold_divergence`): cell-shaped code over ``us`` and
+    ``registers`` cell registers ``d0..``, its ``tables`` the ones a tile
+    then reads.
     """
 
     code: str
@@ -144,14 +161,11 @@ class EmittedExpr:
     tables: list[Hoisted] = field(default_factory=list)
     table_reads: set[str] = field(default_factory=set)
     sweep: list[Hoisted] = field(default_factory=list)
-    upwind: tuple[str, str] | None = None
+    upwind: Upwind | None = None
     sides: bool = False
     registers: int = 0
     sweep_registers: int = 0
-
-    @property
-    def gathers_upwind(self) -> bool:
-        return self.upwind is not None and not self.sides
+    folded: "EmittedExpr | None" = None
 
     @property
     def bytes_per_value(self) -> int:
@@ -207,9 +221,11 @@ class ExprEmitter:
         unknown stays inline); ``conditional(c, A*k, B*k)`` selects between
         the differing factors and applies the shared ones once; and a select
         between the two face sides of the unknown on a tabled condition
-        becomes the single gathered side ``uw``.  What is left in the tile
-        is emitted as register statements (:class:`_Registers`): no
-        arithmetic intermediate is a fresh array.
+        becomes the single side ``uw``.  What is left in the tile is emitted
+        as register statements (:class:`_Registers`): no arithmetic
+        intermediate is a fresh array.  One rewrite does change rounding: a
+        surface statement linear in ``uw`` is also emitted folded through
+        the divergence (``folded``, :meth:`_fold_divergence`).
         """
         if not terms:
             return EmittedExpr("0.0", 0)
@@ -225,6 +241,8 @@ class ExprEmitter:
                         if cse else " + ".join(f"({p.code})" for p in parts))
             if cse:
                 out.registers, out.sweep_registers = self._regs.count, self._sweep_regs.count
+                if context == "surface":
+                    self._fold_divergence(terms, out)
         finally:
             self._hoisted = self._regs = self._sweep_regs = None
         out.flops = sum(p.flops for p in parts) + (len(parts) - 1)
@@ -387,18 +405,111 @@ class ExprEmitter:
         self._regs.release(*operands)
         return self._regs.emit(f"{{}}[...] = {expr}")
 
+    @staticmethod
+    def _split_select(node: Conditional) -> tuple[tuple, tuple, int]:
+        """``(then, otherwise, i)``: the factors of the two branches of
+        ``conditional(c, A*k, B*k)`` and the one position they differ at —
+        the whole branches when they differ in more."""
+        then = node.then.args if isinstance(node.then, Mul) else (node.then,)
+        other = node.otherwise.args if isinstance(node.otherwise, Mul) else (node.otherwise,)
+        differ = [i for i, (a, b) in enumerate(zip(then, other)) if a != b]
+        if len(then) != len(other) or len(differ) != 1:
+            return (node.then,), (node.otherwise,), 0
+        return then, other, differ[0]
+
+    def _linear_upwind(self, node: Expr) -> tuple[list[Expr], list[Expr], Expr] | None:
+        """``(flat, faces, condition)`` if ``node`` is a product of one select
+        between the two face sides of the unknown and factors that are the
+        same on both sides: ``flat`` those that do not depend on the face
+        (numbers, component-indexed coefficients), ``faces`` the others."""
+        def split(factors):
+            flat = [a for a in factors if self._kind(a) in ("0", "c")]
+            return flat, [a for a in factors if a not in flat]
+
+        if isinstance(node, Mul):
+            flat, rest = split(node.args)
+            inner = self._linear_upwind(rest[0]) if len(rest) == 1 else None
+            return inner and (flat + inner[0], *inner[1:])
+        if isinstance(node, Conditional):
+            then, other, i = self._split_select(node)
+            if sorted(n.side for n in (then[i], other[i])
+                      if isinstance(n, SideValue) and self._is_unknown(n.expr)) == [1, 2]:
+                return *split([a for j, a in enumerate(then) if j != i]), node.cond
+        return None
+
+    def _fold_divergence(self, terms: list[Expr], out: EmittedExpr) -> None:
+        """Hoist the step-invariant factors of a surface statement through
+        the divergence.  ``surface()`` is linear, so when every term is a
+        product linear in the one upwinded side ``uw`` whose other factors
+        are tables over the rows of the upwind choice (``faces``) or do not
+        depend on the face (``flat``), the tables, the choice and the
+        divergence's weights fold into one cell-centric operator per term
+        (``fold_s<i>``, :func:`repro.fvm.kernels.fold_upwind`, built with
+        the tables) and the tile computes the term's divergence from ``us``
+        directly — its own cell's coefficient plus one gather per inflow
+        face — followed by the flat factors, once per row.  The result is
+        ``out.folded``; the face-centric statement stays as emitted, for the
+        boundary faces.  This changes rounding (the products associate
+        differently), not the scheme."""
+        if out.upwind is None or out.sides:
+            return
+        products = [self._linear_upwind(t) for t in terms]
+        if not all(products):
+            return
+        rows, hoisted = out.upwind.rows, self._hoisted
+        space = self.row_spaces[rows]
+
+        def table(*factors: Expr) -> Hoisted | None:
+            """The table of a product over the choice's rows, defined now if
+            the statement did not read it as one."""
+            node = factors[0] if len(factors) == 1 else Mul(*factors)
+            if ("surface", node) not in hoisted and self._hoist_scope(node) == ("bind", space):
+                hoisted["surface", node] = self._define(("bind", space), node, "surface", set())
+            found = hoisted.get(("surface", node))
+            return found if isinstance(found, Hoisted) and found.rows == rows else None
+
+        used = [h for h in out.tables if h.name == "upw"]
+        folds: list[Hoisted] = []
+        for n, (flat, faces, cond) in enumerate(products):
+            mask = table(cond)
+            found = table(*faces) if faces else None
+            if faces and found is None:
+                # in one space dimension ``n.s[d]`` is a product with the
+                # column ``s[d]``: the columns over the choice's rows join
+                over = [a for a in flat
+                        if isinstance(a, Indexed) and set(a.indices) <= set(space)]
+                found = table(*faces, *over)
+                flat[:] = [a for a in flat if a not in over]
+            if found is None or mask is None:
+                return  # a face factor that is no table over the choice's rows
+            used += [found, mask, *(hoisted.get(("surface", a)) for a in faces)]
+            folds.append(Hoisted(
+                f"fold_s{n}",
+                f"kernels.fold_upwind(divergence, {found.name}, upw, NCELLS)", rows))
+        folded = EmittedExpr("", 0)
+        regs = self._regs = _Registers("d", folded.prelude)
+        regs.free.append("acc")  # the first term is formed where the tile sums
+        self._hoisted = None  # the flat factors are columns: inline, as written
+        parts = []
+        for (flat, _, _), fold in zip(products, folds):
+            div = regs.emit(
+                f"kernels.apply_folded({fold.name}, us, tmap_{rows}[sel], {{}}, cw)")
+            parts.append((self._fold(
+                "*", [(self._walk(a, "surface", set()), self._kind(a)) for a in flat]
+                + [(div, "t")]), "t"))
+        folded.code = self._fold("+", parts)
+        folded.registers = regs.count
+        # a tile reads the folds; the face tables went into them
+        folded.tables = [h for h in out.tables if h not in used] + folds
+        out.folded = folded
+
     def _walk_select(self, node: Conditional, ctx: str, reads: set[str]) -> str:
         """``conditional(c, A*k, B*k)``: select between the factors that
         differ, multiply by the shared ones once, each in its original
         position — per element the same product as selecting between the
         two full products."""
         cond = self._walk(node.cond, ctx, reads)
-        then = node.then.args if isinstance(node.then, Mul) else (node.then,)
-        other = node.otherwise.args if isinstance(node.otherwise, Mul) else (node.otherwise,)
-        differ = [i for i, (a, b) in enumerate(zip(then, other)) if a != b]
-        if len(then) != len(other) or len(differ) != 1:
-            then, other, differ = (node.then,), (node.otherwise,), [0]
-        (i,) = differ
+        then, other, i = self._split_select(node)
         factors = [None if j == i else self._walk(a, ctx, reads)
                    for j, a in enumerate(then)]
         out = self._out
@@ -410,7 +521,8 @@ class ExprEmitter:
             # a tabled condition choosing between the two sides of the
             # unknown *is* an index choice: which column to gather
             (a, ca), (b, cb) = [(f"u{s}", ("owner", "other")[s - 1]) for s in pair]
-            upwind = (table.rows, f"np.where({cond}, {a}, {b})")
+            upwind = Upwind(table.rows, f"np.where({cond}, {a}, {b})",
+                            table if a == "u1" else None)
             if out.upwind is None:
                 out.upwind = upwind
                 out.tables.append(Hoisted(
@@ -681,9 +793,11 @@ class TileBody(NamedTuple):
     binding the register pools (before the sweep), the ``sweep`` lines run
     once before the first tile, the ``lines`` of one tile, the array leaves
     (``reads``) those need bound, the source (``setup``) of
-    ``invariant_tables`` and the comma-joined names (``tables``) of the list
-    it returns (both empty if nothing is tabled), and the emitted
-    ``surface`` statement."""
+    ``invariant_tables`` — and of ``folded_tables`` when the surface
+    statement folds (``surface.folded``) — and the comma-joined names
+    (``tables``) of the list the tile reads from the one or the other (both
+    empty if nothing is tabled), the emitted ``surface`` statement, and the
+    source (``boundary``) of ``compute_boundary_contribution``."""
 
     scratch: list[str]
     sweep: list[str]
@@ -692,6 +806,7 @@ class TileBody(NamedTuple):
     setup: list[str]
     tables: str
     surface: EmittedExpr
+    boundary: list[str]
 
 
 def hoisted_lines(defs: list[Hoisted], registers: int = 0) -> list[str]:
@@ -711,11 +826,16 @@ def hoisted_lines(defs: list[Hoisted], registers: int = 0) -> list[str]:
     return lines
 
 
-def _invariant_tables(surface: EmittedExpr, volume: EmittedExpr) -> tuple[list[str], str]:
-    """Source of ``invariant_tables`` and the names of the list it returns."""
+def _function(head: str, body: list[str]) -> list[str]:
+    return [head] + ["    " + ln if ln else ln for ln in body] + ["", ""]
+
+
+def _invariant_tables(surface: EmittedExpr, volume: EmittedExpr) -> tuple[list[str], str, str]:
+    """Source of ``invariant_tables`` (and ``folded_tables``), the names of
+    the list ``invariant_tables`` returns and of the one a tile reads."""
     tables = surface.tables + volume.tables
     if not tables:
-        return [], ""
+        return [], "", ""
     reads = surface.table_reads | volume.table_reads
     body = [
         '"""Sub-expressions that never change between steps, each over the',
@@ -728,8 +848,95 @@ def _invariant_tables(surface: EmittedExpr, volume: EmittedExpr) -> tuple[list[s
     body += hoisted_lines(tables)
     names = ", ".join(h.name for h in tables)
     body.append(f"return [{names}]")
-    head = "def invariant_tables(normal, face_dist, owner, other):"
-    return [head] + ["    " + ln for ln in body] + ["", ""], names
+    setup = _function("def invariant_tables(normal, face_dist, owner, other):", body)
+    if surface.folded is None:
+        return setup, names, names
+    read = surface.folded.tables + volume.tables
+    folds = [h for h in read if h not in tables]
+    setup += _function(
+        "def folded_tables(normal, face_dist, owner, other, divergence):",
+        ['"""What a tile reads of ``invariant_tables`` on the interior faces passed:',
+         "their tables folded through their ``divergence`` (its gather form) into",
+         'one cell-centric operator per term, and the tables with no face axis."""',
+         f"[{names}] = invariant_tables(normal, face_dist, owner, other)",
+         *[f"{h.name} = {h.code}" for h in folds],
+         f"return [{', '.join(h.name for h in read)}]"])
+    return setup, names, ", ".join(h.name for h in read)
+
+
+def _boundary_part(form: "ClassifiedForm", surface: EmittedExpr, tables: str) -> list[str]:
+    """Source of ``compute_boundary_contribution(state, u_bdry, t)``: the
+    face-centric surface statement over the boundary faces alone, in row
+    tiles, through the divergence restricted to them — the part of the step
+    every target leaves to the CPU and its user callbacks."""
+    body = [
+        '"""Boundary part of the RHS, from the owner values of the boundary',
+        "faces, ``u[:, geom.bowner]`` — all it reads of the unknown (on a device",
+        "target it runs on the CPU, concurrently with the interior kernel: paper",
+        "Fig. 6).  Returns du/dt|_boundary in the boundary cells' columns,",
+        '``(NCOMP, len(geom.bcells))``."""',
+        "geom = state.geom",
+        "dt = state.dt",
+        "du_bdry = state.buffer('du_bdry', (NCOMP, len(geom.bcells)))",
+    ]
+    if not form.surface_terms:
+        return _function("def compute_boundary_contribution(state, u_bdry, t):",
+                       body + ["du_bdry.fill(0.0)", "return du_bdry"])
+    body.append("bfaces = geom.bfaces")
+    if tables:  # the same tables, over the boundary faces' geometry
+        body.append(f"[{tables}] = state.tables(invariant_tables, bfaces)")
+    body += hoisted_lines(surface.sweep)
+    for axis, name in _AXIS_NAMES.items():
+        if name in surface.reads:
+            body.append(f"{name} = geom.normal[bfaces, {axis - 1}]")
+    if "face_dist" in surface.reads:
+        body.append("face_dist = geom.face_dist[bfaces]")
+    registers = [f"f{i}" for i in range(surface.registers)]
+    body += [
+        "# FLUX-type callbacks, evaluated from the owner values as they came",
+        "overrides = state.bset.flux_overrides(None, t, dt, state.extra, owner_values=u_bdry)",
+    ]
+    upwind = surface.upwind
+    if upwind is not None and upwind.owner_where and not surface.sides:
+        # only ``uw`` is read: the owner value, and where the flow enters the
+        # ghost value — formed in place
+        body += [
+            "# the upwinded side, in place: ghost values (boundary conditions,",
+            "# user callbacks) over the owner values where the flow enters",
+            "sel = slice(None)",
+            "inflow = state.buffer('boundary_mask', u_bdry.shape, bool)",
+            f"np.logical_not({upwind.owner_where.ref('inflow')}, out=inflow)",
+            "state.bset.ghost_values(None, t, dt, state.extra, out=u_bdry, owner_values=u_bdry,",
+            "                        where=inflow)",
+        ]
+        tile, spent = ["uw = u_bdry[sel]"], "uw"
+    else:
+        body += [
+            "# ghost values from the boundary conditions (user callbacks)",
+            "ghost = state.bset.ghost_values(None, t, dt, state.extra, owner_values=u_bdry,",
+            "                                out=state.buffer('ghost', u_bdry.shape))",
+        ]
+        tile, spent = ["u1, u2 = u_bdry[sel], ghost[sel]"], "u2"
+        if upwind is not None:  # the sides are already gathered: select
+            tile.append(f"uw = {upwind.select}")
+    body.append("height = kernels.tile_rows(len(bfaces), NCOMP)")
+    if registers:
+        body.append(f"face_pool = state.buffer('boundary_faces', "
+                    f"({len(registers)}, height, len(bfaces)))")
+        tile.append(f"{', '.join(registers)}, = face_pool[:, :len({spent})]")
+    tile += [f"# face flux: {t}" for t in map(str, form.surface_terms)]
+    tile += surface.prelude
+    tile.append(f"flux = {surface.code}")
+    if surface.code not in registers:  # maybe less than an array of its own
+        tile.append(f"flux = np.broadcast_to(flux, {spent}.shape).copy()")
+    tile += [
+        "for faces, values in overrides:  # they override their faces",
+        "    flux[:, geom.bface_slot[faces]] = values[sel]",
+        f"geom.boundary_divergence(flux, du_bdry[sel], work={spent})  # {spent}: spent",
+    ]
+    body += ["for sel in kernels.row_tiles(slice(None), NCOMP, height):",
+             *("    " + ln for ln in tile), "return du_bdry"]
+    return _function("def compute_boundary_contribution(state, u_bdry, t):", body)
 
 
 def _bind(names: list[str], pool: str) -> str:
@@ -741,7 +948,6 @@ def emit_tile_body(
     emitter: ExprEmitter,
     *,
     gather: list[str],
-    gather_upwind: list[str],
     divergence: str,
     store: str,
     buffer: str,
@@ -749,47 +955,54 @@ def emit_tile_body(
     ncells: str,
     dt: str | None = None,
     overrides: str | None = None,
+    boundary: str | None = None,
 ) -> TileBody:
     """The statements every target runs on one tile of component rows.
 
-    gather ``u1``/``u2`` (or the upwinded ``uw``) → surface statement →
-    FLUX overrides → divergence → volume statement → store.  ``sel`` is the
-    tile's row selector; the caller wraps the body in its tile loop and
-    supplies what differs per target: the ``gather`` lines binding ``u1,
-    u2`` (into ``fu``, ``fv``), the ``gather_upwind`` lines binding ``uw``
-    (into ``fu``) from the ``upw`` column table and the tile's table rows
-    ``uw_rows``, the ``divergence`` call over ``flux`` (into ``acc``, with
-    scratch ``cw``), the name of a precomputed ``(faces, values)`` override
-    list (CPU only), and the ``store`` statement consuming ``acc``: the
-    right-hand side, or with ``dt`` named the forward-Euler update ``u[sel]
-    + dt * rhs``.  Nothing in a tile is a fresh array: the statements write
-    registers (:class:`_Registers`), which with the gather, divergence and
-    update targets are the tile's rows of two pools taken once per sweep
-    from ``buffer(name, shape)`` — ``nfaces``/``ncells`` wide, ``height``
-    rows — and the known-variable terms a third.  Every operation is
-    elementwise per row (the divergence is per column) and a statement
-    reads the unknown only through the tile's own rows — ``us``,
-    ``u1``/``u2``/``uw``; the walker fails with RPR141 on anything else — so
-    results do not depend on the tiling and the store may overwrite
-    ``u[sel]`` itself.
+    gather ``u1``/``u2`` → surface statement → FLUX overrides → divergence →
+    volume statement → store; or, with the surface statement folded through
+    the divergence (:meth:`ExprEmitter._fold_divergence`), the folded
+    statement straight from ``us`` — interior faces only: the boundary faces
+    are ``compute_boundary_contribution``'s, whose result the target adds in
+    (a CPU target with the ``boundary`` statement, on ``acc`` before the
+    store).  ``sel`` is the tile's row selector; the caller wraps the body in
+    its tile loop and supplies what differs per target: the ``gather`` lines
+    binding ``u1, u2`` (into ``fu``, ``fv``), the ``divergence`` call over
+    ``flux`` (into ``acc``, with scratch ``cw``), the name of a precomputed
+    ``(faces, values)`` override list (CPU only), and the ``store``
+    statement consuming ``acc``: the right-hand side, or with ``dt`` named
+    the forward-Euler update ``u[sel] + dt * rhs``.  Nothing in a tile is a
+    fresh array: the statements write registers (:class:`_Registers`), which
+    with the gather, divergence and update targets are the tile's rows of
+    two pools taken once per sweep from ``buffer(name, shape)`` —
+    ``nfaces``/``ncells`` wide, ``height`` rows; a folded tile has no face
+    pool — and the known-variable terms a third.  Every operation is
+    elementwise per row (the divergence is per column, the folded operator
+    per run of equal table rows) and a statement reads the unknown only
+    through the tile's own rows — ``us``, ``u1``/``u2``; the walker fails
+    with RPR141 on anything else — so results do not depend on the tiling
+    and the store may overwrite ``u[sel]`` itself.
     """
     form = emitter.form
     surface = emitter.emit_sum(form.surface_terms, "surface")
     volume = emitter.emit_sum(form.volume_terms, "volume")
-    setup, tables = _invariant_tables(surface, volume)
+    setup, invariant, tables = _invariant_tables(surface, volume)
+    folded = surface.folded
     nsweep = volume.sweep_registers
     sweep = hoisted_lines(surface.sweep + volume.sweep, nsweep)
     face_regs = [f"f{i}" for i in range(surface.registers)]
     # gather targets, and a tile for a statement that is no register of its
     # own (a bare table, a leaf, a row): the overrides and the divergence
     # need a full one
-    face_regs += ["fu"] if surface.gathers_upwind else ["fu", "fv"]
+    face_regs += ["fu", "fv"]
     face_regs += ["fx"] if surface.code not in face_regs else []
-    cell_regs = [f"c{i}" for i in range(volume.registers)] + ["acc", "cw", "cu"]
+    cell_regs = [f"c{i}" for i in range(volume.registers)]
+    cell_regs += [f"d{i}" for i in range(folded.registers)] if folded else []
+    cell_regs += ["acc", "cw", "cu"]
     scratch = [f"cell_pool = {buffer}('cells', ({len(cell_regs)}, height, {ncells}))"]
     body = ["us = kernels.row_block(u, sel, out=cell_pool[-1])", "n = len(us)",
             _bind(cell_regs, "cell_pool")]
-    if form.surface_terms:
+    if form.surface_terms and not folded:
         scratch.append(
             f"face_pool = {buffer}('faces', ({len(face_regs)}, height, {nfaces}))")
         body.append(_bind(face_regs, "face_pool"))
@@ -803,13 +1016,12 @@ def emit_tile_body(
         body.extend(expr.prelude)
         body.append(f"{target} = {expr.code}")
 
-    if form.surface_terms:
-        if surface.gathers_upwind:
-            body += [f"uw_rows = tmap_{surface.upwind[0]}[sel]", *gather_upwind]
-        else:
-            body += gather
-            if surface.upwind:  # a side is also read on its own: select from both
-                body.append(f"uw = {surface.upwind[1]}")
+    if folded:
+        statement("surface, through the divergence", "div", folded, form.surface_terms)
+    elif form.surface_terms:
+        body += gather
+        if surface.upwind:  # the upwinded side: select from both
+            body.append(f"uw = {surface.upwind.select}")
         statement("surface", "flux", surface, form.surface_terms)
         if "fx" in face_regs:
             body += ["fx[...] = flux", "flux = fx"]
@@ -830,9 +1042,11 @@ def emit_tile_body(
     if dt is not None:
         body += [f"np.multiply(acc, {dt}, out=acc)",
                  "np.add(us, acc, out=acc)  # explicit update, Eq. (3)"]
+    if folded and boundary:
+        body.append(boundary)
     body.append(store)
     return TileBody(scratch, sweep, body, surface.reads | volume.reads, setup, tables,
-                    surface)
+                    surface, _boundary_part(form, surface, invariant))
 
 
 def _count_flops(term: Expr) -> int:
@@ -862,6 +1076,7 @@ __all__ = [
     "EmittedExpr",
     "Hoisted",
     "TileBody",
+    "Upwind",
     "emit_tile_body",
     "hoisted_lines",
 ]

@@ -45,7 +45,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.codegen.emit import ExprEmitter, emit_tile_body, hoisted_lines
+from repro.codegen.emit import ExprEmitter, emit_tile_body
 from repro.codegen.placement import Task, TaskGraph, optimize_placement, plan_transfers
 from repro.codegen.placement.transfers import ArrayUse
 from repro.codegen.state import SolverState
@@ -117,17 +117,12 @@ def _emit_device_source(problem: "Problem", emitter: ExprEmitter) -> list[str]:
     per DOF, vectorised body swept in row tiles —
     :func:`repro.codegen.emit.emit_tile_body`), the CPU-side boundary
     contribution (rhs part from boundary faces) and ``finish_step``."""
-    form = emitter.form
     tile = emit_tile_body(
         emitter,
         gather=[
             "# owner/neighbour gathers restricted to interior faces",
             "u1 = np.take(us, owner, axis=1, out=fu, mode='clip')",
             "u2 = np.take(us, NEIGH_INT, axis=1, out=fv, mode='clip')",
-        ],
-        gather_upwind=[
-            "# the upwinded side of every interior face, one gather",
-            "uw = kernels.gather_upwind(u, sel, upw, uw_rows, fu)",
         ],
         divergence="kernels.slot_divergence(DIV_INT, flux, acc, cw)",
         store="u_new[sel] = acc",
@@ -138,9 +133,12 @@ def _emit_device_source(problem: "Problem", emitter: ExprEmitter) -> list[str]:
     args = ["u"] + [f"var_{n}" for n in known] + ["u_new", "buffer"]
     lines = ["", ""] + tile.setup
     if tile.tables:
+        build = ("folded_tables(NORMALS_INT, FACEDIST_INT, OWNER_INT, NEIGH_INT, DIV_INT)"
+                 if tile.surface.folded else
+                 "invariant_tables(NORMALS_INT, FACEDIST_INT, OWNER_INT, NEIGH_INT)")
         lines += [
             "# over the interior faces, evaluated when the source is bound",
-            "INT_TABLES = invariant_tables(NORMALS_INT, FACEDIST_INT, OWNER_INT, NEIGH_INT)",
+            f"INT_TABLES = {build}",
             "",
             "",
         ]
@@ -167,61 +165,9 @@ def _emit_device_source(problem: "Problem", emitter: ExprEmitter) -> list[str]:
         body.append(f"[{tile.tables}] = INT_TABLES")
     body += tile.sweep
     body.append("for sel in kernels.row_tiles(rows, NCOMP, height):")
-    lines += _indent(body + _indent(tile.lines))
-
-    surface = tile.surface  # the same statement, over the boundary faces
-    lines += [
-        "",
-        "",
-        "def compute_boundary_contribution(state, u_bdry, t):",
-    ]
-    body = [
-        '"""Boundary part of the RHS (per paper Fig. 6 this runs on the CPU,',
-        "concurrently with the interior kernel), from the owner values of the",
-        "boundary faces, ``u[:, BOWNER]`` — all it reads of the unknown.",
-        "Returns du/dt|_boundary in the boundary cells' columns, ``(NCOMP,",
-        'len(BCELLS))``."""',
-        "geom = state.geom",
-        "dt = state.dt",
-        "du_bdry, work = state.buffer('du_bdry', (2, NCOMP, len(BCELLS)))",
-    ]
-    if not form.surface_terms:
-        body += ["du_bdry.fill(0.0)", "return du_bdry"]
-    else:
-        body.append("bfaces = geom.bfaces")
-        if tile.tables:  # the same tables, over the boundary faces' geometry
-            body.append(f"[{tile.tables}] = state.tables(invariant_tables, bfaces)")
-        body += hoisted_lines(surface.sweep)
-        registers = [f"f{i}" for i in range(surface.registers)]
-        body += [
-            "sel = slice(None)",
-            f"{', '.join(registers + ['fv'])}, = state.buffer('boundary_faces', "
-            f"({len(registers) + 1}, NCOMP, len(bfaces)))",
-            "# ghost values from the boundary conditions (user callbacks)",
-            "u1 = u_bdry",
-            "u2 = state.bset.ghost_values(None, t, dt, state.extra, out=fv, owner_values=u_bdry)",
-            "# FLUX-type callbacks, evaluated before the flux's temporaries exist",
-            "overrides = state.bset.flux_overrides(None, t, dt, state.extra, owner_values=u_bdry)",
-        ]
-        if surface.upwind is not None:  # the sides are already gathered: select
-            body.append(f"uw = {surface.upwind[1]}")
-        for axis, name in enumerate(("normal_x", "normal_y", "normal_z")):
-            if name in surface.reads:
-                body.append(f"{name} = geom.normal[bfaces, {axis}]")
-        if "face_dist" in surface.reads:
-            body.append("face_dist = geom.face_dist[bfaces]")
-        body += [f"# face flux: {t}" for t in map(str, form.surface_terms)]
-        body += surface.prelude
-        body.append(f"flux = {surface.code}")
-        if surface.code not in registers:  # maybe less than an array of its own
-            body.append("flux = np.broadcast_to(flux, u1.shape).copy()")
-        body += [
-            "for faces, values in overrides:  # they override their faces",
-            "    flux[:, BFACE_SLOT[faces]] = values",
-            "return kernels.slot_divergence(DIV_BDRY, flux, du_bdry, work)",
-        ]
-    lines += _indent(body)
-    lines += ["", "", "def finish_step(u, du_bdry, u_bdry, reduced, buffer, sel=slice(None), comps=None):"]
+    lines += _indent(body + _indent(tile.lines)) + ["", ""] + tile.boundary
+    lines.append(
+        "def finish_step(u, du_bdry, u_bdry, reduced, buffer, sel=slice(None), comps=None):")
     return lines + _indent([
         '"""What ends a step once the interior update ``u`` and the boundary',
         "part exist — one body, launched on the device buffers or called on",
@@ -523,7 +469,7 @@ def plan_header(plan: dict) -> list[str]:
 def step_env(problem: "Problem", geom, plan: dict) -> dict:
     """What the emitted device step reads that is not in the cache key's
     static environment: geometry tables, the live callbacks, fault hooks."""
-    int_faces = np.flatnonzero(geom.interior_mask)
+    int_faces = geom.interior_faces
     return {
         "DT": problem.config.dt,  # runtime-bound: not part of the key
         "OWNER_INT": geom.owner[int_faces],
@@ -531,12 +477,10 @@ def step_env(problem: "Problem", geom, plan: dict) -> dict:
         "NORMALS_INT": geom.normal[int_faces],
         "FACEDIST_INT": geom.face_dist[int_faces],
         "DIV_INT": geom.divergence_slots(faces=int_faces),
-        # the boundary exchange: owner cell of every boundary face, the cells
-        # that have one, and the divergence restricted to those rows
+        # the boundary exchange: owner cell of every boundary face and the
+        # cells that have one
         "BOWNER": geom.bowner,
         "BCELLS": geom.bcells,
-        "DIV_BDRY": geom.divergence_slots(geom.bcells, geom.bfaces),
-        "BFACE_SLOT": geom.bface_slot,
         "PRE_STEP_CALLBACKS": list(problem.pre_step_callbacks),
         "POST_STEP_CALLBACKS": list(problem.post_step_callbacks),
         "REDUCTIONS": [cb.reduce.fn for cb in problem.post_step_callbacks if cb.reduce],

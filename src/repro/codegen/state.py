@@ -94,7 +94,7 @@ class SolverState:
         self.bset = self._build_boundary_set()
         self.comp_blocks = self._build_component_blocks()
         self._scratch: dict[str, np.ndarray] = {}
-        self._tables: tuple[Any, list] | None = None  # (builder, its tables)
+        self._tables: dict[str, tuple[Any, list]] = {}  # builder name -> (builder, its tables)
         self._sweep_inputs_checked = False
 
         # per-step solver metrics (residual, energy drift) — lazily
@@ -333,7 +333,7 @@ class SolverState:
             return self.timers.time(name)
         return _ProfileScope(self, name, prof)
 
-    def buffer(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
+    def buffer(self, name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
         """A reusable scratch array (allocated once, reused every step).
 
         The generated hot loop and the step callbacks call this instead of
@@ -345,23 +345,29 @@ class SolverState:
         whatever the last user left.
         """
         buf = self._scratch.get(name)
-        if buf is None or buf.shape != shape:
-            buf = np.empty(shape, dtype=np.float64)
+        if buf is None or buf.shape != shape or buf.dtype != dtype:
+            buf = np.empty(shape, dtype=dtype)
             self._scratch[name] = buf
         return buf
 
-    def tables(self, build, faces=slice(None)) -> list:
+    def tables(self, build, faces=slice(None), divergence: bool = False) -> list:
         """The generated code's step-invariant tables over this state's
         geometry, ``build(normal, face_dist, owner, neighbor_column)`` on
-        ``faces`` (one choice per generated source): built on first use and
-        again only for another ``build`` (a recompiled source), so every
-        state — each rank state of each run segment, hence each partition an
-        elastic run migrates to — holds its own."""
-        if self._tables is None or self._tables[0] is not build:
+        ``faces`` (one choice per generated builder) — with ``divergence``
+        also handed the gather form of the surface divergence on those
+        faces (ids, then): built on first use and again only for another ``build`` of
+        that name (a recompiled source), so every state — each rank state of
+        each run segment, hence each partition an elastic run migrates to —
+        holds its own."""
+        held = self._tables.get(build.__name__)
+        if held is None or held[0] is not build:
             g = self.geom
-            self._tables = (build, build(g.normal[faces], g.face_dist[faces],
-                                         g.owner[faces], g.neighbor_column[faces]))
-        return self._tables[1]
+            args = [g.normal[faces], g.face_dist[faces], g.owner[faces],
+                    g.neighbor_column[faces]]
+            if divergence:
+                args.append(g.divergence_slots(faces=faces))
+            held = self._tables[build.__name__] = (build, build(*args))
+        return held[1]
 
     def require_private_inputs(self, u: np.ndarray, ghost: np.ndarray,
                                overrides=()) -> None:

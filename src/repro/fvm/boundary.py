@@ -156,6 +156,7 @@ class BoundarySet:
         extra: dict[str, Any] | None = None,
         out: np.ndarray | None = None,
         owner_values: np.ndarray | None = None,
+        where: np.ndarray | None = None,
     ) -> np.ndarray:
         """Ghost array of shape ``(ncomp, n_boundary_faces)``, filled into
         ``out`` when given (a copy of the boundary values either way, never
@@ -164,32 +165,45 @@ class BoundarySet:
         FLUX regions get zero-gradient ghosts here (their flux is replaced
         afterwards by :meth:`flux_overrides`, so the ghost value is unused
         except for keeping shapes uniform).
+
+        ``where`` (boolean, of the ghost array's shape) asks for the ghost
+        value at those entries only; the others hold the owner value.  With
+        the entries where the flow enters that is the upwinded side of every
+        boundary face — and ``out`` may be ``owner_values`` itself.
         """
         g = self.geom
         nb = g.boundary_face_count()
         ghost = np.empty((self.ncomp, nb), dtype=np.float64) if out is None else out
+
+        def put(slots: np.ndarray, values) -> None:
+            if where is not None:  # the other entries keep what they hold
+                held = ghost[:, slots]
+                np.copyto(held, values, where=where[:, slots])
+                values = held
+            ghost[:, slots] = values
+
         # default: zero gradient everywhere (also covers FLUX regions)
         if owner_values is None:
             np.take(u.reshape(self.ncomp, -1), g.bowner, axis=1, out=ghost, mode="clip")
-        else:
+        elif ghost is not owner_values:
             ghost[...] = owner_values
         for region, bc in self.conditions.items():
             slots = g.region_slots[region]
             if bc.kind == BCKind.DIRICHLET:
                 val = np.asarray(bc.value, dtype=np.float64)
                 if val.ndim == 0:
-                    ghost[:, slots] = float(val)
+                    put(slots, float(val))
                 else:
                     if val.shape != (self.ncomp,):
                         raise ConfigError(
                             f"Dirichlet value shape {val.shape} != ({self.ncomp},)"
                         )
-                    ghost[:, slots] = val[:, None]
+                    put(slots, val[:, None])
             elif bc.kind == BCKind.NEUMANN0 or bc.kind == BCKind.FLUX:
                 pass  # zero gradient already in place
             elif bc.kind == BCKind.SYMMETRY:
                 # the owner values are in place: read them at the mirrored rows
-                ghost[:, slots] = ghost[np.asarray(bc.reflection_map)[:, None], slots]
+                put(slots, ghost[np.asarray(bc.reflection_map)[:, None], slots])
             elif bc.kind == BCKind.GHOST_CALLBACK:
                 ctx = self._context(bc, u, time, dt, extra, owner_values)
                 vals = np.asarray(bc.callback(ctx), dtype=np.float64)
@@ -198,7 +212,7 @@ class BoundarySet:
                         f"ghost callback on region {region} returned shape "
                         f"{vals.shape}, expected {(self.ncomp, ctx.nfaces)}"
                     )
-                ghost[:, slots] = vals
+                put(slots, vals)
         return ghost
 
     def flux_overrides(

@@ -25,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from repro.fvm.kernels import entry_slots, gather_upwind, slot_divergence
+from repro.fvm.kernels import entry_slots, slot_divergence
 from repro.mesh.mesh import Mesh
 
 
@@ -103,7 +103,7 @@ class FVGeometry:
         }
 
         self._div_slots: list | None = None  # the divergence's gather form, on first use
-        self._patches: tuple | None = None  # (upwind column table, its ghost reads)
+        self._bdry_slots: list | None = None  # ... restricted to the boundary faces
         # face-centre offsets from each side's cell centre (for linear
         # face extrapolation in second-order reconstructions)
         self.offset_owner = self.center - self.cell_center[self.owner]
@@ -133,6 +133,11 @@ class FVGeometry:
         ``csr_slots(divergence[cells][:, faces])`` without the matrix."""
         return entry_slots(*self._stencil(self.area), (self.ncells, self.nfaces),
                            row_ids=cells, col_ids=faces)
+
+    @cached_property
+    def interior_faces(self) -> np.ndarray:
+        """Ids of the faces with a cell on both sides, sorted."""
+        return np.flatnonzero(self.interior_mask)
 
     @cached_property
     def divergence(self):
@@ -177,13 +182,23 @@ class FVGeometry:
                               np.empty(shape) if work is None else work)
         return div if face_flux.ndim == 2 else div[0]
 
+    def boundary_divergence(self, face_flux: np.ndarray, out: np.ndarray,
+                            work: np.ndarray) -> np.ndarray:
+        """The boundary faces' part of :meth:`surface_divergence`, compact:
+        ``face_flux`` is ``(ncomp, nbfaces)`` (one column per ghost slot) and
+        the result, in ``out``, ``(ncomp, len(bcells))`` — the columns of the
+        cells that have a boundary face; ``work`` is contiguous scratch of at
+        least that size."""
+        if self._bdry_slots is None:
+            self._bdry_slots = self.divergence_slots(self.bcells, self.bfaces)
+        return slot_divergence(self._bdry_slots, face_flux, out, work)
+
     def gather_sides(
         self,
         u: np.ndarray,
         ghost: np.ndarray | None = None,
         rows=None,
         out=None,
-        upwind: tuple[np.ndarray, np.ndarray] | None = None,
     ):
         """Owner-side and neighbour-side values of ``u`` on every face.
 
@@ -196,24 +211,7 @@ class FVGeometry:
         ``out`` is a pair of ``(>= nrows, nfaces)`` scratch arrays; their
         leading rows are filled and returned instead of fresh arrays, which
         is how the tiled kernels gather without allocating.
-
-        ``upwind=(columns, table_rows)`` returns one array instead (into the
-        leading rows of the single scratch array ``out``): face ``f`` of row
-        ``i`` reads ``columns[table_rows[i], f]`` — the owner cell where an
-        upwind select would take the owner side, else ``neighbor_column``'s
-        entry — straight from ``u``; the few inflow boundary faces of each
-        table row are then patched from ``ghost``.
         """
-        if upwind is not None:
-            columns, table_rows = upwind
-            if self._patches is None or self._patches[0] is not columns:
-                inflow = [self.bfaces[row[self.bfaces] < 0] for row in columns]
-                self._patches = (columns, [(faces, ~row[faces])
-                                           for faces, row in zip(inflow, columns)])
-            if ghost is None:
-                ghost = u[..., self.bowner]
-            return gather_upwind(u, slice(None) if rows is None else rows, columns,
-                                 table_rows, out, ghost, self._patches[1])
         if rows is not None:
             u = u[rows]
             if ghost is not None:

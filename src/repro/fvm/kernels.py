@@ -10,22 +10,27 @@ leading component axis: arguments are ``(nfaces,)``/``(ncells,)`` or
 from __future__ import annotations
 
 from collections.abc import Iterator
+from typing import NamedTuple
 
 import numpy as np
 
 #: Working-set budget of one component-row tile: the bytes of one
-#: ``(rows, nfaces)`` float64 face array.  A tile keeps two such arrays live
-#: (the upwinded side and the flux) plus five ``(rows, ncells)`` ones (the
-#: statement's registers, the divergence and its work array, the update),
-#: and at 512 KiB they all stay inside a 4 MiB L2.  The Newton closure
-#: (``bte.equilibrium``) sizes its cell blocks by the same constant: one
-#: ``(nbands, block)`` array per budget, about six live.  Measured, not
+#: ``(rows, nfaces)`` float64 face array — the unit the height is derived in,
+#: whatever the body keeps live.  A folded tile (the BTE's) has no face array
+#: at all: it keeps five ``(rows, ncells)`` arrays live (the statements'
+#: registers, the accumulator and its work array, the gathered rows), each
+#: half a budget wide, plus the folded operator's rows of the one or two
+#: directions it spans; a two-sided tile adds two face arrays (the gathered
+#: sides, the flux).  At 512 KiB either stays inside a 4 MiB L2.  The Newton
+#: closure (``bte.equilibrium``) sizes its cell blocks by the same constant:
+#: one ``(nbands, block)`` array per budget, about six live.  Measured, not
 #: configured — the sweeps are in EXPERIMENTS.md ("No allocation in steady
-#: state"): step time is flat within noise from ~256 KiB to ~640 KiB for the
-#: tile body and rises outside (per-tile call overhead below, L2 spills
-#: above); the closure alone is flat from ~128 KiB and 0.45 ms (under 1 % of
-#: a step) better unblocked, which is not worth a second constant, so this
-#: one stays where it was.
+#: state", re-run on the folded body under "Hoist through the divergence"):
+#: step time is flat within noise from ~256 KiB to ~768 KiB for either tile
+#: body and rises outside (per-tile call overhead below, L2 spills above);
+#: the closure alone is flat from ~128 KiB and 0.45 ms (under 1 % of a step)
+#: better unblocked, which is not worth a second constant, so this one stays
+#: where it was.
 TILE_BYTES = 512 * 1024
 
 
@@ -86,30 +91,6 @@ def table_rows(table: np.ndarray, row_of: np.ndarray, sel,
     return row_block(table, rows, out=out)
 
 
-def gather_upwind(u: np.ndarray, sel, columns: np.ndarray, table_rows: np.ndarray,
-                  out: np.ndarray | None = None, ghost: np.ndarray | None = None,
-                  patches=None) -> np.ndarray:
-    """The upwinded face side of the rows ``sel`` of ``u``: ``result[i, f] =
-    [u | ghost][sel[i], columns[table_rows[i], f]]``, ``columns`` being the
-    generated code's ``upw`` table (per value of the indices the flow
-    direction depends on, the cell each face reads, or ``~slot`` for a ghost
-    slot).  One ``np.take`` straight from ``u`` per run of equal
-    ``table_rows`` — a tile that straddles two is segmented — into the
-    leading rows of ``out`` when given; ``patches[r] = (faces, slots)`` then
-    overwrites the few faces of table row ``r`` that read a ghost."""
-    n = len(table_rows)
-    out = np.empty((n, columns.shape[1])) if out is None else out[:n]
-    for lo, hi in row_runs(table_rows):
-        r = table_rows[lo]
-        # mode='clip' skips take's bounds-check buffering of ``out`` and
-        # parks the ghost columns on cell 0 until they are patched
-        row_block(u, sel, lo, hi).take(columns[r], axis=1, out=out[lo:hi], mode="clip")
-        if patches is not None and len(patches[r][0]):
-            faces, slots = patches[r]
-            out[lo:hi, faces] = row_block(ghost, sel, lo, hi)[:, slots]
-    return out
-
-
 def entry_slots(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, shape: tuple[int, int],
                 row_ids: np.ndarray | None = None, col_ids: np.ndarray | None = None,
                 ) -> list[tuple[np.ndarray, np.ndarray, object]]:
@@ -155,16 +136,95 @@ def csr_slots(matrix) -> list[tuple[np.ndarray, np.ndarray, object]]:
     return entry_slots(rows, matrix.indices, matrix.data, matrix.shape)
 
 
+class FoldedOperator(NamedTuple):
+    """A gather-form operator with a face table and an upwind column choice
+    folded in (:func:`fold_upwind`): per table row ``r`` and cell ``c``,
+    ``own[r, c]`` multiplies the cell's own value and ``weights[k][r, c]``
+    that of cell ``cols[k][r, c]``, for ``k < counts[r]`` (a cell with fewer
+    entries than its row is padded with itself at weight zero)."""
+
+    own: np.ndarray
+    cols: list[np.ndarray]
+    weights: list[np.ndarray]
+    counts: np.ndarray
+
+
+def fold_upwind(slots, table: np.ndarray, columns: np.ndarray, ncells: int) -> FoldedOperator:
+    """Fold what multiplies the unknown on its way through a gather-form
+    operator (:func:`entry_slots`, ``ncells`` rows) into the operator: with
+    ``table[r, f]`` a coefficient per (table row, face) and ``columns[r, f]``
+    the cell face ``f`` reads under row ``r`` (the generated code's ``upw``
+    table; negative: a ghost slot), the cell-centric form of
+
+        ``out[r, c] = sum_k weights_k[c] * table[r, f] * u[columns[r, f]]``,  ``f = faces_k[c]``
+
+    The faces that read cell ``c`` itself collapse into one coefficient,
+    summed in slot order; every other face keeps its own entry, in slot
+    order; a face that reads a ghost slot contributes nothing (the boundary
+    part owns it) and an exact-zero coefficient (a face parallel to the
+    flow) is dropped."""
+    nrows, cell = len(table), np.arange(ncells)
+    own = np.zeros((nrows, ncells))
+    used = np.zeros((nrows, ncells), dtype=np.intp)  # entries so far, per (row, cell)
+    out_cols: list[np.ndarray] = []
+    out_weights: list[np.ndarray] = []
+    coef, cols = np.empty((nrows, ncells)), np.empty((nrows, ncells), dtype=np.intp)
+    for faces, weights, where in slots:
+        if where is True or where.dtype == bool:
+            # padded: a row without the entry gets weight zero, and is dropped
+            np.take(table, faces, axis=1, out=coef, mode="clip")
+            coef *= weights if where is True else np.where(where, weights, 0.0)
+            np.take(columns, faces, axis=1, out=cols, mode="clip")
+        else:
+            coef.fill(0.0)
+            coef[:, where] = weights * table[:, faces]
+            cols[:, where] = columns[:, faces]
+        inward = cols == cell
+        own += np.where(inward, coef, 0.0)
+        live = ~inward & (cols >= 0) & (coef != 0.0)
+        for k in range(int(used.max(initial=0)) + 1):  # live entries move up, in order
+            move = live & (used == k)
+            if not move.any():
+                continue
+            if k == len(out_cols):
+                out_cols.append(np.tile(cell, (nrows, 1)))
+                out_weights.append(np.zeros((nrows, ncells)))
+            np.copyto(out_cols[k], cols, where=move)
+            np.copyto(out_weights[k], coef, where=move)
+        used += live
+    return FoldedOperator(own, out_cols, out_weights, used.max(axis=1, initial=0))
+
+
+def apply_folded(op: FoldedOperator, us: np.ndarray, table_rows: np.ndarray,
+                 out: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """``out[i, c] = own[r, c] * us[i, c] + sum_k weights[k][r, c] * us[i,
+    cols[k][r, c]]`` with ``r = table_rows[i]``: a :func:`fold_upwind`
+    operator on one tile of rows of the unknown, per run of equal table
+    rows and in entry order, each row on its own (so neither the tile
+    height nor the row selector changes a bit).  ``work`` is scratch of
+    ``out``'s shape."""
+    own, cols, weights, counts = op
+    for lo, hi in row_runs(table_rows):
+        r = table_rows[lo]
+        rows, acc, term = us[lo:hi], out[lo:hi], work[lo:hi]
+        np.multiply(rows, own[r], out=acc)
+        for k in range(counts[r]):
+            rows.take(cols[k][r], axis=1, out=term, mode="clip")
+            np.multiply(term, weights[k][r], out=term)
+            np.add(acc, term, out=acc)
+    return out
+
+
 def slot_divergence(slots, flux: np.ndarray, out: np.ndarray,
                     work: np.ndarray | None = None) -> np.ndarray:
     """``out[:, c] = sum_k weights_k[c] * flux[:, faces_k[c]]`` over the
     :func:`csr_slots` of an operator — what ``(matrix @ flux.T).T`` computes,
     bit for bit (accumulated from ``+0.0`` in storage order, so a ``-0.0``
     product leaves ``+0.0`` as CSR does), in the tile's own row layout: no
-    transposed copy in, no strided read back.  ``work`` is scratch of
-    ``out``'s shape for the slots most rows have."""
-    # when every row has a first entry, slot 0 writes ``0.0 + product``
-    # straight over whatever ``out`` held; otherwise start from zeros
+    transposed copy in, no strided read back.  ``work`` is contiguous scratch
+    of at least ``out``'s size for the later slots most rows have."""
+    # when every row has a first entry, slot 0 is formed in ``out`` itself,
+    # ``0.0 + product`` over whatever it held; otherwise start from zeros
     overwrite = bool(slots) and slots[0][2] is True
     if not overwrite:
         out.fill(0.0)
@@ -172,13 +232,20 @@ def slot_divergence(slots, flux: np.ndarray, out: np.ndarray,
         if where is not True and where.dtype != bool:  # a few rows: in place
             out[:, where] += weights * flux[:, faces]
             continue
-        work = np.empty_like(out) if work is None else work
-        flux.take(faces, axis=1, out=work, mode="clip")
-        np.multiply(work, weights, out=work)
         if overwrite and k == 0:
-            np.add(work, 0.0, out=out)
+            term = out
         else:
-            np.add(out, work, out=out, where=where)
+            if work is None or work.size < out.size:
+                work = np.empty_like(out)
+            elif work.shape != out.shape:  # larger scratch: its leading part
+                work = work.reshape(-1)[:out.size].reshape(out.shape)
+            term = work
+        flux.take(faces, axis=1, out=term, mode="clip")
+        np.multiply(term, weights, out=term)
+        if term is out:
+            np.add(out, 0.0, out=out)
+        else:
+            np.add(out, term, out=out, where=where)
     return out
 
 
@@ -334,13 +401,17 @@ __all__ = [
     "row_runs",
     "row_block",
     "table_rows",
-    "gather_upwind",
     "entry_slots",
     "csr_slots",
+    "FoldedOperator",
+    "fold_upwind",
+    "apply_folded",
     "slot_divergence",
     "store_columns",
     "upwind_flux",
     "central_flux",
+    "minmod",
+    "muscl_flux",
     "axpy",
     "reduction_sum",
     "flop_count_upwind",

@@ -3,9 +3,9 @@ arrays it replaced.
 
 * ``compute_boundary_contribution`` reads the owner values of the boundary
   faces and returns the boundary cells' columns.  Run over the full-row
-  operator — the same generated body with ``DIV_BDRY``/``BCELLS`` swapped in
-  its namespace, which is the dense ``(ncomp, ncells)`` function it was — it
-  gives the same bits in those columns and exact ``+0.0`` everywhere else:
+  operator — the same generated body with the geometry's boundary slots and
+  ``bcells`` swapped, which is the dense ``(ncomp, ncells)`` function it was
+  — it gives the same bits in those columns and exact ``+0.0`` everywhere else:
   on a structured grid, a triangle mesh and a mixed mesh, for every kind of
   boundary condition, corner cells included, with signed zeros, inf and NaN
   in the flux.
@@ -81,17 +81,18 @@ def test_compact_boundary_equals_the_dense_one_on_the_boundary_columns(mesh, shi
     assert np.bincount(geom.bowner).max() >= 2  # a corner cell, two or three faces
     u = np.random.default_rng(shift).standard_normal((ND * NB, geom.ncells))
     u[0, geom.bowner[::2]] = -0.0
-    u_bdry = u[:, geom.bowner]
+    bcells = geom.bcells
     with np.errstate(invalid="ignore"):
-        compact = ns["compute_boundary_contribution"](state, u_bdry, 0.25).copy()
-        assert compact.shape == (ND * NB, len(geom.bcells))
+        # (the function consumes the owner values it is handed)
+        compact = ns["compute_boundary_contribution"](state, u[:, geom.bowner], 0.25).copy()
+        assert compact.shape == (ND * NB, len(bcells))
         # the dense function it replaced: the same body, the full-row operator
-        ns["DIV_BDRY"] = kernels.csr_slots(geom.divergence[:, geom.bfaces])
-        ns["BCELLS"] = np.arange(geom.ncells)
-        dense = ns["compute_boundary_contribution"](state, u_bdry, 0.25)
+        geom._bdry_slots = kernels.csr_slots(geom.divergence[:, geom.bfaces])
+        geom.bcells = np.arange(geom.ncells)
+        dense = ns["compute_boundary_contribution"](state, u[:, geom.bowner], 0.25)
     assert dense.shape == u.shape
-    assert compact.tobytes() == dense[:, geom.bcells].tobytes()
-    rest = np.setdiff1d(np.arange(geom.ncells), geom.bcells)
+    assert compact.tobytes() == dense[:, bcells].tobytes()
+    rest = np.setdiff1d(np.arange(geom.ncells), bcells)
     assert not dense[:, rest].any() and not np.signbit(dense[:, rest]).any()
     if BCKind.FLUX in kinds:  # the special values did reach the result
         assert not np.isfinite(compact).all()

@@ -10,15 +10,18 @@ from repro.ir.lowering import lower_conservation_form
 
 
 def _surface_statement(src: str) -> list[str]:
-    """The lines of the tile body's surface statement."""
+    """The lines of the tile body's surface statement (folded: up to the
+    divergence it ends in)."""
     lines = [ln.strip() for ln in src.splitlines()]
     start = max(i for i, ln in enumerate(lines) if ln.startswith("# RHS surface"))
-    stop = next(i for i in range(start, len(lines)) if lines[i].startswith("flux = "))
+    stop = next(i for i in range(start, len(lines))
+                if lines[i].startswith(("flux = ", "div = ")))
     return lines[start + 1:stop + 1]
 
 
 def _tile_loop(src: str) -> str:
-    """Everything from the row-tile loop of the first kernel body on."""
+    """Everything from the first row-tile loop of ``src`` to the end of its
+    function (the boundary part has a loop of its own: slice first)."""
     return src[src.index("for sel in kernels.row_tiles("):].split("\ndef ")[0]
 
 
@@ -32,37 +35,52 @@ class TestHoisting:
     def test_projected_velocity_hoisted_once(self, bte_solver):
         """The upwind conditional references v.n three times; the generated
         source must compute it outside the step loop, over the 8 directions
-        it depends on, and the tile only row-gathers it."""
+        it depends on — and, the flux being linear in the upwinded side, fold
+        it through the divergence: the tile applies one operator to its rows."""
         src = bte_solver.source
-        tables = src[src.index("def invariant_tables("):src.index("def compute_rhs(")]
+        tables = src[src.index("def invariant_tables("):src.index("def folded_tables(")]
         defs = [ln for ln in tables.splitlines() if ln.strip().startswith("tab_s1 =")]
         assert len(defs) == 1 and "normal_x[None, :] * coef_Sx[sel]" in defs[0]
         assert "sel = trep_d" in tables
-        flux = "\n".join(_surface_statement(src))
-        # select before scale: the tile's rows of the table, read once
-        assert flux.count("kernels.table_rows(tab_s1, tmap_d, sel, f0)") == 1
-        assert "normal_x" not in flux and "np.where" not in flux
-        state = bte_solver.state
-        mask, projected, columns = state.tables(bte_solver.namespace["invariant_tables"])
-        assert projected.shape == mask.shape == columns.shape == (8, state.geom.nfaces)
+        folded = src[src.index("def folded_tables("):src.index("def compute_boundary_")]
+        assert "fold_s0 = kernels.fold_upwind(divergence, tab_s1, upw, NCELLS)" in folded
+        assert "return [fold_s0]" in folded  # the face tables went into it
+        div = "\n".join(_surface_statement(src))
+        assert div.count("kernels.apply_folded(fold_s0, us, tmap_d[sel], acc, cw)") == 1
+        # the flat factor, once per row, after the divergence
+        assert "np.multiply((-1.0 * coef_vg[sel][:, None]), acc, out=acc)" in div
+        assert "normal_x" not in div and "np.where" not in div and "tab_" not in div
+        state, ns = bte_solver.state, bte_solver.namespace
+        geom = state.geom
+        (fold,) = state.tables(ns["folded_tables"], geom.interior_faces, divergence=True)
+        assert fold.own.shape == (8, geom.ncells) and fold.counts.tolist() == [2] * 8
+        # the boundary part keeps the face tables, over its own faces
+        mask, projected, columns = state.tables(ns["invariant_tables"], geom.bfaces)
+        assert projected.shape == mask.shape == columns.shape == (8, len(geom.bfaces))
         assert mask.dtype == bool and np.array_equal(mask, projected > 0.0)
+        # the face-centric statement there: the tile's rows of the table, read once
+        boundary = src[src.index("def compute_boundary_"):src.index("def compute_rhs(")]
+        assert boundary.count("kernels.table_rows(tab_s1, tmap_d, sel, f0)") == 1
 
     def test_tile_loop_recomputes_nothing_invariant(self, bte_solver):
         """Source shape of the hotspot kernel body: no geometry product, no
         division, no select and no full-size array inside the tile loop."""
         src = bte_solver.source
-        loop = _tile_loop(src)
+        loop = _tile_loop(src[src.index("def compute_rhs("):])
         assert "normal_x[None, :] *" not in loop
         assert "1.0 /" not in loop and "np.where" not in loop
         assert "cse_" not in src
         assert "np.empty((NCOMP" not in src and "euler_update" not in src
-        # u[sel] = u[sel] + dt * (source + div), finished in tile scratch
+        # u[sel] = u[sel] + dt * (source + div), finished in tile scratch, the
+        # boundary cells' columns completed with the boundary part
         chain = ["np.add(source, div, out=acc)", "np.multiply(acc, dt, out=acc)",
-                 "np.add(us, acc, out=acc)  # explicit update, Eq. (3)", "u[sel] = acc"]
+                 "np.add(us, acc, out=acc)  # explicit update, Eq. (3)",
+                 "acc[:, bcells] += bdry[sel]", "u[sel] = acc"]
         assert [ln.strip() for ln in loop.splitlines() if ln.strip()][-len(chain):] == chain
-        # one gather per tile, through the upwind column table
-        assert loop.count("geom.gather_sides(") == 1 and "upwind=(upw, uw_rows)" in loop
-        assert "uw_rows = tmap_d[sel]" in loop
+        # no face array at all: one folded operator per tile, straight from ``us``
+        assert loop.count("kernels.apply_folded(") == 1
+        assert "gather_sides" not in src and "surface_divergence" not in src
+        assert "face_pool" not in src[src.index("def compute_rhs("):]
         # 1/beta and Io/beta: once per sweep over the 5 bands' rows, in place,
         # the second reading the first by name
         head = src[src.index("def compute_rhs("):src.index("for block in")]
@@ -73,11 +91,14 @@ class TestHoisting:
         """Every array statement of the hotspot tile writes through ``out=``
         into the state's scratch: no fancy-indexed table rows, no transposed
         copy, no expression temporary, and the store comes last."""
-        loop = _tile_loop(bte_solver.source)
+        src = bte_solver.source
+        loop = _tile_loop(src[src.index("def compute_rhs("):])
         assert "[tmap_" not in loop and ".T" not in loop
         body = [ln.strip() for ln in loop.splitlines()[1:] if ln.strip()]
-        arrays = [ln for ln in body if ln.startswith(("np.", "uw =", "div =", "us ="))]
-        assert len(arrays) == 11 and all("out=" in ln for ln in arrays)
+        arrays = [ln for ln in body if ln.startswith(("np.", "us ="))]
+        assert len(arrays) == 8 and all("out=" in ln for ln in arrays)
+        # the folded operator writes the tile's accumulator, with ``cw`` as scratch
+        assert "kernels.apply_folded(fold_s0, us, tmap_d[sel], acc, cw)" in body
         assert body[-1] == "u[sel] = acc"
 
     def test_cse_can_be_disabled(self, tiny_scenario):
@@ -89,9 +110,10 @@ class TestHoisting:
         em = ExprEmitter(problem, form)
         with_cse = em.emit_sum(form.surface_terms, "surface")
         without = em.emit_sum(form.surface_terms, "surface", cse=False)
-        assert with_cse.tables and with_cse.gathers_upwind
+        assert with_cse.tables and with_cse.upwind and with_cse.folded
         assert not any(ln.startswith("cse_") for ln in with_cse.prelude)
-        assert not (without.tables or without.sweep or without.prelude or without.upwind)
+        assert not (without.tables or without.sweep or without.prelude or without.upwind
+                    or without.folded)
         assert "tab_" not in without.code and "uw" not in without.code
         # the geometry is read where the tables are built, not in the sweep
         assert {"normal_x", "normal_y"} <= with_cse.table_reads - with_cse.reads
@@ -101,7 +123,11 @@ class TestHoisting:
             without.flops, without.bytes_per_value)
 
     def test_solution_independent_of_cse(self, tiny_scenario):
-        """Hoisting must not change a single bit of the result."""
+        """Hoisting must not change a single bit of the result: tables,
+        per-sweep terms and select-before-scale against the statements as
+        written — the volume statement in the tile, the face-centric surface
+        statement in the boundary part.  (The fold through the divergence is
+        the one rewrite that rounds differently; it stays on both sides.)"""
         p1, _ = build_bte_problem(tiny_scenario)
         ref = p1.solve().solution()
 
@@ -118,18 +144,22 @@ class TestHoisting:
         for ln in solver.source.splitlines():
             indent = ln[: len(ln) - len(ln.lstrip())]
             if ln.strip().startswith("uw = "):
-                new_src += [f"{indent}u1, u2 = geom.gather_sides(u, ghost, sel)",
-                            f"{indent}normal_x, normal_y = geom.normal.T"]
+                # ``uw`` holds the owner value where the flow leaves, the ghost
+                # value where it enters: either side of the select reads it
+                new_src += [ln, f"{indent}u1 = u2 = uw",
+                            f"{indent}normal_x, normal_y = geom.normal[bfaces].T"]
             elif ln.strip().startswith("flux = "):
                 new_src.append(f"{indent}flux = {surface.code}")
             elif ln.strip().startswith("source = "):
                 new_src.append(f"{indent}source = {volume.code}")
-            elif not ln.strip().startswith(("np.multiply(uw", "np.multiply((-1.0 * coef_vg",
-                                            "np.multiply(-1.0, us", "np.multiply(c",
-                                            "np.add(c")):
+            elif not ln.strip().startswith(("np.multiply(uw", "np.multiply((-1.0 * coef_vg[sel]"
+                                            "[:, None]), f0", "np.multiply(-1.0, us",
+                                            "np.multiply(c", "np.add(c")):
                 new_src.append(ln)  # all but the register lines of the statements
         solver.source = "\n".join(new_src)
-        assert "tab_" not in _tile_loop(solver.source)
+        assert "tab_" not in _tile_loop(solver.source[solver.source.index("def compute_rhs("):])
+        boundary = solver.source[solver.source.index("def compute_boundary_"):]
+        assert "tab_s1" not in _tile_loop(boundary)
         solver.recompile()
         solver.run()
         assert np.array_equal(solver.solution(), ref)
@@ -176,15 +206,22 @@ class TestHoisting:
         problem.enable_gpu()
         problem.extra["gpu_force_offload"] = True
         solver = problem.generate()
-        assert ("INT_TABLES = invariant_tables(NORMALS_INT, FACEDIST_INT, "
-                "OWNER_INT, NEIGH_INT)") in solver.source
+        assert ("INT_TABLES = folded_tables(NORMALS_INT, FACEDIST_INT, "
+                "OWNER_INT, NEIGH_INT, DIV_INT)") in solver.source
         kernel_src = solver.source.split("def interior_kernel")[1]
         kernel_src = kernel_src.split("def ")[0]
-        assert "[tab_s0, tab_s1, upw] = INT_TABLES" in kernel_src
+        assert "[fold_s0] = INT_TABLES" in kernel_src
         loop = _tile_loop(kernel_src)
-        assert "kernels.gather_upwind(u, sel, upw, uw_rows, fu)" in loop
-        assert "kernels.slot_divergence(DIV_INT, flux, acc, cw)" in loop and ".T" not in loop
+        assert "kernels.apply_folded(fold_s0, us, tmap_d[sel], acc, cw)" in loop
+        assert "slot_divergence" not in loop and "face_pool" not in kernel_src
+        assert ".T" not in loop
         assert "normal_x[None, :] *" not in loop and "np.where" not in loop
-        # the CPU boundary part selects between its (already gathered) sides
+        # the CPU boundary part — the one every target calls — forms the
+        # upwinded side in place: ghost values where the tabled flow enters
         boundary = solver.source.split("def compute_boundary_contribution")[1]
-        assert "uw = np.where(kernels.table_rows(tab_s0, tmap_d, sel, None), u1, u2)" in boundary
+        boundary = boundary.split("\ndef ")[0]
+        assert ("np.logical_not(kernels.table_rows(tab_s0, tmap_d, sel, inflow), "
+                "out=inflow)") in boundary
+        assert "out=u_bdry, owner_values=u_bdry," in boundary and "np.where" not in boundary
+        cpu = build_bte_problem(tiny_scenario)[0].generate()
+        assert boundary in cpu.source

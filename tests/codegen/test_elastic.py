@@ -213,35 +213,41 @@ class TestTablesFollowTheRankState:
         (migration,) = get_rebalance_log().as_dict()["migrations"]
         assert migration["kind"] == "rank_loss"
         assert len(states) == 3 + 2  # three ranks, then the two survivors
-        build = ns["invariant_tables"]
-        tables = [st._tables for st in states]
-        assert all(t is not None and t[0] is build for t in tables)
-        assert len({id(t[1]) for t in tables}) == len(states)  # none shared
+        # every state holds both builders' tables — the folded interior
+        # operator and the boundary faces' tables — and none is shared
+        for name in ("folded_tables", "invariant_tables"):
+            held = [st._tables[name] for st in states]
+            assert all(h[0] is ns[name] for h in held)
+            assert len({id(h[1]) for h in held}) == len(states)
         for st in states[3:]:
             g = st.geom
-            fresh = build(g.normal, g.face_dist, g.owner, g.neighbor_column)
-            assert all(np.array_equal(a, b) for a, b in zip(st._tables[1], fresh))
-        # ... and so are the scratch pools, the divergence's slot tables and
-        # the upwind gather's inflow patch lists: nothing a tile writes or
-        # indexes through is shared between rank states
-        for attr in (lambda st: st._scratch["cells"], lambda st: st._scratch["faces"],
-                     lambda st: st._scratch["closure"], lambda st: st.geom._div_slots,
-                     lambda st: st.geom._patches[1]):
+            fresh = ns["folded_tables"](
+                g.normal[g.interior_faces], g.face_dist[g.interior_faces],
+                g.owner[g.interior_faces], g.neighbor_column[g.interior_faces],
+                g.divergence_slots(faces=g.interior_faces))
+            for have, want in zip(st._tables["folded_tables"][1], fresh):
+                assert all(np.array_equal(a, b) for a, b in zip(
+                    (have.own, *have.cols, *have.weights, have.counts),
+                    (want.own, *want.cols, *want.weights, want.counts)))
+        # ... and so are the scratch pools and the boundary divergence's slot
+        # table: nothing a tile writes or indexes through is shared between
+        # rank states
+        for attr in (lambda st: st._scratch["cells"], lambda st: st._scratch["du_bdry"],
+                     lambda st: st._scratch["closure"], lambda st: st.geom._bdry_slots,
+                     lambda st: st._tables["folded_tables"][1][0].cols[0]):
             assert len({id(attr(st)) for st in states}) == len(states)
-        for st in states:
-            upw = st._tables[1][-1]
-            assert st.geom._patches[0] is upw
-            for (faces, slots), columns in zip(st.geom._patches[1], upw):
-                assert np.array_equal(faces, np.flatnonzero(columns < 0))
-                assert np.array_equal(st.geom.bfaces[slots], faces)
 
     def test_tables_differ_with_the_geometry(self):
         def tables(nx):
             sc = hotspot_scenario(nx=nx, ny=8, ndirs=8, n_freq_bands=5,
                                   dt=1e-12, nsteps=1)
             solver = build_bte_problem(sc)[0].solve()
-            return solver.state.tables(solver.namespace["invariant_tables"])
+            state = solver.state
+            return (*state.tables(solver.namespace["invariant_tables"], state.geom.bfaces),
+                    state.tables(solver.namespace["folded_tables"],
+                                 state.geom.interior_faces, divergence=True)[0].own)
 
         coarse, fine = tables(6), tables(8)
-        assert [t.shape[0] for t in coarse] == [t.shape[0] for t in fine] == [8, 8, 8]
-        assert coarse[1].shape[1] < fine[1].shape[1]  # one column per face
+        assert [t.shape[0] for t in coarse] == [t.shape[0] for t in fine] == [8] * 4
+        assert coarse[1].shape[1] < fine[1].shape[1]  # one column per boundary face
+        assert coarse[3].shape[1] < fine[3].shape[1]  # ... and per cell

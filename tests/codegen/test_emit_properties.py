@@ -480,14 +480,28 @@ def test_upwind_select_is_one_gathered_side(env, flip, first):
     emitted = IDX_EMITTER.emit_sum([expr], "surface")
     first, second, columns = ("u2", "u1", "other, owner") if flip else (
         "u1", "u2", "owner, other")
-    assert emitted.upwind == (
+    assert emitted.upwind[:2] == (
         "d", f"np.where(kernels.table_rows(tab_s0, tmap_d, sel, None), {first}, {second})")
+    # the owner side where the condition holds: it can be copied over the other
+    assert (emitted.upwind.owner_where is None) == flip
     assert Hoisted("upw", f"np.where(tab_s0, {columns})", "d") in emitted.tables
-    assert emitted.gathers_upwind
     statement = "\n".join([*emitted.prelude, emitted.code])
     assert "uw" in statement and "np.where" not in statement
     assert emitted.reads >= {"u1", "u2"}  # the byte estimate still counts both
     assert_swept_matches(expr, env)
+    # linear in ``uw``, every other factor face geometry and columns over
+    # ``d`` — in one space dimension a flat product, tabled for the fold — or
+    # a column: the statement also comes folded through the divergence, the
+    # face tables gone into the one operator its tile reads
+    folded = emitted.folded
+    assert Hoisted("tab_s2", "(normal_x[None, :] * coef_Sx[sel][:, None])", "d") \
+        in emitted.tables
+    assert folded.prelude == [
+        "kernels.apply_folded(fold_s0, us, tmap_d[sel], acc, cw)",
+        "np.multiply((-1.0 * coef_vg[sel][:, None]), acc, out=acc)"]
+    assert folded.code == "acc" and folded.registers == 0
+    assert folded.tables == [
+        Hoisted("fold_s0", "kernels.fold_upwind(divergence, tab_s2, upw, NCELLS)", "d")]
 
 
 def test_side_read_outside_the_select_keeps_both_gathers():
@@ -495,8 +509,9 @@ def test_side_read_outside_the_select_keeps_both_gathers():
     upwind = Conditional(Cmp(">", s, Num(0)), Mul(SideValue(_I, 1), s),
                          Mul(SideValue(_I, 2), s))
     emitted = IDX_EMITTER.emit_sum([Add(upwind, SideValue(_I, 1))], "surface")
-    # the statement still reads ``uw``; the tile selects it from both gathers
-    assert emitted.upwind and emitted.sides and not emitted.gathers_upwind
+    # the statement still reads ``uw``; the tile selects it from both gathers,
+    # and nothing folds: the lone side is no product with the select
+    assert emitted.upwind and emitted.sides and emitted.folded is None
 
 
 def test_function_coefficients_are_never_tabled():

@@ -153,8 +153,11 @@ class TestInterpreterTarget:
 
 
 # --------------------------------------------------------------------------
-# bit for bit: the tabled, select-first, in-place cpu sweep against the
-# interpreter, which evaluates every term per component with no rewrite
+# the tabled, select-first, in-place cpu sweep against the interpreter, which
+# evaluates every term per component with no rewrite: bit for bit — except
+# where the surface statement folds through the divergence (ISSUE 21), which
+# re-associates the products: there to rounding, and bit for bit against
+# every other generated target
 # --------------------------------------------------------------------------
 
 def build_switch_problem() -> Problem:
@@ -168,24 +171,40 @@ def build_switch_problem() -> Problem:
                  " - surface(vg[b] * upwind([Sx[d];Sy[d]], I[d,b]))")
 
 
-def test_cpu_equals_interpreted_bitwise_on_the_bte_hotspot(tiny_scenario):
+def test_cpu_rounds_to_interpreted_on_the_bte_hotspot(tiny_scenario):
     from repro.bte.problem import build_bte_problem
 
     cpu = build_bte_problem(tiny_scenario)[0].solve(target="cpu")
-    assert "upwind=(upw, uw_rows)" in cpu.source  # tabled, gathered, in place
+    assert "kernels.apply_folded(fold_s0, us, tmap_d[sel], acc, cw)" in cpu.source
     interp = build_bte_problem(tiny_scenario)[0].solve(target="interp")
-    assert cpu.solution().tobytes() == interp.solution().tobytes()
-    assert cpu.state.extra["T"].tobytes() == interp.state.extra["T"].tobytes()
+    np.testing.assert_allclose(cpu.solution(), interp.solution(), rtol=1e-13, atol=0)
+    np.testing.assert_allclose(cpu.state.extra["T"], interp.state.extra["T"],
+                               rtol=1e-13, atol=0)
 
 
-def test_cpu_equals_interpreted_bitwise_with_non_side_conditionals():
+def test_cpu_rounds_to_interpreted_with_non_side_conditionals():
     cpu = build_switch_problem().solve(target="cpu")
-    loop = cpu.source[cpu.source.index("for sel in kernels.row_tiles("):]
+    source = cpu.source[cpu.source.index("def compute_rhs("):]
+    loop = source[source.index("for sel in kernels.row_tiles("):]
     # the mask is a table ...
     assert "np.where(kernels.table_rows(tab_v1, tmap_d, sel, None)," in loop
-    assert "uw = " in loop                           # ... and so is the upwind's
+    assert "kernels.apply_folded(fold_s0," in loop   # ... and the upwind's is folded
     interp = build_switch_problem().solve(target="interp")
-    assert cpu.solution().tobytes() == interp.solution().tobytes()
+    np.testing.assert_allclose(cpu.solution(), interp.solution(), rtol=1e-13, atol=0)
+
+
+def test_cpu_equals_interpreted_bitwise_where_nothing_folds():
+    """The same indexed problem with a central flux — both sides read on
+    their own, no upwinded side — keeps the two-sided body, and its bits."""
+    def build():
+        return build_indexed_problem(
+            4, 3, seed=11, nsteps=4,
+            equation="(Io[b] - I[d,b]) / tau[b]"
+                     " - surface(vg[b] * Sx[d] * average(I[d,b]))")
+
+    cpu = build().solve(target="cpu")
+    assert "fold" not in cpu.source and "geom.gather_sides(" in cpu.source
+    assert cpu.solution().tobytes() == build().solve(target="interp").solution().tobytes()
 
 
 @pytest.mark.parametrize("build", [
@@ -193,10 +212,11 @@ def test_cpu_equals_interpreted_bitwise_with_non_side_conditionals():
     build_switch_problem,                         # ... and a (rows, 1) mask
 ], ids=["indexed", "switch"])
 def test_gpu_boundary_part_reads_tables_without_a_face_axis(build):
-    """The device targets' CPU boundary function evaluates the tables on the
+    """The boundary function every target calls evaluates the tables on the
     boundary faces' geometry; tables of coefficients alone have no face axis
-    to slice.  (The device sums interior and boundary parts separately, so
-    against the interpreter it is round-off, not bits.)"""
+    to slice.  (Interior and boundary parts are summed separately, and the
+    interior one folded, so against the interpreter it is round-off, not bits
+    — and bits against the serial target.)"""
     def solve(ranks):
         p = build()
         p.enable_gpu()
@@ -208,5 +228,6 @@ def test_gpu_boundary_part_reads_tables_without_a_face_axis(build):
     gpu, multi = solve(0), solve(2)
     assert "state.tables(invariant_tables, bfaces)" in gpu.source
     assert gpu.solution().tobytes() == multi.solution().tobytes()
+    assert gpu.solution().tobytes() == build().solve(target="cpu").solution().tobytes()
     interp = build().solve(target="interp")
     np.testing.assert_allclose(gpu.solution(), interp.solution(), rtol=1e-13, atol=0)

@@ -2,16 +2,19 @@
 
 Every tiled target sweeps its kernel body over tiles of
 ``kernels.tile_rows`` component rows.  All operations in a tile are
-elementwise per row and the CSR divergence is per column, so the tile
-height must not change a single bit of the solution.  The property suite
+elementwise per row, the CSR divergence is per column and the folded
+upwind operator per run of equal table rows, so the tile height must not
+change a single bit of the solution — and, the surface statement of the BTE
+being folded through the divergence on every target alike, neither does the
+target.  The property suite
 solves one small BTE hotspot problem (FLUX-override walls top and bottom,
 symmetry ghosts left and right) under randomly drawn configurations —
 target (band ranks sweep index-array ``rows``, ``gpu_kernel_chunks``
 launches row blocks), ``assemblyLoops`` order, ``flux_order``, an injected
 device fault — at four tile heights and demands equal digests.  The
 problem has 4 directions x 3+ bands, so every height but the first makes
-tiles that straddle two rows of the direction-indexed tables and the
-upwinded gather runs in segments:
+tiles that straddle two rows of the direction-indexed tables and the folded
+operator runs in segments:
 
 * one row per tile,
 * the derived height (``TILE_BYTES`` as shipped),
@@ -179,6 +182,30 @@ def test_derived_height_on_a_mesh_that_needs_tiles(monkeypatch, target):
     assert digest(derived) == digest(run(1 << 40))
 
 
+def test_all_euler_targets_are_bit_identical_at_every_tile_height(monkeypatch):
+    """One step shape on every target — the folded interior sweep plus the
+    one ``compute_boundary_contribution``, combined as ``u + (du_bdry * dt)``
+    — so the serial, cell- and band-partitioned, hybrid, chunked and
+    multi-device solves of one problem (nx=16, 8 directions x 11 bands, 8
+    steps) agree to the last bit, whatever the tile height."""
+    sc = hotspot_scenario(nx=16, ny=16, ndirs=8, n_freq_bands=8, dt=1e-12, nsteps=8)
+
+    def run(target, rows=None):
+        problem, _ = build_bte_problem(sc)
+        TARGETS[target][0](problem)
+        with monkeypatch.context() as patch:
+            if rows is not None:
+                patch.setattr(kernels, "TILE_BYTES", 8 * 2 * 16 * 17 * rows)
+            return problem.solve()
+
+    serial = run("cpu")
+    assert serial.state.ncomp == 88 and "kernels.apply_folded(" in serial.source
+    expected = digest(serial)
+    for target in sorted(TARGETS):
+        assert digest(run(target)) == expected, target
+        assert digest(run(target, rows=5)) == expected, f"{target}, tiles of 5 rows"
+
+
 # --------------------------------------------------------------------------
 # row restriction: a rank / launch touches only its own rows
 # --------------------------------------------------------------------------
@@ -195,12 +222,22 @@ class _RecordingRows(np.ndarray):
             self.keys.append(key)
         return super().__getitem__(key)
 
+    def take(self, indices, axis=None, **kwargs):  # ``np.take(u, rows, axis=0)``
+        if self.keys is not None and axis == 0:
+            self.keys.append(indices)
+        return super().take(indices, axis=axis, **kwargs)
+
 
 def _rows_of(keys, ncomp):
     return set(np.concatenate([np.arange(ncomp)[k].ravel() for k in keys]).tolist())
 
 
 def test_band_ranks_gather_only_their_own_rows(monkeypatch):
+    """The sweep of a band rank takes only its own rows of the unknown into
+    its tiles (``kernels.row_block`` — the boundary part reads the owner
+    values of every row, and is not what this pins)."""
+    from types import SimpleNamespace
+
     problem = build_problem()
     problem.set_partitioning("bands", 2, index="b")
     solver = problem.generate()
@@ -208,26 +245,26 @@ def test_band_ranks_gather_only_their_own_rows(monkeypatch):
     make_rank_state = ns["make_rank_state"]
     gathered: dict[int, list] = {}
     owned: dict[int, np.ndarray] = {}
+    rank_of: dict[int, int] = {}  # id of a rank's unknown -> the rank
 
     def recording_rank_state(rank):
         state = make_rank_state(rank)
         owned[rank] = state.owned_comps
-        gather = state.geom.gather_sides
-
-        def gather_sides(u, ghost=None, rows=None, **kwargs):
-            gathered.setdefault(rank, []).append(rows)
-            return gather(u, ghost, rows, **kwargs)
-
-        state.geom.gather_sides = gather_sides
+        rank_of[id(state.host_u)] = rank
         return state
 
+    def row_block(a, sel, *args, **kwargs):
+        if id(a) in rank_of:
+            gathered.setdefault(rank_of[id(a)], []).append(sel)
+        return kernels.row_block(a, sel, *args, **kwargs)
+
     ns["make_rank_state"] = recording_rank_state
+    ns["kernels"] = SimpleNamespace(**{**vars(kernels), "row_block": row_block})
     monkeypatch.setattr(kernels, "TILE_BYTES", 8 * NFACES * 2)  # several tiles
     solver.run(2)
     ncomp = solver.state.ncomp
     assert set(gathered) == {0, 1}
     for rank, keys in gathered.items():
-        assert all(k is not None for k in keys)
         assert len(keys) > 2  # really tiled
         # every owned row exactly once per step, nothing else
         rows = np.concatenate([np.arange(ncomp)[k].ravel() for k in keys])
@@ -300,7 +337,7 @@ def test_surface_statement_without_a_row_leaf_fills_the_tile():
 
 
 # --------------------------------------------------------------------------
-# the upwinded gather, and the row locality the in-place store relies on
+# the folded upwind operator, and the row locality the in-place store relies on
 # --------------------------------------------------------------------------
 
 @pytest.mark.parametrize("rows", [
@@ -310,29 +347,37 @@ def test_surface_statement_without_a_row_leaf_fills_the_tile():
     None,                               # every row
 ])
 def test_upwind_gather_equals_the_select_of_two_gathers(rows):
+    """What a folded tile computes from its own rows — own-cell coefficient
+    plus one gather per inflow face — against the body it replaced: both
+    sides gathered onto the interior faces, the upwind one selected, scaled
+    by the table and taken through the divergence.  To rounding: the fold
+    re-associates the products."""
     solver = build_problem().generate()
     solver.run(2)  # direction-dependent values on both sides
     state, ns = solver.state, solver.namespace
     geom, u = state.geom, state.u
-    ghost = state.bset.ghost_values(u, 0.0, state.dt, state.extra)
-    mask, _, columns = state.tables(ns["invariant_tables"])
+    faces = geom.interior_faces
+    tables = [geom.normal[faces], geom.face_dist[faces], geom.owner[faces],
+              geom.neighbor_column[faces]]
+    mask, projected, columns = ns["invariant_tables"](*tables)
+    (fold,) = state.tables(ns["folded_tables"], faces, divergence=True)
     table_rows = ns["tmap_d"] if rows is None else ns["tmap_d"][rows]
     assert rows is None or isinstance(rows, slice) or len(set(table_rows)) > 1
-    u1, u2 = geom.gather_sides(u, ghost, rows)
-    expected = np.where(mask[table_rows], u1, u2)
-    got = geom.gather_sides(u, ghost, rows, upwind=(columns, table_rows))
-    assert got.tobytes() == expected.tobytes()
+    u1, u2 = (side[:, faces] for side in geom.gather_sides(u, None, rows))
+    flux = np.where(mask[table_rows], u1, u2) * projected[table_rows]
+    expected = (geom.divergence[:, faces] @ flux.T).T
+    us = kernels.row_block(u, slice(None) if rows is None else rows)
     # into scratch taller than the tile, as the kernel bodies call it
     n = len(expected)
-    scratch = np.full((n + 3, geom.nfaces), np.nan)
-    into = geom.gather_sides(u, ghost, rows, out=scratch, upwind=(columns, table_rows))
-    assert into.base is scratch and into.tobytes() == expected.tobytes()
-    assert np.isnan(scratch[n:]).all()
-    # zero-gradient ghosts when none are given
-    u1, u2 = geom.gather_sides(u, None, rows)
-    assert np.array_equal(
-        geom.gather_sides(u, None, rows, upwind=(columns, table_rows)),
-        np.where(mask[table_rows], u1, u2))
+    out, work = np.full((2, n + 3, geom.ncells), np.nan)
+    got = kernels.apply_folded(fold, us, table_rows, out[:n], work[:n])
+    assert np.shares_memory(got, out) and np.isnan(out[n:]).all()
+    assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+    # every row on its own: the tile's rows are the whole sweep's, bit for bit
+    whole = kernels.apply_folded(fold, u, ns["tmap_d"], np.empty_like(u), np.empty_like(u))
+    assert got.tobytes() == whole[slice(None) if rows is None else rows].tobytes()
+    # the upwind choice reads no ghost slot among the interior faces
+    assert (columns >= 0).all()
 
 
 @pytest.mark.parametrize("equation", [
@@ -356,11 +401,19 @@ def test_statement_reading_the_unknown_outside_its_tile_is_rejected(equation, co
 
 
 def test_boundary_values_sharing_memory_with_the_unknown_are_rejected():
-    """``ghost``/override values are read after earlier tiles were stored:
-    the sweep checks once per state that they are not views of ``u``."""
+    """In a two-sided tile body (here: ``flux_order=2``, which does not
+    fold) ``ghost``/override values are read after earlier tiles were
+    stored: the sweep checks once per state that they are not views of
+    ``u``.  A folded sweep evaluates the whole boundary part, from a copy of
+    the owner values, before its first store: it has nothing to check."""
     from repro.util.errors import CodegenError
 
-    solver = build_problem().generate()
+    def second_order():
+        problem = build_problem()
+        problem.set_flux_order(2)
+        return problem.generate()
+
+    solver = second_order()
     state = solver.state
     nb = len(state.geom.bfaces)
     state.bset.ghost_values = lambda u, *a, **k: u[:, :nb]
@@ -368,9 +421,11 @@ def test_boundary_values_sharing_memory_with_the_unknown_are_rejected():
         solver.run(1)
     assert err.value.code == "RPR141"
     # checked on the first sweep only: afterwards it costs one attribute test
-    clean = build_problem().generate()
+    clean = second_order()
     clean.run(1)
     assert clean.state._sweep_inputs_checked
+    folded = build_problem().generate()
+    assert "require_private_inputs" not in folded.source
 
 
 def test_rk_steppers_get_a_fresh_rhs_from_the_same_tile_body(monkeypatch):

@@ -5,8 +5,12 @@
   operators, with signed zeros, inf and NaN in ``x``;
 * ``kernels.table_rows`` == ``table[row_of[sel]]``, as a view wherever one
   exists;
-* the direct upwind gather with inflow patches == a gather from the widened
-  ``[u | ghost]`` copy, for every kind of boundary condition.
+* the upwinded side of the boundary faces, formed in place — ghost values
+  patched over the owner values where the flow enters — == a gather from the
+  widened ``[u | ghost]`` copy, for every kind of boundary condition.
+
+The folded interior operator (``kernels.fold_upwind`` / ``apply_folded``) has
+its own suite, ``test_fold.py``.
 """
 
 from __future__ import annotations
@@ -224,7 +228,8 @@ def test_row_runs_and_row_block():
 
 
 # --------------------------------------------------------------------------
-# direct upwind gather + inflow patches, for every kind of boundary condition
+# the upwinded boundary side: owner values + inflow patches, for every kind
+# of boundary condition
 # --------------------------------------------------------------------------
 
 NCOMP = ND * NB
@@ -251,28 +256,34 @@ def boundary_set(geom, kind):
                                   BCKind.GHOST_CALLBACK, BCKind.FLUX])
 @pytest.mark.parametrize("rows", [slice(3, 12), slice(None), np.array([0, 1, 5, 6, 7, 19])])
 def test_direct_gather_with_inflow_patches_equals_the_widened_copy(kind, rows):
+    """What ``compute_boundary_contribution`` does for ``uw``: the owner
+    values, with ``ghost_values(out=owner values, where=inflow)`` patching
+    the ghost value over the entries where the flow enters."""
     geom = FVGeometry(structured_grid((5, 4)))
     rng = np.random.default_rng(5)
     u = rng.random((NCOMP, geom.ncells))
-    ghost = boundary_set(geom, kind).ghost_values(u, 0.0, 1e-3)
+    bset = boundary_set(geom, kind)
+    ghost = bset.ghost_values(u, 0.0, 1e-3)
     assert not np.shares_memory(ghost, u)
     # one direction row per value of d: upwind where a random flow leaves the owner
     outflow = rng.random((ND, geom.nfaces)) > 0.5
     columns = np.where(outflow, geom.owner, geom.neighbor_column)
-    table_rows = TMAP_D[rows]
     # the copy the tiles used to make: [cells | ghosts], ghost slots behind the cells
-    widened = np.concatenate([u, ghost], axis=1)[rows]
+    widened = np.concatenate([u, ghost], axis=1)
     wide_columns = np.where(columns < 0, geom.ncells + ~columns, columns)
-    expected = np.take_along_axis(widened, wide_columns[table_rows], axis=1)
-    got = geom.gather_sides(u, ghost, rows, upwind=(columns, table_rows))
-    assert got.tobytes() == expected.tobytes()
-    scratch = np.full((len(expected) + 2, geom.nfaces), np.nan)
-    into = geom.gather_sides(u, ghost, rows, out=scratch, upwind=(columns, table_rows))
-    assert into.base is scratch and into.tobytes() == expected.tobytes()
-    # each table row patches only its own inflow boundary faces
-    for (faces, slots), row in zip(geom._patches[1], columns):
-        assert np.array_equal(faces, geom.bfaces[row[geom.bfaces] < 0])
-        assert np.array_equal(geom.bfaces[slots], faces)
+    expected = np.take_along_axis(widened, wide_columns[TMAP_D], axis=1)[:, geom.bfaces]
+    u_bdry = u[:, geom.bowner]
+    inflow = ~outflow[TMAP_D][:, geom.bfaces]
+    got = bset.ghost_values(None, 0.0, 1e-3, out=u_bdry, owner_values=u_bdry, where=inflow)
+    assert got is u_bdry and got[rows].tobytes() == expected[rows].tobytes()
+    # ... and into a buffer of its own; without ``where`` it is the ghost array
+    owner_values = u[:, geom.bowner]
+    into = bset.ghost_values(None, 0.0, 1e-3, out=np.full_like(u_bdry, np.nan),
+                             owner_values=owner_values, where=inflow)
+    assert into.tobytes() == expected.tobytes()
+    assert np.array_equal(owner_values, u[:, geom.bowner])
+    assert bset.ghost_values(None, 0.0, 1e-3, owner_values=owner_values).tobytes() \
+        == ghost.tobytes()
 
 
 def test_ghost_values_fill_a_given_buffer():

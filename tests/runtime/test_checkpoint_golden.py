@@ -7,6 +7,16 @@ payload bit-for-bit when checkpointing at the same step, and (b) restore
 from the golden file and continue to a trajectory bit-identical to an
 uninterrupted run.  If either breaks, the schema changed and the version
 tag must be bumped.
+
+The payload also pins the solution's bits.  ISSUE 21 (the surface statement
+folded through the divergence) changed the rounding of every Euler target at
+once, explicitly; the snapshot was regenerated at that commit, same scenario,
+same schema, with
+
+    PYTHONPATH=src python -c "from tests.runtime.test_checkpoint_golden import *; \
+    s = fresh_solver(); s.run(SAVE_STEP); s.state.save_checkpoint(GOLDEN)"
+
+and digests chain on from there.
 """
 
 from pathlib import Path
