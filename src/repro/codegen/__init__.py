@@ -1,6 +1,6 @@
 """Code generation targets.
 
-Three targets mirror the paper's generation modes:
+Six targets; the first four mirror the paper's generation modes:
 
 * ``cpu`` (:mod:`~repro.codegen.cpu_serial`) — nested-loop serial solver,
   loop order from ``assemblyLoops``;
@@ -10,11 +10,17 @@ Three targets mirror the paper's generation modes:
 * ``gpu`` (:mod:`~repro.codegen.gpu_hybrid`) — flattened one-thread-per-DOF
   kernels on the simulated device, asynchronous launch overlapped with
   CPU-pinned boundary callbacks, data movement planned by the placement
-  optimiser (:mod:`~repro.codegen.placement`).
+  optimiser (:mod:`~repro.codegen.placement`);
+* ``gpu_distributed`` (:mod:`~repro.codegen.gpu_multi`) — band partitioning
+  across devices, one rank per device (Fig. 7);
+* ``interp`` (:mod:`~repro.codegen.interpreted`) — no generated numerics:
+  the emitter's oracle, walking the symbolic form;
+* ``fem`` (:mod:`~repro.codegen.fem_target`) — P1 weak-form path.
 
 All targets emit genuine Python source (inspect ``solver.source``), compile
 it with :func:`compile`/``exec`` and drive it through a shared
-:class:`~repro.codegen.state.SolverState`.
+:class:`~repro.codegen.state.SolverState`; the time loop of every one comes
+from :func:`~repro.codegen.target_base.emit_step_loop`.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ __getattr__, __dir__, _lazy = lazy_exports(__name__, {
 
 
 def make_target(name: str) -> CodegenTarget:
-    """Instantiate a codegen target by name: 'cpu', 'distributed' or 'gpu'."""
+    """Instantiate a codegen target by name (one of the six above)."""
     if name == "cpu":
         from repro.codegen.cpu_serial import CPUSerialTarget
 
@@ -58,7 +64,7 @@ def make_target(name: str) -> CodegenTarget:
         return FEMTarget()
     raise CodegenError(
         f"unknown codegen target {name!r} "
-        "(cpu/distributed/gpu/gpu_distributed/interp)"
+        "(cpu/distributed/gpu/gpu_distributed/interp/fem)"
     )
 
 

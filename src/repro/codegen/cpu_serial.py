@@ -16,25 +16,21 @@ from typing import TYPE_CHECKING
 from repro.codegen.emit import ExprEmitter, emit_tile_body
 from repro.codegen.state import SolverState
 from repro.codegen.target_base import (
+    ADVANCE,
     CodegenTarget,
     GeneratedSolver,
-    attach_artifact_attrs,
+    emit_step_loop,
+    indent,
     source_header,
 )
 from repro.ir.build import build_ir
 from repro.ir.lowering import lower_conservation_form
 from repro.ir.nodes import print_ir
 from repro.fvm.timesteppers import make_stepper
-from repro.obs import phase_span
 from repro.util.errors import CodegenError
 
 if TYPE_CHECKING:
     from repro.dsl.problem import Problem
-
-
-def _indent(lines: list[str], level: int = 1) -> list[str]:
-    pad = "    " * level
-    return [pad + ln if ln else ln for ln in lines]
 
 
 _EULER = ("euler", "euler_explicit")
@@ -103,12 +99,10 @@ def emit_rhs_function(problem: "Problem", emitter: ExprEmitter,
     for name, coef in fcoefs.items():
         body += [
             f"# function coefficient {name!r} evaluated on centres",
-            f"fcoef_{name} = eval_fcoef(state, coef_fn_{name}, geom.cell_center, t)",
+            f"fcoef_{name} = eval_fcoef_{name}(geom.cell_center, t)",
         ]
         if f"fcoef_{name}_face" in tile.reads:
-            body.append(
-                f"fcoef_{name}_face = eval_fcoef(state, coef_fn_{name}, geom.center, t)"
-            )
+            body.append(f"fcoef_{name}_face = eval_fcoef_{name}(geom.center, t)")
     body += [
         "# scratch, owned by the state: nothing below allocates a tile",
         "height = kernels.tile_rows(geom.nfaces, NCOMP)",
@@ -152,71 +146,34 @@ def emit_rhs_function(problem: "Problem", emitter: ExprEmitter,
         "    # ... in tiles of rows that keep every temporary cache-resident",
         "    for sel in kernels.row_tiles(block, NCOMP, height):",
     ]
-    body += _indent(tile.lines, 2)
+    body += indent(tile.lines, 2)
     if not inplace:
         body.append("return rhs")
 
     boundary = tile.boundary if folded else []
-    return tile.setup + boundary + ["def compute_rhs(state, u, t, rows=None):"] + _indent(body)
+    return tile.setup + boundary + ["def compute_rhs(state, u, t, rows=None):"] + indent(body)
 
 
-def emit_step_and_run(problem: "Problem", scheme: str) -> list[str]:
+def emit_step_and_run(scheme: str) -> list[str]:
     """Source of ``step_once``/``run_steps`` (serial time loop)."""
-    lines: list[str] = ["", ""]
-    lines.append("def step_once(state):")
-    step_body = ['"""Advance one explicit step (Eq. 3 of the paper)."""']
     if scheme in _EULER:
-        step_body += [
-            "with state.profile_scope('solve'), trace_phase('solve'):",
-            "    compute_rhs(state, state.u, state.time)",
-        ]
+        solve = ["compute_rhs(state, state.u, state.time)"]
     else:
-        step_body += [
-            "with state.profile_scope('solve'), trace_phase('solve'):",
-            "    u_new = stepper.advance(state.u, state.time, state.dt,",
-            "                            lambda uu, tt: compute_rhs(state, uu, tt))",
-            "    state.u = u_new",
+        solve = [
+            "u_new = stepper.advance(state.u, state.time, state.dt,",
+            "                        lambda uu, tt: compute_rhs(state, uu, tt))",
+            "state.u = u_new",
         ]
-    step_body += [
-        "state.time += state.dt",
-        "state.step_index += 1",
+    return [
+        "", "", "def step_once(state):",
+        *indent([
+            '"""Advance one explicit step (Eq. 3 of the paper)."""',
+            "with state.phase('solve'):",
+            *indent(solve),
+            *ADVANCE,
+        ]),
+        *emit_step_loop("cpu_serial"),
     ]
-    lines += _indent(step_body)
-    lines += ["", ""]
-    lines.append("def run_steps(state, nsteps):")
-    run_body = [
-        '"""The sequential time loop (paper: "the time step loop is always',
-        'done sequentially").  Hooks run on the CPU around each step."""',
-        "state.log_run_event('run.start', target='cpu_serial', nsteps=nsteps)",
-        "for _ in range(nsteps):",
-        "    for cb in PRE_STEP_CALLBACKS:",
-        "        with state.profile_scope('pre_step'), trace_phase('pre_step'):",
-        "            cb.fn(state)",
-        "    step_once(state)",
-        "    for cb in POST_STEP_CALLBACKS:",
-        "        with state.profile_scope('post_step'), trace_phase('post_step'):",
-        "            cb.fn(state)",
-        "    state.observe_step()",
-        "    state.sanitize_step()",
-        "    state.maybe_checkpoint()",
-        "    state.maybe_rebalance()",
-        "state.check_health()",
-        "state.log_run_event('run.end', target='cpu_serial')",
-        "return state",
-    ]
-    lines += _indent(run_body)
-    return lines
-
-
-# shared helper injected into every generated namespace
-def eval_fcoef(state, fn, points, t):
-    """Evaluate a function coefficient on points (f(x) or f(x, t))."""
-    import numpy as np
-
-    try:
-        return np.asarray(fn(points, t), dtype=np.float64)
-    except TypeError:
-        return np.asarray(fn(points), dtype=np.float64)
 
 
 def build_cpu_artifact(target: CodegenTarget, problem: "Problem"):
@@ -233,7 +190,7 @@ def build_cpu_artifact(target: CodegenTarget, problem: "Problem"):
 
     lines = source_header("cpu_serial", problem, print_ir(ir))
     lines += emit_rhs_function(problem, emitter)
-    lines += emit_step_and_run(problem, problem.config.stepper)
+    lines += emit_step_and_run(problem.config.stepper)
     source = "\n".join(lines) + "\n"
 
     return target.make_artifact(
@@ -251,22 +208,6 @@ def build_cpu_artifact(target: CodegenTarget, problem: "Problem"):
     )
 
 
-def bind_cpu_env(problem: "Problem", artifact) -> dict:
-    """Live (non-picklable / per-solve) environment of the serial solver."""
-    env = dict(artifact.static_env)
-    env["PRE_STEP_CALLBACKS"] = list(problem.pre_step_callbacks)
-    env["POST_STEP_CALLBACKS"] = list(problem.post_step_callbacks)
-    env["stepper"] = make_stepper(problem.config.stepper)
-    env["eval_fcoef"] = eval_fcoef
-    env["trace_phase"] = phase_span
-    # function coefficients bind live: callables come from the problem's
-    # entity table, not the artifact (their code identity is in the key)
-    for name, coef in problem.entities.coefficients.items():
-        if coef.is_function:
-            env[f"coef_fn_{name}"] = coef.value
-    return env
-
-
 class CPUSerialTarget(CodegenTarget):
     """Serial CPU generation (the baseline the paper's Fig. 9 starts from)."""
 
@@ -276,23 +217,13 @@ class CPUSerialTarget(CodegenTarget):
         return build_cpu_artifact(self, problem)
 
     def bind_artifact(self, problem: "Problem", artifact) -> GeneratedSolver:
-        state = SolverState(problem)
-        env = bind_cpu_env(problem, artifact)
-        solver = GeneratedSolver(
-            self.name, artifact.source, env, state,
-            code=artifact.code, module_name=artifact.module_name,
-        )
-        if artifact.code is None:
-            artifact.code = solver.code  # memory layer reuses the compile
-        attach_artifact_attrs(solver, artifact)
-        return solver
+        return self.bind_solver(problem, artifact, SolverState(problem),
+                                {"stepper": make_stepper(problem.config.stepper)})
 
 
 __all__ = [
     "CPUSerialTarget",
-    "bind_cpu_env",
     "build_cpu_artifact",
     "emit_rhs_function",
     "emit_step_and_run",
-    "eval_fcoef",
 ]

@@ -19,10 +19,13 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 import scipy.sparse as sp
 
+from repro.codegen.state import StepHooks
 from repro.codegen.target_base import (
+    ADVANCE,
     CodegenTarget,
     GeneratedSolver,
-    attach_artifact_attrs,
+    emit_step_loop,
+    indent,
 )
 from repro.fem.assemble import (
     assemble_advection,
@@ -46,8 +49,10 @@ if TYPE_CHECKING:
     from repro.dsl.problem import Problem
 
 
-class FEMState:
-    """Nodal solver state (the FEM analogue of ``SolverState``)."""
+class FEMState(StepHooks):
+    """Nodal solver state (the FEM analogue of ``SolverState``): of the
+    end-of-step hooks it has the sanitizer's — no checkpoints, no elastic
+    runtime, no solver metrics."""
 
     def __init__(self, problem: "Problem", p1) -> None:
         self.problem = problem
@@ -98,82 +103,19 @@ class FEMState:
     def check_health(self) -> None:
         check_finite(self.problem.unknown.name, self._u)
 
-    def sanitize_step(self) -> None:
-        from repro.verify.sanitizer import get_sanitizer
 
-        san = get_sanitizer()
-        if san.enabled:
-            san.check_state(self)
-
-    def log_run_event(self, name: str, **fields: Any) -> None:
-        """Run-lifecycle events with this state's provenance (no ranks here)."""
-        from repro.obs import get_event_log
-
-        elog = get_event_log()
-        if elog.enabled and elog.wants("info"):
-            elog.emit(name, level="info", step=self.step_index,
-                      problem=self.problem.name, **fields)
-
-    def profile_scope(self, name: str):
-        """Phase timer + per-launch profiler probe (see ``SolverState``)."""
-        from repro.obs.profile import get_profiler
-
-        prof = get_profiler()
-        if not prof.enabled:
-            return self.timers.time(name)
-        return _FEMProfileScope(self, name, prof)
-
-
-class _FEMProfileScope:
-    """FEM twin of ``repro.codegen.state._ProfileScope`` (rank-less)."""
-
-    __slots__ = ("_state", "_name", "_profiler", "_start", "elapsed")
-
-    def __init__(self, state: FEMState, name: str, profiler):
-        self._state = state
-        self._name = name
-        self._profiler = profiler
-        self._start = 0.0
-        self.elapsed = 0.0
-
-    def __enter__(self) -> "_FEMProfileScope":
-        self._start = self._state.timers.clock.now()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        state = self._state
-        self.elapsed = state.timers.clock.now() - self._start
-        state.timers.record(self._name, self.elapsed)
-        self._profiler.record(self._name, self.elapsed, rank=0,
-                              step=state.step_index)
-
-
-_SOURCE = '''
-
-def step_once(state):
-    """Explicit lumped-mass step: u += dt * invM_L * (A u + F)."""
-    with state.profile_scope('solve'):
-        rhs = A_OPERATOR @ state.u[0] + LOAD
-        state.u[0] = state.u[0] + state.dt * rhs * INV_LUMPED_MASS
-        # strong Dirichlet enforcement
-        state.u[0][DIRICHLET_NODES] = DIRICHLET_VALUES
-    state.time += state.dt
-    state.step_index += 1
-
-
-def run_steps(state, nsteps):
-    state.log_run_event('run.start', target='fem', nsteps=nsteps)
-    for _ in range(nsteps):
-        for cb in PRE_STEP_CALLBACKS:
-            cb.fn(state)
-        step_once(state)
-        for cb in POST_STEP_CALLBACKS:
-            cb.fn(state)
-        state.sanitize_step()
-    state.check_health()
-    state.log_run_event('run.end', target='fem')
-    return state
-'''
+_STEP_ONCE = [
+    "", "", "def step_once(state):",
+    *indent([
+        '"""Explicit lumped-mass step: u += dt * invM_L * (A u + F)."""',
+        "with state.phase('solve'):",
+        "    rhs = A_OPERATOR @ state.u[0] + LOAD",
+        "    state.u[0] = state.u[0] + state.dt * rhs * INV_LUMPED_MASS",
+        "    # strong Dirichlet enforcement",
+        "    state.u[0][DIRICHLET_NODES] = DIRICHLET_VALUES",
+        *ADVANCE,
+    ]),
+]
 
 
 def _eval_coefficient(problem: "Problem", expr: Expr, points: np.ndarray):
@@ -283,7 +225,7 @@ class FEMTarget(CodegenTarget):
         if neumann_listing:
             lines.append("    Linear boundary:")
             lines += ["    " + ln for ln in neumann_listing]
-        lines += ['"""', _SOURCE]
+        lines += ['"""', *_STEP_ONCE, *emit_step_loop("fem")]
         source = "\n".join(lines) + "\n"
 
         # operators, load, boundary tables: all picklable — the whole
@@ -311,17 +253,7 @@ class FEMTarget(CodegenTarget):
         if len(dir_nodes):
             # consistent initial boundary
             state.u[0, dir_nodes] = artifact.static_env["DIRICHLET_VALUES"]
-        env = dict(artifact.static_env)
-        env["PRE_STEP_CALLBACKS"] = list(problem.pre_step_callbacks)
-        env["POST_STEP_CALLBACKS"] = list(problem.post_step_callbacks)
-        solver = GeneratedSolver(
-            self.name, artifact.source, env, state,
-            code=artifact.code, module_name=artifact.module_name,
-        )
-        if artifact.code is None:
-            artifact.code = solver.code
-        attach_artifact_attrs(solver, artifact)
-        return solver
+        return self.bind_solver(problem, artifact, state, {})
 
 
 __all__ = ["FEMTarget", "FEMState"]

@@ -50,9 +50,11 @@ from repro.codegen.placement import Task, TaskGraph, optimize_placement, plan_tr
 from repro.codegen.placement.transfers import ArrayUse
 from repro.codegen.state import SolverState
 from repro.codegen.target_base import (
+    ADVANCE,
     CodegenTarget,
     GeneratedSolver,
-    attach_artifact_attrs,
+    emit_step_loop,
+    indent,
     source_header,
 )
 from repro.gpu.device import Device
@@ -60,7 +62,7 @@ from repro.gpu.kernel import Kernel, model_launch
 from repro.ir.build import build_ir
 from repro.ir.lowering import lower_conservation_form
 from repro.ir.nodes import print_ir
-from repro.obs import get_tracer, phase_span
+from repro.obs import get_tracer
 from repro.perfmodel.costs import CostModel
 from repro.perfmodel.machines import CASCADE_LAKE_FINCH, default_gpu_spec
 from repro.util.errors import CodegenError, DeviceOOMError, KernelFaultError
@@ -85,9 +87,13 @@ DEFAULT_BYTE_FACTOR = 16.0
 FINISH_WORK = {"name": "finish_step", "flops_per_thread": 2.0, "bytes_per_thread": 16.0}
 
 
-def _indent(lines: list[str], level: int = 1) -> list[str]:
-    pad = "    " * level
-    return [pad + ln if ln else ln for ln in lines]
+#: which wall-clock timer measures each placement task (``finish_step``
+#: shares 'solve' with the interior kernel)
+DEVICE_TASK_TIMERS = {
+    "interior_update": "solve",
+    "boundary_callbacks": "boundary",
+    "post_step_callbacks": "post_step",
+}
 
 
 def _record_degraded(task: str, from_device: str, to_device: str,
@@ -165,10 +171,10 @@ def _emit_device_source(problem: "Problem", emitter: ExprEmitter) -> list[str]:
         body.append(f"[{tile.tables}] = INT_TABLES")
     body += tile.sweep
     body.append("for sel in kernels.row_tiles(rows, NCOMP, height):")
-    lines += _indent(body + _indent(tile.lines)) + ["", ""] + tile.boundary
+    lines += indent(body + indent(tile.lines)) + ["", ""] + tile.boundary
     lines.append(
         "def finish_step(u, du_bdry, u_bdry, reduced, buffer, sel=slice(None), comps=None):")
-    return lines + _indent([
+    return lines + indent([
         '"""What ends a step once the interior update ``u`` and the boundary',
         "part exist — one body, launched on the device buffers or called on",
         "the host arrays, wherever the plan put it.  Adds the boundary part",
@@ -189,13 +195,12 @@ def _emit_device_source(problem: "Problem", emitter: ExprEmitter) -> list[str]:
     ])
 
 
-def emit_device_step(name: str, plan: dict, launch: list[str], rank: str = "",
-                     tail: tuple[str, ...] = ()) -> list[str]:
+def emit_device_step(name: str, plan: dict, launch: list[str], rank: str = "") -> list[str]:
     """The device step ``name(state)``, emitted from ``plan``
     (:func:`plan_device_step`): what is uploaded when, where ``finish_step``
     runs and what comes back are read off it here, so the generated step has
     no branch on them.  ``launch`` are the target's interior launch lines,
-    ``rank`` its index into per-rank cost tables, ``tail`` what follows."""
+    ``rank`` its index into per-rank cost tables."""
     placement, transfers = plan["placement"], plan["transfer_plan"]
     reductions = [a.name for a in plan["array_uses"]
                   if "post_step_callbacks" in a.readers]
@@ -245,13 +250,13 @@ def emit_device_step(name: str, plan: dict, launch: list[str], rank: str = "",
         "        kernel_args = [dev.buffers[n].array",
         "                       for n in ['u'] + KERNEL_VAR_NAMES + ['u_new']] + [dev.workspace]",
         "        with state.profile_scope('solve'):",
-        *_indent(launch, 3),
+        *indent(launch, 3),
         "    except GPU_FAULTS as exc:",
         "        faulted = exc",
         "        launch_time = host.now()",
         "",
         "    # --- CPU boundary contribution, overlapped with the kernel (Fig. 6) ----",
-        "    with state.profile_scope('boundary'), trace_phase('boundary'):",
+        "    with state.phase('boundary'):",
         "        du_bdry = compute_boundary_contribution(state, u_bdry, t)",
         f"    host.advance({cost('COST_BOUNDARY')})",
         "    # the host-timeline boundary span sits under the device kernel span —",
@@ -315,41 +320,26 @@ def emit_device_step(name: str, plan: dict, launch: list[str], rank: str = "",
         "                       launch_time, host.now(), cat='fault',",
         "                       reason=type(faulted).__name__)",
         f"        state.charge_phase('solve for intensity', {cost('COST_INTERIOR_CPU')})",
-        *_indent(list(tail)),
+        "",
+        *indent(ADVANCE),
     ]
     return ["", ""] + lines
 
 
-_RUN_STEPS = '''
-
-def run_steps(state, nsteps):
-    """Sequential time loop around the hybrid step + CPU hooks."""
-    trace = get_tracer()
-    state.log_run_event('run.start', target='gpu_hybrid', nsteps=nsteps)
-    for _ in range(nsteps):
-        for cb in PRE_STEP_CALLBACKS:
-            with state.profile_scope('pre_step'), trace_phase('pre_step'):
-                cb.fn(state)
-        step_once(state)
-        # a callback that declared its reduction is handed it; any other
-        # reads what it likes (state.u takes the unknown back to the host)
-        for cb, args in zip(POST_STEP_CALLBACKS, state.post_step_args):
-            with state.profile_scope('post_step'), trace_phase('post_step'):
-                cb.fn(state, *args)
-        if POST_STEP_CALLBACKS:
-            t0 = state.host_clock.now()
-            state.host_clock.advance(COST_TEMP)
-            trace.complete(state.host_track, 'temperature_update', t0,
-                           state.host_clock.now(), cat='phase')
-            state.charge_phase('temperature update', COST_TEMP)
-        state.observe_step()
-        state.sanitize_step()
-        state.maybe_checkpoint()
-        state.maybe_rebalance()
-    state.check_health()
-    state.log_run_event('run.end', target='gpu_hybrid')
-    return state
-'''
+#: The holes of the hybrid ``run_steps`` (:func:`emit_step_loop`): the
+#: temperature update's cost-model time on the host clock.
+RUN_LOOP = dict(
+    prologue=["trace = get_tracer()"],
+    post_args=True,
+    charge=[
+        "if POST_STEP_CALLBACKS:",
+        "    t0 = state.host_clock.now()",
+        "    state.host_clock.advance(COST_TEMP)",
+        "    trace.complete(state.host_track, 'temperature_update', t0,",
+        "                   state.host_clock.now(), cat='phase')",
+        "    state.charge_phase('temperature update', COST_TEMP)",
+    ],
+)
 
 
 def _repin_graph(tg: TaskGraph, pins: dict[str, str]) -> TaskGraph:
@@ -481,8 +471,6 @@ def step_env(problem: "Problem", geom, plan: dict) -> dict:
         # cells that have one
         "BOWNER": geom.bowner,
         "BCELLS": geom.bcells,
-        "PRE_STEP_CALLBACKS": list(problem.pre_step_callbacks),
-        "POST_STEP_CALLBACKS": list(problem.post_step_callbacks),
         "REDUCTIONS": [cb.reduce.fn for cb in problem.post_step_callbacks if cb.reduce],
         # per-step H2D: the known variables the plan marked as host-mutated
         # (for the BTE: Io and beta after the temperature update)
@@ -492,7 +480,6 @@ def step_env(problem: "Problem", geom, plan: dict) -> dict:
         "GPU_FAULTS": (DeviceOOMError, KernelFaultError),
         "record_degraded": _record_degraded,
         "get_tracer": get_tracer,
-        "trace_phase": phase_span,
     }
 
 
@@ -600,10 +587,8 @@ class GPUHybridTarget(CodegenTarget):
                       "               chunk, host_time=launch_time)"]
         lines = source_header("gpu_hybrid", problem, print_ir(ir)) + plan_header(plan)
         lines += _emit_device_source(problem, emitter)
-        lines += emit_device_step(
-            "step_once", plan, launch,
-            tail=("", "state.time += state.dt", "state.step_index += 1"))
-        lines.append(_RUN_STEPS)
+        lines += emit_device_step("step_once", plan, launch)
+        lines += emit_step_loop("gpu_hybrid", **RUN_LOOP)
         source = "\n".join(lines) + "\n"
 
         cost = CostModel(problem.extra.get("machine_rates", CASCADE_LAKE_FINCH))
@@ -636,17 +621,9 @@ class GPUHybridTarget(CodegenTarget):
 
     def bind_artifact(self, problem: "Problem", artifact) -> GeneratedSolver:
         if artifact.flavor == "cpu_fallback":
-            from repro.codegen.cpu_serial import bind_cpu_env
+            from repro.codegen.cpu_serial import CPUSerialTarget
 
-            state = SolverState(problem)
-            env = bind_cpu_env(problem, artifact)
-            solver = GeneratedSolver(
-                "cpu", artifact.source, env, state,
-                code=artifact.code, module_name=artifact.module_name,
-            )
-            if artifact.code is None:
-                artifact.code = solver.code
-            attach_artifact_attrs(solver, artifact)
+            solver = CPUSerialTarget().bind_artifact(problem, artifact)
             solver.task_timer_map = {
                 "interior_update": "solve",
                 "post_step_callbacks": "post_step",
@@ -656,25 +633,13 @@ class GPUHybridTarget(CodegenTarget):
 
         state = SolverState(problem)
         spec = problem.config.gpu_spec or default_gpu_spec()
-        env = {**artifact.static_env, **step_env(problem, state.geom, artifact.attrs)}
-        solver = GeneratedSolver(
-            self.name, artifact.source, env, state,
-            code=artifact.code, module_name=artifact.module_name,
-        )
-        if artifact.code is None:
-            artifact.code = solver.code
-        # observability: which wall-clock timer measures each placement task
-        # (finish_step shares 'solve' with the interior kernel)
-        solver.task_timer_map = {
-            "interior_update": "solve",
-            "boundary_callbacks": "boundary",
-            "post_step_callbacks": "post_step",
-        }
-        attach_artifact_attrs(solver, artifact)
+        solver = self.bind_solver(problem, artifact, state,
+                                  step_env(problem, state.geom, artifact.attrs))
+        solver.task_timer_map = DEVICE_TASK_TIMERS
         bind_kernels(solver, artifact.attrs["kernel_spec"])
         solver.device = attach_device(
             state, Device(spec, name=f"gpu0:{spec.name}"),
-            env["KERNEL_VAR_NAMES"], "hybrid/host")
+            artifact.static_env["KERNEL_VAR_NAMES"], "hybrid/host")
         return solver
 
 

@@ -19,11 +19,20 @@ hybrid run's virtual time.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import TYPE_CHECKING
 
-from repro.codegen.cpu_distributed import _band_count, _split_components
+from repro.codegen.cpu_distributed import (
+    BAND_RESULT,
+    CHARGE_TEMP,
+    _band_count,
+    _split_components,
+    band_temperature_costs,
+    bind_spmd,
+)
 from repro.codegen.emit import ExprEmitter
 from repro.codegen.gpu_hybrid import (
+    DEVICE_TASK_TIMERS,
     _emit_device_source,
     _reject_reconstructions,
     attach_device,
@@ -37,7 +46,7 @@ from repro.codegen.state import SolverState
 from repro.codegen.target_base import (
     CodegenTarget,
     GeneratedSolver,
-    attach_artifact_attrs,
+    emit_step_loop,
     source_header,
 )
 from repro.gpu.device import Device
@@ -46,83 +55,44 @@ from repro.ir.lowering import lower_conservation_form
 from repro.ir.nodes import print_ir
 from repro.perfmodel.costs import CostModel
 from repro.perfmodel.machines import CASCADE_LAKE_FINCH, default_gpu_spec
-from repro.runtime.executor import run_spmd
-from repro.runtime.netmodel import IB_CLUSTER
 from repro.util.errors import CodegenError
 
 if TYPE_CHECKING:
     from repro.dsl.problem import Problem
 
 
-_RANK_PROGRAM = '''
-
-def rank_program(comm):
-    """One rank = one CPU process + one device, owning a band block."""
-    state = make_rank_state(comm.rank)
-    state.comm = comm
-    own = state.owned_comps
-    # device-resident buffers (geometry/coefficient tables ride in the
-    # module namespace; they were sent once, like the static H2D plan)
-    dev = attach_device(state, make_device(comm.rank), KERNEL_VAR_NAMES,
-                        'hybrid/rank%d' % comm.rank)
-    host = state.host_clock
-
-    for _ in range(RUN_NSTEPS[0]):
-        for cb in PRE_STEP_CALLBACKS:
-            with state.profile_scope('pre_step'):
-                cb.fn(state)
-        device_step(state)
-
-        # CPU temperature update on the reduced array; its band-energy
-        # allreduce advances the communicator clock itself — mirror that
-        # back onto the host
-        for cb, args in zip(POST_STEP_CALLBACKS, state.post_step_args):
-            with state.profile_scope('post_step'), trace_phase('post_step'):
-                cb.fn(state, *args)
-        comm.compute(COST_TEMP[comm.rank], phase='temperature update')
-        host.advance_to(comm.clock.now())
-
-        state.time += state.dt
-        state.step_index += 1
-        state.observe_step()
-        state.sanitize_step()
-        state.maybe_checkpoint()
-        state.maybe_rebalance()
-
-    T = state.extra.get('T')
-    return {
-        'u_owned': state.u[own].copy(),
-        'T': None if T is None else np.asarray(T).copy(),
-        'device_profile': dev.profiler.report(KERNEL.name),
-        # the full per-launch profiler, for the per-kernel rows of the
-        # run report's gpu section and the repro.profile/1 artifact
-        'device_profiler': dev.profiler,
-        'timers': state.timers,
-    }
-
-
-def step_once(state):
-    run_steps(state, 1)
-
-
-def run_steps(state, nsteps):
-    RUN_NSTEPS[0] = nsteps
-    state.log_run_event('run.start', target='gpu_multi',
-                        nsteps=nsteps, nranks=NPARTS)
-    if ELASTIC is None:
-        result = run_spmd(NPARTS, rank_program, NETWORK,
-                          heartbeat_s=HEARTBEAT_S)
-    else:
-        result = ELASTIC.run(rank_program, nsteps, RUN_NSTEPS)
-    merge_results(state, result, nsteps)
-    state.spmd_result = result
-    state.device_profiles = [r['device_profile'] for r in result.results]
-    state.device_profilers = [r['device_profiler'] for r in result.results]
-    state.check_health()
-    state.log_run_event('run.end', target='gpu_multi',
-                        makespan_s=result.makespan)
-    return state
-'''
+#: The holes of the rank program (:func:`emit_step_loop`): one rank = one
+#: CPU process + one device, owning a band block.
+RANK_LOOP = dict(
+    doc=['"""One rank = one CPU process + one device, owning a band block."""'],
+    prologue=[
+        "owned = state.owned_comps",
+        "# device-resident buffers (geometry/coefficient tables ride in the",
+        "# module namespace; they were sent once, like the static H2D plan)",
+        "dev = attach_device(state, make_device(comm.rank), KERNEL_VAR_NAMES,",
+        "                    'hybrid/rank%d' % comm.rank)",
+        "host = state.host_clock",
+    ],
+    step=["device_step(state)"],
+    post_args=True,
+    charge=[
+        "# the temperature update's band-energy allreduce advanced the",
+        "# communicator clock itself — mirror that back onto the host",
+        *CHARGE_TEMP,
+        "host.advance_to(comm.clock.now())",
+    ],
+    result=[
+        *BAND_RESULT,
+        "'device_profile': dev.profiler.report(KERNEL.name),",
+        "# the full per-launch profiler, for the per-kernel rows of the",
+        "# run report's gpu section and the repro.profile/1 artifact",
+        "'device_profiler': dev.profiler,",
+    ],
+    after_run=[
+        "state.device_profiles = [r['device_profile'] for r in result.results]",
+        "state.device_profilers = [r['device_profiler'] for r in result.results]",
+    ],
+)
 
 
 class GPUMultiTarget(CodegenTarget):
@@ -153,14 +123,7 @@ class GPUMultiTarget(CodegenTarget):
         _reject_reconstructions(form)
         emitter = ExprEmitter(problem, form, var_mode="local")
 
-        machine = problem.extra.get("machine_rates", CASCADE_LAKE_FINCH)
-        cost = CostModel(machine)
-        ncomp = unknown.space.ncomp
-        ncells = problem.mesh.ncells
-
         owned_sets = _split_components(problem, nparts)
-        nbands = _band_count(problem)
-        ndirs = max(1, ncomp // max(nbands, 1))
         # the plan is one rank's: its largest band block per launch, the
         # interior on the device whatever the size (that is the target)
         probe = SolverState(problem)
@@ -178,148 +141,62 @@ class GPUMultiTarget(CodegenTarget):
             ["dev.launch(KERNEL, len(own) * NCELLS, *kernel_args, own,",
              "           host_time=launch_time)"],
             rank="state.comm.rank")
-        lines.append(_RANK_PROGRAM)
+        lines += emit_step_loop("gpu_multi", spmd=True, **RANK_LOOP)
         source = "\n".join(lines) + "\n"
-
-        known_vars = emitter.referenced_known_variables()
-
-        static: dict = dict(emitter.component_tables())
-        static["NCOMP"] = ncomp
-        static["NCELLS"] = ncells
-        static["NPARTS"] = nparts
-        static["KERNEL_VAR_NAMES"] = [f"var_{n}" for n in known_vars]
-        # per-rank cost vectors (each rank's clock advances by its own band
-        # block's work — the elastic runtime rewrites these on migration)
-        boundary_costs, temp_costs, interior_costs = _gpu_rank_costs(
-            cost, probe.geom.boundary_face_count(), ncells, owned_sets, ndirs
-        )
-        static["COST_BOUNDARY"] = boundary_costs
-        static["COST_TEMP"] = temp_costs
-        static["COST_INTERIOR_CPU"] = interior_costs
 
         return self.make_artifact(
             problem, source,
-            static_env=static,
+            static_env={
+                **emitter.component_tables(),
+                "NCOMP": unknown.space.ncomp,
+                "NCELLS": problem.mesh.ncells,
+                "NPARTS": nparts,
+                "KERNEL_VAR_NAMES": [
+                    f"var_{n}" for n in emitter.referenced_known_variables()],
+                **_rank_costs(problem, probe.geom)(owned_sets),
+            },
             attrs={"ir": ir, "classified_form": form, "expanded_expr": expanded,
                    **plan},
         )
 
     def bind_artifact(self, problem: "Problem", artifact) -> GeneratedSolver:
-        cfg = problem.config
         master = SolverState(problem)
         geom = master.geom
-        spec = cfg.gpu_spec or default_gpu_spec()
-        network = problem.extra.get("network_model", IB_CLUSTER)
-        # shared box: the elastic runtime swaps the owned sets mid-run;
-        # make_rank_state and the merger read the box, not a fixed list
-        owned_box = [_split_components(problem, cfg.nparts)]
-        env: dict = {**artifact.static_env,
-                     **step_env(problem, geom, artifact.attrs)}
-        env["RUN_NSTEPS"] = [cfg.nsteps]
-        env["NETWORK"] = network
-        env["run_spmd"] = run_spmd
-        env["attach_device"] = attach_device
-
-        controller = _make_gpu_controller(problem, owned_box, network, geom)
-
-        def make_rank_state(rank: int) -> SolverState:
-            st = SolverState(problem)
-            st.owned_comps = owned_box[0][rank]
-            if controller is not None:
-                controller.prepare_rank_state(st)
-            return st
+        spec = problem.config.gpu_spec or default_gpu_spec()
 
         def make_device(rank: int) -> Device:
             return Device(spec, name=f"gpu{rank}:{spec.name}")
 
-        def merge_results(state: SolverState, result, nsteps: int) -> None:
-            owned_sets = owned_box[0]
-            for rank, out in enumerate(result.results):
-                state.u[owned_sets[rank]] = out["u_owned"]
-            if result.results and result.results[0]["T"] is not None:
-                state.extra["T"] = result.results[0]["T"]
-            state.time += state.dt * nsteps
-            state.step_index += nsteps
-
-        env["make_rank_state"] = make_rank_state
-        env["make_device"] = make_device
-        env["merge_results"] = merge_results
-        env["ELASTIC"] = controller
-        env["HEARTBEAT_S"] = problem.extra.get("heartbeat_s")
-
-        solver = GeneratedSolver(
-            self.name, artifact.source, env, master,
-            code=artifact.code, module_name=artifact.module_name,
-        )
-        if artifact.code is None:
-            artifact.code = solver.code
-        attach_artifact_attrs(solver, artifact)
+        solver = bind_spmd(
+            self, problem, artifact, master,
+            _split_components(problem, problem.config.nparts), axis="comps",
+            repartition=partial(_split_components, problem),
+            tables=_rank_costs(problem, geom),
+            env={**step_env(problem, geom, artifact.attrs),
+                 "attach_device": attach_device, "make_device": make_device})
         bind_kernels(solver, artifact.attrs["kernel_spec"])
-        solver.task_timer_map = {
-            "interior_update": "solve",
-            "boundary_callbacks": "boundary",
-            "post_step_callbacks": "post_step",
-        }
-        if controller is not None:
-            # the namespace is rebuilt by recompile(); partition swaps must
-            # rewrite the live dict, so hand it over post-construction
-            controller.attach(solver.namespace)
+        solver.task_timer_map = DEVICE_TASK_TIMERS
         return solver
 
 
-def _gpu_rank_costs(cost: CostModel, n_bfaces: int, ncells: int, owned_sets,
-                    ndirs: int):
-    """Per-rank (boundary, temperature, degraded-interior) virtual costs."""
-    boundary = [cost.boundary_step(n_bfaces, len(o)) for o in owned_sets]
-    temp = [
-        cost.newton_step(ncells)
-        + cost.iobeta_step(ncells, max(1, len(o) // ndirs))
-        for o in owned_sets
-    ]
-    interior = [cost.intensity_step(ncells, len(o)) for o in owned_sets]
-    return boundary, temp, interior
-
-
-def _make_gpu_controller(problem: "Problem", owned_box: list, network, geom):
-    """The multi-GPU target's :class:`ElasticRunner` (``rebalance`` extra)."""
-    extra = problem.extra
-    if not extra.get("rebalance"):
-        return None
-    from repro.runtime.rebalance import ElasticRunner, RebalancePolicy
-
-    cfg = problem.config
-    cost = CostModel(extra.get("machine_rates", CASCADE_LAKE_FINCH))
-    ncomp = problem.unknown.space.ncomp
-    ncells = problem.mesh.ncells
-    nbands = _band_count(problem)
-    ndirs = max(1, ncomp // max(nbands, 1))
+def _rank_costs(problem: "Problem", geom):
+    """``tables(owned_sets)``: per-rank (boundary, temperature,
+    degraded-interior) virtual cost vectors — each rank's clock advances by
+    its own band block's work; the elastic runtime rewrites them on
+    migration."""
+    cost = CostModel(problem.extra.get("machine_rates", CASCADE_LAKE_FINCH))
+    ncomp, ncells = problem.unknown.space.ncomp, problem.mesh.ncells
+    ndirs = max(1, ncomp // max(_band_count(problem), 1))
     n_bfaces = geom.boundary_face_count()
 
-    def repartition(nranks: int, weights):
-        return _split_components(problem, nranks, weights)
+    def tables(owned_sets):
+        return {
+            "COST_BOUNDARY": [cost.boundary_step(n_bfaces, len(o)) for o in owned_sets],
+            "COST_TEMP": band_temperature_costs(cost, ncells, owned_sets, ndirs),
+            "COST_INTERIOR_CPU": [cost.intensity_step(ncells, len(o)) for o in owned_sets],
+        }
 
-    def install(owned_sets, namespace):
-        owned_box[0] = owned_sets
-        boundary, temp, interior = _gpu_rank_costs(
-            cost, n_bfaces, ncells, owned_sets, ndirs)
-        namespace["COST_BOUNDARY"] = boundary
-        namespace["COST_TEMP"] = temp
-        namespace["COST_INTERIOR_CPU"] = interior
-        namespace["NPARTS"] = len(owned_sets)
-
-    policy = RebalancePolicy(
-        heartbeat_s=extra.get("heartbeat_s"),
-        imbalance_threshold=float(extra.get("imbalance_threshold", 1.5)),
-        check_every=int(extra.get("rebalance_check_every", 4)),
-        max_rebalances=int(extra.get("max_rebalances", 1)),
-    )
-    return ElasticRunner(
-        policy=policy, nranks=cfg.nparts, axis="comps",
-        repartition=repartition, install=install,
-        owned_of=lambda owned_sets: owned_sets, current=owned_box[0],
-        network=network, state_bytes=ncomp * ncells * 8,
-        workdir=extra.get("checkpoint_dir"),
-    )
+    return tables
 
 
 __all__ = ["GPUMultiTarget"]

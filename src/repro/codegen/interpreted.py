@@ -19,9 +19,11 @@ import numpy as np
 
 from repro.codegen.state import SolverState
 from repro.codegen.target_base import (
+    ADVANCE,
     CodegenTarget,
     GeneratedSolver,
-    attach_artifact_attrs,
+    emit_step_loop,
+    indent,
     source_header,
 )
 from repro.ir.build import build_ir
@@ -43,37 +45,16 @@ from repro.util.errors import CodegenError, DSLError
 if TYPE_CHECKING:
     from repro.dsl.problem import Problem
 
-_SOURCE_STUB = '''
-
-def step_once(state):
-    """Interpreted step: evaluate the classified symbolic form directly."""
-    with state.profile_scope('solve'):
-        rhs = interpret_rhs(state, state.u, state.time)
-        state.u = state.u + state.dt * rhs
-    state.time += state.dt
-    state.step_index += 1
-
-
-def run_steps(state, nsteps):
-    state.log_run_event('run.start', target='interpreted', nsteps=nsteps)
-    for _ in range(nsteps):
-        if PRE_STEP_CALLBACKS:
-            with state.profile_scope('pre_step'):
-                for cb in PRE_STEP_CALLBACKS:
-                    cb.fn(state)
-        step_once(state)
-        if POST_STEP_CALLBACKS:
-            with state.profile_scope('post_step'):
-                for cb in POST_STEP_CALLBACKS:
-                    cb.fn(state)
-        state.observe_step()
-        state.sanitize_step()
-        state.maybe_checkpoint()
-        state.maybe_rebalance()
-    state.check_health()
-    state.log_run_event('run.end', target='interpreted')
-    return state
-'''
+_STEP_ONCE = [
+    "", "", "def step_once(state):",
+    *indent([
+        '"""Interpreted step: evaluate the classified symbolic form directly."""',
+        "with state.phase('solve'):",
+        "    rhs = interpret_rhs(state, state.u, state.time)",
+        "    state.u = state.u + state.dt * rhs",
+        *ADVANCE,
+    ]),
+]
 
 
 class _TermInterpreter:
@@ -112,10 +93,7 @@ class _TermInterpreter:
                 points = (
                     state.geom.cell_center if where == "volume" else state.geom.center
                 )
-                try:
-                    return np.asarray(coef.value(points, state.time), dtype=np.float64)
-                except TypeError:
-                    return np.asarray(coef.value(points), dtype=np.float64)
+                return coef.at(points, state.time)
             if not coef.indices:
                 return float(coef.value)
             ccomp = tuple(
@@ -208,7 +186,7 @@ class InterpretedTarget(CodegenTarget):
 
         lines = source_header("interpreted", problem, print_ir(ir))
         lines.append("# no generated numerics: interpret_rhs walks the symbolic form")
-        lines.append(_SOURCE_STUB)
+        lines += _STEP_ONCE + emit_step_loop("interpreted")
         source = "\n".join(lines) + "\n"
         return self.make_artifact(
             problem, source,
@@ -222,21 +200,9 @@ class InterpretedTarget(CodegenTarget):
     def bind_artifact(self, problem: "Problem", artifact) -> GeneratedSolver:
         # the interpreter holds problem references, so it is rebuilt per
         # bind from the cached classified form (the expensive lowering)
-        state = SolverState(problem)
         interp = _TermInterpreter(problem, artifact.attrs["classified_form"])
-        env = {
-            "interpret_rhs": interp.rhs,
-            "PRE_STEP_CALLBACKS": list(problem.pre_step_callbacks),
-            "POST_STEP_CALLBACKS": list(problem.post_step_callbacks),
-        }
-        solver = GeneratedSolver(
-            self.name, artifact.source, env, state,
-            code=artifact.code, module_name=artifact.module_name,
-        )
-        if artifact.code is None:
-            artifact.code = solver.code
-        attach_artifact_attrs(solver, artifact)
-        return solver
+        return self.bind_solver(problem, artifact, SolverState(problem),
+                                {"interpret_rhs": interp.rhs})
 
 
 __all__ = ["InterpretedTarget"]

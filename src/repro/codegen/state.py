@@ -32,6 +32,7 @@ from repro.obs import (
     get_flight_recorder,
     get_metrics,
     get_tracer,
+    phase_span,
 )
 from repro.runtime.faults import get_injector
 from repro.runtime.resilience import (
@@ -55,7 +56,86 @@ if TYPE_CHECKING:
     from repro.dsl.problem import BoundarySpec, Problem
 
 
-class SolverState:
+class StepHooks:
+    """What the one generated time loop
+    (:func:`repro.codegen.target_base.emit_step_loop`) asks of the state it
+    advances, whatever discretisation is behind it: phase scopes, run
+    events, the end-of-step hooks.  A subclass brings ``problem``,
+    ``timers``, ``step_index`` and ``u``; the three hooks that are no-ops
+    here are what :class:`SolverState` adds to a bare nodal state."""
+
+    comm = None  # repro.runtime.Communicator on rank states
+
+    def end_step(self) -> None:
+        """What follows every finished step, in this order, on every target.
+        The hooks are looked up on the instance, which may shadow one (the
+        e2e harness times them that way)."""
+        self.observe_step()
+        self.sanitize_step()
+        self.maybe_checkpoint()
+        self.maybe_rebalance()
+
+    def observe_step(self) -> None:
+        """Per-step solver metrics (none here)."""
+
+    def maybe_checkpoint(self) -> None:
+        """Periodic checkpoint hook (none here)."""
+
+    def maybe_rebalance(self) -> None:
+        """Elastic-runtime hook (none here)."""
+
+    def sanitize_step(self) -> None:
+        """Per-step runtime-sanitizer hook.
+
+        A no-op (one attribute check) unless a ``--sanitize`` run enabled
+        the sanitizer; when live it runs the read-only NaN/Inf, residency,
+        CFL and conservation-drift checks with this step's provenance.
+        """
+        from repro.verify.sanitizer import get_sanitizer
+
+        san = get_sanitizer()
+        if san.enabled:
+            san.check_state(self)
+
+    def log_run_event(self, name: str, **fields: Any) -> None:
+        """Emit one structured run-lifecycle event with this state's
+        provenance (rank, step, problem).  Called by generated run loops at
+        run start/end; cheap when the log is below info level."""
+        elog = get_event_log()
+        if elog.enabled and elog.wants("info"):
+            rank = self.comm.rank if self.comm is not None else None
+            elog.emit(name, level="info", rank=rank, step=self.step_index,
+                      problem=self.problem.name, **fields)
+
+    def profile_scope(self, name: str):
+        """Phase timer that doubles as a per-launch profiler probe.
+
+        With profiling off (the default) it *is* the plain timer — same
+        object, same cost, nothing extra allocated.  With a live
+        :class:`~repro.obs.profile.RunProfiler` installed, every entry/exit
+        additionally records one per-launch sample (rank, phase, step,
+        seconds) using the registry's clock, so profiles taken under the
+        virtual bench clock are deterministic.
+        """
+        from repro.obs.profile import get_profiler
+
+        prof = get_profiler()
+        if not prof.enabled:
+            return self.timers.time(name)
+        return _ProfileScope(self, name, prof)
+
+    def phase(self, name: str):
+        """Scope of one phase of a step (``pre_step``, ``solve``,
+        ``post_step``, ``boundary``): timed through :meth:`profile_scope`
+        — the breakdowns of Figs. 5/8 — and, under a live tracer, a span on
+        the thread's host track, so a phase means the same on every target."""
+        timed = self.profile_scope(name)
+        if not get_tracer().enabled:
+            return timed
+        return _Nested(timed, phase_span(name))
+
+
+class SolverState(StepHooks):
     """Mutable runtime state of one generated solver."""
 
     def __init__(self, problem: "Problem"):
@@ -98,10 +178,10 @@ class SolverState:
         self._sweep_inputs_checked = False
 
         # per-step solver metrics (residual, energy drift) — lazily
-        # initialised by observe_step() when a live registry is installed
+        # initialised by observe_step when a live registry is installed
         self._prev_u: np.ndarray | None = None
         self._energy0: float | None = None
-        # wall clock of the previous observe_step(), feeding the always-on
+        # wall clock of the previous observe_step, feeding the always-on
         # step-time spike detector
         self._last_step_wall: float | None = None
 
@@ -227,20 +307,6 @@ class SolverState:
                 return
         check_finite(self.unknown.name, self.u)
 
-    def sanitize_step(self) -> None:
-        """Per-step runtime-sanitizer hook, called by every generated run
-        loop next to :meth:`observe_step`.
-
-        A no-op (one attribute check) unless a ``--sanitize`` run enabled
-        the sanitizer; when live it runs the read-only NaN/Inf, residency,
-        CFL and conservation-drift checks with this step's provenance.
-        """
-        from repro.verify.sanitizer import get_sanitizer
-
-        san = get_sanitizer()
-        if san.enabled:
-            san.check_state(self)
-
     def sanitize_kernel_output(self, kernel: str, array) -> None:
         """Per-kernel NaN/Inf guard on device output (``--sanitize`` only);
         ``array`` may be a zero-argument fetch of output that stays on the
@@ -304,34 +370,6 @@ class SolverState:
             "solver_energy_drift_rel",
             "relative drift of the volume-weighted unknown total",
         ).set(drift, **labels)
-
-    def log_run_event(self, name: str, **fields: Any) -> None:
-        """Emit one structured run-lifecycle event with this state's
-        provenance (rank, step, problem).  Called by generated run loops at
-        run start/end; cheap when the log is below info level."""
-        elog = get_event_log()
-        if elog.enabled and elog.wants("info"):
-            rank = self.comm.rank if self.comm is not None else None
-            elog.emit(name, level="info", rank=rank, step=self.step_index,
-                      problem=self.problem.name, **fields)
-
-    def profile_scope(self, name: str):
-        """Phase timer that doubles as a per-launch profiler probe.
-
-        Generated run loops time their phases through this instead of
-        ``timers.time(name)`` directly.  With profiling off (the default)
-        it *is* the plain timer — same object, same cost, nothing extra
-        allocated.  With a live :class:`~repro.obs.profile.RunProfiler`
-        installed, every entry/exit additionally records one per-launch
-        sample (rank, phase, step, seconds) using the registry's clock, so
-        profiles taken under the virtual bench clock are deterministic.
-        """
-        from repro.obs.profile import get_profiler
-
-        prof = get_profiler()
-        if not prof.enabled:
-            return self.timers.time(name)
-        return _ProfileScope(self, name, prof)
 
     def buffer(self, name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
         """A reusable scratch array (allocated once, reused every step).
@@ -495,8 +533,7 @@ class SolverState:
             elif kind == "coefficient":
                 coef = entities.coefficients[name]
                 if coef.is_function:
-                    fn = coef.value
-                    resolvers.append(lambda ctx, f=fn: _eval_on_points(f, ctx.centers, ctx.time))
+                    resolvers.append(lambda ctx, c=coef: c.at(ctx.centers, ctx.time))
                 else:
                     value = coef.value
                     resolvers.append(lambda ctx, v=value: v)
@@ -687,7 +724,7 @@ class _ProfileScope:
 
     __slots__ = ("_state", "_name", "_profiler", "_start", "elapsed")
 
-    def __init__(self, state: "SolverState", name: str, profiler):
+    def __init__(self, state: StepHooks, name: str, profiler):
         self._state = state
         self._name = name
         self._profiler = profiler
@@ -707,12 +744,23 @@ class _ProfileScope:
                               step=state.step_index)
 
 
-def _eval_on_points(fn, points: np.ndarray, time: float) -> np.ndarray:
-    """Call a function coefficient on points, tolerating f(x) or f(x, t)."""
-    try:
-        return np.asarray(fn(points, time), dtype=np.float64)
-    except TypeError:
-        return np.asarray(fn(points), dtype=np.float64)
+class _Nested:
+    """``with outer, inner:`` as one context manager."""
+
+    __slots__ = ("_outer", "_inner")
+
+    def __init__(self, outer, inner):
+        self._outer = outer
+        self._inner = inner
+
+    def __enter__(self) -> "_Nested":
+        self._outer.__enter__()
+        self._inner.__enter__()
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._inner.__exit__(*exc)
+        self._outer.__exit__(*exc)
 
 
-__all__ = ["SolverState"]
+__all__ = ["SolverState", "StepHooks"]

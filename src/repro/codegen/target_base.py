@@ -259,11 +259,33 @@ class CodegenTarget:
             attrs=static.pop("attrs", {}),
         )
 
-
-def attach_artifact_attrs(solver: GeneratedSolver, artifact) -> None:
-    """Copy the artifact's picklable attachments onto the solver."""
-    for name, value in artifact.attrs.items():
-        setattr(solver, name, value)
+    def bind_solver(self, problem: "Problem", artifact: "GenerationArtifact",
+                    state, env: dict[str, Any]) -> GeneratedSolver:
+        """The tail of every bind: the artifact's static environment under
+        the target's live ``env`` and what is live on every target — the
+        step callbacks, the function coefficients (callables come from the
+        problem's entity table, not the artifact: their code identity is in
+        the key), the tracing hook — then the solver over ``state``, the
+        compile handed back to the artifact (the memory layer reuses it)
+        and the artifact's picklable attachments copied onto the solver."""
+        env = {
+            **artifact.static_env, **env,
+            "PRE_STEP_CALLBACKS": list(problem.pre_step_callbacks),
+            "POST_STEP_CALLBACKS": list(problem.post_step_callbacks),
+            "trace_phase": phase_span,
+        }
+        for name, coef in problem.entities.coefficients.items():
+            if coef.is_function:
+                env[f"eval_fcoef_{name}"] = coef.at
+        solver = GeneratedSolver(
+            self.name, artifact.source, env, state,
+            code=artifact.code, module_name=artifact.module_name,
+        )
+        if artifact.code is None:
+            artifact.code = solver.code
+        for name, value in artifact.attrs.items():
+            setattr(solver, name, value)
+        return solver
 
 
 def source_header(target: str, problem: "Problem", ir_text: str) -> list[str]:
@@ -287,9 +309,116 @@ def source_header(target: str, problem: "Problem", ir_text: str) -> list[str]:
     return lines
 
 
+def indent(lines, level: int = 1) -> list[str]:
+    pad = "    " * level
+    return [pad + ln if ln else ln for ln in lines]
+
+
+#: How every step hole ends: the counters advance with the step, before the
+#: post-step callbacks, so a callback sees the step it follows on any target.
+ADVANCE = ["state.time += state.dt", "state.step_index += 1"]
+
+
+def emit_step_loop(target: str, *, spmd: bool = False, doc=(), prologue=(),
+                   before_step=(), step=("step_once(state)",),
+                   post_args: bool = False, charge=(), result=(),
+                   after_run=()) -> list[str]:
+    """Source of the time loop of every target: ``run_steps(state, nsteps)``
+    in-process or, with ``spmd``, one rank's ``rank_program(comm)`` and the
+    driver that launches the ranks as ``run_steps``.
+
+    One body in one order (paper Sec. II-B: pre-step hooks, the step,
+    post-step hooks, sequentially); a target supplies the holes, as lines:
+    ``before_step`` (what a rank exchanges), ``step`` (advances the unknown
+    and, ending in :data:`ADVANCE`, the counters), ``post_args`` (the
+    post-step callbacks are handed their declared reductions), ``charge``
+    (virtual-clock lines) — and around the loop ``prologue``, a rank's
+    ``doc`` and the ``result`` entries it returns, and ``after_run``, what
+    the driver keeps of them.  The emitted loop has no branch on its target.
+    """
+    loop = [
+        "for _ in range(nsteps):",
+        "    for cb in PRE_STEP_CALLBACKS:",
+        "        with state.phase('pre_step'):",
+        "            cb.fn(state)",
+        *indent([*before_step, *step]),
+    ]
+    if post_args:
+        loop += [
+            "    # a callback that declared its reduction is handed it; any other",
+            "    # reads what it likes (state.u takes the unknown back to the host)",
+            "    for cb, args in zip(POST_STEP_CALLBACKS, state.post_step_args):",
+            "        with state.phase('post_step'):",
+            "            cb.fn(state, *args)",
+        ]
+    else:
+        loop += [
+            "    for cb in POST_STEP_CALLBACKS:",
+            "        with state.phase('post_step'):",
+            "            cb.fn(state)",
+        ]
+    loop += [*indent(charge), "    state.end_step()"]
+    if not spmd:
+        return ["", "", "def run_steps(state, nsteps):", *indent([
+            '"""The sequential time loop (paper: "the time step loop is always',
+            'done sequentially").  Hooks run on the CPU around each step."""',
+            *prologue,
+            f"state.log_run_event('run.start', target={target!r}, nsteps=nsteps)",
+            *loop,
+            "state.check_health()",
+            f"state.log_run_event('run.end', target={target!r})",
+            "return state",
+        ])]
+    rank = [
+        *doc,
+        "state = make_rank_state(comm.rank)",
+        "state.comm = comm",
+        "nsteps = RUN_NSTEPS[0]",
+        *prologue,
+        *loop,
+        "T = state.extra.get('T')",
+        "return {",
+        *indent(result),
+        "    'timers': state.timers,",
+        "}",
+    ]
+    driver = [
+        '"""Launch one rank program per partition and merge the results.',
+        "",
+        "With the elastic runtime bound (``--rebalance``), the runner wraps",
+        "``run_spmd`` in its recover/rebalance retry loop; the merge then reads",
+        "the *final* partition through the shared layout boxes.",
+        '"""',
+        "RUN_NSTEPS[0] = nsteps",
+        f"state.log_run_event('run.start', target={target!r},",
+        "                    nsteps=nsteps, nranks=NPARTS)",
+        "if ELASTIC is None:",
+        "    result = run_spmd(NPARTS, rank_program, NETWORK,",
+        "                      heartbeat_s=HEARTBEAT_S)",
+        "else:",
+        "    result = ELASTIC.run(rank_program, nsteps, RUN_NSTEPS)",
+        "merge_results(state, result, nsteps)",
+        "state.spmd_result = result",
+        *after_run,
+        "state.check_health()",
+        f"state.log_run_event('run.end', target={target!r},",
+        "                    makespan_s=result.makespan)",
+        "return state",
+    ]
+    return [
+        "", "", "def rank_program(comm):", *indent(rank),
+        "", "", "def step_once(state):",
+        '    """Single-step SPMD run (mostly for tests; prefer run_steps)."""',
+        "    run_steps(state, 1)",
+        "", "", "def run_steps(state, nsteps):", *indent(driver),
+    ]
+
+
 __all__ = [
+    "ADVANCE",
     "CodegenTarget",
     "GeneratedSolver",
-    "attach_artifact_attrs",
+    "emit_step_loop",
+    "indent",
     "source_header",
 ]

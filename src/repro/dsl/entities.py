@@ -17,6 +17,7 @@ values, and other metadata."
 
 from __future__ import annotations
 
+import inspect
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from typing import Any
@@ -119,6 +120,17 @@ class Coefficient:
         if not self.name.isidentifier():
             raise DSLError(f"coefficient name {self.name!r} is not a valid identifier")
         if callable(self.value):
+            # f(x) or f(x, t): read off the signature once, here.  Calling
+            # with two arguments and catching TypeError would call an
+            # f(x, t) again, with one, when its own body raised one.
+            try:
+                kinds = [p.kind for p in inspect.signature(self.value).parameters.values()]
+            except (TypeError, ValueError):  # a builtin without one: f(x)
+                kinds = []
+            Parameter = inspect.Parameter
+            self.takes_time = Parameter.VAR_POSITIONAL in kinds or sum(
+                k in (Parameter.POSITIONAL_ONLY, Parameter.POSITIONAL_OR_KEYWORD)
+                for k in kinds) >= 2
             return
         arr = np.asarray(self.value, dtype=np.float64)
         if self.indices:
@@ -137,6 +149,11 @@ class Coefficient:
     @property
     def is_function(self) -> bool:
         return callable(self.value)
+
+    def at(self, points: np.ndarray, t: float) -> np.ndarray:
+        """A function coefficient's values on ``points`` at time ``t``."""
+        args = (points, t) if self.takes_time else (points,)
+        return np.asarray(self.value(*args), dtype=np.float64)
 
     @property
     def space(self) -> IndexSpace:

@@ -139,6 +139,18 @@ class TestGeneratedSource:
         solver.run(1)
         assert solver.state.time == pytest.approx(2e-3)
 
+    def test_hand_modification_of_the_loop(self):
+        """The loop comes from one skeleton for every target; in the
+        generated file it is still plain text that can be edited."""
+        solver = decay_problem().generate()
+        assert solver.source.count("state.end_step()") == 1
+        solver.source = solver.source.replace(
+            "state.end_step()",
+            "state.end_step()\n        state.extra['laps'] = state.extra.get('laps', 0) + 1")
+        solver.recompile()
+        solver.run(3)
+        assert solver.state.extra["laps"] == 3
+
     def test_missing_functions_detected(self):
         solver = decay_problem().generate()
         solver.source = "x = 1\n"

@@ -96,22 +96,26 @@ KEEP_TWO_SIDED = {
         "(Io[b] - I[d,b]) / tau[b] - surface(vg[b] * Sx[d] * average(I[d,b]))"),
 }
 
-#: sha256 of (source, solution) at the parent commit
+#: sha256 of (source, solution).  The solution digests are PR 21's parent's.
+#: The source digests were taken again at PR 22, which changed the loop text
+#: of every source (``state.phase``, ``state.end_step()``) and the
+#: function-coefficient call (``eval_fcoef_q(points, t)``), and nothing of
+#: ``compute_rhs`` otherwise (EXPERIMENTS.md, ISSUE 22).
 PINS = {
     "flux_order_2": (
-        "f81e21d34c847c8347f8d611d0c3b16ba6f230b20cb71c7ca6ee674cdd4064c5",
+        "9c86083dd7f11aa4b346fcd322dfb4f8ecd06d164e75160c5dfdf69ec1ef008f",
         "d69c9aac5b7b2440fcab4d911fe29dce95dfd9198a557e4fa4c9f0c0e9b8bf8d"),
     "diffusion": (
-        "a160bce919d156f990b527b360a9ad372e57d68530989ead21004420888fefb2",
+        "9cdc8389b95cf1a3d3fb250783e5557613032523e4a3a4f567eb22fb748521cb",
         "694bf3ebbbba08c9133e9268f2cc110b6c08c95734ddd8f0fd646136882829ba"),
     "function_source": (
-        "4bce578b4df7db2d338024c26542c67c5979e21a16701835dacc7e65a79cb717",
+        "a52878caf59371d4185bcda772cfdc5e5040cd36765e5e6a517c7165590c1b1a",
         "53ab3aebeb52fb7ed9b369a67b5427018a1495ca78543b6baae771f2657f50b8"),
     "side_read": (
-        "b439f6cfb051a785f9ea0dc40b50e7193035c52edc002502d60dd94aae76916f",
+        "5fb3dab373b3f07ffb8da7038c2fff49f5d9a8b00d2271c5d5c21ef3af9a0766",
         "56f08cdaa8a848bb1e9c7fc3c8fd433a6f9ce547753b3b1b7aa529c135eaff63"),
     "central_flux": (
-        "8dcc96a96d97c0ac69b2803f79c5cb18aa09e5dc7a86fca2c9052839b2f10160",
+        "713e45c95e6667e675d39c32b28be72d16f6df207577267413003d7ab3b8123a",
         "3c9ccdf0b09d8861a9fedb25efe190d349edc2ff4981a5eab1e6ae360cbea844"),
     "time_dependent_face_coefficient": (
         "e2c025bc745bef3d018f0776d75acd0b5b66112924d705fb900442546752a925",

@@ -61,6 +61,26 @@ class TestTimeDependentFunction:
         assert np.allclose(solver.solution()[0], c[:, 0] * time_sum, rtol=1e-12)
 
 
+class TestArityIsReadFromTheSignature:
+    @pytest.mark.parametrize("target", ["cpu", "interp"])
+    def test_a_type_error_raised_inside_f_of_x_t_is_the_one_reported(self, target):
+        """The arity is resolved once, when the coefficient is declared — not
+        by calling ``f(x, t)`` and, on ``TypeError``, ``f(x)``: that reported
+        "missing 1 required positional argument: 't'" for a bug in the body."""
+        def q(x, t):
+            raise TypeError("unsupported operand in the user's own body")
+
+        with pytest.raises(TypeError, match="the user's own body"):
+            problem_with_source(q, nsteps=1).solve(target=target)
+
+    def test_defaulted_and_variadic_time_parameters_are_passed_the_time(self):
+        for q in (lambda x, t=0.0: np.full(len(x), t),
+                  lambda *args: np.full(len(args[0]), args[1])):
+            solver = problem_with_source(q, nsteps=3).solve()
+            dt = solver.state.dt
+            assert np.allclose(solver.solution()[0], dt * (0 + dt + 2 * dt), rtol=1e-12)
+
+
 class TestFunctionCoefficientInFlux:
     def test_spatially_varying_velocity(self):
         """Advection with b(x) = 1 + x: the generated code evaluates the
