@@ -32,7 +32,7 @@ def bose_einstein(omega: np.ndarray, T: np.ndarray | float,
     """Equilibrium occupancy ``1 / (exp(hbar w / kB T) - 1)``."""
     x = np.divide(C.HBAR * np.asarray(omega), C.KB * np.asarray(T, dtype=np.float64),
                   out=out)
-    x = np.expm1(np.clip(x, 1e-12, 700.0, out=out), out=out)
+    x = np.expm1(x.clip(1e-12, 700.0, out=out), out=out)
     return np.divide(1.0, x, out=out)
 
 
@@ -41,7 +41,7 @@ def _dn_dT(omega: np.ndarray, T: np.ndarray, out: np.ndarray | None = None,
     """d n_BE / d T (used by the Newton step); ``work`` is scratch of the
     result's shape."""
     x = np.divide(C.HBAR * np.asarray(omega), C.KB * T, out=out)
-    x = np.clip(x, 1e-12, 350.0, out=out)
+    x = x.clip(1e-12, 350.0, out=out)
     ex = np.exp(x, out=work)
     x = np.multiply(np.divide(x, T, out=out), ex, out=out)
     ex = np.square(np.subtract(ex, 1.0, out=work), out=work)
@@ -139,6 +139,7 @@ def pseudo_temperature_closure(
     T_floor: float = 1.0,
     T_ceil: float = 5000.0,
     buffer=None,
+    warm: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """:func:`pseudo_temperature` together with what its converged iterate
     already evaluated at the returned ``T``: ``(T, tau, e)`` with ``tau =
@@ -155,7 +156,11 @@ def pseudo_temperature_closure(
     the ``tau``/``e`` of the pass that froze it.  All operations are per
     cell, so a cell's result does not depend on which other cells share its
     batch, block or pass — required for the distributed solvers to agree
-    bitwise with the serial one.
+    bitwise with the serial one.  For the same reason the first pass
+    evaluates nothing when it starts where the last call ended: handed that
+    call's result as ``warm`` and a ``T_guess`` equal to its ``T`` it reads
+    ``tau`` and ``e`` from there (and returns those arrays, updated); any
+    other ``T_guess`` takes the cold path.
     """
     from repro.bte.scattering import relaxation_times  # local: no cycle at import
 
@@ -165,20 +170,24 @@ def pseudo_temperature_closure(
             f"band_energy must be (nbands, ncells); got {band_energy.shape}"
         )
     nb, ncells = band_energy.shape
-    T = np.clip(np.full(ncells, float(T_guess)) if np.ndim(T_guess) == 0
-                else np.asarray(T_guess, dtype=np.float64), T_floor, T_ceil)
+    T = (np.full(ncells, float(T_guess)) if np.ndim(T_guess) == 0
+         else np.asarray(T_guess, dtype=np.float64)).clip(T_floor, T_ceil)
     if buffer is None:
         def buffer(name, shape):
             return np.empty(shape)
-    tau, e_T = buffer("closure", (2, nb, ncells))
+    known = (warm is not None and warm[1].shape == (nb, ncells)
+             and np.array_equal(T, warm[0]))  # the first pass starts where warm ended
+    tau, e_T = warm[1:] if known else buffer("closure", (2, nb, ncells))
     width = min(max(1, TILE_BYTES // (8 * nb)), max(1, ncells))
     work = buffer("closure_work", (3, nb * width))
 
-    def evaluate(cols, T_at, energy, tau_at, e_at):
-        """``tau``, ``e`` and the residual at ``T_at``; which cells miss the
-        tolerance.  ``cols``: the cells' ids, for the error message."""
-        relaxation_times(bands, T_at, out=tau_at)
-        band_energy_density(bands, T_at, out=e_at)
+    def evaluate(cols, T_at, energy, tau_at, e_at, known=False):
+        """``tau``, ``e`` (unless ``known``: they hold them) and the residual
+        at ``T_at``; which cells miss the tolerance.  ``cols``: the cells'
+        ids, for the error message."""
+        if not known:
+            relaxation_times(bands, T_at, out=tau_at)
+            band_energy_density(bands, T_at, out=e_at)
         w = work[2, :e_at.size].reshape(e_at.shape)
         resid = _sum_bands(np.divide(np.subtract(e_at, energy, out=w), tau_at, out=w))
         scale = np.maximum(_sum_bands(np.divide(np.abs(energy, out=w), tau_at, out=w)), 1e-300)
@@ -194,9 +203,11 @@ def pseudo_temperature_closure(
         # contiguous: ufuncs pay per row of a strided (nbands, block) view
         tau_b, e_b = (tau, e_T) if n == ncells else (
             w[:nb * n].reshape(nb, n) for w in work[:2])
+        if known and n != ncells:
+            tau_b[...], e_b[...] = tau[:, block], e_T[:, block]
         resid, _, active = evaluate(range(lo, block.stop), T[block], band_energy[:, block],
-                                    tau_b, e_b)
-        if n != ncells:
+                                    tau_b, e_b, known)
+        if n != ncells and not known:
             tau[:, block], e_T[:, block] = tau_b, e_b
         pending.append((lo + np.flatnonzero(active), resid[active]))
     cells, resid = (np.concatenate(part) for part in zip(*pending)) if pending else ((), ())
@@ -205,14 +216,14 @@ def pseudo_temperature_closure(
         cols, res = cells[lo:lo + width], resid[lo:lo + width]
         T_act = T[cols]
         energy, tau_act, e_act = np.empty((3, nb, len(cols)))  # the few still active
-        np.take(band_energy, cols, axis=1, out=energy, mode="clip")
-        np.take(tau, cols, axis=1, out=tau_act, mode="clip")
+        band_energy.take(cols, axis=1, out=energy, mode="clip")
+        tau.take(cols, axis=1, out=tau_act, mode="clip")
         for _ in range(1, max_iter):
             w1, w2 = (w[:tau_act.size].reshape(tau_act.shape) for w in work[:2])
             slope = _sum_bands(np.divide(
                 _band_heat_capacity(bands, T_act, out=w1, work=w2), tau_act, out=w1))
-            step = np.clip(res / np.maximum(slope, 1e-300), -100.0, 100.0)
-            T[cols] = T_act = np.clip(T_act - step, T_floor, T_ceil)
+            step = (res / np.maximum(slope, 1e-300)).clip(-100.0, 100.0)
+            T[cols] = T_act = (T_act - step).clip(T_floor, T_ceil)
             res, scale, active = evaluate(cols, T_act, energy, tau_act, e_act)
             tau[:, cols], e_T[:, cols] = tau_act, e_act
             if not active.any():

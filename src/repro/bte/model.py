@@ -132,10 +132,12 @@ class BTEModel:
         ``e_act`` (this rank's partial sums, over all of the state's cells);
         called without, the update reads ``state.u`` and reduces itself.
         Keeps the per-cell temperature in ``state.extra['T']`` (also the
-        Newton starting guess).  Every ``(nbands, ncells)`` array lives in
-        ``state.buffer`` scratch, and ``T``, ``Io`` and ``beta`` are
-        published only once the closure has converged: a ``SolverError``
-        leaves them as they were.
+        Newton starting guess) and the closure's whole result in
+        ``state.extra['closure']``, the next step's warm start (a restored
+        or edited ``T`` takes the closure's cold path).
+        Every ``(nbands, ncells)`` array lives in ``state.buffer`` scratch,
+        and ``T``, ``Io`` and ``beta`` are published only once the closure
+        has converged: a ``SolverError`` leaves them as they were.
         """
         nb = self.bands.nbands
         T_prev = state.extra.get("T")
@@ -150,12 +152,11 @@ class BTEModel:
             if cells is not None:
                 # cell partitioning: bands are all local, the update restricts
                 # to owned cells (ghost columns never feed volume terms)
-                I = np.take(I, cells, axis=1, mode="clip",
-                            out=state.buffer("owned_intensity", (len(I), len(cells))))
-            # the closure's output scratch is free until the closure runs
+                I = I.take(cells, axis=1, mode="clip",
+                           out=state.buffer("owned_intensity", (len(I), len(cells))))
             e_act = self.band_energies(
                 I, comps, state.buffer("band_energy", (nb, I.shape[1])),
-                state.buffer("closure", (2, nb, I.shape[1]))[1])
+                state.buffer("band_work", (nb, I.shape[1])))
         if comps is not None:
             # band partitioning: each rank holds only its components' valid
             # intensities; the closure needs all bands -> allreduce of the
@@ -164,17 +165,23 @@ class BTEModel:
             e_act = state.comm.allreduce(e_act)
         # the converged iterate already holds tau(T) and e(T); Io is e / 4 pi
         # exactly as equilibrium_intensity forms it
+        # (popped: a closure that raises has half overwritten it; kept with
+        # a ``T`` of its own: the published one may be edited in place)
         T, tau, e_T = pseudo_temperature_closure(
-            self.bands, e_act, T_prev, buffer=state.buffer)
-        np.divide(e_T, 4.0 * math.pi, out=e_T)
+            self.bands, e_act, T_prev, buffer=state.buffer,
+            warm=state.extra.pop("closure", None))
+        state.extra["closure"] = (T.copy(), tau, e_T)
         Io, beta = state.fields["Io"].data, state.fields["beta"].data
         if cells is None:
             state.extra["T"] = T
-            Io[...], beta[...] = e_T, tau
+            np.divide(e_T, 4.0 * math.pi, out=Io)
+            beta[...] = tau
         else:
             T_all[cells] = T
             state.extra["T"] = T_all
-            Io[:, cells], beta[:, cells] = e_T, tau
+            Io[:, cells] = np.divide(e_T, 4.0 * math.pi,
+                                     out=state.buffer("band_work", e_T.shape))
+            beta[:, cells] = tau
 
     def initialize_state(self, state, T0: float) -> None:
         """Set the uniform-equilibrium initial condition at temperature T0."""
@@ -192,6 +199,21 @@ class BTEModel:
         return Io[self.comp_band]
 
     # ---------------------------------------------------------------- boundary
+    def _wall_flux(self, ctx: BoundaryContext, I_owner, args: tuple, wall) -> np.ndarray:
+        """``-(vg s.n) * I_upwind`` on an isothermal wall, finished in place.
+        ``wall() -> (s.n, vg, ghost)`` (``vg`` and the wall-equilibrium ghost
+        intensity per component) is evaluated once per region while ``args``,
+        all it depends on, are the same objects
+        (:meth:`BoundaryContext.remember`): a step selects, multiplies, negates."""
+        def invariants():
+            sdotn, vg, ghost = wall()
+            return sdotn > 0.0, vg[:, None] * sdotn, ghost
+
+        outflow, vn, ghost = (invariants() if ctx is None
+                              else ctx.remember("wall_flux", args, invariants))
+        upwound = np.where(outflow, I_owner, ghost)
+        return np.negative(np.multiply(vn, upwound, out=upwound), out=upwound)
+
     def isothermal(self, ctx: BoundaryContext, I_owner, vg, *args):
         """The paper's isothermal flux callback (DSL-string signature).
 
@@ -209,12 +231,19 @@ class BTEModel:
                 f"isothermal callback received {len(s_components)} direction "
                 f"components for a {self.dirs.dim}-D ordinate set"
             )
-        sdotn = np.zeros((self.ncomp, normals.shape[0]))
-        for axis, s in enumerate(s_components):
-            sdotn += s[self.comp_dir][:, None] * normals[:, axis][None, :]
-        ghost = equilibrium_intensity(self.bands, float(T_wall))[self.comp_band]
-        upwound = np.where(sdotn > 0.0, I_owner, ghost[:, None])
-        return -(vg[self.comp_band][:, None] * sdotn * upwound)
+
+        def wall():
+            sdotn = np.zeros((self.ncomp, normals.shape[0]))
+            for axis, s in enumerate(s_components):
+                sdotn += s[self.comp_dir][:, None] * normals[:, axis][None, :]
+            ghost = equilibrium_intensity(self.bands, float(T_wall))[self.comp_band]
+            return sdotn, vg[self.comp_band], ghost[:, None]
+
+        return self._wall_flux(ctx, I_owner, (vg, *args), wall)
+
+    #: in the tuning key in place of the bytecode (``signature._hash_callable``):
+    #: bumped when an edit changes what the callbacks return, not how fast
+    isothermal.callback_version = 1
 
     def make_isothermal_profile_bc(
         self, T_profile: Callable[[np.ndarray], np.ndarray]
@@ -226,20 +255,22 @@ class BTEModel:
         """
 
         def hot_wall(ctx: BoundaryContext) -> np.ndarray:
-            T_face = np.asarray(T_profile(ctx.centers), dtype=np.float64)
-            if T_face.shape != (ctx.nfaces,):
-                raise ConfigError(
-                    f"temperature profile returned shape {T_face.shape}, "
-                    f"expected ({ctx.nfaces},)"
-                )
-            sdotn = (self.dirs.vectors @ ctx.normals.T)[self.comp_dir]
-            # (nbands, nfaces) wall equilibrium, lifted to components
-            Io_face = equilibrium_intensity(self.bands, T_face)
-            ghost = Io_face[self.comp_band, :]
-            upwound = np.where(sdotn > 0.0, ctx.owner_values, ghost)
-            return -(self.vg_comp[:, None] * sdotn * upwound)
+            def wall():
+                T_face = np.asarray(T_profile(ctx.centers), dtype=np.float64)
+                if T_face.shape != (ctx.nfaces,):
+                    raise ConfigError(
+                        f"temperature profile returned shape {T_face.shape}, "
+                        f"expected ({ctx.nfaces},)"
+                    )
+                sdotn = (self.dirs.vectors @ ctx.normals.T)[self.comp_dir]
+                # (nbands, nfaces) wall equilibrium, lifted to components
+                ghost = equilibrium_intensity(self.bands, T_face)[self.comp_band, :]
+                return sdotn, self.vg_comp, ghost
+
+            return self._wall_flux(ctx, ctx.owner_values, (ctx.centers, ctx.normals), wall)
 
         hot_wall.__name__ = "isothermal_profile"
+        hot_wall.callback_version = 1
         return hot_wall
 
     def stable_dt(self, mesh, T_max: float = 400.0, safety: float = 0.4) -> float:

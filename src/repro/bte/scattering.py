@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.bte import constants as C
 from repro.bte.dispersion import BandSet
-from repro.fvm.kernels import row_runs
+from repro.fvm.kernels import table_runs
 
 
 def impurity_rate(omega: np.ndarray) -> np.ndarray:
@@ -53,7 +53,7 @@ def _rate_tables(bands: BandSet):
         omega = bands.omega[:, None]
         channel = np.where(np.array(bands.branch) == "LA", 0,
                            np.where(bands.omega < C.OMEGA_12, 1, 2))
-        runs = [(lo, hi, int(channel[lo])) for lo, hi in row_runs(channel)]
+        runs = table_runs(channel)
         prefactor = (C.B_L * omega**2, C.B_TN * omega, C.B_TU * omega**2)
         tables = bands._rate_tables = (
             impurity_rate(omega), C.HBAR * omega, prefactor, runs)
@@ -80,7 +80,7 @@ def relaxation_times(bands: BandSet, T: np.ndarray | float,
             np.multiply(prefactor[channel][lo:hi], Tc ** (3 + channel), out=rows)
         else:  # TA Umklapp: ~1/sinh(hbar omega / kB T)
             np.divide(hw[lo:hi], C.KB * np.maximum(Tc, 1.0), out=rows)
-            np.sinh(np.clip(rows, 1e-12, 50.0, out=rows), out=rows)
+            np.sinh(rows.clip(1e-12, 50.0, out=rows), out=rows)
             np.divide(prefactor[2][lo:hi], rows, out=rows)
     np.add(impurity, tau, out=tau)  # Matthiessen
     np.divide(1.0, tau, out=tau)

@@ -44,8 +44,9 @@ def emit_rhs_function(problem: "Problem", emitter: ExprEmitter,
     (:func:`repro.codegen.emit.emit_tile_body`) inside each
     ``assemblyLoops`` block, so no face-sized whole-array temporary exists.
     Under forward Euler the sweep stores the explicit update itself, ``u[sel]
-    = u[sel] + dt * rhs`` (a cell-partitioned rank, with ``owned_columns``,
-    only into the mesh columns it owns): no full-size ``rhs`` exists either.
+    = u[sel] + dt * rhs`` — added into ``u``'s own rows where the tile is a
+    view of them (a cell-partitioned rank, with ``owned_columns``, stores
+    only the mesh columns it owns): no full-size ``rhs`` exists either.
     Other steppers get the RHS back as a fresh array.  When the surface
     statement folds through the divergence the tile covers the interior
     faces only: the source then also defines the shared
@@ -66,9 +67,12 @@ def emit_rhs_function(problem: "Problem", emitter: ExprEmitter,
         gather=["u1, u2 = geom.gather_sides(u, ghost, sel, out=(fu, fv))"],
         divergence="geom.surface_divergence(flux, out=acc, work=cw)",
         overrides="overrides",
-        boundary="acc[:, bcells] += bdry[sel]",
+        boundary=["cols = {new}.take(bcells, axis=1, out=bcols[:n], mode='clip')",
+                  "np.add(cols, bdry[sel], out=cols)",
+                  "{new}[:, bcells] = cols"],
         store=store,
         dt="dt" if inplace else None,
+        inplace=None if owned_columns else "us",
         buffer="state.buffer", nfaces="geom.nfaces", ncells="geom.ncells",
     )
     folded = tile.surface.folded is not None
@@ -117,9 +121,10 @@ def emit_rhs_function(problem: "Problem", emitter: ExprEmitter,
             "# the boundary faces' part, from their owner values, once per",
             "# evaluation (user callbacks execute on the CPU)",
             "bcells = geom.bcells",
+            "bcols = state.buffer('bdry_cols', (height, len(bcells)))",
             "u_bdry = state.buffer('u_bdry', (NCOMP, len(geom.bowner)))",
             "bdry = compute_boundary_contribution(",
-            "    state, np.take(u, geom.bowner, axis=1, out=u_bdry, mode='clip'), t)",
+            "    state, u.take(geom.bowner, axis=1, out=u_bdry, mode='clip'), t)",
         ]
         if inplace:
             body.append("np.multiply(bdry, dt, out=bdry)  # u + (du_bdry * dt), as finish_step")
@@ -140,13 +145,12 @@ def emit_rhs_function(problem: "Problem", emitter: ExprEmitter,
         body.append("rhs = np.empty((NCOMP, geom.ncells))")
     body += [
         "",
-        "# component blocks follow assemblyLoops order: "
-        + ", ".join(problem.config.assembly_order),
-        "for block in state.row_blocks(rows):",
-        "    # ... in tiles of rows that keep every temporary cache-resident",
-        "    for sel in kernels.row_tiles(block, NCOMP, height):",
+        "# cache-sized tiles of rows, blocks in assemblyLoops order ("
+        + ", ".join(problem.config.assembly_order) + "): planned once",
+        f"for {tile.tiles} in kernels.tile_plan("
+        "state.plans, rows, NCOMP, height, TMAPS, state.row_blocks):",
     ]
-    body += indent(tile.lines, 2)
+    body += indent(tile.lines)
     if not inplace:
         body.append("return rhs")
 

@@ -85,9 +85,10 @@ class Hoisted(NamedTuple):
     lines: tuple[str, ...] = ()
 
     def ref(self, scratch: str = "None") -> str:
-        """The tile's rows of the table — views where they can be, gathered
-        into ``scratch`` where not (:func:`repro.fvm.kernels.table_rows`)."""
-        return f"kernels.table_rows({self.name}, tmap_{self.rows}, sel, {scratch})"
+        """The tile's rows of the table, by the tile plan's selector — views
+        where they can be, gathered into ``scratch`` where not
+        (:func:`repro.fvm.kernels.rows_of`)."""
+        return f"kernels.rows_of({self.name}, rows_{self.rows}, {scratch})"
 
 
 class _Registers:
@@ -236,8 +237,10 @@ class ExprEmitter:
             self._regs = _Registers("f" if context == "surface" else "c", out.prelude)
             self._sweep_regs = _Registers("s", [])
         try:
-            parts = [self._emit(t, context) for t in terms]
-            out.code = (self._fold("+", [(p.code, self._kind(t)) for p, t in zip(parts, terms)])
+            signed, minus = self._signed(terms)
+            parts = [self._emit(t, context) for t in signed]
+            out.code = (self._fold("+", [(p.code, self._kind(t)) for p, t in zip(parts, signed)],
+                                   minus)
                         if cse else " + ".join(f"({p.code})" for p in parts))
             if cse:
                 out.registers, out.sweep_registers = self._regs.count, self._sweep_regs.count
@@ -245,7 +248,7 @@ class ExprEmitter:
                     self._fold_divergence(terms, out)
         finally:
             self._hoisted = self._regs = self._sweep_regs = None
-        out.flops = sum(p.flops for p in parts) + (len(parts) - 1)
+        out.flops = sum(map(_count_flops, terms)) + (len(parts) - 1)  # as written
         for p in parts:
             out.reads |= p.reads
         return out
@@ -374,25 +377,47 @@ class ExprEmitter:
             return "t"  # a variable
         return _join(*(self._kind(child) for child in node.children))
 
-    def _fold(self, op: str, items: list[tuple[str, str]]) -> str:
+    def _fold(self, op: str, items: list[tuple[str, str]], minus=()) -> str:
         """``a op b op c`` over ``(code, kind)`` operands, evaluated left to
         right as Python would — with registers live, from the first
-        tile-shaped intermediate on as ``np.op(acc, b, out=register)``."""
+        tile-shaped intermediate on as ``np.op(acc, b, out=register)``; the
+        operands of a sum at the positions ``minus`` (:meth:`_signed`) are
+        subtracted, a first one from the second (``(-y) + x`` is ``x - y``)."""
         regs = self._regs
         if len(items) == 1:
             return items[0][0]
+        if 0 in minus:
+            items, minus = [items[1], items[0], *items[2:]], {1, *minus} - {0}
         if regs is None:
             return "(" + f" {op} ".join(code for code, _ in items) + ")"
         inline, kind, acc = [items[0][0]], items[0][1], None
-        for code, k in items[1:]:
+        for i, (code, k) in enumerate(items[1:], 1):
             kind = _join(kind, k)
             if kind != "t":
                 inline.append(code)
                 continue
             if acc is None:
                 acc = inline[0] if len(inline) == 1 else "(" + f" {op} ".join(inline) + ")"
-            acc = regs.emit(f"{_UFUNCS[op]}({acc}, {code}, out={{}})", acc, code)
+            ufunc = "np.subtract" if i in minus else _UFUNCS[op]
+            acc = regs.emit(f"{ufunc}({acc}, {code}, out={{}})", acc, code)
         return acc or "(" + f" {op} ".join(inline) + ")"
+
+    def _signed(self, terms) -> tuple[list[Expr], set[int]]:
+        """The terms of a sum and the positions of those :meth:`_fold`
+        subtracts: with registers live ``x + (-1*y)`` is emitted as ``x - y``
+        — the same bits (a NaN operand's sign aside) without the pass that
+        multiplies a tile by -1.  Two leading ones: the first keeps its factor."""
+        terms = list(terms)
+        minus = {i for i, t in enumerate(terms if self._regs is not None else ())
+                 if isinstance(t, Mul) and Num(-1) in t.args and len(t.args) > 1
+                 and self._kind(t) == "t"}
+        if len(terms) == 1 or 1 in minus:
+            minus.discard(0)  # nothing added to subtract the first from
+        for i in minus:
+            rest = list(terms[i].args)
+            rest.remove(Num(-1))
+            terms[i] = Mul(*rest) if len(rest) > 1 else rest[0]
+        return terms, minus
 
     def _inline(self, kind: str, expr: str, *operands: str) -> str:
         """A compound with no ``out=`` form: the expression itself, or — a
@@ -493,7 +518,7 @@ class ExprEmitter:
         parts = []
         for (flat, _, _), fold in zip(products, folds):
             div = regs.emit(
-                f"kernels.apply_folded({fold.name}, us, tmap_{rows}[sel], {{}}, cw)")
+                f"kernels.apply_folded({fold.name}, us, runs_{rows}, {{}}, cw)")
             parts.append((self._fold(
                 "*", [(self._walk(a, "surface", set()), self._kind(a)) for a in flat]
                 + [(div, "t")]), "t"))
@@ -576,8 +601,9 @@ class ExprEmitter:
             reads.add("face_dist")
             return "face_dist[None, :]"
         if isinstance(node, (Add, Mul)):
+            args, minus = self._signed(node.args) if isinstance(node, Add) else (node.args, ())
             return self._fold("+" if isinstance(node, Add) else "*",
-                              [(self._walk(a, ctx, reads), self._kind(a)) for a in node.args])
+                              [(self._walk(a, ctx, reads), self._kind(a)) for a in args], minus)
         if isinstance(node, Pow):
             base = self._walk(node.base, ctx, reads)
             if isinstance(node.base, Num) and node.base.value < 0:
@@ -682,7 +708,7 @@ class ExprEmitter:
         reads.add(f"var_{name}")
         if ctx == "volume" and self._regs is not None:
             return self._regs.emit(
-                f"np.take({arr}, {cmap}[sel], axis=0, out={{}}, mode='clip')")
+                f"{arr}.take({cmap}[sel], axis=0, out={{}}, mode='clip')")
         if ctx == "volume":
             return f"{arr}[{cmap}[sel], :]"
         # surface context: known variables are evaluated on the owner side
@@ -719,7 +745,8 @@ class ExprEmitter:
         ``coef_c`` broadcast to the unknown's component axis, and for every
         index subspace the emission so far built a table over,
         ``tmap_<ix>`` (component -> table row) and ``trep_<ix>`` (the first
-        component of each row).  Call it after emitting.
+        component of each row), the maps together as ``TMAPS``.  Call it
+        after emitting.
         """
         import numpy as np
 
@@ -742,6 +769,8 @@ class ExprEmitter:
             rows = self._row_map(names)
             out[f"tmap_{suffix}"] = rows
             out[f"trep_{suffix}"] = np.unique(rows, return_index=True)[1]
+        # in the order a tile unpacks its reads (``TileBody.tiles``)
+        out["TMAPS"] = tuple(out[f"tmap_{suffix}"] for suffix in self.row_spaces)
         return out
 
     def _row_map(self, names: tuple[str, ...]):
@@ -797,11 +826,13 @@ class TileBody(NamedTuple):
     statement folds (``surface.folded``) — and the comma-joined names
     (``tables``) of the list the tile reads from the one or the other (both
     empty if nothing is tabled), the emitted ``surface`` statement, and the
-    source (``boundary``) of ``compute_boundary_contribution``."""
+    source (``boundary``) of ``compute_boundary_contribution``.  The target's
+    loop reads ``for {tiles} in <kernels.tile_plan of its rows over TMAPS>:``."""
 
     scratch: list[str]
     sweep: list[str]
     lines: list[str]
+    tiles: str
     reads: set[str]
     setup: list[str]
     tables: str
@@ -864,11 +895,13 @@ def _invariant_tables(surface: EmittedExpr, volume: EmittedExpr) -> tuple[list[s
     return setup, names, ", ".join(h.name for h in read)
 
 
-def _boundary_part(form: "ClassifiedForm", surface: EmittedExpr, tables: str) -> list[str]:
+def _boundary_part(form: "ClassifiedForm", surface: EmittedExpr, tables: str,
+                   tiles: str) -> list[str]:
     """Source of ``compute_boundary_contribution(state, u_bdry, t)``: the
     face-centric surface statement over the boundary faces alone, in row
     tiles, through the divergence restricted to them — the part of the step
-    every target leaves to the CPU and its user callbacks."""
+    every target leaves to the CPU and its user callbacks (with only the
+    upwinded side read, preceded by ``boundary_tables``)."""
     body = [
         '"""Boundary part of the RHS, from the owner values of the boundary',
         "faces, ``u[:, geom.bowner]`` — all it reads of the unknown (on a device",
@@ -879,11 +912,20 @@ def _boundary_part(form: "ClassifiedForm", surface: EmittedExpr, tables: str) ->
         "dt = state.dt",
         "du_bdry = state.buffer('du_bdry', (NCOMP, len(geom.bcells)))",
     ]
+    head = "def compute_boundary_contribution(state, u_bdry, t):"
     if not form.surface_terms:
-        return _function("def compute_boundary_contribution(state, u_bdry, t):",
-                       body + ["du_bdry.fill(0.0)", "return du_bdry"])
+        return _function(head, body + ["du_bdry.fill(0.0)", "return du_bdry"])
+    upwind = surface.upwind
+    in_place = upwind is not None and upwind.owner_where and not surface.sides
+    setup: list[str] = []
     body.append("bfaces = geom.bfaces")
-    if tables:  # the same tables, over the boundary faces' geometry
+    if in_place:  # the same tables, over the boundary faces' geometry, and the mask
+        setup = _function("def boundary_tables(*geometry):", [
+            '"""``invariant_tables`` on the boundary faces, and where the flow enters."""',
+            f"[{tables}] = invariant_tables(*geometry)",
+            f"return [{tables}, ~{upwind.owner_where.name}[tmap_{upwind.rows}]]"])
+        body.append(f"[{tables}, inflow] = state.tables(boundary_tables, bfaces)")
+    elif tables:  # the same tables, over the boundary faces' geometry
         body.append(f"[{tables}] = state.tables(invariant_tables, bfaces)")
     body += hoisted_lines(surface.sweep)
     for axis, name in _AXIS_NAMES.items():
@@ -894,18 +936,15 @@ def _boundary_part(form: "ClassifiedForm", surface: EmittedExpr, tables: str) ->
     registers = [f"f{i}" for i in range(surface.registers)]
     body += [
         "# FLUX-type callbacks, evaluated from the owner values as they came",
-        "overrides = state.bset.flux_overrides(None, t, dt, state.extra, owner_values=u_bdry)",
+        "overrides = [(geom.bface_slot[faces], values) for faces, values in",
+        "             state.bset.flux_overrides(None, t, dt, state.extra, owner_values=u_bdry)]",
     ]
-    upwind = surface.upwind
-    if upwind is not None and upwind.owner_where and not surface.sides:
+    if in_place:
         # only ``uw`` is read: the owner value, and where the flow enters the
         # ghost value — formed in place
         body += [
             "# the upwinded side, in place: ghost values (boundary conditions,",
             "# user callbacks) over the owner values where the flow enters",
-            "sel = slice(None)",
-            "inflow = state.buffer('boundary_mask', u_bdry.shape, bool)",
-            f"np.logical_not({upwind.owner_where.ref('inflow')}, out=inflow)",
             "state.bset.ghost_values(None, t, dt, state.extra, out=u_bdry, owner_values=u_bdry,",
             "                        where=inflow)",
         ]
@@ -923,20 +962,20 @@ def _boundary_part(form: "ClassifiedForm", surface: EmittedExpr, tables: str) ->
     if registers:
         body.append(f"face_pool = state.buffer('boundary_faces', "
                     f"({len(registers)}, height, len(bfaces)))")
-        tile.append(f"{', '.join(registers)}, = face_pool[:, :len({spent})]")
+        tile.append(f"{', '.join(registers)}, = face_pool[:, :n]")
     tile += [f"# face flux: {t}" for t in map(str, form.surface_terms)]
     tile += surface.prelude
     tile.append(f"flux = {surface.code}")
     if surface.code not in registers:  # maybe less than an array of its own
         tile.append(f"flux = np.broadcast_to(flux, {spent}.shape).copy()")
     tile += [
-        "for faces, values in overrides:  # they override their faces",
-        "    flux[:, geom.bface_slot[faces]] = values[sel]",
+        "for slots, values in overrides:  # they override their faces",
+        "    flux[:, slots] = values[sel]",
         f"geom.boundary_divergence(flux, du_bdry[sel], work={spent})  # {spent}: spent",
     ]
-    body += ["for sel in kernels.row_tiles(slice(None), NCOMP, height):",
+    body += [f"for {tiles} in kernels.tile_plan(state.plans, slice(None), NCOMP, height, TMAPS):",
              *("    " + ln for ln in tile), "return du_bdry"]
-    return _function("def compute_boundary_contribution(state, u_bdry, t):", body)
+    return setup + _function(head, body)
 
 
 def _bind(names: list[str], pool: str) -> str:
@@ -955,7 +994,8 @@ def emit_tile_body(
     ncells: str,
     dt: str | None = None,
     overrides: str | None = None,
-    boundary: str | None = None,
+    boundary: list[str] | None = None,
+    inplace: str | None = None,
 ) -> TileBody:
     """The statements every target runs on one tile of component rows.
 
@@ -964,14 +1004,17 @@ def emit_tile_body(
     the divergence (:meth:`ExprEmitter._fold_divergence`), the folded
     statement straight from ``us`` — interior faces only: the boundary faces
     are ``compute_boundary_contribution``'s, whose result the target adds in
-    (a CPU target with the ``boundary`` statement, on ``acc`` before the
-    store).  ``sel`` is the tile's row selector; the caller wraps the body in
-    its tile loop and supplies what differs per target: the ``gather`` lines
+    (a CPU target with the ``boundary`` statements, on ``{new}``, before the
+    store).  ``sel`` is the tile's row selector, one entry of the tile plan
+    with ``n`` and its table reads; the caller wraps the body in its loop
+    over the plan and supplies what differs per target: the ``gather`` lines
     binding ``u1, u2`` (into ``fu``, ``fv``), the ``divergence`` call over
     ``flux`` (into ``acc``, with scratch ``cw``), the name of a precomputed
     ``(faces, values)`` override list (CPU only), and the ``store``
     statement consuming ``acc``: the right-hand side, or with ``dt`` named
-    the forward-Euler update ``u[sel] + dt * rhs``.  Nothing in a tile is a
+    the forward-Euler update ``u[sel] + dt * rhs`` — added straight into
+    ``inplace`` (``us``, ``u_new[sel]``: where the rows finally live) when
+    ``sel`` is a slice, so that is a view.  Nothing in a tile is a
     fresh array: the statements write registers (:class:`_Registers`), which
     with the gather, divergence and update targets are the tile's rows of
     two pools taken once per sweep from ``buffer(name, shape)`` —
@@ -1000,8 +1043,7 @@ def emit_tile_body(
     cell_regs += [f"d{i}" for i in range(folded.registers)] if folded else []
     cell_regs += ["acc", "cw", "cu"]
     scratch = [f"cell_pool = {buffer}('cells', ({len(cell_regs)}, height, {ncells}))"]
-    body = ["us = kernels.row_block(u, sel, out=cell_pool[-1])", "n = len(us)",
-            _bind(cell_regs, "cell_pool")]
+    body = [_bind(cell_regs, "cell_pool"), "us = kernels.rows_of(u, sel, cu)"]
     if form.surface_terms and not folded:
         scratch.append(
             f"face_pool = {buffer}('faces', ({len(face_regs)}, height, {nfaces}))")
@@ -1039,14 +1081,18 @@ def emit_tile_body(
     else:
         body.append("source = 0.0")
     body.append("np.add(source, div, out=acc)")
+    new = "new" if dt is not None and inplace else "acc"
     if dt is not None:
-        body += [f"np.multiply(acc, {dt}, out=acc)",
-                 "np.add(us, acc, out=acc)  # explicit update, Eq. (3)"]
+        body.append(f"np.multiply(acc, {dt}, out=acc)")
+        body += [f"new = {inplace} if sel.__class__ is slice else acc"] * (new == "new")
+        body.append(f"np.add(us, acc, out={new})  # explicit update, Eq. (3)")
     if folded and boundary:
-        body.append(boundary)
-    body.append(store)
-    return TileBody(scratch, sweep, body, surface.reads | volume.reads, setup, tables,
-                    surface, _boundary_part(form, surface, invariant))
+        body += [ln.format(new=new) for ln in boundary]
+    body += ["if new is acc:", "    " + store] if new == "new" else [store]
+    tiles = ", ".join(["sel", "n", *(f"{kind}_{suffix}" for suffix in emitter.row_spaces
+                                    for kind in ("rows", "runs"))])
+    return TileBody(scratch, sweep, body, tiles, surface.reads | volume.reads, setup, tables,
+                    surface, _boundary_part(form, surface, invariant, tiles))
 
 
 def _count_flops(term: Expr) -> int:

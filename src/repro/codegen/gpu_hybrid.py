@@ -132,7 +132,7 @@ def _emit_device_source(problem: "Problem", emitter: ExprEmitter) -> list[str]:
         ],
         divergence="kernels.slot_divergence(DIV_INT, flux, acc, cw)",
         store="u_new[sel] = acc",
-        dt="DT",
+        dt="DT", inplace="u_new[sel]",
         buffer="buffer", nfaces="len(owner)", ncells="NCELLS",
     )
     known = emitter.referenced_known_variables()
@@ -145,9 +145,8 @@ def _emit_device_source(problem: "Problem", emitter: ExprEmitter) -> list[str]:
         lines += [
             "# over the interior faces, evaluated when the source is bound",
             f"INT_TABLES = {build}",
-            "",
-            "",
         ]
+    lines += ["TILE_PLANS = {}  # per row selection a launch was given", "", ""]
     lines.append(f"def interior_kernel({', '.join(args)}, sel=slice(None)):")
     body = [
         '"""Interior bulk: uniform work, no thread divergence between DOFs',
@@ -170,7 +169,7 @@ def _emit_device_source(problem: "Problem", emitter: ExprEmitter) -> list[str]:
     if tile.tables:
         body.append(f"[{tile.tables}] = INT_TABLES")
     body += tile.sweep
-    body.append("for sel in kernels.row_tiles(rows, NCOMP, height):")
+    body.append(f"for {tile.tiles} in kernels.tile_plan(TILE_PLANS, rows, NCOMP, height, TMAPS):")
     lines += indent(body + indent(tile.lines)) + ["", ""] + tile.boundary
     lines.append(
         "def finish_step(u, du_bdry, u_bdry, reduced, buffer, sel=slice(None), comps=None):")
@@ -186,12 +185,12 @@ def _emit_device_source(problem: "Problem", emitter: ExprEmitter) -> list[str]:
         "finished step.  ``sel``/``comps`` restrict a band-partitioned rank",
         'to its own rows."""',
         "cols = buffer('bdry_cols', du_bdry.shape)",
-        "np.take(u, BCELLS, axis=1, out=cols, mode='clip')",
+        "u.take(BCELLS, axis=1, out=cols, mode='clip')",
         "np.add(cols, np.multiply(du_bdry, DT, out=du_bdry), out=cols)",
         "u[sel if isinstance(sel, slice) else sel[:, None], BCELLS] = cols[sel]",
         "for reduce, out in zip(REDUCTIONS, reduced):",
         "    reduce(u, comps, out, buffer('reduce_work', out.shape))",
-        "np.take(u, BOWNER, axis=1, out=u_bdry, mode='clip')",
+        "u.take(BOWNER, axis=1, out=u_bdry, mode='clip')",
     ])
 
 
@@ -242,7 +241,7 @@ def emit_device_step(name: str, plan: dict, launch: list[str], rank: str = "") -
         "            # ownership handoff, host -> device: the first step, or the host",
         "            # touched the unknown; it also still has what the boundary reads",
         "            uploads.insert(0, ('u', u))",
-        "            np.take(u, BOWNER, axis=1, out=u_bdry, mode='clip')",
+        "            u.take(BOWNER, axis=1, out=u_bdry, mode='clip')",
         "        state.device_transfers('h2d', uploads)",
         "",
         "        # --- asynchronous interior kernel (one thread per DOF) -------------",

@@ -175,6 +175,7 @@ class SolverState(StepHooks):
         self.comp_blocks = self._build_component_blocks()
         self._scratch: dict[str, np.ndarray] = {}
         self._tables: dict[str, tuple[Any, list]] = {}  # builder name -> (builder, its tables)
+        self.plans: dict = {}  # the sweeps' tile plans (kernels.tile_plan), held like the tables
         self._sweep_inputs_checked = False
 
         # per-step solver metrics (residual, energy drift) — lazily

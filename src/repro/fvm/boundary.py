@@ -52,10 +52,27 @@ class BoundaryContext:
     time: float
     dt: float
     extra: dict[str, Any] = field(default_factory=dict)  # problem-specific data
+    slots: np.ndarray | None = None  # the faces' columns of the ghost array
+    #: :meth:`remember`'s ``key -> (arguments, derived)``, owned by the context's set
+    memo: dict[str, Any] = field(default_factory=dict)
 
     @property
     def nfaces(self) -> int:
         return len(self.faces)
+
+    def remember(self, key: str, args: tuple, build: Callable[[], Any]) -> Any:
+        """``build()``, evaluated again only when ``args`` are not the very
+        objects of the last call under ``key`` (which it keeps alive; a
+        function coefficient, a fresh array each step, recomputes)."""
+        held = self.memo.get(key)
+        if held is not None and len(held[0]) == len(args):
+            for a, b in zip(held[0], args):
+                if a is not b:
+                    break
+            else:
+                return held[1]
+        self.memo[key] = (args, derived := build())
+        return derived
 
 
 #: callback signature: (BoundaryContext) -> (ncomp, nfaces) array
@@ -102,12 +119,17 @@ class BoundarySet:
     that holds just those values — ``u[..., geom.bowner]``, shape
     ``(ncomp, n_boundary_faces)``: all of the unknown a device-resident
     step sends back — passes them as ``owner_values`` (and ``u=None``).
+
+    A region's :class:`BoundaryContext` is built once, on first use, and
+    handed to the callback every step with only ``owner_values``, ``time``,
+    ``dt`` and ``extra`` (the caller's dict) set anew; :meth:`add` drops all.
     """
 
     def __init__(self, geom: FVGeometry, ncomp: int):
         self.geom = geom
         self.ncomp = ncomp
         self.conditions: dict[int, BoundaryCondition] = {}
+        self._contexts: dict[int, BoundaryContext] = {}
 
     def add(self, bc: BoundaryCondition) -> None:
         if bc.region not in self.geom.region_faces:
@@ -122,31 +144,33 @@ class BoundarySet:
                 f"reflection map length {len(bc.reflection_map)} != ncomp {self.ncomp}"
             )
         self.conditions[bc.region] = bc
+        self._contexts.clear()
 
     def check_complete(self) -> None:
         missing = set(self.geom.region_faces) - set(self.conditions)
         if missing:
             raise ConfigError(f"boundary regions without conditions: {sorted(missing)}")
 
+    def _static(self, bc: BoundaryCondition) -> BoundaryContext:
+        """The region's context, its geometry gathered on first use."""
+        ctx = self._contexts.get(bc.region)
+        if ctx is None:
+            g = self.geom
+            faces = g.region_faces[bc.region]
+            ctx = self._contexts[bc.region] = BoundaryContext(
+                bc.region, faces, g.normal[faces], g.center[faces], g.area[faces],
+                g.owner[faces], None, 0.0, 0.0, slots=g.region_slots[bc.region])
+        return ctx
+
     def _context(
         self, bc: BoundaryCondition, u: np.ndarray | None, time: float, dt: float,
         extra: dict[str, Any] | None, owner_values: np.ndarray | None = None,
     ) -> BoundaryContext:
-        g = self.geom
-        faces = g.region_faces[bc.region]
-        return BoundaryContext(
-            region=bc.region,
-            faces=faces,
-            normals=g.normal[faces],
-            centers=g.center[faces],
-            areas=g.area[faces],
-            owner_cells=g.owner[faces],
-            owner_values=(u[..., g.owner[faces]] if owner_values is None
-                          else owner_values[..., g.region_slots[bc.region]]),
-            time=time,
-            dt=dt,
-            extra=dict(extra or {}),
-        )
+        ctx = self._static(bc)
+        ctx.owner_values = (u[..., ctx.owner_cells] if owner_values is None
+                            else owner_values[..., ctx.slots])
+        ctx.time, ctx.dt, ctx.extra = time, dt, {} if extra is None else extra
+        return ctx
 
     def ghost_values(
         self,
@@ -169,18 +193,21 @@ class BoundarySet:
         ``where`` (boolean, of the ghost array's shape) asks for the ghost
         value at those entries only; the others hold the owner value.  With
         the entries where the flow enters that is the upwinded side of every
-        boundary face — and ``out`` may be ``owner_values`` itself.
+        boundary face — and ``out`` may be ``owner_values`` itself.  Each
+        region keeps its columns of the mask while the same array is passed
+        (a step-invariant table: it may not change in place).
         """
         g = self.geom
         nb = g.boundary_face_count()
         ghost = np.empty((self.ncomp, nb), dtype=np.float64) if out is None else out
 
-        def put(slots: np.ndarray, values) -> None:
+        def put(ctx: BoundaryContext, values) -> None:
             if where is not None:  # the other entries keep what they hold
-                held = ghost[:, slots]
-                np.copyto(held, values, where=where[:, slots])
+                held = ghost[:, ctx.slots]
+                np.copyto(held, values, where=ctx.remember(
+                    "where", (where,), lambda: where[:, ctx.slots]))
                 values = held
-            ghost[:, slots] = values
+            ghost[:, ctx.slots] = values
 
         # default: zero gradient everywhere (also covers FLUX regions)
         if owner_values is None:
@@ -188,22 +215,18 @@ class BoundarySet:
         elif ghost is not owner_values:
             ghost[...] = owner_values
         for region, bc in self.conditions.items():
-            slots = g.region_slots[region]
             if bc.kind == BCKind.DIRICHLET:
                 val = np.asarray(bc.value, dtype=np.float64)
-                if val.ndim == 0:
-                    put(slots, float(val))
-                else:
-                    if val.shape != (self.ncomp,):
-                        raise ConfigError(
-                            f"Dirichlet value shape {val.shape} != ({self.ncomp},)"
-                        )
-                    put(slots, val[:, None])
-            elif bc.kind == BCKind.NEUMANN0 or bc.kind == BCKind.FLUX:
-                pass  # zero gradient already in place
+                if val.ndim and val.shape != (self.ncomp,):
+                    raise ConfigError(
+                        f"Dirichlet value shape {val.shape} != ({self.ncomp},)"
+                    )
+                put(self._static(bc), val[:, None] if val.ndim else float(val))
             elif bc.kind == BCKind.SYMMETRY:
                 # the owner values are in place: read them at the mirrored rows
-                put(slots, ghost[np.asarray(bc.reflection_map)[:, None], slots])
+                ctx = self._static(bc)
+                put(ctx, ghost[ctx.remember("mirror", (bc.reflection_map,), lambda: (
+                    np.asarray(bc.reflection_map)[:, None], ctx.slots))])
             elif bc.kind == BCKind.GHOST_CALLBACK:
                 ctx = self._context(bc, u, time, dt, extra, owner_values)
                 vals = np.asarray(bc.callback(ctx), dtype=np.float64)
@@ -212,7 +235,8 @@ class BoundarySet:
                         f"ghost callback on region {region} returned shape "
                         f"{vals.shape}, expected {(self.ncomp, ctx.nfaces)}"
                     )
-                put(slots, vals)
+                put(ctx, vals)
+            # NEUMANN0, FLUX: zero gradient already in place
         return ghost
 
     def flux_overrides(

@@ -55,40 +55,57 @@ def row_tiles(rows, ncomp: int, height: int) -> Iterator:
             yield rows[lo:lo + height]
 
 
-def row_runs(values: np.ndarray) -> Iterator[tuple[int, int]]:
-    """``(lo, hi)`` of every maximal run of equal consecutive ``values``."""
-    lo = 0
-    for hi in (*((values[1:] != values[:-1]).nonzero()[0] + 1), len(values)):
-        yield lo, hi
-        lo = hi
+def table_runs(values: np.ndarray) -> list[tuple[int, int, int]]:
+    """``(lo, hi, value)`` of every maximal run of equal consecutive integer
+    ``values``."""
+    cuts = [0, *((values[1:] != values[:-1]).nonzero()[0] + 1).tolist(), len(values)]
+    return [(lo, hi, int(values[lo])) for lo, hi in zip(cuts, cuts[1:])]
 
 
-def row_block(a: np.ndarray, sel, lo: int = 0, hi: int | None = None,
-              out: np.ndarray | None = None) -> np.ndarray:
-    """Rows ``sel[lo:hi]`` of ``a`` (``sel``: a slice or an index array) — a
-    view when they are consecutive, else gathered into the leading rows of
-    ``out`` (a fresh array without one)."""
-    if isinstance(sel, slice):
-        start, stop, _ = sel.indices(len(a))
-        return a[start + lo:stop if hi is None else start + hi]
-    idx = sel[lo:hi]
+def row_selector(idx: np.ndarray, table: bool = False):
+    """How to read the rows ``idx`` of an array without a copy where a view
+    will do: a slice when they are consecutive — of a ``table`` also when
+    they are all one row, read as a broadcastable ``(1, n)`` view — else
+    ``idx`` itself: a gather (:func:`rows_of`)."""
+    if table and (idx == idx[0]).all():
+        return slice(int(idx[0]), int(idx[0]) + 1)
     if (idx[1:] - idx[:-1] == 1).all():
-        return a[idx[0]:idx[-1] + 1]
-    return np.take(a, idx, axis=0, out=None if out is None else out[:len(idx)],
-                   mode="clip")
+        return slice(int(idx[0]), int(idx[-1]) + 1)
+    return idx
 
 
-def table_rows(table: np.ndarray, row_of: np.ndarray, sel,
-               out: np.ndarray | None = None) -> np.ndarray:
-    """``table[row_of[sel]]`` without the copy where a view will do: a tile
-    inside one table row reads it as a broadcastable ``(1, n)`` view, one
-    over consecutive table rows as a slice; only a tile straddling
-    unrelated rows gathers them, into the leading rows of ``out``."""
-    rows = row_of[sel]
-    first = rows[0]
-    if first == rows[-1] and (rows == first).all():
-        return table[first:first + 1]
-    return row_block(table, rows, out=out)
+def rows_of(a: np.ndarray, rows, out: np.ndarray | None = None) -> np.ndarray:
+    """``a[rows]`` for a :func:`row_selector`: the view, or the rows gathered
+    into the leading rows of ``out`` (a fresh array without one)."""
+    if rows.__class__ is slice:
+        return a[rows]
+    return a.take(rows, axis=0, out=None if out is None else out[:len(rows)], mode="clip")
+
+
+def tile_plan(cache: dict, rows, ncomp: int, height: int, row_maps: tuple = (),
+              blocks=None) -> list[tuple]:
+    """What a sweep over the component rows ``rows`` (a slice, a sorted index
+    array, ``None``: all; ``blocks(rows)``: the selectors swept one after the
+    other) in tiles of ``height`` rows derives from the rows alone, once
+    instead of per tile per step: per tile ``(sel, n, *reads)`` — its rows as
+    a :func:`row_selector`, their number, and per map of ``row_maps``
+    (component -> table row) the table rows it reads (a table
+    :func:`row_selector`) and their :func:`table_runs`.  Kept in ``cache`` —
+    a solver state's, a bound kernel source's — under what the rows are;
+    built again for other ``row_maps`` (a recompiled source)."""
+    key = (height, rows if rows is None else rows.indices(ncomp)
+           if isinstance(rows, slice) else rows.tobytes())
+    held = cache.get(key)
+    if held is None or held[0] is not row_maps:
+        tiles, every = [], np.arange(ncomp)
+        for block in blocks(rows) if blocks else [slice(None) if rows is None else rows]:
+            for sel in row_tiles(block, ncomp, height):
+                idx = every[sel]
+                reads = [read for mapped in (row_of[idx] for row_of in row_maps)
+                         for read in (row_selector(mapped, table=True), table_runs(mapped))]
+                tiles.append((row_selector(idx), len(idx), *reads))
+        held = cache[key] = (row_maps, tiles)
+    return held[1]
 
 
 def entry_slots(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, shape: tuple[int, int],
@@ -195,17 +212,17 @@ def fold_upwind(slots, table: np.ndarray, columns: np.ndarray, ncells: int) -> F
     return FoldedOperator(own, out_cols, out_weights, used.max(axis=1, initial=0))
 
 
-def apply_folded(op: FoldedOperator, us: np.ndarray, table_rows: np.ndarray,
+def apply_folded(op: FoldedOperator, us: np.ndarray, runs: list[tuple[int, int, int]],
                  out: np.ndarray, work: np.ndarray) -> np.ndarray:
     """``out[i, c] = own[r, c] * us[i, c] + sum_k weights[k][r, c] * us[i,
-    cols[k][r, c]]`` with ``r = table_rows[i]``: a :func:`fold_upwind`
-    operator on one tile of rows of the unknown, per run of equal table
-    rows and in entry order, each row on its own (so neither the tile
+    cols[k][r, c]]`` for every ``(lo, hi, r)`` of ``runs`` and ``lo <= i <
+    hi``: a :func:`fold_upwind` operator on one tile of rows of the unknown,
+    per run of equal table rows (their :func:`table_runs`, from the tile
+    plan) and in entry order, each row on its own (so neither the tile
     height nor the row selector changes a bit).  ``work`` is scratch of
     ``out``'s shape."""
     own, cols, weights, counts = op
-    for lo, hi in row_runs(table_rows):
-        r = table_rows[lo]
+    for lo, hi, r in runs:
         rows, acc, term = us[lo:hi], out[lo:hi], work[lo:hi]
         np.multiply(rows, own[r], out=acc)
         for k in range(counts[r]):
@@ -258,7 +275,7 @@ def store_columns(u: np.ndarray, rows, columns: np.ndarray, values: np.ndarray,
         out = out.reshape(-1)[:len(values) * len(columns)].reshape(len(values), -1)
     if not isinstance(rows, slice):
         rows = rows[:, None]
-    u[rows, columns] = np.take(values, columns, axis=1, out=out, mode="clip")
+    u[rows, columns] = values.take(columns, axis=1, out=out, mode="clip")
 
 
 def upwind_flux(vn: np.ndarray, u_owner: np.ndarray, u_neighbor: np.ndarray) -> np.ndarray:
@@ -398,9 +415,10 @@ __all__ = [
     "TILE_BYTES",
     "tile_rows",
     "row_tiles",
-    "row_runs",
-    "row_block",
-    "table_rows",
+    "table_runs",
+    "row_selector",
+    "rows_of",
+    "tile_plan",
     "entry_slots",
     "csr_slots",
     "FoldedOperator",

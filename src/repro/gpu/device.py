@@ -35,13 +35,14 @@ from repro.util.errors import (
     KernelFaultError,
 )
 from repro.util.logging import get_logger
+from repro.util.misc import sum_is_finite
 from repro.util.timing import VirtualClock
 
 logger = get_logger("gpu.device")
 
 
 def _finite_check(a: np.ndarray, flag: np.ndarray) -> None:
-    flag[0] = np.isfinite(a.sum())
+    flag[0] = sum_is_finite(a)
 
 
 _FINITE_CHECK = Kernel("finite_check", _finite_check, flops_per_thread=1.0,
@@ -252,9 +253,8 @@ class Device:
 
     def all_finite(self, name: str, host_time: float = 0.0) -> tuple[bool, float]:
         """Finite check where the buffer lives: one launch and one 8-byte
-        flag back; returns ``(flag, end_time)``.  The flag is the sum's
-        finiteness — false for any NaN/Inf, and at worst false for an
-        overflowing sum of finite values, so a false flag means "look"."""
+        flag back; returns ``(flag, end_time)``.  The flag is
+        :func:`repro.util.misc.sum_is_finite`: false means "look"."""
         array = self._get(name).array
         self.launch(_FINITE_CHECK, array.size, array,
                     self.workspace("finite_flag", (1,)), host_time=host_time)

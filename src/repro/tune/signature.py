@@ -90,10 +90,17 @@ def _hash_callable(fn: Any) -> str:
     Two closures created by the same factory hash equal unless their
     captured values differ; objects we cannot hash stably degrade to their
     type name (conservative: may alias, never unstable across processes).
+    A callable that declares a ``callback_version`` is identified by that in
+    place of its bytecode and constants: an edit that changes how fast it
+    runs, not what it returns, keeps every key — and the timelines stored
+    under it — and a bumped version changes them.
     """
     code = getattr(fn, "__code__", None)
     parts = [getattr(fn, "__qualname__", repr(type(fn)))]
-    if code is not None:
+    version = getattr(fn, "callback_version", None)
+    if version is not None:
+        parts.append(f"version {version}")
+    elif code is not None:
         parts.append(_sha(code.co_code))
         parts.append(repr(tuple(c for c in code.co_consts if isinstance(c, (int, float, str, bytes, type(None))))))
     closure = getattr(fn, "__closure__", None)

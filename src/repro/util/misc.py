@@ -53,18 +53,27 @@ def human_time(t: float) -> str:
     return f"{t / 3600.0:.2f} h"
 
 
+def sum_is_finite(array: np.ndarray) -> bool:
+    """The health check's flag, host and device: false for any NaN/Inf, at
+    worst false for an overflowing sum of finite values: it means "look"."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return bool(np.isfinite(array.sum()))
+
+
 def check_finite(name: str, array: np.ndarray) -> np.ndarray:
     """Raise :class:`SolverError` if ``array`` contains NaN/Inf.
 
     The explicit solvers call this between time steps so a blow-up is
     reported with the variable name and first offending index instead of
-    silently propagating NaNs.
+    silently propagating NaNs.  One reduction when all is well
+    (:func:`sum_is_finite`); the index is searched for only when not.
     """
-    bad = ~np.isfinite(array)
-    if bad.any():
-        idx = np.unravel_index(int(np.argmax(bad)), array.shape)
-        raise SolverError(
-            f"non-finite value in '{name}' at index {tuple(int(i) for i in idx)}: "
-            f"{array[idx]!r}"
-        )
+    if not sum_is_finite(array):
+        bad = ~np.isfinite(array)
+        if bad.any():
+            idx = np.unravel_index(int(np.argmax(bad)), array.shape)
+            raise SolverError(
+                f"non-finite value in '{name}' at index {tuple(int(i) for i in idx)}: "
+                f"{array[idx]!r}"
+            )
     return array

@@ -89,6 +89,58 @@ def test_blocked_active_set_closure_equals_the_whole_batch_loop(ncells, block, s
         assert_same([a[..., np.argsort(order)] for a in shuffled], expected)
 
 
+def counting_evaluations(patch):
+    """Calls of ``band_energy_density`` inside the closure, by batch width."""
+    widths = []
+    patch.setattr(equilibrium, "band_energy_density", lambda bands, T, out=None: (
+        widths.append(np.size(T)), band_energy_density(bands, T, out=out))[-1])
+    return widths
+
+
+@settings(max_examples=40, deadline=None)
+@given(ncells=st.integers(2, 40), block=st.integers(1, 45), seed=st.integers(0, 10_000),
+       data=st.data())
+def test_warm_closure_equals_the_cold_call_and_skips_its_first_pass(ncells, block, seed, data):
+    """The next step's closure, handed the last result and a guess equal to
+    its ``T``: the same bits as the cold call (every operation is per cell,
+    so ``tau`` and ``e`` at an unchanged ``T`` are the ones it holds),
+    without the first pass's evaluations; one cell of the guess changed in
+    its last bit takes the cold path."""
+    active = np.flatnonzero(data.draw(
+        st.lists(st.booleans(), min_size=ncells, max_size=ncells), label="active"))
+    energy, guess = problem(ncells, active, seed)
+    moved = energy * (1.0 + 1e-3 * np.random.default_rng(seed).uniform(-1, 1, energy.shape))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(equilibrium, "TILE_BYTES", 8 * BANDS.nbands * block)
+        last = pseudo_temperature_closure(BANDS, energy, guess)
+        widths = counting_evaluations(patch)
+        cold = [a.copy() for a in pseudo_temperature_closure(BANDS, moved, last[0])]
+        first_pass, cold_calls = -(-ncells // min(block, ncells)), len(widths)
+        held = tuple(a.copy() for a in last)
+        warm = pseudo_temperature_closure(BANDS, moved, last[0].copy(), warm=held)
+        assert_same(warm, cold)
+        assert warm[1] is held[1] and warm[2] is held[2]  # updated where they live
+        assert len(widths) - cold_calls == cold_calls - first_pass
+        # a guess that is not the last T: cold, whatever it is handed
+        nudged = last[0].copy()
+        nudged[seed % ncells] = np.nextafter(nudged[seed % ncells], np.inf)
+        before = len(widths)
+        held = tuple(a.copy() for a in last)
+        other = pseudo_temperature_closure(BANDS, moved, nudged, warm=held)
+        assert len(widths) - before >= first_pass and other[1] is not held[1]
+        patch.undo()
+        assert_same(other, pseudo_temperature_closure(BANDS, moved, nudged))
+
+
+def test_warm_start_of_another_shape_is_ignored():
+    energy, guess = problem(6, np.array([1]), seed=3)
+    last = pseudo_temperature_closure(BANDS, energy, guess)
+    wider = np.concatenate([energy, energy], axis=1)
+    twice = np.concatenate([last[0], last[0]])
+    assert_same(pseudo_temperature_closure(BANDS, wider, twice, warm=last),
+                pseudo_temperature_closure(BANDS, wider, twice))
+
+
 @pytest.mark.parametrize("block", [1, 3, 100])
 def test_exactly_one_active_cell(block, monkeypatch):
     """A compacted batch of one column must sum its bands in band order, as

@@ -139,6 +139,35 @@ class TestIsothermalCallback:
         assert net == pytest.approx(0.0, abs=1e-10 * np.abs(out).max())
 
 
+    def test_wall_invariants_are_kept_per_context_by_argument_identity(self, model, monkeypatch):
+        """``s.n``, ``vg*s.n``, the outflow mask and the wall equilibrium are
+        derived once per region context; an argument that is another object
+        (a function coefficient resolves to a fresh array every step) derives
+        them again; the values equal the unmemoised call bit for bit."""
+        from repro.bte import model as model_module
+        from repro.fvm.boundary import BoundaryContext
+
+        calls = []
+        monkeypatch.setattr(model_module, "equilibrium_intensity", lambda *a: (
+            calls.append(a[1]), equilibrium_intensity(*a))[-1])
+        nf = 4
+        normals = np.tile(np.array([[0.0, -1.0]]), (nf, 1))
+        ctx = BoundaryContext(1, np.arange(nf), normals, np.zeros((nf, 2)), np.ones(nf),
+                              np.arange(nf), None, 0.0, 0.0)
+        args = (model.bands.vg, model.dirs.sx, model.dirs.sy, None, None, normals, 300.0)
+        rng = np.random.default_rng(0)
+        for step in range(3):
+            I_owner = rng.random((model.ncomp, nf))
+            got = model.isothermal(ctx, I_owner, *args)
+            assert got.tobytes() == model.isothermal(None, I_owner, *args).tobytes()
+            assert len(calls) == step + 2  # one for the memo, one per bare call
+        fresh = (model.bands.vg.copy(), *args[1:])
+        assert model.isothermal(ctx, I_owner, *fresh).tobytes() == got.tobytes()
+        assert len(calls) == 5 and ctx.memo["wall_flux"][0][0] is fresh[0]
+        hotter = model.isothermal(ctx, I_owner, *args[:-1], 350.0)  # another wall
+        assert len(calls) == 6 and not np.array_equal(hotter, got)
+
+
 class TestProfileCallback:
     def test_profile_bc_shape_and_variation(self, model):
         profile = lambda centers: 300.0 + 50.0 * centers[:, 0]  # noqa: E731

@@ -22,7 +22,7 @@ def _surface_statement(src: str) -> list[str]:
 def _tile_loop(src: str) -> str:
     """Everything from the first row-tile loop of ``src`` to the end of its
     function (the boundary part has a loop of its own: slice first)."""
-    return src[src.index("for sel in kernels.row_tiles("):].split("\ndef ")[0]
+    return src[src.index("for sel, n, "):].split("\ndef ")[0]
 
 
 @pytest.fixture
@@ -46,7 +46,7 @@ class TestHoisting:
         assert "fold_s0 = kernels.fold_upwind(divergence, tab_s1, upw, NCELLS)" in folded
         assert "return [fold_s0]" in folded  # the face tables went into it
         div = "\n".join(_surface_statement(src))
-        assert div.count("kernels.apply_folded(fold_s0, us, tmap_d[sel], acc, cw)") == 1
+        assert div.count("kernels.apply_folded(fold_s0, us, runs_d, acc, cw)") == 1
         # the flat factor, once per row, after the divergence
         assert "np.multiply((-1.0 * coef_vg[sel][:, None]), acc, out=acc)" in div
         assert "normal_x" not in div and "np.where" not in div and "tab_" not in div
@@ -55,12 +55,15 @@ class TestHoisting:
         (fold,) = state.tables(ns["folded_tables"], geom.interior_faces, divergence=True)
         assert fold.own.shape == (8, geom.ncells) and fold.counts.tolist() == [2] * 8
         # the boundary part keeps the face tables, over its own faces
-        mask, projected, columns = state.tables(ns["invariant_tables"], geom.bfaces)
+        mask, projected, columns, inflow = state.tables(ns["boundary_tables"], geom.bfaces)
         assert projected.shape == mask.shape == columns.shape == (8, len(geom.bfaces))
         assert mask.dtype == bool and np.array_equal(mask, projected > 0.0)
+        # ... and, per component, where the flow enters: bound once, not per step
+        assert np.array_equal(inflow, ~mask[ns["tmap_d"]])
+        assert state.tables(ns["boundary_tables"], geom.bfaces)[3] is inflow
         # the face-centric statement there: the tile's rows of the table, read once
         boundary = src[src.index("def compute_boundary_"):src.index("def compute_rhs(")]
-        assert boundary.count("kernels.table_rows(tab_s1, tmap_d, sel, f0)") == 1
+        assert boundary.count("kernels.rows_of(tab_s1, rows_d, f0)") == 1
 
     def test_tile_loop_recomputes_nothing_invariant(self, bte_solver):
         """Source shape of the hotspot kernel body: no geometry product, no
@@ -71,11 +74,15 @@ class TestHoisting:
         assert "1.0 /" not in loop and "np.where" not in loop
         assert "cse_" not in src
         assert "np.empty((NCOMP" not in src and "euler_update" not in src
-        # u[sel] = u[sel] + dt * (source + div), finished in tile scratch, the
-        # boundary cells' columns completed with the boundary part
+        # u[sel] = u[sel] + dt * (source + div), added into u's own rows where
+        # the tile is a view of them (else finished in tile scratch and stored),
+        # the boundary cells' columns completed with the boundary part
         chain = ["np.add(source, div, out=acc)", "np.multiply(acc, dt, out=acc)",
-                 "np.add(us, acc, out=acc)  # explicit update, Eq. (3)",
-                 "acc[:, bcells] += bdry[sel]", "u[sel] = acc"]
+                 "new = us if sel.__class__ is slice else acc",
+                 "np.add(us, acc, out=new)  # explicit update, Eq. (3)",
+                 "cols = new.take(bcells, axis=1, out=bcols[:n], mode='clip')",
+                 "np.add(cols, bdry[sel], out=cols)", "new[:, bcells] = cols",
+                 "if new is acc:", "u[sel] = acc"]
         assert [ln.strip() for ln in loop.splitlines() if ln.strip()][-len(chain):] == chain
         # no face array at all: one folded operator per tile, straight from ``us``
         assert loop.count("kernels.apply_folded(") == 1
@@ -83,7 +90,7 @@ class TestHoisting:
         assert "face_pool" not in src[src.index("def compute_rhs("):]
         # 1/beta and Io/beta: once per sweep over the 5 bands' rows, in place,
         # the second reading the first by name
-        head = src[src.index("def compute_rhs("):src.index("for block in")]
+        head = src[src.index("def compute_rhs("):src.rindex("for sel, n, rows_d")]
         assert "sel = trep_b" in head and head.count("np.divide(1.0, s") == 1
         assert "np.multiply(s1, swp_v0, out=s1)" in head
 
@@ -95,11 +102,13 @@ class TestHoisting:
         loop = _tile_loop(src[src.index("def compute_rhs("):])
         assert "[tmap_" not in loop and ".T" not in loop
         body = [ln.strip() for ln in loop.splitlines()[1:] if ln.strip()]
-        arrays = [ln for ln in body if ln.startswith(("np.", "us ="))]
-        assert len(arrays) == 8 and all("out=" in ln for ln in arrays)
+        arrays = [ln for ln in body if ln.startswith(("np.", "us =", "cols ="))]
+        # no pass for a sign: ``Io/beta - I/beta``, not ``(-1 * I)/beta + Io/beta``
+        assert len(arrays) == 9 and "np.multiply(-1.0, us" not in src
+        assert all("out=" in ln or ln == "us = kernels.rows_of(u, sel, cu)" for ln in arrays)
         # the folded operator writes the tile's accumulator, with ``cw`` as scratch
-        assert "kernels.apply_folded(fold_s0, us, tmap_d[sel], acc, cw)" in body
-        assert body[-1] == "u[sel] = acc"
+        assert "kernels.apply_folded(fold_s0, us, runs_d, acc, cw)" in body
+        assert body[-2:] == ["if new is acc:", "u[sel] = acc"]
 
     def test_cse_can_be_disabled(self, tiny_scenario):
         problem, _ = build_bte_problem(tiny_scenario)
@@ -153,8 +162,8 @@ class TestHoisting:
             elif ln.strip().startswith("source = "):
                 new_src.append(f"{indent}source = {volume.code}")
             elif not ln.strip().startswith(("np.multiply(uw", "np.multiply((-1.0 * coef_vg[sel]"
-                                            "[:, None]), f0", "np.multiply(-1.0, us",
-                                            "np.multiply(c", "np.add(c")):
+                                            "[:, None]), f0", "np.multiply(us,",
+                                            "np.subtract(kernels.rows_of(swp_v1")):
                 new_src.append(ln)  # all but the register lines of the statements
         solver.source = "\n".join(new_src)
         assert "tab_" not in _tile_loop(solver.source[solver.source.index("def compute_rhs("):])
@@ -212,7 +221,7 @@ class TestHoisting:
         kernel_src = kernel_src.split("def ")[0]
         assert "[fold_s0] = INT_TABLES" in kernel_src
         loop = _tile_loop(kernel_src)
-        assert "kernels.apply_folded(fold_s0, us, tmap_d[sel], acc, cw)" in loop
+        assert "kernels.apply_folded(fold_s0, us, runs_d, acc, cw)" in loop
         assert "slot_divergence" not in loop and "face_pool" not in kernel_src
         assert ".T" not in loop
         assert "normal_x[None, :] *" not in loop and "np.where" not in loop
@@ -220,8 +229,8 @@ class TestHoisting:
         # upwinded side in place: ghost values where the tabled flow enters
         boundary = solver.source.split("def compute_boundary_contribution")[1]
         boundary = boundary.split("\ndef ")[0]
-        assert ("np.logical_not(kernels.table_rows(tab_s0, tmap_d, sel, inflow), "
-                "out=inflow)") in boundary
+        assert "inflow] = state.tables(boundary_tables, bfaces)" in boundary
+        assert "np.logical_not" not in boundary and "where=inflow" in boundary
         assert "out=u_bdry, owner_values=u_bdry," in boundary and "np.where" not in boundary
         cpu = build_bte_problem(tiny_scenario)[0].generate()
         assert boundary in cpu.source

@@ -215,7 +215,7 @@ class TestTablesFollowTheRankState:
         assert len(states) == 3 + 2  # three ranks, then the two survivors
         # every state holds both builders' tables — the folded interior
         # operator and the boundary faces' tables — and none is shared
-        for name in ("folded_tables", "invariant_tables"):
+        for name in ("folded_tables", "boundary_tables"):
             held = [st._tables[name] for st in states]
             assert all(h[0] is ns[name] for h in held)
             assert len({id(h[1]) for h in held}) == len(states)
@@ -236,6 +236,45 @@ class TestTablesFollowTheRankState:
                      lambda st: st._scratch["closure"], lambda st: st.geom._bdry_slots,
                      lambda st: st._tables["folded_tables"][1][0].cols[0]):
             assert len({id(attr(st)) for st in states}) == len(states)
+        # ... nor is anything a step no longer re-derives: each state planned
+        # its own tiles, built its own region contexts, and its callbacks
+        # memoised into those (the survivors' after the loss, from scratch)
+        for st in states:
+            assert st.plans and st.bset._contexts
+            assert np.shares_memory(st.extra["closure"][1], st._scratch["closure"])
+            flux = [c for r, c in st.bset._contexts.items()
+                    if st.bset.conditions[r].callback is not None]
+            assert flux and all("wall_flux" in ctx.memo for ctx in flux)
+        for held in (lambda st: st.plans, lambda st: st.bset._contexts,
+                     lambda st: next(iter(st.bset._contexts.values())).memo,
+                     lambda st: next(iter(st.plans.values()))[1]):
+            assert len({id(held(st)) for st in states}) == len(states)
+
+    def test_plans_contexts_and_memos_are_rebuilt_after_a_rebalance(self):
+        """A repartition rebuilds the rank states, and with them everything a
+        step no longer re-derives; the bits are those of an undisturbed run."""
+        sc = _scenario(12)
+        u_ref, t_ref, _ = _solve(sc, axis="cells", nparts=4)
+        p, _ = build_bte_problem(sc)
+        p.extra["rebalance"] = True
+        p.set_partitioning("cells", 4)
+        solver = p.generate()
+        ns = solver.namespace
+        make_rank_state, states = ns["make_rank_state"], []
+        ns["make_rank_state"] = lambda rank: (states.append(make_rank_state(rank)),
+                                              states[-1])[1]
+        with fault_run(TestProactiveRebalance.FAULT):
+            solver.run()
+        (migration,) = get_rebalance_log().as_dict()["migrations"]
+        assert migration["kind"] == "imbalance" and len(states) == 4 + 4
+        for held in (lambda st: st.plans, lambda st: st.bset._contexts,
+                     lambda st: next(iter(st.plans.values()))[1],
+                     lambda st: st.extra["closure"][0]):
+            assert len({id(held(st)) for st in states}) == len(states)
+        for st in states:
+            assert any("wall_flux" in ctx.memo for ctx in st.bset._contexts.values())
+        assert np.array_equal(solver.solution(), u_ref)
+        assert np.array_equal(solver.state.extra["T"], t_ref)
 
     def test_tables_differ_with_the_geometry(self):
         def tables(nx):

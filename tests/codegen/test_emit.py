@@ -104,19 +104,19 @@ class TestIndexedEmission:
         # Io/beta carry fewer indices than I: read once per sweep, over
         # their own rows, and row-gathered by the statement
         sweep = sweep_text(out)
-        assert "np.take(state.fields['Io'].data, cmap_Io[sel], axis=0, out=s1" in sweep
-        assert "np.take(state.fields['beta'].data, cmap_beta[sel], axis=0, out=s0" in sweep
+        assert "state.fields['Io'].data.take(cmap_Io[sel], axis=0, out=s1" in sweep
+        assert "state.fields['beta'].data.take(cmap_beta[sel], axis=0, out=s0" in sweep
         # 1/beta and Io/beta, which reads 1/beta by name instead of redoing it
         assert out.sweep_registers == 2 and "np.multiply(s1, swp_v0, out=s1)" in sweep
         assert "state.fields" not in text(out)
-        assert "kernels.table_rows(swp_v0, tmap_b, sel, c" in text(out)
+        assert "kernels.rows_of(swp_v0, rows_b, c" in text(out)
 
     def test_local_var_mode(self):
         p, form = make_problem(self.EQ, ncomp_indices=True)
         em = ExprEmitter(p, form, var_mode="local")
         out = em.emit_sum(form.volume_terms, "volume")
         sweep = sweep_text(out)
-        assert "np.take(var_Io, cmap_Io[sel], axis=0, out=s1" in sweep
+        assert "var_Io.take(cmap_Io[sel], axis=0, out=s1" in sweep
         assert "state.fields" not in sweep + text(out)
 
     def test_coefficient_broadcast(self):

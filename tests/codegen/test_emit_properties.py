@@ -406,7 +406,13 @@ def _run_swept(emitted, namespace: dict, tiles) -> np.ndarray:
     for line in hoisted_lines(emitted.tables) + hoisted_lines(emitted.sweep):
         exec(line, scope)  # noqa: S102 - executing our own emission
     rows = []
+    spaces = [name[5:] for name in namespace if name.startswith("tmap_")]
     for sel in tiles:
+        # the tile's table reads, as the plan of a one-tile sweep hands them
+        (tile,) = kernels.tile_plan({}, sel, NCOMP, NCOMP,
+                                     [namespace[f"tmap_{space}"] for space in spaces])
+        for i, space in enumerate(spaces):
+            scope.update({f"rows_{space}": tile[2 + 2 * i], f"runs_{space}": tile[3 + 2 * i]})
         scope.update(sel=sel, u1=namespace["u1"][sel], u2=namespace["u2"][sel])
         scope.update(_registers("f", emitted.registers, scope["u1"].shape))
         select = [f"uw = {emitted.upwind[1]}"] if emitted.upwind else []
@@ -481,7 +487,7 @@ def test_upwind_select_is_one_gathered_side(env, flip, first):
     first, second, columns = ("u2", "u1", "other, owner") if flip else (
         "u1", "u2", "owner, other")
     assert emitted.upwind[:2] == (
-        "d", f"np.where(kernels.table_rows(tab_s0, tmap_d, sel, None), {first}, {second})")
+        "d", f"np.where(kernels.rows_of(tab_s0, rows_d, None), {first}, {second})")
     # the owner side where the condition holds: it can be copied over the other
     assert (emitted.upwind.owner_where is None) == flip
     assert Hoisted("upw", f"np.where(tab_s0, {columns})", "d") in emitted.tables
@@ -497,11 +503,39 @@ def test_upwind_select_is_one_gathered_side(env, flip, first):
     assert Hoisted("tab_s2", "(normal_x[None, :] * coef_Sx[sel][:, None])", "d") \
         in emitted.tables
     assert folded.prelude == [
-        "kernels.apply_folded(fold_s0, us, tmap_d[sel], acc, cw)",
+        "kernels.apply_folded(fold_s0, us, runs_d, acc, cw)",
         "np.multiply((-1.0 * coef_vg[sel][:, None]), acc, out=acc)"]
     assert folded.code == "acc" and folded.registers == 0
     assert folded.tables == [
         Hoisted("fold_s0", "kernels.fold_upwind(divergence, tab_s2, upw, NCELLS)", "d")]
+
+
+@seed(20261003)
+@given(env=indexed_envs(), order=st.permutations(range(3)))
+@settings(max_examples=60, deadline=None)
+def test_a_sign_is_folded_into_the_sum_not_a_pass_of_its_own(env, order):
+    """``x + (-1*y)`` is emitted as ``x - y``: the bits of the sum as
+    written, an exact ``-0.0`` column and Inf included (a NaN *operand*
+    keeps its payload, not its sign: that one bit of a failed run is not
+    kept), wherever the negated product stands — first (it trades places
+    with the second), last, or next to another one (the first then keeps
+    its factor)."""
+    env = dict(env, coef_vg=np.where(np.arange(NCOMP) % 2, -0.0, env["coef_vg"]),
+               u2=np.where(np.arange(NFACES) == 1, np.inf, env["u2"]))
+    terms = [Mul(Num(-1), SideValue(_I, 1), Indexed("vg", ("b",))),
+             Mul(Indexed("Sx", ("d",)), SideValue(_I, 2)),
+             Mul(SideValue(_I, 2), Num(-1), Indexed("w", ("d", "b")))]
+    expr = Add(*(terms[i] for i in order))
+    emitted = IDX_EMITTER.emit_sum([expr], "surface")
+    statement = "\n".join([*emitted.prelude, emitted.code])
+    leading_pair = order[2] == 1  # both negated products ahead of the other
+    assert statement.count("np.subtract(") == (1 if leading_pair else 2)
+    assert statement.count("-1.0") == (1 if leading_pair else 0)
+    assert_swept_matches(expr, env)
+    # as separate terms of one statement (the BTE's volume statement) too
+    split = IDX_EMITTER.emit_sum([terms[i] for i in order], "surface")
+    assert "\n".join([*split.prelude, split.code]) == statement
+    assert split.flops == sum(IDX_EMITTER.emit_surface(t).flops for t in terms) + 2
 
 
 def test_side_read_outside_the_select_keeps_both_gathers():

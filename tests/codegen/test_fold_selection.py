@@ -100,25 +100,27 @@ KEEP_TWO_SIDED = {
 #: The source digests were taken again at PR 22, which changed the loop text
 #: of every source (``state.phase``, ``state.end_step()``) and the
 #: function-coefficient call (``eval_fcoef_q(points, t)``), and nothing of
-#: ``compute_rhs`` otherwise (EXPERIMENTS.md, ISSUE 22).
+#: ``compute_rhs`` otherwise (EXPERIMENTS.md, ISSUE 22) — and at PR 23, whose
+#: tile loop iterates the state's tile plan, reads table rows by the plan's
+#: selectors and adds the Euler update into ``u``'s own rows.
 PINS = {
     "flux_order_2": (
-        "9c86083dd7f11aa4b346fcd322dfb4f8ecd06d164e75160c5dfdf69ec1ef008f",
+        "2720f1d1c0705a671e7f341a74201eeb2f625b90c3270881c03626b892665659",
         "d69c9aac5b7b2440fcab4d911fe29dce95dfd9198a557e4fa4c9f0c0e9b8bf8d"),
     "diffusion": (
-        "9cdc8389b95cf1a3d3fb250783e5557613032523e4a3a4f567eb22fb748521cb",
+        "b4b4452ca137b2cb052eba9ad96f8a2b44786e73194ae2b46c80341405a25202",
         "694bf3ebbbba08c9133e9268f2cc110b6c08c95734ddd8f0fd646136882829ba"),
     "function_source": (
-        "a52878caf59371d4185bcda772cfdc5e5040cd36765e5e6a517c7165590c1b1a",
+        "8dbfe04411bb84bf3ff4b6524f26c362f449aee8b5bf1b4ded14b59fa54ef740",
         "53ab3aebeb52fb7ed9b369a67b5427018a1495ca78543b6baae771f2657f50b8"),
     "side_read": (
-        "5fb3dab373b3f07ffb8da7038c2fff49f5d9a8b00d2271c5d5c21ef3af9a0766",
+        "fad806abdf222a11ed0800104d96ca64ea52183fe581793377c4d579e188aeba",
         "56f08cdaa8a848bb1e9c7fc3c8fd433a6f9ce547753b3b1b7aa529c135eaff63"),
     "central_flux": (
-        "713e45c95e6667e675d39c32b28be72d16f6df207577267413003d7ab3b8123a",
+        "fae49810a26760e910ece049d40244d6545f20741ed70d224ff02050a498f5d2",
         "3c9ccdf0b09d8861a9fedb25efe190d349edc2ff4981a5eab1e6ae360cbea844"),
     "time_dependent_face_coefficient": (
-        "e2c025bc745bef3d018f0776d75acd0b5b66112924d705fb900442546752a925",
+        "94dd59d557c8b5ec7fec7cee14cf53aede66a97742c9089f79fee1f779039045",
         "54b593370fb9dea3fa75dce72851b33055c18b5acd79dbd40d24ae349fe98c4e"),
 }
 
@@ -147,7 +149,7 @@ def test_time_dependent_face_coefficient_selects_from_two_gathers():
         "(Io[b] - I[d,b]) / tau[b] - surface(q * vg[b] * upwind([Sx[d];Sy[d]], I[d,b]))",
         q=lambda x, t: 1.0 + x[:, 0] + 10.0 * t).solve(target="cpu")
     assert "kernels.apply_folded(" not in solver.source and "fcoef_q_face" in solver.source
-    assert ("uw = np.where(kernels.table_rows(tab_s0, tmap_d, sel, None), u1, u2)"
+    assert ("uw = np.where(kernels.rows_of(tab_s0, rows_d, None), u1, u2)"
             in solver.source)
     assert digests(solver)[1] == PINS["time_dependent_face_coefficient"][1]
 

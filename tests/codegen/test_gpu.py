@@ -273,9 +273,11 @@ class TestGeneratedKernelSource:
         )
         assert "def compute_boundary_contribution" in src
         assert "OWNER_INT" in src
-        # u_new[sel] = u[sel] + DT * (source + div), finished in tile scratch
+        # u_new[sel] = u[sel] + DT * (source + div), added straight into the
+        # rows of ``u_new`` where the tile is a view of them
         for line in ("np.add(source, div, out=acc)", "np.multiply(acc, DT, out=acc)",
-                     "np.add(us, acc, out=acc)", "u_new[sel] = acc"):
+                     "new = u_new[sel] if sel.__class__ is slice else acc",
+                     "np.add(us, acc, out=new)", "u_new[sel] = acc"):
             assert line in src
 
     def test_kernel_work_estimates_attached(self, gpu_scenario):

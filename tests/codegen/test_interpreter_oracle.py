@@ -175,7 +175,7 @@ def test_cpu_rounds_to_interpreted_on_the_bte_hotspot(tiny_scenario):
     from repro.bte.problem import build_bte_problem
 
     cpu = build_bte_problem(tiny_scenario)[0].solve(target="cpu")
-    assert "kernels.apply_folded(fold_s0, us, tmap_d[sel], acc, cw)" in cpu.source
+    assert "kernels.apply_folded(fold_s0, us, runs_d, acc, cw)" in cpu.source
     interp = build_bte_problem(tiny_scenario)[0].solve(target="interp")
     np.testing.assert_allclose(cpu.solution(), interp.solution(), rtol=1e-13, atol=0)
     np.testing.assert_allclose(cpu.state.extra["T"], interp.state.extra["T"],
@@ -185,9 +185,9 @@ def test_cpu_rounds_to_interpreted_on_the_bte_hotspot(tiny_scenario):
 def test_cpu_rounds_to_interpreted_with_non_side_conditionals():
     cpu = build_switch_problem().solve(target="cpu")
     source = cpu.source[cpu.source.index("def compute_rhs("):]
-    loop = source[source.index("for sel in kernels.row_tiles("):]
+    loop = source[source.index("for sel, n, "):]
     # the mask is a table ...
-    assert "np.where(kernels.table_rows(tab_v1, tmap_d, sel, None)," in loop
+    assert "np.where(kernels.rows_of(tab_v1, rows_d, None)," in loop
     assert "kernels.apply_folded(fold_s0," in loop   # ... and the upwind's is folded
     interp = build_switch_problem().solve(target="interp")
     np.testing.assert_allclose(cpu.solution(), interp.solution(), rtol=1e-13, atol=0)
@@ -226,7 +226,7 @@ def test_gpu_boundary_part_reads_tables_without_a_face_axis(build):
         return p.solve()
 
     gpu, multi = solve(0), solve(2)
-    assert "state.tables(invariant_tables, bfaces)" in gpu.source
+    assert "state.tables(boundary_tables, bfaces)" in gpu.source
     assert gpu.solution().tobytes() == multi.solution().tobytes()
     assert gpu.solution().tobytes() == build().solve(target="cpu").solution().tobytes()
     interp = build().solve(target="interp")

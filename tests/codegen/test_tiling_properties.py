@@ -234,7 +234,7 @@ def _rows_of(keys, ncomp):
 
 def test_band_ranks_gather_only_their_own_rows(monkeypatch):
     """The sweep of a band rank takes only its own rows of the unknown into
-    its tiles (``kernels.row_block`` — the boundary part reads the owner
+    its tiles (``kernels.rows_of`` — the boundary part reads the owner
     values of every row, and is not what this pins)."""
     from types import SimpleNamespace
 
@@ -253,13 +253,13 @@ def test_band_ranks_gather_only_their_own_rows(monkeypatch):
         rank_of[id(state.host_u)] = rank
         return state
 
-    def row_block(a, sel, *args, **kwargs):
+    def rows_of(a, sel, *args, **kwargs):
         if id(a) in rank_of:
             gathered.setdefault(rank_of[id(a)], []).append(sel)
-        return kernels.row_block(a, sel, *args, **kwargs)
+        return kernels.rows_of(a, sel, *args, **kwargs)
 
     ns["make_rank_state"] = recording_rank_state
-    ns["kernels"] = SimpleNamespace(**{**vars(kernels), "row_block": row_block})
+    ns["kernels"] = SimpleNamespace(**{**vars(kernels), "rows_of": rows_of})
     monkeypatch.setattr(kernels, "TILE_BYTES", 8 * NFACES * 2)  # several tiles
     solver.run(2)
     ncomp = solver.state.ncomp
@@ -366,15 +366,16 @@ def test_upwind_gather_equals_the_select_of_two_gathers(rows):
     u1, u2 = (side[:, faces] for side in geom.gather_sides(u, None, rows))
     flux = np.where(mask[table_rows], u1, u2) * projected[table_rows]
     expected = (geom.divergence[:, faces] @ flux.T).T
-    us = kernels.row_block(u, slice(None) if rows is None else rows)
+    us = u[slice(None) if rows is None else rows]
     # into scratch taller than the tile, as the kernel bodies call it
     n = len(expected)
     out, work = np.full((2, n + 3, geom.ncells), np.nan)
-    got = kernels.apply_folded(fold, us, table_rows, out[:n], work[:n])
+    got = kernels.apply_folded(fold, us, kernels.table_runs(table_rows), out[:n], work[:n])
     assert np.shares_memory(got, out) and np.isnan(out[n:]).all()
     assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
     # every row on its own: the tile's rows are the whole sweep's, bit for bit
-    whole = kernels.apply_folded(fold, u, ns["tmap_d"], np.empty_like(u), np.empty_like(u))
+    whole = kernels.apply_folded(fold, u, kernels.table_runs(ns["tmap_d"]),
+                                 np.empty_like(u), np.empty_like(u))
     assert got.tobytes() == whole[slice(None) if rows is None else rows].tobytes()
     # the upwind choice reads no ghost slot among the interior faces
     assert (columns >= 0).all()

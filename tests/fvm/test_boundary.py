@@ -241,3 +241,82 @@ class TestOwnerValues:
         for (faces_a, values_a), (faces_b, values_b) in zip(a, b):
             assert np.array_equal(faces_a, faces_b)
             assert values_a.tobytes() == values_b.tobytes()
+
+
+class TestContextsAreBoundOnce:
+    """A region's context is built on first use and only its per-step fields
+    are set again (ISSUE 23); ``remember`` keeps what a callback derives from
+    arguments that are the same objects from step to step."""
+
+    @staticmethod
+    def recording_set(geom, seen):
+        def cb(ctx):
+            seen.append(ctx)
+            return np.zeros((1, ctx.nfaces))
+
+        return full_set(geom, 1, {1: BoundaryCondition(1, BCKind.FLUX, callback=cb)})
+
+    def test_geometry_is_gathered_once_and_the_step_fields_follow(self, geom):
+        seen, extra = [], {"tag": 7}
+        bset = self.recording_set(geom, seen)
+        u = np.arange(geom.ncells, dtype=float)[None, :]
+        bset.flux_overrides(u, time=0.5, dt=0.1, extra=extra)
+        first = seen[0]
+        held = (first.faces, first.normals, first.centers, first.areas,
+                first.owner_cells, first.slots, first.memo)
+        bset.flux_overrides(2.0 * u, time=0.6, dt=0.1, extra=extra)
+        again = seen[1]
+        assert again is first and all(a is b for a, b in zip(held, (
+            again.faces, again.normals, again.centers, again.areas,
+            again.owner_cells, again.slots, again.memo)))
+        assert again.time == 0.6 and again.extra is extra  # the caller's, no copy
+        assert np.array_equal(again.owner_values, 2.0 * u[:, again.owner_cells])
+        assert np.array_equal(first.slots, geom.region_slots[1])
+
+    def test_add_after_first_use_takes_the_cold_path(self, geom):
+        seen = []
+        bset = BoundarySet(geom, 1)
+        bset.add(BoundaryCondition(1, BCKind.FLUX, callback=lambda ctx: (
+            seen.append(ctx), ctx.remember("k", (), list), np.zeros((1, ctx.nfaces)))[-1]))
+        u = np.zeros((1, geom.ncells))
+        bset.flux_overrides(u)
+        bset.add(BoundaryCondition(2, BCKind.NEUMANN0))
+        bset.flux_overrides(u)
+        assert seen[1] is not seen[0] and seen[1].memo["k"][1] is not seen[0].memo["k"][1]
+
+    def test_remember_goes_by_the_identity_of_its_arguments(self, geom):
+        ctx = self.recording_set(geom, [])._static(BoundaryCondition(1, BCKind.NEUMANN0))
+        built = []
+
+        def build():
+            built.append(len(built))
+            return built[-1]
+
+        a, b = np.ones(3), 300.0
+        assert [ctx.remember("k", (a, b), build) for _ in range(3)] == [0, 0, 0]
+        assert ctx.remember("k", (a.copy(), b), build) == 1   # equal, not the same
+        assert ctx.remember("k", (a, b), build) == 2          # only the last is kept
+        assert ctx.remember("k", (a, b, None), build) == 3    # another arity
+        assert ctx.remember("other", (a, b), build) == 4 and len(built) == 5
+
+    def test_a_mask_passed_again_keeps_its_region_columns(self, geom):
+        bset = full_set(geom, 2, {
+            1: BoundaryCondition(1, BCKind.DIRICHLET, value=5.0),
+            2: BoundaryCondition(2, BCKind.SYMMETRY, reflection_map=np.array([1, 0]))})
+        owners = np.random.default_rng(0).random((2, len(geom.bfaces)))
+        where = np.random.default_rng(1).random(owners.shape) > 0.5
+        expected = owners.copy()
+        for region, values in ((1, 5.0), (2, owners[::-1][:, geom.region_slots[2]])):
+            slots = geom.region_slots[region]
+            expected[:, slots] = np.where(where[:, slots], values, owners[:, slots])
+        for _ in range(2):  # cold, then from the kept columns and mirror index
+            got = bset.ghost_values(None, out=owners.copy(), owner_values=owners.copy(),
+                                    where=where)
+            assert got.tobytes() == expected.tobytes()
+        memo = bset._contexts[2].memo
+        assert memo["where"][0][0] is where and set(memo) == {"where", "mirror"}
+        other = ~where  # another mask object: its own columns
+        got = bset.ghost_values(None, out=owners.copy(), owner_values=owners.copy(),
+                                where=other)
+        assert bset._contexts[2].memo["where"][0][0] is other
+        assert not np.array_equal(got, expected)

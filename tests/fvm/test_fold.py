@@ -67,7 +67,7 @@ def test_folded_operator_equals_gather_scale_divergence(mesh, seed):
     u = np.random.default_rng(seed).standard_normal((len(table_rows), geom.ncells))
     expected = face_centric(geom, table, columns, u, table_rows)
     out, work = np.full((2, *u.shape), np.nan)
-    got = kernels.apply_folded(op, u, table_rows, out, work)
+    got = kernels.apply_folded(op, u, kernels.table_runs(table_rows), out, work)
     assert got is out
     assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
 
@@ -76,13 +76,13 @@ def test_folded_operator_equals_gather_scale_divergence(mesh, seed):
     # straddle table rows: each row is computed on its own, so bit for bit
     for sel in (np.arange(0, len(u), NB), np.array([1, 2, 4, 5, 10, 11]),
                 slice(2, 8), slice(NB - 1, NB + 1)):
-        rows = kernels.row_block(u, sel)
-        part = kernels.apply_folded(op, rows, table_rows[sel],
+        rows = u[sel]
+        part = kernels.apply_folded(op, rows, kernels.table_runs(table_rows[sel]),
                                     np.full(rows.shape, np.nan), work[:len(rows)])
         assert part.tobytes() == got[sel].tobytes()
     for height in (1, 2, 7):
         for tile in kernels.row_tiles(slice(None), len(u), height):
-            part = kernels.apply_folded(op, u[tile], table_rows[tile],
+            part = kernels.apply_folded(op, u[tile], kernels.table_runs(table_rows[tile]),
                                         np.empty_like(u[tile]), work[:height])
             assert part.tobytes() == got[tile].tobytes()
 
@@ -137,7 +137,7 @@ def test_ghost_columns_contribute_nothing():
     reads_cell = columns[0] >= 0
     expected = geom.divergence @ np.where(
         reads_cell, table[0] * u[0][np.where(reads_cell, columns[0], 0)], 0.0)
-    got = kernels.apply_folded(op, u, np.zeros(1, int), np.empty_like(u), np.empty_like(u))
+    got = kernels.apply_folded(op, u, [(0, 1, 0)], np.empty_like(u), np.empty_like(u))
     assert np.abs(got[0] - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
@@ -149,5 +149,5 @@ def test_a_mesh_without_interior_faces_folds_to_nothing(shape):
     op = kernels.fold_upwind(slots, table, columns, geom.ncells)
     assert op.cols == [] and op.counts.tolist() == [0] and not op.own.any()
     u = np.ones((2, geom.ncells))
-    out = kernels.apply_folded(op, u, np.zeros(2, int), np.full_like(u, np.nan), u.copy())
+    out = kernels.apply_folded(op, u, [(0, 2, 0)], np.full_like(u, np.nan), u.copy())
     assert not out.any()

@@ -3,8 +3,10 @@
 * gather-form surface divergence == ``geom.divergence @ x`` (CSR), bit for
   bit, on every mesh kind and on the device targets' column-sliced
   operators, with signed zeros, inf and NaN in ``x``;
-* ``kernels.table_rows`` == ``table[row_of[sel]]``, as a view wherever one
-  exists;
+* a tile plan's table reads (``kernels.row_selector`` + ``rows_of``) ==
+  ``table[row_of[sel]]``, as a view wherever one exists — and the plan as a
+  whole against the per-tile helpers it replaced (ISSUE 23), kept here as
+  its oracles;
 * the upwinded side of the boundary faces, formed in place — ghost values
   patched over the owner values where the flow enters — == a gather from the
   widened ``[u | ghost]`` copy, for every kind of boundary condition.
@@ -17,6 +19,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.fvm import kernels
 from repro.fvm.boundary import BCKind, BoundaryCondition, BoundarySet
@@ -180,6 +184,76 @@ TMAP_D = np.repeat(np.arange(ND), NB)   # component -> direction row
 TMAP_B = np.tile(np.arange(NB), ND)     # component -> band row
 
 
+def table_rows(table, row_of, sel, out=None):
+    """One table read of a tile, as the tile plan binds it."""
+    return kernels.rows_of(table, kernels.row_selector(row_of[sel], table=True), out)
+
+
+def parent_row_block(a, sel, out=None):
+    """``kernels.row_block`` as every tile called it before the plan."""
+    if isinstance(sel, slice):
+        return a[sel]
+    if (sel[1:] - sel[:-1] == 1).all():
+        return a[sel[0]:sel[-1] + 1]
+    return np.take(a, sel, axis=0, out=None if out is None else out[:len(sel)])
+
+
+def parent_table_rows(table, row_of, sel, out=None):
+    """``kernels.table_rows`` as every tile called it before the plan."""
+    rows = row_of[sel]
+    if rows[0] == rows[-1] and (rows == rows[0]).all():
+        return table[rows[0]:rows[0] + 1]
+    return parent_row_block(table, rows, out)
+
+
+def row_selections(ncomp: int):
+    """What a sweep is restricted to: every row, a slice, a band rank's
+    sorted rows."""
+    return st.one_of(
+        st.none(),
+        st.tuples(st.integers(0, ncomp - 1), st.integers(1, ncomp)).map(
+            lambda t: slice(t[0], min(ncomp, t[0] + t[1]))),
+        st.sets(st.integers(0, ncomp - 1), min_size=1).map(
+            lambda rows: np.array(sorted(rows))),
+    )
+
+
+@given(rows=row_selections(ND * NB), height=st.integers(1, ND * NB + 2),
+       bands=st.sets(st.integers(0, NB - 1), min_size=1))
+@settings(max_examples=150, deadline=None)
+def test_tile_plan_equals_the_per_tile_helpers_it_replaced(rows, height, bands):
+    """Selector, view-or-gather of the unknown and of every table, and the
+    runs of equal table rows, for random slices, index arrays and band
+    subsets: each as the parent derived it, per tile per step."""
+    ncomp = ND * NB
+    if bands != set(range(NB)):  # the components of a subset of the bands
+        keep = np.flatnonzero(np.isin(TMAP_B, sorted(bands)))
+        rows = keep if rows is None else keep[np.isin(keep, np.arange(ncomp)[rows])]
+        if not len(rows):
+            return
+    u = np.random.default_rng(5).random((ncomp, 7))
+    tables = [np.random.default_rng(6).random((n, 7)) for n in (ND, NB)]
+    cache: dict = {}
+    maps = (TMAP_D, TMAP_B)
+    plan = kernels.tile_plan(cache, rows, ncomp, height, maps)
+    assert kernels.tile_plan(cache, rows, ncomp, height, maps) is plan  # built once
+    assert kernels.tile_plan(cache, rows, ncomp, height, (TMAP_D, TMAP_B)) is not plan
+    parent = list(kernels.row_tiles(slice(None) if rows is None else rows, ncomp, height))
+    assert len(plan) == len(parent)
+    for (sel, n, *reads), old in zip(plan, parent):
+        scratch, old_scratch = np.full((2, height, 7), np.nan)
+        us, old_us = kernels.rows_of(u, sel, scratch), parent_row_block(u, old, old_scratch)
+        assert n == len(us) and us.tobytes() == old_us.tobytes() == u[old].tobytes()
+        assert np.shares_memory(us, u) == np.shares_memory(old_us, u)
+        for table, row_of, selector, runs in zip(tables, (TMAP_D, TMAP_B), reads[::2], reads[1::2]):
+            got = kernels.rows_of(table, selector, scratch)
+            want = parent_table_rows(table, row_of, old, old_scratch)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            assert np.shares_memory(got, table) == np.shares_memory(want, table)
+            assert [r for lo, hi, r in runs for _ in range(lo, hi)] == row_of[old].tolist()
+            assert all(a[2] != b[2] and a[1] == b[0] for a, b in zip(runs, runs[1:]))
+
+
 @pytest.mark.parametrize("row_of, sel, shares", [
     (TMAP_D, slice(5, 10), True),              # one table row: a (1, n) view
     (TMAP_D, slice(7, 8), True),               # a single component
@@ -194,13 +268,13 @@ TMAP_B = np.tile(np.arange(NB), ND)     # component -> band row
 def test_table_rows_equal_the_fancy_index_and_share_memory_when_they_can(row_of, sel, shares):
     table = np.random.default_rng(2).random((int(row_of.max()) + 1, 11))
     scratch = np.full((9, 11), np.nan)
-    got = kernels.table_rows(table, row_of, sel, scratch)
+    got = table_rows(table, row_of, sel, scratch)
     expected = table[row_of[sel]]
     assert np.broadcast_to(got, expected.shape).tobytes() == expected.tobytes()
     assert np.shares_memory(got, table) == shares
     if not shares:  # gathered into the scratch, nothing else touched
         assert got.base is scratch and np.isnan(scratch[len(expected):]).all()
-        fresh = kernels.table_rows(table, row_of, sel)
+        fresh = table_rows(table, row_of, sel)
         assert fresh.tobytes() == expected.tobytes()
     else:
         assert np.isnan(scratch).all()
@@ -208,23 +282,24 @@ def test_table_rows_equal_the_fancy_index_and_share_memory_when_they_can(row_of,
 
 def test_table_rows_of_a_bool_table_without_scratch():
     mask = np.random.default_rng(3).random((ND, 7)) > 0.5
-    got = kernels.table_rows(mask, TMAP_D, slice(3, 12))
+    got = table_rows(mask, TMAP_D, slice(3, 12))
     assert got.dtype == bool and np.array_equal(got, mask[TMAP_D[3:12]])
 
 
 def test_row_runs_and_row_block():
-    runs = list(kernels.row_runs(np.array([2, 2, 2, 0, 0, 5])))
-    assert runs == [(0, 3), (3, 5), (5, 6)]
+    assert kernels.table_runs(np.array([2, 2, 2, 0, 0, 5])) == [(0, 3, 2), (3, 5, 0), (5, 6, 5)]
     a = np.arange(40.0).reshape(10, 4)
-    assert np.shares_memory(kernels.row_block(a, slice(2, 7), 1, 3), a)
-    assert np.array_equal(kernels.row_block(a, slice(2, 7), 1, 3), a[3:5])
-    assert np.array_equal(kernels.row_block(a, slice(None)), a)
-    consecutive = kernels.row_block(a, np.array([4, 5, 6, 9]), 0, 3)
+
+    def row_block(sel, out=None):  # a tile's rows of the unknown, as planned
+        return kernels.rows_of(a, kernels.row_selector(sel), out)
+
+    assert np.shares_memory(kernels.rows_of(a, slice(3, 5)), a)
+    consecutive = row_block(np.array([4, 5, 6]))
     assert np.shares_memory(consecutive, a) and np.array_equal(consecutive, a[4:7])
     scratch = np.full((6, 4), np.nan)
-    strided = kernels.row_block(a, np.array([1, 3, 8]), out=scratch)
+    strided = row_block(np.array([1, 3, 8]), out=scratch)
     assert strided.base is scratch and np.array_equal(strided, a[[1, 3, 8]])
-    assert not np.shares_memory(kernels.row_block(a, np.array([1, 3, 8])), a)
+    assert not np.shares_memory(row_block(np.array([1, 3, 8])), a)
 
 
 # --------------------------------------------------------------------------

@@ -46,8 +46,11 @@ class TestKeysSurviveTheFusionKnobRemoval:
     def test_extra_section_is_empty_for_a_plain_problem(self):
         assert problem_signature(make_problem(), "cpu")["extra"] == {}
 
-    # callback identities hash ``co_code``, which differs between CPython
-    # minor versions; the digests below were recorded under 3.11
+    # unversioned callback identities (the hot wall's temperature profile)
+    # hash ``co_code``, which differs between CPython minor versions; the
+    # digests below were recorded under 3.11 — and once more at PR 23, when
+    # the two isothermal callbacks declared ``callback_version = 1`` in
+    # place of their bytecode (the last time an edit of theirs moves a key)
     @pytest.mark.skipif(sys.version_info[:2] != (3, 11),
                         reason="digests recorded under CPython 3.11 bytecode")
     def test_digests_equal_the_parent_commits(self):
@@ -58,9 +61,60 @@ class TestKeysSurviveTheFusionKnobRemoval:
         sig = problem_signature(problem, "cpu")
         assert sig.pop("emitter") == emitter_digest()
         assert signature_digest(sig) == (
-            "c50572aaa18cedc5f70d25e01c3ea0443bc356089a8a98b6d9252e4ccd2f4923")
+            "17cf22d23ed9a86eda6cbb821619815465bd632f76380e7bf74db3383a67f0a9")
         assert tuning_key(problem) == (
-            "b07dd3e3fa6af9c8e8005576a6d65db5c6fc7d32563f3ac0d8ad86ade1730b37")
+            "6e597a1af946ade6b3c161c8f3b43fc1d06f34e4d29ed98aa013d80155bf9ef9")
+
+
+class TestCallbackVersion:
+    """A callback that declares ``callback_version`` is keyed by it, not by
+    its bytecode: a performance edit keeps ``cache_key`` / ``problem_key``
+    (and the registry timelines stored under them), a bump moves both."""
+
+    @staticmethod
+    def keys(callback):
+        from repro.obs.profile import problem_key
+
+        problem = make_problem()
+        spec = next(b for b in problem.boundaries if b.python_callback is not None)
+        spec.python_callback = callback
+        return cache_key(problem, "cpu"), problem_key(problem, "cpu")
+
+    @staticmethod
+    def callbacks(version=None):
+        def wall(ctx):
+            return ctx.owner_values * 2.0
+
+        def edited(ctx):  # another body, other constants
+            return ctx.owner_values + ctx.owner_values + 0.0
+
+        edited.__qualname__ = wall.__qualname__
+        for fn in (wall, edited):
+            if version is not None:
+                fn.callback_version = version
+        return wall, edited
+
+    def test_an_edited_body_keeps_the_keys_of_a_versioned_callback(self):
+        wall, edited = self.callbacks(version=3)
+        assert self.keys(wall) == self.keys(edited)
+
+    def test_a_bumped_version_changes_both_keys(self):
+        wall, _ = self.callbacks(version=3)
+        bumped, _ = self.callbacks(version=4)
+        old, new = self.keys(wall), self.keys(bumped)
+        assert old[0] != new[0] and old[1] != new[1]
+
+    def test_an_unversioned_callback_is_keyed_by_its_bytecode(self):
+        wall, edited = self.callbacks()
+        assert self.keys(wall) != self.keys(edited)
+        assert self.keys(wall) == self.keys(self.callbacks()[0])
+
+    def test_the_bte_callbacks_declare_one(self):
+        problem = make_problem()
+        declared = [cb.fn.callback_version for cb in problem.entities.callbacks.values()]
+        declared += [b.python_callback.callback_version for b in problem.boundaries
+                     if b.python_callback is not None]
+        assert declared and all(v == 1 for v in declared)
 
 
 class TestEmitterIdentity:
