@@ -22,29 +22,22 @@ Commands
     critical-path phase breakdown, kernel/boundary and compute/comm
     overlap-efficiency scores, and the placement-explainability table.
     Files are told apart by their schema, so order does not matter.
-``profile [--gpu] [--ranks N] [--out F] [--record] [--calibrate-out F]``
+``profile [--gpu] [--ranks N] [--out F] [--record]``
     Run the hot-spot transient under the per-launch kernel profiler and
     print per-kernel/per-phase self time, roofline attribution and the
-    perfmodel-drift column of the ``repro.profile/1`` document.  When
-    drift exceeds tolerance, ``--calibrate-out`` persists the rescaled
-    machine rates; ``--record`` appends the run to the registry.
+    perfmodel-drift column of the ``repro.profile/1`` document;
+    ``--record`` appends the run to the registry.
 ``compare A B [--top N] [--json F]``
     Diff two profiled runs (profile JSON, run report, or registry entry):
     per-(rank, kind, kernel) self-time delta, the regression culprit
     ranked first.
 ``history [--key PREFIX] [--gc] [--keep N] [--max-age-days D]``
     Per-problem-signature timeline of registry-recorded runs, with
-    anomaly flags (regression/drift/health); ``--gc`` prunes old entries.
+    regression/drift flags; ``--gc`` prunes old entries.
 ``bench [--out F] [--compare BASELINE] [--threshold X]``
     Run the small deterministic benchmark suite, write a ``repro.bench/1``
     envelope, and optionally gate against a baseline envelope (exit 1 on
     any relative slowdown above the threshold).
-``tune [--trials N] [--seconds S] [--strategy greedy|grid] [--db F]``
-    Autotune the hot-spot problem: search the tunable space (assembly
-    loop order, partitioning, placement overrides, GPU kernel chunking)
-    on short proxy runs judged by deterministic virtual time, verify each
-    candidate's placement, and record the winner in a ``repro.tune/1``
-    database that ``bte --tuned`` consults automatically.
 ``lint SCRIPT [SCRIPT...] [--json F] [--no-deep] [--codes]``
     Statically verify DSL scripts without running them: undefined symbols,
     index/shape consistency, boundary coverage, placement/transfer hazards
@@ -66,10 +59,9 @@ Commands
     mixed-priority duplicate problems and prints the dedup/warm-hit
     rates; plain ``serve --for-seconds S`` just runs the service.
 
-``bte``, ``bench``, ``tune`` and ``serve`` accept ``--cache-dir DIR`` (persist the
-compilation cache across processes; also ``$REPRO_CACHE_DIR``) and
-``--no-cache`` (disable it); ``bte --tuned`` applies the stored best
-configuration for the problem before generating.
+``bte``, ``profile``, ``bench`` and ``serve`` accept ``--cache-dir DIR``
+(persist the compilation cache across processes; also
+``$REPRO_CACHE_DIR``) and ``--no-cache`` (disable it).
 
 ``bte --sanitize`` additionally runs the transient under the runtime
 sanitizer (NaN/Inf guards, halo checksums, drift/CFL heuristics); findings
@@ -79,9 +71,9 @@ one-line ``error RPR###: ...`` diagnostics; pass ``-v`` for the traceback.
 The installed ``bte`` entry point is an alias: ``bte analyze ...`` is
 ``repro analyze ...`` and ``bte --gpu ...`` is ``repro bte --gpu ...``.
 
-``bte --events FILE`` streams the structured event log to JSONL;
-``--blackbox-dir DIR`` makes the always-on flight recorder write its
-``repro.blackbox/1`` post-mortem bundle there when a run fails.
+``bte --events FILE`` streams the structured event log to JSONL, the
+crash-tolerant record of a failed run (one line per event, flushed as
+it happens).
 
 ``-v/--verbose`` (repeatable) raises the package log level (INFO, DEBUG);
 ``--log-level`` sets the structured event log's threshold (``debug``
@@ -340,10 +332,6 @@ def cmd_bte(args: argparse.Namespace) -> int:
         problem.extra["heartbeat_s"] = args.heartbeat_s
     if args.restore:
         problem.extra["restore_from"] = args.restore
-    if args.tuned:
-        problem.extra["tuned"] = True
-        if args.tune_db:
-            problem.extra["tuning_db"] = args.tune_db
     mode = "gpu" if args.gpu else "cpu"
     _say(f"running {scenario.name}: {args.nx}x{args.nx} cells, "
          f"{model.ncomp} components/cell, {args.steps} steps "
@@ -359,11 +347,6 @@ def cmd_bte(args: argparse.Namespace) -> int:
     if args.sanitize:
         _say("runtime sanitizer on (NaN/Inf guards, halo checksums, "
              "drift/CFL heuristics)")
-
-    if args.blackbox_dir:
-        from repro.obs import get_flight_recorder
-
-        get_flight_recorder().configure(directory=args.blackbox_dir)
 
     from repro.obs.log import events_run
 
@@ -396,14 +379,6 @@ def cmd_bte(args: argparse.Namespace) -> int:
     if args.sanitize:
         _say(f"sanitizer: {get_sanitizer().summary()}")
 
-    if args.tuned:
-        if problem.extra.get("_tuned_applied"):
-            cfg = problem.extra.get("tuned_config")
-            _say("tuned configuration applied: "
-                 f"{cfg if cfg else 'default (no overrides won)'}")
-        else:
-            _say("tuned mode: no database entry for this problem "
-                 "(run `bte tune` first)")
     info = getattr(solver, "generation_info", None)
     if info and args.verbose:
         _say(f"codegen cache: {info.get('cache')} (key {info.get('key')})")
@@ -516,10 +491,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
         problem.extra["gpu_force_offload"] = True
     if args.ranks > 1:
         problem.set_partitioning("bands", args.ranks, index="b")
-    if args.chunks:
-        # deliberate slow-down knob (same maths, more launches): the
-        # injected-regression drill for `bte compare`
-        problem.extra["gpu_kernel_chunks"] = args.chunks
     mode = "gpu" if args.gpu else "cpu"
     _say(f"profiling {scenario.name}: {args.nx}x{args.nx} cells, "
          f"{model.ncomp} components/cell, {args.steps} steps "
@@ -534,29 +505,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
     if args.out:
         write_profile(doc, args.out)
         _say(f"wrote profile to {args.out}")
-
-    suggestion = doc.get("drift", {}).get("calibration")
-    if suggestion is not None:
-        _say(f"cost-model drift exceeds tolerance: recalibration factor "
-             f"{suggestion['factor']:.3f} suggested")
-        if args.calibrate_out:
-            from repro.perfmodel.calibrate import (
-                machine_from_calibration,
-                save_rates,
-            )
-            from repro.perfmodel.machines import CASCADE_LAKE_FINCH
-
-            machine = problem.extra.get("machine_rates", CASCADE_LAKE_FINCH)
-            save_rates(
-                machine_from_calibration(suggestion, machine),
-                args.calibrate_out,
-                measured_per_dof=suggestion.get("measured_per_dof"),
-            )
-            _say(f"wrote recalibrated rates to {args.calibrate_out} "
-                 "(apply via problem.extra['machine_rates'])")
-    elif args.calibrate_out:
-        _say(f"drift within tolerance; nothing written to "
-             f"{args.calibrate_out}")
 
     if args.record:
         from repro.obs import configure_registry, get_registry
@@ -604,8 +552,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_history(args: argparse.Namespace) -> int:
-    from repro.obs import configure_registry, get_registry
-    from repro.obs.anomaly import history_flags
+    from repro.obs.registry import configure_registry, get_registry, history_flags
 
     if args.runs_dir:
         configure_registry(args.runs_dir)
@@ -649,43 +596,6 @@ def cmd_history(args: argparse.Namespace) -> int:
             if entry_flags:
                 line += "  [" + ",".join(entry_flags) + "]"
             print(line)
-    return 0
-
-
-def cmd_tune(args: argparse.Namespace) -> int:
-    from repro.bte import build_bte_problem, hotspot_scenario
-    from repro.tune import default_db_path, tune
-
-    _apply_cache_flags(args)
-
-    def factory():
-        scenario = hotspot_scenario(
-            nx=args.nx, ny=args.nx, ndirs=args.ndirs,
-            n_freq_bands=args.bands, dt=args.dt, nsteps=args.steps,
-        )
-        scenario.sigma = max(scenario.sigma, 2.5 * scenario.lx / args.nx)
-        problem, _ = build_bte_problem(scenario)
-        if args.gpu:
-            problem.enable_gpu()
-        if args.ranks > 1:
-            problem.set_partitioning("bands", args.ranks, index="b")
-        return problem
-
-    db_path = args.db or default_db_path()
-    mode = "gpu" if args.gpu else "cpu"
-    _say(f"tuning {args.nx}x{args.nx} hot-spot [{mode}, {args.ranks} "
-         f"rank(s)]: {args.strategy} search, budget {args.trials} trial(s)"
-         + (f" / {args.seconds:g} s" if args.seconds else "") + " ...")
-    result = tune(
-        factory,
-        budget_trials=args.trials,
-        budget_seconds=args.seconds,
-        proxy_steps=args.proxy_steps,
-        strategy=args.strategy,
-        db_path=db_path,
-    )
-    print(result.summary())
-    _say(f"recorded winner in {result.db_path} — apply it with `bte --tuned`")
     return 0
 
 
@@ -1030,20 +940,10 @@ def main(argv: list[str] | None = None) -> int:
                        help="run under the runtime sanitizer (NaN/Inf "
                             "guards, halo checksums, drift/CFL heuristics; "
                             "results stay bit-identical)")
-    p_bte.add_argument("--tuned", action="store_true",
-                       help="apply the stored best configuration from the "
-                            "tuning database before generating")
-    p_bte.add_argument("--tune-db", default=None, metavar="FILE",
-                       help="tuning database to consult (default: "
-                            "tuned.json inside the cache dir)")
     p_bte.add_argument("--events", default=None, metavar="FILE",
                        help="stream the structured event log to FILE "
                             "(repro.events/1 JSON Lines; inspect with "
                             "`repro events FILE`)")
-    p_bte.add_argument("--blackbox-dir", default=None, metavar="DIR",
-                       help="write the flight recorder's repro.blackbox/1 "
-                            "post-mortem bundle under DIR when the run "
-                            "fails (also $REPRO_BLACKBOX_DIR)")
     p_bte.add_argument("--profile", default=None, metavar="FILE",
                        help="write the per-kernel repro.profile/1 document "
                             "(diff two with `bte compare`)")
@@ -1080,9 +980,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="profile the hybrid CPU+GPU target")
     p_prof.add_argument("--ranks", type=int, default=1, metavar="N",
                         help="band-partition over N ranks")
-    p_prof.add_argument("--chunks", type=int, default=0, metavar="N",
-                        help="split device kernels into N chunked launches "
-                             "(slow-down injection for `bte compare` drills)")
     p_prof.add_argument("--top", type=int, default=0, metavar="N",
                         help="show only the N most expensive rows")
     p_prof.add_argument("--tolerance", type=float, default=None, metavar="X",
@@ -1090,9 +987,6 @@ def main(argv: list[str] | None = None) -> int:
                              "|measured/predicted - 1| (default 0.50)")
     p_prof.add_argument("--out", default=None, metavar="FILE",
                         help="write the repro.profile/1 JSON")
-    p_prof.add_argument("--calibrate-out", default=None, metavar="FILE",
-                        help="when drift exceeds tolerance, write the "
-                             "rescaled machine rates as repro.calibration/1")
     p_prof.add_argument("--record", action="store_true",
                         help="append this run to the run registry")
     p_prof.add_argument("--runs-dir", default=None, metavar="DIR",
@@ -1115,7 +1009,8 @@ def main(argv: list[str] | None = None) -> int:
 
     p_hist = sub.add_parser(
         "history",
-        help="per-problem timeline of recorded runs, with anomaly flags",
+        help="per-problem timeline of recorded runs, with regression/drift "
+             "flags",
         parents=[common],
     )
     p_hist.add_argument("--runs-dir", default=None, metavar="DIR",
@@ -1150,33 +1045,6 @@ def main(argv: list[str] | None = None) -> int:
     p_bench.add_argument("--wall-threshold", type=float, default=None,
                          help="relative slowdown tolerated for wall-clock "
                               "timings (default 1.0)")
-
-    p_tune = sub.add_parser(
-        "tune", help="autotune the hot-spot problem; record the winner",
-        parents=[common, cache],
-    )
-    p_tune.add_argument("--nx", type=int, default=16)
-    p_tune.add_argument("--ndirs", type=int, default=8)
-    p_tune.add_argument("--bands", type=int, default=8)
-    p_tune.add_argument("--dt", type=float, default=1e-12)
-    p_tune.add_argument("--steps", type=int, default=5,
-                        help="steps of the problem being tuned (trials run "
-                             "a shorter proxy; see --proxy-steps)")
-    p_tune.add_argument("--gpu", action="store_true",
-                        help="tune with the GPU target available")
-    p_tune.add_argument("--ranks", type=int, default=1, metavar="N",
-                        help="tune the N-rank band-partitioned problem")
-    p_tune.add_argument("--trials", type=int, default=8, metavar="N",
-                        help="trial budget (default 8)")
-    p_tune.add_argument("--seconds", type=float, default=None, metavar="S",
-                        help="wall-time budget on top of --trials")
-    p_tune.add_argument("--proxy-steps", type=int, default=2, metavar="N",
-                        help="steps per trial run (default 2)")
-    p_tune.add_argument("--strategy", choices=("greedy", "grid"),
-                        default="greedy")
-    p_tune.add_argument("--db", default=None, metavar="FILE",
-                        help="tuning database path (default: tuned.json "
-                             "inside the cache dir, else ./tuned.json)")
 
     p_lint = sub.add_parser(
         "lint", help="statically verify DSL scripts (RPR### diagnostics)",
@@ -1261,25 +1129,13 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return _dispatch(args, parser)
     except ReproError as exc:
-        # post-mortem first: the flight recorder's ring still holds the
-        # run's last events.  Skip the dump when a deeper handler (rank
-        # failure, sanitizer trip) already captured this same error.
-        from repro.obs import get_flight_recorder
         from repro.obs.log import log_event
 
         log_event("cli.error", "error", code=getattr(exc, "code", None),
                   message=str(exc))
-        recorder = get_flight_recorder()
-        last = recorder.last_bundle or {}
-        if last.get("error", {}).get("message") == str(exc):
-            path = recorder.dumps_written[-1] if recorder.dumps_written else None
-        else:
-            path = recorder.dump("cli_error", exc)
         if args.verbose:
             raise
         print(_render_error(exc), file=sys.stderr)
-        if path is not None:
-            print(f"flight-recorder bundle: {path}", file=sys.stderr)
         print("(re-run with -v for the full traceback)", file=sys.stderr)
         return 1
     except BrokenPipeError:
@@ -1292,16 +1148,12 @@ def main(argv: list[str] | None = None) -> int:
     except (KeyboardInterrupt, SystemExit):
         raise
     except Exception as exc:
-        # an unexpected crash: leave the forensics behind, then let the
+        # an unexpected crash: record it in the event log, then let the
         # traceback propagate — this is a bug, not a user error
-        from repro.obs import get_flight_recorder
         from repro.obs.log import log_event
 
         log_event("cli.crash", "error", type=type(exc).__name__,
                   message=str(exc))
-        path = get_flight_recorder().dump("crash", exc)
-        if path is not None:
-            print(f"flight-recorder bundle: {path}", file=sys.stderr)
         raise
 
 
@@ -1326,8 +1178,6 @@ def _dispatch(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         return cmd_history(args)
     if args.command == "bench":
         return cmd_bench(args)
-    if args.command == "tune":
-        return cmd_tune(args)
     if args.command == "lint":
         return cmd_lint(args)
     if args.command == "events":
@@ -1346,7 +1196,7 @@ def _render_error(exc: "ReproError") -> str:
 
 #: Subcommands the ``bte`` alias passes straight through to ``main``.
 _COMMANDS = {"info", "figures", "pipeline", "latex", "bte", "analyze",
-             "profile", "compare", "history", "bench", "tune", "lint",
+             "profile", "compare", "history", "bench", "lint",
              "events", "serve"}
 
 

@@ -43,8 +43,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from repro.codegen.emit import ExprEmitter, emit_tile_body
 from repro.codegen.placement import Task, TaskGraph, optimize_placement, plan_transfers
 from repro.codegen.placement.transfers import ArrayUse
@@ -415,7 +413,7 @@ def plan_device_step(problem: "Problem", state: SolverState, emitter: ExprEmitte
     for name, nbytes in known.items():
         tg.add_edge("post_step_callbacks", "interior_update", nbytes, name)
 
-    # explicit per-task placement overrides (tuner / user hook): re-pin
+    # explicit per-task placement overrides (the user's hook): re-pin
     # before optimising so the transfer schedule matches the final plan
     pins = dict(problem.extra.get("placement_override") or {})
     placement = optimize_placement(_repin_graph(tg, pins) if pins else tg, spec)
@@ -576,14 +574,7 @@ class GPUHybridTarget(CodegenTarget):
 
         # ---- source ---------------------------------------------------------
         ir = build_ir(problem, form, flavor="gpu", transfers=plan["transfer_plan"])
-        # tuned kernel chunking: split the launch over component-row blocks
-        # (same numerics; smaller launches queue back-to-back on the device)
-        chunks = int(problem.extra.get("gpu_kernel_chunks", 0) or 0)
         launch = ["dev.launch(KERNEL, NDOF, *kernel_args, host_time=launch_time)"]
-        if chunks > 1:
-            launch = ["for chunk in KERNEL_CHUNKS:",
-                      "    dev.launch(KERNEL, len(chunk) * NCELLS, *kernel_args,",
-                      "               chunk, host_time=launch_time)"]
         lines = source_header("gpu_hybrid", problem, print_ir(ir)) + plan_header(plan)
         lines += _emit_device_source(problem, emitter)
         lines += emit_device_step("step_once", plan, launch)
@@ -604,12 +595,6 @@ class GPUHybridTarget(CodegenTarget):
         # kernel argument order is fixed by the generated signature
         static["KERNEL_VAR_NAMES"] = [
             f"var_{n}" for n in emitter.referenced_known_variables()]
-        static["KERNEL_CHUNKS"] = (
-            [np.asarray(c)
-             for c in np.array_split(np.arange(state.ncomp),
-                                     min(chunks, state.ncomp))]
-            if chunks > 1 else None
-        )
 
         return self.make_artifact(
             problem, source,

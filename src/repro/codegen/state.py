@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import weakref
 from pathlib import Path
-from time import perf_counter
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
@@ -26,14 +25,7 @@ from repro.fvm.boundary import (
 )
 from repro.fvm.fields import CellField
 from repro.fvm.geometry import FVGeometry
-from repro.obs import (
-    get_anomaly_monitor,
-    get_event_log,
-    get_flight_recorder,
-    get_metrics,
-    get_tracer,
-    phase_span,
-)
+from repro.obs import get_event_log, get_metrics, get_tracer, phase_span
 from repro.runtime.faults import get_injector
 from repro.runtime.resilience import (
     CHECKPOINT_SCHEMA,
@@ -182,9 +174,6 @@ class SolverState(StepHooks):
         # initialised by observe_step when a live registry is installed
         self._prev_u: np.ndarray | None = None
         self._energy0: float | None = None
-        # wall clock of the previous observe_step, feeding the always-on
-        # step-time spike detector
-        self._last_step_wall: float | None = None
 
         # resilience wiring: periodic checkpoints and restart-from-file,
         # configured through problem.extra so distributed rank states
@@ -326,19 +315,10 @@ class SolverState(StepHooks):
         from steady state), the volume-weighted energy drift relative to
         the first observed step, and a step counter.  Zero-cost when no
         live metrics registry is installed: the expensive observations are
-        computed only behind the ``enabled`` guard.
-
-        The always-on observability rides the same hook: the flight
-        recorder's heartbeat, the step-time spike detector, and (at debug
-        level) a ``step.done`` event — all attribute-check cheap when idle.
+        computed only behind the ``enabled`` guard.  At debug level the
+        event log also gets a ``step.done`` event.
         """
         rank = self.comm.rank if self.comm is not None else None
-        now = perf_counter()
-        if self._last_step_wall is not None:
-            get_anomaly_monitor().observe_step_time(
-                now - self._last_step_wall, rank=rank, step=self.step_index)
-        self._last_step_wall = now
-        get_flight_recorder().heartbeat(step=self.step_index, rank=rank)
         elog = get_event_log()
         if elog.debug_enabled:
             elog.emit("step.done", level="debug", rank=rank,

@@ -33,12 +33,7 @@ import numpy as np
 
 from repro.codegen.state import SolverState
 from repro.fvm import kernels
-from repro.obs import (
-    get_anomaly_monitor,
-    get_event_log,
-    get_tracer,
-    phase_span,
-)
+from repro.obs import get_event_log, get_tracer, phase_span
 from repro.util.errors import CodegenError
 
 if TYPE_CHECKING:
@@ -134,9 +129,6 @@ class GeneratedSolver:
     def run(self, nsteps: int | None = None) -> SolverState:
         """Run ``nsteps`` (default: the configured count) and return state."""
         n = self.state.nsteps if nsteps is None else int(nsteps)
-        # each run() gets a fresh spike-detector window so back-to-back runs
-        # on one process don't alert against each other's step times
-        get_anomaly_monitor().reset()
         with phase_span(f"run[{self.target_name}]", cat="run", nsteps=n):
             self.namespace["run_steps"](self.state, n)
         return self.state

@@ -419,12 +419,6 @@ class Problem:
         ``'cpu'``, ``'distributed'`` or ``'gpu'``."""
         from repro.codegen import make_target  # local import: avoid cycle
 
-        if self.extra.get("tuned"):
-            # consult the tuning database before dispatch: stored knobs may
-            # change the loop order, partitioning or placement overrides
-            from repro.tune.tuner import maybe_apply_tuned
-
-            maybe_apply_tuned(self, target)
         self.validate()
         return make_target(self.resolve_target(target)).generate(self)
 

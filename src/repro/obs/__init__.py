@@ -43,13 +43,6 @@ from repro.util.lazy import lazy_exports
 # the collectors resolve on first use: a run that never opens the registry
 # or builds a report does not import them
 __getattr__, __dir__, _lazy = lazy_exports(__name__, {
-    "anomaly": (
-        "AnomalyMonitor",
-        "DEFAULT_THRESHOLDS",
-        "get_anomaly_monitor",
-        "health_section",
-    ),
-    "blackbox": ("FlightRecorder", "get_flight_recorder"),
     "log": (
         "Event",
         "EventLog",

@@ -8,11 +8,12 @@ the tracer's timeline: the run's ``trace_id`` and, where a span exists,
 ``span_id``/``parent_id``.
 
 The log is a module-level singleton (same pattern as the tracer, metrics
-and sanitizer) and is **always on** as a bounded in-memory ring buffer —
-the flight recorder (:mod:`repro.obs.blackbox`) reads the ring to build
-post-mortem bundles, so the last ~2k events of any crash are recoverable
-without any flag.  Streaming to disk is opt-in (``--events FILE`` /
-:func:`events_run`): the file is JSON Lines, one header record::
+and sanitizer) and is **always on** as a bounded in-memory ring buffer
+(the last ~2k events, for :meth:`EventLog.tail` and the run report's
+``events`` summary).  Streaming to disk is opt-in (``--events FILE`` /
+:func:`events_run`) and is the crash-tolerant forensic record of a run:
+each event is written and flushed as it happens.  The file is JSON Lines,
+one header record::
 
     {"schema": "repro.events/1", "trace_id": ..., "created": ...}
 
@@ -86,7 +87,7 @@ class Event:
 class EventLog:
     """Thread-safe, bounded, optionally file-backed event sink.
 
-    ``ring_size`` bounds the in-memory tail (the flight recorder's food);
+    ``ring_size`` bounds the in-memory tail;
     ``path`` adds JSONL streaming; ``level`` filters at emit time.  A
     disabled log (``enabled=False``) absorbs every emit with one attribute
     check — it is what the overhead benchmarks compare against.
@@ -221,12 +222,17 @@ def events_run(path: str | Path | None = None, *, level: str = "info",
 
     Yields the :class:`EventLog`; on exit the file is closed (flushed even
     if the block raised — crash tails are the ones you need) and the
-    previous log restored.
+    previous log restored.  A block that raises ends the stream with a
+    ``run.failed`` event naming the error.
     """
     log = EventLog(path, level=level, ring_size=ring_size)
     previous = set_event_log(log)
     try:
         yield log
+    except Exception as exc:
+        log.emit("run.failed", level="error", type=type(exc).__name__,
+                 message=str(exc), code=getattr(exc, "code", None))
+        raise
     finally:
         set_event_log(previous)
         log.close()

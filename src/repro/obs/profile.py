@@ -10,9 +10,8 @@ document with that granularity:
   rows from the phase timers every generated run loop already drives);
 * a **perfmodel drift** column per row: measured seconds-per-step divided
   by the :class:`repro.perfmodel.costs.CostModel` prediction, so the
-  analytic model that placement/tuning decisions rest on is audited by
-  every profiled run (drift beyond tolerance suggests recalibration via
-  :mod:`repro.perfmodel.calibrate`).
+  analytic model that placement decisions rest on is audited by every
+  profiled run.
 
 Document layout (``repro.profile/1``)::
 
@@ -20,7 +19,7 @@ Document layout (``repro.profile/1``)::
     meta     {problem, target, problem_key, nsteps, ncells, ncomp, ...}
     ranks    [{rank, kernels: [row...], transfers: {...},
                launches: [{name, step, seconds}...]?}, ...]
-    drift    {tolerance, max_abs, exceeded, calibration?}
+    drift    {tolerance, max_abs, exceeded}
 
 Runtime side: a process-wide :class:`RunProfiler` singleton mirrors the
 event-log/metrics pattern — disabled by default, attribute-check cheap when
@@ -36,13 +35,11 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Iterator
 
-from repro.obs.anomaly import DEFAULT_THRESHOLDS
-
 SCHEMA = "repro.profile/1"
 
 #: A measured/predicted ratio farther than this from 1.0 flags the cost
-#: model for recalibration (single source of truth: the anomaly table).
-DRIFT_TOLERANCE = DEFAULT_THRESHOLDS["perfmodel_drift"]
+#: model's drift as exceeded.
+DRIFT_TOLERANCE = 0.5
 
 #: Phase-timer names mapped to cost-model phases (mirrors the
 #: ``task_timer_map`` used by placement accuracy).
@@ -272,10 +269,9 @@ def build_profile(solver, *, tolerance: float | None = None) -> dict:
         ranks.append(entry)
 
     tol = DRIFT_TOLERANCE if tolerance is None else float(tolerance)
-    # the exceeded flag (and any recalibration suggestion) judges only the
-    # wall-measured phase rows: virtual kernel rows compare the *device*
-    # model against the *CPU* prediction, which is a placement sanity
-    # check, not machine drift
+    # the exceeded flag judges only the wall-measured phase rows: virtual
+    # kernel rows compare the *device* model against the *CPU* prediction,
+    # which is a placement sanity check, not machine drift
     drifts = [
         abs(row["drift"] - 1.0)
         for entry in ranks
@@ -283,17 +279,8 @@ def build_profile(solver, *, tolerance: float | None = None) -> dict:
         if row.get("drift") is not None and row.get("clock") == "wall"
     ]
     max_abs = max(drifts) if drifts else 0.0
-    drift_section: dict[str, Any] = {
-        "tolerance": tol,
-        "max_abs": max_abs,
-        "exceeded": max_abs > tol,
-    }
-    if drift_section["exceeded"]:
-        from repro.perfmodel.calibrate import calibration_from_rows
-
-        suggestion = calibration_from_rows(state, ranks)
-        if suggestion is not None:
-            drift_section["calibration"] = suggestion
+    drift_section = {"tolerance": tol, "max_abs": max_abs,
+                     "exceeded": max_abs > tol}
 
     ncells, ncomp = _cell_counts(state)
     meta: dict[str, Any] = {
@@ -318,8 +305,8 @@ def build_profile(solver, *, tolerance: float | None = None) -> dict:
 def problem_key(problem, target_name: str | None = None) -> str:
     """Stable per-problem identity for the run registry and ``bte history``:
     the digest of the *tuning* key, i.e. the problem signature with the
-    tunable/injectable knobs normalised out — so a chunking override or a
-    tuned configuration lands in the same timeline as the default run."""
+    knobs normalised out — so a run with an injected ``gpu_flop_factor``
+    or another loop order lands in the same timeline as the default run."""
     from repro.tune.signature import signature_digest, tuning_key
 
     return signature_digest(tuning_key(problem, target_name))

@@ -3,7 +3,7 @@
 Every recorded solve/bench run appends one JSON entry — the run report, the
 ``repro.profile/1`` document and/or the bench envelope — under a
 content-addressed directory keyed by the *problem key* (the tuning-key
-digest from :func:`repro.obs.profile.problem_key`, so tuned or
+digest from :func:`repro.obs.profile.problem_key`, so knob or
 fault-injected variants of the same problem share one timeline)::
 
     <root>/<key[:2]>/<key>/run-000001.json    # "repro.runs/1" entry
@@ -37,6 +37,10 @@ DEFAULT_ROOT = ".repro-runs"
 
 #: ``bte history --gc`` default: newest entries kept per problem key.
 DEFAULT_KEEP_LAST = 20
+
+#: ``bte history``: wall-time growth over the previous recorded run of the
+#: same problem key that flags a regression.
+HISTORY_REGRESSION = 0.25
 
 
 class RegistryError(ReproError):
@@ -197,6 +201,29 @@ class RunRegistry:
                 return 0.0
 
 
+def history_flags(entries: list[dict[str, Any]]) -> list[list[str]]:
+    """Flags of one problem key's timeline (``bte history``), oldest first.
+
+    Per entry: ``regression`` when the recorded wall seconds grew more than
+    :data:`HISTORY_REGRESSION` over the previous entry's, ``drift`` when
+    the entry's profile flagged cost-model drift.
+    """
+    flags: list[list[str]] = []
+    prev_wall: float | None = None
+    for entry in entries:
+        entry_flags: list[str] = []
+        wall = entry.get("meta", {}).get("wall_s")
+        if (wall is not None and prev_wall is not None and prev_wall > 0
+                and (wall - prev_wall) / prev_wall > HISTORY_REGRESSION):
+            entry_flags.append("regression")
+        if wall is not None:
+            prev_wall = float(wall)
+        if entry.get("profile", {}).get("drift", {}).get("exceeded"):
+            entry_flags.append("drift")
+        flags.append(entry_flags)
+    return flags
+
+
 # -------------------------------------------------------------- process-wide
 _REGISTRY: RunRegistry | None = None
 
@@ -238,10 +265,12 @@ class registry_scope:
 __all__ = [
     "DEFAULT_KEEP_LAST",
     "DEFAULT_ROOT",
+    "HISTORY_REGRESSION",
     "RegistryError",
     "RunRegistry",
     "SCHEMA",
     "configure_registry",
     "get_registry",
+    "history_flags",
     "registry_scope",
 ]

@@ -22,20 +22,17 @@ actually has) into a single document:
     diagnostics  runtime sanitizer findings (``--sanitize`` runs only):
                every RPR### diagnostic with its provenance, plus the
                number of checks performed
-    health   the anomaly monitor's verdict: ok/warning/error status, the
-             alerts that fired (step-time spikes, rank imbalance, retry
-             storms, cache-miss storms) and the thresholds used
     events   structured-event-log summary (counts per event name/level)
     trace    span/track counts when a tracer was active
     tuning   how this solver was produced: compilation-cache outcome
-             (hit/miss, key prefix, build seconds) and — for ``--tuned``
-             runs — the knob overrides applied from the tuning database
+             (hit/miss, key prefix, build seconds)
     profile  nested ``repro.profile/1`` document: per-rank per-kernel
              self/total time with roofline attribution and the perfmodel
              drift column (:mod:`repro.obs.profile`)
 
 Loaders must tolerate documents predating a section (older reports have no
-``profile``/``health``): read sections with ``.get``, never ``[...]``.
+``profile``) and sections no longer written (``health``, ``tuning.tuned``):
+read sections with ``.get``, never ``[...]``.
 
 Every numeric field is JSON-safe (no ``inf``/``nan``): never-recorded
 timers normalise ``min`` to ``0.0`` via ``TimerStats.as_dict``.
@@ -76,7 +73,6 @@ class RunReport:
     resilience: dict[str, Any] | None = None
     rebalance: dict[str, Any] | None = None
     diagnostics: dict[str, Any] | None = None
-    health: dict[str, Any] | None = None
     events: dict[str, Any] | None = None
     trace: dict[str, Any] | None = None
     tuning: dict[str, Any] | None = None
@@ -91,8 +87,7 @@ class RunReport:
             "phases": self.phases,
         }
         for key in ("comm", "gpu", "placement", "resilience", "rebalance",
-                    "diagnostics",
-                    "health", "events", "trace", "tuning", "metrics",
+                    "diagnostics", "events", "trace", "tuning", "metrics",
                     "profile"):
             value = getattr(self, key)
             if value is not None:
@@ -244,23 +239,6 @@ def placement_accuracy(plan, timers, nsteps: int,
     }
 
 
-def _tuning_section(solver) -> dict[str, Any] | None:
-    """Compilation-cache provenance + applied tuning knobs, when either exists."""
-    section: dict[str, Any] = {}
-    info = getattr(solver, "generation_info", None)
-    if info:
-        section["cache"] = dict(info)
-    problem = getattr(solver.state, "problem", None)
-    extra = getattr(problem, "extra", None) or {}
-    if extra.get("_tuned_applied"):
-        section["tuned"] = True
-        section["config"] = extra.get("tuned_config")
-    elif extra.get("tuned"):
-        # tuned mode was requested but no database entry matched
-        section["tuned"] = False
-    return section or None
-
-
 def build_run_report(solver, tracer=None, **extra_meta: Any) -> RunReport:
     """Merge one solver's fragmented metric stores into a :class:`RunReport`.
 
@@ -315,10 +293,6 @@ def build_run_report(solver, tracer=None, **extra_meta: Any) -> RunReport:
 
     report.diagnostics = sanitizer_section()
 
-    from repro.obs.anomaly import health_section
-
-    report.health = health_section(solver)
-
     from repro.obs.log import get_event_log
 
     elog = get_event_log()
@@ -328,7 +302,9 @@ def build_run_report(solver, tracer=None, **extra_meta: Any) -> RunReport:
     if tracer is not None and tracer.enabled:
         report.trace = tracer.summary()
 
-    report.tuning = _tuning_section(solver)
+    info = getattr(solver, "generation_info", None)
+    if info:
+        report.tuning = {"cache": dict(info)}
 
     from repro.obs.metrics import get_metrics
 

@@ -158,20 +158,13 @@ class NullTracer:
              dst_track: str, dst_t: float, **args) -> None:
         return None
 
-    def active_spans(self) -> list[dict[str, Any]]:
-        return []
-
 
 #: Module-wide disabled tracer (singleton — identity comparisons are safe).
 NULL_TRACER = NullTracer()
 
 
 class _LiveSpan:
-    """Context manager recording a wall-clock span into a live tracer.
-
-    Open spans register with the tracer so the flight recorder can list
-    what every thread was inside at crash time (``Tracer.active_spans``).
-    """
+    """Context manager recording a wall-clock span into a live tracer."""
 
     __slots__ = ("_tracer", "_track", "_name", "_cat", "_args", "_t0")
 
@@ -186,11 +179,9 @@ class _LiveSpan:
 
     def __enter__(self) -> "_LiveSpan":
         self._t0 = self._tracer.clock()
-        self._tracer._open_span(self)
         return self
 
     def __exit__(self, *exc) -> bool:
-        self._tracer._close_span(self)
         self._tracer.complete(
             self._track, self._name, self._t0, self._tracer.clock(),
             cat=self._cat, **self._args,
@@ -214,7 +205,6 @@ class Tracer:
         self.counters: list[CounterEvent] = []
         self.instants: list[InstantEvent] = []
         self.flows: list[FlowEvent] = []
-        self._active: dict[int, _LiveSpan] = {}
 
     # ------------------------------------------------------------- recording
     def span(self, track: str, name: str, cat: str = "phase", **args) -> _LiveSpan:
@@ -246,27 +236,6 @@ class Tracer:
         with self._lock:
             self.flows.append(FlowEvent(
                 name, flow_id, src_track, src_t, dst_track, dst_t, args=args))
-
-    # ---------------------------------------------------------- active spans
-    def _open_span(self, span: _LiveSpan) -> None:
-        with self._lock:
-            self._active[id(span)] = span
-
-    def _close_span(self, span: _LiveSpan) -> None:
-        with self._lock:
-            self._active.pop(id(span), None)
-
-    def active_spans(self) -> list[dict[str, Any]]:
-        """Snapshot of currently-open wall-clock spans (crash forensics)."""
-        now = self.clock()
-        with self._lock:
-            live = list(self._active.values())
-        return [
-            {"track": s._track, "name": s._name, "cat": s._cat,
-             "t0": s._t0, "elapsed_s": max(now - s._t0, 0.0),
-             "args": dict(s._args)}
-            for s in sorted(live, key=lambda s: s._t0)
-        ]
 
     # --------------------------------------------------------------- queries
     def tracks(self) -> list[str]:

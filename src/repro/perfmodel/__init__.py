@@ -14,10 +14,7 @@ on a 40-core Cascade Lake cluster, so the scaling results (Figs. 4, 5, 7,
 * :mod:`~repro.perfmodel.scaling` — strong-scaling evaluators for every
   strategy in the paper (band-parallel, cell-parallel, GPU-hybrid,
   reference Fortran) returning the execution-time series and phase
-  breakdowns the benchmark harness prints;
-* :mod:`~repro.perfmodel.calibrate` — optional live calibration: measures
-  this machine's NumPy kernel rates and rescales the model (documented in
-  EXPERIMENTS.md; the defaults are the datasheet-derived rates).
+  breakdowns the benchmark harness prints.
 
 The *same* cost model also drives the virtual clocks of the simulated
 communicator runs, so the analytic curves and the executed small-scale SPMD
@@ -39,7 +36,6 @@ from repro.perfmodel.scaling import (
     fortran_reference_times,
     strong_scaling_table,
 )
-from repro.perfmodel.calibrate import calibrate_cpu_rate, load_rates, save_rates
 
 __all__ = [
     "MachineRates",
@@ -54,7 +50,4 @@ __all__ = [
     "gpu_hybrid_times",
     "fortran_reference_times",
     "strong_scaling_table",
-    "calibrate_cpu_rate",
-    "load_rates",
-    "save_rates",
 ]

@@ -12,9 +12,8 @@ reports for its testbed (two-socket Cascade Lake, one rank per core):
   growing temperature-update share in Fig. 5) and per-(cell, band)
   equilibrium/relaxation refreshes (parallel over bands).
 
-``calibrate_cpu_rate`` can rescale everything from a live measurement on
-the current machine; the figures in EXPERIMENTS.md use these defaults so
-they are machine-independent.
+The figures in EXPERIMENTS.md use these defaults so they are
+machine-independent.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ class MachineRates:
     boundary_per_face_comp: float
 
     def scaled(self, factor: float) -> "MachineRates":
-        """All rates multiplied by ``factor`` (used by live calibration)."""
+        """All rates multiplied by ``factor``."""
         return replace(
             self,
             name=f"{self.name} (x{factor:.3g})",

@@ -146,11 +146,10 @@ def run_spmd(
             # a cooperative pause agreed by every rank, not a failure:
             # hand it straight to the elastic runner
             raise exc
-        from repro.obs import get_event_log, get_flight_recorder
+        from repro.obs import get_event_log
 
         get_event_log().emit("executor.rank_failed", level="error", rank=rank,
                              error=f"{type(exc).__name__}: {exc}")
-        get_flight_recorder().dump("rank_failure", exc)
         err = ReproError(f"rank {rank} failed: {type(exc).__name__}: {exc}")
         err.failed_rank = rank
         raise err from exc

@@ -39,8 +39,7 @@ state via checkpoints, repartitions live"):
 
 The run-wide :class:`RebalanceLog` (singleton, like the resilience log)
 feeds the run report's ``rebalance`` section; every migration also lands in
-the resilience log, the structured event log and a flight-recorder
-snapshot.
+the resilience log and the structured event log.
 """
 
 from __future__ import annotations
@@ -528,9 +527,6 @@ class ElasticRunner:
             int(len(o)) for o in self.owned_of(self.current)
         ]
         get_rebalance_log().record_migration(**entry)
-        from repro.obs import get_flight_recorder
-
-        get_flight_recorder().snapshot(step=entry.get("step"))
 
     # -------------------------------------------------- epochs + composing
     @staticmethod

@@ -1,8 +1,4 @@
-"""Autotuning + persistent compilation cache (``repro.tune``).
-
-Two cooperating layers convert the one-shot generation pipeline into a
-persistent performance-automation system (the gap the paper's automation
-story leaves open once placement is decided):
+"""The persistent compilation cache (``repro.tune``).
 
 * :mod:`repro.tune.cache` — a content-addressed **compilation cache**.
   Every codegen target routes generation through it: the expensive half
@@ -11,15 +7,9 @@ story leaves open once placement is decided):
   the cheap half (fresh state, live callbacks, clocks, devices) is rebuilt
   per solve.  A warm solve of an unchanged problem performs **zero**
   lowering/codegen/compile work.
-* :mod:`repro.tune.tuner` — an **autotuner** searching the declared
-  tunable space (:mod:`repro.tune.space`: assembly loop order, cell vs
-  band partitioning, placement overrides, GPU kernel chunking) with
-  grid/greedy strategies, cost-model pruning from :mod:`repro.perfmodel`,
-  short proxy trials measured on the deterministic virtual clocks, and
-  placement verification of every trial.  Winners persist in a
-  ``"repro.tune/1"`` database (:mod:`repro.tune.db`) that future solves
-  consult automatically (``problem.extra['tuned'] = True`` or
-  ``bte --tuned``).
+* :mod:`repro.tune.signature` — the cache key, the service's request key
+  and :func:`~repro.tune.signature.tuning_key`, which keys the run
+  registry's per-problem timelines.
 """
 
 from repro.util.lazy import lazy_exports
@@ -32,8 +22,5 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "configure_cache",
         "get_cache",
     ),
-    "db": ("TuningDB", "default_db_path"),
     "signature": ("cache_key", "problem_signature", "tuning_key"),
-    "space": ("TuneConfig", "apply_config", "build_space"),
-    "tuner": ("Trial", "TuneResult", "maybe_apply_tuned", "tune"),
 })

@@ -14,7 +14,7 @@ function of:
 * the codegen options that shape the emitted source or the baked
   operators: stepper, flux order, assembly loop order, partitioning,
   GPU spec, machine rates (they steer the placement optimiser), network
-  name, and the GPU tuning knobs in ``problem.extra``;
+  name, and the GPU placement knobs in ``problem.extra``;
 * the emitter itself (:func:`emitter_digest`): a persisted ``source.py``
   calls helpers of ``geom``/``kernels``/``state`` as they were when it was
   written, so an artifact stored by another emitter must be a miss.
@@ -48,15 +48,14 @@ _EXTRA_KEYS = (
     "gpu_force_offload",
     "gpu_flop_factor",
     "gpu_byte_factor",
-    "gpu_kernel_chunks",
     "placement_override",
 )
 
-#: Fields normalised out of :func:`tuning_key` so one tuning-database
-#: entry covers the problem regardless of the knobs currently applied, and
-#: outlives emitter changes (a stored best configuration is re-measurable,
-#: a stored artifact is not).  (``nparts`` stays — the rank count is a
-#: resource, not a knob.)
+#: Fields normalised out of :func:`tuning_key` so one run-registry
+#: timeline covers the problem regardless of the knobs currently applied,
+#: and outlives emitter changes (a recorded run is re-measurable, a stored
+#: artifact is not).  (``nparts`` stays — the rank count is a resource,
+#: not a knob.)
 _KNOB_SIG_FIELDS = ("assembly_order", "extra", "emitter")
 
 
@@ -280,11 +279,11 @@ def request_key(problem: "Problem", target: str | None = None) -> str:
 
 
 def tuning_key(problem: "Problem", target_name: str | None = None) -> str:
-    """The tuning-database key: the cache signature with every *tunable*
-    field (assembly order, partitioning, GPU knob extras) normalised out,
-    so a stored best configuration is found whatever knobs the problem
-    currently carries.  ``target_name`` defaults to ``"auto"`` because the
-    tuned knobs themselves may change the dispatched target."""
+    """The run-registry key: the cache signature with every *knob* field
+    (assembly order, partitioning, GPU knob extras) normalised out, so
+    runs of one problem share a timeline whatever knobs each carried.
+    ``target_name`` defaults to ``"auto"`` because the knobs themselves
+    may change the dispatched target."""
     sig = problem_signature(problem, target_name or "auto")
     for field in _KNOB_SIG_FIELDS:
         sig.pop(field, None)

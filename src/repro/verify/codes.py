@@ -17,7 +17,7 @@ band  layer
 3xx   runtime sanitizer findings (``--sanitize`` layer 3)
 4xx   observability / performance-model usage errors
 5xx   mesh input errors
-7xx   autotuning / calibration persistence
+7xx   retired (autotuning / calibration persistence; never reused)
 8xx   observability persistence
 9xx   solver service (admission, quota, job lifecycle)
 ====  =======================================================
@@ -112,9 +112,6 @@ _RAW: list[tuple[str, str, str, str]] = [
     ("RPR502", "mesh", "malformed or truncated Medit file", "error"),
     ("RPR503", "mesh", "malformed or truncated VTK file", "error"),
     ("RPR504", "mesh", "cell node id not an integer in range, or non-finite coordinate", "error"),
-    # ---- 7xx: autotuning / calibration persistence ------------------------
-    ("RPR701", "tune", "tuning database malformed or unreadable", "error"),
-    ("RPR702", "perfmodel", "calibration file malformed or unreadable", "error"),
     # ---- 8xx: observability persistence ------------------------------------
     ("RPR801", "obs", "run-registry entry malformed or unwritable", "error"),
     # ---- 9xx: solver service ----------------------------------------------

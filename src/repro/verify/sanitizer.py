@@ -134,11 +134,7 @@ class Sanitizer:
         diag = Diagnostic.from_code(code, msg, array=name, **where)
         self.record(diag)
         if fatal:
-            exc = SanitizerError(f"[{diag.code}] {msg}", code=diag.code)
-            from repro.obs import get_flight_recorder
-
-            get_flight_recorder().dump("sanitizer", exc)
-            raise exc
+            raise SanitizerError(f"[{diag.code}] {msg}", code=diag.code)
         return False
 
     def check_state(self, state) -> None:
@@ -264,12 +260,8 @@ class Sanitizer:
                 f"seq {seq}) failed its checksum: data corrupted in flight",
                 rank=dst, peer=src, tag=tag, seq=seq)
             self.record(diag)
-            exc = SanitizerError(f"[{diag.code}] {diag.message}",
+            raise SanitizerError(f"[{diag.code}] {diag.message}",
                                  code=diag.code)
-            from repro.obs import get_flight_recorder
-
-            get_flight_recorder().dump("sanitizer", exc)
-            raise exc
         self.check_array(f"halo from rank {src}", data, code="RPR302",
                          rank=dst, peer=src)
 

@@ -59,8 +59,8 @@ class TestPlacement:
         assert solver.target_name == "gpu"
 
     def test_placement_override_pins_tasks(self, gpu_scenario):
-        """The tuner's plan-override hook: pin the interior update to the
-        CPU even though the optimiser would offload it."""
+        """The plan-override hook: pin the interior update to the CPU even
+        though the optimiser would offload it."""
         p, _ = build_bte_problem(gpu_scenario)
         p.enable_gpu()
         p.extra["placement_override"] = {"interior_update": "cpu"}
@@ -68,44 +68,7 @@ class TestPlacement:
         assert solver.placement.device["interior_update"] == "cpu"
 
 
-class TestKernelChunking:
-    """Tuner knob: split the interior kernel into per-component-row chunks."""
-
-    def test_chunked_matches_unchunked(self, gpu_scenario):
-        p1, _ = build_bte_problem(gpu_scenario)
-        p1.enable_gpu()
-        u_ref = p1.solve().solution()
-
-        p2, _ = build_bte_problem(gpu_scenario)
-        p2.enable_gpu()
-        p2.extra["gpu_kernel_chunks"] = 4
-        s2 = p2.solve()
-        assert s2.target_name == "gpu"
-        scale = np.max(np.abs(u_ref))
-        assert np.max(np.abs(s2.solution() - u_ref)) < 1e-12 * scale
-
-    def test_chunking_multiplies_launches(self, gpu_scenario):
-        def launches(chunks):
-            p, _ = build_bte_problem(gpu_scenario)
-            p.enable_gpu()
-            if chunks:
-                p.extra["gpu_kernel_chunks"] = chunks
-            solver = p.generate()
-            solver.run()
-            return len(solver.device.profiler.launches)
-
-        assert launches(4) == 4 * launches(None)
-
-    def test_chunks_change_the_cache_key(self, gpu_scenario):
-        from repro.tune.signature import cache_key
-
-        p1, _ = build_bte_problem(gpu_scenario)
-        p1.enable_gpu()
-        p2, _ = build_bte_problem(gpu_scenario)
-        p2.enable_gpu()
-        p2.extra["gpu_kernel_chunks"] = 4
-        assert cache_key(p1, "gpu") != cache_key(p2, "gpu")
-
+class TestTransferPlan:
     def test_transfer_plan_classification(self, gpu_scenario):
         """'Finch will automatically determine what variables need to be
         updated and communicated during each step.'  The paper's plan, on

@@ -9,8 +9,8 @@ being folded through the divergence on every target alike, neither does the
 target.  The property suite
 solves one small BTE hotspot problem (FLUX-override walls top and bottom,
 symmetry ghosts left and right) under randomly drawn configurations —
-target (band ranks sweep index-array ``rows``, ``gpu_kernel_chunks``
-launches row blocks), ``assemblyLoops`` order, ``flux_order``, an injected
+target (band ranks sweep index-array ``rows``, device ranks launch row
+blocks), ``assemblyLoops`` order, ``flux_order``, an injected
 device fault — at four tile heights and demands equal digests.  The
 problem has 4 directions x 3+ bands, so every height but the first makes
 tiles that straddle two rows of the direction-indexed tables and the folded
@@ -22,8 +22,7 @@ operator runs in segments:
 * a height that leaves a ragged last tile.
 
 The explicit tests pin the row-restriction contract: band-partitioned
-ranks, multi-GPU launches and chunked launches gather and write only the
-rows they own.
+ranks and multi-GPU launches gather and write only the rows they own.
 """
 
 from __future__ import annotations
@@ -70,11 +69,6 @@ def use_gpu(problem):
     problem.extra["gpu_force_offload"] = True
 
 
-def use_gpu_chunks(problem):
-    use_gpu(problem)
-    problem.extra["gpu_kernel_chunks"] = 3  # one launch per block of rows
-
-
 def use_gpu_multi(problem):
     use_gpu(problem)
     problem.set_partitioning("bands", 2, index="b")
@@ -86,7 +80,6 @@ TARGETS = {
     "cells": (lambda p: p.set_partitioning("cells", 2), True, None),
     "bands": (lambda p: p.set_partitioning("bands", 2, index="b"), True, None),
     "gpu": (use_gpu, False, "gpu0"),
-    "gpu_chunks": (use_gpu_chunks, False, "gpu0"),
     "gpu_multi": (use_gpu_multi, False, "gpu1"),
 }
 LOOPS = (None, ("b", "cells", "d"), ("d", "cells", "b"), ("d", "b", "cells"))
@@ -185,8 +178,8 @@ def test_derived_height_on_a_mesh_that_needs_tiles(monkeypatch, target):
 def test_all_euler_targets_are_bit_identical_at_every_tile_height(monkeypatch):
     """One step shape on every target — the folded interior sweep plus the
     one ``compute_boundary_contribution``, combined as ``u + (du_bdry * dt)``
-    — so the serial, cell- and band-partitioned, hybrid, chunked and
-    multi-device solves of one problem (nx=16, 8 directions x 11 bands, 8
+    — so the serial, cell- and band-partitioned, hybrid and multi-device
+    solves of one problem (nx=16, 8 directions x 11 bands, 8
     steps) agree to the last bit, whatever the tile height."""
     sc = hotspot_scenario(nx=16, ny=16, ndirs=8, n_freq_bands=8, dt=1e-12, nsteps=8)
 
@@ -273,7 +266,7 @@ def test_band_ranks_gather_only_their_own_rows(monkeypatch):
 
 @pytest.mark.parametrize("rows", [
     np.array([1, 2, 3, 11, 12, 13]),  # a band block's strided rows
-    np.arange(5, 10),                 # a gpu_kernel_chunks launch
+    np.arange(5, 10),                 # a contiguous block of rows
 ])
 def test_kernel_launch_touches_only_selected_rows(monkeypatch, rows):
     problem = build_problem()

@@ -104,14 +104,9 @@ class TestObservabilityFlags:
 class TestEventLogCLI:
     @pytest.fixture(autouse=True)
     def restore_singletons(self):
-        from repro.obs import get_flight_recorder
         from repro.obs.log import EventLog, set_event_log
 
-        recorder = get_flight_recorder()
-        saved_dir = recorder.directory
         yield
-        recorder.reset()
-        recorder.directory = saved_dir
         set_event_log(EventLog())
 
     def bte(self, *extra):
@@ -166,18 +161,39 @@ class TestEventLogCLI:
         assert any(n.startswith("comm.") for n in names), names
         assert "run.start" in names
 
-    def test_blackbox_dir_captures_failed_run(self, tmp_path, capsys):
-        bundles = tmp_path / "bb"
+    def test_events_file_captures_failed_run(self, tmp_path, capsys):
+        # the JSONL stream is the forensic record of a run that fails
+        from repro.obs.log import read_events
+
+        log = tmp_path / "events.jsonl"
         rc = main(self.bte("--restore", str(tmp_path / "missing.npz"),
-                           "--blackbox-dir", str(bundles)))
+                           "--events", str(log)))
         assert rc == 1
-        err = capsys.readouterr().err
-        assert "flight-recorder bundle:" in err
-        (bundle,) = bundles.glob("blackbox_*.json")
-        doc = json.loads(bundle.read_text())
-        assert doc["schema"] == "repro.blackbox/1"
-        assert "checkpoint" in doc["error"]["message"]
-        assert any(e["name"] == "cli.error" for e in doc["events"])
+        assert "error RPR" in capsys.readouterr().err
+        error = read_events(log)[-1]
+        assert error["name"] == "run.failed" and error["level"] == "error"
+        assert "checkpoint" in error["fields"]["message"]
+        assert error["fields"]["code"].startswith("RPR")
+
+
+@pytest.mark.parametrize("argv", [
+    ["tune"],
+    ["bte", "--tuned"],
+    ["bte", "--tune-db", "tuned.json"],
+    ["bte", "--blackbox-dir", "bb"],
+    ["profile", "--chunks", "6"],
+    ["profile", "--calibrate-out", "rates.json"],
+])
+def test_removed_commands_and_flags_exit_2(argv, capsys):
+    """The autotuner, kernel chunking, live calibration and the flight
+    recorder are gone: their command and flags are argparse errors."""
+    from repro.cli import bte_main
+
+    for entry, args in ((main, argv), (bte_main, argv)):
+        with pytest.raises(SystemExit) as exc:
+            entry(args)
+        assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
 
 
 @pytest.mark.slow
@@ -195,6 +211,27 @@ class TestLatexCommand:
         out = capsys.readouterr().out
         assert r"\frac" in out
         assert r"\beta_{b}" in out
+
+
+def write_drill_profile(path, slowdown: float = 1.0) -> None:
+    """What ``profile --nx 12 --ndirs 4 --bands 4 --steps 3 --gpu --out
+    PATH`` writes, with the device kernel's work scaled by ``slowdown``
+    (``problem.extra["gpu_flop_factor"]``: in the cache key, normalised out
+    of the registry's problem key, so both profiles are the same problem)."""
+    from repro.bte import build_bte_problem, hotspot_scenario
+    from repro.codegen.gpu_hybrid import DEFAULT_FLOP_FACTOR
+    from repro.obs.profile import build_profile, profile_run, write_profile
+
+    scenario = hotspot_scenario(nx=12, ny=12, ndirs=4, n_freq_bands=4,
+                                dt=1e-12, nsteps=3)
+    scenario.sigma = max(scenario.sigma, 2.5 * scenario.lx / 12)
+    problem, _ = build_bte_problem(scenario)
+    problem.enable_gpu()
+    problem.extra["gpu_force_offload"] = True
+    if slowdown != 1.0:
+        problem.extra["gpu_flop_factor"] = slowdown * DEFAULT_FLOP_FACTOR
+    with profile_run():
+        write_profile(build_profile(problem.solve()), path)
 
 
 class TestProfileRegistryCLI:
@@ -221,17 +258,13 @@ class TestProfileRegistryCLI:
         assert doc["meta"]["per_launch"] is True
 
     def test_compare_ranks_injected_slowdown_first(self, tmp_path, capsys):
-        # a bigger workload than the other tests: the injected chunking
-        # delta (~tens of ms on the virtual kernel rows) must dominate
-        # the wall-clock noise of the tiny phase timers
-        def profile(*extra):
-            return ["profile", "--nx", "12", "--ndirs", "4", "--bands",
-                    "4", "--steps", "3", "--gpu", *extra]
-
+        # a bigger workload than the other tests: the injected kernel work
+        # (the hybrid target's ``gpu_flop_factor``, ~tens of ms on the
+        # virtual kernel rows) must dominate the wall-clock noise of the
+        # tiny phase timers
         a, b = tmp_path / "a.json", tmp_path / "b.json"
-        assert main(profile("--out", str(a))) == 0
-        assert main(profile("--out", str(b), "--chunks", "6")) == 0
-        capsys.readouterr()
+        write_drill_profile(a)
+        write_drill_profile(b, slowdown=6.0)
         assert main(["compare", str(a), str(b)]) == 0
         out = capsys.readouterr().out
         first_row = out.splitlines()[2]
@@ -241,12 +274,10 @@ class TestProfileRegistryCLI:
     def test_record_history_and_gc(self, capsys):
         runs = str(self.runs_dir)
         assert main(self.profile("--record", "--runs-dir", runs)) == 0
-        assert main(self.profile("--record", "--runs-dir", runs,
-                                 "--chunks", "6")) == 0
+        assert main(self.profile("--record", "--runs-dir", runs)) == 0
         capsys.readouterr()
 
-        # both runs land in one per-problem timeline (chunking is
-        # normalised out of the key)
+        # both runs land in one per-problem timeline
         assert main(["history", "--runs-dir", runs]) == 0
         out = capsys.readouterr().out
         assert "2 run(s)" in out

@@ -131,3 +131,65 @@ class TestFileStream:
         assert doc["total"] == 2
         assert doc["by_level"] == {"info": 1, "warning": 1}
         assert doc["path"] == str(path)
+
+
+class TestCrashRecord:
+    """The JSONL stream is the forensic record of a failed run: it ends with
+    the error, and the findings before it carry step/rank provenance."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_sanitizer(self):
+        from repro.verify import get_sanitizer
+
+        yield
+        san = get_sanitizer()
+        san.reset()
+        san.enabled = False
+        san.was_active = False
+
+    def test_sanitizer_nan_trip_event_carries_provenance(self, tmp_path):
+        import numpy as np
+
+        from repro.bte.problem import build_bte_problem, hotspot_scenario
+        from repro.verify import SanitizerError, sanitize_run
+
+        def poison(state):
+            state.u[0, 0] = np.nan
+
+        problem, _ = build_bte_problem(hotspot_scenario(
+            nx=4, ny=4, ndirs=4, n_freq_bands=2, dt=1e-12, nsteps=3))
+        problem.add_post_step(poison, name="poison")
+        path = tmp_path / "e.jsonl"
+        with pytest.raises(SanitizerError):
+            with events_run(path), sanitize_run():
+                problem.solve()
+        events = read_events(path)
+        finding = next(e for e in events if e["name"] == "sanitizer.finding")
+        assert finding["step"] == 1
+        assert finding["fields"]["code"] == "RPR301"
+        failed = events[-1]
+        assert failed["name"] == "run.failed"
+        assert failed["fields"]["code"] == "RPR301"
+        assert "step 1" in failed["fields"]["message"]
+
+    def test_rank_failure_event_carries_rank_and_trace_id(self, tmp_path):
+        from repro.runtime.executor import run_spmd
+        from repro.util.errors import ReproError
+
+        def prog(comm):
+            comm.compute(1e-6)
+            if comm.rank == 1:
+                raise RuntimeError("device fell off the bus")
+            return comm.rank
+
+        path = tmp_path / "e.jsonl"
+        with trace_run(tmp_path / "t.json") as tracer:
+            with pytest.raises(ReproError, match="rank 1 failed"):
+                with events_run(path):
+                    run_spmd(2, prog)
+        events = read_events(path)
+        failed = next(e for e in events if e["name"] == "executor.rank_failed")
+        assert failed["rank"] == 1
+        assert failed["trace_id"] == tracer.trace_id
+        assert "device fell off the bus" in failed["fields"]["error"]
+        assert events[-1]["name"] == "run.failed"

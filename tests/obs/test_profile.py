@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.bte import build_bte_problem, hotspot_scenario
+from repro.codegen.gpu_hybrid import DEFAULT_FLOP_FACTOR
 from repro.obs.profile import (
     DRIFT_TOLERANCE,
     RunProfiler,
@@ -25,7 +26,7 @@ from repro.util.errors import ReproError
 from repro.util.timing import Timer, VirtualClock
 
 
-def tiny_problem(gpu: bool = False, ranks: int = 1, chunks: int = 0):
+def tiny_problem(gpu: bool = False, ranks: int = 1, flop_factor: float = 0.0):
     scenario = hotspot_scenario(
         nx=8, ny=8, ndirs=4, n_freq_bands=4, dt=1e-12, nsteps=3
     )
@@ -35,8 +36,8 @@ def tiny_problem(gpu: bool = False, ranks: int = 1, chunks: int = 0):
         problem.extra["gpu_force_offload"] = True
     if ranks > 1:
         problem.set_partitioning("bands", ranks, index="b")
-    if chunks:
-        problem.extra["gpu_kernel_chunks"] = chunks
+    if flop_factor:
+        problem.extra["gpu_flop_factor"] = flop_factor
     return problem
 
 
@@ -131,11 +132,11 @@ class TestBuildProfile:
         assert meta["problem_key"] == problem_key(
             solver.state.problem, "cpu")
 
-    def test_problem_key_stable_under_chunking(self):
+    def test_problem_key_stable_under_flop_factor(self):
         # the injected-slowdown knob must land in the same history timeline
         plain = tiny_problem(gpu=True)
-        chunked = tiny_problem(gpu=True, chunks=4)
-        assert problem_key(plain, "gpu") == problem_key(chunked, "gpu")
+        slowed = tiny_problem(gpu=True, flop_factor=4 * DEFAULT_FLOP_FACTOR)
+        assert problem_key(plain, "gpu") == problem_key(slowed, "gpu")
 
     def test_drift_judges_wall_rows_only(self):
         solver = tiny_problem(gpu=True).solve()
@@ -151,7 +152,7 @@ class TestBuildProfile:
         assert doc["drift"]["max_abs"] == pytest.approx(
             max(wall_drifts) if wall_drifts else 0.0)
 
-    def test_default_tolerance_is_the_anomaly_threshold(self):
+    def test_default_tolerance_is_drift_tolerance(self):
         doc = build_profile(tiny_problem().solve())
         assert doc["drift"]["tolerance"] == DRIFT_TOLERANCE
 
@@ -246,18 +247,18 @@ class TestCompareProfiles:
                                _fake_profile({"k": 1.0}, key="b"))
         assert cmp["meta"]["same_problem"] is False
 
-    def test_injected_chunking_slowdown_ranked_first(self):
-        # the acceptance drill: same problem twice, the second run with the
-        # kernel-chunking override; compare must name the slowed kernel.
+    def test_injected_flop_factor_slowdown_ranked_first(self):
+        # the acceptance drill: same problem twice, the second run with a
+        # 4x kernel work factor; compare must name the slowed kernel.
         # Virtual phase timers keep tiny-problem wall noise out of the
         # ranking — on real workloads the kernel delta dominates anyway.
-        def run(chunks: int = 0) -> dict:
-            solver = tiny_problem(gpu=True, chunks=chunks).generate()
+        def run(flop_factor: float = 0.0) -> dict:
+            solver = tiny_problem(gpu=True, flop_factor=flop_factor).generate()
             solver.state.timers.clock = VirtualClock()
             solver.run(3)
             return build_profile(solver)
 
-        base, slow = run(), run(chunks=4)
+        base, slow = run(), run(flop_factor=4 * DEFAULT_FLOP_FACTOR)
         cmp = compare_profiles(base, slow)
         assert cmp["meta"]["same_problem"] is True
         assert cmp["culprit"] is not None

@@ -9,8 +9,10 @@ from repro.obs.registry import (
     RegistryError,
     RunRegistry,
     SCHEMA,
+    HISTORY_REGRESSION,
     configure_registry,
     get_registry,
+    history_flags,
     registry_scope,
 )
 
@@ -135,3 +137,44 @@ class TestProcessWide:
     def test_default_root(self):
         configure_registry(None)
         assert get_registry().root.name == DEFAULT_ROOT
+
+
+def _entry(wall_s=None, drift_exceeded=False, health=None):
+    entry = {"schema": SCHEMA, "meta": {}, "profile": {
+        "drift": {"exceeded": drift_exceeded}}}
+    if wall_s is not None:
+        entry["meta"]["wall_s"] = wall_s
+    if health is not None:  # written while the anomaly monitor existed
+        entry["report"] = {"health": {"status": health}}
+    return entry
+
+
+class TestHistoryFlags:
+    def test_regression_against_the_previous_wall(self):
+        grown = 1.0 + HISTORY_REGRESSION + 0.01
+        flags = history_flags([_entry(1.0), _entry(grown), _entry(grown),
+                               _entry(None), _entry(2.0 * grown)])
+        assert flags == [[], ["regression"], [], [], ["regression"]]
+
+    def test_drift_flag(self):
+        assert history_flags([_entry(1.0, drift_exceeded=True)]) == [["drift"]]
+
+    def test_stale_health_section_is_not_a_flag(self):
+        assert history_flags([_entry(1.0, health="warning")]) == [[]]
+
+    def test_history_lists_an_entry_with_health(self, tmp_path, capsys):
+        from repro.cli import main
+
+        runs = RunRegistry(tmp_path / "runs")
+        runs.append("ab" * 32, report={"health": {"status": "error"}},
+                    profile={"meta": {"problem": "bte-hotspot"},
+                             "drift": {"max_abs": 0.1, "exceeded": False}},
+                    meta={"wall_s": 0.5, "target": "cpu"})
+        try:
+            assert main(["history", "--runs-dir", str(runs.root)]) == 0
+        finally:
+            configure_registry(None)
+        out = capsys.readouterr().out
+        assert "(bte-hotspot, 1 run(s))" in out
+        (line,) = [ln for ln in out.splitlines() if "run-000001" in ln]
+        assert "target=cpu" in line and "[" not in line

@@ -191,3 +191,61 @@ class TestOldFormatCompat:
         assert main(["analyze", str(self.FIXTURE)]) == 0
         out = capsys.readouterr().out
         assert "reported phase fractions" in out
+
+
+class TestRetiredSections:
+    """Reports and profiles written while the anomaly monitor, the
+    autotuner and live calibration existed carry ``health``,
+    ``tuning.tuned/config`` and ``drift.calibration``; a new report writes
+    none of them, and the old ones still load everywhere."""
+
+    @pytest.fixture(scope="class")
+    def report_doc(self):
+        from repro.bte import build_bte_problem, hotspot_scenario
+
+        problem, _ = build_bte_problem(hotspot_scenario(
+            nx=8, ny=8, ndirs=4, n_freq_bands=4, dt=1e-12, nsteps=2))
+        problem.enable_gpu()
+        problem.extra["gpu_force_offload"] = True
+        return problem.solve().run_report().to_dict()
+
+    @pytest.fixture
+    def stale_path(self, report_doc, tmp_path):
+        doc = json.loads(json.dumps(report_doc))
+        doc["health"] = {"status": "warning", "checked_at": 0.0,
+                         "alerts": [{"kind": "step_time_spike",
+                                     "severity": "warning", "message": "",
+                                     "value": 6.0, "threshold": 5.0,
+                                     "context": {}}],
+                         "thresholds": {"step_time_spike": 5.0}}
+        doc.setdefault("tuning", {}).update(
+            tuned=True, config={"assembly_order": ["b", "cells", "d"]})
+        doc["profile"]["drift"]["calibration"] = {
+            "factor": 3.0, "machine": "CascadeLake/Finch-generated",
+            "suggested_intensity_per_dof": 3.66e-6,
+            "measured_per_dof": 3.66e-6, "ndof": 1280, "note": ""}
+        path = tmp_path / "stale_report.json"
+        path.write_text(json.dumps(doc))
+        return path
+
+    def test_new_report_writes_none_of_them(self, report_doc):
+        assert "health" not in report_doc
+        assert set(report_doc.get("tuning", {})) <= {"cache"}
+        assert "calibration" not in report_doc["profile"]["drift"]
+
+    def test_analyze_and_compare_read_a_stale_report(self, stale_path, capsys):
+        from repro.cli import main
+
+        assert main(["analyze", str(stale_path)]) == 0
+        assert "I_interior_step" in capsys.readouterr().out
+        assert main(["compare", str(stale_path), str(stale_path)]) == 0
+        assert "top culprit: none" in capsys.readouterr().out
+
+    def test_stale_profile_document_loads(self, stale_path, tmp_path):
+        from repro.obs.profile import (extract_profile, load_profile,
+                                       profile_table, write_profile)
+
+        profile = extract_profile(json.loads(stale_path.read_text()))
+        loaded = load_profile(write_profile(profile, tmp_path / "p.json"))
+        assert loaded["drift"]["calibration"]["factor"] == 3.0
+        assert "perfmodel drift" in profile_table(loaded)

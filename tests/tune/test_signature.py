@@ -171,9 +171,14 @@ class TestInvalidation:
         assert cache_key(serial, "cpu") != cache_key(parted, "cpu")
 
     def test_tuner_knobs_change_key(self):
-        plain, chunked = make_problem(), make_problem()
-        chunked.extra["gpu_kernel_chunks"] = 4
-        assert cache_key(plain, "gpu") != cache_key(chunked, "gpu")
+        # the GPU knobs of problem.extra steer placement and the kernel model
+        plain = make_problem()
+        for knob, value in (("gpu_force_offload", True),
+                            ("gpu_flop_factor", 800.0),
+                            ("placement_override", {"finish_step": "gpu"})):
+            knobbed = make_problem()
+            knobbed.extra[knob] = value
+            assert cache_key(plain, "gpu") != cache_key(knobbed, "gpu"), knob
 
 
 class TestRuntimeBoundExclusions:
@@ -188,14 +193,17 @@ class TestRuntimeBoundExclusions:
             cache_key(make_problem(nsteps=30), "cpu")
 
     def test_tuned_mode_flag_not_in_key(self):
-        plain, tuned = make_problem(), make_problem()
-        tuned.extra["tuned"] = True
-        assert cache_key(plain, "cpu") == cache_key(tuned, "cpu")
+        # a script written for the deleted autotuner still sets these keys;
+        # they are plain unused extras now and must not split the cache
+        plain, stale = make_problem(), make_problem()
+        stale.extra.update(tuned=True, tuning_db="tuned.json",
+                           gpu_kernel_chunks=4)
+        assert cache_key(plain, "gpu") == cache_key(stale, "gpu")
 
 
 class TestTuningKey:
-    """The tuning key normalises the knobs out: one DB entry covers every
-    configuration of the same underlying problem."""
+    """The tuning key normalises the knobs out: one run-registry timeline
+    covers every configuration of the same underlying problem."""
 
     def test_invariant_under_assembly_order(self):
         fused, blocked = make_problem(), make_problem()
