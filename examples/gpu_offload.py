@@ -48,7 +48,7 @@ def main() -> None:
     print()
     print(solver.placement.report())
 
-    if solver.target_name != "gpu":
+    if solver.state.device is None:  # every task on the CPU: the host form
         print("\nthe optimiser kept everything on the CPU for this size —")
         print("rerun without --tiny to see the offloaded path")
         return

@@ -1,18 +1,23 @@
 """Code generation targets.
 
-Six targets; the first four mirror the paper's generation modes:
+Six targets; the first four mirror the paper's generation modes and are one
+finite-volume program (:class:`~repro.codegen.target_base.FVTarget`) under a
+placement of the step's tasks and a partition, their interior emitted by
+:func:`~repro.codegen.emit.emit_interior` — a call on host arrays where the
+plan puts ``interior_update`` on the host, a device launch where on the GPU:
 
-* ``cpu`` (:mod:`~repro.codegen.cpu_serial`) — nested-loop serial solver,
-  loop order from ``assemblyLoops``;
-* ``distributed`` (:mod:`~repro.codegen.cpu_distributed`) — SPMD rank
-  program over the simulated communicator, with cell (mesh) or band
-  (equation) partitioning;
-* ``gpu`` (:mod:`~repro.codegen.gpu_hybrid`) — flattened one-thread-per-DOF
+* ``cpu`` (:mod:`~repro.codegen.cpu_serial`) — the constant all-host plan:
+  the nested-loop serial solver, loop order from ``assemblyLoops``;
+* ``distributed`` (:mod:`~repro.codegen.cpu_distributed`) — the all-host
+  plan, split into SPMD rank programs over the simulated communicator, with
+  cell (mesh) or band (equation) partitioning;
+* ``gpu`` (:mod:`~repro.codegen.gpu_hybrid`) — the placement optimiser's
+  plan (:mod:`~repro.codegen.placement`): flattened one-thread-per-DOF
   kernels on the simulated device, asynchronous launch overlapped with
-  CPU-pinned boundary callbacks, data movement planned by the placement
-  optimiser (:mod:`~repro.codegen.placement`);
-* ``gpu_distributed`` (:mod:`~repro.codegen.gpu_multi`) — band partitioning
-  across devices, one rank per device (Fig. 7);
+  CPU-pinned boundary callbacks, data movement planned from the plan — or,
+  when it keeps every task on the CPU, the ``cpu`` target's host form;
+* ``gpu_distributed`` (:mod:`~repro.codegen.gpu_multi`) — the band ranks
+  with the device step, one rank per device (Fig. 7);
 * ``interp`` (:mod:`~repro.codegen.interpreted`) — no generated numerics:
   the emitter's oracle, walking the symbolic form;
 * ``fem`` (:mod:`~repro.codegen.fem_target`) — P1 weak-form path.
@@ -25,6 +30,8 @@ from :func:`~repro.codegen.target_base.emit_step_loop`.
 
 from __future__ import annotations
 
+import importlib
+
 from repro.util.errors import CodegenError
 from repro.util.lazy import lazy_exports
 
@@ -36,36 +43,24 @@ __getattr__, __dir__, _lazy = lazy_exports(__name__, {
 })
 
 
+#: target name -> (module, class), imported on first use
+_TARGETS = {
+    "cpu": ("cpu_serial", "CPUSerialTarget"),
+    "distributed": ("cpu_distributed", "CPUDistributedTarget"),
+    "gpu": ("gpu_hybrid", "GPUHybridTarget"),
+    "gpu_distributed": ("gpu_multi", "GPUMultiTarget"),
+    "interp": ("interpreted", "InterpretedTarget"),
+    "fem": ("fem_target", "FEMTarget"),
+}
+
+
 def make_target(name: str) -> CodegenTarget:
     """Instantiate a codegen target by name (one of the six above)."""
-    if name == "cpu":
-        from repro.codegen.cpu_serial import CPUSerialTarget
-
-        return CPUSerialTarget()
-    if name == "distributed":
-        from repro.codegen.cpu_distributed import CPUDistributedTarget
-
-        return CPUDistributedTarget()
-    if name == "gpu":
-        from repro.codegen.gpu_hybrid import GPUHybridTarget
-
-        return GPUHybridTarget()
-    if name == "gpu_distributed":
-        from repro.codegen.gpu_multi import GPUMultiTarget
-
-        return GPUMultiTarget()
-    if name == "interp":
-        from repro.codegen.interpreted import InterpretedTarget
-
-        return InterpretedTarget()
-    if name == "fem":
-        from repro.codegen.fem_target import FEMTarget
-
-        return FEMTarget()
-    raise CodegenError(
-        f"unknown codegen target {name!r} "
-        "(cpu/distributed/gpu/gpu_distributed/interp/fem)"
-    )
+    if name not in _TARGETS:
+        raise CodegenError(
+            f"unknown codegen target {name!r} ({'/'.join(_TARGETS)})")
+    module, cls = _TARGETS[name]
+    return getattr(importlib.import_module(f"repro.codegen.{module}"), cls)()
 
 
 __all__ = ["make_target", *_lazy]

@@ -34,19 +34,16 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.codegen.cpu_serial import emit_rhs_function
-from repro.codegen.emit import ExprEmitter
 from repro.codegen.state import SolverState
 from repro.codegen.target_base import (
     ADVANCE,
     CodegenTarget,
+    FVTarget,
     GeneratedSolver,
     emit_step_loop,
-    source_header,
 )
-from repro.ir.build import build_ir
-from repro.ir.lowering import lower_conservation_form
-from repro.ir.nodes import print_ir
+from repro.ir.build import build_ir  # noqa: F401  (the build's stages, named here)
+from repro.ir.lowering import lower_conservation_form  # noqa: F401
 from repro.mesh.partition import (
     build_partition_layout,
     partition_cells,
@@ -117,91 +114,66 @@ RANK_LOOPS = {
 }
 
 
-class CPUDistributedTarget(CodegenTarget):
-    """Cell- or band-partitioned SPMD generation."""
+class CPUDistributedTarget(FVTarget):
+    """Cell- or band-partitioned SPMD generation: the all-host plan, split."""
 
     name = "distributed"
 
-    def build_artifact(self, problem: "Problem"):
-        if problem.equation is None:
-            raise CodegenError("no conservation_form declared")
+    def partition(self, problem: "Problem") -> str:
+        return problem.config.partition_strategy
+
+    def plan(self, problem: "Problem", form) -> dict:
         cfg = problem.config
         if cfg.partition_strategy not in RANK_LOOPS:
             raise CodegenError(
                 "distributed target needs partitioning('cells'|'bands', nparts)"
             )
-        if cfg.stepper not in ("euler", "euler_explicit"):
-            raise CodegenError(
-                "the distributed rank programs implement the paper's "
-                f"forward-Euler scheme; got {cfg.stepper!r}"
-            )
-        cells = cfg.partition_strategy == "cells"
-        unknown = problem.unknown
-        expanded, form = lower_conservation_form(
-            problem.equation.source, unknown, problem.entities, problem.operators
-        )
-        ir = build_ir(problem, form, flavor="distributed")
-        emitter = ExprEmitter(problem, form)
-
-        lines = source_header("cpu_distributed", problem, print_ir(ir))
-        lines += emit_rhs_function(problem, emitter, owned_columns=cells)
-        lines += emit_step_loop("cpu_distributed", spmd=True,
-                                **RANK_LOOPS[cfg.partition_strategy])
-        source = "\n".join(lines) + "\n"
-
         # partitioning is part of the build: the Metis-style cut and the
         # halo layout are pure functions of (mesh, nparts, flux_order)
-        partition = (_cell_layout(problem, cfg.nparts) if cells
-                     else _split_components(problem, cfg.nparts))
-        return self.make_artifact(
-            problem, source,
-            static_env={
-                **emitter.component_tables(),
-                "NCOMP": unknown.space.ncomp,
-                "NCELLS": problem.mesh.ncells,
-                "NPARTS": cfg.nparts,
-                **_partition_tables(problem)(partition),
-            },
-            attrs={
-                "ir": ir,
-                "classified_form": form,
-                "expanded_expr": expanded,
-                "layout": partition if cells else None,
-            },
-        )
+        cells = cfg.partition_strategy == "cells"
+        return {"layout": _cell_layout(problem, cfg.nparts) if cells else None}
+
+    def program(self, problem: "Problem", plan: dict) -> list[str]:
+        return emit_step_loop(self.source_name, spmd=True,
+                              **RANK_LOOPS[self.partition(problem)])
+
+    def tables(self, problem: "Problem", plan: dict) -> dict:
+        partition = plan["layout"]
+        if partition is None:
+            partition = _split_components(problem, problem.config.nparts)
+        return {"NPARTS": problem.config.nparts, **_partition_tables(problem)(partition)}
 
     def bind_artifact(self, problem: "Problem", artifact) -> GeneratedSolver:
-        if problem.config.partition_strategy == "cells":
-            axis, current = "cells", artifact.attrs["layout"]
-            repartition = partial(_cell_layout, problem)
-        else:
-            axis, current = "comps", _split_components(problem, problem.config.nparts)
-            repartition = partial(_split_components, problem)
-        return bind_spmd(self, problem, artifact, SolverState(problem), current,
-                         axis=axis, repartition=repartition,
-                         tables=_partition_tables(problem))
+        return bind_spmd(self, problem, artifact, SolverState(problem))
 
 
-def bind_spmd(target: CodegenTarget, problem: "Problem", artifact, master,
-              current, *, axis: str, repartition, tables,
-              env: dict | None = None) -> GeneratedSolver:
+def bind_spmd(target: CodegenTarget, problem: "Problem", artifact, master, *,
+              env: dict | None = None, prepare=None) -> GeneratedSolver:
     """The bind half every SPMD target shares: what the driver and the rank
     programs of :func:`emit_step_loop` read from their namespace.
 
-    The partition — ``current``: a ``PartitionLayout`` when ``axis`` is
-    ``'cells'``, the ranks' owned component sets when ``'comps'`` — lives
-    in a box, so the elastic runtime can swap it mid-run:
+    The partition — the artifact's ``PartitionLayout`` under cell
+    partitioning, the ranks' owned component sets under band partitioning —
+    lives in a box, so the elastic runtime can swap it mid-run:
     ``make_rank_state`` and the merger read the box, not a fixed layout.
     ``repartition(nranks, weights)`` builds another one and
     ``tables(partition)`` the namespace entries one decides; both reach the
     :class:`~repro.runtime.rebalance.ElasticRunner`, bound only when the
     problem opted in (``rebalance`` extra: the driver otherwise calls
-    ``run_spmd`` directly, at zero overhead).
+    ``run_spmd`` directly, at zero overhead).  ``prepare(state, rank)``
+    finishes a rank state (a device target attaches the rank's device).
     """
+    cells = problem.config.partition_strategy == "cells"
+    if cells:
+        axis, current = "cells", artifact.attrs["layout"]
+        repartition = partial(_cell_layout, problem)
+    else:
+        axis, current = "comps", _split_components(problem, problem.config.nparts)
+        repartition = partial(_split_components, problem)
+    tables = _partition_tables(problem)
     extra = problem.extra
     box = [current]
     network = extra.get("network_model", IB_CLUSTER)
-    cells = axis == "cells"
 
     def owned_of(partition):
         return partition.owned if cells else partition
@@ -233,6 +205,8 @@ def bind_spmd(target: CodegenTarget, problem: "Problem", artifact, master,
         setattr(st, "owned_cells" if cells else "owned_comps", owned_of(box[0])[rank])
         if controller is not None:
             controller.prepare_rank_state(st)
+        if prepare is not None:
+            prepare(st, rank)
         return st
 
     def merge_results(state: SolverState, result, nsteps: int) -> None:
@@ -320,14 +294,6 @@ def _cell_layout(problem: "Problem", nranks: int, weights=None):
         problem.mesh, parts, halo_layers=max(1, problem.config.flux_order))
 
 
-def band_temperature_costs(cost: CostModel, ncells: int, owned_sets, ndirs: int):
-    """Per-rank virtual cost of the temperature update under band
-    partitioning: Newton runs redundantly on every rank; the Io/tau refresh
-    only covers the rank's own bands (the paper's Fig. 5 asymmetry)."""
-    return [cost.newton_step(ncells) + cost.iobeta_step(ncells, max(1, len(o) // ndirs))
-            for o in owned_sets]
-
-
 def _partition_tables(problem: "Problem"):
     """``tables(partition)``: the namespace entries a partition decides —
     the halo maps of a cell layout, and the per-rank cost vectors: each
@@ -337,6 +303,8 @@ def _partition_tables(problem: "Problem"):
     cost = CostModel(problem.extra.get("machine_rates", CASCADE_LAKE_FINCH))
     ncomp, ncells = problem.unknown.space.ncomp, problem.mesh.ncells
     nbands = _band_count(problem)
+    ndirs = max(1, ncomp // max(nbands, 1))
+    n_bfaces = int(np.count_nonzero(problem.mesh.face_cells[:, 1] < 0))
 
     def cell_tables(layout):
         return {
@@ -349,8 +317,13 @@ def _partition_tables(problem: "Problem"):
     def band_tables(owned_sets):
         return {
             "COST_SOLVE": [cost.intensity_step(ncells, len(o)) for o in owned_sets],
-            "COST_TEMP": band_temperature_costs(
-                cost, ncells, owned_sets, max(1, ncomp // max(nbands, 1))),
+            # Newton runs redundantly on every rank; the Io/tau refresh only
+            # covers the rank's own bands (the paper's Fig. 5 asymmetry)
+            "COST_TEMP": [cost.newton_step(ncells)
+                          + cost.iobeta_step(ncells, max(1, len(o) // ndirs))
+                          for o in owned_sets],
+            # a device rank's boundary part, overlapped with its kernel
+            "COST_BOUNDARY": [cost.boundary_step(n_bfaces, len(o)) for o in owned_sets],
         }
 
     return cell_tables if problem.config.partition_strategy == "cells" else band_tables

@@ -11,7 +11,7 @@ as locals prepared by the generated function):
 ``u``             unknown, ``(ncomp, ncells)``
 ``u1``, ``u2``    owner/neighbour face values of the rows in ``sel``,
                   ``(nsel, nfaces)`` — one row tile's gathers
-                  (:func:`emit_tile_body`)
+                  (:func:`emit_interior`)
 ``us``            the unknown's rows of one tile, ``(nsel, ncells)``
 ``f<i>``/``c<i>`` face-/cell-shaped scratch registers of one tile (``d<i>``:
                   cell-shaped, of a surface statement folded through the
@@ -769,7 +769,7 @@ class ExprEmitter:
             rows = self._row_map(names)
             out[f"tmap_{suffix}"] = rows
             out[f"trep_{suffix}"] = np.unique(rows, return_index=True)[1]
-        # in the order a tile unpacks its reads (``TileBody.tiles``)
+        # in the order a tile unpacks its reads (:func:`emit_interior`)
         out["TMAPS"] = tuple(out[f"tmap_{suffix}"] for suffix in self.row_spaces)
         return out
 
@@ -815,29 +815,6 @@ class ExprEmitter:
             for name in refs
             if self.entities.coefficients[name].is_function
         }
-
-
-class TileBody(NamedTuple):
-    """What :func:`emit_tile_body` hands a target: the ``scratch`` lines
-    binding the register pools (before the sweep), the ``sweep`` lines run
-    once before the first tile, the ``lines`` of one tile, the array leaves
-    (``reads``) those need bound, the source (``setup``) of
-    ``invariant_tables`` — and of ``folded_tables`` when the surface
-    statement folds (``surface.folded``) — and the comma-joined names
-    (``tables``) of the list the tile reads from the one or the other (both
-    empty if nothing is tabled), the emitted ``surface`` statement, and the
-    source (``boundary``) of ``compute_boundary_contribution``.  The target's
-    loop reads ``for {tiles} in <kernels.tile_plan of its rows over TMAPS>:``."""
-
-    scratch: list[str]
-    sweep: list[str]
-    lines: list[str]
-    tiles: str
-    reads: set[str]
-    setup: list[str]
-    tables: str
-    surface: EmittedExpr
-    boundary: list[str]
 
 
 def hoisted_lines(defs: list[Hoisted], registers: int = 0) -> list[str]:
@@ -983,56 +960,129 @@ def _bind(names: list[str], pool: str) -> str:
     return f"{', '.join(names)}, = {pool}[:, :n]"
 
 
-def emit_tile_body(
-    emitter: ExprEmitter,
-    *,
-    gather: list[str],
-    divergence: str,
-    store: str,
-    buffer: str,
-    nfaces: str,
-    ncells: str,
-    dt: str | None = None,
-    overrides: str | None = None,
-    boundary: list[str] | None = None,
-    inplace: str | None = None,
-) -> TileBody:
-    """The statements every target runs on one tile of component rows.
+#: the steppers whose sweep stores the explicit update itself
+EULER = ("euler", "euler_explicit")
 
-    gather ``u1``/``u2`` → surface statement → FLUX overrides → divergence →
-    volume statement → store; or, with the surface statement folded through
-    the divergence (:meth:`ExprEmitter._fold_divergence`), the folded
-    statement straight from ``us`` — interior faces only: the boundary faces
-    are ``compute_boundary_contribution``'s, whose result the target adds in
-    (a CPU target with the ``boundary`` statements, on ``{new}``, before the
-    store).  ``sel`` is the tile's row selector, one entry of the tile plan
-    with ``n`` and its table reads; the caller wraps the body in its loop
-    over the plan and supplies what differs per target: the ``gather`` lines
-    binding ``u1, u2`` (into ``fu``, ``fv``), the ``divergence`` call over
-    ``flux`` (into ``acc``, with scratch ``cw``), the name of a precomputed
-    ``(faces, values)`` override list (CPU only), and the ``store``
-    statement consuming ``acc``: the right-hand side, or with ``dt`` named
-    the forward-Euler update ``u[sel] + dt * rhs`` — added straight into
-    ``inplace`` (``us``, ``u_new[sel]``: where the rows finally live) when
-    ``sel`` is a slice, so that is a view.  Nothing in a tile is a
-    fresh array: the statements write registers (:class:`_Registers`), which
-    with the gather, divergence and update targets are the tile's rows of
-    two pools taken once per sweep from ``buffer(name, shape)`` —
-    ``nfaces``/``ncells`` wide, ``height`` rows; a folded tile has no face
-    pool — and the known-variable terms a third.  Every operation is
-    elementwise per row (the divergence is per column, the folded operator
-    per run of equal table rows) and a statement reads the unknown only
-    through the tile's own rows — ``us``, ``u1``/``u2``; the walker fails
-    with RPR141 on anything else — so results do not depend on the tiling
-    and the store may overwrite ``u[sel]`` itself.
+#: What ends a device-placed interior's step, wherever the plan put it.
+FINISH_STEP = [
+    "def finish_step(u, du_bdry, u_bdry, reduced, buffer, sel=slice(None), comps=None):",
+    '    """What ends a step once the interior update ``u`` and the boundary',
+    "    part exist — one body, launched on the device buffers or called on",
+    "    the host arrays, wherever the plan put it.  Adds the boundary part",
+    "    into the boundary cells' columns (``u + (du_bdry * dt)``, that",
+    "    association; every other column is left alone, an exact -0.0",
+    "    included), runs the post-step callbacks' declared reductions into",
+    "    ``reduced``, and gathers the owner values the next step's boundary",
+    "    callbacks read — after the column update, so they are those of the",
+    "    finished step.  ``sel``/``comps`` restrict a band-partitioned rank",
+    '    to its own rows."""',
+    "    cols = buffer('bdry_cols', du_bdry.shape)",
+    "    u.take(BCELLS, axis=1, out=cols, mode='clip')",
+    "    np.add(cols, np.multiply(du_bdry, DT, out=du_bdry), out=cols)",
+    "    u[sel if isinstance(sel, slice) else sel[:, None], BCELLS] = cols[sel]",
+    "    for reduce, out in zip(REDUCTIONS, reduced):",
+    "        reduce(u, comps, out, buffer('reduce_work', out.shape))",
+    "    u.take(BOWNER, axis=1, out=u_bdry, mode='clip')",
+]
+
+
+def emit_interior(emitter: ExprEmitter, device: bool, *, stepper: str = "euler",
+                  owned_columns: bool = False) -> list[str]:
+    """The finite-volume interior of every target, for where the step's
+    placement put ``interior_update``.
+
+    On the host it is a call on the host arrays, ``compute_rhs(state, u, t,
+    rows=None)`` (``rows``: a band rank's).  Under forward Euler the sweep
+    stores the update itself, ``u[sel] + dt * rhs`` (a cell rank,
+    ``owned_columns``, only in the columns it owns); other steppers get the
+    RHS back.  ``finish_step`` is on the host with it, folded into the tile:
+    the boundary part is evaluated once before the sweep and each tile adds
+    its rows of it into the boundary cells' columns.  On the ``device`` it
+    is a launch over the interior faces into ``u_new``,
+    ``interior_kernel(u, var_*, u_new, buffer, sel)``, and the step places
+    :data:`FINISH_STEP`.
+
+    A tile of component rows: gather ``u1``/``u2`` → surface statement →
+    FLUX overrides (host) → divergence → volume statement → store, or the
+    statement folded through the divergence
+    (:meth:`ExprEmitter._fold_divergence`), straight from ``us``.  Nothing in
+    a tile is a fresh array: statements write registers
+    (:class:`_Registers`), the tile's rows of pools taken once per sweep from
+    ``buffer(name, shape)``.  Every operation is elementwise per row and a
+    statement reads the unknown only through the tile's own rows (RPR141 on
+    anything else), so results do not depend on the tiling and the update is
+    added straight into where the rows live (``us``, ``u_new[sel]``) when
+    ``sel`` is a slice.
     """
     form = emitter.form
     surface = emitter.emit_sum(form.surface_terms, "surface")
     volume = emitter.emit_sum(form.volume_terms, "volume")
     setup, invariant, tables = _invariant_tables(surface, volume)
     folded = surface.folded
+    two_sided = form.surface_terms and not folded
+    inplace = device or stepper in EULER
+    lines = setup
+    if device:
+        known = ", ".join(["u", *(f"var_{n}" for n in emitter.referenced_known_variables())])
+        head = f"def interior_kernel({known}, u_new, buffer, sel=slice(None)):"
+        body = [
+            '"""Interior bulk: uniform work, no thread divergence between DOFs',
+            "(paper Sec. III-D).  Boundary faces contribute zero here;",
+            "``finish_step`` adds their part to what this wrote.  ``sel`` restricts",
+            "the component rows (multi-device band partitioning launches one",
+            "kernel per rank over its own bands); only those rows are touched.",
+            "``buffer(name, shape)`` hands out the workspace the tiles reuse",
+            '(the device\'s, or the host state\'s when the step degrades)."""',
+            "rows = sel",
+            "owner = OWNER_INT",
+        ]
+        buffer, nfaces, ncells, normal, face_dist = (
+            "buffer", "len(owner)", "NCELLS", "NORMALS_INT", "FACEDIST_INT")
+        gather = ["# owner/neighbour gathers restricted to interior faces",
+                  "u1 = np.take(us, owner, axis=1, out=fu, mode='clip')",
+                  "u2 = np.take(us, NEIGH_INT, axis=1, out=fv, mode='clip')"]
+        divergence = "kernels.slot_divergence(DIV_INT, flux, acc, cw)"
+        dt, into, store = "DT", "u_new[sel]", "u_new[sel] = acc"
+        read, scratch_of = "INT_TABLES", "the workspace handed in"
+        plan, order = "TILE_PLANS, rows, NCOMP, height, TMAPS", "one block per launch"
+        geometry = "NORMALS_INT, FACEDIST_INT, OWNER_INT, NEIGH_INT"
+        if tables:
+            lines += ["# over the interior faces, evaluated when the source is bound",
+                      f"INT_TABLES = folded_tables({geometry}, DIV_INT)" if folded
+                      else f"INT_TABLES = invariant_tables({geometry})"]
+        lines += ["TILE_PLANS = {}  # per row selection a launch was given", "", ""]
+    else:
+        head = "def compute_rhs(state, u, t, rows=None):"
+        body = [
+            '"""Semi-discrete RHS du/dt: volume sources + surface divergence —',
+            "returned, or under forward Euler stepped in place, ``u += dt * rhs`` (a",
+            "tile reads the unknown only through its own rows, and the boundary",
+            "values are evaluated from the pre-step ``u`` before the first store).",
+            "",
+            "``rows`` restricts the sweep to those component rows (a rank's owned",
+            'bands); the other rows are left untouched."""',
+            "geom = state.geom",
+            "dt = state.dt",
+            *["owner = geom.owner"] * bool(two_sided),
+        ]
+        buffer, nfaces, ncells, normal, face_dist = (
+            "state.buffer", "geom.nfaces", "geom.ncells", "geom.normal", "geom.face_dist")
+        gather = ["u1, u2 = geom.gather_sides(u, ghost, sel, out=(fu, fv))"]
+        divergence = "geom.surface_divergence(flux, out=acc, work=cw)"
+        dt = "dt" if inplace else None
+        into = None if owned_columns else "us"
+        store = ("rhs[sel] = acc" if not inplace else
+                 "kernels.store_columns(u, sel, state.owned_cells, acc, out=cw)"
+                 if owned_columns else "u[sel] = acc")
+        read = ("state.tables(folded_tables, geom.interior_faces, divergence=True)"
+                if folded else "state.tables(invariant_tables)")
+        scratch_of = "owned by the state"
+        plan = "state.plans, rows, NCOMP, height, TMAPS, state.row_blocks"
+        order = ("blocks in assemblyLoops order ("
+                 + ", ".join(emitter.problem.config.assembly_order) + ")")
+
+    # ---- one tile of rows -----------------------------------------------------
     nsweep = volume.sweep_registers
-    sweep = hoisted_lines(surface.sweep + volume.sweep, nsweep)
     face_regs = [f"f{i}" for i in range(surface.registers)]
     # gather targets, and a tile for a statement that is no register of its
     # own (a bare table, a leaf, a row): the overrides and the divergence
@@ -1043,56 +1093,120 @@ def emit_tile_body(
     cell_regs += [f"d{i}" for i in range(folded.registers)] if folded else []
     cell_regs += ["acc", "cw", "cu"]
     scratch = [f"cell_pool = {buffer}('cells', ({len(cell_regs)}, height, {ncells}))"]
-    body = [_bind(cell_regs, "cell_pool"), "us = kernels.rows_of(u, sel, cu)"]
-    if form.surface_terms and not folded:
+    tile = [_bind(cell_regs, "cell_pool"), "us = kernels.rows_of(u, sel, cu)"]
+    if two_sided:
         scratch.append(
             f"face_pool = {buffer}('faces', ({len(face_regs)}, height, {nfaces}))")
-        body.append(_bind(face_regs, "face_pool"))
+        tile.append(_bind(face_regs, "face_pool"))
     if nsweep:
         spaces = sorted({f"len(trep_{h.rows})" for h in volume.sweep})
         rows = spaces[0] if len(spaces) == 1 else f"max({', '.join(spaces)})"
         scratch.append(f"sweep_pool = {buffer}('sweep', ({nsweep}, {rows}, {ncells}))")
 
     def statement(name: str, target: str, expr: EmittedExpr, terms: list[Expr]) -> None:
-        body.extend(f"# RHS {name}: {t}" for t in map(str, terms))
-        body.extend(expr.prelude)
-        body.append(f"{target} = {expr.code}")
+        tile.extend(f"# RHS {name}: {t}" for t in map(str, terms))
+        tile.extend(expr.prelude)
+        tile.append(f"{target} = {expr.code}")
 
     if folded:
         statement("surface, through the divergence", "div", folded, form.surface_terms)
     elif form.surface_terms:
-        body += gather
+        tile += gather
         if surface.upwind:  # the upwinded side: select from both
-            body.append(f"uw = {surface.upwind.select}")
+            tile.append(f"uw = {surface.upwind.select}")
         statement("surface", "flux", surface, form.surface_terms)
         if "fx" in face_regs:
-            body += ["fx[...] = flux", "flux = fx"]
-        if overrides is not None:
-            body += [
+            tile += ["fx[...] = flux", "flux = fx"]
+        if not device:
+            tile += [
                 "# FLUX-type boundary callbacks override their faces",
-                f"for faces, values in {overrides}:",
+                "for faces, values in overrides:",
                 "    flux[:, faces] = values[sel]",
             ]
-        body.append(f"div = {divergence}")
+        tile.append(f"div = {divergence}")
     else:
-        body.append("div = 0.0")
+        tile.append("div = 0.0")
     if form.volume_terms:
         statement("volume", "source", volume, form.volume_terms)
     else:
-        body.append("source = 0.0")
-    body.append("np.add(source, div, out=acc)")
-    new = "new" if dt is not None and inplace else "acc"
+        tile.append("source = 0.0")
+    tile.append("np.add(source, div, out=acc)")
+    new = "new" if dt is not None and into else "acc"
     if dt is not None:
-        body.append(f"np.multiply(acc, {dt}, out=acc)")
-        body += [f"new = {inplace} if sel.__class__ is slice else acc"] * (new == "new")
-        body.append(f"np.add(us, acc, out={new})  # explicit update, Eq. (3)")
-    if folded and boundary:
-        body += [ln.format(new=new) for ln in boundary]
-    body += ["if new is acc:", "    " + store] if new == "new" else [store]
+        tile.append(f"np.multiply(acc, {dt}, out=acc)")
+        tile += [f"new = {into} if sel.__class__ is slice else acc"] * (new == "new")
+        tile.append(f"np.add(us, acc, out={new})  # explicit update, Eq. (3)")
+    if folded and not device:  # finish_step, in the tile
+        tile += [f"cols = {new}.take(bcells, axis=1, out=bcols[:n], mode='clip')",
+                 "np.add(cols, bdry[sel], out=cols)",
+                 f"{new}[:, bcells] = cols"]
+    tile += ["if new is acc:", "    " + store] if new == "new" else [store]
     tiles = ", ".join(["sel", "n", *(f"{kind}_{suffix}" for suffix in emitter.row_spaces
                                     for kind in ("rows", "runs"))])
-    return TileBody(scratch, sweep, body, tiles, surface.reads | volume.reads, setup, tables,
-                    surface, _boundary_part(form, surface, invariant, tiles))
+
+    # ---- the sweep around it --------------------------------------------------
+    reads = surface.reads | volume.reads
+    if two_sided:
+        body += [f"{name} = {normal}[:, {axis - 1}]" for axis, name in _AXIS_NAMES.items()
+                 if name in reads]
+        body += [f"face_dist = {face_dist}"] * ("face_dist" in reads)
+    if tables:
+        body.append(f"[{tables}] = {read}")
+    for name in emitter.function_coefficients():  # none on the device
+        body += [
+            f"# function coefficient {name!r} evaluated on centres",
+            f"fcoef_{name} = eval_fcoef_{name}(geom.cell_center, t)",
+        ]
+        if f"fcoef_{name}_face" in reads:
+            body.append(f"fcoef_{name}_face = eval_fcoef_{name}(geom.center, t)")
+    body += [
+        f"# scratch, {scratch_of}: nothing below allocates a tile",
+        f"height = kernels.tile_rows({nfaces}, NCOMP)",
+        *scratch,
+    ]
+    sweep = hoisted_lines(surface.sweep + volume.sweep, nsweep)
+    if sweep:
+        body += ["# sub-expressions of known variables, once over their own rows", *sweep]
+    if folded and not device:
+        body += [
+            "",
+            "# the boundary faces' part, from their owner values, once per",
+            "# evaluation (user callbacks execute on the CPU)",
+            "bcells = geom.bcells",
+            "bcols = state.buffer('bdry_cols', (height, len(bcells)))",
+            "u_bdry = state.buffer('u_bdry', (NCOMP, len(geom.bowner)))",
+            "bdry = compute_boundary_contribution(",
+            "    state, u.take(geom.bowner, axis=1, out=u_bdry, mode='clip'), t)",
+        ]
+        if inplace:
+            body.append("np.multiply(bdry, dt, out=bdry)  # u + (du_bdry * dt), as finish_step")
+    elif not device:
+        body += [
+            "",
+            "# boundary ghost values and FLUX overrides, once per evaluation",
+            "# (user callbacks execute on the CPU)",
+            "ghost = state.bset.ghost_values(",
+            "    u, t, dt, state.extra, out=state.buffer('ghost', (NCOMP, len(geom.bfaces))))",
+        ]
+        if form.surface_terms:
+            body.append("overrides = state.bset.flux_overrides(u, t, dt, state.extra)")
+        if inplace:
+            body.append("state.require_private_inputs(u, ghost"
+                        f"{', overrides' if form.surface_terms else ''})")
+    if not inplace:
+        body.append("rhs = np.empty((NCOMP, geom.ncells))")
+    body += [
+        "",
+        f"# cache-sized tiles of rows, {order}: planned once",
+        f"for {tiles} in kernels.tile_plan({plan}):",
+        *("    " + ln for ln in tile),
+    ]
+    if not inplace:
+        body.append("return rhs")
+    if folded or device:
+        lines += _boundary_part(form, surface, invariant, tiles)
+    lines += [head, *("    " + ln if ln else ln for ln in body)]
+    return lines + ["", "", *FINISH_STEP] if device else lines
 
 
 def _count_flops(term: Expr) -> int:
@@ -1121,8 +1235,9 @@ __all__ = [
     "ExprEmitter",
     "EmittedExpr",
     "Hoisted",
-    "TileBody",
+    "EULER",
+    "FINISH_STEP",
     "Upwind",
-    "emit_tile_body",
+    "emit_interior",
     "hoisted_lines",
 ]

@@ -30,8 +30,12 @@ Either way the device owns the unknown only while ``buffers['u'].on_device``:
 any host access takes it back (:meth:`SolverState.claim_unknown`) and the
 next step uploads it again.  The plan and transfer schedule are attached to
 the solver (``solver.placement``, ``solver.transfer_plan``); user callbacks
-are pinned to the CPU; if the optimiser decides the interior update is not
-worth offloading — tiny problems — the kernel simply runs on the host path.
+are pinned to the CPU.  When the optimiser keeps ``interior_update`` on the
+host too — tiny problems — every task is on the CPU, and the plan emits the
+host form the ``cpu`` target emits (one emitter,
+:func:`repro.codegen.emit.emit_interior`): ``compute_rhs`` with the boundary
+part added in the tile, no device bound.  This module holds the plan, the
+device step emitted from it, the hybrid's holes and its cost tables.
 
 Numerics run for real on the simulated device's buffers; kernel and PCIe
 times come from the device model (see DESIGN.md).  Host work is charged to
@@ -43,23 +47,21 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.codegen.emit import ExprEmitter, emit_tile_body
+from repro.codegen.emit import ExprEmitter
 from repro.codegen.placement import Task, TaskGraph, optimize_placement, plan_transfers
 from repro.codegen.placement.transfers import ArrayUse
 from repro.codegen.state import SolverState
 from repro.codegen.target_base import (
     ADVANCE,
-    CodegenTarget,
+    FVTarget,
     GeneratedSolver,
     emit_step_loop,
     indent,
-    source_header,
 )
 from repro.gpu.device import Device
 from repro.gpu.kernel import Kernel, model_launch
-from repro.ir.build import build_ir
-from repro.ir.lowering import lower_conservation_form
-from repro.ir.nodes import print_ir
+from repro.ir.build import build_ir  # noqa: F401  (the build's stages, named here)
+from repro.ir.lowering import lower_conservation_form  # noqa: F401
 from repro.obs import get_tracer
 from repro.perfmodel.costs import CostModel
 from repro.perfmodel.machines import CASCADE_LAKE_FINCH, default_gpu_spec
@@ -116,88 +118,25 @@ def _reject_reconstructions(form) -> None:
             )
 
 
-def _emit_device_source(problem: "Problem", emitter: ExprEmitter) -> list[str]:
-    """The step-invariant tables, the flattened interior kernel (one thread
-    per DOF, vectorised body swept in row tiles —
-    :func:`repro.codegen.emit.emit_tile_body`), the CPU-side boundary
-    contribution (rhs part from boundary faces) and ``finish_step``."""
-    tile = emit_tile_body(
-        emitter,
-        gather=[
-            "# owner/neighbour gathers restricted to interior faces",
-            "u1 = np.take(us, owner, axis=1, out=fu, mode='clip')",
-            "u2 = np.take(us, NEIGH_INT, axis=1, out=fv, mode='clip')",
-        ],
-        divergence="kernels.slot_divergence(DIV_INT, flux, acc, cw)",
-        store="u_new[sel] = acc",
-        dt="DT", inplace="u_new[sel]",
-        buffer="buffer", nfaces="len(owner)", ncells="NCELLS",
-    )
-    known = emitter.referenced_known_variables()
-    args = ["u"] + [f"var_{n}" for n in known] + ["u_new", "buffer"]
-    lines = ["", ""] + tile.setup
-    if tile.tables:
-        build = ("folded_tables(NORMALS_INT, FACEDIST_INT, OWNER_INT, NEIGH_INT, DIV_INT)"
-                 if tile.surface.folded else
-                 "invariant_tables(NORMALS_INT, FACEDIST_INT, OWNER_INT, NEIGH_INT)")
-        lines += [
-            "# over the interior faces, evaluated when the source is bound",
-            f"INT_TABLES = {build}",
-        ]
-    lines += ["TILE_PLANS = {}  # per row selection a launch was given", "", ""]
-    lines.append(f"def interior_kernel({', '.join(args)}, sel=slice(None)):")
-    body = [
-        '"""Interior bulk: uniform work, no thread divergence between DOFs',
-        "(paper Sec. III-D).  Boundary faces contribute zero here;",
-        "``finish_step`` adds their part to what this wrote.  ``sel`` restricts",
-        "the component rows (multi-device band partitioning launches one",
-        "kernel per rank over its own bands); only those rows are touched.",
-        "``buffer(name, shape)`` hands out the workspace the tiles reuse",
-        '(the device\'s, or the host state\'s when the step degrades)."""',
-        "rows = sel",
-        "owner = OWNER_INT",
-        "height = kernels.tile_rows(len(owner), NCOMP)",
-        *tile.scratch,
-    ]
-    for axis, name in enumerate(("normal_x", "normal_y", "normal_z")):
-        if name in tile.reads:
-            body.append(f"{name} = NORMALS_INT[:, {axis}]")
-    if "face_dist" in tile.reads:
-        body.append("face_dist = FACEDIST_INT")
-    if tile.tables:
-        body.append(f"[{tile.tables}] = INT_TABLES")
-    body += tile.sweep
-    body.append(f"for {tile.tiles} in kernels.tile_plan(TILE_PLANS, rows, NCOMP, height, TMAPS):")
-    lines += indent(body + indent(tile.lines)) + ["", ""] + tile.boundary
-    lines.append(
-        "def finish_step(u, du_bdry, u_bdry, reduced, buffer, sel=slice(None), comps=None):")
-    return lines + indent([
-        '"""What ends a step once the interior update ``u`` and the boundary',
-        "part exist — one body, launched on the device buffers or called on",
-        "the host arrays, wherever the plan put it.  Adds the boundary part",
-        "into the boundary cells' columns (``u + (du_bdry * dt)``, that",
-        "association; every other column is left alone, an exact -0.0",
-        "included), runs the post-step callbacks' declared reductions into",
-        "``reduced``, and gathers the owner values the next step's boundary",
-        "callbacks read — after the column update, so they are those of the",
-        "finished step.  ``sel``/``comps`` restrict a band-partitioned rank",
-        'to its own rows."""',
-        "cols = buffer('bdry_cols', du_bdry.shape)",
-        "u.take(BCELLS, axis=1, out=cols, mode='clip')",
-        "np.add(cols, np.multiply(du_bdry, DT, out=du_bdry), out=cols)",
-        "u[sel if isinstance(sel, slice) else sel[:, None], BCELLS] = cols[sel]",
-        "for reduce, out in zip(REDUCTIONS, reduced):",
-        "    reduce(u, comps, out, buffer('reduce_work', out.shape))",
-        "u.take(BOWNER, axis=1, out=u_bdry, mode='clip')",
-    ])
+def _reject_function_coefficients(emitter: ExprEmitter) -> None:
+    """A function coefficient is evaluated on the host, per step, where the
+    host interior reads it; the device kernels and the boundary part they
+    leave to the host are not handed it — fail with its name."""
+    names = ", ".join(map(repr, emitter.function_coefficients()))
+    if names:
+        raise CodegenError(
+            f"function coefficient {names} is evaluated on the host only: a "
+            "device-placed interior_update cannot read it; use the cpu or "
+            "distributed targets"
+        )
 
 
-def emit_device_step(name: str, plan: dict, launch: list[str], rank: str = "") -> list[str]:
+def emit_device_step(name: str, plan: dict, rank: str = "") -> list[str]:
     """The device step ``name(state)``, emitted from ``plan``
     (:func:`plan_device_step`): what is uploaded when, where ``finish_step``
     runs and what comes back are read off it here, so the generated step has
-    no branch on them.  ``launch`` are the target's interior launch lines,
-    ``rank`` its index into per-rank cost tables."""
+    no branch on them.  ``rank`` indexes a band rank's per-rank cost tables;
+    the launches cover the rank's rows (``own``) or all of them."""
     placement, transfers = plan["placement"], plan["transfer_plan"]
     reductions = [a.name for a in plan["array_uses"]
                   if "post_step_callbacks" in a.readers]
@@ -229,6 +168,7 @@ def emit_device_step(name: str, plan: dict, launch: list[str], rank: str = "") -
         "    reduced = state.reduced",
         "    own = state.owned_comps  # a band-partitioned rank's rows (None: all)",
         "    sel = slice(None) if own is None else own",
+        "    ndof = NCOMP * NCELLS if own is None else len(own) * NCELLS",
         "    resident = dev.buffers['u'].on_device",
         "",
         "    faulted = None",
@@ -247,7 +187,7 @@ def emit_device_step(name: str, plan: dict, launch: list[str], rank: str = "") -
         "        kernel_args = [dev.buffers[n].array",
         "                       for n in ['u'] + KERNEL_VAR_NAMES + ['u_new']] + [dev.workspace]",
         "        with state.profile_scope('solve'):",
-        *indent(launch, 3),
+        "            dev.launch(KERNEL, ndof, *kernel_args, sel, host_time=launch_time)",
         "    except GPU_FAULTS as exc:",
         "        faulted = exc",
         "        launch_time = host.now()",
@@ -274,8 +214,8 @@ def emit_device_step(name: str, plan: dict, launch: list[str], rank: str = "") -
             f"            state.device_transfers('h2d', [{pairs(transfers.h2d_each_step)}])",
             "            launch_time = host.now()",
             "            with state.profile_scope('solve'):",
-            "                dev.launch(FINISH, NCELLS * (NCOMP if own is None else len(own)),",
-            "                           *[dev.buffers[n].array for n in ('u_new', 'du_bdry', 'u_bdry')],",
+            "                dev.launch(FINISH, ndof, *[dev.buffers[n].array",
+            "                                           for n in ('u_new', 'du_bdry', 'u_bdry')],",
             f"                           [dev.buffers[n].array for n in {reductions!r}],",
             "                           dev.workspace, sel, own, host_time=launch_time)",
             "            state.await_device(launch_time)",
@@ -312,11 +252,11 @@ def emit_device_step(name: str, plan: dict, launch: list[str], rank: str = "") -
         "                            u, state.buffer, sel)",
         "            state.sanitize_kernel_output(KERNEL.name, lambda: u[sel])",
         "            finish_step(u, du_bdry, u_bdry, reduced, state.buffer, sel, own)",
-        f"        host.advance({cost('COST_INTERIOR_CPU')})",
+        f"        host.advance({cost('COST_SOLVE')})",
         "        trace.complete(state.host_track, 'interior_update[degraded:cpu]',",
         "                       launch_time, host.now(), cat='fault',",
         "                       reason=type(faulted).__name__)",
-        f"        state.charge_phase('solve for intensity', {cost('COST_INTERIOR_CPU')})",
+        f"        state.charge_phase('solve for intensity', {cost('COST_SOLVE')})",
         "",
         *indent(ADVANCE),
     ]
@@ -350,14 +290,15 @@ def _repin_graph(tg: TaskGraph, pins: dict[str, str]) -> TaskGraph:
     return out
 
 
-def plan_device_step(problem: "Problem", state: SolverState, emitter: ExprEmitter,
+def plan_device_step(problem: "Problem", state: SolverState, form,
                      rows: int, force_offload: bool) -> dict:
     """The step's task graph — ``rows`` component rows per launch, edges
     sized from the real arrays — its min-cut placement and the transfer
     schedule that follows; returned as the artifact attributes the solver
     carries (``placement``, ``transfer_plan``, ``array_uses`` for the
-    layer-2 verifier, ``kernel_spec``)."""
-    form, geom, unknown = emitter.form, state.geom, state.unknown
+    layer-2 verifier, ``kernel_spec``).  What only the host form carries
+    fails here if the plan puts ``interior_update`` on the device."""
+    emitter, geom, unknown = ExprEmitter(problem, form), state.geom, state.unknown
     spec = problem.config.gpu_spec or default_gpu_spec()
     cost = CostModel(problem.extra.get("machine_rates", CASCADE_LAKE_FINCH))
     ncomp, ncells = state.host_u.shape
@@ -422,6 +363,9 @@ def plan_device_step(problem: "Problem", state: SolverState, emitter: ExprEmitte
         # pinned to the device so the schedule matches the code that will run
         placement = optimize_placement(
             _repin_graph(tg, {**pins, "interior_update": "gpu"}), spec)
+    if placement.device["interior_update"] == "gpu":
+        _reject_reconstructions(form)
+        _reject_function_coefficients(emitter)
 
     both = ("interior_update", "finish_step")
     arrays = [
@@ -444,13 +388,6 @@ def plan_device_step(problem: "Problem", state: SolverState, emitter: ExprEmitte
     ]
     return {"placement": placement, "array_uses": arrays, "kernel_spec": kernel_spec,
             "transfer_plan": plan_transfers(placement, arrays)}
-
-
-def plan_header(plan: dict) -> list[str]:
-    """The plan as the comment block at the top of the generated source."""
-    return (["# placement decided by the min-cut optimiser:"]
-            + ["#   " + ln for ln in plan["placement"].report().splitlines()]
-            + ["#   " + ln for ln in plan["transfer_plan"].report().splitlines()])
 
 
 def step_env(problem: "Problem", geom, plan: dict) -> dict:
@@ -480,23 +417,25 @@ def step_env(problem: "Problem", geom, plan: dict) -> dict:
     }
 
 
-def bind_kernels(solver: GeneratedSolver, kernel_spec: dict) -> Kernel:
-    """Wrap the *generated* bodies with their work estimates."""
+def bind_kernels(solver: GeneratedSolver, kernel_spec: dict) -> None:
+    """Wrap the *generated* bodies with their work estimates; name the
+    timers that measure the device plan's tasks."""
     ns = solver.namespace
     ns["KERNEL"] = solver.kernel = Kernel(
         body=ns["interior_kernel"], doc="generated flattened interior step",
         **kernel_spec)
     ns["FINISH"] = Kernel(body=ns["finish_step"], **FINISH_WORK)
-    return solver.kernel
+    solver.task_timer_map = DEVICE_TASK_TIMERS
 
 
-def attach_device(state: SolverState, device: Device, var_names: list[str],
-                  track: str) -> Device:
-    """Make ``device`` the state's: the device-resident buffers (the unknown
-    double-buffered, the known variables, the boundary exchange, one array
-    per declared reduction), a host clock with its phase totals, and the
-    host ends of the reductions, resolved here — at generate time — from
-    the post-step records."""
+def attach_device(state: SolverState, var_names: list[str], rank: int | None = None) -> Device:
+    """Give ``state`` a device of its own (``gpu<rank>`` on a band rank):
+    the device-resident buffers (the unknown double-buffered, the known
+    variables, the boundary exchange, one array per declared reduction), a
+    host clock with its phase totals, and the host ends of the reductions,
+    resolved here — at generate time — from the post-step records."""
+    spec = state.problem.config.gpu_spec or default_gpu_spec()
+    device = Device(spec, name=f"gpu{rank or 0}:{spec.name}")
     ncomp, ncells = state.host_u.shape
     callbacks = state.problem.post_step_callbacks
     device.alloc("u", state.host_u)
@@ -515,7 +454,7 @@ def attach_device(state: SolverState, device: Device, var_names: list[str],
     device.mark_host_dirty("u")
     state.device = device
     state.host_clock = VirtualClock()
-    state.host_track = track
+    state.host_track = "hybrid/host" if rank is None else f"hybrid/rank{rank}"
     state.gpu_phases = {
         "solve for intensity": 0.0,
         "temperature update": 0.0,
@@ -528,102 +467,40 @@ def attach_device(state: SolverState, device: Device, var_names: list[str],
     return device
 
 
-class GPUHybridTarget(CodegenTarget):
+class GPUHybridTarget(FVTarget):
     """Generation for the simulated-GPU hybrid path (``use_gpu()``)."""
 
     name = "gpu"
 
-    def build_artifact(self, problem: "Problem"):
-        if problem.equation is None:
-            raise CodegenError("no conservation_form declared")
-        if problem.config.stepper not in ("euler", "euler_explicit"):
-            raise CodegenError(
-                "the hybrid GPU target implements the paper's forward-Euler "
-                f"scheme; got {problem.config.stepper!r} (use the cpu target "
-                "for RK schemes)"
-            )
-        unknown = problem.unknown
-        expanded, form = lower_conservation_form(
-            problem.equation.source, unknown, problem.entities, problem.operators
-        )
-        _reject_reconstructions(form)
-        emitter = ExprEmitter(problem, form, var_mode="local")
+    def plan(self, problem: "Problem", form) -> dict:
         state = SolverState(problem)
-        geom = state.geom
         force = bool(problem.extra.get("gpu_force_offload", False))
-        plan = plan_device_step(problem, state, emitter, state.ncomp, force)
-        placement = plan["placement"]
+        return plan_device_step(problem, state, form, state.ncomp, force)
 
-        if placement.device["interior_update"] == "cpu":
-            # the optimiser decided offloading does not pay (tiny problem or
-            # transfer-dominated): build the serial CPU artifact instead,
-            # annotated with the plan so callers can see why
-            from repro.codegen.cpu_serial import build_cpu_artifact
+    def program(self, problem: "Problem", plan: dict) -> list[str]:
+        if plan["placement"].device["interior_update"] == "cpu":
+            return super().program(problem, plan)
+        return (emit_device_step("step_once", plan)
+                + emit_step_loop(self.source_name, **RUN_LOOP))
 
-            artifact = build_cpu_artifact(self, problem)
-            artifact.flavor = "cpu_fallback"
-            artifact.source = (
-                "# NOTE: the placement optimiser kept every task on the CPU\n"
-                "# (offload would cost more in transfers than it saves):\n"
-                + "\n".join("#   " + ln for ln in placement.report().splitlines())
-                + "\n\n"
-                + artifact.source
-            )
-            artifact.attrs["placement"] = placement
-            return artifact
-
-        # ---- source ---------------------------------------------------------
-        ir = build_ir(problem, form, flavor="gpu", transfers=plan["transfer_plan"])
-        launch = ["dev.launch(KERNEL, NDOF, *kernel_args, host_time=launch_time)"]
-        lines = source_header("gpu_hybrid", problem, print_ir(ir)) + plan_header(plan)
-        lines += _emit_device_source(problem, emitter)
-        lines += emit_device_step("step_once", plan, launch)
-        lines += emit_step_loop("gpu_hybrid", **RUN_LOOP)
-        source = "\n".join(lines) + "\n"
-
-        cost = CostModel(problem.extra.get("machine_rates", CASCADE_LAKE_FINCH))
-        nbands = unknown.space.sizes[-1] if unknown.space.names else 1
-        static: dict = dict(emitter.component_tables())
-        static["NCOMP"] = state.ncomp
-        static["NCELLS"] = state.ncells
-        static["NDOF"] = state.ncomp * state.ncells
-        static["COST_BOUNDARY"] = cost.boundary_step(
-            geom.boundary_face_count(), state.ncomp
-        )
-        static["COST_TEMP"] = cost.temperature_step(state.ncells, nbands)
-        static["COST_INTERIOR_CPU"] = cost.intensity_step(state.ncells, state.ncomp)
-        # kernel argument order is fixed by the generated signature
-        static["KERNEL_VAR_NAMES"] = [
-            f"var_{n}" for n in emitter.referenced_known_variables()]
-
-        return self.make_artifact(
-            problem, source,
-            static_env=static,
-            attrs={"ir": ir, "classified_form": form, "expanded_expr": expanded,
-                   **plan},
-        )
+    def tables(self, problem: "Problem", plan: dict) -> dict:
+        """The host's virtual cost of each task: what the optimiser priced
+        it at on the CPU."""
+        tasks = plan["placement"].graph.tasks
+        return {
+            "COST_BOUNDARY": tasks["boundary_callbacks"].cost_cpu,
+            "COST_TEMP": tasks["post_step_callbacks"].cost_cpu,
+            "COST_SOLVE": tasks["interior_update"].cost_cpu,
+        }
 
     def bind_artifact(self, problem: "Problem", artifact) -> GeneratedSolver:
-        if artifact.flavor == "cpu_fallback":
-            from repro.codegen.cpu_serial import CPUSerialTarget
-
-            solver = CPUSerialTarget().bind_artifact(problem, artifact)
-            solver.task_timer_map = {
-                "interior_update": "solve",
-                "post_step_callbacks": "post_step",
-            }
-            solver.transfer_plan = None
-            return solver
-
         state = SolverState(problem)
-        spec = problem.config.gpu_spec or default_gpu_spec()
+        if artifact.attrs["placement"].device["interior_update"] == "cpu":
+            return self.bind_host(problem, artifact, state)
         solver = self.bind_solver(problem, artifact, state,
                                   step_env(problem, state.geom, artifact.attrs))
-        solver.task_timer_map = DEVICE_TASK_TIMERS
         bind_kernels(solver, artifact.attrs["kernel_spec"])
-        solver.device = attach_device(
-            state, Device(spec, name=f"gpu0:{spec.name}"),
-            artifact.static_env["KERNEL_VAR_NAMES"], "hybrid/host")
+        solver.device = attach_device(state, artifact.static_env["KERNEL_VAR_NAMES"])
         return solver
 
 

@@ -26,13 +26,17 @@ targets implement only the two halves.
 
 from __future__ import annotations
 
+import sys
 import time
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
+from repro.codegen.emit import EULER, ExprEmitter, emit_interior
 from repro.codegen.state import SolverState
 from repro.fvm import kernels
+from repro.fvm.timesteppers import make_stepper
+from repro.ir.nodes import print_ir
 from repro.obs import get_event_log, get_tracer, phase_span
 from repro.util.errors import CodegenError
 
@@ -87,8 +91,7 @@ class GeneratedSolver:
     # ------------------------------------------------------------- compilation
     def recompile(self) -> None:
         """(Re)execute the source into a fresh namespace, compiling only
-        when the source changed since the last compile (hand edits,
-        fallback-path annotations)."""
+        when the source changed since the last compile (hand edits)."""
         ns: dict[str, Any] = {
             "np": np,
             "kernels": kernels,
@@ -238,7 +241,7 @@ class CodegenTarget:
 
     # ----------------------------------------------------------------- helpers
     def make_artifact(self, problem: "Problem", source: str,
-                      flavor: str = "default", **static) -> "GenerationArtifact":
+                      **static) -> "GenerationArtifact":
         from repro.tune.cache import GenerationArtifact
         from repro.tune.signature import cache_key
 
@@ -246,7 +249,6 @@ class CodegenTarget:
             target_name=self.name,
             source=source,
             key=cache_key(problem, self.name),
-            flavor=flavor,
             static_env=static.pop("static_env", {}),
             attrs=static.pop("attrs", {}),
         )
@@ -277,6 +279,111 @@ class CodegenTarget:
             artifact.code = solver.code
         for name, value in artifact.attrs.items():
             setattr(solver, name, value)
+        return solver
+
+
+#: The step's four tasks (paper Sec. II-B) all on the host: the constant
+#: plan of a target with no device, decided without a state or optimiser.
+HOST_PLAN = dict.fromkeys(
+    ("interior_update", "boundary_callbacks", "finish_step", "post_step_callbacks"), "cpu")
+#: the phase timer that measures each task of a host plan (``finish_step``
+#: and the boundary part run inside the sweep)
+HOST_TASK_TIMERS = {"interior_update": "solve", "post_step_callbacks": "post_step"}
+
+
+class FVTarget(CodegenTarget):
+    """A finite-volume target: one program under a placement and a partition.
+
+    The build is every target's: lower the equation, take the target's
+    :meth:`plan` (where the step's tasks run), emit the interior where it put
+    ``interior_update`` (:func:`~repro.codegen.emit.emit_interior`) and the
+    target's step and loop (:meth:`program`), and hand the static
+    environment the target's :meth:`tables`.  A target is its plan, its
+    partition, its holes and its cost tables.  ``lower_conservation_form``
+    and ``build_ir`` are the ones the target's own module imports: a module
+    names the pipeline stages its target runs (the benchmark harness wraps
+    them there)."""
+
+    #: whether the program is the paper's forward-Euler step alone (every
+    #: one but the serial host program, which steps RK schemes too)
+    euler_only = True
+
+    def partition(self, problem: "Problem") -> str | None:
+        """How an SPMD target splits the work: ``'cells'`` or ``'bands'``."""
+        return None
+
+    def plan(self, problem: "Problem", form) -> dict:
+        """The placement and what follows from it, as artifact attributes
+        (``placement``, ``transfer_plan``, ...); ``{}``: :data:`HOST_PLAN`."""
+        return {}
+
+    def program(self, problem: "Problem", plan: dict) -> list[str]:
+        """Source of the step and the time loop: the serial host step, where
+        the sweep stores the forward-Euler update itself and another stepper
+        calls it per stage."""
+        if problem.config.stepper in EULER:
+            solve = ["compute_rhs(state, state.u, state.time)"]
+        else:
+            solve = [
+                "u_new = stepper.advance(state.u, state.time, state.dt,",
+                "                        lambda uu, tt: compute_rhs(state, uu, tt))",
+                "state.u = u_new",
+            ]
+        return ["", "", "def step_once(state):", *indent([
+            '"""Advance one explicit step (Eq. 3 of the paper)."""',
+            "with state.phase('solve'):",
+            *indent(solve),
+            *ADVANCE,
+        ]), *emit_step_loop(self.source_name)]
+
+    def tables(self, problem: "Problem", plan: dict) -> dict:
+        """The target's cost and partition tables (static environment)."""
+        return {}
+
+    @property
+    def source_name(self) -> str:
+        return type(self).__module__.rpartition(".")[2]
+
+    def build_artifact(self, problem: "Problem"):
+        if problem.equation is None:
+            raise CodegenError("no conservation_form declared")
+        if self.euler_only and problem.config.stepper not in EULER:
+            raise CodegenError(
+                f"the {self.name} target implements the paper's forward-Euler "
+                f"scheme; got {problem.config.stepper!r} (use the cpu target "
+                "for RK schemes)")
+        stages = sys.modules[type(self).__module__]
+        expanded, form = stages.lower_conservation_form(
+            problem.equation.source, problem.unknown, problem.entities, problem.operators)
+        plan = self.plan(problem, form)
+        placed = plan["placement"].device if "placement" in plan else HOST_PLAN
+        device = placed["interior_update"] == "gpu"
+        emitter = ExprEmitter(problem, form, var_mode="local" if device else "state")
+        flavor = "gpu" if device else "distributed" if self.partition(problem) else "cpu"
+        ir = stages.build_ir(problem, form, flavor=flavor, transfers=plan.get("transfer_plan"))
+        lines = source_header(self.source_name, problem, print_ir(ir))
+        if "placement" in plan:
+            lines += ["# placement decided by the min-cut optimiser:"]
+            lines += ["#   " + ln for ln in plan["placement"].report().splitlines()]
+            lines += ["#   " + ln for ln in plan["transfer_plan"].report().splitlines()]
+            lines += [""]
+        lines += emit_interior(emitter, device, stepper=problem.config.stepper,
+                               owned_columns=self.partition(problem) == "cells")
+        lines += self.program(problem, plan)
+        static = {**emitter.component_tables(), "NCOMP": problem.unknown.space.ncomp,
+                  "NCELLS": problem.mesh.ncells, **self.tables(problem, plan)}
+        if device:  # kernel argument order is fixed by the generated signature
+            static["KERNEL_VAR_NAMES"] = [
+                f"var_{n}" for n in emitter.referenced_known_variables()]
+        return self.make_artifact(
+            problem, "\n".join(lines) + "\n", static_env=static,
+            attrs={"ir": ir, "classified_form": form, "expanded_expr": expanded, **plan})
+
+    def bind_host(self, problem: "Problem", artifact, state) -> GeneratedSolver:
+        """Bind a host-placed program over ``state``."""
+        solver = self.bind_solver(problem, artifact, state,
+                                  {"stepper": make_stepper(problem.config.stepper)})
+        solver.task_timer_map = HOST_TASK_TIMERS
         return solver
 
 
@@ -409,7 +516,9 @@ def emit_step_loop(target: str, *, spmd: bool = False, doc=(), prologue=(),
 __all__ = [
     "ADVANCE",
     "CodegenTarget",
+    "FVTarget",
     "GeneratedSolver",
+    "HOST_PLAN",
     "emit_step_loop",
     "indent",
     "source_header",

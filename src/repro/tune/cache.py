@@ -52,9 +52,6 @@ class GenerationArtifact:
     target_name: str
     source: str
     key: str
-    #: generation flavor for targets with several bind paths
-    #: (e.g. the hybrid GPU target's CPU-fallback decision)
-    flavor: str = "default"
     #: picklable namespace entries shared verbatim across binds
     static_env: dict[str, Any] = field(default_factory=dict)
     #: picklable solver attachments (ir, classified_form, placement, ...)
@@ -220,7 +217,7 @@ class CompilationCache:
         elog = get_event_log()
         if elog.debug_enabled:
             elog.emit("tune.cache.put", level="debug", key=key[:12],
-                      target=artifact.target_name, flavor=artifact.flavor)
+                      target=artifact.target_name)
 
     # -------------------------------------------------------------- disk layer
     def _entry_dir(self, key: str) -> Path | None:

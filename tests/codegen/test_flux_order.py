@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+from repro.dsl.entities import CELL, VAR_ARRAY
 from repro.dsl.problem import Problem
 from repro.fvm import kernels
 from repro.fvm.boundary import BCKind
@@ -42,6 +43,53 @@ def advection_problem(nx, order, stepper="euler", t_end=0.25, init=None):
     return p
 
 
+#: directions (x components; the strip's y faces carry no flux), bands
+SX, VG, TAU, IO = [1.0, -0.5, 0.75, -1.0], [1.0, 0.6, 0.3], [0.5, 1.0, 2.0], [0.8, 1.0, 1.2]
+
+
+def bump(x):
+    """A smooth pulse of compact support: the inflow ghosts stay exact."""
+    return np.cos(0.5 * np.pi * np.clip((x - 0.5) / 0.35, -1.0, 1.0)) ** 4
+
+
+def relaxation_problem(nx, t_end=0.125):
+    """The strip of :func:`advection_problem` with the BTE's indexed shape:
+    ``I[d,b]`` advected at ``vg[b] * Sx[d]`` and relaxing to a constant
+    ``Io[b]`` — a surface statement that folds through the divergence.  Its
+    exact solution is ``Io + exp(-t/tau) * bump(x - vg * Sx * t)``, with
+    DIRICHLET ``Io`` ghosts; ``dt`` is proportional to ``h``."""
+    p = Problem(f"relaxation-{nx}")
+    p.set_domain(2)
+    dt = 0.5 / nx
+    p.set_steps(dt, int(round(t_end / dt)))
+    p.set_mesh(structured_grid((nx, 3), [(0.0, 1.0), (0.0, 3.0 / nx)]))
+    d = p.add_index("d", (1, len(SX)))
+    b = p.add_index("b", (1, len(VG)))
+    p.add_variable("I", VAR_ARRAY, CELL, index=[d, b])
+    p.add_variable("Io", VAR_ARRAY, CELL, index=[b])
+    p.add_coefficient("Sx", np.array(SX), VAR_ARRAY, index=[d])
+    p.add_coefficient("Sy", np.zeros(len(SX)), VAR_ARRAY, index=[d])
+    p.add_coefficient("vg", np.array(VG), VAR_ARRAY, index=[b])
+    p.add_coefficient("tau", np.array(TAU), VAR_ARRAY, index=[b])
+    io = np.array([IO[bi] for _ in SX for bi in range(len(VG))])
+    for r in (1, 2, 3, 4):
+        p.add_boundary("I", r, BCKind.DIRICHLET, io)
+    x = p.mesh.cell_centroids[:, 0]
+    p.initial_values["I"] = io[:, None] + bump(x)[None, :]
+    p.initial_values["Io"] = np.repeat(np.array(IO)[:, None], len(x), axis=1)
+    p.set_conservation_form(
+        "I", "(Io[b] - I[d,b]) / tau[b] - surface(vg[b] * upwind([Sx[d];Sy[d]], I[d,b]))")
+    return p
+
+
+def relaxation_error(solver) -> float:
+    """L1 error against the exact solution at the solver's time."""
+    t, x = solver.state.time, solver.state.mesh.cell_centroids[:, 0]
+    exact = np.array([IO[b] + math.exp(-t / TAU[b]) * bump(x - VG[b] * sx * t)
+                      for sx in SX for b in range(len(VG))])
+    return float(np.abs(solver.solution() - exact).mean())
+
+
 def l1_error(problem):
     solver = problem.solve()
     x = solver.state.mesh.cell_centroids[:, 0]
@@ -59,6 +107,45 @@ class TestMinmod:
     def test_disagreeing_signs_zero(self):
         assert np.allclose(kernels.minmod(np.array([1.0]), np.array([-2.0])), 0.0)
         assert np.allclose(kernels.minmod(np.array([0.0]), np.array([5.0])), 0.0)
+
+
+def on_gpu(finish_step):
+    def configure(p):
+        p.enable_gpu()
+        p.extra.update(gpu_force_offload=True, placement_override={"finish_step": finish_step})
+    return configure
+
+
+#: every Euler target, and the gpu target under both finish_step placements
+TARGETS = {
+    "gpu_resident": on_gpu("gpu"),
+    "gpu_round_trip": on_gpu("cpu"),
+    "cells2": lambda p: p.set_partitioning("cells", 2),
+    "bands2": lambda p: p.set_partitioning("bands", 2, index="b"),
+    "gpu_distributed2": lambda p: (p.enable_gpu(), p.set_partitioning("bands", 2, index="b")),
+}
+
+
+class TestConvergenceAcrossTargets:
+    """An absolute anchor for the cross-target contract: bit-identity says
+    the targets agree, this says what they agree on converges at first
+    order.  A bug applied alike on every target passes the first and
+    fails this."""
+
+    def test_first_order_and_every_target_equals_cpu_bit_for_bit(self):
+        errors = []
+        for nx in (16, 32, 64):
+            cpu = relaxation_problem(nx).solve()
+            assert "kernels.apply_folded(" in cpu.source
+            errors.append(relaxation_error(cpu))
+            for name, configure in TARGETS.items():
+                p = relaxation_problem(nx)
+                configure(p)
+                solver = p.solve()
+                assert solver.solution().tobytes() == cpu.solution().tobytes(), (name, nx)
+                assert relaxation_error(solver) == errors[-1]
+        orders = [math.log2(errors[i] / errors[i + 1]) for i in range(2)]
+        assert min(orders) >= 0.9, (errors, orders)
 
 
 class TestGreenGaussGradient:

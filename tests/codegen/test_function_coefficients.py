@@ -108,3 +108,42 @@ class TestFunctionCoefficientInFlux:
         exact_discrete = 1.0 / (1.0 + x_right)
         assert np.abs(sol - exact_discrete).max() < 1e-6
         assert np.abs(sol - 1.0 / (1.0 + (x_right - 0.5 / nx))).max() < 0.05
+
+
+class TestDevicePlacedInterior:
+    """A function coefficient is evaluated per step on the host; a plan that
+    puts ``interior_update`` on the device fails at build, naming it."""
+
+    def test_forced_offload_names_the_coefficient(self):
+        from repro.util.errors import CodegenError
+
+        p = problem_with_source(lambda x, t: x[:, 0] * (1.0 + t), nsteps=2)
+        p.enable_gpu()
+        p.extra["gpu_force_offload"] = True
+        with pytest.raises(CodegenError, match="function coefficient 'q'") as err:
+            p.generate()
+        assert err.value.code == "RPR140"
+
+    def test_gpu_distributed_names_the_coefficient(self):
+        from tests.codegen.test_fold_selection import indexed_problem
+
+        from repro.util.errors import CodegenError
+
+        p = indexed_problem(
+            "(Io[b] - I[d,b]) / tau[b] - surface(q * vg[b] * upwind([Sx[d];Sy[d]], I[d,b]))",
+            q=lambda x, t: 1.0 + x[:, 0] + 10.0 * t)
+        p.enable_gpu()
+        p.set_partitioning("bands", 2, index="b")
+        with pytest.raises(CodegenError, match="function coefficient 'q'") as err:
+            p.generate()
+        assert err.value.code == "RPR140"
+
+    def test_unforced_tiny_problem_keeps_solving_on_the_host(self):
+        q = lambda x, t: x[:, 0] * (1.0 + t)  # noqa: E731
+        cpu = problem_with_source(q, nsteps=5).solve()
+        p = problem_with_source(q, nsteps=5)
+        p.enable_gpu()
+        solver = p.solve()
+        assert solver.target_name == "gpu"
+        assert solver.placement.device["interior_update"] == "cpu"
+        assert solver.solution().tobytes() == cpu.solution().tobytes()

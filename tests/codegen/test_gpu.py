@@ -45,9 +45,10 @@ class TestPlacement:
         p, _ = build_bte_problem(sc)
         p.enable_gpu()
         solver = p.generate()
-        assert solver.target_name == "cpu"
+        # the all-CPU plan of the gpu target: its host form, no device bound
+        assert solver.target_name == "gpu" and solver.state.device is None
         assert solver.placement.device["interior_update"] == "cpu"
-        assert "kept every task on the CPU" in solver.source
+        assert "interior_update          -> CPU\n" in solver.source
         solver.run()  # and it still works
 
     def test_force_offload_override(self):

@@ -213,10 +213,50 @@ class TestFinishStepPlacement:
     def test_stays_on_the_cpu_with_the_interior_of_a_tiny_problem(self):
         art = self.artifact(4, 4, 2)
         placement = art.attrs["placement"]
-        assert art.flavor == "cpu_fallback"
+        # the all-CPU plan emits the host form: no kernel, no device step
+        assert "def compute_rhs(" in art.source and "interior_kernel" not in art.source
         assert placement.device["interior_update"] == placement.device["finish_step"] == "cpu"
         assert placement.bytes_moved_per_step == 0
         assert "finish_step              -> CPU\n" in art.source
+
+    def test_three_plans_of_one_emitter_equal_the_cpu_target(self):
+        """One BTE problem under the gpu target's three plans — the unknown
+        resident, the paper's round trip, every task on the CPU — is one
+        program: each ends in the cpu target's bits, and the all-CPU plan's
+        interior is the cpu target's text, bound as the gpu target."""
+        from repro.bte.problem import build_bte_problem, hotspot_scenario
+
+        def solve(configure=None):
+            problem, _ = build_bte_problem(hotspot_scenario(
+                nx=4, ny=4, ndirs=4, n_freq_bands=2, dt=1e-12, nsteps=3))
+            if configure is not None:
+                problem.enable_gpu()
+                configure(problem.extra)
+            return problem.solve()
+
+        def compute_rhs(source):
+            return source[source.index("def compute_rhs("):].split("\n\n\n")[0]
+
+        cpu = solve()
+        plans = {
+            "resident": solve(lambda extra: extra.update(
+                gpu_force_offload=True, placement_override={"finish_step": "gpu"})),
+            "round_trip": solve(lambda extra: extra.update(
+                gpu_force_offload=True, placement_override={"finish_step": "cpu"})),
+            "all_cpu": solve(lambda extra: None),
+        }
+        expected = {"resident": ("gpu", "gpu"), "round_trip": ("gpu", "cpu"),
+                    "all_cpu": ("cpu", "cpu")}
+        for name, solver in plans.items():
+            device = solver.placement.device
+            assert (device["interior_update"], device["finish_step"]) == expected[name]
+            assert solver.target_name == "gpu"
+            assert solver.solution().tobytes() == cpu.solution().tobytes(), name
+            assert solver.state.extra["T"].tobytes() == cpu.state.extra["T"].tobytes()
+        all_cpu = plans["all_cpu"]
+        assert all_cpu.state.device is None and "interior_kernel" not in all_cpu.source
+        assert compute_rhs(all_cpu.source) == compute_rhs(cpu.source)
+        assert "def compute_rhs(" not in plans["resident"].source
 
     def test_below_break_even_a_forced_offload_keeps_the_round_trip(self):
         """Three transfer latencies and a launch against twice a 10 KB
