@@ -1,6 +1,6 @@
 """Code generation targets.
 
-Six targets; the first four mirror the paper's generation modes and are one
+Five targets; the first four mirror the paper's generation modes and are one
 finite-volume program (:class:`~repro.codegen.target_base.FVTarget`) under a
 placement of the step's tasks and a partition, their interior emitted by
 :func:`~repro.codegen.emit.emit_interior` — a call on host arrays where the
@@ -19,8 +19,7 @@ plan puts ``interior_update`` on the host, a device launch where on the GPU:
 * ``gpu_distributed`` (:mod:`~repro.codegen.gpu_multi`) — the band ranks
   with the device step, one rank per device (Fig. 7);
 * ``interp`` (:mod:`~repro.codegen.interpreted`) — no generated numerics:
-  the emitter's oracle, walking the symbolic form;
-* ``fem`` (:mod:`~repro.codegen.fem_target`) — P1 weak-form path.
+  the emitter's oracle, walking the symbolic form.
 
 All targets emit genuine Python source (inspect ``solver.source``), compile
 it with :func:`compile`/``exec`` and drive it through a shared
@@ -50,12 +49,11 @@ _TARGETS = {
     "gpu": ("gpu_hybrid", "GPUHybridTarget"),
     "gpu_distributed": ("gpu_multi", "GPUMultiTarget"),
     "interp": ("interpreted", "InterpretedTarget"),
-    "fem": ("fem_target", "FEMTarget"),
 }
 
 
 def make_target(name: str) -> CodegenTarget:
-    """Instantiate a codegen target by name (one of the six above)."""
+    """Instantiate a codegen target by name (one of the five above)."""
     if name not in _TARGETS:
         raise CodegenError(
             f"unknown codegen target {name!r} ({'/'.join(_TARGETS)})")

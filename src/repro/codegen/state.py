@@ -48,86 +48,7 @@ if TYPE_CHECKING:
     from repro.dsl.problem import BoundarySpec, Problem
 
 
-class StepHooks:
-    """What the one generated time loop
-    (:func:`repro.codegen.target_base.emit_step_loop`) asks of the state it
-    advances, whatever discretisation is behind it: phase scopes, run
-    events, the end-of-step hooks.  A subclass brings ``problem``,
-    ``timers``, ``step_index`` and ``u``; the three hooks that are no-ops
-    here are what :class:`SolverState` adds to a bare nodal state."""
-
-    comm = None  # repro.runtime.Communicator on rank states
-
-    def end_step(self) -> None:
-        """What follows every finished step, in this order, on every target.
-        The hooks are looked up on the instance, which may shadow one (the
-        e2e harness times them that way)."""
-        self.observe_step()
-        self.sanitize_step()
-        self.maybe_checkpoint()
-        self.maybe_rebalance()
-
-    def observe_step(self) -> None:
-        """Per-step solver metrics (none here)."""
-
-    def maybe_checkpoint(self) -> None:
-        """Periodic checkpoint hook (none here)."""
-
-    def maybe_rebalance(self) -> None:
-        """Elastic-runtime hook (none here)."""
-
-    def sanitize_step(self) -> None:
-        """Per-step runtime-sanitizer hook.
-
-        A no-op (one attribute check) unless a ``--sanitize`` run enabled
-        the sanitizer; when live it runs the read-only NaN/Inf, residency,
-        CFL and conservation-drift checks with this step's provenance.
-        """
-        from repro.verify.sanitizer import get_sanitizer
-
-        san = get_sanitizer()
-        if san.enabled:
-            san.check_state(self)
-
-    def log_run_event(self, name: str, **fields: Any) -> None:
-        """Emit one structured run-lifecycle event with this state's
-        provenance (rank, step, problem).  Called by generated run loops at
-        run start/end; cheap when the log is below info level."""
-        elog = get_event_log()
-        if elog.enabled and elog.wants("info"):
-            rank = self.comm.rank if self.comm is not None else None
-            elog.emit(name, level="info", rank=rank, step=self.step_index,
-                      problem=self.problem.name, **fields)
-
-    def profile_scope(self, name: str):
-        """Phase timer that doubles as a per-launch profiler probe.
-
-        With profiling off (the default) it *is* the plain timer — same
-        object, same cost, nothing extra allocated.  With a live
-        :class:`~repro.obs.profile.RunProfiler` installed, every entry/exit
-        additionally records one per-launch sample (rank, phase, step,
-        seconds) using the registry's clock, so profiles taken under the
-        virtual bench clock are deterministic.
-        """
-        from repro.obs.profile import get_profiler
-
-        prof = get_profiler()
-        if not prof.enabled:
-            return self.timers.time(name)
-        return _ProfileScope(self, name, prof)
-
-    def phase(self, name: str):
-        """Scope of one phase of a step (``pre_step``, ``solve``,
-        ``post_step``, ``boundary``): timed through :meth:`profile_scope`
-        — the breakdowns of Figs. 5/8 — and, under a live tracer, a span on
-        the thread's host track, so a phase means the same on every target."""
-        timed = self.profile_scope(name)
-        if not get_tracer().enabled:
-            return timed
-        return _Nested(timed, phase_span(name))
-
-
-class SolverState(StepHooks):
+class SolverState:
     """Mutable runtime state of one generated solver."""
 
     def __init__(self, problem: "Problem"):
@@ -200,6 +121,68 @@ class SolverState(StepHooks):
         if restore_from:
             self.restore_checkpoint(restore_from)
             get_resilience_log().record_restore(restore_from)
+
+    # ------------------------------------------------------------ step hooks
+    def end_step(self) -> None:
+        """What follows every finished step, in this order, on every target
+        (the one generated time loop,
+        :func:`repro.codegen.target_base.emit_step_loop`, calls it).  The
+        hooks are looked up on the instance, which may shadow one (the e2e
+        harness times them that way)."""
+        self.observe_step()
+        self.sanitize_step()
+        self.maybe_checkpoint()
+        self.maybe_rebalance()
+
+    def sanitize_step(self) -> None:
+        """Per-step runtime-sanitizer hook.
+
+        A no-op (one attribute check) unless a ``--sanitize`` run enabled
+        the sanitizer; when live it runs the read-only NaN/Inf, residency,
+        CFL and conservation-drift checks with this step's provenance.
+        """
+        from repro.verify.sanitizer import get_sanitizer
+
+        san = get_sanitizer()
+        if san.enabled:
+            san.check_state(self)
+
+    def log_run_event(self, name: str, **fields: Any) -> None:
+        """Emit one structured run-lifecycle event with this state's
+        provenance (rank, step, problem).  Called by generated run loops at
+        run start/end; cheap when the log is below info level."""
+        elog = get_event_log()
+        if elog.enabled and elog.wants("info"):
+            rank = self.comm.rank if self.comm is not None else None
+            elog.emit(name, level="info", rank=rank, step=self.step_index,
+                      problem=self.problem.name, **fields)
+
+    def profile_scope(self, name: str):
+        """Phase timer that doubles as a per-launch profiler probe.
+
+        With profiling off (the default) it *is* the plain timer — same
+        object, same cost, nothing extra allocated.  With a live
+        :class:`~repro.obs.profile.RunProfiler` installed, every entry/exit
+        additionally records one per-launch sample (rank, phase, step,
+        seconds) using the registry's clock, so profiles taken under the
+        virtual bench clock are deterministic.
+        """
+        from repro.obs.profile import get_profiler
+
+        prof = get_profiler()
+        if not prof.enabled:
+            return self.timers.time(name)
+        return _ProfileScope(self, name, prof)
+
+    def phase(self, name: str):
+        """Scope of one phase of a step (``pre_step``, ``solve``,
+        ``post_step``, ``boundary``): timed through :meth:`profile_scope`
+        — the breakdowns of Figs. 5/8 — and, under a live tracer, a span on
+        the thread's host track, so a phase means the same on every target."""
+        timed = self.profile_scope(name)
+        if not get_tracer().enabled:
+            return timed
+        return _Nested(timed, phase_span(name))
 
     # ------------------------------------------------------------- properties
     @property
@@ -440,11 +423,6 @@ class SolverState(StepHooks):
         return bset
 
     def _lower_boundary_spec(self, spec: "BoundarySpec") -> BoundaryCondition:
-        if spec.kind == BCKind.NEUMANN:
-            raise ConfigError(
-                "valued Neumann boundaries are a weak-form (FEM) feature; the "
-                "FV path takes prescribed fluxes via FLUX callbacks"
-            )
         if spec.kind in (BCKind.DIRICHLET, BCKind.NEUMANN0):
             return BoundaryCondition(
                 region=spec.region, kind=spec.kind, value=spec.value
@@ -705,7 +683,7 @@ class _ProfileScope:
 
     __slots__ = ("_state", "_name", "_profiler", "_start", "elapsed")
 
-    def __init__(self, state: StepHooks, name: str, profiler):
+    def __init__(self, state: SolverState, name: str, profiler):
         self._state = state
         self._name = name
         self._profiler = profiler
@@ -744,4 +722,4 @@ class _Nested:
         self._outer.__exit__(*exc)
 
 
-__all__ = ["SolverState", "StepHooks"]
+__all__ = ["SolverState"]

@@ -15,12 +15,13 @@ import numpy as np
 
 from repro.dsl.entities import (
     CELL, VAR_ARRAY, VAR_SCALAR, Coefficient, Index, Reduction, Variable)
-from repro.dsl.problem import Problem
+from repro.dsl.problem import FV_ONLY, Problem
 from repro.fvm.boundary import BCKind
 from repro.mesh.mesh import Mesh
 from repro.util.errors import ConfigError
 
-# solver / scheme constants, named as in the paper's listings
+# solver / scheme constants, named as in the paper's listings (``FEM`` is
+# kept so that ``solver_type(FEM)`` ends in a ConfigError, not a NameError)
 FV = "FV"
 FEM = "FEM"
 EULER_EXPLICIT = "euler"
@@ -63,7 +64,7 @@ def domain(dimension: int) -> None:
 
 
 def solver_type(kind: str) -> None:
-    """``solverType(FV)`` — discretisation family (FV only)."""
+    """``solverType(FV)`` — discretisation family: ``FV``, the only one."""
     current_problem().set_solver_type(kind)
 
 
@@ -184,9 +185,8 @@ def conservation_form(variable: Variable | str, source: str) -> None:  # noqa: A
 
 
 def weak_form(variable: Variable | str, source: str) -> None:  # noqa: A002
-    """``weakForm(u, "...v...")`` — declare the PDE in weak form (FEM path);
-    the test function is the reserved symbol ``v``."""
-    current_problem().set_weak_form(variable, source)
+    """``weakForm(u, "...")`` — not supported: always a ConfigError (RPR001)."""
+    raise ConfigError(f"weak_form: {FV_ONLY}")
 
 
 def boundary(

@@ -1,7 +1,7 @@
 """The problem context: configuration + entities + equations.
 
 A :class:`Problem` accumulates everything the paper's input script declares
-(domain, solver type, stepper, mesh, entities, boundary conditions, hooks,
+(domain, stepper, mesh, entities, boundary conditions, hooks,
 loop ordering, GPU flag) and hands a validated description to the code
 generators.  :mod:`repro.dsl.api` wraps it in Finch's script-global style.
 """
@@ -32,13 +32,17 @@ from repro.symbolic.operators import OperatorRegistry, default_registry
 from repro.symbolic.parser import parse
 from repro.util.errors import ConfigError, DSLError
 
+#: why ``solver_type`` takes one value and ``weak_form`` none
+FV_ONLY = ("finite volumes only: a conservation_form lowered to finite "
+           "volumes is the one discretisation; the FEM / weak-form path was removed")
+
 
 @dataclass
 class SolverConfig:
-    """Numerical/config choices gathered from the DSL commands."""
+    """Numerical/config choices gathered from the DSL commands (the
+    discretisation is not one of them: it is always finite volumes)."""
 
     dimension: int = 2
-    solver_type: str = "FV"
     stepper: str = "euler"
     dt: float = 0.0
     nsteps: int = 0
@@ -53,10 +57,6 @@ class SolverConfig:
     flux_order: int = 1
 
     def validate(self) -> None:
-        if self.solver_type not in ("FV", "FEM"):
-            raise ConfigError(
-                f"solver type must be FV or FEM (got {self.solver_type!r})"
-            )
         if self.dimension not in (1, 2, 3):
             raise ConfigError(f"dimension must be 1, 2 or 3 (got {self.dimension})")
         if self.dt <= 0 or self.nsteps <= 0:
@@ -107,7 +107,6 @@ class Problem:
         self.operators: OperatorRegistry = default_registry()
         self.mesh: Mesh | None = None
         self.equation: EquationSpec | None = None
-        self.equation_kind: str = "conservation"
         self.boundaries: list[BoundarySpec] = []
         self.initial_values: dict[str, Any] = {}
         self.pre_step_callbacks: list[CallbackFunction] = []
@@ -119,7 +118,9 @@ class Problem:
         self.config.dimension = int(dimension)
 
     def set_solver_type(self, solver_type: str) -> None:
-        self.config.solver_type = solver_type
+        """``solverType(FV)``: accepted, and the only value that is."""
+        if solver_type != "FV":
+            raise ConfigError(f"solver type {solver_type!r}: {FV_ONLY}")
 
     def set_stepper(self, name: str) -> None:
         self.config.stepper = name
@@ -236,25 +237,6 @@ class Problem:
             raise DSLError("an equation was already declared")
         parsed = parse(source)
         self.equation = EquationSpec(variable=var.name, source=source, parsed=parsed)
-        self.equation_kind = "conservation"
-
-    def set_weak_form(self, variable: Variable | str, source: str) -> None:
-        """Declare the PDE in weak form (the FEM path, paper Sec. II-A).
-
-        The test function is the reserved symbol ``v``; the time term
-        ``∫ du/dt v`` is implicit.  Example::
-
-            problem.set_solver_type("FEM")
-            problem.set_weak_form(u, "-k*dot(grad(u), grad(v)) + f*v")
-        """
-        var = self._variable(variable)
-        if self.equation is not None:
-            raise DSLError("an equation was already declared")
-        if self.entities.kind_of("v") is not None:
-            raise DSLError("the name 'v' is reserved for the test function")
-        parsed = parse(source)
-        self.equation = EquationSpec(variable=var.name, source=source, parsed=parsed)
-        self.equation_kind = "weak"
 
     def add_boundary(
         self,
@@ -269,53 +251,53 @@ class Problem:
         ``spec`` depends on ``kind``: a value for DIRICHLET; a callback
         invocation string (``"isothermal(I, vg, ..., 300)"``) or a Python
         callable for FLUX / ghost callbacks; nothing for NEUMANN0; an
-        optional ``reflection_map`` for SYMMETRY.
+        optional ``reflection_map`` for SYMMETRY.  An incomplete or unknown
+        declaration is a ``DSLError`` with the catalogue's RPR124.
         """
         var = self._variable(variable)
         if isinstance(kind, str):
-            kind = BCKind(kind.lower())
+            try:
+                kind = BCKind(kind.lower())
+            except ValueError:
+                raise DSLError(
+                    f"unknown boundary kind {kind!r} (one of: "
+                    f"{', '.join(k.value for k in BCKind)})", code="RPR124") from None
         bspec = BoundarySpec(variable=var.name, region=int(region), kind=kind)
         if kind == BCKind.DIRICHLET:
             if spec is None:
-                raise DSLError("Dirichlet boundary needs a value")
+                raise DSLError("Dirichlet boundary needs a value", code="RPR124")
             bspec.value = spec
         elif kind in (BCKind.FLUX, BCKind.GHOST_CALLBACK):
             if isinstance(spec, str):
                 call = parse(spec)
                 if not isinstance(call, Call):
                     raise DSLError(
-                        f"boundary spec {spec!r} must be a callback invocation"
-                    )
+                        f"boundary spec {spec!r} must be a callback invocation",
+                        code="RPR124")
                 if self.entities.kind_of(call.func) != "callback":
                     raise DSLError(
-                        f"boundary callback {call.func!r} is not an imported callback"
-                    )
+                        f"boundary callback {call.func!r} is not an imported callback",
+                        code="RPR124")
                 bspec.call = call
             elif callable(spec):
                 bspec.python_callback = spec
             else:
                 raise DSLError(
-                    "flux boundary needs a callback string or Python callable"
-                )
+                    "flux boundary needs a callback string or Python callable",
+                    code="RPR124")
         elif kind == BCKind.SYMMETRY:
             if reflection_map is None and spec is not None:
                 reflection_map = spec
             if reflection_map is None:
-                raise DSLError("symmetry boundary needs a reflection map")
+                raise DSLError("symmetry boundary needs a reflection map", code="RPR124")
             bspec.reflection_map = np.asarray(reflection_map, dtype=np.int64)
-        elif kind == BCKind.NEUMANN:
-            if spec is None:
-                raise DSLError("Neumann boundary needs a flux value")
-            bspec.value = spec
-        elif kind == BCKind.NEUMANN0:
-            pass
-        else:
-            raise DSLError(f"unsupported boundary kind {kind}")
+        elif kind != BCKind.NEUMANN0:
+            raise DSLError(f"unsupported boundary kind {kind!r}", code="RPR124")
         for existing in self.boundaries:
             if existing.variable == var.name and existing.region == bspec.region:
                 raise DSLError(
-                    f"variable {var.name}: region {region} already has a condition"
-                )
+                    f"variable {var.name}: region {region} already has a condition",
+                    code="RPR123")
         self.boundaries.append(bspec)
 
     def set_initial(self, variable: Variable | str, values: Any) -> None:
@@ -359,15 +341,7 @@ class Problem:
         if self.mesh is None:
             raise ConfigError("no mesh set")
         if self.equation is None:
-            raise ConfigError("no conservation_form/weak_form declared")
-        if self.config.solver_type == "FEM":
-            if self.equation_kind != "weak":
-                raise ConfigError("the FEM solver needs weak_form input")
-            if self.unknown.indices:
-                raise ConfigError("the FEM path supports scalar unknowns")
-            return  # uncovered FEM regions are natural (zero-flux) boundaries
-        if self.equation_kind != "conservation":
-            raise ConfigError("the FV solver needs conservation_form input")
+            raise ConfigError("no conservation_form declared")
         unknown = self.unknown
         regions = set(self.mesh.boundary_regions())
         covered = {b.region for b in self.boundaries if b.variable == unknown.name}
@@ -404,8 +378,6 @@ class Problem:
         """
         if target is not None:
             return target
-        if self.config.solver_type == "FEM":
-            return "fem"
         if self.config.use_gpu and self.config.nparts > 1:
             return "gpu_distributed"  # one CPU process per device (Fig. 7)
         if self.config.use_gpu:

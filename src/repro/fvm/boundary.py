@@ -32,7 +32,6 @@ class BCKind(enum.Enum):
 
     DIRICHLET = "dirichlet"  # prescribed ghost value
     NEUMANN0 = "neumann0"  # zero gradient: ghost = owner
-    NEUMANN = "neumann"  # prescribed outward flux value (FEM natural BC)
     SYMMETRY = "symmetry"  # specular reflection (needs a reflection map)
     FLUX = "flux"  # callback returns the face flux directly
     GHOST_CALLBACK = "ghost_callback"  # callback returns ghost values
@@ -91,7 +90,7 @@ class BoundaryCondition:
     name: str = ""
 
     def __post_init__(self) -> None:
-        if self.kind in (BCKind.DIRICHLET, BCKind.NEUMANN) and self.value is None:
+        if self.kind == BCKind.DIRICHLET and self.value is None:
             raise ConfigError(
                 f"{self.kind.value} BC on region {self.region} needs a value"
             )

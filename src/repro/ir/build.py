@@ -61,7 +61,7 @@ def build_ir(problem: "Problem", form: ClassifiedForm, flavor: str = "cpu",
 
     prelude = Block(
         body=[
-            Comment(f"problem '{problem.name}': {cfg.dimension}-D {cfg.solver_type}, "
+            Comment(f"problem '{problem.name}': {cfg.dimension}-D FV, "
                     f"{unknown.ncomp} component(s) of {unknown.name!r} per cell"),
             Comment(f"equation: {problem.equation.source}" if problem.equation else ""),
         ],

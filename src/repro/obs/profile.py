@@ -114,19 +114,13 @@ def profile_run(enabled: bool = True) -> Iterator[RunProfiler]:
 
 
 # --------------------------------------------------------------------- builder
-def _cell_counts(state) -> tuple[float, float]:
-    """(ncells, ncomp) of a state; FEM states count nodes, one component."""
-    ncells = float(getattr(state, "ncells", 0) or getattr(state, "nnodes", 0))
-    return ncells, float(getattr(state, "ncomp", 1))
-
-
 def _rank_work(state, nranks: int) -> tuple[float, float]:
     """(ncells, ncomp) a single rank owns, under the problem's partitioning.
 
     Balanced-split approximation: the profile audits the *model*, and the
     model itself assumes balanced parts.
     """
-    ncells, ncomp = _cell_counts(state)
+    ncells, ncomp = float(state.ncells), float(state.ncomp)
     if nranks <= 1:
         return ncells, ncomp
     strategy = getattr(state.problem.config, "partition_strategy", None)
@@ -152,17 +146,12 @@ def _predicted_phase_seconds(state, nranks: int) -> dict[str, float]:
     if nranks > 1 and getattr(state.problem.config, "partition_strategy",
                               None) != "cells":
         nbands = max(nbands // nranks, 1)
-    geom = getattr(state, "geom", None)
-    if geom is None:
-        # non-FV state (FEM): the BTE cost model does not apply, so the
-        # profile carries timings without a drift column
-        return {}
     return predicted_phase_costs(
         cost,
         ncells=ncells,
         ncomp=ncomp,
         nbands=nbands,
-        n_boundary_faces=geom.boundary_face_count(),
+        n_boundary_faces=state.geom.boundary_face_count(),
     )
 
 
@@ -282,13 +271,12 @@ def build_profile(solver, *, tolerance: float | None = None) -> dict:
     drift_section = {"tolerance": tol, "max_abs": max_abs,
                      "exceeded": max_abs > tol}
 
-    ncells, ncomp = _cell_counts(state)
     meta: dict[str, Any] = {
         "problem": state.problem.name,
         "target": getattr(solver, "target_name", None),
         "nsteps": int(getattr(state, "step_index", 0)),
-        "ncells": int(ncells),
-        "ncomp": int(ncomp),
+        "ncells": int(state.ncells),
+        "ncomp": int(state.ncomp),
         "nranks": nranks,
         "problem_key": problem_key(state.problem,
                                    getattr(solver, "target_name", None)),

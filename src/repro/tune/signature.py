@@ -5,7 +5,7 @@ running the generation pipeline (the whole point is to skip it).  The key
 therefore hashes the cheap, declarative inputs the pipeline is a pure
 function of:
 
-* the equation string and its kind (conservation / weak form);
+* the equation string (always a conservation form);
 * the entity tables (indices with ranges, variables with their component
   spaces, coefficients with hashed values, callbacks by code identity);
 * the boundary declarations (region, kind, value / callback identity);
@@ -217,7 +217,9 @@ def problem_signature(problem: "Problem", target_name: str) -> dict[str, Any]:
         "emitter": emitter_digest(),
         "target": target_name,
         "dimension": cfg.dimension,
-        "solver_type": cfg.solver_type,
+        # constants since finite volumes are the one discretisation, kept in
+        # the document so the run-registry keys recorded before stay valid
+        "solver_type": "FV",
         "stepper": cfg.stepper,
         "flux_order": cfg.flux_order,
         "assembly_order": list(cfg.assembly_order),
@@ -237,7 +239,7 @@ def problem_signature(problem: "Problem", target_name: str) -> dict[str, Any]:
         },
         "network": getattr(network, "name", None) if network is not None else None,
         "equation": {
-            "kind": problem.equation_kind,
+            "kind": "conservation",
             "source": problem.equation.source if problem.equation else None,
         },
         "entities": _entities_signature(problem),

@@ -45,7 +45,8 @@ class CodeInfo:
 _RAW: list[tuple[str, str, str, str]] = [
     # ---- 0xx: library usage / configuration ------------------------------
     ("RPR000", "library", "unclassified library error", "error"),
-    ("RPR001", "library", "inconsistent or incomplete problem configuration", "error"),
+    ("RPR001", "library", "inconsistent, incomplete or unsupported problem configuration "
+                          "(e.g. a solver type other than FV, or a weak form)", "error"),
     ("RPR002", "library", "malformed --faults specification", "error"),
     # ---- 1xx: static DSL / IR --------------------------------------------
     ("RPR100", "dsl", "equation input could not be parsed", "error"),
@@ -59,7 +60,7 @@ _RAW: list[tuple[str, str, str, str]] = [
     ("RPR108", "dsl", "invalid symbolic expression construction", "error"),
     ("RPR109", "dsl", "unknown variable absent from its own equation", "warning"),
     ("RPR110", "dsl", "no equation declared", "error"),
-    ("RPR111", "dsl", "equation kind does not match the solver type", "error"),
+    # RPR111 (equation kind vs. solver type) retired with the FEM path; never reused
     ("RPR112", "dsl", "conservation form is not well-formed for explicit stepping", "error"),
     ("RPR120", "dsl", "no mesh set", "error"),
     ("RPR121", "dsl", "mesh boundary region has no boundary condition", "error"),

@@ -145,10 +145,9 @@ class Sanitizer:
         """
         if not self.enabled:
             return
-        rank = state.comm.rank if getattr(state, "comm", None) is not None \
-            else None
+        rank = state.comm.rank if state.comm is not None else None
         where = {} if rank is None else {"rank": rank}
-        unknown = getattr(state, "unknown", None) or state.problem.unknown
+        unknown = state.unknown
         with self._lock:
             watch = self._watch.get(state)
             if watch is None:
@@ -156,7 +155,7 @@ class Sanitizer:
 
         # residency first: reading ``state.u`` below is itself a host access
         # that takes a device-resident unknown back
-        device = getattr(state, "device", None)
+        device = state.device
         if device is not None:
             self._count()
             stale = [name for name, buf in device.buffers.items()
@@ -193,24 +192,21 @@ class Sanitizer:
                         step=state.step_index, time=state.time, **where))
         watch.prev_u = u.copy()
 
-        geom = getattr(state, "geom", None)
-        if geom is not None and getattr(geom, "volume", None) is not None:
-            self._count()
-            energy = float(geom.volume @ u.sum(axis=0))
-            if watch.energy0 is None:
-                watch.energy0 = energy
-            scale = abs(watch.energy0)
-            if scale > 0.0:
-                drift = abs(energy - watch.energy0) / scale
-                if drift > self.drift_threshold \
-                        and "drift" not in watch.warned:
-                    watch.warned.add("drift")
-                    self.record(Diagnostic.from_code(
-                        "RPR303",
-                        f"volume-weighted total of {unknown.name} "
-                        f"drifted {drift * 100:.1f}% from its initial value "
-                        f"by step {state.step_index}",
-                        step=state.step_index, time=state.time, **where))
+        self._count()
+        energy = float(state.geom.volume @ u.sum(axis=0))
+        if watch.energy0 is None:
+            watch.energy0 = energy
+        scale = abs(watch.energy0)
+        if scale > 0.0:
+            drift = abs(energy - watch.energy0) / scale
+            if drift > self.drift_threshold and "drift" not in watch.warned:
+                watch.warned.add("drift")
+                self.record(Diagnostic.from_code(
+                    "RPR303",
+                    f"volume-weighted total of {unknown.name} "
+                    f"drifted {drift * 100:.1f}% from its initial value "
+                    f"by step {state.step_index}",
+                    step=state.step_index, time=state.time, **where))
 
     def check_kernel_output(self, kernel: str, arr: np.ndarray,
                             state=None) -> None:

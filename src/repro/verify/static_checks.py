@@ -50,9 +50,6 @@ def check_problem(problem: "Problem") -> DiagnosticReport:
 def _check_config(problem: "Problem", report: DiagnosticReport) -> None:
     cfg = problem.config
     report.checks_run += 1
-    if cfg.solver_type not in ("FV", "FEM"):
-        report.add(Diagnostic.from_code(
-            "RPR001", f"solver type must be FV or FEM (got {cfg.solver_type!r})"))
     if cfg.dimension not in (1, 2, 3):
         report.add(Diagnostic.from_code(
             "RPR001", f"dimension must be 1, 2 or 3 (got {cfg.dimension})"))
@@ -82,16 +79,8 @@ def _check_equation(problem: "Problem", report: DiagnosticReport) -> None:
     report.checks_run += 1
     eq = problem.equation
     if eq is None:
-        report.add(Diagnostic.from_code(
-            "RPR110", "no conservation_form/weak_form declared"))
+        report.add(Diagnostic.from_code("RPR110", "no conservation_form declared"))
         return
-    kind, solver = problem.equation_kind, problem.config.solver_type
-    if solver == "FEM" and kind != "weak":
-        report.add(Diagnostic.from_code(
-            "RPR111", "the FEM solver needs weak_form input"))
-    if solver == "FV" and kind != "conservation":
-        report.add(Diagnostic.from_code(
-            "RPR111", "the FV solver needs conservation_form input"))
     _check_expression(problem, report)
 
 
@@ -99,11 +88,6 @@ def _check_expression(problem: "Problem", report: DiagnosticReport) -> None:
     eq = problem.equation
     entities = problem.entities
     source = eq.source
-    reserved = set(_RESERVED)
-    weak_intrinsics: set[str] = set()
-    if problem.equation_kind == "weak":
-        reserved.add("v")  # the test function
-        weak_intrinsics = {"grad", "dot"}  # see fem.weakform
 
     from repro.symbolic.evaluate import DEFAULT_FUNCTIONS
 
@@ -123,7 +107,6 @@ def _check_expression(problem: "Problem", report: DiagnosticReport) -> None:
                 node.func in problem.operators
                 or entities.kind_of(node.func) == "callback"
                 or node.func in DEFAULT_FUNCTIONS
-                or node.func in weak_intrinsics
             )
             if not known:
                 add_once("RPR102", node.func,
@@ -131,7 +114,7 @@ def _check_expression(problem: "Problem", report: DiagnosticReport) -> None:
                          "operator, a math function, nor an imported callback")
         elif isinstance(node, Sym):
             kind = entities.kind_of(node.name)
-            if kind is None and node.name not in reserved:
+            if kind is None and node.name not in _RESERVED:
                 add_once("RPR101", node.name,
                          f"unknown symbol {node.name!r} in equation input")
             elif kind == "callback":
@@ -148,7 +131,7 @@ def _check_expression(problem: "Problem", report: DiagnosticReport) -> None:
         elif isinstance(node, Indexed):
             _check_indexed_node(node, problem, add_once)
 
-    # nested surface integrals (FV only — weak forms have no surface marker)
+    # nested surface integrals
     report.checks_run += 1
     for node in preorder(eq.parsed):
         if isinstance(node, Call) and node.func == "surface":
@@ -211,8 +194,6 @@ def _check_indexed_node(node: Indexed, problem: "Problem", add_once) -> None:
 def _check_boundaries(problem: "Problem", report: DiagnosticReport) -> None:
     if problem.mesh is None or problem.equation is None:
         return
-    if problem.config.solver_type == "FEM":
-        return  # uncovered FEM regions are natural (zero-flux) boundaries
     report.checks_run += 3  # coverage, unknown regions, duplicates
     unknown = problem.equation.variable
     regions = set(problem.mesh.boundary_regions())
@@ -328,7 +309,7 @@ def _check_partitioning(problem: "Problem", report: DiagnosticReport) -> None:
 def _check_well_formedness(problem: "Problem", report: DiagnosticReport) -> None:
     """Run the real lowering pipeline; any residual DSLError means the
     conservation form is not well-formed for explicit stepping."""
-    if problem.equation is None or problem.equation_kind != "conservation":
+    if problem.equation is None:
         return
     report.checks_run += 1
     from repro.ir.lowering import lower_conservation_form

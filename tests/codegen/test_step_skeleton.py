@@ -5,17 +5,12 @@ target's holes, runs the hooks in one order, shows a post-step callback one
 clock, and times and traces the callback phases alike.
 """
 
-import numpy as np
 import pytest
 
 from repro import obs
 from repro.bte.problem import build_bte_problem, hotspot_scenario
 from repro.codegen import cpu_distributed, gpu_hybrid, gpu_multi
 from repro.codegen.probes import TransientRecorder
-from repro.dsl.entities import NODE
-from repro.dsl.problem import Problem
-from repro.fvm.boundary import BCKind
-from repro.mesh.grid import structured_grid
 
 NSTEPS = 3
 HOOKS = ["observe_step", "sanitize_step", "maybe_checkpoint", "maybe_rebalance"]
@@ -38,21 +33,6 @@ def gpu_bands(problem):
     problem.set_partitioning("bands", 2, index="b")
 
 
-def fem_heat():
-    p = Problem("skeleton-fem")
-    p.set_domain(1)
-    p.set_solver_type("FEM")
-    p.set_steps(1e-4, NSTEPS)
-    p.set_mesh(structured_grid((8,)))
-    p.add_variable("u", location=NODE)
-    p.add_coefficient("k", 0.7)
-    p.add_boundary("u", 1, BCKind.DIRICHLET, 0.0)
-    p.add_boundary("u", 2, BCKind.DIRICHLET, 0.0)
-    p.set_initial("u", lambda x: np.sin(np.pi * x[:, 0]))
-    p.set_weak_form("u", "-k*dot(grad(u), grad(v))")
-    return p
-
-
 #: name -> (problem builder, explicit target, the target's holes, the
 #: program that holds the loop, the namespace entry its step hole calls)
 CASES = {
@@ -65,7 +45,6 @@ CASES = {
     "gpu_distributed": (lambda: bte(gpu_bands), None, gpu_multi.RANK_LOOP,
                         "rank_program", "device_step"),
     "interp": (bte, "interp", {}, "run_steps", "step_once"),
-    "fem": (fem_heat, None, {}, "run_steps", "step_once"),
 }
 RANKS = {"cells": 2, "bands": 2, "gpu_distributed": 2}
 
@@ -139,7 +118,7 @@ def test_every_target_has_the_same_loop_around_its_holes():
         "cb.fn(state)",
         "state.end_step()",
     ]
-    for case in ("cells", "bands", "interp", "fem"):
+    for case in ("cells", "bands", "interp"):
         assert loops[case] == loops["cpu"], case
     # the device targets hand a callback its declared reduction: the same
     # loop, its post-step lines in their other form

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.dsl.entities import VAR_ARRAY, CELL
-from repro.dsl.problem import Problem
+from repro.dsl.problem import Problem, SolverConfig
 from repro.fvm.boundary import BCKind
 from repro.mesh.grid import structured_grid
 from repro.util.errors import ConfigError, DSLError
@@ -75,15 +75,11 @@ class TestValidation:
 
     def test_solver_type_checked(self):
         p = minimal_problem()
-        p.set_solver_type("DG")
-        with pytest.raises(ConfigError, match="FV or FEM"):
-            p.validate()
-
-    def test_fem_requires_weak_form_input(self):
-        p = minimal_problem()
-        p.set_solver_type("FEM")
-        with pytest.raises(ConfigError, match="weak_form"):
-            p.validate()
+        p.set_solver_type("FV")
+        with pytest.raises(ConfigError, match="finite volumes only") as err:
+            p.set_solver_type("DG")
+        assert err.value.code == "RPR001"
+        p.validate()
 
     def test_band_partition_needs_index_of_unknown(self):
         p = minimal_problem()
@@ -158,3 +154,88 @@ class TestDeclarations:
         p = minimal_problem()
         p.enable_gpu()
         assert p.config.use_gpu
+
+
+class TestBoundaryDeclarations:
+    """A boundary declaration that cannot be lowered fails where it is made,
+    as a DSLError carrying the catalogue's RPR124."""
+
+    @staticmethod
+    def bare() -> Problem:
+        p = Problem("bc")
+        p.set_domain(1)
+        p.set_steps(1e-3, 2)
+        p.set_mesh(structured_grid((4,)))
+        p.add_variable("u")
+        p.add_coefficient("k", 1.0)
+        return p
+
+    def test_fv_rejects_valued_neumann(self):
+        p = self.bare()
+        p.add_boundary("u", 1, BCKind.DIRICHLET, 0.0)
+        with pytest.raises(DSLError, match="unknown boundary kind 'neumann'") as err:
+            p.add_boundary("u", 2, "neumann", 1.0)
+        assert err.value.code == "RPR124"
+        assert not hasattr(BCKind, "NEUMANN")
+
+    def test_unknown_kind_lists_the_valid_ones(self):
+        with pytest.raises(DSLError) as err:
+            self.bare().add_boundary("u", 1, "bogus")
+        assert err.value.code == "RPR124"
+        assert not isinstance(err.value, ValueError)
+        for kind in BCKind:
+            assert kind.value in str(err.value)
+
+    @pytest.mark.parametrize("kind, spec", [
+        (BCKind.DIRICHLET, None),
+        (BCKind.FLUX, None),
+        (BCKind.FLUX, "nothere(u, 3)"),
+        (BCKind.FLUX, "3 + u"),
+        (BCKind.SYMMETRY, None),
+        (42, None),
+    ])
+    def test_incomplete_declarations_carry_rpr124(self, kind, spec):
+        with pytest.raises(DSLError) as err:
+            self.bare().add_boundary("u", 1, kind, spec)
+        assert err.value.code == "RPR124"
+
+    def test_duplicate_region_carries_rpr123(self):
+        p = self.bare()
+        p.add_boundary("u", 1, BCKind.NEUMANN0)
+        with pytest.raises(DSLError) as err:
+            p.add_boundary("u", 1, BCKind.NEUMANN0)
+        assert err.value.code == "RPR123"
+
+
+class TestFiniteVolumesOnly:
+    """One discretisation: ``solver_type(FV)`` is accepted, anything else and
+    ``weak_form`` are a ConfigError (RPR001) at the call."""
+
+    @pytest.mark.parametrize("kind", ["FEM", "XYZ"])
+    def test_problem_rejects_other_solver_types(self, kind):
+        with pytest.raises(ConfigError, match="finite volumes only") as err:
+            minimal_problem().set_solver_type(kind)
+        assert err.value.code == "RPR001"
+
+    @pytest.mark.parametrize("call", [
+        lambda finch: finch.solver_type(finch.FEM),
+        lambda finch: finch.solver_type("XYZ"),
+        lambda finch: finch.weak_form("u", "-k*dot(grad(u), grad(v))"),
+    ], ids=["solver_type(FEM)", "solver_type(XYZ)", "weak_form"])
+    def test_script_commands_raise_at_the_call(self, call):
+        import repro.dsl as finch
+
+        finch.init_problem("fem-script")
+        finch.variable("u")
+        try:
+            with pytest.raises(ConfigError, match="finite volumes only") as err:
+                call(finch)
+            assert err.value.code == "RPR001"
+            finch.solver_type(finch.FV)  # still fine
+        finally:
+            finch.finalize()
+
+    def test_the_fem_path_is_gone(self):
+        assert not hasattr(Problem, "set_weak_form")
+        assert not hasattr(minimal_problem(), "equation_kind")
+        assert "solver_type" not in SolverConfig.__dataclass_fields__

@@ -68,11 +68,6 @@ class TestExamples:
         out = run_example("custom_operator.py")
         assert "max |upwind - rusanov| = " in out
 
-    def test_fem_heat(self):
-        out = run_example("fem_heat.py")
-        assert "multi-discretization" in out
-        assert "stiffness(coeff=-k)" in out
-
     def test_bte_3d(self):
         out = run_example("bte_3d.py", "--steps", "40")
         assert "3-D BTE" in out

@@ -87,10 +87,10 @@ def loaded(modules: list[str], *prefixes: str) -> list[str]:
 #: (``python -X importtime``) before raising the ceiling.
 CEILINGS = {
     ("cpu", "-"): 290,                  # 288 (617 before scipy left the path)
-    ("distributed", "cells"): 325,      # 323
-    ("distributed", "bands"): 309,      # 307
+    ("distributed", "cells"): 324,      # 322
+    ("distributed", "bands"): 308,      # 306
     ("gpu", "-"): 304,                  # 302
-    ("gpu_distributed", "bands"): 315,  # 313
+    ("gpu_distributed", "bands"): 314,  # 312
 }
 
 
@@ -98,13 +98,13 @@ CEILINGS = {
 def test_a_solve_imports_only_what_it_enters(target, strategy):
     out = run(SOLVE, target, strategy)
     modules = out["modules"]
-    assert loaded(modules, "scipy", "networkx", "repro.fem", "repro.serve", "repro.cli") == []
+    assert loaded(modules, "scipy", "networkx", "repro.serve", "repro.cli") == []
     # what no solver path enters: file readers, the run registry and
     # report, the linter, the hand-written reference
     assert loaded(modules, "repro.mesh.gmsh_io", "repro.mesh.medit_io", "repro.mesh.vtk_io",
                   "repro.obs.registry", "repro.obs.report", "repro.verify.lint",
                   "repro.verify.schedule", "repro.bte.reference", "repro.bte.conductivity",
-                  "repro.codegen.probes", "repro.codegen.fem_target") == []
+                  "repro.codegen.probes") == []
     if not out["eager_ma"]:
         assert loaded(modules, "numpy.ma") == []  # np.unique drags it in: 20 ms
     if target == "cpu":

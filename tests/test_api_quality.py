@@ -15,7 +15,6 @@ PACKAGES = [
     "repro.symbolic",
     "repro.mesh",
     "repro.fvm",
-    "repro.fem",
     "repro.ir",
     "repro.dsl",
     "repro.codegen",

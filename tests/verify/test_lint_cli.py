@@ -117,6 +117,22 @@ class TestCliExitCodes:
         assert bte_main(["lint", "--codes"]) == 0
         assert "RPR301" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("old, new, code", [
+        ("p.set_domain(2)\n", 'p.set_domain(2)\np.set_solver_type("FEM")\n', "RPR001"),
+        ("import numpy as np\n",
+         "import numpy as np\nimport repro.dsl as finch\n"
+         'finch.init_problem("old")\nfinch.weak_form("u", "u*v")\n', "RPR001"),
+        ("BCKind.DIRICHLET, 0.0)", '"bogus")', "RPR124"),
+        ("BCKind.DIRICHLET, 0.0)", '"neumann", 1.0)', "RPR124"),
+    ], ids=["solver_type(FEM)", "weak_form", "bogus-kind", "neumann"])
+    def test_unsupported_declarations_lint_to_their_code(self, tmp_path, capsys,
+                                                         old, new, code):
+        path = write_script(tmp_path, CLEAN_SCRIPT.replace(old, new))
+        assert bte_main(["lint", path]) == 1
+        out = capsys.readouterr().out
+        assert code in out and "RPR000" not in out
+        assert "Traceback" not in out
+
 
 class TestErrorRendering:
     def test_one_line_format(self):

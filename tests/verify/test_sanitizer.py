@@ -178,28 +178,3 @@ class TestReportSection:
         solver = p.solve()
         report = build_run_report(solver, args=None)
         assert report.to_dict().get("diagnostics") is None
-
-
-class TestFEM:
-    def test_fem_state_sanitizes(self):
-        from repro.dsl.entities import NODE
-        from repro.dsl.problem import Problem
-        from repro.fvm.boundary import BCKind
-        from repro.mesh.grid import triangulated_grid
-
-        p = Problem("fem-sanitize")
-        p.set_domain(2)
-        p.set_solver_type("FEM")
-        p.set_steps(1e-4, 3)
-        p.set_mesh(triangulated_grid((6, 6)))
-        p.add_variable("u", location=NODE)
-        p.add_coefficient("k", 1.0)
-        for r in (1, 2, 3, 4):
-            p.add_boundary("u", r, BCKind.DIRICHLET, 0.0)
-        p.set_initial("u", 0.0)
-        p.set_weak_form("u", "-k*dot(grad(u), grad(v))")
-        with sanitize_run():
-            p.solve()
-        san = get_sanitizer()
-        assert san.checks > 0
-        assert not san.has_findings(), san.summary()
