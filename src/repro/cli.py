@@ -23,10 +23,11 @@ Commands
     overlap-efficiency scores, and the placement-explainability table.
     Files are told apart by their schema, so order does not matter.
 ``profile [--gpu] [--ranks N] [--out F] [--record]``
-    Run the hot-spot transient under the per-launch kernel profiler and
-    print per-kernel/per-phase self time, roofline attribution and the
-    perfmodel-drift column of the ``repro.profile/1`` document;
-    ``--record`` appends the run to the registry.
+    Run the hot-spot transient and print per-kernel/per-phase self time,
+    roofline attribution and the perfmodel-drift column of the
+    ``repro.profile/1`` document (phase rows from the solver's phase
+    timers, kernel rows from the device's launch records); ``--record``
+    appends the run to the registry.
 ``compare A B [--top N] [--json F]``
     Diff two profiled runs (profile JSON, run report, or registry entry):
     per-(rank, kind, kernel) self-time delta, the regression culprit
@@ -296,18 +297,11 @@ def _apply_cache_flags(args: argparse.Namespace) -> None:
         configure_cache(cache_dir=args.cache_dir)
 
 
-def cmd_bte(args: argparse.Namespace) -> int:
-    import time
-    from contextlib import nullcontext
-
+def _hotspot_problem(args: argparse.Namespace, verb: str):
+    """The reduced hot-spot problem ``bte`` and ``profile`` run, from the
+    size flags, ``--gpu`` and ``--ranks`` (band partitioning)."""
     from repro.bte import build_bte_problem, hotspot_scenario
-    from repro.obs import metrics_run, trace_run
-    from repro.runtime.faults import fault_run, parse_fault_spec
-    from repro.runtime.resilience import get_resilience_log
-    from repro.util.errors import FaultSpecError
-    from repro.verify.sanitizer import get_sanitizer, sanitize_run
 
-    _apply_cache_flags(args)
     scenario = hotspot_scenario(
         nx=args.nx, ny=args.nx, ndirs=args.ndirs,
         n_freq_bands=args.bands, dt=args.dt, nsteps=args.steps,
@@ -322,6 +316,42 @@ def cmd_bte(args: argparse.Namespace) -> int:
         problem.extra["gpu_force_offload"] = True
     if args.ranks > 1:
         problem.set_partitioning("bands", args.ranks, index="b")
+    mode = "gpu" if args.gpu else "cpu"
+    _say(f"{verb} {scenario.name}: {args.nx}x{args.nx} cells, "
+         f"{model.ncomp} components/cell, {args.steps} steps "
+         f"[{mode}, {args.ranks} rank(s)] ...")
+    return problem
+
+
+def _record_run(args: argparse.Namespace, solver, report_doc: dict,
+                profile_doc: dict, wall_s: float) -> None:
+    """Append one run (report + profile) to the run registry."""
+    from repro.obs import configure_registry, get_registry
+
+    if args.runs_dir:
+        configure_registry(args.runs_dir)
+    key = profile_doc["meta"]["problem_key"]
+    path = get_registry().append(
+        key, report=report_doc, profile=profile_doc,
+        meta={"wall_s": wall_s, "target": solver.target_name,
+              "nsteps": solver.state.step_index},
+    )
+    _say(f"recorded run entry {path} (timeline: `bte history "
+         f"--key {key[:12]}`)")
+
+
+def cmd_bte(args: argparse.Namespace) -> int:
+    import time
+    from contextlib import nullcontext
+
+    from repro.obs import metrics_run, trace_run
+    from repro.runtime.faults import fault_run, parse_fault_spec
+    from repro.runtime.resilience import get_resilience_log
+    from repro.util.errors import FaultSpecError
+    from repro.verify.sanitizer import get_sanitizer, sanitize_run
+
+    _apply_cache_flags(args)
+    problem = _hotspot_problem(args, "running")
     if args.checkpoint_every:
         problem.extra["checkpoint_every"] = args.checkpoint_every
         problem.extra["checkpoint_dir"] = args.checkpoint_dir
@@ -332,10 +362,6 @@ def cmd_bte(args: argparse.Namespace) -> int:
         problem.extra["heartbeat_s"] = args.heartbeat_s
     if args.restore:
         problem.extra["restore_from"] = args.restore
-    mode = "gpu" if args.gpu else "cpu"
-    _say(f"running {scenario.name}: {args.nx}x{args.nx} cells, "
-         f"{model.ncomp} components/cell, {args.steps} steps "
-         f"[{mode}, {args.ranks} rank(s)] ...")
     if args.faults:
         try:  # parse eagerly: a typo'd spec should fail before the solve
             parse_fault_spec(args.faults)
@@ -404,20 +430,8 @@ def cmd_bte(args: argparse.Namespace) -> int:
             _say(f"wrote profile to {args.profile} (inspect with "
                  f"`bte compare`)")
         if args.record:
-            from repro.obs import configure_registry, get_registry
-
-            if args.runs_dir:
-                configure_registry(args.runs_dir)
-            registry = get_registry()
-            report_doc = (report or solver.run_report()).to_dict()
-            key = profile_doc["meta"]["problem_key"]
-            path = registry.append(
-                key, report=report_doc, profile=profile_doc,
-                meta={"wall_s": wall_s, "target": solver.target_name,
-                      "nsteps": solver.state.step_index},
-            )
-            _say(f"recorded run entry {path} (timeline: `bte history "
-                 f"--key {key[:12]}`)")
+            _record_run(args, solver, (report or solver.run_report()).to_dict(),
+                        profile_doc, wall_s)
     if args.metrics:
         _say(f"wrote metrics exposition to {args.metrics}")
     if args.events:
@@ -471,55 +485,20 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 def cmd_profile(args: argparse.Namespace) -> int:
     import time
 
-    from repro.bte import build_bte_problem, hotspot_scenario
-    from repro.obs.profile import (
-        build_profile,
-        profile_run,
-        profile_table,
-        write_profile,
-    )
+    from repro.obs.profile import build_profile, profile_table, write_profile
 
     _apply_cache_flags(args)
-    scenario = hotspot_scenario(
-        nx=args.nx, ny=args.nx, ndirs=args.ndirs,
-        n_freq_bands=args.bands, dt=args.dt, nsteps=args.steps,
-    )
-    scenario.sigma = max(scenario.sigma, 2.5 * scenario.lx / args.nx)
-    problem, model = build_bte_problem(scenario)
-    if args.gpu:
-        problem.enable_gpu()
-        problem.extra["gpu_force_offload"] = True
-    if args.ranks > 1:
-        problem.set_partitioning("bands", args.ranks, index="b")
-    mode = "gpu" if args.gpu else "cpu"
-    _say(f"profiling {scenario.name}: {args.nx}x{args.nx} cells, "
-         f"{model.ncomp} components/cell, {args.steps} steps "
-         f"[{mode}, {args.ranks} rank(s)] ...")
+    problem = _hotspot_problem(args, "profiling")
     t0 = time.perf_counter()
-    with profile_run():
-        solver = problem.solve()
-        wall_s = time.perf_counter() - t0
-        # built inside the block so the per-launch records are captured
-        doc = build_profile(solver, tolerance=args.tolerance)
+    solver = problem.solve()
+    wall_s = time.perf_counter() - t0
+    doc = build_profile(solver, tolerance=args.tolerance)
     print(profile_table(doc, top=args.top))
     if args.out:
         write_profile(doc, args.out)
         _say(f"wrote profile to {args.out}")
-
     if args.record:
-        from repro.obs import configure_registry, get_registry
-
-        if args.runs_dir:
-            configure_registry(args.runs_dir)
-        registry = get_registry()
-        key = doc["meta"]["problem_key"]
-        path = registry.append(
-            key, report=solver.run_report().to_dict(), profile=doc,
-            meta={"wall_s": wall_s, "target": solver.target_name,
-                  "nsteps": solver.state.step_index},
-        )
-        _say(f"recorded run entry {path} (timeline: `bte history "
-             f"--key {key[:12]}`)")
+        _record_run(args, solver, solver.run_report().to_dict(), doc, wall_s)
     return 0
 
 
@@ -603,7 +582,15 @@ def cmd_bench(args: argparse.Namespace) -> int:
     import time
 
     from repro.obs.regress import compare, load_bench, run_benchmarks, write_bench
+    from repro.util.errors import BenchFormatError
 
+    baseline = None
+    if args.compare:  # a malformed baseline fails before the suite runs
+        try:
+            baseline = load_bench(args.compare)
+        except BenchFormatError as exc:
+            _warn(_render_error(exc))
+            return 2
     _apply_cache_flags(args)
     _say(f"running benchmark suite ({args.nx}x{args.nx} cells, "
          f"{args.steps} steps per target) ...")
@@ -617,15 +604,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 date=date, nx=args.nx, steps=args.steps)
     _say(f"wrote benchmark envelope to {out}")
 
-    if args.compare:
-        try:
-            baseline = load_bench(args.compare)
-        except (OSError, ValueError) as exc:
-            _warn(f"error: {exc}")
-            return 2
+    if baseline is not None:
         report = compare(
             baseline, {"name": f"bte-suite@{date}", "timings": timings},
-            threshold=args.threshold, wall_threshold=args.wall_threshold,
+            threshold=args.threshold,
         )
         print()
         print(report.render_text(), end="")
@@ -967,8 +949,8 @@ def main(argv: list[str] | None = None) -> int:
 
     p_prof = sub.add_parser(
         "profile",
-        help="run the hot-spot transient under the per-launch kernel "
-             "profiler; print the roofline/drift table",
+        help="run the hot-spot transient; print its per-phase/per-kernel "
+             "roofline/drift table",
         parents=[common, cache],
     )
     p_prof.add_argument("--nx", type=int, default=24)
@@ -1042,9 +1024,6 @@ def main(argv: list[str] | None = None) -> int:
     p_bench.add_argument("--threshold", type=float, default=None,
                          help="relative slowdown tolerated for virtual "
                               "timings (default 0.25)")
-    p_bench.add_argument("--wall-threshold", type=float, default=None,
-                         help="relative slowdown tolerated for wall-clock "
-                              "timings (default 1.0)")
 
     p_lint = sub.add_parser(
         "lint", help="statically verify DSL scripts (RPR### diagnostics)",

@@ -186,7 +186,7 @@ def emit_device_step(name: str, plan: dict, rank: str = "") -> list[str]:
         "        launch_time = host.now()",
         "        kernel_args = [dev.buffers[n].array",
         "                       for n in ['u'] + KERNEL_VAR_NAMES + ['u_new']] + [dev.workspace]",
-        "        with state.profile_scope('solve'):",
+        "        with state.timers.time('solve'):",
         "            dev.launch(KERNEL, ndof, *kernel_args, sel, host_time=launch_time)",
         "    except GPU_FAULTS as exc:",
         "        faulted = exc",
@@ -213,7 +213,7 @@ def emit_device_step(name: str, plan: dict, rank: str = "") -> list[str]:
             "                KERNEL.name, lambda: dev.d2h('u_new', host_time=host.now())[0][sel])",
             f"            state.device_transfers('h2d', [{pairs(transfers.h2d_each_step)}])",
             "            launch_time = host.now()",
-            "            with state.profile_scope('solve'):",
+            "            with state.timers.time('solve'):",
             "                dev.launch(FINISH, ndof, *[dev.buffers[n].array",
             "                                           for n in ('u_new', 'du_bdry', 'u_bdry')],",
             f"                           [dev.buffers[n].array for n in {reductions!r}],",
@@ -247,7 +247,7 @@ def emit_device_step(name: str, plan: dict, rank: str = "") -> list[str]:
         "        if resident:",
         "            state.claim_unknown()",
         "        dev.mark_host_dirty('u')",
-        "        with state.profile_scope('solve'):",
+        "        with state.timers.time('solve'):",
         "            interior_kernel(u, *[state.fields[n[4:]].data for n in KERNEL_VAR_NAMES],",
         "                            u, state.buffer, sel)",
         "            state.sanitize_kernel_output(KERNEL.name, lambda: u[sel])",

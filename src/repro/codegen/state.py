@@ -102,16 +102,11 @@ class SolverState:
         self.checkpoint_every = int(self.extra.get("checkpoint_every", 0) or 0)
         self.checkpoint_dir = self.extra.get("checkpoint_dir")
         # concurrent solves sharing one --checkpoint-dir would clobber each
-        # other's ckpt_step*.npz (names carry only step + rank).  An opt-in
-        # namespace isolates them: "auto" derives a per-problem prefix from
-        # the repro.cache/1 signature; any other value is used verbatim
-        # (the solver service passes its job key).
+        # other's ckpt_step*.npz (names carry only step + rank).  A namespace
+        # isolates them: a subdirectory named verbatim (the solver service
+        # passes its job key).
         namespace = self.extra.get("checkpoint_namespace")
         if namespace:
-            if namespace == "auto":
-                from repro.tune.signature import cache_key
-
-                namespace = cache_key(problem, "checkpoint")[:12]
             self.checkpoint_dir = str(
                 Path(self.checkpoint_dir or ".") / str(namespace))
         # elastic runtime hook: the distributed targets attach a
@@ -157,29 +152,13 @@ class SolverState:
             elog.emit(name, level="info", rank=rank, step=self.step_index,
                       problem=self.problem.name, **fields)
 
-    def profile_scope(self, name: str):
-        """Phase timer that doubles as a per-launch profiler probe.
-
-        With profiling off (the default) it *is* the plain timer — same
-        object, same cost, nothing extra allocated.  With a live
-        :class:`~repro.obs.profile.RunProfiler` installed, every entry/exit
-        additionally records one per-launch sample (rank, phase, step,
-        seconds) using the registry's clock, so profiles taken under the
-        virtual bench clock are deterministic.
-        """
-        from repro.obs.profile import get_profiler
-
-        prof = get_profiler()
-        if not prof.enabled:
-            return self.timers.time(name)
-        return _ProfileScope(self, name, prof)
-
     def phase(self, name: str):
         """Scope of one phase of a step (``pre_step``, ``solve``,
-        ``post_step``, ``boundary``): timed through :meth:`profile_scope`
-        — the breakdowns of Figs. 5/8 — and, under a live tracer, a span on
-        the thread's host track, so a phase means the same on every target."""
-        timed = self.profile_scope(name)
+        ``post_step``, ``boundary``): timed by the phase timers — the one
+        record of its duration, behind the breakdowns of Figs. 5/8 and every
+        profile row — and, under a live tracer, a span on the thread's host
+        track, so a phase means the same on every target."""
+        timed = self.timers.time(name)
         if not get_tracer().enabled:
             return timed
         return _Nested(timed, phase_span(name))
@@ -221,7 +200,7 @@ class SolverState:
         books the wait as communication."""
         dev, host = self.device, self.host_clock
         mark = end = host.now()
-        with self.profile_scope(kind):
+        with self.timers.time(kind):
             for name, array in arrays:
                 end = (dev.h2d(name, array, mark) if kind == "h2d"
                        else dev.d2h(name, out=array, host_time=mark)[1])
@@ -676,31 +655,6 @@ class SolverState:
             f"SolverState(problem={self.problem.name!r}, step={self.step_index}/"
             f"{self.nsteps}, time={self.time:.3e})"
         )
-
-
-class _ProfileScope:
-    """Timer context recording into both the phase timers and the profiler."""
-
-    __slots__ = ("_state", "_name", "_profiler", "_start", "elapsed")
-
-    def __init__(self, state: SolverState, name: str, profiler):
-        self._state = state
-        self._name = name
-        self._profiler = profiler
-        self._start = 0.0
-        self.elapsed = 0.0
-
-    def __enter__(self) -> "_ProfileScope":
-        self._start = self._state.timers.clock.now()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        state = self._state
-        self.elapsed = state.timers.clock.now() - self._start
-        state.timers.record(self._name, self.elapsed)
-        rank = state.comm.rank if state.comm is not None else 0
-        self._profiler.record(self._name, self.elapsed, rank=rank,
-                              step=state.step_index)
 
 
 class _Nested:

@@ -64,17 +64,13 @@ __getattr__, __dir__, _lazy = lazy_exports(__name__, {
         "set_metrics",
     ),
     "profile": (
-        "RunProfiler",
         "build_profile",
         "compare_profiles",
         "compare_table",
         "extract_profile",
-        "get_profiler",
         "load_profile",
         "problem_key",
-        "profile_run",
         "profile_table",
-        "set_profiler",
         "write_profile",
     ),
     "registry": (

@@ -7,7 +7,8 @@ document with that granularity:
 * one row per (rank, kernel-or-phase) with count, **self** and **total**
   time, bytes moved and achieved-vs-roofline FLOP/byte attribution (GPU
   rows come from :class:`repro.gpu.profiler.Profiler` launch records, CPU
-  rows from the phase timers every generated run loop already drives);
+  rows from the phase timers every generated run loop already drives —
+  the one recorder of a phase's duration);
 * a **perfmodel drift** column per row: measured seconds-per-step divided
   by the :class:`repro.perfmodel.costs.CostModel` prediction, so the
   analytic model that placement decisions rest on is audited by every
@@ -17,101 +18,24 @@ Document layout (``repro.profile/1``)::
 
     schema   "repro.profile/1"
     meta     {problem, target, problem_key, nsteps, ncells, ncomp, ...}
-    ranks    [{rank, kernels: [row...], transfers: {...},
-               launches: [{name, step, seconds}...]?}, ...]
+    ranks    [{rank, kernels: [row...], transfers: {...}}, ...]
     drift    {tolerance, max_abs, exceeded}
 
-Runtime side: a process-wide :class:`RunProfiler` singleton mirrors the
-event-log/metrics pattern — disabled by default, attribute-check cheap when
-off.  When enabled (``profile_run()`` / CLI ``--profile``) the generated run
-loops additionally record one entry *per phase launch* (not just the
-aggregated timer stats), which lands in each rank's ``launches`` list.
+Documents written before the per-launch profiler was removed also carry
+``meta.per_launch`` and ``ranks[*].launches``; readers ignore both.
 """
 
 from __future__ import annotations
 
 import json
-from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any
 
 SCHEMA = "repro.profile/1"
 
 #: A measured/predicted ratio farther than this from 1.0 flags the cost
 #: model's drift as exceeded.
 DRIFT_TOLERANCE = 0.5
-
-#: Phase-timer names mapped to cost-model phases (mirrors the
-#: ``task_timer_map`` used by placement accuracy).
-_PHASE_COSTS = {
-    "solve": "intensity",
-    "boundary": "boundary",
-    "post_step": "temperature",
-}
-
-
-class RunProfiler:
-    """Process-wide per-launch CPU profiling switchboard.
-
-    ``record()`` is called by :meth:`SolverState.profile_scope
-    <repro.codegen.state.SolverState.profile_scope>` wrappers in every
-    generated run loop; it appends one plain tuple per phase launch.  When
-    ``enabled`` is False the generated code never constructs the wrapper in
-    the first place (the scope falls back to the plain timer), so a
-    disabled profiler allocates nothing per step.
-    """
-
-    __slots__ = ("enabled", "records")
-
-    def __init__(self, enabled: bool = True):
-        self.enabled = enabled
-        #: (rank, name, step, seconds) per recorded launch
-        self.records: list[tuple[int, str, int, float]] = []
-
-    def record(self, name: str, seconds: float, *, rank: int = 0,
-               step: int = -1) -> None:
-        if not self.enabled:
-            return
-        self.records.append((rank, name, step, seconds))
-
-    def launches_for_rank(self, rank: int) -> list[dict]:
-        return [
-            {"name": name, "step": step, "seconds": secs}
-            for (r, name, step, secs) in self.records
-            if r == rank
-        ]
-
-    def reset(self) -> None:
-        self.records.clear()
-
-
-_current = RunProfiler(enabled=False)
-
-
-def get_profiler() -> RunProfiler:
-    """The installed profiler (disabled singleton by default)."""
-    return _current
-
-
-def set_profiler(profiler: RunProfiler | None) -> RunProfiler:
-    """Install ``profiler`` (None restores the disabled default); returns
-    the previously installed one."""
-    global _current
-    previous = _current
-    _current = profiler if profiler is not None else RunProfiler(enabled=False)
-    return previous
-
-
-@contextmanager
-def profile_run(enabled: bool = True) -> Iterator[RunProfiler]:
-    """Enable per-launch profiling for the duration of the block."""
-    profiler = RunProfiler(enabled=enabled)
-    previous = set_profiler(profiler)
-    try:
-        yield profiler
-    finally:
-        set_profiler(previous)
-
 
 # --------------------------------------------------------------------- builder
 def _rank_work(state, nranks: int) -> tuple[float, float]:
@@ -225,7 +149,6 @@ def build_profile(solver, *, tolerance: float | None = None) -> dict:
     spmd = getattr(state, "spmd_result", None)
     nranks = len(spmd.results) if spmd is not None else 1
     predicted = _predicted_phase_seconds(state, nranks)
-    profiler = get_profiler()
 
     ranks: list[dict] = []
     if spmd is not None:
@@ -242,8 +165,6 @@ def build_profile(solver, *, tolerance: float | None = None) -> dict:
             entry: dict[str, Any] = {"rank": rank, "kernels": rows}
             if rank < len(device_profilers):
                 entry["transfers"] = device_profilers[rank].transfer_summary()
-            if profiler.enabled:
-                entry["launches"] = profiler.launches_for_rank(rank)
             ranks.append(entry)
     else:
         rows = _timer_rows(state.timers, nsteps, predicted)
@@ -253,8 +174,6 @@ def build_profile(solver, *, tolerance: float | None = None) -> dict:
             rows.extend(_kernel_rows(device.profiler, nsteps, predicted))
             _attribute_kernel_self(rows)
             entry["transfers"] = device.profiler.transfer_summary()
-        if profiler.enabled:
-            entry["launches"] = profiler.launches_for_rank(0)
         ranks.append(entry)
 
     tol = DRIFT_TOLERANCE if tolerance is None else float(tolerance)
@@ -280,7 +199,6 @@ def build_profile(solver, *, tolerance: float | None = None) -> dict:
         "nranks": nranks,
         "problem_key": problem_key(state.problem,
                                    getattr(solver, "target_name", None)),
-        "per_launch": bool(profiler.enabled),
     }
     generation = getattr(solver, "generation_info", None)
     if generation:
@@ -477,17 +395,13 @@ def profile_table(doc: dict, *, top: int = 0) -> str:
 
 __all__ = [
     "DRIFT_TOLERANCE",
-    "RunProfiler",
     "SCHEMA",
     "build_profile",
     "compare_profiles",
     "compare_table",
     "extract_profile",
-    "get_profiler",
     "load_profile",
     "problem_key",
-    "profile_run",
     "profile_table",
-    "set_profiler",
     "write_profile",
 ]

@@ -262,7 +262,7 @@ def build_run_report(solver, tracer=None, **extra_meta: Any) -> RunReport:
 
     report = RunReport(
         meta=meta,
-        timers={name: s.as_dict() for name, s in state.timers.stats.items()},
+        timers=state.timers.as_dict(),
         phases=solver.breakdown(),
     )
 

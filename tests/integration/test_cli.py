@@ -183,10 +183,12 @@ class TestEventLogCLI:
     ["bte", "--blackbox-dir", "bb"],
     ["profile", "--chunks", "6"],
     ["profile", "--calibrate-out", "rates.json"],
+    ["bench", "--wall-threshold", "1"],
 ])
 def test_removed_commands_and_flags_exit_2(argv, capsys):
-    """The autotuner, kernel chunking, live calibration and the flight
-    recorder are gone: their command and flags are argparse errors."""
+    """The autotuner, kernel chunking, live calibration, the flight
+    recorder and the bench suite's wall timings are gone: their command and
+    flags are argparse errors."""
     from repro.cli import bte_main
 
     for entry, args in ((main, argv), (bte_main, argv)):
@@ -220,7 +222,7 @@ def write_drill_profile(path, slowdown: float = 1.0) -> None:
     of the registry's problem key, so both profiles are the same problem)."""
     from repro.bte import build_bte_problem, hotspot_scenario
     from repro.codegen.gpu_hybrid import DEFAULT_FLOP_FACTOR
-    from repro.obs.profile import build_profile, profile_run, write_profile
+    from repro.obs.profile import build_profile, write_profile
 
     scenario = hotspot_scenario(nx=12, ny=12, ndirs=4, n_freq_bands=4,
                                 dt=1e-12, nsteps=3)
@@ -230,8 +232,7 @@ def write_drill_profile(path, slowdown: float = 1.0) -> None:
     problem.extra["gpu_force_offload"] = True
     if slowdown != 1.0:
         problem.extra["gpu_flop_factor"] = slowdown * DEFAULT_FLOP_FACTOR
-    with profile_run():
-        write_profile(build_profile(problem.solve()), path)
+    write_profile(build_profile(problem.solve()), path)
 
 
 class TestProfileRegistryCLI:
@@ -255,7 +256,8 @@ class TestProfileRegistryCLI:
         assert "perfmodel drift" in text
         doc = json.loads(out.read_text())
         assert doc["schema"] == "repro.profile/1"
-        assert doc["meta"]["per_launch"] is True
+        assert "per_launch" not in doc["meta"]
+        assert not any("launches" in entry for entry in doc["ranks"])
 
     def test_compare_ranks_injected_slowdown_first(self, tmp_path, capsys):
         # a bigger workload than the other tests: the injected kernel work

@@ -1,4 +1,5 @@
-"""The per-kernel profiler and the ``repro.profile/1`` document."""
+"""The ``repro.profile/1`` document: phase rows from the timers, kernel
+rows from the device's launch records."""
 
 import json
 
@@ -8,18 +9,14 @@ from repro.bte import build_bte_problem, hotspot_scenario
 from repro.codegen.gpu_hybrid import DEFAULT_FLOP_FACTOR
 from repro.obs.profile import (
     DRIFT_TOLERANCE,
-    RunProfiler,
     SCHEMA,
     build_profile,
     compare_profiles,
     compare_table,
     extract_profile,
-    get_profiler,
     load_profile,
     problem_key,
-    profile_run,
     profile_table,
-    set_profiler,
     write_profile,
 )
 from repro.util.errors import ReproError
@@ -41,55 +38,13 @@ def tiny_problem(gpu: bool = False, ranks: int = 1, flop_factor: float = 0.0):
     return problem
 
 
-@pytest.fixture(autouse=True)
-def reset_profiler():
-    yield
-    set_profiler(None)
-
-
-class TestRunProfiler:
-    def test_disabled_records_nothing(self):
-        prof = RunProfiler(enabled=False)
-        prof.record("solve", 0.5, rank=0, step=1)
-        assert prof.records == []
-
-    def test_enabled_records_tuples(self):
-        prof = RunProfiler()
-        prof.record("solve", 0.5, rank=1, step=2)
-        assert prof.records == [(1, "solve", 2, 0.5)]
-        assert prof.launches_for_rank(1) == [
-            {"name": "solve", "step": 2, "seconds": 0.5}
-        ]
-        assert prof.launches_for_rank(0) == []
-        prof.reset()
-        assert prof.records == []
-
-    def test_profile_run_restores_previous(self):
-        before = get_profiler()
-        with profile_run() as prof:
-            assert get_profiler() is prof
-            assert prof.enabled
-        assert get_profiler() is before
-
-
 class TestProfileScope:
     def test_disabled_is_the_plain_timer(self):
+        # with no live tracer a phase is the phase timer itself: the one
+        # recorder of its duration, nothing else allocated per step
         solver = tiny_problem().generate()
-        scope = solver.state.profile_scope("solve")
+        scope = solver.state.phase("solve")
         assert isinstance(scope, Timer)
-
-    def test_enabled_records_per_launch(self):
-        with profile_run() as prof:
-            tiny_problem().solve()
-        names = {name for (_, name, _, _) in prof.records}
-        assert "solve" in names and "post_step" in names
-        steps = [step for (_, name, step, _) in prof.records
-                 if name == "solve"]
-        assert steps == [0, 1, 2]
-
-    def test_default_solve_leaves_no_records(self):
-        tiny_problem().solve()
-        assert get_profiler().records == []
 
 
 class TestBuildProfile:
@@ -128,7 +83,8 @@ class TestBuildProfile:
         assert meta["problem"] == "bte-hotspot"
         assert meta["target"] == "cpu"
         assert meta["nsteps"] == 3
-        assert meta["per_launch"] is False
+        assert "per_launch" not in meta
+        assert "launches" not in doc["ranks"][0]
         assert meta["problem_key"] == problem_key(
             solver.state.problem, "cpu")
 
@@ -156,23 +112,14 @@ class TestBuildProfile:
         doc = build_profile(tiny_problem().solve())
         assert doc["drift"]["tolerance"] == DRIFT_TOLERANCE
 
-    def test_per_launch_records_included_when_enabled(self):
-        with profile_run():
-            solver = tiny_problem().solve()
-            doc = build_profile(solver)
-        assert doc["meta"]["per_launch"] is True
-        (entry,) = doc["ranks"]
-        assert any(l["name"] == "solve" for l in entry["launches"])
-
     def test_virtual_clock_determinism(self):
         # under the virtual bench clock the whole document is a pure
         # function of the model: two identical runs agree bit-for-bit
         def one_run():
             solver = tiny_problem(gpu=True).generate()
             solver.state.timers.clock = VirtualClock()
-            with profile_run():
-                solver.run(3)
-                return build_profile(solver)
+            solver.run(3)
+            return build_profile(solver)
 
         a, b = one_run(), one_run()
         assert a["ranks"] == b["ranks"]

@@ -11,6 +11,7 @@ from repro.obs.regress import (
     load_bench,
     write_bench,
 )
+from repro.util.errors import BenchFormatError
 
 
 def _env(name, timings):
@@ -36,6 +37,20 @@ class TestEnvelope:
         path.write_text(json.dumps({"schema": SCHEMA}))
         with pytest.raises(ValueError):
             load_bench(path)
+
+    @pytest.mark.parametrize("text", ["{not json", "[1, 2]", '"repro.bench/1"'])
+    def test_load_rejects_unreadable_documents(self, tmp_path, text):
+        path = tmp_path / "x.json"
+        path.write_text(text)
+        with pytest.raises(BenchFormatError):
+            load_bench(path)
+
+    def test_load_rejects_a_non_numeric_timing_by_name(self, tmp_path):
+        path = tmp_path / "x.json"
+        path.write_text(json.dumps(_env("x", {"a_s": 1.0, "serial_wall_s": "fast"})))
+        with pytest.raises(BenchFormatError, match="'serial_wall_s'") as exc:
+            load_bench(path)
+        assert exc.value.code == "RPR403"
 
     def test_figure_benchmarks_share_the_schema(self):
         import sys
@@ -74,12 +89,6 @@ class TestCompare:
         assert not compare(base, cur).has_regressions
         assert compare(base, cur, threshold=0.01).has_regressions
 
-    def test_wall_benchmarks_use_looser_threshold(self):
-        base = _env("base", {"a_wall_s": 1.0})
-        cur = _env("cur", {"a_wall_s": 1.5})  # +50%: over 0.25, under 1.0
-        assert not compare(base, cur).has_regressions
-        assert compare(base, cur, wall_threshold=0.25).has_regressions
-
     def test_new_and_missing_are_not_regressions(self):
         base = _env("base", {"gone_s": 1.0})
         cur = _env("cur", {"fresh_s": 1.0})
@@ -111,8 +120,8 @@ class TestCompare:
         assert report.deltas[0].slowdown == pytest.approx(0.06)
 
     def test_overhead_ratio_under_one_is_not_improved(self):
-        base = _env("base", {"profile_on_vs_off_wall_s": 1.0})
-        report = compare(base, _env("cur", {"profile_on_vs_off_wall_s": 0.98}))
+        base = _env("base", {"events_on_vs_off_wall_s": 1.0})
+        report = compare(base, _env("cur", {"events_on_vs_off_wall_s": 0.98}))
         assert report.deltas[0].status == "ok"  # within noise of the ideal
 
     def test_render_text_marks_regressions(self):
@@ -129,10 +138,21 @@ class TestCompare:
         assert doc["regressions"] == 1
 
 
-#: the three entries the suite stopped producing with the autotuner and the
-#: flight recorder; older baselines still carry them
+#: entries the suite stopped producing, which older baselines still carry:
+#: three with the autotuner and the flight recorder, then the six wall
+#: timings the end-to-end harness replaced and the per-launch profiler's
+#: overhead ratio
 VANISHED = ("tune_default_virtual_s", "tune_best_virtual_s",
-            "blackbox_on_vs_off_wall_s")
+            "blackbox_on_vs_off_wall_s",
+            "serial_wall_s", "gpu_hybrid_wall_s", "spmd_bands_wall_s",
+            "gpu_multi_wall_s", "codegen_cold_wall_s", "codegen_warm_wall_s",
+            "profile_on_vs_off_wall_s")
+
+#: what one ``bte bench`` run writes
+SUITE = ("gpu_hybrid_virtual_s", "spmd_bands_virtual_s", "gpu_multi_virtual_s",
+         "skewed_rebalance_virtual_s_r4", "skewed_rebalance_virtual_s_r16",
+         "events_on_vs_off_wall_s", "rebalance_overhead_wall_s",
+         "serve_overhead_wall_s", "serve_dedup_speedup_x")
 
 
 class TestSeedBaseline:
@@ -144,24 +164,24 @@ class TestSeedBaseline:
         assert doc["timings"], "seed baseline must carry timings"
         assert any(k.endswith("_virtual_s") for k in doc["timings"])
 
-    def test_seed_lists_the_sixteen_suite_entries(self):
+    def test_seed_lists_the_nine_suite_entries(self):
         from pathlib import Path
 
         seed = Path(__file__).parents[2] / "benchmarks" / "BENCH_seed.json"
         names = set(load_bench(seed)["timings"])
-        assert len(names) == 16
-        # the fused/unfused ratios left with the fused path (PR 14)
+        assert names == set(SUITE)
+        # the fused/unfused ratios left with the fused path
         assert not any("fused" in name for name in names)
         assert not names & set(VANISHED)
 
     def test_older_baseline_gates_vanished_entries_as_missing(
             self, tmp_path, monkeypatch, capsys):
-        """``bench --compare`` against a baseline that still holds the three
+        """``bench --compare`` against a baseline that still holds the
         vanished entries lists them as missing and exits 0."""
         from repro.cli import main
         from repro.obs import regress
 
-        current = {"serial_wall_s": 0.4, "gpu_hybrid_virtual_s": 0.05}
+        current = {"gpu_hybrid_virtual_s": 0.05, "spmd_bands_virtual_s": 0.03}
         old = {**current, **{name: 1.0 for name in VANISHED}}
         baseline = write_bench(tmp_path / "old.json", "old", old)
         monkeypatch.setattr(regress, "run_benchmarks", lambda **_: dict(current))
@@ -172,30 +192,75 @@ class TestSeedBaseline:
             (row,) = [ln for ln in lines if ln.split()[:1] == [name]]
             assert row.rstrip().endswith("missing")
 
-    def test_seed_carries_profiler_overhead_entry(self):
-        from pathlib import Path
+    def test_the_sixteen_entry_seed_gates_the_retired_entries_as_missing(
+            self, tmp_path, monkeypatch, capsys):
+        """The committed baseline from before the wall half of the suite
+        went: against a run that writes the nine kept entries (here at the
+        same values), the seven retired ones are missing and nothing
+        regresses."""
+        from repro.cli import main
+        from repro.obs import regress
 
-        seed = Path(__file__).parents[2] / "benchmarks" / "BENCH_seed.json"
-        timings = load_bench(seed)["timings"]
-        assert "profile_on_vs_off_wall_s" in timings
-        # a ratio near 1.0, not seconds: the 5% overhead budget applies
-        assert 0.5 < timings["profile_on_vs_off_wall_s"] < 1.5
+        baseline = write_bench(tmp_path / "seed16.json", "bte-suite@2026-10-15",
+                               _SIXTEEN_ENTRY_SEED)
+        kept = {name: _SIXTEEN_ENTRY_SEED[name] for name in SUITE}
+        monkeypatch.setattr(regress, "run_benchmarks", lambda **_: dict(kept))
+        assert main(["bench", "--compare", str(baseline),
+                     "--out", str(tmp_path / "new.json")]) == 0
+        # the comparison table comes last: its row is the one kept per name
+        status = {}
+        for words in map(str.split, capsys.readouterr().out.splitlines()):
+            if words and words[0] in _SIXTEEN_ENTRY_SEED:
+                status[words[0]] = words[-1]
+        missing = {name for name, s in status.items() if s == "missing"}
+        assert missing == set(_SIXTEEN_ENTRY_SEED) - set(SUITE)
+        assert len(missing) == 7 and missing <= set(VANISHED)
+
+    @pytest.mark.parametrize("value", ["fast", None, True, float("nan"), [1.0]])
+    def test_malformed_timing_exits_2_naming_the_entry(
+            self, tmp_path, monkeypatch, capsys, value):
+        """A baseline timing that is not a finite number is an RPR403 error
+        naming the entry, not a ``TypeError`` out of ``compare``, and the
+        suite never runs."""
+        from repro.cli import main
+        from repro.obs import regress
+
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(_env("bad", {"gpu_hybrid_virtual_s": 0.05,
+                                               "serial_wall_s": value})))
+
+        def suite(**_):
+            raise AssertionError("the suite ran against a malformed baseline")
+
+        monkeypatch.setattr(regress, "run_benchmarks", suite)
+        assert main(["bench", "--compare", str(bad),
+                     "--out", str(tmp_path / "new.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error RPR403:")
+        assert "'serial_wall_s'" in err
+        assert not (tmp_path / "new.json").exists()
 
 
-class TestProfilerOverheadGate:
-    def test_profile_ratio_uses_the_overhead_threshold(self):
-        from repro.obs.regress import _threshold_for, OBS_OVERHEAD_THRESHOLD
-
-        assert _threshold_for("profile_on_vs_off_wall_s", None, None) \
-            == OBS_OVERHEAD_THRESHOLD
-
-    def test_profile_ratio_gated_at_five_percent(self):
-        base = _env("base", {"profile_on_vs_off_wall_s": 1.0})
-        ok = compare(base, _env("cur", {"profile_on_vs_off_wall_s": 1.04}))
-        assert not ok.has_regressions
-        bad = compare(base, _env("cur", {"profile_on_vs_off_wall_s": 1.06}))
-        assert [d.name for d in bad.regressions] == [
-            "profile_on_vs_off_wall_s"]
+#: ``benchmarks/BENCH_seed.json`` as committed before the wall timings and
+#: the per-launch profiler's overhead ratio left the suite
+_SIXTEEN_ENTRY_SEED = {
+    "serial_wall_s": 0.19880702499995095,
+    "gpu_hybrid_wall_s": 0.060725504999936675,
+    "gpu_hybrid_virtual_s": 0.04943255999999999,
+    "spmd_bands_wall_s": 0.056713218000027155,
+    "spmd_bands_virtual_s": 0.03171736666666666,
+    "gpu_multi_wall_s": 0.03683062900006462,
+    "gpu_multi_virtual_s": 0.04788272666666667,
+    "codegen_cold_wall_s": 0.01474801100005152,
+    "codegen_warm_wall_s": 0.005135446999929627,
+    "events_on_vs_off_wall_s": 0.9039482443980971,
+    "profile_on_vs_off_wall_s": 1.0019024672141732,
+    "rebalance_overhead_wall_s": 1.1294708395960424,
+    "skewed_rebalance_virtual_s_r4": 0.017376106666666665,
+    "skewed_rebalance_virtual_s_r16": 0.004720553333333334,
+    "serve_overhead_wall_s": 1.0405435341227935,
+    "serve_dedup_speedup_x": 6.080734883963422,
+}
 
 
 class TestRebalanceOverheadGate:
@@ -206,7 +271,7 @@ class TestRebalanceOverheadGate:
             REBALANCE_OVERHEAD_THRESHOLD,
         )
 
-        got = _threshold_for("rebalance_overhead_wall_s", None, None)
+        got = _threshold_for("rebalance_overhead_wall_s", None)
         assert got == REBALANCE_OVERHEAD_THRESHOLD
         assert got > OBS_OVERHEAD_THRESHOLD  # real work, looser budget
 

@@ -1,12 +1,10 @@
 """Regression: concurrent solves sharing one checkpoint dir must not
 clobber each other's ``ckpt_step*.npz`` files (names carry only step and
-rank).  The fix is the opt-in ``checkpoint_namespace`` extra; the solver
-service always namespaces by job key.
+rank).  The fix is the ``checkpoint_namespace`` extra, a subdirectory
+named verbatim; the solver service always namespaces by job key.
 """
 
 import numpy as np
-
-from pathlib import Path
 
 from repro.tune.cache import cache_scope
 from tests.serve.conftest import make_problem
@@ -26,28 +24,6 @@ def test_unnamespaced_paths_unchanged(tmp_path):
         problem.solve()
     assert (tmp_path / "ckpt_step000001.npz").exists()
     assert len(_ckpts(tmp_path)) == 3
-
-
-def test_auto_namespace_isolates_distinct_problems(tmp_path):
-    """Two different problems pointed at the same --checkpoint-dir write
-    into distinct signature-derived subdirectories."""
-    with cache_scope():
-        dirs = []
-        for nx in (8, 6):
-            problem = make_problem(nsteps=3, nx=nx)
-            problem.extra["checkpoint_every"] = 1
-            problem.extra["checkpoint_dir"] = str(tmp_path)
-            problem.extra["checkpoint_namespace"] = "auto"
-            solver = problem.generate()
-            dirs.append(solver.state.checkpoint_dir)
-            solver.run()
-    assert dirs[0] != dirs[1]
-    for d in dirs:
-        sub = Path(d)
-        assert sub.parent == tmp_path
-        assert len(_ckpts(sub)) == 3
-    # nothing leaked into the shared root
-    assert _ckpts(tmp_path) == []
 
 
 def test_explicit_namespace_used_verbatim_and_restorable(tmp_path):
