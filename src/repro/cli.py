@@ -90,6 +90,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.util.context import current
 from repro.util.errors import ReproError
 
 #: Set by ``-q/--quiet``: progress notes go to the event log only.
@@ -98,18 +99,14 @@ _QUIET = False
 
 def _say(msg: str) -> None:
     """Progress note: mirrored into the structured event log, then stdout."""
-    from repro.obs.log import log_event
-
-    log_event("cli.note", "info", message=msg)
+    current().events.emit("cli.note", "info", message=msg)
     if not _QUIET:
         print(msg)
 
 
 def _warn(msg: str) -> None:
     """Warning/error line: event log + stderr (never silenced by ``-q``)."""
-    from repro.obs.log import log_event
-
-    log_event("cli.warning", "warning", message=msg)
+    current().events.emit("cli.warning", "warning", message=msg)
     print(msg, file=sys.stderr)
 
 
@@ -346,9 +343,8 @@ def cmd_bte(args: argparse.Namespace) -> int:
 
     from repro.obs import metrics_run, trace_run
     from repro.runtime.faults import fault_run, parse_fault_spec
-    from repro.runtime.resilience import get_resilience_log
     from repro.util.errors import FaultSpecError
-    from repro.verify.sanitizer import get_sanitizer, sanitize_run
+    from repro.verify.sanitizer import sanitize_run
 
     _apply_cache_flags(args)
     problem = _hotspot_problem(args, "running")
@@ -382,28 +378,29 @@ def cmd_bte(args: argparse.Namespace) -> int:
         if args.events else nullcontext()
     )
     san_ctx = sanitize_run() if args.sanitize else nullcontext()
+    tracing = bool(args.trace or args.report or args.metrics)
     t0 = time.perf_counter()
-    with events_ctx, san_ctx, fault_run(args.faults, seed=args.fault_seed):
-        if args.trace or args.report or args.metrics:
-            with metrics_run(args.metrics), trace_run(args.trace) as tracer:
-                solver = problem.solve()
-                # built inside the block so the report captures the live
-                # metrics registry
-                if args.report or args.record:
-                    report = solver.run_report(tracer)
-        else:
-            solver = problem.solve()
-    wall_s = time.perf_counter() - t0
-    rlog = get_resilience_log()
-    if rlog.has_events():
-        _say(f"resilience: {rlog.summary()}")
-    from repro.runtime.rebalance import get_rebalance_log
-
-    rblog = get_rebalance_log()
-    if rblog.has_events():
-        _say(f"rebalance: {rblog.summary()}")
-    if args.sanitize:
-        _say(f"sanitizer: {get_sanitizer().summary()}")
+    with (events_ctx, san_ctx as sanitizer,
+          fault_run(args.faults, seed=args.fault_seed),
+          metrics_run(args.metrics) if tracing else nullcontext(),
+          trace_run(args.trace) if tracing else nullcontext() as tracer):
+        solver = problem.solve()
+        wall_s = time.perf_counter() - t0
+        # the report and the summaries read this run's context: build them
+        # inside its scopes
+        if args.report or args.record:
+            report = solver.run_report(tracer)
+        summaries = []
+        rlog = current().resilience
+        if rlog.has_events():
+            summaries.append(f"resilience: {rlog.summary()}")
+        elastic = solver.namespace.get("ELASTIC")
+        if elastic is not None and elastic.log.has_events():
+            summaries.append(f"rebalance: {elastic.log.summary()}")
+        if sanitizer is not None:
+            summaries.append(f"sanitizer: {sanitizer.summary()}")
+    for line in summaries:
+        _say(line)
 
     info = getattr(solver, "generation_info", None)
     if info and args.verbose:
@@ -430,8 +427,7 @@ def cmd_bte(args: argparse.Namespace) -> int:
             _say(f"wrote profile to {args.profile} (inspect with "
                  f"`bte compare`)")
         if args.record:
-            _record_run(args, solver, (report or solver.run_report()).to_dict(),
-                        profile_doc, wall_s)
+            _record_run(args, solver, report.to_dict(), profile_doc, wall_s)
     if args.metrics:
         _say(f"wrote metrics exposition to {args.metrics}")
     if args.events:
@@ -1102,16 +1098,12 @@ def main(argv: list[str] | None = None) -> int:
 
         set_verbosity("INFO" if args.verbose == 1 else "DEBUG")
     if getattr(args, "log_level", None):
-        from repro.obs.log import get_event_log
-
-        get_event_log().set_level(args.log_level)
+        current().events.set_level(args.log_level)
     try:
         return _dispatch(args, parser)
     except ReproError as exc:
-        from repro.obs.log import log_event
-
-        log_event("cli.error", "error", code=getattr(exc, "code", None),
-                  message=str(exc))
+        current().events.emit("cli.error", "error", code=getattr(exc, "code", None),
+                              message=str(exc))
         if args.verbose:
             raise
         print(_render_error(exc), file=sys.stderr)
@@ -1129,10 +1121,8 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:
         # an unexpected crash: record it in the event log, then let the
         # traceback propagate — this is a bug, not a user error
-        from repro.obs.log import log_event
-
-        log_event("cli.crash", "error", type=type(exc).__name__,
-                  message=str(exc))
+        current().events.emit("cli.crash", "error", type=type(exc).__name__,
+                              message=str(exc))
         raise
 
 

@@ -62,9 +62,9 @@ from repro.gpu.device import Device
 from repro.gpu.kernel import Kernel, model_launch
 from repro.ir.build import build_ir  # noqa: F401  (the build's stages, named here)
 from repro.ir.lowering import lower_conservation_form  # noqa: F401
-from repro.obs import get_tracer
 from repro.perfmodel.costs import CostModel
 from repro.perfmodel.machines import CASCADE_LAKE_FINCH, default_gpu_spec
+from repro.util.context import current
 from repro.util.errors import CodegenError, DeviceOOMError, KernelFaultError
 from repro.util.timing import VirtualClock
 
@@ -99,9 +99,7 @@ DEVICE_TASK_TIMERS = {
 def _record_degraded(task: str, from_device: str, to_device: str,
                      reason: str, **labels) -> None:
     """Generated-code hook: log a fault-driven CPU re-placement."""
-    from repro.runtime.resilience import get_resilience_log
-
-    get_resilience_log().record_degraded(task, from_device, to_device,
+    current().resilience.record_degraded(task, from_device, to_device,
                                          reason, **labels)
 
 
@@ -161,7 +159,7 @@ def emit_device_step(name: str, plan: dict, rank: str = "") -> list[str]:
         '    the CPU cost; the next step hands the unknown to the device again."""',
         "    dev = state.device",
         "    host = state.host_clock",
-        "    trace = get_tracer()",
+        "    trace = current().tracer",
         "    t = state.time",
         "    u = state.host_u  # current only while the host owns the unknown",
         "    u_bdry = state.buffer('u_bdry', (NCOMP, len(BOWNER)))",
@@ -266,7 +264,7 @@ def emit_device_step(name: str, plan: dict, rank: str = "") -> list[str]:
 #: The holes of the hybrid ``run_steps`` (:func:`emit_step_loop`): the
 #: temperature update's cost-model time on the host clock.
 RUN_LOOP = dict(
-    prologue=["trace = get_tracer()"],
+    prologue=["trace = current().tracer"],
     post_args=True,
     charge=[
         "if POST_STEP_CALLBACKS:",
@@ -413,7 +411,7 @@ def step_env(problem: "Problem", geom, plan: dict) -> dict:
         # resilience: the degraded (CPU re-execution) path for device faults
         "GPU_FAULTS": (DeviceOOMError, KernelFaultError),
         "record_degraded": _record_degraded,
-        "get_tracer": get_tracer,
+        "current": current,
     }
 
 

@@ -25,15 +25,10 @@ from repro.fvm.boundary import (
 )
 from repro.fvm.fields import CellField
 from repro.fvm.geometry import FVGeometry
-from repro.obs import get_event_log, get_metrics, get_tracer, phase_span
-from repro.runtime.faults import get_injector
-from repro.runtime.resilience import (
-    CHECKPOINT_SCHEMA,
-    atomic_save_npz,
-    checkpoint_path,
-    get_resilience_log,
-)
+from repro.obs import phase_span
+from repro.runtime.resilience import CHECKPOINT_SCHEMA, atomic_save_npz, checkpoint_path
 from repro.symbolic.expr import Call, Indexed, Num, Sym
+from repro.util.context import current
 from repro.util.errors import (
     CheckpointCorruptError,
     CodegenError,
@@ -115,7 +110,7 @@ class SolverState:
         restore_from = self.extra.get("restore_from")
         if restore_from:
             self.restore_checkpoint(restore_from)
-            get_resilience_log().record_restore(restore_from)
+            current().resilience.record_restore(restore_from)
 
     # ------------------------------------------------------------ step hooks
     def end_step(self) -> None:
@@ -132,21 +127,19 @@ class SolverState:
     def sanitize_step(self) -> None:
         """Per-step runtime-sanitizer hook.
 
-        A no-op (one attribute check) unless a ``--sanitize`` run enabled
-        the sanitizer; when live it runs the read-only NaN/Inf, residency,
-        CFL and conservation-drift checks with this step's provenance.
+        A no-op (one ``None`` check) outside a ``--sanitize`` run; inside
+        one it runs the read-only NaN/Inf, residency, CFL and
+        conservation-drift checks with this step's provenance.
         """
-        from repro.verify.sanitizer import get_sanitizer
-
-        san = get_sanitizer()
-        if san.enabled:
+        san = current().sanitizer
+        if san is not None:
             san.check_state(self)
 
     def log_run_event(self, name: str, **fields: Any) -> None:
         """Emit one structured run-lifecycle event with this state's
         provenance (rank, step, problem).  Called by generated run loops at
         run start/end; cheap when the log is below info level."""
-        elog = get_event_log()
+        elog = current().events
         if elog.enabled and elog.wants("info"):
             rank = self.comm.rank if self.comm is not None else None
             elog.emit(name, level="info", rank=rank, step=self.step_index,
@@ -159,7 +152,7 @@ class SolverState:
         profile row — and, under a live tracer, a span on the thread's host
         track, so a phase means the same on every target."""
         timed = self.timers.time(name)
-        if not get_tracer().enabled:
+        if not current().tracer.enabled:
             return timed
         return _Nested(timed, phase_span(name))
 
@@ -205,7 +198,7 @@ class SolverState:
                 end = (dev.h2d(name, array, mark) if kind == "h2d"
                        else dev.d2h(name, out=array, host_time=mark)[1])
         host.advance_to(end)
-        get_tracer().complete(self.host_track, kind, mark, end, cat="transfer")
+        current().tracer.complete(self.host_track, kind, mark, end, cat="transfer")
         self.charge_phase("communication", end - mark)
 
     def await_device(self, since: float) -> None:
@@ -215,8 +208,8 @@ class SolverState:
         host = self.host_clock
         sync = self.device.synchronize(host.now())
         if sync > host.now():
-            get_tracer().complete(self.host_track, "sync_wait", host.now(), sync,
-                                  cat="sync")
+            current().tracer.complete(self.host_track, "sync_wait", host.now(), sync,
+                                      cat="sync")
         host.advance_to(sync)
         self.charge_phase("solve for intensity", sync - since)
 
@@ -263,10 +256,8 @@ class SolverState:
         """Per-kernel NaN/Inf guard on device output (``--sanitize`` only);
         ``array`` may be a zero-argument fetch of output that stays on the
         device."""
-        from repro.verify.sanitizer import get_sanitizer
-
-        san = get_sanitizer()
-        if san.enabled:
+        san = current().sanitizer
+        if san is not None:
             san.check_kernel_output(kernel, array() if callable(array) else array,
                                     state=self)
 
@@ -281,11 +272,11 @@ class SolverState:
         event log also gets a ``step.done`` event.
         """
         rank = self.comm.rank if self.comm is not None else None
-        elog = get_event_log()
-        if elog.debug_enabled:
-            elog.emit("step.done", level="debug", rank=rank,
-                      step=self.step_index, time=self.time)
-        metrics = get_metrics()
+        ctx = current()
+        if ctx.events.debug_enabled:
+            ctx.events.emit("step.done", level="debug", rank=rank,
+                            step=self.step_index, time=self.time)
+        metrics = ctx.metrics
         if not metrics.enabled:
             return
         labels = {"problem": self.problem.name}
@@ -551,7 +542,7 @@ class SolverState:
         T = self.extra.get("T")
         if T is not None:
             payload["__T"] = np.asarray(T)
-        injector = get_injector()
+        injector = current().injector
         if injector.enabled:
             payload["__rng"] = np.array(injector.state_json())
         if self.comm is not None:
@@ -599,7 +590,7 @@ class SolverState:
             if "__T" in data:
                 self.extra["T"] = data["__T"].copy()
             if "__rng" in data:
-                injector = get_injector()
+                injector = current().injector
                 if injector.enabled:
                     injector.load_state(json.loads(str(data["__rng"])))
             if "__clock" in data and self.comm is not None:
@@ -631,7 +622,7 @@ class SolverState:
         rank = self.comm.rank if self.comm is not None else None
         path = checkpoint_path(directory, self.step_index, rank=rank)
         self.save_checkpoint(path)
-        get_resilience_log().record_checkpoint(path)
+        current().resilience.record_checkpoint(path)
 
     def maybe_rebalance(self) -> None:
         """Elastic-runtime hook, called by every generated run loop next to

@@ -37,7 +37,8 @@ from repro.codegen.state import SolverState
 from repro.fvm import kernels
 from repro.fvm.timesteppers import make_stepper
 from repro.ir.nodes import print_ir
-from repro.obs import get_event_log, get_tracer, phase_span
+from repro.obs import phase_span
+from repro.util.context import current
 from repro.util.errors import CodegenError
 
 if TYPE_CHECKING:
@@ -105,9 +106,7 @@ class GeneratedSolver:
                     f"generated source does not compile: {exc}\n{self.source}"
                 ) from exc
             self._compiled_source = self.source
-            from repro.obs.metrics import get_metrics
-
-            get_metrics().counter(
+            current().metrics.counter(
                 "codegen_compile_total",
                 "compile() calls on generated source",
             ).inc(1, target=self.target_name)
@@ -149,7 +148,7 @@ class GeneratedSolver:
         (timers + comm + device + placement accuracy, whichever exist)."""
         from repro.obs.report import build_run_report
 
-        return build_run_report(self, tracer if tracer is not None else get_tracer())
+        return build_run_report(self, tracer if tracer is not None else current().tracer)
 
     def __repr__(self) -> str:
         return (
@@ -165,7 +164,6 @@ class CodegenTarget:
 
     def generate(self, problem: "Problem") -> GeneratedSolver:
         """Generate a solver: cache lookup -> (build on miss) -> bind."""
-        from repro.obs.metrics import get_metrics
         from repro.tune.cache import get_cache
         from repro.tune.signature import cache_key
 
@@ -198,7 +196,7 @@ class CodegenTarget:
                     info.update(cache="coalesced",
                                 build_seconds=artifact.build_seconds)
                 else:
-                    metrics = get_metrics()
+                    metrics = current().metrics
                     t0 = time.perf_counter()
                     with phase_span(f"codegen_build[{self.name}]", cat="codegen"):
                         artifact = self.build_artifact(problem)
@@ -220,7 +218,7 @@ class CodegenTarget:
                     build_lock.release()
         else:
             info.update(cache="hit", build_seconds=artifact.build_seconds)
-        elog = get_event_log()
+        elog = current().events
         if elog.enabled:
             elog.emit("codegen.cache", level="info", target=self.name,
                       result=info["cache"], key=info["key"],

@@ -1,6 +1,7 @@
 """Script-style DSL commands (the Finch surface syntax).
 
-These module-level functions operate on a *current problem*, mirroring the
+These module-level functions operate on a *current problem* — the run
+context's (:mod:`repro.util.context`), so it is per thread — mirroring the
 paper's Julia input decks.  Each maps 1:1 onto a :class:`~repro.dsl.problem.
 Problem` method; scripts that prefer explicit objects can use that class
 directly.
@@ -18,6 +19,7 @@ from repro.dsl.entities import (
 from repro.dsl.problem import FV_ONLY, Problem
 from repro.fvm.boundary import BCKind
 from repro.mesh.mesh import Mesh
+from repro.util.context import current, update
 from repro.util.errors import ConfigError
 
 # solver / scheme constants, named as in the paper's listings (``FEM`` is
@@ -34,27 +36,22 @@ DIRICHLET = BCKind.DIRICHLET
 NEUMANN0 = BCKind.NEUMANN0
 SYMMETRY = BCKind.SYMMETRY
 
-_current: Problem | None = None
-
-
 def init_problem(name: str = "problem") -> Problem:
     """``initFinch("name")`` — start a fresh problem context."""
-    global _current
-    _current = Problem(name)
-    return _current
+    return update(problem=Problem(name)).problem
 
 
 def current_problem() -> Problem:
     """The active problem context (raises if :func:`init_problem` not called)."""
-    if _current is None:
+    problem = current().problem
+    if problem is None:
         raise ConfigError("no problem initialised; call init_problem(...) first")
-    return _current
+    return problem
 
 
 def finalize() -> None:
     """Drop the current problem context (``finalizeFinch`` analogue)."""
-    global _current
-    _current = None
+    update(problem=None)
 
 
 # ------------------------------------------------------------- configuration

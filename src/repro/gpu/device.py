@@ -26,8 +26,7 @@ import numpy as np
 from repro.gpu.kernel import Kernel, KernelLaunchRecord, model_launch
 from repro.gpu.profiler import Profiler
 from repro.gpu.spec import DeviceSpec, A6000
-from repro.obs import get_metrics, get_tracer
-from repro.runtime.faults import get_injector
+from repro.util.context import current
 from repro.util.errors import (
     CodegenError,
     DeviceOOMError,
@@ -130,10 +129,10 @@ class Device:
         self.transfer_clock = VirtualClock()
         self.profiler = Profiler(spec)
         self.allocated_bytes = 0
-        self.tracer = get_tracer()
+        ctx = current()
+        self.tracer = ctx.tracer
         # metric instruments (shared no-ops when metrics are disabled)
-        metrics = get_metrics()
-        self.metrics = metrics
+        metrics = self.metrics = ctx.metrics
         self._m_launches = metrics.counter(
             "gpu_kernel_launches_total", "kernel launches per device/kernel")
         self._m_occupancy = metrics.histogram(
@@ -150,15 +149,13 @@ class Device:
     # ----------------------------------------------------------- injection
     def _maybe_inject(self, op: str, what: str = "") -> None:
         """Raise an injected device fault for this operation, if one fires."""
-        injector = get_injector()
-        if not injector.enabled:
+        ctx = current()
+        if not ctx.injector.enabled:
             return
-        kind = injector.device_fault(self.name, op)
+        kind = ctx.injector.device_fault(self.name, op)
         if kind is None:
             return
-        from repro.runtime.resilience import get_resilience_log
-
-        get_resilience_log().record_injected(kind, device=self.name, op=op)
+        ctx.resilience.record_injected(kind, device=self.name, op=op)
         if self.tracer.enabled:
             self.tracer.instant(f"{self.name}/faults", f"fault:{kind}:{op}",
                                 self.transfer_clock.now(), cat="fault",

@@ -1,9 +1,9 @@
 """Observability: span tracing, counters, and the aggregated run report.
 
 The execution substrates (:mod:`repro.runtime`, :mod:`repro.gpu`) and the
-generated solver code all emit into the *current* tracer, a module-level
-singleton that defaults to the zero-overhead :data:`NULL_TRACER`.  Enable
-it around a run with::
+generated solver code all emit into the run context's tracer
+(:mod:`repro.util.context`), the zero-overhead :data:`NULL_TRACER` unless
+a run enables one::
 
     from repro import obs
 
@@ -47,10 +47,7 @@ __getattr__, __dir__, _lazy = lazy_exports(__name__, {
         "Event",
         "EventLog",
         "events_run",
-        "get_event_log",
-        "log_event",
         "read_events",
-        "set_event_log",
     ),
     "metrics": (
         "NULL_METRICS",
@@ -59,9 +56,7 @@ __getattr__, __dir__, _lazy = lazy_exports(__name__, {
         "Histogram",
         "MetricsRegistry",
         "NullMetrics",
-        "get_metrics",
         "metrics_run",
-        "set_metrics",
     ),
     "profile": (
         "build_profile",
@@ -83,22 +78,6 @@ __getattr__, __dir__, _lazy = lazy_exports(__name__, {
     "report": ("RunReport", "SCHEMA", "build_run_report", "placement_accuracy"),
 })
 
-_current: Tracer | NullTracer = NULL_TRACER
-
-
-def get_tracer() -> Tracer | NullTracer:
-    """The tracer instrumented code should emit into (never ``None``)."""
-    return _current
-
-
-def set_tracer(tracer: Tracer | NullTracer | None) -> Tracer | NullTracer:
-    """Install ``tracer`` as current (``None`` resets); returns the previous."""
-    global _current
-    previous = _current
-    _current = NULL_TRACER if tracer is None else tracer
-    return previous
-
-
 def phase_span(name: str, cat: str = "phase", track: str | None = None, **args):
     """Wall-clock span on the calling thread's host track.
 
@@ -110,7 +89,9 @@ def phase_span(name: str, cat: str = "phase", track: str | None = None, **args):
     :func:`trace_run` still traces (and one generated inside stops cleanly
     after).
     """
-    tracer = _current
+    from repro.util.context import current
+
+    tracer = current().tracer
     if not tracer.enabled:
         return tracer.span("", name)  # the reusable null span
     if track is None:
@@ -121,18 +102,20 @@ def phase_span(name: str, cat: str = "phase", track: str | None = None, **args):
 @contextmanager
 def trace_run(trace_path: str | Path | None = None, *,
               tracer: Tracer | None = None):
-    """Install a live tracer for the block; optionally write the trace JSON.
+    """A live tracer in the run context for the block; optionally write the
+    trace JSON.
 
-    Yields the :class:`Tracer`; on exit the previous tracer is restored and,
+    Yields the :class:`Tracer`; on exit the previous context is restored and,
     when ``trace_path`` is given, the Chrome-trace JSON is written even if
     the block raised (partial traces are the ones you need most).
     """
+    from repro.util.context import scope
+
     tracer = tracer or Tracer()
-    previous = set_tracer(tracer)
     try:
-        yield tracer
+        with scope(tracer=tracer):
+            yield tracer
     finally:
-        set_tracer(previous)
         if trace_path is not None:
             tracer.write(trace_path)
 
@@ -141,5 +124,5 @@ __all__ = sorted([
     *_lazy,
     "NULL_TRACER", "CounterEvent", "FlowEvent", "InstantEvent", "NullTracer", "SpanEvent",
     "Tracer", "new_trace_id", "next_span_id",
-    "get_tracer", "phase_span", "set_tracer", "trace_run",
+    "phase_span", "trace_run",
 ])

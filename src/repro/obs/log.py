@@ -7,8 +7,8 @@ named record with free-form fields plus the correlation IDs that tie it to
 the tracer's timeline: the run's ``trace_id`` and, where a span exists,
 ``span_id``/``parent_id``.
 
-The log is a module-level singleton (same pattern as the tracer, metrics
-and sanitizer) and is **always on** as a bounded in-memory ring buffer
+The run context's log (:mod:`repro.util.context`) is **always on** as a
+bounded in-memory ring buffer
 (the last ~2k events, for :meth:`EventLog.tail` and the run report's
 ``events`` summary).  Streaming to disk is opt-in (``--events FILE`` /
 :func:`events_run`) and is the crash-tolerant forensic record of a run:
@@ -140,9 +140,9 @@ class EventLog:
         if not self.enabled or _level_no(level) < self._levelno:
             return None
         if trace_id is None:
-            from repro.obs import get_tracer
+            from repro.util.context import current
 
-            tracer = get_tracer()
+            tracer = current().tracer
             trace_id = tracer.trace_id if tracer.enabled else ""
         event = Event(
             name=name, level=level, ts=time.time(), rank=rank, step=step,
@@ -192,49 +192,28 @@ class EventLog:
                 self._file = None
 
 
-#: The always-on default: in-memory ring only, info level, no file.
-_current = EventLog()
-
-
-def get_event_log() -> EventLog:
-    """The event log instrumented code should emit into (never ``None``)."""
-    return _current
-
-
-def set_event_log(log: EventLog | None) -> EventLog:
-    """Install ``log`` as current (``None`` resets to a fresh default ring);
-    returns the previous log."""
-    global _current
-    previous = _current
-    _current = EventLog() if log is None else log
-    return previous
-
-
-def log_event(name: str, level: str = "info", **kwargs: Any) -> Event | None:
-    """Convenience: emit into the current log (resolves it at call time)."""
-    return _current.emit(name, level, **kwargs)
-
-
 @contextmanager
 def events_run(path: str | Path | None = None, *, level: str = "info",
                ring_size: int = 2048):
-    """Install a fresh event log for the block; optionally stream to JSONL.
+    """A fresh event log in the run context for the block; optionally
+    stream it to JSONL.
 
-    Yields the :class:`EventLog`; on exit the file is closed (flushed even
-    if the block raised — crash tails are the ones you need) and the
-    previous log restored.  A block that raises ends the stream with a
+    Yields the :class:`EventLog`; on exit the previous context is restored
+    and the file closed (flushed even if the block raised — crash tails are
+    the ones you need).  A block that raises ends the stream with a
     ``run.failed`` event naming the error.
     """
+    from repro.util.context import scope
+
     log = EventLog(path, level=level, ring_size=ring_size)
-    previous = set_event_log(log)
     try:
-        yield log
+        with scope(events=log):
+            yield log
     except Exception as exc:
         log.emit("run.failed", level="error", type=type(exc).__name__,
                  message=str(exc), code=getattr(exc, "code", None))
         raise
     finally:
-        set_event_log(previous)
         log.close()
 
 
@@ -270,8 +249,5 @@ __all__ = [
     "LEVELS",
     "SCHEMA",
     "events_run",
-    "get_event_log",
-    "log_event",
     "read_events",
-    "set_event_log",
 ]

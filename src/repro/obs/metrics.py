@@ -2,7 +2,8 @@
 
 The tracer (:mod:`repro.obs.tracer`) answers "*when* did it happen";
 this module answers "*how much*, cumulatively".  Instrumented code all
-over the runtime emits into the *current* :class:`MetricsRegistry`:
+over the runtime emits into the run context's :class:`MetricsRegistry`
+(:mod:`repro.util.context`):
 
 * the simulated communicator counts messages/bytes per rank and observes
   receive-wait times;
@@ -32,6 +33,7 @@ from __future__ import annotations
 import json
 import math
 import threading
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Any
 
@@ -371,47 +373,24 @@ class MetricsRegistry:
         return path
 
 
-_current: MetricsRegistry | NullMetrics = NULL_METRICS
-
-
-def get_metrics() -> MetricsRegistry | NullMetrics:
-    """The registry instrumented code should emit into (never ``None``)."""
-    return _current
-
-
-def set_metrics(registry: MetricsRegistry | NullMetrics | None,
-                ) -> MetricsRegistry | NullMetrics:
-    """Install ``registry`` as current (``None`` resets); returns the previous."""
-    global _current
-    previous = _current
-    _current = NULL_METRICS if registry is None else registry
-    return previous
-
-
-class metrics_run:
-    """Install a live registry for a block; optionally write the exposition.
-
-    Mirrors :func:`repro.obs.trace_run`::
+@contextmanager
+def metrics_run(path: str | Path | None = None, *,
+                registry: MetricsRegistry | None = None):
+    """A live registry in the run context for the block; optionally write
+    the exposition on exit.  Mirrors :func:`repro.obs.trace_run`::
 
         with metrics_run("metrics.json") as metrics:
             solver = problem.solve()
     """
+    from repro.util.context import scope
 
-    def __init__(self, path: str | Path | None = None, *,
-                 registry: MetricsRegistry | None = None):
-        self._path = path
-        self.registry = registry or MetricsRegistry()
-        self._previous: MetricsRegistry | NullMetrics | None = None
-
-    def __enter__(self) -> MetricsRegistry:
-        self._previous = set_metrics(self.registry)
-        return self.registry
-
-    def __exit__(self, *exc) -> bool:
-        set_metrics(self._previous)
-        if self._path is not None:
-            self.registry.write(self._path)
-        return False
+    registry = registry or MetricsRegistry()
+    try:
+        with scope(metrics=registry):
+            yield registry
+    finally:
+        if path is not None:
+            registry.write(path)
 
 
 __all__ = [
@@ -424,8 +403,6 @@ __all__ = [
     "NullMetrics",
     "Reservoir",
     "SCHEMA",
-    "get_metrics",
     "metrics_run",
     "percentile",
-    "set_metrics",
 ]

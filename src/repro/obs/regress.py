@@ -323,15 +323,14 @@ def run_benchmarks(nx: int = 16, ndirs: int = 4, bands: int = 4,
 
     # always-on observability overhead: "the event log on by default is
     # free" is a tested property, not a claim
-    from repro.obs.log import EventLog, set_event_log
+    from contextlib import nullcontext
+
+    from repro.obs.log import EventLog
+    from repro.util.context import scope
 
     def events_side(on: bool) -> float:
-        previous = None if on else set_event_log(EventLog(enabled=False))
-        try:
+        with nullcontext() if on else scope(events=EventLog(enabled=False)):
             return _wall(lambda: _bte_problem(nx, ndirs, bands, nsteps).solve())
-        finally:
-            if previous is not None:
-                set_event_log(previous)
 
     events_side(True)  # warmup solve outside both timed sides
     timings["events_on_vs_off_wall_s"] = _paired_ratio(events_side)

@@ -30,6 +30,12 @@ actually has) into a single document:
              self/total time with roofline attribution and the perfmodel
              drift column (:mod:`repro.obs.profile`)
 
+The ``resilience``, ``diagnostics``, ``events`` and ``metrics`` sections
+come from the run context where the report is built
+(:mod:`repro.util.context`): build it inside the ``fault_run`` /
+``sanitize_run`` / ``metrics_run`` blocks of the run it describes.  The
+``rebalance`` section is the solver's elastic runner's log.
+
 Loaders must tolerate documents predating a section (older reports have no
 ``profile``) and sections no longer written (``health``, ``tuning.tuned``):
 read sections with ``.get``, never ``[...]``.
@@ -45,6 +51,8 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
+
+from repro.util.context import current
 
 SCHEMA = "repro.run_report/1"
 
@@ -279,25 +287,18 @@ def build_run_report(solver, tracer=None, **extra_meta: Any) -> RunReport:
             getattr(solver, "task_timer_map", None),
         )
 
-    # resilience: injected faults, retries, checkpoints, degraded placements
-    # (lazy import — repro.runtime must stay importable without repro.obs)
-    from repro.runtime.resilience import resilience_section
-
-    report.resilience = resilience_section()
-
-    from repro.runtime.rebalance import rebalance_section
-
-    report.rebalance = rebalance_section()
-
-    from repro.verify.sanitizer import sanitizer_section
-
-    report.diagnostics = sanitizer_section()
-
-    from repro.obs.log import get_event_log
-
-    elog = get_event_log()
-    if elog.enabled and elog.counts():
-        report.events = elog.summary()
+    # what the run context recorded: injected faults, retries, checkpoints,
+    # degraded placements; sanitizer findings; the event counts
+    ctx = current()
+    if ctx.resilience.has_events() or ctx.injector.enabled:
+        report.resilience = ctx.resilience.as_dict()
+    if ctx.sanitizer is not None:
+        report.diagnostics = ctx.sanitizer.section()
+    if ctx.events.enabled and ctx.events.counts():
+        report.events = ctx.events.summary()
+    elastic = getattr(solver, "namespace", {}).get("ELASTIC")
+    if elastic is not None and elastic.log.has_events():
+        report.rebalance = elastic.log.as_dict()
 
     if tracer is not None and tracer.enabled:
         report.trace = tracer.summary()
@@ -306,11 +307,8 @@ def build_run_report(solver, tracer=None, **extra_meta: Any) -> RunReport:
     if info:
         report.tuning = {"cache": dict(info)}
 
-    from repro.obs.metrics import get_metrics
-
-    metrics = get_metrics()
-    if metrics.enabled:
-        report.metrics = metrics.to_dict()
+    if ctx.metrics.enabled:
+        report.metrics = ctx.metrics.to_dict()
 
     # per-kernel profile with the perfmodel drift column — always built
     # (aggregation over already-recorded timers/launches; nested schema,

@@ -30,20 +30,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "netmodel": ("NetworkModel", "IB_CLUSTER", "SHARED_MEMORY", "ZERO_COST"),
     "comm": ("World", "Communicator", "ReduceOp"),
     "executor": ("run_spmd", "SPMDResult"),
-    "faults": (
-        "FaultInjector",
-        "FaultRule",
-        "fault_run",
-        "get_injector",
-        "parse_fault_spec",
-        "set_injector",
-    ),
+    "faults": ("FaultInjector", "FaultRule", "fault_run", "parse_fault_spec"),
     "halo": ("HaloExchanger",),
-    "resilience": (
-        "CHECKPOINT_SCHEMA",
-        "RetryPolicy",
-        "checkpoint_path",
-        "get_resilience_log",
-        "resilience_section",
-    ),
+    "resilience": ("CHECKPOINT_SCHEMA", "RetryPolicy", "checkpoint_path"),
 })

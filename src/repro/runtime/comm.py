@@ -28,15 +28,9 @@ from typing import Any
 
 import numpy as np
 
-from repro.obs import get_event_log, get_metrics, get_tracer
 from repro.obs.tracer import next_span_id
-from repro.runtime.faults import get_injector
 from repro.runtime.netmodel import NetworkModel, ZERO_COST
-from repro.runtime.resilience import (
-    DEFAULT_RETRY_POLICY,
-    RetryPolicy,
-    get_resilience_log,
-)
+from repro.runtime.resilience import DEFAULT_RETRY_POLICY, RetryPolicy
 from repro.runtime.turn import Turn
 from repro.util.errors import (
     CommFaultError,
@@ -44,6 +38,7 @@ from repro.util.errors import (
     RankPeerFailedError,
     ReproError,
 )
+from repro.util.context import current
 from repro.util.timing import VirtualClock
 
 
@@ -225,13 +220,14 @@ class Communicator:
         # reorder buffer: messages that overtook a lost one, per (source, tag)
         self._recv_pending: dict[tuple[int, int], dict[int, _Message]] = {}
         # virtual-timeline track: one per rank in the exported trace
-        self.tracer = get_tracer()
+        ctx = current()
+        self.tracer = ctx.tracer
         self.track = f"virtual/rank{rank}"
         # structured event log (per-message events are debug level, so the
         # always-on default pays one attribute check per message)
-        self.elog = get_event_log()
+        self.elog = ctx.events
         # metric instruments (shared no-ops when metrics are disabled)
-        metrics = get_metrics()
+        metrics = ctx.metrics
         self.metrics = metrics
         self._m_messages = metrics.counter(
             "comm_messages_total", "point-to-point messages sent")
@@ -261,10 +257,11 @@ class Communicator:
             raise ReproError(f"negative compute charge {seconds}")
         if self.world.monitor is not None:
             self.world.monitor.beat(self.rank)
-        injector = get_injector()
+        ctx = current()
+        injector = ctx.injector
         if injector.enabled:
             if injector.kill_rank(self.rank):
-                get_resilience_log().record_injected("rank_kill", rank=self.rank)
+                ctx.resilience.record_injected("rank_kill", rank=self.rank)
                 raise RankKilledError(
                     f"rank {self.rank} killed by injected fault",
                     rank=self.rank,
@@ -274,7 +271,7 @@ class Communicator:
                 before = self.clock.now()
                 self.clock.advance(stall)
                 self.stats.charge_phase("fault_stall", stall)
-                get_resilience_log().record_injected("stall", rank=self.rank)
+                ctx.resilience.record_injected("stall", rank=self.rank)
                 if self.tracer.enabled:
                     self.tracer.complete(self.track, "fault:stall", before,
                                          self.clock.now(), cat="fault",
@@ -289,7 +286,7 @@ class Communicator:
                 self.clock.advance(slow)
                 self.stats.compute_s += slow
                 self.stats.charge_phase("fault_slow", slow)
-                get_resilience_log().record_injected("rank_slow", rank=self.rank)
+                ctx.resilience.record_injected("rank_slow", rank=self.rank)
                 if self.tracer.enabled:
                     self.tracer.complete(self.track, "fault:slow", before,
                                          self.clock.now(), cat="fault",
@@ -328,18 +325,17 @@ class Communicator:
             send_span = next_span_id()
             msg.span = (self.tracer.trace_id, send_span, self.track,
                         msg.send_time)
-        from repro.verify.sanitizer import get_sanitizer
-        san = get_sanitizer()
-        if san.enabled:
+        ctx = current()
+        if ctx.sanitizer is not None:
             # out-of-band checksum: the payload (and every byte count the
             # virtual clocks see) is untouched
-            san.note_sent(self.rank, dest, tag, seq, payload)
+            ctx.sanitizer.note_sent(self.rank, dest, tag, seq, payload)
         copies = 1
-        injector = get_injector()
+        injector = ctx.injector
         if injector.enabled:
             rule = injector.message_fault(self.rank, dest, tag)
             if rule is not None:
-                get_resilience_log().record_injected(rule.kind, rank=self.rank)
+                ctx.resilience.record_injected(rule.kind, rank=self.rank)
                 if self.tracer.enabled:
                     self.tracer.instant(
                         self.track, f"fault:{rule.kind}->{dest}",
@@ -390,8 +386,9 @@ class Communicator:
         ch = self.world.channel(source, self.rank, tag)
         key = (source, tag)
         policy = self.retry_policy
-        log = get_resilience_log()
-        fast_path = not get_injector().enabled
+        ctx = current()
+        log = ctx.resilience
+        fast_path = not ctx.injector.enabled
         attempt = 0
         penalty = 0.0
         waited_wall = 0.0
@@ -468,7 +465,7 @@ class Communicator:
         redelivered = self.world.redeliver(source, self.rank, tag)
         penalty += self.retry_policy.virtual_penalty(attempt)
         attempt += 1
-        get_resilience_log().record_retry(rank=self.rank)
+        current().resilience.record_retry(rank=self.rank)
         if self.tracer.enabled:
             self.tracer.instant(
                 self.track, f"retry<-{source}", self.clock.now(),
@@ -478,9 +475,8 @@ class Communicator:
     def recv(self, source: int, tag: int = 0, phase: str = "communication") -> Any:
         """Blocking receive; virtual clock jumps to the arrival time."""
         msg, penalty = self._next_message(source, tag)
-        from repro.verify.sanitizer import get_sanitizer
-        san = get_sanitizer()
-        if san.enabled:
+        san = current().sanitizer
+        if san is not None:
             san.check_received(source, self.rank, tag, msg.seq, msg.payload)
         arrival = (msg.send_time + msg.extra_delay_s
                    + self.world.network.transfer_time(msg.nbytes))

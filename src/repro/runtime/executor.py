@@ -17,12 +17,14 @@ from __future__ import annotations
 import threading
 import time
 from collections.abc import Callable
+from contextvars import copy_context
 from dataclasses import dataclass, field
 from typing import Any
 
 from repro.obs import phase_span
 from repro.runtime.comm import CommStats, Communicator, World
 from repro.runtime.netmodel import NetworkModel, ZERO_COST
+from repro.util.context import current
 from repro.util.errors import HeartbeatError, RankPeerFailedError, ReproError
 from repro.util.logging import get_logger
 
@@ -117,8 +119,11 @@ def run_spmd(
         finally:
             world.turn.release()
 
+    # a rank works for the caller's run: its thread starts in a copy of the
+    # caller's run context (a new thread would start in the default one)
     threads = [
-        threading.Thread(target=runner, args=(r,), name=f"rank{r}", daemon=True)
+        threading.Thread(target=copy_context().run, args=(runner, r),
+                         name=f"rank{r}", daemon=True)
         for r in range(nranks)
     ]
     for t in threads:
@@ -146,10 +151,8 @@ def run_spmd(
             # a cooperative pause agreed by every rank, not a failure:
             # hand it straight to the elastic runner
             raise exc
-        from repro.obs import get_event_log
-
-        get_event_log().emit("executor.rank_failed", level="error", rank=rank,
-                             error=f"{type(exc).__name__}: {exc}")
+        current().events.emit("executor.rank_failed", level="error", rank=rank,
+                              error=f"{type(exc).__name__}: {exc}")
         err = ReproError(f"rank {rank} failed: {type(exc).__name__}: {exc}")
         err.failed_rank = rank
         raise err from exc

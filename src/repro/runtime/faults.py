@@ -36,10 +36,10 @@ Examples::
     oom:device=gpu1,op=h2d,at=3        # 3rd H2D on device gpu1 raises OOM
     delay:p=0.1,delay=1e-5;dup:p=0.05  # chaos mode, seeded
 
-Like the tracer and metrics registry, the injector is a module-level
-singleton defaulting to a disabled no-op, so instrumented call sites stay
-unconditional and zero-overhead in fault-free runs.  Install one around a
-run with :func:`fault_run`::
+Like the tracer and metrics registry, the injector is a field of the run
+context (:mod:`repro.util.context`) defaulting to a disabled no-op, so
+instrumented call sites stay unconditional and zero-overhead in fault-free
+runs.  Install one around a run with :func:`fault_run`::
 
     with fault_run("stall:rank=2,at=7;oom:device=gpu0", seed=42):
         solver = problem.solve()
@@ -55,6 +55,7 @@ from typing import Any
 
 import numpy as np
 
+from repro.runtime.resilience import ResilienceLog
 from repro.util.errors import FaultSpecError
 
 #: Kinds understood by the injector, grouped by the subsystem they hit.
@@ -284,51 +285,27 @@ class NullInjector:
 
 
 NULL_INJECTOR = NullInjector()
-_current: FaultInjector | NullInjector = NULL_INJECTOR
-
-
-def get_injector() -> FaultInjector | NullInjector:
-    """The injector instrumented code should consult (never ``None``)."""
-    return _current
-
-
-def set_injector(injector: FaultInjector | NullInjector | None
-                 ) -> FaultInjector | NullInjector:
-    """Install ``injector`` as current (``None`` resets); returns previous."""
-    global _current
-    previous = _current
-    _current = NULL_INJECTOR if injector is None else injector
-    return previous
 
 
 @contextmanager
-def fault_run(spec: str | list[FaultRule] | None, seed: int = 0, *,
-              reset_log: bool = True):
-    """Install a seeded :class:`FaultInjector` for the block.
+def fault_run(spec: str | list[FaultRule] | None, seed: int = 0):
+    """A seeded :class:`FaultInjector` and a fresh resilience log in the run
+    context for the block; yields the injector.
 
     ``spec`` may be a grammar string, a rule list, or ``None`` (no faults —
     the block still runs with a fresh resilience log, so reports stay
-    comparable).  The previous injector is restored on exit.
+    comparable).  The previous context is restored on exit.
     """
-    from repro.runtime.resilience import get_resilience_log
+    from repro.util.context import current, scope
 
-    injector: FaultInjector | NullInjector
-    if spec is None:
-        injector = NULL_INJECTOR
-    else:
+    injector: FaultInjector | NullInjector = NULL_INJECTOR
+    if spec is not None:
         injector = FaultInjector(spec, seed=seed)
-        from repro.obs.log import get_event_log
-
-        get_event_log().emit(
+        current().events.emit(
             "faults.armed", level="info", seed=injector.seed,
             rules=[r.describe() for r in injector.rules])
-    previous = set_injector(injector)
-    if reset_log:
-        get_resilience_log().reset()
-    try:
+    with scope(injector=injector, resilience=ResilienceLog()):
         yield injector
-    finally:
-        set_injector(previous)
 
 
 __all__ = [
@@ -338,7 +315,5 @@ __all__ = [
     "NULL_INJECTOR",
     "NullInjector",
     "fault_run",
-    "get_injector",
     "parse_fault_spec",
-    "set_injector",
 ]

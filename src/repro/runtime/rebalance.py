@@ -37,9 +37,10 @@ state via checkpoints, repartitions live"):
   failure.  The runner then repartitions with weights proportional to the
   measured per-rank speeds and resumes.
 
-The run-wide :class:`RebalanceLog` (singleton, like the resilience log)
-feeds the run report's ``rebalance`` section; every migration also lands in
-the resilience log and the structured event log.
+Each :class:`ElasticRunner` keeps a :class:`RebalanceLog` of its last run,
+which the run report's ``rebalance`` section reads through the solver;
+every migration also lands in the run context's resilience log and event
+log.
 """
 
 from __future__ import annotations
@@ -55,7 +56,8 @@ from typing import Any
 
 import numpy as np
 
-from repro.runtime.resilience import checkpoint_path, get_resilience_log
+from repro.runtime.resilience import checkpoint_path
+from repro.util.context import current
 from repro.util.errors import (
     CheckpointCorruptError,
     HeartbeatError,
@@ -171,17 +173,13 @@ class RebalanceLog:
 
     def __init__(self):
         self._lock = threading.Lock()
-        self.reset()
-
-    def reset(self) -> None:
-        with getattr(self, "_lock", threading.Lock()):
-            self.enabled_policy: dict[str, Any] | None = None
-            self.checks = 0
-            self.last_imbalance: float | None = None
-            self.skips: list[dict[str, Any]] = []
-            self.migrations: list[dict[str, Any]] = []
-            self.final_nranks: int | None = None
-            self.final_imbalance: float | None = None
+        self.enabled_policy: dict[str, Any] | None = None
+        self.checks = 0
+        self.last_imbalance: float | None = None
+        self.skips: list[dict[str, Any]] = []
+        self.migrations: list[dict[str, Any]] = []
+        self.final_nranks: int | None = None
+        self.final_imbalance: float | None = None
 
     def record_policy(self, policy: RebalancePolicy) -> None:
         with self._lock:
@@ -210,9 +208,7 @@ class RebalanceLog:
     def record_migration(self, **entry: Any) -> None:
         with self._lock:
             self.migrations.append(dict(entry))
-        from repro.obs.metrics import get_metrics
-
-        metrics = get_metrics()
+        metrics = current().metrics
         if metrics.enabled:
             metrics.counter(
                 "rebalance_migrations_total",
@@ -227,9 +223,7 @@ class RebalanceLog:
 
     @staticmethod
     def _event(name: str, level: str, **fields: Any) -> None:
-        from repro.obs.log import get_event_log
-
-        elog = get_event_log()
+        elog = current().events
         if elog.enabled:
             step = fields.pop("step", None)
             elog.emit(name, level, step=step, **fields)
@@ -265,21 +259,6 @@ class RebalanceLog:
         if d["final_nranks"] is not None:
             parts.append(f"final ranks: {d['final_nranks']}")
         return "; ".join(parts)
-
-
-_RLOG = RebalanceLog()
-
-
-def get_rebalance_log() -> RebalanceLog:
-    """The process-wide rebalance log (reset per elastic run)."""
-    return _RLOG
-
-
-def rebalance_section() -> dict[str, Any] | None:
-    """The run report's ``rebalance`` section, or ``None`` when inactive."""
-    if not _RLOG.has_events():
-        return None
-    return _RLOG.as_dict()
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +306,7 @@ class _RankMonitor:
         self._deltas.clear()
         ratio = imbalance_ratio(times)
         if comm.rank == 0:
-            get_rebalance_log().record_check(step, ratio)
+            ctl.log.record_check(step, ratio)
         if ratio <= pol.imbalance_threshold:
             return
         mean = sum(times) / len(times)
@@ -335,7 +314,7 @@ class _RankMonitor:
         cost = ctl.migration_cost_s()
         if benefit <= cost:
             if comm.rank == 0:
-                get_rebalance_log().record_skip(step, ratio, benefit, cost)
+                ctl.log.record_skip(step, ratio, benefit, cost)
             return
         # migration pays: every rank checkpoints this exact step, then the
         # segment pauses cooperatively (no communication happens between
@@ -387,7 +366,8 @@ class ElasticRunner:
         self._own_workdir = workdir is None
         self.workdir = Path(workdir) if workdir is not None else None
         self.namespace: dict[str, Any] | None = None
-        # runtime state (reset per run)
+        # runtime state (reset per run), the log of the last run included
+        self.log = RebalanceLog()
         self.total_steps = 0
         self.start_step = 0
         self.resume: dict[str, Any] | None = None
@@ -433,8 +413,7 @@ class ElasticRunner:
         """Run ``nsteps`` total steps, surviving kills and rebalances."""
         from repro.runtime.executor import run_spmd
 
-        log = get_rebalance_log()
-        log.reset()
+        log = self.log = RebalanceLog()
         log.record_policy(self.policy)
         if self._own_workdir:
             self.workdir = Path(tempfile.mkdtemp(prefix="repro-migrate-"))
@@ -494,7 +473,7 @@ class ElasticRunner:
             from_nranks=old_nranks, to_nranks=survivors,
             reason=f"{type(exc).__name__}: {exc}",
         )
-        get_resilience_log().record_migration(
+        current().resilience.record_migration(
             "rank_loss", step=cut, from_ranks=old_nranks, to_ranks=survivors,
             victim=victim)
 
@@ -518,7 +497,7 @@ class ElasticRunner:
             imbalance_before=intr.ratio, rank_step_s=intr.times,
             benefit_s=intr.benefit_s, cost_s=intr.cost_s,
         )
-        get_resilience_log().record_migration(
+        current().resilience.record_migration(
             "imbalance", step=intr.step, from_ranks=self.nranks,
             to_ranks=self.nranks, imbalance=intr.ratio)
 
@@ -526,7 +505,7 @@ class ElasticRunner:
         entry["new_owned_sizes"] = [
             int(len(o)) for o in self.owned_of(self.current)
         ]
-        get_rebalance_log().record_migration(**entry)
+        self.log.record_migration(**entry)
 
     # -------------------------------------------------- epochs + composing
     @staticmethod
@@ -644,7 +623,5 @@ __all__ = [
     "RebalanceInterrupt",
     "RebalanceLog",
     "RebalancePolicy",
-    "get_rebalance_log",
     "imbalance_ratio",
-    "rebalance_section",
 ]

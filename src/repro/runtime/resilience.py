@@ -7,11 +7,12 @@ Three pieces live here:
   to survive dropped/duplicated/delayed messages;
 * :class:`ResilienceLog` — the run-wide account of what was injected and
   what it cost to recover: counters, degraded placements, recovery
-  latencies.  The log is a module-level singleton (like the tracer) so the
-  comm layer, the simulated device and the generated solver loops can all
-  record into it without plumbing; :func:`resilience_section` renders it as
-  the run report's ``resilience`` section and mirrors every event into the
-  metrics registry;
+  latencies.  The log is a field of the run context (like the tracer;
+  :func:`~repro.runtime.faults.fault_run` gives its block a fresh one) so
+  the comm layer, the simulated device and the generated solver loops can
+  all record into it without plumbing; it is the run report's
+  ``resilience`` section and mirrors every event into the metrics registry
+  and the event log;
 * the ``repro.checkpoint/1`` schema constant shared by
   :meth:`~repro.codegen.state.SolverState.save_checkpoint` and the CLI's
   ``--checkpoint-every/--restore`` flags.
@@ -74,22 +75,18 @@ class ResilienceLog:
 
     def __init__(self):
         self._lock = threading.Lock()
-        self.reset()
-
-    def reset(self) -> None:
-        with getattr(self, "_lock", threading.Lock()):
-            self.injected: dict[str, int] = {}
-            self.retries = 0
-            self.duplicates_dropped = 0
-            self.recovered = 0
-            self.recovery_latencies_s: list[float] = []
-            self.checkpoints_written = 0
-            self.checkpoint_paths: list[str] = []
-            self.restores = 0
-            self.degraded: list[dict[str, Any]] = []
-            self.migrations: list[dict[str, Any]] = []
-            self.preemptions: list[dict[str, Any]] = []
-            self.resumes = 0
+        self.injected: dict[str, int] = {}
+        self.retries = 0
+        self.duplicates_dropped = 0
+        self.recovered = 0
+        self.recovery_latencies_s: list[float] = []
+        self.checkpoints_written = 0
+        self.checkpoint_paths: list[str] = []
+        self.restores = 0
+        self.degraded: list[dict[str, Any]] = []
+        self.migrations: list[dict[str, Any]] = []
+        self.preemptions: list[dict[str, Any]] = []
+        self.resumes = 0
 
     # --------------------------------------------------------------- events
     def record_injected(self, kind: str, **labels: Any) -> None:
@@ -120,9 +117,9 @@ class ResilienceLog:
         with self._lock:
             self.recovered += 1
             self.recovery_latencies_s.append(float(latency_s))
-        from repro.obs.metrics import get_metrics
+        from repro.util.context import current
 
-        metrics = get_metrics()
+        metrics = current().metrics
         if metrics.enabled:
             metrics.counter(
                 "resilience_recovered_total",
@@ -200,18 +197,18 @@ class ResilienceLog:
 
     @staticmethod
     def _metric_counter(name: str, help: str, **labels: Any) -> None:
-        from repro.obs.metrics import get_metrics
+        from repro.util.context import current
 
-        metrics = get_metrics()
+        metrics = current().metrics
         if metrics.enabled:
             metrics.counter(name, help).inc(1, **labels)
 
     @staticmethod
     def _event(name: str, level: str = "info", **fields: Any) -> None:
         """Mirror one resilience record into the structured event log."""
-        from repro.obs.log import get_event_log
+        from repro.util.context import current
 
-        elog = get_event_log()
+        elog = current().events
         if elog.enabled:
             rank = fields.pop("rank", None)
             step = fields.pop("step", None)
@@ -284,23 +281,6 @@ class ResilienceLog:
         return "; ".join(parts)
 
 
-_LOG = ResilienceLog()
-
-
-def get_resilience_log() -> ResilienceLog:
-    """The process-wide resilience event log (reset by :func:`fault_run`)."""
-    return _LOG
-
-
-def resilience_section() -> dict[str, Any] | None:
-    """The report section, or ``None`` when nothing resilience-ish happened."""
-    from repro.runtime.faults import get_injector
-
-    if not _LOG.has_events() and not get_injector().enabled:
-        return None
-    return _LOG.as_dict()
-
-
 def checkpoint_path(directory: str | Path, step: int, rank: int | None = None) -> Path:
     """Canonical checkpoint filename: ``<dir>/ckpt_step000010[_rank2].npz``."""
     name = f"ckpt_step{step:06d}"
@@ -339,6 +319,4 @@ __all__ = [
     "RetryPolicy",
     "atomic_save_npz",
     "checkpoint_path",
-    "get_resilience_log",
-    "resilience_section",
 ]

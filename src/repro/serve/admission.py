@@ -12,9 +12,9 @@ stable RPR code:
   alone is over its in-flight cap.  Other tenants are unaffected; that is
   the isolation guarantee multi-tenancy needs.
 
-Rejections are counted per tenant and per code in metrics
-(``serve_rejections_total``), mirrored into the event log and surfaced in
-the ``repro.serve/1`` status document.
+Rejections are counted per tenant and per code and surfaced in the
+``repro.serve/1`` status document; the service mirrors each into its
+metrics (``serve_rejections_total``) and the event log.
 """
 
 from __future__ import annotations
@@ -78,19 +78,6 @@ class AdmissionController:
         self.rejections[(code, tenant)] = self.rejections.get((code, tenant), 0) + 1
         self.recent.append({"code": code, "tenant": tenant, "reason": str(exc)})
         del self.recent[:-50]
-        from repro.obs.log import get_event_log
-        from repro.obs.metrics import get_metrics
-
-        metrics = get_metrics()
-        if metrics.enabled:
-            metrics.counter(
-                "serve_rejections_total",
-                "requests rejected at admission",
-            ).inc(1, code=code, tenant=tenant)
-        elog = get_event_log()
-        if elog.enabled:
-            elog.emit("serve.reject", level="warning", code=code,
-                      tenant=tenant, reason=str(exc))
         raise exc
 
     # ------------------------------------------------------------------ export

@@ -65,6 +65,9 @@ class Job:
         #: the job's ``serve_interrupt`` callback on ``problem`` (server-owned,
         #: taken off again when the result or failure is delivered)
         self.hook: Any = None
+        #: the submitter's run context, copied at submit (server-owned): every
+        #: attempt runs in it
+        self.context: Any = None
 
     @property
     def primary_tenant(self) -> str:

@@ -25,6 +25,13 @@ from the service's event loop.  Client threads enter through
 ``asyncio.run_coroutine_threadsafe`` (see :mod:`repro.serve.client`);
 solver execution happens in executor threads but its results are handled
 back on the loop.  The loop thread and the HTTP endpoint never take the turn.
+
+Run contexts (:mod:`repro.util.context`): the loop thread starts in a copy
+of its starter's, and every job runs in a copy of its submitter's, taken
+at submit — so one job's faults, sanitizer and tracer never reach another.
+The service's own counters and gauges go to :attr:`SolverService.metrics`
+(the starter's live registry, else one of its own), as do the metrics of a
+job whose context has no live registry.
 """
 
 from __future__ import annotations
@@ -34,7 +41,8 @@ import json
 import tempfile
 import threading
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
+from contextvars import copy_context
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
@@ -51,6 +59,7 @@ from repro.serve.schema import (
     normalize_priority,
 )
 from repro.serve.tenants import TenantState
+from repro.util.context import current, scope
 from repro.util.errors import AdmissionError, JobFailedError, ServeError
 from repro.util.logging import get_logger
 
@@ -152,8 +161,8 @@ class SolverService:
         self._thread: threading.Thread | None = None
         self._tmpdir: tempfile.TemporaryDirectory | None = None
         self._ckpt_root: Path | None = None
-        self._owned_metrics = None
-        self._prev_metrics = None
+        #: the registry ``/metrics`` exposes (set by start)
+        self.metrics = None
         self._started_at: float | None = None
 
     # ------------------------------------------------------------- lifecycle
@@ -162,7 +171,7 @@ class SolverService:
             raise ServeError("service already running")
         from concurrent.futures import ThreadPoolExecutor
 
-        from repro.obs.metrics import MetricsRegistry, get_metrics, set_metrics
+        from repro.obs.metrics import MetricsRegistry
 
         self._loop = asyncio.get_running_loop()
         self._cond = asyncio.Condition()
@@ -175,11 +184,11 @@ class SolverService:
         else:
             self._tmpdir = tempfile.TemporaryDirectory(prefix="repro-serve-")
             self._ckpt_root = Path(self._tmpdir.name)
-        if not get_metrics().enabled:
-            # the endpoint needs a live registry even when the host process
-            # did not install one; restored on stop()
-            self._owned_metrics = MetricsRegistry()
-            self._prev_metrics = set_metrics(self._owned_metrics)
+        # the starter's live registry, or one of the service's own: the
+        # endpoint needs one, and jobs submitted from a context without a
+        # live registry record into it
+        metrics = current().metrics
+        self.metrics = metrics if metrics.enabled else MetricsRegistry()
         self._active = True
         self._started_at = time.perf_counter()
         self._worker_tasks = [
@@ -218,12 +227,6 @@ class SolverService:
         if self._executor is not None:
             self._executor.shutdown(wait=True)
             self._executor = None
-        from repro.obs.metrics import set_metrics
-
-        if self._owned_metrics is not None:
-            set_metrics(self._prev_metrics)
-            self._owned_metrics = None
-            self._prev_metrics = None
         if self._tmpdir is not None:
             self._tmpdir.cleanup()
             self._tmpdir = None
@@ -231,13 +234,15 @@ class SolverService:
         logger.info("solver service stopped")
 
     def start_in_thread(self) -> "SolverService":
-        """Run the service on a dedicated event-loop thread (sync callers)."""
+        """Run the service on a dedicated event-loop thread (sync callers),
+        in a copy of the caller's run context."""
         if self._thread is not None:
             raise ServeError("service thread already running")
         loop = asyncio.new_event_loop()
         self._loop = loop
         self._thread = threading.Thread(
-            target=loop.run_forever, name="repro-serve-loop", daemon=True)
+            target=copy_context().run, args=(loop.run_forever,),
+            name="repro-serve-loop", daemon=True)
         self._thread.start()
         asyncio.run_coroutine_threadsafe(self.start(), loop).result(timeout=30)
         return self
@@ -307,9 +312,13 @@ class SolverService:
                 tenant,
                 queued_total=self.core.queued_total() if existing is None else 0,
                 tenant_inflight=state.inflight)
-        except AdmissionError:
+        except AdmissionError as exc:
             state.rejected += 1
             self.counters["rejected"] += 1
+            self._metric("serve_rejections_total", "requests rejected at "
+                         "admission", code=exc.code, tenant=tenant)
+            self._event("serve.reject", level="warning", code=exc.code,
+                        tenant=tenant, reason=str(exc))
             raise
         fut = self.loop.create_future()
         state.inflight += 1
@@ -328,8 +337,10 @@ class SolverService:
                         requests=existing.requests, trace_id=key[:16])
             await self._wake()
             return fut
-        # 4. a genuinely new job
+        # 4. a genuinely new job, run in its submitter's context: its faults,
+        # sanitizer and tracer are the ones in scope here
         job = Job(key, problem, resolved, prio, tenant, cache_key=ck)
+        job.context = copy_context()
         job.futures.append(fut)
         problem.add_post_step(self._interrupt_hook(job), name="serve_interrupt")
         job.hook = problem.post_step_callbacks[-1]
@@ -419,7 +430,7 @@ class SolverService:
         t0 = time.perf_counter()
         try:
             result = await self.loop.run_in_executor(
-                self._executor, self._execute_job, job)
+                self._executor, job.context.run, self._execute_job, job)
         except _PreemptedSignal as sig:
             core.mark_stopped(job)
             job.status = "preempted"
@@ -430,10 +441,6 @@ class SolverService:
             job.wall_s += time.perf_counter() - t0
             self.counters["preemptions"] += 1
             self._metric("serve_preemptions_total", "jobs preempted")
-            from repro.runtime.resilience import get_resilience_log
-
-            get_resilience_log().record_preemption(
-                job.key[:12], sig.step, tenant=job.primary_tenant)
             core.enqueue(job, front=True)
             self._event("serve.preempted", key=job.key[:12], step=sig.step,
                         worker=worker.id, checkpoint=sig.path)
@@ -470,12 +477,16 @@ class SolverService:
 
     # ------------------------------------------------------------- execution
     def _execute_job(self, job: Job) -> JobResult:
-        """Runs on an executor thread, holding the turn: generate
-        (cache-warm), maybe resume, run the remaining steps and package the
-        shared result.  ``wall_s`` counts from the moment the turn is held."""
+        """Runs on an executor thread in the job's context, holding the turn:
+        generate (cache-warm), maybe resume, run the remaining steps and
+        package the shared result.  ``wall_s`` counts from the moment the
+        turn is held.  A context without a live registry records into the
+        service's."""
+        live = current().metrics.enabled
         self.turn.acquire()
         try:
-            return self._solve_job(job)
+            with nullcontext() if live else scope(metrics=self.metrics):
+                return self._solve_job(job)
         finally:
             self.turn.release()
 
@@ -504,9 +515,7 @@ class SolverService:
             solver = problem.generate(job.target)
             state = solver.state
             if job.checkpoint:
-                from repro.runtime.resilience import get_resilience_log
-
-                get_resilience_log().record_resume(
+                current().resilience.record_resume(
                     job.key[:12], state.step_index, tenant=job.primary_tenant)
             remaining = state.nsteps - state.step_index
             if remaining > 0:
@@ -517,9 +526,9 @@ class SolverService:
                if name != unknown}
         digest = JobResult.digest_of(u, aux)
         job.steps_done = state.step_index
-        self._metric_hist("serve_job_wall_seconds",
-                          "wall seconds per served job attempt",
-                          time.perf_counter() - t0)
+        self.metrics.histogram(
+            "serve_job_wall_seconds", "wall seconds per served job attempt",
+        ).observe(time.perf_counter() - t0)
         return JobResult(
             key=job.key, cache_key=job.cache_key, target=job.target,
             u=u, time=state.time, steps=state.step_index, digest=digest,
@@ -549,10 +558,10 @@ class SolverService:
                 directory.mkdir(parents=True, exist_ok=True)
                 path = checkpoint_path(directory, state.step_index)
                 state.save_checkpoint(path)
-                from repro.runtime.resilience import get_resilience_log
-
-                get_resilience_log().record_checkpoint(
-                    path, reason="preempt")
+                log = current().resilience
+                log.record_checkpoint(path, reason="preempt")
+                log.record_preemption(job.key[:12], state.step_index,
+                                      tenant=job.primary_tenant)
                 raise _PreemptedSignal(str(path), state.step_index)
             raise _WorkerLostSignal(state.step_index)
 
@@ -658,16 +667,12 @@ class SolverService:
             writer.close()
 
     def _route(self, path: str) -> tuple[str, str, str]:
-        from repro.obs.metrics import get_metrics
-
         if path == "/metrics":
-            metrics = get_metrics()
             # refresh the queue/worker gauges so an idle service still
             # exports its state (they are otherwise only touched on job
             # events)
             self._gauges()
-            text = metrics.to_text() if metrics.enabled else ""
-            return "200 OK", "text/plain; version=0.0.4", text
+            return "200 OK", "text/plain; version=0.0.4", self.metrics.to_text()
         if path == "/status":
             return ("200 OK", "application/json",
                     json.dumps(self.status_doc(), indent=1))
@@ -687,11 +692,7 @@ class SolverService:
             self._cond.notify_all()
 
     def _gauges(self) -> None:
-        from repro.obs.metrics import get_metrics
-
-        metrics = get_metrics()
-        if not metrics.enabled:
-            return
+        metrics = self.metrics
         for priority, depth in self.core.as_dict()["queues"].items():
             metrics.gauge("serve_queue_depth", "queued jobs per priority "
                           "class").set(depth, priority=priority)
@@ -702,27 +703,12 @@ class SolverService:
         metrics.gauge("serve_inflight_jobs", "jobs queued or running").set(
             len(self._inflight))
 
-    @staticmethod
-    def _metric(name: str, help: str, **labels: Any) -> None:
-        from repro.obs.metrics import get_metrics
-
-        metrics = get_metrics()
-        if metrics.enabled:
-            metrics.counter(name, help).inc(1, **labels)
-
-    @staticmethod
-    def _metric_hist(name: str, help: str, value: float) -> None:
-        from repro.obs.metrics import get_metrics
-
-        metrics = get_metrics()
-        if metrics.enabled:
-            metrics.histogram(name, help).observe(value)
+    def _metric(self, name: str, help: str, **labels: Any) -> None:
+        self.metrics.counter(name, help).inc(1, **labels)
 
     @staticmethod
     def _event(name: str, level: str = "info", **fields: Any) -> None:
-        from repro.obs.log import get_event_log
-
-        elog = get_event_log()
+        elog = current().events
         if elog.enabled:
             trace_id = fields.pop("trace_id", None)
             elog.emit(name, level, trace_id=trace_id, **fields)

@@ -37,6 +37,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
+from repro.util.context import current
 from repro.util.logging import get_logger
 
 logger = get_logger("tune.cache")
@@ -122,9 +123,7 @@ class CompilationCache:
             self.enabled = enabled
         if cache_dir is not None:
             self.cache_dir = Path(cache_dir)
-        from repro.obs.log import get_event_log
-
-        elog = get_event_log()
+        elog = current().events
         if elog.debug_enabled:
             elog.emit("tune.cache.configured", level="debug",
                       enabled=self.enabled,
@@ -150,7 +149,7 @@ class CompilationCache:
             return None
         with self._lock:
             artifact = self._memory.get(key)
-        metrics = _metrics()
+        metrics = current().metrics
         if artifact is not None:
             self.stats.memory_hits += 1
             metrics.counter(
@@ -202,7 +201,7 @@ class CompilationCache:
     def record_coalesced(self, key: str, artifact: GenerationArtifact) -> None:
         """Count one single-flight reuse (metrics layer ``inflight``)."""
         self.stats.coalesced += 1
-        _metrics().counter(
+        current().metrics.counter(
             "codegen_cache_hits_total", "compilation-cache hits"
         ).inc(1, layer="inflight", target=artifact.target_name)
 
@@ -212,9 +211,7 @@ class CompilationCache:
         with self._lock:
             self._memory[key] = artifact
         self._disk_put(key, artifact)
-        from repro.obs.log import get_event_log
-
-        elog = get_event_log()
+        elog = current().events
         if elog.debug_enabled:
             elog.emit("tune.cache.put", level="debug", key=key[:12],
                       target=artifact.target_name)
@@ -301,12 +298,6 @@ class cache_scope:
         global _CACHE
         _CACHE = self._saved
         return None
-
-
-def _metrics():
-    from repro.obs.metrics import get_metrics
-
-    return get_metrics()
 
 
 __all__ = [

@@ -29,13 +29,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "check_transfers",
         "verify_solver_placement",
     ),
-    "sanitizer": (
-        "Sanitizer",
-        "SanitizerError",
-        "get_sanitizer",
-        "sanitize_run",
-        "sanitizer_section",
-    ),
+    "sanitizer": ("Sanitizer", "SanitizerError", "sanitize_run"),
     "schedule": (
         "CollectiveOp",
         "RecvOp",

@@ -10,7 +10,9 @@ with ``Problem.solve`` and ``GeneratedSolver.run`` intercepted: the setup
 code runs for real (meshes, entities, callbacks — everything lint needs),
 but the moment a transient would start, the captured problem is linted
 instead.  Scripts that never reach a solve (pure perf-model studies) fall
-back to the module-global current problem, or report "nothing to lint".
+back to the script's current problem (``init_problem``), or report "nothing
+to lint".  The script runs in a scope of its own: the caller's current
+problem is neither linted nor lost.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.util.context import current, scope
 from repro.util.errors import ReproError
 from repro.verify.diagnostics import Diagnostic, DiagnosticReport
 from repro.verify.placement_checks import verify_solver_placement
@@ -85,7 +88,6 @@ def lint_script(path: str | Path, *, deep: bool = True,
                 argv: list[str] | None = None) -> ScriptLint:
     """Execute ``path`` with solves intercepted and lint what it builds."""
     from repro.codegen.target_base import GeneratedSolver
-    from repro.dsl import api
     from repro.dsl.problem import Problem
 
     path = Path(path)
@@ -107,26 +109,24 @@ def lint_script(path: str | Path, *, deep: bool = True,
     sys.argv = [str(path), *(argv or [])]
     Problem.solve = fake_solve
     GeneratedSolver.run = fake_run
-    try:
-        runpy.run_path(str(path), run_name="__main__")
-    except _LintStop:
-        pass
-    except SystemExit:
-        pass  # argparse --help etc.
-    except ReproError as exc:
-        result.report.add(Diagnostic.from_error(exc))
-    except Exception as exc:  # noqa: BLE001 — a crashing script is a finding
-        result.report.add(Diagnostic.from_code(
-            "RPR000", f"script raised {type(exc).__name__}: {exc}"))
-    finally:
-        Problem.solve = orig_solve
-        GeneratedSolver.run = orig_generate_run
-        sys.argv = old_argv
-
-    if not captured:
-        current = api._current
-        if current is not None:
-            captured.append(current)
+    with scope(problem=None):
+        try:
+            runpy.run_path(str(path), run_name="__main__")
+        except _LintStop:
+            pass
+        except SystemExit:
+            pass  # argparse --help etc.
+        except ReproError as exc:
+            result.report.add(Diagnostic.from_error(exc))
+        except Exception as exc:  # noqa: BLE001 — a crashing script is a finding
+            result.report.add(Diagnostic.from_code(
+                "RPR000", f"script raised {type(exc).__name__}: {exc}"))
+        finally:
+            Problem.solve = orig_solve
+            GeneratedSolver.run = orig_generate_run
+            sys.argv = old_argv
+        if not captured and current().problem is not None:
+            captured.append(current().problem)
 
     seen: set[int] = set()
     for obj in captured:
@@ -141,7 +141,6 @@ def lint_script(path: str | Path, *, deep: bool = True,
         result.problems_checked += 1
     if not captured:
         result.note = "nothing to lint (script builds no problem)"
-    api.finalize()  # do not leak the script's context into the caller
     return result
 
 

@@ -1,11 +1,11 @@
 """Layer 3: the runtime sanitizer (``--sanitize``).
 
-A module-level singleton (same pattern as the tracer, metrics and
-resilience log) that every generated run loop consults through
-:meth:`SolverState.sanitize_step`.  When disabled — the default — every
-hook is a cheap attribute check, and a sanitized run performs *no write*
-to any solver array: all checks are read-only, so results stay bit-identical
-to unsanitized runs (tested).
+A field of the run context (:mod:`repro.util.context`), ``None`` outside a
+:func:`sanitize_run`, that every generated run loop consults through
+:meth:`SolverState.sanitize_step`.  Without one every hook is a cheap
+``None`` check, and a sanitized run performs *no write* to any solver
+array: all checks are read-only, so results stay bit-identical to
+unsanitized runs (tested).
 
 Checks, each mapped to a stable code:
 
@@ -29,10 +29,12 @@ from __future__ import annotations
 import threading
 import weakref
 import zlib
+from contextlib import contextmanager
 from typing import Any
 
 import numpy as np
 
+from repro.util.context import current, scope
 from repro.util.errors import SolverError
 from repro.verify.diagnostics import Diagnostic, DiagnosticReport
 
@@ -55,7 +57,7 @@ class _StateWatch:
 
 
 class Sanitizer:
-    """Thread-safe runtime sanitizer; one singleton per process."""
+    """Thread-safe runtime sanitizer of one run (see :func:`sanitize_run`)."""
 
     #: relative per-step update beyond which RPR304 fires (a stable explicit
     #: scheme moves the solution by O(CFL) per step; 10x is blow-up territory)
@@ -63,19 +65,13 @@ class Sanitizer:
     #: relative conserved-total drift beyond which RPR303 fires
     drift_threshold = 0.05
 
-    def __init__(self, enabled: bool = False):
+    def __init__(self):
         self._lock = threading.Lock()
-        self.enabled = enabled
-        self.was_active = False
-        self.reset()
-
-    def reset(self) -> None:
-        with self._lock:
-            self.report = DiagnosticReport()
-            self.checks = 0
-            self._watch: "weakref.WeakKeyDictionary[Any, _StateWatch]" = (
-                weakref.WeakKeyDictionary())
-            self._sent_crc: dict[tuple[int, int, int, int], int] = {}
+        self.report = DiagnosticReport()
+        self.checks = 0
+        self._watch: "weakref.WeakKeyDictionary[Any, _StateWatch]" = (
+            weakref.WeakKeyDictionary())
+        self._sent_crc: dict[tuple[int, int, int, int], int] = {}
 
     # ----------------------------------------------------------------- events
     def record(self, diag: Diagnostic) -> None:
@@ -84,22 +80,21 @@ class Sanitizer:
         self._feed_observability(diag)
 
     def _feed_observability(self, diag: Diagnostic) -> None:
-        from repro.obs import get_event_log, get_metrics, get_tracer
-
-        metrics = get_metrics()
+        ctx = current()
+        metrics = ctx.metrics
         if metrics.enabled:
             metrics.counter(
                 "sanitizer_findings_total",
                 "runtime sanitizer findings by code",
             ).inc(1, code=diag.code, severity=diag.severity)
-        tracer = get_tracer()
+        tracer = ctx.tracer
         if tracer.enabled:
             ts = diag.where.get("time", 0.0)
             tracer.instant("sanitizer", diag.code, float(ts or 0.0),
                            cat="sanitizer", message=diag.message)
         level = diag.severity if diag.severity in ("info", "warning", "error") \
             else "warning"
-        get_event_log().emit(
+        ctx.events.emit(
             "sanitizer.finding", level=level,
             rank=diag.where.get("rank"), step=diag.where.get("step"),
             code=diag.code, severity=diag.severity, message=diag.message)
@@ -114,8 +109,6 @@ class Sanitizer:
                     step: int | None = None, time: float | None = None,
                     fatal: bool = True, **where: Any) -> bool:
         """NaN/Inf guard with first-bad provenance.  Returns True if clean."""
-        if not self.enabled:
-            return True
         self._count()
         arr = np.asarray(arr)
         if np.isfinite(arr).all():
@@ -143,8 +136,6 @@ class Sanitizer:
         Read-only: never touches solver arrays in place, so a sanitized run
         is numerically identical to an unsanitized one.
         """
-        if not self.enabled:
-            return
         rank = state.comm.rank if state.comm is not None else None
         where = {} if rank is None else {"rank": rank}
         unknown = state.unknown
@@ -211,20 +202,10 @@ class Sanitizer:
     def check_kernel_output(self, kernel: str, arr: np.ndarray,
                             state=None) -> None:
         """Per-kernel NaN/Inf guard on freshly fetched device output."""
-        if not self.enabled:
-            return
         step = getattr(state, "step_index", None)
         time = getattr(state, "time", None)
         self.check_array(f"kernel {kernel!r} output", arr, code="RPR306",
                          step=step, time=time, kernel=kernel)
-
-    def record_residency_violation(self, name: str, **where: Any) -> None:
-        """Called when a stale device read actually happened (RPR305)."""
-        if not self.enabled:
-            return
-        self.record(Diagnostic.from_code(
-            "RPR305", f"device buffer {name!r} read while its device copy "
-            "was stale", array=name, **where))
 
     # ------------------------------------------------------ halo consistency
     def note_sent(self, src: int, dst: int, tag: int, seq: int, data) -> None:
@@ -233,7 +214,7 @@ class Sanitizer:
         Out-of-band (ranks share this process) so the message payload — and
         with it every virtual-time byte count — is untouched.
         """
-        if not self.enabled or not isinstance(data, np.ndarray):
+        if not isinstance(data, np.ndarray):
             return
         with self._lock:
             self._sent_crc[(src, dst, tag, seq)] = zlib.crc32(data.tobytes())
@@ -241,13 +222,13 @@ class Sanitizer:
     def check_received(self, src: int, dst: int, tag: int, seq: int,
                        data) -> None:
         """Comm-layer hook: verify a received array against its checksum."""
-        if not self.enabled or not isinstance(data, np.ndarray):
+        if not isinstance(data, np.ndarray):
             return
         with self._lock:
             expected = self._sent_crc.pop((src, dst, tag, seq), None)
         self._count()
         if expected is None:
-            return  # sent before sanitize was enabled, or non-array send
+            return  # sent before the sanitizer was in scope, or non-array send
         got = zlib.crc32(np.ascontiguousarray(data).tobytes())
         if got != expected:
             diag = Diagnostic.from_code(
@@ -262,14 +243,10 @@ class Sanitizer:
                          rank=dst, peer=src)
 
     # ------------------------------------------------------------------ report
-    def section(self) -> dict[str, Any] | None:
-        """The run report's ``diagnostics`` section (None if never active)."""
-        if not self.was_active:
-            return None
+    def section(self) -> dict[str, Any]:
+        """The run report's ``diagnostics`` section."""
         with self._lock:
-            doc = self.report.to_dict()
-        doc["enabled"] = self.enabled
-        return doc
+            return self.report.to_dict()
 
     def summary(self) -> str:
         with self._lock:
@@ -280,43 +257,24 @@ class Sanitizer:
             return bool(self.report.diagnostics)
 
 
-_SANITIZER = Sanitizer()
+@contextmanager
+def sanitize_run():
+    """A fresh :class:`Sanitizer` in the run context for the block; yields
+    it.  Build the run report inside the block for its ``diagnostics``
+    section::
 
-
-def get_sanitizer() -> Sanitizer:
-    """The process-wide sanitizer singleton."""
-    return _SANITIZER
-
-
-class sanitize_run:
-    """Context manager enabling the sanitizer for one run.
-
-    Findings stay readable (for the run report) after the block exits::
-
-        with sanitize_run():
+        with sanitize_run() as sanitizer:
             solver = problem.solve()
-        print(get_sanitizer().summary())
+            report = solver.run_report()
+        print(sanitizer.summary())
     """
-
-    def __enter__(self) -> Sanitizer:
-        _SANITIZER.reset()
-        _SANITIZER.enabled = True
-        _SANITIZER.was_active = True
-        return _SANITIZER
-
-    def __exit__(self, *exc_info) -> None:
-        _SANITIZER.enabled = False
-
-
-def sanitizer_section() -> dict[str, Any] | None:
-    """Lazy accessor used by :func:`repro.obs.report.build_run_report`."""
-    return _SANITIZER.section()
+    sanitizer = Sanitizer()
+    with scope(sanitizer=sanitizer):
+        yield sanitizer
 
 
 __all__ = [
     "Sanitizer",
     "SanitizerError",
-    "get_sanitizer",
     "sanitize_run",
-    "sanitizer_section",
 ]

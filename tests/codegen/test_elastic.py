@@ -10,19 +10,15 @@ bits with a measurably lower imbalance ratio.
 """
 
 import numpy as np
-import pytest
 
 from repro.bte.problem import build_bte_problem, hotspot_scenario
 from repro.runtime.faults import fault_run
-from repro.runtime.rebalance import get_rebalance_log
-from repro.runtime.resilience import get_resilience_log
+from repro.util.context import current
 
 
-@pytest.fixture(autouse=True)
-def _fresh_rebalance_log():
-    """The log is a run-scoped singleton; isolate it per test."""
-    get_rebalance_log().reset()
-    yield
+def rebalance_log(solver) -> dict:
+    """The elastic runner's log of the solver's last run."""
+    return solver.namespace["ELASTIC"].log.as_dict()
 
 
 def _scenario(nsteps):
@@ -65,10 +61,14 @@ class TestKillRecoveryCells:
     def test_migration_is_logged(self):
         sc = _scenario(8)
         extra = {"rebalance": True, "checkpoint_every": 2}
-        _solve(sc, axis="cells", nparts=3, extra=extra,
-               faults="rank_kill:rank=1,at=12")
+        p, _ = build_bte_problem(sc)
+        p.extra.update(extra)
+        p.set_partitioning("cells", 3)
+        with fault_run("rank_kill:rank=1,at=12"):
+            solver = p.solve()
+            res = current().resilience.as_dict()
 
-        log = get_rebalance_log().as_dict()
+        log = rebalance_log(solver)
         (mig,) = log["migrations"]
         assert mig["kind"] == "rank_loss"
         assert (mig["from_nranks"], mig["to_nranks"]) == (3, 2)
@@ -76,20 +76,18 @@ class TestKillRecoveryCells:
         assert mig["step"] == 4  # newest complete checkpoint cut
         assert sum(mig["new_owned_sizes"]) == 8 * 8  # all cells re-owned
         assert log["final_nranks"] == 2
-
-        res = get_resilience_log().as_dict()
         assert any(m["kind"] == "rank_loss" for m in res["migrations"])
 
     def test_recovery_without_checkpoints_restarts_from_zero(self):
         """No periodic checkpoints: the consistent cut is step 0."""
         sc = _scenario(6)
         u_ref, t_ref, _ = _solve(sc, axis="cells", nparts=3)
-        u, t, _ = _solve(sc, axis="cells", nparts=3,
-                         extra={"rebalance": True},
-                         faults="rank_kill:rank=2,at=6")
+        u, t, solver = _solve(sc, axis="cells", nparts=3,
+                              extra={"rebalance": True},
+                              faults="rank_kill:rank=2,at=6")
         assert np.array_equal(u, u_ref)
         assert np.array_equal(t, t_ref)
-        (mig,) = get_rebalance_log().as_dict()["migrations"]
+        (mig,) = rebalance_log(solver)["migrations"]
         assert mig["step"] == 0
 
 
@@ -112,7 +110,7 @@ class TestKillRecoveryGpuMulti:
         assert np.array_equal(solver.solution(), s_ref.solution())
         assert np.array_equal(solver.state.extra["T"], s_ref.state.extra["T"])
 
-        log = get_rebalance_log().as_dict()
+        log = rebalance_log(solver)
         (mig,) = log["migrations"]
         assert mig["kind"] == "rank_loss"
         assert mig["to_nranks"] == mig["from_nranks"] - 1
@@ -126,10 +124,10 @@ class TestProactiveRebalance:
     def test_migration_fires_and_reduces_imbalance(self):
         sc = _scenario(12)
         extra = {"rebalance": True, "imbalance_threshold": 1.5}
-        u, t, _ = _solve(sc, axis="cells", nparts=4, extra=extra,
-                         faults=self.FAULT)
+        u, t, solver = _solve(sc, axis="cells", nparts=4, extra=extra,
+                              faults=self.FAULT)
 
-        log = get_rebalance_log().as_dict()
+        log = rebalance_log(solver)
         (mig,) = log["migrations"]
         assert mig["kind"] == "imbalance"
         assert mig["imbalance_before"] > 1.5
@@ -149,8 +147,8 @@ class TestProactiveRebalance:
 
     def test_balanced_run_does_not_migrate(self):
         sc = _scenario(8)
-        _solve(sc, axis="cells", nparts=3, extra={"rebalance": True})
-        log = get_rebalance_log().as_dict()
+        _, _, solver = _solve(sc, axis="cells", nparts=3, extra={"rebalance": True})
+        log = rebalance_log(solver)
         assert log["migrations"] == []
         assert log["checks"] > 0  # the watcher did look
 
@@ -210,7 +208,7 @@ class TestTablesFollowTheRankState:
         ns["make_rank_state"] = recording
         with fault_run("rank_kill:rank=1,at=12"):
             solver.run()
-        (migration,) = get_rebalance_log().as_dict()["migrations"]
+        (migration,) = rebalance_log(solver)["migrations"]
         assert migration["kind"] == "rank_loss"
         assert len(states) == 3 + 2  # three ranks, then the two survivors
         # every state holds both builders' tables — the folded interior
@@ -265,7 +263,7 @@ class TestTablesFollowTheRankState:
                                               states[-1])[1]
         with fault_run(TestProactiveRebalance.FAULT):
             solver.run()
-        (migration,) = get_rebalance_log().as_dict()["migrations"]
+        (migration,) = rebalance_log(solver)["migrations"]
         assert migration["kind"] == "imbalance" and len(states) == 4 + 4
         for held in (lambda st: st.plans, lambda st: st.bset._contexts,
                      lambda st: next(iter(st.plans.values()))[1],

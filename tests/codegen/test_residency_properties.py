@@ -225,20 +225,20 @@ def test_a_fault_at_any_step_degrades_to_the_same_bits(kind, op, at, plan, ranks
     was written for), and the step after starts with exactly one upload of
     the unknown."""
     from repro.runtime.faults import fault_run
-    from repro.runtime.resilience import get_resilience_log
-    from repro.verify import get_sanitizer, sanitize_run
+    from repro.util.context import current
+    from repro.verify import sanitize_run
 
     clean = Solver(plan, ranks)
     clean.solver.run(4)
     device = "gpu1" if ranks else "gpu0"
     faulted = Solver(plan, ranks)
-    with fault_run(f"{kind}:device={device},op={op},at={at}", seed=at), sanitize_run():
+    with fault_run(f"{kind}:device={device},op={op},at={at}", seed=at), sanitize_run() as san:
         faulted.solver.run(4)
-        log = get_resilience_log()
+        log = current().resilience
         degraded = [d for d in log.degraded if d["task"] == "interior_update"]
         assert sum(log.injected.values()) <= 1 and len(degraded) <= 1
     assert faulted.observe() == clean.observe()
-    notes = [d for d in get_sanitizer().report.diagnostics if d.code == "RPR305"]
+    notes = [d for d in san.report.diagnostics if d.code == "RPR305"]
     if degraded or plan == "cpu":
         assert notes and all(d.severity == "info" for d in notes)
     if degraded and not ranks:

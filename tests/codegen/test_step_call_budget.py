@@ -22,11 +22,11 @@ import pytest
 from repro.bte.problem import build_bte_problem, hotspot_scenario
 
 FIRST, LAST = 3, 12
-#: per step, the counts plus at most 1 % slack: 299.1 on ``cpu`` and 417.1
+#: per step, the counts plus at most 1 % slack: 298.1 on ``cpu`` and 415.1
 #: in a ``cells`` rank (whether the peer's message is already there when a
 #: rank asks can move a rank's count by a call or two; the lower of two runs
 #: is held to the bound).
-BUDGET = {"cpu": 302, "cells": 421}
+BUDGET = {"cpu": 301, "cells": 419}
 
 
 def bracket(state, counted: list) -> None:

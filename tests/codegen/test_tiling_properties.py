@@ -38,7 +38,7 @@ from hypothesis import strategies as st
 from repro.bte.problem import build_bte_problem, hotspot_scenario
 from repro.fvm import kernels
 from repro.runtime.faults import fault_run
-from repro.runtime.resilience import get_resilience_log
+from repro.util.context import current
 
 # CI runs with a pinned derandomised profile so failures reproduce
 settings.register_profile("ci", derandomize=True, max_examples=60)
@@ -107,8 +107,8 @@ def solve(monkeypatch, rows, target, loops=None, order=1, fault=False):
         spec = f"oom:device={device},op=launch,at=1" if fault else None
         with fault_run(spec, seed=5):
             solver = problem.solve()
+            log = current().resilience
         if fault:  # the step re-ran the same tiled kernel body on the host
-            log = get_resilience_log()
             assert log.injected == {"oom": 1}
             assert log.degraded and log.degraded[0]["to"] == "cpu"
     return solver

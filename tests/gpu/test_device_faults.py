@@ -7,7 +7,7 @@ from repro.gpu.device import Device
 from repro.gpu.kernel import Kernel
 from repro.gpu.spec import A6000, LAPTOP_GPU
 from repro.runtime.faults import fault_run
-from repro.runtime.resilience import get_resilience_log
+from repro.util.context import current
 from repro.util.errors import (
     CodegenError,
     DeviceOOMError,
@@ -112,7 +112,7 @@ class TestInjectedDeviceFaults:
             dev = Device(A6000, name="gpu0")
             with pytest.raises(DeviceOOMError, match="injected"):
                 dev.alloc("x", np.zeros(8))
-            assert get_resilience_log().injected == {"oom": 1}
+            assert current().resilience.injected == {"oom": 1}
 
     def test_injected_h2d_oom(self):
         with fault_run("oom:device=gpu0,op=h2d,at=1"):

@@ -104,10 +104,13 @@ class TestObservabilityFlags:
 class TestEventLogCLI:
     @pytest.fixture(autouse=True)
     def restore_singletons(self):
-        from repro.obs.log import EventLog, set_event_log
+        """``--log-level`` sets the level of the context's event log: give
+        each test one of its own."""
+        from repro.obs.log import EventLog
+        from repro.util.context import scope
 
-        yield
-        set_event_log(EventLog())
+        with scope(events=EventLog()):
+            yield
 
     def bte(self, *extra):
         return ["bte", "--nx", "8", "--ndirs", "4", "--bands", "4",

@@ -18,7 +18,7 @@ import pytest
 
 from repro.bte.problem import build_bte_problem, hotspot_scenario
 from repro.runtime.faults import fault_run
-from repro.runtime.resilience import get_resilience_log
+from repro.util.context import current
 
 TOL = 1e-10
 
@@ -79,7 +79,7 @@ class TestFaultedEquivalence:
         spec = "drop:rank=0,dest=1,tag=7,at=2;dup:rank=1,dest=0,tag=7,at=3"
         with fault_run(spec, seed=1):
             solver = problem.solve()
-            log = get_resilience_log()
+            log = current().resilience
             assert log.injected == {"drop": 1, "dup": 1}
             assert log.retries >= 1
             assert log.recovered >= 1
@@ -93,7 +93,7 @@ class TestFaultedEquivalence:
                 "dup:rank=3,tag=7,at=1")
         with fault_run(spec, seed=2):
             solver = problem.solve()
-            log = get_resilience_log()
+            log = current().resilience
             assert sum(log.injected.values()) == 3
         assert np.array_equal(solver.solution(), reference[0])
 
@@ -101,7 +101,7 @@ class TestFaultedEquivalence:
         problem = make_problem(use_gpu)
         with fault_run("oom:device=gpu0,op=h2d,at=1", seed=3):
             solver = problem.solve()
-            log = get_resilience_log()
+            log = current().resilience
             assert log.injected == {"oom": 1}
             assert log.degraded and log.degraded[0]["to"] == "cpu"
         assert_matches(solver, reference)
@@ -116,7 +116,7 @@ class TestFaultedEquivalence:
         problem = make_problem(lambda p: p.set_partitioning("cells", 2))
         with fault_run("drop:rank=0,tag=7,p=0.5,count=0", seed=seed):
             solver = problem.solve()
-            log = get_resilience_log()
+            log = current().resilience
             assert log.injected.get("drop", 0) >= 1
         assert np.array_equal(solver.solution(), reference[0])
 
@@ -135,6 +135,8 @@ class TestResilienceDemo:
         with fault_run(spec, seed=42):
             solver = problem.solve()
             report = solver.run_report()
+            paths = current().resilience.checkpoint_paths
+        assert any(p.startswith(str(tmp_path)) for p in paths)
         assert solver.target_name == "gpu_distributed"
         assert_matches(solver, reference)
 
@@ -148,8 +150,6 @@ class TestResilienceDemo:
         assert degraded[0]["reason"] == "DeviceOOMError"
         # periodic per-rank checkpoints were cut during the faulted run
         assert section["checkpoints_written"] >= 4
-        assert any(p.startswith(str(tmp_path)) for p in
-                   get_resilience_log().checkpoint_paths)
 
     def test_demo_is_deterministic(self, tmp_path):
         """Same seed, same faults, same bits — run twice, compare exactly."""

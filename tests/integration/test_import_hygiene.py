@@ -86,11 +86,11 @@ def loaded(modules: list[str], *prefixes: str) -> list[str]:
 #: something new is imported on the way to the first step: find it
 #: (``python -X importtime``) before raising the ceiling.
 CEILINGS = {
-    ("cpu", "-"): 289,                  # 287 (617 before scipy left the path)
-    ("distributed", "cells"): 323,      # 321
-    ("distributed", "bands"): 307,      # 305
-    ("gpu", "-"): 303,                  # 301
-    ("gpu_distributed", "bands"): 313,  # 311
+    ("cpu", "-"): 286,                  # 284 (617 before scipy left the path)
+    ("distributed", "cells"): 320,      # 318
+    ("distributed", "bands"): 304,      # 302
+    ("gpu", "-"): 300,                  # 298
+    ("gpu_distributed", "bands"): 310,  # 308
 }
 
 
@@ -100,12 +100,12 @@ def test_a_solve_imports_only_what_it_enters(target, strategy):
     modules = out["modules"]
     assert loaded(modules, "scipy", "networkx", "repro.serve", "repro.cli") == []
     # what no solver path enters: file readers, the run registry, report
-    # and profile (a phase is timed by the timers alone), the linter, the
-    # hand-written reference
+    # and profile (a phase is timed by the timers alone), the verifier and
+    # the sanitizer (a run without one reads ``None``), the hand-written
+    # reference
     assert loaded(modules, "repro.mesh.gmsh_io", "repro.mesh.medit_io", "repro.mesh.vtk_io",
                   "repro.obs.registry", "repro.obs.report", "repro.obs.profile",
-                  "repro.verify.lint",
-                  "repro.verify.schedule", "repro.bte.reference", "repro.bte.conductivity",
+                  "repro.verify", "repro.bte.reference", "repro.bte.conductivity",
                   "repro.codegen.probes") == []
     if not out["eager_ma"]:
         assert loaded(modules, "numpy.ma") == []  # np.unique drags it in: 20 ms

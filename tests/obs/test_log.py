@@ -5,22 +5,14 @@ import json
 import pytest
 
 from repro.obs import trace_run
-from repro.obs.log import (
-    LEVELS,
-    EventLog,
-    events_run,
-    get_event_log,
-    log_event,
-    read_events,
-    set_event_log,
-)
+from repro.obs.log import LEVELS, EventLog, events_run, read_events
+from repro.util.context import current, scope
 
 
 @pytest.fixture(autouse=True)
 def fresh_log():
-    previous = set_event_log(EventLog())
-    yield
-    set_event_log(previous)
+    with scope(events=EventLog()):
+        yield
 
 
 class TestLevels:
@@ -28,13 +20,13 @@ class TestLevels:
         assert LEVELS["debug"] < LEVELS["info"] < LEVELS["warning"] < LEVELS["error"]
 
     def test_default_threshold_drops_debug(self):
-        log = get_event_log()
+        log = current().events
         assert log.emit("comm.send", level="debug") is None
         assert log.emit("fault.injected", level="warning") is not None
         assert [e.name for e in log.tail()] == ["fault.injected"]
 
     def test_wants_and_debug_enabled(self):
-        log = get_event_log()
+        log = current().events
         assert log.wants("info") and not log.wants("debug")
         assert not log.debug_enabled
         log.set_level("debug")
@@ -44,7 +36,7 @@ class TestLevels:
 
     def test_unknown_level_rejected(self):
         with pytest.raises(ValueError, match="unknown event level"):
-            get_event_log().emit("x", level="loud")
+            current().events.emit("x", level="loud")
 
     def test_disabled_log_absorbs_everything(self):
         log = EventLog(enabled=False)
@@ -65,7 +57,7 @@ class TestRing:
         assert log.counts() == {"info": 10}
 
     def test_tail_n(self):
-        log = get_event_log()
+        log = current().events
         for i in range(5):
             log.emit("e", step=i)
         assert [e.step for e in log.tail(2)] == [3, 4]
@@ -74,11 +66,11 @@ class TestRing:
 class TestCorrelation:
     def test_trace_id_defaults_from_live_tracer(self, tmp_path):
         with trace_run(tmp_path / "t.json") as tracer:
-            ev = log_event("run.start")
+            ev = current().events.emit("run.start")
         assert ev.trace_id == tracer.trace_id
 
     def test_span_ids_survive_to_dict(self):
-        ev = get_event_log().emit("comm.recv", level="warning",
+        ev = current().events.emit("comm.recv", level="warning",
                                   rank=1, step=3, span_id=7, parent_id=5)
         doc = ev.to_dict()
         assert doc["span_id"] == 7 and doc["parent_id"] == 5
@@ -101,10 +93,10 @@ class TestFileStream:
         assert events[2]["fields"]["kind"] == "drop"
 
     def test_events_run_restores_previous_log(self, tmp_path):
-        outer = get_event_log()
+        outer = current().events
         with events_run(tmp_path / "e.jsonl") as inner:
-            assert get_event_log() is inner
-        assert get_event_log() is outer
+            assert current().events is inner
+        assert current().events is outer
 
     def test_truncated_tail_tolerated(self, tmp_path):
         path = tmp_path / "e.jsonl"
@@ -136,16 +128,6 @@ class TestFileStream:
 class TestCrashRecord:
     """The JSONL stream is the forensic record of a failed run: it ends with
     the error, and the findings before it carry step/rank provenance."""
-
-    @pytest.fixture(autouse=True)
-    def fresh_sanitizer(self):
-        from repro.verify import get_sanitizer
-
-        yield
-        san = get_sanitizer()
-        san.reset()
-        san.enabled = False
-        san.was_active = False
 
     def test_sanitizer_nan_trip_event_carries_provenance(self, tmp_path):
         import numpy as np

@@ -7,14 +7,9 @@ import threading
 
 import pytest
 
-from repro.obs import (
-    NULL_METRICS,
-    MetricsRegistry,
-    get_metrics,
-    metrics_run,
-    set_metrics,
-)
+from repro.obs import NULL_METRICS, MetricsRegistry, metrics_run
 from repro.obs.metrics import SCHEMA
+from repro.util.context import current, scope
 
 
 class TestCounter:
@@ -133,30 +128,27 @@ class TestNullMetrics:
 
 class TestCurrentRegistry:
     def test_defaults_to_null(self):
-        assert get_metrics() is NULL_METRICS
+        assert current().metrics is NULL_METRICS
 
     def test_set_and_restore(self):
         reg = MetricsRegistry()
-        prev = set_metrics(reg)
-        try:
-            assert get_metrics() is reg
-        finally:
-            set_metrics(prev)
-        assert get_metrics() is NULL_METRICS
+        with scope(metrics=reg):
+            assert current().metrics is reg
+        assert current().metrics is NULL_METRICS
 
     def test_metrics_run_installs_writes_and_restores(self, tmp_path):
         path = tmp_path / "m.json"
         with metrics_run(path) as reg:
-            assert get_metrics() is reg
+            assert current().metrics is reg
             reg.counter("a_total", "a").inc()
-        assert get_metrics() is NULL_METRICS
+        assert current().metrics is NULL_METRICS
         assert json.loads(path.read_text())["metrics"]["a_total"]
 
     def test_metrics_run_restores_on_error(self):
         with pytest.raises(RuntimeError):
             with metrics_run():
                 raise RuntimeError("boom")
-        assert get_metrics() is NULL_METRICS
+        assert current().metrics is NULL_METRICS
 
     def test_thread_safety_of_one_counter(self):
         reg = MetricsRegistry()

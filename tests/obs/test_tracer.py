@@ -5,15 +5,8 @@ import json
 import pytest
 
 from repro import obs
-from repro.obs import (
-    NULL_TRACER,
-    SpanEvent,
-    Tracer,
-    get_tracer,
-    phase_span,
-    set_tracer,
-    trace_run,
-)
+from repro.obs import NULL_TRACER, SpanEvent, Tracer, phase_span, trace_run
+from repro.util.context import current, scope
 
 
 class TestSpanEvent:
@@ -114,23 +107,21 @@ class TestTracer:
 
 class TestCurrentTracer:
     def test_defaults_to_null(self):
-        assert get_tracer() is NULL_TRACER
+        assert current().tracer is NULL_TRACER
 
     def test_set_and_restore(self):
         tr = Tracer()
-        prev = set_tracer(tr)
-        try:
-            assert get_tracer() is tr
-        finally:
-            set_tracer(prev)
-        assert get_tracer() is prev
+        prev = current().tracer
+        with scope(tracer=tr):
+            assert current().tracer is tr
+        assert current().tracer is prev
 
     def test_trace_run_installs_writes_and_restores(self, tmp_path):
         path = tmp_path / "t.json"
         with trace_run(path) as tr:
-            assert get_tracer() is tr
+            assert current().tracer is tr
             tr.complete("t", "a", 0.0, 1.0)
-        assert get_tracer() is NULL_TRACER
+        assert current().tracer is NULL_TRACER
         assert json.loads(path.read_text())["traceEvents"]
 
     def test_trace_run_writes_on_error(self, tmp_path):
@@ -139,7 +130,7 @@ class TestCurrentTracer:
             with trace_run(path) as tr:
                 tr.complete("t", "partial", 0.0, 1.0)
                 raise RuntimeError("boom")
-        assert get_tracer() is NULL_TRACER
+        assert current().tracer is NULL_TRACER
         names = [e.get("name") for e in json.loads(path.read_text())["traceEvents"]]
         assert "partial" in names  # partial traces survive failures
 

@@ -2,23 +2,24 @@
 
 import numpy as np
 
-from repro.obs import NULL_TRACER, Tracer, get_tracer, set_tracer, trace_run
+from repro.obs import NULL_TRACER, Tracer, trace_run
 from repro.runtime.executor import run_spmd
 from repro.runtime.netmodel import IB_CLUSTER
+from repro.util.context import current, scope
 
 
 class TestTraceRunNesting:
     def test_nested_blocks_restore_in_order(self):
-        assert get_tracer() is NULL_TRACER
+        assert current().tracer is NULL_TRACER
         with trace_run() as outer:
-            assert get_tracer() is outer
+            assert current().tracer is outer
             with trace_run() as inner:
                 assert inner is not outer
-                assert get_tracer() is inner
+                assert current().tracer is inner
                 inner.complete("t", "inner_span", 0.0, 1.0)
-            assert get_tracer() is outer
+            assert current().tracer is outer
             outer.complete("t", "outer_span", 0.0, 1.0)
-        assert get_tracer() is NULL_TRACER
+        assert current().tracer is NULL_TRACER
         assert [s.name for s in outer.spans] == ["outer_span"]
         assert [s.name for s in inner.spans] == ["inner_span"]
 
@@ -36,16 +37,16 @@ class TestTraceRunNesting:
                 raise ValueError("boom")
         except ValueError:
             pass
-        assert get_tracer() is NULL_TRACER
+        assert current().tracer is NULL_TRACER
 
     def test_set_tracer_none_resets(self):
-        tracer = Tracer()
-        set_tracer(tracer)
-        try:
-            assert get_tracer() is tracer
-        finally:
-            set_tracer(None)
-        assert get_tracer() is NULL_TRACER
+        """A scope with the null tracer switches tracing off inside a live
+        one, and the live one is back after it."""
+        with trace_run() as tracer:
+            with scope(tracer=NULL_TRACER):
+                assert current().tracer is NULL_TRACER
+            assert current().tracer is tracer
+        assert current().tracer is NULL_TRACER
 
 
 def _rank_program(comm):
@@ -60,11 +61,11 @@ def _rank_program(comm):
 
 class TestSPMDThreads:
     def test_null_tracer_under_spmd_records_nothing(self):
-        assert get_tracer() is NULL_TRACER
+        assert current().tracer is NULL_TRACER
         result = run_spmd(4, _rank_program, IB_CLUSTER)
         assert [r["rank"] for r in result.results] == [0, 1, 2, 3]
         assert all(r["sum"] == 6.0 for r in result.results)
-        assert get_tracer() is NULL_TRACER
+        assert current().tracer is NULL_TRACER
         assert NULL_TRACER.span("t", "x").__enter__() is not None
 
     def test_live_tracer_collects_all_rank_tracks(self):

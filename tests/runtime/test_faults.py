@@ -5,15 +5,9 @@ import pytest
 
 from repro.runtime.comm import World
 from repro.runtime.executor import run_spmd
-from repro.runtime.faults import (
-    FaultInjector,
-    NULL_INJECTOR,
-    fault_run,
-    get_injector,
-    parse_fault_spec,
-    set_injector,
-)
-from repro.runtime.resilience import RetryPolicy, get_resilience_log
+from repro.runtime.faults import NULL_INJECTOR, FaultInjector, fault_run, parse_fault_spec
+from repro.runtime.resilience import RetryPolicy
+from repro.util.context import current
 from repro.util.errors import CommFaultError, FaultSpecError
 
 
@@ -95,20 +89,25 @@ class TestInjectorTriggering:
 
 class TestFaultRunContext:
     def test_installs_and_restores_injector(self):
-        assert get_injector() is NULL_INJECTOR
+        assert current().injector is NULL_INJECTOR
         with fault_run("drop:rank=0", seed=1) as inj:
-            assert get_injector() is inj
+            assert current().injector is inj
             assert inj.enabled
-        assert get_injector() is NULL_INJECTOR
+        assert current().injector is NULL_INJECTOR
 
     def test_resets_resilience_log_by_default(self):
-        get_resilience_log().record_retry()
+        """Every block gets a fresh log; the enclosing one is back after."""
         with fault_run(None):
-            assert not get_resilience_log().has_events()
+            outer = current().resilience
+            outer.record_retry()
+            with fault_run(None):
+                assert current().resilience is not outer
+                assert not current().resilience.has_events()
+            assert current().resilience is outer and outer.retries == 1
 
     def test_null_spec_keeps_injection_disabled(self):
         with fault_run(None):
-            assert not get_injector().enabled
+            assert not current().injector.enabled
 
 
 class TestCommRecovery:
@@ -126,7 +125,7 @@ class TestCommRecovery:
 
         with fault_run(spec, seed=seed):
             received = run_spmd(2, prog).results[1]
-            log = get_resilience_log()
+            log = current().resilience
             return received, log
 
     def test_dropped_message_is_redelivered_in_order(self):

@@ -7,7 +7,7 @@ import pytest
 
 from repro.cli import _render_error, bte_main, main
 from repro.util.errors import MeshError, ParseError
-from repro.verify import get_sanitizer, lint_script
+from repro.verify import lint_script
 
 
 CLEAN_SCRIPT = textwrap.dedent("""\
@@ -28,15 +28,6 @@ CLEAN_SCRIPT = textwrap.dedent("""\
     p.set_conservation_form("u", "surface(diffuse(D, u))")
     p.solve()
 """)
-
-
-@pytest.fixture(autouse=True)
-def fresh_sanitizer():
-    san = get_sanitizer()
-    san.reset()
-    san.enabled = False
-    san.was_active = False
-    yield
 
 
 def write_script(tmp_path, body, name="script.py"):
@@ -63,6 +54,24 @@ class TestLintScript:
         res = lint_script(write_script(tmp_path, bad))
         assert not res.ok
         assert "RPR101" in res.report.codes()
+
+    def test_the_callers_problem_is_neither_linted_nor_lost(self, tmp_path):
+        """A script runs in a scope of its own: with no problem of its own
+        there is nothing to lint (not the caller's), and the problem a
+        script starts stays with the script."""
+        from repro.dsl import api
+        from repro.util.context import scope
+
+        with scope(problem=None):
+            callers = api.init_problem("callers_problem")
+            res = lint_script(write_script(tmp_path, "x = 1\n"))
+            assert res.problems_checked == 0
+            assert "nothing to lint" in res.render_text()
+            assert api.current_problem() is callers
+            script = "import repro.dsl as finch\nfinch.init_problem('scripts')\n"
+            res = lint_script(write_script(tmp_path, script, name="starts.py"))
+            assert res.problems_checked == 1
+            assert api.current_problem() is callers
 
     def test_crashing_script_reports_rpr000(self, tmp_path):
         res = lint_script(write_script(tmp_path, "1 / 0\n"))

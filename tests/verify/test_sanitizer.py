@@ -4,20 +4,8 @@ import numpy as np
 import pytest
 
 from repro.bte.problem import build_bte_problem, hotspot_scenario
-from repro.verify import SanitizerError, get_sanitizer, sanitize_run
-from repro.verify.sanitizer import sanitizer_section
-
-
-@pytest.fixture(autouse=True)
-def fresh_sanitizer():
-    san = get_sanitizer()
-    san.reset()
-    san.enabled = False
-    san.was_active = False
-    yield
-    san.reset()
-    san.enabled = False
-    san.was_active = False
+from repro.util.context import current
+from repro.verify import SanitizerError, sanitize_run
 
 
 def tiny():
@@ -33,21 +21,19 @@ class TestNanGuards:
     def test_nan_injection_raises_with_provenance(self):
         p, _ = build_bte_problem(tiny())
         p.add_post_step(poison, name="poison")
-        with sanitize_run():
+        with sanitize_run() as san:
             with pytest.raises(SanitizerError) as ei:
                 p.solve()
         assert ei.value.code == "RPR301"
         assert "step" in str(ei.value)
-        san = get_sanitizer()
         diag = next(d for d in san.report.diagnostics if d.code == "RPR301")
         assert diag.where["index"] == (0, 0)
         assert diag.where["step"] == 1  # poisoned after the first step
 
     def test_clean_run_has_no_findings(self):
         p, _ = build_bte_problem(tiny())
-        with sanitize_run():
+        with sanitize_run() as san:
             p.solve()
-        san = get_sanitizer()
         assert not san.has_findings()
         assert san.checks > 0
         assert "OK" in san.summary()
@@ -62,7 +48,7 @@ class TestNanGuards:
         with pytest.raises(SolverError) as ei:
             p.solve()
         assert not isinstance(ei.value, SanitizerError)
-        assert not get_sanitizer().has_findings()
+        assert current().sanitizer is None
 
     def test_kernel_output_guard_trips_rpr306(self):
         with sanitize_run() as san:
@@ -103,9 +89,8 @@ class TestHaloChecksums:
                               dt=1e-12, nsteps=2)
         p, _ = build_bte_problem(sc)
         p.set_partitioning("cells", 2)
-        with sanitize_run():
+        with sanitize_run() as san:
             p.solve()
-        san = get_sanitizer()
         assert not san.has_findings(), san.summary()
         assert san.checks > 0
 
@@ -149,17 +134,16 @@ class TestBitIdentical:
 
 class TestReportSection:
     def test_section_none_when_never_active(self):
-        assert sanitizer_section() is None
+        assert current().sanitizer is None
 
     def test_section_after_sanitized_run(self):
         p, _ = build_bte_problem(tiny())
-        with sanitize_run():
+        with sanitize_run() as san:
             p.solve()
-        doc = sanitizer_section()
-        assert doc is not None
+        doc = san.section()
         assert doc["schema"] == "repro.diagnostics/1"
-        assert doc["enabled"] is False  # run finished
         assert doc["checks_run"] > 0
+        assert current().sanitizer is None  # the run's scope ended
 
     def test_run_report_embeds_diagnostics(self):
         from repro.obs.report import build_run_report
@@ -167,7 +151,7 @@ class TestReportSection:
         p, _ = build_bte_problem(tiny())
         with sanitize_run():
             solver = p.solve()
-        report = build_run_report(solver, args=None)
+            report = build_run_report(solver, args=None)
         doc = report.to_dict()
         assert doc["diagnostics"]["schema"] == "repro.diagnostics/1"
 
