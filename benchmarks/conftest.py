@@ -9,17 +9,13 @@ them inline; they are also written to ``benchmarks/output/``) and uses the
 
 from __future__ import annotations
 
+import functools
 import json
 from pathlib import Path
 
 import pytest
 
 OUTPUT_DIR = Path(__file__).parent / "output"
-
-try:
-    from repro.obs.regress import SCHEMA as BENCH_SCHEMA
-except ImportError:  # collection without PYTHONPATH=src / an install
-    BENCH_SCHEMA = "repro.bench/1"
 
 
 @pytest.fixture(scope="session")
@@ -32,39 +28,42 @@ def _slug(name: str) -> str:
     return name.split(":")[0].strip().replace(" ", "_").lower()
 
 
-@pytest.fixture
-def record_figure(output_dir):
-    """Print a figure's regenerated data and persist it under output/.
+def write_figure(
+    output_dir: Path,
+    name: str,
+    text: str,
+    rows: list[list] | None = None,
+    header: list[str] | None = None,
+    timings: dict[str, float] | None = None,
+) -> None:
+    """Print a figure's regenerated data and persist it under ``output_dir``.
 
     Always writes the human-readable ``<slug>.txt`` banner; when ``rows``
     (with an optional ``header``) or ``timings`` are supplied, a
-    machine-readable ``<slug>.json`` is written next to it so the
-    regenerated series can be diffed or plotted without re-parsing text.
+    machine-readable ``<slug>.json`` (``name``, ``header``, ``rows``,
+    ``timings``) is written next to it so the regenerated series can be
+    diffed or plotted without re-parsing text.
     """
+    banner = f"\n{'=' * 72}\n{name}\n{'=' * 72}\n{text}\n"
+    print(banner)
+    slug = _slug(name)
+    (output_dir / f"{slug}.txt").write_text(banner)
+    if rows is not None or timings is not None:
+        payload: dict = {"name": name}
+        if rows is not None:
+            payload["header"] = header
+            payload["rows"] = rows
+        if timings is not None:
+            payload["timings"] = timings
+        (output_dir / f"{slug}.json").write_text(
+            json.dumps(payload, indent=2, default=float) + "\n"
+        )
 
-    def _record(
-        name: str,
-        text: str,
-        rows: list[list] | None = None,
-        header: list[str] | None = None,
-        timings: dict[str, float] | None = None,
-    ) -> None:
-        banner = f"\n{'=' * 72}\n{name}\n{'=' * 72}\n{text}\n"
-        print(banner)
-        slug = _slug(name)
-        (output_dir / f"{slug}.txt").write_text(banner)
-        if rows is not None or timings is not None:
-            payload: dict = {"schema": BENCH_SCHEMA, "name": name}
-            if rows is not None:
-                payload["header"] = header
-                payload["rows"] = rows
-            if timings is not None:
-                payload["timings"] = timings
-            (output_dir / f"{slug}.json").write_text(
-                json.dumps(payload, indent=2, default=float) + "\n"
-            )
 
-    return _record
+@pytest.fixture
+def record_figure(output_dir):
+    """:func:`write_figure` into ``benchmarks/output/``."""
+    return functools.partial(write_figure, output_dir)
 
 
 def format_series_table(header: list[str], rows: list[list]) -> str:

@@ -35,10 +35,6 @@ Commands
 ``history [--key PREFIX] [--gc] [--keep N] [--max-age-days D]``
     Per-problem-signature timeline of registry-recorded runs, with
     regression/drift flags; ``--gc`` prunes old entries.
-``bench [--out F] [--compare BASELINE] [--threshold X]``
-    Run the small deterministic benchmark suite, write a ``repro.bench/1``
-    envelope, and optionally gate against a baseline envelope (exit 1 on
-    any relative slowdown above the threshold).
 ``lint SCRIPT [SCRIPT...] [--json F] [--no-deep] [--codes]``
     Statically verify DSL scripts without running them: undefined symbols,
     index/shape consistency, boundary coverage, placement/transfer hazards
@@ -60,7 +56,7 @@ Commands
     mixed-priority duplicate problems and prints the dedup/warm-hit
     rates; plain ``serve --for-seconds S`` just runs the service.
 
-``bte``, ``profile``, ``bench`` and ``serve`` accept ``--cache-dir DIR``
+``bte``, ``profile`` and ``serve`` accept ``--cache-dir DIR``
 (persist the compilation cache across processes; also
 ``$REPRO_CACHE_DIR``) and ``--no-cache`` (disable it).
 
@@ -574,43 +570,6 @@ def cmd_history(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    import time
-
-    from repro.obs.regress import compare, load_bench, run_benchmarks, write_bench
-    from repro.util.errors import BenchFormatError
-
-    baseline = None
-    if args.compare:  # a malformed baseline fails before the suite runs
-        try:
-            baseline = load_bench(args.compare)
-        except BenchFormatError as exc:
-            _warn(_render_error(exc))
-            return 2
-    _apply_cache_flags(args)
-    _say(f"running benchmark suite ({args.nx}x{args.nx} cells, "
-         f"{args.steps} steps per target) ...")
-    timings = run_benchmarks(nx=args.nx, nsteps=args.steps)
-    for name in sorted(timings):
-        print(f"  {name:<28} {timings[name]:.6f} s")
-
-    date = time.strftime("%Y-%m-%d")
-    out = args.out or f"BENCH_{date}.json"
-    write_bench(out, name=f"bte-suite@{date}", timings=timings,
-                date=date, nx=args.nx, steps=args.steps)
-    _say(f"wrote benchmark envelope to {out}")
-
-    if baseline is not None:
-        report = compare(
-            baseline, {"name": f"bte-suite@{date}", "timings": timings},
-            threshold=args.threshold,
-        )
-        print()
-        print(report.render_text(), end="")
-        return 1 if report.has_regressions else 0
-    return 0
-
-
 def cmd_lint(args: argparse.Namespace) -> int:
     import json
 
@@ -1006,21 +965,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="with --gc: additionally drop entries older "
                              "than D days")
 
-    p_bench = sub.add_parser(
-        "bench", help="run the benchmark suite; optionally gate on a baseline",
-        parents=[common, cache],
-    )
-    p_bench.add_argument("--nx", type=int, default=16)
-    p_bench.add_argument("--steps", type=int, default=5)
-    p_bench.add_argument("--out", default=None, metavar="FILE",
-                         help="envelope path (default BENCH_<date>.json)")
-    p_bench.add_argument("--compare", default=None, metavar="BASELINE",
-                         help="baseline envelope to gate against "
-                              "(exit 1 on regression)")
-    p_bench.add_argument("--threshold", type=float, default=None,
-                         help="relative slowdown tolerated for virtual "
-                              "timings (default 0.25)")
-
     p_lint = sub.add_parser(
         "lint", help="statically verify DSL scripts (RPR### diagnostics)",
         parents=[common],
@@ -1145,8 +1089,6 @@ def _dispatch(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         return cmd_compare(args)
     if args.command == "history":
         return cmd_history(args)
-    if args.command == "bench":
-        return cmd_bench(args)
     if args.command == "lint":
         return cmd_lint(args)
     if args.command == "events":
@@ -1165,8 +1107,7 @@ def _render_error(exc: "ReproError") -> str:
 
 #: Subcommands the ``bte`` alias passes straight through to ``main``.
 _COMMANDS = {"info", "figures", "pipeline", "latex", "bte", "analyze",
-             "profile", "compare", "history", "bench", "lint",
-             "events", "serve"}
+             "profile", "compare", "history", "lint", "events", "serve"}
 
 
 def bte_main(argv: list[str] | None = None) -> int:

@@ -552,7 +552,11 @@ class SolverState:
         atomic_save_npz(path, **payload)
 
     def restore_checkpoint(self, path) -> None:
-        """Load a snapshot written by :meth:`save_checkpoint`."""
+        """Load a snapshot written by :meth:`save_checkpoint`.
+
+        Every member is read and checked before the first one is assigned,
+        so a checkpoint that fails leaves the state as it was.
+        """
         import zipfile
 
         path = self._resolve_restore(path)
@@ -566,35 +570,60 @@ class SolverState:
             ) from exc
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read checkpoint {path}: {exc}") from exc
-        self.claim_unknown()
+
         with handle as data:
+            def member(key: str, convert=np.asarray):
+                # np.load reads a member only when it is indexed: a flipped
+                # byte (CRC), an object dtype or a missing key shows up here
+                try:
+                    return convert(data[key])
+                except KeyError:
+                    raise CheckpointCorruptError(
+                        f"checkpoint {path} lacks member {key!r}") from None
+                except (zipfile.BadZipFile, EOFError, OSError, TypeError,
+                        ValueError) as exc:
+                    raise CheckpointCorruptError(
+                        f"checkpoint {path}: member {key!r} is corrupt: {exc}"
+                    ) from exc
+
             if "__schema" in data:
-                schema = str(data["__schema"])
+                schema = member("__schema", str)
                 if schema != CHECKPOINT_SCHEMA:
                     raise ConfigError(
                         f"checkpoint {path} has schema {schema!r}, "
                         f"expected {CHECKPOINT_SCHEMA!r}"
                     )
+            fields = {}
             for name, fld in self.fields.items():
                 key = f"field_{name}"
                 if key not in data:
                     raise ConfigError(f"checkpoint lacks field {name!r}")
-                if data[key].shape != fld.data.shape:
+                fields[name] = member(key)
+                if fields[name].shape != fld.data.shape:
                     raise ConfigError(
-                        f"checkpoint field {name!r} has shape {data[key].shape}, "
-                        f"expected {fld.data.shape} (different problem?)"
+                        f"checkpoint field {name!r} has shape "
+                        f"{fields[name].shape}, expected {fld.data.shape} "
+                        f"(different problem?)"
                     )
-                fld.data[...] = data[key]
-            self.time = float(data["__time"])
-            self.step_index = int(data["__step_index"])
-            if "__T" in data:
-                self.extra["T"] = data["__T"].copy()
-            if "__rng" in data:
-                injector = current().injector
-                if injector.enabled:
-                    injector.load_state(json.loads(str(data["__rng"])))
-            if "__clock" in data and self.comm is not None:
-                self.comm.clock.advance_to(float(data["__clock"]))
+            time = member("__time", float)
+            step_index = member("__step_index", int)
+            T = member("__T") if "__T" in data else None
+            rng = (member("__rng", lambda a: json.loads(str(a)))
+                   if "__rng" in data else None)
+            clock = member("__clock", float) if "__clock" in data else None
+
+        self.claim_unknown()
+        for name, value in fields.items():
+            self.fields[name].data[...] = value
+        self.time = time
+        self.step_index = step_index
+        if T is not None:
+            self.extra["T"] = T
+        injector = current().injector
+        if rng is not None and injector.enabled:
+            injector.load_state(rng)
+        if clock is not None and self.comm is not None:
+            self.comm.clock.advance_to(clock)
 
     def _resolve_restore(self, path):
         """Prefer this rank's per-rank checkpoint when one sits next to ``path``."""

@@ -90,7 +90,7 @@ class EventLog:
     ``ring_size`` bounds the in-memory tail;
     ``path`` adds JSONL streaming; ``level`` filters at emit time.  A
     disabled log (``enabled=False``) absorbs every emit with one attribute
-    check — it is what the overhead benchmarks compare against.
+    check.
     """
 
     def __init__(self, path: str | Path | None = None, level: str = "info",

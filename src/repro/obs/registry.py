@@ -1,10 +1,10 @@
 """The persistent cross-run performance registry (``repro.runs/1``).
 
-Every recorded solve/bench run appends one JSON entry — the run report, the
-``repro.profile/1`` document and/or the bench envelope — under a
-content-addressed directory keyed by the *problem key* (the tuning-key
-digest from :func:`repro.obs.profile.problem_key`, so knob or
-fault-injected variants of the same problem share one timeline)::
+Every recorded solve appends one JSON entry — the run report and/or the
+``repro.profile/1`` document — under a content-addressed directory keyed
+by the *problem key* (the tuning-key digest from
+:func:`repro.obs.profile.problem_key`, so knob or fault-injected variants
+of the same problem share one timeline)::
 
     <root>/<key[:2]>/<key>/run-000001.json    # "repro.runs/1" entry
     <root>/<key[:2]>/<key>/run-000002.json
@@ -63,10 +63,9 @@ class RunRegistry:
 
     # ---------------------------------------------------------------- append
     def append(self, key: str, *, report: dict | None = None,
-               profile: dict | None = None, bench: dict | None = None,
-               meta: dict | None = None) -> Path:
+               profile: dict | None = None, meta: dict | None = None) -> Path:
         """Record one run under ``key``; returns the entry path."""
-        if report is None and profile is None and bench is None:
+        if report is None and profile is None:
             raise RegistryError("refusing to record an empty run entry")
         key_dir = self._key_dir(key)
         key_dir.mkdir(parents=True, exist_ok=True)
@@ -82,8 +81,6 @@ class RunRegistry:
             doc["report"] = report
         if profile is not None:
             doc["profile"] = profile
-        if bench is not None:
-            doc["bench"] = bench
         from repro.obs.report import _json_safe
 
         path = key_dir / f"run-{seq:06d}.json"

@@ -194,12 +194,6 @@ class MetricsError(ReproError, ValueError):
     default_code = "RPR402"
 
 
-class BenchFormatError(ReproError, ValueError):
-    """A ``repro.bench/1`` envelope was malformed or unreadable."""
-
-    default_code = "RPR403"
-
-
 class AnalysisInputError(ReproError, ValueError):
     """The trace/report analyzer was given no usable input."""
 
@@ -265,7 +259,6 @@ __all__ = [
     "ExprError",
     "ClockError",
     "MetricsError",
-    "BenchFormatError",
     "AnalysisInputError",
     "ScalingModelError",
     "ServeError",

@@ -104,7 +104,7 @@ _RAW: list[tuple[str, str, str, str]] = [
     # ---- 4xx: observability / perfmodel usage ----------------------------
     ("RPR401", "obs", "virtual clock moved backwards", "error"),
     ("RPR402", "obs", "metrics instrument misused (e.g. counter decreased)", "error"),
-    ("RPR403", "obs", "benchmark envelope malformed", "error"),
+    # RPR403 (benchmark envelope malformed) retired with `bte bench`; never reused
     ("RPR404", "obs", "analyzer given no usable trace or report", "error"),
     ("RPR420", "perfmodel", "scaling-model query inconsistent", "error"),
     # ---- 5xx: mesh input --------------------------------------------------

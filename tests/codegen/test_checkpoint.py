@@ -1,10 +1,35 @@
 """Checkpoint/restart of solver state."""
 
+import struct
+import zipfile
+
 import numpy as np
 import pytest
 
 from repro.bte.problem import build_bte_problem
-from repro.util.errors import ConfigError
+from repro.util.errors import CheckpointCorruptError, ConfigError
+
+
+def flip_member_byte(path, member: str) -> None:
+    """Invert one byte in the middle of ``member``'s stored data, so the
+    archive still opens and only reading that member fails its CRC."""
+    with zipfile.ZipFile(path) as zf:
+        info = zf.getinfo(member)
+    blob = bytearray(path.read_bytes())
+    # a local file header is 30 fixed bytes, the name and the extra field
+    name_len, extra_len = struct.unpack_from("<HH", blob, info.header_offset + 26)
+    start = info.header_offset + 30 + name_len + extra_len
+    blob[start + info.compress_size // 2] ^= 0xFF
+    path.write_bytes(bytes(blob))
+
+
+def rewrite_members(path, edit) -> None:
+    """Re-save the checkpoint at ``path`` with ``edit`` applied to its
+    member dict."""
+    with np.load(path) as data:
+        members = {key: data[key] for key in data.files}
+    edit(members)
+    np.savez(path, **members)
 
 
 class TestCheckpointRestart:
@@ -76,8 +101,6 @@ class TestCheckpointRobustness:
     every on-disk checkpoint it finds when composing a consistent cut)."""
 
     def test_truncated_file_raises_typed_error(self, tiny_scenario, tmp_path):
-        from repro.util.errors import CheckpointCorruptError
-
         ckpt = tmp_path / "trunc.npz"
         p, _ = build_bte_problem(tiny_scenario)
         solver = p.generate()
@@ -92,6 +115,44 @@ class TestCheckpointRobustness:
             p2.generate().state.restore_checkpoint(ckpt)
         assert ei.value.code == "RPR316"
         assert "corrupt or truncated" in str(ei.value)
+
+    def _assert_restore_refused(self, tiny_scenario, ckpt, member):
+        """RPR316 naming ``member``, and not one field, the time or the
+        step index of the state written."""
+        p, _ = build_bte_problem(tiny_scenario)
+        state = p.generate().state
+        before = {n: f.data.copy() for n, f in state.fields.items()}
+        with pytest.raises(CheckpointCorruptError) as ei:
+            state.restore_checkpoint(ckpt)
+        assert ei.value.code == "RPR316"
+        assert repr(member) in str(ei.value)
+        for name, data in before.items():
+            assert np.array_equal(state.fields[name].data, data), name
+        assert (state.time, state.step_index) == (0.0, 0)
+
+    @pytest.fixture
+    def ckpt(self, tiny_scenario, tmp_path):
+        path = tmp_path / "ckpt.npz"
+        p, _ = build_bte_problem(tiny_scenario)
+        solver = p.generate()
+        solver.run(2)
+        solver.state.save_checkpoint(path)
+        return path
+
+    def test_flipped_byte_in_a_field_raises_typed_error(self, tiny_scenario, ckpt):
+        flip_member_byte(ckpt, "field_I.npy")
+        self._assert_restore_refused(tiny_scenario, ckpt, "field_I")
+
+    def test_missing_time_raises_typed_error(self, tiny_scenario, ckpt):
+        rewrite_members(ckpt, lambda members: members.pop("__time"))
+        self._assert_restore_refused(tiny_scenario, ckpt, "__time")
+
+    def test_object_dtype_field_raises_typed_error(self, tiny_scenario, ckpt):
+        def to_object(members):
+            members["field_I"] = members["field_I"].astype(object)
+
+        rewrite_members(ckpt, to_object)
+        self._assert_restore_refused(tiny_scenario, ckpt, "field_I")
 
     def test_save_is_atomic_no_tmp_left_behind(self, tiny_scenario, tmp_path):
         ckpt = tmp_path / "atomic.npz"

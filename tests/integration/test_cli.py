@@ -178,6 +178,22 @@ class TestEventLogCLI:
         assert "checkpoint" in error["fields"]["message"]
         assert error["fields"]["code"].startswith("RPR")
 
+    def test_restore_of_a_corrupt_checkpoint_is_one_rpr316_line(
+            self, tmp_path, capsys):
+        from tests.codegen.test_checkpoint import flip_member_byte
+
+        ckpt_dir = tmp_path / "ckpt"
+        assert main(self.bte("--checkpoint-every", "2",
+                             "--checkpoint-dir", str(ckpt_dir))) == 0
+        (ckpt,) = ckpt_dir.glob("*.npz")
+        flip_member_byte(ckpt, "field_I.npy")
+        capsys.readouterr()
+        assert main(self.bte("--restore", str(ckpt))) == 1
+        errors = [ln for ln in capsys.readouterr().err.splitlines()
+                  if ln.startswith("error ")]
+        assert len(errors) == 1 and errors[0].startswith("error RPR316:")
+        assert "'field_I'" in errors[0]
+
 
 @pytest.mark.parametrize("argv", [
     ["tune"],
@@ -187,11 +203,13 @@ class TestEventLogCLI:
     ["profile", "--chunks", "6"],
     ["profile", "--calibrate-out", "rates.json"],
     ["bench", "--wall-threshold", "1"],
+    ["bench"],
+    ["bench", "--compare", "benchmarks/BENCH_seed.json"],
 ])
 def test_removed_commands_and_flags_exit_2(argv, capsys):
     """The autotuner, kernel chunking, live calibration, the flight
-    recorder and the bench suite's wall timings are gone: their command and
-    flags are argparse errors."""
+    recorder and the bench suite are gone: their commands and flags are
+    argparse errors."""
     from repro.cli import bte_main
 
     for entry, args in ((main, argv), (bte_main, argv)):
@@ -377,27 +395,6 @@ class TestDocumentsFromBeforeTheFusedPathWasDeleted:
         captured = capsys.readouterr()
         assert "solve" in captured.out and "post_step" in captured.out
         assert "fusion" not in (captured.out + captured.err).lower()
-
-    def test_bench_compare_reports_the_fused_ratios_missing(
-            self, tmp_path, capsys, monkeypatch):
-        import repro.obs.regress as regress
-
-        timings = {"serial_wall_s": 0.31, "gpu_hybrid_virtual_s": 0.0494}
-        baseline = tmp_path / "BENCH_old.json"
-        baseline.write_text(json.dumps({
-            "schema": "repro.bench/1", "name": "bte-suite@2026-08-08",
-            "meta": {"date": "2026-08-08", "nx": 16, "steps": 5},
-            "timings": {**timings,
-                        "fused_vs_unfused_wall_s": 1.0648,
-                        "fused_vs_unfused_gpu_wall_s": 1.0641},
-        }))
-        monkeypatch.setattr(regress, "run_benchmarks",
-                            lambda **kwargs: dict(timings))
-        assert main(["bench", "--out", str(tmp_path / "BENCH_new.json"),
-                     "--compare", str(baseline)]) == 0
-        rows = [ln for ln in capsys.readouterr().out.splitlines()
-                if "fused_vs_unfused" in ln]
-        assert len(rows) == 2 and all("missing" in ln for ln in rows)
 
     def test_the_removed_flag_is_an_argparse_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

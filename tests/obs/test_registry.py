@@ -40,8 +40,8 @@ class TestAppend:
         assert path.name == "run-000001.json"
 
     def test_sequence_increments(self, registry):
-        registry.append("abcd", bench={})
-        path = registry.append("abcd", bench={})
+        registry.append("abcd", report={})
+        path = registry.append("abcd", report={})
         assert registry.load(path)["seq"] == 2
         assert [p.name for p in registry.runs("abcd")] == [
             "run-000001.json", "run-000002.json"
@@ -178,3 +178,31 @@ class TestHistoryFlags:
         assert "(bte-hotspot, 1 run(s))" in out
         (line,) = [ln for ln in out.splitlines() if "run-000001" in ln]
         assert "target=cpu" in line and "[" not in line
+
+    def test_an_entry_with_a_bench_envelope_lists_and_compares(
+            self, tmp_path, capsys):
+        """Entries recorded while ``append`` took a ``bench=`` envelope
+        carry a ``bench`` key: ``history`` still lists them and ``compare``
+        still diffs their profiles."""
+        from repro.cli import main
+
+        runs = RunRegistry(tmp_path / "runs")
+        profile = {"schema": "repro.profile/1",
+                   "meta": {"problem": "bte-hotspot", "problem_key": "cd" * 32},
+                   "ranks": [{"rank": 0, "kernels": [
+                       {"name": "solve", "kind": "phase", "self_s": 0.002}]}],
+                   "drift": {"max_abs": 0.1, "exceeded": False}}
+        path = runs.append("cd" * 32, profile=profile,
+                           meta={"wall_s": 0.5, "target": "cpu"})
+        doc = json.loads(path.read_text())
+        doc["bench"] = {"schema": "repro.bench/1", "name": "bte-suite@2026-10-15",
+                        "meta": {"nx": 16, "steps": 5},
+                        "timings": {"gpu_hybrid_virtual_s": 0.04943255999999999}}
+        path.write_text(json.dumps(doc))
+        try:
+            assert main(["history", "--runs-dir", str(runs.root)]) == 0
+        finally:
+            configure_registry(None)
+        assert "(bte-hotspot, 1 run(s))" in capsys.readouterr().out
+        assert main(["compare", str(path), str(path)]) == 0
+        assert "solve" in capsys.readouterr().out
