@@ -34,7 +34,7 @@ from repro.obs.log import EventLog
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry, NullMetrics
 from repro.obs.tracer import NULL_TRACER, NullTracer, Tracer
 from repro.runtime.faults import NULL_INJECTOR, FaultInjector, NullInjector
-from repro.runtime.resilience import ResilienceLog
+from repro.runtime.resilience import NULL_RESILIENCE, ResilienceLog
 
 if TYPE_CHECKING:
     from repro.dsl.problem import Problem
@@ -52,7 +52,8 @@ class RunContext:
     injector: FaultInjector | NullInjector = NULL_INJECTOR
     #: ``None`` outside a ``sanitize_run``
     sanitizer: Sanitizer | None = None
-    resilience: ResilienceLog = field(default_factory=ResilienceLog)
+    #: keeps no account outside a ``fault_run``
+    resilience: ResilienceLog = NULL_RESILIENCE
     #: the problem the script-style DSL commands configure
     problem: Problem | None = None
 

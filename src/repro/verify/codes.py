@@ -101,6 +101,7 @@ _RAW: list[tuple[str, str, str, str]] = [
     ("RPR315", "runtime", "rank heartbeat missed its liveness deadline", "error"),
     ("RPR316", "runtime", "checkpoint file corrupt or truncated", "error"),
     ("RPR317", "runtime", "checkpoint-based state migration failed", "error"),
+    ("RPR318", "runtime", "checkpoint is a snapshot of another problem", "error"),
     # ---- 4xx: observability / perfmodel usage ----------------------------
     ("RPR401", "obs", "virtual clock moved backwards", "error"),
     ("RPR402", "obs", "metrics instrument misused (e.g. counter decreased)", "error"),

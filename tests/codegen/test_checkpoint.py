@@ -2,6 +2,7 @@
 
 import struct
 import zipfile
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -116,16 +117,17 @@ class TestCheckpointRobustness:
         assert ei.value.code == "RPR316"
         assert "corrupt or truncated" in str(ei.value)
 
-    def _assert_restore_refused(self, tiny_scenario, ckpt, member):
-        """RPR316 naming ``member``, and not one field, the time or the
+    def _assert_restore_refused(self, tiny_scenario, ckpt, member, *,
+                                error=CheckpointCorruptError, code="RPR316"):
+        """``code`` naming ``member``, and not one field, the time or the
         step index of the state written."""
         p, _ = build_bte_problem(tiny_scenario)
         state = p.generate().state
         before = {n: f.data.copy() for n, f in state.fields.items()}
-        with pytest.raises(CheckpointCorruptError) as ei:
+        with pytest.raises(error) as ei:
             state.restore_checkpoint(ckpt)
-        assert ei.value.code == "RPR316"
-        assert repr(member) in str(ei.value)
+        assert ei.value.code == code
+        assert member in str(ei.value)
         for name, data in before.items():
             assert np.array_equal(state.fields[name].data, data), name
         assert (state.time, state.step_index) == (0.0, 0)
@@ -141,18 +143,36 @@ class TestCheckpointRobustness:
 
     def test_flipped_byte_in_a_field_raises_typed_error(self, tiny_scenario, ckpt):
         flip_member_byte(ckpt, "field_I.npy")
-        self._assert_restore_refused(tiny_scenario, ckpt, "field_I")
+        self._assert_restore_refused(tiny_scenario, ckpt, "'field_I'")
 
     def test_missing_time_raises_typed_error(self, tiny_scenario, ckpt):
         rewrite_members(ckpt, lambda members: members.pop("__time"))
-        self._assert_restore_refused(tiny_scenario, ckpt, "__time")
+        self._assert_restore_refused(tiny_scenario, ckpt, "'__time'")
 
     def test_object_dtype_field_raises_typed_error(self, tiny_scenario, ckpt):
         def to_object(members):
             members["field_I"] = members["field_I"].astype(object)
 
         rewrite_members(ckpt, to_object)
-        self._assert_restore_refused(tiny_scenario, ckpt, "field_I")
+        self._assert_restore_refused(tiny_scenario, ckpt, "'field_I'")
+
+    def test_non_finite_field_raises_typed_error(self, tiny_scenario, ckpt):
+        def to_nan(members):
+            members["field_I"] = np.full_like(members["field_I"], np.nan)
+
+        rewrite_members(ckpt, to_nan)
+        self._assert_restore_refused(tiny_scenario, ckpt, "'field_I'")
+
+    def test_snapshot_of_another_problem_is_refused(self, tiny_scenario, tmp_path):
+        """Same mesh, same fields, same shapes — another ``dt``: the
+        snapshot carries its problem's identity, and it is not this one."""
+        other = tmp_path / "other.npz"
+        p, _ = build_bte_problem(replace(tiny_scenario, dt=2 * tiny_scenario.dt))
+        solver = p.generate()
+        solver.run(2)
+        solver.state.save_checkpoint(other)
+        self._assert_restore_refused(tiny_scenario, other, "another problem",
+                                     error=ConfigError, code="RPR318")
 
     def test_save_is_atomic_no_tmp_left_behind(self, tiny_scenario, tmp_path):
         ckpt = tmp_path / "atomic.npz"

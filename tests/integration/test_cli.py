@@ -194,6 +194,18 @@ class TestEventLogCLI:
         assert len(errors) == 1 and errors[0].startswith("error RPR316:")
         assert "'field_I'" in errors[0]
 
+    def test_restore_into_another_problem_is_one_rpr318_line(
+            self, tmp_path, capsys):
+        ckpt_dir = tmp_path / "ckpt"
+        assert main(self.bte("--checkpoint-every", "2",
+                             "--checkpoint-dir", str(ckpt_dir))) == 0
+        (ckpt,) = ckpt_dir.glob("*.npz")
+        capsys.readouterr()
+        assert main(self.bte("--restore", str(ckpt), "--dt", "2e-12")) == 1
+        errors = [ln for ln in capsys.readouterr().err.splitlines()
+                  if ln.startswith("error ")]
+        assert len(errors) == 1 and errors[0].startswith("error RPR318:")
+
 
 @pytest.mark.parametrize("argv", [
     ["tune"],

@@ -14,6 +14,8 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.bte.problem import build_bte_problem, hotspot_scenario
 from repro.obs import Tracer, trace_run
@@ -85,6 +87,23 @@ def test_a_plain_report_carries_no_section_of_an_earlier_run():
     assert proc.returncode == 0, proc.stderr
     sections = json.loads(proc.stdout.splitlines()[-1])
     assert sections == {"diagnostics": None, "resilience": None, "rebalance": None}
+
+
+def test_plain_checkpointing_runs_leave_no_resilience_records(tmp_path):
+    """Two checkpointing runs outside any ``fault_run``, the second restored
+    from the first's snapshot: the default context keeps no account of
+    either, so no later report finds their checkpoints or the restore."""
+    first = small("first", 4)
+    first.extra.update(checkpoint_every=2, checkpoint_dir=str(tmp_path / "first"))
+    first.solve()
+    second = small("second", 4)
+    second.extra.update(checkpoint_every=2, checkpoint_dir=str(tmp_path / "second"),
+                        restore_from=str(sorted((tmp_path / "first").glob("*.npz"))[0]))
+    solver = second.solve()
+    assert solver.state.step_index == 2 + 4 and list((tmp_path / "second").glob("*.npz"))
+    log = current().resilience
+    assert not log.has_events() and log.checkpoint_paths == [] and log.restores == 0
+    assert solver.run_report().resilience is None
 
 
 def problem_labels(registry) -> set[str]:
@@ -165,6 +184,42 @@ def test_served_jobs_keep_their_submitters_faults_and_sanitizer():
     assert faulted_log.injected == {"kernel": 1}
     assert [d["task"] for d in faulted_log.degraded] == ["interior_update"]
     assert san.checks == solo_san.checks > 0
+
+
+@given(st.lists(st.booleans(), min_size=1, max_size=24))
+@settings(max_examples=8, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_no_interleaving_of_turns_lets_a_job_stamp_anothers_id(monkeypatch, passes):
+    """Three jobs served at once on two workers, each submitted under a
+    tracer of its own, hand the service's turn on at the step boundaries
+    ``passes`` draws (``True``: at once, if a job waits; ``False``: not
+    there; the list repeats).  Whichever way the steps interleave, each job
+    steps in its submitter's context: its spans — the ``serve_job[<key>]``
+    one and every step's — land in its own tracer, never another's, and its
+    answer is its solo answer."""
+    solo = {name: digest(small(name, 4 + i).solve()) for i, name in enumerate("abc")}
+    calls = iter(passes * 64)
+    stepped: list[tuple[str, object]] = []
+    tracers, tickets = {}, {}
+    with cache_scope(), serve_session(workers=2, batch_max=1) as service:
+        real = service.turn.pass_on
+        monkeypatch.setattr(service.turn, "pass_on",
+                            lambda after_s: real(0.0) if next(calls, False) else None)
+        service.client.hold()
+        for i, name in enumerate("abc"):
+            problem = small(name, 4 + i)
+            problem.add_post_step(lambda state, name=name: stepped.append(
+                (name, current().tracer)), name="who")
+            with trace_run() as tracers[name]:
+                tickets[name] = service.client.submit(problem)
+        service.client.release()
+        results = {name: ticket.result(120) for name, ticket in tickets.items()}
+
+    assert {name: r.digest for name, r in results.items()} == solo
+    assert stepped and all(tracer is tracers[name] for name, tracer in stepped)
+    for name, tracer in tracers.items():
+        jobs = {s.name for s in tracer.spans if s.name.startswith("serve_job[")}
+        assert jobs == {f"serve_job[{results[name].key[:8]}]"}
 
 
 def test_a_job_that_raises_leaves_the_next_job_its_submitters_context():
