@@ -12,26 +12,27 @@ Commands
 ``bte [--nx N] [--steps N] [--gpu] [--ranks N] [--trace F] [--report F]``
     Run a reduced hot-spot BTE transient and print the temperature summary
     (a fast version of ``examples/bte_hotspot.py``).  ``--trace`` writes a
-    Chrome-trace/Perfetto timeline of the run, ``--report`` the aggregated
-    :class:`~repro.obs.RunReport` JSON.  ``--faults SPEC`` injects seeded
+    Chrome-trace/Perfetto timeline of the run, ``--report`` its
+    ``repro.run/2`` document (:mod:`repro.obs.report`); ``--record``
+    appends that document to the run registry.  ``--faults SPEC`` injects seeded
     faults (message drop/delay/dup, rank stalls, device OOM/kernel faults)
     that the resilient runtime recovers from; ``--checkpoint-every N`` /
     ``--restore FILE`` write and resume ``repro.checkpoint/1`` snapshots.
 ``analyze FILE [FILE] [--json F] [--dot F]``
-    Analyze a trace and/or run-report JSON from ``bte --trace/--report``:
+    Analyze a trace and/or run document from ``bte --trace/--report``:
     critical-path phase breakdown, kernel/boundary and compute/comm
     overlap-efficiency scores, and the placement-explainability table.
-    Files are told apart by their schema, so order does not matter.
+    A file is a run document when it loads as one, so order does not matter.
 ``profile [--gpu] [--ranks N] [--out F] [--record]``
-    Run the hot-spot transient and print per-kernel/per-phase self time,
-    roofline attribution and the perfmodel-drift column of the
-    ``repro.profile/1`` document (phase rows from the solver's phase
-    timers, kernel rows from the device's launch records); ``--record``
-    appends the run to the registry.
+    Run the hot-spot transient and print the per-kernel/per-phase rows of
+    its run document: self time, roofline attribution and the
+    perfmodel-drift column (phase rows from the solver's phase timers,
+    kernel rows from the device's launch records); ``--out`` writes the
+    document, ``--record`` appends it to the registry.
 ``compare A B [--top N] [--json F]``
-    Diff two profiled runs (profile JSON, run report, or registry entry):
-    per-(rank, kind, kernel) self-time delta, the regression culprit
-    ranked first.
+    Diff two run documents (``--report``/``--out`` files or registry
+    entries, in any version): per-(rank, kind, kernel) self-time delta,
+    the regression culprit ranked first.
 ``history [--key PREFIX] [--gc] [--keep N] [--max-age-days D]``
     Per-problem-signature timeline of registry-recorded runs, with
     regression/drift flags; ``--gc`` prunes old entries.
@@ -316,19 +317,14 @@ def _hotspot_problem(args: argparse.Namespace, verb: str):
     return problem
 
 
-def _record_run(args: argparse.Namespace, solver, report_doc: dict,
-                profile_doc: dict, wall_s: float) -> None:
-    """Append one run (report + profile) to the run registry."""
+def _record_run(args: argparse.Namespace, doc: dict, wall_s: float) -> None:
+    """Append one run document to the run registry."""
     from repro.obs import configure_registry, get_registry
 
     if args.runs_dir:
         configure_registry(args.runs_dir)
-    key = profile_doc["meta"]["problem_key"]
-    path = get_registry().append(
-        key, report=report_doc, profile=profile_doc,
-        meta={"wall_s": wall_s, "target": solver.target_name,
-              "nsteps": solver.state.step_index},
-    )
+    path = get_registry().append(doc, wall_s=wall_s)
+    key = doc["meta"]["problem_key"]
     _say(f"recorded run entry {path} (timeline: `bte history "
          f"--key {key[:12]}`)")
 
@@ -410,20 +406,11 @@ def cmd_bte(args: argparse.Namespace) -> int:
         print(f"  {phase:<12} {frac * 100:5.1f}%")
     if args.trace:
         _say(f"wrote trace to {args.trace} (open in https://ui.perfetto.dev)")
-    if report is not None and args.report:
+    if args.report:
         report.write(args.report)
         _say(f"wrote run report to {args.report}")
-    if args.profile or args.record:
-        from repro.obs.profile import build_profile, write_profile
-
-        profile_doc = (report.profile if report is not None
-                       else build_profile(solver))
-        if args.profile:
-            write_profile(profile_doc, args.profile)
-            _say(f"wrote profile to {args.profile} (inspect with "
-                 f"`bte compare`)")
-        if args.record:
-            _record_run(args, solver, report.to_dict(), profile_doc, wall_s)
+    if args.record:
+        _record_run(args, report.to_dict(), wall_s)
     if args.metrics:
         _say(f"wrote metrics exposition to {args.metrics}")
     if args.events:
@@ -436,24 +423,25 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     import json
 
     from repro.obs.analyze import analyze
+    from repro.obs.report import load_run
+    from repro.util.errors import AnalysisInputError
 
-    trace_path = report_path = None
+    trace_path = report = None
     for path in args.files:
         try:
             doc = json.loads(Path(path).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             _warn(f"error: cannot read {path}: {exc}")
             return 2
-        schema = doc.get("schema", "") if isinstance(doc, dict) else ""
-        if isinstance(schema, str) and schema.startswith("repro.run_report/"):
-            report_path = path
-        else:
+        try:
+            report = load_run(doc)
+        except AnalysisInputError:
             trace_path = path
-    if trace_path is None and report_path is None:
+    if trace_path is None and report is None:
         _warn("error: no usable trace or report file")
         return 2
 
-    analysis = analyze(trace_path, report_path)
+    analysis = analyze(trace_path, report)
     print(analysis.render_text(), end="")
     if args.json:
         Path(args.json).write_text(
@@ -477,40 +465,38 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 def cmd_profile(args: argparse.Namespace) -> int:
     import time
 
-    from repro.obs.profile import build_profile, profile_table, write_profile
+    from repro.obs.profile import profile_table
 
     _apply_cache_flags(args)
     problem = _hotspot_problem(args, "profiling")
     t0 = time.perf_counter()
     solver = problem.solve()
     wall_s = time.perf_counter() - t0
-    doc = build_profile(solver, tolerance=args.tolerance)
+    report = solver.run_report(tolerance=args.tolerance)
+    doc = report.to_dict()
     print(profile_table(doc, top=args.top))
     if args.out:
-        write_profile(doc, args.out)
-        _say(f"wrote profile to {args.out}")
+        report.write(args.out)
+        _say(f"wrote run document to {args.out} (diff two with `bte compare`)")
     if args.record:
-        _record_run(args, solver, solver.run_report().to_dict(), doc, wall_s)
+        _record_run(args, doc, wall_s)
     return 0
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
     import json
 
-    from repro.obs.profile import (
-        compare_profiles,
-        compare_table,
-        extract_profile,
-    )
+    from repro.obs.profile import compare_profiles, compare_table
+    from repro.obs.report import load_run
+    from repro.util.errors import AnalysisInputError
 
     docs = []
     for path in (args.a, args.b):
         try:
-            raw = json.loads(Path(path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            _warn(f"error: cannot read {path}: {exc}")
+            docs.append(load_run(path))
+        except AnalysisInputError as exc:
+            _warn(f"error: {exc}")
             return 2
-        docs.append(extract_profile(raw))
     cmp = compare_profiles(docs[0], docs[1])
     if not cmp["meta"]["same_problem"]:
         _warn("warning: the two runs have different problem keys — "
@@ -547,22 +533,18 @@ def cmd_history(args: argparse.Namespace) -> int:
     for key in keys:
         entries = registry.load_runs(key)
         flags = history_flags(entries)
-        label = next(
-            (e.get("profile", {}).get("meta", {}).get("problem")
-             for e in entries
-             if e.get("profile", {}).get("meta", {}).get("problem")),
-            "?",
-        )
+        label = next((e["meta"]["problem"] for e in entries
+                      if e["meta"].get("problem")), "?")
         print(f"{key}  ({label}, {len(entries)} run(s))")
         for entry, entry_flags in zip(entries, flags):
-            m = entry.get("meta", {})
-            wall = m.get("wall_s")
+            stamp = entry["recorded"]
+            wall = stamp.get("wall_s")
             wall_str = "-" if wall is None else f"{wall:.3f} s"
-            dmax = entry.get("profile", {}).get("drift", {}).get("max_abs")
+            dmax = entry.get("drift", {}).get("max_abs")
             dstr = "-" if dmax is None else f"{dmax:.2f}"
-            line = (f"  run-{entry.get('seq', 0):06d}  "
-                    f"{entry.get('recorded_at', '?'):<19}  "
-                    f"target={m.get('target', '?'):<16} "
+            line = (f"  run-{stamp.get('seq', 0):06d}  "
+                    f"{stamp.get('at') or '?':<19}  "
+                    f"target={entry['meta'].get('target', '?'):<16} "
                     f"wall={wall_str:<11} drift={dstr}")
             if entry_flags:
                 line += "  [" + ",".join(entry_flags) + "]"
@@ -842,7 +824,7 @@ def main(argv: list[str] | None = None) -> int:
     p_bte.add_argument("--trace", default=None, metavar="FILE",
                        help="write a Chrome-trace/Perfetto JSON timeline")
     p_bte.add_argument("--report", default=None, metavar="FILE",
-                       help="write the aggregated RunReport JSON")
+                       help="write the run document (repro.run/2 JSON)")
     p_bte.add_argument("--metrics", default=None, metavar="FILE",
                        help="write the metrics registry (.txt/.prom for "
                             "Prometheus text format, else JSON)")
@@ -881,22 +863,19 @@ def main(argv: list[str] | None = None) -> int:
                        help="stream the structured event log to FILE "
                             "(repro.events/1 JSON Lines; inspect with "
                             "`repro events FILE`)")
-    p_bte.add_argument("--profile", default=None, metavar="FILE",
-                       help="write the per-kernel repro.profile/1 document "
-                            "(diff two with `bte compare`)")
     p_bte.add_argument("--record", action="store_true",
-                       help="append this run (report + profile) to the run "
+                       help="append this run's document to the run "
                             "registry (`bte history` reads it back)")
     p_bte.add_argument("--runs-dir", default=None, metavar="DIR",
                        help="run-registry root for --record (default "
                             ".repro-runs; also $REPRO_RUNS_DIR)")
 
     p_an = sub.add_parser(
-        "analyze", help="analyze a trace and/or run-report JSON",
+        "analyze", help="analyze a trace and/or run document",
         parents=[common],
     )
     p_an.add_argument("files", nargs="+", metavar="FILE",
-                      help="trace JSON and/or run-report JSON (any order)")
+                      help="trace JSON and/or run document (any order)")
     p_an.add_argument("--json", default=None, metavar="FILE",
                       help="also write the analysis as JSON")
     p_an.add_argument("--dot", default=None, metavar="FILE",
@@ -923,7 +902,7 @@ def main(argv: list[str] | None = None) -> int:
                         help="perfmodel drift tolerance on "
                              "|measured/predicted - 1| (default 0.50)")
     p_prof.add_argument("--out", default=None, metavar="FILE",
-                        help="write the repro.profile/1 JSON")
+                        help="write the run document (repro.run/2 JSON)")
     p_prof.add_argument("--record", action="store_true",
                         help="append this run to the run registry")
     p_prof.add_argument("--runs-dir", default=None, metavar="DIR",
@@ -936,8 +915,7 @@ def main(argv: list[str] | None = None) -> int:
         parents=[common],
     )
     p_cmp.add_argument("a", metavar="A",
-                       help="baseline: profile JSON, run report, or "
-                            "registry entry")
+                       help="baseline: run document or registry entry")
     p_cmp.add_argument("b", metavar="B", help="candidate run (same formats)")
     p_cmp.add_argument("--top", type=int, default=0, metavar="N",
                        help="show only the N largest deltas")

@@ -53,15 +53,10 @@ RANK_LOOP = dict(
     charge=[*CHARGE_TEMP, "state.host_clock.advance_to(comm.clock.now())"],
     result=[
         *BAND_RESULT,
-        "'device_profile': state.device.profiler.report(KERNEL.name),",
-        "# the full per-launch profiler, for the per-kernel rows of the",
-        "# run report's gpu section and the repro.profile/1 artifact",
+        "# the device's launch and transfer records: the run document's rows",
         "'device_profiler': state.device.profiler,",
     ],
-    after_run=[
-        "state.device_profiles = [r['device_profile'] for r in result.results]",
-        "state.device_profilers = [r['device_profiler'] for r in result.results]",
-    ],
+    after_run=["state.device_profilers = [r['device_profiler'] for r in result.results]"],
 )
 
 

@@ -39,7 +39,7 @@ from repro.util.errors import (
     KernelFaultError,
 )
 from repro.util.misc import check_finite
-from repro.util.timing import TimerRegistry
+from repro.util.timing import TimerRegistry, phase_shares
 
 if TYPE_CHECKING:
     from repro.dsl.problem import BoundarySpec, Problem
@@ -667,8 +667,11 @@ class SolverState:
 
     # ------------------------------------------------------------------- misc
     def breakdown(self) -> dict[str, float]:
-        """Phase fractions from the timers (Figs. 5 and 8 material)."""
-        return self.timers.fractions()
+        """Phase fractions from the timers, an SPMD run's summed over its
+        ranks' (Figs. 5 and 8 material)."""
+        spmd = getattr(self, "spmd_result", None)
+        return phase_shares([self.timers] if spmd is None
+                            else [r["timers"] for r in spmd.results])
 
     def __repr__(self) -> str:
         return (

@@ -143,12 +143,13 @@ class GeneratedSolver:
         """Phase fractions of execution time (Figs. 5/8 shape)."""
         return self.state.breakdown()
 
-    def run_report(self, tracer=None):
-        """The merged :class:`~repro.obs.RunReport` for this solver's run
-        (timers + comm + device + placement accuracy, whichever exist)."""
+    def run_report(self, tracer=None, **kwargs):
+        """The run document (:class:`~repro.obs.RunReport`) of this solver's
+        run; ``kwargs`` go to :func:`~repro.obs.report.build_run_report`."""
         from repro.obs.report import build_run_report
 
-        return build_run_report(self, tracer if tracer is not None else current().tracer)
+        return build_run_report(self, tracer if tracer is not None else current().tracer,
+                                **kwargs)
 
     def __repr__(self) -> str:
         return (

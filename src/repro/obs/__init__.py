@@ -1,4 +1,4 @@
-"""Observability: span tracing, counters, and the aggregated run report.
+"""Observability: span tracing, counters, and the run document.
 
 The execution substrates (:mod:`repro.runtime`, :mod:`repro.gpu`) and the
 generated solver code all emit into the run context's tracer
@@ -9,7 +9,13 @@ a run enables one::
 
     with obs.trace_run("trace.json") as tracer:
         solver = problem.solve()
-    obs.build_run_report(solver, tracer).write("report.json")
+    obs.build_run_report(solver, tracer).write("run.json")
+
+``run.json`` is the run's one document, ``repro.run/2``
+(:mod:`repro.obs.report`; ``bte --report`` / ``bte profile --out``), which
+``--record`` appends to the run registry (:mod:`repro.obs.registry`) and
+``analyze``, ``compare`` and ``history`` read back through
+:func:`load_run`, upgrading what older versions wrote.
 
 ``trace.json`` is Chrome trace-event JSON — open it in ``ui.perfetto.dev``
 (or ``chrome://tracing``) to see one track per host thread (wall clock),
@@ -58,16 +64,7 @@ __getattr__, __dir__, _lazy = lazy_exports(__name__, {
         "NullMetrics",
         "metrics_run",
     ),
-    "profile": (
-        "build_profile",
-        "compare_profiles",
-        "compare_table",
-        "extract_profile",
-        "load_profile",
-        "problem_key",
-        "profile_table",
-        "write_profile",
-    ),
+    "profile": ("compare_profiles", "compare_table", "profile_table"),
     "registry": (
         "RegistryError",
         "RunRegistry",
@@ -75,7 +72,15 @@ __getattr__, __dir__, _lazy = lazy_exports(__name__, {
         "get_registry",
         "registry_scope",
     ),
-    "report": ("RunReport", "SCHEMA", "build_run_report", "placement_accuracy"),
+    "report": (
+        "DRIFT_TOLERANCE",
+        "RunReport",
+        "SCHEMA",
+        "build_run_report",
+        "load_run",
+        "placement_accuracy",
+        "problem_key",
+    ),
 })
 
 def phase_span(name: str, cat: str = "phase", track: str | None = None, **args):

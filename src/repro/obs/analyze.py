@@ -511,43 +511,30 @@ def _fmt_pct(value: Any) -> str:
     return f"{value * 100:.1f}%"
 
 
-def _report_kernel_rows(report: dict[str, Any]) -> list[dict[str, Any]]:
-    """Per-kernel roofline rows from a report's ``gpu`` section.
-
-    Tolerates documents predating the ``kernel_rows`` field (and pre-``gpu``
-    documents): every access goes through ``.get``, returning ``[]`` when the
-    report has nothing to show.
-    """
-    gpu = report.get("gpu") or {}
-    rows: list[dict[str, Any]] = []
-    for dev in gpu.get("devices") or []:
-        rows.extend(dev.get("kernel_rows") or [])
-    for rank, rank_rows in enumerate(gpu.get("rank_kernels") or []):
-        for row in rank_rows or []:
-            row = dict(row)
-            row["name"] = f"rank{rank}/{row.get('name', '?')}"
-            rows.append(row)
-    return rows
-
-
 def analyze(trace_path: str | Path | None = None,
-            report_path: str | Path | None = None) -> Analysis:
-    """Analyze a trace JSON and/or a run-report JSON into one document."""
+            report_path: str | Path | dict | None = None) -> Analysis:
+    """Analyze a trace JSON and/or a run document (its path, or the parsed
+    JSON; any form :func:`~repro.obs.report.load_run` reads) into one
+    document."""
     if trace_path is None and report_path is None:
         raise AnalysisInputError("need a trace file, a report file, or both")
     analysis = Analysis()
 
     if report_path is not None:
-        report = json.loads(Path(report_path).read_text())
-        analysis.meta = report.get("meta", {})
-        analysis.report_phases = report.get("phases", {})
+        from repro.obs.report import load_run
+
+        report = load_run(report_path)
+        analysis.meta = report["meta"]
+        analysis.report_phases = report["phases"]
         analysis.placement = report.get("placement")
-        analysis.kernels = _report_kernel_rows(report)
-        # drift summary from the nested repro.profile/1 document (older
-        # reports predate the section — every hop via .get)
-        profile = report.get("profile") or {}
-        if profile.get("drift") is not None:
-            analysis.profile_drift = profile["drift"]
+        # the device kernels' roofline rows; an SPMD run's named by rank
+        spmd = "comm" in report or len(report["ranks"]) > 1
+        analysis.kernels = [
+            dict(row, name=f"rank{entry['rank']}/{row['name']}") if spmd else row
+            for entry in report["ranks"] for row in entry["rows"]
+            if row.get("kind") == "kernel"
+        ]
+        analysis.profile_drift = report.get("drift")
 
     if trace_path is not None:
         spans, flows = load_trace_doc(trace_path)

@@ -1,43 +1,33 @@
-"""Per-kernel run profiling: the ``repro.profile/1`` artifact.
+"""Per-kernel run profiling: the rows of a run document's ``ranks`` section.
 
 The paper's evidence is per-phase/per-kernel breakdowns (Figs. 5/8 and the
-Nsight profile of Tab. 1).  This module turns one executed solve into a
-document with that granularity:
+Nsight profile of Tab. 1).  This module turns one executed solve into rows
+with that granularity (:mod:`repro.obs.report` writes them into the run
+document, ``ranks: [{rank, rows, transfers}]``):
 
-* one row per (rank, kernel-or-phase) with count, **self** and **total**
-  time, bytes moved and achieved-vs-roofline FLOP/byte attribution (GPU
-  rows come from :class:`repro.gpu.profiler.Profiler` launch records, CPU
-  rows from the phase timers every generated run loop already drives —
-  the one recorder of a phase's duration);
+* one row per (rank, phase-or-kernel) with count, **self** and **total**
+  time, and the per-phase timer statistics or, for a kernel, bytes moved and
+  achieved-vs-roofline FLOP/byte attribution (GPU rows come from
+  :class:`repro.gpu.profiler.Profiler` launch records, CPU rows from the
+  phase timers every generated run loop already drives — the one recorder
+  of a phase's duration);
 * a **perfmodel drift** column per row: measured seconds-per-step divided
   by the :class:`repro.perfmodel.costs.CostModel` prediction, so the
   analytic model that placement decisions rest on is audited by every
   profiled run.
 
-Document layout (``repro.profile/1``)::
-
-    schema   "repro.profile/1"
-    meta     {problem, target, problem_key, nsteps, ncells, ncomp, ...}
-    ranks    [{rank, kernels: [row...], transfers: {...}}, ...]
-    drift    {tolerance, max_abs, exceeded}
-
-Documents written before the per-launch profiler was removed also carry
-``meta.per_launch`` and ``ranks[*].launches``; readers ignore both.
+It also diffs two run documents row by row (``bte compare``) and renders
+both tables.
 """
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
 from typing import Any
 
-SCHEMA = "repro.profile/1"
+from repro.obs.report import DRIFT_TOLERANCE
 
-#: A measured/predicted ratio farther than this from 1.0 flags the cost
-#: model's drift as exceeded.
-DRIFT_TOLERANCE = 0.5
 
-# --------------------------------------------------------------------- builder
+# -------------------------------------------------------------------- builders
 def _rank_work(state, nranks: int) -> tuple[float, float]:
     """(ncells, ncomp) a single rank owns, under the problem's partitioning.
 
@@ -79,57 +69,56 @@ def _predicted_phase_seconds(state, nranks: int) -> dict[str, float]:
     )
 
 
-def _timer_rows(timers, nsteps: int, predicted: dict[str, float]) -> list[dict]:
-    """Phase rows from one rank's TimerRegistry."""
-    rows = []
-    for name, stats in timers.stats.items():
-        total = stats.total
-        per_step = total / nsteps if nsteps > 0 else 0.0
-        row = {
-            "name": name,
-            "kind": "phase",
-            "clock": "wall",
-            "count": stats.count,
-            "total_s": total,
-            "self_s": total,  # refined below for phases that launch kernels
-            "mean_s": stats.mean if stats.count else 0.0,
-            "measured_s_per_step": per_step,
-            "predicted_s_per_step": None,
-            "drift": None,
-        }
-        pred = predicted.get(name)
-        if pred is not None and pred > 0:
-            row["predicted_s_per_step"] = pred
-            row["drift"] = per_step / pred
-        rows.append(row)
-    return rows
+def phase_row(name: str, stats: dict, nsteps: int,
+              predicted: dict[str, float]) -> dict:
+    """One phase row from a timer's statistics (``TimerStats.as_dict``)."""
+    total = stats["total"]
+    per_step = total / nsteps if nsteps > 0 else 0.0
+    row = {
+        "name": name,
+        "kind": "phase",
+        "clock": "wall",
+        "count": stats["count"],
+        "total_s": total,
+        "self_s": total,  # refined below for phases that launch kernels
+        "mean_s": stats["mean"],
+        "min_s": stats.get("min"),
+        "max_s": stats.get("max"),
+        "p50_s": stats.get("p50"),
+        "p95_s": stats.get("p95"),
+        "measured_s_per_step": per_step,
+        "predicted_s_per_step": None,
+        "drift": None,
+    }
+    pred = predicted.get(name)
+    if pred is not None and pred > 0:
+        row["predicted_s_per_step"] = pred
+        row["drift"] = per_step / pred
+    return row
 
 
-def _kernel_rows(device_profiler, nsteps: int,
-                 predicted: dict[str, float]) -> list[dict]:
-    """Kernel rows from one device's launch records (roofline columns)."""
-    rows = []
-    for kr in device_profiler.kernel_rows():
-        per_step = kr["self_s"] / nsteps if nsteps > 0 else 0.0
-        row = dict(kr)
-        row["kind"] = "kernel"
-        row["clock"] = "virtual"
-        row["total_s"] = kr["self_s"]  # kernels are leaves
-        row["measured_s_per_step"] = per_step
-        # the interior kernel implements the intensity sweep: judge it
-        # against the same prediction the placement optimiser used
-        pred = predicted.get("solve")
-        if pred is not None and pred > 0 and kr["name"].endswith("interior_step"):
-            row["predicted_s_per_step"] = pred
-            row["drift"] = per_step / pred
-        else:
-            row["predicted_s_per_step"] = None
-            row["drift"] = None
-        rows.append(row)
-    return rows
+def kernel_row(kr: dict, nsteps: int, predicted: dict[str, float]) -> dict:
+    """One kernel row from a device's per-kernel roofline row
+    (:meth:`~repro.gpu.profiler.Profiler.kernel_rows`)."""
+    per_step = kr["self_s"] / nsteps if nsteps > 0 else 0.0
+    row = dict(kr)
+    row["kind"] = "kernel"
+    row["clock"] = "virtual"
+    row["total_s"] = kr["self_s"]  # kernels are leaves
+    row["measured_s_per_step"] = per_step
+    # the interior kernel implements the intensity sweep: judge it
+    # against the same prediction the placement optimiser used
+    pred = predicted.get("solve")
+    if pred is not None and pred > 0 and kr["name"].endswith("interior_step"):
+        row["predicted_s_per_step"] = pred
+        row["drift"] = per_step / pred
+    else:
+        row["predicted_s_per_step"] = None
+        row["drift"] = None
+    return row
 
 
-def _attribute_kernel_self(rows: list[dict]) -> None:
+def attribute_kernel_self(rows: list[dict]) -> None:
     """Subtract device-kernel time from the launching ``solve`` phase so the
     phase's ``self_s`` is host-side work only (clamped at zero: phase timers
     are wall clock while device time is virtual, so the difference is an
@@ -142,132 +131,38 @@ def _attribute_kernel_self(rows: list[dict]) -> None:
             row["self_s"] = max(row["total_s"] - kernel_s, 0.0)
 
 
-def build_profile(solver, *, tolerance: float | None = None) -> dict:
-    """The ``repro.profile/1`` document for one executed solve."""
+def rank_rows(solver) -> list[dict]:
+    """The ``ranks`` section of one executed solve: per rank, a row per
+    phase timer and per device kernel, and the device's transfers."""
     state = solver.state
     nsteps = max(int(getattr(state, "step_index", 0)), 1)
     spmd = getattr(state, "spmd_result", None)
-    nranks = len(spmd.results) if spmd is not None else 1
-    predicted = _predicted_phase_seconds(state, nranks)
-
-    ranks: list[dict] = []
     if spmd is not None:
-        device_profilers = getattr(state, "device_profilers", None) or []
-        for rank, result in enumerate(spmd.results):
-            rows: list[dict] = []
-            timers = (result or {}).get("timers")
-            if timers is not None:
-                rows.extend(_timer_rows(timers, nsteps, predicted))
-            if rank < len(device_profilers):
-                rows.extend(
-                    _kernel_rows(device_profilers[rank], nsteps, predicted))
-            _attribute_kernel_self(rows)
-            entry: dict[str, Any] = {"rank": rank, "kernels": rows}
-            if rank < len(device_profilers):
-                entry["transfers"] = device_profilers[rank].transfer_summary()
-            ranks.append(entry)
+        timers = [result["timers"] for result in spmd.results]
+        profilers = getattr(state, "device_profilers", None) or []
     else:
-        rows = _timer_rows(state.timers, nsteps, predicted)
+        timers = [state.timers]
         device = getattr(solver, "device", None)
-        entry = {"rank": 0, "kernels": rows}
-        if device is not None:
-            rows.extend(_kernel_rows(device.profiler, nsteps, predicted))
-            _attribute_kernel_self(rows)
-            entry["transfers"] = device.profiler.transfer_summary()
+        profilers = [device.profiler] if device is not None else []
+    predicted = _predicted_phase_seconds(state, len(timers))
+    ranks: list[dict] = []
+    for rank, registry in enumerate(timers):
+        rows = [phase_row(name, stats.as_dict(), nsteps, predicted)
+                for name, stats in registry.stats.items()]
+        entry: dict[str, Any] = {"rank": rank, "rows": rows}
+        if rank < len(profilers):
+            rows.extend(kernel_row(kr, nsteps, predicted)
+                        for kr in profilers[rank].kernel_rows())
+            attribute_kernel_self(rows)
+            entry["transfers"] = profilers[rank].transfer_summary()
         ranks.append(entry)
-
-    tol = DRIFT_TOLERANCE if tolerance is None else float(tolerance)
-    # the exceeded flag judges only the wall-measured phase rows: virtual
-    # kernel rows compare the *device* model against the *CPU* prediction,
-    # which is a placement sanity check, not machine drift
-    drifts = [
-        abs(row["drift"] - 1.0)
-        for entry in ranks
-        for row in entry["kernels"]
-        if row.get("drift") is not None and row.get("clock") == "wall"
-    ]
-    max_abs = max(drifts) if drifts else 0.0
-    drift_section = {"tolerance": tol, "max_abs": max_abs,
-                     "exceeded": max_abs > tol}
-
-    meta: dict[str, Any] = {
-        "problem": state.problem.name,
-        "target": getattr(solver, "target_name", None),
-        "nsteps": int(getattr(state, "step_index", 0)),
-        "ncells": int(state.ncells),
-        "ncomp": int(state.ncomp),
-        "nranks": nranks,
-        "problem_key": problem_key(state.problem,
-                                   getattr(solver, "target_name", None)),
-    }
-    generation = getattr(solver, "generation_info", None)
-    if generation:
-        meta["generation"] = dict(generation)
-
-    return {"schema": SCHEMA, "meta": meta, "ranks": ranks,
-            "drift": drift_section}
+    return ranks
 
 
-def problem_key(problem, target_name: str | None = None) -> str:
-    """Stable per-problem identity for the run registry and ``bte history``:
-    the digest of the *tuning* key, i.e. the problem signature with the
-    knobs normalised out — so a run with an injected ``gpu_flop_factor``
-    or another loop order lands in the same timeline as the default run."""
-    from repro.tune.signature import signature_digest, tuning_key
-
-    return signature_digest(tuning_key(problem, target_name))
-
-
-def write_profile(doc: dict, path: str | Path) -> Path:
-    """Write a ``repro.profile/1`` document (JSON-safe, non-finite → null)."""
-    from repro.obs.report import _json_safe
-
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(_json_safe(doc), indent=1) + "\n")
-    return path
-
-
-def load_profile(path: str | Path) -> dict:
-    """Read a ``repro.profile/1`` document, validating the schema prefix."""
-    from repro.util.errors import ReproError
-
-    path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ReproError(f"{path}: unreadable profile: {exc}") from exc
-    schema = str(doc.get("schema", ""))
-    if not schema.startswith("repro.profile/"):
-        raise ReproError(f"{path}: not a profile document (schema={schema!r})")
-    return doc
-
-
-def extract_profile(doc: dict) -> dict:
-    """The ``repro.profile/1`` document inside ``doc``, whatever ``doc`` is.
-
-    Accepts a bare profile, a ``repro.run_report/1`` document or a
-    ``repro.runs/1`` registry entry (both nest the profile under
-    ``"profile"``), so ``bte compare`` takes any of the three.
-    """
-    from repro.util.errors import ReproError
-
-    schema = str(doc.get("schema", ""))
-    if schema.startswith("repro.profile/"):
-        return doc
-    if schema.startswith(("repro.run_report/", "repro.runs/")):
-        profile = doc.get("profile")
-        if profile is None and schema.startswith("repro.runs/"):
-            profile = doc.get("report", {}).get("profile")
-        if profile:
-            return profile
-        raise ReproError(
-            f"document (schema={schema!r}) carries no profile section")
-    raise ReproError(f"not a profile-bearing document (schema={schema!r})")
-
-
+# ------------------------------------------------------------------ comparison
 def compare_profiles(a: dict, b: dict) -> dict:
-    """Per-(rank, kind, name) self-time delta between two profiles (A → B).
+    """Per-(rank, kind, name) self-time delta between two run documents
+    (A → B).
 
     Rows are sorted by ``delta_s`` descending — the row that slowed down
     the most ranks first, so a regression's culprit kernel/phase leads the
@@ -278,7 +173,7 @@ def compare_profiles(a: dict, b: dict) -> dict:
         out: dict[tuple, dict] = {}
         for entry in doc.get("ranks", []):
             rank = entry.get("rank", 0)
-            for row in entry.get("kernels", []):
+            for row in entry.get("rows", []):
                 out[(rank, row.get("kind", "?"), row.get("name", "?"))] = row
         return out
 
@@ -356,7 +251,7 @@ def compare_table(cmp: dict, *, top: int = 0) -> str:
 
 # ------------------------------------------------------------------ rendering
 def profile_table(doc: dict, *, top: int = 0) -> str:
-    """Human-readable per-kernel table (``bte profile`` output)."""
+    """Human-readable per-kernel table of a run document (``bte profile``)."""
     lines = []
     header = (f"{'rank':>4} {'kind':<7} {'name':<28} {'count':>6} "
               f"{'self_s':>10} {'total_s':>10} {'s/step':>10} "
@@ -366,7 +261,7 @@ def profile_table(doc: dict, *, top: int = 0) -> str:
     rows = [
         (entry.get("rank", 0), row)
         for entry in doc.get("ranks", [])
-        for row in entry.get("kernels", [])
+        for row in entry.get("rows", [])
     ]
     rows.sort(key=lambda pair: pair[1].get("self_s", 0.0), reverse=True)
     if top:
@@ -394,14 +289,11 @@ def profile_table(doc: dict, *, top: int = 0) -> str:
 
 
 __all__ = [
-    "DRIFT_TOLERANCE",
-    "SCHEMA",
-    "build_profile",
+    "attribute_kernel_self",
     "compare_profiles",
     "compare_table",
-    "extract_profile",
-    "load_profile",
-    "problem_key",
+    "kernel_row",
+    "phase_row",
     "profile_table",
-    "write_profile",
+    "rank_rows",
 ]

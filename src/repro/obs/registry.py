@@ -1,20 +1,22 @@
-"""The persistent cross-run performance registry (``repro.runs/1``).
+"""The persistent cross-run performance registry.
 
-Every recorded solve appends one JSON entry — the run report and/or the
-``repro.profile/1`` document — under a content-addressed directory keyed
-by the *problem key* (the tuning-key digest from
-:func:`repro.obs.profile.problem_key`, so knob or fault-injected variants
-of the same problem share one timeline)::
+Every recorded solve appends one entry — its ``repro.run/2`` document
+(:mod:`repro.obs.report`) plus a ``recorded: {key, seq, at, wall_s}``
+stamp — under a content-addressed directory keyed by the document's
+``meta.problem_key`` (the tuning-key digest, so knob or fault-injected
+variants of the same problem share one timeline)::
 
-    <root>/<key[:2]>/<key>/run-000001.json    # "repro.runs/1" entry
+    <root>/<key[:2]>/<key>/run-000001.json
     <root>/<key[:2]>/<key>/run-000002.json
     ...
 
-The layout deliberately mirrors :class:`repro.tune.cache.CompilationCache`
-(two-level fan-out, corrupt entries tolerated as warnings) so one
-``--cache-dir``-style root can hold both.  ``bte history`` reads the
-timeline back, ``bte compare`` diffs two entries, and ``bte history --gc``
-prunes old entries so long-lived checkouts don't grow unboundedly.
+Entries written in an older form load through
+:func:`~repro.obs.report.load_run`, which upgrades them.  The layout
+deliberately mirrors :class:`repro.tune.cache.CompilationCache` (two-level
+fan-out, corrupt entries tolerated as warnings) so one ``--cache-dir``-style
+root can hold both.  ``bte history`` reads the timeline back, ``bte
+compare`` diffs two entries, and ``bte history --gc`` prunes old entries so
+long-lived checkouts don't grow unboundedly.
 """
 
 from __future__ import annotations
@@ -26,11 +28,10 @@ import time
 from pathlib import Path
 from typing import Any, Iterator
 
+from repro.obs.report import SCHEMA, _json_safe, load_run
 from repro.util.errors import ReproError
 
 logger = logging.getLogger(__name__)
-
-SCHEMA = "repro.runs/1"
 
 #: Default registry root (under the working directory, like ``.repro-cache``).
 DEFAULT_ROOT = ".repro-runs"
@@ -62,29 +63,22 @@ class RunRegistry:
         return self.root / key[:2] / key
 
     # ---------------------------------------------------------------- append
-    def append(self, key: str, *, report: dict | None = None,
-               profile: dict | None = None, meta: dict | None = None) -> Path:
-        """Record one run under ``key``; returns the entry path."""
-        if report is None and profile is None:
-            raise RegistryError("refusing to record an empty run entry")
+    def append(self, doc: dict, *, wall_s: float | None = None) -> Path:
+        """Record one run document under its ``meta.problem_key``; returns
+        the entry path."""
+        if doc.get("schema") != SCHEMA:
+            raise RegistryError(
+                f"only {SCHEMA} documents are recorded, not {doc.get('schema')!r}")
+        key = (doc.get("meta") or {}).get("problem_key") or ""
         key_dir = self._key_dir(key)
         key_dir.mkdir(parents=True, exist_ok=True)
         seq = self._next_seq(key_dir)
-        doc: dict[str, Any] = {
-            "schema": SCHEMA,
-            "key": key,
-            "seq": seq,
-            "recorded_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
-            "meta": dict(meta or {}),
-        }
-        if report is not None:
-            doc["report"] = report
-        if profile is not None:
-            doc["profile"] = profile
-        from repro.obs.report import _json_safe
-
+        entry = dict(doc, recorded={
+            "key": key, "seq": seq,
+            "at": time.strftime("%Y-%m-%dT%H:%M:%S"), "wall_s": wall_s,
+        })
         path = key_dir / f"run-{seq:06d}.json"
-        path.write_text(json.dumps(_json_safe(doc), indent=1) + "\n")
+        path.write_text(json.dumps(_json_safe(entry), indent=1) + "\n")
         logger.debug("registry: recorded %s", path)
         return path
 
@@ -120,16 +114,13 @@ class RunRegistry:
         return sorted(key_dir.glob("run-*.json"))
 
     def load(self, path: str | Path) -> dict:
-        """Read one entry, validating the schema prefix."""
-        path = Path(path)
+        """Read one entry as a ``repro.run/2`` document with its stamp."""
         try:
-            doc = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise RegistryError(f"{path}: unreadable run entry: {exc}") from exc
-        schema = str(doc.get("schema", ""))
-        if not schema.startswith("repro.runs/"):
-            raise RegistryError(
-                f"{path}: not a run-registry entry (schema={schema!r})")
+            doc = load_run(path)
+        except ReproError as exc:
+            raise RegistryError(f"not a run-registry entry: {exc}") from exc
+        if "recorded" not in doc:
+            raise RegistryError(f"{path}: not a run-registry entry (no stamp)")
         return doc
 
     def load_runs(self, key: str) -> list[dict]:
@@ -154,7 +145,7 @@ class RunRegistry:
         """Prune old entries; returns how many were removed.
 
         Keeps the newest ``keep_last`` entries per key; with
-        ``max_age_days`` additionally drops entries whose ``recorded_at``
+        ``max_age_days`` additionally drops entries whose ``recorded.at``
         is older, regardless of count.  Empty key directories are removed.
         """
         if keep_last < 0:
@@ -186,10 +177,9 @@ class RunRegistry:
         return removed
 
     def _recorded_epoch(self, path: Path) -> float:
-        """Entry age from its ``recorded_at`` stamp, file mtime fallback."""
+        """Entry age from its ``recorded.at`` stamp, file mtime fallback."""
         try:
-            doc = self.load(path)
-            stamp = doc.get("recorded_at", "")
+            stamp = self.load(path)["recorded"].get("at") or ""
             return time.mktime(time.strptime(stamp, "%Y-%m-%dT%H:%M:%S"))
         except (RegistryError, ValueError, OverflowError):
             try:
@@ -201,21 +191,21 @@ class RunRegistry:
 def history_flags(entries: list[dict[str, Any]]) -> list[list[str]]:
     """Flags of one problem key's timeline (``bte history``), oldest first.
 
-    Per entry: ``regression`` when the recorded wall seconds grew more than
-    :data:`HISTORY_REGRESSION` over the previous entry's, ``drift`` when
-    the entry's profile flagged cost-model drift.
+    Per entry (a :meth:`RunRegistry.load` document): ``regression`` when
+    the recorded wall seconds grew more than :data:`HISTORY_REGRESSION` over
+    the previous entry's, ``drift`` when its drift verdict is exceeded.
     """
     flags: list[list[str]] = []
     prev_wall: float | None = None
     for entry in entries:
         entry_flags: list[str] = []
-        wall = entry.get("meta", {}).get("wall_s")
+        wall = entry.get("recorded", {}).get("wall_s")
         if (wall is not None and prev_wall is not None and prev_wall > 0
                 and (wall - prev_wall) / prev_wall > HISTORY_REGRESSION):
             entry_flags.append("regression")
         if wall is not None:
             prev_wall = float(wall)
-        if entry.get("profile", {}).get("drift", {}).get("exceeded"):
+        if entry.get("drift", {}).get("exceeded"):
             entry_flags.append("drift")
         flags.append(entry_flags)
     return flags
@@ -265,7 +255,6 @@ __all__ = [
     "HISTORY_REGRESSION",
     "RegistryError",
     "RunRegistry",
-    "SCHEMA",
     "configure_registry",
     "get_registry",
     "history_flags",

@@ -1,47 +1,51 @@
-"""The aggregated run report: one schema-versioned JSON per run.
+"""The run document: every fact of one run, written once (``repro.run/2``).
 
-The repo's timing state is spread over four stores — the wall-clock
-:class:`~repro.util.timing.TimerRegistry`, the per-rank
+:func:`build_run_report` merges whichever timing stores a solver has — the
+phase timers (one registry per rank), the per-rank
 :class:`~repro.runtime.comm.CommStats`, the device
-:class:`~repro.gpu.profiler.Profiler` and the per-stream virtual timelines.
-:func:`build_run_report` merges all of them (whichever a given solver
-actually has) into a single document:
+:class:`~repro.gpu.profiler.Profiler`, the virtual timelines — and what the
+run context recorded into one document; :func:`load_run` reads one back:
 
 .. code-block:: text
 
-    schema   "repro.run_report/1"
-    meta     problem / target / steps / virtual makespan
-    timers   wall-clock phase timers (TimerStats.as_dict)
-    phases   phase fractions (the Figs. 5/8 breakdown shape)
-    comm     per-rank compute/comm seconds, messages, bytes, phase seconds
-    gpu      per-device kernel-launch records, profile metrics, transfers
-    placement  per-task predicted vs measured cost — the direct check on
-               the paper's data-movement-aware placement model
-    resilience injected faults, retries, recoveries, checkpoints and
-               degraded placements (when the fault/recovery layer was live)
-    diagnostics  runtime sanitizer findings (``--sanitize`` runs only):
-               every RPR### diagnostic with its provenance, plus the
-               number of checks performed
-    events   structured-event-log summary (counts per event name/level)
-    trace    span/track counts when a tracer was active
-    tuning   how this solver was produced: compilation-cache outcome
-             (hit/miss, key prefix, build seconds)
-    profile  nested ``repro.profile/1`` document: per-rank per-kernel
-             self/total time with roofline attribution and the perfmodel
-             drift column (:mod:`repro.obs.profile`)
+    schema       "repro.run/2"
+    meta         problem, target, steps, virtual makespan, problem_key,
+                 nranks, generation (the compilation-cache outcome)
+    ranks        [{rank, rows, transfers}]: a row per phase (its timer's
+                 statistics) and per device kernel (the roofline columns),
+                 each with measured vs predicted s/step (repro.obs.profile)
+    drift        {tolerance, max_abs, exceeded}: the one drift verdict
+    phases       phase fractions summed over ranks (Figs. 5/8 shape)
+    comm         per-rank compute/comm seconds, messages, bytes
+    gpu          device facts: name, spec, allocated bytes, busy clocks
+    placement    per-task predicted vs measured (slowest rank) cost
+    resilience / rebalance / diagnostics / events / trace / metrics
+                 faults and recoveries, migrations, sanitizer findings,
+                 event counts, span counts, the metrics registry
 
-The ``resilience``, ``diagnostics``, ``events`` and ``metrics`` sections
-come from the run context where the report is built
-(:mod:`repro.util.context`): build it inside the ``fault_run`` /
-``sanitize_run`` / ``metrics_run`` blocks of the run it describes.  The
-``rebalance`` section is the solver's elastic runner's log.
+A run-registry entry is this document plus ``recorded: {key, seq, at,
+wall_s}``.  The context's sections (resilience, diagnostics, events,
+metrics) come from where the document is built: build it inside the
+``fault_run`` / ``sanitize_run`` / ``metrics_run`` blocks of its run.
+Sections whose source a run lacks are omitted, never emptied; every number
+is JSON-safe (no ``inf``/``nan``).
 
-Loaders must tolerate documents predating a section (older reports have no
-``profile``) and sections no longer written (``health``, ``tuning.tuned``):
-read sections with ``.get``, never ``[...]``.
+Nothing writes a ``/1`` form any more; :func:`load_run` upgrades them:
 
-Every numeric field is JSON-safe (no ``inf``/``nan``): never-recorded
-timers normalise ``min`` to ``0.0`` via ``TimerStats.as_dict``.
+.. code-block:: text
+
+    repro.run_report/1  sections kept; profile -> ranks, drift and meta
+                        (problem_key, nranks, generation); timers -> the
+                        phase rows' statistics (one rank) or, without a
+                        profile, the phase rows; tuning.cache ->
+                        meta.generation; gpu -> device facts only
+    repro.profile/1     kernels -> rows; meta.nsteps -> meta.nsteps_run;
+                        phases from the rows
+    repro.runs/1        report (taking the entry's profile) else profile,
+                        as above; key, seq, recorded_at, meta.wall_s ->
+                        recorded
+    dropped             health, fusion, tuning.tuned, bench, meta.per_launch,
+                        ranks[*].launches, drift.calibration
 """
 
 from __future__ import annotations
@@ -53,8 +57,22 @@ from pathlib import Path
 from typing import Any
 
 from repro.util.context import current
+from repro.util.errors import AnalysisInputError
+from repro.util.timing import shares
 
-SCHEMA = "repro.run_report/1"
+SCHEMA = "repro.run/2"
+
+#: A measured/predicted ratio farther than this from 1.0 flags the cost
+#: model's drift as exceeded.
+DRIFT_TOLERANCE = 0.5
+
+#: The sections after ``phases``, in document order.
+_SECTIONS = ("comm", "gpu", "placement", "resilience", "rebalance",
+             "diagnostics", "events", "trace", "metrics")
+
+#: What of a device the ``gpu`` section keeps (its kernels are rows).
+_DEVICE_FACTS = ("rank", "name", "spec", "allocated_bytes", "stream_busy_s",
+                 "transfer_busy_s")
 
 
 def _json_safe(value: Any) -> Any:
@@ -70,10 +88,11 @@ def _json_safe(value: Any) -> Any:
 
 @dataclass
 class RunReport:
-    """The merged, schema-versioned observability document of one run."""
+    """The ``repro.run/2`` document of one run."""
 
     meta: dict[str, Any] = field(default_factory=dict)
-    timers: dict[str, Any] = field(default_factory=dict)
+    ranks: list[dict[str, Any]] = field(default_factory=list)
+    drift: dict[str, Any] = field(default_factory=dict)
     phases: dict[str, float] = field(default_factory=dict)
     comm: dict[str, Any] | None = None
     gpu: dict[str, Any] | None = None
@@ -83,23 +102,13 @@ class RunReport:
     diagnostics: dict[str, Any] | None = None
     events: dict[str, Any] | None = None
     trace: dict[str, Any] | None = None
-    tuning: dict[str, Any] | None = None
     metrics: dict[str, Any] | None = None
-    profile: dict[str, Any] | None = None
 
     def to_dict(self) -> dict[str, Any]:
-        doc: dict[str, Any] = {
-            "schema": SCHEMA,
-            "meta": self.meta,
-            "timers": self.timers,
-            "phases": self.phases,
-        }
-        for key in ("comm", "gpu", "placement", "resilience", "rebalance",
-                    "diagnostics", "events", "trace", "tuning", "metrics",
-                    "profile"):
-            value = getattr(self, key)
-            if value is not None:
-                doc[key] = value
+        doc = {"schema": SCHEMA, "meta": self.meta, "ranks": self.ranks,
+               "drift": self.drift, "phases": self.phases}
+        doc.update((key, getattr(self, key)) for key in _SECTIONS
+                   if getattr(self, key) is not None)
         return _json_safe(doc)
 
     def to_json(self, indent: int = 1) -> str:
@@ -107,7 +116,8 @@ class RunReport:
 
     def write(self, path: str | Path) -> Path:
         path = Path(path)
-        path.write_text(self.to_json())
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(self.to_json() + "\n")
         return path
 
 
@@ -125,68 +135,60 @@ def _comm_section(spmd_result) -> dict[str, Any]:
     }
 
 
-def _device_section(device) -> dict[str, Any]:
-    prof = device.profiler
-    launches: dict[str, dict[str, Any]] = {}
-    for rec in prof.launches:
-        agg = launches.setdefault(rec.kernel, {
-            "count": 0, "total_s": 0.0, "total_flops": 0.0,
-            "total_bytes": 0.0, "bound": rec.bound,
-        })
-        agg["count"] += 1
-        agg["total_s"] += rec.duration
-        agg["total_flops"] += rec.total_flops
-        agg["total_bytes"] += rec.total_bytes
-    for agg in launches.values():
-        agg["mean_s"] = agg["total_s"] / agg["count"] if agg["count"] else 0.0
-    return {
-        "name": device.name,
-        "spec": device.spec.name,
-        "allocated_bytes": device.allocated_bytes,
-        "kernels": launches,
-        # per-kernel roofline attribution (achieved intensity vs the ridge,
-        # fraction-of-peak columns) — the Tab. 1 Nsight-profile analogue
-        "kernel_rows": prof.kernel_rows(),
-        "profile": prof.report().as_dict(),
-        "transfers": prof.transfer_summary(),
-        "stream_busy_s": {
-            device.default_stream.name: device.default_stream.busy_until(),
-        },
-        "transfer_busy_s": device.transfer_clock.now(),
-    }
-
-
 def _gpu_section(solver) -> dict[str, Any] | None:
-    devices = []
     device = getattr(solver, "device", None)
     if device is not None:
-        devices.append(_device_section(device))
-    # multi-GPU runs keep only the per-rank profile reports (devices live on
-    # rank threads); include them so the section is never silently empty
-    profiles = getattr(solver.state, "device_profiles", None)
-    if profiles:
-        section = {
-            "devices": devices,
-            "rank_profiles": [p.as_dict() for p in profiles],
-        }
-        profilers = getattr(solver.state, "device_profilers", None)
-        if profilers:
-            section["rank_kernels"] = [p.kernel_rows() for p in profilers]
-        return section
-    if not devices:
-        return None
-    return {"devices": devices}
+        return {"devices": [{
+            "name": device.name,
+            "spec": device.spec.name,
+            "allocated_bytes": device.allocated_bytes,
+            "stream_busy_s": {
+                device.default_stream.name: device.default_stream.busy_until(),
+            },
+            "transfer_busy_s": device.transfer_clock.now(),
+        }]}
+    # multi-GPU runs: the devices lived on the rank threads, their launch
+    # records are the ranks' kernel rows
+    profilers = getattr(solver.state, "device_profilers", None)
+    if profilers:
+        return {"devices": [{"rank": rank, "spec": p.spec.name}
+                            for rank, p in enumerate(profilers)]}
+    return None
 
 
-def placement_accuracy(plan, timers, nsteps: int,
+def _phases(ranks: list[dict]) -> dict[str, float]:
+    """Each phase's share of the phase time summed over ranks."""
+    totals: dict[str, float] = {}
+    for row in _phase_rows(ranks):
+        totals[row["name"]] = totals.get(row["name"], 0.0) + (row.get("total_s") or 0.0)
+    return shares(totals)
+
+
+def _phase_rows(ranks: list[dict]):
+    return (row for entry in ranks for row in entry.get("rows", [])
+            if row.get("kind") == "phase")
+
+
+def _drift(ranks: list[dict], tolerance: float | None) -> dict[str, Any]:
+    """The drift verdict: it judges only the wall-measured phase rows —
+    virtual kernel rows compare the *device* model against the *CPU*
+    prediction, which is a placement sanity check, not machine drift."""
+    tol = DRIFT_TOLERANCE if tolerance is None else float(tolerance)
+    max_abs = max((abs(row["drift"] - 1.0) for row in _phase_rows(ranks)
+                   if row.get("drift") is not None), default=0.0)
+    return {"tolerance": tol, "max_abs": max_abs, "exceeded": max_abs > tol}
+
+
+def placement_accuracy(plan, measured: dict[str, float],
                        task_timer_map: dict[str, str] | None = None) -> dict[str, Any]:
     """Per-task predicted vs measured cost for one placement plan.
 
     ``predicted`` is the cost-model seconds per step on the assigned device
     (the quantity the min-cut optimised); ``alternative`` the modelled cost
     had the task been placed on the *other* device; ``measured`` is the
-    wall-clock seconds per step of the matching phase timer, when the
-    target recorded one (``task_timer_map``: task name -> timer name).
+    wall-clock seconds per step of the matching phase timer (``measured``:
+    timer name -> seconds per step, the slowest rank's; ``task_timer_map``:
+    task name -> timer name), when the target recorded one.
     A task is flagged ``mispredicted`` when its measured time exceeds the
     modelled cost of the unpinned alternative — the optimiser would have
     chosen differently with perfect information.
@@ -203,30 +205,27 @@ def placement_accuracy(plan, timers, nsteps: int,
             predicted = task.cost_gpu if device == "gpu" else task.cost_cpu
             alternative = task.cost_cpu if device == "gpu" else task.cost_gpu
             pinned = task.pinned
-        timer_name = task_timer_map.get(name)
-        measured = None
-        if timer_name and timer_name in timers.stats and nsteps > 0:
-            measured = timers.stats[timer_name].total / nsteps
+        measured_s = measured.get(task_timer_map.get(name))
         entry: dict[str, Any] = {
             "task": name,
             "device": device,
             "pinned": pinned,
             "predicted_s_per_step": predicted,
             "alternative_s_per_step": alternative,
-            "measured_s_per_step": measured,
+            "measured_s_per_step": measured_s,
         }
         if predicted is not None and alternative is not None \
                 and math.isfinite(alternative):
             # modelled saving of the chosen device (>0: choice looks right)
             entry["predicted_delta_s"] = alternative - predicted
-        if predicted and measured:
-            entry["measured_over_predicted"] = measured / predicted
+        if predicted and measured_s:
+            entry["measured_over_predicted"] = measured_s / predicted
         entry["mispredicted"] = bool(
-            measured is not None
+            measured_s is not None
             and alternative is not None
             and math.isfinite(alternative)
             and pinned is None
-            and measured > alternative
+            and measured_s > alternative
         )
         tasks.append(entry)
     edges = []
@@ -247,13 +246,28 @@ def placement_accuracy(plan, timers, nsteps: int,
     }
 
 
-def build_run_report(solver, tracer=None, **extra_meta: Any) -> RunReport:
-    """Merge one solver's fragmented metric stores into a :class:`RunReport`.
+def problem_key(problem, target_name: str | None = None) -> str:
+    """Stable per-problem identity for the run registry and ``bte history``:
+    the digest of the *tuning* key, i.e. the problem signature with the
+    knobs normalised out — so a run with an injected ``gpu_flop_factor``
+    or another loop order lands in the same timeline as the default run."""
+    from repro.tune.signature import signature_digest, tuning_key
+
+    return signature_digest(tuning_key(problem, target_name))
+
+
+def build_run_report(solver, tracer=None, *, tolerance: float | None = None,
+                     **extra_meta: Any) -> RunReport:
+    """The :class:`RunReport` of one executed solver.
 
     Works for every target: sections whose source the solver lacks (no
     device, no SPMD result, no placement plan) are simply omitted.
+    ``tolerance`` is the drift verdict's (default :data:`DRIFT_TOLERANCE`).
     """
+    from repro.obs.profile import rank_rows
+
     state = solver.state
+    ranks = rank_rows(solver)
     meta: dict[str, Any] = {
         "problem": state.problem.name,
         "target": solver.target_name,
@@ -266,13 +280,15 @@ def build_run_report(solver, tracer=None, **extra_meta: Any) -> RunReport:
     host_clock = getattr(state, "host_clock", None)
     if host_clock is not None:
         meta["host_virtual_s"] = host_clock.now()
+    meta["problem_key"] = problem_key(state.problem, solver.target_name)
+    meta["nranks"] = len(ranks)
+    info = getattr(solver, "generation_info", None)
+    if info:
+        meta["generation"] = dict(info)
     meta.update(extra_meta)
 
-    report = RunReport(
-        meta=meta,
-        timers=state.timers.as_dict(),
-        phases=solver.breakdown(),
-    )
+    report = RunReport(meta=meta, ranks=ranks, drift=_drift(ranks, tolerance),
+                       phases=_phases(ranks))
 
     spmd = getattr(state, "spmd_result", None)
     if spmd is not None:
@@ -282,10 +298,12 @@ def build_run_report(solver, tracer=None, **extra_meta: Any) -> RunReport:
 
     plan = getattr(solver, "placement", None)
     if plan is not None:
+        slowest: dict[str, float] = {}
+        for row in _phase_rows(ranks):
+            slowest[row["name"]] = max(slowest.get(row["name"], 0.0),
+                                       row["measured_s_per_step"])
         report.placement = placement_accuracy(
-            plan, state.timers, max(state.step_index, 1),
-            getattr(solver, "task_timer_map", None),
-        )
+            plan, slowest, getattr(solver, "task_timer_map", None))
 
     # what the run context recorded: injected faults, retries, checkpoints,
     # degraded placements; sanitizer findings; the event counts
@@ -303,20 +321,127 @@ def build_run_report(solver, tracer=None, **extra_meta: Any) -> RunReport:
     if tracer is not None and tracer.enabled:
         report.trace = tracer.summary()
 
-    info = getattr(solver, "generation_info", None)
-    if info:
-        report.tuning = {"cache": dict(info)}
-
     if ctx.metrics.enabled:
         report.metrics = ctx.metrics.to_dict()
-
-    # per-kernel profile with the perfmodel drift column — always built
-    # (aggregation over already-recorded timers/launches; nested schema,
-    # like the metrics section)
-    from repro.obs.profile import build_profile
-
-    report.profile = build_profile(solver)
     return report
 
 
-__all__ = ["RunReport", "SCHEMA", "build_run_report", "placement_accuracy"]
+# ---------------------------------------------------------------------------
+# reading: /2 as written, /1 upgraded (the table in the module docstring)
+# ---------------------------------------------------------------------------
+
+def load_run(source: str | Path | dict) -> dict:
+    """The ``repro.run/2`` form of a run document, given its path or its
+    parsed JSON: a ``/2`` document as it is, a ``/1`` report, profile or
+    registry entry upgraded.  Raises :class:`AnalysisInputError` on an
+    unreadable file or a document of any other kind."""
+    doc, where = source, ""
+    if not isinstance(source, dict):
+        where = f"{source}: "
+        try:
+            doc = json.loads(Path(source).read_text())
+        except (OSError, ValueError) as exc:
+            raise AnalysisInputError(f"{where}unreadable run document: {exc}") from exc
+    schema = doc.get("schema") if isinstance(doc, dict) else None
+    upgrade = _UPGRADES.get(schema)
+    if upgrade is None:
+        raise AnalysisInputError(f"{where}not a run document (schema={schema!r})")
+    return upgrade(doc)
+
+
+def _verdict(drift: dict) -> dict:
+    return {k: drift[k] for k in ("tolerance", "max_abs", "exceeded")
+            if k in drift}
+
+
+def _profile_meta(meta: dict) -> dict:
+    return {("nsteps_run" if k == "nsteps" else k): v
+            for k, v in meta.items() if k != "per_launch"}
+
+
+def _profile_ranks(profile: dict) -> list[dict]:
+    ranks = []
+    for entry in profile.get("ranks") or []:
+        up = {"rank": entry.get("rank", 0),
+              "rows": [dict(row) for row in entry.get("kernels") or []]}
+        if entry.get("transfers") is not None:
+            up["transfers"] = entry["transfers"]
+        ranks.append(up)
+    return ranks
+
+
+def _from_profile(profile: dict) -> dict:
+    ranks = _profile_ranks(profile)
+    doc = {"schema": SCHEMA, "meta": _profile_meta(profile.get("meta") or {}),
+           "ranks": ranks}
+    if profile.get("drift"):
+        doc["drift"] = _verdict(profile["drift"])
+    doc["phases"] = _phases(ranks)
+    return doc
+
+
+def _from_report(report: dict) -> dict:
+    from repro.obs.profile import phase_row
+
+    doc = _from_profile(report.get("profile") or {})
+    meta = dict(report.get("meta") or {})
+    for key, value in doc["meta"].items():
+        meta.setdefault(key, value)
+    doc["meta"] = meta
+    cache = (report.get("tuning") or {}).get("cache")
+    if cache:
+        meta.setdefault("generation", cache)
+    timers, ranks = report.get("timers") or {}, doc["ranks"]
+    if not ranks:  # written before reports carried a profile
+        nsteps = max(int(meta.get("nsteps_run") or 0), 1)
+        ranks.append({"rank": 0, "rows": [phase_row(name, stats, nsteps, {})
+                                          for name, stats in timers.items()]})
+    elif len(ranks) == 1:  # the one rank's phase rows are the timers
+        for row in ranks[0]["rows"]:
+            if row.get("kind") == "phase" and row.get("name") in timers:
+                stats = timers[row["name"]]
+                row.update({f"{k}_s": stats.get(k) for k in ("min", "max", "p50", "p95")})
+    doc["phases"] = report.get("phases") or {}
+    doc.update((key, report[key]) for key in _SECTIONS if report.get(key) is not None)
+    gpu = report.get("gpu")
+    if gpu:
+        doc["gpu"] = {"devices": [{k: d[k] for k in _DEVICE_FACTS if k in d}
+                                  for d in gpu.get("devices") or []]
+                      or [{"rank": rank, "spec": p.get("device")}
+                          for rank, p in enumerate(gpu.get("rank_profiles") or [])]}
+    return doc
+
+
+def _from_entry(entry: dict) -> dict:
+    report, profile = entry.get("report"), entry.get("profile")
+    if report is not None:
+        doc = _from_report(dict(report, profile=profile) if profile else report)
+    else:
+        doc = _from_profile(profile or {})
+    meta = entry.get("meta") or {}
+    for key, old in (("target", "target"), ("nsteps_run", "nsteps")):
+        if old in meta:
+            doc["meta"].setdefault(key, meta[old])
+    doc["recorded"] = {"key": entry.get("key"), "seq": entry.get("seq", 0),
+                       "at": entry.get("recorded_at"),
+                       "wall_s": meta.get("wall_s")}
+    return doc
+
+
+_UPGRADES = {
+    SCHEMA: lambda doc: doc,
+    "repro.run_report/1": _from_report,
+    "repro.profile/1": _from_profile,
+    "repro.runs/1": _from_entry,
+}
+
+
+__all__ = [
+    "DRIFT_TOLERANCE",
+    "RunReport",
+    "SCHEMA",
+    "build_run_report",
+    "load_run",
+    "placement_accuracy",
+    "problem_key",
+]

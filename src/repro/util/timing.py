@@ -144,19 +144,8 @@ class TimerRegistry:
     def total(self, name: str) -> float:
         return self.stats[name].total if name in self.stats else 0.0
 
-    def fractions(self) -> dict[str, float]:
-        """Each timer's share of the summed total (the breakdown figures)."""
-        grand = sum(s.total for s in self.stats.values())
-        if grand <= 0:
-            return {name: 0.0 for name in self.stats}
-        return {name: s.total / grand for name, s in self.stats.items()}
-
     def reset(self) -> None:
         self.stats.clear()
-
-    def as_dict(self) -> dict[str, dict[str, float | int]]:
-        """All timers as JSON-safe dicts (the run report's ``timers`` section)."""
-        return {name: s.as_dict() for name, s in sorted(self.stats.items())}
 
     def report(self) -> str:
         lines = [f"{'timer':<28}{'total [s]':>12}{'count':>8}{'mean [s]':>12}"]
@@ -164,3 +153,21 @@ class TimerRegistry:
             s = self.stats[name]
             lines.append(f"{name:<28}{s.total:>12.6f}{s.count:>8d}{s.mean:>12.6f}")
         return "\n".join(lines)
+
+
+def phase_shares(registries) -> dict[str, float]:
+    """Each timer's share of the total summed over ``registries`` — one per
+    rank of an SPMD run (the breakdown figures, Figs. 5 and 8)."""
+    totals: dict[str, float] = {}
+    for registry in registries:
+        for name, stats in registry.stats.items():
+            totals[name] = totals.get(name, 0.0) + stats.total
+    return shares(totals)
+
+
+def shares(totals: dict[str, float]) -> dict[str, float]:
+    """Each entry's share of the sum (all zero when nothing was recorded)."""
+    grand = sum(totals.values())
+    if grand <= 0:
+        return {name: 0.0 for name in totals}
+    return {name: total / grand for name, total in totals.items()}

@@ -50,10 +50,12 @@ class TestExecutionStructure:
 
     def test_one_device_per_rank(self, solved):
         scenario, solver = solved
-        profiles = solver.state.device_profiles
-        assert len(profiles) == 3
-        for rep in profiles:
-            assert rep.n_launches == scenario.nsteps
+        profilers = solver.state.device_profilers
+        assert len(profilers) == 3
+        assert len({id(p) for p in profilers}) == 3
+        for profiler in profilers:
+            assert profiler.report("I_interior_step").n_launches == scenario.nsteps
+        assert "device_profile" not in solver.state.spmd_result.results[0]
 
     def test_phase_accounting(self, solved):
         _, solver = solved

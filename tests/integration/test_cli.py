@@ -36,6 +36,17 @@ class TestCLIInProcess:
         out = capsys.readouterr().out
         assert "T in [" in out
 
+    @pytest.mark.parametrize("extra", [[], ["--gpu"]])
+    def test_bte_ranks_prints_the_phase_lines(self, extra, capsys):
+        """An SPMD run's phases are its ranks' timers, summed."""
+        assert main(["bte", "--nx", "8", "--ndirs", "4", "--bands", "4",
+                     "--steps", "2", "--ranks", "2", *extra]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        phases = {ln.split()[0]: float(ln.split()[1].rstrip("%"))
+                  for ln in lines[1:] if ln.startswith("  ")}
+        assert {"solve", "post_step"} <= set(phases)
+        assert sum(phases.values()) == pytest.approx(100.0, abs=0.5)
+
     def test_pipeline_scalar_example(self, capsys):
         assert main(["pipeline", "-k*u - surface(upwind(b, u))"]) == 0
         out = capsys.readouterr().out
@@ -73,9 +84,9 @@ class TestObservabilityFlags:
         events = json.loads(trace.read_text())["traceEvents"]
         assert sum(1 for e in events if e["ph"] == "X") >= 2
         doc = json.loads(report.read_text())
-        assert doc["schema"] == "repro.run_report/1"
+        assert doc["schema"] == "repro.run/2"
         assert doc["meta"]["target"] == "cpu"
-        assert "solve" in doc["timers"]
+        assert "solve" in {row["name"] for row in doc["ranks"][0]["rows"]}
 
     def test_bte_gpu_trace_has_device_and_placement(self, tmp_path, capsys):
         trace = tmp_path / "trace.json"
@@ -217,11 +228,12 @@ class TestEventLogCLI:
     ["bench", "--wall-threshold", "1"],
     ["bench"],
     ["bench", "--compare", "benchmarks/BENCH_seed.json"],
+    ["bte", "--profile", "p.json"],
 ])
 def test_removed_commands_and_flags_exit_2(argv, capsys):
     """The autotuner, kernel chunking, live calibration, the flight
-    recorder and the bench suite are gone: their commands and flags are
-    argparse errors."""
+    recorder and the bench suite are gone, and ``bte --profile`` wrote what
+    ``--report`` writes: their commands and flags are argparse errors."""
     from repro.cli import bte_main
 
     for entry, args in ((main, argv), (bte_main, argv)):
@@ -250,13 +262,12 @@ class TestLatexCommand:
 
 def write_drill_profile(path, slowdown: float = 1.0) -> None:
     """What ``profile --nx 12 --ndirs 4 --bands 4 --steps 3 --gpu --out
-    PATH`` writes, with the device kernel's work scaled by ``slowdown``
+    PATH`` writes (the run document), with the device kernel's work scaled
+    by ``slowdown``
     (``problem.extra["gpu_flop_factor"]``: in the cache key, normalised out
     of the registry's problem key, so both profiles are the same problem)."""
     from repro.bte import build_bte_problem, hotspot_scenario
     from repro.codegen.gpu_hybrid import DEFAULT_FLOP_FACTOR
-    from repro.obs.profile import build_profile, write_profile
-
     scenario = hotspot_scenario(nx=12, ny=12, ndirs=4, n_freq_bands=4,
                                 dt=1e-12, nsteps=3)
     scenario.sigma = max(scenario.sigma, 2.5 * scenario.lx / 12)
@@ -265,7 +276,7 @@ def write_drill_profile(path, slowdown: float = 1.0) -> None:
     problem.extra["gpu_force_offload"] = True
     if slowdown != 1.0:
         problem.extra["gpu_flop_factor"] = slowdown * DEFAULT_FLOP_FACTOR
-    write_profile(build_profile(problem.solve()), path)
+    problem.solve().run_report().write(path)
 
 
 class TestProfileRegistryCLI:
@@ -288,7 +299,7 @@ class TestProfileRegistryCLI:
         assert "I_interior_step" in text
         assert "perfmodel drift" in text
         doc = json.loads(out.read_text())
-        assert doc["schema"] == "repro.profile/1"
+        assert doc["schema"] == "repro.run/2"
         assert "per_launch" not in doc["meta"]
         assert not any("launches" in entry for entry in doc["ranks"])
 
@@ -348,10 +359,45 @@ class TestProfileRegistryCLI:
 
         registry = RunRegistry(runs)
         (key,) = registry.keys()
-        (entry,) = registry.load_runs(key)
-        assert entry["report"]["schema"] == "repro.run_report/1"
-        assert entry["profile"]["schema"] == "repro.profile/1"
-        assert entry["meta"]["wall_s"] > 0
+        (path,) = registry.runs(key)
+        entry = json.loads(path.read_text())
+        assert entry["schema"] == "repro.run/2"
+        assert not {"report", "profile", "timers", "tuning"} & set(entry)
+        assert entry["recorded"]["key"] == key == entry["meta"]["problem_key"]
+        assert entry["recorded"]["wall_s"] > 0
+
+    def test_profile_record_keeps_one_drift_verdict(self, capsys):
+        """``profile --tolerance 9 --record`` used to record two profiles,
+        one judged at tolerance 9 and one (inside the report) at 0.5, with
+        opposite verdicts; the entry is now one document, one verdict, and
+        ``history``'s drift flag reads it."""
+        runs = str(self.runs_dir)
+        assert main(["profile", "--nx", "8", "--ndirs", "4", "--bands", "4",
+                     "--steps", "2", "--gpu", "--tolerance", "9",
+                     "--record", "--runs-dir", runs]) == 0
+        from repro.obs.registry import RunRegistry
+
+        registry = RunRegistry(runs)
+        (key,) = registry.keys()
+        (path,) = registry.runs(key)
+
+        def verdicts(node):
+            if isinstance(node, dict):
+                found = [node["drift"]] if isinstance(node.get("drift"), dict) else []
+                return found + [v for child in node.values() for v in verdicts(child)]
+            if isinstance(node, list):
+                return [v for child in node for v in verdicts(child)]
+            return []
+
+        (verdict,) = verdicts(json.loads(path.read_text()))
+        assert verdict["tolerance"] == 9.0
+        assert verdict["exceeded"] is (verdict["max_abs"] > 9.0)
+        capsys.readouterr()
+        assert main(["history", "--runs-dir", runs]) == 0
+        (line,) = [ln for ln in capsys.readouterr().out.splitlines()
+                   if "run-000001" in ln]
+        assert ("[drift]" in line) is verdict["exceeded"]
+        assert f"drift={verdict['max_abs']:.2f}" in line
 
 
 #: a ``bte --fusion auto --report`` document from before the fused path was

@@ -1,4 +1,4 @@
-"""The ``repro.profile/1`` document: phase rows from the timers, kernel
+"""The run document's ``ranks`` rows: phase rows from the timers, kernel
 rows from the device's launch records."""
 
 import json
@@ -7,19 +7,15 @@ import pytest
 
 from repro.bte import build_bte_problem, hotspot_scenario
 from repro.codegen.gpu_hybrid import DEFAULT_FLOP_FACTOR
-from repro.obs.profile import (
+from repro.obs.profile import compare_profiles, compare_table, profile_table
+from repro.obs.report import (
     DRIFT_TOLERANCE,
     SCHEMA,
-    build_profile,
-    compare_profiles,
-    compare_table,
-    extract_profile,
-    load_profile,
+    build_run_report,
+    load_run,
     problem_key,
-    profile_table,
-    write_profile,
 )
-from repro.util.errors import ReproError
+from repro.util.errors import AnalysisInputError
 from repro.util.timing import Timer, VirtualClock
 
 
@@ -38,6 +34,10 @@ def tiny_problem(gpu: bool = False, ranks: int = 1, flop_factor: float = 0.0):
     return problem
 
 
+def run_document(solver, **kw) -> dict:
+    return build_run_report(solver, **kw).to_dict()
+
+
 class TestProfileScope:
     def test_disabled_is_the_plain_timer(self):
         # with no live tracer a phase is the phase timer itself: the one
@@ -49,21 +49,25 @@ class TestProfileScope:
 
 class TestBuildProfile:
     def test_cpu_phase_rows(self):
-        doc = build_profile(tiny_problem().solve())
+        doc = run_document(tiny_problem().solve())
         assert doc["schema"] == SCHEMA
         (entry,) = doc["ranks"]
-        rows = {r["name"]: r for r in entry["kernels"]}
+        rows = {r["name"]: r for r in entry["rows"]}
         assert rows["solve"]["kind"] == "phase"
         assert rows["solve"]["clock"] == "wall"
         assert rows["solve"]["count"] == 3
         assert rows["solve"]["drift"] is not None
+        # the timer's statistics are the row's: there is no timers section
+        assert "timers" not in doc
+        assert rows["solve"]["min_s"] <= rows["solve"]["p50_s"] <= rows["solve"]["max_s"]
+        assert rows["solve"]["mean_s"] * 3 == pytest.approx(rows["solve"]["total_s"])
 
     def test_gpu_kernel_rows(self):
         solver = tiny_problem(gpu=True).solve()
-        doc = build_profile(solver)
+        doc = run_document(solver)
         (entry,) = doc["ranks"]
-        kernels = [r for r in entry["kernels"] if r["kind"] == "kernel"]
-        assert kernels, entry["kernels"]
+        kernels = [r for r in entry["rows"] if r["kind"] == "kernel"]
+        assert kernels, entry["rows"]
         row = kernels[0]
         assert row["name"] == "I_interior_step"
         assert row["clock"] == "virtual"
@@ -71,18 +75,19 @@ class TestBuildProfile:
         assert "transfers" in entry
 
     def test_spmd_per_rank_rows(self):
-        doc = build_profile(tiny_problem(ranks=2).solve())
+        doc = run_document(tiny_problem(ranks=2).solve())
         assert [e["rank"] for e in doc["ranks"]] == [0, 1]
         for entry in doc["ranks"]:
-            assert any(r["name"] == "solve" for r in entry["kernels"])
+            assert any(r["name"] == "solve" for r in entry["rows"])
 
     def test_meta_and_problem_key(self):
         solver = tiny_problem().solve()
-        doc = build_profile(solver)
+        doc = run_document(solver)
         meta = doc["meta"]
         assert meta["problem"] == "bte-hotspot"
         assert meta["target"] == "cpu"
-        assert meta["nsteps"] == 3
+        assert meta["nsteps_run"] == 3
+        assert meta["nranks"] == 1
         assert "per_launch" not in meta
         assert "launches" not in doc["ranks"][0]
         assert meta["problem_key"] == problem_key(
@@ -96,20 +101,20 @@ class TestBuildProfile:
 
     def test_drift_judges_wall_rows_only(self):
         solver = tiny_problem(gpu=True).solve()
-        doc = build_profile(solver, tolerance=1e9)
+        doc = run_document(solver, tolerance=1e9)
         assert doc["drift"]["tolerance"] == 1e9
         assert doc["drift"]["exceeded"] is False
         # kernel (virtual-clock) drift never feeds max_abs
         wall_drifts = [
             abs(r["drift"] - 1.0)
-            for e in doc["ranks"] for r in e["kernels"]
+            for e in doc["ranks"] for r in e["rows"]
             if r.get("drift") is not None and r["clock"] == "wall"
         ]
         assert doc["drift"]["max_abs"] == pytest.approx(
             max(wall_drifts) if wall_drifts else 0.0)
 
     def test_default_tolerance_is_drift_tolerance(self):
-        doc = build_profile(tiny_problem().solve())
+        doc = run_document(tiny_problem().solve())
         assert doc["drift"]["tolerance"] == DRIFT_TOLERANCE
 
     def test_virtual_clock_determinism(self):
@@ -119,30 +124,34 @@ class TestBuildProfile:
             solver = tiny_problem(gpu=True).generate()
             solver.state.timers.clock = VirtualClock()
             solver.run(3)
-            return build_profile(solver)
+            return run_document(solver)
 
         a, b = one_run(), one_run()
         assert a["ranks"] == b["ranks"]
         assert a["drift"] == b["drift"]
+        assert a["phases"] == b["phases"]
         assert a["meta"] == b["meta"]
 
 
 class TestWriteLoad:
     def test_round_trip(self, tmp_path):
-        doc = build_profile(tiny_problem().solve())
-        path = write_profile(doc, tmp_path / "p.json")
-        loaded = load_profile(path)
+        report = tiny_problem().solve().run_report()
+        path = report.write(tmp_path / "p.json")
+        loaded = load_run(path)
         assert loaded["schema"] == SCHEMA
-        assert loaded["meta"] == doc["meta"]
+        assert loaded == json.loads(report.to_json())
 
     def test_load_rejects_wrong_schema(self, tmp_path):
         path = tmp_path / "x.json"
         path.write_text(json.dumps({"schema": "repro.bench/1"}))
-        with pytest.raises(ReproError, match="not a profile"):
-            load_profile(path)
+        with pytest.raises(AnalysisInputError, match="not a run document"):
+            load_run(path)
+        path.write_text("{oops")
+        with pytest.raises(AnalysisInputError, match="unreadable"):
+            load_run(path)
 
     def test_table_renders(self):
-        doc = build_profile(tiny_problem(gpu=True).solve())
+        doc = run_document(tiny_problem(gpu=True).solve())
         text = profile_table(doc)
         assert "I_interior_step" in text
         assert "perfmodel drift" in text
@@ -155,13 +164,14 @@ def _fake_profile(self_times: dict[str, float], key: str = "k1") -> dict:
         "meta": {"problem_key": key},
         "ranks": [{
             "rank": 0,
-            "kernels": [
+            "rows": [
                 {"kind": "kernel", "name": name, "self_s": secs,
                  "clock": "virtual"}
                 for name, secs in self_times.items()
             ],
         }],
         "drift": {"tolerance": 0.5, "max_abs": 0.0, "exceeded": False},
+        "phases": {},
     }
 
 
@@ -203,7 +213,7 @@ class TestCompareProfiles:
             solver = tiny_problem(gpu=True, flop_factor=flop_factor).generate()
             solver.state.timers.clock = VirtualClock()
             solver.run(3)
-            return build_profile(solver)
+            return run_document(solver)
 
         base, slow = run(), run(flop_factor=4 * DEFAULT_FLOP_FACTOR)
         cmp = compare_profiles(base, slow)
@@ -214,22 +224,67 @@ class TestCompareProfiles:
         assert "top culprit" in compare_table(cmp)
 
 
+def _v1_profile(self_times: dict[str, float]) -> dict:
+    doc = _fake_profile(self_times)
+    doc["schema"] = "repro.profile/1"
+    doc["meta"].update(nsteps=2, per_launch=False)
+    doc["ranks"][0]["kernels"] = doc["ranks"][0].pop("rows")
+    doc["ranks"][0]["launches"] = []
+    doc["drift"]["calibration"] = {"factor": 3.0}
+    return doc
+
+
 class TestExtractProfile:
+    """Every form a run was written in reads as ``repro.run/2``."""
+
     def test_bare_profile_passes_through(self):
         doc = _fake_profile({"k": 1.0})
-        assert extract_profile(doc) is doc
+        assert load_run(doc) is doc  # a /2 document is read as written
+        up = load_run(_v1_profile({"k": 1.0}))  # a /1 profile is upgraded
+        assert up["schema"] == SCHEMA
+        assert up["meta"] == {"problem_key": "k1", "nsteps_run": 2}
+        assert up["ranks"] == [{"rank": 0, "rows": doc["ranks"][0]["rows"]}]
+        assert up["drift"] == doc["drift"]  # calibration dropped
+        assert up["phases"] == {}  # no phase rows
 
     def test_report_and_registry_nesting(self):
-        prof = _fake_profile({"k": 1.0})
-        report = {"schema": "repro.run_report/1", "profile": prof}
-        entry = {"schema": "repro.runs/1", "profile": prof}
-        nested = {"schema": "repro.runs/1", "report": report}
-        assert extract_profile(report) is prof
-        assert extract_profile(entry) is prof
-        assert extract_profile(nested) is prof
+        prof = _v1_profile({"k": 1.0})
+        report = {"schema": "repro.run_report/1", "meta": {"problem": "p"},
+                  "timers": {}, "phases": {"k": 1.0}, "profile": prof}
+        entry = {"schema": "repro.runs/1", "key": "k1", "seq": 3,
+                 "recorded_at": "2026-10-17T00:00:00",
+                 "meta": {"wall_s": 0.5}, "profile": prof}
+        nested = dict(entry, report=report, profile=None)
+        rows = _fake_profile({"k": 1.0})["ranks"][0]["rows"]
+        for doc in (report, entry, nested):
+            up = load_run(doc)
+            assert up["schema"] == SCHEMA
+            assert up["ranks"][0]["rows"] == rows
+            assert up["drift"] == {"tolerance": 0.5, "max_abs": 0.0,
+                                   "exceeded": False}
+        assert load_run(report)["meta"]["problem"] == "p"
+        assert load_run(nested)["phases"] == {"k": 1.0}
+        for doc in (entry, nested):
+            assert load_run(doc)["recorded"] == {
+                "key": "k1", "seq": 3, "at": "2026-10-17T00:00:00",
+                "wall_s": 0.5}
 
     def test_rejects_profileless_documents(self):
-        with pytest.raises(ReproError, match="no profile"):
-            extract_profile({"schema": "repro.run_report/1"})
-        with pytest.raises(ReproError, match="not a profile-bearing"):
-            extract_profile({"schema": "repro.bench/1"})
+        with pytest.raises(AnalysisInputError, match="not a run document"):
+            load_run({"schema": "repro.bench/1"})
+        with pytest.raises(AnalysisInputError, match="not a run document"):
+            load_run({"traceEvents": []})
+        # a /1 report written before reports nested a profile: its timers
+        # are its phase rows
+        up = load_run({"schema": "repro.run_report/1",
+                       "meta": {"nsteps_run": 2},
+                       "timers": {"solve": {"total": 0.4, "count": 2,
+                                            "min": 0.1, "max": 0.3,
+                                            "mean": 0.2, "p50": 0.2,
+                                            "p95": 0.29}},
+                       "phases": {"solve": 1.0}})
+        ((row,),) = [e["rows"] for e in up["ranks"]]
+        assert row["name"] == "solve" and row["kind"] == "phase"
+        assert row["self_s"] == 0.4 and row["measured_s_per_step"] == 0.2
+        assert row["p95_s"] == 0.29 and row["drift"] is None
+        assert "drift" not in up

@@ -1,4 +1,4 @@
-"""The persistent cross-run registry (``repro.runs/1``)."""
+"""The persistent cross-run registry: run documents with a stamp."""
 
 import json
 
@@ -8,13 +8,13 @@ from repro.obs.registry import (
     DEFAULT_ROOT,
     RegistryError,
     RunRegistry,
-    SCHEMA,
     HISTORY_REGRESSION,
     configure_registry,
     get_registry,
     history_flags,
     registry_scope,
 )
+from repro.obs.report import SCHEMA, load_run
 
 
 @pytest.fixture
@@ -22,50 +22,59 @@ def registry(tmp_path):
     return RunRegistry(tmp_path / "runs")
 
 
+def _doc(key: str, **fields) -> dict:
+    """A minimal ``repro.run/2`` document of the problem ``key``."""
+    return {"schema": SCHEMA, "meta": {"problem_key": key}, "ranks": [],
+            "drift": {}, "phases": {}, **fields}
+
+
 class TestAppend:
     def test_round_trip(self, registry):
-        path = registry.append("abcd1234", profile={"x": 1},
-                               meta={"wall_s": 0.5})
+        path = registry.append(_doc("abcd1234", phases={"x": 1.0}),
+                               wall_s=0.5)
         doc = registry.load(path)
         assert doc["schema"] == SCHEMA
-        assert doc["key"] == "abcd1234"
-        assert doc["seq"] == 1
-        assert doc["meta"]["wall_s"] == 0.5
-        assert doc["profile"] == {"x": 1}
-        assert "report" not in doc and "bench" not in doc
+        assert doc["recorded"]["key"] == "abcd1234"
+        assert doc["recorded"]["seq"] == 1
+        assert doc["recorded"]["wall_s"] == 0.5
+        assert doc["phases"] == {"x": 1.0}
+        # the document plus one stamp: nothing nested, nothing twice
+        assert set(doc) == set(_doc("k")) | {"recorded"}
 
     def test_sharded_layout_mirrors_the_cache(self, registry):
-        path = registry.append("abcd1234", report={})
+        path = registry.append(_doc("abcd1234"))
         assert path.parent == registry.root / "ab" / "abcd1234"
         assert path.name == "run-000001.json"
 
     def test_sequence_increments(self, registry):
-        registry.append("abcd", report={})
-        path = registry.append("abcd", report={})
-        assert registry.load(path)["seq"] == 2
+        registry.append(_doc("abcd"))
+        path = registry.append(_doc("abcd"))
+        assert registry.load(path)["recorded"]["seq"] == 2
         assert [p.name for p in registry.runs("abcd")] == [
             "run-000001.json", "run-000002.json"
         ]
 
     def test_empty_entry_refused(self, registry):
-        with pytest.raises(RegistryError, match="empty"):
-            registry.append("abcd")
+        with pytest.raises(RegistryError, match="invalid registry key"):
+            registry.append(_doc(None))
+        with pytest.raises(RegistryError, match="only repro.run/2"):
+            registry.append({"schema": "repro.runs/1", "key": "abcd"})
 
     def test_bad_keys_refused(self, registry):
         for key in ("", "a/b", "a\\b"):
             with pytest.raises(RegistryError, match="invalid"):
-                registry.append(key, report={})
+                registry.append(_doc(key))
 
     def test_non_finite_floats_sanitised(self, registry):
-        path = registry.append("abcd", profile={"v": float("inf")})
-        assert registry.load(path)["profile"]["v"] is None
+        path = registry.append(_doc("abcd", phases={"v": float("inf")}))
+        assert registry.load(path)["phases"]["v"] is None
 
 
 class TestReads:
     def test_keys_lists_populated_dirs(self, registry):
         assert registry.keys() == []
-        registry.append("aa11", report={})
-        registry.append("bb22", report={})
+        registry.append(_doc("aa11"))
+        registry.append(_doc("bb22"))
         assert registry.keys() == ["aa11", "bb22"]
 
     def test_load_rejects_wrong_schema(self, registry, tmp_path):
@@ -73,20 +82,24 @@ class TestReads:
         bogus.write_text(json.dumps({"schema": "repro.bench/1"}))
         with pytest.raises(RegistryError, match="not a run-registry"):
             registry.load(bogus)
+        # a run document without the registry's stamp is no entry either
+        bogus.write_text(json.dumps(_doc("aa11")))
+        with pytest.raises(RegistryError, match="not a run-registry"):
+            registry.load(bogus)
 
     def test_corrupt_entries_skipped_with_warning(self, registry, caplog):
-        registry.append("aa11", report={"ok": 1})
+        registry.append(_doc("aa11", phases={"ok": 1.0}))
         (registry.root / "aa" / "aa11" / "run-000002.json").write_text("{oops")
         with caplog.at_level("WARNING", logger="repro.obs.registry"):
             docs = registry.load_runs("aa11")
         assert len(docs) == 1
-        assert docs[0]["report"] == {"ok": 1}
+        assert docs[0]["phases"] == {"ok": 1.0}
         assert any("skipping" in r.message for r in caplog.records)
 
     def test_iter_entries_spans_keys(self, registry):
-        registry.append("aa11", report={})
-        registry.append("bb22", report={})
-        registry.append("bb22", report={})
+        registry.append(_doc("aa11"))
+        registry.append(_doc("bb22"))
+        registry.append(_doc("bb22"))
         entries = list(registry.iter_entries())
         assert [k for k, _ in entries] == ["aa11", "bb22", "bb22"]
 
@@ -94,7 +107,7 @@ class TestReads:
 class TestGC:
     def test_keep_last_prunes_oldest(self, registry):
         for _ in range(5):
-            registry.append("aa11", report={})
+            registry.append(_doc("aa11"))
         removed = registry.gc(keep_last=2)
         assert removed == 3
         assert [p.name for p in registry.runs("aa11")] == [
@@ -102,17 +115,17 @@ class TestGC:
         ]
 
     def test_keep_zero_drops_everything_and_empty_dirs(self, registry):
-        registry.append("aa11", report={})
+        registry.append(_doc("aa11"))
         assert registry.gc(keep_last=0) == 1
         assert registry.keys() == []
         assert not (registry.root / "aa").exists()
 
     def test_max_age_days_prunes_stale_kept_entries(self, registry):
-        path = registry.append("aa11", report={})
+        path = registry.append(_doc("aa11"))
         doc = registry.load(path)
-        doc["recorded_at"] = "2000-01-01T00:00:00"
+        doc["recorded"]["at"] = "2000-01-01T00:00:00"
         path.write_text(json.dumps(doc))
-        registry.append("aa11", report={})
+        registry.append(_doc("aa11"))
         removed = registry.gc(keep_last=10, max_age_days=365.0)
         assert removed == 1
         assert len(registry.runs("aa11")) == 1
@@ -140,13 +153,14 @@ class TestProcessWide:
 
 
 def _entry(wall_s=None, drift_exceeded=False, health=None):
-    entry = {"schema": SCHEMA, "meta": {}, "profile": {
+    """A ``repro.runs/1`` entry, as :meth:`RunRegistry.load` reads it."""
+    entry = {"schema": "repro.runs/1", "meta": {}, "profile": {
         "drift": {"exceeded": drift_exceeded}}}
     if wall_s is not None:
         entry["meta"]["wall_s"] = wall_s
     if health is not None:  # written while the anomaly monitor existed
         entry["report"] = {"health": {"status": health}}
-    return entry
+    return load_run(entry)
 
 
 class TestHistoryFlags:
@@ -166,10 +180,15 @@ class TestHistoryFlags:
         from repro.cli import main
 
         runs = RunRegistry(tmp_path / "runs")
-        runs.append("ab" * 32, report={"health": {"status": "error"}},
-                    profile={"meta": {"problem": "bte-hotspot"},
-                             "drift": {"max_abs": 0.1, "exceeded": False}},
-                    meta={"wall_s": 0.5, "target": "cpu"})
+        path = runs.root / "ab" / ("ab" * 32) / "run-000001.json"
+        path.parent.mkdir(parents=True)
+        path.write_text(json.dumps({
+            "schema": "repro.runs/1", "key": "ab" * 32, "seq": 1,
+            "recorded_at": "2026-10-17T00:00:00",
+            "meta": {"wall_s": 0.5, "target": "cpu"},
+            "report": {"health": {"status": "error"}},
+            "profile": {"meta": {"problem": "bte-hotspot"},
+                        "drift": {"max_abs": 0.1, "exceeded": False}}}))
         try:
             assert main(["history", "--runs-dir", str(runs.root)]) == 0
         finally:
@@ -192,9 +211,11 @@ class TestHistoryFlags:
                    "ranks": [{"rank": 0, "kernels": [
                        {"name": "solve", "kind": "phase", "self_s": 0.002}]}],
                    "drift": {"max_abs": 0.1, "exceeded": False}}
-        path = runs.append("cd" * 32, profile=profile,
-                           meta={"wall_s": 0.5, "target": "cpu"})
-        doc = json.loads(path.read_text())
+        path = runs.root / "cd" / ("cd" * 32) / "run-000001.json"
+        path.parent.mkdir(parents=True)
+        doc = {"schema": "repro.runs/1", "key": "cd" * 32, "seq": 1,
+               "recorded_at": "2026-10-17T00:00:00",
+               "meta": {"wall_s": 0.5, "target": "cpu"}, "profile": profile}
         doc["bench"] = {"schema": "repro.bench/1", "name": "bte-suite@2026-10-15",
                         "meta": {"nx": 16, "steps": 5},
                         "timings": {"gpu_hybrid_virtual_s": 0.04943255999999999}}

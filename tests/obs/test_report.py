@@ -1,7 +1,8 @@
-"""The aggregated RunReport document."""
+"""The run document (``repro.run/2``) and its writer."""
 
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -10,7 +11,6 @@ from repro.codegen.placement.optimizer import optimize_placement
 from repro.gpu.spec import A6000
 from repro.obs import SCHEMA, RunReport, Tracer, placement_accuracy
 from repro.obs.report import _json_safe
-from repro.util.timing import TimerRegistry
 
 
 class TestJsonSafe:
@@ -22,16 +22,19 @@ class TestJsonSafe:
 
 class TestRunReport:
     def test_minimal_document(self):
-        rep = RunReport(meta={"problem": "p"}, timers={}, phases={})
+        rep = RunReport(meta={"problem": "p"}, phases={})
         doc = rep.to_dict()
-        assert doc["schema"] == SCHEMA
+        assert doc["schema"] == SCHEMA == "repro.run/2"
         assert "comm" not in doc and "gpu" not in doc  # absent sections omitted
+        assert list(doc) == ["schema", "meta", "ranks", "drift", "phases"]
 
     def test_write_round_trips(self, tmp_path):
-        rep = RunReport(meta={"x": 1}, timers={"solve": {"min": 0.0}})
+        rows = [{"name": "solve", "kind": "phase", "min_s": 0.0}]
+        rep = RunReport(meta={"x": 1}, ranks=[{"rank": 0, "rows": rows}])
         path = rep.write(tmp_path / "report.json")
         doc = json.loads(path.read_text())
         assert doc["meta"] == {"x": 1}
+        assert doc["ranks"][0]["rows"] == rows
 
     def test_document_is_json_safe(self):
         rep = RunReport(meta={"bad": float("inf")})
@@ -49,10 +52,9 @@ class TestPlacementAccuracy:
     def test_predicted_vs_measured(self):
         plan = self._plan()
         assert plan.device["interior"] == "gpu"
-        timers = TimerRegistry()
-        timers.record("solve", 0.04)
+        # measured: the phase row's seconds per step (0.04 s over 4 steps)
         section = placement_accuracy(
-            plan, timers, nsteps=4, task_timer_map={"interior": "solve"}
+            plan, {"solve": 0.04 / 4}, task_timer_map={"interior": "solve"}
         )
         entry = next(t for t in section["tasks"] if t["task"] == "interior")
         assert entry["device"] == "gpu"
@@ -62,13 +64,13 @@ class TestPlacementAccuracy:
 
     def test_unmeasured_task_has_none(self):
         plan = self._plan()
-        section = placement_accuracy(plan, TimerRegistry(), nsteps=4)
+        section = placement_accuracy(plan, {})
         for entry in section["tasks"]:
             assert entry["measured_s_per_step"] is None
 
     def test_pinned_cpu_task_never_reports_inf(self):
         plan = self._plan()
-        section = placement_accuracy(plan, TimerRegistry(), nsteps=1)
+        section = placement_accuracy(plan, {})
         entry = next(t for t in section["tasks"] if t["task"] == "callbacks")
         # cost_gpu defaults to inf but the CPU assignment reads cost_cpu
         assert entry["predicted_s_per_step"] == pytest.approx(0.02)
@@ -92,7 +94,10 @@ class TestBuildRunReport:
         assert doc["schema"] == SCHEMA
         assert doc["meta"]["target"] == "cpu"
         assert doc["meta"]["nsteps_run"] == solver.state.step_index
-        assert "solve" in doc["timers"]
+        (rank,) = doc["ranks"]
+        assert "solve" in {row["name"] for row in rank["rows"]}
+        assert "timers" not in doc and "tuning" not in doc
+        assert doc["phases"] == pytest.approx(solver.breakdown())
         # never-recorded timers stay JSON-safe
         json.dumps(doc)
         assert "gpu" not in doc and "comm" not in doc
@@ -126,19 +131,21 @@ class TestProfileSection:
         problem.extra["gpu_force_offload"] = True
         return problem.solve()
 
-    def test_report_embeds_nested_profile(self, gpu_solver):
+    def test_report_carries_per_rank_rows(self, gpu_solver):
         doc = gpu_solver.run_report().to_dict()
-        assert doc["profile"]["schema"] == "repro.profile/1"
-        assert doc["profile"]["meta"]["target"] == "gpu"
-        assert doc["profile"]["ranks"]
+        assert "profile" not in doc  # the rows are the document's own
+        assert doc["meta"]["target"] == "gpu"
+        (rank,) = doc["ranks"]
+        assert rank["rows"] and rank["transfers"]["count"] > 0
         json.dumps(doc)
 
     def test_device_section_has_roofline_rows(self, gpu_solver):
         doc = gpu_solver.run_report().to_dict()
         (device,) = doc["gpu"]["devices"]
-        # legacy aggregate dict stays for old consumers
-        assert "I_interior_step" in device["kernels"]
-        (row,) = device["kernel_rows"]
+        # the device section holds device facts; its kernels are rows
+        assert set(device) == {"name", "spec", "allocated_bytes",
+                               "stream_busy_s", "transfer_busy_s"}
+        (row,) = [r for r in doc["ranks"][0]["rows"] if r["kind"] == "kernel"]
         assert row["name"] == "I_interior_step"
         for key in ("intensity_flop_per_byte", "ridge_flop_per_byte",
                     "bound", "flop_fraction_of_peak", "sm_utilization"):
@@ -155,18 +162,18 @@ class TestProfileSection:
         problem.extra["gpu_force_offload"] = True
         problem.set_partitioning("bands", 2, index="b")
         doc = problem.solve().run_report().to_dict()
-        assert len(doc["gpu"]["rank_kernels"]) == 2
-        for rows in doc["gpu"]["rank_kernels"]:
-            assert any(r["name"] == "I_interior_step" for r in rows)
+        assert len(doc["ranks"]) == 2
+        for entry in doc["ranks"]:
+            assert any(r["name"] == "I_interior_step" for r in entry["rows"])
+        assert doc["gpu"] == {"devices": [
+            {"rank": r, "spec": "NVIDIA RTX A6000"} for r in (0, 1)]}
 
 
 class TestOldFormatCompat:
     """``repro.run_report/1`` documents written before the profile/health
     sections existed must keep loading everywhere (analyze, CLI)."""
 
-    from pathlib import Path as _Path
-
-    FIXTURE = _Path(__file__).parent / "data" / "golden_report.json"
+    FIXTURE = Path(__file__).parent / "data" / "golden_report.json"
 
     def test_fixture_predates_new_sections(self):
         doc = json.loads(self.FIXTURE.read_text())
@@ -210,8 +217,11 @@ class TestRetiredSections:
         return problem.solve().run_report().to_dict()
 
     @pytest.fixture
-    def stale_path(self, report_doc, tmp_path):
-        doc = json.loads(json.dumps(report_doc))
+    def stale_path(self, tmp_path):
+        # a repro.run_report/1 document: the report of the committed /1
+        # registry entry
+        entry = Path(__file__).parent / "data" / "golden_entry_v1.json"
+        doc = json.loads(entry.read_text())["report"]
         doc["health"] = {"status": "warning", "checked_at": 0.0,
                          "alerts": [{"kind": "step_time_spike",
                                      "severity": "warning", "message": "",
@@ -230,8 +240,8 @@ class TestRetiredSections:
 
     def test_new_report_writes_none_of_them(self, report_doc):
         assert "health" not in report_doc
-        assert set(report_doc.get("tuning", {})) <= {"cache"}
-        assert "calibration" not in report_doc["profile"]["drift"]
+        assert "tuning" not in report_doc
+        assert set(report_doc["drift"]) == {"tolerance", "max_abs", "exceeded"}
 
     def test_analyze_and_compare_read_a_stale_report(self, stale_path, capsys):
         from repro.cli import main
@@ -242,10 +252,15 @@ class TestRetiredSections:
         assert "top culprit: none" in capsys.readouterr().out
 
     def test_stale_profile_document_loads(self, stale_path, tmp_path):
-        from repro.obs.profile import (extract_profile, load_profile,
-                                       profile_table, write_profile)
+        from repro.obs import load_run
+        from repro.obs.profile import profile_table
 
-        profile = extract_profile(json.loads(stale_path.read_text()))
-        loaded = load_profile(write_profile(profile, tmp_path / "p.json"))
-        assert loaded["drift"]["calibration"]["factor"] == 3.0
-        assert "perfmodel drift" in profile_table(loaded)
+        stale = json.loads(stale_path.read_text())
+        for doc in (stale, stale["profile"]):
+            loaded = load_run(doc)
+            # the retired sections are dropped by the upgrade
+            assert not {"health", "tuning", "profile"} & set(loaded)
+            assert loaded["meta"]["generation"] == stale["tuning"]["cache"]
+            assert loaded["drift"] == {"tolerance": 0.5, "max_abs": 2.740890619496895,
+                                       "exceeded": True}
+            assert "perfmodel drift" in profile_table(loaded)

@@ -87,8 +87,10 @@ class TestHybridTrace:
         _, _, report, _ = hybrid_run
         doc = report.to_dict()
         devices = doc["gpu"]["devices"]
-        assert devices and devices[0]["kernels"]
-        assert doc["gpu"]["devices"][0]["transfers"]["h2d"]["count"] > 0
+        assert devices and devices[0]["stream_busy_s"]
+        (rank,) = doc["ranks"]
+        assert [r for r in rank["rows"] if r["kind"] == "kernel"]
+        assert rank["transfers"]["h2d"]["count"] > 0
 
 
 class TestDistributedTrace:

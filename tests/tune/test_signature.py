@@ -73,7 +73,7 @@ class TestCallbackVersion:
 
     @staticmethod
     def keys(callback):
-        from repro.obs.profile import problem_key
+        from repro.obs.report import problem_key
 
         problem = make_problem()
         spec = next(b for b in problem.boundaries if b.python_callback is not None)

@@ -60,12 +60,13 @@ def test_warm_disk_solve_skips_codegen(tmp_path):
     assert fresh.stats.builds == 0
 
 
-def test_run_report_tuning_section_records_cache_outcome():
+def test_run_report_generation_records_cache_outcome():
     with cache_scope():
         make_problem().generate()
         solver = make_problem().generate()
         solver.run()
     report = solver.run_report()
-    assert report.tuning is not None
-    assert report.tuning["cache"]["cache"] == "hit"
-    assert report.to_dict()["tuning"]["cache"]["target"] == "cpu"
+    assert report.meta["generation"]["cache"] == "hit"
+    doc = report.to_dict()
+    assert doc["meta"]["generation"]["target"] == "cpu"
+    assert "tuning" not in doc

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.util.timing import Timer, TimerRegistry, VirtualClock, WallClock
+from repro.util.timing import Timer, TimerRegistry, VirtualClock, WallClock, phase_shares
 
 
 class TestVirtualClock:
@@ -46,12 +46,17 @@ class TestTimerRegistry:
         reg = TimerRegistry(clock=VirtualClock())
         reg.record("a", 3.0)
         reg.record("b", 1.0)
-        fr = reg.fractions()
+        fr = phase_shares([reg])
         assert fr["a"] == pytest.approx(0.75)
         assert sum(fr.values()) == pytest.approx(1.0)
+        # an SPMD run's registries, one per rank, sum before they share
+        other = TimerRegistry(clock=VirtualClock())
+        other.record("b", 4.0)
+        assert phase_shares([reg, other]) == {"a": 0.375, "b": 0.625}
 
     def test_fractions_empty(self):
-        assert TimerRegistry().fractions() == {}
+        assert phase_shares([TimerRegistry()]) == {}
+        assert phase_shares([]) == {}
 
     def test_total_of_unknown_timer_is_zero(self):
         assert TimerRegistry().total("nothing") == 0.0
@@ -96,12 +101,3 @@ class TestTimerRegistry:
         assert d["min"] == 0.0  # not inf: the timer never fired
         assert d["count"] == 0
         json.dumps(d)
-
-    def test_registry_as_dict_sorted(self):
-        reg = TimerRegistry()
-        reg.record("b", 1.0)
-        reg.record("a", 2.0)
-        d = reg.as_dict()
-        assert list(d) == ["a", "b"]
-        assert d["a"]["total"] == pytest.approx(2.0)
-        assert d["a"]["min"] == pytest.approx(2.0)
