@@ -599,8 +599,8 @@ def cmd_events(args: argparse.Namespace) -> int:
 
     try:
         events = read_events(args.file)
-    except (OSError, ValueError) as exc:
-        _warn(f"error: {exc}")
+    except (OSError, ValueError) as exc:  # RPR404: a file of another shape
+        _warn(_render_error(exc) if isinstance(exc, ReproError) else f"error: {exc}")
         return 2
     total = len(events)
     if args.level:

@@ -23,8 +23,9 @@ row but store only the mesh columns they own, so stale entries are never
 unowned outputs are discarded).
 
 Note: a distributed run always starts from the declared initial conditions
-(each rank builds its state from the problem), so ``run_steps`` describes a
-whole run, not an increment on the master state.
+or the cut ``restore_from`` names (each rank builds its state from the
+problem), so ``run_steps`` describes a whole run, not an increment on the
+master state.
 """
 
 from __future__ import annotations
@@ -165,10 +166,10 @@ def bind_spmd(target: CodegenTarget, problem: "Problem", artifact, master, *,
     """
     cells = problem.config.partition_strategy == "cells"
     if cells:
-        axis, current = "cells", artifact.attrs["layout"]
+        current = artifact.attrs["layout"]
         repartition = partial(_cell_layout, problem)
     else:
-        axis, current = "comps", _split_components(problem, problem.config.nparts)
+        current = _split_components(problem, problem.config.nparts)
         repartition = partial(_split_components, problem)
     tables = _partition_tables(problem)
     extra = problem.extra
@@ -193,10 +194,9 @@ def bind_spmd(target: CodegenTarget, problem: "Problem", artifact, master, *,
                 check_every=int(extra.get("rebalance_check_every", 4)),
                 max_rebalances=int(extra.get("max_rebalances", 1)),
             ),
-            nranks=problem.config.nparts, axis=axis, repartition=repartition,
+            nranks=problem.config.nparts, repartition=repartition,
             install=install, owned_of=owned_of, current=current, network=network,
-            state_bytes=problem.unknown.space.ncomp * problem.mesh.ncells * 8,
-            workdir=extra.get("checkpoint_dir"),
+            state=master,
         )
 
     def make_rank_state(rank: int) -> SolverState:

@@ -10,7 +10,6 @@ temperature array there).
 
 from __future__ import annotations
 
-import json
 import weakref
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
@@ -26,13 +25,9 @@ from repro.fvm.boundary import (
 from repro.fvm.fields import CellField
 from repro.fvm.geometry import FVGeometry
 from repro.obs import phase_span
-from repro.runtime.resilience import (
-    CHECKPOINT_SCHEMA, atomic_save_npz, check_restorable, check_schema, checkpoint_path)
 from repro.symbolic.expr import Call, Indexed, Num, Sym
-from repro.tune.signature import problem_identity
 from repro.util.context import current
 from repro.util.errors import (
-    CheckpointCorruptError,
     CodegenError,
     ConfigError,
     DeviceOOMError,
@@ -97,11 +92,12 @@ class SolverState:
         # configured through problem.extra so distributed rank states
         # (rebuilt per run) inherit them without target-specific plumbing
         self.checkpoint_every = int(self.extra.get("checkpoint_every", 0) or 0)
-        self.checkpoint_dir = self.extra.get("checkpoint_dir")
-        # concurrent solves sharing one --checkpoint-dir would clobber each
-        # other's ckpt_step*.npz (names carry only step + rank).  A namespace
+        # the one place the directory is resolved (the elastic runner reads
+        # it): concurrent solves sharing one --checkpoint-dir would clobber
+        # each other's snapshots (names carry only step + rank).  A namespace
         # isolates them: a subdirectory named verbatim (the solver service
         # passes its job key).
+        self.checkpoint_dir = self.extra.get("checkpoint_dir")
         namespace = self.extra.get("checkpoint_namespace")
         if namespace:
             self.checkpoint_dir = str(
@@ -523,135 +519,23 @@ class SolverState:
             for blk in self.comp_blocks
         ]
 
-    # ------------------------------------------------------------ checkpoints
+    # ----------------------------------- checkpoints (repro.runtime.checkpoint)
     def save_checkpoint(self, path) -> None:
-        """Write a restartable ``repro.checkpoint/1`` snapshot as NPZ.
-
-        The payload is the step index, the virtual time, every field array,
-        the BTE temperature if present, plus injector RNG/trigger state and
-        the rank's virtual-clock reading when those exist.  Restoring with
-        :meth:`restore_checkpoint` onto a solver built from the same problem
-        resumes the run bit-exactly (tested).
-        """
-        self.claim_unknown()
-        payload: dict[str, Any] = {
-            "__schema": np.array(CHECKPOINT_SCHEMA),
-            "__problem": np.array(problem_identity(self.problem)),
-            "__time": np.array(self.time),
-            "__step_index": np.array(self.step_index),
-        }
-        for name, fld in self.fields.items():
-            payload[f"field_{name}"] = fld.data
-        T = self.extra.get("T")
-        if T is not None:
-            payload["__T"] = np.asarray(T)
-        injector = current().injector
-        if injector.enabled:
-            payload["__rng"] = np.array(injector.state_json())
-        if self.comm is not None:
-            payload["__clock"] = np.array(self.comm.clock.now())
-        # atomic: a concurrent reader (elastic migration composing a
-        # consistent cut) must never see a truncated archive
-        atomic_save_npz(path, **payload)
+        """Write a ``repro.checkpoint/1`` snapshot of this state to ``path``."""
+        _checkpoint().save(self, path)
 
     def restore_checkpoint(self, path) -> None:
-        """Load a snapshot written by :meth:`save_checkpoint`.
-
-        Every member is read and checked (:func:`check_restorable`) before any
-        is assigned: a checkpoint that fails leaves the state as it was.
-        """
-        import zipfile
-
-        path = self._resolve_restore(path)
-        try:
-            handle = np.load(path)
-        except FileNotFoundError:
-            raise ConfigError(f"checkpoint {path} does not exist") from None
-        except (zipfile.BadZipFile, EOFError) as exc:
-            raise CheckpointCorruptError(
-                f"checkpoint {path} is corrupt or truncated: {exc}"
-            ) from exc
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"cannot read checkpoint {path}: {exc}") from exc
-
-        with handle as data:
-            def member(key: str, convert=np.asarray):
-                # np.load reads a member only when it is indexed: a flipped
-                # byte (CRC), an object dtype or a missing key shows up here
-                try:
-                    return convert(data[key])
-                except KeyError:
-                    raise CheckpointCorruptError(
-                        f"checkpoint {path} lacks member {key!r}") from None
-                except (zipfile.BadZipFile, EOFError, OSError, TypeError,
-                        ValueError) as exc:
-                    raise CheckpointCorruptError(
-                        f"checkpoint {path}: member {key!r} is corrupt: {exc}"
-                    ) from exc
-
-            if "__schema" in data:  # (first: another schema may name its members otherwise)
-                check_schema(path, member("__schema", str))
-            fields = {}
-            for name, fld in self.fields.items():
-                key = f"field_{name}"
-                if key not in data:
-                    raise ConfigError(f"checkpoint lacks field {name!r}")
-                fields[name] = member(key)
-                if fields[name].shape != fld.data.shape:
-                    raise ConfigError(
-                        f"checkpoint field {name!r} has shape "
-                        f"{fields[name].shape}, expected {fld.data.shape} "
-                        f"(different problem?)"
-                    )
-            stamp = member("__problem", str) if "__problem" in data else None
-            time = member("__time", float)
-            step_index = member("__step_index", int)
-            T = member("__T") if "__T" in data else None
-            check_restorable(path, stamp, self.problem, fields, T, time)
-            rng = (member("__rng", lambda a: json.loads(str(a)))
-                   if "__rng" in data else None)
-            clock = member("__clock", float) if "__clock" in data else None
-
-        self.claim_unknown()
-        for name, value in fields.items():
-            self.fields[name].data[...] = value
-        self.time = time
-        self.step_index = step_index
-        if T is not None:
-            self.extra["T"] = T
-        injector = current().injector
-        if rng is not None and injector.enabled:
-            injector.load_state(rng)
-        if clock is not None and self.comm is not None:
-            self.comm.clock.advance_to(clock)
-
-    def _resolve_restore(self, path):
-        """Prefer this rank's per-rank checkpoint when one sits next to ``path``."""
-        p = Path(path)
-        if self.comm is not None:
-            candidate = p.with_name(f"{p.stem}_rank{self.comm.rank}{p.suffix}")
-            if candidate.exists():
-                return candidate
-        return p
+        """Restore the cut ``path`` names — one snapshot file, or the rank
+        files of one step — checked in full before anything is applied: a
+        refused one leaves the state as it was."""
+        _checkpoint().restore(self, path)
 
     def maybe_checkpoint(self) -> None:
-        """Periodic checkpoint hook, called by every generated run loop.
-
-        No-op unless the problem asked for ``checkpoint_every``; writes
-        ``<dir>/ckpt_stepNNNNNN[_rankR].npz`` whenever the step index hits
-        the period.  Rank states write per-rank files so a distributed run
-        restarts from a consistent cut.
-        """
-        if self.checkpoint_every <= 0 or self.step_index == 0:
-            return
-        if self.step_index % self.checkpoint_every:
-            return
-        directory = Path(self.checkpoint_dir or ".")
-        directory.mkdir(parents=True, exist_ok=True)
-        rank = self.comm.rank if self.comm is not None else None
-        path = checkpoint_path(directory, self.step_index, rank=rank)
-        self.save_checkpoint(path)
-        current().resilience.record_checkpoint(path)
+        """Periodic checkpoint hook, called by every generated run loop: a
+        no-op unless the problem asked for ``checkpoint_every``, then a
+        snapshot (a rank's own, on a rank) every that many steps."""
+        if self.checkpoint_every > 0:
+            _checkpoint().periodic(self)
 
     def maybe_rebalance(self) -> None:
         """Elastic-runtime hook, called by every generated run loop next to
@@ -678,6 +562,13 @@ class SolverState:
             f"SolverState(problem={self.problem.name!r}, step={self.step_index}/"
             f"{self.nsteps}, time={self.time:.3e})"
         )
+
+
+def _checkpoint():
+    """The snapshot module, imported on first use: a plain solve never loads it."""
+    from repro.runtime import checkpoint
+
+    return checkpoint
 
 
 class _Nested:

@@ -37,6 +37,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, TextIO
 
+from repro.util.errors import AnalysisInputError
+
 SCHEMA = "repro.events/1"
 
 #: Numeric severity ordering (matches stdlib logging / 10).
@@ -217,29 +219,37 @@ def events_run(path: str | Path | None = None, *, level: str = "info",
         log.close()
 
 
+#: the type of each key a reader of the log formats, where an event has it
+_EVENT_KEYS = {"ts": (int, float), "name": str, "level": str, "fields": dict}
+
+
 def read_events(path: str | Path) -> list[dict[str, Any]]:
     """Parse a ``repro.events/1`` JSONL file back into event dicts.
 
-    Validates the header record; tolerates a truncated (crashed) last line.
+    Refuses a file whose header or events have another shape (RPR404);
+    tolerates a truncated (crashed) last line.
     """
     lines = Path(path).read_text().splitlines()
-    if not lines:
-        raise ValueError(f"{path}: empty event log")
-    header = json.loads(lines[0])
-    schema = header.get("schema", "")
+    try:
+        header = json.loads(lines[0]) if lines else {}
+    except json.JSONDecodeError:
+        header = {}
+    schema = header.get("schema", "") if isinstance(header, dict) else None
     if not str(schema).startswith("repro.events/"):
-        raise ValueError(
-            f"{path}: not an event log (schema={schema!r})"
-        )
+        raise AnalysisInputError(f"{path}: not an event log (schema={schema!r})")
     events = []
-    for line in lines[1:]:
-        line = line.strip()
-        if not line:
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
             continue
         try:
-            events.append(json.loads(line))
+            event = json.loads(line)
         except json.JSONDecodeError:
             break  # truncated tail of a crashed writer
+        if not isinstance(event, dict) or any(
+                key in event and not isinstance(event[key], kind)
+                for key, kind in _EVENT_KEYS.items()):
+            raise AnalysisInputError(f"{path}:{lineno}: not an event: {line.strip()[:80]}")
+        events.append(event)
     return events
 
 

@@ -18,10 +18,10 @@ energies — while the strong-scaling numbers come from the cost model
   returns each rank's results and virtual timings;
 * :class:`~repro.runtime.halo.HaloExchanger` — neighbour exchange built from
   a :class:`~repro.mesh.partition.PartitionLayout`;
-* :mod:`~repro.runtime.faults` / :mod:`~repro.runtime.resilience` — seeded
-  fault injection (message drop/delay/dup, rank stalls, device OOM/kernel
-  faults) and the recovery machinery (retry policy, resilience log,
-  ``repro.checkpoint/1`` schema).
+* :mod:`~repro.runtime.faults` / :mod:`~repro.runtime.resilience` /
+  :mod:`~repro.runtime.checkpoint` — seeded fault injection (message
+  drop/delay/dup, rank stalls, device OOM/kernel faults), the recovery
+  machinery (retry policy, resilience log) and ``repro.checkpoint/1``.
 """
 
 from repro.util.lazy import lazy_exports
@@ -32,5 +32,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "executor": ("run_spmd", "SPMDResult"),
     "faults": ("FaultInjector", "FaultRule", "fault_run", "parse_fault_spec"),
     "halo": ("HaloExchanger",),
-    "resilience": ("CHECKPOINT_SCHEMA", "RetryPolicy", "checkpoint_path"),
+    "resilience": ("RetryPolicy",),
+    "checkpoint": ("CHECKPOINT_SCHEMA", "checkpoint_path"),
 })

@@ -14,13 +14,13 @@ state via checkpoints, repartitions live"):
 * **Rank-loss recovery** — when a segment dies with a
   :class:`~repro.util.errors.RankKilledError` (injected ``rank_kill``) or
   :class:`~repro.util.errors.HeartbeatError` root cause,
-  :class:`ElasticRunner` finds the last *consistent cut*: the newest step
-  for which every rank of the writing epoch left a ``repro.checkpoint/1``
-  file.  It composes the global state from those per-rank files (each rank
-  contributed its owned cells/bands), recomputes the partition over the
-  surviving rank count via :mod:`repro.mesh.partition`, rebinds the
-  generated module's partition tables (send/recv halo maps, per-rank cost
-  vectors), and reruns the remaining steps.  Because the per-cell /
+  :class:`ElasticRunner` resumes from the last *consistent cut*: the
+  newest step every rank of this run that wrote it left its file of (the
+  runner records the files its ranks write, and reads no other), composed
+  by :mod:`repro.runtime.checkpoint`.  It repartitions over the surviving
+  rank count via :mod:`repro.mesh.partition`, rebinds the generated
+  module's partition tables (send/recv halo maps, per-rank cost vectors),
+  and reruns the remaining steps.  Because the per-cell /
   per-band arithmetic is partition-independent (halo/ghost values are
   re-exchanged before every step), the recovered run is bit-identical to
   an uninterrupted one.
@@ -50,24 +50,17 @@ import tempfile
 import threading
 import time
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 from typing import Any
 
-import numpy as np
-
-from repro.runtime.resilience import checkpoint_path
+from repro.runtime import checkpoint
 from repro.util.context import current
 from repro.util.errors import (
-    CheckpointCorruptError,
     HeartbeatError,
     MigrationError,
     RankKilledError,
     ReproError,
 )
-
-#: Internal tag for arrays in composed resume payloads.
-_FIELD_PREFIX = "field_"
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +290,7 @@ class _RankMonitor:
         step = state.step_index
         if step == 0 or step % pol.check_every or not self._deltas:
             return
-        remaining = ctl.total_steps - step
+        remaining = ctl.end_step - step
         if remaining < pol.min_remaining:
             return
         window = self._deltas[-pol.check_every:]
@@ -319,9 +312,14 @@ class _RankMonitor:
         # migration pays: every rank checkpoints this exact step, then the
         # segment pauses cooperatively (no communication happens between
         # the allgather above and the raise, so all ranks pause together)
-        ctl.workdir.mkdir(parents=True, exist_ok=True)
-        state.save_checkpoint(checkpoint_path(ctl.workdir, step, rank=comm.rank))
+        checkpoint.write(state, reason="migration")
         raise RebalanceInterrupt(step, ratio, list(times), benefit, cost)
+
+    def wrote(self, state, path) -> None:
+        """Note the snapshot this rank wrote of its step (periodic or for a
+        migration): the runner's cuts are made of these files alone."""
+        ctl = self.controller
+        ctl.written.setdefault(state.step_index, [None] * ctl.nranks)[state.comm.rank] = path
 
 
 # ---------------------------------------------------------------------------
@@ -344,35 +342,32 @@ class ElasticRunner:
     ``owned_of(layout)``
         per-rank owned index arrays (cell columns or component rows).
 
-    ``axis`` is ``"cells"`` (compose along columns) or ``"comps"``
-    (compose along rows of the unknown).
+    ``state`` is the solver's master state: the problem and the field
+    shapes the snapshots of a cut are checked against.
     """
 
-    def __init__(self, *, policy: RebalancePolicy, nranks: int, axis: str,
-                 repartition, install, owned_of, current,
-                 network, state_bytes: int,
-                 workdir: str | Path | None = None):
-        if axis not in ("cells", "comps"):
-            raise MigrationError(f"unknown migration axis {axis!r}")
+    def __init__(self, *, policy: RebalancePolicy, nranks: int,
+                 repartition, install, owned_of, current, network, state):
         self.policy = policy
         self.nranks = int(nranks)
-        self.axis = axis
         self.repartition = repartition
         self.install = install
         self.owned_of = owned_of
         self.current = current
         self.network = network
-        self.state_bytes = int(state_bytes)
-        self._own_workdir = workdir is None
-        self.workdir = Path(workdir) if workdir is not None else None
+        self.state = state
+        self.state_bytes = state.host_u.nbytes
         self.namespace: dict[str, Any] | None = None
         # runtime state (reset per run), the log of the last run included
         self.log = RebalanceLog()
         self.total_steps = 0
-        self.start_step = 0
-        self.resume: dict[str, Any] | None = None
+        self.end_step: int | None = None
+        self.resume: checkpoint.Snapshot | None = None
         self.rebalances = 0
-        self._epochs: list[dict[str, Any]] = []
+        #: step -> the file each rank of this run wrote of it (None: not yet)
+        self.written: dict[int, list] = {}
+        #: where ranks write when the problem names no checkpoint directory
+        self.workdir: str | None = None
 
     # ------------------------------------------------------------- wiring
     def attach(self, namespace: dict[str, Any]) -> None:
@@ -382,23 +377,18 @@ class ElasticRunner:
         self.namespace = namespace
 
     def prepare_rank_state(self, st) -> None:
-        """Apply the pending resume payload + install the per-rank monitor.
+        """Apply the pending resume snapshot + install the per-rank monitor.
 
         Called from ``make_rank_state`` for every rank of every segment.
         """
-        # periodic checkpoints must land where the consistent-cut scan
-        # looks; the bound workdir IS the user's checkpoint_dir when set
-        if self.workdir is not None:
-            st.checkpoint_dir = str(self.workdir)
-        res = self.resume
-        if res is not None:
-            st.claim_unknown()  # field writes are a host access
-            for name, arr in res["fields"].items():
-                st.fields[name].data[...] = arr
-            if res.get("T") is not None:
-                st.extra["T"] = np.array(res["T"])
-            st.time = float(res["time"])
-            st.step_index = int(res["step"])
+        if self.end_step is None:  # the first rank state of the run
+            self.end_step = st.step_index + self.total_steps
+        if st.checkpoint_dir is None:  # a private directory, gone with the run
+            if self.workdir is None:
+                self.workdir = tempfile.mkdtemp(prefix="repro-migrate-")
+            st.checkpoint_dir = self.workdir
+        if self.resume is not None:
+            checkpoint.apply(self.resume, st)
         st.rebalance = _RankMonitor(self)
 
     def migration_cost_s(self) -> float:
@@ -415,17 +405,16 @@ class ElasticRunner:
 
         log = self.log = RebalanceLog()
         log.record_policy(self.policy)
-        if self._own_workdir:
-            self.workdir = Path(tempfile.mkdtemp(prefix="repro-migrate-"))
         self.total_steps = int(nsteps)
-        self.start_step = 0
+        self.end_step = None
         self.resume = None
         self.rebalances = 0
-        self._epochs = [self._epoch(0, self.nranks, self.current)]
+        self.written = {}
         recoveries = 0
         try:
             while True:
-                run_nsteps_box[0] = self.total_steps - self.start_step
+                run_nsteps_box[0] = (self.total_steps if self.resume is None
+                                     else self.end_step - self.resume.step)
                 try:
                     result = run_spmd(
                         self.nranks, rank_program, self.network,
@@ -450,7 +439,7 @@ class ElasticRunner:
                 log.set_final(self.nranks, ratio)
                 return result
         finally:
-            if self._own_workdir and self.workdir is not None:
+            if self.workdir is not None:
                 shutil.rmtree(self.workdir, ignore_errors=True)
                 self.workdir = None
 
@@ -462,149 +451,59 @@ class ElasticRunner:
             raise MigrationError(
                 "rank loss with no survivors — nothing to migrate to"
             ) from exc
-        cut = self._consistent_cut()
-        resume = self._compose(cut)
-        new_layout = self.repartition(survivors, None)
-        old_nranks = self.nranks
-        self._install_epoch(cut, survivors, new_layout)
-        self.resume = resume
-        self._note_migration(
-            kind="rank_loss", step=cut, victim=victim,
-            from_nranks=old_nranks, to_nranks=survivors,
-            reason=f"{type(exc).__name__}: {exc}",
-        )
-        current().resilience.record_migration(
-            "rank_loss", step=cut, from_ranks=old_nranks, to_ranks=survivors,
-            victim=victim)
+        cut = self._cut()
+        self._migrate("rank_loss", survivors, None, cut,
+                      step=0 if cut is None else cut.step, victim=victim,
+                      reason=f"{type(exc).__name__}: {exc}")
 
     def _rebalance(self, intr: RebalanceInterrupt) -> None:
         """Proactive migration: repartition by measured per-rank speeds."""
+        cut = self._cut(intr.step)
+        if cut is None:
+            raise MigrationError(
+                f"migration checkpoints missing at step {intr.step}"
+            )
         # weight ∝ measured speed: a rank that takes 3x longer per step
         # gets ~1/3 of the work
         floor = max(min(intr.times) * 1e-6, 1e-30)
         weights = [1.0 / max(t, floor) for t in intr.times]
-        new_layout = self.repartition(self.nranks, weights)
-        self._install_epoch(intr.step, self.nranks, new_layout)
-        self.resume = self._compose(intr.step)
-        if self.resume is None:
-            raise MigrationError(
-                f"migration checkpoints missing at step {intr.step}"
-            )
         self.rebalances += 1
-        self._note_migration(
-            kind="imbalance", step=intr.step, victim=None,
-            from_nranks=self.nranks, to_nranks=self.nranks,
-            imbalance_before=intr.ratio, rank_step_s=intr.times,
-            benefit_s=intr.benefit_s, cost_s=intr.cost_s,
-        )
-        current().resilience.record_migration(
-            "imbalance", step=intr.step, from_ranks=self.nranks,
-            to_ranks=self.nranks, imbalance=intr.ratio)
+        self._migrate("imbalance", self.nranks, weights, cut, step=intr.step, victim=None,
+                      imbalance_before=intr.ratio, rank_step_s=intr.times,
+                      benefit_s=intr.benefit_s, cost_s=intr.cost_s)
 
-    def _note_migration(self, **entry: Any) -> None:
-        entry["new_owned_sizes"] = [
-            int(len(o)) for o in self.owned_of(self.current)
-        ]
-        self.log.record_migration(**entry)
-
-    # -------------------------------------------------- epochs + composing
-    @staticmethod
-    def _epoch(start: int, nranks: int, layout) -> dict[str, Any]:
-        return {"start": int(start), "nranks": int(nranks), "layout": layout}
-
-    def _install_epoch(self, start: int, nranks: int, layout) -> None:
+    def _migrate(self, kind: str, nranks: int, weights, cut, *, step: int,
+                 victim: int | None, **entry: Any) -> None:
+        """Swap in a partition over ``nranks`` (``weights``: see
+        ``repartition``) whose next segment starts from ``cut`` (``None``:
+        the run's first state), and log it.  What any rank wrote after that
+        point belongs to a future that did not happen."""
         if self.namespace is None:
             raise MigrationError("elastic runner was never attached to a solver")
-        self.nranks = nranks
-        self.current = layout
-        self.install(layout, self.namespace)
-        self._epochs.append(self._epoch(start, nranks, layout))
-        self.start_step = int(start)
+        from_nranks, self.nranks, self.resume = self.nranks, nranks, cut
+        self.current = self.repartition(nranks, weights)
+        self.install(self.current, self.namespace)
+        last = -1 if cut is None else cut.step
+        self.written = {s: p for s, p in self.written.items() if s <= last}
+        self.log.record_migration(
+            kind=kind, step=step, victim=victim, from_nranks=from_nranks, to_nranks=nranks,
+            **entry, new_owned_sizes=[int(len(o)) for o in self.owned_of(self.current)])
+        labels = ({"victim": victim} if victim is not None
+                  else {"imbalance": entry["imbalance_before"]})
+        current().resilience.record_migration(
+            kind, step=step, from_ranks=from_nranks, to_ranks=nranks, **labels)
 
-    def _epoch_of(self, step: int) -> dict[str, Any]:
-        """The epoch that *ran* (and checkpointed) ``step``: the newest
-        epoch whose start precedes it."""
-        best = self._epochs[0]
-        for ep in self._epochs:
-            if ep["start"] < step:
-                best = ep
-        return best
-
-    def _consistent_cut(self) -> int:
-        """Newest step for which the writing epoch's every rank left a
-        checkpoint file; 0 = restart from initial conditions."""
-        by_step: dict[int, set[int]] = {}
-        if self.workdir is not None and self.workdir.exists():
-            for p in self.workdir.glob("ckpt_step*_rank*.npz"):
-                try:
-                    stem = p.stem  # ckpt_step000004_rank2
-                    step = int(stem[len("ckpt_step"):len("ckpt_step") + 6])
-                    rank = int(stem.rsplit("_rank", 1)[1])
-                except (ValueError, IndexError):
-                    continue
-                by_step.setdefault(step, set()).add(rank)
-        for step in sorted(by_step, reverse=True):
-            if step > self.total_steps:
-                continue
-            epoch = self._epoch_of(step)
-            if set(range(epoch["nranks"])) <= by_step[step]:
-                return step
-        return 0
-
-    def _compose(self, step: int) -> dict[str, Any] | None:
-        """Merge the per-rank checkpoints of ``step`` into one global state.
-
-        Every rank's file carries full-size arrays in which only the owned
-        portion is authoritative; ownership tiles the index space, so
-        overwriting each rank's owned slice yields the exact global state
-        — the same composition ``merge_results`` performs at run end.
-        """
-        if step <= 0:
-            return None
-        epoch = self._epoch_of(step)
-        owned_sets = [np.asarray(o) for o in self.owned_of(epoch["layout"])]
-        fields: dict[str, np.ndarray] = {}
-        T: np.ndarray | None = None
-        time_v: float | None = None
-        # which fields the owned sets partition: with cell partitioning,
-        # every field's last axis (cells); with band partitioning, the rows
-        # of fields tall enough to be indexed by the component sets — the
-        # rest are replicated identically on every rank (first copy wins)
-        ncomp_needed = 1 + max(
-            (int(o.max()) for o in owned_sets if len(o)), default=-1
-        )
-        for rank in range(epoch["nranks"]):
-            path = checkpoint_path(self.workdir, step, rank=rank)
-            try:
-                with np.load(path) as data:
-                    owned = owned_sets[rank]
-                    for key in data.files:
-                        if not key.startswith(_FIELD_PREFIX):
-                            continue
-                        name = key[len(_FIELD_PREFIX):]
-                        arr = data[key]
-                        full = fields.get(name)
-                        if full is None:
-                            full = np.array(arr)
-                            fields[name] = full
-                        if self.axis == "cells":
-                            full[..., owned] = arr[..., owned]
-                        elif full.ndim >= 1 and full.shape[0] >= ncomp_needed:
-                            full[owned] = arr[owned]
-                    time_v = float(data["__time"])
-                    if "__T" in data.files:
-                        t_arr = np.array(data["__T"])
-                        if T is None:
-                            T = t_arr
-                        elif self.axis == "cells":
-                            T[owned] = t_arr[owned]
-            except FileNotFoundError as exc:
-                raise MigrationError(
-                    f"consistent-cut checkpoint missing: {path}"
-                ) from exc
-        if time_v is None:
-            return None
-        return {"step": step, "time": time_v, "fields": fields, "T": T}
+    # ------------------------------------------------------------- cuts
+    def _cut(self, step: int | None = None) -> checkpoint.Snapshot | None:
+        """The files this run's ranks wrote of ``step`` — by default of the
+        newest step every rank that wrote it left its file of — composed;
+        ``None``: there is none (restart from the run's first state)."""
+        for s in sorted(self.written, reverse=True) if step is None else [step]:
+            paths = self.written.get(s, [None])
+            if None not in paths:
+                return checkpoint.compose([checkpoint.read(p, self.state) for p in paths],
+                                          self.state)
+        return None
 
 
 def _victim_of(exc: BaseException) -> int | None:

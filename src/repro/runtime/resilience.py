@@ -1,6 +1,6 @@
 """Recovery machinery for injected (and genuine) runtime faults.
 
-Three pieces live here:
+Two pieces live here:
 
 * :class:`RetryPolicy` — per-receive timeouts with exponential backoff and
   idempotent re-send, used by :meth:`repro.runtime.comm.Communicator.recv`
@@ -12,10 +12,9 @@ Three pieces live here:
   the comm layer, the simulated device and the generated solver loops can
   all record into it without plumbing; it is the run report's
   ``resilience`` section and mirrors every event into the metrics registry
-  and the event log;
-* the ``repro.checkpoint/1`` schema constant shared by
-  :meth:`~repro.codegen.state.SolverState.save_checkpoint` and the CLI's
-  ``--checkpoint-every/--restore`` flags.
+  and the event log.
+
+The snapshots a run resumes from are :mod:`repro.runtime.checkpoint`'s.
 
 The recovery state machine for one point-to-point receive::
 
@@ -31,17 +30,10 @@ The recovery state machine for one point-to-point receive::
 
 from __future__ import annotations
 
-import os
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
-
-#: Schema tag written into every solver checkpoint.  A member a reader of
-#: the same tag may do without keeps the tag: readers read the members they
-#: know by name, and ``__problem`` (the problem's identity, absent from
-#: snapshots written before it) is checked only where it is present.
-CHECKPOINT_SCHEMA = "repro.checkpoint/1"
 
 #: Histogram buckets for recovery latency (virtual seconds).
 _RECOVERY_BUCKETS = (1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1.0)
@@ -304,76 +296,9 @@ class ResilienceLog:
 NULL_RESILIENCE = ResilienceLog(keep=False)
 
 
-def checkpoint_path(directory: str | Path, step: int, rank: int | None = None) -> Path:
-    """Canonical checkpoint filename: ``<dir>/ckpt_step000010[_rank2].npz``."""
-    name = f"ckpt_step{step:06d}"
-    if rank is not None:
-        name += f"_rank{rank}"
-    return Path(directory) / f"{name}.npz"
-
-
-def check_schema(path: str | Path, schema: str) -> None:
-    """Refuse a checkpoint of another schema."""
-    from repro.util.errors import ConfigError
-
-    if schema != CHECKPOINT_SCHEMA:
-        raise ConfigError(
-            f"checkpoint {path} has schema {schema!r}, expected {CHECKPOINT_SCHEMA!r}")
-
-
-def check_restorable(path: str | Path, stamp: str | None, problem: Any,
-                     fields: dict[str, Any], T: Any, time: float) -> None:
-    """Refuse a checkpoint's members before any is restored: a snapshot of
-    another problem (RPR318: its ``__problem`` stamp is not the problem's
-    :func:`~repro.tune.signature.problem_identity`; one written before
-    checkpoints were stamped is taken on trust), or a field, ``__T`` or
-    ``__time`` that is not finite (RPR316, naming the member)."""
-    import numpy as np
-
-    from repro.tune.signature import problem_identity
-    from repro.util.errors import CheckpointCorruptError, ConfigError
-
-    if stamp is not None and stamp != problem_identity(problem):
-        raise ConfigError(
-            f"checkpoint {path} is a snapshot of another problem "
-            f"(its mesh, equation, entities, boundaries, stepper or dt differ)", code="RPR318")
-    values = {**{f"field_{name}": v for name, v in fields.items()}, "__T": T, "__time": time}
-    for key, value in values.items():
-        if value is not None and not np.isfinite(value).all():
-            raise CheckpointCorruptError(f"checkpoint {path}: member {key!r} is not finite")
-
-
-def atomic_save_npz(path: str | Path, **payload: Any) -> None:
-    """Write an ``.npz`` atomically: tmp file in the same directory, then
-    ``os.replace``.
-
-    A reader (e.g. the elastic runner composing a consistent cut from the
-    checkpoints of every rank) can never observe a half-written archive: it
-    sees either the previous file or the complete new one.  ``np.savez`` is
-    handed an open file object so it cannot append its own ``.npz`` suffix
-    to the temporary name.
-    """
-    import numpy as np
-
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            np.savez(fh, **payload)
-        os.replace(tmp, path)
-    finally:
-        if tmp.exists():
-            tmp.unlink()
-
-
 __all__ = [
-    "CHECKPOINT_SCHEMA",
     "DEFAULT_RETRY_POLICY",
     "NULL_RESILIENCE",
     "ResilienceLog",
     "RetryPolicy",
-    "atomic_save_npz",
-    "check_restorable",
-    "check_schema",
-    "checkpoint_path",
 ]

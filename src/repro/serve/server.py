@@ -552,16 +552,11 @@ class SolverService:
                 self.turn.pass_on(SLICE_S)
                 return
             if flag == "preempt":
-                from repro.runtime.resilience import checkpoint_path
+                from repro.runtime import checkpoint
 
-                directory = Path(state.checkpoint_dir or ".")
-                directory.mkdir(parents=True, exist_ok=True)
-                path = checkpoint_path(directory, state.step_index)
-                state.save_checkpoint(path)
-                log = current().resilience
-                log.record_checkpoint(path, reason="preempt")
-                log.record_preemption(job.key[:12], state.step_index,
-                                      tenant=job.primary_tenant)
+                path = checkpoint.write(state, reason="preempt")
+                current().resilience.record_preemption(
+                    job.key[:12], state.step_index, tenant=job.primary_tenant)
                 raise _PreemptedSignal(str(path), state.step_index)
             raise _WorkerLostSignal(state.step_index)
 

@@ -202,3 +202,71 @@ class TestCheckpointRobustness:
             solver.state.save_checkpoint(ckpt)
         assert ckpt.read_bytes() == good  # untouched
         assert list(tmp_path.glob("*.tmp")) == []  # tmp cleaned up
+
+
+class TestRankCuts:
+    """The rank files of one step are one cut: each records the index set its
+    rank owned (``__owned``), so the cut composes itself under any rank
+    count, into a serial run too."""
+
+    STEPS = 4
+
+    def _problem(self, scenario, strategy=None, nparts=0, **extra):
+        p, _ = build_bte_problem(replace(scenario, nsteps=self.STEPS))
+        if strategy is not None:
+            p.set_partitioning(strategy, nparts, **({"index": "b"} if strategy == "bands" else {}))
+        p.extra.update(extra)
+        return p
+
+    def _cut(self, scenario, directory, strategy, nparts):
+        """Run the whole trajectory on ``nparts`` ranks, writing a cut every
+        second step; the uninterrupted solver."""
+        return self._problem(scenario, strategy, nparts, checkpoint_every=2,
+                             checkpoint_dir=str(directory)).solve()
+
+    def _resume(self, scenario, cut, strategy=None, nparts=0):
+        p = self._problem(scenario, strategy, nparts, restore_from=str(cut))
+        solver = p.generate()
+        assert solver.state.step_index == 2
+        solver.run(self.STEPS - 2)
+        return solver
+
+    @pytest.mark.parametrize("strategy, nparts", [("bands", 2), ("bands", 3), (None, 0)])
+    def test_a_band_cut_resumes_under_any_rank_count(self, tiny_scenario, tmp_path,
+                                                     strategy, nparts):
+        straight = self._cut(tiny_scenario, tmp_path, "bands", 2)
+        assert not (tmp_path / "ckpt_step000002.npz").exists()
+        resumed = self._resume(tiny_scenario, tmp_path / "ckpt_step000002.npz",
+                               strategy, nparts)
+        assert np.array_equal(resumed.solution(), straight.solution())
+        assert np.array_equal(resumed.state.extra["T"], straight.state.extra["T"])
+        assert resumed.state.time == pytest.approx(straight.state.time, rel=1e-15)
+
+    def test_a_cells_cut_of_two_ranks_resumes_on_three(self, tiny_scenario, tmp_path):
+        straight = self._cut(tiny_scenario, tmp_path, "cells", 2)
+        resumed = self._resume(tiny_scenario, tmp_path / "ckpt_step000002.npz", "cells", 3)
+        assert np.array_equal(resumed.solution(), straight.solution())
+        assert np.array_equal(resumed.state.extra["T"], straight.state.extra["T"])
+
+    def test_a_rank_file_without_its_owned_set_is_refused(self, tiny_scenario, tmp_path):
+        """Written before rank files recorded what they own: a cut of such
+        files is not composed by guess."""
+        from repro.util.errors import MigrationError
+
+        self._cut(tiny_scenario, tmp_path, "cells", 2)
+        for part in tmp_path.glob("ckpt_step000002_rank*.npz"):
+            rewrite_members(part, lambda members: [members.pop(k) for k in ("__owned", "__axis")])
+        state = self._problem(tiny_scenario).generate().state
+        with pytest.raises(MigrationError) as ei:
+            state.restore_checkpoint(tmp_path / "ckpt_step000002.npz")
+        assert ei.value.code == "RPR317" and "owned" in str(ei.value)
+        assert (state.time, state.step_index) == (0.0, 0)
+
+    def test_one_rank_file_alone_is_refused(self, tiny_scenario, tmp_path):
+        """Half of a cut is not a snapshot: its unowned columns are stale."""
+        from repro.util.errors import MigrationError
+
+        self._cut(tiny_scenario, tmp_path, "cells", 2)
+        state = self._problem(tiny_scenario).generate().state
+        with pytest.raises(MigrationError, match="do not own each"):
+            state.restore_checkpoint(tmp_path / "ckpt_step000002_rank0.npz")

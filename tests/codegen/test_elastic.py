@@ -9,11 +9,15 @@ detect the imbalance, migrate work proactively, and converge to the same
 bits with a measurably lower imbalance ratio.
 """
 
+from dataclasses import replace
+
 import numpy as np
+import pytest
 
 from repro.bte.problem import build_bte_problem, hotspot_scenario
 from repro.runtime.faults import fault_run
 from repro.util.context import current
+from repro.util.errors import CheckpointCorruptError
 
 
 def rebalance_log(solver) -> dict:
@@ -89,6 +93,76 @@ class TestKillRecoveryCells:
         assert np.array_equal(t, t_ref)
         (mig,) = rebalance_log(solver)["migrations"]
         assert mig["step"] == 0
+
+
+class TestCutsAreThisRunsFiles:
+    """A cut is made of the files this run's ranks wrote: whatever else the
+    checkpoint directory holds is never read."""
+
+    EXTRA = {"rebalance": True, "checkpoint_every": 2}
+    KILL = "rank_kill:rank=1,at=12"
+
+    def _recover_in(self, directory):
+        sc = _scenario(8)
+        u_ref, t_ref, ref = _solve(sc, axis="cells", nparts=3)
+        u, t, solver = _solve(sc, axis="cells", nparts=3, faults=self.KILL,
+                              extra={**self.EXTRA, "checkpoint_dir": str(directory)})
+        assert np.array_equal(u, u_ref)
+        assert np.array_equal(t, t_ref)
+        assert solver.state.time == ref.state.time
+        (mig,) = rebalance_log(solver)["migrations"]
+        assert mig["step"] == 4
+
+    def test_another_problems_snapshots_in_the_directory_are_not_read(self, tmp_path):
+        """Another ``dt``'s run left a newer complete cut (step 8) where this
+        run writes: recovery still resumes from this run's step 4."""
+        other = hotspot_scenario(nx=8, ny=8, ndirs=8, n_freq_bands=5,
+                                 dt=2e-12, nsteps=8)
+        _solve(other, axis="cells", nparts=3,
+               extra={"checkpoint_every": 2, "checkpoint_dir": str(tmp_path)})
+        assert (tmp_path / "ckpt_step000008_rank2.npz").exists()
+        self._recover_in(tmp_path)
+
+    def test_junk_files_in_the_directory_are_not_read(self, tmp_path):
+        for rank in range(3):
+            (tmp_path / f"ckpt_step000008_rank{rank}.npz").write_bytes(b"junk")
+        self._recover_in(tmp_path)
+
+    def test_a_file_this_run_wrote_and_that_was_torn_is_rpr316_naming_it(self, tmp_path):
+        torn = tmp_path / "ckpt_step000004_rank1.npz"
+
+        def tear(state):  # the step-4 cut is on disk; rank 1 dies in step 6
+            if state.comm.rank == 1 and state.step_index == 5:
+                torn.write_bytes(torn.read_bytes()[:200])
+
+        p, _ = build_bte_problem(_scenario(8))
+        p.extra.update({**self.EXTRA, "checkpoint_dir": str(tmp_path)})
+        p.add_post_step(tear, name="tear")
+        p.set_partitioning("cells", 3)
+        with fault_run(self.KILL), pytest.raises(CheckpointCorruptError) as ei:
+            p.solve()
+        assert ei.value.code == "RPR316"
+        assert str(torn) in str(ei.value)
+
+
+class TestRestoredElasticRun:
+    def test_a_restored_run_recovers_to_its_own_end(self, tmp_path):
+        """Resumed from a step-2 cut for 6 more steps, the run loses a rank
+        in its third step: it recovers from its own step-4 cut and still
+        ends at step 8, bit-equal to the run that never stopped."""
+        first = tmp_path / "first"
+        u_ref, t_ref, ref = _solve(_scenario(8), axis="cells", nparts=3,
+                                   extra={"checkpoint_every": 2, "checkpoint_dir": str(first)})
+        u, t, solver = _solve(
+            replace(_scenario(8), nsteps=6), axis="cells", nparts=3,
+            faults="rank_kill:rank=1,at=6",
+            extra={"rebalance": True, "checkpoint_every": 2,
+                   "restore_from": str(first / "ckpt_step000002.npz")})
+        assert np.array_equal(u, u_ref)
+        assert np.array_equal(t, t_ref)
+        assert solver.state.step_index == 8
+        (mig,) = rebalance_log(solver)["migrations"]
+        assert mig["step"] == 4
 
 
 class TestKillRecoveryGpuMulti:

@@ -159,6 +159,18 @@ class TestEventLogCLI:
         assert main(["events", str(bogus)]) == 2
         assert "not an event log" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("lines", [
+        ["[1]"],
+        ['{"schema": "repro.events/1"}', "[1,2]"],
+        ['{"schema": "repro.events/1"}', '{"ts": "x", "name": "a"}'],
+    ], ids=["list-header", "list-event", "string-ts"])
+    def test_events_command_refuses_json_of_the_wrong_shape(self, tmp_path, capsys, lines):
+        log = tmp_path / "events.jsonl"
+        log.write_text("\n".join(lines) + "\n")
+        assert main(["events", str(log)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error RPR404:"), err
+
     def test_quiet_keeps_data_output(self, capsys):
         assert main(["-q"] + self.bte()) == 0
         out = capsys.readouterr().out
@@ -216,6 +228,24 @@ class TestEventLogCLI:
         errors = [ln for ln in capsys.readouterr().err.splitlines()
                   if ln.startswith("error ")]
         assert len(errors) == 1 and errors[0].startswith("error RPR318:")
+
+    def test_a_cut_of_rank_files_resumes_with_restore(self, tmp_path, capsys):
+        """``--ranks 2`` writes one file per rank; ``--restore`` names the
+        step, and the two halves of the interrupted run print the line of
+        the whole one."""
+        def t_line(argv):
+            assert main(["bte", "--nx", "6", "--ndirs", "4", "--bands", "3",
+                         "--ranks", "2", *argv]) == 0
+            (line,) = [ln for ln in capsys.readouterr().out.splitlines()
+                       if ln.startswith("T in [")]
+            return line
+
+        ckpt_dir = tmp_path / "ck"
+        whole = t_line(["--steps", "4", "--checkpoint-every", "2",
+                        "--checkpoint-dir", str(ckpt_dir)])
+        resumed = t_line(["--steps", "2", "--restore",
+                          str(ckpt_dir / "ckpt_step000002.npz")])
+        assert resumed == whole
 
 
 @pytest.mark.parametrize("argv", [

@@ -102,11 +102,11 @@ def test_a_solve_imports_only_what_it_enters(target, strategy):
     # what no solver path enters: file readers, the run registry, report
     # and profile (a phase is timed by the timers alone), the verifier and
     # the sanitizer (a run without one reads ``None``), the hand-written
-    # reference
+    # reference, the snapshots (a run that neither writes nor restores one)
     assert loaded(modules, "repro.mesh.gmsh_io", "repro.mesh.medit_io", "repro.mesh.vtk_io",
                   "repro.obs.registry", "repro.obs.report", "repro.obs.profile",
                   "repro.verify", "repro.bte.reference", "repro.bte.conductivity",
-                  "repro.codegen.probes") == []
+                  "repro.codegen.probes", "repro.runtime.checkpoint") == []
     if not out["eager_ma"]:
         assert loaded(modules, "numpy.ma") == []  # np.unique drags it in: 20 ms
     if target == "cpu":

@@ -32,7 +32,7 @@ import numpy as np
 import pytest
 
 from repro.bte.problem import build_bte_problem, hotspot_scenario
-from repro.runtime.resilience import CHECKPOINT_SCHEMA, checkpoint_path
+from repro.runtime.checkpoint import CHECKPOINT_SCHEMA, checkpoint_path
 from repro.util.errors import ConfigError
 
 GOLDEN = Path(__file__).parent / "data" / "golden_ckpt_step000003.npz"

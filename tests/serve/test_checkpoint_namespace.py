@@ -5,6 +5,7 @@ named verbatim; the solver service always namespaces by job key.
 """
 
 import numpy as np
+import pytest
 
 from repro.tune.cache import cache_scope
 from tests.serve.conftest import make_problem
@@ -42,6 +43,23 @@ def test_explicit_namespace_used_verbatim_and_restorable(tmp_path):
         solver = resumed.generate()
         solver.run(4 - solver.state.step_index)
         assert np.array_equal(solver.solution(), full)
+
+
+@pytest.mark.parametrize("rebalance", [False, True])
+def test_two_namespaces_under_one_root_keep_separate_files(tmp_path, rebalance):
+    """Cell ranks write under their namespace whether or not the elastic
+    runtime is on (its runner reads the directory the state resolves)."""
+    for namespace in ("jobA", "jobB"):
+        with cache_scope():
+            problem = make_problem(nsteps=4)
+            problem.set_partitioning("cells", 2)
+            problem.extra.update(checkpoint_every=2, checkpoint_dir=str(tmp_path),
+                                 checkpoint_namespace=namespace, rebalance=rebalance)
+            problem.solve()
+    for namespace in ("jobA", "jobB"):
+        assert _ckpts(tmp_path / namespace) == [
+            f"ckpt_step00000{step}_rank{rank}.npz" for step in (2, 4) for rank in (0, 1)]
+    assert _ckpts(tmp_path) == []
 
 
 def test_service_namespaces_checkpoints_by_job_key(tmp_path):
