@@ -37,7 +37,6 @@ from repro.bte.equilibrium import (
     equilibrium_intensity,
     pseudo_temperature_closure,
 )
-from repro.bte.scattering import relaxation_times
 from repro.dsl.entities import Reduction
 from repro.fvm.boundary import BoundaryContext
 from repro.util.errors import ConfigError
@@ -183,16 +182,6 @@ class BTEModel:
                                      out=state.buffer("band_work", e_T.shape))
             beta[:, cells] = tau
 
-    def initialize_state(self, state, T0: float) -> None:
-        """Set the uniform-equilibrium initial condition at temperature T0."""
-        ncells = state.ncells
-        T = np.full(ncells, float(T0))
-        state.extra["T"] = T
-        Io = equilibrium_intensity(self.bands, T)  # (nbands, ncells)
-        state.fields["Io"].data[...] = Io
-        state.fields["beta"].data[...] = relaxation_times(self.bands, T)
-        state.fields["I"].data[...] = Io[self.comp_band, :]
-
     def initial_intensity(self, T0: float) -> np.ndarray:
         """Per-component equilibrium intensity at uniform ``T0``, (ncomp,)."""
         Io = equilibrium_intensity(self.bands, float(T0))  # (nbands,)
@@ -272,23 +261,6 @@ class BTEModel:
         hot_wall.__name__ = "isothermal_profile"
         hot_wall.callback_version = 1
         return hot_wall
-
-    def stable_dt(self, mesh, T_max: float = 400.0, safety: float = 0.4) -> float:
-        """A stable explicit step for this model on ``mesh``.
-
-        Two constraints bind (both discussed implicitly by the paper's
-        choice of 1 ps steps): the advective CFL ``h_min / vg_max`` and the
-        stiffest relaxation time ``tau_min`` (evaluated at ``T_max``, since
-        scattering strengthens with temperature).
-        """
-        from repro.bte.scattering import relaxation_times
-
-        # smallest cell extent: volume / largest face area is a robust
-        # lower bound for arbitrary cells
-        h_min = float(np.min(mesh.cell_volumes) ** (1.0 / mesh.dim))
-        vg_max = float(self.bands.vg.max())
-        tau_min = float(relaxation_times(self.bands, float(T_max)).min())
-        return safety * min(h_min / vg_max, tau_min)
 
     def symmetry_map(self, normal: np.ndarray) -> np.ndarray:
         """Component permutation for a specular symmetry wall (Eq. 6)."""

@@ -174,7 +174,6 @@ def bind_spmd(target: CodegenTarget, problem: "Problem", artifact, master, *,
     tables = _partition_tables(problem)
     extra = problem.extra
     box = [current]
-    network = extra.get("network_model", IB_CLUSTER)
 
     def owned_of(partition):
         return partition.owned if cells else partition
@@ -191,11 +190,9 @@ def bind_spmd(target: CodegenTarget, problem: "Problem", artifact, master, *,
             policy=RebalancePolicy(
                 heartbeat_s=extra.get("heartbeat_s"),
                 imbalance_threshold=float(extra.get("imbalance_threshold", 1.5)),
-                check_every=int(extra.get("rebalance_check_every", 4)),
-                max_rebalances=int(extra.get("max_rebalances", 1)),
             ),
             nranks=problem.config.nparts, repartition=repartition,
-            install=install, owned_of=owned_of, current=current, network=network,
+            install=install, owned_of=owned_of, current=current, network=IB_CLUSTER,
             state=master,
         )
 
@@ -233,7 +230,7 @@ def bind_spmd(target: CodegenTarget, problem: "Problem", artifact, master, *,
     solver = target.bind_solver(problem, artifact, master, {
         **(env or {}),
         "RUN_NSTEPS": [problem.config.nsteps],  # boxed so run_steps can set it
-        "NETWORK": network,
+        "NETWORK": IB_CLUSTER,
         "run_spmd": run_spmd,
         "make_rank_state": make_rank_state,
         "merge_results": merge_results,
@@ -300,7 +297,7 @@ def _partition_tables(problem: "Problem"):
     rank's clock advances by *its own* owned work, so partition skew is
     visible to the imbalance watcher (and correctable by a weighted
     repartition, which rewrites them)."""
-    cost = CostModel(problem.extra.get("machine_rates", CASCADE_LAKE_FINCH))
+    cost = CostModel(CASCADE_LAKE_FINCH)
     ncomp, ncells = problem.unknown.space.ncomp, problem.mesh.ncells
     nbands = _band_count(problem)
     ndirs = max(1, ncomp // max(nbands, 1))

@@ -78,10 +78,10 @@ if TYPE_CHECKING:
 #: count: every thread privately redoes the face loop (geometry fetch,
 #: index arithmetic, projections), FP64 divides occupy many issue slots on
 #: GA102, the upwind conditional splits warps, and the neighbour gathers
-#: replay uncoalesced transactions.  Override per problem via
-#: ``problem.extra['gpu_flop_factor' / 'gpu_byte_factor']``.
+#: replay uncoalesced transactions.  ``problem.extra['gpu_flop_factor']``
+#: overrides the flop multiplier per problem (a slower device).
 DEFAULT_FLOP_FACTOR = 200.0
-DEFAULT_BYTE_FACTOR = 16.0
+BYTE_FACTOR = 16.0
 #: The finish kernel is one streaming pass over the unknown (read a value,
 #: weight it, add it into its band): no multiplier to calibrate.
 FINISH_WORK = {"name": "finish_step", "flops_per_thread": 2.0, "bytes_per_thread": 16.0}
@@ -298,7 +298,7 @@ def plan_device_step(problem: "Problem", state: SolverState, form,
     fails here if the plan puts ``interior_update`` on the device."""
     emitter, geom, unknown = ExprEmitter(problem, form), state.geom, state.unknown
     spec = problem.config.gpu_spec or default_gpu_spec()
-    cost = CostModel(problem.extra.get("machine_rates", CASCADE_LAKE_FINCH))
+    cost = CostModel(CASCADE_LAKE_FINCH)
     ncomp, ncells = state.host_u.shape
     nbands = unknown.space.sizes[-1] if unknown.space.names else 1
 
@@ -315,7 +315,7 @@ def plan_device_step(problem: "Problem", state: SolverState, form,
         ) * float(problem.extra.get("gpu_flop_factor", DEFAULT_FLOP_FACTOR)),
         "bytes_per_thread": (
             faces_per_cell * surface.bytes_per_value / 2.0 + volume.bytes_per_value
-        ) * float(problem.extra.get("gpu_byte_factor", DEFAULT_BYTE_FACTOR)),
+        ) * BYTE_FACTOR,
     }
 
     def on_gpu(**work) -> float:
@@ -502,4 +502,4 @@ class GPUHybridTarget(FVTarget):
         return solver
 
 
-__all__ = ["GPUHybridTarget", "DEFAULT_FLOP_FACTOR", "DEFAULT_BYTE_FACTOR"]
+__all__ = ["GPUHybridTarget", "DEFAULT_FLOP_FACTOR", "BYTE_FACTOR"]

@@ -45,12 +45,6 @@ class PlacementPlan:
     # task -> original device, for plans produced by degrade_to_cpu()
     degraded_from: dict[str, str] | None = None
 
-    def gpu_tasks(self) -> list[str]:
-        return sorted(t for t, d in self.device.items() if d == "gpu")
-
-    def cpu_tasks(self) -> list[str]:
-        return sorted(t for t, d in self.device.items() if d == "cpu")
-
     def predicted_cost(self, task: str) -> float | None:
         """Modelled per-step seconds of ``task`` on its assigned device.
 
@@ -63,10 +57,6 @@ class PlacementPlan:
             return None
         t = self.graph.tasks[task]
         return t.cost_gpu if self.device.get(task) == "gpu" else t.cost_cpu
-
-    def predicted_costs(self) -> dict[str, float | None]:
-        """Per-task predicted seconds on the assigned devices."""
-        return {name: self.predicted_cost(name) for name in sorted(self.device)}
 
     def degrade_to_cpu(self, task: str) -> "PlacementPlan":
         """A new plan with ``task`` re-placed on the CPU (fault fallback).

@@ -8,7 +8,7 @@
 * :mod:`~repro.fvm.fields` — multi-component cell fields with index-space
   (direction x band) component bookkeeping;
 * :mod:`~repro.fvm.kernels` — the vectorised face/cell kernels generated code
-  calls into (upwind reconstruction, surface divergence, axpy updates);
+  calls into (tile plans, the folded upwind operator, MUSCL reconstruction);
 * :mod:`~repro.fvm.boundary` — boundary-condition bookkeeping (ghost values,
   flux overrides, callback dispatch);
 * :mod:`~repro.fvm.timesteppers` — explicit schemes (forward Euler, RK2, RK4).

@@ -145,11 +145,6 @@ class BoundarySet:
         self.conditions[bc.region] = bc
         self._contexts.clear()
 
-    def check_complete(self) -> None:
-        missing = set(self.geom.region_faces) - set(self.conditions)
-        if missing:
-            raise ConfigError(f"boundary regions without conditions: {sorted(missing)}")
-
     def _static(self, bc: BoundaryCondition) -> BoundaryContext:
         """The region's context, its geometry gathered on first use."""
         ctx = self._contexts.get(bc.region)

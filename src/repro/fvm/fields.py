@@ -10,7 +10,7 @@ so the per-component cell sweep touches contiguous memory.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,11 +74,6 @@ class IndexSpace:
             out.append(flat % s)
             flat //= s
         return tuple(reversed(out))
-
-    def iter_indices(self) -> Iterator[tuple[int, ...]]:
-        """All index tuples in flattening order."""
-        for flat in range(self.ncomp):
-            yield self.unflatten(flat)
 
     def axis_values(self, name: str) -> np.ndarray:
         """For every flat component, the value of index ``name`` (0-based).

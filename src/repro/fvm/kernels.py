@@ -410,11 +410,6 @@ def upwind_flux(vn: np.ndarray, u_owner: np.ndarray, u_neighbor: np.ndarray) -> 
     return np.where(vn > 0.0, vn * u_owner, vn * u_neighbor)
 
 
-def central_flux(vn: np.ndarray, u_owner: np.ndarray, u_neighbor: np.ndarray) -> np.ndarray:
-    """Central (average) advective flux — the ``average`` operator."""
-    return vn * 0.5 * (u_owner + u_neighbor)
-
-
 def minmod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The minmod limiter: the smaller-magnitude argument when signs agree,
     zero otherwise (keeps MUSCL reconstructions TVD)."""
@@ -500,37 +495,6 @@ def muscl_flux(geom, vn: np.ndarray, u: np.ndarray, ghost: np.ndarray | None = N
     return flux[0] if squeeze else flux
 
 
-def axpy(y: np.ndarray, a: float, x: np.ndarray) -> np.ndarray:
-    """In-place ``y += a * x``."""
-    y += a * x
-    return y
-
-
-def reduction_sum(values: np.ndarray, weights: np.ndarray | None = None, axis: int = 0) -> np.ndarray:
-    """Weighted sum along an axis (the band/direction energy reductions)."""
-    if weights is None:
-        return values.sum(axis=axis)
-    w = np.asarray(weights, dtype=np.float64)
-    shape = [1] * values.ndim
-    shape[axis] = len(w)
-    return (values * w.reshape(shape)).sum(axis=axis)
-
-
-def flop_count_upwind(ncomp: int, nfaces: int, dim: int) -> int:
-    """Estimated floating-point operations of one upwind flux evaluation.
-
-    Used by the simulated-GPU timing model: dot product (2*dim-1), compare,
-    select multiply -> per face-component.
-    """
-    per = (2 * dim - 1) + 1 + 1
-    return per * ncomp * nfaces
-
-
-def flop_count_euler(ncomp: int, ncells: int) -> int:
-    """FLOPs of the per-cell Euler update (3 per value)."""
-    return 3 * ncomp * ncells
-
-
 __all__ = [
     "TILE_BYTES",
     "tile_rows",
@@ -547,11 +511,6 @@ __all__ = [
     "slot_divergence",
     "store_columns",
     "upwind_flux",
-    "central_flux",
     "minmod",
     "muscl_flux",
-    "axpy",
-    "reduction_sum",
-    "flop_count_upwind",
-    "flop_count_euler",
 ]

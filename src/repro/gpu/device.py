@@ -309,9 +309,5 @@ class Device:
         """Join host and device timelines; returns the new host time."""
         return max(host_time, self.default_stream.busy_until(), self.transfer_clock.now())
 
-    def reset_timelines(self) -> None:
-        self.default_stream.clock.reset()
-        self.transfer_clock.reset()
-
 
 __all__ = ["Device", "DeviceBuffer", "Stream"]

@@ -16,7 +16,7 @@ statistics (the quantity Figure 3 of the paper is about).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -241,9 +241,9 @@ def partition_cells(
 class PartitionLayout:
     """Everything a rank needs to run on its piece of the mesh.
 
-    Local cell numbering per part is **owned cells first, then ghosts**, so
-    owned data is a contiguous prefix (the layout the generated distributed
-    code assumes).
+    Every cell id is global: the generated cell-partitioned rank loop keeps
+    the whole mesh's columns and exchanges the ``send_cells`` /
+    ``recv_cells`` columns of each neighbour.
     """
 
     nparts: int
@@ -255,7 +255,6 @@ class PartitionLayout:
     # per part: {neighbour_part: global cell ids we receive from it}
     recv_cells: list[dict[int, np.ndarray]]
     interface_faces: list[np.ndarray]  # per part: global face ids cut by the partition
-    global_to_local: list[dict[int, int]] = field(repr=False, default_factory=list)
 
     @property
     def cut_face_count(self) -> int:
@@ -272,14 +271,6 @@ class PartitionLayout:
             for sends in self.send_cells
             for cells in sends.values()
         )
-
-    def local_size(self, part: int) -> int:
-        return len(self.owned[part]) + len(self.ghosts[part])
-
-    def localize(self, part: int, global_cells: np.ndarray) -> np.ndarray:
-        """Map global cell ids to this part's local numbering."""
-        g2l = self.global_to_local[part]
-        return np.array([g2l[int(c)] for c in global_cells], dtype=np.int64)
 
 
 def build_partition_layout(
@@ -346,14 +337,6 @@ def build_partition_layout(
             iface[pb].append(int(f))
     interface_faces = [np.array(v, dtype=np.int64) for v in iface]
 
-    g2l: list[dict[int, int]] = []
-    for p in range(nparts):
-        table = {int(g): i for i, g in enumerate(owned[p])}
-        base = len(owned[p])
-        for i, g in enumerate(ghosts[p]):
-            table[int(g)] = base + i
-        g2l.append(table)
-
     return PartitionLayout(
         nparts=nparts,
         parts=parts,
@@ -362,7 +345,6 @@ def build_partition_layout(
         send_cells=send_cells,
         recv_cells=recv_cells,
         interface_faces=interface_faces,
-        global_to_local=g2l,
     )
 
 

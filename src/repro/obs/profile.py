@@ -48,8 +48,7 @@ def _predicted_phase_seconds(state, nranks: int) -> dict[str, float]:
     from repro.perfmodel.costs import CostModel, predicted_phase_costs
     from repro.perfmodel.machines import CASCADE_LAKE_FINCH
 
-    machine = state.problem.extra.get("machine_rates", CASCADE_LAKE_FINCH)
-    cost = CostModel(machine)
+    cost = CostModel(CASCADE_LAKE_FINCH)
     ncells, ncomp = _rank_work(state, nranks)
     try:
         from repro.codegen.cpu_distributed import _band_count

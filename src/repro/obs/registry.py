@@ -26,7 +26,7 @@ import logging
 import os
 import time
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any
 
 from repro.obs.report import SCHEMA, _json_safe, load_run
 from repro.util.errors import ReproError
@@ -133,11 +133,6 @@ class RunRegistry:
             except RegistryError as exc:
                 logger.warning("registry: skipping %s", exc)
         return out
-
-    def iter_entries(self) -> Iterator[tuple[str, Path]]:
-        for key in self.keys():
-            for path in self.runs(key):
-                yield key, path
 
     # -------------------------------------------------------------------- gc
     def gc(self, *, keep_last: int = DEFAULT_KEEP_LAST,

@@ -246,10 +246,6 @@ class Tracer:
             names |= {e.track for e in self.instants}
         return sorted(names)
 
-    def spans_on(self, track: str) -> list[SpanEvent]:
-        with self._lock:
-            return [s for s in self.spans if s.track == track]
-
     def find_spans(self, name: str) -> list[SpanEvent]:
         with self._lock:
             return [s for s in self.spans if s.name == name]

@@ -83,9 +83,6 @@ class CostModel:
             + self.boundary_step(w.n_boundary_faces, w.ncomp)
         )
 
-    def serial_total(self, w: BTEWorkload) -> float:
-        return w.nsteps * self.serial_step(w)
-
 
 def predicted_phase_costs(cost: CostModel, *, ncells: float, ncomp: float,
                           nbands: float, n_boundary_faces: float

@@ -6,7 +6,10 @@ point-to-point channels and collectives, while each rank advances a
 keeps the semantics of the generated distributed code honest — halo
 exchanges move actual ghost values, reductions combine actual partial
 energies — while the strong-scaling numbers come from the cost model
-(there are not 320 cores here).
+(there are not 320 cores here).  The halo exchange itself is generated
+code: the cell-partitioned rank loop of
+:mod:`repro.codegen.cpu_distributed` (``RANK_LOOPS["cells"]``) packs,
+sends and unpacks in global numbering through :class:`Communicator`.
 
 * :class:`~repro.runtime.netmodel.NetworkModel` — latency/bandwidth pairs
   with presets for an InfiniBand-class cluster interconnect and intra-node
@@ -16,8 +19,6 @@ energies — while the strong-scaling numbers come from the cost model
   ``compute(seconds)`` for charging local work;
 * :func:`~repro.runtime.executor.run_spmd` — runs one program per rank and
   returns each rank's results and virtual timings;
-* :class:`~repro.runtime.halo.HaloExchanger` — neighbour exchange built from
-  a :class:`~repro.mesh.partition.PartitionLayout`;
 * :mod:`~repro.runtime.faults` / :mod:`~repro.runtime.resilience` /
   :mod:`~repro.runtime.checkpoint` — seeded fault injection (message
   drop/delay/dup, rank stalls, device OOM/kernel faults), the recovery
@@ -31,7 +32,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "comm": ("World", "Communicator", "ReduceOp"),
     "executor": ("run_spmd", "SPMDResult"),
     "faults": ("FaultInjector", "FaultRule", "fault_run", "parse_fault_spec"),
-    "halo": ("HaloExchanger",),
     "resilience": ("RetryPolicy",),
     "checkpoint": ("CHECKPOINT_SCHEMA", "checkpoint_path"),
 })

@@ -27,7 +27,7 @@ state via checkpoints, repartitions live"):
 
 * **Imbalance-triggered rebalancing** — each rank measures its own compute
   seconds per step (``CommStats.compute_s`` deltas, so collective waits do
-  not blur the signal); every ``check_every`` steps the ranks allgather
+  not blur the signal); every :data:`CHECK_EVERY` steps the ranks allgather
   their window means and all derive the *same* imbalance ratio
   (max/mean).  When the ratio exceeds the threshold and the modelled
   benefit ``(max-mean) * remaining_steps`` exceeds the modelled migration
@@ -113,17 +113,23 @@ class HeartbeatMonitor:
 # policy + cooperative interrupt
 # ---------------------------------------------------------------------------
 
+#: steps between imbalance checks
+CHECK_EVERY = 4
+#: no migration with fewer steps left
+MIN_REMAINING = 2
+#: proactive migrations per run
+MAX_REBALANCES = 1
+#: rank-loss recoveries per run
+MAX_RECOVERIES = 4
+
+
 @dataclass(frozen=True)
 class RebalancePolicy:
-    """Knobs of the elastic runtime (CLI: ``--rebalance`` and friends)."""
+    """Knobs of the elastic runtime (CLI: ``--rebalance``,
+    ``--heartbeat-s``, ``--imbalance-threshold``)."""
 
     heartbeat_s: float | None = None  # liveness deadline; None = joins only
     imbalance_threshold: float = 1.5  # max/mean per-rank step time ratio
-    check_every: int = 4  # steps between imbalance checks
-    min_remaining: int = 2  # don't migrate with fewer steps left
-    max_rebalances: int = 1  # proactive migrations per run
-    max_recoveries: int = 4  # rank-loss recoveries per run
-    proactive: bool = True  # imbalance watcher on/off
 
 
 class RebalanceInterrupt(Exception):
@@ -179,7 +185,7 @@ class RebalanceLog:
             self.enabled_policy = {
                 "heartbeat_s": policy.heartbeat_s,
                 "imbalance_threshold": policy.imbalance_threshold,
-                "check_every": policy.check_every,
+                "check_every": CHECK_EVERY,
             }
 
     def record_check(self, step: int, ratio: float) -> None:
@@ -264,7 +270,7 @@ class _RankMonitor:
     Called once per completed step from the generated run loops (the
     ``maybe_rebalance`` hook, mirroring ``maybe_checkpoint``).  Tracks this
     rank's compute seconds per step and joins the symmetric allgather
-    decision every ``check_every`` steps.
+    decision every :data:`CHECK_EVERY` steps.
     """
 
     def __init__(self, controller: "ElasticRunner"):
@@ -285,15 +291,15 @@ class _RankMonitor:
         # every condition below is identical on all ranks (same step, same
         # segment-constant controller state), so either every rank enters
         # the allgather or none does — the decision protocol cannot skew
-        if not pol.proactive or ctl.rebalances >= pol.max_rebalances:
+        if ctl.rebalances >= MAX_REBALANCES:
             return
         step = state.step_index
-        if step == 0 or step % pol.check_every or not self._deltas:
+        if step == 0 or step % CHECK_EVERY or not self._deltas:
             return
         remaining = ctl.end_step - step
-        if remaining < pol.min_remaining:
+        if remaining < MIN_REMAINING:
             return
-        window = self._deltas[-pol.check_every:]
+        window = self._deltas[-CHECK_EVERY:]
         mine = sum(window) / len(window)
         times = comm.allgather(float(mine), phase="rebalance")
         self._deltas.clear()
@@ -428,7 +434,7 @@ class ElasticRunner:
                     if victim is None:
                         raise
                     recoveries += 1
-                    if recoveries > self.policy.max_recoveries:
+                    if recoveries > MAX_RECOVERIES:
                         raise MigrationError(
                             f"gave up after {recoveries - 1} rank-loss "
                             f"recoveries (last victim: rank {victim})"

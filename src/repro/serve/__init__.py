@@ -23,7 +23,6 @@ from repro.serve.schema import (
     SCHEMA,
     JobRecord,
     JobResult,
-    SolveRequest,
     binding_digest,
     job_key,
     normalize_priority,
@@ -42,7 +41,6 @@ __all__ = [
     "SCHEMA",
     "SchedulerCore",
     "ServiceConfig",
-    "SolveRequest",
     "SolverService",
     "TenantQuota",
     "TenantState",

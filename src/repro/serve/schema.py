@@ -98,17 +98,6 @@ def job_key(problem: "Problem", target: str | None = None,
 
 
 @dataclass
-class SolveRequest:
-    """One admitted client request (pre-coalescing)."""
-
-    problem: Any
-    tenant: str = "default"
-    priority: int = PRIORITIES["normal"]
-    #: resolved codegen target name ('cpu', 'gpu', ...)
-    target: str | None = None
-
-
-@dataclass
 class JobResult:
     """The shared outcome every coalesced requester receives.
 
@@ -202,7 +191,6 @@ __all__ = [
     "PRIORITY_NAMES",
     "JobRecord",
     "JobResult",
-    "SolveRequest",
     "binding_digest",
     "job_key",
     "normalize_priority",

@@ -47,7 +47,6 @@ SCHEMA = "repro.cache/1"
 _EXTRA_KEYS = (
     "gpu_force_offload",
     "gpu_flop_factor",
-    "gpu_byte_factor",
     "placement_override",
 )
 
@@ -236,8 +235,6 @@ def _problem_fields(problem: "Problem", code: bool = True) -> dict[str, Any]:
 def problem_signature(problem: "Problem", target_name: str) -> dict[str, Any]:
     """The canonical, JSON-able signature document of one generation."""
     cfg = problem.config
-    machine = problem.extra.get("machine_rates")
-    network = problem.extra.get("network_model")
     sig: dict[str, Any] = {
         "schema": SCHEMA,
         "emitter": emitter_digest(),
@@ -251,14 +248,11 @@ def problem_signature(problem: "Problem", target_name: str) -> dict[str, Any]:
         },
         "use_gpu": cfg.use_gpu,
         "gpu_spec": getattr(cfg.gpu_spec, "name", None),
-        "machine": None if machine is None else {
-            "name": machine.name,
-            "rates": [
-                machine.intensity_per_dof, machine.newton_per_cell,
-                machine.iobeta_per_cell_band, machine.boundary_per_face_comp,
-            ],
-        },
-        "network": getattr(network, "name", None) if network is not None else None,
+        # always None: the machine rates and the network model are
+        # constants, and the two fields stay so that keys recorded before
+        # (the registry's timelines, the pinned digests) stay valid
+        "machine": None,
+        "network": None,
         "extra": {k: _hash_value(problem.extra[k])
                   for k in _EXTRA_KEYS if k in problem.extra},
     }

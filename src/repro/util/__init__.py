@@ -19,7 +19,6 @@ from repro.util.misc import (
     ordered_unique,
     pairwise,
     human_bytes,
-    human_time,
     check_finite,
 )
 
@@ -39,6 +38,5 @@ __all__ = [
     "ordered_unique",
     "pairwise",
     "human_bytes",
-    "human_time",
     "check_finite",
 ]

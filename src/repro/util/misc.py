@@ -38,21 +38,6 @@ def human_bytes(n: float) -> str:
     raise AssertionError("unreachable")
 
 
-def human_time(t: float) -> str:
-    """Compact time formatting across ns..hours."""
-    if t < 1e-6:
-        return f"{t * 1e9:.1f} ns"
-    if t < 1e-3:
-        return f"{t * 1e6:.1f} us"
-    if t < 1.0:
-        return f"{t * 1e3:.2f} ms"
-    if t < 120.0:
-        return f"{t:.2f} s"
-    if t < 7200.0:
-        return f"{t / 60.0:.1f} min"
-    return f"{t / 3600.0:.2f} h"
-
-
 def sum_is_finite(array: np.ndarray) -> bool:
     """The health check's flag, host and device: false for any NaN/Inf, at
     worst false for an overflowing sum of finite values: it means "look"."""

@@ -8,7 +8,7 @@ Three layers, one diagnostic vocabulary (stable ``RPR###`` codes, see
    conservation-form well-formedness;
 2. **placement & schedule hazards** (:mod:`repro.verify.placement_checks`,
    :mod:`repro.verify.schedule`) — transfer-plan completeness, WAW and
-   kernel-vs-CPU races, SPMD send/recv matching and deadlock detection;
+   kernel-vs-CPU races, SPMD halo send/recv symmetry;
 3. **runtime sanitizer** (:mod:`repro.verify.sanitizer`) — NaN/Inf guards,
    halo checksums, residency and stability checks during a ``--sanitize``
    run.
@@ -30,15 +30,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "verify_solver_placement",
     ),
     "sanitizer": ("Sanitizer", "SanitizerError", "sanitize_run"),
-    "schedule": (
-        "CollectiveOp",
-        "RecvOp",
-        "SendOp",
-        "check_halo_symmetry",
-        "halo_programs",
-        "simulate_schedule",
-        "verify_halo_layout",
-        "verify_solver_schedule",
-    ),
+    "schedule": ("check_halo_symmetry", "verify_solver_schedule"),
     "static_checks": ("check_problem",),
 })

@@ -83,9 +83,9 @@ _RAW: list[tuple[str, str, str, str]] = [
     ("RPR207", "placement", "transfer plan lists an array the task graph does not use", "error"),
     ("RPR210", "schedule", "SPMD send with no matching receive", "error"),
     ("RPR211", "schedule", "SPMD receive with no matching send (rank would block)", "error"),
-    ("RPR212", "schedule", "SPMD schedule deadlocks (cyclic or unsatisfiable waits)", "error"),
+    # RPR212 (schedule deadlock) retired with the schedule simulator; never reused
     ("RPR213", "schedule", "halo exchange asymmetry between partitions", "error"),
-    ("RPR214", "schedule", "collective operation mismatch across ranks", "error"),
+    # RPR214 (collective mismatch) retired with the schedule simulator; never reused
     # ---- 3xx: runtime sanitizer ------------------------------------------
     ("RPR301", "runtime", "non-finite field value (NaN/Inf) during stepping", "error"),
     ("RPR302", "runtime", "halo payload checksum mismatch between ranks", "error"),

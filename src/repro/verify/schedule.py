@@ -1,54 +1,17 @@
-"""Layer 2b: static SPMD send/recv matching and deadlock detection.
+"""Layer 2b: static SPMD send/recv matching.
 
 The distributed targets communicate through a *static* per-step schedule:
 the halo exchange posts all sends, then blocks on the recvs implied by the
 partition layout, and the post-step reductions are symmetric collectives.
-That makes the communication pattern fully analysable before any rank
-thread starts: this module models each rank's step as a small op program
-(:class:`SendOp` / :class:`RecvOp` / :class:`CollectiveOp`), checks the
-halo layout for symmetry, and *simulates* the programs against the
-runtime's semantics (non-blocking sends, blocking in-order recvs,
-rendezvous collectives) to find unmatched messages, unsatisfiable recvs
-and ordering deadlocks.
+In that shape a schedule can only go wrong through its layout, so the
+check is the layout's symmetry: every send has a receive of the same width
+and every receive a send.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.verify.diagnostics import Diagnostic, DiagnosticReport
 
-
-@dataclass(frozen=True)
-class SendOp:
-    """Non-blocking send of ``count`` values to ``dst``."""
-
-    dst: int
-    tag: int = 0
-    count: int = 1
-
-
-@dataclass(frozen=True)
-class RecvOp:
-    """Blocking receive of ``count`` values from ``src``."""
-
-    src: int
-    tag: int = 0
-    count: int = 1
-
-
-@dataclass(frozen=True)
-class CollectiveOp:
-    """A rendezvous collective every rank must reach (allreduce, barrier...)."""
-
-    kind: str
-    tag: int = 0
-
-
-Op = SendOp | RecvOp | CollectiveOp
-
-
-# ---------------------------------------------------------------- halo layout
 
 def check_halo_symmetry(send_cells, recv_cells,
                         nparts: int | None = None) -> DiagnosticReport:
@@ -83,171 +46,13 @@ def check_halo_symmetry(send_cells, recv_cells,
     return report
 
 
-def halo_programs(send_cells, recv_cells, nsteps: int = 1,
-                  tag: int = 7, collectives: int = 0) -> list[list[Op]]:
-    """Per-rank op programs of the generated distributed step schedule:
-    all sends first, then the blocking recvs, then any post-step
-    collectives — exactly :meth:`Communicator.exchange`'s contract."""
-    nparts = len(send_cells)
-    programs: list[list[Op]] = [[] for _ in range(nparts)]
-    for _ in range(max(1, nsteps)):
-        for rank in range(nparts):
-            ops = programs[rank]
-            for peer, cells in sorted(send_cells[rank].items()):
-                ops.append(SendOp(dst=peer, tag=tag, count=len(cells)))
-            for peer, cells in sorted(recv_cells[rank].items()):
-                ops.append(RecvOp(src=peer, tag=tag, count=len(cells)))
-            for k in range(collectives):
-                ops.append(CollectiveOp(kind="allreduce", tag=k))
-    return programs
-
-
-# ----------------------------------------------------------------- simulation
-
-def simulate_schedule(programs: list[list[Op]]) -> DiagnosticReport:
-    """Run the per-rank programs to completion or deadlock (RPR210-214).
-
-    Semantics match :mod:`repro.runtime.comm`: sends complete immediately
-    (buffered channels), a recv blocks until a matching ``(src, dst, tag)``
-    message is available, and a collective blocks until *every* rank is at
-    a collective of the same kind and tag.
-    """
-    report = DiagnosticReport()
-    report.checks_run += 1
-    nranks = len(programs)
-    pc = [0] * nranks
-    queued: dict[tuple[int, int, int], int] = {}
-
-    def done(r: int) -> bool:
-        return pc[r] >= len(programs[r])
-
-    while True:
-        progress = False
-        for r in range(nranks):
-            while not done(r):
-                op = programs[r][pc[r]]
-                if isinstance(op, SendOp):
-                    key = (r, op.dst, op.tag)
-                    queued[key] = queued.get(key, 0) + 1
-                    pc[r] += 1
-                    progress = True
-                elif isinstance(op, RecvOp):
-                    key = (op.src, r, op.tag)
-                    if queued.get(key, 0) > 0:
-                        queued[key] -= 1
-                        pc[r] += 1
-                        progress = True
-                    else:
-                        break
-                else:
-                    break  # collectives handled as a rendezvous below
-
-        waiting = [r for r in range(nranks) if not done(r)
-                   and isinstance(programs[r][pc[r]], CollectiveOp)]
-        if waiting:
-            heads = {(programs[r][pc[r]].kind, programs[r][pc[r]].tag)
-                     for r in waiting}
-            if len(waiting) == nranks and len(heads) == 1:
-                for r in waiting:
-                    pc[r] += 1
-                progress = True
-            elif len(waiting) == nranks:
-                report.add(Diagnostic.from_code(
-                    "RPR214",
-                    f"ranks disagree on the pending collective: {sorted(heads)}",
-                    ranks=waiting))
-                return report
-            elif not progress and all(
-                    done(r) or r in waiting for r in range(nranks)):
-                absent = [r for r in range(nranks) if done(r)]
-                report.add(Diagnostic.from_code(
-                    "RPR214",
-                    f"rank(s) {waiting} wait at a collective rank(s) "
-                    f"{absent} never reach", ranks=waiting))
-                return report
-
-        if all(done(r) for r in range(nranks)):
-            break
-        if not progress:
-            _diagnose_stuck(programs, pc, queued, report)
-            return report
-
-    for (src, dst, tag), count in sorted(queued.items()):
-        if count > 0:
-            report.add(Diagnostic.from_code(
-                "RPR210",
-                f"{count} message(s) from rank {src} to rank {dst} "
-                f"(tag {tag}) were sent but never received",
-                rank=src, peer=dst, tag=tag))
-    return report
-
-
-def _diagnose_stuck(programs, pc, queued, report: DiagnosticReport) -> None:
-    """Classify why a no-progress state is stuck: an unsatisfiable recv
-    (RPR211) vs. an ordering deadlock (RPR212)."""
-    nranks = len(programs)
-    stuck = [r for r in range(nranks) if pc[r] < len(programs[r])]
-    cyclic: list[int] = []
-    for r in stuck:
-        op = programs[r][pc[r]]
-        if not isinstance(op, RecvOp):
-            continue
-        sender_rest = programs[op.src][pc[op.src]:] if op.src < nranks else []
-        will_send = any(
-            isinstance(o, SendOp) and o.dst == r and o.tag == op.tag
-            for o in sender_rest
-        )
-        if will_send:
-            cyclic.append(r)
-        else:
-            report.add(Diagnostic.from_code(
-                "RPR211",
-                f"rank {r} blocks receiving from rank {op.src} (tag "
-                f"{op.tag}); no send for it exists anywhere in the schedule",
-                rank=r, peer=op.src, tag=op.tag))
-    if cyclic:
-        detail = ", ".join(
-            f"rank {r} waits on rank {programs[r][pc[r]].src}" for r in cyclic
-        )
-        report.add(Diagnostic.from_code(
-            "RPR212",
-            f"schedule deadlock: {detail} — the matching sends exist but sit "
-            "behind the blocked receives (misordered sends)",
-            ranks=cyclic))
-
-
-# ----------------------------------------------------------------- solver API
-
-def verify_halo_layout(layout, nsteps: int = 1,
-                       collectives: int = 0) -> DiagnosticReport:
-    """Full schedule verification of a :class:`PartitionLayout`."""
-    report = check_halo_symmetry(layout.send_cells, layout.recv_cells,
-                                 layout.nparts)
-    if report.has_errors:
-        return report  # simulation would re-report the same mismatches
-    report.extend(simulate_schedule(
-        halo_programs(layout.send_cells, layout.recv_cells,
-                      nsteps=nsteps, collectives=collectives)))
-    return report
-
-
 def verify_solver_schedule(solver) -> DiagnosticReport:
     """Schedule checks for a generated solver (no-op without a layout)."""
     layout = getattr(solver, "layout", None)
     if layout is None or not getattr(layout, "send_cells", None):
         return DiagnosticReport()
-    state = getattr(solver, "state", None)
-    ncoll = 1 if state is not None and state.problem.post_step_callbacks else 0
-    return verify_halo_layout(layout, nsteps=2, collectives=ncoll)
+    return check_halo_symmetry(layout.send_cells, layout.recv_cells,
+                               layout.nparts)
 
 
-__all__ = [
-    "SendOp",
-    "RecvOp",
-    "CollectiveOp",
-    "check_halo_symmetry",
-    "halo_programs",
-    "simulate_schedule",
-    "verify_halo_layout",
-    "verify_solver_schedule",
-]
+__all__ = ["check_halo_symmetry", "verify_solver_schedule"]

@@ -9,7 +9,6 @@ identity against the *independently computed* wall fluxes of
 construction and the divergence operator must all agree for it to hold.
 """
 
-import numpy as np
 import pytest
 
 from repro.bte.problem import BTEScenario, build_bte_problem, hotspot_scenario
@@ -64,23 +63,3 @@ def test_budget_holds_with_gpu_target():
     solver.step()
     E1 = total_energy(state, model)
     assert (E1 - E0) / state.dt == pytest.approx(-flux_out, rel=1e-9)
-
-
-def test_stable_dt_utility():
-    from repro.bte.angular import uniform_directions_2d
-    from repro.bte.dispersion import silicon_bands
-    from repro.bte.model import BTEModel
-    from repro.mesh.grid import structured_grid
-
-    model = BTEModel(bands=silicon_bands(10),
-                     directions=uniform_directions_2d(8))
-    mesh = structured_grid((32, 32), [(0.0, 100e-6), (0.0, 100e-6)])
-    dt = model.stable_dt(mesh)
-    assert 0 < dt < 1e-10
-    # and a run at that dt is actually stable
-    scenario = hotspot_scenario(nx=32, ny=32, ndirs=8, n_freq_bands=10,
-                                dt=dt, nsteps=30)
-    scenario.lx = scenario.ly = 100e-6
-    problem, _ = build_bte_problem(scenario, model=model)
-    solver = problem.solve()  # check_health raises on blow-up
-    assert np.all(np.isfinite(solver.state.extra["T"]))

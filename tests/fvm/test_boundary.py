@@ -54,12 +54,6 @@ class TestConstruction:
         with pytest.raises(ConfigError):
             bset.add(BoundaryCondition(region=1, kind=BCKind.NEUMANN0))
 
-    def test_check_complete(self, geom):
-        bset = BoundarySet(geom, 1)
-        bset.add(BoundaryCondition(region=1, kind=BCKind.NEUMANN0))
-        with pytest.raises(ConfigError):
-            bset.check_complete()
-
     def test_reflection_map_length_checked(self, geom):
         bset = BoundarySet(geom, 4)
         with pytest.raises(ConfigError):

@@ -35,10 +35,6 @@ class TestIndexSpace:
         assert sp.axis_values("b").tolist() == [0, 1, 2, 0, 1, 2]
         assert sp.axis_values("d").tolist() == [0, 0, 0, 1, 1, 1]
 
-    def test_iter_indices_order(self):
-        sp = IndexSpace(("i",), (3,))
-        assert list(sp.iter_indices()) == [(0,), (1,), (2,)]
-
     def test_position_and_size(self):
         sp = IndexSpace(("d", "b"), (4, 3))
         assert sp.position("b") == 1

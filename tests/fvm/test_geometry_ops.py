@@ -108,20 +108,6 @@ class TestKernels:
         flux = kernels.upwind_flux(vn, u1, u2)
         assert np.allclose(flux, [2.0, -30.0])
 
-    def test_central_flux(self):
-        vn = np.array([2.0])
-        assert kernels.central_flux(vn, np.array([1.0]), np.array([3.0]))[0] == 4.0
-
-    def test_axpy(self):
-        y = np.ones(3)
-        kernels.axpy(y, 2.0, np.arange(3.0))
-        assert np.allclose(y, [1, 3, 5])
-
-    def test_reduction_sum_weighted(self):
-        v = np.arange(6.0).reshape(2, 3)
-        out = kernels.reduction_sum(v, weights=np.array([1.0, 2.0]), axis=0)
-        assert np.allclose(out, v[0] + 2 * v[1])
-
     @pytest.mark.parametrize("rows", [slice(None), slice(3, 17),
                                       np.array([0, 2, 3, 9, 10, 11, 19])])
     @pytest.mark.parametrize("height", [1, 4, 5, 20, 1000])
@@ -140,7 +126,3 @@ class TestKernels:
         assert kernels.tile_rows(16, 100) == 8       # 1024 / (8 * 16)
         assert kernels.tile_rows(16, 5) == 5         # never more than ncomp
         assert kernels.tile_rows(10_000, 100) == 1   # never less than a row
-
-    def test_flop_counters_positive(self):
-        assert kernels.flop_count_upwind(4, 100, 2) > 0
-        assert kernels.flop_count_euler(4, 100) == 1200

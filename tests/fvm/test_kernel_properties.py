@@ -35,14 +35,14 @@ def test_upwind_flux_selects_upstream_value(vn, u1, u2):
 )
 @settings(max_examples=40, deadline=None)
 def test_upwind_consistency_with_uniform_state(vn, u):
-    """With u1 == u2 == u the upwind and central fluxes coincide (flux
-    consistency of the reconstruction)."""
+    """With u1 == u2 == u the upwind flux is ``vn * u``, the central
+    flux (flux consistency of the reconstruction)."""
     n = min(len(vn), len(u))
     vn, u = np.array(vn[:n]), np.array(u[:n])
     # atol covers denormal rounding (0.5 * denormal underflows to zero)
     np.testing.assert_allclose(
         kernels.upwind_flux(vn, u, u),
-        kernels.central_flux(vn, u, u),
+        vn * u,
         rtol=1e-14,
         atol=1e-300,
     )

@@ -120,12 +120,6 @@ class TestLaunchSemantics:
         assert len(dev.default_stream.records) == 1
         assert dev.default_stream.records[0].kernel == "saxpy"
 
-    def test_reset_timelines(self):
-        dev = Device(A6000)
-        dev.alloc("x", np.zeros(10))
-        dev.reset_timelines()
-        assert dev.transfer_clock.now() == 0.0
-
 
 class TestSpecs:
     def test_a6000_fp64_is_fraction_of_fp32(self):

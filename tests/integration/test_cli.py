@@ -88,6 +88,19 @@ class TestObservabilityFlags:
         assert doc["meta"]["target"] == "cpu"
         assert "solve" in {row["name"] for row in doc["ranks"][0]["rows"]}
 
+    def test_bte_metrics_sanitize_and_rebalance_flags(self, tmp_path, capsys):
+        """The off-by-default collectors and the elastic controller, each
+        switched on by its flag."""
+        metrics = tmp_path / "metrics.txt"
+        assert main(["bte", "--nx", "8", "--ndirs", "4", "--bands", "4",
+                     "--steps", "2", "--ranks", "2", "--metrics", str(metrics),
+                     "--sanitize", "--rebalance"]) == 0
+        out = capsys.readouterr().out
+        assert "sanitizer: OK" in out
+        assert "rebalance: checks: 0; final imbalance:" in out
+        assert 'solver_steps_total{problem="bte-hotspot",rank="1"} 2' \
+            in metrics.read_text()
+
     def test_bte_gpu_trace_has_device_and_placement(self, tmp_path, capsys):
         trace = tmp_path / "trace.json"
         report = tmp_path / "report.json"

@@ -111,7 +111,7 @@ def test_a_solve_imports_only_what_it_enters(target, strategy):
         assert loaded(modules, "numpy.ma") == []  # np.unique drags it in: 20 ms
     if target == "cpu":
         assert loaded(modules, "repro.gpu", "repro.perfmodel", "repro.codegen.placement",
-                      "repro.runtime.comm", "repro.runtime.executor", "repro.runtime.halo",
+                      "repro.runtime.comm", "repro.runtime.executor",
                       "repro.mesh.partition") == []
     if not target.startswith("gpu"):
         assert loaded(modules, "repro.codegen.gpu_hybrid", "repro.codegen.placement") == []

@@ -112,11 +112,21 @@ class TestLayout:
             for cells in layout.send_cells[p].values():
                 assert set(cells.tolist()) <= owned
 
-    def test_localize_roundtrip(self, mesh):
-        parts = partition_cells(mesh, 2)
-        layout = build_partition_layout(mesh, parts)
-        local = layout.localize(0, layout.owned[0][:5])
-        assert local.tolist() == [0, 1, 2, 3, 4]
+    def test_single_rank_layout_has_no_halo(self):
+        mesh = structured_grid((5, 4))
+        layout = build_partition_layout(mesh, partition_cells(mesh, 1))
+        assert layout.nparts == 1
+        assert len(layout.ghosts[0]) == 0
+        assert layout.send_cells == [{}] and layout.recv_cells == [{}]
+
+    def test_non_adjacent_ranks_exchange_nothing(self):
+        """On a 1D strip split three ways, the end ranks share no interface."""
+        mesh = structured_grid((12,), [(0.0, 1.0)])
+        layout = build_partition_layout(mesh, partition_cells(mesh, 3))
+        middle = next(p for p in range(3) if len(layout.send_cells[p]) == 2)
+        for end in set(range(3)) - {middle}:
+            assert sorted(layout.send_cells[end]) == [middle]
+            assert sorted(layout.recv_cells[end]) == [middle]
 
     def test_comm_volume(self, mesh):
         parts = partition_cells(mesh, 2)

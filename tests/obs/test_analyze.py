@@ -326,3 +326,35 @@ class TestCLI:
         ])
         assert rc == 0
         assert "critical path" in capsys.readouterr().out
+
+
+class TestGeneratedRankProgram:
+    """The measured path over a real 2-rank ``gpu_distributed`` trace: the
+    causal edges are the ones the generated rank program records, not
+    hand-built flows.  Rank 0 holds more bands, so it is the allreduce
+    straggler of every step and the path never leaves it; a 2 ms stall of
+    rank 1 in its second step makes rank 1 the straggler of that step."""
+
+    ARGS = ["bte", "--nx", "12", "--ndirs", "4", "--bands", "4",
+            "--steps", "4", "--gpu", "--ranks", "2"]
+
+    def measured(self, tmp_path, capsys, *extra):
+        from repro.cli import main
+
+        trace = tmp_path / "rank_trace.json"
+        assert main([*self.ARGS, "--trace", str(trace), *extra]) == 0
+        capsys.readouterr()
+        return analyze(trace).critical_measured
+
+    def test_unfaulted_path_stays_on_the_straggler(self, tmp_path, capsys):
+        measured = self.measured(tmp_path, capsys)
+        assert measured["n_flows"] >= 1
+        assert measured["rank_hops"] == 0
+        assert {s["track"] for s in measured["path"]} == {"virtual/rank0"}
+
+    def test_stalled_rank_pulls_the_path_across(self, tmp_path, capsys):
+        measured = self.measured(tmp_path, capsys, "--faults",
+                                 "stall:rank=1,at=5,delay=2e-3")
+        assert measured["rank_hops"] >= 1
+        assert {s["track"] for s in measured["path"]} == {
+            "virtual/rank0", "virtual/rank1"}

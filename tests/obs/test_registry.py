@@ -96,13 +96,6 @@ class TestReads:
         assert docs[0]["phases"] == {"ok": 1.0}
         assert any("skipping" in r.message for r in caplog.records)
 
-    def test_iter_entries_spans_keys(self, registry):
-        registry.append(_doc("aa11"))
-        registry.append(_doc("bb22"))
-        registry.append(_doc("bb22"))
-        entries = list(registry.iter_entries())
-        assert [k for k, _ in entries] == ["aa11", "bb22", "bb22"]
-
 
 class TestGC:
     def test_keep_last_prunes_oldest(self, registry):

@@ -40,7 +40,7 @@ class TestTracer:
     def test_complete_records_span(self):
         tr = Tracer()
         tr.complete("virtual/rank0", "solve", 1.0, 2.0, cat="phase", rank=0)
-        (span,) = tr.spans_on("virtual/rank0")
+        (span,) = [s for s in tr.spans if s.track == "virtual/rank0"]
         assert span.name == "solve"
         assert span.duration == 1.0
         assert span.args["rank"] == 0

@@ -1,10 +1,9 @@
-"""Property-based invariants of mesh partitioning and halo exchange.
+"""Property-based invariants of mesh partitioning and its halo layout.
 
 Hypothesis drives mesh shapes, part counts and partitioning methods; the
 invariants under test are the contracts the distributed targets build on:
-every cell is owned by exactly one rank, ghost/send/recv structures are
-mutually consistent, and a halo update delivers exactly the owner's values
-into every ghost slot (the round-trip property).
+every cell is owned by exactly one rank, and ghost/send/recv structures are
+mutually consistent.
 """
 
 import numpy as np
@@ -13,9 +12,6 @@ from hypothesis import strategies as st
 
 from repro.mesh.grid import structured_grid
 from repro.mesh.partition import build_partition_layout, partition_cells
-from repro.runtime.executor import run_spmd
-from repro.runtime.halo import HaloExchanger
-from repro.runtime.netmodel import IB_CLUSTER
 
 
 @st.composite
@@ -61,22 +57,3 @@ def test_send_recv_structure_is_consistent(case):
             int(c) for cells in layout.recv_cells[p].values() for c in cells
         )
         assert from_recvs == sorted(int(g) for g in layout.ghosts[p])
-
-
-@given(case=partitioned_meshes(), seed=st.integers(min_value=0, max_value=2**16))
-@settings(max_examples=15, deadline=None)
-def test_halo_update_roundtrips_ghost_values(case, seed):
-    mesh, parts = case
-    layout = build_partition_layout(mesh, parts)
-    truth = np.random.default_rng(seed).normal(size=mesh.ncells)
-
-    def prog(comm):
-        ex = HaloExchanger(layout, comm.rank)
-        local = np.full(ex.n_owned + ex.n_ghost, np.nan)
-        local[: ex.n_owned] = truth[layout.owned[comm.rank]]
-        ex.update(comm, local)
-        assert np.array_equal(local[ex.n_owned:], truth[layout.ghosts[comm.rank]])
-        assert np.array_equal(local[: ex.n_owned], truth[layout.owned[comm.rank]])
-        return True
-
-    assert all(run_spmd(layout.nparts, prog, IB_CLUSTER).results)

@@ -16,6 +16,7 @@ import pytest
 from repro.runtime.executor import run_spmd
 from repro.runtime.faults import FaultInjector, fault_run, parse_fault_spec
 from repro.runtime.rebalance import (
+    MAX_REBALANCES,
     HeartbeatMonitor,
     RebalancePolicy,
     imbalance_ratio,
@@ -231,4 +232,4 @@ class TestRebalancePolicy:
         pol = RebalancePolicy()
         assert pol.imbalance_threshold == pytest.approx(1.5)
         assert pol.heartbeat_s is None
-        assert pol.proactive and pol.max_rebalances == 1
+        assert MAX_REBALANCES == 1

@@ -12,7 +12,7 @@ from repro.util.errors import (
     SolverError,
 )
 from repro.util.logging import get_logger, set_verbosity
-from repro.util.misc import check_finite, human_bytes, human_time, ordered_unique, pairwise
+from repro.util.misc import check_finite, human_bytes, ordered_unique, pairwise
 
 
 class TestOrderedUnique:
@@ -42,13 +42,6 @@ class TestHumanFormatting:
     )
     def test_bytes(self, n, expect):
         assert human_bytes(n) == expect
-
-    @pytest.mark.parametrize(
-        "t,fragment",
-        [(5e-9, "ns"), (5e-6, "us"), (5e-3, "ms"), (5.0, "s"), (300.0, "min"), (9000.0, "h")],
-    )
-    def test_time(self, t, fragment):
-        assert fragment in human_time(t)
 
 
 class TestCheckFinite:

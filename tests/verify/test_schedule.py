@@ -1,15 +1,8 @@
-"""SPMD schedule verification: symmetry, simulation, deadlock diagnosis."""
+"""SPMD schedule verification: the halo layout's send/recv symmetry."""
 
-from repro.verify import (
-    CollectiveOp,
-    RecvOp,
-    SendOp,
-    check_halo_symmetry,
-    halo_programs,
-    simulate_schedule,
-    verify_halo_layout,
-    verify_solver_schedule,
-)
+import copy
+
+from repro.verify import check_halo_symmetry, verify_solver_schedule
 
 
 def symmetric_layout():
@@ -50,81 +43,34 @@ class TestHaloSymmetry:
         assert "RPR211" in report.codes()
 
 
-class TestSimulation:
-    def test_generated_programs_complete(self):
-        send, recv = symmetric_layout()
-        programs = halo_programs(send, recv, nsteps=3, collectives=1)
-        report = simulate_schedule(programs)
-        assert not report.diagnostics, [d.render() for d in report.diagnostics]
+def cells_solver(nparts):
+    from repro.bte.problem import build_bte_problem, hotspot_scenario
 
-    def test_unreceived_message_trips_rpr210(self):
-        programs = [[SendOp(dst=1, tag=7)], []]
-        report = simulate_schedule(programs)
-        assert "RPR210" in report.codes()
-
-    def test_unsatisfiable_recv_trips_rpr211(self):
-        programs = [[RecvOp(src=1, tag=7)], []]
-        report = simulate_schedule(programs)
-        assert "RPR211" in report.codes()
-
-    def test_misordered_sends_trip_rpr212(self):
-        # both ranks block on their recv with the matching send behind it
-        programs = [
-            [RecvOp(src=1, tag=7), SendOp(dst=1, tag=7)],
-            [RecvOp(src=0, tag=7), SendOp(dst=0, tag=7)],
-        ]
-        report = simulate_schedule(programs)
-        assert "RPR212" in report.codes()
-        assert "RPR211" not in report.codes()
-
-    def test_collective_kind_mismatch_trips_rpr214(self):
-        programs = [
-            [CollectiveOp(kind="allreduce", tag=0)],
-            [CollectiveOp(kind="allreduce", tag=1)],
-        ]
-        report = simulate_schedule(programs)
-        assert "RPR214" in report.codes()
-
-    def test_rank_skipping_collective_trips_rpr214(self):
-        programs = [[CollectiveOp(kind="allreduce", tag=0)], []]
-        report = simulate_schedule(programs)
-        assert "RPR214" in report.codes()
-
-    def test_tag_mismatch_on_recv_trips(self):
-        programs = [
-            [SendOp(dst=1, tag=1)],
-            [RecvOp(src=0, tag=2)],
-        ]
-        report = simulate_schedule(programs)
-        assert report.has_errors  # wrong-tag recv can never be satisfied
-
-
-class TestVerifyLayout:
-    def test_symmetry_errors_short_circuit_simulation(self):
-        send, recv = symmetric_layout()
-        del send[0][1]
-
-        class Layout:
-            send_cells = send
-            recv_cells = recv
-            nparts = 2
-
-        report = verify_halo_layout(Layout())
-        assert set(report.codes()) == {"RPR211"}
+    sc = hotspot_scenario(nx=8, ny=8, ndirs=4, n_freq_bands=2,
+                          dt=1e-12, nsteps=2)
+    p, _ = build_bte_problem(sc)
+    p.set_partitioning("cells", nparts)
+    return p.generate()
 
 
 class TestRealDistributedSolver:
     def test_two_rank_solver_schedule_is_clean(self):
-        from repro.bte.problem import build_bte_problem, hotspot_scenario
-
-        sc = hotspot_scenario(nx=8, ny=8, ndirs=4, n_freq_bands=2,
-                              dt=1e-12, nsteps=2)
-        p, _ = build_bte_problem(sc)
-        p.set_partitioning("cells", 2)
-        solver = p.generate()
+        solver = cells_solver(2)
         assert getattr(solver, "layout", None) is not None
         report = verify_solver_schedule(solver)
         assert not report.diagnostics, [d.render() for d in report.diagnostics]
+
+    def test_dropped_send_entry_on_three_ranks_trips_rpr211(self):
+        solver = cells_solver(3)
+        # the layout is the cached artifact's: break a copy of it
+        solver.layout = copy.deepcopy(solver.layout)
+        sends = solver.layout.send_cells
+        rank, peer = next((r, q) for r in range(3) for q in sends[r])
+        del sends[rank][peer]  # rank no longer sends to peer
+        report = verify_solver_schedule(solver)
+        assert set(report.codes()) == {"RPR211"}
+        (diag,) = report.diagnostics
+        assert (diag.where["rank"], diag.where["peer"]) == (peer, rank)
 
     def test_serial_solver_is_a_noop(self):
         class Solver:
