@@ -335,7 +335,7 @@ def cmd_bte(args: argparse.Namespace) -> int:
 
     from repro.obs import metrics_run, trace_run
     from repro.runtime.faults import fault_run, parse_fault_spec
-    from repro.util.errors import FaultSpecError
+    from repro.util.errors import CodegenError, FaultSpecError
     from repro.verify.sanitizer import sanitize_run
 
     _apply_cache_flags(args)
@@ -376,7 +376,13 @@ def cmd_bte(args: argparse.Namespace) -> int:
           fault_run(args.faults, seed=args.fault_seed),
           metrics_run(args.metrics) if tracing else nullcontext(),
           trace_run(args.trace) if tracing else nullcontext() as tracer):
-        solver = problem.solve()
+        try:
+            solver = problem.solve()
+        except CodegenError as exc:
+            if exc.code != "RPR142":
+                raise
+            _warn(_render_error(exc))  # no C compiler: the box, not the problem
+            return 2
         wall_s = time.perf_counter() - t0
         # the report and the summaries read this run's context: build them
         # inside its scopes

@@ -32,9 +32,11 @@ as locals prepared by the generated function):
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, NamedTuple
 
+from repro.codegen import ctile
 from repro.symbolic.expr import (
     Add,
     Call,
@@ -199,6 +201,9 @@ class ExprEmitter:
         self._within: tuple | None = None  # scope of the sweep definition being built
         #: index subspaces of the tables emitted so far, by ``tmap_`` suffix
         self.row_spaces: dict[str, tuple[str, ...]] = {}
+        #: per table and sweep definition: its shape in a tile (:meth:`_kind`)
+        #: and whether it is a comparison's (the C tile reads it so)
+        self.shapes: dict[str, tuple[str, bool]] = {}
 
     # ------------------------------------------------------------- public API
     def emit_volume(self, term: Expr) -> EmittedExpr:
@@ -360,6 +365,7 @@ class ExprEmitter:
         self.row_spaces[suffix] = rows
         prefix, defs = ("tab", out.tables) if kind == "bind" else ("swp", out.sweep)
         defs.append(Hoisted(f"{prefix}_{self._tag}{len(defs)}", code, suffix, tuple(lines)))
+        self.shapes[defs[-1].name] = (self._kind(node), isinstance(node, Cmp))
         return defs[-1]
 
     def _kind(self, node: Expr) -> str:
@@ -838,9 +844,11 @@ def _function(head: str, body: list[str]) -> list[str]:
     return [head] + ["    " + ln if ln else ln for ln in body] + ["", ""]
 
 
-def _invariant_tables(surface: EmittedExpr, volume: EmittedExpr) -> tuple[list[str], str, str]:
-    """Source of ``invariant_tables`` (and ``folded_tables``), the names of
-    the list ``invariant_tables`` returns and of the one a tile reads."""
+def _invariant_tables(surface: EmittedExpr, volume: EmittedExpr,
+                      packed: bool = False) -> tuple[list[str], str, str]:
+    """Source of ``invariant_tables`` (and ``folded_tables``, its operators
+    ``packed`` for a C tile), the names of the list ``invariant_tables``
+    returns and of the one a tile reads."""
     tables = surface.tables + volume.tables
     if not tables:
         return [], "", ""
@@ -867,7 +875,7 @@ def _invariant_tables(surface: EmittedExpr, volume: EmittedExpr) -> tuple[list[s
          "their tables folded through their ``divergence`` (its gather form) into",
          'one cell-centric operator per term, and the tables with no face axis."""',
          f"[{names}] = invariant_tables(normal, face_dist, owner, other)",
-         *[f"{h.name} = {h.code}" for h in folds],
+         *[f"{h.name} = {f'ctile.pack({h.code})' if packed else h.code}" for h in folds],
          f"return [{', '.join(h.name for h in read)}]"])
     return setup, names, ", ".join(h.name for h in read)
 
@@ -1013,12 +1021,20 @@ def emit_interior(emitter: ExprEmitter, device: bool, *, stepper: str = "euler",
     anything else), so results do not depend on the tiling and the update is
     added straight into where the rows live (``us``, ``u_new[sel]``) when
     ``sel`` is a slice.
+
+    A folded tile whose every operation is exact is not swept in NumPy: it
+    is printed as one C function (:func:`repro.codegen.ctile.lower`) and the
+    sweep is one call of it, ``TILE(...)``.  Returns the source lines and
+    that printed tile (``None``: the NumPy tile).
     """
     form = emitter.form
     surface = emitter.emit_sum(form.surface_terms, "surface")
     volume = emitter.emit_sum(form.volume_terms, "volume")
-    setup, invariant, tables = _invariant_tables(surface, volume)
     folded = surface.folded
+    # a folded tile whose every operation is exact is one C function
+    tile_c = folded and ctile.lower(folded, volume, emitter.shapes, {
+        h.name: int(h.code[1:]) for h in volume.sweep if re.fullmatch(r"s\d+", h.code)})
+    setup, invariant, tables = _invariant_tables(surface, volume, packed=bool(tile_c))
     two_sided = form.surface_terms and not folded
     inplace = device or stepper in EULER
     lines = setup
@@ -1034,7 +1050,7 @@ def emit_interior(emitter: ExprEmitter, device: bool, *, stepper: str = "euler",
             "``buffer(name, shape)`` hands out the workspace the tiles reuse",
             '(the device\'s, or the host state\'s when the step degrades)."""',
             "rows = sel",
-            "owner = OWNER_INT",
+            *["owner = OWNER_INT"] * (not tile_c),
         ]
         buffer, nfaces, ncells, normal, face_dist = (
             "buffer", "len(owner)", "NCELLS", "NORMALS_INT", "FACEDIST_INT")
@@ -1050,7 +1066,9 @@ def emit_interior(emitter: ExprEmitter, device: bool, *, stepper: str = "euler",
             lines += ["# over the interior faces, evaluated when the source is bound",
                       f"INT_TABLES = folded_tables({geometry}, DIV_INT)" if folded
                       else f"INT_TABLES = invariant_tables({geometry})"]
-        lines += ["TILE_PLANS = {}  # per row selection a launch was given", "", ""]
+        lines += ["TILE_PLANS = {}  # " + ("the pointers of the arrays a launch was given"
+                                          if tile_c else "per row selection a launch was given"),
+                  "", ""]
     else:
         head = "def compute_rhs(state, u, t, rows=None):"
         body = [
@@ -1159,11 +1177,14 @@ def emit_interior(emitter: ExprEmitter, device: bool, *, stepper: str = "euler",
         ]
         if f"fcoef_{name}_face" in reads:
             body.append(f"fcoef_{name}_face = eval_fcoef_{name}(geom.center, t)")
-    body += [
-        f"# scratch, {scratch_of}: nothing below allocates a tile",
-        f"height = kernels.tile_rows({nfaces}, NCOMP)",
-        *scratch,
-    ]
+    if tile_c:
+        body += [f"# scratch, {scratch_of}", *scratch[1:]]
+    else:
+        body += [
+            f"# scratch, {scratch_of}: nothing below allocates a tile",
+            f"height = kernels.tile_rows({nfaces}, NCOMP)",
+            *scratch,
+        ]
     sweep = hoisted_lines(surface.sweep + volume.sweep, nsweep)
     if sweep:
         body += ["# sub-expressions of known variables, once over their own rows", *sweep]
@@ -1173,7 +1194,7 @@ def emit_interior(emitter: ExprEmitter, device: bool, *, stepper: str = "euler",
             "# the boundary faces' part, from their owner values, once per",
             "# evaluation (user callbacks execute on the CPU)",
             "bcells = geom.bcells",
-            "bcols = state.buffer('bdry_cols', (height, len(bcells)))",
+            *["bcols = state.buffer('bdry_cols', (height, len(bcells)))"] * (not tile_c),
             "u_bdry = state.buffer('u_bdry', (NCOMP, len(geom.bowner)))",
             "bdry = compute_boundary_contribution(",
             "    state, u.take(geom.bowner, axis=1, out=u_bdry, mode='clip'), t)",
@@ -1195,18 +1216,31 @@ def emit_interior(emitter: ExprEmitter, device: bool, *, stepper: str = "euler",
                         f"{', overrides' if form.surface_terms else ''})")
     if not inplace:
         body.append("rhs = np.empty((NCOMP, geom.ncells))")
-    body += [
-        "",
-        f"# cache-sized tiles of rows, {order}: planned once",
-        f"for {tiles} in kernels.tile_plan({plan}):",
-        *("    " + ln for ln in tile),
-    ]
+    if tile_c:
+        scalars = ", ".join([dt or "dt", *tile_c.scalars])
+        places = (["None", "None", "None"] if device else
+                  ["bcells", "bdry", "state.owned_cells" if owned_columns else "None"])
+        body += [
+            "",
+            "# the tile, in C (``solver.tile.text``): one foreign call over the rows",
+            f"TILE({'TILE_PLANS' if device else 'state.plans'}, ({scalars},), {inplace}, rows, u, "
+            f"{'u_new' if device else 'u' if inplace else 'rhs'},",
+            f"     {buffer}('tile', ({tile_c.folds + 1} * {ncells},)), {', '.join(places)},",
+            f"     {', '.join(tile_c.operands)})",
+        ]
+    else:
+        body += [
+            "",
+            f"# cache-sized tiles of rows, {order}: planned once",
+            f"for {tiles} in kernels.tile_plan({plan}):",
+            *("    " + ln for ln in tile),
+        ]
     if not inplace:
         body.append("return rhs")
     if folded or device:
         lines += _boundary_part(form, surface, invariant, tiles)
     lines += [head, *("    " + ln if ln else ln for ln in body)]
-    return lines + ["", "", *FINISH_STEP] if device else lines
+    return (lines + ["", "", *FINISH_STEP] if device else lines), tile_c or None
 
 
 def _count_flops(term: Expr) -> int:

@@ -32,6 +32,7 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
+from repro.codegen import ctile
 from repro.codegen.emit import EULER, ExprEmitter, emit_interior
 from repro.codegen.state import SolverState
 from repro.fvm import kernels
@@ -96,6 +97,7 @@ class GeneratedSolver:
         ns: dict[str, Any] = {
             "np": np,
             "kernels": kernels,
+            "ctile": ctile,
         }
         ns.update(self._base_env)
         if self._code is None or self._compiled_source != self.source:
@@ -226,6 +228,9 @@ class CodegenTarget:
                       build_seconds=info.get("build_seconds"))
         solver = self.bind_artifact(problem, artifact)
         solver.generation_info = info
+        tile = solver.namespace.get("TILE")
+        if tile is not None:  # the compiler ran while the state was bound
+            tile.wait()
         return solver
 
     # ------------------------------------------------------------ the two halves
@@ -270,6 +275,9 @@ class CodegenTarget:
         for name, coef in problem.entities.coefficients.items():
             if coef.is_function:
                 env[f"eval_fcoef_{name}"] = coef.at
+        tile = artifact.attrs.get("tile")
+        if tile is not None:  # the library of this text: built, or building
+            env["TILE"] = ctile.Tile(ctile.build(tile.text), tile)
         solver = GeneratedSolver(
             self.name, artifact.source, env, state,
             code=artifact.code, module_name=artifact.module_name,
@@ -366,8 +374,11 @@ class FVTarget(CodegenTarget):
             lines += ["#   " + ln for ln in plan["placement"].report().splitlines()]
             lines += ["#   " + ln for ln in plan["transfer_plan"].report().splitlines()]
             lines += [""]
-        lines += emit_interior(emitter, device, stepper=problem.config.stepper,
-                               owned_columns=self.partition(problem) == "cells")
+        interior, tile = emit_interior(emitter, device, stepper=problem.config.stepper,
+                                       owned_columns=self.partition(problem) == "cells")
+        if tile is not None:
+            ctile.build(tile.text)  # the compiler starts now; bind waits for it
+        lines += interior
         lines += self.program(problem, plan)
         static = {**emitter.component_tables(), "NCOMP": problem.unknown.space.ncomp,
                   "NCELLS": problem.mesh.ncells, **self.tables(problem, plan)}
@@ -376,7 +387,8 @@ class FVTarget(CodegenTarget):
                 f"var_{n}" for n in emitter.referenced_known_variables()]
         return self.make_artifact(
             problem, "\n".join(lines) + "\n", static_env=static,
-            attrs={"ir": ir, "classified_form": form, "expanded_expr": expanded, **plan})
+            attrs={"ir": ir, "classified_form": form, "expanded_expr": expanded,
+                   "tile": tile, **plan})
 
     def bind_host(self, problem: "Problem", artifact, state) -> GeneratedSolver:
         """Bind a host-placed program over ``state``."""

@@ -398,25 +398,6 @@ def store_columns(u: np.ndarray, rows, columns: np.ndarray, values: np.ndarray,
     u[rows, columns] = values.take(columns, axis=1, out=out, mode="clip")
 
 
-def upwind_flux(vn: np.ndarray, u_owner: np.ndarray, u_neighbor: np.ndarray) -> np.ndarray:
-    """First-order upwind advective flux per unit area.
-
-    ``vn`` is the advection velocity projected on the owner-outward face
-    normal.  Where ``vn > 0`` the flow leaves the owner, so the upstream
-    value is the owner's; otherwise the neighbour's.  This is exactly the
-    ``conditional(v.n > 0, (v.n)*CELL1_u, (v.n)*CELL2_u)`` of the paper's
-    expanded symbolic form.
-    """
-    return np.where(vn > 0.0, vn * u_owner, vn * u_neighbor)
-
-
-def minmod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The minmod limiter: the smaller-magnitude argument when signs agree,
-    zero otherwise (keeps MUSCL reconstructions TVD)."""
-    same = (a * b) > 0.0
-    return np.where(same, np.sign(a) * np.minimum(np.abs(a), np.abs(b)), 0.0)
-
-
 def muscl_flux(geom, vn: np.ndarray, u: np.ndarray, ghost: np.ndarray | None = None
                ) -> np.ndarray:
     """Second-order limited-linear (MUSCL) upwind advective flux.
@@ -425,9 +406,9 @@ def muscl_flux(geom, vn: np.ndarray, u: np.ndarray, ghost: np.ndarray | None = N
     linear extrapolation from the Green-Gauss cell gradient (no
     extrapolation may leave the range of the cell's face-neighbour values,
     so no new extrema are created); the upwind side is then selected by the
-    sign of ``vn`` exactly as in :func:`upwind_flux`.  Boundary faces fall
-    back to first order on the ghost side (the ghost value sits *at* the
-    face under this library's convention).
+    sign of ``vn``: the owner's where ``vn > 0``, else the neighbour's.
+    Boundary faces fall back to first order on the ghost side (the ghost
+    value sits *at* the face under this library's convention).
 
     Parameters
     ----------
@@ -510,7 +491,5 @@ __all__ = [
     "apply_folded",
     "slot_divergence",
     "store_columns",
-    "upwind_flux",
-    "minmod",
     "muscl_flux",
 ]

@@ -381,7 +381,9 @@ class Communicator:
         one the fabric lost (sends are non-blocking, so a fast sender runs
         ahead) — it is parked in a reorder buffer and the gap triggers an
         immediate re-send request.  A timeout with nothing to redeliver
-        backs off exponentially until the retry budget is spent.
+        backs off exponentially until the retry budget is spent; only a
+        round that re-sent a lost message charges virtual time
+        (:meth:`_retry`).
         """
         ch = self.world.channel(source, self.rank, tag)
         key = (source, tag)
@@ -389,8 +391,8 @@ class Communicator:
         ctx = current()
         log = ctx.resilience
         fast_path = not ctx.injector.enabled
-        attempt = 0
-        penalty = 0.0
+        attempt = 0  # rounds, for the budget
+        recovered, penalty = 0, 0.0  # rounds that re-sent a lost message, their cost
         waited_wall = 0.0
         while True:
             expected = self._recv_watermark.get(key, 0) + 1
@@ -419,10 +421,10 @@ class Communicator:
                             "(deadlock, or a fault beyond the retry budget)"
                         ) from None
                     # timeout: request an idempotent re-send of anything the
-                    # fabric lost, back off exponentially, and charge the
-                    # protocol's virtual latency so recovery shows in traces
-                    attempt, penalty = self._retry(
-                        source, tag, attempt, penalty, "timeout")
+                    # fabric lost and back off exponentially
+                    attempt += 1
+                    recovered, penalty = self._retry(
+                        source, tag, recovered, penalty, "timeout")
                     continue
                 if isinstance(msg, _Poison):
                     ch.put(msg)  # keep the channel poisoned for later receives
@@ -442,12 +444,13 @@ class Communicator:
                             f"missing seq {expected} after {attempt} retries "
                             "(a dropped message was never recovered)"
                         )
-                    attempt, penalty = self._retry(
-                        source, tag, attempt, penalty, f"gap:{expected}")
+                    attempt += 1
+                    recovered, penalty = self._retry(
+                        source, tag, recovered, penalty, f"gap:{expected}")
                     continue
             if msg.seq:
                 self._recv_watermark[key] = msg.seq
-            if attempt > 0:
+            if recovered:
                 log.record_recovered(penalty, rank=self.rank)
             return msg, penalty
 
@@ -459,18 +462,25 @@ class Communicator:
             rank=pill.rank,
         )
 
-    def _retry(self, source: int, tag: int, attempt: int, penalty: float,
+    def _retry(self, source: int, tag: int, recovered: int, penalty: float,
                why: str) -> tuple[int, float]:
-        """One recovery round: re-send request + backoff accounting."""
+        """One recovery round: a re-send request, and — when the fabric held
+        a lost message of the channel (a gap always means one) — the
+        protocol's virtual latency, backing off with every recovery.  A
+        timeout with nothing lost is the peer not having sent yet, in wall
+        time: it costs no virtual time, so no clock depends on how busy the
+        machine was."""
         redelivered = self.world.redeliver(source, self.rank, tag)
-        penalty += self.retry_policy.virtual_penalty(attempt)
-        attempt += 1
+        if not redelivered and why == "timeout":
+            return recovered, penalty
+        penalty += self.retry_policy.virtual_penalty(recovered)
+        recovered += 1
         current().resilience.record_retry(rank=self.rank)
         if self.tracer.enabled:
             self.tracer.instant(
                 self.track, f"retry<-{source}", self.clock.now(),
-                cat="fault", attempt=attempt, why=why, redelivered=redelivered)
-        return attempt, penalty
+                cat="fault", attempt=recovered, why=why, redelivered=redelivered)
+        return recovered, penalty
 
     def recv(self, source: int, tag: int = 0, phase: str = "communication") -> Any:
         """Blocking receive; virtual clock jumps to the arrival time."""

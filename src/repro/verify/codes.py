@@ -73,6 +73,7 @@ _RAW: list[tuple[str, str, str, str]] = [
     ("RPR133", "ir", "mesh dimension does not match the declared domain", "error"),
     ("RPR140", "ir", "code generation failed", "error"),
     ("RPR141", "ir", "in-place sweep would read the unknown outside the tile's own rows", "error"),
+    ("RPR142", "ir", "a generated C tile could not be built: no C compiler, or it failed", "error"),
     # ---- 2xx: placement / transfer / schedule ----------------------------
     ("RPR201", "placement", "device read without a fresh h2d transfer (stale device buffer)", "error"),
     ("RPR202", "placement", "host read without a fresh d2h transfer (stale host buffer)", "error"),

@@ -25,6 +25,20 @@ def _tile_loop(src: str) -> str:
     return src[src.index("for sel, n, "):].split("\ndef ")[0]
 
 
+def _c_statements(solver) -> list[str]:
+    """The element statements of a C tile's loop over the cells, up to the
+    store (``solver.tile.text``)."""
+    lines = [ln.strip() for ln in solver.tile.text.splitlines()]
+    start = lines.index("for (long c = 0; c < n; c++) {")
+    stop = next(i for i in range(start, len(lines)) if lines[i].startswith("o[c] ="))
+    return lines[start + 2:stop + 1]  # (after the registers' declaration)
+
+
+def _operand(solver, source: str) -> str:
+    """The positional C name of the operand the sweep passes as ``source``."""
+    return f"a{solver.tile.operands.index(source)}"
+
+
 @pytest.fixture
 def bte_solver(tiny_scenario):
     problem, _ = build_bte_problem(tiny_scenario)
@@ -43,17 +57,23 @@ class TestHoisting:
         assert len(defs) == 1 and "normal_x[None, :] * coef_Sx[sel]" in defs[0]
         assert "sel = trep_d" in tables
         folded = src[src.index("def folded_tables("):src.index("def compute_boundary_")]
-        assert "fold_s0 = kernels.fold_upwind(divergence, tab_s1, upw, NCELLS)" in folded
+        assert ("fold_s0 = ctile.pack(kernels.fold_upwind(divergence, tab_s1, upw, NCELLS))"
+                in folded)
         assert "return [fold_s0]" in folded  # the face tables went into it
-        div = "\n".join(_surface_statement(src))
-        assert div.count("kernels.apply_folded(fold_s0, us, runs_d, acc, cw)") == 1
-        # the flat factor, once per row, after the divergence
-        assert "np.multiply((-1.0 * coef_vg[sel][:, None]), acc, out=acc)" in div
-        assert "normal_x" not in div and "np.where" not in div and "tab_" not in div
+        # the tile is C: one folded operator, read once, then the flat factor
+        # once per row, after the divergence
+        tile = bte_solver.tile
+        assert tile.folds == 1 and tile.operands.count("fold_s0") == 1
+        assert "tab_" not in " ".join(tile.operands)
+        div = _c_statements(bte_solver)[:2]
+        vg = _operand(bte_solver, "coef_vg")
+        assert div == ["r0 = f0[c];", f"r0 = (((-1.0) * {vg}[g]) * r0);"]
+        # no select: the choice went into the fold
+        assert not any("?" in ln for ln in _c_statements(bte_solver)[:-1])
         state, ns = bte_solver.state, bte_solver.namespace
         geom = state.geom
         (fold,) = state.tables(ns["folded_tables"], geom.interior_faces, divergence=True)
-        assert fold.own.shape == (8, geom.ncells) and [len(e) for e in fold.entries] == [2] * 8
+        assert fold.own.shape == (8, geom.ncells) and np.diff(fold.begin).tolist() == [2] * 8
         # the boundary part keeps the face tables, over its own faces
         mask, projected, columns, inflow = state.tables(ns["boundary_tables"], geom.bfaces)
         assert projected.shape == mask.shape == columns.shape == (8, len(geom.bfaces))
@@ -69,46 +89,41 @@ class TestHoisting:
         """Source shape of the hotspot kernel body: no geometry product, no
         division, no select and no full-size array inside the tile loop."""
         src = bte_solver.source
-        loop = _tile_loop(src[src.index("def compute_rhs("):])
-        assert "normal_x[None, :] *" not in loop
-        assert "1.0 /" not in loop and "np.where" not in loop
+        statements = _c_statements(bte_solver)
+        assert "normal" not in bte_solver.tile.text
+        assert not any("/" in ln or "?" in ln for ln in statements[:-1])
         assert "cse_" not in src
         assert "np.empty((NCOMP" not in src and "euler_update" not in src
-        # u[sel] = u[sel] + dt * (source + div), added into u's own rows where
-        # the tile is a view of them (else finished in tile scratch and stored),
-        # the boundary cells' columns completed with the boundary part
-        chain = ["np.add(source, div, out=acc)", "np.multiply(acc, dt, out=acc)",
-                 "new = us if sel.__class__ is slice else acc",
-                 "np.add(us, acc, out=new)  # explicit update, Eq. (3)",
-                 "cols = new.take(bcells, axis=1, out=bcols[:n], mode='clip')",
-                 "np.add(cols, bdry[sel], out=cols)", "new[:, bcells] = cols",
-                 "if new is acc:", "u[sel] = acc"]
-        assert [ln.strip() for ln in loop.splitlines() if ln.strip()][-len(chain):] == chain
-        # no face array at all: one folded operator per tile, straight from ``us``
-        assert loop.count("kernels.apply_folded(") == 1
+        # u = u + dt * (source + div), the boundary cells' columns completed
+        # with the boundary part, stored into the rows of u (in place)
+        assert statements[-2:] == ["const double v = (r4 + r1);",
+                                   "o[c] = euler ? ur[c] + v * s0 : v;"]
+        assert "o[bc[k]] = o[bc[k]] + bd[g * nb + k];" in bte_solver.tile.text
+        sweep = src[src.index("def compute_rhs("):].split("\ndef ")[0]
+        assert sweep.count("TILE(state.plans, (dt,), True, rows, u, u,") == 1
+        # no face array at all: one folded operator, straight from ``u``
         assert "gather_sides" not in src and "surface_divergence" not in src
-        assert "face_pool" not in src[src.index("def compute_rhs("):]
+        assert "face_pool" not in sweep and "for sel, n, " not in sweep
         # 1/beta and Io/beta: once per sweep over the 5 bands' rows, in place,
         # the second reading the first by name
-        head = src[src.index("def compute_rhs("):src.rindex("for sel, n, rows_d")]
+        head = src[src.index("def compute_rhs("):src.rindex("TILE(")]
         assert "sel = trep_b" in head and head.count("np.divide(1.0, s") == 1
         assert "np.multiply(s1, swp_v0, out=s1)" in head
 
     def test_tile_loop_allocates_and_copies_nothing(self, bte_solver):
-        """Every array statement of the hotspot tile writes through ``out=``
-        into the state's scratch: no fancy-indexed table rows, no transposed
-        copy, no expression temporary, and the store comes last."""
+        """The hotspot tile is one foreign call after the boundary part: no
+        array statement of its own, no table rows gathered, no scratch but
+        the one row per folded operator and the row it finishes in."""
         src = bte_solver.source
-        loop = _tile_loop(src[src.index("def compute_rhs("):])
-        assert "[tmap_" not in loop and ".T" not in loop
-        body = [ln.strip() for ln in loop.splitlines()[1:] if ln.strip()]
-        arrays = [ln for ln in body if ln.startswith(("np.", "us =", "cols ="))]
+        sweep = src[src.index("def compute_rhs("):].split("\ndef ")[0]
+        tail = sweep[sweep.index("np.multiply(bdry, dt, out=bdry)"):].splitlines()[1:]
+        code = [ln.strip() for ln in tail if ln.strip() and not ln.strip().startswith("#")]
+        assert code[0].startswith("TILE(") and not any("np." in ln for ln in code)
+        assert "state.buffer('tile', (2 * geom.ncells,))" in sweep
         # no pass for a sign: ``Io/beta - I/beta``, not ``(-1 * I)/beta + Io/beta``
-        assert len(arrays) == 9 and "np.multiply(-1.0, us" not in src
-        assert all("out=" in ln or ln == "us = kernels.rows_of(u, sel, cu)" for ln in arrays)
-        # the folded operator writes the tile's accumulator, with ``cw`` as scratch
-        assert "kernels.apply_folded(fold_s0, us, runs_d, acc, cw)" in body
-        assert body[-2:] == ["if new is acc:", "u[sel] = acc"]
+        statements = _c_statements(bte_solver)
+        assert not any("(-1.0) * ur[c]" in ln for ln in statements)
+        assert statements[2:5] == ["r1 = r0;", "r2 = (ur[c] * p0[c]);", "r3 = (p1[c] - r2);"]
 
     def test_cse_can_be_disabled(self, tiny_scenario):
         problem, _ = build_bte_problem(tiny_scenario)
@@ -131,18 +146,27 @@ class TestHoisting:
         assert (with_cse.flops, with_cse.bytes_per_value) == (
             without.flops, without.bytes_per_value)
 
-    def test_solution_independent_of_cse(self, tiny_scenario):
+    def test_solution_independent_of_cse(self, tiny_scenario, monkeypatch):
         """Hoisting must not change a single bit of the result: tables,
         per-sweep terms and select-before-scale against the statements as
         written — the volume statement in the tile, the face-centric surface
         statement in the boundary part.  (The fold through the divergence is
-        the one rewrite that rounds differently; it stays on both sides.)"""
+        the one rewrite that rounds differently; it stays on both sides.)
+        The unhoisted statements are written into the NumPy tile, which the
+        C tile equals bit for bit."""
+        from repro.codegen import ctile
+        from repro.tune.cache import cache_scope
+
         p1, _ = build_bte_problem(tiny_scenario)
         ref = p1.solve().solution()
 
         # hand-build a solver with hoisting disabled by patching the source
+        # of the NumPy tile
         p2, _ = build_bte_problem(tiny_scenario)
-        solver = p2.generate()
+        monkeypatch.setattr(ctile, "lower", lambda *args: None)
+        with cache_scope():
+            solver = p2.generate()
+        assert solver.tile is None
         _, form = lower_conservation_form(
             p2.equation.source, p2.unknown, p2.entities, p2.operators
         )
@@ -220,11 +244,13 @@ class TestHoisting:
         kernel_src = solver.source.split("def interior_kernel")[1]
         kernel_src = kernel_src.split("def ")[0]
         assert "[fold_s0] = INT_TABLES" in kernel_src
-        loop = _tile_loop(kernel_src)
-        assert "kernels.apply_folded(fold_s0, us, runs_d, acc, cw)" in loop
-        assert "slot_divergence" not in loop and "face_pool" not in kernel_src
-        assert ".T" not in loop
-        assert "normal_x[None, :] *" not in loop and "np.where" not in loop
+        # the one C tile of every target, into ``u_new``, no boundary part
+        call = kernel_src[kernel_src.index("TILE("):]
+        assert call.startswith("TILE(TILE_PLANS, (DT,), True, rows, u, u_new,")
+        assert "None, None, None,\n         fold_s0, tmap_d, coef_vg, sweep_pool" in call
+        assert solver.tile == build_bte_problem(tiny_scenario)[0].generate().tile
+        assert "slot_divergence" not in kernel_src and "face_pool" not in kernel_src
+        assert "for sel, n, " not in kernel_src and "np.where" not in kernel_src
         # the CPU boundary part — the one every target calls — forms the
         # upwinded side in place: ghost values where the tabled flow enters
         boundary = solver.source.split("def compute_boundary_contribution")[1]

@@ -298,17 +298,13 @@ class TestTablesFollowTheRankState:
                 g.owner[g.interior_faces], g.neighbor_column[g.interior_faces],
                 g.divergence_slots(faces=g.interior_faces))
             for have, want in zip(st._tables["folded_tables"][1], fresh):
-                assert np.array_equal(have.own, want.own)
-                assert [[(c, r if r.__class__ is slice else r.tolist(), w.tolist())
-                         for c, r, w in row] for row in have.entries] == \
-                    [[(c, r if r.__class__ is slice else r.tolist(), w.tolist())
-                      for c, r, w in row] for row in want.entries]
+                assert all(map(np.array_equal, have, want))  # the packed operator
         # ... and so are the scratch pools and the boundary divergence's slot
         # table: nothing a tile writes or indexes through is shared between
         # rank states
-        for attr in (lambda st: st._scratch["cells"], lambda st: st._scratch["du_bdry"],
+        for attr in (lambda st: st._scratch["tile"], lambda st: st._scratch["du_bdry"],
                      lambda st: st._scratch["closure"], lambda st: st.geom._bdry_slots,
-                     lambda st: st._tables["folded_tables"][1][0].entries[0][0][2]):
+                     lambda st: st._tables["folded_tables"][1][0].weights):
             assert len({id(attr(st)) for st in states}) == len(states)
         # ... nor is anything a step no longer re-derives: each state planned
         # its own tiles, built its own region contexts, and its callbacks

@@ -15,6 +15,15 @@ sub-expressions into step-invariant tables and per-sweep definitions,
 selects before it scales and replaces the upwind select by one gathered
 side.
 
+Every statement whose scalars are plain floats also runs through the C tile
+(:mod:`repro.codegen.ctile`), which must print it exactly when the tree has
+no inexact node — a
+transcendental, ``min``/``max``, a power of an array other than ``-1`` — and
+refuse it (the NumPy tile stays) when it has one, and which must then store
+the NumPy tile's bits: the volume statements of both suites, and folded
+surface statements through a folded operator with offset and gather entries.
+The one caveat is the NaN payload a product keeps when two NaNs meet.
+
 The trees deliberately include the nodes the emitter special-cases:
 ``Pow`` with constant/dynamic/−1 exponents, ``Cmp`` embedded in
 ``Conditional``, registered ``Call`` functions, and pure-constant subtrees.
@@ -32,12 +41,15 @@ import os
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from repro.codegen.emit import ExprEmitter, Hoisted, hoisted_lines
+from repro.codegen import ctile
+from repro.codegen.emit import EmittedExpr, ExprEmitter, Hoisted, hoisted_lines
 from repro.dsl.entities import CELL, VAR_ARRAY
 from repro.dsl.problem import Problem
+from repro.fvm import kernels
 from repro.ir.lowering import lower_conservation_form
 from repro.mesh.grid import structured_grid
 from repro.symbolic.evaluate import evaluate
@@ -54,6 +66,7 @@ from repro.symbolic.expr import (
     Pow,
     SideValue,
     Sym,
+    preorder,
 )
 
 # CI runs with a pinned derandomised profile so failures reproduce
@@ -225,6 +238,116 @@ def assert_emitted_matches(expr: Expr, env: dict) -> None:
             f"{label}: raised {got_err} vs evaluate's {expected_err} for {expr}"
         )
         assert got == expected, f"{label}: bit mismatch for {expr}"
+    if all(isinstance(env[f"coef_{name}"], float) for name in COEFS):
+        # a scalar coefficient is a float to the C tile (passed by value)
+        assert_c_tile_matches(expr, EMITTER, NO_SURFACE, statement, namespace, env["u"])
+
+
+# -- the C tile ----------------------------------------------------------------
+#: a tile with no surface statement, or no volume statement: ``0.0``
+NO_SURFACE = NO_VOLUME = EmittedExpr("0.0", 0)
+
+
+def inexact(expr: Expr, scalars: tuple = ()) -> bool:
+    """Whether the C printer must refuse ``expr``: a function other than
+    ``abs``/``sqrt``, or a power other than ``x^-1``, of anything that is not
+    a plain float (on plain floats both tiles let Python/NumPy compute it)."""
+    def array(node):
+        return any(isinstance(n, (Indexed, SideValue, FaceNormal))
+                   or (isinstance(n, Sym) and n.name not in scalars)
+                   for n in preorder(node))
+
+    return any(
+        ((isinstance(n, Call) and n.func not in ("abs", "sqrt"))
+         or (isinstance(n, Pow)
+             and not (isinstance(n.exponent, Num) and n.exponent.value == -1)))
+        and array(n) for n in preorder(expr))
+
+
+def _numpy_tile(emitter, folded, volume, scope: dict, u: np.ndarray):
+    """The NumPy tile of ``folded`` and ``volume`` over every row of ``u``,
+    as an RK sweep stores it: ``source + div`` — tables and per-sweep
+    definitions first, as a target evaluates them."""
+    s = dict(scope, kernels=kernels)
+    nrows, n = u.shape
+    s["sweep_pool"] = np.full((max(volume.sweep_registers, 1), nrows, n), -777.25)
+    for line in hoisted_lines(volume.tables) + hoisted_lines(volume.sweep,
+                                                              volume.sweep_registers):
+        exec(line, s)  # noqa: S102 - executing our own emission
+    spaces = list(emitter.row_spaces)
+    (tile,) = kernels.tile_plan({}, slice(None), nrows, nrows,
+                                [s[f"tmap_{space}"] for space in spaces])
+    for i, space in enumerate(spaces):
+        s.update({f"rows_{space}": tile[2 + 2 * i], f"runs_{space}": tile[3 + 2 * i]})
+    s.update(sel=slice(None), us=u, acc=np.empty_like(u), cw=np.empty_like(u))
+    s.update(_registers("c", volume.registers, u.shape))
+    s.update(_registers("d", folded.registers, u.shape))
+    for line in folded.prelude:
+        exec(line, s)  # noqa: S102
+    div = eval(folded.code, s)  # noqa: S307
+    for line in volume.prelude:
+        exec(line, s)  # noqa: S102
+    source = eval(volume.code, s)  # noqa: S307
+    return s, np.add(source, div, out=np.empty_like(u))
+
+
+def _c_tile(lowered, scope: dict, u: np.ndarray) -> np.ndarray:
+    """The C tile over every row of ``u`` into a fresh array (no Euler
+    update, no boundary part), its operands read from ``scope``."""
+    tile = ctile.Tile(ctile.build(lowered.text), lowered)
+    tile.wait()
+    out = np.full_like(u, -777.25)
+    operands = [ctile.pack(scope[name]) if kind == "f" else eval(name, scope)  # noqa: S307
+                for kind, name in zip(lowered.kinds, lowered.operands)]
+    scalars = tuple(eval(source, scope) for source in lowered.scalars)  # noqa: S307
+    tile({}, (0.0, *scalars), False, None, u, out, np.empty((lowered.folds + 1) * u.shape[1]),
+         None, None, None, *operands)
+    return out
+
+
+def _complex_scalar(lowered, scope: dict) -> bool:
+    """Whether a plain float the tile takes by value came out complex
+    (``(-1)^0.5``): the C tile refuses it (``TypeError``) where the NumPy
+    tile raises or drops the imaginary part, depending on the register."""
+    with warnings.catch_warnings(), np.errstate(all="ignore"):
+        warnings.simplefilter("ignore")
+        try:
+            values = [eval(source, scope) for source in lowered.scalars]  # noqa: S307
+        except Exception:  # noqa: BLE001 - raises on both tiles
+            return False
+    return any(isinstance(v, complex) for v in values)
+
+
+def _bits(a: np.ndarray) -> bytes:
+    """Bit pattern with NaN payloads made canonical (the one caveat)."""
+    return np.where(np.isnan(a), np.nan, a).tobytes()
+
+
+def assert_c_tile_matches(expr: Expr, emitter, folded, volume, scope: dict, u,
+                          scalars: tuple = ("_a_1", "_b_1", "_c_1")) -> None:
+    """``expr`` (the tile's ``folded`` or ``volume`` statement) takes the C
+    tile exactly when it has no inexact node, and then stores the NumPy
+    tile's bits."""
+    lowered = ctile.lower(folded, volume, emitter.shapes, {
+        h.name: int(h.code[1:]) for h in volume.sweep if h.code[1:].isdigit()})
+    assert (lowered is None) == inexact(expr, scalars), (
+        f"{expr} took the {'NumPy' if lowered is None else 'C'} tile")
+    if lowered is None:
+        return
+    if _complex_scalar(lowered, scope):
+        with pytest.raises(TypeError, match="complex"):
+            _c_tile(lowered, dict(scope, sweep_pool=np.empty((1, 1, 1))), u)
+        return
+    with warnings.catch_warnings(), np.errstate(all="ignore"):
+        warnings.simplefilter("ignore")
+        try:
+            tile_scope, expected = _numpy_tile(emitter, folded, volume, scope, u)
+        except Exception:  # noqa: BLE001 - then C must not return a value either
+            with pytest.raises(Exception):  # noqa: B017
+                _c_tile(lowered, dict(scope, sweep_pool=np.empty(1)), u)
+            return
+        got = _c_tile(lowered, tile_scope, u)
+    assert _bits(got) == _bits(expected), f"C tile bit mismatch for {expr}"
 
 
 @seed(20260808)
@@ -556,3 +679,84 @@ def test_function_coefficients_are_never_tabled():
     assert emitted.prelude == [
         "np.add(fcoef_q_face[None, :], coef_Sx[sel][:, None], out=f0)",
         "np.multiply(f0, normal_x[None, :], out=f0)"]
+
+
+# -- the C tile over an indexed unknown: tables, sweeps, folds ----------------
+VOL_LEAVES = (
+    Sym("_k_1"), Indexed("Sx", ("d",)), Indexed("vg", ("b",)), Indexed("w", ("d", "b")),
+    Sym("_q_1"), Indexed("Io", ("b",)), _I,
+)
+#: what may multiply a folded upwind statement: no face, no unknown
+FLAT_LEAVES = (Sym("_k_1"), Indexed("Sx", ("d",)), Indexed("vg", ("b",)),
+               Indexed("w", ("d", "b")))
+_S = Mul(FaceNormal(1), Indexed("Sx", ("d",)))
+UPWIND = Conditional(Cmp(">", _S, Num(0)), Mul(SideValue(_I, 1), _S), Mul(SideValue(_I, 2), _S))
+#: a folded operator over the 4 cells, per row of ``d``: an offset entry
+#: and a gather entry
+_RNG = np.random.default_rng(2026)
+FOLD = kernels.FoldedOperator(_RNG.uniform(-1, 1, (ND, NCELLS)), [
+    ((slice(1, NCELLS), slice(0, NCELLS - 1), _RNG.uniform(-1, 1, NCELLS - 1)),
+     (slice(None), np.array([3, 2, 1, 0]), _RNG.uniform(-1, 1, NCELLS)))
+    for _ in range(ND)])
+
+
+def _leaves(pool) -> st.SearchStrategy[Expr]:
+    return st.one_of(st.sampled_from(pool), st.integers(min_value=-4, max_value=4).map(Num),
+                     _FINITE.map(Num))
+
+
+#: volume trees (the test adds ``x - y*I``: a statement writes a subtraction)
+VOL_TREES = trees(_leaves(VOL_LEAVES))
+
+
+def _tile_scope(env: dict) -> tuple[dict, np.ndarray]:
+    scope = {"np": np, **IDX_MAPS, **env, "fold_s0": FOLD}
+    scope["fcoef_q"] = env["fcoef_q_face"][:NCELLS]
+    return scope, np.ascontiguousarray(env["u1"][:, :NCELLS])
+
+
+_INEXACT_SPELLINGS = ("**", "np.exp(", "np.cos(", "np.tanh(", "np.minimum(", "np.maximum(")
+
+
+@seed(20261017)
+@given(expr=st.one_of(VOL_TREES, st.tuples(VOL_TREES, VOL_TREES).map(
+    lambda ab: Add(ab[0], Mul(Num(-1), ab[1], _I)))), env=indexed_envs(special=True))
+@settings(max_examples=60, deadline=None)
+def test_c_tile_volume_statement_matches_the_numpy_tile(expr, env):
+    """Volume statements over the indexed unknown — step-invariant tables
+    (boolean ones as a select's condition), per-sweep definitions in the
+    sweep pool, a known variable's rows, a function coefficient's row — are
+    C when every operation left in the tile is exact, with the NumPy tile's
+    bits; a refused one has an inexact spelling left in its tile."""
+    statement = IDX_EMITTER.emit_sum([expr], "volume")
+    lowered = ctile.lower(NO_SURFACE, statement, IDX_EMITTER.shapes, {
+        h.name: int(h.code[1:]) for h in statement.sweep if h.code[1:].isdigit()})
+    if lowered is None:
+        assert any(s in "\n".join([*statement.prelude, statement.code])
+                   for s in _INEXACT_SPELLINGS), expr
+        return
+    scope, u = _tile_scope(env)
+    if _complex_scalar(lowered, scope):
+        return  # (the scalar suites pin the refusal)
+    with warnings.catch_warnings(), np.errstate(all="ignore"):
+        warnings.simplefilter("ignore")
+        try:
+            tile_scope, expected = _numpy_tile(IDX_EMITTER, NO_SURFACE, statement, scope, u)
+        except Exception:  # noqa: BLE001 - a refused complex value, on both tiles
+            return
+        assert _bits(_c_tile(lowered, tile_scope, u)) == _bits(expected), expr
+
+
+@seed(20261017)
+@given(flat=trees(_leaves(FLAT_LEAVES)), env=indexed_envs(special=True))
+@settings(max_examples=60, deadline=None)
+def test_c_tile_folded_statement_matches_the_numpy_tile(flat, env):
+    """Every folded surface statement — an upwind flux times any product of
+    flat factors — is C when its flat factors are exact: the operator's own
+    coefficient and its offset and gather entries in order, then the
+    factors, with the NumPy tile's bits (``kernels.apply_folded``)."""
+    emitted = IDX_EMITTER.emit_sum([Mul(flat, UPWIND)], "surface")
+    folded = emitted.folded
+    assert folded is not None and folded.prelude[0].startswith("kernels.apply_folded(")
+    scope, u = _tile_scope(env)
+    assert_c_tile_matches(flat, IDX_EMITTER, folded, NO_VOLUME, scope, u, scalars=("_k_1",))

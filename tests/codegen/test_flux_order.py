@@ -14,10 +14,9 @@ import pytest
 
 from repro.dsl.entities import CELL, VAR_ARRAY
 from repro.dsl.problem import Problem
-from repro.fvm import kernels
 from repro.fvm.boundary import BCKind
 from repro.fvm.geometry import FVGeometry
-from repro.mesh.grid import structured_grid
+from repro.mesh.grid import perturbed_grid, structured_grid, triangulated_grid
 from repro.util.errors import CodegenError, ConfigError
 
 
@@ -98,17 +97,6 @@ def l1_error(problem):
     return float(np.abs(solver.solution()[0] - exact).mean()), solver
 
 
-class TestMinmod:
-    def test_agreeing_signs_pick_smaller(self):
-        a = np.array([2.0, -3.0])
-        b = np.array([1.0, -0.5])
-        assert np.allclose(kernels.minmod(a, b), [1.0, -0.5])
-
-    def test_disagreeing_signs_zero(self):
-        assert np.allclose(kernels.minmod(np.array([1.0]), np.array([-2.0])), 0.0)
-        assert np.allclose(kernels.minmod(np.array([0.0]), np.array([5.0])), 0.0)
-
-
 def on_gpu(finish_step):
     def configure(p):
         p.enable_gpu()
@@ -136,7 +124,7 @@ class TestConvergenceAcrossTargets:
         errors = []
         for nx in (16, 32, 64):
             cpu = relaxation_problem(nx).solve()
-            assert "kernels.apply_folded(" in cpu.source
+            assert cpu.tile is not None  # the folded tile, as C
             errors.append(relaxation_error(cpu))
             for name, configure in TARGETS.items():
                 p = relaxation_problem(nx)
@@ -268,3 +256,93 @@ class TestBTEWithOrder2:
         # genuinely different discretisation, same magnitude
         assert not np.array_equal(u1, u2)
         assert np.abs(u2 - u1).max() < 0.1 * np.abs(u1).max()
+
+
+# -- an oblique-ordinate manufactured solution on the meshes the DSL accepts --
+#: oblique ordinates (no axis-aligned one), bands
+OBLIQUE = [(0.8, 0.6), (-0.6, 0.8), (-0.8, -0.6), (0.28, -0.96)]
+MESHES = {
+    "structured": lambda n: structured_grid((n, n)),
+    "perturbed": lambda n: perturbed_grid((n, n), amplitude=0.2, seed=3),
+    "triangulated": lambda n: triangulated_grid((n, n)),
+}
+
+
+def bump2d(x, y):
+    """A smooth pulse of compact support inside the unit square."""
+    r = np.hypot(x - 0.45, y - 0.5) / 0.3
+    return np.cos(0.5 * np.pi * np.clip(r, 0.0, 1.0)) ** 4
+
+
+def oblique_problem(kind: str, n: int, t_end: float = 0.1) -> Problem:
+    """``I[d,b]`` advected at ``vg[b] * S[d]`` along oblique ordinates and
+    relaxing to ``Io[b]``: exact ``Io + exp(-t/tau) * bump(x - vg S t)``,
+    with DIRICHLET ``Io`` ghosts the pulse never reaches.  On a structured
+    or perturbed grid (the same numbering, moved nodes) the fold reads
+    neighbours through offset entries; on a triangulated one through gather
+    entries."""
+    p = Problem(f"oblique-{kind}-{n}")
+    p.set_domain(2)
+    dt = 0.2 / n
+    p.set_steps(dt, int(round(t_end / dt)))
+    p.set_mesh(MESHES[kind](n))
+    d = p.add_index("d", (1, len(OBLIQUE)))
+    b = p.add_index("b", (1, 2))
+    p.add_variable("I", VAR_ARRAY, CELL, index=[d, b])
+    p.add_variable("Io", VAR_ARRAY, CELL, index=[b])
+    p.add_coefficient("Sx", np.array([s[0] for s in OBLIQUE]), VAR_ARRAY, index=[d])
+    p.add_coefficient("Sy", np.array([s[1] for s in OBLIQUE]), VAR_ARRAY, index=[d])
+    p.add_coefficient("vg", np.array(VG[:2]), VAR_ARRAY, index=[b])
+    p.add_coefficient("tau", np.array(TAU[:2]), VAR_ARRAY, index=[b])
+    io = np.array([IO[bi] for _ in OBLIQUE for bi in range(2)])
+    for r in (1, 2, 3, 4):
+        p.add_boundary("I", r, BCKind.DIRICHLET, io)
+    x, y = p.mesh.cell_centroids.T
+    p.initial_values["I"] = io[:, None] + bump2d(x, y)[None, :]
+    p.initial_values["Io"] = np.repeat(np.array(IO[:2])[:, None], len(x), axis=1)
+    p.set_conservation_form(
+        "I", "(Io[b] - I[d,b]) / tau[b] - surface(vg[b] * upwind([Sx[d];Sy[d]], I[d,b]))")
+    return p
+
+
+def oblique_error(solver) -> float:
+    """Volume-weighted L1 error against the exact solution."""
+    t, (x, y) = solver.state.time, solver.state.mesh.cell_centroids.T
+    exact = np.array([IO[b] + math.exp(-t / TAU[b]) * bump2d(x - VG[b] * sx * t,
+                                                              y - VG[b] * sy * t)
+                      for sx, sy in OBLIQUE for b in range(2)])
+    volume = solver.state.geom.volume
+    return float((np.abs(solver.solution() - exact) @ volume).mean() / volume.sum())
+
+
+#: the Euler targets held to ``cpu`` bit for bit on the 2-D meshes
+MESH_TARGETS = {
+    "gpu": on_gpu("gpu"),
+    "cells2": lambda p: p.set_partitioning("cells", 2),
+    "cells3": lambda p: p.set_partitioning("cells", 3),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(MESHES))
+def test_oblique_ordinates_converge_at_first_order_on_every_target(kind):
+    """Offset entries (structured, perturbed) and gather entries
+    (triangulated) of the folded operator, on every Euler target bit for bit
+    — cell ranks cut the mesh two and three ways, so halos meet at corners —
+    and the interpreter to rounding: L1 order >= 0.9 (EXPERIMENTS.md, "The
+    tile as C")."""
+    errors = []
+    for n in (32, 64):  # (16 -> 32 is still pre-asymptotic: 0.88 structured)
+        cpu = oblique_problem(kind, n).solve()
+        fold = cpu.state.tables(cpu.namespace["folded_tables"],
+                                cpu.state.geom.interior_faces, divergence=True)[0]
+        gathers = (fold.entries[:, 3] >= 0).any()
+        assert gathers == (kind == "triangulated"), kind
+        errors.append(oblique_error(cpu))
+        for name, configure in MESH_TARGETS.items():
+            p = oblique_problem(kind, n)
+            configure(p)
+            assert p.solve().solution().tobytes() == cpu.solution().tobytes(), (kind, name, n)
+        np.testing.assert_allclose(cpu.solution(), oblique_problem(kind, n).solve(
+            target="interp").solution(), rtol=1e-13, atol=0)
+    order = math.log2(errors[0] / errors[1])
+    assert order >= 0.9, (kind, errors, order)

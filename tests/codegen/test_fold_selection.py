@@ -137,6 +137,7 @@ def test_unfolded_statements_keep_parent_bytes(case):
     assert "kernels.apply_folded(" not in solver.source
     assert "compute_boundary_contribution" not in solver.source
     assert "geom.gather_sides(u, ghost, sel, out=(fu, fv))" in solver.source
+    assert solver.tile is None  # a two-sided tile is never C
     assert digests(solver) == PINS[case]
 
 
@@ -171,12 +172,15 @@ def test_linear_upwind_statements_fold(dim, equation):
 
     cpu = solve("cpu")
     terms = equation.count("upwind(")
-    assert cpu.source.count("kernels.apply_folded(") == terms
+    # one folded operator per upwind term, each applied once by the C tile
+    assert cpu.source.count("ctile.pack(kernels.fold_upwind(") == terms
+    assert cpu.tile.folds == terms and cpu.tile.text.count("double *restrict f = w + ") == terms
     assert "gather_sides" not in cpu.source and "surface_divergence" not in cpu.source
     # one step shape: bit for bit on the hybrid target, rounding against the
     # interpreter, which evaluates the flux on the faces
     gpu = solve(gpu=True)
-    assert gpu.source.count("kernels.apply_folded(") == terms
+    assert gpu.source.count("ctile.pack(kernels.fold_upwind(") == terms
+    assert gpu.tile == cpu.tile  # one library for both targets
     assert gpu.solution().tobytes() == cpu.solution().tobytes()
     np.testing.assert_allclose(cpu.solution(), solve("interp").solution(),
                                rtol=1e-13, atol=0)

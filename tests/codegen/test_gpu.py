@@ -237,12 +237,11 @@ class TestGeneratedKernelSource:
         )
         assert "def compute_boundary_contribution" in src
         assert "OWNER_INT" in src
-        # u_new[sel] = u[sel] + DT * (source + div), added straight into the
-        # rows of ``u_new`` where the tile is a view of them
-        for line in ("np.add(source, div, out=acc)", "np.multiply(acc, DT, out=acc)",
-                     "new = u_new[sel] if sel.__class__ is slice else acc",
-                     "np.add(us, acc, out=new)", "u_new[sel] = acc"):
-            assert line in src
+        # u_new[sel] = u[sel] + DT * (source + div): the C tile over the
+        # launch's rows into ``u_new``, no boundary part (finish_step's)
+        assert "TILE(TILE_PLANS, (DT,), True, rows, u, u_new," in src
+        assert "const double v = (" in solver.tile.text
+        assert "o[c] = euler ? ur[c] + v * s0 : v;" in solver.tile.text
 
     def test_kernel_work_estimates_attached(self, gpu_scenario):
         p, _ = build_bte_problem(gpu_scenario)

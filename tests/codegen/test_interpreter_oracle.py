@@ -175,7 +175,7 @@ def test_cpu_rounds_to_interpreted_on_the_bte_hotspot(tiny_scenario):
     from repro.bte.problem import build_bte_problem
 
     cpu = build_bte_problem(tiny_scenario)[0].solve(target="cpu")
-    assert "kernels.apply_folded(fold_s0, us, runs_d, acc, cw)" in cpu.source
+    assert cpu.tile.folds == 1 and cpu.tile.operands[0] == "fold_s0"  # one C tile
     interp = build_bte_problem(tiny_scenario)[0].solve(target="interp")
     np.testing.assert_allclose(cpu.solution(), interp.solution(), rtol=1e-13, atol=0)
     np.testing.assert_allclose(cpu.state.extra["T"], interp.state.extra["T"],
@@ -184,11 +184,12 @@ def test_cpu_rounds_to_interpreted_on_the_bte_hotspot(tiny_scenario):
 
 def test_cpu_rounds_to_interpreted_with_non_side_conditionals():
     cpu = build_switch_problem().solve(target="cpu")
-    source = cpu.source[cpu.source.index("def compute_rhs("):]
-    loop = source[source.index("for sel, n, "):]
-    # the mask is a table ...
-    assert "np.where(kernels.rows_of(tab_v1, rows_d, None)," in loop
-    assert "kernels.apply_folded(fold_s0," in loop   # ... and the upwind's is folded
+    tile = cpu.tile
+    # the mask is a table, read as a select's condition in the C tile ...
+    mask = f"a{tile.operands.index('tab_v1')}"
+    assert tile.kinds[tile.operands.index("tab_v1")] == "k"  # a boolean, one per row
+    assert f"const unsigned char *p1 = {mask} + " in tile.text and "(p1[0] ? " in tile.text
+    assert tile.folds == 1 and "fold_s0" in tile.operands  # ... and the upwind's is folded
     interp = build_switch_problem().solve(target="interp")
     np.testing.assert_allclose(cpu.solution(), interp.solution(), rtol=1e-13, atol=0)
 

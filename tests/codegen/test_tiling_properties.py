@@ -36,6 +36,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bte.problem import build_bte_problem, hotspot_scenario
+from repro.codegen import ctile
 from repro.fvm import kernels
 from repro.runtime.faults import fault_run
 from repro.util.context import current
@@ -180,23 +181,31 @@ def test_all_euler_targets_are_bit_identical_at_every_tile_height(monkeypatch):
     one ``compute_boundary_contribution``, combined as ``u + (du_bdry * dt)``
     — so the serial, cell- and band-partitioned, hybrid and multi-device
     solves of one problem (nx=16, 8 directions x 11 bands, 8
-    steps) agree to the last bit, whatever the tile height."""
+    steps) agree to the last bit, with the C tile and with the NumPy tile a
+    statement keeps when C cannot print it, whatever its tile height."""
+    from repro.codegen import ctile
+    from repro.tune.cache import cache_scope
+
     sc = hotspot_scenario(nx=16, ny=16, ndirs=8, n_freq_bands=8, dt=1e-12, nsteps=8)
 
     def run(target, rows=None):
         problem, _ = build_bte_problem(sc)
         TARGETS[target][0](problem)
-        with monkeypatch.context() as patch:
-            if rows is not None:
+        with monkeypatch.context() as patch, cache_scope():
+            if rows is not None:  # the NumPy tile, in tiles of ``rows``
+                patch.setattr(ctile, "lower", lambda *args: None)
                 patch.setattr(kernels, "TILE_BYTES", 8 * 2 * 16 * 17 * rows)
-            return problem.solve()
+            solver = problem.solve()
+        assert (solver.tile is None) == (rows is not None)
+        return solver
 
     serial = run("cpu")
-    assert serial.state.ncomp == 88 and "kernels.apply_folded(" in serial.source
+    assert serial.state.ncomp == 88 and serial.tile.folds == 1
     expected = digest(serial)
     for target in sorted(TARGETS):
         assert digest(run(target)) == expected, target
-        assert digest(run(target, rows=5)) == expected, f"{target}, tiles of 5 rows"
+        assert digest(run(target, rows=5)) == expected, f"{target}, NumPy tiles of 5 rows"
+        assert digest(run(target, rows=10_000)) == expected, f"{target}, one NumPy tile"
 
 
 # --------------------------------------------------------------------------
@@ -225,9 +234,36 @@ def _rows_of(keys, ncomp):
     return set(np.concatenate([np.arange(ncomp)[k].ravel() for k in keys]).tolist())
 
 
-def test_band_ranks_gather_only_their_own_rows(monkeypatch):
-    """The sweep of a band rank takes only its own rows of the unknown into
-    its tiles (``kernels.rows_of`` — the boundary part reads the owner
+def test_band_ranks_sweep_only_their_own_rows():
+    """The C tile of a band rank is called over its own rows of its own
+    unknown, once per step (the boundary part reads the owner values of
+    every row, and is not what this pins)."""
+    problem = build_problem()
+    problem.set_partitioning("bands", 2, index="b")
+    solver = problem.generate()
+    ns = solver.namespace
+    make_rank_state, tile = ns["make_rank_state"], ns["TILE"]
+    swept: dict[int, list] = {}
+    rank_of: dict[int, int] = {}  # id of a rank's unknown -> the rank
+
+    def recording_rank_state(rank):
+        state = make_rank_state(rank)
+        rank_of[id(state.host_u)] = rank, state.owned_comps
+        return state
+
+    def recording_tile(memo, scalars, euler, rows, u, *rest):
+        swept.setdefault(rank_of[id(u)][0], []).append(rows)
+        assert rows is rank_of[id(u)][1]
+        return tile(memo, scalars, euler, rows, u, *rest)
+
+    ns["make_rank_state"], ns["TILE"] = recording_rank_state, recording_tile
+    solver.run(2)
+    assert {rank: len(calls) for rank, calls in swept.items()} == {0: 2, 1: 2}
+
+
+def test_band_ranks_gather_only_their_own_rows(monkeypatch, numpy_tile):
+    """The NumPy tile of a band rank takes only its own rows of the unknown
+    into its tiles (``kernels.rows_of`` — the boundary part reads the owner
     values of every row, and is not what this pins)."""
     from types import SimpleNamespace
 
@@ -264,11 +300,26 @@ def test_band_ranks_gather_only_their_own_rows(monkeypatch):
         assert sorted(rows.tolist()) == sorted(owned[rank].tolist() * 2)
 
 
-@pytest.mark.parametrize("rows", [
+LAUNCH_ROWS = [
     np.array([1, 2, 3, 11, 12, 13]),  # a band block's strided rows
     np.arange(5, 10),                 # a contiguous block of rows
-])
+]
+
+
+@pytest.mark.parametrize("rows", LAUNCH_ROWS)
 def test_kernel_launch_touches_only_selected_rows(monkeypatch, rows):
+    """The C tile of a launch over ``rows`` writes those rows, as a launch
+    over every row writes them, and no other."""
+    assert_launch_touches_only(monkeypatch, rows, recorded=False)
+
+
+@pytest.mark.parametrize("rows", LAUNCH_ROWS)
+def test_numpy_kernel_launch_gathers_only_selected_rows(monkeypatch, numpy_tile, rows):
+    """The NumPy tile of such a launch also gathers only those rows."""
+    assert_launch_touches_only(monkeypatch, rows, recorded=True)
+
+
+def assert_launch_touches_only(monkeypatch, rows, recorded: bool) -> None:
     problem = build_problem()
     use_gpu(problem)
     solver = problem.generate()
@@ -285,7 +336,8 @@ def test_kernel_launch_touches_only_selected_rows(monkeypatch, rows):
     others = np.setdiff1d(np.arange(state.ncomp), rows)
     assert np.array_equal(part[rows], full[rows])
     assert np.isnan(part[others]).all()
-    assert _rows_of(u.keys, state.ncomp) == set(rows.tolist())
+    if recorded:  # (C reads the rows it is given: there is nothing to record)
+        assert _rows_of(u.keys, state.ncomp) == set(rows.tolist())
 
 
 def test_row_blocks_keep_assembly_order_and_drop_foreign_rows():
@@ -353,7 +405,11 @@ def test_upwind_gather_equals_the_select_of_two_gathers(rows):
     tables = [geom.normal[faces], geom.face_dist[faces], geom.owner[faces],
               geom.neighbor_column[faces]]
     mask, projected, columns = ns["invariant_tables"](*tables)
-    (fold,) = state.tables(ns["folded_tables"], faces, divergence=True)
+    slots = geom.divergence_slots(faces=faces)
+    fold = kernels.fold_upwind(slots, projected, columns, geom.ncells)
+    # the operator the C tile reads is this one, packed
+    (packed,) = state.tables(ns["folded_tables"], faces, divergence=True)
+    assert all(map(np.array_equal, packed, ctile.pack(fold)))
     table_rows = ns["tmap_d"] if rows is None else ns["tmap_d"][rows]
     assert rows is None or isinstance(rows, slice) or len(set(table_rows)) > 1
     u1, u2 = (side[:, faces] for side in geom.gather_sides(u, None, rows))
@@ -433,7 +489,7 @@ def test_rk_steppers_get_a_fresh_rhs_from_the_same_tile_body(monkeypatch):
             return problem.solve()
 
     solver = solve(10_000)
-    assert "rhs[sel] = acc" in solver.source and "dt, out=acc" not in solver.source
+    assert "TILE(state.plans, (dt,), False, rows, u, rhs," in solver.source
     assert "require_private_inputs" not in solver.source
     state = solver.state
     before = state.u.copy()

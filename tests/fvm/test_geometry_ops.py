@@ -101,13 +101,6 @@ class TestGathers:
 
 
 class TestKernels:
-    def test_upwind_positive_velocity_uses_owner(self):
-        vn = np.array([2.0, -3.0])
-        u1 = np.array([1.0, 1.0])
-        u2 = np.array([10.0, 10.0])
-        flux = kernels.upwind_flux(vn, u1, u2)
-        assert np.allclose(flux, [2.0, -30.0])
-
     @pytest.mark.parametrize("rows", [slice(None), slice(3, 17),
                                       np.array([0, 2, 3, 9, 10, 11, 19])])
     @pytest.mark.parametrize("height", [1, 4, 5, 20, 1000])

@@ -4,48 +4,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.fvm import kernels
 from repro.fvm.geometry import FVGeometry
 from repro.mesh.grid import structured_grid
 
 finite = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
-
-
-@given(
-    vn=st.lists(finite, min_size=4, max_size=12),
-    u1=st.lists(st.floats(min_value=-10, max_value=10, allow_nan=False),
-                min_size=4, max_size=12),
-    u2=st.lists(st.floats(min_value=-10, max_value=10, allow_nan=False),
-                min_size=4, max_size=12),
-)
-@settings(max_examples=60, deadline=None)
-def test_upwind_flux_selects_upstream_value(vn, u1, u2):
-    n = min(len(vn), len(u1), len(u2))
-    vn, u1, u2 = (np.array(v[:n]) for v in (vn, u1, u2))
-    flux = kernels.upwind_flux(vn, u1, u2)
-    for i in range(n):
-        expected = vn[i] * (u1[i] if vn[i] > 0 else u2[i])
-        assert flux[i] == expected
-
-
-@given(
-    vn=st.lists(finite, min_size=4, max_size=12),
-    u=st.lists(st.floats(min_value=-10, max_value=10, allow_nan=False),
-               min_size=4, max_size=12),
-)
-@settings(max_examples=40, deadline=None)
-def test_upwind_consistency_with_uniform_state(vn, u):
-    """With u1 == u2 == u the upwind flux is ``vn * u``, the central
-    flux (flux consistency of the reconstruction)."""
-    n = min(len(vn), len(u))
-    vn, u = np.array(vn[:n]), np.array(u[:n])
-    # atol covers denormal rounding (0.5 * denormal underflows to zero)
-    np.testing.assert_allclose(
-        kernels.upwind_flux(vn, u, u),
-        vn * u,
-        rtol=1e-14,
-        atol=1e-300,
-    )
 
 
 @given(
