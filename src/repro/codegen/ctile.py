@@ -7,17 +7,18 @@ function over every row of a sweep; :func:`build` compiles it with the
 system C compiler; :class:`Tile` calls it through :mod:`ctypes`, once per
 sweep.
 
-*Exact only.*  The printer translates the NumPy tile's own register lines
-(the statements as ``emit_sum`` wrote them), one line to one C assignment
-per element, every operation on the same operands in the same order: ``+ -
-* /``, negation, compare/select and ``sqrt``/``abs`` (correctly rounded,
-``-fno-math-errno``, no FMA contraction), so every element keeps its bits.
-A sub-expression of plain floats (scalar coefficients, ``dt``, literals,
-NumPy functions of them) is evaluated by Python before the call, as the
-NumPy tile evaluates it, and passed by value.  At the first operation on
-arrays that is not exact — a power other than ``x^-1``, a transcendental,
-``min``/``max`` — :func:`lower` returns ``None`` and the tile stays NumPy,
-whole; the choice is made from the expression alone.
+*Exact only.*  The emitter records each statement of a tile as data
+(:class:`~repro.codegen.emit.Stmt`, ``register := op(operands)``) and
+prints it as NumPy; :func:`lower` prints the same record as C, one
+assignment per element, every operation on the same operands in the same
+order, spelt as the one table of operations gives it
+(:data:`~repro.codegen.emit.OPS`): ``+ - * /``, compare/select and
+``sqrt``/``abs``, correctly rounded (``-fno-math-errno``, no FMA
+contraction), so every element keeps its bits.  A sub-expression of plain
+floats is evaluated by Python before the call, as the NumPy tile evaluates
+it, and passed by value.  An operation on arrays the table gives no C
+spelling — a power other than ``x^-1``, a transcendental, ``min``/``max`` —
+keeps the tile NumPy, whole (:func:`lower` returns ``None``).
 
 *One library per equation shape.*  The C text holds no sizes, counts,
 coefficients or names the user chose: its identifiers are positional and
@@ -26,20 +27,24 @@ apart — the rows swept, in place or into another array, the forward-Euler
 update or the right-hand side alone, the boundary cells' add, the columns a
 cell rank owns.  Builds are memoised per process by (text, compiler,
 flags) and single-flight; the library lands in the compilation cache's
-disk directory when one is configured, otherwise in a private temporary
-directory that is removed once the library is loaded.  A missing or failing
+disk directory when one is configured and writable (one there the loader
+refuses is built again and replaced), otherwise in a private temporary
+directory removed once the library is loaded.  A missing or failing
 compiler is :class:`~repro.util.errors.CodegenError` RPR142.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import threading
 from typing import NamedTuple
 
 import numpy as np
 
+from repro.codegen.emit import COMPARISONS, OPS, Leaf, Op, Stmt, Table
+from repro.fvm.kernels import FoldedOperator
 from repro.util.errors import CodegenError
 
 #: The compiler, found on ``PATH``.
@@ -54,11 +59,6 @@ COMPILER = "cc"
 #: operations.
 FLAGS = ("-O1", "-shared", "-fPIC", "-pipe", "-nostdlib",
          "-ffp-contract=off", "-fno-math-errno")
-
-_UFUNCS = {"np.add": "+", "np.subtract": "-", "np.multiply": "*", "np.divide": "/"}
-_BINOPS = {"Add": "+", "Sub": "-", "Mult": "*", "Div": "/"}
-_CMPOPS = {"Gt": ">", "Lt": "<", "GtE": ">=", "LtE": "<=", "Eq": "==", "NotEq": "!="}
-_CALLS = {"np.sqrt": "__builtin_sqrt", "np.abs": "__builtin_fabs"}
 
 
 class Lowered(NamedTuple):
@@ -83,232 +83,131 @@ class _Inexact(Exception):
 
 
 class _Printer:
-    """Translate register lines to per-element C (:func:`lower`)."""
+    """Print a tile's statements as per-element C (:func:`lower`)."""
 
-    def __init__(self, tables: dict[str, tuple[str, bool]], sweep: dict[str, int]):
-        self.tables, self.sweep = tables, sweep
+    def __init__(self):
         self.locals: dict[str, str] = {}
-        self.floats: dict[str, object] = {}  # a name assigned a plain float: its tree
-        self.scalars: list[str] = []
+        self.floats: dict[str, object] = {}  # a name bound to a plain float: its term
+        self.scalars: dict[str, str] = {}  # a Python expression: its C name
         self.operands: list[tuple[str, str]] = []  # (kind, Python expression)
         self.params: list[str] = []
         self.rowptrs: list[str] = []
-        self.held: dict[tuple, str] = {}
-        self.folds: list[tuple[str, str]] = []  # (C prefix, row map)
+        self.held: dict[object, str] = {}  # an operand or a row pointer: its C name
+        self.folds: dict[str, str] = {}  # a folded operator: its row map
         self.bounds: set[tuple[int, int]] = set()
         self.registers = 0  # of the sweep pool, read
         self.body: list[str] = []
 
     # -- operands -------------------------------------------------------------
     def _operand(self, kind: str, source: str, *params: str) -> str:
-        name = f"a{len(self.operands)}"
-        self.operands.append((kind, source))
-        self.params += [p.format(name) for p in params]
-        return name
-
-    def _held(self, key: tuple, make) -> str:
-        if key not in self.held:
-            self.held[key] = make()
-        return self.held[key]
+        """The argument ``source`` (Python), passed once as ``params`` (C)."""
+        if (kind, source) not in self.held:
+            name = self.held[kind, source] = f"a{len(self.operands)}"
+            self.operands.append((kind, source))
+            self.params += [p.format(name) for p in params]
+        return self.held[kind, source]
 
     def _map(self, user: str, source: str) -> str:
         """The row map ``source`` (a Python name), read by the operand ``user``."""
-        rows = self._held(("m", source), lambda: self._operand(
-            "m", source, "const long *restrict {}"))
+        rows = self._operand("m", source, "const long *restrict {}")
         self.bounds.add((int(user[1:]), int(rows[1:])))
         return rows
 
-    def _table(self, name: str, space: str, condition: bool) -> str:
+    def _table(self, t: Table, condition: bool) -> str:
         """The element of a table read by the tile's row map."""
-        if name in self.sweep:
-            self.registers = max(self.registers, self.sweep[name] + 1)
-            pool = self._held(("p",), lambda: self._operand(
-                "p", "sweep_pool", "const double *restrict {}", "long {}l"))
-            ptr = self._rowptr(("s", name), "const double *",
-                               f"{pool} + ({self.sweep[name]} * {pool}l + "
-                               f"{self._map(pool, f'tmap_{space}')}[g]) * n")
-            return f"{ptr}[c]"
-        if name not in self.tables:
-            raise _Inexact(name)
-        kind, boolean = self.tables[name]
-        if boolean and not condition:
+        name, space = t.h.name, f"tmap_{t.h.rows}"
+        if t.test and not condition:
             raise _Inexact("bool")
-        ctype = "const unsigned char" if boolean else "const double"
-        wide = kind in ("t", "r")  # a row of cells, else one value per row
-        arr = self._held(("t", name), lambda: self._operand(
-            ("bk" if boolean else "tn")[not wide], name, ctype + " *restrict {}"))
-        rows = self._map(arr, f"tmap_{space}")
-        ptr = self._rowptr(("t", name), ctype + " *",
-                           f"{arr} + {rows}[g]{' * n' if wide else ''}")
-        return f"{ptr}[{'c' if wide else '0'}]"
+        if t.pool >= 0:  # held in the sweep pool
+            self.registers = max(self.registers, t.pool + 1)
+            ctype = "const double"
+            arr = self._operand("p", "sweep_pool", "const double *restrict {}", "long {}l")
+            row = f"({t.pool} * {arr}l + {self._map(arr, space)}[g]) * n"
+        else:
+            ctype = "const unsigned char" if t.test else "const double"
+            arr = self._operand(("bk" if t.test else "tn")[not t.wide], name,
+                                ctype + " *restrict {}")
+            row = f"{self._map(arr, space)}[g]{' * n' if t.wide else ''}"
+        return f"{self._rowptr(ctype + ' *', f'{arr} + {row}')}[{'c' if t.wide else '0'}]"
 
-    def _rowptr(self, key: tuple, ctype: str, value: str) -> str:
-        def make() -> str:
-            name = f"p{len(self.rowptrs)}"
-            self.rowptrs.append(f"{ctype}{name} = {value};")
-            return name
-        return self._held(("r", *key), make)
+    def _rowptr(self, ctype: str, value: str) -> str:
+        """A pointer set once per row ``g`` of the sweep."""
+        if value not in self.held:
+            self.held[value] = f"p{len(self.rowptrs)}"
+            self.rowptrs.append(f"{ctype}{self.held[value]} = {value};")
+        return self.held[value]
 
     def _local(self, name: str) -> str:
-        if name not in self.locals:
-            self.locals[name] = f"r{len(self.locals)}"
-        return self.locals[name]
+        return self.locals.setdefault(name, f"r{len(self.locals)}")
 
-    def _scalar(self, node) -> str:
-        import ast
+    def _plain(self, t):
+        """``t`` if it is a plain float — a literal, a scalar coefficient,
+        ``dt``, a name bound to one (read as its term), Python or NumPy
+        (``np.f``) of them — else ``None``."""
+        if isinstance(t, float):
+            return t if math.isfinite(t) else None
+        if isinstance(t, Leaf):
+            return t if t.kind == "s" else self.floats.get(t.name)
+        if isinstance(t, Op) and OPS[t.op][0][:3] in ("({}", "np."):
+            args = tuple(map(self._plain, t.args))
+            return None if None in args else t._replace(args=args)
+        return None
 
-        if isinstance(node, ast.Constant) or (
-                isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub)
-                and isinstance(node.operand, ast.Constant)):
-            value = float(ast.literal_eval(node))
-            if not np.isfinite(value):
-                raise _Inexact(value)
-            return f"({value!r})"
-        floats = self.floats
+    def _scalar(self, t) -> str:
+        """A plain float: a literal, or passed by value (Python computes it
+        before the call, as the NumPy tile does)."""
+        if isinstance(t, float):
+            return f"({t!r})"
+        return self.scalars.setdefault(str(t), f"s{len(self.scalars) + 1}")
 
-        class Inline(ast.NodeTransformer):
-            def visit_Name(self, name):
-                return floats.get(name.id, name)
-
-        source = ast.unparse(Inline().visit(node))
-        if source not in self.scalars:
-            self.scalars.append(source)
-        return f"s{self.scalars.index(source) + 1}"
-
-    # -- expressions ----------------------------------------------------------
-    def _is_scalar(self, node) -> bool:
-        import ast
-
-        if isinstance(node, ast.Constant):
-            return True
-        if isinstance(node, ast.Name):
-            return node.id in ("dt", "DT") or node.id.startswith("coef_") or node.id in self.floats
-        if isinstance(node, ast.UnaryOp):
-            return self._is_scalar(node.operand)
-        if isinstance(node, ast.BinOp):
-            return self._is_scalar(node.left) and self._is_scalar(node.right)
-        if isinstance(node, ast.Compare):
-            return all(map(self._is_scalar, [node.left, *node.comparators]))
-        if isinstance(node, ast.Call) and not node.keywords:
-            # NumPy on plain floats: evaluated as the NumPy tile evaluates it
-            return (isinstance(node.func, ast.Attribute) and ast.unparse(node.func.value) == "np"
-                    and all(map(self._is_scalar, node.args)))
-        return False
-
-    def expr(self, node, condition: bool = False) -> str:
-        """C of one element of ``node``.  A comparison is only read as a
+    # -- terms and statements -------------------------------------------------
+    def expr(self, t, condition: bool = False) -> str:
+        """C of one element of ``t``.  A comparison is only read as a
         select's condition or stored as a float (``condition``): NumPy's
         bool arithmetic is no C int arithmetic."""
-        import ast
-
-        if self._is_scalar(node):
-            if isinstance(node, ast.Compare) and not condition:
+        plain = self._plain(t)
+        if plain is not None:
+            if isinstance(t, Op) and t.op in COMPARISONS and not condition:
                 raise _Inexact("bool")
-            return self._scalar(node)
-        if isinstance(node, ast.Name):
-            if node.id == "us":
-                return "ur[c]"
-            if node.id in self.locals:
-                return self.locals[node.id]
-            raise _Inexact(node.id)
-        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
-            return f"(-{self.expr(node.operand)})"
-        if isinstance(node, ast.BinOp) and type(node.op).__name__ in _BINOPS:
-            op = _BINOPS[type(node.op).__name__]
-            return f"({self.expr(node.left)} {op} {self.expr(node.right)})"
-        if isinstance(node, ast.Compare) and condition and len(node.ops) == 1:
-            op = _CMPOPS[type(node.ops[0]).__name__]
-            return f"({self.expr(node.left)} {op} {self.expr(node.comparators[0])})"
-        if isinstance(node, ast.Subscript):
-            return self._subscript(node)
-        if isinstance(node, ast.Call) and not node.keywords:
-            fn = ast.unparse(node.func)
-            args = node.args
-            if fn == "np.where" and len(args) == 3:
-                cond, then, other = (self.expr(args[0], condition=True),
-                                     self.expr(args[1]), self.expr(args[2]))
-                return f"({cond} ? {then} : {other})"
-            if fn in _CALLS and len(args) == 1:
-                return f"{_CALLS[fn]}({self.expr(args[0])})"
-            if (fn == "kernels.rows_of" and len(args) == 3
-                    and isinstance(args[0], ast.Name) and isinstance(args[1], ast.Name)
-                    and args[1].id.startswith("rows_")):
-                return self._table(args[0].id, args[1].id[5:], condition)
-        raise _Inexact(ast.unparse(node))
+            return self._scalar(plain)
+        if isinstance(t, Table):
+            return self._table(t, condition)
+        if isinstance(t, Leaf) and t.kind == "u":
+            return "ur[c]"
+        if isinstance(t, Leaf) and t.name in self.locals:
+            return self.locals[t.name]
+        if isinstance(t, Leaf) and t.kind in "ch":  # a column, a row over the cells
+            arg = self._operand(t.kind, t.name, "const double *restrict {}")
+            return f"{arg}[{'g' if t.kind == 'c' else 'c'}]"
+        c = isinstance(t, Op) and OPS[t.op][3]
+        if not c or (t.op in COMPARISONS and not condition):
+            raise _Inexact(t)
+        if len(t.args) > c.count("{}"):  # ``a + b + c`` is ``(a + b) + c``, as Python reads it
+            return self.expr(Op(t.op, (Op(t.op, t.args[:-1]), t.args[-1])))
+        return c.format(*(self.expr(a, condition=t.op == "np.where" and i == 0)
+                          for i, a in enumerate(t.args)))
 
-    def _subscript(self, node) -> str:
-        import ast
-
-        source = ast.unparse(node)
-        inner = node.value
-        if (isinstance(inner, ast.Subscript) and isinstance(inner.value, ast.Name)
-                and inner.value.id.startswith("coef_") and source.endswith("[sel][:, None]")):
-            col = self._held(("c", inner.value.id), lambda: self._operand(
-                "c", inner.value.id, "const double *restrict {}"))
-            return f"{col}[g]"
-        if (isinstance(inner, ast.Name) and inner.id.startswith("fcoef_")
-                and source.endswith("[None, :]")):
-            row = self._held(("h", inner.id), lambda: self._operand(
-                "h", inner.id, "const double *restrict {}"))
-            return f"{row}[c]"
-        raise _Inexact(source)
-
-    # -- statements -----------------------------------------------------------
-    def statement(self, line: str) -> None:
-        import ast
-
-        (node,) = ast.parse(line).body
-        if isinstance(node, ast.Assign) and len(node.targets) == 1:
-            target, value = node.targets[0], node.value
-            if isinstance(target, ast.Subscript) and isinstance(target.value, ast.Name) \
-                    and isinstance(target.slice, ast.Constant) and target.slice.value is ...:
-                # a register filled with a value of no ``out=`` form: a
-                # comparison lands as 1.0/0.0 in both
-                code = self.expr(value, condition=True)
-                self.body.append(f"{self._local(target.value.id)} = {code};")
-                return
-            if isinstance(target, ast.Name):
-                if self._is_scalar(value) and target.id not in self.locals:
-                    self.floats[target.id] = value  # a plain float: read where used
-                    return
-                code = self.expr(value)
-                self.body.append(f"{self._local(target.id)} = {code};")
-                return
-        if isinstance(node, ast.Expr) and isinstance(node.value, ast.Call):
-            call = node.value
-            fn = ast.unparse(call.func)
-            keywords = {k.arg: k.value for k in call.keywords}
-            out = keywords.get("out")
-            if fn in _UFUNCS and len(call.args) == 2 and set(keywords) == {"out"}:
-                a, b = (self.expr(arg) for arg in call.args)
-                self.body.append(f"{self._local(out.id)} = ({a} {_UFUNCS[fn]} {b});")
-                return
-            if fn == "kernels.apply_folded" and len(call.args) == 5:
-                name, _, runs, reg, _ = call.args
-                fold = self._held(("f", name.id), lambda: self._fold(name.id, runs.id[5:]))
-                self.body.append(f"{self._local(reg.id)} = {fold}[c];")
-                return
-            axis = keywords.get("axis")
-            if (fn.endswith(".take") and isinstance(out, ast.Name)
-                    and isinstance(axis, ast.Constant) and axis.value == 0
-                    and len(call.args) == 1 and isinstance(call.args[0], ast.Subscript)):
-                # a known variable's rows by its component map
-                cmap = call.args[0].value.id
-                array = ast.unparse(call.func.value)
-                var = self._held(("v", array), lambda: self._operand(
-                    "v", array, "const double *restrict {}"))
-                rows = self._map(var, cmap)
-                ptr = self._rowptr(("v", array, cmap), "const double *",
-                                   f"{var} + {rows}[g] * n")
-                self.body.append(f"{self._local(out.id)} = {ptr}[c];")
-                return
-        raise _Inexact(line)
-
-    def _fold(self, name: str, space: str) -> str:
-        op = self._operand("f", name, *(f"const {t} *restrict {{}}{s}" for t, s in (
-            ("double", "o"), ("long", "b"), ("long", "e"), ("double", "w"), ("long", "g"))))
-        self.folds.append((op, self._map(op, f"tmap_{space}")))
-        return f"f{len(self.folds) - 1}"
+    def statement(self, s: Stmt) -> None:
+        target, t = s
+        plain = self._plain(t.args[0]) if t.op == "=" else None
+        if plain is not None and target not in self.locals:
+            self.floats[target] = plain  # a plain float: read where used
+            return
+        if t.op in ("fold", "take"):
+            name, rows = t.args
+            if t.op == "fold":  # formed for every column ahead of the statements
+                op = self._operand("f", name, *(f"const {c} *restrict {{}}{x}" for c, x in (
+                    ("double", "o"), ("long", "b"), ("long", "e"), ("double", "w"),
+                    ("long", "g"))))
+                self.folds.setdefault(op, self._map(op, f"tmap_{rows}"))
+                row = f"f{list(self.folds).index(op)}"
+            else:  # a known variable's rows, by its component map
+                var = self._operand("v", name, "const double *restrict {}")
+                row = self._rowptr("const double *", f"{var} + {self._map(var, rows)}[g] * n")
+            code = OPS[t.op][3].format(row)
+        else:  # a register written (a comparison lands as 1.0/0.0), a name bound
+            code = self.expr(t, condition=True)
+        self.body.append(f"{self._local(target)} = {code};")
 
     # -- the unit -------------------------------------------------------------
     def text(self, div: str, source: str) -> str:
@@ -334,7 +233,7 @@ class _Printer:
             "        /* o may be ur (in place): element c is read, then written */",
             f"        double *o = own ? w + {nf} * n : orow;",
         ]
-        for k, (op, rowmap) in enumerate(self.folds):
+        for k, (op, rowmap) in enumerate(self.folds.items()):
             lines += [
                 "        {",
                 f"            double *restrict f = w + {k} * n;",
@@ -374,80 +273,21 @@ class _Printer:
         return "\n".join(lines) + "\n"
 
 
-def lower(folded, volume, tables: dict[str, tuple[str, bool]],
-          sweep: dict[str, int]) -> Lowered | None:
-    """The C tile of a folded statement ``folded`` and a volume statement
-    ``volume`` (``0.0`` when there are no volume terms) — their
-    :class:`~repro.codegen.emit.EmittedExpr` register lines — or ``None``
-    when a line is not lowered exactly.  ``tables`` gives each table the
-    lines may read its shape kind (``'t'``/``'r'``: a row of cells, else a
-    column) and whether it is boolean; ``sweep`` each per-sweep definition
-    its register in ``sweep_pool``."""
-    printer = _Printer(tables, sweep)
+def lower(folded, volume) -> Lowered | None:
+    """The C tile of a folded and a volume statement (``0.0`` when there are
+    no volume terms), :class:`~repro.codegen.emit.EmittedExpr`, or ``None``
+    when an operation has no exact C form."""
+    printer = _Printer()
     try:
-        for line in folded.prelude:
-            printer.statement(line)
-        printer.statement(f"div = {folded.code}")
-        for line in volume.prelude:
-            printer.statement(line)
-        printer.statement(f"source = {volume.code}")
+        for s in [*folded.statements, Stmt("div", Op("=", (folded.term,))),
+                  *volume.statements, Stmt("source", Op("=", (volume.term,)))]:
+            printer.statement(s)
     except _Inexact:
         return None
-    # (either may be a plain float: then it is passed, or printed, as one)
-    text = printer.text(*(printer.locals.get(name) or printer._scalar(printer.floats[name])
-                          for name in ("div", "source")))
+    text = printer.text(*(printer.expr(Leaf("r", name)) for name in ("div", "source")))
     kinds, operands = zip(*printer.operands) if printer.operands else ((), ())
     return Lowered(text, tuple(printer.scalars), tuple(operands), "".join(kinds),
                    len(printer.folds), tuple(sorted(printer.bounds)), printer.registers)
-
-
-# ---------------------------------------------------------------------------
-# the folded operator, packed for C
-# ---------------------------------------------------------------------------
-
-class PackedFold(NamedTuple):
-    """A :class:`~repro.fvm.kernels.FoldedOperator` as flat arrays: ``own``
-    as it was; the entries of table row ``r`` are rows ``begin[r]`` to
-    ``begin[r + 1]`` of ``entries``, each ``(lo, hi, shift, gather,
-    weight)``: for ``lo <= c < hi`` it adds ``weights[weight + c - lo]``
-    times the value read at ``c + shift`` (``gather < 0``) or at
-    ``indices[gather + c - lo]``."""
-
-    own: np.ndarray
-    begin: np.ndarray
-    entries: np.ndarray
-    weights: np.ndarray
-    indices: np.ndarray
-
-
-def pack(op) -> PackedFold:
-    """Pack ``op`` (:func:`repro.fvm.kernels.fold_upwind`); what it reads
-    is checked where it is handed to the tile (:func:`_check_fold`)."""
-    own = np.ascontiguousarray(op.own, dtype=np.float64)
-    ncells = own.shape[1]
-    begin, entries, weights, indices = [0], [], [], []
-    nw = ni = 0
-    for row in op.entries:
-        for cells, read, w in row:
-            lo, hi, _ = cells.indices(ncells)
-            width = len(range(read.start, read.stop)) if read.__class__ is slice else len(read)
-            if len(w) != hi - lo or width != hi - lo:
-                raise CodegenError("folded entry: weights or reads of another width")
-            if read.__class__ is slice:
-                entries.append((lo, hi, read.start - lo, -1, nw))
-            else:
-                entries.append((lo, hi, 0, ni, nw))
-                indices.append(read)
-                ni += len(read)
-            weights.append(w)
-            nw += len(w)
-        begin.append(len(entries))
-    return PackedFold(
-        own, np.asarray(begin, dtype=np.int64),
-        np.asarray(entries, dtype=np.int64).reshape(-1, 5),
-        np.concatenate([np.zeros(0), *weights]).astype(np.float64),
-        np.concatenate([np.zeros(1, np.int64), *indices]).astype(np.int64)[1:] if indices
-        else np.zeros(1, np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -455,10 +295,11 @@ def pack(op) -> PackedFold:
 # ---------------------------------------------------------------------------
 
 class _Build:
-    """One library of one text: the compiler started, then the function
-    loaded.  The compiler reads the text from, and writes its messages and
-    the library into, a private directory ``work``, removed once the library
-    is loaded (or moved into the cache directory: ``path``)."""
+    """One library of one text: the one the cache directory holds, loaded,
+    or the compiler started, then the function loaded.  The compiler reads
+    the text from, and writes its messages and the library into, a private
+    directory ``work``, removed once the library is loaded (or moved into
+    the cache directory: ``path``)."""
 
     def __init__(self, text: str, compiler: str, path: str, work: str):
         self.text, self.compiler, self.path, self.work = text, compiler, path, work
@@ -467,9 +308,18 @@ class _Build:
         self.fn = None
         self.error: CodegenError | None = None
 
-    def start(self) -> None:
+    def start(self, stats) -> None:
+        """Load the library at ``path`` or start the compiler: one the loader
+        refuses is a miss, built again and replaced (``stats.disk_errors``)."""
+        import ctypes
+
         if os.path.exists(self.path):
-            return  # the cache directory holds it
+            try:
+                self.fn = ctypes.CDLL(self.path).tile
+                self._remove()
+                return
+            except OSError:
+                stats.disk_errors += 1
         source, built = os.path.join(self.work, "tile.c"), os.path.join(self.work, "tile.so")
         with open(source, "w") as fh:
             fh.write(self.text)
@@ -499,19 +349,18 @@ class _Build:
         import ctypes
 
         path = self.path
-        if self.pid is not None:
-            _, status = os.waitpid(self.pid, 0)
-            built = os.path.join(self.work, "tile.so")
-            if os.waitstatus_to_exitcode(status) != 0 or not os.path.exists(built):
-                with open(os.path.join(self.work, "errors"), errors="replace") as fh:
-                    message = fh.read().strip()
-                self._remove()
-                raise _compiler_error(f"the C compiler {self.compiler!r} failed on a "
-                                      f"generated tile: {message}")
-            if path.startswith(self.work):
-                path = built
-            else:
-                os.replace(built, path)
+        _, status = os.waitpid(self.pid, 0)
+        built = os.path.join(self.work, "tile.so")
+        if os.waitstatus_to_exitcode(status) != 0 or not os.path.exists(built):
+            with open(os.path.join(self.work, "errors"), errors="replace") as fh:
+                message = fh.read().strip()
+            self._remove()
+            raise _compiler_error(f"the C compiler {self.compiler!r} failed on a "
+                                  f"generated tile: {message}")
+        if path.startswith(self.work):
+            path = built
+        else:
+            os.replace(built, path)  # (atomic: over an unloadable one too)
         try:
             lib = ctypes.CDLL(path)
         except OSError as exc:
@@ -569,17 +418,20 @@ def build(text: str) -> _Build:
             return held
         from repro.tune.cache import get_cache
 
-        cache_dir = get_cache().cache_dir
-        if cache_dir is not None:
-            directory = os.path.join(str(cache_dir), "tiles")
-            os.makedirs(directory, exist_ok=True)
-            work = tempfile.mkdtemp(prefix=".build-", dir=directory)
-            path = os.path.join(directory, f"{key[:32]}.so")
-        else:
+        cache, work = get_cache(), None
+        if cache.cache_dir is not None:
+            directory = os.path.join(str(cache.cache_dir), "tiles")
+            try:
+                os.makedirs(directory, exist_ok=True)
+                work = tempfile.mkdtemp(prefix=".build-", dir=directory)
+                path = os.path.join(directory, f"{key[:32]}.so")
+            except OSError:  # unwritable: built privately, nothing persisted
+                cache.stats.disk_errors += 1
+        if work is None:
             work = tempfile.mkdtemp(prefix="repro-tile-")
             path = os.path.join(work, "tile.so")
         held = _Build(text, compiler, path, work)
-        held.start()
+        held.start(cache.stats)
         _BUILDS[key] = held
     return held
 
@@ -701,9 +553,8 @@ class Tile:
         return tuple(args), keep
 
 
-def _check_fold(fold: PackedFold, n: int) -> None:
-    """Every index of a packed operator (:func:`pack` checked what it
-    packed; this checks the operator handed over) inside its arrays."""
+def _check_fold(fold: FoldedOperator, n: int) -> None:
+    """Every index of the folded operator handed over inside its arrays."""
     own, begin, entries, weights, indices = fold
     layout = [(own, np.float64, 2), (begin, np.int64, 1), (entries, np.int64, 2),
               (weights, np.float64, 1), (indices, np.int64, 1)]
@@ -722,4 +573,4 @@ def _check_fold(fold: PackedFold, n: int) -> None:
         raise CodegenError("tile: a folded operator reads outside its arrays")
 
 
-__all__ = ["COMPILER", "FLAGS", "Lowered", "PackedFold", "Tile", "build", "lower", "pack"]
+__all__ = ["COMPILER", "FLAGS", "Lowered", "Tile", "build", "lower"]

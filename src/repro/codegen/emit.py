@@ -32,11 +32,9 @@ as locals prepared by the generated function):
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, NamedTuple
 
-from repro.codegen import ctile
 from repro.symbolic.expr import (
     Add,
     Call,
@@ -63,11 +61,7 @@ if TYPE_CHECKING:
 
 _AXIS_NAMES = {1: "normal_x", 2: "normal_y", 3: "normal_z"}
 
-#: math functions usable inside equation terms — the source-string view of
-#: the unified :mod:`repro.symbolic.functions` registry (shared with the
-#: interpreter's ``DEFAULT_FUNCTIONS``)
-_MATH_FUNCS = FUNCTION_CODES
-_UFUNCS = {"+": "np.add", "*": "np.multiply"}
+COMPARISONS = (">", "<", ">=", "<=", "==", "!=")
 
 
 def _join(*kinds: str) -> str:
@@ -79,32 +73,113 @@ def _join(*kinds: str) -> str:
 class Hoisted(NamedTuple):
     """A sub-expression evaluated ahead of the tiles, over the indices it
     depends on: with ``sel = trep_<rows>`` (one component per row) ``lines``
-    run, then ``name = code``; a tile reads :meth:`ref`."""
+    run, then ``name = code``; a tile reads it as a :class:`Table`."""
 
     name: str
     code: str
     rows: str
     lines: tuple[str, ...] = ()
 
-    def ref(self, scratch: str = "None") -> str:
-        """The tile's rows of the table, by the tile plan's selector — views
-        where they can be, gathered into ``scratch`` where not
-        (:func:`repro.fvm.kernels.rows_of`)."""
-        return f"kernels.rows_of({self.name}, rows_{self.rows}, {scratch})"
+
+class _Ops(dict):
+    def __missing__(self, op: str) -> tuple:
+        return (f"{op}({{}})", ", ", None, None)
+
+
+#: Every operation of the statement record (:class:`Stmt`; printed as NumPy by
+#: ``str``, as C by :func:`repro.codegen.ctile.lower`): its NumPy spelling
+#: (``{}``: the operands, joined by the separator), as a statement (``{t}``:
+#: the register; ``None``: ``{t}[...] = ...``) and its exact C spelling per
+#: element (``None``: none, the tile stays NumPy; exact as compiled with
+#: :data:`repro.codegen.ctile.FLAGS`, a comparison only as a select's
+#: condition or stored as a float).  ``=`` binds a name; ``take`` (a known
+#: variable's rows by its component map) and ``fold`` (a folded operator
+#: applied) read names, C the row the printer made.  A function registered
+#: with another code is a call with no C form.
+OPS = _Ops({
+    **{op: ("({})", f" {op} ", f"np.{ufunc}({{}}, {{}}, out={{t}})", f"({{}} {op} {{}})")
+       for op, ufunc in (("+", "add"), ("-", "subtract"), ("*", "multiply"), ("/", "divide"))},
+    **{op: ("({})", f" {op} ", None, f"({{}} {op} {{}})") for op in COMPARISONS},
+    "**": ("({})", " ** ", None, None),
+    "np.where": ("np.where({})", ", ", None, "({} ? {} : {})"),
+    "np.sqrt": ("np.sqrt({})", ", ", None, "__builtin_sqrt({})"),
+    "np.abs": ("np.abs({})", ", ", None, "__builtin_fabs({})"),
+    **{f"np.{fn}": (f"np.{fn}({{}})", ", ", None, None)
+       for fn in ("exp", "log", "sin", "cos", "tanh", "minimum", "maximum")},
+    "kernels.muscl_flux": ("kernels.muscl_flux(geom, {}, u[sel], ghost[sel])", ", ", None, None),
+    "take": (None, None, "{}.take({}[sel], axis=0, out={t}, mode='clip')", "{}[c]"),
+    "fold": (None, None, "kernels.apply_folded({}, us, runs_{}, {t}, cw)", "{}[c]"),
+    "=": ("{}", "", "{t} = {}", "{}"),
+})
+
+
+class Leaf(NamedTuple):
+    """An operand: ``'u'`` the unknown's rows, ``'r'`` a register or a bound
+    name, ``'c'`` a column coefficient, ``'h'`` a function coefficient's row,
+    ``'s'`` a plain float (a scalar coefficient, ``dt``).  A literal is a
+    ``float``, text with no C form (a face array, a side) a ``str``."""
+
+    kind: str
+    name: str
+
+    def __str__(self) -> str:
+        return {"c": "{}[sel][:, None]", "h": "{}[None, :]"}.get(self.kind, "{}").format(self.name)
+
+
+class Table(NamedTuple):
+    """A tile's rows of the table ``h`` (:func:`repro.fvm.kernels.rows_of`:
+    gathered into ``scratch`` where no view will do): ``wide`` a row of cells
+    per table row (else one value), ``test`` a comparison's (boolean),
+    ``pool`` the register of ``sweep_pool`` holding it (``-1``: none)."""
+
+    h: Hoisted
+    wide: bool
+    test: bool
+    pool: int = -1
+    scratch: str = "None"
+
+    def __str__(self) -> str:
+        return f"kernels.rows_of({self.h.name}, rows_{self.h.rows}, {self.scratch})"
+
+
+class Op(NamedTuple):
+    """``op`` (:data:`OPS`) on ``args``: operations, operands, literals, text."""
+
+    op: str
+    args: tuple
+
+    def __str__(self) -> str:
+        template, join = OPS[self.op][:2]
+        args = [str(a) for a in self.args]
+        base = {"**": 0, "/": 1}.get(self.op)  # of a power, a reciprocal
+        if base is not None and isinstance(self.args[base], float) and self.args[base] < 0:
+            args[base] = f"({args[base]})"  # ``-1.0 ** x`` would parse as ``-(1.0 ** x)``
+        return template.format(join.join(args))
+
+
+class Stmt(NamedTuple):
+    """``target := term``: a register written, or (``=``) a name bound."""
+
+    target: str
+    term: Op
+
+    def __str__(self) -> str:
+        statement = OPS[self.term.op][2] or "{t}[...] = {term}"  # (a fresh value, copied in)
+        return statement.format(*self.term.args, t=self.target, term=self.term)
 
 
 class _Registers:
     """Scratch registers of one statement.  With an instance live the walker
-    writes every tile-shaped intermediate as a line ``np.op(a, b, out=r)``
-    over names ``<prefix>0..<prefix>(count-1)`` the target binds to
-    preallocated arrays of the tile's shape, instead of leaving it to a
-    fresh temporary of the expression; ``owner`` maps the code of a value
+    writes every tile-shaped intermediate as a statement (:class:`Stmt`,
+    ``np.op(a, b, out=r)``) over names ``<prefix>0..<prefix>(count-1)`` the
+    target binds to preallocated arrays of the tile's shape, instead of
+    leaving it to a fresh temporary of the expression; ``owner`` maps a term
     to the register it may be overwritten in."""
 
-    def __init__(self, prefix: str, lines: list[str]):
+    def __init__(self, prefix: str, lines: list[Stmt]):
         self.prefix, self.lines, self.count = prefix, lines, 0
         self.free: list[str] = []
-        self.owner: dict[str, str] = {}
+        self.owner: dict[object, str] = {}
 
     def take(self) -> str:
         if not self.free:
@@ -112,18 +187,18 @@ class _Registers:
             return f"{self.prefix}{self.count - 1}"
         return self.free.pop()
 
-    def release(self, *codes: str) -> None:
-        self.free += [self.owner.pop(c) for c in codes if c in self.owner]
+    def release(self, *terms) -> None:
+        self.free += [self.owner.pop(t) for t in terms if t in self.owner]
 
-    def emit(self, template: str, *operands: str) -> str:
-        """One line ``template.format(register)`` consuming ``operands``,
-        in place in the first of them that owns a register."""
-        owned = [self.owner.pop(c) for c in operands if c in self.owner]
+    def emit(self, term: Op, *operands) -> Leaf:
+        """The statement ``register := term`` consuming ``operands``, in
+        place in the first of them that owns a register."""
+        owned = [self.owner.pop(t) for t in operands if t in self.owner]
         self.free += owned[1:]
         reg = owned[0] if owned else self.take()
-        self.lines.append(template.format(reg))
-        self.owner[reg] = reg
-        return reg
+        self.lines.append(Stmt(reg, term))
+        self.owner[Leaf("r", reg)] = reg
+        return Leaf("r", reg)
 
 
 class Upwind(NamedTuple):
@@ -142,25 +217,25 @@ class Upwind(NamedTuple):
 class EmittedExpr:
     """One emitted expression and its work estimate (per produced value).
 
-    ``code`` may read sub-expressions moved out of it, which the target
-    evaluates first: ``tables`` once per bound geometry (their array leaves
-    are ``table_reads``; ``reads`` are those of everything else), ``sweep``
-    once per sweep, ``prelude`` (plain assignments) in every tile.  With
-    ``upwind`` (:class:`Upwind`) it reads the upwinded side as ``uw``, the
-    select between ``u1`` and ``u2``; ``sides`` says whether a side is also
-    read on its own.  ``prelude`` and ``code`` write ``registers`` tile-shaped
-    scratch arrays (``f0..`` surface, ``c0..`` volume), the lines of ``sweep``
-    ``sweep_registers`` more (``s0..``).  ``folded`` is the same surface
-    statement carried through the divergence, when it is linear in ``uw``
-    (:meth:`ExprEmitter._fold_divergence`): cell-shaped code over ``us`` and
-    ``registers`` cell registers ``d0..``, its ``tables`` the ones a tile
-    then reads.
+    ``term`` (printed: ``code``) may read sub-expressions moved out of it,
+    which the target evaluates first: ``tables`` once per bound geometry
+    (their array leaves are ``table_reads``; ``reads`` are those of
+    everything else), ``sweep`` once per sweep, ``statements`` (printed:
+    ``prelude``) in every tile.  With ``upwind`` (:class:`Upwind`) it reads
+    the upwinded side as ``uw``, the select between ``u1`` and ``u2``;
+    ``sides`` says whether a side is also read on its own.  They write
+    ``registers`` tile-shaped scratch arrays (``f0..`` surface, ``c0..``
+    volume), the lines of ``sweep`` ``sweep_registers`` more (``s0..``).
+    ``folded`` is the same surface statement carried through the divergence
+    when it is linear in ``uw`` (:meth:`ExprEmitter._fold_divergence`): over
+    ``us`` and ``registers`` cell registers ``d0..``, its ``tables`` the ones
+    a tile then reads.
     """
 
-    code: str
+    term: object
     flops: int
     reads: set[str] = field(default_factory=set)
-    prelude: list[str] = field(default_factory=list)
+    statements: list[Stmt] = field(default_factory=list)
     tables: list[Hoisted] = field(default_factory=list)
     table_reads: set[str] = field(default_factory=set)
     sweep: list[Hoisted] = field(default_factory=list)
@@ -169,6 +244,14 @@ class EmittedExpr:
     registers: int = 0
     sweep_registers: int = 0
     folded: "EmittedExpr | None" = None
+
+    @property
+    def code(self) -> str:
+        return str(self.term)
+
+    @property
+    def prelude(self) -> list[str]:
+        return [str(s) for s in self.statements]
 
     @property
     def bytes_per_value(self) -> int:
@@ -195,15 +278,12 @@ class ExprEmitter:
         # live only inside emit_sum(cse=True): (context, node) -> the code
         # reading the hoisted value; ``_out`` collects the definitions
         self._hoisted: dict | None = None
-        self._out = EmittedExpr("", 0)
+        self._out = EmittedExpr(0.0, 0)
         self._regs: _Registers | None = None  # live: intermediates go to scratch
         self._sweep_regs: _Registers | None = None
         self._within: tuple | None = None  # scope of the sweep definition being built
         #: index subspaces of the tables emitted so far, by ``tmap_`` suffix
         self.row_spaces: dict[str, tuple[str, ...]] = {}
-        #: per table and sweep definition: its shape in a tile (:meth:`_kind`)
-        #: and whether it is a comparison's (the C tile reads it so)
-        self.shapes: dict[str, tuple[str, bool]] = {}
 
     # ------------------------------------------------------------- public API
     def emit_volume(self, term: Expr) -> EmittedExpr:
@@ -234,17 +314,17 @@ class ExprEmitter:
         the divergence (``folded``, :meth:`_fold_divergence`).
         """
         if not terms:
-            return EmittedExpr("0.0", 0)
+            return EmittedExpr(0.0, 0)
         self._tag = context[0]  # names: tab_s0, swp_v1, cse_s0
         self._hoisted = {} if cse else None
-        self._out = out = EmittedExpr("", 0)
+        self._out = out = EmittedExpr(0.0, 0)
         if cse:
-            self._regs = _Registers("f" if context == "surface" else "c", out.prelude)
+            self._regs = _Registers("f" if context == "surface" else "c", out.statements)
             self._sweep_regs = _Registers("s", [])
         try:
             signed, minus = self._signed(terms)
             parts = [self._emit(t, context) for t in signed]
-            out.code = (self._fold("+", [(p.code, self._kind(t)) for p, t in zip(parts, signed)],
+            out.term = (self._fold("+", [(p.term, self._kind(t)) for p, t in zip(parts, signed)],
                                    minus)
                         if cse else " + ".join(f"({p.code})" for p in parts))
             if cse:
@@ -262,8 +342,7 @@ class ExprEmitter:
     def _emit(self, term: Expr, context: str) -> EmittedExpr:
         reads: set[str] = set()
         flops = _count_flops(term)
-        code = self._walk(term, context, reads)
-        return EmittedExpr(code, flops, reads)
+        return EmittedExpr(self._walk(term, context, reads), flops, reads)
 
     def _entity_of(self, node: Expr) -> str | None:
         """Name of the entity a ``Sym``/``Indexed`` leaf refers to."""
@@ -329,16 +408,16 @@ class ExprEmitter:
         return "tile", ()
 
     def _define(self, scope: tuple[str, tuple[str, ...]], node: Expr, ctx: str,
-                reads: set[str]) -> str | Hoisted:
-        """Emit and record a hoisted definition.  Hoisting is not re-entered,
-        except that a sweep definition reads an earlier one over the same
-        rows by name (``Io/beta`` reads ``1/beta``); a table's code runs once
-        and stays a plain expression, a volume statement's sweep definition
-        gets registers of its own."""
+                reads: set[str]) -> Leaf | Table:
+        """Emit and record a hoisted definition; returns how a tile reads it.
+        Hoisting is not re-entered, except that a sweep definition reads an
+        earlier one over the same rows by name (``Io/beta`` reads ``1/beta``);
+        a table's code runs once and stays a plain expression, a volume
+        statement's sweep definition gets registers of its own."""
         kind, rows = scope
         out, regs = self._out, self._regs
         saved = self._hoisted, self._within, regs, self._sweep_regs and self._sweep_regs.lines
-        lines: list[str] = []
+        lines: list[Stmt] = []
         if kind == "sweep":
             self._within = scope
         else:
@@ -351,22 +430,23 @@ class ExprEmitter:
         try:
             code = self._walk(node, ctx, out.table_reads if kind == "bind" else reads,
                               hoist=False)
-            if self._regs is not None:
-                self._regs.owner.pop(code, None)  # pinned: the definition lives there
+            pinned = self._regs and self._regs.owner.pop(code, None)  # it lives there
         finally:
             self._hoisted, self._within, self._regs, lines_before = saved
             if self._sweep_regs is not None:
                 self._sweep_regs.lines = lines_before
         if kind == "tile":
-            name = f"cse_{self._tag}{sum(ln.startswith('cse_') for ln in out.prelude)}"
-            out.prelude.append(f"{name} = {code}")
-            return name
+            name = f"cse_{self._tag}{sum(s.term.op == '=' for s in out.statements)}"
+            out.statements.append(Stmt(name, Op("=", (code,))))
+            return Leaf("r", name)
         suffix = "_".join(rows) or "none"
         self.row_spaces[suffix] = rows
         prefix, defs = ("tab", out.tables) if kind == "bind" else ("swp", out.sweep)
-        defs.append(Hoisted(f"{prefix}_{self._tag}{len(defs)}", code, suffix, tuple(lines)))
-        self.shapes[defs[-1].name] = (self._kind(node), isinstance(node, Cmp))
-        return defs[-1]
+        defs.append(Hoisted(f"{prefix}_{self._tag}{len(defs)}", str(code), suffix,
+                            tuple(map(str, lines))))
+        # a sweep definition in a register of the pool (``s<i>``) is read there
+        return Table(defs[-1], self._kind(node) in "tr", isinstance(node, Cmp),
+                     int(pinned[1:]) if kind == "sweep" and pinned else -1)
 
     def _kind(self, node: Expr) -> str:
         """Shape of a node's value in a tile: ``'0'`` a scalar, ``'c'`` a
@@ -383,8 +463,8 @@ class ExprEmitter:
             return "t"  # a variable
         return _join(*(self._kind(child) for child in node.children))
 
-    def _fold(self, op: str, items: list[tuple[str, str]], minus=()) -> str:
-        """``a op b op c`` over ``(code, kind)`` operands, evaluated left to
+    def _fold(self, op: str, items: list[tuple[object, str]], minus=()) -> object:
+        """``a op b op c`` over ``(term, kind)`` operands, evaluated left to
         right as Python would — with registers live, from the first
         tile-shaped intermediate on as ``np.op(acc, b, out=register)``; the
         operands of a sum at the positions ``minus`` (:meth:`_signed`) are
@@ -395,7 +475,7 @@ class ExprEmitter:
         if 0 in minus:
             items, minus = [items[1], items[0], *items[2:]], {1, *minus} - {0}
         if regs is None:
-            return "(" + f" {op} ".join(code for code, _ in items) + ")"
+            return Op(op, tuple(code for code, _ in items))
         inline, kind, acc = [items[0][0]], items[0][1], None
         for i, (code, k) in enumerate(items[1:], 1):
             kind = _join(kind, k)
@@ -403,10 +483,9 @@ class ExprEmitter:
                 inline.append(code)
                 continue
             if acc is None:
-                acc = inline[0] if len(inline) == 1 else "(" + f" {op} ".join(inline) + ")"
-            ufunc = "np.subtract" if i in minus else _UFUNCS[op]
-            acc = regs.emit(f"{ufunc}({acc}, {code}, out={{}})", acc, code)
-        return acc or "(" + f" {op} ".join(inline) + ")"
+                acc = inline[0] if len(inline) == 1 else Op(op, tuple(inline))
+            acc = regs.emit(Op("-" if i in minus else op, (acc, code)), acc, code)
+        return Op(op, tuple(inline)) if acc is None else acc
 
     def _signed(self, terms) -> tuple[list[Expr], set[int]]:
         """The terms of a sum and the positions of those :meth:`_fold`
@@ -425,7 +504,7 @@ class ExprEmitter:
             terms[i] = Mul(*rest) if len(rest) > 1 else rest[0]
         return terms, minus
 
-    def _inline(self, kind: str, expr: str, *operands: str) -> str:
+    def _inline(self, kind: str, expr: Op, *operands) -> object:
         """A compound with no ``out=`` form: the expression itself, or — a
         tile with registers live — copied into a register (its value is a
         fresh array, and may be less than a tile: a select between a row
@@ -434,7 +513,7 @@ class ExprEmitter:
         if self._regs is None or kind != "t":
             return expr
         self._regs.release(*operands)
-        return self._regs.emit(f"{{}}[...] = {expr}")
+        return self._regs.emit(expr)
 
     @staticmethod
     def _split_select(node: Conditional) -> tuple[tuple, tuple, int]:
@@ -497,7 +576,7 @@ class ExprEmitter:
             if ("surface", node) not in hoisted and self._hoist_scope(node) == ("bind", space):
                 hoisted["surface", node] = self._define(("bind", space), node, "surface", set())
             found = hoisted.get(("surface", node))
-            return found if isinstance(found, Hoisted) and found.rows == rows else None
+            return found.h if isinstance(found, Table) and found.h.rows == rows else None
 
         used = [h for h in out.tables if h.name == "upw"]
         folds: list[Hoisted] = []
@@ -513,28 +592,28 @@ class ExprEmitter:
                 flat[:] = [a for a in flat if a not in over]
             if found is None or mask is None:
                 return  # a face factor that is no table over the choice's rows
-            used += [found, mask, *(hoisted.get(("surface", a)) for a in faces)]
+            used += [found, mask, *(getattr(hoisted.get(("surface", a)), "h", None)
+                                    for a in faces)]
             folds.append(Hoisted(
                 f"fold_s{n}",
                 f"kernels.fold_upwind(divergence, {found.name}, upw, NCELLS)", rows))
-        folded = EmittedExpr("", 0)
-        regs = self._regs = _Registers("d", folded.prelude)
+        folded = EmittedExpr(0.0, 0)
+        regs = self._regs = _Registers("d", folded.statements)
         regs.free.append("acc")  # the first term is formed where the tile sums
         self._hoisted = None  # the flat factors are columns: inline, as written
         parts = []
         for (flat, _, _), fold in zip(products, folds):
-            div = regs.emit(
-                f"kernels.apply_folded({fold.name}, us, runs_{rows}, {{}}, cw)")
+            div = regs.emit(Op("fold", (fold.name, rows)))
             parts.append((self._fold(
                 "*", [(self._walk(a, "surface", set()), self._kind(a)) for a in flat]
                 + [(div, "t")]), "t"))
-        folded.code = self._fold("+", parts)
+        folded.term = self._fold("+", parts)
         folded.registers = regs.count
         # a tile reads the folds; the face tables went into them
         folded.tables = [h for h in out.tables if h not in used] + folds
         out.folded = folded
 
-    def _walk_select(self, node: Conditional, ctx: str, reads: set[str]) -> str:
+    def _walk_select(self, node: Conditional, ctx: str, reads: set[str]) -> object:
         """``conditional(c, A*k, B*k)``: select between the factors that
         differ, multiply by the shared ones once, each in its original
         position — per element the same product as selecting between the
@@ -545,7 +624,8 @@ class ExprEmitter:
                    for j, a in enumerate(then)]
         out = self._out
         kinds = [self._kind(n) for n in (node.cond, then[i], other[i])]
-        table = next((h for h in out.tables if h.ref() == cond), None)
+        table = (cond.h if isinstance(cond, Table) and cond.scratch == "None"
+                 and cond.h in out.tables else None)
         pair = [n.side for n in (then[i], other[i])
                 if isinstance(n, SideValue) and self._is_unknown(n.expr)]
         if table and ctx == "surface" and sorted(pair) == [1, 2]:
@@ -563,11 +643,11 @@ class ExprEmitter:
                 factors[i] = "uw"
         if factors[i] is None:
             a, b = self._walk(then[i], ctx, reads), self._walk(other[i], ctx, reads)
-            factors[i] = self._inline(_join(*kinds), f"np.where({cond}, {a}, {b})", cond, a, b)
+            factors[i] = self._inline(_join(*kinds), Op("np.where", (cond, a, b)), cond, a, b)
         return self._fold("*", [(f, _join(*kinds) if j == i else self._kind(a))
                                 for j, (f, a) in enumerate(zip(factors, then))])
 
-    def _walk(self, node: Expr, ctx: str, reads: set[str], hoist: bool = True) -> str:
+    def _walk(self, node: Expr, ctx: str, reads: set[str], hoist: bool = True) -> object:
         hoisted = self._hoisted
         scope = self._hoist_scope(node) if hoist and hoisted is not None else None
         if self._within not in (None, scope):
@@ -577,18 +657,18 @@ class ExprEmitter:
             if key not in hoisted:
                 hoisted[key] = self._define(scope, node, ctx, reads)
             table, regs = hoisted[key], self._regs
-            if isinstance(table, str):
+            if isinstance(table, Leaf):
                 return table
             if self._within is not None:
-                return table.name
+                return table.h.name
             if regs is None or isinstance(node, Cmp) or self._kind(node) != "t":
-                return table.ref()
+                return table
             # each read of a float table may need scratch for its rows
-            scratch = regs.take()
-            regs.owner[table.ref(scratch)] = scratch
-            return table.ref(scratch)
+            read = table._replace(scratch=regs.take())
+            regs.owner[read] = read.scratch
+            return read
         if isinstance(node, Num):
-            return repr(float(node.value))
+            return float(node.value)
         if isinstance(node, Sym):
             return self._emit_sym(node, ctx, reads)
         if isinstance(node, Indexed):
@@ -612,21 +692,19 @@ class ExprEmitter:
                               [(self._walk(a, ctx, reads), self._kind(a)) for a in args], minus)
         if isinstance(node, Pow):
             base = self._walk(node.base, ctx, reads)
-            if isinstance(node.base, Num) and node.base.value < 0:
-                base = f"({base})"  # ``-1.0 ** x`` would parse as ``-(1.0 ** x)``
             if isinstance(node.exponent, Num):
                 e = node.exponent.value
                 if e != -1:
-                    return self._inline(self._kind(node), f"({base} ** {repr(float(e))})", base)
+                    return self._inline(self._kind(node), Op("**", (base, float(e))), base)
                 if self._regs is None or self._kind(node) != "t":
-                    return f"(1.0 / {base})"
-                return self._regs.emit(f"np.divide(1.0, {base}, out={{}})", base)
+                    return Op("/", (1.0, base))
+                return self._regs.emit(Op("/", (1.0, base)), base)
             exponent = self._walk(node.exponent, ctx, reads)
-            return self._inline(self._kind(node), f"({base} ** {exponent})", base, exponent)
+            return self._inline(self._kind(node), Op("**", (base, exponent)), base, exponent)
         if isinstance(node, Cmp):
             lhs = self._walk(node.lhs, ctx, reads)
             rhs = self._walk(node.rhs, ctx, reads)
-            return self._inline(self._kind(node), f"({lhs} {node.op} {rhs})", lhs, rhs)
+            return self._inline(self._kind(node), Op(node.op, (lhs, rhs)), lhs, rhs)
         if isinstance(node, Conditional):
             return self._walk_select(node, ctx, reads)
         if isinstance(node, Reconstruction):
@@ -640,12 +718,11 @@ class ExprEmitter:
                 )
             vn = self._walk(node.velocity_normal, ctx, reads)
             reads.update({"u", "ghost", "geom"})
-            return self._inline("t", f"kernels.muscl_flux(geom, {vn}, u[sel], ghost[sel])", vn)
+            return self._inline("t", Op("kernels.muscl_flux", (vn,)), vn)
         if isinstance(node, Call):
-            if node.func in _MATH_FUNCS:
-                args = [self._walk(a, ctx, reads) for a in node.args]
-                return self._inline(
-                    self._kind(node), f"{_MATH_FUNCS[node.func]}({', '.join(args)})", *args)
+            if node.func in FUNCTION_CODES:
+                args = tuple(self._walk(a, ctx, reads) for a in node.args)
+                return self._inline(self._kind(node), Op(FUNCTION_CODES[node.func], args), *args)
             raise CodegenError(
                 f"callback {node.func!r} cannot appear inside an equation term; "
                 "use a function coefficient or a boundary/step callback instead"
@@ -653,7 +730,7 @@ class ExprEmitter:
         raise CodegenError(f"cannot emit node type {type(node).__name__}: {node}")
 
     # -- leaves -----------------------------------------------------------------
-    def _emit_sym(self, node: Sym, ctx: str, reads: set[str]) -> str:
+    def _emit_sym(self, node: Sym, ctx: str, reads: set[str]) -> object:
         name = node.name
         if name.startswith("_") and name.endswith("_1"):
             base = name[1:-2]
@@ -663,12 +740,12 @@ class ExprEmitter:
             if kind == "coefficient":
                 return self._emit_coefficient(base, ctx, reads)
         if name == "dt":
-            return "dt"
+            return Leaf("s", "dt")
         raise CodegenError(f"cannot emit symbol {name!r}")
 
     def _emit_indexed(
         self, node: Indexed, ctx: str, side: int | None, reads: set[str]
-    ) -> str:
+    ) -> object:
         kind = self.entities.kind_of(node.base)
         if kind == "variable":
             self._is_unknown(node)  # RPR141 on a foreign row
@@ -693,7 +770,7 @@ class ExprEmitter:
 
     def _emit_variable(
         self, name: str, ctx: str, side: int | None, reads: set[str]
-    ) -> str:
+    ) -> object:
         if name == self.unknown.name:
             if ctx == "surface":
                 raise CodegenError(
@@ -701,7 +778,7 @@ class ExprEmitter:
                     "flux reconstruction (upwind/average)"
                 )
             reads.add("u")
-            return "u[sel]" if self._regs is None else "us"
+            return "u[sel]" if self._regs is None else Leaf("u", "us")
         # known variable: read through the live rank/serial state (each rank
         # owns its arrays) or as a direct array argument (GPU kernels), and
         # map its components onto the unknown's axis
@@ -713,25 +790,23 @@ class ExprEmitter:
         cmap = f"cmap_{name}"
         reads.add(f"var_{name}")
         if ctx == "volume" and self._regs is not None:
-            return self._regs.emit(
-                f"{arr}.take({cmap}[sel], axis=0, out={{}}, mode='clip')")
+            return self._regs.emit(Op("take", (arr, cmap)))
         if ctx == "volume":
             return f"{arr}[{cmap}[sel], :]"
         # surface context: known variables are evaluated on the owner side
         return f"{arr}[{cmap}[sel], :][:, owner]"
 
-    def _emit_coefficient(self, name: str, ctx: str, reads: set[str]) -> str:
+    def _emit_coefficient(self, name: str, ctx: str, reads: set[str]) -> Leaf:
         coef = self.entities.coefficients[name]
         if coef.is_function:
             tag = f"fcoef_{name}" if ctx == "volume" else f"fcoef_{name}_face"
             reads.add(tag)
-            return f"{tag}[None, :]"
+            return Leaf("h", tag)
         if not coef.indices:
-            return f"coef_{name}"  # plain float, no array read
+            return Leaf("s", f"coef_{name}")  # plain float, no array read
         self._check_subspace(name, coef.index_names())
-        arr = f"coef_{name}"
-        reads.add(arr)
-        return f"{arr}[sel][:, None]"
+        reads.add(f"coef_{name}")
+        return Leaf("c", f"coef_{name}")
 
     def _check_subspace(self, name: str, index_names: tuple[str, ...]) -> None:
         for ix in index_names:
@@ -844,11 +919,10 @@ def _function(head: str, body: list[str]) -> list[str]:
     return [head] + ["    " + ln if ln else ln for ln in body] + ["", ""]
 
 
-def _invariant_tables(surface: EmittedExpr, volume: EmittedExpr,
-                      packed: bool = False) -> tuple[list[str], str, str]:
-    """Source of ``invariant_tables`` (and ``folded_tables``, its operators
-    ``packed`` for a C tile), the names of the list ``invariant_tables``
-    returns and of the one a tile reads."""
+def _invariant_tables(surface: EmittedExpr,
+                      volume: EmittedExpr) -> tuple[list[str], str, str]:
+    """Source of ``invariant_tables`` (and ``folded_tables``), the names of
+    the list ``invariant_tables`` returns and of the one a tile reads."""
     tables = surface.tables + volume.tables
     if not tables:
         return [], "", ""
@@ -875,7 +949,7 @@ def _invariant_tables(surface: EmittedExpr, volume: EmittedExpr,
          "their tables folded through their ``divergence`` (its gather form) into",
          'one cell-centric operator per term, and the tables with no face axis."""',
          f"[{names}] = invariant_tables(normal, face_dist, owner, other)",
-         *[f"{h.name} = {f'ctile.pack({h.code})' if packed else h.code}" for h in folds],
+         *[f"{h.name} = {h.code}" for h in folds],
          f"return [{', '.join(h.name for h in read)}]"])
     return setup, names, ", ".join(h.name for h in read)
 
@@ -1027,14 +1101,15 @@ def emit_interior(emitter: ExprEmitter, device: bool, *, stepper: str = "euler",
     sweep is one call of it, ``TILE(...)``.  Returns the source lines and
     that printed tile (``None``: the NumPy tile).
     """
+    from repro.codegen import ctile  # (which reads the statement record defined here)
+
     form = emitter.form
     surface = emitter.emit_sum(form.surface_terms, "surface")
     volume = emitter.emit_sum(form.volume_terms, "volume")
     folded = surface.folded
     # a folded tile whose every operation is exact is one C function
-    tile_c = folded and ctile.lower(folded, volume, emitter.shapes, {
-        h.name: int(h.code[1:]) for h in volume.sweep if re.fullmatch(r"s\d+", h.code)})
-    setup, invariant, tables = _invariant_tables(surface, volume, packed=bool(tile_c))
+    tile_c = folded and ctile.lower(folded, volume)
+    setup, invariant, tables = _invariant_tables(surface, volume)
     two_sided = form.surface_terms and not folded
     inplace = device or stepper in EULER
     lines = setup

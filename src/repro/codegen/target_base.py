@@ -97,7 +97,6 @@ class GeneratedSolver:
         ns: dict[str, Any] = {
             "np": np,
             "kernels": kernels,
-            "ctile": ctile,
         }
         ns.update(self._base_env)
         if self._code is None or self._compiled_source != self.source:

@@ -14,24 +14,20 @@ from typing import NamedTuple
 
 import numpy as np
 
-#: Working-set budget of one component-row tile: the bytes of one
-#: ``(rows, nfaces)`` float64 face array — the unit the height is derived in,
-#: whatever the body keeps live.  A folded tile (the BTE's) has no face array
-#: at all: it keeps five ``(rows, ncells)`` arrays live (the statements'
-#: registers, the accumulator, its work array, the rows of the unknown its
-#: entries read through shifted views), each half a budget wide, plus the
-#: folded operator's rows of the one or two directions it spans; a two-sided
-#: tile adds two face arrays (the gathered sides, the flux).  At 512 KiB
-#: either stays inside a 4 MiB L2.  The Newton closure (``bte.equilibrium``)
-#: sizes its cell blocks by the same constant: one ``(nbands, block)`` array
-#: per budget, about six live.  Measured, not
-#: configured — the sweeps are in EXPERIMENTS.md ("No allocation in steady
-#: state", re-run on the folded body under "Hoist through the divergence"):
-#: step time is flat within noise from ~256 KiB to ~768 KiB for either tile
-#: body and rises outside (per-tile call overhead below, L2 spills above);
-#: the closure alone is flat from ~128 KiB and 0.45 ms (under 1 % of a step)
-#: better unblocked, which is not worth a second constant, so this one stays
-#: where it was.
+#: Working-set budget of one component-row tile of a NumPy tile body: the
+#: boundary part, a two-sided tile, and a folded tile whose statements have
+#: no C form (the BTE's folded tile is C, :mod:`repro.codegen.ctile`: one call
+#: over every row, no row tiles).  The unit is the bytes of one ``(rows,
+#: nfaces)`` float64 face array, whatever the body keeps live: the gathered
+#: sides and the flux, or a folded body's five ``(rows, ncells)`` arrays, each
+#: half a budget wide.  At 512 KiB either stays inside a 4 MiB L2.  The Newton
+#: closure (``bte.equilibrium``) sizes its cell blocks by the same constant:
+#: one ``(nbands, block)`` array per budget, about six live.  Measured, not
+#: configured — EXPERIMENTS.md ("No allocation in steady state", re-run under
+#: "Hoist through the divergence"): step time is flat within noise from ~256
+#: KiB to ~768 KiB for either tile body and rises outside (per-tile call
+#: overhead below, L2 spills above); the closure alone is flat from ~128 KiB
+#: and 0.45 ms better unblocked, not worth a second constant.
 TILE_BYTES = 512 * 1024
 
 
@@ -156,17 +152,19 @@ def csr_slots(matrix) -> list[tuple[np.ndarray, np.ndarray, object]]:
 
 class FoldedOperator(NamedTuple):
     """A cell-centric operator with a face table and an upwind column choice
-    folded in (:func:`fold_upwind`): per table row ``r``, ``own[r]``
-    multiplies every cell's own value, and each entry ``(cells, read,
-    weights)`` of ``entries[r]``, in order, adds ``weights`` times the
-    values ``read`` into ``cells``.  An entry is an *offset* entry — ``read``
-    is ``cells`` shifted by a constant number of cells, a slice — or a
-    *gather* entry — ``cells`` is every cell and ``read`` an index array, a
-    cell without the entry padded with itself.  Where a cell of ``cells``
-    has no entry, its weight is zero."""
+    folded in (:func:`fold_upwind`), the one layout :func:`apply_folded` and
+    the C tile read: per table row ``r``, ``own[r]`` multiplies every cell's
+    own value, then each entry ``(lo, hi, shift, gather, weight)`` of
+    ``entries[begin[r]:begin[r + 1]]``, in order, adds into the cells ``lo <=
+    c < hi`` ``weights[weight + c - lo]`` times the value at ``c + shift`` (an
+    *offset* entry, ``gather < 0``) or at ``indices[gather + c - lo]`` (a
+    *gather* entry: every cell, one without the entry read at weight zero)."""
 
     own: np.ndarray
-    entries: list[tuple[tuple[slice, slice | np.ndarray, np.ndarray], ...]]
+    begin: np.ndarray
+    entries: np.ndarray
+    weights: np.ndarray
+    indices: np.ndarray
 
 
 def fold_upwind(slots, table: np.ndarray, columns: np.ndarray, ncells: int) -> FoldedOperator:
@@ -197,7 +195,7 @@ def fold_upwind(slots, table: np.ndarray, columns: np.ndarray, ncells: int) -> F
     numbering), decided before anything of the planes' size is allocated."""
     planes = _offset_planes(slots, ncells, table.shape[1])
     if planes is None:
-        return FoldedOperator(*_gather_form(slots, table, columns, ncells))
+        return _flat(*_gather_form(slots, table, columns, ncells))
     offsets, faces, weights, cells = planes
     nrows, nplanes = len(table), len(offsets)
     shape = (nrows, nplanes, ncells)
@@ -220,16 +218,33 @@ def fold_upwind(slots, table: np.ndarray, columns: np.ndarray, ncells: int) -> F
     kept = iter(fold[has])
     del fold
     offsets, has = offsets.tolist(), has.tolist()
-    entries = [tuple((slice(lo[r][p], hi[r][p]),
-                      slice(lo[r][p] + offsets[p], hi[r][p] + offsets[p]),
-                      next(kept)[lo[r][p]:hi[r][p]]) for p in range(nplanes) if has[r][p])
-               for r in range(nrows)]
+    entries = [[(lo[r][p], hi[r][p], offsets[p], None, next(kept)[lo[r][p]:hi[r][p]])
+                for p in range(nplanes) if has[r][p]] for r in range(nrows)]
     gather = np.flatnonzero(~shifted)
     if len(gather):
         _, rows = _gather_form(slots, table[gather], columns[gather], ncells)
         for r, row in zip(gather.tolist(), rows):
             entries[r] = row
-    return FoldedOperator(own, entries)
+    return _flat(own, entries)
+
+
+def _flat(own: np.ndarray, rows: list[list[tuple]]) -> FoldedOperator:
+    """The :class:`FoldedOperator` of per-row entries ``(lo, hi, shift,
+    read, weights)``, ``read`` a gather entry's indices (else ``None``)."""
+    entries, weights, indices = [], [np.zeros(0)], [np.zeros(0, np.int64)]
+    begin, nw, ni = [0], 0, 0
+    for row in rows:
+        for lo, hi, shift, read, w in row:
+            entries.append((lo, hi, shift, -1 if read is None else ni, nw))
+            weights.append(w)
+            nw += len(w)
+            if read is not None:
+                indices.append(read)
+                ni += len(read)
+        begin.append(len(entries))
+    return FoldedOperator(own, np.array(begin, np.int64),
+                          np.array(entries, np.int64).reshape(-1, 5),
+                          np.concatenate(weights), np.concatenate(indices).astype(np.int64))
 
 
 def _offset_planes(slots, ncells: int, nfaces: int) -> tuple | None:
@@ -289,11 +304,11 @@ def _offset_planes(slots, ncells: int, nfaces: int) -> tuple | None:
 
 
 def _gather_form(slots, table: np.ndarray, columns: np.ndarray,
-                 ncells: int) -> tuple[np.ndarray, list[tuple]]:
-    """``(own, entries)`` of :func:`fold_upwind`'s rows ``table``/``columns``
-    in gather form: entry ``k`` of a row holds the ``k``-th entry of every
-    cell in slot order, a cell with fewer padded with itself at weight
-    zero."""
+                 ncells: int) -> tuple[np.ndarray, list[list[tuple]]]:
+    """``(own, rows)`` of :func:`fold_upwind`'s rows ``table``/``columns``
+    in gather form (:func:`_flat`): entry ``k`` of a row holds the ``k``-th
+    entry of every cell in slot order, a cell with fewer padded with itself
+    at weight zero."""
     nrows, cell = len(table), np.arange(ncells)
     own = np.zeros((nrows, ncells))
     used = np.zeros((nrows, ncells), dtype=np.intp)  # entries so far, per (row, cell)
@@ -323,31 +338,30 @@ def _gather_form(slots, table: np.ndarray, columns: np.ndarray,
             np.copyto(out_cols[k], cols, where=move)
             np.copyto(out_weights[k], coef, where=move)
         used += live
-    return own, [tuple((slice(None), out_cols[k][r], out_weights[k][r]) for k in range(n))
+    return own, [[(0, ncells, 0, out_cols[k][r], out_weights[k][r]) for k in range(n)]
                  for r, n in enumerate(used.max(axis=1, initial=0).tolist())]
 
 
 def apply_folded(op: FoldedOperator, us: np.ndarray, runs: list[tuple[int, int, int]],
                  out: np.ndarray, work: np.ndarray) -> np.ndarray:
-    """``out[i] = own[r] * us[i] + sum of the entries of entries[r]`` for
-    every ``(lo, hi, r)`` of ``runs`` and ``lo <= i < hi``: a
-    :func:`fold_upwind` operator on one tile of rows of the unknown, per run
-    of equal table rows (their :func:`table_runs`, from the tile plan) and in
-    entry order, each row on its own (so neither the tile height nor the row
-    selector changes a bit).  An offset entry multiplies a shifted view of
-    the rows; a gather entry takes its columns first.  ``work`` is scratch of
-    ``out``'s shape."""
-    own, entries = op
+    """``out[i] = own[r] * us[i] + the entries of row r`` for every ``(lo,
+    hi, r)`` of ``runs`` and ``lo <= i < hi``: a :func:`fold_upwind`
+    operator on one tile of rows of the unknown, per run of equal table rows
+    (their :func:`table_runs`, from the tile plan) and in entry order, each
+    row on its own (so neither the tile height nor the row selector changes
+    a bit).  An offset entry multiplies a shifted view of the rows; a gather
+    entry takes its columns first.  ``work`` is scratch of ``out``'s shape."""
+    own, begin, entries, weights, indices = op
     for lo, hi, r in runs:
         rows, acc, work_rows = us[lo:hi], out[lo:hi], work[lo:hi]
         np.multiply(rows, own[r], out=acc)
-        for cells, read, weights in entries[r]:
-            term, into = work_rows[:, cells], acc[:, cells]
-            if read.__class__ is slice:
-                np.multiply(rows[:, read], weights, out=term)
+        for a, b, shift, gather, w in entries[begin[r]:begin[r + 1]].tolist():
+            term, into, wt = work_rows[:, a:b], acc[:, a:b], weights[w:w + b - a]
+            if gather < 0:
+                np.multiply(rows[:, a + shift:b + shift], wt, out=term)
             else:
-                rows.take(read, axis=1, out=term, mode="clip")
-                np.multiply(term, weights, out=term)
+                rows.take(indices[gather:gather + b - a], axis=1, out=term, mode="clip")
+                np.multiply(term, wt, out=term)
             np.add(into, term, out=into)
     return out
 

@@ -57,8 +57,7 @@ class TestHoisting:
         assert len(defs) == 1 and "normal_x[None, :] * coef_Sx[sel]" in defs[0]
         assert "sel = trep_d" in tables
         folded = src[src.index("def folded_tables("):src.index("def compute_boundary_")]
-        assert ("fold_s0 = ctile.pack(kernels.fold_upwind(divergence, tab_s1, upw, NCELLS))"
-                in folded)
+        assert "fold_s0 = kernels.fold_upwind(divergence, tab_s1, upw, NCELLS)" in folded
         assert "return [fold_s0]" in folded  # the face tables went into it
         # the tile is C: one folded operator, read once, then the flat factor
         # once per row, after the divergence

@@ -40,8 +40,8 @@ def compiles(monkeypatch) -> list:
     runs: list = []
     start = ctile._Build.start
 
-    def counted(build):
-        start(build)
+    def counted(build, stats):
+        start(build, stats)
         if build.pid is not None:
             runs.append(build.path)
 
@@ -182,3 +182,52 @@ def test_a_known_variable_over_every_index_is_read_by_its_component_map(monkeypa
         numpy_tile = problem().solve()
     assert numpy_tile.tile is None
     assert c_tile.solution().tobytes() == numpy_tile.solution().tobytes()
+
+
+def test_a_corrupt_cached_library_is_a_miss_built_again_and_replaced(compiles, tmp_path,
+                                                                       monkeypatch):
+    """The artifact cache's rule: an unreadable entry is a miss.  A library
+    in the cache directory the loader refuses (7 bytes where it should be)
+    is built again, replaced in place, and counted as a disk error.  (The
+    corrupt file sits in a directory of its own: this process never loaded
+    a library from that path.)"""
+    with cache_scope(cache_dir=tmp_path / "good"):
+        program("hotspot").generate()
+    (good,) = (tmp_path / "good" / "tiles").iterdir()
+    library = tmp_path / "cache" / "tiles" / good.name
+    library.parent.mkdir(parents=True)
+    library.write_bytes(b"corrupt")
+    monkeypatch.setattr(ctile, "_BUILDS", {})  # another process
+    with cache_scope(cache_dir=tmp_path / "cache") as cache:
+        solver = program("hotspot").solve()
+    assert np.isfinite(solver.solution()).all()
+    assert cache.stats.disk_errors == 1 and len(compiles) == 2
+    assert list(library.parent.iterdir()) == [library]
+    assert library.read_bytes() == good.read_bytes()
+    monkeypatch.setattr(ctile, "_BUILDS", {})  # ... and the next one loads it
+    with cache_scope(cache_dir=tmp_path / "cache") as cache:
+        program("hotspot").generate()
+    assert cache.stats.disk_errors == 0 and len(compiles) == 2
+
+
+def test_an_unwritable_cache_directory_builds_the_library_privately(compiles, tmp_path,
+                                                                    monkeypatch):
+    """A ``tiles/`` directory no library can be written into (as root, a
+    ``mkdtemp`` there that fails) keeps the cache memory-only, as the
+    artifact cache does: the library is built privately, nothing lands in
+    the directory, and it counts as a disk error."""
+    import tempfile
+
+    mkdtemp = tempfile.mkdtemp
+
+    def refused(*args, dir=None, **kwargs):  # noqa: A002 - mkdtemp's own name
+        if dir is not None:
+            raise PermissionError(13, "Permission denied", dir)
+        return mkdtemp(*args, **kwargs)
+
+    monkeypatch.setattr(tempfile, "mkdtemp", refused)
+    with cache_scope(cache_dir=tmp_path / "cache") as cache:
+        solver = program("hotspot").solve()
+    assert np.isfinite(solver.solution()).all()
+    assert cache.stats.disk_errors == 1 and len(compiles) == 1
+    assert not list((tmp_path / "cache").glob("tiles/*"))

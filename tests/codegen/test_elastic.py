@@ -298,7 +298,7 @@ class TestTablesFollowTheRankState:
                 g.owner[g.interior_faces], g.neighbor_column[g.interior_faces],
                 g.divergence_slots(faces=g.interior_faces))
             for have, want in zip(st._tables["folded_tables"][1], fresh):
-                assert all(map(np.array_equal, have, want))  # the packed operator
+                assert all(map(np.array_equal, have, want))  # the folded operator
         # ... and so are the scratch pools and the boundary divergence's slot
         # table: nothing a tile writes or indexes through is shared between
         # rank states

@@ -245,7 +245,7 @@ def assert_emitted_matches(expr: Expr, env: dict) -> None:
 
 # -- the C tile ----------------------------------------------------------------
 #: a tile with no surface statement, or no volume statement: ``0.0``
-NO_SURFACE = NO_VOLUME = EmittedExpr("0.0", 0)
+NO_SURFACE = NO_VOLUME = EmittedExpr(0.0, 0)
 
 
 def inexact(expr: Expr, scalars: tuple = ()) -> bool:
@@ -297,8 +297,7 @@ def _c_tile(lowered, scope: dict, u: np.ndarray) -> np.ndarray:
     tile = ctile.Tile(ctile.build(lowered.text), lowered)
     tile.wait()
     out = np.full_like(u, -777.25)
-    operands = [ctile.pack(scope[name]) if kind == "f" else eval(name, scope)  # noqa: S307
-                for kind, name in zip(lowered.kinds, lowered.operands)]
+    operands = [eval(name, scope) for name in lowered.operands]  # noqa: S307
     scalars = tuple(eval(source, scope) for source in lowered.scalars)  # noqa: S307
     tile({}, (0.0, *scalars), False, None, u, out, np.empty((lowered.folds + 1) * u.shape[1]),
          None, None, None, *operands)
@@ -328,8 +327,7 @@ def assert_c_tile_matches(expr: Expr, emitter, folded, volume, scope: dict, u,
     """``expr`` (the tile's ``folded`` or ``volume`` statement) takes the C
     tile exactly when it has no inexact node, and then stores the NumPy
     tile's bits."""
-    lowered = ctile.lower(folded, volume, emitter.shapes, {
-        h.name: int(h.code[1:]) for h in volume.sweep if h.code[1:].isdigit()})
+    lowered = ctile.lower(folded, volume)
     assert (lowered is None) == inexact(expr, scalars), (
         f"{expr} took the {'NumPy' if lowered is None else 'C'} tile")
     if lowered is None:
@@ -692,12 +690,17 @@ FLAT_LEAVES = (Sym("_k_1"), Indexed("Sx", ("d",)), Indexed("vg", ("b",)),
 _S = Mul(FaceNormal(1), Indexed("Sx", ("d",)))
 UPWIND = Conditional(Cmp(">", _S, Num(0)), Mul(SideValue(_I, 1), _S), Mul(SideValue(_I, 2), _S))
 #: a folded operator over the 4 cells, per row of ``d``: an offset entry
-#: and a gather entry
+#: (cells 1..3 read their left neighbour) and a gather entry (every cell
+#: reads its mirror)
 _RNG = np.random.default_rng(2026)
-FOLD = kernels.FoldedOperator(_RNG.uniform(-1, 1, (ND, NCELLS)), [
-    ((slice(1, NCELLS), slice(0, NCELLS - 1), _RNG.uniform(-1, 1, NCELLS - 1)),
-     (slice(None), np.array([3, 2, 1, 0]), _RNG.uniform(-1, 1, NCELLS)))
-    for _ in range(ND)])
+_OWN = _RNG.uniform(-1, 1, (ND, NCELLS))
+FOLD = kernels.FoldedOperator(
+    _OWN, np.arange(0, 2 * ND + 1, 2),
+    np.array([entry for r in range(ND) for entry in (
+        (1, NCELLS, -1, -1, r * (2 * NCELLS - 1)),
+        (0, NCELLS, 0, 0, r * (2 * NCELLS - 1) + NCELLS - 1))]),
+    np.concatenate([_RNG.uniform(-1, 1, n) for _ in range(ND) for n in (NCELLS - 1, NCELLS)]),
+    np.array([3, 2, 1, 0]))
 
 
 def _leaves(pool) -> st.SearchStrategy[Expr]:
@@ -729,8 +732,7 @@ def test_c_tile_volume_statement_matches_the_numpy_tile(expr, env):
     C when every operation left in the tile is exact, with the NumPy tile's
     bits; a refused one has an inexact spelling left in its tile."""
     statement = IDX_EMITTER.emit_sum([expr], "volume")
-    lowered = ctile.lower(NO_SURFACE, statement, IDX_EMITTER.shapes, {
-        h.name: int(h.code[1:]) for h in statement.sweep if h.code[1:].isdigit()})
+    lowered = ctile.lower(NO_SURFACE, statement)
     if lowered is None:
         assert any(s in "\n".join([*statement.prelude, statement.code])
                    for s in _INEXACT_SPELLINGS), expr

@@ -173,13 +173,13 @@ def test_linear_upwind_statements_fold(dim, equation):
     cpu = solve("cpu")
     terms = equation.count("upwind(")
     # one folded operator per upwind term, each applied once by the C tile
-    assert cpu.source.count("ctile.pack(kernels.fold_upwind(") == terms
+    assert cpu.source.count("kernels.fold_upwind(") == terms
     assert cpu.tile.folds == terms and cpu.tile.text.count("double *restrict f = w + ") == terms
     assert "gather_sides" not in cpu.source and "surface_divergence" not in cpu.source
     # one step shape: bit for bit on the hybrid target, rounding against the
     # interpreter, which evaluates the flux on the faces
     gpu = solve(gpu=True)
-    assert gpu.source.count("ctile.pack(kernels.fold_upwind(") == terms
+    assert gpu.source.count("kernels.fold_upwind(") == terms
     assert gpu.tile == cpu.tile  # one library for both targets
     assert gpu.solution().tobytes() == cpu.solution().tobytes()
     np.testing.assert_allclose(cpu.solution(), solve("interp").solution(),

@@ -36,7 +36,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bte.problem import build_bte_problem, hotspot_scenario
-from repro.codegen import ctile
 from repro.fvm import kernels
 from repro.runtime.faults import fault_run
 from repro.util.context import current
@@ -407,9 +406,9 @@ def test_upwind_gather_equals_the_select_of_two_gathers(rows):
     mask, projected, columns = ns["invariant_tables"](*tables)
     slots = geom.divergence_slots(faces=faces)
     fold = kernels.fold_upwind(slots, projected, columns, geom.ncells)
-    # the operator the C tile reads is this one, packed
-    (packed,) = state.tables(ns["folded_tables"], faces, divergence=True)
-    assert all(map(np.array_equal, packed, ctile.pack(fold)))
+    # the operator the C tile reads is this one
+    (held,) = state.tables(ns["folded_tables"], faces, divergence=True)
+    assert all(map(np.array_equal, held, fold))
     table_rows = ns["tmap_d"] if rows is None else ns["tmap_d"][rows]
     assert rows is None or isinstance(rows, slice) or len(set(table_rows)) > 1
     u1, u2 = (side[:, faces] for side in geom.gather_sides(u, None, rows))

@@ -90,14 +90,25 @@ def gather_form(slots, table, columns, u, table_rows) -> np.ndarray:
     return out
 
 
-def dense(entry, ncells: int) -> tuple[np.ndarray, np.ndarray]:
-    """An entry's ``(columns, weights)`` over every cell: where ``cells`` has
+def dense(op, e: int, ncells: int) -> tuple[np.ndarray, np.ndarray]:
+    """Entry ``e``'s ``(columns, weights)`` over every cell: where it has
     none, the cell itself at weight zero."""
-    cells, read, weights = entry
+    lo, hi, shift, gather, weight = op.entries[e]
     cols, full = np.arange(ncells), np.zeros(ncells)
-    cols[cells] = np.arange(ncells)[read] if read.__class__ is slice else read
-    full[cells] = weights
+    cols[lo:hi] = cols[lo + shift:hi + shift] if gather < 0 else op.indices[gather:gather + hi - lo]
+    full[lo:hi] = op.weights[weight:weight + hi - lo]
     return cols, full
+
+
+def row_entries(op, r: int) -> range:
+    """The entries of table row ``r``."""
+    return range(op.begin[r], op.begin[r + 1])
+
+
+def gathers_only(op, ncells: int) -> bool:
+    """Whether every entry is a gather entry over every cell."""
+    lo, hi, _, gather, _ = op.entries.T
+    return bool((lo == 0).all() and (hi == ncells).all() and (gather >= 0).all())
 
 
 def face_centric(geom: FVGeometry, table, columns, u, table_rows) -> np.ndarray:
@@ -141,8 +152,9 @@ def test_folded_operator_equals_gather_scale_divergence(mesh, seed):
 def offsets(op, r: int) -> list[int]:
     """The offsets of row ``r``'s entries, in order (they are all offset
     entries)."""
-    assert all(read.__class__ is slice for _, read, _ in op.entries[r])
-    return [read.start - cells.start for cells, read, _ in op.entries[r]]
+    entries = op.entries[op.begin[r]:op.begin[r + 1]]
+    assert (entries[:, 3] < 0).all()
+    return entries[:, 2].tolist()
 
 
 def test_axis_aligned_direction_drops_the_parallel_faces():
@@ -151,13 +163,13 @@ def test_axis_aligned_direction_drops_the_parallel_faces():
     geom = FVGeometry(structured_grid((5, 4)))
     s = np.array([[1.0, 0.0], [0.6, 0.8]])
     op = kernels.fold_upwind(*interior_operator(geom, s), geom.ncells)
-    assert [len(row) for row in op.entries] == [1, 2]
+    assert np.diff(op.begin).tolist() == [1, 2]
     # the axis row reads the cell to the west; the diagonal one the cell
     # below, then the one to the west, as every cell meets its faces
     assert offsets(op, 0) == [-1] and offsets(op, 1) == [-5, -1]
     # the west column has no inflow face in the interior at all
     west = np.flatnonzero(geom.cell_center[:, 0] < 0.2)
-    _, weights = dense(op.entries[0][0], geom.ncells)
+    _, weights = dense(op, 0, geom.ncells)
     assert not weights[west].any() and (op.own[0][west] > 0).all()
 
 
@@ -169,9 +181,9 @@ def test_inflow_count_varies_per_cell_and_per_row():
     s = np.array([[1.0, 1.0, 1.0], [0.0, 0.0, 1.0]]) / np.sqrt([[3.0], [1.0]])
     slots, table, columns = interior_operator(geom, s)
     op = kernels.fold_upwind(slots, table, columns, geom.ncells)
-    assert [len(row) for row in op.entries] == [3, 1]
-    used = [sum((dense(e, geom.ncells)[1] != 0.0).astype(int) for e in row)
-            for row in op.entries]
+    assert np.diff(op.begin).tolist() == [3, 1]
+    used = [sum((dense(op, e, geom.ncells)[1] != 0.0).astype(int) for e in row_entries(op, r))
+            for r in range(2)]
     assert set(used[0].tolist()) == {0, 1, 2, 3} and set(used[1].tolist()) == {0, 1}
     # the oracle's count: interior faces of the cell whose upwind side is
     # another cell and whose coefficient is not zero
@@ -207,8 +219,7 @@ def test_meshes_without_one_offset_order_keep_gathers(mesh):
     every cell."""
     geom = FVGeometry(MESHES[mesh](0))
     op = kernels.fold_upwind(*interior_operator(geom, directions(2, 0)), geom.ncells)
-    assert all(cells == slice(None) and read.__class__ is np.ndarray
-               for row in op.entries for cells, read, _ in row)
+    assert gathers_only(op, geom.ncells)
 
 
 def test_a_scattered_numbering_keeps_gathers_in_a_small_build():
@@ -228,8 +239,7 @@ def test_a_scattered_numbering_keeps_gathers_in_a_small_build():
     finally:
         tracemalloc.stop()
     assert peak < 32 * table.shape[0] * geom.ncells * 8
-    assert all(cells == slice(None) and read.__class__ is np.ndarray
-               for row in op.entries for cells, read, _ in row)
+    assert gathers_only(op, geom.ncells)
     table_rows = np.repeat(np.arange(len(s)), NB)
     u = np.random.default_rng(1).standard_normal((len(table_rows), geom.ncells))
     got = kernels.apply_folded(op, u, kernels.table_runs(table_rows),
@@ -248,11 +258,13 @@ def test_a_shifted_offset_range_is_caught(move):
     table_rows = np.repeat(np.arange(len(s)), NB)
     u = np.random.default_rng(0).standard_normal((len(table_rows), geom.ncells))
     expected = gather_form(slots, table, columns, u, table_rows)
-    entry = dict(zip(("cells", "read", "weights"), op.entries[-1][0]))
-    span = entry[move]
-    step = 1 if span.stop < geom.ncells else -1
-    entry[move] = slice(span.start + step, span.stop + step)
-    op.entries[-1] = (tuple(entry.values()), *op.entries[-1][1:])
+    entry = op.entries[op.begin[-2]]  # the last row's first, an offset entry
+    assert entry[3] < 0
+    step = 1 if entry[1] + (entry[2] if move == "read" else 0) < geom.ncells else -1
+    if move == "cells":  # the same cells read, into the cells next to them
+        entry[:3] += (step, step, -step)
+    else:
+        entry[2] += step
     got = kernels.apply_folded(op, u, kernels.table_runs(table_rows),
                                np.empty_like(u), np.empty_like(u))
     assert got[:-NB].tobytes() == expected[:-NB].tobytes()
@@ -299,7 +311,7 @@ def test_a_mesh_without_interior_faces_folds_to_nothing(shape):
     slots, table, columns = interior_operator(geom, np.eye(geom.dim)[:1])
     assert slots == []
     op = kernels.fold_upwind(slots, table, columns, geom.ncells)
-    assert op.entries == [()] and not op.own.any()
+    assert op.begin.tolist() == [0, 0] and not len(op.entries) and not op.own.any()
     u = np.ones((2, geom.ncells))
     out = kernels.apply_folded(op, u, [(0, 2, 0)], np.full_like(u, np.nan), u.copy())
     assert not out.any()
