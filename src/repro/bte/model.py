@@ -69,51 +69,11 @@ class BTEModel:
             )
         return self.weight_comp @ I
 
-    def band_energies(self, I: np.ndarray, comps: np.ndarray | None = None,
-                      out: np.ndarray | None = None, work: np.ndarray | None = None
-                      ) -> np.ndarray:
-        """Per-band direction-integrated energy, ``(nbands, ncells)`` (into
-        ``out`` when given, with ``work`` of the same shape as scratch).
-
-        With ``comps`` given, only those components contribute (band
-        partitioning: each rank sums its own bands, zeros elsewhere, and the
-        allreduce completes the picture).
-
-        Components are ``(d, b)`` row-major, so each direction's bands are
-        one slab of rows: the sum is accumulated a slab at a time, in
-        direction order — the order (and so the bits) of an ``np.add.at``
-        scatter over the components, without its per-element dispatch — the
-        weighted slab going through one reused scratch array.  The scatter
-        remains for ``comps`` that are not the same block of consecutive
-        bands for every direction they touch.
-        """
-        nb, ncells = self.bands.nbands, I.shape[1]
-        out = np.empty((nb, ncells)) if out is None else out
-        out.fill(0.0)
-        first, count = 0, nb  # the band block, and per direction (weight, first row)
-        slabs = [(w, d * nb) for d, w in enumerate(self.dirs.weights)]
-        if comps is not None:
-            comps = np.asarray(comps)
-            ndirs = max(1, np.count_nonzero(np.bincount(self.comp_dir[comps])))
-            rows = comps.reshape(ndirs, -1) if len(comps) and len(comps) % ndirs == 0 else None
-            if rows is not None:
-                first, count = self.comp_band[rows[0, 0]], rows.shape[1]
-            if (rows is None or first + count > nb
-                    or (rows != rows[:, :1] + np.arange(count)).any()
-                    or (self.comp_band[rows[:, 0]] != first).any()):
-                np.add.at(out, self.comp_band[comps],
-                          self.weight_comp[comps][:, None] * I[comps])
-                return out
-            slabs = [(self.weight_comp[r], r) for r in rows[:, 0]]
-        acc = out[first:first + count]
-        weighted = np.empty((count, ncells)) if work is None else work[:count]
-        for w, row in slabs:
-            np.add(acc, np.multiply(I[row:row + count], w, out=weighted), out=acc)
-        return out
-
     def band_energy_reduction(self) -> Reduction:
-        """:meth:`band_energies` as the post-step record declares it."""
-        return Reduction("band_energy", self.band_energies, self.bands.nbands)
+        """The per-band direction-integrated energy, ``(nbands, ncells)``,
+        as the post-step record declares it: component ``(d, b)`` adds
+        ``w_d I_{d,b}`` into band ``b``, directions in order."""
+        return Reduction("band_energy", self.comp_band, self.weight_comp, self.bands.nbands)
 
     def heat_flux(self, I: np.ndarray) -> np.ndarray:
         """Per-cell heat-flux vector ``q = sum w_d vg_b s_d I`` , (dim, ncells)."""
@@ -122,14 +82,13 @@ class BTEModel:
         return wv.T @ I
 
     # --------------------------------------------------------------- post-step
-    def temperature_update(self, state, e_act: np.ndarray | None = None) -> None:
+    def temperature_update(self, state, e_act: np.ndarray) -> None:
         """The paper's ``postStepFunction``: E -> T -> (Io, beta).
 
-        All it reads of the intensity is :meth:`band_energies`, declared on
-        the post-step record (:meth:`band_energy_reduction`): a device
-        target computes them where the unknown lives and hands them in as
-        ``e_act`` (this rank's partial sums, over all of the state's cells);
-        called without, the update reads ``state.u`` and reduces itself.
+        All it reads of the intensity is the band energies ``e_act``,
+        declared on the post-step record (:meth:`band_energy_reduction`)
+        and handed in by every target: this rank's partial sums, over all
+        of the state's cells.
         Keeps the per-cell temperature in ``state.extra['T']`` (also the
         Newton starting guess) and the closure's whole result in
         ``state.extra['closure']``, the next step's warm start (a restored
@@ -138,24 +97,17 @@ class BTEModel:
         and ``T``, ``Io`` and ``beta`` are published only once the closure
         has converged: a ``SolverError`` leaves them as they were.
         """
-        nb = self.bands.nbands
         T_prev = state.extra.get("T")
         if T_prev is None:
             T_prev = np.full(state.ncells, float(state.extra.get("T0", 300.0)))
         cells = getattr(state, "owned_cells", None)
         comps = getattr(state, "owned_comps", None)
         if cells is not None:
+            # cell partitioning: the update restricts to owned cells (ghost
+            # columns never feed volume terms); each column sums on its own
             T_prev, T_all = T_prev[cells], T_prev.copy()
-        if e_act is None:
-            I = state.u
-            if cells is not None:
-                # cell partitioning: bands are all local, the update restricts
-                # to owned cells (ghost columns never feed volume terms)
-                I = I.take(cells, axis=1, mode="clip",
-                           out=state.buffer("owned_intensity", (len(I), len(cells))))
-            e_act = self.band_energies(
-                I, comps, state.buffer("band_energy", (nb, I.shape[1])),
-                state.buffer("band_work", (nb, I.shape[1])))
+            e_act = e_act.take(cells, axis=1, mode="clip",
+                               out=state.buffer("owned_energy", (len(e_act), len(cells))))
         if comps is not None:
             # band partitioning: each rank holds only its components' valid
             # intensities; the closure needs all bands -> allreduce of the

@@ -20,17 +20,31 @@ it, and passed by value.  An operation on arrays the table gives no C
 spelling — a power other than ``x^-1``, a transcendental, ``min``/``max`` —
 keeps the tile NumPy, whole (:func:`lower` returns ``None``).
 
+*At SIMD width.*  The store is the program's stepper, fixed when the text
+is printed — ``ur[c] + v * s0`` for a forward-Euler sweep, ``v`` for an RK
+right-hand side — so no loop has a branch, and every loop is vectorized
+(:data:`FLAGS`): one lane is one element, so no operation of an element
+moves.
+
+*The declared reductions.*  A forward-Euler tile also accumulates the
+post-step callbacks' declared reductions (:class:`~repro.dsl.entities.
+Reduction`) of each row it stored, while the row is hot: per output (the
+``reduced`` arrays, zeroed at the start) a row map ``group`` and a
+per-component coefficient ``weight``, rows in sweep order — the terms, in
+the order, of :func:`repro.fvm.kernels.reduce_rows`.  A device kernel hands
+it none: its ``finish_step`` reduces.
+
 *One library per equation shape.*  The C text holds no sizes, counts,
 coefficients or names the user chose: its identifiers are positional and
 every array and size is an argument, among them what tells the targets
-apart — the rows swept, in place or into another array, the forward-Euler
-update or the right-hand side alone, the boundary cells' add, the columns a
-cell rank owns.  Builds are memoised per process by (text, compiler,
-flags) and single-flight; the library lands in the compilation cache's
-disk directory when one is configured and writable (one there the loader
-refuses is built again and replaced), otherwise in a private temporary
-directory removed once the library is loaded.  A missing or failing
-compiler is :class:`~repro.util.errors.CodegenError` RPR142.
+apart — the rows swept, in place or into another array, the boundary
+cells' add, the columns a cell rank owns, the reductions.  Builds are
+memoised per process by (text, compiler, flags) and single-flight; the
+library lands in the compilation cache's disk directory when one is
+configured and writable (one there the loader refuses is built again and
+replaced), otherwise in a private temporary directory removed once the
+library is loaded.  A missing or failing compiler is
+:class:`~repro.util.errors.CodegenError` RPR142.
 """
 
 from __future__ import annotations
@@ -53,12 +67,16 @@ COMPILER = "cc"
 #: fused multiply-add: each product is rounded, as NumPy rounds it),
 #: ``-fno-math-errno`` (``sqrt`` is the instruction, not a libm call that
 #: may set ``errno``), ``-nostdlib`` (the function calls nothing; faster
-#: link), ``-O1``: as fast a tile as ``-O2`` (which vectorizes none of its
-#: loops either), built in less time than ``-O2`` or ``-O3`` (EXPERIMENTS.md,
-#: "The tile as C").  Nothing that may reorder or contract floating-point
-#: operations.
-FLAGS = ("-O1", "-shared", "-fPIC", "-pipe", "-nostdlib",
-         "-ffp-contract=off", "-fno-math-errno")
+#: link), ``-O1 -ftree-vectorize -fvect-cost-model=cheap``: every loop of the
+#: tile runs at SIMD width — the element loop, which may update in place,
+#: versioned for aliasing — where ``-O2`` alone vectorizes none (its
+#: very-cheap cost model refuses a loop whose trip count is unknown) and
+#: ``-O2``'s loop distribution would call ``memset``; as fast a tile as
+#: ``-O3``, built in less time (EXPERIMENTS.md, "The C tile at SIMD width").
+#: Vectorizing reorders no operation of an element: lanes are elements.
+#: Nothing that may reorder or contract floating-point operations.
+FLAGS = ("-O1", "-ftree-vectorize", "-fvect-cost-model=cheap", "-shared", "-fPIC", "-pipe",
+         "-nostdlib", "-ffp-contract=off", "-fno-math-errno")
 
 
 class Lowered(NamedTuple):
@@ -76,6 +94,8 @@ class Lowered(NamedTuple):
     bounds: tuple[tuple[int, int], ...]
     #: the registers of ``sweep_pool`` the tile reads
     registers: int
+    #: stores the forward-Euler update and reduces it (else the RHS)
+    euler: bool
 
 
 class _Inexact(Exception):
@@ -210,22 +230,35 @@ class _Printer:
         self.body.append(f"{self._local(target)} = {code};")
 
     # -- the unit -------------------------------------------------------------
-    def text(self, div: str, source: str) -> str:
+    def text(self, div: str, source: str, euler: bool) -> str:
         nf = len(self.folds)
+        reduce = ["long nq", "double *const *restrict ro", "const long *restrict rn",
+                  "const long *restrict rg", "const double *restrict rw"]
         head = ["double s0", *(f"double s{i + 1}" for i in range(len(self.scalars))),
-                "long nrows", "const long *restrict rows", "long n",
+                "long nrows", "const long *restrict rows", "long nu", "long n",
                 "const double *u", "double *out", "double *restrict w",
                 "long nb", "const long *restrict bc", "const double *restrict bd",
-                "long no", "const long *restrict own", "long euler", *self.params]
+                "long no", "const long *restrict own", *reduce * euler, *self.params]
         lines = [
             "/* A folded tile, generated (repro.codegen.ctile): per row g of the",
             "   sweep, the folded operators (the own cell's coefficient, then each",
-            "   entry in order), the statements element by element, the explicit",
-            "   update (euler) or the right-hand side, the boundary cells' add, and",
-            "   the store: every column, or the columns a cell rank owns.  u and out",
-            "   may be one array; w is scratch of (folds + 1) rows. */",
+            *(["   entry in order), the statements element by element, the explicit",
+               "   update u + v * dt, the boundary cells' add, the store (every column,",
+               "   or the columns a cell rank owns), then each declared reduction of",
+               "   the stored row.  u and out may be one array; w is scratch of",
+               "   (folds + 1) rows. */"] if euler else
+              ["   entry in order), the statements element by element, the right-hand",
+               "   side v, the boundary cells' add and the store (every column, or the",
+               "   columns a cell rank owns).  w is scratch of (folds + 1) rows. */"]),
             "void tile(" + ",\n          ".join(head) + ")",
             "{",
+        ]
+        if euler:
+            lines += [
+                "    for (long q = 0; q < nq; q++)",
+                "        for (long k = 0; k < rn[q]; k++) ro[q][k] = 0.0;",
+            ]
+        lines += [
             "    for (long i = 0; i < nrows; i++) {",
             "        const long g = rows ? rows[i] : i;",
             "        const double *ur = u + g * n;",
@@ -263,20 +296,29 @@ class _Printer:
         lines += ["            " + s for s in self.body]
         lines += [
             f"            const double v = ({source} + {div});",
-            "            o[c] = euler ? ur[c] + v * s0 : v;",
+            f"            o[c] = {'ur[c] + v * s0' if euler else 'v'};",
             "        }",
             "        for (long k = 0; k < nb; k++) o[bc[k]] = o[bc[k]] + bd[g * nb + k];",
             "        for (long k = 0; k < no; k++) orow[own[k]] = o[own[k]];",
-            "    }",
-            "}",
         ]
+        if euler:
+            lines += [
+                "        for (long q = 0; q < nq; q++) {",
+                "            double *restrict e = ro[q] + rg[q * nu + g] * n;",
+                "            const double we = rw[q * nu + g];",
+                "            for (long c = 0; c < n; c++) e[c] = e[c] + orow[c] * we;",
+                "        }",
+            ]
+        lines += ["    }", "}"]
         return "\n".join(lines) + "\n"
 
 
-def lower(folded, volume) -> Lowered | None:
+def lower(folded, volume, euler: bool) -> Lowered | None:
     """The C tile of a folded and a volume statement (``0.0`` when there are
     no volume terms), :class:`~repro.codegen.emit.EmittedExpr`, or ``None``
-    when an operation has no exact C form."""
+    when an operation has no exact C form: with ``euler`` it stores the
+    forward-Euler update and reduces the stored rows, else the right-hand
+    side."""
     printer = _Printer()
     try:
         for s in [*folded.statements, Stmt("div", Op("=", (folded.term,))),
@@ -284,10 +326,10 @@ def lower(folded, volume) -> Lowered | None:
             printer.statement(s)
     except _Inexact:
         return None
-    text = printer.text(*(printer.expr(Leaf("r", name)) for name in ("div", "source")))
+    text = printer.text(*(printer.expr(Leaf("r", name)) for name in ("div", "source")), euler)
     kinds, operands = zip(*printer.operands) if printer.operands else ((), ())
     return Lowered(text, tuple(printer.scalars), tuple(operands), "".join(kinds),
-                   len(printer.folds), tuple(sorted(printer.bounds)), printer.registers)
+                   len(printer.folds), tuple(sorted(printer.bounds)), printer.registers, euler)
 
 
 # ---------------------------------------------------------------------------
@@ -446,17 +488,19 @@ _PARAMS = {"m": "p", "f": "ppppp", "p": "pl", "t": "p", "n": "p", "b": "p", "k":
 class Tile:
     """The generated tile's foreign function, called once per sweep.
 
-    ``TILE(memo, scalars, euler, rows, u, out, scratch, bcells, bdry,
-    owned, *operands)``: ``scalars`` by value (``dt`` first), the rest
+    ``TILE(memo, scalars, rows, u, out, scratch, bcells, bdry, owned,
+    reduced, *operands)``: ``scalars`` by value (``dt`` first), the rest
     resolved to pointers — dtype, layout and every index bound checked — the
     first time that set of objects is seen, and reused while the objects are
     the same.  They are held in ``memo`` (the state's ``plans``, a device
     kernel's ``TILE_PLANS``) with the objects themselves, so no identity is
     reused; a restore, a repartition or a migration hands over new objects
-    and is resolved again."""
+    and is resolved again.  ``reduced`` is an Euler tile's outputs of the
+    declared ``reductions`` (:class:`~repro.dsl.entities.Reduction`), one
+    array each, or empty: nothing reduced."""
 
-    def __init__(self, lib: _Build, lowered: Lowered):
-        self.lib, self.lowered = lib, lowered
+    def __init__(self, lib: _Build, lowered: Lowered, reductions=()):
+        self.lib, self.lowered, self.reductions = lib, lowered, tuple(reductions)
         self.fn = None
 
     def wait(self) -> None:
@@ -466,8 +510,8 @@ class Tile:
         fn = self.lib.result()
         lowered = self.lowered
         types = {"d": ctypes.c_double, "l": ctypes.c_long, "p": ctypes.c_void_p}
-        codes = ("d" * (1 + len(lowered.scalars)) + "lpl" + "ppp" + "lpp" + "lp" + "l"
-                 + "".join(_PARAMS[k] for k in lowered.kinds))
+        codes = ("d" * (1 + len(lowered.scalars)) + "lpll" + "ppp" + "lpp" + "lp"
+                 + "lpppp" * lowered.euler + "".join(_PARAMS[k] for k in lowered.kinds))
         with self.lib.lock:
             fn.argtypes = [types[c] for c in codes]
             fn.restype = None
@@ -481,7 +525,7 @@ class Tile:
         held = memo.get(Tile)
         if held is None:
             held = memo[Tile] = {}  # (held with the state's tables, gone with it)
-        key = tuple(map(id, arrays))
+        key = (*map(id, arrays), *map(id, arrays[7]))
         pointers = held.get(key)
         if pointers is None:
             if len(held) >= 4:  # e.g. the stages of an RK step: fresh arrays
@@ -489,9 +533,9 @@ class Tile:
             pointers = held[key] = self._pointers(*arrays)
         self.fn(*scalars, *pointers[0])
 
-    def _pointers(self, euler, rows, u, out, scratch, bcells, bdry, owned,
+    def _pointers(self, rows, u, out, scratch, bcells, bdry, owned, reduced,
                   *operands) -> tuple:
-        keep: list = [euler, rows, u, out, scratch, bcells, bdry, owned, *operands]
+        keep: list = [rows, u, out, scratch, bcells, bdry, owned, *reduced, *operands]
 
         def floats(a, shape, what: str, write: bool = False) -> int:
             if not (isinstance(a, np.ndarray) and a.dtype == np.float64
@@ -516,12 +560,15 @@ class Tile:
         own = None if owned is None else indices(owned, n, "owned columns")
         folds = self.lowered.folds
         args = [nu if rows is None else len(rows), None if rows is None else rows.ctypes.data,
-                n, floats(u, (nu, n), "unknown"), floats(out, (nu, n), "output", True),
+                nu, n, floats(u, (nu, n), "unknown"), floats(out, (nu, n), "output", True),
                 floats(scratch, ((folds + 1) * n,), "scratch", True),
                 len(bc), bc.ctypes.data,
                 None if bdry is None else floats(bdry, (nu, len(bc)), "boundary part"),
-                0 if own is None else len(own), None if own is None else own.ctypes.data,
-                int(bool(euler))]
+                0 if own is None else len(own), None if own is None else own.ctypes.data]
+        if self.lowered.euler:
+            args += self._reduction(reduced, u, out, keep, floats, indices)
+        elif len(reduced):
+            raise CodegenError("tile: a right-hand side reduces nothing")
         extent: dict[int, int] = {}  # operand -> its rows
         for i, (kind, value) in enumerate(zip(self.lowered.kinds, operands)):
             if kind == "m":
@@ -551,6 +598,26 @@ class Tile:
             if operands[rows_map].max(initial=0) >= extent[user]:
                 raise CodegenError("tile: a row map outside its table")
         return tuple(args), keep
+
+    def _reduction(self, reduced, u, out, keep: list, floats, indices) -> list:
+        """The declared reductions' arguments: their outputs (none shared
+        with the unknown or the output), and per component its output row
+        and weight."""
+        nu, n = u.shape
+        if len(reduced) not in (0, len(self.reductions)):
+            raise CodegenError("tile: an output for every declared reduction, or none")
+        pairs = list(zip(self.reductions, reduced))
+        for r, o in pairs:
+            floats(o, (r.rows, n), "reduction output", True)
+            if len(r.group) != nu or np.may_share_memory(o, u) or np.may_share_memory(o, out):
+                raise CodegenError("tile: a reduction over other rows, or into its input")
+        ro = np.array([o.ctypes.data for _, o in pairs], dtype=np.uintp)
+        rn = np.array([r.rows * n for r, _ in pairs], dtype=np.int64)
+        rg = np.concatenate([np.zeros(0, np.int64),
+                             *(indices(r.group, r.rows, "reduction rows") for r, _ in pairs)])
+        rw = np.concatenate([np.zeros(0), *(r.weight for r, _ in pairs)])
+        keep += [ro, rn, rg, rw]
+        return [len(pairs), ro.ctypes.data, rn.ctypes.data, rg.ctypes.data, rw.ctypes.data]
 
 
 def _check_fold(fold: FoldedOperator, n: int) -> None:

@@ -89,7 +89,7 @@ class _Ops(dict):
 #: Every operation of the statement record (:class:`Stmt`; printed as NumPy by
 #: ``str``, as C by :func:`repro.codegen.ctile.lower`): its NumPy spelling
 #: (``{}``: the operands, joined by the separator), as a statement (``{t}``:
-#: the register; ``None``: ``{t}[...] = ...``) and its exact C spelling per
+#: the register; ``None``: ``np.copyto({t}, ...)``) and its exact C spelling per
 #: element (``None``: none, the tile stays NumPy; exact as compiled with
 #: :data:`repro.codegen.ctile.FLAGS`, a comparison only as a select's
 #: condition or stored as a float).  ``=`` binds a name; ``take`` (a known
@@ -164,7 +164,9 @@ class Stmt(NamedTuple):
     term: Op
 
     def __str__(self) -> str:
-        statement = OPS[self.term.op][2] or "{t}[...] = {term}"  # (a fresh value, copied in)
+        # (a fresh value, copied in: a complex one is refused, as a ufunc's
+        # ``out=`` refuses it, not cast to its real part)
+        statement = OPS[self.term.op][2] or "np.copyto({t}, {term})"
         return statement.format(*self.term.args, t=self.target, term=self.term)
 
 
@@ -1054,16 +1056,17 @@ FINISH_STEP = [
     "    into the boundary cells' columns (``u + (du_bdry * dt)``, that",
     "    association; every other column is left alone, an exact -0.0",
     "    included), runs the post-step callbacks' declared reductions into",
-    "    ``reduced``, and gathers the owner values the next step's boundary",
-    "    callbacks read — after the column update, so they are those of the",
-    "    finished step.  ``sel``/``comps`` restrict a band-partitioned rank",
-    '    to its own rows."""',
+    "    ``reduced`` (every column: the kernel reduces none), and gathers the",
+    "    owner values the next step's boundary callbacks read — after the",
+    "    column update, so they are those of the finished step.",
+    '    ``sel``/``comps`` restrict a band-partitioned rank to its own rows."""',
     "    cols = buffer('bdry_cols', du_bdry.shape)",
     "    u.take(BCELLS, axis=1, out=cols, mode='clip')",
     "    np.add(cols, np.multiply(du_bdry, DT, out=du_bdry), out=cols)",
     "    u[sel if isinstance(sel, slice) else sel[:, None], BCELLS] = cols[sel]",
-    "    for reduce, out in zip(REDUCTIONS, reduced):",
-    "        reduce(u, comps, out, buffer('reduce_work', out.shape))",
+    "    for reduction, out in zip(REDUCTIONS, reduced):",
+    "        kernels.reduce_rows(u, reduction.group, reduction.weight, out, comps,",
+    "                            buffer('reduce_work', out.shape))",
     "    u.take(BOWNER, axis=1, out=u_bdry, mode='clip')",
 ]
 
@@ -1082,7 +1085,10 @@ def emit_interior(emitter: ExprEmitter, device: bool, *, stepper: str = "euler",
     its rows of it into the boundary cells' columns.  On the ``device`` it
     is a launch over the interior faces into ``u_new``,
     ``interior_kernel(u, var_*, u_new, buffer, sel)``, and the step places
-    :data:`FINISH_STEP`.
+    :data:`FINISH_STEP`, which runs the declared reductions.
+
+    A forward-Euler sweep on the host also fills the post-step callbacks'
+    declared reductions of the rows it stored (``state.reduced``).
 
     A tile of component rows: gather ``u1``/``u2`` → surface statement →
     FLUX overrides (host) → divergence → volume statement → store, or the
@@ -1098,8 +1104,10 @@ def emit_interior(emitter: ExprEmitter, device: bool, *, stepper: str = "euler",
 
     A folded tile whose every operation is exact is not swept in NumPy: it
     is printed as one C function (:func:`repro.codegen.ctile.lower`) and the
-    sweep is one call of it, ``TILE(...)``.  Returns the source lines and
-    that printed tile (``None``: the NumPy tile).
+    sweep is one call of it, ``TILE(...)``, which on the host reduces each
+    row while it is hot; a NumPy tile reduces after the sweep, by the one
+    NumPy form (:func:`repro.fvm.kernels.reduce_rows`).  Returns the source
+    lines and that printed tile (``None``: the NumPy tile).
     """
     from repro.codegen import ctile  # (which reads the statement record defined here)
 
@@ -1107,11 +1115,11 @@ def emit_interior(emitter: ExprEmitter, device: bool, *, stepper: str = "euler",
     surface = emitter.emit_sum(form.surface_terms, "surface")
     volume = emitter.emit_sum(form.volume_terms, "volume")
     folded = surface.folded
+    inplace = device or stepper in EULER
     # a folded tile whose every operation is exact is one C function
-    tile_c = folded and ctile.lower(folded, volume)
+    tile_c = folded and ctile.lower(folded, volume, inplace)
     setup, invariant, tables = _invariant_tables(surface, volume)
     two_sided = form.surface_terms and not folded
-    inplace = device or stepper in EULER
     lines = setup
     if device:
         known = ", ".join(["u", *(f"var_{n}" for n in emitter.referenced_known_variables())])
@@ -1291,6 +1299,7 @@ def emit_interior(emitter: ExprEmitter, device: bool, *, stepper: str = "euler",
                         f"{', overrides' if form.surface_terms else ''})")
     if not inplace:
         body.append("rhs = np.empty((NCOMP, geom.ncells))")
+    reduced = "()" if device or not inplace else "state.reduced"
     if tile_c:
         scalars = ", ".join([dt or "dt", *tile_c.scalars])
         places = (["None", "None", "None"] if device else
@@ -1298,10 +1307,10 @@ def emit_interior(emitter: ExprEmitter, device: bool, *, stepper: str = "euler",
         body += [
             "",
             "# the tile, in C (``solver.tile.text``): one foreign call over the rows",
-            f"TILE({'TILE_PLANS' if device else 'state.plans'}, ({scalars},), {inplace}, rows, u, "
+            f"TILE({'TILE_PLANS' if device else 'state.plans'}, ({scalars},), rows, u, "
             f"{'u_new' if device else 'u' if inplace else 'rhs'},",
             f"     {buffer}('tile', ({tile_c.folds + 1} * {ncells},)), {', '.join(places)},",
-            f"     {', '.join(tile_c.operands)})",
+            f"     {reduced}, {', '.join(tile_c.operands)})",
         ]
     else:
         body += [
@@ -1310,6 +1319,13 @@ def emit_interior(emitter: ExprEmitter, device: bool, *, stepper: str = "euler",
             f"for {tiles} in kernels.tile_plan({plan}):",
             *("    " + ln for ln in tile),
         ]
+        if inplace and not device:
+            body += [
+                "# the declared reductions of the rows stored",
+                "for reduction, out in zip(REDUCTIONS, state.reduced):",
+                "    kernels.reduce_rows(u, reduction.group, reduction.weight, out, rows,",
+                "                        state.buffer('reduce_work', out.shape))",
+            ]
     if not inplace:
         body.append("return rhs")
     if folded or device:

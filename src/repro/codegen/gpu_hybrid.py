@@ -265,7 +265,6 @@ def emit_device_step(name: str, plan: dict, rank: str = "") -> list[str]:
 #: temperature update's cost-model time on the host clock.
 RUN_LOOP = dict(
     prologue=["trace = current().tracer"],
-    post_args=True,
     charge=[
         "if POST_STEP_CALLBACKS:",
         "    t0 = state.host_clock.now()",
@@ -403,7 +402,6 @@ def step_env(problem: "Problem", geom, plan: dict) -> dict:
         # cells that have one
         "BOWNER": geom.bowner,
         "BCELLS": geom.bcells,
-        "REDUCTIONS": [cb.reduce.fn for cb in problem.post_step_callbacks if cb.reduce],
         # per-step H2D: the known variables the plan marked as host-mutated
         # (for the BTE: Io and beta after the temperature update)
         "H2D_EACH_STEP": [n for n in plan["transfer_plan"].h2d_each_step
@@ -435,7 +433,6 @@ def attach_device(state: SolverState, var_names: list[str], rank: int | None = N
     spec = state.problem.config.gpu_spec or default_gpu_spec()
     device = Device(spec, name=f"gpu{rank or 0}:{spec.name}")
     ncomp, ncells = state.host_u.shape
-    callbacks = state.problem.post_step_callbacks
     device.alloc("u", state.host_u)
     # the double buffer starts as a device-side copy, so rows a launch never
     # writes (another rank's bands) read the same in both halves
@@ -444,9 +441,8 @@ def attach_device(state: SolverState, var_names: list[str], rank: int | None = N
         device.alloc(name, state.fields[name[4:]].data)
     device.alloc_empty("du_bdry", (ncomp, len(state.geom.bcells)))
     device.alloc_empty("u_bdry", (ncomp, len(state.geom.bowner)))
-    for cb in callbacks:
-        if cb.reduce:
-            device.alloc_empty(cb.reduce.name, (cb.reduce.rows, ncells))
+    for r in state.reductions:
+        device.alloc_empty(r.name, (r.rows, ncells))
     # the host owns the unknown until the first step hands it over (initial
     # conditions may still be written through state.u)
     device.mark_host_dirty("u")
@@ -458,10 +454,6 @@ def attach_device(state: SolverState, var_names: list[str], rank: int | None = N
         "temperature update": 0.0,
         "communication": 0.0,
     }
-    state.post_step_args = [
-        (state.buffer(cb.reduce.name, (cb.reduce.rows, ncells)),) if cb.reduce else ()
-        for cb in callbacks]
-    state.reduced = [args[0] for args in state.post_step_args if args]
     return device
 
 

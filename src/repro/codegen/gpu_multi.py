@@ -49,7 +49,6 @@ if TYPE_CHECKING:
 RANK_LOOP = dict(
     RANK_LOOPS["bands"],
     step=["device_step(state)"],
-    post_args=True,
     charge=[*CHARGE_TEMP, "state.host_clock.advance_to(comm.clock.now())"],
     result=[
         *BAND_RESULT,

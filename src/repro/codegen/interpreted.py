@@ -20,6 +20,7 @@ import numpy as np
 from repro.codegen.state import SolverState
 from repro.codegen.target_base import (
     ADVANCE,
+    REDUCE_STEP,
     CodegenTarget,
     GeneratedSolver,
     emit_step_loop,
@@ -52,6 +53,7 @@ _STEP_ONCE = [
         "with state.phase('solve'):",
         "    rhs = interpret_rhs(state, state.u, state.time)",
         "    state.u = state.u + state.dt * rhs",
+        *indent(REDUCE_STEP),
         *ADVANCE,
     ]),
 ]

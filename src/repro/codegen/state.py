@@ -79,6 +79,18 @@ class SolverState:
         self.bset = self._build_boundary_set()
         self.comp_blocks = self._build_component_blocks()
         self._scratch: dict[str, np.ndarray] = {}
+        # the post-step callbacks' declared reductions, their outputs (which
+        # the sweep, or the step, fills) and what each callback is handed
+        self.reductions = [cb.reduce for cb in problem.post_step_callbacks if cb.reduce]
+        for r in self.reductions:
+            if len(r.group) != self.ncomp:
+                raise ConfigError(f"reduction {r.name!r} declares {len(r.group)} "
+                                  f"components; the unknown has {self.ncomp}")
+        self.reduced = [self.buffer(f"reduced:{r.name}", (r.rows, self.ncells))
+                        for r in self.reductions]
+        outputs = iter(self.reduced)
+        self.post_step_args = [(next(outputs),) if cb.reduce else ()
+                               for cb in problem.post_step_callbacks]
         self._tables: dict[str, tuple[Any, list]] = {}  # builder name -> (builder, its tables)
         self.plans: dict = {}  # the sweeps' tile plans (kernels.tile_plan), held like the tables
         self._sweep_inputs_checked = False

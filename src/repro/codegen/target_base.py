@@ -269,6 +269,7 @@ class CodegenTarget:
             **artifact.static_env, **env,
             "PRE_STEP_CALLBACKS": list(problem.pre_step_callbacks),
             "POST_STEP_CALLBACKS": list(problem.post_step_callbacks),
+            "REDUCTIONS": state.reductions,
             "trace_phase": phase_span,
         }
         for name, coef in problem.entities.coefficients.items():
@@ -276,7 +277,7 @@ class CodegenTarget:
                 env[f"eval_fcoef_{name}"] = coef.at
         tile = artifact.attrs.get("tile")
         if tile is not None:  # the library of this text: built, or building
-            env["TILE"] = ctile.Tile(ctile.build(tile.text), tile)
+            env["TILE"] = ctile.Tile(ctile.build(tile.text), tile, state.reductions)
         solver = GeneratedSolver(
             self.name, artifact.source, env, state,
             code=artifact.code, module_name=artifact.module_name,
@@ -334,6 +335,7 @@ class FVTarget(CodegenTarget):
                 "u_new = stepper.advance(state.u, state.time, state.dt,",
                 "                        lambda uu, tt: compute_rhs(state, uu, tt))",
                 "state.u = u_new",
+                *REDUCE_STEP,
             ]
         return ["", "", "def step_once(state):", *indent([
             '"""Advance one explicit step (Eq. 3 of the paper)."""',
@@ -426,11 +428,16 @@ def indent(lines, level: int = 1) -> list[str]:
 #: How every step hole ends: the counters advance with the step, before the
 #: post-step callbacks, so a callback sees the step it follows on any target.
 ADVANCE = ["state.time += state.dt", "state.step_index += 1"]
+#: The declared reductions of a step whose sweep reduced nothing (an RK
+#: stepper, the interpreter), by the one NumPy form.
+REDUCE_STEP = [
+    "for reduction, out in zip(REDUCTIONS, state.reduced):",
+    "    kernels.reduce_rows(state.u, reduction.group, reduction.weight, out)",
+]
 
 
 def emit_step_loop(target: str, *, spmd: bool = False, doc=(), prologue=(),
-                   before_step=(), step=("step_once(state)",),
-                   post_args: bool = False, charge=(), result=(),
+                   before_step=(), step=("step_once(state)",), charge=(), result=(),
                    after_run=()) -> list[str]:
     """Source of the time loop of every target: ``run_steps(state, nsteps)``
     in-process or, with ``spmd``, one rank's ``rank_program(comm)`` and the
@@ -438,12 +445,13 @@ def emit_step_loop(target: str, *, spmd: bool = False, doc=(), prologue=(),
 
     One body in one order (paper Sec. II-B: pre-step hooks, the step,
     post-step hooks, sequentially); a target supplies the holes, as lines:
-    ``before_step`` (what a rank exchanges), ``step`` (advances the unknown
-    and, ending in :data:`ADVANCE`, the counters), ``post_args`` (the
-    post-step callbacks are handed their declared reductions), ``charge``
-    (virtual-clock lines) — and around the loop ``prologue``, a rank's
-    ``doc`` and the ``result`` entries it returns, and ``after_run``, what
-    the driver keeps of them.  The emitted loop has no branch on its target.
+    ``before_step`` (what a rank exchanges), ``step`` (advances the unknown,
+    fills the declared reductions and, ending in :data:`ADVANCE`, advances
+    the counters), ``charge`` (virtual-clock lines) — and around the loop
+    ``prologue``, a rank's ``doc`` and the ``result`` entries it returns, and
+    ``after_run``, what the driver keeps of them.  A post-step callback is
+    handed what it declared (``state.post_step_args``).  The emitted loop
+    has no branch on its target.
     """
     loop = [
         "for _ in range(nsteps):",
@@ -452,21 +460,15 @@ def emit_step_loop(target: str, *, spmd: bool = False, doc=(), prologue=(),
         "            cb.fn(state)",
         *indent([*before_step, *step]),
     ]
-    if post_args:
-        loop += [
-            "    # a callback that declared its reduction is handed it; any other",
-            "    # reads what it likes (state.u takes the unknown back to the host)",
-            "    for cb, args in zip(POST_STEP_CALLBACKS, state.post_step_args):",
-            "        with state.phase('post_step'):",
-            "            cb.fn(state, *args)",
-        ]
-    else:
-        loop += [
-            "    for cb in POST_STEP_CALLBACKS:",
-            "        with state.phase('post_step'):",
-            "            cb.fn(state)",
-        ]
-    loop += [*indent(charge), "    state.end_step()"]
+    loop += [
+        "    # a callback that declared its reduction is handed it; any other",
+        "    # reads what it likes (state.u takes the unknown back to the host)",
+        "    for cb, args in zip(POST_STEP_CALLBACKS, state.post_step_args):",
+        "        with state.phase('post_step'):",
+        "            cb.fn(state, *args)",
+        *indent(charge),
+        "    state.end_step()",
+    ]
     if not spmd:
         return ["", "", "def run_steps(state, nsteps):", *indent([
             '"""The sequential time loop (paper: "the time step loop is always',
@@ -525,6 +527,7 @@ def emit_step_loop(target: str, *, spmd: bool = False, doc=(), prologue=(),
 
 __all__ = [
     "ADVANCE",
+    "REDUCE_STEP",
     "CodegenTarget",
     "FVTarget",
     "GeneratedSolver",

@@ -166,21 +166,33 @@ class Coefficient:
         return tuple(i.name for i in self.indices)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Reduction:
-    """What a post-step callback reads of the unknown, as a pure array
-    function a device can run ("intentionally written for GPU processing").
-
-    ``fn(u, comps, out, work)`` fills and returns ``out``, shape
-    ``(rows, ncells)``, from the unknown ``u`` of shape ``(ncomp, ncells)``;
-    ``work`` is scratch of ``out``'s shape and ``comps`` the component rows a
-    band-partitioned rank owns (``None``: all).  ``name`` names the array in
-    the transfer plan.  Same bits wherever it runs.
-    """
+    """What a post-step callback reads of the unknown, declared as a linear
+    form a device can run ("intentionally written for GPU processing"):
+    ``out[group[g]] += weight[g] * u[g]``, ``out`` zeroed first, shape
+    ``(rows, ncells)``, accumulated over the components ``g`` in order (a
+    band-partitioned rank's own rows only).  The one NumPy form is
+    :func:`repro.fvm.kernels.reduce_rows`; an Euler C tile accumulates it
+    while the row it stored is hot.  ``name`` names the array in the
+    transfer plan.  Same bits wherever it runs."""
 
     name: str
-    fn: Callable[..., Any]
+    #: per component, the output row it is added into
+    group: np.ndarray
+    #: per component, its weight
+    weight: np.ndarray
     rows: int
+
+    def __post_init__(self) -> None:
+        group = np.ascontiguousarray(self.group, dtype=np.int64)
+        weight = np.ascontiguousarray(self.weight, dtype=np.float64)
+        if group.ndim != 1 or weight.shape != group.shape or (
+                len(group) and not (group.min() >= 0 and group.max() < self.rows)):
+            raise DSLError(f"reduction {self.name!r}: one output row in [0, {self.rows}) "
+                           "and one weight per component")
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "weight", weight)
 
 
 @dataclass
@@ -192,8 +204,8 @@ class CallbackFunction:
     constraint).  ``fn`` signature depends on the role: boundary callbacks
     receive a :class:`repro.fvm.boundary.BoundaryContext`; step hooks receive
     the solver state object.  A post-step hook that declares a
-    :class:`Reduction` is called as ``fn(state, reduced)`` by the device
-    targets, which then move the reduced array instead of the unknown.
+    :class:`Reduction` is called as ``fn(state, reduced)`` on every target
+    (the device targets then move the reduced array, not the unknown).
     """
 
     name: str

@@ -315,8 +315,8 @@ class Problem:
                       reduce: Reduction | None = None) -> None:
         """``postStepFunction`` — e.g. the BTE temperature update.  With
         ``reduce`` the callback declares that all it reads of the unknown is
-        that :class:`Reduction`; the device targets then compute it where
-        the unknown lives and call ``fn(state, reduced)``."""
+        that :class:`Reduction`; every target computes it (the device
+        targets where the unknown lives) and calls ``fn(state, reduced)``."""
         self.post_step_callbacks.append(
             CallbackFunction(name or fn.__name__, fn, doc=fn.__doc__ or "",
                              reduce=reduce)

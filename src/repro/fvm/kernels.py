@@ -32,8 +32,9 @@ TILE_BYTES = 512 * 1024
 
 
 def tile_rows(nfaces: int, ncomp: int) -> int:
-    """Component rows per tile for face arrays ``nfaces`` wide."""
-    return min(ncomp, max(1, TILE_BYTES // (8 * nfaces)))
+    """Component rows per tile for face arrays ``nfaces`` wide (a mesh of
+    one cell has no interior face: one tile)."""
+    return min(ncomp, max(1, TILE_BYTES // (8 * max(nfaces, 1))))
 
 
 def row_tiles(rows, ncomp: int, height: int) -> Iterator:
@@ -397,6 +398,34 @@ def slot_divergence(slots, flux: np.ndarray, out: np.ndarray,
             np.add(out, 0.0, out=out)
         else:
             np.add(out, term, out=out, where=where)
+    return out
+
+
+def reduce_rows(u: np.ndarray, group: np.ndarray, weight: np.ndarray, out: np.ndarray,
+                comps=None, work: np.ndarray | None = None) -> np.ndarray:
+    """A declared reduction (:class:`~repro.dsl.entities.Reduction`) of the
+    rows of ``u``, into ``out`` (returned): ``out[group[g]] += weight[g] *
+    u[g]``, ``out`` zeroed first, over the components ``g`` in order —
+    every row of ``u``, or ``comps`` (indices or a slice).  Summed a slab at
+    a time: a run of consecutive components whose output rows are
+    consecutive is one multiply (into ``work``, scratch of ``out``'s shape;
+    by one scalar when the run's weights are equal, as a band block's are:
+    a broadcast column of them multiplies ~3x slower) and one add, and the
+    runs go in order, so every output element receives its terms in
+    component order — the ordered scatter-add's bits.  The
+    Euler C tile (:mod:`repro.codegen.ctile`) accumulates the same terms in
+    the same order."""
+    out.fill(0.0)
+    comps = np.arange(len(group))[slice(None) if comps is None else comps]
+    rows = group[comps]
+    cuts = ((comps[1:] - comps[:-1] != 1) | (rows[1:] - rows[:-1] != 1)).nonzero()[0] + 1
+    for lo, hi in zip([0, *cuts.tolist()], [*cuts.tolist(), len(comps)]):
+        if hi > lo:  # (none: no components)
+            c, r, k = comps[lo], rows[lo], hi - lo
+            acc, w = out[r:r + k], weight[c:c + k]
+            terms = np.multiply(u[c:c + k], w[0] if (w == w[0]).all() else w[:, None],
+                                out=None if work is None else work[:k])
+            np.add(acc, terms, out=acc)
     return out
 
 

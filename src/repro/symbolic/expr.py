@@ -501,7 +501,9 @@ class Cmp(Expr):
         raise TypeError("symbolic comparison has no truth value; use Conditional")
 
     def __str__(self) -> str:
-        return f"{self.lhs} {self.op} {self.rhs}"
+        # comparisons do not chain in the grammar: a nested one keeps its parentheses
+        lhs, rhs = (f"({e})" if isinstance(e, Cmp) else str(e) for e in (self.lhs, self.rhs))
+        return f"{lhs} {self.op} {rhs}"
 
 
 class Conditional(Expr):

@@ -27,6 +27,7 @@ from repro.bte.equilibrium import (
 )
 from repro.bte.scattering import relaxation_times
 from repro.util.errors import SolverError
+from tests.bte.test_model import band_energies
 
 # CI runs with a pinned derandomised profile so failures reproduce
 settings.register_profile("ci", derandomize=True, max_examples=60)
@@ -238,7 +239,7 @@ def test_failed_update_leaves_the_published_fields_untouched():
     state.u[3, 11] = np.nan
     model = problem_.post_step_callbacks[0].fn.__self__
     with pytest.raises(SolverError, match="non-finite band energy"):
-        model.temperature_update(state)
+        model.temperature_update(state, band_energies(model, state.u))
     for name, data in before.items():
         assert state.fields[name].data.tobytes() == data.tobytes()
     assert state.extra["T"].tobytes() == T_before.tobytes()

@@ -13,6 +13,7 @@ import pytest
 
 from repro.bte.problem import BTEScenario, build_bte_problem, hotspot_scenario
 from repro.codegen.probes import wall_heat_flux
+from tests.bte.test_model import band_energies
 
 
 def total_energy(state, model) -> float:
@@ -44,7 +45,8 @@ def test_energy_change_equals_wall_flux(scenario_kwargs):
         # the identity is exact up to the pseudo-temperature Newton
         # tolerance (the relaxation source vanishes only to that residual)
         assert (E1 - E0) / state.dt == pytest.approx(-flux_out, rel=1e-5)
-        model.temperature_update(state)  # refresh the closure for next step
+        # refresh the closure for next step
+        model.temperature_update(state, band_energies(model, state.u))
 
 
 def test_budget_holds_with_gpu_target():

@@ -15,6 +15,7 @@ from repro.bte.equilibrium import (
     total_energy_density,
 )
 from repro.util.errors import SolverError
+from tests.bte.test_model import band_energies
 
 
 class TestBoseEinstein:
@@ -142,7 +143,7 @@ class TestPseudoTemperatureClosure:
             comm=SimpleNamespace(allreduce=lambda x: x),
             buffer=lambda name, shape: np.empty(shape),
         )
-        model.temperature_update(state)
+        model.temperature_update(state, band_energies(model, state.u))
         own = state.owned_cells if partition == "cells" else slice(None)
         T = state.extra["T"][own]
         assert not np.array_equal(T, np.full(len(T), 300.0))

@@ -7,7 +7,9 @@ from repro.bte.angular import uniform_directions_2d
 from repro.bte.dispersion import silicon_bands
 from repro.bte.equilibrium import equilibrium_intensity, total_energy_density
 from repro.bte.model import BTEModel
-from repro.util.errors import ConfigError
+from repro.dsl.entities import Reduction
+from repro.fvm import kernels
+from repro.util.errors import ConfigError, DSLError
 
 
 @pytest.fixture
@@ -67,8 +69,18 @@ def _scattered_band_energies(model, I, comps=None):
     return out
 
 
+def band_energies(model, I, comps=None, work=False):
+    """The declared band-energy reduction of ``I`` by the one NumPy form
+    (what a test hands ``temperature_update`` when it calls it by hand)."""
+    r = model.band_energy_reduction()
+    out = np.full((r.rows, I.shape[1]), np.nan)  # zeroed by the form
+    return kernels.reduce_rows(I, r.group, r.weight, out, comps,
+                               np.full_like(out, np.nan) if work else None)
+
+
 class TestBandEnergies:
-    """The slab accumulation is the scatter-add, bit for bit."""
+    """The declared reduction's one NumPy form, run in slabs, is the
+    ordered scatter-add, bit for bit."""
 
     @pytest.fixture
     def intensity(self, model):
@@ -77,14 +89,15 @@ class TestBandEnergies:
             -3, 6, size=(model.ncomp, 1))
 
     def test_all_components(self, model, intensity):
-        assert np.array_equal(model.band_energies(intensity),
-                              _scattered_band_energies(model, intensity))
+        for work in (False, True):
+            assert np.array_equal(band_energies(model, intensity, work=work),
+                                  _scattered_band_energies(model, intensity))
 
     @pytest.mark.parametrize("bands", [[0, 1, 2], [3], [1, 4, 5], [5, 0]])
     def test_band_partition_blocks(self, model, intensity, bands):
         """A rank's owned components: the same bands of every direction."""
         comps = np.flatnonzero(np.isin(model.comp_band, bands))
-        assert np.array_equal(model.band_energies(intensity, comps),
+        assert np.array_equal(band_energies(model, intensity, comps, work=True),
                               _scattered_band_energies(model, intensity, comps))
 
     @pytest.mark.parametrize("comps", [
@@ -96,8 +109,77 @@ class TestBandEnergies:
     ])
     def test_irregular_subsets_keep_the_scatter(self, model, intensity, comps):
         comps = np.array(comps, dtype=int)
-        assert np.array_equal(model.band_energies(intensity, comps),
+        assert np.array_equal(band_energies(model, intensity, comps),
                               _scattered_band_energies(model, intensity, comps))
+
+    def test_a_run_needs_consecutive_components_too(self, model, intensity):
+        """Consecutive output rows from components that are not: two runs."""
+        comps = np.array([0, model.bands.nbands + 1])
+        assert np.array_equal(band_energies(model, intensity, comps),
+                              _scattered_band_energies(model, intensity, comps))
+
+    def test_a_slice_is_its_rows(self, model, intensity):
+        assert np.array_equal(band_energies(model, intensity, slice(5, 21)),
+                              _scattered_band_energies(model, intensity, np.arange(5, 21)))
+
+    def test_a_declaration_out_of_range_is_refused(self, model):
+        r = model.band_energy_reduction()
+        with pytest.raises(DSLError, match="output row"):
+            Reduction("band_energy", r.group, r.weight, r.rows - 1)
+        with pytest.raises(DSLError, match="one weight per component"):
+            Reduction("band_energy", r.group, r.weight[:-1], r.rows)
+
+
+#: every target and plan a declared reduction reaches the callback through:
+#: (target, stepper, partitioning, ranks, where finish_step runs)
+HANDED = {
+    "cpu": ("cpu", "euler", None, 0, None),
+    "rk2": ("cpu", "rk2", None, 0, None),
+    "gpu": ("gpu", "euler", None, 0, "cpu"),
+    "gpu-resident": ("gpu", "euler", None, 0, "gpu"),
+    "cells2": ("distributed", "euler", "cells", 2, None),
+    "cells3": ("distributed", "euler", "cells", 3, None),
+    "bands2": ("distributed", "euler", "bands", 2, None),
+    "gpu_distributed2": ("gpu_distributed", "euler", "bands", 2, "cpu"),
+    "gpu_distributed2-resident": ("gpu_distributed", "euler", "bands", 2, "gpu"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HANDED))
+def test_every_target_hands_the_callback_the_definition(case):
+    """The band energies ``temperature_update`` is handed — reduced in the
+    C tile, by ``finish_step``, or by the NumPy form after an RK step — are
+    the ordered scatter-add over the components the state steps, bit for
+    bit, every step (a cell rank's over all of its columns, a band rank's
+    over its own rows)."""
+    from dataclasses import replace
+
+    from repro.bte.problem import build_bte_problem, hotspot_scenario
+
+    target, stepper, strategy, ranks, finish = HANDED[case]
+    problem, model = build_bte_problem(hotspot_scenario(
+        nx=8, ny=8, ndirs=4, n_freq_bands=4, dt=1e-12, nsteps=3))
+    problem.set_stepper(stepper)
+    if strategy:
+        problem.set_partitioning(strategy, ranks, **({"index": "b"} if strategy == "bands" else {}))
+    if target.startswith("gpu"):
+        problem.enable_gpu()
+        problem.extra["gpu_force_offload"] = True
+        problem.extra["placement_override"] = {"finish_step": finish}
+    handed = []
+    callback = problem.post_step_callbacks[0]
+
+    def recording(state, e_act):
+        expected = _scattered_band_energies(model, state.u, state.owned_comps)
+        handed.append(e_act.tobytes() == expected.tobytes())
+        callback.fn(state, e_act)
+
+    problem.post_step_callbacks[0] = replace(callback, fn=recording)
+    solver = problem.generate()
+    if finish is not None:
+        assert solver.placement.device["finish_step"] == finish
+    solver.run()
+    assert handed == [True] * 3 * max(ranks, 1)
 
 
 class TestIsothermalCallback:

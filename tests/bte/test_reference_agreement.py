@@ -6,6 +6,7 @@ import pytest
 
 from repro.bte.problem import BTEScenario, build_bte_problem, hotspot_scenario
 from repro.bte.reference import ReferenceBTESolver
+from tests.bte.test_model import band_energies
 
 
 class TestAgreement:
@@ -99,7 +100,7 @@ class TestPhysicalInvariants:
         state = solver.state
         rng = np.random.default_rng(0)
         state.u = state.u * (1.0 + 0.05 * rng.random(state.u.shape))
-        model.temperature_update(state)
+        model.temperature_update(state, band_energies(model, state.u))
         V = state.geom.volume
         E0 = float((model.energy_from_intensity(state.u) * V).sum())
         solver.run()
@@ -125,7 +126,7 @@ class TestPhysicalInvariants:
         # perturb one direction in the softest (longest-tau) band
         state.u[0] *= 1.01
         # refresh Io/beta from the perturbed field, as the real loop would
-        model.temperature_update(state)
+        model.temperature_update(state, band_energies(model, state.u))
         a0 = anisotropy()
         solver.run(200)
         assert anisotropy() < a0

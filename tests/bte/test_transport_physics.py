@@ -7,6 +7,7 @@ from repro.bte.angular import uniform_directions_2d
 from repro.bte.dispersion import silicon_bands
 from repro.bte.model import BTEModel
 from repro.bte.problem import BTEScenario, build_bte_problem
+from tests.bte.test_model import band_energies
 
 
 class TestFrontPropagation:
@@ -107,7 +108,7 @@ class TestSpecularWalls:
         # along the left/right symmetry walls)
         d_up = int(np.argmax(model.dirs.sy))
         state.u[model.comp_dir == d_up] *= 1.1
-        model.temperature_update(state)
+        model.temperature_update(state, band_energies(model, state.u))
         q0 = model.heat_flux(state.u)
         solver.run(5)
         q1 = model.heat_flux(state.u)
@@ -131,7 +132,7 @@ class TestSpecularWalls:
         x = state.mesh.cell_centroids[:, 0]
         bump = 1.0 + 0.01 * np.exp(-(((x - 0.5 * scenario.lx) / (0.2 * scenario.lx)) ** 2))
         state.u *= bump[None, :]
-        model.temperature_update(state)
+        model.temperature_update(state, band_energies(model, state.u))
         solver.run(20)
         T = state.extra["T"].reshape(4, 8)
         assert np.allclose(T, T[:, ::-1], rtol=1e-10)

@@ -127,19 +127,14 @@ def test_without_surface_terms_the_boundary_part_is_zero_columns():
 class TestFinishStep:
     @pytest.fixture
     def parts(self):
-        calls = []
-
-        def energy(u, comps, out, work):
-            calls.append((comps, out, work))
-            np.sum(u, axis=0, out=out[0])
-            return out
-
-        solver = build_solver("structured", 0, Reduction("column_sum", energy, 1))
+        """The declared reduction sums every row into one."""
+        column_sum = Reduction("column_sum", np.zeros(ND * NB, int), np.ones(ND * NB), 1)
+        solver = build_solver("structured", 0, column_sum)
         geom = solver.state.geom
         rng = np.random.default_rng(4)
         u = rng.standard_normal((ND * NB, geom.ncells))
         du = rng.standard_normal((ND * NB, len(geom.bcells)))
-        return solver, geom, u, du, calls
+        return solver, geom, u, du
 
     def finish(self, solver, u, du, sel=slice(None), comps=None):
         geom = solver.state.geom
@@ -153,7 +148,7 @@ class TestFinishStep:
         """(a) the dense combine computed ``u_new + 0.0`` in every other
         cell, turning an exact -0.0 into +0.0; the column update leaves
         them alone — the one permitted difference from it."""
-        solver, geom, u, du, _ = parts
+        solver, geom, u, du = parts
         rest = np.setdiff1d(np.arange(geom.ncells), geom.bcells)
         u[:, rest[::2]] = -0.0
         before = u.copy()
@@ -165,7 +160,7 @@ class TestFinishStep:
     def test_the_association_is_u_plus_the_scaled_boundary_part(self, parts):
         """(b) ``u_new + (du_b * dt)``: not ``(u_new + du_b) * dt``, no
         weights scaled beforehand."""
-        solver, geom, u, du, _ = parts
+        solver, geom, u, du = parts
         dt = solver.namespace["DT"]
         expected = u[:, geom.bcells] + (du * dt)
         self.finish(solver, u, du)
@@ -173,32 +168,30 @@ class TestFinishStep:
 
     def test_owner_values_are_gathered_after_the_column_update(self, parts):
         """(c) the next step's boundary callbacks read the finished step."""
-        solver, geom, u, du, _ = parts
+        solver, geom, u, du = parts
         before = u.copy()
         u_bdry, _ = self.finish(solver, u, du)
         assert u_bdry.tobytes() == u[:, geom.bowner].tobytes()
         assert u_bdry.tobytes() != before[:, geom.bowner].tobytes()
 
     def test_the_declared_reduction_runs_on_the_finished_array(self, parts):
-        """(d) the same function with the same ``comps``/``out``/``work``
-        contract, after the column update."""
-        solver, geom, u, du, calls = parts
+        """(d) the declared reduction — ``group=0, weight=1``: every row
+        summed into one, in order — of the finished array, every column."""
+        solver, geom, u, du = parts
         _, reduced = self.finish(solver, u, du)
-        (comps, out, work), = calls
-        assert comps is None and out is reduced[0] and work.shape == out.shape
         assert reduced[0].tobytes() == np.sum(u, axis=0)[None].tobytes()
 
     def test_a_band_rank_touches_only_its_rows(self, parts):
-        solver, geom, u, du, calls = parts
+        solver, geom, u, du = parts
         own = np.array([1, 4])
         before = u.copy()
-        self.finish(solver, u, du, own, own)
+        _, reduced = self.finish(solver, u, du, own, own)
         others = np.setdiff1d(np.arange(len(u)), own)
         assert u[others].tobytes() == before[others].tobytes()
         dt = solver.namespace["DT"]
         expected = before[np.ix_(own, geom.bcells)] + (du[own] * dt)
         assert u[np.ix_(own, geom.bcells)].tobytes() == expected.tobytes()
-        assert calls[0][0] is own
+        assert reduced[0].tobytes() == (u[1] + u[4])[None].tobytes()
 
     def test_one_body_wherever_the_plan_puts_it(self):
         """The device launch and the host call are the same function, and a

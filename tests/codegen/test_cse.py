@@ -96,10 +96,10 @@ class TestHoisting:
         # u = u + dt * (source + div), the boundary cells' columns completed
         # with the boundary part, stored into the rows of u (in place)
         assert statements[-2:] == ["const double v = (r4 + r1);",
-                                   "o[c] = euler ? ur[c] + v * s0 : v;"]
+                                   "o[c] = ur[c] + v * s0;"]
         assert "o[bc[k]] = o[bc[k]] + bd[g * nb + k];" in bte_solver.tile.text
         sweep = src[src.index("def compute_rhs("):].split("\ndef ")[0]
-        assert sweep.count("TILE(state.plans, (dt,), True, rows, u, u,") == 1
+        assert sweep.count("TILE(state.plans, (dt,), rows, u, u,") == 1
         # no face array at all: one folded operator, straight from ``u``
         assert "gather_sides" not in src and "surface_divergence" not in src
         assert "face_pool" not in sweep and "for sel, n, " not in sweep
@@ -228,7 +228,7 @@ class TestHoisting:
         # select before scale: the shared factors multiply the select once
         assert out.prelude == [
             "cse_s0 = (coef_b * normal_x[None, :])",
-            "f0[...] = np.where((cse_s0 > 0.0), u1, u2)",
+            "np.copyto(f0, np.where((cse_s0 > 0.0), u1, u2))",
             "np.multiply((coef_b * normal_x[None, :]), f0, out=f0)",
             "np.multiply(-1.0, f0, out=f0)"]
         assert out.code == "f0"
@@ -244,9 +244,10 @@ class TestHoisting:
         kernel_src = kernel_src.split("def ")[0]
         assert "[fold_s0] = INT_TABLES" in kernel_src
         # the one C tile of every target, into ``u_new``, no boundary part
+        # and no reduction (``finish_step``'s)
         call = kernel_src[kernel_src.index("TILE("):]
-        assert call.startswith("TILE(TILE_PLANS, (DT,), True, rows, u, u_new,")
-        assert "None, None, None,\n         fold_s0, tmap_d, coef_vg, sweep_pool" in call
+        assert call.startswith("TILE(TILE_PLANS, (DT,), rows, u, u_new,")
+        assert "None, None, None,\n         (), fold_s0, tmap_d, coef_vg, sweep_pool" in call
         assert solver.tile == build_bte_problem(tiny_scenario)[0].generate().tile
         assert "slot_divergence" not in kernel_src and "face_pool" not in kernel_src
         assert "for sel, n, " not in kernel_src and "np.where" not in kernel_src

@@ -15,6 +15,11 @@ import pytest
 
 from repro.bte.problem import build_bte_problem, corner_source_scenario, hotspot_scenario
 from repro.codegen import ctile
+from repro.dsl.entities import CELL, VAR_ARRAY, Reduction
+from repro.dsl.problem import Problem
+from repro.fvm.boundary import BCKind
+from repro.fvm.kernels import FoldedOperator
+from repro.mesh.grid import structured_grid, triangulated_grid
 from repro.tune.cache import cache_scope
 from repro.util.errors import CodegenError
 
@@ -143,21 +148,47 @@ def test_arrays_of_another_layout_are_refused_before_any_pointer_is_passed():
     calls, tile = [], ns["TILE"]
     ns["TILE"] = lambda *args: calls.append(args) or tile(*args)
     solver.run(1)
-    memo, scalars, euler, rows, u, out, *rest = calls[0]
+    memo, scalars, rows, u, out, *rest = calls[0]
     for bad in (np.asfortranarray(out), out[:, ::2], out.astype(np.float32),
                 np.empty_like(out)[:-1]):
         with pytest.raises(CodegenError, match="no C-ordered float64"):
-            tile({}, scalars, euler, rows, u, bad, *rest)
+            tile({}, scalars, rows, u, bad, *rest)
     with pytest.raises(CodegenError, match="out of range"):
-        tile({}, scalars, euler, np.array([0, state.ncomp]), u, out, *rest)
-    fold = rest[4]._replace(own=rest[4].own[:, :-1].copy())
+        tile({}, scalars, np.array([0, state.ncomp]), u, out, *rest)
+    fold = rest[5]._replace(own=rest[5].own[:, :-1].copy())
     with pytest.raises(CodegenError, match="other cells"):
-        tile({}, scalars, euler, rows, u, out, *rest[:4], fold, *rest[5:])
-    entries = rest[4].entries.copy()
+        tile({}, scalars, rows, u, out, *rest[:5], fold, *rest[6:])
+    entries = rest[5].entries.copy()
     entries[0, 2] += state.ncells  # an offset entry shifted past the row
     with pytest.raises(CodegenError, match="outside its arrays"):
-        tile({}, scalars, euler, rows, u, out, *rest[:4], rest[4]._replace(entries=entries),
-             *rest[5:])
+        tile({}, scalars, rows, u, out, *rest[:5], rest[5]._replace(entries=entries),
+             *rest[6:])
+
+
+def test_a_reduction_output_is_checked_before_any_pointer_is_passed():
+    """An Euler tile's reduction outputs: one per declared reduction or
+    none, each C-ordered ``(rows, cells)`` float64, none sharing memory with
+    the unknown or the output; a right-hand side reduces nothing."""
+    solver = program("hotspot").generate()
+    ns, state = solver.namespace, solver.state
+    calls, tile = [], ns["TILE"]
+    ns["TILE"] = lambda *args: calls.append(args) or tile(*args)
+    solver.run(1)
+    memo, scalars, rows, u, out, scratch, bcells, bdry, owned, reduced, *operands = calls[0]
+    assert reduced is state.reduced and len(reduced) == 1
+
+    def call(outputs):
+        tile({}, scalars, rows, u, out, scratch, bcells, bdry, owned, outputs, *operands)
+
+    with pytest.raises(CodegenError, match="no C-ordered float64"):
+        call([reduced[0][:-1]])
+    with pytest.raises(CodegenError, match="into its input"):
+        call([u[:len(reduced[0])]])
+    with pytest.raises(CodegenError, match="every declared reduction"):
+        call([reduced[0], reduced[0]])
+    u_before = u.copy()
+    call([])  # a step that reduces nothing
+    assert not np.array_equal(u, u_before)
 
 
 def test_a_known_variable_over_every_index_is_read_by_its_component_map(monkeypatch):
@@ -231,3 +262,96 @@ def test_an_unwritable_cache_directory_builds_the_library_privately(compiles, tm
     assert np.isfinite(solver.solution()).all()
     assert cache.stats.disk_errors == 1 and len(compiles) == 1
     assert not list((tmp_path / "cache").glob("tiles/*"))
+
+
+# -- the vectorized loops, bit for bit --------------------------------------------
+#: (mesh, cells): structured rows whose width leaves a scalar epilogue after
+#: every vector loop (one lane pair), offset entries with odd bounds among
+#: them, and triangles, whose folded operators read by gather entries
+WIDTHS = {
+    "1": lambda: structured_grid((1, 1)),
+    "2": lambda: structured_grid((2, 1)),
+    "3": lambda: structured_grid((3, 1)),
+    "5": lambda: structured_grid((5, 1)),
+    "33": lambda: structured_grid((11, 3)),
+    "triangles-6": lambda: triangulated_grid((3, 1)),
+    "triangles-30": lambda: triangulated_grid((5, 3)),
+}
+ND, NB = 3, 2
+#: where the sweep stores: in place (``u`` is ``out``), into ``u_new`` on the
+#: device (finished there, so the C tile's reduction is the one handed on),
+#: and an RK right-hand side
+STORES = {"in-place": ("cpu", "euler"), "out-of-place": ("gpu", "euler"),
+          "rk2": ("cpu", "rk2")}
+
+
+def small_problem(mesh, stepper: str, handed: list) -> Problem:
+    """An upwinded, relaxing, BTE-shaped problem on ``mesh`` with a band
+    reduction declared for a post-step callback that keeps what it is
+    handed."""
+    p = Problem("vector-widths")
+    p.set_domain(2)
+    p.set_steps(1e-3, 3)
+    p.set_stepper(stepper)
+    p.set_mesh(mesh)
+    d = p.add_index("d", (1, ND))
+    b = p.add_index("b", (1, NB))
+    p.add_variable("I", VAR_ARRAY, CELL, index=[d, b])
+    p.add_coefficient("Sx", np.array([0.8, -0.5, 0.1]), VAR_ARRAY, index=[d])
+    p.add_coefficient("Sy", np.array([-0.3, 0.6, -0.9]), VAR_ARRAY, index=[d])
+    p.add_coefficient("vg", np.array([0.4, 1.0]), VAR_ARRAY, index=[b])
+    for region, kind in zip(p.mesh.boundary_regions(), (
+            BCKind.DIRICHLET, BCKind.SYMMETRY, BCKind.NEUMANN0, BCKind.DIRICHLET)):
+        p.add_boundary("I", region, kind, 0.7 if kind == BCKind.DIRICHLET else None,
+                       reflection_map=np.arange(ND * NB)[::-1]
+                       if kind == BCKind.SYMMETRY else None)
+    rng = np.random.default_rng(p.mesh.ncells)
+    p.initial_values["I"] = rng.uniform(0.5, 1.5, (ND * NB, p.mesh.ncells))
+    p.set_conservation_form(
+        "I", "-0.5*I[d,b] - surface(vg[b] * upwind([Sx[d];Sy[d]], I[d,b]))")
+    bands = Reduction("bands", np.arange(ND * NB) % NB, 1.0 + np.arange(ND * NB) / 7.0, NB)
+    p.add_post_step(lambda state, reduced: handed.append(reduced.tobytes()),
+                    name="reader", reduce=bands)
+    return p
+
+
+def run_store(mesh, store: str, handed: list):
+    target, stepper = STORES[store]
+    problem = small_problem(mesh, stepper, handed)
+    if target == "gpu":
+        problem.enable_gpu()
+        problem.extra.update(gpu_force_offload=True, placement_override={"finish_step": "gpu"})
+    solver = problem.generate()
+    solver.run()
+    return solver
+
+
+@pytest.mark.parametrize("store", sorted(STORES))
+@pytest.mark.parametrize("width", sorted(WIDTHS))
+def test_the_vectorized_tile_is_the_numpy_tile_bit_for_bit(width, store, monkeypatch):
+    """Every vector loop of the C tile — the folded operator's own and
+    offset entries (odd bounds too), the gathers, the element loop in place
+    and out of place, the reductions — stores the NumPy tile's bits,
+    epilogues included, and hands the callback the NumPy form's reduction."""
+    c_handed, numpy_handed = [], []
+    with cache_scope():
+        solver = run_store(WIDTHS[width](), store, c_handed)
+    assert solver.tile is not None and solver.tile.euler == (store != "rk2")
+    if solver.state.ncells == 33:  # one shift of the row width, odd bounds
+        state = solver.state
+        ns = solver.namespace
+        fold, = (t for t in state.tables(ns["folded_tables"], state.geom.interior_faces,
+                                        divergence=True) if isinstance(t, FoldedOperator))
+        offsets = fold.entries[fold.entries[:, 3] < 0]
+        assert (offsets[:, :2] % 2).any()
+    elif width.startswith("triangles"):
+        fold, = (t for t in solver.state.tables(
+            solver.namespace["folded_tables"], solver.state.geom.interior_faces,
+            divergence=True) if isinstance(t, FoldedOperator))
+        assert (fold.entries[:, 3] >= 0).any()
+    monkeypatch.setattr(ctile, "lower", lambda *args: None)
+    with cache_scope():
+        reference = run_store(WIDTHS[width](), store, numpy_handed)
+    assert reference.tile is None
+    assert solver.solution().tobytes() == reference.solution().tobytes()
+    assert len(c_handed) == 3 and c_handed == numpy_handed

@@ -42,7 +42,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from repro.codegen import ctile
@@ -299,8 +299,8 @@ def _c_tile(lowered, scope: dict, u: np.ndarray) -> np.ndarray:
     out = np.full_like(u, -777.25)
     operands = [eval(name, scope) for name in lowered.operands]  # noqa: S307
     scalars = tuple(eval(source, scope) for source in lowered.scalars)  # noqa: S307
-    tile({}, (0.0, *scalars), False, None, u, out, np.empty((lowered.folds + 1) * u.shape[1]),
-         None, None, None, *operands)
+    tile({}, (0.0, *scalars), None, u, out, np.empty((lowered.folds + 1) * u.shape[1]),
+         None, None, None, (), *operands)
     return out
 
 
@@ -327,7 +327,7 @@ def assert_c_tile_matches(expr: Expr, emitter, folded, volume, scope: dict, u,
     """``expr`` (the tile's ``folded`` or ``volume`` statement) takes the C
     tile exactly when it has no inexact node, and then stores the NumPy
     tile's bits."""
-    lowered = ctile.lower(folded, volume)
+    lowered = ctile.lower(folded, volume, False)
     assert (lowered is None) == inexact(expr, scalars), (
         f"{expr} took the {'NumPy' if lowered is None else 'C'} tile")
     if lowered is None:
@@ -579,9 +579,25 @@ def assert_swept_matches(expr: Expr, env: dict) -> None:
                 f"bit mismatch for {expr} in tiles {tiles}")
 
 
+def _zero_env(**values) -> dict:
+    """An :func:`indexed_envs` environment of zeros but ``values``."""
+    shapes = {"coef_Sx": NCOMP, "coef_vg": NCOMP, "coef_w": NCOMP, "fcoef_q_face": NFACES,
+              "var_Io": (NB, NCELLS), "normal_x": NFACES, "u1": (NCOMP, NFACES),
+              "u2": (NCOMP, NFACES)}
+    return {"coef_k": 0.0, **{k: np.zeros(shape) for k, shape in shapes.items()}, **values}
+
+
+#: a negative base to a fractional power in the branch a select takes:
+#: Python's value is complex, and a statement that selects it into a float
+#: register refuses it (it cast it to its real part, once)
+COMPLEX_SELECT = Pow(Conditional(Cmp(">", Sym("_k_1"), Sym("_k_1")), Indexed("Io", ("b",)),
+                                 Pow(Num(-1), Sym("_k_1"))), Num(-1))
+
+
 @seed(20260929)
 @given(expr=trees(indexed_leaf()), env=indexed_envs())
 @settings(max_examples=150, deadline=None)
+@example(expr=COMPLEX_SELECT, env=_zero_env(coef_k=1.5))
 def test_swept_emission_matches_evaluate(expr, env):
     assert_swept_matches(expr, env)
 
@@ -732,7 +748,7 @@ def test_c_tile_volume_statement_matches_the_numpy_tile(expr, env):
     C when every operation left in the tile is exact, with the NumPy tile's
     bits; a refused one has an inexact spelling left in its tile."""
     statement = IDX_EMITTER.emit_sum([expr], "volume")
-    lowered = ctile.lower(NO_SURFACE, statement)
+    lowered = ctile.lower(NO_SURFACE, statement, False)
     if lowered is None:
         assert any(s in "\n".join([*statement.prelude, statement.code])
                    for s in _INEXACT_SPELLINGS), expr

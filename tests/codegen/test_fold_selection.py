@@ -102,22 +102,26 @@ KEEP_TWO_SIDED = {
 #: function-coefficient call (``eval_fcoef_q(points, t)``), and nothing of
 #: ``compute_rhs`` otherwise (EXPERIMENTS.md, ISSUE 22) — and at PR 23, whose
 #: tile loop iterates the state's tile plan, reads table rows by the plan's
-#: selectors and adds the Euler update into ``u``'s own rows.
+#: selectors and adds the Euler update into ``u``'s own rows — and again when
+#: every target came to hand a post-step callback its declared reduction
+#: (the loop zips ``state.post_step_args``; a forward-Euler NumPy tile reduces
+#: the rows it stored after its sweep) and a register's plain store became
+#: ``np.copyto``, which refuses a complex value.
 PINS = {
     "flux_order_2": (
-        "2720f1d1c0705a671e7f341a74201eeb2f625b90c3270881c03626b892665659",
+        "74c690e4409e624c6516c18e1fab5b74d32478b5d8ae0aa985e3c89205f0bbcb",
         "d69c9aac5b7b2440fcab4d911fe29dce95dfd9198a557e4fa4c9f0c0e9b8bf8d"),
     "diffusion": (
-        "b4b4452ca137b2cb052eba9ad96f8a2b44786e73194ae2b46c80341405a25202",
+        "167d5024e90d50233a939b94848318199347dd51f2e5ea563f40fc6ca2a302ce",
         "694bf3ebbbba08c9133e9268f2cc110b6c08c95734ddd8f0fd646136882829ba"),
     "function_source": (
-        "8dbfe04411bb84bf3ff4b6524f26c362f449aee8b5bf1b4ded14b59fa54ef740",
+        "093907b592b3a7d4fb2cf9b785dba09c0c2ae7b7a1f547defa263b1f75fd4f89",
         "53ab3aebeb52fb7ed9b369a67b5427018a1495ca78543b6baae771f2657f50b8"),
     "side_read": (
-        "fad806abdf222a11ed0800104d96ca64ea52183fe581793377c4d579e188aeba",
+        "e21ca8d020a68d9c8c2e429a9f2bd95087962944a809cbfdb14e55329e1b9181",
         "56f08cdaa8a848bb1e9c7fc3c8fd433a6f9ce547753b3b1b7aa529c135eaff63"),
     "central_flux": (
-        "fae49810a26760e910ece049d40244d6545f20741ed70d224ff02050a498f5d2",
+        "0c89db9e943c85cf73bd80a2c550c350205c6a3f8ce5292777dcbb5c4c6ad8c3",
         "3c9ccdf0b09d8861a9fedb25efe190d349edc2ff4981a5eab1e6ae360cbea844"),
     "time_dependent_face_coefficient": (
         "94dd59d557c8b5ec7fec7cee14cf53aede66a97742c9089f79fee1f779039045",

@@ -239,9 +239,9 @@ class TestGeneratedKernelSource:
         assert "OWNER_INT" in src
         # u_new[sel] = u[sel] + DT * (source + div): the C tile over the
         # launch's rows into ``u_new``, no boundary part (finish_step's)
-        assert "TILE(TILE_PLANS, (DT,), True, rows, u, u_new," in src
+        assert "TILE(TILE_PLANS, (DT,), rows, u, u_new," in src
         assert "const double v = (" in solver.tile.text
-        assert "o[c] = euler ? ur[c] + v * s0 : v;" in solver.tile.text
+        assert "o[c] = ur[c] + v * s0;" in solver.tile.text
 
     def test_kernel_work_estimates_attached(self, gpu_scenario):
         p, _ = build_bte_problem(gpu_scenario)

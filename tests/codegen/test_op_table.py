@@ -117,7 +117,7 @@ def test_an_operation_prints_c_exactly_when_the_table_gives_it_a_c_spelling(op, 
         folded, volume = NO_SURFACE, IDX_EMITTER.emit_sum([expr], "volume")
     applied = statement_ops(folded) | statement_ops(volume)
     assert op in applied and applied <= set(OPS), (op, applied)
-    lowered = ctile.lower(folded, volume)
+    lowered = ctile.lower(folded, volume, False)
     assert (lowered is not None) == (op in EXACT) == (OPS[op][3] is not None), (op, expr)
     if lowered is None:
         return
@@ -132,8 +132,8 @@ def test_the_reconstruction_has_no_c_form():
     """The MUSCL kernel is a face statement's alone; a tile holding it would
     stay NumPy."""
     reconstruct = Stmt("c0", Op("kernels.muscl_flux", (Leaf("u", "us"),)))
-    assert ctile.lower(NO_SURFACE, EmittedExpr(Leaf("r", "c0"), 0, statements=[reconstruct])) \
-        is None
+    statement = EmittedExpr(Leaf("r", "c0"), 0, statements=[reconstruct])
+    assert ctile.lower(NO_SURFACE, statement, False) is None
 
 
 def test_every_entry_has_a_case():

@@ -250,10 +250,10 @@ def test_band_ranks_sweep_only_their_own_rows():
         rank_of[id(state.host_u)] = rank, state.owned_comps
         return state
 
-    def recording_tile(memo, scalars, euler, rows, u, *rest):
+    def recording_tile(memo, scalars, rows, u, *rest):
         swept.setdefault(rank_of[id(u)][0], []).append(rows)
         assert rows is rank_of[id(u)][1]
-        return tile(memo, scalars, euler, rows, u, *rest)
+        return tile(memo, scalars, rows, u, *rest)
 
     ns["make_rank_state"], ns["TILE"] = recording_rank_state, recording_tile
     solver.run(2)
@@ -488,7 +488,7 @@ def test_rk_steppers_get_a_fresh_rhs_from_the_same_tile_body(monkeypatch):
             return problem.solve()
 
     solver = solve(10_000)
-    assert "TILE(state.plans, (dt,), False, rows, u, rhs," in solver.source
+    assert "TILE(state.plans, (dt,), rows, u, rhs," in solver.source
     assert "require_private_inputs" not in solver.source
     state = solver.state
     before = state.u.copy()

@@ -9,7 +9,9 @@
   its oracles;
 * the upwinded side of the boundary faces, formed in place — ghost values
   patched over the owner values where the flow enters — == a gather from the
-  widened ``[u | ghost]`` copy, for every kind of boundary condition.
+  widened ``[u | ghost]`` copy, for every kind of boundary condition;
+* a declared reduction (``kernels.reduce_rows``) == the ordered scatter-add
+  over its components, whether a run's weights are one scalar or not.
 
 The folded interior operator (``kernels.fold_upwind`` / ``apply_folded``) has
 its own suite, ``test_fold.py``.
@@ -369,3 +371,32 @@ def test_ghost_values_fill_a_given_buffer():
         out = np.full((NCOMP, len(geom.bfaces)), np.nan)
         assert bset.ghost_values(u, out=out) is out
         assert out.tobytes() == bset.ghost_values(u).tobytes()
+
+
+# --------------------------------------------------------------------------
+# the declared reduction's NumPy form
+# --------------------------------------------------------------------------
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_a_declared_reduction_is_the_ordered_scatter_add(data):
+    """``out[group[g]] += weight[g] * u[g]`` over the components in order, bit
+    for bit — runs of equal weights (multiplied by one scalar), mixed ones
+    (by a column of them), and any subset, order or repetition of components."""
+    ncomp, rows = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 4))
+    group = (np.arange(ncomp) % rows if data.draw(st.booleans()) else
+             np.array(data.draw(st.lists(st.integers(0, rows - 1), min_size=ncomp,
+                                         max_size=ncomp))))
+    weight = np.array(data.draw(st.lists(st.sampled_from([0.5, 1.0 / 3.0, -2.0, 1e300]),
+                                         min_size=ncomp, max_size=ncomp)))
+    comps = data.draw(st.none() | st.lists(st.integers(0, ncomp - 1), max_size=2 * ncomp))
+    u = hostile((ncomp, 7), seed=data.draw(st.integers(0, 9)))
+    picked = np.arange(ncomp) if comps is None else np.array(comps, dtype=int)
+    expected = np.zeros((rows, 7))
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, 1e300 * 1e7
+        np.add.at(expected, group[picked], weight[picked][:, None] * u[picked])
+        for work in (None, np.full((rows, 7), np.nan)):
+            out = np.full((rows, 7), np.nan)
+            got = kernels.reduce_rows(u, group, weight, out,
+                                      None if comps is None else picked, work)
+            assert got is out and out.tobytes() == expected.tobytes()

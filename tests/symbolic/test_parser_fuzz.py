@@ -6,7 +6,7 @@ and strings biased toward the grammar's alphabet) and anything other than
 success or a clean :class:`ParseError` is a bug.
 """
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.symbolic.expr import Expr
@@ -56,6 +56,7 @@ def test_tokenize_never_leaks(source):
 
 
 @given(source=grammar_chars)
+@example(source="(0<0)<0")  # a comparison of a comparison printed without its parentheses
 @settings(max_examples=200, deadline=None)
 def test_successful_parse_is_reparseable(source):
     try:
