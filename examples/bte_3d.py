@@ -13,7 +13,7 @@ import argparse
 
 import numpy as np
 
-from repro.bte import build_bte_problem_3d, coarse_3d_scenario
+from repro.bte import build_bte_problem, coarse_3d_scenario
 
 
 def main() -> None:
@@ -28,7 +28,7 @@ def main() -> None:
     scenario.lx = scenario.ly = scenario.lz = 60e-6
     scenario.sigma = 20e-6
 
-    problem, model = build_bte_problem_3d(scenario)
+    problem, model = build_bte_problem(scenario)
     ncells = scenario.nx * scenario.ny * scenario.nz
     print(f"3-D BTE: {scenario.nx}^3 cells x {model.dirs.ndirs} ordinates x "
           f"{model.bands.nbands} bands = {model.ncomp * ncells:,} DOF")

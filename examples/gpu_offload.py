@@ -76,7 +76,7 @@ def main() -> None:
               f"({seconds / total * 100:5.1f}%)")
     print(f"  {'total':<22} {total * 1e3:8.3f} ms")
 
-    kernel_busy = sum(r.duration for r in solver.device.default_stream.records)
+    kernel_busy = sum(r.duration for r in solver.device.profiler.launches)
     boundary = solver.namespace["COST_BOUNDARY"] * scenario.nsteps
     print(f"\noverlap (Fig. 6): kernel busy {kernel_busy * 1e3:.3f} ms, "
           f"CPU boundary work {boundary * 1e3:.3f} ms,")

@@ -48,7 +48,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "corner_source_scenario",
         "coarse_3d_scenario",
         "build_bte_problem",
-        "build_bte_problem_3d",
     ),
     "reference": ("ReferenceBTESolver",),
     "conductivity": (

@@ -123,7 +123,7 @@ class CPUDistributedTarget(FVTarget):
     def partition(self, problem: "Problem") -> str:
         return problem.config.partition_strategy
 
-    def plan(self, problem: "Problem", form) -> dict:
+    def plan(self, problem: "Problem", emitter, surface, volume) -> dict:
         cfg = problem.config
         if cfg.partition_strategy not in RANK_LOOPS:
             raise CodegenError(

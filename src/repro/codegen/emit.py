@@ -24,7 +24,9 @@ as locals prepared by the generated function):
 ``coef_<c>``      scalar coefficient (float) or per-component vector
 ``cmap_<v>``      component map of a known variable onto the unknown's
                   component axis, ``(ncomp,)`` int
-``var_<v>``       known variable values ``(ncomp_v, ncells)``
+``var_<v>``       known variable values ``(ncomp_v, ncells)``: a device
+                  kernel's argument, bound once from ``state.fields`` at
+                  the top of a host function (:func:`bind_known`)
 ``fcoef_<c>``     function coefficient evaluated on cell centres /
                   ``fcoef_<c>_face`` on face centres
 ================  ==========================================================
@@ -264,19 +266,12 @@ class EmittedExpr:
 class ExprEmitter:
     """Emits volume- and surface-context NumPy code for one problem."""
 
-    def __init__(self, problem: "Problem", form: "ClassifiedForm", var_mode: str = "state"):
-        """``var_mode``: how known-variable reads are emitted — ``'state'``
-        (through the live ``state.fields`` dict; CPU targets) or ``'local'``
-        (as plain ``var_<name>`` array names; the GPU kernel receives device
-        buffers under those names as arguments)."""
-        if var_mode not in ("state", "local"):
-            raise CodegenError(f"unknown var_mode {var_mode!r}")
+    def __init__(self, problem: "Problem", form: "ClassifiedForm"):
         self.problem = problem
         self.form = form
         self.unknown = form.unknown
         self.entities = problem.entities
         self.space = self.unknown.space
-        self.var_mode = var_mode
         # live only inside emit_sum(cse=True): (context, node) -> the code
         # reading the hoisted value; ``_out`` collects the definitions
         self._hoisted: dict | None = None
@@ -781,16 +776,12 @@ class ExprEmitter:
                 )
             reads.add("u")
             return "u[sel]" if self._regs is None else Leaf("u", "us")
-        # known variable: read through the live rank/serial state (each rank
-        # owns its arrays) or as a direct array argument (GPU kernels), and
-        # map its components onto the unknown's axis
-        var = self.entities.variables[name]
-        self._check_subspace(name, var.index_names())
-        arr = (
-            f"state.fields['{name}'].data" if self.var_mode == "state" else f"var_{name}"
-        )
-        cmap = f"cmap_{name}"
-        reads.add(f"var_{name}")
+        # known variable: ``var_<name>``, which the function reading it binds
+        # (:func:`bind_known`) or is handed (a device kernel's argument); its
+        # components mapped onto the unknown's axis
+        self._check_subspace(name, self.entities.variables[name].index_names())
+        arr, cmap = f"var_{name}", f"cmap_{name}"
+        reads.add(arr)
         if ctx == "volume" and self._regs is not None:
             return self._regs.emit(Op("take", (arr, cmap)))
         if ctx == "volume":
@@ -882,8 +873,8 @@ class ExprEmitter:
         return {"variables": variables, "coefficients": coefficients}
 
     def referenced_known_variables(self) -> list[str]:
-        """Known (non-unknown) variables the equation reads — the generated
-        namespace must bind their live data arrays as ``var_<name>``."""
+        """Known (non-unknown) variables the equation reads, each read as
+        ``var_<name>``."""
         return [
             name
             for name in self._referenced_entities()["variables"]
@@ -898,6 +889,13 @@ class ExprEmitter:
             for name in refs
             if self.entities.coefficients[name].is_function
         }
+
+
+def bind_known(emitter: ExprEmitter, reads: set[str]) -> list[str]:
+    """A host function's bindings of the known variables among ``reads``,
+    from the state it is handed (a cell rank's are its own fields)."""
+    return [f"var_{n} = state.fields[{n!r}].data"
+            for n in emitter.referenced_known_variables() if f"var_{n}" in reads]
 
 
 def hoisted_lines(defs: list[Hoisted], registers: int = 0) -> list[str]:
@@ -956,13 +954,14 @@ def _invariant_tables(surface: EmittedExpr,
     return setup, names, ", ".join(h.name for h in read)
 
 
-def _boundary_part(form: "ClassifiedForm", surface: EmittedExpr, tables: str,
+def _boundary_part(emitter: ExprEmitter, surface: EmittedExpr, tables: str,
                    tiles: str) -> list[str]:
     """Source of ``compute_boundary_contribution(state, u_bdry, t)``: the
     face-centric surface statement over the boundary faces alone, in row
     tiles, through the divergence restricted to them — the part of the step
     every target leaves to the CPU and its user callbacks (with only the
     upwinded side read, preceded by ``boundary_tables``)."""
+    form = emitter.form
     body = [
         '"""Boundary part of the RHS, from the owner values of the boundary',
         "faces, ``u[:, geom.bowner]`` — all it reads of the unknown (on a device",
@@ -979,7 +978,9 @@ def _boundary_part(form: "ClassifiedForm", surface: EmittedExpr, tables: str,
     upwind = surface.upwind
     in_place = upwind is not None and upwind.owner_where and not surface.sides
     setup: list[str] = []
-    body.append("bfaces = geom.bfaces")
+    known = bind_known(emitter, surface.reads)
+    # a known variable is read on the owner side of a face: here, of a boundary face
+    body += [*known, *["owner = geom.bowner"] * bool(known), "bfaces = geom.bfaces"]
     if in_place:  # the same tables, over the boundary faces' geometry, and the mask
         setup = _function("def boundary_tables(*geometry):", [
             '"""``invariant_tables`` on the boundary faces, and where the flow enters."""',
@@ -1071,9 +1072,11 @@ FINISH_STEP = [
 ]
 
 
-def emit_interior(emitter: ExprEmitter, device: bool, *, stepper: str = "euler",
+def emit_interior(emitter: ExprEmitter, surface: EmittedExpr, volume: EmittedExpr,
+                  device: bool, *, stepper: str = "euler",
                   owned_columns: bool = False) -> list[str]:
-    """The finite-volume interior of every target, for where the step's
+    """The finite-volume interior of every target — the ``surface`` and
+    ``volume`` statements ``emitter`` emitted — for where the step's
     placement put ``interior_update``.
 
     On the host it is a call on the host arrays, ``compute_rhs(state, u, t,
@@ -1112,8 +1115,6 @@ def emit_interior(emitter: ExprEmitter, device: bool, *, stepper: str = "euler",
     from repro.codegen import ctile  # (which reads the statement record defined here)
 
     form = emitter.form
-    surface = emitter.emit_sum(form.surface_terms, "surface")
-    volume = emitter.emit_sum(form.volume_terms, "volume")
     folded = surface.folded
     inplace = device or stepper in EULER
     # a folded tile whose every operation is exact is one C function
@@ -1165,6 +1166,7 @@ def emit_interior(emitter: ExprEmitter, device: bool, *, stepper: str = "euler",
             "geom = state.geom",
             "dt = state.dt",
             *["owner = geom.owner"] * bool(two_sided),
+            *bind_known(emitter, surface.reads | volume.reads),
         ]
         buffer, nfaces, ncells, normal, face_dist = (
             "state.buffer", "geom.nfaces", "geom.ncells", "geom.normal", "geom.face_dist")
@@ -1329,7 +1331,7 @@ def emit_interior(emitter: ExprEmitter, device: bool, *, stepper: str = "euler",
     if not inplace:
         body.append("return rhs")
     if folded or device:
-        lines += _boundary_part(form, surface, invariant, tiles)
+        lines += _boundary_part(emitter, surface, invariant, tiles)
     lines += [head, *("    " + ln if ln else ln for ln in body)]
     return (lines + ["", "", *FINISH_STEP] if device else lines), tile_c or None
 

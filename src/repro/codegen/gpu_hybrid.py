@@ -47,7 +47,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.codegen.emit import ExprEmitter
+from repro.codegen.emit import EmittedExpr, ExprEmitter
 from repro.codegen.placement import Task, TaskGraph, optimize_placement, plan_transfers
 from repro.codegen.placement.transfers import ArrayUse
 from repro.codegen.state import SolverState
@@ -58,6 +58,7 @@ from repro.codegen.target_base import (
     emit_step_loop,
     indent,
 )
+from repro.fvm.geometry import FVGeometry
 from repro.gpu.device import Device
 from repro.gpu.kernel import Kernel, model_launch
 from repro.ir.build import build_ir  # noqa: F401  (the build's stages, named here)
@@ -287,23 +288,23 @@ def _repin_graph(tg: TaskGraph, pins: dict[str, str]) -> TaskGraph:
     return out
 
 
-def plan_device_step(problem: "Problem", state: SolverState, form,
-                     rows: int, force_offload: bool) -> dict:
-    """The step's task graph — ``rows`` component rows per launch, edges
-    sized from the real arrays — its min-cut placement and the transfer
-    schedule that follows; returned as the artifact attributes the solver
-    carries (``placement``, ``transfer_plan``, ``array_uses`` for the
-    layer-2 verifier, ``kernel_spec``).  What only the host form carries
-    fails here if the plan puts ``interior_update`` on the device."""
-    emitter, geom, unknown = ExprEmitter(problem, form), state.geom, state.unknown
+def plan_device_step(problem: "Problem", emitter: ExprEmitter, surface: EmittedExpr,
+                     volume: EmittedExpr, rows: int, force_offload: bool) -> dict:
+    """The step's task graph — ``rows`` component rows per launch, the
+    kernel priced from the build's ``surface`` and ``volume`` statements,
+    edges sized from the problem's spaces and mesh — its min-cut placement
+    and the transfer schedule that follows; returned as the artifact
+    attributes the solver carries (``placement``, ``transfer_plan``,
+    ``array_uses`` for the layer-2 verifier, ``kernel_spec``).  What only the
+    host form carries fails here if the plan puts ``interior_update`` on the
+    device."""
+    geom, unknown = FVGeometry(problem.mesh), problem.unknown
     spec = problem.config.gpu_spec or default_gpu_spec()
     cost = CostModel(CASCADE_LAKE_FINCH)
-    ncomp, ncells = state.host_u.shape
+    ncomp, ncells = unknown.ncomp, geom.ncells
     nbands = unknown.space.sizes[-1] if unknown.space.names else 1
 
     # ---- work estimates for the device model ------------------------------
-    surface = emitter.emit_sum(form.surface_terms, "surface")
-    volume = emitter.emit_sum(form.volume_terms, "volume")
     faces_per_cell = 2.0 * geom.nfaces / geom.ncells
     kernel_spec = {
         "name": f"{unknown.name}_interior_step",
@@ -323,9 +324,10 @@ def plan_device_step(problem: "Problem", state: SolverState, form,
 
     # ---- the task graph ---------------------------------------------------
     reductions = [cb.reduce for cb in problem.post_step_callbacks if cb.reduce]
-    known = {n: float(state.fields[n].data.nbytes)
+    # a field is (ncomp, ncells) float64
+    known = {n: 8.0 * problem.entities.variables[n].ncomp * ncells
              for n in emitter.referenced_known_variables()}
-    u_bytes = float(state.host_u.nbytes)
+    u_bytes = 8.0 * ncomp * ncells
     small = {"du_bdry": 8.0 * ncomp * len(geom.bcells),
              "u_bdry": 8.0 * ncomp * len(geom.bowner),
              **{r.name: 8.0 * r.rows * ncells for r in reductions}}
@@ -361,7 +363,7 @@ def plan_device_step(problem: "Problem", state: SolverState, form,
         placement = optimize_placement(
             _repin_graph(tg, {**pins, "interior_update": "gpu"}), spec)
     if placement.device["interior_update"] == "gpu":
-        _reject_reconstructions(form)
+        _reject_reconstructions(emitter.form)
         _reject_function_coefficients(emitter)
 
     both = ("interior_update", "finish_step")
@@ -462,10 +464,10 @@ class GPUHybridTarget(FVTarget):
 
     name = "gpu"
 
-    def plan(self, problem: "Problem", form) -> dict:
-        state = SolverState(problem)
+    def plan(self, problem: "Problem", emitter, surface, volume) -> dict:
         force = bool(problem.extra.get("gpu_force_offload", False))
-        return plan_device_step(problem, state, form, state.ncomp, force)
+        return plan_device_step(problem, emitter, surface, volume,
+                                problem.unknown.ncomp, force)
 
     def program(self, problem: "Problem", plan: dict) -> list[str]:
         if plan["placement"].device["interior_update"] == "cpu":

@@ -64,7 +64,7 @@ class GPUMultiTarget(FVTarget):
 
     name = "gpu_distributed"
 
-    def plan(self, problem: "Problem", form) -> dict:
+    def plan(self, problem: "Problem", emitter, surface, volume) -> dict:
         cfg = problem.config
         if cfg.partition_strategy != "bands":
             raise CodegenError(
@@ -75,7 +75,7 @@ class GPUMultiTarget(FVTarget):
         # the plan is one rank's: its largest band block per launch, the
         # interior on the device whatever the size (that is the target)
         owned_sets = _split_components(problem, cfg.nparts)
-        return plan_device_step(problem, SolverState(problem), form,
+        return plan_device_step(problem, emitter, surface, volume,
                                 max(len(o) for o in owned_sets), True)
 
     def program(self, problem: "Problem", plan: dict) -> list[str]:

@@ -42,58 +42,6 @@ class PlacementPlan:
     cut_edges: list[tuple[str, str, float]]  # (src, dst, bytes) crossing devices
     bytes_moved_per_step: float
     graph: TaskGraph = field(repr=False, default=None)
-    # task -> original device, for plans produced by degrade_to_cpu()
-    degraded_from: dict[str, str] | None = None
-
-    def predicted_cost(self, task: str) -> float | None:
-        """Modelled per-step seconds of ``task`` on its assigned device.
-
-        This is the quantity the min-cut optimised; the observability layer
-        compares it against measured per-task times (the run report's
-        placement-accuracy section).  ``None`` when the plan carries no
-        graph (detached plans).
-        """
-        if self.graph is None or task not in self.graph.tasks:
-            return None
-        t = self.graph.tasks[task]
-        return t.cost_gpu if self.device.get(task) == "gpu" else t.cost_cpu
-
-    def degrade_to_cpu(self, task: str) -> "PlacementPlan":
-        """A new plan with ``task`` re-placed on the CPU (fault fallback).
-
-        Used by the resilient runtime when the device executing ``task``
-        faulted: the assignment moves, the crossing edges and per-step
-        objective are recomputed from the original graph, and the returned
-        plan records the degradation so reports can show the re-placement
-        alongside the optimiser's original choice.
-        """
-        if task not in self.device:
-            raise CodegenError(f"no task named {task!r} in this plan")
-        device = dict(self.device)
-        device[task] = "cpu"
-        if self.graph is not None:
-            cut_edges = [
-                (e.src, e.dst, e.nbytes)
-                for e in self.graph.edges
-                if device[e.src] != device[e.dst]
-            ]
-            t = self.graph.tasks[task]
-            objective = (
-                self.objective_seconds
-                - (t.cost_gpu if self.device[task] == "gpu" else t.cost_cpu)
-                + t.cost_cpu
-            )
-        else:
-            cut_edges = [e for e in self.cut_edges if task not in (e[0], e[1])]
-            objective = self.objective_seconds
-        return PlacementPlan(
-            device=device,
-            objective_seconds=objective,
-            cut_edges=cut_edges,
-            bytes_moved_per_step=sum(b for _, _, b in cut_edges),
-            graph=self.graph,
-            degraded_from={task: self.device[task]},
-        )
 
     def report(self) -> str:
         """Human-readable placement summary (shown by the GPU examples)."""
@@ -103,8 +51,6 @@ class PlacementPlan:
             pin = ""
             if task is not None and task.pinned:
                 pin = f"   [pinned {task.pinned}]"
-            if self.degraded_from and name in self.degraded_from:
-                pin += f"   [degraded from {self.degraded_from[name].upper()}]"
             lines.append(f"  {name:<24} -> {self.device[name].upper()}{pin}")
         lines.append(
             f"  data moved per step: {self.bytes_moved_per_step / 1e6:.3f} MB "

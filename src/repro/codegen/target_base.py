@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 from repro.codegen import ctile
-from repro.codegen.emit import EULER, ExprEmitter, emit_interior
+from repro.codegen.emit import EULER, EmittedExpr, ExprEmitter, emit_interior
 from repro.codegen.state import SolverState
 from repro.fvm import kernels
 from repro.fvm.timesteppers import make_stepper
@@ -301,12 +301,14 @@ HOST_TASK_TIMERS = {"interior_update": "solve", "post_step_callbacks": "post_ste
 class FVTarget(CodegenTarget):
     """A finite-volume target: one program under a placement and a partition.
 
-    The build is every target's: lower the equation, take the target's
-    :meth:`plan` (where the step's tasks run), emit the interior where it put
-    ``interior_update`` (:func:`~repro.codegen.emit.emit_interior`) and the
-    target's step and loop (:meth:`program`), and hand the static
-    environment the target's :meth:`tables`.  A target is its plan, its
-    partition, its holes and its cost tables.  ``lower_conservation_form``
+    The build is every target's: lower the equation, emit its surface and
+    volume statements (once: the plan prices them, the interior prints
+    them), take the target's :meth:`plan` (where the step's tasks run), emit
+    the interior where it put ``interior_update``
+    (:func:`~repro.codegen.emit.emit_interior`) and the target's step and
+    loop (:meth:`program`), and hand the static environment the target's
+    :meth:`tables`.  A target is its plan, its partition, its holes and its
+    cost tables.  ``lower_conservation_form``
     and ``build_ir`` are the ones the target's own module imports: a module
     names the pipeline stages its target runs (the benchmark harness wraps
     them there)."""
@@ -319,9 +321,11 @@ class FVTarget(CodegenTarget):
         """How an SPMD target splits the work: ``'cells'`` or ``'bands'``."""
         return None
 
-    def plan(self, problem: "Problem", form) -> dict:
+    def plan(self, problem: "Problem", emitter: ExprEmitter, surface: EmittedExpr,
+             volume: EmittedExpr) -> dict:
         """The placement and what follows from it, as artifact attributes
-        (``placement``, ``transfer_plan``, ...); ``{}``: :data:`HOST_PLAN`."""
+        (``placement``, ``transfer_plan``, ...), from the problem and the
+        build's statements; ``{}``: :data:`HOST_PLAN`."""
         return {}
 
     def program(self, problem: "Problem", plan: dict) -> list[str]:
@@ -363,10 +367,12 @@ class FVTarget(CodegenTarget):
         stages = sys.modules[type(self).__module__]
         expanded, form = stages.lower_conservation_form(
             problem.equation.source, problem.unknown, problem.entities, problem.operators)
-        plan = self.plan(problem, form)
+        emitter = ExprEmitter(problem, form)
+        surface = emitter.emit_sum(form.surface_terms, "surface")
+        volume = emitter.emit_sum(form.volume_terms, "volume")
+        plan = self.plan(problem, emitter, surface, volume)
         placed = plan["placement"].device if "placement" in plan else HOST_PLAN
         device = placed["interior_update"] == "gpu"
-        emitter = ExprEmitter(problem, form, var_mode="local" if device else "state")
         flavor = "gpu" if device else "distributed" if self.partition(problem) else "cpu"
         ir = stages.build_ir(problem, form, flavor=flavor, transfers=plan.get("transfer_plan"))
         lines = source_header(self.source_name, problem, print_ir(ir))
@@ -375,7 +381,8 @@ class FVTarget(CodegenTarget):
             lines += ["#   " + ln for ln in plan["placement"].report().splitlines()]
             lines += ["#   " + ln for ln in plan["transfer_plan"].report().splitlines()]
             lines += [""]
-        interior, tile = emit_interior(emitter, device, stepper=problem.config.stepper,
+        interior, tile = emit_interior(emitter, surface, volume, device,
+                                       stepper=problem.config.stepper,
                                        owned_columns=self.partition(problem) == "cells")
         if tile is not None:
             ctile.build(tile.text)  # the compiler starts now; bind waits for it

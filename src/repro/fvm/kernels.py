@@ -425,7 +425,9 @@ def reduce_rows(u: np.ndarray, group: np.ndarray, weight: np.ndarray, out: np.nd
             acc, w = out[r:r + k], weight[c:c + k]
             terms = np.multiply(u[c:c + k], w[0] if (w == w[0]).all() else w[:, None],
                                 out=None if work is None else work[:k])
-            np.add(acc, terms, out=acc)
+            # the term first, as np.add.at adds it: of two NaNs the term's
+            # is kept (which one IEEE leaves open), so even those bits agree
+            np.add(terms, acc, out=acc)
     return out
 
 

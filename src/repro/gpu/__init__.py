@@ -8,8 +8,9 @@ roofline-style device model:
 * :class:`~repro.gpu.spec.DeviceSpec` — SM count, clocks, FP64/FP32 peak,
   DRAM bandwidth, PCIe link, launch latency; presets for the paper's NVIDIA
   A6000 and A100;
-* :class:`~repro.gpu.device.Device` — buffers, H2D/D2H transfers, streams
-  with asynchronous launch semantics, and a virtual device timeline;
+* :class:`~repro.gpu.device.Device` — buffers, H2D/D2H transfers, one
+  launch queue with asynchronous launch semantics, and virtual device
+  timelines;
 * :class:`~repro.gpu.kernel.Kernel` — a launchable with per-thread FLOP/byte
   estimates (produced by the code generator from the IR);
 * :class:`~repro.gpu.profiler.Profiler` — accumulates the counters behind
@@ -22,7 +23,7 @@ is modelled.  See DESIGN.md for the substitution rationale.
 """
 
 from repro.gpu.spec import DeviceSpec, A6000, A100, LAPTOP_GPU
-from repro.gpu.device import Device, DeviceBuffer, Stream
+from repro.gpu.device import Device, DeviceBuffer
 from repro.gpu.kernel import Kernel, KernelLaunchRecord
 from repro.gpu.profiler import Profiler, ProfileReport
 
@@ -33,7 +34,6 @@ __all__ = [
     "LAPTOP_GPU",
     "Device",
     "DeviceBuffer",
-    "Stream",
     "Kernel",
     "KernelLaunchRecord",
     "Profiler",

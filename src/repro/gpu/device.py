@@ -1,13 +1,14 @@
-"""The simulated device: buffers, transfers, streams, timelines.
+"""The simulated device: buffers, transfers, one launch queue, timelines.
 
 Semantics mirror CUDA's host API closely enough that the generated hybrid
 code reads like real CUDA host code:
 
 * ``device.alloc(array)`` copies host data into a device buffer (H2D charged
   to the transfer link);
-* ``stream.launch(kernel, n_threads, args...)`` is *asynchronous*: it
+* ``device.launch(kernel, n_threads, args...)`` is *asynchronous*: it
   executes the body immediately (data correctness) but only advances the
-  stream's virtual timeline — the host clock is not blocked;
+  device's kernel clock (its one in-order queue, CUDA's default stream) —
+  the host clock is not blocked;
 * ``device.synchronize(host_time)`` joins the host and device timelines the
   way ``cudaDeviceSynchronize`` does: the host resumes at
   ``max(host_time, device_time)``.
@@ -39,6 +40,10 @@ from repro.util.timing import VirtualClock
 
 logger = get_logger("gpu.device")
 
+#: The name of the kernel queue in trace tracks, metric labels and the run
+#: document (CUDA's default stream)
+STREAM = "stream0"
+
 
 def _finite_check(a: np.ndarray, flag: np.ndarray) -> None:
     flag[0] = sum_is_finite(a)
@@ -66,58 +71,6 @@ class DeviceBuffer:
         return self.array.nbytes
 
 
-class Stream:
-    """An in-order execution queue with its own virtual timeline."""
-
-    def __init__(self, device: "Device", name: str = "stream0"):
-        self.device = device
-        self.name = name
-        self.clock = VirtualClock()
-        self.records: list[KernelLaunchRecord] = []
-
-    def launch(self, kernel: Kernel, n_threads: int, *args, block: int = 256,
-               host_time: float = 0.0) -> KernelLaunchRecord:
-        """Asynchronously run ``kernel`` over ``n_threads`` threads.
-
-        The body runs now (so results are immediately correct); the stream
-        timeline advances by the modelled duration, starting no earlier than
-        ``host_time`` (a kernel cannot start before the host issued it).
-        """
-        self.device._maybe_inject("launch", what=kernel.name)
-        record = model_launch(self.device.spec, kernel, n_threads, block)
-        # launch-queue backlog: device work still pending when the host
-        # issues this launch (the overlap headroom the paper exploits)
-        backlog = max(0.0, self.clock.now() - host_time)
-        self.clock.advance_to(host_time)
-        record.start = self.clock.now()
-        kernel.body(*args)
-        self.clock.advance(record.duration)
-        record.end = self.clock.now()
-        self.records.append(record)
-        self.device.profiler.record_launch(record)
-        metrics = self.device.metrics
-        if metrics.enabled:
-            dev, kname = self.device.name, kernel.name
-            self.device._m_launches.inc(1, device=dev, kernel=kname)
-            self.device._m_occupancy.observe(record.occupancy, device=dev,
-                                             kernel=kname)
-            self.device._m_queue_depth.set(backlog, device=dev,
-                                           stream=self.name)
-        tracer = self.device.tracer
-        if tracer.enabled:
-            tracer.complete(
-                f"{self.device.name}/{self.name}", kernel.name,
-                record.start, record.end, cat="kernel",
-                n_threads=n_threads, block=block, bound=record.bound,
-                occupancy=round(record.occupancy, 4),
-                flops=record.total_flops, bytes=record.total_bytes,
-            )
-        return record
-
-    def busy_until(self) -> float:
-        return self.clock.now()
-
-
 class Device:
     """One simulated GPU."""
 
@@ -125,7 +78,8 @@ class Device:
         self.spec = spec
         self.name = name
         self.buffers: dict[str, DeviceBuffer] = {}
-        self.default_stream = Stream(self, "stream0")
+        # the two timelines: the in-order kernel queue and the PCIe link
+        self.kernel_clock = VirtualClock()
         self.transfer_clock = VirtualClock()
         self.profiler = Profiler(spec)
         self.allocated_bytes = 0
@@ -300,14 +254,42 @@ class Device:
     # ------------------------------------------------------------ execution
     def launch(self, kernel: Kernel, n_threads: int, *args, block: int = 256,
                host_time: float = 0.0) -> KernelLaunchRecord:
-        """Launch on the default stream."""
-        return self.default_stream.launch(
-            kernel, n_threads, *args, block=block, host_time=host_time
-        )
+        """Asynchronously run ``kernel`` over ``n_threads`` threads.
+
+        The body runs now (so results are immediately correct); the kernel
+        clock advances by the modelled duration, starting no earlier than
+        ``host_time`` (a kernel cannot start before the host issued it).
+        The record goes to ``profiler.launches``.
+        """
+        self._maybe_inject("launch", what=kernel.name)
+        record = model_launch(self.spec, kernel, n_threads, block)
+        # launch-queue backlog: device work still pending when the host
+        # issues this launch (the overlap headroom the paper exploits)
+        backlog = max(0.0, self.kernel_clock.now() - host_time)
+        self.kernel_clock.advance_to(host_time)
+        record.start = self.kernel_clock.now()
+        kernel.body(*args)
+        self.kernel_clock.advance(record.duration)
+        record.end = self.kernel_clock.now()
+        self.profiler.record_launch(record)
+        if self.metrics.enabled:
+            self._m_launches.inc(1, device=self.name, kernel=kernel.name)
+            self._m_occupancy.observe(record.occupancy, device=self.name,
+                                      kernel=kernel.name)
+            self._m_queue_depth.set(backlog, device=self.name, stream=STREAM)
+        if self.tracer.enabled:
+            self.tracer.complete(
+                f"{self.name}/{STREAM}", kernel.name,
+                record.start, record.end, cat="kernel",
+                n_threads=n_threads, block=block, bound=record.bound,
+                occupancy=round(record.occupancy, 4),
+                flops=record.total_flops, bytes=record.total_bytes,
+            )
+        return record
 
     def synchronize(self, host_time: float = 0.0) -> float:
         """Join host and device timelines; returns the new host time."""
-        return max(host_time, self.default_stream.busy_until(), self.transfer_clock.now())
+        return max(host_time, self.kernel_clock.now(), self.transfer_clock.now())
 
 
-__all__ = ["Device", "DeviceBuffer", "Stream"]
+__all__ = ["Device", "DeviceBuffer", "STREAM"]

@@ -4,9 +4,11 @@
 paper sketches in Section II-B: the sequential time loop, the parallel
 cell/DOF work (flux + source + update), boundary handling, the user hooks,
 and — per flavour — halo exchanges (distributed) or kernel launches with
-host/device transfers (gpu).  Code generators walk this graph; its printed
-form (:func:`repro.ir.nodes.print_ir`) is also asserted by tests and shown
-in the docs.
+host/device transfers (gpu).  Code generators print this graph, as a
+comment block at the top of every generated source
+(:func:`repro.ir.nodes.print_ir`); the printed form is also asserted by
+tests and shown in the docs.  What runs is emitted from the classified
+form and the placement, not walked from here.
 """
 
 from __future__ import annotations
@@ -144,7 +146,9 @@ def build_ir(problem: "Problem", form: ClassifiedForm, flavor: str = "cpu",
     return IRProgram(
         name=problem.name,
         prelude=prelude,
-        time_loop=TimeLoop(body=step, nsteps_symbol=str(cfg.nsteps), dt_symbol="dt"),
+        # the symbols, not this run's values: dt and nsteps are not in the
+        # cache key, and a cached source is printed for every run of it
+        time_loop=TimeLoop(body=step, nsteps_symbol="nsteps", dt_symbol="dt"),
     )
 
 

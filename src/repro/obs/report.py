@@ -138,13 +138,13 @@ def _comm_section(spmd_result) -> dict[str, Any]:
 def _gpu_section(solver) -> dict[str, Any] | None:
     device = getattr(solver, "device", None)
     if device is not None:
+        from repro.gpu.device import STREAM
+
         return {"devices": [{
             "name": device.name,
             "spec": device.spec.name,
             "allocated_bytes": device.allocated_bytes,
-            "stream_busy_s": {
-                device.default_stream.name: device.default_stream.busy_until(),
-            },
+            "stream_busy_s": {STREAM: device.kernel_clock.now()},
             "transfer_busy_s": device.transfer_clock.now(),
         }]}
     # multi-GPU runs: the devices lived on the rank threads, their launch

@@ -212,8 +212,9 @@ class FaultInjector:
         """Compute-time multiplier for this rank (``rank_slow``; 1.0 = none).
 
         Use ``count=0`` for a persistently degraded rank (e.g. modelling a
-        post-``degrade_to_cpu`` skew) — the slowdown then survives elastic
-        restarts too, so a rebalance has something real to correct.
+        rank whose device step keeps degrading to the CPU) — the slowdown
+        then survives elastic restarts too, so a rebalance has something
+        real to correct.
         """
         rule = self._query(("rank_slow",), rank=rank)
         return rule.factor if rule is not None else 1.0

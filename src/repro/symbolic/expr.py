@@ -354,7 +354,7 @@ class _Nary(Expr):
 
 
 def _needs_parens_in_product(e: Expr) -> bool:
-    return isinstance(e, Add) or (isinstance(e, Num) and e.value < 0)
+    return isinstance(e, (Add, Cmp)) or (isinstance(e, Num) and e.value < 0)
 
 
 class Add(_Nary):
@@ -365,7 +365,9 @@ class Add(_Nary):
     def __str__(self) -> str:
         parts: list[str] = []
         for a in self.args:
-            s = str(a)
+            # a comparison binds looser than arithmetic: one nested in a sum
+            # (or a product, a power, a negation) keeps its parentheses
+            s = f"({a})" if isinstance(a, Cmp) else str(a)
             if parts:
                 if s.startswith("-"):
                     parts.append(s)
@@ -421,12 +423,12 @@ class Pow(Expr):
 
     def __str__(self) -> str:
         b = str(self.base)
-        if isinstance(self.base, (Add, Mul, Pow)) or (
+        if isinstance(self.base, (Add, Mul, Pow, Cmp)) or (
             isinstance(self.base, Num) and self.base.value < 0
         ):
             b = f"({b})"
         e = str(self.exponent)
-        if isinstance(self.exponent, (Add, Mul, Pow)) or (
+        if isinstance(self.exponent, (Add, Mul, Pow, Cmp)) or (
             isinstance(self.exponent, Num) and self.exponent.value < 0
         ):
             e = f"({e})"

@@ -1,13 +1,21 @@
 """Coarse 3-D BTE (paper Sec. III-A: "Some very coarse-grained
 3-dimensional runs were also performed successfully")."""
 
+import hashlib
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from repro.bte.angular import product_directions_3d, reflection_map
-from repro.bte.problem import build_bte_problem_3d, coarse_3d_scenario
+from repro.bte.problem import (
+    build_bte_problem,
+    coarse_3d_scenario,
+    corner_source_scenario,
+    hotspot_scenario,
+)
+from repro.tune.signature import problem_signature, signature_digest
 from repro.util.errors import ConfigError
 
 
@@ -67,7 +75,7 @@ class TestCoarse3DRun:
             nx=6, ny=6, nz=6, n_azimuthal=8, n_polar=4,
             n_freq_bands=4, dt=1e-12, nsteps=10,
         )
-        problem, model = build_bte_problem_3d(scenario)
+        problem, model = build_bte_problem(scenario)
         solver = problem.solve()
         return scenario, model, solver
 
@@ -97,6 +105,51 @@ class TestCoarse3DRun:
             nx=4, ny=4, nz=4, n_azimuthal=8, n_polar=4,
             n_freq_bands=3, dt=1e-12, nsteps=8, T_hot=300.0,
         )
-        problem, _ = build_bte_problem_3d(scenario)
+        problem, _ = build_bte_problem(scenario)
         solver = problem.solve()
         assert np.allclose(solver.state.extra["T"], 300.0, atol=1e-9)
+
+
+class TestOneBuilder:
+    """``build_bte_problem`` builds the 2-D and the 3-D problems alike — the
+    scenario says the grid, the ordinates, the walls and the equation — into
+    the problems the two former builders built: the declarative part of the
+    cache key and the solution, pinned from them."""
+
+    CASES = {
+        "hotspot": (lambda: hotspot_scenario(nx=8, ny=8, ndirs=4, n_freq_bands=4, nsteps=3),
+                    "17cf22d23ed9a86eda6cbb821619815465bd632f76380e7bf74db3383a67f0a9",
+                    "87cb5165a749edb120b171388844164854824d19806bb03a98c35c4d40846c56"),
+        "corner": (lambda: corner_source_scenario(nx=12, ny=6, ndirs=4, n_freq_bands=4,
+                                                  nsteps=3),
+                   "37ab0ff446dedb0dd47da690985d56e3af39c28a2967b5d4c3f75da49701e44a",
+                   "9e18cac4b5eea0bb45014ebb73f0d6ff9ccc0efe4e286b81f8119092c271728a"),
+        "coarse_3d": (lambda: coarse_3d_scenario(nx=4, ny=4, nz=4, n_azimuthal=8, n_polar=2,
+                                                 n_freq_bands=3, nsteps=3),
+                      "a4557aab46a9ef1c79f5dd1a7295c3e8a9b7edb0c7715d6ee4f38582f3758713",
+                      "1c67fd98708a9bf3057df883aedfb40570c96406cd3db07867f780197546abfc"),
+    }
+
+    # the callbacks' part of the key hashes bytecode (see test_signature.py)
+    @pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                        reason="digests recorded under CPython 3.11 bytecode")
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_problems_equal_the_two_builders(self, case):
+        scenario, key, solution = self.CASES[case]
+        problem, _ = build_bte_problem(scenario())
+        sig = problem_signature(problem, "cpu")
+        sig.pop("emitter")
+        assert signature_digest(sig) == key
+        digest = hashlib.sha256(problem.solve().solution().tobytes()).hexdigest()
+        assert digest == solution
+
+    def test_walls_follow_the_scenario(self):
+        scenario = coarse_3d_scenario(nx=4, ny=4, nz=4, n_polar=2, n_freq_bands=3)
+        problem, _ = build_bte_problem(scenario)
+        kinds = {b.region: b.kind.value for b in problem.boundaries}
+        assert kinds == {1: "symmetry", 2: "symmetry", 3: "symmetry", 4: "symmetry",
+                         5: "flux", 6: "flux"}
+        assert scenario.wall_normal(5).tolist() == [0.0, 0.0, -1.0]
+        scenario.symmetry_regions = (1, 2, 3)
+        with pytest.raises(ConfigError, match="walls 1-6"):
+            build_bte_problem(scenario)

@@ -207,7 +207,7 @@ def test_a_known_variable_over_every_index_is_read_by_its_component_map(monkeypa
 
     with cache_scope():
         c_tile = problem().solve()
-    assert "v" in c_tile.tile.kinds and "state.fields['J'].data" in c_tile.tile.operands
+    assert "v" in c_tile.tile.kinds and "var_J" in c_tile.tile.operands
     monkeypatch.setattr(ctile, "lower", lambda *args: None)
     with cache_scope():
         numpy_tile = problem().solve()

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.codegen.emit import ExprEmitter
+from repro.codegen.emit import ExprEmitter, bind_known
 from repro.dsl.problem import Problem
 from repro.fvm.boundary import BCKind
 from repro.ir.lowering import lower_conservation_form
@@ -104,20 +104,16 @@ class TestIndexedEmission:
         # Io/beta carry fewer indices than I: read once per sweep, over
         # their own rows, and row-gathered by the statement
         sweep = sweep_text(out)
-        assert "state.fields['Io'].data.take(cmap_Io[sel], axis=0, out=s1" in sweep
-        assert "state.fields['beta'].data.take(cmap_beta[sel], axis=0, out=s0" in sweep
+        assert "var_Io.take(cmap_Io[sel], axis=0, out=s1" in sweep
+        assert "var_beta.take(cmap_beta[sel], axis=0, out=s0" in sweep
         # 1/beta and Io/beta, which reads 1/beta by name instead of redoing it
         assert out.sweep_registers == 2 and "np.multiply(s1, swp_v0, out=s1)" in sweep
-        assert "state.fields" not in text(out)
-        assert "kernels.rows_of(swp_v0, rows_b, c" in text(out)
-
-    def test_local_var_mode(self):
-        p, form = make_problem(self.EQ, ncomp_indices=True)
-        em = ExprEmitter(p, form, var_mode="local")
-        out = em.emit_sum(form.volume_terms, "volume")
-        sweep = sweep_text(out)
-        assert "var_Io.take(cmap_Io[sel], axis=0, out=s1" in sweep
         assert "state.fields" not in sweep + text(out)
+        assert "kernels.rows_of(swp_v0, rows_b, c" in text(out)
+        # a host function binds what it reads once, from the state it is
+        # handed (a device kernel takes the same names as arguments)
+        assert bind_known(em, out.reads) == ["var_beta = state.fields['beta'].data",
+                                             "var_Io = state.fields['Io'].data"]
 
     def test_coefficient_broadcast(self):
         p, form = make_problem(self.EQ, ncomp_indices=True)
@@ -176,11 +172,6 @@ class TestEmitterErrors:
         em = ExprEmitter(p, form)
         with pytest.raises(CodegenError):
             em.emit_volume(FaceNormal(1))
-
-    def test_bad_var_mode(self):
-        p, form = make_problem("-k*u")
-        with pytest.raises(CodegenError):
-            ExprEmitter(p, form, var_mode="device")
 
     def test_entity_with_foreign_index(self):
         def setup(p):

@@ -453,7 +453,7 @@ def _make_indexed_emitter() -> ExprEmitter:
     equation = "Io[b] - surface(vg[b] * upwind([Sx[d]], I[d,b]))"
     p.set_conservation_form("I", equation)
     _, form = lower_conservation_form(equation, p.unknown, p.entities, p.operators)
-    return ExprEmitter(p, form, var_mode="local")
+    return ExprEmitter(p, form)
 
 
 IDX_EMITTER = _make_indexed_emitter()

@@ -106,22 +106,25 @@ KEEP_TWO_SIDED = {
 #: every target came to hand a post-step callback its declared reduction
 #: (the loop zips ``state.post_step_args``; a forward-Euler NumPy tile reduces
 #: the rows it stored after its sweep) and a register's plain store became
-#: ``np.copyto``, which refuses a complex value.
+#: ``np.copyto``, which refuses a complex value — and again when the IR header
+#: came to print ``for step = 1:nsteps`` (the symbol, not the run's count) and
+#: a host function to read a known variable as ``var_<name>``, bound once
+#: from ``state.fields`` at its top.
 PINS = {
     "flux_order_2": (
-        "74c690e4409e624c6516c18e1fab5b74d32478b5d8ae0aa985e3c89205f0bbcb",
+        "bbe03775b903d117214f32c79908a108d5ef9bde057a432400070af583115ffd",
         "d69c9aac5b7b2440fcab4d911fe29dce95dfd9198a557e4fa4c9f0c0e9b8bf8d"),
     "diffusion": (
-        "167d5024e90d50233a939b94848318199347dd51f2e5ea563f40fc6ca2a302ce",
+        "d2e05d8c8788257d390d46934e61a81e4c34a81c69f0bd2a3a270155c4c6afd6",
         "694bf3ebbbba08c9133e9268f2cc110b6c08c95734ddd8f0fd646136882829ba"),
     "function_source": (
-        "093907b592b3a7d4fb2cf9b785dba09c0c2ae7b7a1f547defa263b1f75fd4f89",
+        "646b7e8e623736bc6061e1713424adf8052c9f5b1fedf806e149acb4f79fce37",
         "53ab3aebeb52fb7ed9b369a67b5427018a1495ca78543b6baae771f2657f50b8"),
     "side_read": (
-        "e21ca8d020a68d9c8c2e429a9f2bd95087962944a809cbfdb14e55329e1b9181",
+        "580d469dac41997ea2eaa67bd5c75ddb1b55ba294dd247da84ddffdc53d9b9a9",
         "56f08cdaa8a848bb1e9c7fc3c8fd433a6f9ce547753b3b1b7aa529c135eaff63"),
     "central_flux": (
-        "0c89db9e943c85cf73bd80a2c550c350205c6a3f8ce5292777dcbb5c4c6ad8c3",
+        "314061eda86dda8e5a4ae461b321925254802bbcce27bfa9451cd7f76310b90c",
         "3c9ccdf0b09d8861a9fedb25efe190d349edc2ff4981a5eab1e6ae360cbea844"),
     "time_dependent_face_coefficient": (
         "94dd59d557c8b5ec7fec7cee14cf53aede66a97742c9089f79fee1f779039045",

@@ -140,7 +140,7 @@ class TestTimeline:
         p.enable_gpu()
         solver = p.solve()
         assert solver.state.host_clock.now() > 0
-        assert solver.device.default_stream.busy_until() > 0
+        assert solver.device.kernel_clock.now() > 0
 
     def test_phase_accounting(self, gpu_scenario):
         p, _ = build_bte_problem(gpu_scenario)
@@ -162,7 +162,7 @@ class TestTimeline:
         p.enable_gpu()
         solver = p.solve()
         nsteps = gpu_scenario.nsteps
-        kernel_total = sum(r.duration for r in solver.device.default_stream.records)
+        kernel_total = sum(r.duration for r in solver.device.profiler.launches)
         boundary_total = solver.namespace["COST_BOUNDARY"] * nsteps
         intensity_phase = solver.state.gpu_phases["solve for intensity"]
         assert intensity_phase < kernel_total + boundary_total
@@ -172,7 +172,7 @@ class TestTimeline:
         p, _ = build_bte_problem(gpu_scenario)
         p.enable_gpu()
         solver = p.solve()
-        assert len(solver.device.default_stream.records) == gpu_scenario.nsteps
+        assert len(solver.device.profiler.launches) == gpu_scenario.nsteps
 
     def test_profiler_collects_kernel_metrics(self, gpu_scenario):
         p, _ = build_bte_problem(gpu_scenario)
@@ -196,7 +196,7 @@ class TestResidentTimeline:
         return p.solve()
 
     def test_three_kernels_per_run(self, solver, gpu_scenario):
-        names = [r.kernel for r in solver.device.default_stream.records]
+        names = [r.kernel for r in solver.device.profiler.launches]
         n = gpu_scenario.nsteps
         assert names == ["I_interior_step", "finish_step"] * n + ["finite_check"]
         assert solver.device.profiler.report("I_interior_step").n_launches == n
@@ -207,7 +207,7 @@ class TestResidentTimeline:
         assert sum(phases.values()) == pytest.approx(solver.state.host_clock.now(), rel=1e-12)
 
     def test_boundary_still_overlaps_the_interior_kernel(self, solver, gpu_scenario):
-        records = solver.device.default_stream.records
+        records = solver.device.profiler.launches
         interior = sum(r.duration for r in records if r.kernel == "I_interior_step")
         finish = sum(r.duration for r in records if r.kernel == "finish_step")
         boundary = solver.namespace["COST_BOUNDARY"] * gpu_scenario.nsteps

@@ -117,8 +117,9 @@ class TestLaunchSemantics:
         dev.alloc("x", np.zeros(10))
         dev.alloc_empty("y", (10,))
         dev.launch(saxpy_kernel(), 10, dev.buffers["x"].array, dev.buffers["y"].array)
-        assert len(dev.default_stream.records) == 1
-        assert dev.default_stream.records[0].kernel == "saxpy"
+        assert len(dev.profiler.launches) == 1
+        assert dev.profiler.launches[0].kernel == "saxpy"
+        assert dev.kernel_clock.now() == dev.profiler.launches[0].end
 
 
 class TestSpecs:

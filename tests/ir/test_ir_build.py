@@ -116,3 +116,20 @@ class TestPrinting:
 
         with pytest.raises(CodegenError):
             build_ir(problem, form, flavor="tpu")
+
+    def test_a_cached_source_states_no_run_count(self):
+        """``nsteps`` is not in the cache key, so the printed loop names the
+        symbol: a 5-step solve served the 3-step build's source reads as the
+        5-step build does."""
+        from repro.tune.cache import cache_scope
+
+        def source(nsteps):
+            scenario = hotspot_scenario(nx=8, ny=8, ndirs=4, n_freq_bands=4, nsteps=nsteps)
+            return build_bte_problem(scenario)[0].generate().source
+
+        with cache_scope():
+            three, five = source(3), source(5)
+        with cache_scope():
+            fresh = source(5)
+        assert three == five == fresh
+        assert "for step = 1:nsteps" in five
