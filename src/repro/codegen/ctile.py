@@ -32,7 +32,7 @@ Reduction`) of each row it stored, while the row is hot: per output (the
 ``reduced`` arrays, zeroed at the start) a row map ``group`` and a
 per-component coefficient ``weight``, rows in sweep order — the terms, in
 the order, of :func:`repro.fvm.kernels.reduce_rows`.  A device kernel hands
-it none: its ``finish_step`` reduces.
+it none: its ``finish_step``, one fixed C function (:data:`FINISH`), reduces.
 
 *One library per equation shape.*  The C text holds no sizes, counts,
 coefficients or names the user chose: its identifiers are positional and
@@ -338,7 +338,7 @@ def lower(folded, volume, euler: bool) -> Lowered | None:
 
 class _Build:
     """One library of one text: the one the cache directory holds, loaded,
-    or the compiler started, then the function loaded.  The compiler reads
+    or the compiler started, then the library loaded.  The compiler reads
     the text from, and writes its messages and the library into, a private
     directory ``work``, removed once the library is loaded (or moved into
     the cache directory: ``path``)."""
@@ -347,7 +347,7 @@ class _Build:
         self.text, self.compiler, self.path, self.work = text, compiler, path, work
         self.lock = threading.Lock()
         self.pid: int | None = None
-        self.fn = None
+        self.dll = None
         self.error: CodegenError | None = None
 
     def start(self, stats) -> None:
@@ -357,7 +357,7 @@ class _Build:
 
         if os.path.exists(self.path):
             try:
-                self.fn = ctypes.CDLL(self.path).tile
+                self.dll = ctypes.CDLL(self.path)
                 self._remove()
                 return
             except OSError:
@@ -376,16 +376,16 @@ class _Build:
             raise _compiler_error(f"cannot run the C compiler {self.compiler!r}: {exc}") from exc
 
     def result(self):
-        """The loaded ``tile`` function (waits for the compiler)."""
+        """The loaded library (waits for the compiler)."""
         with self.lock:
-            if self.fn is None and self.error is None:
+            if self.dll is None and self.error is None:
                 try:
-                    self.fn = self._load()
+                    self.dll = self._load()
                 except CodegenError as exc:
                     self.error = exc
             if self.error is not None:
                 raise self.error
-            return self.fn
+            return self.dll
 
     def _load(self):
         import ctypes
@@ -398,7 +398,7 @@ class _Build:
                 message = fh.read().strip()
             self._remove()
             raise _compiler_error(f"the C compiler {self.compiler!r} failed on a "
-                                  f"generated tile: {message}")
+                                  f"generated function: {message}")
         if path.startswith(self.work):
             path = built
         else:
@@ -406,10 +406,10 @@ class _Build:
         try:
             lib = ctypes.CDLL(path)
         except OSError as exc:
-            raise _compiler_error(f"cannot load a built tile: {exc}") from exc
+            raise _compiler_error(f"cannot load a built library: {exc}") from exc
         finally:
             self._remove()
-        return lib.tile
+        return lib
 
     def _remove(self) -> None:
         """Remove the private directory (what is left in it)."""
@@ -436,8 +436,8 @@ def _compiler() -> tuple[str, str]:
     if found is None:
         path = shutil.which(COMPILER)
         if path is None:
-            raise _compiler_error(f"no C compiler {COMPILER!r} on PATH: a folded tile is "
-                                  "built as C (install one, e.g. gcc, and put it on PATH)")
+            raise _compiler_error(f"no C compiler {COMPILER!r} on PATH: the tiles and the "
+                                  "finish are built as C (install one, e.g. gcc, on PATH)")
         info = os.stat(path)
         found = _COMPILERS[search] = (
             path, f"{os.path.realpath(path)}:{info.st_size}:{info.st_mtime_ns}")
@@ -485,39 +485,109 @@ _PARAMS = {"m": "p", "f": "ppppp", "p": "pl", "t": "p", "n": "p", "b": "p", "k":
            "c": "p", "h": "p", "v": "p"}
 
 
-class Tile:
-    """The generated tile's foreign function, called once per sweep.
+class _Foreign:
+    """A function ``symbol`` of a built library, its parameters ``codes``
+    (``d`` a double, ``l`` a long, ``p`` a pointer)."""
 
-    ``TILE(memo, scalars, rows, u, out, scratch, bcells, bdry, owned,
-    reduced, *operands)``: ``scalars`` by value (``dt`` first), the rest
-    resolved to pointers — dtype, layout and every index bound checked — the
-    first time that set of objects is seen, and reused while the objects are
-    the same.  They are held in ``memo`` (the state's ``plans``, a device
-    kernel's ``TILE_PLANS``) with the objects themselves, so no identity is
-    reused; a restore, a repartition or a migration hands over new objects
-    and is resolved again.  ``reduced`` is an Euler tile's outputs of the
-    declared ``reductions`` (:class:`~repro.dsl.entities.Reduction`), one
-    array each, or empty: nothing reduced."""
+    symbol = codes = ""
 
-    def __init__(self, lib: _Build, lowered: Lowered, reductions=()):
-        self.lib, self.lowered, self.reductions = lib, lowered, tuple(reductions)
-        self.fn = None
+    def __init__(self, lib: _Build):
+        self.lib, self.fn = lib, None
 
     def wait(self) -> None:
         """Wait for the library and declare the function's signature."""
         import ctypes
 
-        fn = self.lib.result()
-        lowered = self.lowered
+        fn = getattr(self.lib.result(), self.symbol)
         types = {"d": ctypes.c_double, "l": ctypes.c_long, "p": ctypes.c_void_p}
-        codes = ("d" * (1 + len(lowered.scalars)) + "lpll" + "ppp" + "lpp" + "lp"
-                 + "lpppp" * lowered.euler + "".join(_PARAMS[k] for k in lowered.kinds))
         with self.lib.lock:
-            fn.argtypes = [types[c] for c in codes]
-            fn.restype = None
+            fn.argtypes, fn.restype = [types[c] for c in self.codes], None
         self.fn = fn
 
-    def __call__(self, memo: dict, scalars, *arrays) -> None:
+
+def _hold(held: dict, key: tuple, resolved: tuple) -> tuple:
+    """Hold ``(arguments, objects)`` under ``key``, the objects themselves
+    kept so that no identity is reused (the lookup is the caller's)."""
+    if len(held) >= 4:  # e.g. the stages of an RK step: fresh arrays
+        held.clear()
+    held[key] = resolved
+    return resolved
+
+
+class _Checked:
+    """What is passed as a pointer, checked (dtype, C order, shape, every
+    index in range) and kept."""
+
+    def __init__(self, who: str, *objects):
+        self.who, self.keep = who, list(objects)
+
+    def floats(self, a, shape, what: str, write: bool = False) -> int:
+        if not (isinstance(a, np.ndarray) and a.dtype == np.float64
+                and a.flags.c_contiguous and a.shape == tuple(shape)
+                and (a.flags.writeable or not write)):
+            raise CodegenError(f"{self.who}: the {what} is no C-ordered float64 "
+                               f"{tuple(shape)} array")
+        return a.ctypes.data
+
+    def indices(self, a, bound: int, what: str) -> np.ndarray:
+        a = np.ascontiguousarray(a, dtype=np.int64)
+        if a.ndim != 1 or (len(a) and not (a.min() >= 0 and a.max() < bound)):
+            raise CodegenError(f"{self.who}: {what} out of range")
+        self.keep.append(a)
+        return a
+
+    def rows(self, rows, nu: int) -> list:
+        """``nrows, rows``: every row (``None``, ``slice(None)``), or those."""
+        if isinstance(rows, slice):
+            rows = None if rows == slice(None) else np.arange(nu)[rows]
+        if rows is None:
+            return [nu, None]
+        rows = self.indices(rows, nu, "rows")
+        return [len(rows), rows.ctypes.data]
+
+    def reductions(self, reductions, reduced, u, *inputs) -> list:
+        """The declared reductions' arguments: their outputs (none shared
+        with ``u`` or the ``inputs``), and per component its output row and
+        weight."""
+        nu, n = u.shape
+        if len(reduced) not in (0, len(reductions)):
+            raise CodegenError(f"{self.who}: an output for every declared reduction, or none")
+        pairs = list(zip(reductions, reduced))
+        for r, o in pairs:
+            self.floats(o, (r.rows, n), "reduction output", True)
+            if len(r.group) != nu or any(np.may_share_memory(o, a) for a in (u, *inputs)):
+                raise CodegenError(f"{self.who}: a reduction over other rows, or into its input")
+        ro = np.array([o.ctypes.data for _, o in pairs], dtype=np.uintp)
+        rn = np.array([r.rows * n for r, _ in pairs], dtype=np.int64)
+        rg = np.concatenate([np.zeros(0, np.int64),
+                             *(self.indices(r.group, r.rows, "reduction rows")
+                               for r, _ in pairs)])
+        rw = np.concatenate([np.zeros(0), *(r.weight for r, _ in pairs)])
+        self.keep += [ro, rn, rg, rw]
+        return [len(pairs), ro.ctypes.data, rn.ctypes.data, rg.ctypes.data, rw.ctypes.data]
+
+
+class Tile(_Foreign):
+    """The generated tile's foreign function, called once per sweep.
+
+    ``TILE(memo, scalars, rows, u, out, scratch, bcells, bdry, owned,
+    reduced, *operands)``: ``scalars`` by value (``dt`` first), the rest
+    resolved to pointers the first time that set of objects is seen — a
+    slice of ``rows`` by value, a step makes a new one each time — and held
+    in ``memo`` (the state's ``plans``, a device kernel's ``TILE_PLANS``); a
+    restore, a repartition or a migration hands over new objects and is
+    resolved again.  ``reduced`` is an Euler tile's outputs of the declared
+    ``reductions`` (:class:`~repro.dsl.entities.Reduction`), or empty."""
+
+    symbol = "tile"
+
+    def __init__(self, lib: _Build, lowered: Lowered, reductions=()):
+        super().__init__(lib)
+        self.lowered, self.reductions = lowered, tuple(reductions)
+        self.codes = ("d" * (1 + len(lowered.scalars)) + "lpll" + "ppp" + "lpp" + "lp"
+                      + "lpppp" * lowered.euler + "".join(_PARAMS[k] for k in lowered.kinds))
+
+    def __call__(self, memo: dict, scalars, rows, *arrays) -> None:
         if self.lowered.scalars and any(isinstance(x, complex) for x in scalars):
             # a plain float gone complex (``(-1)^0.5``): the NumPy tile
             # refuses to store it in a float register, so does this one
@@ -525,48 +595,28 @@ class Tile:
         held = memo.get(Tile)
         if held is None:
             held = memo[Tile] = {}  # (held with the state's tables, gone with it)
-        key = (*map(id, arrays), *map(id, arrays[7]))
-        pointers = held.get(key)
-        if pointers is None:
-            if len(held) >= 4:  # e.g. the stages of an RK step: fresh arrays
-                held.clear()
-            pointers = held[key] = self._pointers(*arrays)
-        self.fn(*scalars, *pointers[0])
+        key = (*map(id, arrays), *map(id, arrays[6]), *(
+            (rows.start, rows.stop, rows.step) if rows.__class__ is slice else map(id, (rows,))))
+        found = held.get(key) or _hold(held, key, self._pointers(rows, *arrays))
+        self.fn(*scalars, *found[0])
 
     def _pointers(self, rows, u, out, scratch, bcells, bdry, owned, reduced,
                   *operands) -> tuple:
-        keep: list = [rows, u, out, scratch, bcells, bdry, owned, *reduced, *operands]
-
-        def floats(a, shape, what: str, write: bool = False) -> int:
-            if not (isinstance(a, np.ndarray) and a.dtype == np.float64
-                    and a.flags.c_contiguous and a.shape == tuple(shape)
-                    and (a.flags.writeable or not write)):
-                raise CodegenError(f"tile: the {what} is no C-ordered float64 "
-                                   f"{tuple(shape)} array")
-            return a.ctypes.data
-
-        def indices(a, bound: int, what: str) -> np.ndarray:
-            a = np.ascontiguousarray(a, dtype=np.int64)
-            if a.ndim != 1 or (len(a) and not (a.min() >= 0 and a.max() < bound)):
-                raise CodegenError(f"tile: {what} out of range")
-            keep.append(a)
-            return a
-
+        check = _Checked("tile", rows, u, out, scratch, bcells, bdry, owned, *reduced,
+                         *operands)
+        floats, indices = check.floats, check.indices
         nu, n = u.shape
-        if isinstance(rows, slice):
-            rows = None if rows == slice(None) else np.arange(nu)[rows]
-        rows = None if rows is None else indices(rows, nu, "rows")
         bc = np.zeros(0, np.int64) if bcells is None else indices(bcells, n, "boundary cells")
         own = None if owned is None else indices(owned, n, "owned columns")
         folds = self.lowered.folds
-        args = [nu if rows is None else len(rows), None if rows is None else rows.ctypes.data,
+        args = [*check.rows(rows, nu),
                 nu, n, floats(u, (nu, n), "unknown"), floats(out, (nu, n), "output", True),
                 floats(scratch, ((folds + 1) * n,), "scratch", True),
                 len(bc), bc.ctypes.data,
                 None if bdry is None else floats(bdry, (nu, len(bc)), "boundary part"),
                 0 if own is None else len(own), None if own is None else own.ctypes.data]
         if self.lowered.euler:
-            args += self._reduction(reduced, u, out, keep, floats, indices)
+            args += check.reductions(self.reductions, reduced, u, out)
         elif len(reduced):
             raise CodegenError("tile: a right-hand side reduces nothing")
         extent: dict[int, int] = {}  # operand -> its rows
@@ -597,27 +647,77 @@ class Tile:
         for user, rows_map in self.lowered.bounds:
             if operands[rows_map].max(initial=0) >= extent[user]:
                 raise CodegenError("tile: a row map outside its table")
-        return tuple(args), keep
+        return tuple(args), check.keep
 
-    def _reduction(self, reduced, u, out, keep: list, floats, indices) -> list:
-        """The declared reductions' arguments: their outputs (none shared
-        with the unknown or the output), and per component its output row
-        and weight."""
-        nu, n = u.shape
-        if len(reduced) not in (0, len(self.reductions)):
-            raise CodegenError("tile: an output for every declared reduction, or none")
-        pairs = list(zip(self.reductions, reduced))
-        for r, o in pairs:
-            floats(o, (r.rows, n), "reduction output", True)
-            if len(r.group) != nu or np.may_share_memory(o, u) or np.may_share_memory(o, out):
-                raise CodegenError("tile: a reduction over other rows, or into its input")
-        ro = np.array([o.ctypes.data for _, o in pairs], dtype=np.uintp)
-        rn = np.array([r.rows * n for r, _ in pairs], dtype=np.int64)
-        rg = np.concatenate([np.zeros(0, np.int64),
-                             *(indices(r.group, r.rows, "reduction rows") for r, _ in pairs)])
-        rw = np.concatenate([np.zeros(0), *(r.weight for r, _ in pairs)])
-        keep += [ro, rn, rg, rw]
-        return [len(pairs), ro.ctypes.data, rn.ctypes.data, rg.ctypes.data, rw.ctypes.data]
+
+#: What ends a device-placed step (:class:`Finish`), one fixed text: per row
+#: of the sweep, ``u + (du * dt)`` in the boundary cells' columns (no other
+#: column touched), the tile's reduction loop, then the owner values of the
+#: boundary faces — of every row, a band rank's others too.
+FINISH = """\
+/* finish_step, fixed (repro.codegen.ctile.FINISH); u aliases nothing. */
+void finish(double dt, long nrows, const long *restrict rows, long nu, long n,
+            double *restrict u, long nb, const long *restrict bc,
+            const double *restrict du, long nw, const long *restrict bo,
+            double *restrict ub, long nq, double *const *restrict ro,
+            const long *restrict rn, const long *restrict rg,
+            const double *restrict rw)
+{
+    for (long q = 0; q < nq; q++)
+        for (long k = 0; k < rn[q]; k++) ro[q][k] = 0.0;
+    for (long i = 0; i < nrows; i++) {
+        const long g = rows ? rows[i] : i;
+        double *restrict ur = u + g * n;
+        const double *restrict d = du + g * nb;
+        for (long k = 0; k < nb; k++) ur[bc[k]] = ur[bc[k]] + d[k] * dt;
+        for (long q = 0; q < nq; q++) {
+            double *restrict e = ro[q] + rg[q * nu + g] * n;
+            const double we = rw[q * nu + g];
+            for (long c = 0; c < n; c++) e[c] = ur[c] * we + e[c];
+        }
+        for (long k = 0; k < nw; k++) ub[g * nw + k] = ur[bo[k]];
+    }
+    for (long g = 0; rows && g < nu; g++)
+        for (long k = 0; k < nw; k++) ub[g * nw + k] = u[g * n + bo[k]];
+}
+"""
+
+
+class Finish(_Foreign):
+    """``finish_step(u, du_bdry, u_bdry, reduced, rows=None)``: :data:`FINISH`
+    over ``u`` (the device's ``u_new`` or the host's unknown) with the
+    step's ``dt``, the boundary cells and the boundary faces' owners;
+    ``rows``, a band rank's own.  Arguments are resolved as :class:`Tile`'s."""
+
+    symbol = "finish"
+    codes = "dlpllplpplpplpppp"
+
+    def __init__(self, lib: _Build, dt: float, bcells, bowner, reductions=()):
+        super().__init__(lib)
+        self.dt, self.bcells, self.bowner = float(dt), bcells, bowner
+        self.reductions, self.held = tuple(reductions), {}
+
+    def __call__(self, u, du_bdry, u_bdry, reduced, rows=None) -> None:
+        key = tuple(map(id, (rows, u, du_bdry, u_bdry, *reduced)))
+        found = self.held.get(key) or _hold(self.held, key, self._pointers(
+            u, du_bdry, u_bdry, reduced, rows))
+        self.fn(*found[0])
+
+    def _pointers(self, u, du, ub, reduced, rows) -> tuple:
+        check = _Checked("finish", u, du, ub, rows, *reduced)
+        nu, n = u.shape if np.ndim(u) == 2 else (0, 0)
+        unknown = check.floats(u, (nu, n), "unknown", True)
+        bc = check.indices(self.bcells, n, "boundary cells")
+        bo = check.indices(self.bowner, n, "boundary owners")
+        if (np.diff(bc) <= 0).any():  # (no cell twice: the add is vectorized)
+            raise CodegenError("finish: the boundary cells are not increasing")
+        args = [self.dt, *check.rows(rows, nu), nu, n, unknown,
+                len(bc), bc.ctypes.data, check.floats(du, (nu, len(bc)), "boundary part"),
+                len(bo), bo.ctypes.data, check.floats(ub, (nu, len(bo)), "owner values", True)]
+        if any(map(np.may_share_memory, (du, ub, ub), (u, u, du))):
+            raise CodegenError("finish: an argument shares memory with the unknown")
+        args += check.reductions(self.reductions, reduced, u, du, ub)
+        return tuple(args), check.keep
 
 
 def _check_fold(fold: FoldedOperator, n: int) -> None:
@@ -640,4 +740,4 @@ def _check_fold(fold: FoldedOperator, n: int) -> None:
         raise CodegenError("tile: a folded operator reads outside its arrays")
 
 
-__all__ = ["COMPILER", "FLAGS", "Lowered", "Tile", "build", "lower"]
+__all__ = ["COMPILER", "FINISH", "FLAGS", "Finish", "Lowered", "Tile", "build", "lower"]

@@ -1048,29 +1048,6 @@ def _bind(names: list[str], pool: str) -> str:
 #: the steppers whose sweep stores the explicit update itself
 EULER = ("euler", "euler_explicit")
 
-#: What ends a device-placed interior's step, wherever the plan put it.
-FINISH_STEP = [
-    "def finish_step(u, du_bdry, u_bdry, reduced, buffer, sel=slice(None), comps=None):",
-    '    """What ends a step once the interior update ``u`` and the boundary',
-    "    part exist — one body, launched on the device buffers or called on",
-    "    the host arrays, wherever the plan put it.  Adds the boundary part",
-    "    into the boundary cells' columns (``u + (du_bdry * dt)``, that",
-    "    association; every other column is left alone, an exact -0.0",
-    "    included), runs the post-step callbacks' declared reductions into",
-    "    ``reduced`` (every column: the kernel reduces none), and gathers the",
-    "    owner values the next step's boundary callbacks read — after the",
-    "    column update, so they are those of the finished step.",
-    '    ``sel``/``comps`` restrict a band-partitioned rank to its own rows."""',
-    "    cols = buffer('bdry_cols', du_bdry.shape)",
-    "    u.take(BCELLS, axis=1, out=cols, mode='clip')",
-    "    np.add(cols, np.multiply(du_bdry, DT, out=du_bdry), out=cols)",
-    "    u[sel if isinstance(sel, slice) else sel[:, None], BCELLS] = cols[sel]",
-    "    for reduction, out in zip(REDUCTIONS, reduced):",
-    "        kernels.reduce_rows(u, reduction.group, reduction.weight, out, comps,",
-    "                            buffer('reduce_work', out.shape))",
-    "    u.take(BOWNER, axis=1, out=u_bdry, mode='clip')",
-]
-
 
 def emit_interior(emitter: ExprEmitter, surface: EmittedExpr, volume: EmittedExpr,
                   device: bool, *, stepper: str = "euler",
@@ -1088,7 +1065,8 @@ def emit_interior(emitter: ExprEmitter, surface: EmittedExpr, volume: EmittedExp
     its rows of it into the boundary cells' columns.  On the ``device`` it
     is a launch over the interior faces into ``u_new``,
     ``interior_kernel(u, var_*, u_new, buffer, sel)``, and the step places
-    :data:`FINISH_STEP`, which runs the declared reductions.
+    ``finish_step``, the fixed C function :data:`repro.codegen.ctile.FINISH`,
+    which runs the declared reductions.
 
     A forward-Euler sweep on the host also fills the post-step callbacks'
     declared reductions of the rows it stored (``state.reduced``).
@@ -1279,7 +1257,7 @@ def emit_interior(emitter: ExprEmitter, surface: EmittedExpr, volume: EmittedExp
             "# the boundary faces' part, from their owner values, once per",
             "# evaluation (user callbacks execute on the CPU)",
             "bcells = geom.bcells",
-            *["bcols = state.buffer('bdry_cols', (height, len(bcells)))"] * (not tile_c),
+            *["bcols = state.buffer('bcols', (height, len(bcells)))"] * (not tile_c),
             "u_bdry = state.buffer('u_bdry', (NCOMP, len(geom.bowner)))",
             "bdry = compute_boundary_contribution(",
             "    state, u.take(geom.bowner, axis=1, out=u_bdry, mode='clip'), t)",
@@ -1333,7 +1311,7 @@ def emit_interior(emitter: ExprEmitter, surface: EmittedExpr, volume: EmittedExp
     if folded or device:
         lines += _boundary_part(emitter, surface, invariant, tiles)
     lines += [head, *("    " + ln if ln else ln for ln in body)]
-    return (lines + ["", "", *FINISH_STEP] if device else lines), tile_c or None
+    return lines, tile_c or None
 
 
 def _count_flops(term: Expr) -> int:
@@ -1363,7 +1341,6 @@ __all__ = [
     "EmittedExpr",
     "Hoisted",
     "EULER",
-    "FINISH_STEP",
     "Upwind",
     "emit_interior",
     "hoisted_lines",

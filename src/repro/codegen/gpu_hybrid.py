@@ -16,7 +16,8 @@ where the two movable ones run, and the step is emitted from its plan:
                         returns the boundary cells' columns (du_bdry)
     finish_step         u_new[:, boundary cells] += dt * du_bdry, the
       (movable)         post-step callbacks' declared reductions, and the
-                        next step's u_bdry; then u and u_new swap
+                        next step's u_bdry, in one C pass over the rows
+                        (ctile.FINISH); then u and u_new swap
     post_step_callbacks the temperature update (user callback) on the
       (cpu)             reduced array; it refreshes Io and beta
 
@@ -24,8 +25,10 @@ With ``finish_step`` on the device (where the optimiser puts it once the
 unknown outweighs three small transfers) the unknown never leaves: a step
 moves ``Io``, ``beta``, ``du_bdry`` down and the reductions and ``u_bdry``
 up.  Pinned to the CPU (``placement_override={"finish_step": "cpu"}``) the
-same body runs on the host arrays after a ``d2h`` of ``u_new`` — the paper's
-"one example configuration", the unknown crossing both ways every step.
+same C function runs on the host arrays after a ``d2h`` of ``u_new`` — the
+paper's "one example configuration", the unknown crossing both ways every
+step — as it does in a step a device fault degrades (its one library is
+built once per process, started by :func:`step_env`, beside the tile's).
 Either way the device owns the unknown only while ``buffers['u'].on_device``:
 any host access takes it back (:meth:`SolverState.claim_unknown`) and the
 next step uploads it again.  The plan and transfer schedule are attached to
@@ -47,6 +50,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from repro.codegen import ctile
 from repro.codegen.emit import EmittedExpr, ExprEmitter
 from repro.codegen.placement import Task, TaskGraph, optimize_placement, plan_transfers
 from repro.codegen.placement.transfers import ArrayUse
@@ -205,8 +209,8 @@ def emit_device_step(name: str, plan: dict, rank: str = "") -> list[str]:
         lines += [
             "    if faulted is None:",
             "        try:",
-            "            # --- finish where the unknown lives: only the boundary part",
-            "            # goes down, only what the CPU reads comes back ---------------",
+            "            # --- finish (in C: ctile.FINISH) where the unknown lives: only",
+            "            # the boundary part goes down, what the CPU reads comes back --",
             "            state.await_device(launch_time)",
             "            state.sanitize_kernel_output(",
             "                KERNEL.name, lambda: dev.d2h('u_new', host_time=host.now())[0][sel])",
@@ -216,7 +220,7 @@ def emit_device_step(name: str, plan: dict, rank: str = "") -> list[str]:
             "                dev.launch(FINISH, ndof, *[dev.buffers[n].array",
             "                                           for n in ('u_new', 'du_bdry', 'u_bdry')],",
             f"                           [dev.buffers[n].array for n in {reductions!r}],",
-            "                           dev.workspace, sel, own, host_time=launch_time)",
+            "                           own, host_time=launch_time)",
             "            state.await_device(launch_time)",
             f"            state.device_transfers('d2h', [{pairs(transfers.d2h_each_step)}])",
             "            dev.swap('u', 'u_new')",
@@ -227,12 +231,12 @@ def emit_device_step(name: str, plan: dict, rank: str = "") -> list[str]:
     else:
         lines += [
             "    if faulted is None:",
-            "        # --- synchronize, fetch over the host copy, finish on the host ----",
+            "        # --- synchronize, fetch over the host copy, finish (C) on the host",
             "        state.await_device(launch_time)",
             "        state.device_transfers('d2h', [('u_new', u)])",
             "        dev.mark_host_dirty('u')  # finish_step writes the host copy",
             "        state.sanitize_kernel_output(KERNEL.name, lambda: u[sel])",
-            "        finish_step(u, du_bdry, u_bdry, reduced, state.buffer, sel, own)",
+            "        finish_step(u, du_bdry, u_bdry, reduced, own)",
         ]
     lines += [
         "    if faulted is not None:",
@@ -250,7 +254,7 @@ def emit_device_step(name: str, plan: dict, rank: str = "") -> list[str]:
         "            interior_kernel(u, *[state.fields[n[4:]].data for n in KERNEL_VAR_NAMES],",
         "                            u, state.buffer, sel)",
         "            state.sanitize_kernel_output(KERNEL.name, lambda: u[sel])",
-        "            finish_step(u, du_bdry, u_bdry, reduced, state.buffer, sel, own)",
+        "            finish_step(u, du_bdry, u_bdry, reduced, own)",
         f"        host.advance({cost('COST_SOLVE')})",
         "        trace.complete(state.host_track, 'interior_update[degraded:cpu]',",
         "                       launch_time, host.now(), cat='fault',",
@@ -389,21 +393,23 @@ def plan_device_step(problem: "Problem", emitter: ExprEmitter, surface: EmittedE
             "transfer_plan": plan_transfers(placement, arrays)}
 
 
-def step_env(problem: "Problem", geom, plan: dict) -> dict:
+def step_env(problem: "Problem", state: SolverState, plan: dict) -> dict:
     """What the emitted device step reads that is not in the cache key's
-    static environment: geometry tables, the live callbacks, fault hooks."""
+    static environment: geometry tables, the live callbacks, fault hooks,
+    and ``finish_step`` (its library's compiler starts here)."""
+    geom = state.geom
     int_faces = geom.interior_faces
     return {
+        "finish_step": ctile.Finish(ctile.build(ctile.FINISH), problem.config.dt,
+                                    geom.bcells, geom.bowner, state.reductions),
         "DT": problem.config.dt,  # runtime-bound: not part of the key
         "OWNER_INT": geom.owner[int_faces],
         "NEIGH_INT": geom.neighbor[int_faces],
         "NORMALS_INT": geom.normal[int_faces],
         "FACEDIST_INT": geom.face_dist[int_faces],
         "DIV_INT": geom.divergence_slots(faces=int_faces),
-        # the boundary exchange: owner cell of every boundary face and the
-        # cells that have one
+        # the boundary exchange: owner cell of every boundary face
         "BOWNER": geom.bowner,
-        "BCELLS": geom.bcells,
         # per-step H2D: the known variables the plan marked as host-mutated
         # (for the BTE: Io and beta after the temperature update)
         "H2D_EACH_STEP": [n for n in plan["transfer_plan"].h2d_each_step
@@ -490,7 +496,7 @@ class GPUHybridTarget(FVTarget):
         if artifact.attrs["placement"].device["interior_update"] == "cpu":
             return self.bind_host(problem, artifact, state)
         solver = self.bind_solver(problem, artifact, state,
-                                  step_env(problem, state.geom, artifact.attrs))
+                                  step_env(problem, state, artifact.attrs))
         bind_kernels(solver, artifact.attrs["kernel_spec"])
         solver.device = attach_device(state, artifact.static_env["KERNEL_VAR_NAMES"])
         return solver

@@ -90,7 +90,7 @@ class GPUMultiTarget(FVTarget):
         master = SolverState(problem)
         names = artifact.static_env["KERNEL_VAR_NAMES"]
         solver = bind_spmd(self, problem, artifact, master,
-                           env=step_env(problem, master.geom, artifact.attrs),
+                           env=step_env(problem, master, artifact.attrs),
                            prepare=lambda state, rank: attach_device(state, names, rank))
         bind_kernels(solver, artifact.attrs["kernel_spec"])
         return solver

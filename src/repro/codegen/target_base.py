@@ -227,9 +227,10 @@ class CodegenTarget:
                       build_seconds=info.get("build_seconds"))
         solver = self.bind_artifact(problem, artifact)
         solver.generation_info = info
-        tile = solver.namespace.get("TILE")
-        if tile is not None:  # the compiler ran while the state was bound
-            tile.wait()
+        for name in ("TILE", "finish_step"):  # compiled while the state was bound
+            foreign = solver.namespace.get(name)
+            if isinstance(foreign, ctile.Tile | ctile.Finish):
+                foreign.wait()
         return solver
 
     # ------------------------------------------------------------ the two halves

@@ -37,10 +37,12 @@ def hostile_flux(ctx):
     return values
 
 
-def build_solver(mesh: str, shift: int, reduce: Reduction | None = None,
-                 flux=hostile_flux, pin: str | None = None):
+def build_solver(mesh: str, shift: int, reductions=(), flux=hostile_flux,
+                 pin: str | None = None, handed: list | None = None):
     """A BTE-shaped problem on ``mesh`` with a different kind of condition on
-    every region (``shift`` rotates which), on the hybrid target."""
+    every region (``shift`` rotates which), on the hybrid target; a post-step
+    callback per declared reduction appends what it is handed to
+    ``handed``."""
     p = Problem(f"compact-{mesh}-{shift}")
     p.set_domain(2)
     p.set_steps(1e-3, 2)
@@ -62,8 +64,9 @@ def build_solver(mesh: str, shift: int, reduce: Reduction | None = None,
     p.initial_values["I"] = np.ones((ND * NB, p.mesh.ncells))
     p.set_conservation_form(
         "I", "-0.5*I[d,b] - surface(vg[b] * upwind([Sx[d];Sy[d]], I[d,b]))")
-    if reduce is not None:
-        p.add_post_step(lambda state, reduced: None, name="reader", reduce=reduce)
+    for reduce in reductions:
+        p.add_post_step(lambda state, reduced: handed is None or handed.append(
+            reduced.tobytes()), name=f"reader_{reduce.name}", reduce=reduce)
     p.enable_gpu()
     p.extra["gpu_force_offload"] = True
     if pin is not None:
@@ -129,19 +132,18 @@ class TestFinishStep:
     def parts(self):
         """The declared reduction sums every row into one."""
         column_sum = Reduction("column_sum", np.zeros(ND * NB, int), np.ones(ND * NB), 1)
-        solver = build_solver("structured", 0, column_sum)
+        solver = build_solver("structured", 0, (column_sum,))
         geom = solver.state.geom
         rng = np.random.default_rng(4)
         u = rng.standard_normal((ND * NB, geom.ncells))
         du = rng.standard_normal((ND * NB, len(geom.bcells)))
         return solver, geom, u, du
 
-    def finish(self, solver, u, du, sel=slice(None), comps=None):
+    def finish(self, solver, u, du, rows=None):
         geom = solver.state.geom
         u_bdry = np.full((len(u), len(geom.bowner)), np.nan)
         reduced = [np.full((1, geom.ncells), np.nan)]
-        solver.namespace["finish_step"](u, du.copy(), u_bdry, reduced,
-                                        solver.state.buffer, sel, comps)
+        solver.namespace["finish_step"](u, du.copy(), u_bdry, reduced, rows)
         return u_bdry, reduced
 
     def test_only_the_boundary_columns_change_and_negative_zero_survives(self, parts):
@@ -185,7 +187,7 @@ class TestFinishStep:
         solver, geom, u, du = parts
         own = np.array([1, 4])
         before = u.copy()
-        _, reduced = self.finish(solver, u, du, own, own)
+        _, reduced = self.finish(solver, u, du, own)
         others = np.setdiff1d(np.arange(len(u)), own)
         assert u[others].tobytes() == before[others].tobytes()
         dt = solver.namespace["DT"]
@@ -206,4 +208,148 @@ class TestFinishStep:
             assert solver.namespace["FINISH"].body is solver.namespace["finish_step"]
             solver.run()
             runs.append(solver.solution().tobytes())
+        assert runs[0] == runs[1]
+
+
+# --------------------------------------------------------------------------
+# finish_step as C: the NumPy body it replaced, kept here as the oracle
+# --------------------------------------------------------------------------
+
+#: two declared reductions: band energies with a weight per component, and
+#: every row summed into one
+MIXED = (Reduction("bands", np.arange(ND * NB) % NB, 1.0 + np.arange(ND * NB) / 7.0, NB),
+         Reduction("column_sum", np.zeros(ND * NB, int), np.ones(ND * NB), 1))
+
+
+def numpy_finish(dt, bcells, bowner, reductions):
+    """The NumPy ``finish_step`` the C function replaced, line for line."""
+
+    def finish_step(u, du_bdry, u_bdry, reduced, rows=None):
+        sel = slice(None) if rows is None else rows
+        cols = u.take(bcells, axis=1, mode="clip")
+        np.add(cols, np.multiply(du_bdry, dt, out=du_bdry), out=cols)
+        u[sel if isinstance(sel, slice) else sel[:, None], bcells] = cols[sel]
+        for reduction, out in zip(reductions, reduced):
+            kernels.reduce_rows(u, reduction.group, reduction.weight, out, rows)
+        u.take(bowner, axis=1, out=u_bdry, mode="clip")
+
+    return finish_step
+
+
+class TestCFinish:
+    @pytest.fixture(scope="class")
+    def solvers(self):
+        return {mesh: build_solver(mesh, 1, MIXED) for mesh in ("structured", "triangles")}
+
+    def both(self, solver, odd: bool):
+        """The C finish and the oracle over the solver's geometry; ``odd``
+        drops a boundary cell whenever their count is even."""
+        from repro.codegen import ctile
+
+        geom, state = solver.state.geom, solver.state
+        bcells = geom.bcells[:len(geom.bcells) - (odd and len(geom.bcells) % 2 == 0)]
+        assert len(bcells) % 2 == odd
+        args = (solver.namespace["DT"], bcells, geom.bowner, state.reductions)
+        c = ctile.Finish(ctile.build(ctile.FINISH), *args)
+        c.wait()
+        return c, numpy_finish(*args), len(bcells)
+
+    @pytest.mark.parametrize("mesh", ["structured", "triangles"])
+    @pytest.mark.parametrize("rows", [None, [4, 1, 3]], ids=["all-rows", "band-rank"])
+    @pytest.mark.parametrize("odd", [False, True], ids=["even", "odd"])
+    def test_the_c_finish_is_the_numpy_body_bit_for_bit(self, solvers, mesh, rows, odd):
+        """Every row or a band rank's non-contiguous rows, an odd or even
+        count of boundary cells, two reductions with mixed weights, special
+        values throughout: ``u``, ``u_bdry`` and each reduction output carry
+        the NumPy body's bits."""
+        solver = solvers[mesh]
+        c, oracle, nb = self.both(solver, odd)
+        ncells, nbfaces = solver.state.geom.ncells, len(solver.state.geom.bowner)
+        rows = None if rows is None else np.array(rows)
+        results = []
+        for finish in (c, oracle):
+            u = hostile((ND * NB, ncells), seed=ncells)
+            du = hostile((ND * NB, nb), seed=nb)
+            u_bdry = np.full((ND * NB, nbfaces), np.nan)
+            reduced = [np.full((r.rows, ncells), np.nan) for r in MIXED]
+            with np.errstate(invalid="ignore", over="ignore"):
+                finish(u, du, u_bdry, reduced, rows)
+            results.append([u.tobytes(), u_bdry.tobytes(), *(r.tobytes() for r in reduced)])
+        assert results[0] == results[1]
+
+    def test_a_bad_argument_is_refused_before_any_pointer_is_passed(self, solvers):
+        """A wrong dtype, shape or layout, an index out of range, an output
+        sharing memory with the unknown: a ``CodegenError``, and the
+        function is never called."""
+        from repro.util.errors import CodegenError
+
+        solver = solvers["structured"]
+        c, _, nb = self.both(solver, False)
+        called = []
+        c.fn = lambda *args: called.append(args)
+        ncells, nbfaces = solver.state.geom.ncells, len(solver.state.geom.bowner)
+        u = np.ones((ND * NB, ncells))
+        du, u_bdry = np.ones((ND * NB, nb)), np.ones((ND * NB, nbfaces))
+        reduced = [np.zeros((r.rows, ncells)) for r in MIXED]
+
+        def in_u(columns):  # a C-ordered array over the unknown's memory
+            return u.reshape(-1)[:ND * NB * columns].reshape(ND * NB, columns)
+
+        bad = [
+            ("no C-ordered float64", (u.astype(np.float32), du, u_bdry, reduced)),
+            ("no C-ordered float64", (np.asfortranarray(u), du, u_bdry, reduced)),
+            ("no C-ordered float64", (u, du[:, :-1], u_bdry, reduced)),
+            ("no C-ordered float64", (u, du, u_bdry[:-1], reduced)),
+            ("no C-ordered float64", (u, du, u_bdry, [reduced[0][:, :-1], reduced[1]])),
+            ("out of range", (u, du, u_bdry, reduced, np.array([0, ND * NB]))),
+            ("every declared reduction", (u, du, u_bdry, reduced[:1])),
+            ("into its input", (u, du, u_bdry, [u[:NB], reduced[1]])),
+            ("shares memory", (u, du, in_u(nbfaces), reduced)),
+            ("shares memory", (u, in_u(nb), u_bdry, reduced)),
+        ]
+        for match, args in bad:
+            with pytest.raises(CodegenError, match=match):
+                c(*args)
+        c.bcells = c.bcells[::-1]
+        with pytest.raises(CodegenError, match="not increasing"):
+            c(u, du, u_bdry, reduced)
+        c.bcells = c.bcells[::-1]
+        out_of_range = c.bowner.copy()
+        out_of_range[0] = ncells
+        c.bowner = out_of_range
+        with pytest.raises(CodegenError, match="out of range"):
+            c(u, du, u_bdry, reduced)
+        assert not called
+
+    @pytest.mark.parametrize("case", ["device", "host", "kernel-fault", "oom-fault"])
+    def test_every_placement_finishes_as_the_numpy_body(self, case):
+        """On the device, pinned to the host, and re-executed on the host
+        after an injected kernel or out-of-memory fault: the C finish gives
+        the run the NumPy body gives it, bit for bit — the solution, the
+        owner values and every reduction a callback was handed."""
+        from repro.codegen.gpu_hybrid import FINISH_WORK
+        from repro.gpu.kernel import Kernel
+        from repro.runtime.faults import fault_run
+        from repro.util.context import current
+
+        faults = {"kernel-fault": "kernel:device=gpu0,op=launch,at=2",
+                  "oom-fault": "oom:device=gpu0,op=h2d,at=3"}.get(case)
+        pin = "cpu" if case == "host" else "gpu"
+        runs = []
+        for numpy_body in (False, True):
+            handed: list = []
+            solver = build_solver("triangles", 2, MIXED, pin=pin, handed=handed,
+                                  flux=lambda ctx: -0.3 * ctx.owner_values * ctx.normals[:, 1])
+            ns, state = solver.namespace, solver.state
+            if numpy_body:
+                ns["finish_step"] = numpy_finish(ns["DT"], state.geom.bcells, ns["BOWNER"],
+                                                 state.reductions)
+                ns["FINISH"] = Kernel(body=ns["finish_step"], **FINISH_WORK)
+            with fault_run(faults, seed=0):
+                solver.run()
+                degraded = bool(current().resilience.degraded)
+            assert degraded == (faults is not None)
+            u_bdry = state.buffer("u_bdry", (ND * NB, len(state.geom.bowner)))
+            runs.append((solver.solution().tobytes(), u_bdry.tobytes(), handed))
+        assert len(runs[0][2]) == 2 * len(MIXED)
         assert runs[0] == runs[1]

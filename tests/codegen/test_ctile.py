@@ -57,18 +57,19 @@ def compiles(monkeypatch) -> list:
 
 def test_three_programs_compile_once_and_a_warm_generate_compiles_nothing(compiles):
     """Hot spot on the host and on the device, corner source on the host:
-    one C text, one compiler run; the warm ``generate()`` of each is a cache
-    hit that compiles nothing — and the C build is no artifact build."""
+    one tile text and the device program's fixed finish, two compiler runs;
+    the warm ``generate()`` of each is a cache hit that compiles nothing —
+    and the C build is no artifact build."""
     with cache_scope() as cache:
         solvers = [program(kind, target).generate()
                    for kind, target in (("hotspot", "cpu"), ("hotspot", "gpu"),
                                         ("corner", "cpu"))]
         assert solvers[1].state.device is not None  # the device kernel, really
-        assert len({s.tile.text for s in solvers}) == 1 and len(compiles) == 1
+        assert len({s.tile.text for s in solvers}) == 1 and len(compiles) == 2
         assert cache.stats.builds == 3
         for kind, target in (("hotspot", "cpu"), ("hotspot", "gpu"), ("corner", "cpu")):
             program(kind, target).generate()
-        assert len(compiles) == 1 and cache.stats.builds == 3 and cache.stats.memory_hits == 3
+        assert len(compiles) == 2 and cache.stats.builds == 3 and cache.stats.memory_hits == 3
     for solver in solvers:
         solver.run(2)
         assert np.isfinite(solver.solution()).all()
@@ -355,3 +356,30 @@ def test_the_vectorized_tile_is_the_numpy_tile_bit_for_bit(width, store, monkeyp
     assert reference.tile is None
     assert solver.solution().tobytes() == reference.solution().tobytes()
     assert len(c_handed) == 3 and c_handed == numpy_handed
+
+
+@pytest.mark.parametrize("target, finish", [("gpu", None), ("gpu", "gpu"),
+                                            ("gpu_distributed", None)])
+def test_a_device_step_resolves_its_arguments_once_per_buffer(target, finish, monkeypatch):
+    """The tile and the finish resolve their arguments the first time they
+    see a set of objects, at most once per half of the device's double
+    buffer (per rank), not once per step: a step's ``slice(None)`` of rows,
+    new every step, is keyed by value."""
+    resolved: list = []
+    for cls in (ctile.Tile, ctile.Finish):
+        monkeypatch.setattr(cls, "_pointers", lambda self, *args, _resolve=cls._pointers:
+                            resolved.append(type(self)) or _resolve(self, *args))
+    scenario = hotspot_scenario(nx=8, ny=8, ndirs=4, n_freq_bands=4, nsteps=30)
+    problem, _ = build_bte_problem(scenario)
+    problem.enable_gpu()
+    problem.extra["gpu_force_offload"] = True
+    if finish is not None:
+        problem.extra["placement_override"] = {"finish_step": finish}
+    if target == "gpu_distributed":
+        problem.set_partitioning("bands", 2, index="b")
+    solver = problem.generate()
+    solver.run(30)
+    ranks = 2 if target == "gpu_distributed" else 1
+    halves = 2 if solver.placement.device["finish_step"] == "gpu" else 1
+    for cls in (ctile.Tile, ctile.Finish):
+        assert 0 < resolved.count(cls) <= 2 and resolved.count(cls) <= ranks * halves
