@@ -5,7 +5,7 @@ folded through the divergence, the volume statement, the forward-Euler
 update and the boundary cells' add.  :func:`lower` prints it as one C
 function over every row of a sweep; :func:`build` compiles it with the
 system C compiler; :class:`Tile` calls it through :mod:`ctypes`, once per
-sweep.
+sweep, its arguments resolved once per state (the state's ``plans``).
 
 *Exact only.*  The emitter records each statement of a tile as data
 (:class:`~repro.codegen.emit.Stmt`, ``register := op(operands)``) and
@@ -505,21 +505,34 @@ class _Foreign:
         self.fn = fn
 
 
-def _hold(held: dict, key: tuple, resolved: tuple) -> tuple:
-    """Hold ``(arguments, objects)`` under ``key``, the objects themselves
-    kept so that no identity is reused (the lookup is the caller's)."""
-    if len(held) >= 4:  # e.g. the stages of an RK step: fresh arrays
-        held.clear()
-    held[key] = resolved
-    return resolved
-
-
 class _Checked:
-    """What is passed as a pointer, checked (dtype, C order, shape, every
-    index in range) and kept."""
+    """A call site's arguments but the unknown and the output, checked
+    (dtype, C order, shape, every index in range) and resolved to the
+    pointers passed around those two (``head``, ``tail``), with what they
+    came from (``keep``: an equal id in ``ids`` is the same object)."""
 
-    def __init__(self, who: str, *objects):
-        self.who, self.keep = who, list(objects)
+    def __init__(self, who: str, u, *objects):
+        if not (isinstance(u, np.ndarray) and u.ndim == 2):
+            raise CodegenError(f"{who}: the unknown is no C-ordered float64 array")
+        self.who, self.shape, self.ids = who, u.shape, tuple(map(id, objects))
+        self.keep, self.apart, self.head, self.tail = list(objects), [], (), ()
+
+    def io(self, u, out) -> tuple[int, int]:
+        """The unknown's and the output's addresses, checked on every call:
+        C-ordered float64 of the held shape, the output writeable, neither
+        overlapping what is ``apart`` from them."""
+        for a in (u, out):
+            if not ((a.__class__ is np.ndarray or isinstance(a, np.ndarray)) and a.dtype
+                    == np.float64 and a.flags.c_contiguous and a.shape == self.shape
+                    and (a is not out or a.flags.writeable)):
+                raise CodegenError(f"{self.who}: the {'unknown' if a is u else 'output'} "
+                                   f"is no C-ordered float64 {self.shape} array")
+        pu = u.__array_interface__["data"][0]
+        po = pu if out is u else out.__array_interface__["data"][0]
+        for lo, hi, why in self.apart:
+            if lo < pu + u.nbytes and pu < hi or lo < po + out.nbytes and po < hi:
+                raise CodegenError(f"{self.who}: {why}")
+        return pu, po
 
     def floats(self, a, shape, what: str, write: bool = False) -> int:
         if not (isinstance(a, np.ndarray) and a.dtype == np.float64
@@ -537,26 +550,26 @@ class _Checked:
         return a
 
     def rows(self, rows, nu: int) -> list:
-        """``nrows, rows``: every row (``None``, ``slice(None)``), or those."""
-        if isinstance(rows, slice):
-            rows = None if rows == slice(None) else np.arange(nu)[rows]
+        """``nrows, rows``: every row (``None``), or those."""
         if rows is None:
             return [nu, None]
         rows = self.indices(rows, nu, "rows")
         return [len(rows), rows.ctypes.data]
 
-    def reductions(self, reductions, reduced, u, *inputs) -> list:
+    def reductions(self, reductions, reduced, *inputs) -> list:
         """The declared reductions' arguments: their outputs (none shared
-        with ``u`` or the ``inputs``), and per component its output row and
-        weight."""
-        nu, n = u.shape
+        with the ``inputs``, kept ``apart`` from the unknown and the output),
+        and per component its output row and weight."""
+        nu, n = self.shape
         if len(reduced) not in (0, len(reductions)):
             raise CodegenError(f"{self.who}: an output for every declared reduction, or none")
         pairs = list(zip(reductions, reduced))
         for r, o in pairs:
             self.floats(o, (r.rows, n), "reduction output", True)
-            if len(r.group) != nu or any(np.may_share_memory(o, a) for a in (u, *inputs)):
+            if len(r.group) != nu or any(np.may_share_memory(o, a) for a in inputs):
                 raise CodegenError(f"{self.who}: a reduction over other rows, or into its input")
+            self.apart.append((o.ctypes.data, o.ctypes.data + o.nbytes,
+                               "a reduction over other rows, or into its input"))
         ro = np.array([o.ctypes.data for _, o in pairs], dtype=np.uintp)
         rn = np.array([r.rows * n for r, _ in pairs], dtype=np.int64)
         rg = np.concatenate([np.zeros(0, np.int64),
@@ -571,13 +584,14 @@ class Tile(_Foreign):
     """The generated tile's foreign function, called once per sweep.
 
     ``TILE(memo, scalars, rows, u, out, scratch, bcells, bdry, owned,
-    reduced, *operands)``: ``scalars`` by value (``dt`` first), the rest
-    resolved to pointers the first time that set of objects is seen — a
-    slice of ``rows`` by value, a step makes a new one each time — and held
-    in ``memo`` (the state's ``plans``, a device kernel's ``TILE_PLANS``); a
-    restore, a repartition or a migration hands over new objects and is
-    resolved again.  ``reduced`` is an Euler tile's outputs of the declared
-    ``reductions`` (:class:`~repro.dsl.entities.Reduction`), or empty."""
+    reduced, *operands)``: ``scalars`` by value (``dt`` first), ``u`` and
+    ``out`` checked on every call, the rest resolved once (:class:`_Checked`)
+    and held in ``memo``, the state's ``plans``: one entry per call site,
+    reused while each object is the one passed.  Rows are the state's
+    (``None``, a band rank's ``owned_comps``), so a step resolves nothing; a
+    degraded step's workspace, a restore or a repartition resolves again.
+    ``reduced`` is an Euler tile's outputs of the declared ``reductions``
+    (:class:`~repro.dsl.entities.Reduction`), or empty."""
 
     symbol = "tile"
 
@@ -587,36 +601,30 @@ class Tile(_Foreign):
         self.codes = ("d" * (1 + len(lowered.scalars)) + "lpll" + "ppp" + "lpp" + "lp"
                       + "lpppp" * lowered.euler + "".join(_PARAMS[k] for k in lowered.kinds))
 
-    def __call__(self, memo: dict, scalars, rows, *arrays) -> None:
+    def __call__(self, memo: dict, scalars, rows, u, out, *args) -> None:
         if self.lowered.scalars and any(isinstance(x, complex) for x in scalars):
             # a plain float gone complex (``(-1)^0.5``): the NumPy tile
             # refuses to store it in a float register, so does this one
             raise TypeError("a complex value for a real operand of the tile")
-        held = memo.get(Tile)
-        if held is None:
-            held = memo[Tile] = {}  # (held with the state's tables, gone with it)
-        key = (*map(id, arrays), *map(id, arrays[6]), *(
-            (rows.start, rows.stop, rows.step) if rows.__class__ is slice else map(id, (rows,))))
-        found = held.get(key) or _hold(held, key, self._pointers(rows, *arrays))
-        self.fn(*scalars, *found[0])
+        held = memo.get(self)  # (``args[4]``: the reduction outputs)
+        if held is None or held.ids != tuple(map(id, (rows, *args[:4], *args[4], *args[5:]))):
+            held = memo[self] = self._pointers(rows, u, *args)
+        self.fn(*scalars, *held.head, *held.io(u, out), *held.tail)
 
-    def _pointers(self, rows, u, out, scratch, bcells, bdry, owned, reduced,
-                  *operands) -> tuple:
-        check = _Checked("tile", rows, u, out, scratch, bcells, bdry, owned, *reduced,
-                         *operands)
+    def _pointers(self, rows, u, scratch, bcells, bdry, owned, reduced,
+                  *operands) -> _Checked:
+        check = _Checked("tile", u, rows, scratch, bcells, bdry, owned, *reduced, *operands)
         floats, indices = check.floats, check.indices
-        nu, n = u.shape
+        nu, n = check.shape
         bc = np.zeros(0, np.int64) if bcells is None else indices(bcells, n, "boundary cells")
         own = None if owned is None else indices(owned, n, "owned columns")
-        folds = self.lowered.folds
-        args = [*check.rows(rows, nu),
-                nu, n, floats(u, (nu, n), "unknown"), floats(out, (nu, n), "output", True),
-                floats(scratch, ((folds + 1) * n,), "scratch", True),
+        check.head = (*check.rows(rows, nu), nu, n)
+        args = [floats(scratch, ((self.lowered.folds + 1) * n,), "scratch", True),
                 len(bc), bc.ctypes.data,
                 None if bdry is None else floats(bdry, (nu, len(bc)), "boundary part"),
                 0 if own is None else len(own), None if own is None else own.ctypes.data]
         if self.lowered.euler:
-            args += check.reductions(self.reductions, reduced, u, out)
+            args += check.reductions(self.reductions, reduced)
         elif len(reduced):
             raise CodegenError("tile: a right-hand side reduces nothing")
         extent: dict[int, int] = {}  # operand -> its rows
@@ -647,7 +655,8 @@ class Tile(_Foreign):
         for user, rows_map in self.lowered.bounds:
             if operands[rows_map].max(initial=0) >= extent[user]:
                 raise CodegenError("tile: a row map outside its table")
-        return tuple(args), check.keep
+        check.tail = tuple(args)
+        return check
 
 
 #: What ends a device-placed step (:class:`Finish`), one fixed text: per row
@@ -684,10 +693,11 @@ void finish(double dt, long nrows, const long *restrict rows, long nu, long n,
 
 
 class Finish(_Foreign):
-    """``finish_step(u, du_bdry, u_bdry, reduced, rows=None)``: :data:`FINISH`
-    over ``u`` (the device's ``u_new`` or the host's unknown) with the
-    step's ``dt``, the boundary cells and the boundary faces' owners;
-    ``rows``, a band rank's own.  Arguments are resolved as :class:`Tile`'s."""
+    """``finish_step(memo, u, du_bdry, u_bdry, reduced, rows=None)``:
+    :data:`FINISH` over ``u`` (the device's ``u_new`` or the host's unknown)
+    with the step's ``dt``, the boundary cells and the boundary faces'
+    owners; ``rows``, a band rank's own.  ``u`` is checked on every call,
+    the rest resolved once per state and held in ``memo`` as :class:`Tile`'s."""
 
     symbol = "finish"
     codes = "dlpllplpplpplpppp"
@@ -695,29 +705,30 @@ class Finish(_Foreign):
     def __init__(self, lib: _Build, dt: float, bcells, bowner, reductions=()):
         super().__init__(lib)
         self.dt, self.bcells, self.bowner = float(dt), bcells, bowner
-        self.reductions, self.held = tuple(reductions), {}
+        self.reductions = tuple(reductions)
 
-    def __call__(self, u, du_bdry, u_bdry, reduced, rows=None) -> None:
-        key = tuple(map(id, (rows, u, du_bdry, u_bdry, *reduced)))
-        found = self.held.get(key) or _hold(self.held, key, self._pointers(
-            u, du_bdry, u_bdry, reduced, rows))
-        self.fn(*found[0])
+    def __call__(self, memo: dict, u, du_bdry, u_bdry, reduced, rows=None) -> None:
+        held = memo.get(self)
+        if held is None or held.ids != tuple(map(id, (rows, du_bdry, u_bdry, *reduced))):
+            held = memo[self] = self._pointers(u, du_bdry, u_bdry, reduced, rows)
+        self.fn(*held.head, held.io(u, u)[0], *held.tail)
 
-    def _pointers(self, u, du, ub, reduced, rows) -> tuple:
-        check = _Checked("finish", u, du, ub, rows, *reduced)
-        nu, n = u.shape if np.ndim(u) == 2 else (0, 0)
-        unknown = check.floats(u, (nu, n), "unknown", True)
+    def _pointers(self, u, du, ub, reduced, rows) -> _Checked:
+        check = _Checked("finish", u, rows, du, ub, *reduced)
+        nu, n = check.shape
         bc = check.indices(self.bcells, n, "boundary cells")
         bo = check.indices(self.bowner, n, "boundary owners")
         if (np.diff(bc) <= 0).any():  # (no cell twice: the add is vectorized)
             raise CodegenError("finish: the boundary cells are not increasing")
-        args = [self.dt, *check.rows(rows, nu), nu, n, unknown,
-                len(bc), bc.ctypes.data, check.floats(du, (nu, len(bc)), "boundary part"),
+        check.head = (self.dt, *check.rows(rows, nu), nu, n)
+        args = [len(bc), bc.ctypes.data, check.floats(du, (nu, len(bc)), "boundary part"),
                 len(bo), bo.ctypes.data, check.floats(ub, (nu, len(bo)), "owner values", True)]
-        if any(map(np.may_share_memory, (du, ub, ub), (u, u, du))):
-            raise CodegenError("finish: an argument shares memory with the unknown")
-        args += check.reductions(self.reductions, reduced, u, du, ub)
-        return tuple(args), check.keep
+        if np.may_share_memory(ub, du):
+            raise CodegenError("finish: the owner values share memory with the boundary part")
+        check.apart += [(a.ctypes.data, a.ctypes.data + a.nbytes,
+                         "an argument shares memory with the unknown") for a in (du, ub)]
+        check.tail = (*args, *check.reductions(self.reductions, reduced, du, ub))
+        return check
 
 
 def _check_fold(fold: FoldedOperator, n: int) -> None:

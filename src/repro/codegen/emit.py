@@ -1064,7 +1064,7 @@ def emit_interior(emitter: ExprEmitter, surface: EmittedExpr, volume: EmittedExp
     the boundary part is evaluated once before the sweep and each tile adds
     its rows of it into the boundary cells' columns.  On the ``device`` it
     is a launch over the interior faces into ``u_new``,
-    ``interior_kernel(u, var_*, u_new, buffer, sel)``, and the step places
+    ``interior_kernel(state, u, var_*, u_new, buffer, sel)``, and the step places
     ``finish_step``, the fixed C function :data:`repro.codegen.ctile.FINISH`,
     which runs the declared reductions.
 
@@ -1101,36 +1101,35 @@ def emit_interior(emitter: ExprEmitter, surface: EmittedExpr, volume: EmittedExp
     two_sided = form.surface_terms and not folded
     lines = setup
     if device:
-        known = ", ".join(["u", *(f"var_{n}" for n in emitter.referenced_known_variables())])
-        head = f"def interior_kernel({known}, u_new, buffer, sel=slice(None)):"
+        known = "".join(f"var_{n}, " for n in emitter.referenced_known_variables())
+        head = f"def interior_kernel(state, u, {known}u_new, buffer, sel=None):"
         body = [
-            '"""Interior bulk: uniform work, no thread divergence between DOFs',
-            "(paper Sec. III-D).  Boundary faces contribute zero here;",
-            "``finish_step`` adds their part to what this wrote.  ``sel`` restricts",
-            "the component rows (multi-device band partitioning launches one",
-            "kernel per rank over its own bands); only those rows are touched.",
-            "``buffer(name, shape)`` hands out the workspace the tiles reuse",
-            '(the device\'s, or the host state\'s when the step degrades)."""',
+            '"""Interior bulk, uniform work per DOF (paper Sec. III-D): the boundary',
+            "faces' part is ``finish_step``'s.  ``sel``: the rows touched (a band",
+            "rank's; ``None``, all).  ``buffer(name, shape)``: the workspace (the",
+            'device\'s, or the host state\'s when the step degrades); the rest, ``state``\'s."""',
+            "geom = state.geom",
+            "dt = state.dt",
             "rows = sel",
-            *["owner = OWNER_INT"] * (not tile_c),
         ]
         buffer, nfaces, ncells, normal, face_dist = (
-            "buffer", "len(owner)", "NCELLS", "NORMALS_INT", "FACEDIST_INT")
+            "buffer", "len(geom.interior_faces)", "NCELLS", "normal", "face_dist")
         gather = ["# owner/neighbour gathers restricted to interior faces",
                   "u1 = np.take(us, owner, axis=1, out=fu, mode='clip')",
-                  "u2 = np.take(us, NEIGH_INT, axis=1, out=fv, mode='clip')"]
-        divergence = "kernels.slot_divergence(DIV_INT, flux, acc, cw)"
-        dt, into, store = "DT", "u_new[sel]", "u_new[sel] = acc"
-        read, scratch_of = "INT_TABLES", "the workspace handed in"
-        plan, order = "TILE_PLANS, rows, NCOMP, height, TMAPS", "one block per launch"
-        geometry = "NORMALS_INT, FACEDIST_INT, OWNER_INT, NEIGH_INT"
-        if tables:
-            lines += ["# over the interior faces, evaluated when the source is bound",
-                      f"INT_TABLES = folded_tables({geometry}, DIV_INT)" if folded
-                      else f"INT_TABLES = invariant_tables({geometry})"]
-        lines += ["TILE_PLANS = {}  # " + ("the pointers of the arrays a launch was given"
-                                          if tile_c else "per row selection a launch was given"),
-                  "", ""]
+                  "u2 = np.take(us, neighbor, axis=1, out=fv, mode='clip')"]
+        divergence = "kernels.slot_divergence(slots, flux, acc, cw)"
+        dt, into, store = "dt", "u_new[sel]", "u_new[sel] = acc"
+        scratch_of = "the workspace handed in"
+        plan, order = "state.plans, rows, NCOMP, height, TMAPS", "one block per launch"
+        if two_sided:  # the interior faces' geometry, built with the tables
+            lines += _function("def interior_tables(*geometry):", [
+                '"""The faces\' geometry and divergence slots, then their tables."""',
+                "return [*geometry" + ", *invariant_tables(*geometry[:4])" * bool(tables) + "]"])
+            tables = ", ".join(filter(None, ["normal, face_dist, owner, neighbor, slots", tables]))
+        read = ("state.tables(folded_tables, geom.interior_faces, divergence=True)" if folded
+                else "state.tables(interior_tables, geom.interior_faces, divergence=True)"
+                if two_sided else "state.tables(invariant_tables, geom.interior_faces)")
+        body += [f"[{tables}] = {read}"] * bool(tables)
     else:
         head = "def compute_rhs(state, u, t, rows=None):"
         body = [
@@ -1230,8 +1229,8 @@ def emit_interior(emitter: ExprEmitter, surface: EmittedExpr, volume: EmittedExp
     if two_sided:
         body += [f"{name} = {normal}[:, {axis - 1}]" for axis, name in _AXIS_NAMES.items()
                  if name in reads]
-        body += [f"face_dist = {face_dist}"] * ("face_dist" in reads)
-    if tables:
+        body += [f"face_dist = {face_dist}"] * ("face_dist" in reads and not device)
+    if tables and not device:
         body.append(f"[{tables}] = {read}")
     for name in emitter.function_coefficients():  # none on the device
         body += [
@@ -1287,7 +1286,7 @@ def emit_interior(emitter: ExprEmitter, surface: EmittedExpr, volume: EmittedExp
         body += [
             "",
             "# the tile, in C (``solver.tile.text``): one foreign call over the rows",
-            f"TILE({'TILE_PLANS' if device else 'state.plans'}, ({scalars},), rows, u, "
+            f"TILE(state.plans, ({scalars},), rows, u, "
             f"{'u_new' if device else 'u' if inplace else 'rhs'},",
             f"     {buffer}('tile', ({tile_c.folds + 1} * {ncells},)), {', '.join(places)},",
             f"     {reduced}, {', '.join(tile_c.operands)})",

@@ -31,9 +31,11 @@ step — as it does in a step a device fault degrades (its one library is
 built once per process, started by :func:`step_env`, beside the tile's).
 Either way the device owns the unknown only while ``buffers['u'].on_device``:
 any host access takes it back (:meth:`SolverState.claim_unknown`) and the
-next step uploads it again.  The plan and transfer schedule are attached to
-the solver (``solver.placement``, ``solver.transfer_plan``); user callbacks
-are pinned to the CPU.  When the optimiser keeps ``interior_update`` on the
+next step uploads it again.  The kernel is handed the state it runs for
+and reads its tables, ``dt`` and tile plans as ``compute_rhs`` does: each
+``gpu_distributed`` rank builds its own.  The plan and transfer schedule
+are attached to the solver (``solver.placement``, ``solver.transfer_plan``);
+user callbacks are pinned to the CPU.  When the optimiser keeps ``interior_update`` on the
 host too — tiny problems — every task is on the CPU, and the plan emits the
 host form the ``cpu`` target emits (one emitter,
 :func:`repro.codegen.emit.emit_interior`): ``compute_rhs`` with the boundary
@@ -99,13 +101,6 @@ DEVICE_TASK_TIMERS = {
     "boundary_callbacks": "boundary",
     "post_step_callbacks": "post_step",
 }
-
-
-def _record_degraded(task: str, from_device: str, to_device: str,
-                     reason: str, **labels) -> None:
-    """Generated-code hook: log a fault-driven CPU re-placement."""
-    current().resilience.record_degraded(task, from_device, to_device,
-                                         reason, **labels)
 
 
 def _reject_reconstructions(form) -> None:
@@ -190,7 +185,7 @@ def emit_device_step(name: str, plan: dict, rank: str = "") -> list[str]:
         "        kernel_args = [dev.buffers[n].array",
         "                       for n in ['u'] + KERNEL_VAR_NAMES + ['u_new']] + [dev.workspace]",
         "        with state.timers.time('solve'):",
-        "            dev.launch(KERNEL, ndof, *kernel_args, sel, host_time=launch_time)",
+        "            dev.launch(KERNEL, ndof, state, *kernel_args, own, host_time=launch_time)",
         "    except GPU_FAULTS as exc:",
         "        faulted = exc",
         "        launch_time = host.now()",
@@ -217,8 +212,8 @@ def emit_device_step(name: str, plan: dict, rank: str = "") -> list[str]:
             f"            state.device_transfers('h2d', [{pairs(transfers.h2d_each_step)}])",
             "            launch_time = host.now()",
             "            with state.timers.time('solve'):",
-            "                dev.launch(FINISH, ndof, *[dev.buffers[n].array",
-            "                                           for n in ('u_new', 'du_bdry', 'u_bdry')],",
+            "                dev.launch(FINISH, ndof, state.plans, *[dev.buffers[n].array",
+            "                           for n in ('u_new', 'du_bdry', 'u_bdry')],",
             f"                           [dev.buffers[n].array for n in {reductions!r}],",
             "                           own, host_time=launch_time)",
             "            state.await_device(launch_time)",
@@ -236,7 +231,7 @@ def emit_device_step(name: str, plan: dict, rank: str = "") -> list[str]:
             "        state.device_transfers('d2h', [('u_new', u)])",
             "        dev.mark_host_dirty('u')  # finish_step writes the host copy",
             "        state.sanitize_kernel_output(KERNEL.name, lambda: u[sel])",
-            "        finish_step(u, du_bdry, u_bdry, reduced, own)",
+            "        finish_step(state.plans, u, du_bdry, u_bdry, reduced, own)",
         ]
     lines += [
         "    if faulted is not None:",
@@ -245,16 +240,17 @@ def emit_device_step(name: str, plan: dict, rank: str = "") -> list[str]:
         "        # held it; else the upload that just went, or failed, is void) and",
         "        # runs the same generated bodies over the host arrays — the kernel",
         "        # in place, its rows being local — so the result is bit-identical",
-        "        record_degraded('interior_update', dev.name, 'cpu', type(faulted).__name__,",
-        f"                        {f'rank={rank}, ' if rank else ''}step=state.step_index)",
+        "        current().resilience.record_degraded(",
+        "            'interior_update', dev.name, 'cpu', type(faulted).__name__,",
+        f"            {f'rank={rank}, ' if rank else ''}step=state.step_index)",
         "        if resident:",
         "            state.claim_unknown()",
         "        dev.mark_host_dirty('u')",
         "        with state.timers.time('solve'):",
-        "            interior_kernel(u, *[state.fields[n[4:]].data for n in KERNEL_VAR_NAMES],",
-        "                            u, state.buffer, sel)",
+        "            interior_kernel(state, u, *[state.fields[n[4:]].data for n in",
+        "                                        KERNEL_VAR_NAMES], u, state.buffer, own)",
         "            state.sanitize_kernel_output(KERNEL.name, lambda: u[sel])",
-        "            finish_step(u, du_bdry, u_bdry, reduced, own)",
+        "            finish_step(state.plans, u, du_bdry, u_bdry, reduced, own)",
         f"        host.advance({cost('COST_SOLVE')})",
         "        trace.complete(state.host_track, 'interior_update[degraded:cpu]',",
         "                       launch_time, host.now(), cat='fault',",
@@ -395,19 +391,13 @@ def plan_device_step(problem: "Problem", emitter: ExprEmitter, surface: EmittedE
 
 def step_env(problem: "Problem", state: SolverState, plan: dict) -> dict:
     """What the emitted device step reads that is not in the cache key's
-    static environment: geometry tables, the live callbacks, fault hooks,
-    and ``finish_step`` (its library's compiler starts here)."""
+    static environment: the boundary exchange, fault hooks and
+    ``finish_step`` (its library's compiler starts here).  What the kernel
+    reads of the geometry is the state's it is launched for."""
     geom = state.geom
-    int_faces = geom.interior_faces
     return {
         "finish_step": ctile.Finish(ctile.build(ctile.FINISH), problem.config.dt,
                                     geom.bcells, geom.bowner, state.reductions),
-        "DT": problem.config.dt,  # runtime-bound: not part of the key
-        "OWNER_INT": geom.owner[int_faces],
-        "NEIGH_INT": geom.neighbor[int_faces],
-        "NORMALS_INT": geom.normal[int_faces],
-        "FACEDIST_INT": geom.face_dist[int_faces],
-        "DIV_INT": geom.divergence_slots(faces=int_faces),
         # the boundary exchange: owner cell of every boundary face
         "BOWNER": geom.bowner,
         # per-step H2D: the known variables the plan marked as host-mutated
@@ -416,7 +406,6 @@ def step_env(problem: "Problem", state: SolverState, plan: dict) -> dict:
                           if n.startswith("var_")],
         # resilience: the degraded (CPU re-execution) path for device faults
         "GPU_FAULTS": (DeviceOOMError, KernelFaultError),
-        "record_degraded": _record_degraded,
         "current": current,
     }
 

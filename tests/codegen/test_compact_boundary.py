@@ -143,7 +143,7 @@ class TestFinishStep:
         geom = solver.state.geom
         u_bdry = np.full((len(u), len(geom.bowner)), np.nan)
         reduced = [np.full((1, geom.ncells), np.nan)]
-        solver.namespace["finish_step"](u, du.copy(), u_bdry, reduced, rows)
+        solver.namespace["finish_step"]({}, u, du.copy(), u_bdry, reduced, rows)
         return u_bdry, reduced
 
     def test_only_the_boundary_columns_change_and_negative_zero_survives(self, parts):
@@ -163,7 +163,7 @@ class TestFinishStep:
         """(b) ``u_new + (du_b * dt)``: not ``(u_new + du_b) * dt``, no
         weights scaled beforehand."""
         solver, geom, u, du = parts
-        dt = solver.namespace["DT"]
+        dt = solver.state.dt
         expected = u[:, geom.bcells] + (du * dt)
         self.finish(solver, u, du)
         assert u[:, geom.bcells].tobytes() == expected.tobytes()
@@ -190,7 +190,7 @@ class TestFinishStep:
         _, reduced = self.finish(solver, u, du, own)
         others = np.setdiff1d(np.arange(len(u)), own)
         assert u[others].tobytes() == before[others].tobytes()
-        dt = solver.namespace["DT"]
+        dt = solver.state.dt
         expected = before[np.ix_(own, geom.bcells)] + (du[own] * dt)
         assert u[np.ix_(own, geom.bcells)].tobytes() == expected.tobytes()
         assert reduced[0].tobytes() == (u[1] + u[4])[None].tobytes()
@@ -224,7 +224,7 @@ MIXED = (Reduction("bands", np.arange(ND * NB) % NB, 1.0 + np.arange(ND * NB) / 
 def numpy_finish(dt, bcells, bowner, reductions):
     """The NumPy ``finish_step`` the C function replaced, line for line."""
 
-    def finish_step(u, du_bdry, u_bdry, reduced, rows=None):
+    def finish_step(memo, u, du_bdry, u_bdry, reduced, rows=None):
         sel = slice(None) if rows is None else rows
         cols = u.take(bcells, axis=1, mode="clip")
         np.add(cols, np.multiply(du_bdry, dt, out=du_bdry), out=cols)
@@ -249,7 +249,7 @@ class TestCFinish:
         geom, state = solver.state.geom, solver.state
         bcells = geom.bcells[:len(geom.bcells) - (odd and len(geom.bcells) % 2 == 0)]
         assert len(bcells) % 2 == odd
-        args = (solver.namespace["DT"], bcells, geom.bowner, state.reductions)
+        args = (state.dt, bcells, geom.bowner, state.reductions)
         c = ctile.Finish(ctile.build(ctile.FINISH), *args)
         c.wait()
         return c, numpy_finish(*args), len(bcells)
@@ -273,7 +273,7 @@ class TestCFinish:
             u_bdry = np.full((ND * NB, nbfaces), np.nan)
             reduced = [np.full((r.rows, ncells), np.nan) for r in MIXED]
             with np.errstate(invalid="ignore", over="ignore"):
-                finish(u, du, u_bdry, reduced, rows)
+                finish({}, u, du, u_bdry, reduced, rows)
             results.append([u.tobytes(), u_bdry.tobytes(), *(r.tobytes() for r in reduced)])
         assert results[0] == results[1]
 
@@ -309,16 +309,16 @@ class TestCFinish:
         ]
         for match, args in bad:
             with pytest.raises(CodegenError, match=match):
-                c(*args)
+                c({}, *args)
         c.bcells = c.bcells[::-1]
         with pytest.raises(CodegenError, match="not increasing"):
-            c(u, du, u_bdry, reduced)
+            c({}, u, du, u_bdry, reduced)
         c.bcells = c.bcells[::-1]
         out_of_range = c.bowner.copy()
         out_of_range[0] = ncells
         c.bowner = out_of_range
         with pytest.raises(CodegenError, match="out of range"):
-            c(u, du, u_bdry, reduced)
+            c({}, u, du, u_bdry, reduced)
         assert not called
 
     @pytest.mark.parametrize("case", ["device", "host", "kernel-fault", "oom-fault"])
@@ -342,7 +342,7 @@ class TestCFinish:
                                   flux=lambda ctx: -0.3 * ctx.owner_values * ctx.normals[:, 1])
             ns, state = solver.namespace, solver.state
             if numpy_body:
-                ns["finish_step"] = numpy_finish(ns["DT"], state.geom.bcells, ns["BOWNER"],
+                ns["finish_step"] = numpy_finish(state.dt, state.geom.bcells, ns["BOWNER"],
                                                  state.reductions)
                 ns["FINISH"] = Kernel(body=ns["finish_step"], **FINISH_WORK)
             with fault_run(faults, seed=0):

@@ -238,15 +238,14 @@ class TestHoisting:
         problem.enable_gpu()
         problem.extra["gpu_force_offload"] = True
         solver = problem.generate()
-        assert ("INT_TABLES = folded_tables(NORMALS_INT, FACEDIST_INT, "
-                "OWNER_INT, NEIGH_INT, DIV_INT)") in solver.source
         kernel_src = solver.source.split("def interior_kernel")[1]
         kernel_src = kernel_src.split("def ")[0]
-        assert "[fold_s0] = INT_TABLES" in kernel_src
+        assert ("[fold_s0] = state.tables(folded_tables, geom.interior_faces, "
+                "divergence=True)") in kernel_src
         # the one C tile of every target, into ``u_new``, no boundary part
         # and no reduction (``finish_step``'s)
         call = kernel_src[kernel_src.index("TILE("):]
-        assert call.startswith("TILE(TILE_PLANS, (DT,), rows, u, u_new,")
+        assert call.startswith("TILE(state.plans, (dt,), rows, u, u_new,")
         assert "None, None, None,\n         (), fold_s0, tmap_d, coef_vg, sweep_pool" in call
         assert solver.tile == build_bte_problem(tiny_scenario)[0].generate().tile
         assert "slot_divergence" not in kernel_src and "face_pool" not in kernel_src

@@ -358,28 +358,43 @@ def test_the_vectorized_tile_is_the_numpy_tile_bit_for_bit(width, store, monkeyp
     assert len(c_handed) == 3 and c_handed == numpy_handed
 
 
-@pytest.mark.parametrize("target, finish", [("gpu", None), ("gpu", "gpu"),
-                                            ("gpu_distributed", None)])
-def test_a_device_step_resolves_its_arguments_once_per_buffer(target, finish, monkeypatch):
-    """The tile and the finish resolve their arguments the first time they
-    see a set of objects, at most once per half of the device's double
-    buffer (per rank), not once per step: a step's ``slice(None)`` of rows,
-    new every step, is keyed by value."""
+@pytest.mark.parametrize("target, ranks, finish, fault", [
+    ("gpu", 1, None, None), ("gpu", 1, "gpu", None), ("gpu_distributed", 2, None, None),
+    ("gpu_distributed", 3, "gpu", None), ("gpu_distributed", 4, "gpu", None),
+    ("cpu", 1, None, None), ("gpu", 1, "gpu", "kernel:device=gpu0,op=launch,at=3")],
+    ids=["gpu-None", "gpu-gpu", "gpu_distributed-None", "gpu_distributed3-gpu",
+         "gpu_distributed4-gpu", "rk2-None", "gpu-gpu-kernel-fault"])
+def test_a_device_step_resolves_its_arguments_once_per_buffer(target, ranks, finish, fault,
+                                                              monkeypatch):
+    """The tile and the finish resolve their arguments once per state and
+    call site, not once per step, per half of the double buffer or per RK
+    stage: a band rank's are held in its own state, never evicted by its
+    peers'.  A step a device fault degrades runs over the host's arrays and
+    resolves once each way, onto them and back."""
+    from repro.runtime.faults import fault_run
+    from repro.util.context import current
+
     resolved: list = []
     for cls in (ctile.Tile, ctile.Finish):
         monkeypatch.setattr(cls, "_pointers", lambda self, *args, _resolve=cls._pointers:
                             resolved.append(type(self)) or _resolve(self, *args))
     scenario = hotspot_scenario(nx=8, ny=8, ndirs=4, n_freq_bands=4, nsteps=30)
     problem, _ = build_bte_problem(scenario)
-    problem.enable_gpu()
-    problem.extra["gpu_force_offload"] = True
+    if target == "cpu":
+        problem.set_stepper("rk2")
+    else:
+        problem.enable_gpu()
+        problem.extra["gpu_force_offload"] = True
     if finish is not None:
         problem.extra["placement_override"] = {"finish_step": finish}
     if target == "gpu_distributed":
-        problem.set_partitioning("bands", 2, index="b")
-    solver = problem.generate()
-    solver.run(30)
-    ranks = 2 if target == "gpu_distributed" else 1
-    halves = 2 if solver.placement.device["finish_step"] == "gpu" else 1
-    for cls in (ctile.Tile, ctile.Finish):
-        assert 0 < resolved.count(cls) <= 2 and resolved.count(cls) <= ranks * halves
+        problem.set_partitioning("bands", ranks, index="b")
+    with fault_run(fault):
+        solver = problem.generate()
+        solver.run(30 if fault is None else 10)
+        assert len(current().resilience.degraded) == bool(fault)
+    degraded = 2 if fault else 0  # onto the host's arrays, and back
+    assert 0 < resolved.count(ctile.Tile) <= ranks + degraded
+    assert resolved.count(ctile.Finish) <= (0 if target == "cpu" else ranks + degraded)
+    if target != "cpu":
+        assert resolved.count(ctile.Finish) > 0

@@ -128,5 +128,7 @@ class TestDiffusionOnGPU:
         p2.enable_gpu()
         p2.extra["gpu_force_offload"] = True
         out = p2.solve()
-        assert "face_dist = FACEDIST_INT" in out.source
+        # the interior faces' geometry is the state's, built with its tables
+        assert ("[normal, face_dist, owner, neighbor, slots] = state.tables("
+                "interior_tables, geom.interior_faces, divergence=True)") in out.source
         assert np.max(np.abs(out.solution() - ref)) < 1e-12

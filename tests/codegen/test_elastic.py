@@ -320,6 +320,40 @@ class TestTablesFollowTheRankState:
                      lambda st: next(iter(st.plans.values()))[1]):
             assert len({id(held(st)) for st in states}) == len(states)
 
+    def test_device_band_ranks_build_their_own_tables_and_a_repartition_anew(self):
+        """A device kernel reads the tables and the argument memo of the rank
+        state it is launched for: each ``gpu_distributed`` rank builds its
+        own, and the states a rank loss repartitions onto build theirs anew."""
+        p, _ = build_bte_problem(_scenario(8))
+        p.extra.update({"rebalance": True, "checkpoint_every": 2,
+                        "gpu_force_offload": True})
+        p.enable_gpu()
+        p.set_partitioning("bands", 3, index="b")
+        solver = p.generate()
+        ns = solver.namespace
+        make_rank_state, states = ns["make_rank_state"], []
+        ns["make_rank_state"] = lambda rank: (states.append(make_rank_state(rank)),
+                                              states[-1])[1]
+        with fault_run("rank_kill:rank=1,at=6"):
+            solver.run()
+        (migration,) = rebalance_log(solver)["migrations"]
+        assert migration["kind"] == "rank_loss" and len(states) == 3 + 2
+        assert all(st.device is not None for st in states)
+        held = [st._tables["folded_tables"] for st in states]
+        assert all(h[0] is ns["folded_tables"] for h in held)
+        for built in (lambda h: h[1], lambda h: h[1][0].own, lambda h: h[1][0].weights):
+            assert len({id(built(h)) for h in held}) == len(states)
+        # ... and the kernel's arguments resolved into each state's own memo
+        assert len({id(st.plans[ns["TILE"]]) for st in states}) == len(states)
+        for st in states[3:]:
+            g = st.geom
+            fresh = ns["folded_tables"](
+                g.normal[g.interior_faces], g.face_dist[g.interior_faces],
+                g.owner[g.interior_faces], g.neighbor_column[g.interior_faces],
+                g.divergence_slots(faces=g.interior_faces))
+            for have, want in zip(st._tables["folded_tables"][1], fresh):
+                assert all(map(np.array_equal, have, want))
+
     def test_plans_contexts_and_memos_are_rebuilt_after_a_rebalance(self):
         """A repartition rebuilds the rank states, and with them everything a
         step no longer re-derives; the bits are those of an undisturbed run."""

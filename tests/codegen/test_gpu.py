@@ -232,14 +232,16 @@ class TestGeneratedKernelSource:
         solver = p.generate()
         src = solver.source
         assert (
-            "def interior_kernel(u, var_Io, var_beta, u_new, buffer, sel=slice(None)):" in src
-            or "def interior_kernel(u, var_beta, var_Io, u_new, buffer, sel=slice(None)):" in src
+            "def interior_kernel(state, u, var_Io, var_beta, u_new, buffer, sel=None):" in src
+            or "def interior_kernel(state, u, var_beta, var_Io, u_new, buffer, sel=None):" in src
         )
         assert "def compute_boundary_contribution" in src
-        assert "OWNER_INT" in src
-        # u_new[sel] = u[sel] + DT * (source + div): the C tile over the
+        # the state's tables, dt and memo, as the host's compute_rhs reads them
+        assert ("[fold_s0] = state.tables(folded_tables, geom.interior_faces, "
+                "divergence=True)") in src
+        # u_new[sel] = u[sel] + dt * (source + div): the C tile over the
         # launch's rows into ``u_new``, no boundary part (finish_step's)
-        assert "TILE(TILE_PLANS, (DT,), rows, u, u_new," in src
+        assert "TILE(state.plans, (dt,), rows, u, u_new," in src
         assert "const double v = (" in solver.tile.text
         assert "o[c] = ur[c] + v * s0;" in solver.tile.text
 

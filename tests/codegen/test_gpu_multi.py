@@ -74,7 +74,8 @@ class TestExecutionStructure:
 
     def test_kernel_is_band_restricted(self, solved):
         _, solver = solved
-        assert "sel=slice(None)" in solver.source
+        assert "u_new, buffer, sel=None):" in solver.source
+        assert "dev.launch(KERNEL, ndof, state, *kernel_args, own," in solver.source
         assert "len(own) * NCELLS" in solver.source
 
     def test_auto_target_selection(self, case):

@@ -26,10 +26,13 @@ FIRST, LAST = 3, 12
 #: in a ``cells`` rank, the tile being one foreign call that also reduces
 #: the band energies (whether the peer's message is already there when a
 #: rank asks can move a rank's count by a call or two; the lower of two runs
-#: is held to the bound); 434.1 on ``gpu``, a served mix's device job (the
+#: is held to the bound); 437.1 on ``gpu``, a served mix's device job (the
 #: interior forced onto the device, the finish on the host at this size:
-#: the tile and the finish two foreign calls, their arguments resolved once).
-BUDGET = {"cpu": 267, "cells": 376, "gpu": 438}
+#: the tile and the finish two foreign calls, their arguments resolved once
+#: per state, the kernel's tables read from it); 406.1 under ``rk2``, two
+#: sweeps into fresh right-hand sides whose arguments are not resolved again;
+#: 767.5-773.0 in one of three ``gpu_distributed`` band ranks.
+BUDGET = {"cpu": 267, "cells": 376, "gpu": 438, "rk2": 410, "gpu_distributed": 780}
 
 
 def bracket(state, counted: list) -> None:
@@ -60,11 +63,15 @@ def calls_per_step(target: str) -> float:
     counted = [0]
     if target == "cells":
         problem.set_partitioning("cells", 2)
-    elif target == "gpu":  # a served mix's device job: the interior forced onto it
+    elif target == "rk2":  # two sweeps a step, each into a fresh right-hand side
+        problem.set_stepper("rk2")
+    elif target.startswith("gpu"):  # a served mix's device job: the interior forced onto it
         problem.enable_gpu()
         problem.extra["gpu_force_offload"] = True
+    if target == "gpu_distributed":  # three band ranks, each with its device
+        problem.set_partitioning("bands", 3, index="b")
     solver = problem.generate()
-    if target == "cells":  # inside rank 0: its thread, its state
+    if target in ("cells", "gpu_distributed"):  # inside rank 0: its thread, its state
         ns = solver.namespace
         make_rank_state = ns["make_rank_state"]
 

@@ -327,10 +327,10 @@ def assert_launch_touches_only(monkeypatch, rows, recorded: bool) -> None:
     monkeypatch.setattr(kernels, "TILE_BYTES", 8 * NFACES * 2)
 
     full = np.full_like(state.u, np.nan)
-    ns["interior_kernel"](state.u, *known, full, state.buffer)
+    ns["interior_kernel"](state, state.u, *known, full, state.buffer)
     u = state.u.copy().view(_RecordingRows)
     part = np.full_like(state.u, np.nan)
-    ns["interior_kernel"](u, *known, part, state.buffer, rows)
+    ns["interior_kernel"](state, u, *known, part, state.buffer, rows)
 
     others = np.setdiff1d(np.arange(state.ncomp), rows)
     assert np.array_equal(part[rows], full[rows])

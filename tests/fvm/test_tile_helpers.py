@@ -83,8 +83,9 @@ def test_surface_divergence_equals_the_csr_product_bitwise(mesh):
 @pytest.mark.parametrize("mesh", sorted(MESHES))
 @pytest.mark.parametrize("part", ["interior", "boundary"])
 def test_column_sliced_operators_equal_their_csr_product_bitwise(mesh, part):
-    """``DIV_INT`` / ``DIV_BDRY`` of the device targets: cells have fewer
-    entries than faces, some none at all."""
+    """The divergence restricted to the interior faces (a two-sided device
+    tile's) or to the boundary faces: cells have fewer entries than faces,
+    some none at all."""
     geom = FVGeometry(MESHES[mesh]())
     faces = np.flatnonzero(geom.interior_mask) if part == "interior" else geom.bfaces
     operator = geom.divergence[:, faces]

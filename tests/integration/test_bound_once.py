@@ -1,11 +1,13 @@
-"""Every cache a step reads against its cold twin (ISSUE 23).
+"""Every cache a step reads against its cold twin.
 
 What depends only on what ``bind`` or the previous step produced is built
 once per ``SolverState`` / ``BoundarySet``: region contexts, the callbacks'
-wall invariants, the tile plan, the closure's warm start.  Here the same
-problem runs twice — as generated, and with a pre-step callback that throws
-all of it away before every step (a fresh ``BoundarySet``, no plan, no
-closure result) — and the solution and temperature must agree to the bit.
+wall invariants, the tables, the tile plans and foreign-call arguments, the
+closure's warm start.  Here the same problem runs twice — as generated, and
+with a pre-step callback that throws all of it away before every step, on
+every state, rank and device states included (a fresh ``BoundarySet``, no
+tables, no plan, no closure result) — and the solution and temperature must
+agree to the bit.
 """
 
 from __future__ import annotations
@@ -26,15 +28,16 @@ def hotspot(target: str):
                                 nsteps=STEPS)
     scenario.sigma = max(scenario.sigma, 2.5 * scenario.lx / scenario.nx)
     problem, _ = build_bte_problem(scenario)
-    if target == "gpu":
+    if target.startswith("gpu"):
         problem.enable_gpu()
         problem.extra["gpu_force_offload"] = True
-    elif target != "cpu":
-        problem.set_partitioning(target, 2, **({"index": "b"} if target == "bands" else {}))
+    if target not in ("cpu", "gpu"):
+        problem.set_partitioning("bands" if target == "gpu_distributed" else target, 2,
+                                 **({"index": "b"} if target != "cells" else {}))
     return problem
 
 
-@pytest.mark.parametrize("target", ["cpu", "gpu", "cells", "bands"])
+@pytest.mark.parametrize("target", ["cpu", "gpu", "cells", "bands", "gpu_distributed"])
 def test_five_steps_equal_a_run_that_keeps_nothing(target):
     warm = hotspot(target).generate()
     warm.run(STEPS)
@@ -43,12 +46,12 @@ def test_five_steps_equal_a_run_that_keeps_nothing(target):
     forgotten = []
 
     def forget(state):
-        forgotten.append((len(state.bset._contexts), len(state.plans),
+        forgotten.append((len(state.bset._contexts), len(state.plans), len(state._tables),
                           "closure" in state.extra))
         state.bset = state._build_boundary_set()
         state.plans.clear()
+        state._tables.clear()
         state.extra.pop("closure", None)
-        cold.namespace.get("TILE_PLANS", {}).clear()  # the device kernel's
 
     cold_problem.add_pre_step(forget)
     cold = cold_problem.generate()
