@@ -404,31 +404,31 @@ def slot_divergence(slots, flux: np.ndarray, out: np.ndarray,
 def reduce_rows(u: np.ndarray, group: np.ndarray, weight: np.ndarray, out: np.ndarray,
                 comps=None, work: np.ndarray | None = None) -> np.ndarray:
     """A declared reduction (:class:`~repro.dsl.entities.Reduction`) of the
-    rows of ``u``, into ``out`` (returned): ``out[group[g]] += weight[g] *
-    u[g]``, ``out`` zeroed first, over the components ``g`` in order —
-    every row of ``u``, or ``comps`` (indices or a slice).  Summed a slab at
-    a time: a run of consecutive components whose output rows are
-    consecutive is one multiply (into ``work``, scratch of ``out``'s shape;
-    by one scalar when the run's weights are equal, as a band block's are:
-    a broadcast column of them multiplies ~3x slower) and one add, and the
-    runs go in order, so every output element receives its terms in
-    component order — the ordered scatter-add's bits.  The
-    Euler C tile (:mod:`repro.codegen.ctile`) accumulates the same terms in
-    the same order."""
-    out.fill(0.0)
+    rows of ``u`` into ``out`` (zeroed, returned): ``out[group[g]] +=
+    weight[g] * u[g]`` over the components ``g`` in order — all, or ``comps``
+    (indices or a slice).  A run of consecutive components with consecutive
+    output rows is one multiply (into ``work``, scratch of ``out``'s shape; by
+    one scalar if the run's weights are equal: a column is ~3x slower) and
+    one add, in order: the ordered scatter-add's bits, as the Euler C tile
+    (:mod:`repro.codegen.ctile`) sums them.  Of two NaNs a sum may keep
+    either (NumPy's vector and scalar loops differ): a NaN in ``out`` has
+    the sum done again, keeping the term's, as ``np.add.at`` does."""
     comps = np.arange(len(group))[slice(None) if comps is None else comps]
     rows = group[comps]
-    cuts = ((comps[1:] - comps[:-1] != 1) | (rows[1:] - rows[:-1] != 1)).nonzero()[0] + 1
-    for lo, hi in zip([0, *cuts.tolist()], [*cuts.tolist(), len(comps)]):
-        if hi > lo:  # (none: no components)
+    step = (comps[1:] - comps[:-1] != 1) | (rows[1:] - rows[:-1] != 1)
+    cuts = [0, *(step.nonzero()[0] + 1).tolist(), comps.size] if comps.size else [0]
+    for careful in (False, True):
+        out.fill(0.0)
+        for lo, hi in zip(cuts, cuts[1:]):
             c, r, k = comps[lo], rows[lo], hi - lo
             acc, w = out[r:r + k], weight[c:c + k]
             terms = np.multiply(u[c:c + k], w[0] if (w == w[0]).all() else w[:, None],
                                 out=None if work is None else work[:k])
-            # the term first, as np.add.at adds it: of two NaNs the term's
-            # is kept (which one IEEE leaves open), so even those bits agree
             np.add(terms, acc, out=acc)
-    return out
+            if careful:
+                np.copyto(acc, terms, where=np.isnan(terms))
+        if careful or not np.logical_or.reduce(np.isnan(out), axis=None):
+            return out
 
 
 def store_columns(u: np.ndarray, rows, columns: np.ndarray, values: np.ndarray,
