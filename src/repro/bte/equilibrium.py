@@ -23,8 +23,14 @@ import numpy as np
 
 from repro.bte import constants as C
 from repro.bte.dispersion import BandSet
-from repro.fvm.kernels import TILE_BYTES
 from repro.util.errors import SolverError
+
+#: Working-set budget of one cell block of the closure's first pass: one
+#: ``(nbands, block)`` float64 array per budget, about six live, so a block
+#: stays inside a 4 MiB L2.  Measured, not configured — EXPERIMENTS.md ("No
+#: allocation in steady state", re-run under "Hoist through the divergence"):
+#: the closure's time is flat from ~128 KiB, and 0.45 ms better unblocked.
+TILE_BYTES = 512 * 1024
 
 
 def bose_einstein(omega: np.ndarray, T: np.ndarray | float,

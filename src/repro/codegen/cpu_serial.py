@@ -4,9 +4,9 @@ The finite-volume program (:class:`~repro.codegen.target_base.FVTarget`)
 with every task of the step on the host — the constant
 :data:`~repro.codegen.target_base.HOST_PLAN`, no device, no placement
 optimiser — and no partition: the paper's Section II-B nested-loop solver,
-a sequential time loop around ``compute_rhs``, a vectorised sweep of
-``assemblyLoops`` blocks in cache-sized tiles of component rows.  The
-emitted source is plain, readable Python over NumPy + :mod:`repro.fvm.kernels`.
+a sequential time loop around ``compute_rhs``, one generated C sweep of
+the component rows (:mod:`repro.codegen.ctile`).  The emitted source is
+plain, readable Python over NumPy + :mod:`repro.fvm.kernels` around it.
 """
 
 from __future__ import annotations

@@ -1,50 +1,34 @@
-"""The folded tile as generated C: printer, build and load.
+"""Every sweep as generated C: printer, build and load.
 
-A folded tile (:func:`repro.codegen.emit.emit_interior`) is the statement
-folded through the divergence, the volume statement, the forward-Euler
-update and the boundary cells' add.  :func:`lower` prints it as one C
-function over every row of a sweep; :func:`build` compiles it with the
-system C compiler; :class:`Tile` calls it through :mod:`ctypes`, once per
-sweep, its arguments resolved once per state (the state's ``plans``).
+A sweep (:func:`repro.codegen.emit.emit_interior`) is one of two loop shapes
+over the rows it is handed: over the cells (a statement folded through the
+divergence, the volume statement, the store), or over the faces first (both
+sides of the unknown, the face statement, the FLUX overrides, each column's
+faces in ``slot_divergence``'s order from ``+0.0``), then the cells — or,
+for the boundary part, only the boundary cells' columns.  :func:`lower`
+prints a program's sweeps as one translation unit from the emitter's
+statement record (:class:`~repro.codegen.emit.Stmt`), :func:`build`
+compiles it once, and :class:`Tile` calls a function of it through
+:mod:`ctypes` once per sweep, its arguments resolved once per state.
 
-*Exact only.*  The emitter records each statement of a tile as data
-(:class:`~repro.codegen.emit.Stmt`, ``register := op(operands)``) and
-prints it as NumPy; :func:`lower` prints the same record as C, one
-assignment per element, every operation on the same operands in the same
-order, spelt as the one table of operations gives it
-(:data:`~repro.codegen.emit.OPS`): ``+ - * /``, compare/select and
-``sqrt``/``abs``, correctly rounded (``-fno-math-errno``, no FMA
-contraction), so every element keeps its bits.  A sub-expression of plain
-floats is evaluated by Python before the call, as the NumPy tile evaluates
-it, and passed by value.  An operation on arrays the table gives no C
-spelling — a power other than ``x^-1``, a transcendental, ``min``/``max`` —
-keeps the tile NumPy, whole (:func:`lower` returns ``None``).
-
-*At SIMD width.*  The store is the program's stepper, fixed when the text
-is printed — ``ur[c] + v * s0`` for a forward-Euler sweep, ``v`` for an RK
-right-hand side — so no loop has a branch, and every loop is vectorized
-(:data:`FLAGS`): one lane is one element, so no operation of an element
-moves.
-
-*The declared reductions.*  A forward-Euler tile also accumulates the
-post-step callbacks' declared reductions (:class:`~repro.dsl.entities.
-Reduction`) of each row it stored, while the row is hot: per output (the
-``reduced`` arrays, zeroed at the start) a row map ``group`` and a
-per-component coefficient ``weight``, rows in sweep order — the terms, in
-the order, of :func:`repro.fvm.kernels.reduce_rows`.  A device kernel hands
-it none: its ``finish_step``, one fixed C function (:data:`FINISH`), reduces.
-
-*One library per equation shape.*  The C text holds no sizes, counts,
-coefficients or names the user chose: its identifiers are positional and
-every array and size is an argument, among them what tells the targets
-apart — the rows swept, in place or into another array, the boundary
-cells' add, the columns a cell rank owns, the reductions.  Builds are
-memoised per process by (text, compiler, flags) and single-flight; the
-library lands in the compilation cache's disk directory when one is
-configured and writable (one there the loader refuses is built again and
-replaced), otherwise in a private temporary directory removed once the
+Every operation is printed on the same operands in the same order, spelt
+as the one table of operations gives it (:data:`~repro.codegen.emit.OPS`),
+correctly rounded (:data:`FLAGS`: no FMA contraction), so every element
+keeps its bits; plain floats are computed by Python before the call, and
+what has no C spelling the emitter evaluates in NumPy before it.  The store
+is the program's stepper, fixed when the text is printed (no loop over the
+cells has a branch, each is vectorized: one lane is one element); a
+forward-Euler host sweep also accumulates the post-step callbacks' declared
+reductions (:class:`~repro.dsl.entities.Reduction`) of each row it stored,
+in :func:`repro.fvm.kernels.reduce_rows`' order, and a device step's fixed
+:data:`FINISH` does.  The text holds no size, count, coefficient or name the
+user chose: one library per equation shape, memoised per process by (text,
+compiler, flags) and single-flight, in the compilation cache's disk
+directory when one is configured and writable (one the loader refuses is
+built again and replaced), else in a private directory removed once the
 library is loaded.  A missing or failing compiler is
-:class:`~repro.util.errors.CodegenError` RPR142.
+:class:`~repro.util.errors.CodegenError` RPR142 (docs/architecture.md, "The
+tile as C").
 """
 
 from __future__ import annotations
@@ -58,7 +42,6 @@ from typing import NamedTuple
 import numpy as np
 
 from repro.codegen.emit import COMPARISONS, OPS, Leaf, Op, Stmt, Table
-from repro.fvm.kernels import FoldedOperator
 from repro.util.errors import CodegenError
 
 #: The compiler, found on ``PATH``.
@@ -80,10 +63,12 @@ FLAGS = ("-O1", "-ftree-vectorize", "-fvect-cost-model=cheap", "-shared", "-fPIC
 
 
 class Lowered(NamedTuple):
-    """A printed tile: the C translation unit, the Python expressions of
-    the scalars it takes by value after ``dt`` (``scalars``) and of the
-    arrays it reads (``operands``), and per operand how it is passed
-    (``kinds``, :meth:`Tile._pointers`)."""
+    """A printed sweep: the C translation unit (``text``: every function of
+    the program, compiled once), the Python expressions of the scalars the
+    function takes by value after ``dt`` (``scalars``) and of the arrays it
+    reads (``operands``: those resolved once first, those checked on every
+    call last), and per operand how it is passed (``kinds``,
+    :meth:`Tile._pointers`)."""
 
     text: str
     scalars: tuple[str, ...]
@@ -92,63 +77,75 @@ class Lowered(NamedTuple):
     folds: int
     #: ``(operand, row map)``: the row map indexes the operand's rows
     bounds: tuple[tuple[int, int], ...]
-    #: the registers of ``sweep_pool`` the tile reads
-    registers: int
     #: stores the forward-Euler update and reduces it (else the RHS)
     euler: bool
+    #: ``cells`` (a loop over the cells), ``faces`` (a loop over the faces,
+    #: then over the cells) or ``boundary`` (a loop over the boundary faces
+    #: into the boundary cells' columns)
+    shape: str = "cells"
+    #: the boundary part's function, printed into the same unit
+    boundary: "Lowered | None" = None
+    #: per C parameter, how it is passed: ``d`` a double, ``l`` a long, ``p`` a pointer
+    codes: str = ""
 
 
-class _Inexact(Exception):
-    """An operation the printer does not lower exactly."""
+#: Operand kinds with fixed C names (one per function): the face loop's
+#: geometry and divergence, the ghost values, the FLUX overrides.
+_FIXED = {
+    "L": ("long nf", "const long *restrict fs1", "const long *restrict fs2",
+          "const long *restrict fc", "const double *restrict fn", "const double *restrict fd",
+          "const long *restrict db", "const long *restrict dc", "const double *restrict dw"),
+    "g": ("long ng", "const double *restrict gh"),
+    "r": ("long nov", "const long *restrict oi", "const double *restrict ov"),
+}
 
 
 class _Printer:
-    """Print a tile's statements as per-element C (:func:`lower`)."""
+    """Print a sweep's statements as per-element C (:func:`lower`): over
+    the cells (``at == "c"``) or the faces (``"f"``)."""
 
-    def __init__(self):
+    def __init__(self, at: str = "c", select=None, uw: str = "xw"):
         self.locals: dict[str, str] = {}
         self.floats: dict[str, object] = {}  # a name bound to a plain float: its term
         self.scalars: dict[str, str] = {}  # a Python expression: its C name
-        self.operands: list[tuple[str, str]] = []  # (kind, Python expression)
-        self.params: list[str] = []
+        self.operands: list[tuple[str, str, tuple]] = []  # (kind, Python expression, C params)
         self.rowptrs: list[str] = []
         self.held: dict[object, str] = {}  # an operand or a row pointer: its C name
         self.folds: dict[str, str] = {}  # a folded operator: its row map
-        self.bounds: set[tuple[int, int]] = set()
-        self.registers = 0  # of the sweep pool, read
+        self.bounds: set[tuple[str, str]] = set()
         self.body: list[str] = []
+        self.at, self.select, self.uw = at, select, uw
+        self.sides: dict[str, str] = {}  # a face side read: its C declaration
 
     # -- operands -------------------------------------------------------------
     def _operand(self, kind: str, source: str, *params: str) -> str:
         """The argument ``source`` (Python), passed once as ``params`` (C)."""
         if (kind, source) not in self.held:
-            name = self.held[kind, source] = f"a{len(self.operands)}"
-            self.operands.append((kind, source))
-            self.params += [p.format(name) for p in params]
+            self.held[kind, source] = f"a{len(self.operands)}"
+            self.operands.append((kind, source, _FIXED.get(kind, params)))
         return self.held[kind, source]
 
     def _map(self, user: str, source: str) -> str:
         """The row map ``source`` (a Python name), read by the operand ``user``."""
         rows = self._operand("m", source, "const long *restrict {}")
-        self.bounds.add((int(user[1:]), int(rows[1:])))
+        self.bounds.add((user, rows))
         return rows
 
     def _table(self, t: Table, condition: bool) -> str:
-        """The element of a table read by the tile's row map."""
-        name, space = t.h.name, f"tmap_{t.h.rows}"
+        """The element of a table read by the tile's row map, or of a value
+        evaluated over the sweep's rows by its row ``i``."""
+        name, face = t.h.name, self.at == "f"
         if t.test and not condition:
-            raise _Inexact("bool")
-        if t.pool >= 0:  # held in the sweep pool
-            self.registers = max(self.registers, t.pool + 1)
-            ctype = "const double"
-            arr = self._operand("p", "sweep_pool", "const double *restrict {}", "long {}l")
-            row = f"({t.pool} * {arr}l + {self._map(arr, space)}[g]) * n"
-        else:
-            ctype = "const unsigned char" if t.test else "const double"
-            arr = self._operand(("bk" if t.test else "tn")[not t.wide], name,
-                                ctype + " *restrict {}")
-            row = f"{self._map(arr, space)}[g]{' * n' if t.wide else ''}"
-        return f"{self._rowptr(ctype + ' *', f'{arr} + {row}')}[{'c' if t.wide else '0'}]"
+            raise CodegenError(f"tile: the comparison {name} read as a number")
+        if not t.h.rows:  # one row per row of the sweep
+            arr = self._operand("eE"[face], name, "const double *restrict {}")
+            return f"{self._rowptr('const double *', f'{arr} + i * ' + ('nf' if face else 'n'))}[{self.at}]"
+        ctype = "const unsigned char" if t.test else "const double"
+        kind = ("bk" if t.test else "tn")[not t.wide]
+        arr = self._operand(kind.upper() if face and t.wide else kind, name,
+                            ctype + " *restrict {}")
+        row = f"{self._map(arr, f'tmap_{t.h.rows}')}[g]" + (" * nf" if face else " * n") * t.wide
+        return f"{self._rowptr(ctype + ' *', f'{arr} + {row}')}[{self.at if t.wide else '0'}]"
 
     def _rowptr(self, ctype: str, value: str) -> str:
         """A pointer set once per row ``g`` of the sweep."""
@@ -159,6 +156,23 @@ class _Printer:
 
     def _local(self, name: str) -> str:
         return self.locals.setdefault(name, f"r{len(self.locals)}")
+
+    def _side(self, name: str) -> str:
+        """A face's side value, read once per face: the unknown of the face's
+        first cell, of its second cell or ghost slot (``~slot``), or the
+        upwinded one of the two."""
+        side = {"u1": "x1", "u2": "x2", "uw": self.uw}[name]
+        if side not in self.sides:
+            self._operand("L", "faces")
+            if side == "xw":
+                self.sides[side] = f"const double xw = {self.expr(self.select)};"
+            elif side == "x2":
+                self._operand("g", "ghost")
+                self.sides[side] = ("const long t2 = fs2[f];\n"
+                                    "const double x2 = t2 >= 0 ? ur[t2] : gr[~t2];")
+            else:
+                self.sides[side] = "const double x1 = ur[fs1[f]];"
+        return side
 
     def _plain(self, t):
         """``t`` if it is a plain float — a literal, a scalar coefficient,
@@ -175,33 +189,43 @@ class _Printer:
 
     def _scalar(self, t) -> str:
         """A plain float: a literal, or passed by value (Python computes it
-        before the call, as the NumPy tile does)."""
+        before the call)."""
         if isinstance(t, float):
             return f"({t!r})"
         return self.scalars.setdefault(str(t), f"s{len(self.scalars) + 1}")
 
     # -- terms and statements -------------------------------------------------
     def expr(self, t, condition: bool = False) -> str:
-        """C of one element of ``t``.  A comparison is only read as a
-        select's condition or stored as a float (``condition``): NumPy's
-        bool arithmetic is no C int arithmetic."""
+        """C of one element of ``t``.  A comparison of arrays is only read
+        as a select's condition or stored as a float (``condition``): the
+        emitter evaluates NumPy's bool arithmetic before the sweep."""
         plain = self._plain(t)
         if plain is not None:
-            if isinstance(t, Op) and t.op in COMPARISONS and not condition:
-                raise _Inexact("bool")
             return self._scalar(plain)
         if isinstance(t, Table):
             return self._table(t, condition)
-        if isinstance(t, Leaf) and t.kind == "u":
-            return "ur[c]"
-        if isinstance(t, Leaf) and t.name in self.locals:
-            return self.locals[t.name]
-        if isinstance(t, Leaf) and t.kind in "ch":  # a column, a row over the cells
-            arg = self._operand(t.kind, t.name, "const double *restrict {}")
-            return f"{arg}[{'g' if t.kind == 'c' else 'c'}]"
+        if isinstance(t, str):
+            return self._side(t)
+        if isinstance(t, Leaf):
+            if t.kind == "u":
+                return "ur[c]"
+            if t.name in self.locals:
+                return self.locals[t.name]
+            if t.kind == "n":  # the face's geometry
+                self._operand("L", "faces")
+                return "fd[f]" if t.name == "face_dist" else f"fn[{'xyz'.index(t.name[-1])} * nf + f]"
+            if t.kind == "o":  # a known variable on the first cell of the face
+                self._operand("L", "faces")
+                var = self._operand("o", t.name, "const double *restrict {}", "long {}l")
+                row = f"{var} + {self._map(var, f'cmap_{t.name[4:]}')}[g] * {var}l"
+                return f"{self._rowptr('const double *', row)}[fc[f]]"
+            if t.kind in "ch":  # a column, a row over the cells or the faces
+                kind = "H" if t.kind == "h" and self.at == "f" else t.kind
+                arg = self._operand(kind, t.name, "const double *restrict {}")
+                return f"{arg}[{'g' if t.kind == 'c' else self.at}]"
         c = isinstance(t, Op) and OPS[t.op][3]
         if not c or (t.op in COMPARISONS and not condition):
-            raise _Inexact(t)
+            raise CodegenError(f"tile: {t} has no C form")
         if len(t.args) > c.count("{}"):  # ``a + b + c`` is ``(a + b) + c``, as Python reads it
             return self.expr(Op(t.op, (Op(t.op, t.args[:-1]), t.args[-1])))
         return c.format(*(self.expr(a, condition=t.op == "np.where" and i == 0)
@@ -229,107 +253,178 @@ class _Printer:
             code = self.expr(t, condition=True)
         self.body.append(f"{self._local(target)} = {code};")
 
+    def element(self) -> list[str]:
+        """The loop body over the elements: the sides read, the locals, the
+        statements."""
+        sides = [ln for side in ("x1", "x2", "xw") if side in self.sides
+                 for ln in self.sides[side].split("\n")]
+        declare = ["double " + ", ".join(self.locals.values()) + ";"] if self.locals else []
+        return [*sides, *declare, *self.body]
+
     # -- the unit -------------------------------------------------------------
-    def text(self, div: str, source: str, euler: bool) -> str:
-        nf = len(self.folds)
-        reduce = ["long nq", "double *const *restrict ro", "const long *restrict rn",
-                  "const long *restrict rg", "const double *restrict rw"]
-        head = ["double s0", *(f"double s{i + 1}" for i in range(len(self.scalars))),
-                "long nrows", "const long *restrict rows", "long nu", "long n",
-                "const double *u", "double *out", "double *restrict w",
-                "long nb", "const long *restrict bc", "const double *restrict bd",
-                "long no", "const long *restrict own", *reduce * euler, *self.params]
-        lines = [
-            "/* A folded tile, generated (repro.codegen.ctile): per row g of the",
-            "   sweep, the folded operators (the own cell's coefficient, then each",
-            *(["   entry in order), the statements element by element, the explicit",
-               "   update u + v * dt, the boundary cells' add, the store (every column,",
-               "   or the columns a cell rank owns), then each declared reduction of",
-               "   the stored row.  u and out may be one array; w is scratch of",
-               "   (folds + 1) rows. */"] if euler else
-              ["   entry in order), the statements element by element, the right-hand",
-               "   side v, the boundary cells' add and the store (every column, or the",
-               "   columns a cell rank owns).  w is scratch of (folds + 1) rows. */"]),
-            "void tile(" + ",\n          ".join(head) + ")",
-            "{",
-        ]
-        if euler:
-            lines += [
-                "    for (long q = 0; q < nq; q++)",
-                "        for (long k = 0; k < rn[q]; k++) ro[q][k] = 0.0;",
-            ]
-        lines += [
-            "    for (long i = 0; i < nrows; i++) {",
-            "        const long g = rows ? rows[i] : i;",
-            "        const double *ur = u + g * n;",
-            "        double *orow = out + g * n;",
-            "        /* o may be ur (in place): element c is read, then written */",
-            f"        double *o = own ? w + {nf} * n : orow;",
-        ]
-        for k, (op, rowmap) in enumerate(self.folds.items()):
-            lines += [
-                "        {",
-                f"            double *restrict f = w + {k} * n;",
-                f"            const long r = {rowmap}[g];",
-                f"            const double *fo = {op}o + r * n;",
-                "            for (long c = 0; c < n; c++) f[c] = ur[c] * fo[c];",
-                f"            for (long e = {op}b[r]; e < {op}b[r + 1]; e++) {{",
-                f"                const long *E = {op}e + 5 * e;",
-                f"                const long lo = E[0], hi = E[1], sh = E[2];",
-                f"                const double *wt = {op}w + E[4];",
-                "                if (E[3] < 0)",
-                "                    for (long c = lo; c < hi; c++)",
-                "                        f[c] = f[c] + ur[c + sh] * wt[c - lo];",
-                "                else {",
-                f"                    const long *ix = {op}g + E[3];",
-                "                    for (long c = lo; c < hi; c++)",
-                "                        f[c] = f[c] + ur[ix[c - lo]] * wt[c - lo];",
-                "                }",
-                "            }",
-                "        }",
-            ]
-        lines += [f"        const double *restrict f{k} = w + {k} * n;" for k in range(nf)]
-        lines += ["        " + p for p in self.rowptrs]
-        lines += ["        for (long c = 0; c < n; c++) {"]
-        if self.locals:
-            lines.append("            double " + ", ".join(self.locals.values()) + ";")
-        lines += ["            " + s for s in self.body]
-        lines += [
-            f"            const double v = ({source} + {div});",
-            f"            o[c] = {'ur[c] + v * s0' if euler else 'v'};",
+    def unit(self, comment: str, head: list[str], rows: list[str], euler: bool,
+             shape: str) -> Lowered:
+        """The function ``head`` (its parameters but the operands') over the
+        rows of the sweep (``rows``), its operands in the order first read."""
+        params = [p.format(f"a{k}") for k, (_, _, ps) in enumerate(self.operands) for p in ps]
+        name = "boundary" if shape == "boundary" else "tile"
+        text = "\n".join([comment.rstrip(), f"void {name}(" + ",\n          ".join(head + params)
+                          + ")", "{", *rows, "}"]) + "\n"
+        kinds, sources, _ = zip(*self.operands) if self.operands else ((), (), ())
+        codes = "".join("p" if "*" in p else p[0] for p in head + params)
+        return Lowered(text, tuple(self.scalars), sources, "".join(kinds), len(self.folds),
+                       tuple(sorted((int(a[1:]), int(b[1:])) for a, b in self.bounds)),
+                       euler, shape, codes=codes)
+
+    def face_loop(self, statement, into: str, cells: str) -> list[str]:
+        """One row's loop over the faces of ``statement``: the sides and the
+        face statement per face into ``fl``, the FLUX overrides over their
+        faces, then per output column (``cells`` of them, into ``into``) its
+        faces in the divergence's slot order, from ``+0.0`` as the CSR
+        product sums them."""
+        for s in [*statement.statements, Stmt("flux", Op("=", (statement.term,)))]:
+            self.statement(s)
+        flux = self.expr(Leaf("r", "flux"))
+        self._operand("L", "faces")
+        self._operand("r", "overrides")
+        return [
+            *["        const double *gr = gh + g * ng;"] * ("x2" in self.sides),
+            "        for (long f = 0; f < nf; f++) {",
+            *("            " + ln for ln in self.element()),
+            f"            fl[f] = {flux};",
             "        }",
-            "        for (long k = 0; k < nb; k++) o[bc[k]] = o[bc[k]] + bd[g * nb + k];",
-            "        for (long k = 0; k < no; k++) orow[own[k]] = o[own[k]];",
+            "        for (long j = 0; j < nov; j++) fl[oi[j]] = ov[g * nov + j];",
+            f"        for (long c = 0; c < {cells}; c++) {{",
+            "            double a = 0.0;",
+            "            for (long e = db[c]; e < db[c + 1]; e++) a = a + dw[e] * fl[dc[e]];",
+            f"            {into}[c] = a;",
+            "        }",
         ]
-        if euler:
-            lines += [
-                "        for (long q = 0; q < nq; q++) {",
-                "            double *restrict e = ro[q] + rg[q * nu + g] * n;",
-                "            const double we = rw[q * nu + g];",
-                "            for (long c = 0; c < n; c++) e[c] = e[c] + orow[c] * we;",
-                "        }",
-            ]
-        lines += ["    }", "}"]
-        return "\n".join(lines) + "\n"
 
 
-def lower(folded, volume, euler: bool) -> Lowered | None:
-    """The C tile of a folded and a volume statement (``0.0`` when there are
-    no volume terms), :class:`~repro.codegen.emit.EmittedExpr`, or ``None``
-    when an operation has no exact C form: with ``euler`` it stores the
-    forward-Euler update and reduces the stored rows, else the right-hand
-    side."""
-    printer = _Printer()
-    try:
-        for s in [*folded.statements, Stmt("div", Op("=", (folded.term,))),
-                  *volume.statements, Stmt("source", Op("=", (volume.term,)))]:
-            printer.statement(s)
-    except _Inexact:
-        return None
-    text = printer.text(*(printer.expr(Leaf("r", name)) for name in ("div", "source")), euler)
-    kinds, operands = zip(*printer.operands) if printer.operands else ((), ())
-    return Lowered(text, tuple(printer.scalars), tuple(operands), "".join(kinds),
-                   len(printer.folds), tuple(sorted(printer.bounds)), printer.registers, euler)
+#: per row ``g`` of the sweep (``i``: its position), the unknown's row
+_ROW = ["    for (long i = 0; i < nrows; i++) {",
+        "        const long g = rows ? rows[i] : i;",
+        "        const double *ur = u + g * n;"]
+
+
+def _head(printer: _Printer, *rest: str) -> list[str]:
+    """The parameters every sweep takes first: the scalars by value (``dt``
+    first), the rows, the unknown's shape, the unknown, the output and the
+    scratch — then ``rest``."""
+    return [*(f"double s{i}" for i in range(len(printer.scalars) + 1)), "long nrows",
+            "const long *restrict rows", "long nu", "long n", "const double *u",
+            "double *out", "double *restrict w", *rest]
+
+
+def _boundary(statement, in_place: bool) -> Lowered:
+    """The boundary part's function: per row, the face statement over the
+    boundary faces into the boundary cells' columns of ``out``."""
+    b = _Printer("f", statement.upwind and statement.upwind.select, "x1" if in_place else "xw")
+    faces = b.face_loop(statement, "dv", "nc")
+    rows = [*_ROW, "        double *restrict fl = w, *restrict dv = out + g * nc;",
+            *("        " + p for p in b.rowptrs), *faces, "    }"]
+    return b.unit(
+        "/* The boundary part, generated (repro.codegen.ctile): per row g, the face\n"
+        "   statement over the boundary faces (the first side the value handed in,\n"
+        "   the second its ghost), the FLUX overrides, the boundary cells' sums. */",
+        _head(b, "long nc"), rows, False, "boundary")
+
+
+def lower(volume, euler: bool, *, folded=None, surface=None, boundary=None) -> Lowered:
+    """The C sweep of a ``volume`` statement (``0.0`` when there are no
+    volume terms) and of the surface: a ``folded`` statement (a loop over
+    the cells), a two-sided ``surface`` statement (a loop over the faces,
+    then over the cells) or none, :class:`~repro.codegen.emit.EmittedExpr`;
+    with ``euler`` it stores the forward-Euler update and reduces the stored
+    rows, else the right-hand side.  ``boundary`` — ``(statement, in
+    place)`` — prints the boundary part (:attr:`Lowered.boundary`) into the
+    same unit: the upwinded side is the value handed in where ``in
+    place``."""
+    tile = _Printer()
+    faces: list[str] = []
+    if surface is not None:  # the faces first, then the cells read ``dv``
+        tile.at, tile.select = "f", surface.upwind and surface.upwind.select
+        faces = tile.face_loop(surface, "dv", "n")
+        tile.at, tile.sides, tile.body, tile.locals = "c", {}, [], {}
+    elif folded is not None:
+        for s in [*folded.statements, Stmt("div", Op("=", (folded.term,)))]:
+            tile.statement(s)
+    for s in [*volume.statements, Stmt("source", Op("=", (volume.term,)))]:
+        tile.statement(s)
+    div = ("dv[c]" if surface is not None else
+           tile.expr(Leaf("r", "div")) if folded is not None else "(0.0)")
+    source = tile.expr(Leaf("r", "source"))
+    folds = len(tile.folds)
+    reduce = ["long nq", "double *const *restrict ro", "const long *restrict rn",
+              "const long *restrict rg", "const double *restrict rw"]
+    head = _head(tile, "long nb", "const long *restrict bc", "const double *restrict bd",
+                 "long no", "const long *restrict own", *reduce * euler)
+    rows = [
+        "    for (long q = 0; q < nq; q++)",
+        "        for (long k = 0; k < rn[q]; k++) ro[q][k] = 0.0;",
+    ] * euler + [
+        *_ROW,
+        "        double *orow = out + g * n;",
+        "        /* o may be ur (in place): element c is read, then written */",
+        f"        double *o = own ? {'w + nf + n' if faces else f'w + {folds} * n'} : orow;",
+        *["        double *restrict fl = w, *restrict dv = w + nf;"] * bool(faces),
+        *("        " + p for p in tile.rowptrs),
+        *faces,
+    ]
+    for k, (op, rowmap) in enumerate(tile.folds.items()):
+        rows += [
+            "        {",
+            f"            double *restrict f = w + {k} * n;",
+            f"            const long r = {rowmap}[g];",
+            f"            const double *fo = {op}o + r * n;",
+            "            for (long c = 0; c < n; c++) f[c] = ur[c] * fo[c];",
+            f"            for (long e = {op}b[r]; e < {op}b[r + 1]; e++) {{",
+            f"                const long *E = {op}e + 5 * e;",
+            "                const long lo = E[0], hi = E[1], sh = E[2];",
+            f"                const double *wt = {op}w + E[4];",
+            "                if (E[3] < 0)",
+            "                    for (long c = lo; c < hi; c++)",
+            "                        f[c] = f[c] + ur[c + sh] * wt[c - lo];",
+            "                else {",
+            f"                    const long *ix = {op}g + E[3];",
+            "                    for (long c = lo; c < hi; c++)",
+            "                        f[c] = f[c] + ur[ix[c - lo]] * wt[c - lo];",
+            "                }",
+            "            }",
+            "        }",
+        ]
+    rows += [f"        const double *restrict f{k} = w + {k} * n;" for k in range(folds)]
+    rows += [
+        "        for (long c = 0; c < n; c++) {",
+        *("            " + ln for ln in tile.element()),
+        f"            const double v = ({source} + {div});",
+        f"            o[c] = {'ur[c] + v * s0' if euler else 'v'};",
+        "        }",
+        "        for (long k = 0; k < nb; k++) o[bc[k]] = o[bc[k]] + bd[g * nb + k];",
+        "        for (long k = 0; k < no; k++) orow[own[k]] = o[own[k]];",
+    ]
+    if euler:
+        rows += [
+            "        for (long q = 0; q < nq; q++) {",
+            "            double *restrict e = ro[q] + rg[q * nu + g] * n;",
+            "            const double we = rw[q * nu + g];",
+            "            for (long c = 0; c < n; c++) e[c] = e[c] + orow[c] * we;",
+            "        }",
+        ]
+    rows += ["    }"]
+    comment = (
+        "/* A tile, generated (repro.codegen.ctile): per row g of the sweep, the\n"
+        "   face loop or the folded operators, the statements per cell, the store\n"
+        f"   ({'u + v * dt, in place or not' if euler else 'the right-hand side v'}), "
+        "the boundary cells' add, the\n   columns a cell rank owns"
+        + (", each declared reduction of the stored row. */" if euler else ". */"))
+    lowered = tile.unit(comment, head, rows, euler, "faces" if faces else "cells")
+    if boundary is None:
+        return lowered
+    part = _boundary(*boundary)
+    text = lowered.text + "\n" + part.text
+    return lowered._replace(text=text, boundary=part._replace(text=text))
 
 
 # ---------------------------------------------------------------------------
@@ -478,13 +573,6 @@ def build(text: str) -> _Build:
     return held
 
 
-#: C parameters per operand kind (:class:`Lowered`): a row map, a folded
-#: operator, the sweep pool, a table (float/bool, a row of cells or one value
-#: per row), a column coefficient, a row over the cells, a known variable
-_PARAMS = {"m": "p", "f": "ppppp", "p": "pl", "t": "p", "n": "p", "b": "p", "k": "p",
-           "c": "p", "h": "p", "v": "p"}
-
-
 class _Foreign:
     """A function ``symbol`` of a built library, its parameters ``codes``
     (``d`` a double, ``l`` a long, ``p`` a pointer)."""
@@ -506,29 +594,37 @@ class _Foreign:
 
 
 class _Checked:
-    """A call site's arguments but the unknown and the output, checked
-    (dtype, C order, shape, every index in range) and resolved to the
-    pointers passed around those two (``head``, ``tail``), with what they
-    came from (``keep``: an equal id in ``ids`` is the same object)."""
+    """A call site's arguments but the unknown, the output and what is
+    evaluated anew for every call, checked (dtype, C order, shape, every
+    index in range) and resolved to the pointers passed around the unknown
+    and the output (``head``, ``tail``), with what they came from (``keep``:
+    an equal id in ``ids`` is the same object)."""
 
     def __init__(self, who: str, u, *objects):
         if not (isinstance(u, np.ndarray) and u.ndim == 2):
             raise CodegenError(f"{who}: the unknown is no C-ordered float64 array")
         self.who, self.shape, self.ids = who, u.shape, tuple(map(id, objects))
+        self.unknown, self.out_shape = u, u.shape
         self.keep, self.apart, self.head, self.tail = list(objects), [], (), ()
+        self.held = [None, 0, None, 0]  # the unknown and the output last passed, and their addresses
 
     def io(self, u, out) -> tuple[int, int]:
         """The unknown's and the output's addresses, checked on every call:
-        C-ordered float64 of the held shape, the output writeable, neither
-        overlapping what is ``apart`` from them."""
-        for a in (u, out):
+        C-ordered float64 of the held shapes, the output writeable, neither
+        overlapping what is ``apart`` from them.  An address is taken when
+        its object changes, and held with it."""
+        held = self.held
+        for a, shape in ((u, self.shape), (out, self.out_shape)):
             if not ((a.__class__ is np.ndarray or isinstance(a, np.ndarray)) and a.dtype
-                    == np.float64 and a.flags.c_contiguous and a.shape == self.shape
+                    == np.float64 and a.flags.c_contiguous and a.shape == shape
                     and (a is not out or a.flags.writeable)):
                 raise CodegenError(f"{self.who}: the {'unknown' if a is u else 'output'} "
-                                   f"is no C-ordered float64 {self.shape} array")
-        pu = u.__array_interface__["data"][0]
-        po = pu if out is u else out.__array_interface__["data"][0]
+                                   f"is no C-ordered float64 {shape} array")
+        if u is not held[0]:
+            held[0], held[1] = u, u.ctypes.data
+        if out is not held[2]:
+            held[2], held[3] = out, out.ctypes.data
+        pu, po = held[1], held[3]
         for lo, hi, why in self.apart:
             if lo < pu + u.nbytes and pu < hi or lo < po + out.nbytes and po < hi:
                 raise CodegenError(f"{self.who}: {why}")
@@ -542,9 +638,23 @@ class _Checked:
                                f"{tuple(shape)} array")
         return a.ctypes.data
 
-    def indices(self, a, bound: int, what: str) -> np.ndarray:
+    def private(self, a, shape, what: str) -> int:
+        """A read-only float array of ``shape`` evaluated from the pre-step
+        unknown before the call, read as rows are stored: a copy (RPR141 on
+        a view of the unknown), kept ``apart`` from the unknown and the
+        output."""
+        if isinstance(a, np.ndarray) and np.may_share_memory(a, self.unknown):
+            raise CodegenError(f"{self.who}: the {what} share memory with the unknown; the "
+                               "in-place sweep needs copies evaluated from the pre-step state",
+                               code="RPR141")
+        address = self.floats(a, shape, what)
+        self.apart.append((address, address + a.nbytes, f"the {what} share memory "
+                           "with the unknown or the output"))
+        return address
+
+    def indices(self, a, bound: int, what: str, low: int = 0) -> np.ndarray:
         a = np.ascontiguousarray(a, dtype=np.int64)
-        if a.ndim != 1 or (len(a) and not (a.min() >= 0 and a.max() < bound)):
+        if a.ndim != 1 or (len(a) and not (a.min() >= low and a.max() < bound)):
             raise CodegenError(f"{self.who}: {what} out of range")
         self.keep.append(a)
         return a
@@ -581,80 +691,114 @@ class _Checked:
 
 
 class Tile(_Foreign):
-    """The generated tile's foreign function, called once per sweep.
+    """A generated sweep's foreign function (:class:`Lowered`), called once
+    per sweep.
 
     ``TILE(memo, scalars, rows, u, out, scratch, bcells, bdry, owned,
-    reduced, *operands)``: ``scalars`` by value (``dt`` first), ``u`` and
-    ``out`` checked on every call, the rest resolved once (:class:`_Checked`)
-    and held in ``memo``, the state's ``plans``: one entry per call site,
-    reused while each object is the one passed.  Rows are the state's
-    (``None``, a band rank's ``owned_comps``), so a step resolves nothing; a
-    degraded step's workspace, a restore or a repartition resolves again.
-    ``reduced`` is an Euler tile's outputs of the declared ``reductions``
-    (:class:`~repro.dsl.entities.Reduction`), or empty."""
-
-    symbol = "tile"
+    reduced, *operands)`` (the boundary part, ``BOUNDARY(memo, scalars,
+    None, u_bdry, du_bdry, scratch, *operands)``): ``scalars`` by value
+    (``dt`` first), ``u`` and ``out`` checked on every call, the rest
+    resolved once (:class:`_Checked`) and held in ``memo``, the state's
+    ``plans``: one entry per call site, reused while each object is the one
+    passed (what changes between steps is written into the same arrays).  Rows
+    are the state's (``None``, a band rank's ``owned_comps``), so a step
+    resolves nothing; a degraded step's workspace, a restore or a
+    repartition resolves again.  ``reduced`` is an Euler tile's outputs of
+    the declared ``reductions`` (:class:`~repro.dsl.entities.Reduction`), or
+    empty."""
 
     def __init__(self, lib: _Build, lowered: Lowered, reductions=()):
         super().__init__(lib)
         self.lowered, self.reductions = lowered, tuple(reductions)
-        self.codes = ("d" * (1 + len(lowered.scalars)) + "lpll" + "ppp" + "lpp" + "lp"
-                      + "lpppp" * lowered.euler + "".join(_PARAMS[k] for k in lowered.kinds))
+        self.symbol = "boundary" if lowered.shape == "boundary" else "tile"
+        #: the arguments after ``out`` that are no operands
+        self.places = 1 if lowered.shape == "boundary" else 5
+        self.codes = lowered.codes
 
     def __call__(self, memo: dict, scalars, rows, u, out, *args) -> None:
         if self.lowered.scalars and any(isinstance(x, complex) for x in scalars):
-            # a plain float gone complex (``(-1)^0.5``): the NumPy tile
-            # refuses to store it in a float register, so does this one
+            # a plain float gone complex (``(-1)^0.5``): no float operand
+            # takes it, so neither does this one
             raise TypeError("a complex value for a real operand of the tile")
-        held = memo.get(self)  # (``args[4]``: the reduction outputs)
-        if held is None or held.ids != tuple(map(id, (rows, *args[:4], *args[4], *args[5:]))):
-            held = memo[self] = self._pointers(rows, u, *args)
+        held = memo.get(self)
+        ids = (tuple(map(id, (rows, *args))) if self.places == 1 else  # (``args[4]``: the
+               tuple(map(id, (rows, *args[:4], *args[4], *args[5:]))))  # reductions' outputs)
+        if held is None or held.ids != ids:
+            held = memo[self] = self._pointers(rows, u, out, *args)
         self.fn(*scalars, *held.head, *held.io(u, out), *held.tail)
 
-    def _pointers(self, rows, u, scratch, bcells, bdry, owned, reduced,
-                  *operands) -> _Checked:
-        check = _Checked("tile", u, rows, scratch, bcells, bdry, owned, *reduced, *operands)
+    def _pointers(self, rows, u, out, scratch, *args) -> _Checked:
+        lowered, boundary = self.lowered, self.places == 1
+        reduced = () if boundary else args[3]
+        operands = args[self.places - 1:]
+        check = _Checked(self.symbol, u, rows, scratch, *args[:self.places - 1 - (not boundary)],
+                         *reduced, *operands)
         floats, indices = check.floats, check.indices
         nu, n = check.shape
-        bc = np.zeros(0, np.int64) if bcells is None else indices(bcells, n, "boundary cells")
-        own = None if owned is None else indices(owned, n, "owned columns")
+        nrows = nu if rows is None else len(rows)
         check.head = (*check.rows(rows, nu), nu, n)
-        args = [floats(scratch, ((self.lowered.folds + 1) * n,), "scratch", True),
-                len(bc), bc.ctypes.data,
-                None if bdry is None else floats(bdry, (nu, len(bc)), "boundary part"),
-                0 if own is None else len(own), None if own is None else own.ctypes.data]
-        if self.lowered.euler:
-            args += check.reductions(self.reductions, reduced)
-        elif len(reduced):
-            raise CodegenError("tile: a right-hand side reduces nothing")
+        values = dict(zip(lowered.kinds, operands))  # (the face loop, the ghost: one each)
+        faces, ghost = values.get("L"), values.get("g")
+        slots = getattr(ghost, "shape", (0, 0))[-1]  # (a second side read: ghost slots)
+        ghost_args = [0, None] if ghost is None else [
+            slots, check.private(ghost, (nu, slots), "ghost values")]
+        nf, nd = (0, 0) if faces is None else faces.check(n, slots if "g" in values else None)
+        if boundary:
+            if not isinstance(out, np.ndarray) or out.ndim != 2:
+                raise CodegenError("boundary: the output is no C-ordered float64 array")
+            check.out_shape = (nu, nd)
+            args = [floats(scratch, (nf,), "scratch", True), nd]
+        else:
+            bcells, bdry, owned = args[:3]
+            if faces is not None and nd != n:
+                raise CodegenError("tile: a face loop into other cells")
+            bc = np.zeros(0, np.int64) if bcells is None else indices(bcells, n, "boundary cells")
+            own = None if owned is None else indices(owned, n, "owned columns")
+            size = nf + 2 * n if faces is not None else (lowered.folds + 1) * n
+            args = [floats(scratch, (size,), "scratch", True), len(bc), bc.ctypes.data,
+                    None if bdry is None else floats(bdry, (nu, len(bc)), "boundary part"),
+                    0 if own is None else len(own), None if own is None else own.ctypes.data]
+            if lowered.euler:
+                args += check.reductions(self.reductions, reduced)
+            elif len(reduced):
+                raise CodegenError("tile: a right-hand side reduces nothing")
         extent: dict[int, int] = {}  # operand -> its rows
-        for i, (kind, value) in enumerate(zip(self.lowered.kinds, operands)):
+        for i, (kind, value) in enumerate(zip(lowered.kinds, operands)):
             if kind == "m":
                 args.append(indices(value, np.iinfo(np.int64).max, "row map").ctypes.data)
                 if len(value) != nu:
-                    raise CodegenError("tile: a row map of another length")
+                    raise CodegenError(f"{self.symbol}: a row map of another length")
             elif kind == "f":
-                _check_fold(value, n)
+                value.check(n)
                 args += [a.ctypes.data for a in value]
                 extent[i] = len(value.begin) - 1
-            elif kind == "p":
-                if value.ndim != 3 or value.shape[0] < self.lowered.registers:
-                    raise CodegenError("tile: a sweep pool of another layout")
-                args += [floats(value, value.shape[:2] + (n,), "sweep pool"), value.shape[1]]
-                extent[i] = value.shape[1]
-            elif kind in "tnbkv":
-                dtype = np.bool_ if kind in "bk" else np.float64
+            elif kind == "L":
+                args += [nf, *(a.ctypes.data for a in faces)]
+            elif kind == "r":  # (the FLUX overrides: faces, then one row of values each)
+                faces_of, values = value or (np.zeros(0, np.int64), np.zeros((nu, 0)))
+                faces_of = indices(faces_of, nf, "override faces")
+                args += [len(faces_of), faces_of.ctypes.data,
+                         check.private(values, (nu, len(faces_of)), "override values")]
+            elif kind == "g":
+                args += ghost_args
+            elif kind in "eE":
+                args.append(check.private(value, (nrows, n if kind == "e" else nf),
+                                          "value evaluated before the sweep"))
+            elif kind in "tTnbBkvo":
+                dtype = np.bool_ if kind in "bBk" else np.float64
+                width = {"n": 1, "k": 1, "T": nf, "B": nf, "o": value.shape[1]}.get(kind, n)
                 if not (isinstance(value, np.ndarray) and value.dtype == dtype
                         and value.flags.c_contiguous and value.ndim == 2
-                        and value.shape[1] == (1 if kind in "nk" else n)):
-                    raise CodegenError("tile: a table of another layout")
-                args.append(value.ctypes.data)
+                        and value.shape[1] == width) or (
+                        kind == "o" and faces.cell.max(initial=-1) >= width):
+                    raise CodegenError(f"{self.symbol}: a table of another layout")
+                args += [value.ctypes.data, width] if kind == "o" else [value.ctypes.data]
                 extent[i] = value.shape[0]
-            else:
-                args.append(floats(value, (nu,) if kind == "c" else (n,), "coefficient"))
-        for user, rows_map in self.lowered.bounds:
+            else:  # a column, a row over the cells or the faces
+                args.append(floats(value, ({"c": nu, "h": n}.get(kind, nf),), "coefficient"))
+        for user, rows_map in lowered.bounds:
             if operands[rows_map].max(initial=0) >= extent[user]:
-                raise CodegenError("tile: a row map outside its table")
+                raise CodegenError(f"{self.symbol}: a row map outside its table")
         check.tail = tuple(args)
         return check
 
@@ -729,26 +873,6 @@ class Finish(_Foreign):
                          "an argument shares memory with the unknown") for a in (du, ub)]
         check.tail = (*args, *check.reductions(self.reductions, reduced, du, ub))
         return check
-
-
-def _check_fold(fold: FoldedOperator, n: int) -> None:
-    """Every index of the folded operator handed over inside its arrays."""
-    own, begin, entries, weights, indices = fold
-    layout = [(own, np.float64, 2), (begin, np.int64, 1), (entries, np.int64, 2),
-              (weights, np.float64, 1), (indices, np.int64, 1)]
-    if not all(isinstance(a, np.ndarray) and a.dtype == t and a.ndim == d
-               and a.flags.c_contiguous for a, t, d in layout) \
-            or own.shape[1] != n or len(begin) != len(own) + 1 or entries.shape[1] != 5:
-        raise CodegenError("tile: a folded operator over other cells")
-    lo, hi, shift, gather, weight = entries.T
-    width = hi - lo
-    if not ((np.diff(begin) >= 0).all() and begin[0] == 0 and begin[-1] == len(entries)
-            and (lo >= 0).all() and (width >= 0).all() and (hi <= n).all()
-            and (weight >= 0).all() and (weight + width <= len(weights)).all()
-            and np.where(gather < 0, (lo + shift >= 0) & (hi + shift <= n),
-                         gather + width <= len(indices)).all()
-            and (len(indices) == 0 or (indices.min() >= 0 and indices.max() < n))):
-        raise CodegenError("tile: a folded operator reads outside its arrays")
 
 
 __all__ = ["COMPILER", "FINISH", "FLAGS", "Finish", "Lowered", "Tile", "build", "lower"]

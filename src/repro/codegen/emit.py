@@ -1,26 +1,30 @@
-"""Expression-to-NumPy source emission.
+"""The statement record of a sweep, and the generated source around it.
 
-Translates classified symbolic terms into Python/NumPy expression strings
-for the generated solvers, together with static work estimates (FLOPs and
-bytes per value) that feed the simulated GPU's roofline timing.
+Translates classified symbolic terms into statements (:class:`Stmt`, one
+operation each, printed as C by :mod:`repro.codegen.ctile`), the NumPy
+definitions evaluated before a sweep (:class:`Hoisted`) and the Python
+source of the generated solvers' functions, together with static work
+estimates (FLOPs and bytes per value) that feed the simulated GPU's
+roofline timing.
 
 Naming conventions in generated code (all bound on the ``state`` object or
 as locals prepared by the generated function):
 
 ================  ==========================================================
 ``u``             unknown, ``(ncomp, ncells)``
-``u1``, ``u2``    owner/neighbour face values of the rows in ``sel``,
-                  ``(nsel, nfaces)`` — one row tile's gathers
-                  (:func:`emit_interior`)
-``us``            the unknown's rows of one tile, ``(nsel, ncells)``
-``f<i>``/``c<i>`` face-/cell-shaped scratch registers of one tile (``d<i>``:
-                  cell-shaped, of a surface statement folded through the
-                  divergence) and ``s<i>`` of one sweep: views of
-                  preallocated pools, written through ``out=``
+``u1``, ``u2``    a face's two sides (its first cell, its second cell or
+                  ghost value): C locals of a face loop, NumPy arrays of
+                  the sweep's rows for what is evaluated before it
+``us``            the unknown's row in a statement (:class:`Leaf` ``'u'``)
+``f<i>``/``c<i>`` registers of a statement: C locals per face / per cell
+                  (``d<i>``: of a surface statement folded through the
+                  divergence); ``s<i>`` those of a definition evaluated once
+                  per sweep, arrays written through ``out=``
                   (:class:`_Registers`)
-``sel``           component-row selector (an index array or a slice): a
-                  block from ``assemblyLoops``, or one tile of it
-``normal_x`` ...  face normal components, ``(nfaces,)``
+``sel``           component-row selector of a definition (``trep_<ix>``,
+                  or the sweep's rows)
+``faces``         the geometry a face loop reads
+                  (:meth:`repro.fvm.geometry.FVGeometry.face_loop`)
 ``coef_<c>``      scalar coefficient (float) or per-component vector
 ``cmap_<v>``      component map of a known variable onto the unknown's
                   component axis, ``(ncomp,)`` int
@@ -34,6 +38,7 @@ as locals prepared by the generated function):
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -73,14 +78,17 @@ def _join(*kinds: str) -> str:
 
 
 class Hoisted(NamedTuple):
-    """A sub-expression evaluated ahead of the tiles, over the indices it
+    """A sub-expression evaluated ahead of the sweep, over the indices it
     depends on: with ``sel = trep_<rows>`` (one component per row) ``lines``
-    run, then ``name = code``; a tile reads it as a :class:`Table`."""
+    run, then ``name = code``; a sweep reads it as a :class:`Table`.  One
+    with no ``rows`` reads the unknown, or has no C form: it is evaluated
+    over the sweep's rows, one row of ``width`` (``cells``/``faces``) each."""
 
     name: str
     code: str
     rows: str
     lines: tuple[str, ...] = ()
+    width: str = ""
 
 
 class _Ops(dict):
@@ -92,12 +100,13 @@ class _Ops(dict):
 #: ``str``, as C by :func:`repro.codegen.ctile.lower`): its NumPy spelling
 #: (``{}``: the operands, joined by the separator), as a statement (``{t}``:
 #: the register; ``None``: ``np.copyto({t}, ...)``) and its exact C spelling per
-#: element (``None``: none, the tile stays NumPy; exact as compiled with
+#: element (``None``: none, the sub-tree is evaluated in NumPy before the sweep,
+#: :meth:`ExprEmitter._numpy_only`; exact as compiled with
 #: :data:`repro.codegen.ctile.FLAGS`, a comparison only as a select's
 #: condition or stored as a float).  ``=`` binds a name; ``take`` (a known
 #: variable's rows by its component map) and ``fold`` (a folded operator
-#: applied) read names, C the row the printer made.  A function registered
-#: with another code is a call with no C form.
+#: applied, C only) read names, C the row the printer made.  A function
+#: registered with another code is a call with no C form.
 OPS = _Ops({
     **{op: ("({})", f" {op} ", f"np.{ufunc}({{}}, {{}}, out={{t}})", f"({{}} {op} {{}})")
        for op, ufunc in (("+", "add"), ("-", "subtract"), ("*", "multiply"), ("/", "divide"))},
@@ -110,7 +119,7 @@ OPS = _Ops({
        for fn in ("exp", "log", "sin", "cos", "tanh", "minimum", "maximum")},
     "kernels.muscl_flux": ("kernels.muscl_flux(geom, {}, u[sel], ghost[sel])", ", ", None, None),
     "take": (None, None, "{}.take({}[sel], axis=0, out={t}, mode='clip')", "{}[c]"),
-    "fold": (None, None, "kernels.apply_folded({}, us, runs_{}, {t}, cw)", "{}[c]"),
+    "fold": (None, None, None, "{}[c]"),
     "=": ("{}", "", "{t} = {}", "{}"),
 })
 
@@ -118,30 +127,31 @@ OPS = _Ops({
 class Leaf(NamedTuple):
     """An operand: ``'u'`` the unknown's rows, ``'r'`` a register or a bound
     name, ``'c'`` a column coefficient, ``'h'`` a function coefficient's row,
-    ``'s'`` a plain float (a scalar coefficient, ``dt``).  A literal is a
-    ``float``, text with no C form (a face array, a side) a ``str``."""
+    ``'s'`` a plain float (a scalar coefficient, ``dt``), ``'n'`` the faces'
+    geometry (``normal_x`` ..., ``face_dist``), ``'o'`` a known variable on
+    the faces' first cells.  A literal is a ``float``, a face's side
+    (``u1``, ``u2``, ``uw``) a ``str``."""
 
     kind: str
     name: str
 
     def __str__(self) -> str:
-        return {"c": "{}[sel][:, None]", "h": "{}[None, :]"}.get(self.kind, "{}").format(self.name)
+        return {"c": "{}[sel][:, None]", "h": "{}[None, :]", "n": "{}[None, :]",
+                "o": "{}[cmap_{}[sel], :][:, owner]"}.get(self.kind, "{}").format(
+                    self.name, self.name[4:])
 
 
 class Table(NamedTuple):
-    """A tile's rows of the table ``h`` (:func:`repro.fvm.kernels.rows_of`:
-    gathered into ``scratch`` where no view will do): ``wide`` a row of cells
-    per table row (else one value), ``test`` a comparison's (boolean),
-    ``pool`` the register of ``sweep_pool`` holding it (``-1``: none)."""
+    """A sweep's read of the definition ``h``, by the row map of its rows
+    (or, with no rows, by the sweep's row): ``wide`` a row of cells or faces
+    per table row (else one value), ``test`` a comparison's (boolean)."""
 
     h: Hoisted
     wide: bool
     test: bool
-    pool: int = -1
-    scratch: str = "None"
 
     def __str__(self) -> str:
-        return f"kernels.rows_of({self.h.name}, rows_{self.h.rows}, {self.scratch})"
+        return f"{self.h.name}[tmap_{self.h.rows}[sel]]" if self.h.rows else self.h.name
 
 
 class Op(NamedTuple):
@@ -173,11 +183,11 @@ class Stmt(NamedTuple):
 
 
 class _Registers:
-    """Scratch registers of one statement.  With an instance live the walker
-    writes every tile-shaped intermediate as a statement (:class:`Stmt`,
-    ``np.op(a, b, out=r)``) over names ``<prefix>0..<prefix>(count-1)`` the
-    target binds to preallocated arrays of the tile's shape, instead of
-    leaving it to a fresh temporary of the expression; ``owner`` maps a term
+    """Registers of one statement.  With an instance live the walker writes
+    every intermediate of a row's shape as a statement (:class:`Stmt`,
+    ``register := op(a, b)``) over names ``<prefix>0..<prefix>(count-1)``: C
+    locals of a sweep, or (a definition evaluated once per sweep, ``s<i>``)
+    arrays the target binds, written through ``out=``; ``owner`` maps a term
     to the register it may be overwritten in."""
 
     def __init__(self, prefix: str, lines: list[Stmt]):
@@ -208,12 +218,13 @@ class _Registers:
 class Upwind(NamedTuple):
     """The select between the two face sides of the unknown a statement
     reads as ``uw``: the index subspace ``rows`` its tabled condition
-    depends on, the ``select`` between ``u1`` and ``u2``, and — if that
-    takes the owner side where the condition holds — the condition's table
-    (``owner_where``: the owner side can be copied over the other one)."""
+    depends on, the ``select`` between ``u1`` and ``u2`` (an :class:`Op`),
+    and — if that takes the owner side where the condition holds — the
+    condition's table (``owner_where``: the owner side can be copied over the
+    other one)."""
 
     rows: str
-    select: str
+    select: "Op"
     owner_where: Hoisted | None
 
 
@@ -224,16 +235,17 @@ class EmittedExpr:
     ``term`` (printed: ``code``) may read sub-expressions moved out of it,
     which the target evaluates first: ``tables`` once per bound geometry
     (their array leaves are ``table_reads``; ``reads`` are those of
-    everything else), ``sweep`` once per sweep, ``statements`` (printed:
-    ``prelude``) in every tile.  With ``upwind`` (:class:`Upwind`) it reads
-    the upwinded side as ``uw``, the select between ``u1`` and ``u2``;
-    ``sides`` says whether a side is also read on its own.  They write
-    ``registers`` tile-shaped scratch arrays (``f0..`` surface, ``c0..``
-    volume), the lines of ``sweep`` ``sweep_registers`` more (``s0..``).
-    ``folded`` is the same surface statement carried through the divergence
-    when it is linear in ``uw`` (:meth:`ExprEmitter._fold_divergence`): over
-    ``us`` and ``registers`` cell registers ``d0..``, its ``tables`` the ones
-    a tile then reads.
+    everything else), ``sweep`` once per sweep (the definitions of known
+    variables over their rows, and what reads the unknown or has no C form
+    over the sweep's rows), ``statements`` (printed: ``prelude``) per
+    element of a sweep.  With ``upwind`` (:class:`Upwind`) it reads the
+    upwinded side as ``uw``, the select between ``u1`` and ``u2``; ``sides``
+    says whether a side is also read on its own.  They write ``registers``
+    registers (``f0..`` surface, ``c0..`` volume), the lines of ``sweep``
+    ``sweep_registers`` more (``s0..``).  ``folded`` is the same surface
+    statement carried through the divergence when it is linear in ``uw``
+    (:meth:`ExprEmitter._fold_divergence`): over ``us`` and ``registers``
+    registers ``d0..``, its ``tables`` the ones a sweep then reads.
     """
 
     term: object
@@ -304,9 +316,10 @@ class ExprEmitter:
         unknown stays inline); ``conditional(c, A*k, B*k)`` selects between
         the differing factors and applies the shared ones once; and a select
         between the two face sides of the unknown on a tabled condition
-        becomes the single side ``uw``.  What is left in the tile is emitted
-        as register statements (:class:`_Registers`): no arithmetic
-        intermediate is a fresh array.  One rewrite does change rounding: a
+        becomes the single side ``uw``.  What is left in the sweep is emitted
+        as register statements (:class:`_Registers`), a sub-tree with no C
+        form moved before the sweep (:meth:`_numpy_only`).  One rewrite does
+        change rounding: a
         surface statement linear in ``uw`` is also emitted folded through
         the divergence (``folded``, :meth:`_fold_divergence`).
         """
@@ -413,6 +426,15 @@ class ExprEmitter:
         statement's sweep definition gets registers of its own."""
         kind, rows = scope
         out, regs = self._out, self._regs
+        if kind == "rows":  # in NumPy, as written, over the sweep's rows
+            hoisted, self._hoisted, self._regs = self._hoisted, None, None
+            try:
+                code = self._walk(node, ctx, reads, hoist=False)
+            finally:
+                self._hoisted, self._regs = hoisted, regs
+            out.sweep.append(Hoisted(f"pre_{self._tag}{len(out.sweep)}", str(code), "", (),
+                                     "faces" if regs.prefix == "f" else "cells"))
+            return Table(out.sweep[-1], True, False)
         saved = self._hoisted, self._within, regs, self._sweep_regs and self._sweep_regs.lines
         lines: list[Stmt] = []
         if kind == "sweep":
@@ -427,7 +449,6 @@ class ExprEmitter:
         try:
             code = self._walk(node, ctx, out.table_reads if kind == "bind" else reads,
                               hoist=False)
-            pinned = self._regs and self._regs.owner.pop(code, None)  # it lives there
         finally:
             self._hoisted, self._within, self._regs, lines_before = saved
             if self._sweep_regs is not None:
@@ -441,9 +462,43 @@ class ExprEmitter:
         prefix, defs = ("tab", out.tables) if kind == "bind" else ("swp", out.sweep)
         defs.append(Hoisted(f"{prefix}_{self._tag}{len(defs)}", str(code), suffix,
                             tuple(map(str, lines))))
-        # a sweep definition in a register of the pool (``s<i>``) is read there
-        return Table(defs[-1], self._kind(node) in "tr", isinstance(node, Cmp),
-                     int(pinned[1:]) if kind == "sweep" and pinned else -1)
+        return Table(defs[-1], self._kind(node) in "tr", isinstance(node, Cmp))
+
+    def _narrow(self, node: Expr) -> bool:
+        """Whether NumPy holds ``node``'s value in a narrower type than
+        float64 (a comparison's bool, a function of one): arithmetic on two
+        such values is NumPy's, not C's."""
+        if isinstance(node, Cmp):
+            return True
+        if isinstance(node, Conditional):
+            return self._narrow(node.then) and self._narrow(node.otherwise)
+        return isinstance(node, (Add, Mul, Call)) and all(map(self._narrow, node.args))
+
+    def _numpy_only(self, node: Expr) -> bool:
+        """Whether a statement's sub-tree has no C form (:data:`OPS`): a
+        transcendental, a power other than ``x^-1``, ``min``/``max``, a
+        function registered with another code, a reconstruction, arithmetic
+        on NumPy's bools — of anything but plain floats, which Python
+        computes before the call.  Such a sub-tree is evaluated in NumPy
+        over the sweep's rows before the sweep (:meth:`_define`), each
+        element with the bits it has in a whole-row NumPy expression."""
+        regs = self._regs
+        if regs is None or regs is self._sweep_regs or self._within is not None \
+                or self._kind(node) == "0":
+            return False
+        if isinstance(node, Reconstruction):
+            return True
+        if isinstance(node, Call):
+            code = FUNCTION_CODES.get(node.func)
+            return code is not None and (OPS[code][3] is None or any(map(self._narrow, node.args)))
+        if isinstance(node, Pow):
+            return not (isinstance(node.exponent, Num) and node.exponent.value == -1) \
+                or self._narrow(node.base)
+        if isinstance(node, (Add, Mul)):
+            narrow = [self._narrow(a) for a in node.args]
+            return sum(narrow) >= 2 or any(narrow) and all(
+                n or self._kind(a) == "0" for a, n in zip(node.args, narrow))
+        return False
 
     def _kind(self, node: Expr) -> str:
         """Shape of a node's value in a tile: ``'0'`` a scalar, ``'c'`` a
@@ -621,15 +676,14 @@ class ExprEmitter:
                    for j, a in enumerate(then)]
         out = self._out
         kinds = [self._kind(n) for n in (node.cond, then[i], other[i])]
-        table = (cond.h if isinstance(cond, Table) and cond.scratch == "None"
-                 and cond.h in out.tables else None)
+        table = cond.h if isinstance(cond, Table) and cond.h in out.tables else None
         pair = [n.side for n in (then[i], other[i])
                 if isinstance(n, SideValue) and self._is_unknown(n.expr)]
         if table and ctx == "surface" and sorted(pair) == [1, 2]:
             # a tabled condition choosing between the two sides of the
             # unknown *is* an index choice: which column to gather
             (a, ca), (b, cb) = [(f"u{s}", ("owner", "other")[s - 1]) for s in pair]
-            upwind = Upwind(table.rows, f"np.where({cond}, {a}, {b})",
+            upwind = Upwind(table.rows, Op("np.where", (cond, a, b)),
                             table if a == "u1" else None)
             if out.upwind is None:
                 out.upwind = upwind
@@ -649,21 +703,20 @@ class ExprEmitter:
         scope = self._hoist_scope(node) if hoist and hoisted is not None else None
         if self._within not in (None, scope):
             scope = None  # inside a definition: only its own kind and rows
+        if (scope is None or scope[0] == "tile") and self._numpy_only(node):
+            scope = ("rows", ())  # evaluated over the sweep's rows, before it
         if scope is not None:
             key = (ctx, node)
-            if key not in hoisted:
-                hoisted[key] = self._define(scope, node, ctx, reads)
-            table, regs = hoisted[key], self._regs
+            table = None if hoisted is None else hoisted.get(key)
+            if table is None:
+                table = self._define(scope, node, ctx, reads)
+                if hoisted is not None:
+                    hoisted[key] = table
             if isinstance(table, Leaf):
                 return table
             if self._within is not None:
                 return table.h.name
-            if regs is None or isinstance(node, Cmp) or self._kind(node) != "t":
-                return table
-            # each read of a float table may need scratch for its rows
-            read = table._replace(scratch=regs.take())
-            regs.owner[read] = read.scratch
-            return read
+            return table
         if isinstance(node, Num):
             return float(node.value)
         if isinstance(node, Sym):
@@ -677,12 +730,12 @@ class ExprEmitter:
                 raise CodegenError("face normals only exist in surface terms")
             name = _AXIS_NAMES[node.component]
             reads.add(name)
-            return f"{name}[None, :]"
+            return Leaf("n", name)
         if isinstance(node, FaceDistance):
             if ctx != "surface":
                 raise CodegenError("face distances only exist in surface terms")
             reads.add("face_dist")
-            return "face_dist[None, :]"
+            return Leaf("n", "face_dist")
         if isinstance(node, (Add, Mul)):
             args, minus = self._signed(node.args) if isinstance(node, Add) else (node.args, ())
             return self._fold("+" if isinstance(node, Add) else "*",
@@ -787,7 +840,7 @@ class ExprEmitter:
         if ctx == "volume":
             return f"{arr}[{cmap}[sel], :]"
         # surface context: known variables are evaluated on the owner side
-        return f"{arr}[{cmap}[sel], :][:, owner]"
+        return Leaf("o", arr)
 
     def _emit_coefficient(self, name: str, ctx: str, reads: set[str]) -> Leaf:
         coef = self.entities.coefficients[name]
@@ -819,8 +872,7 @@ class ExprEmitter:
         ``coef_c`` broadcast to the unknown's component axis, and for every
         index subspace the emission so far built a table over,
         ``tmap_<ix>`` (component -> table row) and ``trep_<ix>`` (the first
-        component of each row), the maps together as ``TMAPS``.  Call it
-        after emitting.
+        component of each row).  Call it after emitting.
         """
         import numpy as np
 
@@ -843,8 +895,6 @@ class ExprEmitter:
             rows = self._row_map(names)
             out[f"tmap_{suffix}"] = rows
             out[f"trep_{suffix}"] = np.unique(rows, return_index=True)[1]
-        # in the order a tile unpacks its reads (:func:`emit_interior`)
-        out["TMAPS"] = tuple(out[f"tmap_{suffix}"] for suffix in self.row_spaces)
         return out
 
     def _row_map(self, names: tuple[str, ...]):
@@ -898,20 +948,29 @@ def bind_known(emitter: ExprEmitter, reads: set[str]) -> list[str]:
             for n in emitter.referenced_known_variables() if f"var_{n}" in reads]
 
 
-def hoisted_lines(defs: list[Hoisted], registers: int = 0) -> list[str]:
+def hoisted_lines(defs: list[Hoisted], registers: int = 0, buffer: str = "state.buffer",
+                  ncells: str = "NCELLS", sweep: tuple[str, str, str] = ("", "", "")) -> list[str]:
     """Assignments evaluating ``defs``, each over its own rows; the lines of
     definitions that use them find the ``registers`` names ``s<i>`` bound to
-    the leading rows of ``sweep_pool``."""
+    arrays of ``buffer(name, shape)`` as tall as those rows.  A definition
+    with no rows is evaluated over the sweep's rows (``sweep``: their
+    selector, their number, and the faces' count) into an array of its own."""
     lines: list[str] = []
     rows = None
     for h in defs:
         if h.rows != rows:
             rows = h.rows
-            lines.append(f"sel = trep_{rows}  # one component per row")
-            if registers:
-                names = ", ".join(f"s{i}" for i in range(registers))
-                lines.append(f"{names}, = sweep_pool[:, :len(sel)]")
-        lines += [*h.lines, f"{h.name} = {h.code}"]
+            lines.append(f"sel = trep_{rows}  # one component per row" if rows else
+                         f"sel = {sweep[0]}  # the sweep's rows")
+            lines += [f"s{i} = {buffer}('sweep{i}:{rows}', (len(sel), {ncells}))"
+                      for i in range(registers if rows else 0)]
+        if rows:  # (a sweep reads a table's rows in C order)
+            lines += [*h.lines, f"{h.name} = {h.code}" if h.lines else
+                      f"{h.name} = np.ascontiguousarray({h.code})"]
+        else:
+            width = ncells if h.width == "cells" else sweep[2]
+            lines += [f"{h.name} = {buffer}({h.name!r}, ({sweep[1]}, {width}))",
+                      f"np.copyto({h.name}, {h.code})"]
     return lines
 
 
@@ -954,20 +1013,44 @@ def _invariant_tables(surface: EmittedExpr,
     return setup, names, ", ".join(h.name for h in read)
 
 
+def _definitions(surface: EmittedExpr, volume: EmittedExpr, read: tuple[str, ...],
+                 buffer: str, ncells: str, sweep: tuple[str, str, str], sides: str) -> list[str]:
+    """What a sweep reads that NumPy evaluates before the call: the
+    definitions of known variables, once over their own rows, then those it
+    reads (``read``) that read the unknown or have no C form, over the
+    sweep's rows — a surface one from the faces' sides (gathered by
+    ``sides``) and geometry."""
+    defs = surface.sweep + volume.sweep
+    late = [h for h in defs if not h.rows and h.name in read]
+    lines = hoisted_lines([h for h in defs if h.rows], volume.sweep_registers, buffer, ncells)
+    lines = ["# sub-expressions of known variables, once over their own rows"] * bool(lines) + lines
+    if "faces" in read and surface.sweep:  # (a surface definition reads the faces' own)
+        lines[:0] = ([f"{name} = faces.normal[{axis - 1}]" for axis, name in _AXIS_NAMES.items()
+                      if name in surface.reads]
+                     + ["face_dist = faces.dist"] * ("face_dist" in surface.reads)
+                     + ["owner = faces.cell"])
+    if late:
+        lines.append("# what has no C form, in NumPy over the sweep's rows")
+    if any(re.search(r"\bu[12]\b", h.code) for h in late):
+        lines.append(f"u1, u2 = {sides}")
+    return lines + hoisted_lines(late, 0, buffer, ncells, sweep)
+
+
 def _boundary_part(emitter: ExprEmitter, surface: EmittedExpr, tables: str,
-                   tiles: str) -> list[str]:
+                   lowered) -> list[str]:
     """Source of ``compute_boundary_contribution(state, u_bdry, t)``: the
-    face-centric surface statement over the boundary faces alone, in row
-    tiles, through the divergence restricted to them — the part of the step
+    face-centric surface statement over the boundary faces alone, into the
+    boundary cells' columns — one foreign call, ``BOUNDARY``
+    (:attr:`repro.codegen.ctile.Lowered.boundary`) — the part of the step
     every target leaves to the CPU and its user callbacks (with only the
     upwinded side read, preceded by ``boundary_tables``)."""
     form = emitter.form
     body = [
         '"""Boundary part of the RHS, from the owner values of the boundary',
-        "faces, ``u[:, geom.bowner]`` — all it reads of the unknown (on a device",
-        "target it runs on the CPU, concurrently with the interior kernel: paper",
-        "Fig. 6).  Returns du/dt|_boundary in the boundary cells' columns,",
-        '``(NCOMP, len(geom.bcells))``."""',
+        "faces, ``u[:, geom.bowner]`` in C order — all it reads of the unknown",
+        "(on a device target it runs on the CPU, concurrently with the interior",
+        "kernel: paper Fig. 6).  Returns du/dt|_boundary in the boundary cells'",
+        'columns, ``(NCOMP, len(geom.bcells))``."""',
         "geom = state.geom",
         "dt = state.dt",
         "du_bdry = state.buffer('du_bdry', (NCOMP, len(geom.bcells)))",
@@ -978,9 +1061,8 @@ def _boundary_part(emitter: ExprEmitter, surface: EmittedExpr, tables: str,
     upwind = surface.upwind
     in_place = upwind is not None and upwind.owner_where and not surface.sides
     setup: list[str] = []
-    known = bind_known(emitter, surface.reads)
-    # a known variable is read on the owner side of a face: here, of a boundary face
-    body += [*known, *["owner = geom.bowner"] * bool(known), "bfaces = geom.bfaces"]
+    body += [*bind_known(emitter, surface.reads), "bfaces = geom.bfaces",
+             "faces = geom.face_loop('boundary')"]
     if in_place:  # the same tables, over the boundary faces' geometry, and the mask
         setup = _function("def boundary_tables(*geometry):", [
             '"""``invariant_tables`` on the boundary faces, and where the flow enters."""',
@@ -989,17 +1071,10 @@ def _boundary_part(emitter: ExprEmitter, surface: EmittedExpr, tables: str,
         body.append(f"[{tables}, inflow] = state.tables(boundary_tables, bfaces)")
     elif tables:  # the same tables, over the boundary faces' geometry
         body.append(f"[{tables}] = state.tables(invariant_tables, bfaces)")
-    body += hoisted_lines(surface.sweep)
-    for axis, name in _AXIS_NAMES.items():
-        if name in surface.reads:
-            body.append(f"{name} = geom.normal[bfaces, {axis - 1}]")
-    if "face_dist" in surface.reads:
-        body.append("face_dist = geom.face_dist[bfaces]")
-    registers = [f"f{i}" for i in range(surface.registers)]
     body += [
         "# FLUX-type callbacks, evaluated from the owner values as they came",
-        "overrides = [(geom.bface_slot[faces], values) for faces, values in",
-        "             state.bset.flux_overrides(None, t, dt, state.extra, owner_values=u_bdry)]",
+        "overrides = state.bset.flux_values(None, t, dt, state.extra, state.buffer,",
+        "                                   owner_values=u_bdry, slots=True)",
     ]
     if in_place:
         # only ``uw`` is read: the owner value, and where the flow enters the
@@ -1010,39 +1085,20 @@ def _boundary_part(emitter: ExprEmitter, surface: EmittedExpr, tables: str,
             "state.bset.ghost_values(None, t, dt, state.extra, out=u_bdry, owner_values=u_bdry,",
             "                        where=inflow)",
         ]
-        tile, spent = ["uw = u_bdry[sel]"], "uw"
     else:
         body += [
             "# ghost values from the boundary conditions (user callbacks)",
             "ghost = state.bset.ghost_values(None, t, dt, state.extra, owner_values=u_bdry,",
             "                                out=state.buffer('ghost', u_bdry.shape))",
         ]
-        tile, spent = ["u1, u2 = u_bdry[sel], ghost[sel]"], "u2"
-        if upwind is not None:  # the sides are already gathered: select
-            tile.append(f"uw = {upwind.select}")
-    body.append("height = kernels.tile_rows(len(bfaces), NCOMP)")
-    if registers:
-        body.append(f"face_pool = state.buffer('boundary_faces', "
-                    f"({len(registers)}, height, len(bfaces)))")
-        tile.append(f"{', '.join(registers)}, = face_pool[:, :n]")
-    tile += [f"# face flux: {t}" for t in map(str, form.surface_terms)]
-    tile += surface.prelude
-    tile.append(f"flux = {surface.code}")
-    if surface.code not in registers:  # maybe less than an array of its own
-        tile.append(f"flux = np.broadcast_to(flux, {spent}.shape).copy()")
-    tile += [
-        "for slots, values in overrides:  # they override their faces",
-        "    flux[:, slots] = values[sel]",
-        f"geom.boundary_divergence(flux, du_bdry[sel], work={spent})  # {spent}: spent",
-    ]
-    body += [f"for {tiles} in kernels.tile_plan(state.plans, slice(None), NCOMP, height, TMAPS):",
-             *("    " + ln for ln in tile), "return du_bdry"]
+    body += _definitions(surface, EmittedExpr(0.0, 0), lowered.operands, "state.buffer",
+                         "geom.ncells", ("slice(None)", "NCOMP", "len(bfaces)"), "u_bdry, ghost")
+    body += [f"# face flux: {t}" for t in form.surface_terms]
+    args = ", ".join(["state.buffer('boundary_tile', bfaces.shape)", *lowered.operands])
+    body += [f"BOUNDARY(state.plans, ({', '.join(['dt', *lowered.scalars])},), None, u_bdry, "
+             f"du_bdry,", f"         {args})"]
+    body.append("return du_bdry")
     return setup + _function(head, body)
-
-
-def _bind(names: list[str], pool: str) -> str:
-    """``a, b, = pool[:, :n]``: the tile's rows of every array of a pool."""
-    return f"{', '.join(names)}, = {pool}[:, :n]"
 
 
 #: the steppers whose sweep stores the explicit update itself
@@ -1054,51 +1110,37 @@ def emit_interior(emitter: ExprEmitter, surface: EmittedExpr, volume: EmittedExp
                   owned_columns: bool = False) -> list[str]:
     """The finite-volume interior of every target — the ``surface`` and
     ``volume`` statements ``emitter`` emitted — for where the step's
-    placement put ``interior_update``.
+    placement put ``interior_update``, and the source lines and the printed
+    sweep (:func:`repro.codegen.ctile.lower`) it calls.
 
-    On the host it is a call on the host arrays, ``compute_rhs(state, u, t,
-    rows=None)`` (``rows``: a band rank's).  Under forward Euler the sweep
-    stores the update itself, ``u[sel] + dt * rhs`` (a cell rank,
-    ``owned_columns``, only in the columns it owns); other steppers get the
-    RHS back.  ``finish_step`` is on the host with it, folded into the tile:
-    the boundary part is evaluated once before the sweep and each tile adds
-    its rows of it into the boundary cells' columns.  On the ``device`` it
-    is a launch over the interior faces into ``u_new``,
-    ``interior_kernel(state, u, var_*, u_new, buffer, sel)``, and the step places
-    ``finish_step``, the fixed C function :data:`repro.codegen.ctile.FINISH`,
-    which runs the declared reductions.
-
-    A forward-Euler sweep on the host also fills the post-step callbacks'
-    declared reductions of the rows it stored (``state.reduced``).
-
-    A tile of component rows: gather ``u1``/``u2`` → surface statement →
-    FLUX overrides (host) → divergence → volume statement → store, or the
-    statement folded through the divergence
-    (:meth:`ExprEmitter._fold_divergence`), straight from ``us``.  Nothing in
-    a tile is a fresh array: statements write registers
-    (:class:`_Registers`), the tile's rows of pools taken once per sweep from
-    ``buffer(name, shape)``.  Every operation is elementwise per row and a
-    statement reads the unknown only through the tile's own rows (RPR141 on
-    anything else), so results do not depend on the tiling and the update is
-    added straight into where the rows live (``us``, ``u_new[sel]``) when
-    ``sel`` is a slice.
-
-    A folded tile whose every operation is exact is not swept in NumPy: it
-    is printed as one C function (:func:`repro.codegen.ctile.lower`) and the
-    sweep is one call of it, ``TILE(...)``, which on the host reduces each
-    row while it is hot; a NumPy tile reduces after the sweep, by the one
-    NumPy form (:func:`repro.fvm.kernels.reduce_rows`).  Returns the source
-    lines and that printed tile (``None``: the NumPy tile).
+    On the host it is ``compute_rhs(state, u, t, rows=None)`` (``rows``: a
+    band rank's): under forward Euler the sweep stores ``u + dt * rhs``
+    itself (a cell rank, ``owned_columns``, only in the columns it owns) and
+    fills the post-step callbacks' declared reductions (``state.reduced``);
+    other steppers get the RHS back.  On the ``device`` it is a launch over
+    the interior faces into ``u_new``, ``interior_kernel(state, u, var_*,
+    u_new, buffer, sel)``, before the fixed C ``finish_step``
+    (:data:`repro.codegen.ctile.FINISH`).  Either is one C call, ``TILE``: a
+    statement folded through the divergence (:meth:`ExprEmitter.
+    _fold_divergence`) a loop over the cells, its boundary faces the one
+    ``compute_boundary_contribution`` (``BOUNDARY``, a loop over those
+    faces), which a host sweep adds into the boundary cells' columns; a
+    two-sided one a loop over the faces, then the cells.  What has no C form
+    is evaluated in NumPy first (:meth:`ExprEmitter._numpy_only`).  A row
+    reads the unknown only through itself (RPR141 on anything else), so it
+    stores in place.
     """
     from repro.codegen import ctile  # (which reads the statement record defined here)
 
     form = emitter.form
     folded = surface.folded
     inplace = device or stepper in EULER
-    # a folded tile whose every operation is exact is one C function
-    tile_c = folded and ctile.lower(folded, volume, inplace)
+    two_sided = bool(form.surface_terms) and folded is None
+    upwind = surface.upwind
+    part = (surface, bool(upwind and upwind.owner_where and not surface.sides))
+    tile = ctile.lower(volume, inplace, folded=folded, surface=surface if two_sided else None,
+                       boundary=part if (folded or device) and form.surface_terms else None)
     setup, invariant, tables = _invariant_tables(surface, volume)
-    two_sided = form.surface_terms and not folded
     lines = setup
     if device:
         known = "".join(f"var_{n}, " for n in emitter.referenced_known_variables())
@@ -1112,158 +1154,38 @@ def emit_interior(emitter: ExprEmitter, surface: EmittedExpr, volume: EmittedExp
             "dt = state.dt",
             "rows = sel",
         ]
-        buffer, nfaces, ncells, normal, face_dist = (
-            "buffer", "len(geom.interior_faces)", "NCELLS", "normal", "face_dist")
-        gather = ["# owner/neighbour gathers restricted to interior faces",
-                  "u1 = np.take(us, owner, axis=1, out=fu, mode='clip')",
-                  "u2 = np.take(us, neighbor, axis=1, out=fv, mode='clip')"]
-        divergence = "kernels.slot_divergence(slots, flux, acc, cw)"
-        dt, into, store = "dt", "u_new[sel]", "u_new[sel] = acc"
-        scratch_of = "the workspace handed in"
-        plan, order = "state.plans, rows, NCOMP, height, TMAPS", "one block per launch"
-        if two_sided:  # the interior faces' geometry, built with the tables
-            lines += _function("def interior_tables(*geometry):", [
-                '"""The faces\' geometry and divergence slots, then their tables."""',
-                "return [*geometry" + ", *invariant_tables(*geometry[:4])" * bool(tables) + "]"])
-            tables = ", ".join(filter(None, ["normal, face_dist, owner, neighbor, slots", tables]))
+        buffer, ncells, loop = "buffer", "NCELLS", "interior"
         read = ("state.tables(folded_tables, geom.interior_faces, divergence=True)" if folded
-                else "state.tables(interior_tables, geom.interior_faces, divergence=True)"
-                if two_sided else "state.tables(invariant_tables, geom.interior_faces)")
-        body += [f"[{tables}] = {read}"] * bool(tables)
+                else "state.tables(invariant_tables, geom.interior_faces)")
     else:
         head = "def compute_rhs(state, u, t, rows=None):"
         body = [
             '"""Semi-discrete RHS du/dt: volume sources + surface divergence —',
             "returned, or under forward Euler stepped in place, ``u += dt * rhs`` (a",
-            "tile reads the unknown only through its own rows, and the boundary",
-            "values are evaluated from the pre-step ``u`` before the first store).",
+            "row reads the unknown only through itself, and the boundary values are",
+            "evaluated from the pre-step ``u`` before the sweep).",
             "",
             "``rows`` restricts the sweep to those component rows (a rank's owned",
             'bands); the other rows are left untouched."""',
             "geom = state.geom",
             "dt = state.dt",
-            *["owner = geom.owner"] * bool(two_sided),
             *bind_known(emitter, surface.reads | volume.reads),
         ]
-        buffer, nfaces, ncells, normal, face_dist = (
-            "state.buffer", "geom.nfaces", "geom.ncells", "geom.normal", "geom.face_dist")
-        gather = ["u1, u2 = geom.gather_sides(u, ghost, sel, out=(fu, fv))"]
-        divergence = "geom.surface_divergence(flux, out=acc, work=cw)"
-        dt = "dt" if inplace else None
-        into = None if owned_columns else "us"
-        store = ("rhs[sel] = acc" if not inplace else
-                 "kernels.store_columns(u, sel, state.owned_cells, acc, out=cw)"
-                 if owned_columns else "u[sel] = acc")
+        buffer, ncells, loop = "state.buffer", "geom.ncells", "all"
         read = ("state.tables(folded_tables, geom.interior_faces, divergence=True)"
                 if folded else "state.tables(invariant_tables)")
-        scratch_of = "owned by the state"
-        plan = "state.plans, rows, NCOMP, height, TMAPS, state.row_blocks"
-        order = ("blocks in assemblyLoops order ("
-                 + ", ".join(emitter.problem.config.assembly_order) + ")")
-
-    # ---- one tile of rows -----------------------------------------------------
-    nsweep = volume.sweep_registers
-    face_regs = [f"f{i}" for i in range(surface.registers)]
-    # gather targets, and a tile for a statement that is no register of its
-    # own (a bare table, a leaf, a row): the overrides and the divergence
-    # need a full one
-    face_regs += ["fu", "fv"]
-    face_regs += ["fx"] if surface.code not in face_regs else []
-    cell_regs = [f"c{i}" for i in range(volume.registers)]
-    cell_regs += [f"d{i}" for i in range(folded.registers)] if folded else []
-    cell_regs += ["acc", "cw", "cu"]
-    scratch = [f"cell_pool = {buffer}('cells', ({len(cell_regs)}, height, {ncells}))"]
-    tile = [_bind(cell_regs, "cell_pool"), "us = kernels.rows_of(u, sel, cu)"]
-    if two_sided:
-        scratch.append(
-            f"face_pool = {buffer}('faces', ({len(face_regs)}, height, {nfaces}))")
-        tile.append(_bind(face_regs, "face_pool"))
-    if nsweep:
-        spaces = sorted({f"len(trep_{h.rows})" for h in volume.sweep})
-        rows = spaces[0] if len(spaces) == 1 else f"max({', '.join(spaces)})"
-        scratch.append(f"sweep_pool = {buffer}('sweep', ({nsweep}, {rows}, {ncells}))")
-
-    def statement(name: str, target: str, expr: EmittedExpr, terms: list[Expr]) -> None:
-        tile.extend(f"# RHS {name}: {t}" for t in map(str, terms))
-        tile.extend(expr.prelude)
-        tile.append(f"{target} = {expr.code}")
-
-    if folded:
-        statement("surface, through the divergence", "div", folded, form.surface_terms)
-    elif form.surface_terms:
-        tile += gather
-        if surface.upwind:  # the upwinded side: select from both
-            tile.append(f"uw = {surface.upwind.select}")
-        statement("surface", "flux", surface, form.surface_terms)
-        if "fx" in face_regs:
-            tile += ["fx[...] = flux", "flux = fx"]
-        if not device:
-            tile += [
-                "# FLUX-type boundary callbacks override their faces",
-                "for faces, values in overrides:",
-                "    flux[:, faces] = values[sel]",
-            ]
-        tile.append(f"div = {divergence}")
-    else:
-        tile.append("div = 0.0")
-    if form.volume_terms:
-        statement("volume", "source", volume, form.volume_terms)
-    else:
-        tile.append("source = 0.0")
-    tile.append("np.add(source, div, out=acc)")
-    new = "new" if dt is not None and into else "acc"
-    if dt is not None:
-        tile.append(f"np.multiply(acc, {dt}, out=acc)")
-        tile += [f"new = {into} if sel.__class__ is slice else acc"] * (new == "new")
-        tile.append(f"np.add(us, acc, out={new})  # explicit update, Eq. (3)")
-    if folded and not device:  # finish_step, in the tile
-        tile += [f"cols = {new}.take(bcells, axis=1, out=bcols[:n], mode='clip')",
-                 "np.add(cols, bdry[sel], out=cols)",
-                 f"{new}[:, bcells] = cols"]
-    tile += ["if new is acc:", "    " + store] if new == "new" else [store]
-    tiles = ", ".join(["sel", "n", *(f"{kind}_{suffix}" for suffix in emitter.row_spaces
-                                    for kind in ("rows", "runs"))])
-
-    # ---- the sweep around it --------------------------------------------------
-    reads = surface.reads | volume.reads
-    if two_sided:
-        body += [f"{name} = {normal}[:, {axis - 1}]" for axis, name in _AXIS_NAMES.items()
-                 if name in reads]
-        body += [f"face_dist = {face_dist}"] * ("face_dist" in reads and not device)
-    if tables and not device:
+    if tables:
         body.append(f"[{tables}] = {read}")
+    if two_sided:
+        body.append(f"faces = geom.face_loop({loop!r})")
     for name in emitter.function_coefficients():  # none on the device
-        body += [
-            f"# function coefficient {name!r} evaluated on centres",
-            f"fcoef_{name} = eval_fcoef_{name}(geom.cell_center, t)",
-        ]
-        if f"fcoef_{name}_face" in reads:
-            body.append(f"fcoef_{name}_face = eval_fcoef_{name}(geom.center, t)")
-    if tile_c:
-        body += [f"# scratch, {scratch_of}", *scratch[1:]]
-    else:
-        body += [
-            f"# scratch, {scratch_of}: nothing below allocates a tile",
-            f"height = kernels.tile_rows({nfaces}, NCOMP)",
-            *scratch,
-        ]
-    sweep = hoisted_lines(surface.sweep + volume.sweep, nsweep)
-    if sweep:
-        body += ["# sub-expressions of known variables, once over their own rows", *sweep]
-    if folded and not device:
-        body += [
-            "",
-            "# the boundary faces' part, from their owner values, once per",
-            "# evaluation (user callbacks execute on the CPU)",
-            "bcells = geom.bcells",
-            *["bcols = state.buffer('bcols', (height, len(bcells)))"] * (not tile_c),
-            "u_bdry = state.buffer('u_bdry', (NCOMP, len(geom.bowner)))",
-            "bdry = compute_boundary_contribution(",
-            "    state, u.take(geom.bowner, axis=1, out=u_bdry, mode='clip'), t)",
-        ]
-        if inplace:
-            body.append("np.multiply(bdry, dt, out=bdry)  # u + (du_bdry * dt), as finish_step")
-    elif not device:
+        body.append(f"# function coefficient {name!r} evaluated on centres")
+        for tag, points in (("", "cell_center"), ("_face", "center")):
+            if tag == "" or f"fcoef_{name}{tag}" in surface.reads | volume.reads:
+                body += [f"fcoef_{name}{tag} = state.buffer('fcoef_{name}{tag}', "
+                         f"geom.{points}.shape[:1])",
+                         f"fcoef_{name}{tag}[...] = eval_fcoef_{name}(geom.{points}, t)"]
+    if not (folded or device):
         body += [
             "",
             "# boundary ghost values and FLUX overrides, once per evaluation",
@@ -1272,45 +1194,47 @@ def emit_interior(emitter: ExprEmitter, surface: EmittedExpr, volume: EmittedExp
             "    u, t, dt, state.extra, out=state.buffer('ghost', (NCOMP, len(geom.bfaces))))",
         ]
         if form.surface_terms:
-            body.append("overrides = state.bset.flux_overrides(u, t, dt, state.extra)")
+            body.append("overrides = state.bset.flux_values(u, t, dt, state.extra, state.buffer)")
+    elif device and two_sided:
+        body.append("ghost, overrides = None, ()  # the interior faces alone")
+    sweep = ("slice(None) if rows is None else rows", "NCOMP if rows is None else len(rows)",
+             "len(faces.side1)")
+    sides = ("geom.gather_sides(u, ghost, rows)" if not device else
+             "[(u if rows is None else u[rows]).take(side, axis=1) "
+             "for side in (faces.side1, faces.side2)]")
+    body += _definitions(surface, volume, tile.operands, buffer, ncells, sweep, sides)
+    if folded and not device:
+        body += [
+            "",
+            "# the boundary faces' part, from their owner values, once per",
+            "# evaluation (user callbacks execute on the CPU)",
+            "bcells = geom.bcells",
+            "u_bdry = state.buffer('u_bdry', (NCOMP, len(geom.bowner)))",
+            "bdry = compute_boundary_contribution(",
+            "    state, u.take(geom.bowner, axis=1, out=u_bdry, mode='clip'), t)",
+        ]
         if inplace:
-            body.append("state.require_private_inputs(u, ghost"
-                        f"{', overrides' if form.surface_terms else ''})")
+            body.append("np.multiply(bdry, dt, out=bdry)  # u + (du_bdry * dt), as finish_step")
     if not inplace:
         body.append("rhs = np.empty((NCOMP, geom.ncells))")
+    size = (f"{tile.folds + 1} * {ncells}" if tile.shape == "cells" else
+            f"len(faces.side1) + 2 * {ncells}")
+    places = (["None", "None", "None"] if device else
+              ["bcells" if folded else "None", "bdry" if folded else "None",
+               "state.owned_cells" if owned_columns else "None"])
     reduced = "()" if device or not inplace else "state.reduced"
-    if tile_c:
-        scalars = ", ".join([dt or "dt", *tile_c.scalars])
-        places = (["None", "None", "None"] if device else
-                  ["bcells", "bdry", "state.owned_cells" if owned_columns else "None"])
-        body += [
-            "",
-            "# the tile, in C (``solver.tile.text``): one foreign call over the rows",
-            f"TILE(state.plans, ({scalars},), rows, u, "
-            f"{'u_new' if device else 'u' if inplace else 'rhs'},",
-            f"     {buffer}('tile', ({tile_c.folds + 1} * {ncells},)), {', '.join(places)},",
-            f"     {reduced}, {', '.join(tile_c.operands)})",
-        ]
-    else:
-        body += [
-            "",
-            f"# cache-sized tiles of rows, {order}: planned once",
-            f"for {tiles} in kernels.tile_plan({plan}):",
-            *("    " + ln for ln in tile),
-        ]
-        if inplace and not device:
-            body += [
-                "# the declared reductions of the rows stored",
-                "for reduction, out in zip(REDUCTIONS, state.reduced):",
-                "    kernels.reduce_rows(u, reduction.group, reduction.weight, out, rows,",
-                "                        state.buffer('reduce_work', out.shape))",
-            ]
+    body += ["", *(f"# RHS surface: {t}" for t in form.surface_terms),
+             *(f"# RHS volume: {t}" for t in form.volume_terms)]
+    body += ["# the sweep, in C (``solver.tile.text``): one foreign call over the rows",
+             f"TILE(state.plans, ({', '.join(['dt', *tile.scalars])},), rows, u, "
+             f"{'u_new' if device else 'u' if inplace else 'rhs'},",
+             f"     {buffer}('tile', ({size},)), {', '.join([*places, reduced, *tile.operands])})"]
     if not inplace:
         body.append("return rhs")
     if folded or device:
-        lines += _boundary_part(emitter, surface, invariant, tiles)
+        lines += _boundary_part(emitter, surface, invariant, tile.boundary)
     lines += [head, *("    " + ln if ln else ln for ln in body)]
-    return lines, tile_c or None
+    return lines, tile
 
 
 def _count_flops(term: Expr) -> int:

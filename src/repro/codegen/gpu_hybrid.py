@@ -32,7 +32,7 @@ built once per process, started by :func:`step_env`, beside the tile's).
 Either way the device owns the unknown only while ``buffers['u'].on_device``:
 any host access takes it back (:meth:`SolverState.claim_unknown`) and the
 next step uploads it again.  The kernel is handed the state it runs for
-and reads its tables, ``dt`` and tile plans as ``compute_rhs`` does: each
+and reads its tables, ``dt`` and argument memo as ``compute_rhs`` does: each
 ``gpu_distributed`` rank builds its own.  The plan and transfer schedule
 are attached to the solver (``solver.placement``, ``solver.transfer_plan``);
 user callbacks are pinned to the CPU.  When the optimiser keeps ``interior_update`` on the

@@ -77,7 +77,6 @@ class SolverState:
         self._apply_initial_conditions()
 
         self.bset = self._build_boundary_set()
-        self.comp_blocks = self._build_component_blocks()
         self._scratch: dict[str, np.ndarray] = {}
         # the post-step callbacks' declared reductions, their outputs (which
         # the sweep, or the step, fills) and what each callback is handed
@@ -92,8 +91,7 @@ class SolverState:
         self.post_step_args = [(next(outputs),) if cb.reduce else ()
                                for cb in problem.post_step_callbacks]
         self._tables: dict[str, tuple[Any, list]] = {}  # builder name -> (builder, its tables)
-        self.plans: dict = {}  # the sweeps' tile plans (kernels.tile_plan), held like the tables
-        self._sweep_inputs_checked = False
+        self.plans: dict = {}  # the foreign calls' resolved arguments, one entry per call site
 
         # per-step solver metrics (residual, energy drift) — lazily
         # initialised by observe_step when a live registry is installed
@@ -319,8 +317,8 @@ class SolverState:
         """A reusable scratch array (allocated once, reused every step).
 
         The generated hot loop and the step callbacks call this instead of
-        ``np.empty`` for every array whose lifetime is one statement, one
-        tile or one step: the tile's register pools, the sweep terms, the
+        ``np.empty`` for every array whose lifetime is one sweep or one
+        step: the sweep's scratch and the definitions it reads, the FLUX and
         ghost values, the temperature update's band energies and closure
         work arrays, the hybrid step's boundary exchange — so a warmed-up
         step allocates nothing of the problem's size.  Contents are
@@ -350,19 +348,6 @@ class SolverState:
                 args.append(g.divergence_slots(faces=faces))
             held = self._tables[build.__name__] = (build, build(*args))
         return held[1]
-
-    def require_private_inputs(self, u: np.ndarray, ghost: np.ndarray,
-                               overrides=()) -> None:
-        """Row-locality guard of the in-place sweep, on this state's first
-        sweep: tiles read ``ghost`` and the FLUX override values after
-        earlier tiles advanced ``u``, so they must be copies, not views."""
-        if not self._sweep_inputs_checked and any(
-                np.may_share_memory(u, a) for a in (ghost, *(v for _, v in overrides))):
-            raise CodegenError(
-                "boundary ghost/flux values share memory with the unknown; the "
-                "in-place sweep needs copies evaluated from the pre-step state",
-                code="RPR141")
-        self._sweep_inputs_checked = True
 
     # ----------------------------------------------------------------- initial
     def _apply_initial_conditions(self) -> None:
@@ -489,47 +474,6 @@ class SolverState:
 
         adapter.__name__ = f"bc_{call.func}"
         return adapter
-
-    # --------------------------------------------------------- component blocks
-    def _build_component_blocks(self) -> list[Any]:
-        """Selectors implied by ``assemblyLoops``.
-
-        Index names appearing *before* ``'cells'`` in the order become outer
-        loops: one block per combination of their values.  With ``'cells'``
-        outermost there is a single all-components block (fully fused).
-        """
-        order = self.problem.config.assembly_order
-        space = self.unknown.space
-        outer = [n for n in order[: order.index("cells")]]
-        if not outer or space.ncomp <= 1:
-            return [slice(None)]
-        axes = [space.axis_values(n) for n in outer]
-        sizes = [space.size(n) for n in outer]
-        blocks: list[np.ndarray] = []
-
-        def rec(level: int, mask: np.ndarray) -> None:
-            if level == len(outer):
-                blocks.append(np.flatnonzero(mask))
-                return
-            for v in range(sizes[level]):
-                rec(level + 1, mask & (axes[level] == v))
-
-        rec(0, np.ones(space.ncomp, dtype=bool))
-        return [b for b in blocks if len(b)]
-
-    def row_blocks(self, rows=None) -> list[Any]:
-        """``comp_blocks`` restricted to the component rows ``rows``.
-
-        ``rows`` is a sorted index array (a band-partitioned rank's owned
-        components) or ``None`` for all rows; the block structure — and so
-        the ``assemblyLoops`` order — is unchanged, blocks just shrink.
-        """
-        if rows is None:
-            return self.comp_blocks
-        return [
-            rows if isinstance(blk, slice) else blk[np.isin(blk, rows)]
-            for blk in self.comp_blocks
-        ]
 
     # ----------------------------------- checkpoints (repro.runtime.checkpoint)
     def save_checkpoint(self, path) -> None:

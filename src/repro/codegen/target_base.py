@@ -227,7 +227,7 @@ class CodegenTarget:
                       build_seconds=info.get("build_seconds"))
         solver = self.bind_artifact(problem, artifact)
         solver.generation_info = info
-        for name in ("TILE", "finish_step"):  # compiled while the state was bound
+        for name in ("TILE", "BOUNDARY", "finish_step"):  # compiled while the state was bound
             foreign = solver.namespace.get(name)
             if isinstance(foreign, ctile.Tile | ctile.Finish):
                 foreign.wait()
@@ -278,7 +278,10 @@ class CodegenTarget:
                 env[f"eval_fcoef_{name}"] = coef.at
         tile = artifact.attrs.get("tile")
         if tile is not None:  # the library of this text: built, or building
-            env["TILE"] = ctile.Tile(ctile.build(tile.text), tile, state.reductions)
+            lib = ctile.build(tile.text)
+            env["TILE"] = ctile.Tile(lib, tile, state.reductions)
+            if tile.boundary is not None:
+                env["BOUNDARY"] = ctile.Tile(lib, tile.boundary)
         solver = GeneratedSolver(
             self.name, artifact.source, env, state,
             code=artifact.code, module_name=artifact.module_name,
@@ -385,8 +388,7 @@ class FVTarget(CodegenTarget):
         interior, tile = emit_interior(emitter, surface, volume, device,
                                        stepper=problem.config.stepper,
                                        owned_columns=self.partition(problem) == "cells")
-        if tile is not None:
-            ctile.build(tile.text)  # the compiler starts now; bind waits for it
+        ctile.build(tile.text)  # the compiler starts now; bind waits for it
         lines += interior
         lines += self.program(problem, plan)
         static = {**emitter.component_tables(), "NCOMP": problem.unknown.space.ncomp,

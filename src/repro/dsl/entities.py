@@ -172,10 +172,11 @@ class Reduction:
     form a device can run ("intentionally written for GPU processing"):
     ``out[group[g]] += weight[g] * u[g]``, ``out`` zeroed first, shape
     ``(rows, ncells)``, accumulated over the components ``g`` in order (a
-    band-partitioned rank's own rows only).  The one NumPy form is
-    :func:`repro.fvm.kernels.reduce_rows`; an Euler C tile accumulates it
-    while the row it stored is hot.  ``name`` names the array in the
-    transfer plan.  Same bits wherever it runs."""
+    band-partitioned rank's own rows only).  A forward-Euler host sweep
+    accumulates it while the row it stored is hot, a device step's
+    ``finish_step`` after the kernel; an RK step and the interpreter by the
+    one NumPy form, :func:`repro.fvm.kernels.reduce_rows`.  ``name`` names
+    the array in the transfer plan.  Same bits wherever it runs."""
 
     name: str
     #: per component, the output row it is added into

@@ -7,8 +7,8 @@
   second-order reconstructions);
 * :mod:`~repro.fvm.fields` — multi-component cell fields with index-space
   (direction x band) component bookkeeping;
-* :mod:`~repro.fvm.kernels` — the vectorised face/cell kernels generated code
-  calls into (tile plans, the folded upwind operator, MUSCL reconstruction);
+* :mod:`~repro.fvm.kernels` — what generated sweeps read and the NumPy forms
+  kept beside them (the folded upwind operator, MUSCL reconstruction);
 * :mod:`~repro.fvm.boundary` — boundary-condition bookkeeping (ghost values,
   flux overrides, callback dispatch);
 * :mod:`~repro.fvm.timesteppers` — explicit schemes (forward Euler, RK2, RK4).

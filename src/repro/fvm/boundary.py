@@ -129,6 +129,7 @@ class BoundarySet:
         self.ncomp = ncomp
         self.conditions: dict[int, BoundaryCondition] = {}
         self._contexts: dict[int, BoundaryContext] = {}
+        self._flux_faces: dict[bool, tuple] = {}  # flux_values' pair, by ``slots``
 
     def add(self, bc: BoundaryCondition) -> None:
         if bc.region not in self.geom.region_faces:
@@ -144,6 +145,7 @@ class BoundarySet:
             )
         self.conditions[bc.region] = bc
         self._contexts.clear()
+        self._flux_faces.clear()
 
     def _static(self, bc: BoundaryCondition) -> BoundaryContext:
         """The region's context, its geometry gathered on first use."""
@@ -259,6 +261,26 @@ class BoundarySet:
                 )
             out.append((ctx.faces, vals))
         return out
+
+    def flux_values(self, u: np.ndarray | None, time: float, dt: float,
+                    extra: dict[str, Any] | None, buffer, owner_values: np.ndarray | None = None,
+                    slots: bool = False) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`flux_overrides` as one pair of arrays a generated sweep
+        reads: the faces of every FLUX region, region after region (ids, or
+        with ``slots`` positions among the boundary faces), held by the set;
+        and their values, copied into ``buffer(name, (ncomp, len(faces)))``."""
+        pairs = self.flux_overrides(u, time, dt, extra, owner_values)
+        faces, values = self._flux_faces.get(slots) or (np.concatenate(
+            [np.zeros(0, np.int64), *(self.geom.bface_slot[f] if slots else f for f, _ in pairs)]
+        ).astype(np.int64), None)
+        buf = buffer(f"flux_values:{slots}", (self.ncomp, len(faces)))
+        if buf is not values:  # (one pair while the buffer is one)
+            self._flux_faces[slots] = faces, buf
+        at = 0
+        for _, v in pairs:
+            buf[:, at:at + v.shape[1]] = v
+            at += v.shape[1]
+        return self._flux_faces[slots]
 
     def has_callbacks(self) -> bool:
         return any(

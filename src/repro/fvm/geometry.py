@@ -22,11 +22,51 @@ scipy.
 from __future__ import annotations
 
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
-from repro.fvm.kernels import entry_slots, slot_divergence
+from repro.fvm.kernels import entry_rows, entry_slots, laid_out, slot_divergence
 from repro.mesh.mesh import Mesh
+from repro.util.errors import CodegenError
+
+
+class FaceLoop(NamedTuple):
+    """What a generated loop over faces reads (:meth:`FVGeometry.face_loop`):
+    per face the column of its first side, of its second (or ``~slot`` of
+    the ghost values), the cell a known variable is read on, the normal (one
+    row per axis) and the face distance; then the divergence into the output
+    columns as a canonical CSR matrix stores it (each column's faces in slot
+    order)."""
+
+    side1: np.ndarray
+    side2: np.ndarray
+    cell: np.ndarray
+    normal: np.ndarray
+    dist: np.ndarray
+    begin: np.ndarray
+    columns: np.ndarray
+    weights: np.ndarray
+
+    def check(self, n: int, slots: int | None) -> tuple[int, int]:
+        """``(faces, output columns)``, every index inside what it reads:
+        sides in a row of ``n`` or, negative, among ``slots`` ghost values
+        (``None``: no second side is read), divergence columns among the
+        faces (before a generated sweep is handed their pointers)."""
+        side1, side2, cell, normal, dist, begin, columns, weights = self
+        nf = len(side1)
+        if not laid_out(zip(self, (np.int64,) * 3 + (np.float64,) * 2 + (np.int64,) * 2
+                            + (np.float64,), (1, 1, 1, 2, 1, 1, 1, 1))) \
+                or not len(side2) == len(cell) == len(dist) == normal.shape[1] == nf \
+                or len(begin) < 1 or len(columns) != len(weights):
+            raise CodegenError("a face loop of another layout")
+        if nf and not (side1.min() >= 0 and side1.max() < n and cell.min() >= 0 and (
+                slots is None or side2.max() < n and ~side2.min() < slots)) \
+                or not ((np.diff(begin) >= 0).all() and begin[0] == 0
+                        and begin[-1] == len(columns)) \
+                or len(columns) and not (columns.min() >= 0 and columns.max() < nf):
+            raise CodegenError("a face loop reads outside its arrays")
+        return nf, len(begin) - 1
 
 
 class FVGeometry:
@@ -102,8 +142,8 @@ class FVGeometry:
             r: self.bface_slot[faces] for r, faces in self.region_faces.items()
         }
 
+        self._loops: dict[str, FaceLoop] = {}  # face_loop(which), on first use
         self._div_slots: list | None = None  # the divergence's gather form, on first use
-        self._bdry_slots: list | None = None  # ... restricted to the boundary faces
         # face-centre offsets from each side's cell centre (for linear
         # face extrapolation in second-order reconstructions)
         self.offset_owner = self.center - self.cell_center[self.owner]
@@ -130,9 +170,30 @@ class FVGeometry:
                          faces: np.ndarray | None = None) -> list:
         """Gather form of the divergence, optionally restricted to the rows
         ``cells`` and columns ``faces`` (sorted ids, renumbered by position):
-        ``csr_slots(divergence[cells][:, faces])`` without the matrix."""
+        the slots of ``divergence[cells][:, faces]`` without the matrix."""
         return entry_slots(*self._stencil(self.area), (self.ncells, self.nfaces),
                            row_ids=cells, col_ids=faces)
+
+    def face_loop(self, which: str) -> FaceLoop:
+        """The faces a generated face loop sweeps (built on first use):
+        ``"all"`` — rows of the unknown, the second side a neighbour or a
+        ghost slot, into every cell; ``"interior"`` — the faces with a cell
+        on both sides; ``"boundary"`` — rows of the boundary faces' owner
+        values (one column per ghost slot), the second side the ghost slot,
+        into the cells with a boundary face (``bcells``)."""
+        held = self._loops.get(which)
+        if held is None:
+            faces = {"all": None, "interior": self.interior_faces, "boundary": self.bfaces}[which]
+            pick = slice(None) if faces is None else faces
+            side1 = np.arange(len(faces)) if which == "boundary" else self.owner[pick]
+            side2 = ~side1 if which == "boundary" else self.neighbor_column[pick]
+            rows = entry_rows(*self._stencil(self.area), (self.ncells, self.nfaces),
+                              row_ids=self.bcells if which == "boundary" else None, col_ids=faces)
+            held = self._loops[which] = FaceLoop(
+                *(np.ascontiguousarray(a, dtype=np.int64) for a in (side1, side2, self.owner[pick])),
+                np.ascontiguousarray(self.normal[pick].T), np.ascontiguousarray(self.face_dist[pick]),
+                *rows)
+        return held
 
     @cached_property
     def interior_faces(self) -> np.ndarray:
@@ -182,17 +243,6 @@ class FVGeometry:
                               np.empty(shape) if work is None else work)
         return div if face_flux.ndim == 2 else div[0]
 
-    def boundary_divergence(self, face_flux: np.ndarray, out: np.ndarray,
-                            work: np.ndarray) -> np.ndarray:
-        """The boundary faces' part of :meth:`surface_divergence`, compact:
-        ``face_flux`` is ``(ncomp, nbfaces)`` (one column per ghost slot) and
-        the result, in ``out``, ``(ncomp, len(bcells))`` — the columns of the
-        cells that have a boundary face; ``work`` is contiguous scratch of at
-        least that size."""
-        if self._bdry_slots is None:
-            self._bdry_slots = self.divergence_slots(self.bcells, self.bfaces)
-        return slot_divergence(self._bdry_slots, face_flux, out, work)
-
     def gather_sides(
         self,
         u: np.ndarray,
@@ -229,4 +279,4 @@ class FVGeometry:
         return len(self.bfaces)
 
 
-__all__ = ["FVGeometry"]
+__all__ = ["FVGeometry", "FaceLoop"]

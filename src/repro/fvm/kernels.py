@@ -1,57 +1,24 @@
-"""Vectorised numerical kernels called from generated solver code.
+"""Numerical building blocks of the finite-volume operators.
 
-These are the numeric building blocks the code generator emits calls to
-(keeping generated source short, readable and correct while the numerics
-stay in tested library code).  All kernels are shape-polymorphic over a
-leading component axis: arguments are ``(nfaces,)``/``(ncells,)`` or
-``(ncomp, nfaces)``/``(ncomp, ncells)``.
+What a generated sweep reads is built here once per state: the
+divergence's storage order (:func:`entry_rows`, its gather form
+:func:`entry_slots`) and the upwinded surface statement folded through it
+into one cell-centric operator (:func:`fold_upwind`, read by the C tile).
+The NumPy forms of what the C sweeps compute stay for what is not a
+generated sweep: :func:`slot_divergence` (the oracles, the probes),
+:func:`reduce_rows` (a declared reduction outside an Euler sweep) and the
+one limiter, :func:`muscl_flux`, which a ``flux_order(2)`` sweep evaluates
+over its rows before the call.  Arguments are ``(nfaces,)``/``(ncells,)``
+or ``(ncomp, nfaces)``/``(ncomp, ncells)``.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from typing import NamedTuple
 
 import numpy as np
 
-#: Working-set budget of one component-row tile of a NumPy tile body: the
-#: boundary part, a two-sided tile, and a folded tile whose statements have
-#: no C form (the BTE's folded tile is C, :mod:`repro.codegen.ctile`: one call
-#: over every row, no row tiles).  The unit is the bytes of one ``(rows,
-#: nfaces)`` float64 face array, whatever the body keeps live: the gathered
-#: sides and the flux, or a folded body's five ``(rows, ncells)`` arrays, each
-#: half a budget wide.  At 512 KiB either stays inside a 4 MiB L2.  The Newton
-#: closure (``bte.equilibrium``) sizes its cell blocks by the same constant:
-#: one ``(nbands, block)`` array per budget, about six live.  Measured, not
-#: configured — EXPERIMENTS.md ("No allocation in steady state", re-run under
-#: "Hoist through the divergence"): step time is flat within noise from ~256
-#: KiB to ~768 KiB for either tile body and rises outside (per-tile call
-#: overhead below, L2 spills above); the closure alone is flat from ~128 KiB
-#: and 0.45 ms better unblocked, not worth a second constant.
-TILE_BYTES = 512 * 1024
-
-
-def tile_rows(nfaces: int, ncomp: int) -> int:
-    """Component rows per tile for face arrays ``nfaces`` wide (a mesh of
-    one cell has no interior face: one tile)."""
-    return min(ncomp, max(1, TILE_BYTES // (8 * max(nfaces, 1))))
-
-
-def row_tiles(rows, ncomp: int, height: int) -> Iterator:
-    """Split a component-row selector into tiles of at most ``height`` rows.
-
-    ``rows`` is a slice or a sorted index array (a ``comp_blocks`` entry, a
-    rank's owned components, a kernel chunk); each tile is a selector of
-    the same kind over the same rows, in order.
-    """
-    if isinstance(rows, slice):
-        start, stop, _ = rows.indices(ncomp)
-        for lo in range(start, stop, height):
-            yield slice(lo, min(lo + height, stop))
-    else:
-        for lo in range(0, len(rows), height):
-            yield rows[lo:lo + height]
-
+from repro.util.errors import CodegenError
 
 def table_runs(values: np.ndarray) -> list[tuple[int, int, int]]:
     """``(lo, hi, value)`` of every maximal run of equal consecutive integer
@@ -60,64 +27,14 @@ def table_runs(values: np.ndarray) -> list[tuple[int, int, int]]:
     return [(lo, hi, int(values[lo])) for lo, hi in zip(cuts, cuts[1:])]
 
 
-def row_selector(idx: np.ndarray, table: bool = False):
-    """How to read the rows ``idx`` of an array without a copy where a view
-    will do: a slice when they are consecutive — of a ``table`` also when
-    they are all one row, read as a broadcastable ``(1, n)`` view — else
-    ``idx`` itself: a gather (:func:`rows_of`)."""
-    if table and (idx == idx[0]).all():
-        return slice(int(idx[0]), int(idx[0]) + 1)
-    if (idx[1:] - idx[:-1] == 1).all():
-        return slice(int(idx[0]), int(idx[-1]) + 1)
-    return idx
-
-
-def rows_of(a: np.ndarray, rows, out: np.ndarray | None = None) -> np.ndarray:
-    """``a[rows]`` for a :func:`row_selector`: the view, or the rows gathered
-    into the leading rows of ``out`` (a fresh array without one)."""
-    if rows.__class__ is slice:
-        return a[rows]
-    return a.take(rows, axis=0, out=None if out is None else out[:len(rows)], mode="clip")
-
-
-def tile_plan(cache: dict, rows, ncomp: int, height: int, row_maps: tuple = (),
-              blocks=None) -> list[tuple]:
-    """What a sweep over the component rows ``rows`` (a slice, a sorted index
-    array, ``None``: all; ``blocks(rows)``: the selectors swept one after the
-    other) in tiles of ``height`` rows derives from the rows alone, once
-    instead of per tile per step: per tile ``(sel, n, *reads)`` — its rows as
-    a :func:`row_selector`, their number, and per map of ``row_maps``
-    (component -> table row) the table rows it reads (a table
-    :func:`row_selector`) and their :func:`table_runs`.  Kept in ``cache`` —
-    a solver state's, a bound kernel source's — under what the rows are;
-    built again for other ``row_maps`` (a recompiled source)."""
-    key = (height, rows if rows is None else rows.indices(ncomp)
-           if isinstance(rows, slice) else rows.tobytes())
-    held = cache.get(key)
-    if held is None or held[0] is not row_maps:
-        tiles, every = [], np.arange(ncomp)
-        for block in blocks(rows) if blocks else [slice(None) if rows is None else rows]:
-            for sel in row_tiles(block, ncomp, height):
-                idx = every[sel]
-                reads = [read for mapped in (row_of[idx] for row_of in row_maps)
-                         for read in (row_selector(mapped, table=True), table_runs(mapped))]
-                tiles.append((row_selector(idx), len(idx), *reads))
-        held = cache[key] = (row_maps, tiles)
-    return held[1]
-
-
-def entry_slots(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, shape: tuple[int, int],
-                row_ids: np.ndarray | None = None, col_ids: np.ndarray | None = None,
-                ) -> list[tuple[np.ndarray, np.ndarray, object]]:
-    """Gather form of a sparse operator (cells x faces) given as COO entries:
-    for the ``k``-th stored entry of every row, ``(faces, weights, where)`` —
-    its column, its value, and the rows that have a ``k``-th entry: ``True``
-    (all of them), a mask over the rows (most of them; ``faces``/``weights``
-    are padded), or the row ids (few of them, e.g. a boundary-face operator;
-    ``faces``/``weights`` cover just those).  A row's entries are stored by
-    column, as a canonical CSR matrix stores them.  ``row_ids``/``col_ids``
-    (sorted) restrict the operator to those rows/columns, renumbered by
-    position: ``matrix[row_ids][:, col_ids]`` without a matrix."""
+def entry_rows(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, shape: tuple[int, int],
+               row_ids: np.ndarray | None = None, col_ids: np.ndarray | None = None,
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A sparse operator (cells x faces) given as COO entries, as a canonical
+    CSR matrix stores it: ``(indptr, indices, data)``, a row's entries by
+    column.  ``row_ids``/``col_ids`` (sorted) restrict the operator to those
+    rows/columns, renumbered by position: ``matrix[row_ids][:, col_ids]``
+    without a matrix."""
     def renumber(index: np.ndarray, ids: np.ndarray | None, n: int) -> tuple[np.ndarray, int]:
         if ids is None:
             return index, n
@@ -129,9 +46,22 @@ def entry_slots(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, shape: tup
     cols, _ = renumber(cols, col_ids, shape[1])
     keep = np.flatnonzero((rows >= 0) & (cols >= 0))
     keep = keep[np.lexsort((cols[keep], rows[keep]))]
-    indices, data = cols[keep], vals[keep]
     counts = np.bincount(rows[keep], minlength=nrows)
-    indptr = np.concatenate(([0], np.cumsum(counts)))
+    indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
+    return indptr, cols[keep].astype(np.int64), vals[keep]
+
+
+def entry_slots(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, shape: tuple[int, int],
+                row_ids: np.ndarray | None = None, col_ids: np.ndarray | None = None,
+                ) -> list[tuple[np.ndarray, np.ndarray, object]]:
+    """Gather form of a sparse operator (cells x faces) given as COO entries
+    (:func:`entry_rows`): for the ``k``-th stored entry of every row,
+    ``(faces, weights, where)`` — its column, its value, and the rows that
+    have a ``k``-th entry: ``True`` (all of them), a mask over the rows (most
+    of them; ``faces``/``weights`` are padded), or the row ids (few of them,
+    e.g. a boundary-face operator; ``faces``/``weights`` cover just those)."""
+    indptr, indices, data = entry_rows(rows, cols, vals, shape, row_ids, col_ids)
+    counts = np.diff(indptr)
     slots = []
     for k in range(int(counts.max(initial=0))):
         present = counts > k
@@ -145,16 +75,9 @@ def entry_slots(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, shape: tup
     return slots
 
 
-def csr_slots(matrix) -> list[tuple[np.ndarray, np.ndarray, object]]:
-    """:func:`entry_slots` of a scipy CSR matrix (canonical: sorted indices)."""
-    rows = np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr))
-    return entry_slots(rows, matrix.indices, matrix.data, matrix.shape)
-
-
 class FoldedOperator(NamedTuple):
     """A cell-centric operator with a face table and an upwind column choice
-    folded in (:func:`fold_upwind`), the one layout :func:`apply_folded` and
-    the C tile read: per table row ``r``, ``own[r]`` multiplies every cell's
+    folded in (:func:`fold_upwind`), the layout the C tile reads: per table row ``r``, ``own[r]`` multiplies every cell's
     own value, then each entry ``(lo, hi, shift, gather, weight)`` of
     ``entries[begin[r]:begin[r + 1]]``, in order, adds into the cells ``lo <=
     c < hi`` ``weights[weight + c - lo]`` times the value at ``c + shift`` (an
@@ -166,6 +89,30 @@ class FoldedOperator(NamedTuple):
     entries: np.ndarray
     weights: np.ndarray
     indices: np.ndarray
+
+    def check(self, n: int) -> None:
+        """Every index inside the arrays, for rows of ``n`` cells (before a
+        generated sweep is handed their pointers)."""
+        own, begin, entries, weights, indices = self
+        if not laid_out(zip(self, (np.float64, np.int64, np.int64, np.float64, np.int64),
+                            (2, 1, 2, 1, 1))) \
+                or own.shape[1] != n or len(begin) != len(own) + 1 or entries.shape[1] != 5:
+            raise CodegenError("a folded operator over other cells")
+        lo, hi, shift, gather, weight = entries.T
+        width = hi - lo
+        if not ((np.diff(begin) >= 0).all() and begin[0] == 0 and begin[-1] == len(entries)
+                and (lo >= 0).all() and (width >= 0).all() and (hi <= n).all()
+                and (weight >= 0).all() and (weight + width <= len(weights)).all()
+                and np.where(gather < 0, (lo + shift >= 0) & (hi + shift <= n),
+                             gather + width <= len(indices)).all()
+                and (len(indices) == 0 or (indices.min() >= 0 and indices.max() < n))):
+            raise CodegenError("a folded operator reads outside its arrays")
+
+
+def laid_out(arrays) -> bool:
+    """Every ``(array, dtype, ndim)``: a C-ordered array of that type."""
+    return all(isinstance(a, np.ndarray) and a.dtype == t and a.ndim == d
+               and a.flags.c_contiguous for a, t, d in arrays)
 
 
 def fold_upwind(slots, table: np.ndarray, columns: np.ndarray, ncells: int) -> FoldedOperator:
@@ -343,34 +290,10 @@ def _gather_form(slots, table: np.ndarray, columns: np.ndarray,
                  for r, n in enumerate(used.max(axis=1, initial=0).tolist())]
 
 
-def apply_folded(op: FoldedOperator, us: np.ndarray, runs: list[tuple[int, int, int]],
-                 out: np.ndarray, work: np.ndarray) -> np.ndarray:
-    """``out[i] = own[r] * us[i] + the entries of row r`` for every ``(lo,
-    hi, r)`` of ``runs`` and ``lo <= i < hi``: a :func:`fold_upwind`
-    operator on one tile of rows of the unknown, per run of equal table rows
-    (their :func:`table_runs`, from the tile plan) and in entry order, each
-    row on its own (so neither the tile height nor the row selector changes
-    a bit).  An offset entry multiplies a shifted view of the rows; a gather
-    entry takes its columns first.  ``work`` is scratch of ``out``'s shape."""
-    own, begin, entries, weights, indices = op
-    for lo, hi, r in runs:
-        rows, acc, work_rows = us[lo:hi], out[lo:hi], work[lo:hi]
-        np.multiply(rows, own[r], out=acc)
-        for a, b, shift, gather, w in entries[begin[r]:begin[r + 1]].tolist():
-            term, into, wt = work_rows[:, a:b], acc[:, a:b], weights[w:w + b - a]
-            if gather < 0:
-                np.multiply(rows[:, a + shift:b + shift], wt, out=term)
-            else:
-                rows.take(indices[gather:gather + b - a], axis=1, out=term, mode="clip")
-                np.multiply(term, wt, out=term)
-            np.add(into, term, out=into)
-    return out
-
-
 def slot_divergence(slots, flux: np.ndarray, out: np.ndarray,
                     work: np.ndarray | None = None) -> np.ndarray:
     """``out[:, c] = sum_k weights_k[c] * flux[:, faces_k[c]]`` over the
-    :func:`csr_slots` of an operator — what ``(matrix @ flux.T).T`` computes,
+    :func:`entry_slots` of an operator — what ``(matrix @ flux.T).T`` computes,
     bit for bit (accumulated from ``+0.0`` in storage order, so a ``-0.0``
     product leaves ``+0.0`` as CSR does), in the tile's own row layout: no
     transposed copy in, no strided read back.  ``work`` is contiguous scratch
@@ -429,18 +352,6 @@ def reduce_rows(u: np.ndarray, group: np.ndarray, weight: np.ndarray, out: np.nd
                 np.copyto(acc, terms, where=np.isnan(terms))
         if careful or not np.logical_or.reduce(np.isnan(out), axis=None):
             return out
-
-
-def store_columns(u: np.ndarray, rows, columns: np.ndarray, values: np.ndarray,
-                  out: np.ndarray | None = None) -> None:
-    """``u[rows, columns] = values[:, columns]`` for a slice or index-array
-    ``rows``: a cell-partitioned rank advances only the mesh columns it owns.
-    ``out`` is contiguous scratch of ``values``' shape for the picked columns."""
-    if out is not None:
-        out = out.reshape(-1)[:len(values) * len(columns)].reshape(len(values), -1)
-    if not isinstance(rows, slice):
-        rows = rows[:, None]
-    u[rows, columns] = values.take(columns, axis=1, out=out, mode="clip")
 
 
 def muscl_flux(geom, vn: np.ndarray, u: np.ndarray, ghost: np.ndarray | None = None
@@ -522,19 +433,11 @@ def muscl_flux(geom, vn: np.ndarray, u: np.ndarray, ghost: np.ndarray | None = N
 
 
 __all__ = [
-    "TILE_BYTES",
-    "tile_rows",
-    "row_tiles",
     "table_runs",
-    "row_selector",
-    "rows_of",
-    "tile_plan",
+    "entry_rows",
     "entry_slots",
-    "csr_slots",
     "FoldedOperator",
     "fold_upwind",
-    "apply_folded",
     "slot_divergence",
-    "store_columns",
     "muscl_flux",
 ]

@@ -575,9 +575,9 @@ class Reconstruction(Expr):
 
     First-order upwinding expands into explicit ``conditional`` trees (the
     paper's listings); higher orders need cell gradients and limiters that
-    have no compact closed form, so they stay opaque nodes that the code
-    generators lower onto library kernels (``kernels.muscl_flux``).  Prints
-    as ``RECONSTRUCT<scheme>(v.n, u)``.
+    have no compact closed form, so they stay opaque nodes that a generated
+    sweep evaluates before the call with the one library kernel
+    (``kernels.muscl_flux``).  Prints as ``RECONSTRUCT<scheme>(v.n, u)``.
     """
 
     __slots__ = ("scheme", "velocity_normal", "quantity")

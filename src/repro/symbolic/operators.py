@@ -155,8 +155,9 @@ def expand_upwind2(velocity: Expr, quantity: Expr) -> Expr:
     """Second-order MUSCL upwind reconstruction (limited linear).
 
     Expands to an opaque :class:`~repro.symbolic.expr.Reconstruction` node —
-    gradients and limiters have no compact symbolic form — that the code
-    generators lower onto ``kernels.muscl_flux``.  Selected by
+    gradients and limiters have no compact symbolic form — that a generated
+    sweep evaluates over its rows before the call, with
+    ``kernels.muscl_flux``.  Selected by
     ``flux_order(2)``; the paper notes order one is "the default flux
     reconstruction order", implying exactly this knob.
     """

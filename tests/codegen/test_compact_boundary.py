@@ -87,12 +87,17 @@ def test_compact_boundary_equals_the_dense_one_on_the_boundary_columns(mesh, shi
     bcells = geom.bcells
     with np.errstate(invalid="ignore"):
         # (the function consumes the owner values it is handed)
-        compact = ns["compute_boundary_contribution"](state, u[:, geom.bowner], 0.25).copy()
+        compact = ns["compute_boundary_contribution"](state, u[:, geom.bowner].copy(), 0.25).copy()
         assert compact.shape == (ND * NB, len(bcells))
-        # the dense function it replaced: the same body, the full-row operator
-        geom._bdry_slots = kernels.csr_slots(geom.divergence[:, geom.bfaces])
+        # the dense function it replaced: the same sweep, the full-row operator
+        loop = geom.face_loop("boundary")
+        dense_rows = kernels.entry_rows(*geom._stencil(geom.area), (geom.ncells, geom.nfaces),
+                                        col_ids=geom.bfaces)
+        geom._loops["boundary"] = loop._replace(**dict(zip(("begin", "columns", "weights"),
+                                                            dense_rows)))
         geom.bcells = np.arange(geom.ncells)
-        dense = ns["compute_boundary_contribution"](state, u[:, geom.bowner], 0.25)
+        state.plans.clear()
+        dense = ns["compute_boundary_contribution"](state, u[:, geom.bowner].copy(), 0.25)
     assert dense.shape == u.shape
     assert compact.tobytes() == dense[:, bcells].tobytes()
     rest = np.setdiff1d(np.arange(geom.ncells), bcells)

@@ -93,21 +93,8 @@ class TestAssemblyLoops:
             p, _ = build_bte_problem(tiny_scenario)
             p.set_assembly_loops([o for o in order])
             results.append(p.solve().solution())
-        assert np.allclose(results[0], results[1])
-        assert np.allclose(results[0], results[2])
-
-    def test_component_blocks_structure(self, tiny_scenario):
-        from repro.bte.problem import build_bte_problem
-
-        p, _ = build_bte_problem(tiny_scenario)
-        p.set_assembly_loops(["b", "cells", "d"])
-        solver = p.generate()
-        blocks = solver.state.comp_blocks
-        # one block per (polarised) band value
-        nbands = p.entities.indices["b"].size
-        assert len(blocks) == nbands
-        total = sum(len(b) for b in blocks)
-        assert total == solver.state.ncomp
+        # every order sweeps the rows one by one: the same bits
+        assert results[0].tobytes() == results[1].tobytes() == results[2].tobytes()
 
 
 class TestGeneratedSource:

@@ -6,23 +6,8 @@ import pytest
 
 from repro.bte.problem import build_bte_problem
 from repro.codegen.emit import ExprEmitter
+from repro.fvm import kernels
 from repro.ir.lowering import lower_conservation_form
-
-
-def _surface_statement(src: str) -> list[str]:
-    """The lines of the tile body's surface statement (folded: up to the
-    divergence it ends in)."""
-    lines = [ln.strip() for ln in src.splitlines()]
-    start = max(i for i, ln in enumerate(lines) if ln.startswith("# RHS surface"))
-    stop = next(i for i in range(start, len(lines))
-                if lines[i].startswith(("flux = ", "div = ")))
-    return lines[start + 1:stop + 1]
-
-
-def _tile_loop(src: str) -> str:
-    """Everything from the first row-tile loop of ``src`` to the end of its
-    function (the boundary part has a loop of its own: slice first)."""
-    return src[src.index("for sel, n, "):].split("\ndef ")[0]
 
 
 def _c_statements(solver) -> list[str]:
@@ -80,9 +65,10 @@ class TestHoisting:
         # ... and, per component, where the flow enters: bound once, not per step
         assert np.array_equal(inflow, ~mask[ns["tmap_d"]])
         assert state.tables(ns["boundary_tables"], geom.bfaces)[3] is inflow
-        # the face-centric statement there: the tile's rows of the table, read once
-        boundary = src[src.index("def compute_boundary_"):src.index("def compute_rhs(")]
-        assert boundary.count("kernels.rows_of(tab_s1, rows_d, f0)") == 1
+        # the face-centric statement there, in C: the table's row, read once per row
+        boundary = tile.boundary
+        assert boundary.operands.count("tab_s1") == 1 and boundary.kinds[1] == "T"
+        assert boundary.text.count("const double *p0 = a1 + a2[g] * nf;") == 1
 
     def test_tile_loop_recomputes_nothing_invariant(self, bte_solver):
         """Source shape of the hotspot kernel body: no geometry product, no
@@ -95,7 +81,7 @@ class TestHoisting:
         assert "np.empty((NCOMP" not in src and "euler_update" not in src
         # u = u + dt * (source + div), the boundary cells' columns completed
         # with the boundary part, stored into the rows of u (in place)
-        assert statements[-2:] == ["const double v = (r4 + r1);",
+        assert statements[-2:] == ["const double v = (r3 + r1);",
                                    "o[c] = ur[c] + v * s0;"]
         assert "o[bc[k]] = o[bc[k]] + bd[g * nb + k];" in bte_solver.tile.text
         sweep = src[src.index("def compute_rhs("):].split("\ndef ")[0]
@@ -122,7 +108,7 @@ class TestHoisting:
         # no pass for a sign: ``Io/beta - I/beta``, not ``(-1 * I)/beta + Io/beta``
         statements = _c_statements(bte_solver)
         assert not any("(-1.0) * ur[c]" in ln for ln in statements)
-        assert statements[2:5] == ["r1 = r0;", "r2 = (ur[c] * p0[c]);", "r3 = (p1[c] - r2);"]
+        assert statements[2:5] == ["r1 = r0;", "r2 = (ur[c] * p0[c]);", "r2 = (p1[c] - r2);"]
 
     def test_cse_can_be_disabled(self, tiny_scenario):
         problem, _ = build_bte_problem(tiny_scenario)
@@ -145,56 +131,48 @@ class TestHoisting:
         assert (with_cse.flops, with_cse.bytes_per_value) == (
             without.flops, without.bytes_per_value)
 
-    def test_solution_independent_of_cse(self, tiny_scenario, monkeypatch):
+    def test_solution_independent_of_cse(self, tiny_scenario):
         """Hoisting must not change a single bit of the result: tables,
         per-sweep terms and select-before-scale against the statements as
         written — the volume statement in the tile, the face-centric surface
-        statement in the boundary part.  (The fold through the divergence is
-        the one rewrite that rounds differently; it stays on both sides.)
-        The unhoisted statements are written into the NumPy tile, which the
-        C tile equals bit for bit."""
-        from repro.codegen import ctile
-        from repro.tune.cache import cache_scope
+        statement in the boundary part, here evaluated by NumPy.  (The fold
+        through the divergence is the one rewrite that rounds differently;
+        it stays on both sides: the folded operator's oracle applies it.)"""
+        from tests.fvm.folded_oracle import apply_folded
 
-        p1, _ = build_bte_problem(tiny_scenario)
-        ref = p1.solve().solution()
-
-        # hand-build a solver with hoisting disabled by patching the source
-        # of the NumPy tile
-        p2, _ = build_bte_problem(tiny_scenario)
-        monkeypatch.setattr(ctile, "lower", lambda *args: None)
-        with cache_scope():
-            solver = p2.generate()
-        assert solver.tile is None
+        problem, _ = build_bte_problem(tiny_scenario)
+        solver = problem.generate()
+        state, ns = solver.state, solver.namespace
+        geom, dt, t = state.geom, state.dt, state.time
+        u = state.u.copy()
         _, form = lower_conservation_form(
-            p2.equation.source, p2.unknown, p2.entities, p2.operators
-        )
-        em = ExprEmitter(p2, form)
+            problem.equation.source, problem.unknown, problem.entities, problem.operators)
+        em = ExprEmitter(problem, form)
         surface = em.emit_sum(form.surface_terms, "surface", cse=False)
         volume = em.emit_sum(form.volume_terms, "volume", cse=False)
-        new_src = []
-        for ln in solver.source.splitlines():
-            indent = ln[: len(ln) - len(ln.lstrip())]
-            if ln.strip().startswith("uw = "):
-                # ``uw`` holds the owner value where the flow leaves, the ghost
-                # value where it enters: either side of the select reads it
-                new_src += [ln, f"{indent}u1 = u2 = uw",
-                            f"{indent}normal_x, normal_y = geom.normal[bfaces].T"]
-            elif ln.strip().startswith("flux = "):
-                new_src.append(f"{indent}flux = {surface.code}")
-            elif ln.strip().startswith("source = "):
-                new_src.append(f"{indent}source = {volume.code}")
-            elif not ln.strip().startswith(("np.multiply(uw", "np.multiply((-1.0 * coef_vg[sel]"
-                                            "[:, None]), f0", "np.multiply(us,",
-                                            "np.subtract(kernels.rows_of(swp_v1")):
-                new_src.append(ln)  # all but the register lines of the statements
-        solver.source = "\n".join(new_src)
-        assert "tab_" not in _tile_loop(solver.source[solver.source.index("def compute_rhs("):])
-        boundary = solver.source[solver.source.index("def compute_boundary_"):]
-        assert "tab_s1" not in _tile_loop(boundary)
-        solver.recompile()
-        solver.run()
-        assert np.array_equal(solver.solution(), ref)
+        scope = {**ns, "np": np, "sel": slice(None), "u": u,
+                 **{f"var_{n}": state.fields[n].data for n in ("Io", "beta")}}
+        source = eval(volume.code, scope)  # noqa: S307 - our own emission
+        # the boundary part as written: both sides, the overrides, the divergence
+        owner = u[:, geom.bowner]
+        ghost = state.bset.ghost_values(None, t, dt, state.extra, owner_values=owner.copy())
+        normal_x, normal_y = geom.normal[geom.bfaces].T
+        flux = eval(surface.code, {**scope, "u1": owner, "u2": ghost,  # noqa: S307
+                                   "normal_x": normal_x, "normal_y": normal_y})
+        for faces, values in state.bset.flux_overrides(None, t, dt, state.extra,
+                                                        owner_values=owner):
+            flux[:, geom.bface_slot[faces]] = values
+        bdry = kernels.slot_divergence(geom.divergence_slots(geom.bcells, geom.bfaces), flux,
+                                       np.empty((state.ncomp, len(geom.bcells))))
+        # the interior folded, its flat factor after it, as the tile has it
+        (fold,) = state.tables(ns["folded_tables"], geom.interior_faces, divergence=True)
+        div = apply_folded(fold, u, kernels.table_runs(ns["tmap_d"]), np.empty_like(u),
+                           np.empty_like(u))
+        div = (-1.0 * ns["coef_vg"][:, None]) * div
+        expected = u + (source + div) * dt
+        expected[:, geom.bcells] += bdry * dt
+        solver.run(1)
+        assert state.u.tobytes() == expected.tobytes()
 
     def test_variant_expressions_not_hoisted(self):
         """Anything touching the unknown/face sides must stay inline."""
@@ -246,7 +224,7 @@ class TestHoisting:
         # and no reduction (``finish_step``'s)
         call = kernel_src[kernel_src.index("TILE("):]
         assert call.startswith("TILE(state.plans, (dt,), rows, u, u_new,")
-        assert "None, None, None,\n         (), fold_s0, tmap_d, coef_vg, sweep_pool" in call
+        assert "None, None, None, (), fold_s0, tmap_d, coef_vg, swp_v0, tmap_b, swp_v1)" in call
         assert solver.tile == build_bte_problem(tiny_scenario)[0].generate().tile
         assert "slot_divergence" not in kernel_src and "face_pool" not in kernel_src
         assert "for sel, n, " not in kernel_src and "np.where" not in kernel_src

@@ -1,6 +1,7 @@
-"""The folded tile as generated C (:mod:`repro.codegen.ctile`): one library
+"""Every sweep as generated C (:mod:`repro.codegen.ctile`): one library
 per equation shape, built once per process, loaded where nothing is left
-behind, one foreign call per sweep, and a missing or failing compiler as
+behind, one foreign call per sweep, the NumPy record's bits, arguments
+checked before any pointer is passed, and a missing or failing compiler as
 RPR142."""
 
 from __future__ import annotations
@@ -99,7 +100,7 @@ def test_the_library_leaves_nothing_behind_or_lands_in_the_cache_directory(
 def test_a_folded_exact_tile_is_one_foreign_call_per_sweep():
     solver = program("hotspot").generate()
     sweep = solver.source[solver.source.index("def compute_rhs("):].split("\ndef ")[0]
-    tile = sweep[sweep.index("# the tile, in C"):]
+    tile = sweep[sweep.index("# the sweep, in C"):]
     assert tile.count("TILE(") == 1 and "np." not in tile and "kernels." not in tile
     assert "for sel, n, " not in sweep and "cell_pool" not in sweep
     calls = []
@@ -166,6 +167,136 @@ def test_arrays_of_another_layout_are_refused_before_any_pointer_is_passed():
              *rest[6:])
 
 
+def _faces_problem(equation: str, flux, exp: bool = False) -> Problem:
+    """A two-direction, two-band problem on a 5x4 grid: FLUX on region 1,
+    zero gradient elsewhere, ``equation`` (with ``exp``, a volume term that
+    has no C form), on the host."""
+    p = Problem("face-loops")
+    p.set_domain(2)
+    p.set_steps(1e-3, 2)
+    p.set_mesh(structured_grid((5, 4)))
+    d = p.add_index("d", (1, 2))
+    b = p.add_index("b", (1, 2))
+    p.add_variable("I", VAR_ARRAY, CELL, index=[d, b])
+    p.add_coefficient("Sx", np.array([0.8, -0.5]), VAR_ARRAY, index=[d])
+    p.add_coefficient("Sy", np.array([-0.3, 0.6]), VAR_ARRAY, index=[d])
+    p.add_coefficient("vg", np.array([0.4, 1.0]), VAR_ARRAY, index=[b])
+    for region in p.mesh.boundary_regions():
+        p.add_boundary("I", region, BCKind.FLUX if region == 1 else BCKind.NEUMANN0,
+                       flux if region == 1 else None)
+    p.initial_values["I"] = np.random.default_rng(2).uniform(0.5, 1.5, (4, p.mesh.ncells))
+    p.set_conservation_form("I", equation + " - 0.1 * exp(-I[d,b]) * I[d,b]" * exp)
+    return p
+
+
+UPWINDED = "-0.5*I[d,b] - surface(vg[b] * upwind([Sx[d];Sy[d]], I[d,b]))"
+CENTRAL = "-0.5*I[d,b] - surface(vg[b] * Sx[d] * average(I[d,b]))"
+
+
+@pytest.mark.parametrize("equation, part", [(UPWINDED, "boundary"), (CENTRAL, "faces")],
+                         ids=["boundary-part", "two-sided"])
+def test_a_flux_override_replaces_its_faces_in_the_c_face_loops(equation, part):
+    """A FLUX region's values replace its faces' flux in the loop over the
+    faces — the boundary part's of a folded statement, the two-sided tile's
+    over every face: NaN values reach exactly the cells of those faces, and
+    a two-sided step keeps the interpreter's bits."""
+    def nan(ctx):
+        return np.full((4, ctx.nfaces), np.nan)
+
+    solver = _faces_problem(equation, nan).generate()
+    lowered = solver.tile.boundary if part == "boundary" else solver.tile
+    assert lowered.shape == part and "overrides" in lowered.operands
+    state = solver.state
+    u = state.u.copy()
+    solver.namespace["compute_rhs"](state, u, 0.0)  # one step (a NaN fails a run's check)
+    geom = state.geom
+    hit = np.isnan(u).any(axis=0)
+    assert set(np.flatnonzero(hit)) == set(geom.owner[geom.region_faces[1]].tolist())
+    if part == "faces":
+        def flux(ctx):
+            return 0.3 * ctx.owner_values * ctx.normals[:, 1]
+
+        cpu = _faces_problem(equation, flux).solve()
+        interp = _faces_problem(equation, flux).solve(target="interp")
+        assert cpu.solution().tobytes() == interp.solution().tobytes()
+
+
+@pytest.mark.parametrize("flux", ["vg[b] / Io[b] * Sx[d] * average(I[d,b])",
+                                  "vg[b] * Io[b] * upwind([Sx[d];Sy[d]], I[d,b])"],
+                         ids=["central", "upwind"])
+def test_a_known_variable_in_a_face_loop_is_read_on_the_first_cell(flux):
+    """A known variable in a two-sided face statement — its per-sweep
+    definition over the faces' first cells, and in C by its component map —
+    keeps the interpreter's bits."""
+    from tests.codegen.test_fold_selection import indexed_problem
+
+    equation = f"(Io[b] - I[d,b]) / tau[b] - surface({flux})"
+    cpu = indexed_problem(equation).solve()
+    assert cpu.tile.shape == "faces" and set(cpu.tile.kinds) & {"o", "T"}
+    interp = indexed_problem(equation).solve(target="interp")
+    assert cpu.solution().tobytes() == interp.solution().tobytes()
+
+
+def test_what_a_sweep_reads_besides_the_unknown_is_refused_before_the_call():
+    """A face loop's ghost values, its FLUX values and a value evaluated
+    before the sweep are C-ordered float64 of their shape, and share no
+    memory with the unknown (RPR141) or the output — else refused before
+    any pointer is passed."""
+    solver = _faces_problem(CENTRAL, lambda ctx: 0.3 * ctx.owner_values, exp=True).generate()
+    ns, state = solver.namespace, solver.state
+    calls, tile = [], ns["TILE"]
+    ns["TILE"] = lambda *args: calls.append(args) or tile(*args)
+    solver.run(1)
+    memo, scalars, rows, u, out, *rest = calls[0]
+    kinds = solver.tile.kinds
+    at = {kind: 5 + kinds.index(kind) for kind in "gre"}  # (after scratch and the places)
+    ghost, (faces, values), first = (rest[at[k]] for k in "gre")
+
+    def call(kind, value):
+        args = list(rest)
+        args[at[kind]] = value
+        tile({}, scalars, rows, u, out, *args)
+
+    for kind, good in (("g", ghost), ("e", first)):
+        for bad in (good.astype(np.float32), good[:, :-1], np.asfortranarray(good)):
+            with pytest.raises(CodegenError, match="no C-ordered float64"):
+                call(kind, bad)
+        with pytest.raises(CodegenError, match="share memory") as err:
+            call(kind, u.reshape(-1)[:good.size].reshape(good.shape))
+        assert err.value.code == "RPR141"
+    for bad in ((faces, values[:, :-1]), (faces, values.astype(np.float32))):
+        with pytest.raises(CodegenError, match="no C-ordered float64"):
+            call("r", bad)
+    with pytest.raises(CodegenError, match="out of range"):
+        call("r", (faces + state.geom.nfaces, values))
+    with pytest.raises(CodegenError, match="share memory"):
+        call("r", (faces, u.reshape(-1)[:values.size].reshape(values.shape)))
+    call("r", (faces, values))  # as handed: no error
+
+
+def test_the_unknown_and_the_output_are_addressed_without_the_array_interface():
+    """The unknown's and the output's addresses are taken once per object
+    (``ctypes``), held with the object and checked on every call: no call
+    reads ``__array_interface__``, which costs a dict per read."""
+    class Counting(np.ndarray):
+        reads = 0
+
+        @property
+        def __array_interface__(self):
+            Counting.reads += 1
+            return super().__array_interface__
+
+    for stepper in ("euler", "rk2"):  # in place; into a fresh right-hand side each call
+        problem = program("hotspot")
+        problem.set_stepper(stepper)
+        solver = problem.generate()
+        state = solver.state
+        u = state.u.copy().view(Counting)
+        for _ in range(3):
+            solver.namespace["compute_rhs"](state, u, state.time)
+    assert Counting.reads == 0
+
+
 def test_a_reduction_output_is_checked_before_any_pointer_is_passed():
     """An Euler tile's reduction outputs: one per declared reduction or
     none, each C-ordered ``(rows, cells)`` float64, none sharing memory with
@@ -195,7 +326,7 @@ def test_a_reduction_output_is_checked_before_any_pointer_is_passed():
 def test_a_known_variable_over_every_index_is_read_by_its_component_map(monkeypatch):
     """``J[d,b]`` — a known variable on the unknown's own indices — is read
     in the tile, row by row through its component map: the C tile stores
-    the NumPy tile's bits."""
+    its NumPy record's bits (:func:`numpy_sweep`)."""
     from tests.codegen.test_fold_selection import BTE_SHAPED, indexed_problem
     from repro.dsl.entities import CELL, VAR_ARRAY
 
@@ -206,14 +337,14 @@ def test_a_known_variable_over_every_index_is_read_by_its_component_map(monkeypa
         p.initial_values["J"] = np.random.default_rng(3).uniform(-1, 1, (12, 16))
         return p
 
-    with cache_scope():
-        c_tile = problem().solve()
-    assert "v" in c_tile.tile.kinds and "var_J" in c_tile.tile.operands
-    monkeypatch.setattr(ctile, "lower", lambda *args: None)
-    with cache_scope():
-        numpy_tile = problem().solve()
-    assert numpy_tile.tile is None
-    assert c_tile.solution().tobytes() == numpy_tile.solution().tobytes()
+    solver = problem().generate()
+    assert "v" in solver.tile.kinds and "var_J" in solver.tile.operands
+    solver.run(2)
+    state = solver.state
+    u = state.u.copy()
+    expected = numpy_sweep(solver, u, euler=True)
+    solver.namespace["compute_rhs"](state, u, state.time)
+    assert u.tobytes() == expected.tobytes()
 
 
 def test_a_corrupt_cached_library_is_a_miss_built_again_and_replaced(compiles, tmp_path,
@@ -327,35 +458,78 @@ def run_store(mesh, store: str, handed: list):
     return solver
 
 
+def numpy_sweep(solver, u, euler: bool, boundary: bool = True) -> np.ndarray:
+    """What one sweep of ``solver``'s folded tile stores for the rows ``u``,
+    by the statement record as NumPy (``tests.codegen.test_emit_properties``'s
+    run, the folded operator through its oracle): ``u + dt * (source +
+    div)`` under forward ``euler`` (else the right-hand side), the boundary
+    cells' columns completed with the boundary part (``boundary``)."""
+    from repro.codegen.emit import ExprEmitter
+    from repro.ir.lowering import lower_conservation_form
+    from tests.codegen.test_emit_properties import _numpy_tile
+
+    state, ns = solver.state, solver.namespace
+    problem, geom = state.problem, state.geom
+    _, form = lower_conservation_form(problem.equation.source, problem.unknown,
+                                      problem.entities, problem.operators)
+    emitter = ExprEmitter(problem, form)
+    surface = emitter.emit_sum(form.surface_terms, "surface")
+    volume = emitter.emit_sum(form.volume_terms, "volume")
+    folded = surface.folded
+    tables = state.tables(ns["folded_tables"], geom.interior_faces, divergence=True)
+    scope = {**ns, **dict(zip([h.name for h in folded.tables + volume.tables], tables)),
+             **{f"var_{n}": state.fields[n].data for n in emitter.referenced_known_variables()}}
+    _, v = _numpy_tile(emitter, folded, volume, scope, u, surface.sweep)
+    out = u + v * state.dt if euler else v
+    if boundary:
+        bdry = ns["compute_boundary_contribution"](state, u[:, geom.bowner].copy(), state.time)
+        out[:, geom.bcells] += bdry * state.dt if euler else bdry
+    return out
+
+
 @pytest.mark.parametrize("store", sorted(STORES))
 @pytest.mark.parametrize("width", sorted(WIDTHS))
-def test_the_vectorized_tile_is_the_numpy_tile_bit_for_bit(width, store, monkeypatch):
+def test_the_vectorized_tile_is_the_numpy_tile_bit_for_bit(width, store):
     """Every vector loop of the C tile — the folded operator's own and
     offset entries (odd bounds too), the gathers, the element loop in place
-    and out of place, the reductions — stores the NumPy tile's bits,
-    epilogues included, and hands the callback the NumPy form's reduction."""
-    c_handed, numpy_handed = [], []
-    with cache_scope():
-        solver = run_store(WIDTHS[width](), store, c_handed)
-    assert solver.tile is not None and solver.tile.euler == (store != "rk2")
-    if solver.state.ncells == 33:  # one shift of the row width, odd bounds
-        state = solver.state
-        ns = solver.namespace
-        fold, = (t for t in state.tables(ns["folded_tables"], state.geom.interior_faces,
-                                        divergence=True) if isinstance(t, FoldedOperator))
+    and out of place, the reductions — stores the bits of its NumPy record
+    (:func:`numpy_sweep`), epilogues included, and hands the callback the
+    NumPy form's reduction."""
+    from repro.fvm import kernels
+
+    handed: list = []
+    solver = run_store(WIDTHS[width](), store, handed)
+    assert solver.tile.euler == (store != "rk2")
+    state, ns = solver.state, solver.namespace
+    fold, = (t for t in state.tables(ns["folded_tables"], state.geom.interior_faces,
+                                    divergence=True) if isinstance(t, FoldedOperator))
+    if state.ncells == 33:  # one shift of the row width, odd bounds
         offsets = fold.entries[fold.entries[:, 3] < 0]
         assert (offsets[:, :2] % 2).any()
     elif width.startswith("triangles"):
-        fold, = (t for t in solver.state.tables(
-            solver.namespace["folded_tables"], solver.state.geom.interior_faces,
-            divergence=True) if isinstance(t, FoldedOperator))
         assert (fold.entries[:, 3] >= 0).any()
-    monkeypatch.setattr(ctile, "lower", lambda *args: None)
-    with cache_scope():
-        reference = run_store(WIDTHS[width](), store, numpy_handed)
-    assert reference.tile is None
-    assert solver.solution().tobytes() == reference.solution().tobytes()
-    assert len(c_handed) == 3 and c_handed == numpy_handed
+    # the reduction each step handed on: the NumPy form's, of the stored rows
+    (reduction,) = state.reductions
+    assert len(handed) == 3 and handed[-1] == kernels.reduce_rows(
+        solver.solution(), reduction.group, reduction.weight, np.empty((NB, state.ncells))
+    ).tobytes()
+    # one more sweep, against its NumPy record
+    u = solver.solution().copy()
+    if store == "out-of-place":  # the device kernel, into ``u_new``
+        known = [state.fields[n[4:]].data for n in ns["KERNEL_VAR_NAMES"]]
+        got = np.full_like(u, np.nan)
+        ns["interior_kernel"](state, u, *known, got, state.buffer)
+        expected = numpy_sweep(solver, u, euler=True, boundary=False)
+    elif store == "rk2":
+        got = ns["compute_rhs"](state, u, state.time)
+        expected = numpy_sweep(solver, u, euler=False)
+    else:
+        expected = numpy_sweep(solver, u.copy(), euler=True)
+        ns["compute_rhs"](state, u, state.time)
+        got = u
+        assert state.reduced[0].tobytes() == kernels.reduce_rows(
+            got, reduction.group, reduction.weight, np.empty((NB, state.ncells))).tobytes()
+    assert got.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("target, ranks, finish, fault", [
@@ -377,7 +551,7 @@ def test_a_device_step_resolves_its_arguments_once_per_buffer(target, ranks, fin
     resolved: list = []
     for cls in (ctile.Tile, ctile.Finish):
         monkeypatch.setattr(cls, "_pointers", lambda self, *args, _resolve=cls._pointers:
-                            resolved.append(type(self)) or _resolve(self, *args))
+                            resolved.append(self.symbol) or _resolve(self, *args))
     scenario = hotspot_scenario(nx=8, ny=8, ndirs=4, n_freq_bands=4, nsteps=30)
     problem, _ = build_bte_problem(scenario)
     if target == "cpu":
@@ -394,7 +568,9 @@ def test_a_device_step_resolves_its_arguments_once_per_buffer(target, ranks, fin
         solver.run(30 if fault is None else 10)
         assert len(current().resilience.degraded) == bool(fault)
     degraded = 2 if fault else 0  # onto the host's arrays, and back
-    assert 0 < resolved.count(ctile.Tile) <= ranks + degraded
-    assert resolved.count(ctile.Finish) <= (0 if target == "cpu" else ranks + degraded)
+    assert 0 < resolved.count("tile") <= ranks + degraded
+    # the boundary part runs on the host's arrays, degraded or not
+    assert 0 < resolved.count("boundary") <= ranks
+    assert resolved.count("finish") <= (0 if target == "cpu" else ranks + degraded)
     if target != "cpu":
-        assert resolved.count(ctile.Finish) > 0
+        assert resolved.count("finish") > 0

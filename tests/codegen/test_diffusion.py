@@ -128,7 +128,9 @@ class TestDiffusionOnGPU:
         p2.enable_gpu()
         p2.extra["gpu_force_offload"] = True
         out = p2.solve()
-        # the interior faces' geometry is the state's, built with its tables
-        assert ("[normal, face_dist, owner, neighbor, slots] = state.tables("
-                "interior_tables, geom.interior_faces, divergence=True)") in out.source
+        # the interior faces' geometry and divergence are the state's
+        # geometry's, built once: the kernel is a loop over those faces
+        kernel = out.source[out.source.index("def interior_kernel("):].split("\ndef ")[0]
+        assert "faces = geom.face_loop('interior')" in kernel
+        assert out.tile.shape == "faces" and "ghost, overrides = None, ()" in kernel
         assert np.max(np.abs(out.solution() - ref)) < 1e-12

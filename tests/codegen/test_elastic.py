@@ -299,11 +299,10 @@ class TestTablesFollowTheRankState:
                 g.divergence_slots(faces=g.interior_faces))
             for have, want in zip(st._tables["folded_tables"][1], fresh):
                 assert all(map(np.array_equal, have, want))  # the folded operator
-        # ... and so are the scratch pools and the boundary divergence's slot
-        # table: nothing a tile writes or indexes through is shared between
-        # rank states
+        # ... and so are the scratch and the boundary faces' loop: nothing a
+        # sweep writes or indexes through is shared between rank states
         for attr in (lambda st: st._scratch["tile"], lambda st: st._scratch["du_bdry"],
-                     lambda st: st._scratch["closure"], lambda st: st.geom._bdry_slots,
+                     lambda st: st._scratch["closure"], lambda st: st.geom._loops["boundary"],
                      lambda st: st._tables["folded_tables"][1][0].weights):
             assert len({id(attr(st)) for st in states}) == len(states)
         # ... nor is anything a step no longer re-derives: each state planned
@@ -317,7 +316,7 @@ class TestTablesFollowTheRankState:
             assert flux and all("wall_flux" in ctx.memo for ctx in flux)
         for held in (lambda st: st.plans, lambda st: st.bset._contexts,
                      lambda st: next(iter(st.bset._contexts.values())).memo,
-                     lambda st: next(iter(st.plans.values()))[1]):
+                     lambda st: next(iter(st.plans.values())).tail):
             assert len({id(held(st)) for st in states}) == len(states)
 
     def test_device_band_ranks_build_their_own_tables_and_a_repartition_anew(self):
@@ -372,7 +371,7 @@ class TestTablesFollowTheRankState:
         (migration,) = rebalance_log(solver)["migrations"]
         assert migration["kind"] == "imbalance" and len(states) == 4 + 4
         for held in (lambda st: st.plans, lambda st: st.bset._contexts,
-                     lambda st: next(iter(st.plans.values()))[1],
+                     lambda st: next(iter(st.plans.values())).tail,
                      lambda st: st.extra["closure"][0]):
             assert len({id(held(st)) for st in states}) == len(states)
         for st in states:

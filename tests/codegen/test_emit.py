@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.codegen.emit import ExprEmitter, bind_known
+from repro.codegen.emit import ExprEmitter, Table, bind_known
 from repro.dsl.problem import Problem
 from repro.fvm.boundary import BCKind
 from repro.ir.lowering import lower_conservation_form
@@ -109,7 +109,9 @@ class TestIndexedEmission:
         # 1/beta and Io/beta, which reads 1/beta by name instead of redoing it
         assert out.sweep_registers == 2 and "np.multiply(s1, swp_v0, out=s1)" in sweep
         assert "state.fields" not in sweep + text(out)
-        assert "kernels.rows_of(swp_v0, rows_b, c" in text(out)
+        read = {a.h.name: a for s in out.statements for a in s.term.args
+                if isinstance(a, Table)}
+        assert read["swp_v0"].wide and read["swp_v0"].h.rows == "b"
         # a host function binds what it reads once, from the state it is
         # handed (a device kernel takes the same names as arguments)
         assert bind_known(em, out.reads) == ["var_beta = state.fields['beta'].data",

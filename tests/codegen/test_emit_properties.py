@@ -1,28 +1,29 @@
-"""Property-based emitter equivalence: emitted source is bit-identical to
+"""Property-based emitter equivalence: emitted code is bit-identical to
 ``evaluate()``.
 
 Hypothesis generates random well-typed expression trees over a fixed leaf
 pool (the :mod:`tests.symbolic.test_parser_fuzz` idiom), emits each through
-:class:`repro.codegen.emit.ExprEmitter` and ``eval()``s the source.  For
-every tree and every environment — scalars, arrays, NaN/Inf payloads — the
-result must match :func:`repro.symbolic.evaluate.evaluate` **bit for bit**
+:class:`repro.codegen.emit.ExprEmitter` and runs it.  For every tree and
+every environment — scalars, arrays, NaN/Inf payloads — the result must
+match :func:`repro.symbolic.evaluate.evaluate` **bit for bit**
 (``tobytes()`` equality, not ``allclose``), and when one side raises, the
 other must raise the same exception type.  Both the plain emission
-(``emit_volume``) and the statement form with hoisted coefficient-only
-temporaries (``emit_sum``) are held to it.  A second suite does the same
-over an indexed unknown in a surface statement, where ``emit_sum`` moves
-sub-expressions into step-invariant tables and per-sweep definitions,
-selects before it scales and replaces the upwind select by one gathered
-side.
+(``emit_volume``) and the statement record (``emit_sum``, run as NumPy: its
+``str``) are held to it.  A second suite does the same over an indexed
+unknown in a surface statement, where ``emit_sum`` moves sub-expressions
+into step-invariant tables and per-sweep definitions, selects before it
+scales and replaces the upwind select by one gathered side.
 
-Every statement whose scalars are plain floats also runs through the C tile
-(:mod:`repro.codegen.ctile`), which must print it exactly when the tree has
-no inexact node — a
-transcendental, ``min``/``max``, a power of an array other than ``-1`` — and
-refuse it (the NumPy tile stays) when it has one, and which must then store
-the NumPy tile's bits: the volume statements of both suites, and folded
-surface statements through a folded operator with offset and gather entries.
-The one caveat is the NaN payload a product keeps when two NaNs meet.
+Every statement also runs through the C sweep (:mod:`repro.codegen.ctile`):
+a volume statement as a loop over the cells, a surface statement as a loop
+over the faces.  A sub-tree with no C form — a transcendental,
+``min``/``max``, a power of an array other than ``-1`` (:func:`inexact`) —
+is evaluated in NumPy over the sweep's rows before the call, and exactly
+such sub-trees are; the sweep stores ``evaluate``'s bits (plus ``0.0``, the
+sum a sweep ends in), the NumPy record's for the indexed volume statements
+and the folded ones (through the folded operator's oracle,
+``tests/fvm/folded_oracle.py``).  The one caveat is the NaN payload a
+product keeps when two NaNs meet.
 
 The trees deliberately include the nodes the emitter special-cases:
 ``Pow`` with constant/dynamic/−1 exponents, ``Cmp`` embedded in
@@ -46,13 +47,15 @@ from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from repro.codegen import ctile
-from repro.codegen.emit import EmittedExpr, ExprEmitter, Hoisted, hoisted_lines
+from repro.codegen.emit import EmittedExpr, ExprEmitter, Hoisted, Leaf, Op, Stmt, hoisted_lines
 from repro.dsl.entities import CELL, VAR_ARRAY
 from repro.dsl.problem import Problem
 from repro.fvm import kernels
+from repro.fvm.geometry import FaceLoop
 from repro.ir.lowering import lower_conservation_form
 from repro.mesh.grid import structured_grid
 from repro.symbolic.evaluate import evaluate
+from tests.fvm.folded_oracle import apply_folded
 from repro.symbolic.expr import (
     Add,
     Call,
@@ -197,12 +200,31 @@ def _registers(prefix: str, count: int, shape: tuple) -> dict:
     return {f"{prefix}{i}": np.full(shape, -777.25) for i in range(count)}
 
 
+def _definitions(emitted: EmittedExpr, scope: dict, sweep=()) -> None:
+    """What a target evaluates before the sweep, into ``scope``: the tables,
+    the definitions of known variables, then (with ``sweep``'s, another
+    statement's) what has no C form, over the sweep's rows ``rows_sel`` —
+    ``sel`` is left as it was."""
+    scope.setdefault("buffer", lambda name, shape: np.full(shape, -777.25))
+    defs = [*emitted.sweep, *sweep]
+    width = "us.shape[1]"
+    rows = ("rows_sel", "len(us)", "u1.shape[1]")
+    sel = scope["sel"]
+    for line in (hoisted_lines(emitted.tables)
+                 + hoisted_lines([h for h in defs if h.rows], emitted.sweep_registers,
+                                 "buffer", width)
+                 + hoisted_lines([h for h in defs if not h.rows], 0, "buffer", width, rows)):
+        exec(line, scope)  # noqa: S102 - executing our own emission
+    scope["sel"] = sel
+
+
 def _run_statement(emitted, namespace: dict):
-    """The register lines (hoisted temporaries among them) first, then the
-    statement — as a kernel body does."""
+    """The definitions first, then the register lines (hoisted temporaries
+    among them) and the statement — the record as NumPy."""
     us = np.asarray(eval("u[sel]", dict(namespace)))  # noqa: S307
-    scope = {**namespace, "us": us,
+    scope = {**namespace, "us": us, "rows_sel": namespace["sel"],
              **_registers("c", emitted.registers, np.broadcast_shapes(us.shape, (1, 1)))}
+    _definitions(emitted, scope)
     for line in emitted.prelude:
         exec(line, scope)  # noqa: S102 - executing our own emission
     return eval(emitted.code, scope)  # noqa: S307
@@ -240,7 +262,7 @@ def assert_emitted_matches(expr: Expr, env: dict) -> None:
         assert got == expected, f"{label}: bit mismatch for {expr}"
     if all(isinstance(env[f"coef_{name}"], float) for name in COEFS):
         # a scalar coefficient is a float to the C tile (passed by value)
-        assert_c_tile_matches(expr, EMITTER, NO_SURFACE, statement, namespace, env["u"])
+        assert_c_tile_evaluates(expr, statement, namespace, env["u"], expected, expected_err)
 
 
 # -- the C tile ----------------------------------------------------------------
@@ -249,9 +271,10 @@ NO_SURFACE = NO_VOLUME = EmittedExpr(0.0, 0)
 
 
 def inexact(expr: Expr, scalars: tuple = ()) -> bool:
-    """Whether the C printer must refuse ``expr``: a function other than
+    """Whether ``expr`` has a sub-tree the C printer has no form for, which
+    the emitter evaluates in NumPy before the sweep: a function other than
     ``abs``/``sqrt``, or a power other than ``x^-1``, of anything that is not
-    a plain float (on plain floats both tiles let Python/NumPy compute it)."""
+    a plain float (plain floats Python computes before the call)."""
     def array(node):
         return any(isinstance(n, (Indexed, SideValue, FaceNormal))
                    or (isinstance(n, Sym) and n.name not in scalars)
@@ -264,29 +287,24 @@ def inexact(expr: Expr, scalars: tuple = ()) -> bool:
         and array(n) for n in preorder(expr))
 
 
-def _numpy_tile(emitter, folded, volume, scope: dict, u: np.ndarray):
-    """The NumPy tile of ``folded`` and ``volume`` over every row of ``u``,
-    as an RK sweep stores it: ``source + div`` — tables and per-sweep
-    definitions first, as a target evaluates them."""
-    s = dict(scope, kernels=kernels)
-    nrows, n = u.shape
-    s["sweep_pool"] = np.full((max(volume.sweep_registers, 1), nrows, n), -777.25)
-    for line in hoisted_lines(volume.tables) + hoisted_lines(volume.sweep,
-                                                              volume.sweep_registers):
-        exec(line, s)  # noqa: S102 - executing our own emission
-    spaces = list(emitter.row_spaces)
-    (tile,) = kernels.tile_plan({}, slice(None), nrows, nrows,
-                                [s[f"tmap_{space}"] for space in spaces])
-    for i, space in enumerate(spaces):
-        s.update({f"rows_{space}": tile[2 + 2 * i], f"runs_{space}": tile[3 + 2 * i]})
-    s.update(sel=slice(None), us=u, acc=np.empty_like(u), cw=np.empty_like(u))
-    s.update(_registers("c", volume.registers, u.shape))
-    s.update(_registers("d", folded.registers, u.shape))
-    for line in folded.prelude:
-        exec(line, s)  # noqa: S102
+def _numpy_tile(emitter, folded, volume, scope: dict, u: np.ndarray, sweep=()):
+    """The statement record of a sweep of ``folded`` and ``volume`` as NumPy
+    over every row of ``u``, as an RK sweep stores it: ``source + div`` —
+    the definitions first, as a target evaluates them (``sweep``: the
+    surface statement's, which the folded one reads), the folded operator
+    by its oracle, every other statement by its ``str``."""
+    s = dict(scope, kernels=kernels, np=np, u=u, us=u, sel=slice(None), rows_sel=slice(None))
+    _definitions(volume, s, sweep)
+    s.update(acc=np.empty_like(u), **_registers("c", volume.registers, u.shape),
+             **_registers("d", folded.registers, u.shape))
+    for st in [*folded.statements, *volume.statements]:
+        if st.term.op == "fold":  # (C only: here its oracle)
+            name, rows = st.term.args
+            apply_folded(s[name], u, kernels.table_runs(s[f"tmap_{rows}"]), s[st.target],
+                         np.empty_like(u))
+        else:
+            exec(str(st), s)  # noqa: S102
     div = eval(folded.code, s)  # noqa: S307
-    for line in volume.prelude:
-        exec(line, s)  # noqa: S102
     source = eval(volume.code, s)  # noqa: S307
     return s, np.add(source, div, out=np.empty_like(u))
 
@@ -297,7 +315,7 @@ def _c_tile(lowered, scope: dict, u: np.ndarray) -> np.ndarray:
     tile = ctile.Tile(ctile.build(lowered.text), lowered)
     tile.wait()
     out = np.full_like(u, -777.25)
-    operands = [eval(name, scope) for name in lowered.operands]  # noqa: S307
+    operands = [scope.get(name) for name in lowered.operands]
     scalars = tuple(eval(source, scope) for source in lowered.scalars)  # noqa: S307
     tile({}, (0.0, *scalars), None, u, out, np.empty((lowered.folds + 1) * u.shape[1]),
          None, None, None, (), *operands)
@@ -322,27 +340,64 @@ def _bits(a: np.ndarray) -> bytes:
     return np.where(np.isnan(a), np.nan, a).tobytes()
 
 
+def _evaluated(lowered) -> bool:
+    """Whether a sweep reads a value evaluated in NumPy before it."""
+    return any(kind in "eE" for kind in lowered.kinds)
+
+
+def assert_c_tile_evaluates(expr: Expr, statement, namespace: dict, u, expected,
+                            expected_err) -> None:
+    """``expr``'s volume statement takes the C tile, a sub-tree with no C
+    form evaluated before it (exactly where :func:`inexact` says), and
+    stores ``evaluate``'s bits plus ``0.0`` — or raises where it raises."""
+    lowered = ctile.lower(statement, False)
+    assert _evaluated(lowered) == inexact(expr, ("_a_1", "_b_1", "_c_1")), expr
+
+    def run():
+        scope = {**namespace, "us": u, "rows_sel": slice(None)}
+        _definitions(statement, scope)
+        return _c_tile(lowered, scope, u)
+
+    with warnings.catch_warnings(), np.errstate(all="ignore"):
+        warnings.simplefilter("ignore")
+        if expected_err is not None or np.dtype(expected[1]).kind == "c":
+            with pytest.raises(Exception):  # noqa: B017 - a complex value, or what evaluate raised
+                run()
+            return
+        got = run()
+        want = np.frombuffer(expected[2], dtype=expected[1]).reshape(expected[0]) + 0.0
+    assert _bits(got) == _bits(np.broadcast_to(want, u.shape).astype(np.float64)), expr
+
+
+#: what has no C form, spelt as NumPy
+_INEXACT_SPELLINGS = ("**", "np.exp(", "np.cos(", "np.tanh(", "np.minimum(", "np.maximum(")
+
+
+def assert_evaluated_first_only_without_a_c_form(expr: Expr, emitted) -> None:
+    """What a sweep over indexed leaves evaluates in NumPy first has no C
+    form, and is there only if ``expr`` has such a node (one over
+    coefficients or known variables alone may be a table instead)."""
+    first = [h for h in emitted.sweep if not h.rows]
+    assert not first or inexact(expr, ("_k_1",)), expr
+    assert all(any(sp in h.code for sp in _INEXACT_SPELLINGS) for h in first), expr
+
+
 def assert_c_tile_matches(expr: Expr, emitter, folded, volume, scope: dict, u,
-                          scalars: tuple = ("_a_1", "_b_1", "_c_1")) -> None:
+                          sweep=()) -> None:
     """``expr`` (the tile's ``folded`` or ``volume`` statement) takes the C
-    tile exactly when it has no inexact node, and then stores the NumPy
-    tile's bits."""
-    lowered = ctile.lower(folded, volume, False)
-    assert (lowered is None) == inexact(expr, scalars), (
-        f"{expr} took the {'NumPy' if lowered is None else 'C'} tile")
-    if lowered is None:
-        return
+    tile and stores the NumPy record's bits."""
+    lowered = ctile.lower(volume, False, folded=folded)
     if _complex_scalar(lowered, scope):
         with pytest.raises(TypeError, match="complex"):
-            _c_tile(lowered, dict(scope, sweep_pool=np.empty((1, 1, 1))), u)
+            _c_tile(lowered, scope, u)
         return
     with warnings.catch_warnings(), np.errstate(all="ignore"):
         warnings.simplefilter("ignore")
         try:
-            tile_scope, expected = _numpy_tile(emitter, folded, volume, scope, u)
+            tile_scope, expected = _numpy_tile(emitter, folded, volume, scope, u, sweep)
         except Exception:  # noqa: BLE001 - then C must not return a value either
             with pytest.raises(Exception):  # noqa: B017
-                _c_tile(lowered, dict(scope, sweep_pool=np.empty(1)), u)
+                _c_tile(lowered, scope, u)
             return
         got = _c_tile(lowered, tile_scope, u)
     assert _bits(got) == _bits(expected), f"C tile bit mismatch for {expr}"
@@ -519,24 +574,19 @@ def _full(value, exact_nans: bool = True) -> tuple:
 
 
 def _run_swept(emitted, namespace: dict, tiles) -> np.ndarray:
-    """As a target runs the statement: tables, per-sweep definitions, then
-    per tile the temporaries, the upwinded side and the statement."""
-    from repro.fvm import kernels
-
-    scope = dict(namespace, kernels=kernels)
-    for line in hoisted_lines(emitted.tables) + hoisted_lines(emitted.sweep):
-        exec(line, scope)  # noqa: S102 - executing our own emission
+    """As a target evaluates the statement record in NumPy: tables and
+    per-sweep definitions, then per tile of rows what has no C form over
+    them, the upwinded side and the statement."""
+    scope = dict(namespace, kernels=kernels, us=namespace["u1"], rows_sel=slice(None))
+    _definitions(EmittedExpr(0.0, 0, tables=emitted.tables,
+                             sweep=[h for h in emitted.sweep if h.rows]), scope)
     rows = []
-    spaces = [name[5:] for name in namespace if name.startswith("tmap_")]
     for sel in tiles:
-        # the tile's table reads, as the plan of a one-tile sweep hands them
-        (tile,) = kernels.tile_plan({}, sel, NCOMP, NCOMP,
-                                     [namespace[f"tmap_{space}"] for space in spaces])
-        for i, space in enumerate(spaces):
-            scope.update({f"rows_{space}": tile[2 + 2 * i], f"runs_{space}": tile[3 + 2 * i]})
-        scope.update(sel=sel, u1=namespace["u1"][sel], u2=namespace["u2"][sel])
+        scope.update(sel=sel, rows_sel=sel, u1=namespace["u1"][sel], u2=namespace["u2"][sel])
+        scope["us"] = scope["u1"]
+        _definitions(EmittedExpr(0.0, 0, sweep=[h for h in emitted.sweep if not h.rows]), scope)
         scope.update(_registers("f", emitted.registers, scope["u1"].shape))
-        select = [f"uw = {emitted.upwind[1]}"] if emitted.upwind else []
+        select = [f"uw = {emitted.upwind.select}"] if emitted.upwind else []
         for line in select + emitted.prelude:
             exec(line, scope)  # noqa: S102
         value = np.asarray(eval(emitted.code, scope))  # noqa: S307
@@ -544,6 +594,35 @@ def _run_swept(emitted, namespace: dict, tiles) -> np.ndarray:
     out = np.empty((NCOMP, NFACES), dtype=rows[0][1].dtype)
     for sel, value in rows:
         out[sel] = value
+    return out
+
+
+def _c_faces(emitted, namespace: dict, tiles) -> np.ndarray:
+    """The statement as a C loop over the faces — the boundary part's shape:
+    the first side a row handed in, the second its ghost value, each face
+    its own output column (``0.0 + 1.0 * flux``) — over each tile of rows,
+    what it reads evaluated first as a target does."""
+    lowered = ctile.lower(NO_VOLUME, False, boundary=(emitted, False)).boundary
+    tile = ctile.Tile(ctile.build(lowered.text), lowered)
+    tile.wait()
+    u1, u2 = (np.ascontiguousarray(namespace[k]) for k in ("u1", "u2"))
+    side = np.arange(NFACES)
+    faces = FaceLoop(side, ~side, namespace["owner"].astype(np.int64),
+                     np.ascontiguousarray(namespace["normal_x"][None, :]), np.zeros(NFACES),
+                     np.arange(NFACES + 1), side, np.ones(NFACES))
+    scope = dict(namespace, kernels=kernels, us=u1, rows_sel=slice(None), faces=faces,
+                 ghost=u2, overrides=[])
+    _definitions(EmittedExpr(0.0, 0, tables=emitted.tables,
+                             sweep=[h for h in emitted.sweep if h.rows]), scope)
+    out = np.full_like(u1, -777.25)
+    for sel in tiles:
+        rows = np.arange(NCOMP)[sel]
+        scope.update(sel=rows, rows_sel=rows, u1=u1[rows], u2=u2[rows], us=u1[rows])
+        _definitions(EmittedExpr(0.0, 0, sweep=[h for h in emitted.sweep if not h.rows]), scope)
+        scope["u2"] = u2
+        scalars = tuple(eval(source, scope) for source in lowered.scalars)  # noqa: S307
+        tile({}, (0.0, *scalars), rows, u1, out, np.empty(NFACES),
+             *(scope.get(name) for name in lowered.operands))
     return out
 
 
@@ -563,8 +642,11 @@ def assert_swept_matches(expr: Expr, env: dict) -> None:
         for h in emitted.tables:  # invariant: coefficients and geometry only
             assert not any(name in h.code for name in ("fcoef_", "var_", "u1", "u2"))
         for h in emitted.sweep:   # constant within a sweep: no side, no time
-            assert "var_Io" in h.code or "swp_s" in h.code  # ... or an earlier one
-            assert not any(name in h.code for name in ("fcoef_", "u1", "u2"))
+            if h.rows:
+                assert "var_Io" in h.code or "swp_s" in h.code  # ... or an earlier one
+                assert not any(name in h.code for name in ("fcoef_", "u1", "u2"))
+        assert_evaluated_first_only_without_a_c_form(expr, emitted)
+        complex_ = expected is not None and np.asarray(expected).dtype.kind == "c"
         for tiles in IDX_TILES:
             try:
                 got, got_err = _run_swept(emitted, namespace, tiles), None
@@ -577,6 +659,15 @@ def assert_swept_matches(expr: Expr, env: dict) -> None:
             whole = len(tiles) == 1
             assert got_err or _full(got, whole) == _full(expected, whole), (
                 f"bit mismatch for {expr} in tiles {tiles}")
+        for tiles in IDX_TILES:  # the C loop over the faces: evaluate's bits, plus 0.0
+            if expected_err is not None or complex_:
+                with pytest.raises(Exception):  # noqa: B017
+                    _c_faces(emitted, namespace, tiles)
+                continue
+            got = _c_faces(emitted, namespace, tiles)
+            want = np.broadcast_to(np.asarray(expected) + 0.0, (NCOMP, NFACES))
+            assert _bits(got) == _bits(want.astype(np.float64)), (
+                f"C bit mismatch for {expr} in tiles {tiles}")
 
 
 def _zero_env(**values) -> dict:
@@ -623,8 +714,8 @@ def test_upwind_select_is_one_gathered_side(env, flip, first):
     emitted = IDX_EMITTER.emit_sum([expr], "surface")
     first, second, columns = ("u2", "u1", "other, owner") if flip else (
         "u1", "u2", "owner, other")
-    assert emitted.upwind[:2] == (
-        "d", f"np.where(kernels.rows_of(tab_s0, rows_d, None), {first}, {second})")
+    assert emitted.upwind.rows == "d"
+    assert str(emitted.upwind.select) == f"np.where(tab_s0[tmap_d[sel]], {first}, {second})"
     # the owner side where the condition holds: it can be copied over the other
     assert (emitted.upwind.owner_where is None) == flip
     assert Hoisted("upw", f"np.where(tab_s0, {columns})", "d") in emitted.tables
@@ -639,9 +730,8 @@ def test_upwind_select_is_one_gathered_side(env, flip, first):
     folded = emitted.folded
     assert Hoisted("tab_s2", "(normal_x[None, :] * coef_Sx[sel][:, None])", "d") \
         in emitted.tables
-    assert folded.prelude == [
-        "kernels.apply_folded(fold_s0, us, runs_d, acc, cw)",
-        "np.multiply((-1.0 * coef_vg[sel][:, None]), acc, out=acc)"]
+    assert folded.statements[0] == Stmt("acc", Op("fold", ("fold_s0", "d")))
+    assert str(folded.statements[1]) == "np.multiply((-1.0 * coef_vg[sel][:, None]), acc, out=acc)"
     assert folded.code == "acc" and folded.registers == 0
     assert folded.tables == [
         Hoisted("fold_s0", "kernels.fold_upwind(divergence, tab_s2, upw, NCELLS)", "d")]
@@ -734,25 +824,18 @@ def _tile_scope(env: dict) -> tuple[dict, np.ndarray]:
     return scope, np.ascontiguousarray(env["u1"][:, :NCELLS])
 
 
-_INEXACT_SPELLINGS = ("**", "np.exp(", "np.cos(", "np.tanh(", "np.minimum(", "np.maximum(")
-
-
 @seed(20261017)
 @given(expr=st.one_of(VOL_TREES, st.tuples(VOL_TREES, VOL_TREES).map(
     lambda ab: Add(ab[0], Mul(Num(-1), ab[1], _I)))), env=indexed_envs(special=True))
 @settings(max_examples=60, deadline=None)
 def test_c_tile_volume_statement_matches_the_numpy_tile(expr, env):
     """Volume statements over the indexed unknown — step-invariant tables
-    (boolean ones as a select's condition), per-sweep definitions in the
-    sweep pool, a known variable's rows, a function coefficient's row — are
-    C when every operation left in the tile is exact, with the NumPy tile's
-    bits; a refused one has an inexact spelling left in its tile."""
+    (boolean ones as a select's condition), per-sweep definitions, a known
+    variable's rows, a function coefficient's row — are C, what has no C
+    form evaluated before the sweep, with the NumPy record's bits."""
     statement = IDX_EMITTER.emit_sum([expr], "volume")
-    lowered = ctile.lower(NO_SURFACE, statement, False)
-    if lowered is None:
-        assert any(s in "\n".join([*statement.prelude, statement.code])
-                   for s in _INEXACT_SPELLINGS), expr
-        return
+    lowered = ctile.lower(statement, False)
+    assert_evaluated_first_only_without_a_c_form(expr, statement)
     scope, u = _tile_scope(env)
     if _complex_scalar(lowered, scope):
         return  # (the scalar suites pin the refusal)
@@ -760,7 +843,7 @@ def test_c_tile_volume_statement_matches_the_numpy_tile(expr, env):
         warnings.simplefilter("ignore")
         try:
             tile_scope, expected = _numpy_tile(IDX_EMITTER, NO_SURFACE, statement, scope, u)
-        except Exception:  # noqa: BLE001 - a refused complex value, on both tiles
+        except Exception:  # noqa: BLE001 - a refused complex value, on both sides
             return
         assert _bits(_c_tile(lowered, tile_scope, u)) == _bits(expected), expr
 
@@ -770,11 +853,13 @@ def test_c_tile_volume_statement_matches_the_numpy_tile(expr, env):
 @settings(max_examples=60, deadline=None)
 def test_c_tile_folded_statement_matches_the_numpy_tile(flat, env):
     """Every folded surface statement — an upwind flux times any product of
-    flat factors — is C when its flat factors are exact: the operator's own
-    coefficient and its offset and gather entries in order, then the
-    factors, with the NumPy tile's bits (``kernels.apply_folded``)."""
+    flat factors — is C: the operator's own coefficient and its offset and
+    gather entries in order, then the
+    factors, with the NumPy record's bits (the folded operator through its
+    oracle, ``apply_folded``).  A factor with no C form is evaluated first."""
     emitted = IDX_EMITTER.emit_sum([Mul(flat, UPWIND)], "surface")
     folded = emitted.folded
-    assert folded is not None and folded.prelude[0].startswith("kernels.apply_folded(")
+    assert folded is not None and folded.statements[0].term.op == "fold"
     scope, u = _tile_scope(env)
-    assert_c_tile_matches(flat, IDX_EMITTER, folded, NO_VOLUME, scope, u, scalars=("_k_1",))
+    assert_evaluated_first_only_without_a_c_form(flat, emitted)
+    assert_c_tile_matches(flat, IDX_EMITTER, folded, NO_VOLUME, scope, u, sweep=emitted.sweep)

@@ -282,7 +282,8 @@ def oblique_problem(kind: str, n: int, t_end: float = 0.1, order: int = 1,
     or perturbed grid (the same numbering, moved nodes) the fold reads
     neighbours through offset entries; on a triangulated one through gather
     entries.  At flux ``order`` 2 the statement reads both sides of a face
-    (MUSCL): it does not fold, and its tile is the two-sided NumPy one."""
+    (MUSCL): it does not fold, and its tile is a loop over the faces (the
+    limiter, which has no C form, evaluated over the sweep's rows first)."""
     p = Problem(f"oblique-{kind}-{n}")
     p.set_domain(2)
     dt = 0.2 / n
@@ -361,15 +362,15 @@ ORDER2_FLOORS = {"structured": 1.8, "perturbed": 1.2, "triangulated": 1.0}
 @pytest.mark.parametrize("kind", sorted(MESHES))
 def test_second_order_flux_on_every_2d_mesh_kind(kind):
     """The MUSCL flux along oblique ordinates reads both sides of every
-    face: the statement does not fold and the tile is the two-sided NumPy
-    one (the reconstruction has no C form).  Under rk2 the L1 error falls at
+    face: the statement does not fold and the tile is a loop over the
+    faces, the reconstruction (no C form) evaluated before it.  Under rk2 the L1 error falls at
     least at its floor's order from n=32 to 64; under forward Euler the
     cell ranks, two and three of them with halos meeting at corners, match
     the serial sweep bit for bit."""
     errors = []
     for n in (32, 64):
         solver = oblique_problem(kind, n, order=2, stepper="rk2").solve()
-        assert solver.tile is None and "kernels.muscl_flux(" in solver.source
+        assert solver.tile.shape == "faces" and "kernels.muscl_flux(" in solver.source
         errors.append(oblique_error(solver))
     order = math.log2(errors[0] / errors[1])
     assert order >= ORDER2_FLOORS[kind], (kind, errors, order)

@@ -109,25 +109,27 @@ KEEP_TWO_SIDED = {
 #: ``np.copyto``, which refuses a complex value — and again when the IR header
 #: came to print ``for step = 1:nsteps`` (the symbol, not the run's count) and
 #: a host function to read a known variable as ``var_<name>``, bound once
-#: from ``state.fields`` at its top.
+#: from ``state.fields`` at its top — and again when every sweep became one
+#: C call (a two-sided tile a loop over the faces, ``geom.face_loop``), its
+#: text the call: the solution digests are the parent's.
 PINS = {
     "flux_order_2": (
-        "bbe03775b903d117214f32c79908a108d5ef9bde057a432400070af583115ffd",
+        "e912ab874bae5839f3afda1c74d8cd3f949a2cebca570f4e52b1473b3ad1f8b1",
         "d69c9aac5b7b2440fcab4d911fe29dce95dfd9198a557e4fa4c9f0c0e9b8bf8d"),
     "diffusion": (
-        "d2e05d8c8788257d390d46934e61a81e4c34a81c69f0bd2a3a270155c4c6afd6",
+        "9a35a359dca750a421748d7f0eb5d48803660253c0d36c33ac6c8f4b966cef40",
         "694bf3ebbbba08c9133e9268f2cc110b6c08c95734ddd8f0fd646136882829ba"),
     "function_source": (
-        "646b7e8e623736bc6061e1713424adf8052c9f5b1fedf806e149acb4f79fce37",
+        "620aacf277fc6983b0c160c9766e90dfa462f8472380d3b4f2cfe60dd4e104d3",
         "53ab3aebeb52fb7ed9b369a67b5427018a1495ca78543b6baae771f2657f50b8"),
     "side_read": (
-        "580d469dac41997ea2eaa67bd5c75ddb1b55ba294dd247da84ddffdc53d9b9a9",
+        "c4c4e4b9ff52b72a26541dea403b3c83d8e5bbda00718412b64ae93582cd0d38",
         "56f08cdaa8a848bb1e9c7fc3c8fd433a6f9ce547753b3b1b7aa529c135eaff63"),
     "central_flux": (
-        "314061eda86dda8e5a4ae461b321925254802bbcce27bfa9451cd7f76310b90c",
+        "291d79e496ba899082b4530ba8c65398f868dd2ca94888dad3438a6bf132fee3",
         "3c9ccdf0b09d8861a9fedb25efe190d349edc2ff4981a5eab1e6ae360cbea844"),
     "time_dependent_face_coefficient": (
-        "94dd59d557c8b5ec7fec7cee14cf53aede66a97742c9089f79fee1f779039045",
+        "f2018c876d377b8321a5e1623702a1b6262001668845a19d5d401abfc1d718aa",
         "54b593370fb9dea3fa75dce72851b33055c18b5acd79dbd40d24ae349fe98c4e"),
 }
 
@@ -141,10 +143,9 @@ def digests(solver) -> tuple[str, str]:
 def test_unfolded_statements_keep_parent_bytes(case):
     solver = KEEP_TWO_SIDED[case]().solve(target="cpu")
     assert "kernels.fold_upwind(" not in solver.source
-    assert "kernels.apply_folded(" not in solver.source
     assert "compute_boundary_contribution" not in solver.source
-    assert "geom.gather_sides(u, ghost, sel, out=(fu, fv))" in solver.source
-    assert solver.tile is None  # a two-sided tile is never C
+    assert "faces = geom.face_loop('all')" in solver.source
+    assert solver.tile.shape == "faces"  # a two-sided tile: a loop over the faces
     assert digests(solver) == PINS[case]
 
 
@@ -156,9 +157,8 @@ def test_time_dependent_face_coefficient_selects_from_two_gathers():
     solver = indexed_problem(
         "(Io[b] - I[d,b]) / tau[b] - surface(q * vg[b] * upwind([Sx[d];Sy[d]], I[d,b]))",
         q=lambda x, t: 1.0 + x[:, 0] + 10.0 * t).solve(target="cpu")
-    assert "kernels.apply_folded(" not in solver.source and "fcoef_q_face" in solver.source
-    assert ("uw = np.where(kernels.rows_of(tab_s0, rows_d, None), u1, u2)"
-            in solver.source)
+    assert solver.tile.shape == "faces" and "fcoef_q_face" in solver.tile.operands
+    assert "const double xw = (p" in solver.tile.text and " ? x1 : x2);" in solver.tile.text
     assert digests(solver)[1] == PINS["time_dependent_face_coefficient"][1]
 
 

@@ -204,7 +204,7 @@ def test_cpu_equals_interpreted_bitwise_where_nothing_folds():
                      " - surface(vg[b] * Sx[d] * average(I[d,b]))")
 
     cpu = build().solve(target="cpu")
-    assert "fold" not in cpu.source and "geom.gather_sides(" in cpu.source
+    assert "fold" not in cpu.source and "geom.face_loop('all')" in cpu.source
     assert cpu.solution().tobytes() == build().solve(target="interp").solution().tobytes()
 
 

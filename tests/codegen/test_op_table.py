@@ -1,15 +1,16 @@
 """The table of operations (:data:`repro.codegen.emit.OPS`) is the C tile's
 exact/inexact split.
 
-Every operation a tile statement applies has one entry: its NumPy spelling
-and its exact C spelling, or none.  Per entry, a statement of the indexed
+Every operation a statement applies has one entry: its NumPy spelling and
+its exact C spelling, or none.  Per entry, a statement of the indexed
 unknown that applies it to arrays: an exact one (``+ - * /``, negation,
 compare/select, ``sqrt``/``abs``, a known variable's rows, a folded
-operator, a bound name) prints C, and the C tile stores the NumPy tile's
-bits; an inexact one (a transcendental, ``min``/``max``, a general power,
-the MUSCL reconstruction) keeps the tile NumPy (:func:`ctile.lower` returns
-``None``).  Every entry has a case, and every operation the emitter writes
-for any kind of node has an entry.
+operator, a bound name) is printed as C; an inexact one (a transcendental,
+``min``/``max``, a general power, the MUSCL reconstruction) is evaluated in
+NumPy over the sweep's rows before the call, the C tile reading the result.
+Either way the C tile stores the NumPy record's bits.  Every entry has a
+case, and every operation the emitter writes for any kind of node has an
+entry.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import pytest
 
 from repro.codegen import ctile
 from repro.codegen.emit import COMPARISONS, OPS, EmittedExpr, Leaf, Op, Stmt
+from repro.util.errors import CodegenError
 from repro.symbolic.expr import (
     Add,
     Call,
@@ -116,11 +118,14 @@ def test_an_operation_prints_c_exactly_when_the_table_gives_it_a_c_spelling(op, 
     else:
         folded, volume = NO_SURFACE, IDX_EMITTER.emit_sum([expr], "volume")
     applied = statement_ops(folded) | statement_ops(volume)
-    assert op in applied and applied <= set(OPS), (op, applied)
-    lowered = ctile.lower(folded, volume, False)
-    assert (lowered is not None) == (op in EXACT) == (OPS[op][3] is not None), (op, expr)
-    if lowered is None:
-        return
+    first = [h.code for h in volume.sweep if not h.rows]  # evaluated before the sweep
+    assert applied <= set(OPS) and (op in EXACT) == (OPS[op][3] is not None), (op, applied)
+    if op in EXACT:
+        assert op in applied and not first, (op, applied)
+    else:
+        spelling = OPS[op][0].split("{")[0] or OPS[op][1]
+        assert op not in applied and any(spelling in code for code in first), (op, first)
+    lowered = ctile.lower(volume, False, folded=folded)
     scope, u = _tile_scope(env())
     with warnings.catch_warnings(), np.errstate(all="ignore"):
         warnings.simplefilter("ignore")
@@ -129,11 +134,17 @@ def test_an_operation_prints_c_exactly_when_the_table_gives_it_a_c_spelling(op, 
 
 
 def test_the_reconstruction_has_no_c_form():
-    """The MUSCL kernel is a face statement's alone; a tile holding it would
-    stay NumPy."""
+    """The MUSCL kernel is a face statement's alone, and has no C form: the
+    emitter evaluates it before the sweep (a statement holding it is no C)."""
     reconstruct = Stmt("c0", Op("kernels.muscl_flux", (Leaf("u", "us"),)))
     statement = EmittedExpr(Leaf("r", "c0"), 0, statements=[reconstruct])
-    assert ctile.lower(NO_SURFACE, statement, False) is None
+    with pytest.raises(CodegenError, match="no C form"):
+        ctile.lower(statement, False)
+    emitted = IDX_EMITTER.emit_sum(
+        [Reconstruction("muscl", Mul(FaceNormal(1), Indexed("Sx", ("d",))), _I)], "surface")
+    (first,) = [h for h in emitted.sweep if not h.rows]
+    assert first.code.startswith("kernels.muscl_flux(geom, ") and first.width == "faces"
+    assert "kernels.muscl_flux" not in statement_ops(emitted)
 
 
 def test_every_entry_has_a_case():

@@ -141,16 +141,3 @@ class TestScratchBuffers:
     def test_independent_names(self):
         state = SolverState(base_problem())
         assert state.buffer("a", (2,)) is not state.buffer("b", (2,))
-
-
-class TestComponentBlocks:
-    def test_fused_default(self):
-        state = SolverState(base_problem())
-        assert state.comp_blocks == [slice(None)]
-
-    def test_blocks_cover_all_components(self):
-        p = base_problem()
-        p.set_assembly_loops(["d", "cells"])
-        state = SolverState(p)
-        covered = np.concatenate(state.comp_blocks)
-        assert sorted(covered.tolist()) == [0, 1, 2]

@@ -87,16 +87,3 @@ def small_model() -> BTEModel:
 def paper_bands():
     """The full 40-frequency-band silicon discretisation (session-cached)."""
     return silicon_bands(40)
-
-
-@pytest.fixture
-def numpy_tile(monkeypatch):
-    """Generation with the C printer refusing every tile, under a private
-    compilation cache: the NumPy tile, which a folded statement with an
-    inexact operation keeps — the reference the C tile is held to."""
-    from repro.codegen import ctile
-    from repro.tune.cache import cache_scope
-
-    monkeypatch.setattr(ctile, "lower", lambda *args: None)
-    with cache_scope():
-        yield

@@ -2,8 +2,8 @@
 
 ``kernels.fold_upwind`` folds a face table (``n.s[d]``), the upwind choice
 (``upw``) and the divergence's slot weights into one operator per (table
-row, cell); ``kernels.apply_folded`` applies it to a tile of rows.  Two
-oracles:
+row, cell); its NumPy oracle ``apply_folded`` (``tests/fvm/folded_oracle.py``:
+what the C tile computes) applies it to rows of the unknown.  Two oracles:
 
 * what the tile body computed before the fold: gather the upwind value onto
   the interior faces, multiply by the table, take the CSR divergence —
@@ -30,6 +30,7 @@ from repro.fvm import kernels
 from repro.fvm.geometry import FVGeometry
 from repro.mesh.grid import perturbed_grid, structured_grid, triangulated_grid
 from repro.mesh.mesh import build_mesh
+from tests.fvm.folded_oracle import apply_folded
 
 NB = 3  # components per direction row
 
@@ -128,7 +129,7 @@ def test_folded_operator_equals_gather_scale_divergence(mesh, seed):
     u = np.random.default_rng(seed).standard_normal((len(table_rows), geom.ncells))
     expected = face_centric(geom, table, columns, u, table_rows)
     out, work = np.full((2, *u.shape), np.nan)
-    got = kernels.apply_folded(op, u, kernels.table_runs(table_rows), out, work)
+    got = apply_folded(op, u, kernels.table_runs(table_rows), out, work)
     assert got is out
     assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
     assert got.tobytes() == gather_form(slots, table, columns, u, table_rows).tobytes()
@@ -139,12 +140,12 @@ def test_folded_operator_equals_gather_scale_divergence(mesh, seed):
     for sel in (np.arange(0, len(u), NB), np.array([1, 2, 4, 5, 10, 11]),
                 slice(2, 8), slice(NB - 1, NB + 1)):
         rows = u[sel]
-        part = kernels.apply_folded(op, rows, kernels.table_runs(table_rows[sel]),
+        part = apply_folded(op, rows, kernels.table_runs(table_rows[sel]),
                                     np.full(rows.shape, np.nan), work[:len(rows)])
         assert part.tobytes() == got[sel].tobytes()
     for height in (1, 2, 7):
-        for tile in kernels.row_tiles(slice(None), len(u), height):
-            part = kernels.apply_folded(op, u[tile], kernels.table_runs(table_rows[tile]),
+        for tile in (slice(lo, lo + height) for lo in range(0, len(u), height)):
+            part = apply_folded(op, u[tile], kernels.table_runs(table_rows[tile]),
                                         np.empty_like(u[tile]), work[:height])
             assert part.tobytes() == got[tile].tobytes()
 
@@ -242,7 +243,7 @@ def test_a_scattered_numbering_keeps_gathers_in_a_small_build():
     assert gathers_only(op, geom.ncells)
     table_rows = np.repeat(np.arange(len(s)), NB)
     u = np.random.default_rng(1).standard_normal((len(table_rows), geom.ncells))
-    got = kernels.apply_folded(op, u, kernels.table_runs(table_rows),
+    got = apply_folded(op, u, kernels.table_runs(table_rows),
                                np.empty_like(u), np.empty_like(u))
     assert got.tobytes() == gather_form(slots, table, columns, u, table_rows).tobytes()
 
@@ -265,7 +266,7 @@ def test_a_shifted_offset_range_is_caught(move):
         entry[:3] += (step, step, -step)
     else:
         entry[2] += step
-    got = kernels.apply_folded(op, u, kernels.table_runs(table_rows),
+    got = apply_folded(op, u, kernels.table_runs(table_rows),
                                np.empty_like(u), np.empty_like(u))
     assert got[:-NB].tobytes() == expected[:-NB].tobytes()
     assert np.abs(got[-NB:] - expected[-NB:]).max() > 0.1
@@ -285,7 +286,7 @@ def fold_whole_divergence(shape):
     reads_cell = columns[0] >= 0
     expected = geom.divergence @ np.where(
         reads_cell, table[0] * u[0][np.where(reads_cell, columns[0], 0)], 0.0)
-    got = kernels.apply_folded(op, u, [(0, 1, 0)], np.empty_like(u), np.empty_like(u))
+    got = apply_folded(op, u, [(0, 1, 0)], np.empty_like(u), np.empty_like(u))
     return got[0], expected
 
 
@@ -313,5 +314,5 @@ def test_a_mesh_without_interior_faces_folds_to_nothing(shape):
     op = kernels.fold_upwind(slots, table, columns, geom.ncells)
     assert op.begin.tolist() == [0, 0] and not len(op.entries) and not op.own.any()
     u = np.ones((2, geom.ncells))
-    out = kernels.apply_folded(op, u, [(0, 2, 0)], np.full_like(u, np.nan), u.copy())
+    out = apply_folded(op, u, [(0, 2, 0)], np.full_like(u, np.nan), u.copy())
     assert not out.any()

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.fvm.geometry import FVGeometry
-from repro.fvm import kernels
 from repro.mesh.grid import structured_grid
 
 
@@ -100,22 +99,34 @@ class TestGathers:
             assert np.array_equal(geom.bfaces[slots], faces)
 
 
+def _sweeps():
+    """Two 20-row host programs, their generated sweeps a loop over the faces
+    (a central flux) and a loop over the cells (an upwind flux, folded)."""
+    from tests.codegen.test_interpreter_oracle import build_indexed_problem
+
+    central = "(Io[b] - I[d,b]) / tau[b] - surface(vg[b] * Sx[d] * average(I[d,b]))"
+    return [build_indexed_problem(4, 5, seed=3, equation=central).generate(),
+            build_indexed_problem(4, 5, seed=3).generate()]
+
+
 class TestKernels:
     @pytest.mark.parametrize("rows", [slice(None), slice(3, 17),
                                       np.array([0, 2, 3, 9, 10, 11, 19])])
     @pytest.mark.parametrize("height", [1, 4, 5, 20, 1000])
     def test_row_tiles_partition_the_rows_in_order(self, rows, height):
-        ncomp = 20
-        tiles = list(kernels.row_tiles(rows, ncomp, height))
-        covered = np.concatenate([np.arange(ncomp)[t] for t in tiles])
-        assert np.array_equal(covered, np.arange(ncomp)[rows])
-        sizes = [len(np.arange(ncomp)[t]) for t in tiles]
-        assert all(n == height for n in sizes[:-1]) and 0 < sizes[-1] <= height
-        # a tile is the same kind of selector as the rows it splits
-        assert all(isinstance(t, type(rows)) for t in tiles)
-
-    def test_tile_rows_is_derived_from_the_face_count(self, monkeypatch):
-        monkeypatch.setattr(kernels, "TILE_BYTES", 1024)
-        assert kernels.tile_rows(16, 100) == 8       # 1024 / (8 * 16)
-        assert kernels.tile_rows(16, 5) == 5         # never more than ncomp
-        assert kernels.tile_rows(10_000, 100) == 1   # never less than a row
+        """A sweep over ``rows`` cut into tiles of ``height`` rows, each one
+        C call in order, stores what one call over every one of them stores,
+        and touches no other row: a row's store reads its own row alone."""
+        for solver in _sweeps():
+            state, compute_rhs = solver.state, solver.namespace["compute_rhs"]
+            assert state.ncomp == 20
+            selected = np.arange(20)[rows]
+            u = state.u.copy()
+            whole, tiled = u.copy(), u.copy()
+            compute_rhs(state, whole, 0.0, selected)
+            for lo in range(0, len(selected), height):
+                compute_rhs(state, tiled, 0.0, selected[lo:lo + height])
+            assert tiled.tobytes() == whole.tobytes()
+            others = np.setdiff1d(np.arange(20), selected)
+            assert tiled[others].tobytes() == u[others].tobytes()
+            assert not np.array_equal(tiled[selected], u[selected])

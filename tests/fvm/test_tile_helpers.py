@@ -1,20 +1,18 @@
-"""The copy-free pieces of the tile body, each against the copy it replaced.
+"""The pieces a sweep is built from, each against the form it replaced.
 
 * gather-form surface divergence == ``geom.divergence @ x`` (CSR), bit for
   bit, on every mesh kind and on the device targets' column-sliced
   operators, with signed zeros, inf and NaN in ``x``;
-* a tile plan's table reads (``kernels.row_selector`` + ``rows_of``) ==
-  ``table[row_of[sel]]``, as a view wherever one exists — and the plan as a
-  whole against the per-tile helpers it replaced (ISSUE 23), kept here as
-  its oracles;
+* the runs of equal table rows and the operator's rows in storage order
+  (``kernels.table_runs``, ``kernels.entry_rows``);
 * the upwinded side of the boundary faces, formed in place — ghost values
   patched over the owner values where the flow enters — == a gather from the
   widened ``[u | ghost]`` copy, for every kind of boundary condition;
 * a declared reduction (``kernels.reduce_rows``) == the ordered scatter-add
   over its components, whether a run's weights are one scalar or not.
 
-The folded interior operator (``kernels.fold_upwind`` / ``apply_folded``) has
-its own suite, ``test_fold.py``.
+The folded interior operator (``kernels.fold_upwind``, and its oracle
+``apply_folded``) has its own suite, ``test_fold.py``.
 """
 
 from __future__ import annotations
@@ -60,6 +58,13 @@ def hostile(shape, seed=0):
     return x
 
 
+def csr_slots(matrix) -> list[tuple[np.ndarray, np.ndarray, object]]:
+    """``kernels.entry_slots`` of a scipy CSR matrix (canonical: sorted
+    indices): the oracle of the slots the geometry builds without one."""
+    rows = np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr))
+    return kernels.entry_slots(rows, matrix.indices, matrix.data, matrix.shape)
+
+
 # --------------------------------------------------------------------------
 # gather-form divergence
 # --------------------------------------------------------------------------
@@ -89,7 +94,7 @@ def test_column_sliced_operators_equal_their_csr_product_bitwise(mesh, part):
     geom = FVGeometry(MESHES[mesh]())
     faces = np.flatnonzero(geom.interior_mask) if part == "interior" else geom.bfaces
     operator = geom.divergence[:, faces]
-    slots = kernels.csr_slots(operator)
+    slots = csr_slots(operator)
     x = hostile((5, len(faces)), seed=1)
     with np.errstate(invalid="ignore"):
         expected = (operator @ x.T).T
@@ -112,11 +117,11 @@ def test_boundary_cell_rows_of_the_operator_equal_its_dense_columns_bitwise(mesh
     x = hostile((5, len(geom.bfaces)), seed=3)
     with np.errstate(invalid="ignore"):
         dense = kernels.slot_divergence(
-            kernels.csr_slots(geom.divergence[:, geom.bfaces]), x,
+            csr_slots(geom.divergence[:, geom.bfaces]), x,
             np.full((5, geom.ncells), np.nan))
         out, work = np.full((2, 5, len(geom.bcells)), np.nan)
         compact = kernels.slot_divergence(
-            kernels.csr_slots(geom.divergence[geom.bcells][:, geom.bfaces]), x, out, work)
+            csr_slots(geom.divergence[geom.bcells][:, geom.bfaces]), x, out, work)
     assert compact.tobytes() == dense[:, geom.bcells].tobytes()
     rest = np.setdiff1d(np.arange(geom.ncells), geom.bcells)
     assert not dense[:, rest].any() and not np.signbit(dense[:, rest]).any()
@@ -156,12 +161,12 @@ def test_divergence_slots_equal_the_slots_of_the_sliced_scipy_matrix(mesh):
     geom = FVGeometry(SLOT_MESHES[mesh]())
     D, inter = geom.divergence, np.flatnonzero(geom.interior_mask)
     assert D.has_canonical_format
-    assert_same_slots(geom.divergence_slots(), kernels.csr_slots(D))
-    assert_same_slots(geom.divergence_slots(faces=inter), kernels.csr_slots(D[:, inter]))
+    assert_same_slots(geom.divergence_slots(), csr_slots(D))
+    assert_same_slots(geom.divergence_slots(faces=inter), csr_slots(D[:, inter]))
     assert_same_slots(geom.divergence_slots(faces=geom.bfaces),
-                      kernels.csr_slots(D[:, geom.bfaces]))
+                      csr_slots(D[:, geom.bfaces]))
     assert_same_slots(geom.divergence_slots(geom.bcells, geom.bfaces),
-                      kernels.csr_slots(D[geom.bcells][:, geom.bfaces]))
+                      csr_slots(D[geom.bcells][:, geom.bfaces]))
 
 
 def test_entry_slots_order_a_row_by_column_not_by_insertion():
@@ -179,130 +184,27 @@ def test_entry_slots_order_a_row_by_column_not_by_insertion():
 
 
 # --------------------------------------------------------------------------
-# table rows
+# runs of table rows, rows of the operator
 # --------------------------------------------------------------------------
 
 ND, NB = 4, 5
 TMAP_D = np.repeat(np.arange(ND), NB)   # component -> direction row
-TMAP_B = np.tile(np.arange(NB), ND)     # component -> band row
-
-
-def table_rows(table, row_of, sel, out=None):
-    """One table read of a tile, as the tile plan binds it."""
-    return kernels.rows_of(table, kernels.row_selector(row_of[sel], table=True), out)
-
-
-def parent_row_block(a, sel, out=None):
-    """``kernels.row_block`` as every tile called it before the plan."""
-    if isinstance(sel, slice):
-        return a[sel]
-    if (sel[1:] - sel[:-1] == 1).all():
-        return a[sel[0]:sel[-1] + 1]
-    return np.take(a, sel, axis=0, out=None if out is None else out[:len(sel)])
-
-
-def parent_table_rows(table, row_of, sel, out=None):
-    """``kernels.table_rows`` as every tile called it before the plan."""
-    rows = row_of[sel]
-    if rows[0] == rows[-1] and (rows == rows[0]).all():
-        return table[rows[0]:rows[0] + 1]
-    return parent_row_block(table, rows, out)
-
-
-def row_selections(ncomp: int):
-    """What a sweep is restricted to: every row, a slice, a band rank's
-    sorted rows."""
-    return st.one_of(
-        st.none(),
-        st.tuples(st.integers(0, ncomp - 1), st.integers(1, ncomp)).map(
-            lambda t: slice(t[0], min(ncomp, t[0] + t[1]))),
-        st.sets(st.integers(0, ncomp - 1), min_size=1).map(
-            lambda rows: np.array(sorted(rows))),
-    )
-
-
-@given(rows=row_selections(ND * NB), height=st.integers(1, ND * NB + 2),
-       bands=st.sets(st.integers(0, NB - 1), min_size=1))
-@settings(max_examples=150, deadline=None)
-def test_tile_plan_equals_the_per_tile_helpers_it_replaced(rows, height, bands):
-    """Selector, view-or-gather of the unknown and of every table, and the
-    runs of equal table rows, for random slices, index arrays and band
-    subsets: each as the parent derived it, per tile per step."""
-    ncomp = ND * NB
-    if bands != set(range(NB)):  # the components of a subset of the bands
-        keep = np.flatnonzero(np.isin(TMAP_B, sorted(bands)))
-        rows = keep if rows is None else keep[np.isin(keep, np.arange(ncomp)[rows])]
-        if not len(rows):
-            return
-    u = np.random.default_rng(5).random((ncomp, 7))
-    tables = [np.random.default_rng(6).random((n, 7)) for n in (ND, NB)]
-    cache: dict = {}
-    maps = (TMAP_D, TMAP_B)
-    plan = kernels.tile_plan(cache, rows, ncomp, height, maps)
-    assert kernels.tile_plan(cache, rows, ncomp, height, maps) is plan  # built once
-    assert kernels.tile_plan(cache, rows, ncomp, height, (TMAP_D, TMAP_B)) is not plan
-    parent = list(kernels.row_tiles(slice(None) if rows is None else rows, ncomp, height))
-    assert len(plan) == len(parent)
-    for (sel, n, *reads), old in zip(plan, parent):
-        scratch, old_scratch = np.full((2, height, 7), np.nan)
-        us, old_us = kernels.rows_of(u, sel, scratch), parent_row_block(u, old, old_scratch)
-        assert n == len(us) and us.tobytes() == old_us.tobytes() == u[old].tobytes()
-        assert np.shares_memory(us, u) == np.shares_memory(old_us, u)
-        for table, row_of, selector, runs in zip(tables, (TMAP_D, TMAP_B), reads[::2], reads[1::2]):
-            got = kernels.rows_of(table, selector, scratch)
-            want = parent_table_rows(table, row_of, old, old_scratch)
-            assert got.shape == want.shape and got.tobytes() == want.tobytes()
-            assert np.shares_memory(got, table) == np.shares_memory(want, table)
-            assert [r for lo, hi, r in runs for _ in range(lo, hi)] == row_of[old].tolist()
-            assert all(a[2] != b[2] and a[1] == b[0] for a, b in zip(runs, runs[1:]))
-
-
-@pytest.mark.parametrize("row_of, sel, shares", [
-    (TMAP_D, slice(5, 10), True),              # one table row: a (1, n) view
-    (TMAP_D, slice(7, 8), True),               # a single component
-    (TMAP_B, slice(5, 9), True),               # consecutive rows: a slice
-    (TMAP_B, slice(3, 8), False),              # wrapped run 3 4 0 1 2
-    (TMAP_D, slice(3, 12), False),             # straddles two table rows
-    (TMAP_D, np.array([5, 6, 9]), True),       # index array inside one row
-    (TMAP_B, np.array([1, 6, 11, 16]), True),  # b-outer block: one band
-    (TMAP_B, np.array([0, 1, 5, 6]), False),   # band rank: 0 1 0 1
-    (TMAP_D, np.array([0, 1, 5, 6]), False),
-])
-def test_table_rows_equal_the_fancy_index_and_share_memory_when_they_can(row_of, sel, shares):
-    table = np.random.default_rng(2).random((int(row_of.max()) + 1, 11))
-    scratch = np.full((9, 11), np.nan)
-    got = table_rows(table, row_of, sel, scratch)
-    expected = table[row_of[sel]]
-    assert np.broadcast_to(got, expected.shape).tobytes() == expected.tobytes()
-    assert np.shares_memory(got, table) == shares
-    if not shares:  # gathered into the scratch, nothing else touched
-        assert got.base is scratch and np.isnan(scratch[len(expected):]).all()
-        fresh = table_rows(table, row_of, sel)
-        assert fresh.tobytes() == expected.tobytes()
-    else:
-        assert np.isnan(scratch).all()
-
-
-def test_table_rows_of_a_bool_table_without_scratch():
-    mask = np.random.default_rng(3).random((ND, 7)) > 0.5
-    got = table_rows(mask, TMAP_D, slice(3, 12))
-    assert got.dtype == bool and np.array_equal(got, mask[TMAP_D[3:12]])
 
 
 def test_row_runs_and_row_block():
+    """``table_runs``: the maximal runs of equal rows; ``entry_rows``: each
+    row's block of entries, by column, as a canonical CSR matrix stores it
+    (a generated face loop sums a column's faces in that order)."""
     assert kernels.table_runs(np.array([2, 2, 2, 0, 0, 5])) == [(0, 3, 2), (3, 5, 0), (5, 6, 5)]
-    a = np.arange(40.0).reshape(10, 4)
-
-    def row_block(sel, out=None):  # a tile's rows of the unknown, as planned
-        return kernels.rows_of(a, kernels.row_selector(sel), out)
-
-    assert np.shares_memory(kernels.rows_of(a, slice(3, 5)), a)
-    consecutive = row_block(np.array([4, 5, 6]))
-    assert np.shares_memory(consecutive, a) and np.array_equal(consecutive, a[4:7])
-    scratch = np.full((6, 4), np.nan)
-    strided = row_block(np.array([1, 3, 8]), out=scratch)
-    assert strided.base is scratch and np.array_equal(strided, a[[1, 3, 8]])
-    assert not np.shares_memory(row_block(np.array([1, 3, 8])), a)
+    rows, cols = np.array([1, 0, 1, 1, 0]), np.array([4, 2, 0, 3, 1])
+    begin, columns, values = kernels.entry_rows(rows, cols, np.arange(5.0), (3, 5))
+    assert begin.tolist() == [0, 2, 5, 5] and columns.tolist() == [1, 2, 0, 3, 4]
+    assert values.tolist() == [4.0, 1.0, 2.0, 3.0, 0.0]
+    # restricted to rows and columns, renumbered by position
+    begin, columns, values = kernels.entry_rows(rows, cols, np.arange(5.0), (3, 5),
+                                                row_ids=np.array([1]), col_ids=np.array([0, 4]))
+    assert begin.tolist() == [0, 2] and columns.tolist() == [0, 1]
+    assert values.tolist() == [2.0, 0.0]
 
 
 # --------------------------------------------------------------------------
