@@ -4,12 +4,13 @@ A sweep (:func:`repro.codegen.emit.emit_interior`) is one of two loop shapes
 over the rows it is handed: over the cells (a statement folded through the
 divergence, the volume statement, the store), or over the faces first (both
 sides of the unknown, the face statement, the FLUX overrides, each column's
-faces in ``slot_divergence``'s order from ``+0.0``), then the cells — or,
+faces in the divergence's CSR order from ``+0.0``), then the cells — or,
 for the boundary part, only the boundary cells' columns.  :func:`lower`
 prints a program's sweeps as one translation unit from the emitter's
-statement record (:class:`~repro.codegen.emit.Stmt`), :func:`build`
-compiles it once, and :class:`Tile` calls a function of it through
-:mod:`ctypes` once per sweep, its arguments resolved once per state.
+statement record (:class:`~repro.codegen.emit.Stmt`) — with a device-placed
+interior, the step's ``finish_step`` too — :func:`build` compiles it once,
+and :class:`Tile` calls a function of it through :mod:`ctypes` once per
+sweep, its arguments resolved once per state.
 
 Every operation is printed on the same operands in the same order, spelt
 as the one table of operations gives it (:data:`~repro.codegen.emit.OPS`),
@@ -20,10 +21,11 @@ is the program's stepper, fixed when the text is printed (no loop over the
 cells has a branch, each is vectorized: one lane is one element); a
 forward-Euler host sweep also accumulates the post-step callbacks' declared
 reductions (:class:`~repro.dsl.entities.Reduction`) of each row it stored,
-in :func:`repro.fvm.kernels.reduce_rows`' order, and a device step's fixed
-:data:`FINISH` does.  The text holds no size, count, coefficient or name the
-user chose: one library per equation shape, memoised per process by (text,
-compiler, flags) and single-flight, in the compilation cache's disk
+in :func:`repro.fvm.kernels.reduce_rows`' order, and a device step's
+finish does, with the same loop.  The text holds no size, count,
+coefficient or name the user chose: one library per program shape,
+memoised per process by (text, compiler, flags) and single-flight, in the
+compilation cache's disk
 directory when one is configured and writable (one the loader refuses is
 built again and replaced), else in a private directory removed once the
 library is loaded.  A missing or failing compiler is
@@ -80,11 +82,13 @@ class Lowered(NamedTuple):
     #: stores the forward-Euler update and reduces it (else the RHS)
     euler: bool
     #: ``cells`` (a loop over the cells), ``faces`` (a loop over the faces,
-    #: then over the cells) or ``boundary`` (a loop over the boundary faces
-    #: into the boundary cells' columns)
+    #: then over the cells), ``boundary`` (a loop over the boundary faces
+    #: into the boundary cells' columns) or ``finish`` (a device step's end)
     shape: str = "cells"
     #: the boundary part's function, printed into the same unit
     boundary: "Lowered | None" = None
+    #: a device step's ``finish_step``, printed into the same unit
+    finish: "Lowered | None" = None
     #: per C parameter, how it is passed: ``d`` a double, ``l`` a long, ``p`` a pointer
     codes: str = ""
 
@@ -267,9 +271,8 @@ class _Printer:
         """The function ``head`` (its parameters but the operands') over the
         rows of the sweep (``rows``), its operands in the order first read."""
         params = [p.format(f"a{k}") for k, (_, _, ps) in enumerate(self.operands) for p in ps]
-        name = "boundary" if shape == "boundary" else "tile"
-        text = "\n".join([comment.rstrip(), f"void {name}(" + ",\n          ".join(head + params)
-                          + ")", "{", *rows, "}"]) + "\n"
+        text = "\n".join([comment.rstrip(), f"void {_symbol(shape)}("
+                          + ",\n          ".join(head + params) + ")", "{", *rows, "}"]) + "\n"
         kinds, sources, _ = zip(*self.operands) if self.operands else ((), (), ())
         codes = "".join("p" if "*" in p else p[0] for p in head + params)
         return Lowered(text, tuple(self.scalars), sources, "".join(kinds), len(self.folds),
@@ -306,6 +309,23 @@ class _Printer:
 _ROW = ["    for (long i = 0; i < nrows; i++) {",
         "        const long g = rows ? rows[i] : i;",
         "        const double *ur = u + g * n;"]
+#: the declared reductions' parameters, zeroed before the rows
+_REDUCE = ["long nq", "double *const *restrict ro", "const long *restrict rn",
+           "const long *restrict rg", "const double *restrict rw"]
+_ZERO = ["    for (long q = 0; q < nq; q++)",
+         "        for (long k = 0; k < rn[q]; k++) ro[q][k] = 0.0;"]
+#: each declared reduction of the stored row ``orow``, the term first (of two
+#: NaNs the term's is kept, as ``np.add.at`` keeps it)
+_REDUCE_ROW = ["        for (long q = 0; q < nq; q++) {",
+               "            double *restrict e = ro[q] + rg[q * nu + g] * n;",
+               "            const double we = rw[q * nu + g];",
+               "            for (long c = 0; c < n; c++) e[c] = orow[c] * we + e[c];",
+               "        }"]
+
+
+def _symbol(shape: str) -> str:
+    """The C name of a sweep of ``shape``."""
+    return shape if shape in ("boundary", "finish") else "tile"
 
 
 def _head(printer: _Printer, *rest: str) -> list[str]:
@@ -315,6 +335,13 @@ def _head(printer: _Printer, *rest: str) -> list[str]:
     return [*(f"double s{i}" for i in range(len(printer.scalars) + 1)), "long nrows",
             "const long *restrict rows", "long nu", "long n", "const double *u",
             "double *out", "double *restrict w", *rest]
+
+
+def _boundary_add(euler: bool) -> str:
+    """Per row, the boundary cells' add into ``o``: the boundary part, times
+    ``dt`` where the row is stepped (one rounded product, one add)."""
+    return ("        for (long k = 0; k < nb; k++) o[bc[k]] = o[bc[k]] + bd[g * nb + k]"
+            + " * s0" * euler + ";")
 
 
 def _boundary(statement, in_place: bool) -> Lowered:
@@ -331,16 +358,37 @@ def _boundary(statement, in_place: bool) -> Lowered:
         _head(b, "long nc"), rows, False, "boundary")
 
 
-def lower(volume, euler: bool, *, folded=None, surface=None, boundary=None) -> Lowered:
+def _finish() -> Lowered:
+    """A device step's ``finish_step``: per row of the sweep, over ``out``
+    (the unknown, stepped), the boundary cells' add and the declared
+    reductions as the Euler tile's, then the owner values of the boundary
+    faces into ``w`` — of every row, a band rank's others too."""
+    rows = [*_ZERO, *_ROW, "        double *orow = out + g * n, *o = orow;", _boundary_add(True),
+            *_REDUCE_ROW,
+            "        for (long k = 0; k < no; k++) w[g * no + k] = orow[own[k]];",
+            "    }",
+            "    for (long g = 0; rows && g < nu; g++)",
+            "        for (long k = 0; k < no; k++) w[g * no + k] = u[g * n + own[k]];"]
+    f = _Printer()
+    return f.unit(
+        "/* finish_step, generated (repro.codegen.ctile): per row g, u + (du * dt) in\n"
+        "   the boundary cells' columns, each declared reduction of the row, the\n"
+        "   owner values of the boundary faces; out is u. */",
+        _head(f, "long nb", "const long *restrict bc", "const double *restrict bd", "long no",
+              "const long *restrict own", *_REDUCE), rows, True, "finish")
+
+
+def lower(volume, euler: bool, *, folded=None, surface=None, boundary=None,
+          finish: bool = False) -> Lowered:
     """The C sweep of a ``volume`` statement (``0.0`` when there are no
     volume terms) and of the surface: a ``folded`` statement (a loop over
     the cells), a two-sided ``surface`` statement (a loop over the faces,
     then over the cells) or none, :class:`~repro.codegen.emit.EmittedExpr`;
     with ``euler`` it stores the forward-Euler update and reduces the stored
-    rows, else the right-hand side.  ``boundary`` — ``(statement, in
-    place)`` — prints the boundary part (:attr:`Lowered.boundary`) into the
-    same unit: the upwinded side is the value handed in where ``in
-    place``."""
+    rows, else the right-hand side.  Into the same unit go ``boundary`` —
+    ``(statement, in place)`` — the boundary part (:attr:`Lowered.boundary`;
+    the upwinded side is the value handed in where ``in place``), and with
+    ``finish`` a device step's end (:attr:`Lowered.finish`)."""
     tile = _Printer()
     faces: list[str] = []
     if surface is not None:  # the faces first, then the cells read ``dv``
@@ -356,14 +404,10 @@ def lower(volume, euler: bool, *, folded=None, surface=None, boundary=None) -> L
            tile.expr(Leaf("r", "div")) if folded is not None else "(0.0)")
     source = tile.expr(Leaf("r", "source"))
     folds = len(tile.folds)
-    reduce = ["long nq", "double *const *restrict ro", "const long *restrict rn",
-              "const long *restrict rg", "const double *restrict rw"]
     head = _head(tile, "long nb", "const long *restrict bc", "const double *restrict bd",
-                 "long no", "const long *restrict own", *reduce * euler)
+                 "long no", "const long *restrict own", *_REDUCE * euler)
     rows = [
-        "    for (long q = 0; q < nq; q++)",
-        "        for (long k = 0; k < rn[q]; k++) ro[q][k] = 0.0;",
-    ] * euler + [
+        *_ZERO * euler,
         *_ROW,
         "        double *orow = out + g * n;",
         "        /* o may be ur (in place): element c is read, then written */",
@@ -401,18 +445,11 @@ def lower(volume, euler: bool, *, folded=None, surface=None, boundary=None) -> L
         f"            const double v = ({source} + {div});",
         f"            o[c] = {'ur[c] + v * s0' if euler else 'v'};",
         "        }",
-        "        for (long k = 0; k < nb; k++) o[bc[k]] = o[bc[k]] + bd[g * nb + k];",
+        _boundary_add(euler),
         "        for (long k = 0; k < no; k++) orow[own[k]] = o[own[k]];",
+        *_REDUCE_ROW * euler,
+        "    }",
     ]
-    if euler:
-        rows += [
-            "        for (long q = 0; q < nq; q++) {",
-            "            double *restrict e = ro[q] + rg[q * nu + g] * n;",
-            "            const double we = rw[q * nu + g];",
-            "            for (long c = 0; c < n; c++) e[c] = e[c] + orow[c] * we;",
-            "        }",
-        ]
-    rows += ["    }"]
     comment = (
         "/* A tile, generated (repro.codegen.ctile): per row g of the sweep, the\n"
         "   face loop or the folded operators, the statements per cell, the store\n"
@@ -420,11 +457,10 @@ def lower(volume, euler: bool, *, folded=None, surface=None, boundary=None) -> L
         "the boundary cells' add, the\n   columns a cell rank owns"
         + (", each declared reduction of the stored row. */" if euler else ". */"))
     lowered = tile.unit(comment, head, rows, euler, "faces" if faces else "cells")
-    if boundary is None:
-        return lowered
-    part = _boundary(*boundary)
-    text = lowered.text + "\n" + part.text
-    return lowered._replace(text=text, boundary=part._replace(text=text))
+    parts = {"boundary": boundary and _boundary(*boundary), "finish": finish and _finish()}
+    parts = {name: part for name, part in parts.items() if part}
+    text = "\n".join([lowered.text, *(part.text for part in parts.values())])
+    return lowered._replace(text=text, **{n: p._replace(text=text) for n, p in parts.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -573,26 +609,6 @@ def build(text: str) -> _Build:
     return held
 
 
-class _Foreign:
-    """A function ``symbol`` of a built library, its parameters ``codes``
-    (``d`` a double, ``l`` a long, ``p`` a pointer)."""
-
-    symbol = codes = ""
-
-    def __init__(self, lib: _Build):
-        self.lib, self.fn = lib, None
-
-    def wait(self) -> None:
-        """Wait for the library and declare the function's signature."""
-        import ctypes
-
-        fn = getattr(self.lib.result(), self.symbol)
-        types = {"d": ctypes.c_double, "l": ctypes.c_long, "p": ctypes.c_void_p}
-        with self.lib.lock:
-            fn.argtypes, fn.restype = [types[c] for c in self.codes], None
-        self.fn = fn
-
-
 class _Checked:
     """A call site's arguments but the unknown, the output and what is
     evaluated anew for every call, checked (dtype, C order, shape, every
@@ -690,30 +706,43 @@ class _Checked:
         return [len(pairs), ro.ctypes.data, rn.ctypes.data, rg.ctypes.data, rw.ctypes.data]
 
 
-class Tile(_Foreign):
-    """A generated sweep's foreign function (:class:`Lowered`), called once
-    per sweep.
+class Tile:
+    """A function of a program's built library (:class:`Lowered`), called
+    once per sweep.
 
     ``TILE(memo, scalars, rows, u, out, scratch, bcells, bdry, owned,
-    reduced, *operands)`` (the boundary part, ``BOUNDARY(memo, scalars,
-    None, u_bdry, du_bdry, scratch, *operands)``): ``scalars`` by value
-    (``dt`` first), ``u`` and ``out`` checked on every call, the rest
+    reduced, *operands)``; the boundary part, ``BOUNDARY(memo, scalars,
+    None, u_bdry, du_bdry, scratch, *operands)``; a device step's end,
+    ``finish_step(memo, (dt,), rows, u, u, u_bdry, bcells, du_bdry, bowner,
+    reduced)`` (the owner values written where a tile's scratch goes, the
+    boundary faces' owners where a cell rank's columns go).  ``scalars`` by
+    value (``dt`` first), ``u`` and ``out`` checked on every call, the rest
     resolved once (:class:`_Checked`) and held in ``memo``, the state's
     ``plans``: one entry per call site, reused while each object is the one
     passed (what changes between steps is written into the same arrays).  Rows
     are the state's (``None``, a band rank's ``owned_comps``), so a step
     resolves nothing; a degraded step's workspace, a restore or a
-    repartition resolves again.  ``reduced`` is an Euler tile's outputs of
+    repartition resolves again.  ``reduced`` is an Euler sweep's outputs of
     the declared ``reductions`` (:class:`~repro.dsl.entities.Reduction`), or
     empty."""
 
     def __init__(self, lib: _Build, lowered: Lowered, reductions=()):
-        super().__init__(lib)
+        self.lib, self.fn = lib, None
         self.lowered, self.reductions = lowered, tuple(reductions)
-        self.symbol = "boundary" if lowered.shape == "boundary" else "tile"
+        self.symbol = _symbol(lowered.shape)
         #: the arguments after ``out`` that are no operands
         self.places = 1 if lowered.shape == "boundary" else 5
-        self.codes = lowered.codes
+
+    def wait(self) -> None:
+        """Wait for the library and declare the function's signature (``d`` a
+        double, ``l`` a long, ``p`` a pointer)."""
+        import ctypes
+
+        fn = getattr(self.lib.result(), self.symbol)
+        types = {"d": ctypes.c_double, "l": ctypes.c_long, "p": ctypes.c_void_p}
+        with self.lib.lock:
+            fn.argtypes, fn.restype = [types[c] for c in self.lowered.codes], None
+        self.fn = fn
 
     def __call__(self, memo: dict, scalars, rows, u, out, *args) -> None:
         if self.lowered.scalars and any(isinstance(x, complex) for x in scalars):
@@ -750,16 +779,27 @@ class Tile(_Foreign):
             args = [floats(scratch, (nf,), "scratch", True), nd]
         else:
             bcells, bdry, owned = args[:3]
+            finish = lowered.shape == "finish"
             if faces is not None and nd != n:
                 raise CodegenError("tile: a face loop into other cells")
             bc = np.zeros(0, np.int64) if bcells is None else indices(bcells, n, "boundary cells")
-            own = None if owned is None else indices(owned, n, "owned columns")
-            size = nf + 2 * n if faces is not None else (lowered.folds + 1) * n
-            args = [floats(scratch, (size,), "scratch", True), len(bc), bc.ctypes.data,
+            if (np.diff(bc) <= 0).any():  # (no cell twice: the add is vectorized)
+                raise CodegenError(f"{self.symbol}: the boundary cells are not increasing")
+            own = None if owned is None else indices(
+                owned, n, "boundary owners" if finish else "owned columns")
+            size = ((nu, len(own)) if finish else (nf + 2 * n,) if faces is not None
+                    else ((lowered.folds + 1) * n,))
+            args = [floats(scratch, size, "owner values" if finish else "scratch", True),
+                    len(bc), bc.ctypes.data,
                     None if bdry is None else floats(bdry, (nu, len(bc)), "boundary part"),
                     0 if own is None else len(own), None if own is None else own.ctypes.data]
+            inputs = (bdry, scratch) if finish else ()
+            if finish and np.may_share_memory(scratch, bdry):
+                raise CodegenError("finish: the owner values share memory with the boundary part")
+            check.apart += [(a.ctypes.data, a.ctypes.data + a.nbytes,
+                             "an argument shares memory with the unknown") for a in inputs]
             if lowered.euler:
-                args += check.reductions(self.reductions, reduced)
+                args += check.reductions(self.reductions, reduced, *inputs)
             elif len(reduced):
                 raise CodegenError("tile: a right-hand side reduces nothing")
         extent: dict[int, int] = {}  # operand -> its rows
@@ -803,76 +843,4 @@ class Tile(_Foreign):
         return check
 
 
-#: What ends a device-placed step (:class:`Finish`), one fixed text: per row
-#: of the sweep, ``u + (du * dt)`` in the boundary cells' columns (no other
-#: column touched), the tile's reduction loop, then the owner values of the
-#: boundary faces — of every row, a band rank's others too.
-FINISH = """\
-/* finish_step, fixed (repro.codegen.ctile.FINISH); u aliases nothing. */
-void finish(double dt, long nrows, const long *restrict rows, long nu, long n,
-            double *restrict u, long nb, const long *restrict bc,
-            const double *restrict du, long nw, const long *restrict bo,
-            double *restrict ub, long nq, double *const *restrict ro,
-            const long *restrict rn, const long *restrict rg,
-            const double *restrict rw)
-{
-    for (long q = 0; q < nq; q++)
-        for (long k = 0; k < rn[q]; k++) ro[q][k] = 0.0;
-    for (long i = 0; i < nrows; i++) {
-        const long g = rows ? rows[i] : i;
-        double *restrict ur = u + g * n;
-        const double *restrict d = du + g * nb;
-        for (long k = 0; k < nb; k++) ur[bc[k]] = ur[bc[k]] + d[k] * dt;
-        for (long q = 0; q < nq; q++) {
-            double *restrict e = ro[q] + rg[q * nu + g] * n;
-            const double we = rw[q * nu + g];
-            for (long c = 0; c < n; c++) e[c] = ur[c] * we + e[c];
-        }
-        for (long k = 0; k < nw; k++) ub[g * nw + k] = ur[bo[k]];
-    }
-    for (long g = 0; rows && g < nu; g++)
-        for (long k = 0; k < nw; k++) ub[g * nw + k] = u[g * n + bo[k]];
-}
-"""
-
-
-class Finish(_Foreign):
-    """``finish_step(memo, u, du_bdry, u_bdry, reduced, rows=None)``:
-    :data:`FINISH` over ``u`` (the device's ``u_new`` or the host's unknown)
-    with the step's ``dt``, the boundary cells and the boundary faces'
-    owners; ``rows``, a band rank's own.  ``u`` is checked on every call,
-    the rest resolved once per state and held in ``memo`` as :class:`Tile`'s."""
-
-    symbol = "finish"
-    codes = "dlpllplpplpplpppp"
-
-    def __init__(self, lib: _Build, dt: float, bcells, bowner, reductions=()):
-        super().__init__(lib)
-        self.dt, self.bcells, self.bowner = float(dt), bcells, bowner
-        self.reductions = tuple(reductions)
-
-    def __call__(self, memo: dict, u, du_bdry, u_bdry, reduced, rows=None) -> None:
-        held = memo.get(self)
-        if held is None or held.ids != tuple(map(id, (rows, du_bdry, u_bdry, *reduced))):
-            held = memo[self] = self._pointers(u, du_bdry, u_bdry, reduced, rows)
-        self.fn(*held.head, held.io(u, u)[0], *held.tail)
-
-    def _pointers(self, u, du, ub, reduced, rows) -> _Checked:
-        check = _Checked("finish", u, rows, du, ub, *reduced)
-        nu, n = check.shape
-        bc = check.indices(self.bcells, n, "boundary cells")
-        bo = check.indices(self.bowner, n, "boundary owners")
-        if (np.diff(bc) <= 0).any():  # (no cell twice: the add is vectorized)
-            raise CodegenError("finish: the boundary cells are not increasing")
-        check.head = (self.dt, *check.rows(rows, nu), nu, n)
-        args = [len(bc), bc.ctypes.data, check.floats(du, (nu, len(bc)), "boundary part"),
-                len(bo), bo.ctypes.data, check.floats(ub, (nu, len(bo)), "owner values", True)]
-        if np.may_share_memory(ub, du):
-            raise CodegenError("finish: the owner values share memory with the boundary part")
-        check.apart += [(a.ctypes.data, a.ctypes.data + a.nbytes,
-                         "an argument shares memory with the unknown") for a in (du, ub)]
-        check.tail = (*args, *check.reductions(self.reductions, reduced, du, ub))
-        return check
-
-
-__all__ = ["COMPILER", "FINISH", "FLAGS", "Finish", "Lowered", "Tile", "build", "lower"]
+__all__ = ["COMPILER", "FLAGS", "Lowered", "Tile", "build", "lower"]

@@ -461,7 +461,8 @@ class ExprEmitter:
         self.row_spaces[suffix] = rows
         prefix, defs = ("tab", out.tables) if kind == "bind" else ("swp", out.sweep)
         defs.append(Hoisted(f"{prefix}_{self._tag}{len(defs)}", str(code), suffix,
-                            tuple(map(str, lines))))
+                            tuple(map(str, lines)), "" if kind == "bind" else
+                            "faces" if ctx == "surface" else "cells"))
         return Table(defs[-1], self._kind(node) in "tr", isinstance(node, Cmp))
 
     def _narrow(self, node: Expr) -> bool:
@@ -952,9 +953,11 @@ def hoisted_lines(defs: list[Hoisted], registers: int = 0, buffer: str = "state.
                   ncells: str = "NCELLS", sweep: tuple[str, str, str] = ("", "", "")) -> list[str]:
     """Assignments evaluating ``defs``, each over its own rows; the lines of
     definitions that use them find the ``registers`` names ``s<i>`` bound to
-    arrays of ``buffer(name, shape)`` as tall as those rows.  A definition
-    with no rows is evaluated over the sweep's rows (``sweep``: their
-    selector, their number, and the faces' count) into an array of its own."""
+    arrays of ``buffer(name, shape)`` as tall as those rows.  A table is a
+    fresh array (built once per geometry); a definition read per sweep is
+    written into an array of its own, ``width`` wide (``sweep``: the
+    selector of the sweep's rows, their number, and the faces' count) —
+    over its rows, or with no rows over the sweep's."""
     lines: list[str] = []
     rows = None
     for h in defs:
@@ -964,12 +967,13 @@ def hoisted_lines(defs: list[Hoisted], registers: int = 0, buffer: str = "state.
                          f"sel = {sweep[0]}  # the sweep's rows")
             lines += [f"s{i} = {buffer}('sweep{i}:{rows}', (len(sel), {ncells}))"
                       for i in range(registers if rows else 0)]
-        if rows:  # (a sweep reads a table's rows in C order)
+        if h.lines or not h.width:  # (a sweep reads a table's rows in C order)
             lines += [*h.lines, f"{h.name} = {h.code}" if h.lines else
                       f"{h.name} = np.ascontiguousarray({h.code})"]
         else:
             width = ncells if h.width == "cells" else sweep[2]
-            lines += [f"{h.name} = {buffer}({h.name!r}, ({sweep[1]}, {width}))",
+            lines += [f"{h.name} = {buffer}({h.name!r}, "
+                      f"({'len(sel)' if rows else sweep[1]}, {width}))",
                       f"np.copyto({h.name}, {h.code})"]
     return lines
 
@@ -1005,7 +1009,7 @@ def _invariant_tables(surface: EmittedExpr,
     setup += _function(
         "def folded_tables(normal, face_dist, owner, other, divergence):",
         ['"""What a tile reads of ``invariant_tables`` on the interior faces passed:',
-         "their tables folded through their ``divergence`` (its gather form) into",
+         "their tables folded through their ``divergence`` (its CSR rows) into",
          'one cell-centric operator per term, and the tables with no face axis."""',
          f"[{names}] = invariant_tables(normal, face_dist, owner, other)",
          *[f"{h.name} = {h.code}" for h in folds],
@@ -1022,7 +1026,8 @@ def _definitions(surface: EmittedExpr, volume: EmittedExpr, read: tuple[str, ...
     ``sides``) and geometry."""
     defs = surface.sweep + volume.sweep
     late = [h for h in defs if not h.rows and h.name in read]
-    lines = hoisted_lines([h for h in defs if h.rows], volume.sweep_registers, buffer, ncells)
+    lines = hoisted_lines([h for h in defs if h.rows], volume.sweep_registers, buffer, ncells,
+                          sweep)
     lines = ["# sub-expressions of known variables, once over their own rows"] * bool(lines) + lines
     if "faces" in read and surface.sweep:  # (a surface definition reads the faces' own)
         lines[:0] = ([f"{name} = faces.normal[{axis - 1}]" for axis, name in _AXIS_NAMES.items()
@@ -1119,8 +1124,8 @@ def emit_interior(emitter: ExprEmitter, surface: EmittedExpr, volume: EmittedExp
     fills the post-step callbacks' declared reductions (``state.reduced``);
     other steppers get the RHS back.  On the ``device`` it is a launch over
     the interior faces into ``u_new``, ``interior_kernel(state, u, var_*,
-    u_new, buffer, sel)``, before the fixed C ``finish_step``
-    (:data:`repro.codegen.ctile.FINISH`).  Either is one C call, ``TILE``: a
+    u_new, buffer, sel)``, before ``finish_step``, printed into the same unit
+    (:attr:`repro.codegen.ctile.Lowered.finish`).  Either is one C call, ``TILE``: a
     statement folded through the divergence (:meth:`ExprEmitter.
     _fold_divergence`) a loop over the cells, its boundary faces the one
     ``compute_boundary_contribution`` (``BOUNDARY``, a loop over those
@@ -1139,7 +1144,8 @@ def emit_interior(emitter: ExprEmitter, surface: EmittedExpr, volume: EmittedExp
     upwind = surface.upwind
     part = (surface, bool(upwind and upwind.owner_where and not surface.sides))
     tile = ctile.lower(volume, inplace, folded=folded, surface=surface if two_sided else None,
-                       boundary=part if (folded or device) and form.surface_terms else None)
+                       boundary=part if (folded or device) and form.surface_terms else None,
+                       finish=device)
     setup, invariant, tables = _invariant_tables(surface, volume)
     lines = setup
     if device:
@@ -1213,8 +1219,6 @@ def emit_interior(emitter: ExprEmitter, surface: EmittedExpr, volume: EmittedExp
             "bdry = compute_boundary_contribution(",
             "    state, u.take(geom.bowner, axis=1, out=u_bdry, mode='clip'), t)",
         ]
-        if inplace:
-            body.append("np.multiply(bdry, dt, out=bdry)  # u + (du_bdry * dt), as finish_step")
     if not inplace:
         body.append("rhs = np.empty((NCOMP, geom.ncells))")
     size = (f"{tile.folds + 1} * {ncells}" if tile.shape == "cells" else

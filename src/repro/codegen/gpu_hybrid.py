@@ -17,7 +17,8 @@ where the two movable ones run, and the step is emitted from its plan:
     finish_step         u_new[:, boundary cells] += dt * du_bdry, the
       (movable)         post-step callbacks' declared reductions, and the
                         next step's u_bdry, in one C pass over the rows
-                        (ctile.FINISH); then u and u_new swap
+                        (printed beside the tile: solver.tile.finish);
+                        then u and u_new swap
     post_step_callbacks the temperature update (user callback) on the
       (cpu)             reduced array; it refreshes Io and beta
 
@@ -27,8 +28,8 @@ moves ``Io``, ``beta``, ``du_bdry`` down and the reductions and ``u_bdry``
 up.  Pinned to the CPU (``placement_override={"finish_step": "cpu"}``) the
 same C function runs on the host arrays after a ``d2h`` of ``u_new`` — the
 paper's "one example configuration", the unknown crossing both ways every
-step — as it does in a step a device fault degrades (its one library is
-built once per process, started by :func:`step_env`, beside the tile's).
+step — as it does in a step a device fault degrades (a function of the
+program's one library, bound with the tile).
 Either way the device owns the unknown only while ``buffers['u'].on_device``:
 any host access takes it back (:meth:`SolverState.claim_unknown`) and the
 next step uploads it again.  The kernel is handed the state it runs for
@@ -52,7 +53,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.codegen import ctile
+import numpy as np
+
 from repro.codegen.emit import EmittedExpr, ExprEmitter
 from repro.codegen.placement import Task, TaskGraph, optimize_placement, plan_transfers
 from repro.codegen.placement.transfers import ArrayUse
@@ -64,7 +66,6 @@ from repro.codegen.target_base import (
     emit_step_loop,
     indent,
 )
-from repro.fvm.geometry import FVGeometry
 from repro.gpu.device import Device
 from repro.gpu.kernel import Kernel, model_launch
 from repro.ir.build import build_ir  # noqa: F401  (the build's stages, named here)
@@ -204,18 +205,20 @@ def emit_device_step(name: str, plan: dict, rank: str = "") -> list[str]:
         lines += [
             "    if faulted is None:",
             "        try:",
-            "            # --- finish (in C: ctile.FINISH) where the unknown lives: only",
-            "            # the boundary part goes down, what the CPU reads comes back --",
+            "            # --- finish (in C, solver.tile.finish) where the unknown lives:",
+            "            # only the boundary part goes down, what the CPU reads comes back",
             "            state.await_device(launch_time)",
             "            state.sanitize_kernel_output(",
             "                KERNEL.name, lambda: dev.d2h('u_new', host_time=host.now())[0][sel])",
             f"            state.device_transfers('h2d', [{pairs(transfers.h2d_each_step)}])",
             "            launch_time = host.now()",
+            "            new, du, ub = (dev.buffers[n].array",
+            "                           for n in ('u_new', 'du_bdry', 'u_bdry'))",
             "            with state.timers.time('solve'):",
-            "                dev.launch(FINISH, ndof, state.plans, *[dev.buffers[n].array",
-            "                           for n in ('u_new', 'du_bdry', 'u_bdry')],",
+            "                dev.launch(FINISH, ndof, state.plans, (state.dt,), own, new, new,",
+            "                           ub, BCELLS, du, BOWNER,",
             f"                           [dev.buffers[n].array for n in {reductions!r}],",
-            "                           own, host_time=launch_time)",
+            "                           host_time=launch_time)",
             "            state.await_device(launch_time)",
             f"            state.device_transfers('d2h', [{pairs(transfers.d2h_each_step)}])",
             "            dev.swap('u', 'u_new')",
@@ -231,7 +234,8 @@ def emit_device_step(name: str, plan: dict, rank: str = "") -> list[str]:
             "        state.device_transfers('d2h', [('u_new', u)])",
             "        dev.mark_host_dirty('u')  # finish_step writes the host copy",
             "        state.sanitize_kernel_output(KERNEL.name, lambda: u[sel])",
-            "        finish_step(state.plans, u, du_bdry, u_bdry, reduced, own)",
+            "        finish_step(state.plans, (state.dt,), own, u, u, u_bdry, BCELLS, du_bdry,",
+            "                    BOWNER, reduced)",
         ]
     lines += [
         "    if faulted is not None:",
@@ -250,7 +254,8 @@ def emit_device_step(name: str, plan: dict, rank: str = "") -> list[str]:
         "            interior_kernel(state, u, *[state.fields[n[4:]].data for n in",
         "                                        KERNEL_VAR_NAMES], u, state.buffer, own)",
         "            state.sanitize_kernel_output(KERNEL.name, lambda: u[sel])",
-        "            finish_step(state.plans, u, du_bdry, u_bdry, reduced, own)",
+        "            finish_step(state.plans, (state.dt,), own, u, u, u_bdry, BCELLS, du_bdry,",
+        "                        BOWNER, reduced)",
         f"        host.advance({cost('COST_SOLVE')})",
         "        trace.complete(state.host_track, 'interior_update[degraded:cpu]',",
         "                       launch_time, host.now(), cat='fault',",
@@ -298,14 +303,18 @@ def plan_device_step(problem: "Problem", emitter: ExprEmitter, surface: EmittedE
     ``array_uses`` for the layer-2 verifier, ``kernel_spec``).  What only the
     host form carries fails here if the plan puts ``interior_update`` on the
     device."""
-    geom, unknown = FVGeometry(problem.mesh), problem.unknown
+    mesh, unknown = problem.mesh, problem.unknown
     spec = problem.config.gpu_spec or default_gpu_spec()
     cost = CostModel(CASCADE_LAKE_FINCH)
-    ncomp, ncells = unknown.ncomp, geom.ncells
+    ncomp, ncells, nfaces = unknown.ncomp, mesh.ncells, mesh.nfaces
     nbands = unknown.space.sizes[-1] if unknown.space.names else 1
+    # the boundary faces, and the cells they belong to (``FVGeometry``'s
+    # ``bowner`` and ``bcells``): sized here without a geometry
+    bowner = mesh.face_cells[mesh.face_cells[:, 1] < 0, 0]
+    nbcells = np.count_nonzero(np.bincount(bowner, minlength=ncells))
 
     # ---- work estimates for the device model ------------------------------
-    faces_per_cell = 2.0 * geom.nfaces / geom.ncells
+    faces_per_cell = 2.0 * nfaces / ncells
     kernel_spec = {
         "name": f"{unknown.name}_interior_step",
         "flops_per_thread": (
@@ -328,14 +337,14 @@ def plan_device_step(problem: "Problem", emitter: ExprEmitter, surface: EmittedE
     known = {n: 8.0 * problem.entities.variables[n].ncomp * ncells
              for n in emitter.referenced_known_variables()}
     u_bytes = 8.0 * ncomp * ncells
-    small = {"du_bdry": 8.0 * ncomp * len(geom.bcells),
-             "u_bdry": 8.0 * ncomp * len(geom.bowner),
+    small = {"du_bdry": 8.0 * ncomp * nbcells,
+             "u_bdry": 8.0 * ncomp * len(bowner),
              **{r.name: 8.0 * r.rows * ncells for r in reductions}}
     tg = TaskGraph()
     tg.add_task(Task("interior_update", cost.intensity_step(ncells, rows),
                      on_gpu(**kernel_spec)))
     tg.add_task(Task("boundary_callbacks",
-                     cost.boundary_step(len(geom.bowner), rows), pinned="cpu"))
+                     cost.boundary_step(len(bowner), rows), pinned="cpu"))
     # the CPU cost model books the reduction inside the temperature update
     # (the paper's one callback), so the host clock under the paper's plan
     # reads as it always has: bytes alone decide where this task lands
@@ -372,7 +381,8 @@ def plan_device_step(problem: "Problem", emitter: ExprEmitter, surface: EmittedE
         # overlapped CPU boundary callbacks read their copy of its owner
         # values (Fig. 6 is safe), and finish_step flips the two
         ArrayUse("u", u_bytes, readers=both, writers=both, double_buffered=True),
-        ArrayUse("geometry", float(geom.normal.nbytes + geom.area.nbytes),
+        # the face normals (one row per axis) and areas, float64
+        ArrayUse("geometry", 8.0 * nfaces * (mesh.dim + 1),
                  readers=("interior_update",), writers=(), mutated_each_step=False),
         ArrayUse("du_bdry", small["du_bdry"],
                  readers=("finish_step",), writers=("boundary_callbacks",)),
@@ -391,14 +401,14 @@ def plan_device_step(problem: "Problem", emitter: ExprEmitter, surface: EmittedE
 
 def step_env(problem: "Problem", state: SolverState, plan: dict) -> dict:
     """What the emitted device step reads that is not in the cache key's
-    static environment: the boundary exchange, fault hooks and
-    ``finish_step`` (its library's compiler starts here).  What the kernel
-    reads of the geometry is the state's it is launched for."""
+    static environment: the boundary exchange and fault hooks (``finish_step``
+    is a function of the program's one library, bound with the tile).  What
+    the kernel reads of the geometry is the state's it is launched for."""
     geom = state.geom
     return {
-        "finish_step": ctile.Finish(ctile.build(ctile.FINISH), problem.config.dt,
-                                    geom.bcells, geom.bowner, state.reductions),
-        # the boundary exchange: owner cell of every boundary face
+        # the boundary exchange: the cells with a boundary face, and the
+        # owner cell of every boundary face
+        "BCELLS": geom.bcells,
         "BOWNER": geom.bowner,
         # per-step H2D: the known variables the plan marked as host-mutated
         # (for the BTE: Io and beta after the temperature update)

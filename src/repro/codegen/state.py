@@ -334,8 +334,8 @@ class SolverState:
         """The generated code's step-invariant tables over this state's
         geometry, ``build(normal, face_dist, owner, neighbor_column)`` on
         ``faces`` (one choice per generated builder) — with ``divergence``
-        also handed the gather form of the surface divergence on those
-        faces (ids, then): built on first use and again only for another ``build`` of
+        also handed the CSR rows of the surface divergence on those faces
+        (ids, then): built on first use and again only for another ``build`` of
         that name (a recompiled source), so every state — each rank state of
         each run segment, hence each partition an elastic run migrates to —
         holds its own."""
@@ -345,7 +345,7 @@ class SolverState:
             args = [g.normal[faces], g.face_dist[faces], g.owner[faces],
                     g.neighbor_column[faces]]
             if divergence:
-                args.append(g.divergence_slots(faces=faces))
+                args.append(g.divergence_rows(faces=faces))
             held = self._tables[build.__name__] = (build, build(*args))
         return held[1]
 

@@ -229,7 +229,7 @@ class CodegenTarget:
         solver.generation_info = info
         for name in ("TILE", "BOUNDARY", "finish_step"):  # compiled while the state was bound
             foreign = solver.namespace.get(name)
-            if isinstance(foreign, ctile.Tile | ctile.Finish):
+            if isinstance(foreign, ctile.Tile):
                 foreign.wait()
         return solver
 
@@ -282,6 +282,8 @@ class CodegenTarget:
             env["TILE"] = ctile.Tile(lib, tile, state.reductions)
             if tile.boundary is not None:
                 env["BOUNDARY"] = ctile.Tile(lib, tile.boundary)
+            if tile.finish is not None:
+                env["finish_step"] = ctile.Tile(lib, tile.finish, state.reductions)
         solver = GeneratedSolver(
             self.name, artifact.source, env, state,
             code=artifact.code, module_name=artifact.module_name,

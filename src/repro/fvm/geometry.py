@@ -8,11 +8,13 @@ once), the per-step surface integral
 
 is the operator ``D`` (cells x faces) with a ``+A_f/V_owner`` entry for the
 face's owner and ``-A_f/V_neigh`` for its neighbour (the same physical flux
-leaves one cell and enters the other).  The kernels apply it in *gather
-form* — per stored entry of a row, a face list and a weight list
-(:func:`repro.fvm.kernels.entry_slots`) — built straight from
-``owner``/``neighbor``/``area``/``inv_volume``, in the order a canonical CSR
-matrix stores the same entries, so the result is ``D @ flux`` bit for bit.
+leaves one cell and enters the other).  Its one layout is the CSR rows
+:meth:`FVGeometry.divergence_rows` builds straight from
+``owner``/``neighbor``/``area``/``inv_volume`` (:func:`repro.fvm.kernels.entry_rows`:
+a row's entries by column, as a canonical CSR matrix stores them): a
+generated face loop sums each cell's faces in that order, and the folded
+operator and :meth:`FVGeometry.surface_divergence` read them slot by slot,
+so the result is ``D @ flux`` bit for bit.
 ``D`` itself (:attr:`FVGeometry.divergence`) and the Green-Gauss gradient
 operators are scipy CSR matrices built on first use: the test oracles and
 second-order reconstructions read them, a first-order solve never imports
@@ -26,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from repro.fvm.kernels import entry_rows, entry_slots, laid_out, slot_divergence
+from repro.fvm.kernels import entry_rows, laid_out, slot_divergence
 from repro.mesh.mesh import Mesh
 from repro.util.errors import CodegenError
 
@@ -143,7 +145,6 @@ class FVGeometry:
         }
 
         self._loops: dict[str, FaceLoop] = {}  # face_loop(which), on first use
-        self._div_slots: list | None = None  # the divergence's gather form, on first use
         # face-centre offsets from each side's cell centre (for linear
         # face extrapolation in second-order reconstructions)
         self.offset_owner = self.center - self.cell_center[self.owner]
@@ -166,13 +167,14 @@ class FVGeometry:
         rows, cols, vals = self._stencil(weight)
         return sp.coo_matrix((vals, (rows, cols)), shape=(self.ncells, self.nfaces)).tocsr()
 
-    def divergence_slots(self, cells: np.ndarray | None = None,
-                         faces: np.ndarray | None = None) -> list:
-        """Gather form of the divergence, optionally restricted to the rows
-        ``cells`` and columns ``faces`` (sorted ids, renumbered by position):
-        the slots of ``divergence[cells][:, faces]`` without the matrix."""
-        return entry_slots(*self._stencil(self.area), (self.ncells, self.nfaces),
-                           row_ids=cells, col_ids=faces)
+    def divergence_rows(self, cells: np.ndarray | None = None,
+                        faces: np.ndarray | None = None) -> tuple:
+        """The CSR rows ``(indptr, indices, data)`` of the divergence,
+        optionally restricted to the rows ``cells`` and columns ``faces``
+        (sorted ids, renumbered by position): the storage of
+        ``divergence[cells][:, faces]`` without the matrix."""
+        return entry_rows(*self._stencil(self.area), (self.ncells, self.nfaces),
+                          row_ids=cells, col_ids=faces)
 
     def face_loop(self, which: str) -> FaceLoop:
         """The faces a generated face loop sweeps (built on first use):
@@ -187,13 +189,17 @@ class FVGeometry:
             pick = slice(None) if faces is None else faces
             side1 = np.arange(len(faces)) if which == "boundary" else self.owner[pick]
             side2 = ~side1 if which == "boundary" else self.neighbor_column[pick]
-            rows = entry_rows(*self._stencil(self.area), (self.ncells, self.nfaces),
-                              row_ids=self.bcells if which == "boundary" else None, col_ids=faces)
+            rows = self.divergence_rows(self.bcells if which == "boundary" else None, faces)
             held = self._loops[which] = FaceLoop(
                 *(np.ascontiguousarray(a, dtype=np.int64) for a in (side1, side2, self.owner[pick])),
                 np.ascontiguousarray(self.normal[pick].T), np.ascontiguousarray(self.face_dist[pick]),
                 *rows)
         return held
+
+    @cached_property
+    def _rows(self) -> tuple:
+        """:meth:`divergence_rows` of every cell and face, on first use."""
+        return self.divergence_rows()
 
     @cached_property
     def interior_faces(self) -> np.ndarray:
@@ -230,15 +236,14 @@ class FVGeometry:
         ``face_flux`` has shape ``(nfaces,)`` or ``(ncomp, nfaces)`` (flux per
         unit area, signed w.r.t. the owner's outward normal); the result has
         the matching cell shape.  It is ``divergence @ face_flux`` bit for
-        bit, accumulated face slot by face slot in the flux's own row layout
-        (:func:`repro.fvm.kernels.slot_divergence`) into ``out``, with
-        ``work`` as scratch — both ``(ncomp, ncells)``, fresh when not given.
+        bit, accumulated face slot by face slot of the CSR rows in the flux's
+        own row layout (:func:`repro.fvm.kernels.slot_divergence`) into
+        ``out``, with ``work`` as scratch — both ``(ncomp, ncells)``, fresh
+        when not given.
         """
-        if self._div_slots is None:
-            self._div_slots = self.divergence_slots()
         flux = face_flux if face_flux.ndim == 2 else face_flux[None]
         shape = (len(flux), self.ncells)
-        div = slot_divergence(self._div_slots, flux,
+        div = slot_divergence(self._rows, flux,
                               np.empty(shape) if out is None else out,
                               np.empty(shape) if work is None else work)
         return div if face_flux.ndim == 2 else div[0]

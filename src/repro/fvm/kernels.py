@@ -1,9 +1,9 @@
 """Numerical building blocks of the finite-volume operators.
 
 What a generated sweep reads is built here once per state: the
-divergence's storage order (:func:`entry_rows`, its gather form
-:func:`entry_slots`) and the upwinded surface statement folded through it
-into one cell-centric operator (:func:`fold_upwind`, read by the C tile).
+divergence's storage order (:func:`entry_rows`, the CSR rows a C face loop
+reads) and the upwinded surface statement folded through those rows into
+one cell-centric operator (:func:`fold_upwind`, read by the C tile).
 The NumPy forms of what the C sweeps compute stay for what is not a
 generated sweep: :func:`slot_divergence` (the oracles, the probes),
 :func:`reduce_rows` (a declared reduction outside an Euler sweep) and the
@@ -51,28 +51,17 @@ def entry_rows(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, shape: tupl
     return indptr, cols[keep].astype(np.int64), vals[keep]
 
 
-def entry_slots(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, shape: tuple[int, int],
-                row_ids: np.ndarray | None = None, col_ids: np.ndarray | None = None,
-                ) -> list[tuple[np.ndarray, np.ndarray, object]]:
-    """Gather form of a sparse operator (cells x faces) given as COO entries
-    (:func:`entry_rows`): for the ``k``-th stored entry of every row,
-    ``(faces, weights, where)`` — its column, its value, and the rows that
-    have a ``k``-th entry: ``True`` (all of them), a mask over the rows (most
-    of them; ``faces``/``weights`` are padded), or the row ids (few of them,
-    e.g. a boundary-face operator; ``faces``/``weights`` cover just those)."""
-    indptr, indices, data = entry_rows(rows, cols, vals, shape, row_ids, col_ids)
+def _slots(rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The CSR rows ``(indptr, indices, data)`` of :func:`entry_rows` slot by
+    slot: ``(faces, weights, present)``, each ``(slots, rows)``, slot ``k``
+    the ``k``-th stored entry of every row — its column and its value where
+    the row has one (``present``), padded with the row's first elsewhere."""
+    indptr, indices, data = rows
     counts = np.diff(indptr)
-    slots = []
-    for k in range(int(counts.max(initial=0))):
-        present = counts > k
-        where = np.flatnonzero(present)
-        if 2 * len(where) < len(counts):
-            at = indptr[where] + k
-        else:
-            at = np.where(present, indptr[:-1] + k, 0)
-            where = True if present.all() else present
-        slots.append((indices[at].astype(np.intp), data[at], where))
-    return slots
+    k = np.arange(counts.max(initial=0))[:, None]
+    present = counts > k
+    at = np.where(present, indptr[:-1] + k, 0)
+    return indices[at].astype(np.intp), data[at], present
 
 
 class FoldedOperator(NamedTuple):
@@ -115,9 +104,9 @@ def laid_out(arrays) -> bool:
                and a.flags.c_contiguous for a, t, d in arrays)
 
 
-def fold_upwind(slots, table: np.ndarray, columns: np.ndarray, ncells: int) -> FoldedOperator:
-    """Fold what multiplies the unknown on its way through a gather-form
-    operator (:func:`entry_slots`, ``ncells`` rows) into the operator: with
+def fold_upwind(rows, table: np.ndarray, columns: np.ndarray, ncells: int) -> FoldedOperator:
+    """Fold what multiplies the unknown on its way through an operator (its
+    CSR rows, :func:`entry_rows`, ``ncells`` of them) into the operator: with
     ``table[r, f]`` a coefficient per (table row, face) and ``columns[r, f]``
     the cell face ``f`` reads under row ``r`` (the generated code's ``upw``
     table: one of the face's two cells, or a negative ghost slot), the
@@ -141,6 +130,7 @@ def fold_upwind(slots, table: np.ndarray, columns: np.ndarray, ncells: int) -> F
     brick.  Every other row keeps gather entries (:func:`_gather_form`), and
     so does every row of a mesh without such planes (triangles, a scattered
     numbering), decided before anything of the planes' size is allocated."""
+    slots = _slots(rows)
     planes = _offset_planes(slots, ncells, table.shape[1])
     if planes is None:
         return _flat(*_gather_form(slots, table, columns, ncells))
@@ -196,27 +186,19 @@ def _flat(own: np.ndarray, rows: list[list[tuple]]) -> FoldedOperator:
 
 
 def _offset_planes(slots, ncells: int, nfaces: int) -> tuple | None:
-    """The planes of :func:`fold_upwind`, from a gather-form operator over
-    ``nfaces`` faces alone: ``(offsets, faces, weights, cells)`` — per plane
-    its offset and, per cell, the face to that offset (``nfaces``: none),
-    the weight of its entry and the cell itself (``ncells``: none) — in the
-    order of the planes' mean slot.  ``None`` when there are no such
-    planes: a face with one cell, more than two offsets per slot, or a cell
-    that meets them out of that order (or one twice)."""
-    nslots, cell = len(slots), np.arange(ncells)
+    """The planes of :func:`fold_upwind`, from an operator's slots
+    (:func:`_slots`) over ``nfaces`` faces alone: ``(offsets, faces,
+    weights, cells)`` — per plane its offset and, per cell, the face to that
+    offset (``nfaces``: none), the weight of its entry and the cell itself
+    (``ncells``: none) — in the order of the planes' mean slot.  ``None``
+    when there are no such planes: a face with one cell, more than two
+    offsets per slot, or a cell that meets them out of that order (or one
+    twice)."""
+    faces, weights, present = slots
+    nslots, cell = len(faces), np.arange(ncells)
     shape = (nslots, ncells)
     # per (slot, cell): its face (``nfaces``: none), weight, and cell + 1 (0: none)
-    faces, weights, mark = np.empty(shape, np.intp), np.zeros(shape), np.zeros(shape)
-    cell1 = cell + 1.0
-    for s, (f, w, where) in enumerate(slots):
-        if where is True:
-            faces[s], weights[s], mark[s] = f, w, cell1
-        elif where.dtype == bool:
-            faces[s], weights[s] = np.where(where, f, nfaces), w
-            np.copyto(mark[s], cell1, where=where)
-        else:
-            faces[s].fill(nfaces)
-            faces[s, where], weights[s, where], mark[s, where] = f, w, cell1[where]
+    faces, mark = np.where(present, faces, nfaces), np.where(present, cell + 1.0, 0.0)
     # per face, the sum of its cells + 1: an entry's face's other cell + 1 is
     # that less its own; the offset (other - own + ncells) keys its plane
     total = np.bincount(faces.ravel(), mark.ravel(), nfaces + 1)
@@ -263,16 +245,12 @@ def _gather_form(slots, table: np.ndarray, columns: np.ndarray,
     out_cols: list[np.ndarray] = []
     out_weights: list[np.ndarray] = []
     coef, cols = np.empty((nrows, ncells)), np.empty((nrows, ncells), dtype=columns.dtype)
-    for faces, weights, where in slots:
-        if where is True or where.dtype == bool:
-            # padded: a row without the entry gets weight zero, and is dropped
-            table.take(faces, axis=1, out=coef, mode="clip")
-            coef *= weights if where is True else np.where(where, weights, 0.0)
-            columns.take(faces, axis=1, out=cols, mode="clip")
-        else:
-            coef.fill(0.0)
-            coef[:, where] = weights * table[:, faces]
-            cols[:, where] = columns[:, faces]
+    for faces, weights, present in zip(*slots):
+        table.take(faces, axis=1, out=coef, mode="clip")
+        coef *= weights
+        # padded: a row without the entry gets weight zero, and is dropped
+        np.copyto(coef, 0.0, where=~present)
+        columns.take(faces, axis=1, out=cols, mode="clip")
         inward = cols == cell
         np.add(own, coef, out=own, where=inward)  # (``own`` is never -0.0)
         live = ~inward & (cols >= 0) & (coef != 0.0)
@@ -290,37 +268,22 @@ def _gather_form(slots, table: np.ndarray, columns: np.ndarray,
                  for r, n in enumerate(used.max(axis=1, initial=0).tolist())]
 
 
-def slot_divergence(slots, flux: np.ndarray, out: np.ndarray,
+def slot_divergence(rows, flux: np.ndarray, out: np.ndarray,
                     work: np.ndarray | None = None) -> np.ndarray:
     """``out[:, c] = sum_k weights_k[c] * flux[:, faces_k[c]]`` over the
-    :func:`entry_slots` of an operator — what ``(matrix @ flux.T).T`` computes,
-    bit for bit (accumulated from ``+0.0`` in storage order, so a ``-0.0``
-    product leaves ``+0.0`` as CSR does), in the tile's own row layout: no
-    transposed copy in, no strided read back.  ``work`` is contiguous scratch
-    of at least ``out``'s size for the later slots most rows have."""
-    # when every row has a first entry, slot 0 is formed in ``out`` itself,
-    # ``0.0 + product`` over whatever it held; otherwise start from zeros
-    overwrite = bool(slots) and slots[0][2] is True
-    if not overwrite:
-        out.fill(0.0)
-    for k, (faces, weights, where) in enumerate(slots):
-        if where is not True and where.dtype != bool:  # a few rows: in place
-            out[:, where] += weights * flux[:, faces]
-            continue
-        if overwrite and k == 0:
-            term = out
-        else:
-            if work is None or work.size < out.size:
-                work = np.empty_like(out)
-            elif work.shape != out.shape:  # larger scratch: its leading part
-                work = work.reshape(-1)[:out.size].reshape(out.shape)
-            term = work
+    slots of an operator's CSR rows (:func:`entry_rows`) — what ``(matrix @
+    flux.T).T`` computes, bit for bit (accumulated from ``+0.0`` in storage
+    order, so a ``-0.0`` product leaves ``+0.0`` as CSR does), in the row
+    layout of ``flux``: no transposed copy in, no strided read back.
+    ``work`` is contiguous scratch of at least ``out``'s size."""
+    if work is None or work.size < out.size:
+        work = np.empty_like(out)
+    term = work.reshape(-1)[:out.size].reshape(out.shape)
+    out.fill(0.0)
+    for faces, weights, present in zip(*_slots(rows)):
         flux.take(faces, axis=1, out=term, mode="clip")
         np.multiply(term, weights, out=term)
-        if term is out:
-            np.add(out, 0.0, out=out)
-        else:
-            np.add(out, term, out=out, where=where)
+        np.add(out, term, out=out, where=present)
     return out
 
 
@@ -435,7 +398,6 @@ def muscl_flux(geom, vn: np.ndarray, u: np.ndarray, ghost: np.ndarray | None = N
 __all__ = [
     "table_runs",
     "entry_rows",
-    "entry_slots",
     "FoldedOperator",
     "fold_upwind",
     "slot_divergence",

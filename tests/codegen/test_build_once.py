@@ -3,7 +3,7 @@
 ``generate()`` emits the equation's statements once — the plan prices the
 ones the interior then prints — and builds one :class:`SolverState`, the one
 the solver is bound over: the placement is sized from the problem's spaces
-and mesh, not from a state of its own.  So a checkpoint restore is recorded
+and mesh, not from a state or a geometry of its own.  So a checkpoint restore is recorded
 once per state that restores, on a device target as on its host twin.
 """
 
@@ -18,6 +18,7 @@ from repro.bte import build_bte_problem, hotspot_scenario
 from repro.bte.problem import BTEScenario
 from repro.codegen.emit import ExprEmitter
 from repro.codegen.state import SolverState
+from repro.fvm.geometry import FVGeometry
 from repro.runtime.faults import fault_run
 from repro.tune.cache import cache_scope
 from repro.util.context import current
@@ -38,12 +39,17 @@ def problem(target: str, nsteps: int = 3, **extra):
 
 @pytest.mark.parametrize("target", ["cpu", "distributed", "gpu", "gpu_distributed"])
 def test_generate_emits_once_and_builds_one_state(monkeypatch, target):
+    """One emitter, one state and one geometry, the state's: the device
+    plan is sized from the mesh."""
     built: Counter = Counter()
-    for cls in (ExprEmitter, SolverState):
+    geometries: list = []
+    for cls in (ExprEmitter, SolverState, FVGeometry):
         init = cls.__init__
 
         def counted(self, *args, _init=init, _name=cls.__name__, **kwargs):
             built[_name] += 1
+            if _name == "FVGeometry":
+                geometries.append(self)
             _init(self, *args, **kwargs)
 
         monkeypatch.setattr(cls, "__init__", counted)
@@ -51,8 +57,8 @@ def test_generate_emits_once_and_builds_one_state(monkeypatch, target):
     with cache_scope():  # a cold build: a warm one emits nothing
         solver = p.generate()
     # rank states are built by a run, not by generate()
-    assert built == {"ExprEmitter": 1, "SolverState": 1}
-    assert solver.state.comm is None
+    assert built == {"ExprEmitter": 1, "SolverState": 1, "FVGeometry": 1}
+    assert geometries == [solver.state.geom] and solver.state.comm is None
 
 
 @pytest.fixture(scope="module")

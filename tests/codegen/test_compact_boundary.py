@@ -148,7 +148,8 @@ class TestFinishStep:
         geom = solver.state.geom
         u_bdry = np.full((len(u), len(geom.bowner)), np.nan)
         reduced = [np.full((1, geom.ncells), np.nan)]
-        solver.namespace["finish_step"]({}, u, du.copy(), u_bdry, reduced, rows)
+        call_finish(solver.namespace["finish_step"], solver.state.dt, geom, u, du.copy(),
+                    u_bdry, reduced, rows)
         return u_bdry, reduced
 
     def test_only_the_boundary_columns_change_and_negative_zero_survives(self, parts):
@@ -226,38 +227,36 @@ MIXED = (Reduction("bands", np.arange(ND * NB) % NB, 1.0 + np.arange(ND * NB) / 
          Reduction("column_sum", np.zeros(ND * NB, int), np.ones(ND * NB), 1))
 
 
-def numpy_finish(dt, bcells, bowner, reductions):
+def call_finish(finish, dt, geom, u, du_bdry, u_bdry, reduced, rows=None, bcells=None):
+    """``finish`` as the generated device step calls it, over ``geom``'s
+    boundary faces (and cells, or ``bcells``)."""
+    finish({}, (dt,), rows, u, u, u_bdry, geom.bcells if bcells is None else bcells, du_bdry,
+           geom.bowner, reduced)
+
+
+def numpy_finish(reductions):
     """The NumPy ``finish_step`` the C function replaced, line for line."""
 
-    def finish_step(memo, u, du_bdry, u_bdry, reduced, rows=None):
+    def finish_step(memo, scalars, rows, u, out, u_bdry, bcells, du_bdry, bowner, reduced):
+        (dt,) = scalars
         sel = slice(None) if rows is None else rows
         cols = u.take(bcells, axis=1, mode="clip")
-        np.add(cols, np.multiply(du_bdry, dt, out=du_bdry), out=cols)
+        np.add(cols, np.multiply(du_bdry, dt), out=cols)
         u[sel if isinstance(sel, slice) else sel[:, None], bcells] = cols[sel]
-        for reduction, out in zip(reductions, reduced):
-            kernels.reduce_rows(u, reduction.group, reduction.weight, out, rows)
+        for reduction, o in zip(reductions, reduced):
+            kernels.reduce_rows(u, reduction.group, reduction.weight, o, rows)
         u.take(bowner, axis=1, out=u_bdry, mode="clip")
 
     return finish_step
 
 
 class TestCFinish:
+    """The finish printed into a device program's unit
+    (``solver.tile.finish``), against the NumPy body."""
+
     @pytest.fixture(scope="class")
     def solvers(self):
         return {mesh: build_solver(mesh, 1, MIXED) for mesh in ("structured", "triangles")}
-
-    def both(self, solver, odd: bool):
-        """The C finish and the oracle over the solver's geometry; ``odd``
-        drops a boundary cell whenever their count is even."""
-        from repro.codegen import ctile
-
-        geom, state = solver.state.geom, solver.state
-        bcells = geom.bcells[:len(geom.bcells) - (odd and len(geom.bcells) % 2 == 0)]
-        assert len(bcells) % 2 == odd
-        args = (state.dt, bcells, geom.bowner, state.reductions)
-        c = ctile.Finish(ctile.build(ctile.FINISH), *args)
-        c.wait()
-        return c, numpy_finish(*args), len(bcells)
 
     @pytest.mark.parametrize("mesh", ["structured", "triangles"])
     @pytest.mark.parametrize("rows", [None, [4, 1, 3]], ids=["all-rows", "band-rank"])
@@ -265,20 +264,22 @@ class TestCFinish:
     def test_the_c_finish_is_the_numpy_body_bit_for_bit(self, solvers, mesh, rows, odd):
         """Every row or a band rank's non-contiguous rows, an odd or even
         count of boundary cells, two reductions with mixed weights, special
-        values throughout: ``u``, ``u_bdry`` and each reduction output carry
-        the NumPy body's bits."""
+        values throughout (NaN terms among them): ``u``, ``u_bdry`` and each
+        reduction output carry the NumPy body's bits."""
         solver = solvers[mesh]
-        c, oracle, nb = self.both(solver, odd)
-        ncells, nbfaces = solver.state.geom.ncells, len(solver.state.geom.bowner)
+        geom, state = solver.state.geom, solver.state
+        bcells = geom.bcells[:len(geom.bcells) - (odd and len(geom.bcells) % 2 == 0)]
+        assert len(bcells) % 2 == odd
         rows = None if rows is None else np.array(rows)
         results = []
-        for finish in (c, oracle):
-            u = hostile((ND * NB, ncells), seed=ncells)
-            du = hostile((ND * NB, nb), seed=nb)
-            u_bdry = np.full((ND * NB, nbfaces), np.nan)
-            reduced = [np.full((r.rows, ncells), np.nan) for r in MIXED]
+        for finish in (solver.namespace["finish_step"], numpy_finish(state.reductions)):
+            u = hostile((ND * NB, geom.ncells), seed=geom.ncells)
+            du = hostile((ND * NB, len(bcells)), seed=len(bcells))
+            u_bdry = np.full((ND * NB, len(geom.bowner)), np.nan)
+            reduced = [np.full((r.rows, geom.ncells), np.nan) for r in MIXED]
             with np.errstate(invalid="ignore", over="ignore"):
-                finish({}, u, du, u_bdry, reduced, rows)
+                call_finish(finish, state.dt, geom, u, du, u_bdry, reduced, rows, bcells)
+            assert all(np.isnan(r).any() for r in reduced)  # a NaN term reached each
             results.append([u.tobytes(), u_bdry.tobytes(), *(r.tobytes() for r in reduced)])
         assert results[0] == results[1]
 
@@ -286,13 +287,15 @@ class TestCFinish:
         """A wrong dtype, shape or layout, an index out of range, an output
         sharing memory with the unknown: a ``CodegenError``, and the
         function is never called."""
+        from repro.codegen import ctile
         from repro.util.errors import CodegenError
 
         solver = solvers["structured"]
-        c, _, nb = self.both(solver, False)
+        geom, state = solver.state.geom, solver.state
+        c = ctile.Tile(ctile.build(solver.tile.text), solver.tile.finish, state.reductions)
         called = []
         c.fn = lambda *args: called.append(args)
-        ncells, nbfaces = solver.state.geom.ncells, len(solver.state.geom.bowner)
+        ncells, nb, nbfaces = geom.ncells, len(geom.bcells), len(geom.bowner)
         u = np.ones((ND * NB, ncells))
         du, u_bdry = np.ones((ND * NB, nb)), np.ones((ND * NB, nbfaces))
         reduced = [np.zeros((r.rows, ncells)) for r in MIXED]
@@ -300,6 +303,10 @@ class TestCFinish:
         def in_u(columns):  # a C-ordered array over the unknown's memory
             return u.reshape(-1)[:ND * NB * columns].reshape(ND * NB, columns)
 
+        shared = np.ones(ND * NB * max(nb, nbfaces))  # the boundary part and the owner values
+        du_ub = [shared[:ND * NB * k].reshape(ND * NB, k) for k in (nb, nbfaces)]
+        out_of_range = geom.bowner.copy()
+        out_of_range[0] = ncells
         bad = [
             ("no C-ordered float64", (u.astype(np.float32), du, u_bdry, reduced)),
             ("no C-ordered float64", (np.asfortranarray(u), du, u_bdry, reduced)),
@@ -311,19 +318,16 @@ class TestCFinish:
             ("into its input", (u, du, u_bdry, [u[:NB], reduced[1]])),
             ("shares memory", (u, du, in_u(nbfaces), reduced)),
             ("shares memory", (u, in_u(nb), u_bdry, reduced)),
+            ("share memory with the boundary part", (u, *du_ub, reduced)),
         ]
-        for match, args in bad:
+        for match, (u_, du_, ub, red, *rows) in bad:
             with pytest.raises(CodegenError, match=match):
-                c({}, *args)
-        c.bcells = c.bcells[::-1]
+                c({}, (state.dt,), rows[0] if rows else None, u_, u_, ub, geom.bcells, du_,
+                  geom.bowner, red)
         with pytest.raises(CodegenError, match="not increasing"):
-            c({}, u, du, u_bdry, reduced)
-        c.bcells = c.bcells[::-1]
-        out_of_range = c.bowner.copy()
-        out_of_range[0] = ncells
-        c.bowner = out_of_range
+            c({}, (state.dt,), None, u, u, u_bdry, geom.bcells[::-1], du, geom.bowner, reduced)
         with pytest.raises(CodegenError, match="out of range"):
-            c({}, u, du, u_bdry, reduced)
+            c({}, (state.dt,), None, u, u, u_bdry, geom.bcells, du, out_of_range, reduced)
         assert not called
 
     @pytest.mark.parametrize("case", ["device", "host", "kernel-fault", "oom-fault"])
@@ -347,8 +351,7 @@ class TestCFinish:
                                   flux=lambda ctx: -0.3 * ctx.owner_values * ctx.normals[:, 1])
             ns, state = solver.namespace, solver.state
             if numpy_body:
-                ns["finish_step"] = numpy_finish(state.dt, state.geom.bcells, ns["BOWNER"],
-                                                 state.reductions)
+                ns["finish_step"] = numpy_finish(state.reductions)
                 ns["FINISH"] = Kernel(body=ns["finish_step"], **FINISH_WORK)
             with fault_run(faults, seed=0):
                 solver.run()

@@ -83,7 +83,7 @@ class TestHoisting:
         # with the boundary part, stored into the rows of u (in place)
         assert statements[-2:] == ["const double v = (r3 + r1);",
                                    "o[c] = ur[c] + v * s0;"]
-        assert "o[bc[k]] = o[bc[k]] + bd[g * nb + k];" in bte_solver.tile.text
+        assert "o[bc[k]] = o[bc[k]] + bd[g * nb + k] * s0;" in bte_solver.tile.text
         sweep = src[src.index("def compute_rhs("):].split("\ndef ")[0]
         assert sweep.count("TILE(state.plans, (dt,), rows, u, u,") == 1
         # no face array at all: one folded operator, straight from ``u``
@@ -101,7 +101,7 @@ class TestHoisting:
         the one row per folded operator and the row it finishes in."""
         src = bte_solver.source
         sweep = src[src.index("def compute_rhs("):].split("\ndef ")[0]
-        tail = sweep[sweep.index("np.multiply(bdry, dt, out=bdry)"):].splitlines()[1:]
+        tail = sweep[sweep.index("bdry = compute_boundary_contribution("):].splitlines()[2:]
         code = [ln.strip() for ln in tail if ln.strip() and not ln.strip().startswith("#")]
         assert code[0].startswith("TILE(") and not any("np." in ln for ln in code)
         assert "state.buffer('tile', (2 * geom.ncells,))" in sweep
@@ -162,7 +162,7 @@ class TestHoisting:
         for faces, values in state.bset.flux_overrides(None, t, dt, state.extra,
                                                         owner_values=owner):
             flux[:, geom.bface_slot[faces]] = values
-        bdry = kernels.slot_divergence(geom.divergence_slots(geom.bcells, geom.bfaces), flux,
+        bdry = kernels.slot_divergence(geom.divergence_rows(geom.bcells, geom.bfaces), flux,
                                        np.empty((state.ncomp, len(geom.bcells))))
         # the interior folded, its flat factor after it, as the tile has it
         (fold,) = state.tables(ns["folded_tables"], geom.interior_faces, divergence=True)
@@ -225,7 +225,11 @@ class TestHoisting:
         call = kernel_src[kernel_src.index("TILE("):]
         assert call.startswith("TILE(state.plans, (dt,), rows, u, u_new,")
         assert "None, None, None, (), fold_s0, tmap_d, coef_vg, swp_v0, tmap_b, swp_v1)" in call
-        assert solver.tile == build_bte_problem(tiny_scenario)[0].generate().tile
+        # the host program's unit, its finish printed after it
+        host = build_bte_problem(tiny_scenario)[0].generate().tile
+        assert solver.tile.text.startswith(host.text) and host.finish is None
+        assert solver.tile._replace(text="", boundary=None, finish=None) == host._replace(
+            text="", boundary=None)
         assert "slot_divergence" not in kernel_src and "face_pool" not in kernel_src
         assert "for sel, n, " not in kernel_src and "np.where" not in kernel_src
         # the CPU boundary part — the one every target calls — forms the

@@ -1,8 +1,8 @@
 """Every sweep as generated C (:mod:`repro.codegen.ctile`): one library
-per equation shape, built once per process, loaded where nothing is left
-behind, one foreign call per sweep, the NumPy record's bits, arguments
-checked before any pointer is passed, and a missing or failing compiler as
-RPR142."""
+per program shape (a device program's holds its finish), built once per
+process, loaded where nothing is left behind, one foreign call per sweep,
+the NumPy record's bits, arguments checked before any pointer is passed,
+and a missing or failing compiler as RPR142."""
 
 from __future__ import annotations
 
@@ -58,22 +58,41 @@ def compiles(monkeypatch) -> list:
 
 def test_three_programs_compile_once_and_a_warm_generate_compiles_nothing(compiles):
     """Hot spot on the host and on the device, corner source on the host:
-    one tile text and the device program's fixed finish, two compiler runs;
-    the warm ``generate()`` of each is a cache hit that compiles nothing —
-    and the C build is no artifact build."""
+    one text per program shape — the host programs' one, the device
+    program's with its finish printed in — two compiler runs; the warm
+    ``generate()`` of each is a cache hit that compiles nothing — and the C
+    build is no artifact build."""
     with cache_scope() as cache:
         solvers = [program(kind, target).generate()
                    for kind, target in (("hotspot", "cpu"), ("hotspot", "gpu"),
                                         ("corner", "cpu"))]
         assert solvers[1].state.device is not None  # the device kernel, really
-        assert len({s.tile.text for s in solvers}) == 1 and len(compiles) == 2
-        assert cache.stats.builds == 3
+        assert solvers[0].tile.text == solvers[2].tile.text != solvers[1].tile.text
+        assert len(compiles) == 2 and cache.stats.builds == 3
         for kind, target in (("hotspot", "cpu"), ("hotspot", "gpu"), ("corner", "cpu")):
             program(kind, target).generate()
         assert len(compiles) == 2 and cache.stats.builds == 3 and cache.stats.memory_hits == 3
     for solver in solvers:
         solver.run(2)
         assert np.isfinite(solver.solution()).all()
+
+
+def test_a_device_program_is_one_library_that_holds_its_finish(compiles):
+    """A cold ``generate()`` of a device-placed program with no library
+    built yet runs the compiler once: the tile's unit, its boundary part and
+    its ``finish_step`` are one text, and the three functions are of that
+    library."""
+    with cache_scope():
+        problem = program("hotspot", "gpu")
+        problem.extra["placement_override"] = {"finish_step": "gpu"}
+        solver = problem.generate()
+    (build,) = ctile._BUILDS.values()
+    ns = solver.namespace
+    assert len(compiles) == 1 and build.text == solver.tile.text and "void finish(" in build.text
+    assert ns["TILE"].lib is ns["BOUNDARY"].lib is ns["finish_step"].lib is build
+    solver.run(2)
+    assert [r.kernel for r in solver.device.profiler.launches][:2] == [
+        "I_interior_step", "finish_step"]
 
 
 def test_the_library_leaves_nothing_behind_or_lands_in_the_cache_directory(
@@ -532,26 +551,46 @@ def test_the_vectorized_tile_is_the_numpy_tile_bit_for_bit(width, store):
     assert got.tobytes() == expected.tobytes()
 
 
+#: a two-sided surface statement reading a known variable per face
+KNOWN_AVERAGE = "surface(vg[b] / Io[b] * Sx[d] * average(I[d,b]))"
+
+
 @pytest.mark.parametrize("target, ranks, finish, fault", [
     ("gpu", 1, None, None), ("gpu", 1, "gpu", None), ("gpu_distributed", 2, None, None),
     ("gpu_distributed", 3, "gpu", None), ("gpu_distributed", 4, "gpu", None),
-    ("cpu", 1, None, None), ("gpu", 1, "gpu", "kernel:device=gpu0,op=launch,at=3")],
+    ("cpu", 1, None, None), ("gpu", 1, "gpu", "kernel:device=gpu0,op=launch,at=3"),
+    ("known-average-cpu", 1, None, None), ("known-average-gpu", 1, "gpu", None)],
     ids=["gpu-None", "gpu-gpu", "gpu_distributed-None", "gpu_distributed3-gpu",
-         "gpu_distributed4-gpu", "rk2-None", "gpu-gpu-kernel-fault"])
+         "gpu_distributed4-gpu", "rk2-None", "gpu-gpu-kernel-fault", "known-average-cpu",
+         "known-average-gpu"])
 def test_a_device_step_resolves_its_arguments_once_per_buffer(target, ranks, finish, fault,
                                                               monkeypatch):
     """The tile and the finish resolve their arguments once per state and
     call site, not once per step, per half of the double buffer or per RK
     stage: a band rank's are held in its own state, never evicted by its
     peers'.  A step a device fault degrades runs over the host's arrays and
-    resolves once each way, onto them and back."""
+    resolves once each way, onto them and back.  A known variable's
+    per-sweep definition over the faces (``known-average``, on the host and
+    in the device kernel) is written into the same array every step."""
     from repro.runtime.faults import fault_run
     from repro.util.context import current
+    from tests.codegen.test_fold_selection import indexed_problem
 
     resolved: list = []
-    for cls in (ctile.Tile, ctile.Finish):
-        monkeypatch.setattr(cls, "_pointers", lambda self, *args, _resolve=cls._pointers:
-                            resolved.append(self.symbol) or _resolve(self, *args))
+    monkeypatch.setattr(ctile.Tile, "_pointers", lambda self, *args, _resolve=ctile.Tile._pointers:
+                        resolved.append(self.symbol) or _resolve(self, *args))
+    if target.startswith("known-average"):
+        problem = indexed_problem(KNOWN_AVERAGE)
+        if target.endswith("gpu"):
+            problem.enable_gpu()
+            problem.extra["gpu_force_offload"] = True
+            problem.extra["placement_override"] = {"finish_step": finish}
+        solver = problem.generate()
+        assert solver.tile.shape == "faces" and "swp_s0" in solver.tile.operands
+        solver.run(6)
+        assert resolved.count("tile") == 1
+        assert resolved.count("finish") == target.endswith("gpu")
+        return
     scenario = hotspot_scenario(nx=8, ny=8, ndirs=4, n_freq_bands=4, nsteps=30)
     problem, _ = build_bte_problem(scenario)
     if target == "cpu":

@@ -296,7 +296,7 @@ class TestTablesFollowTheRankState:
             fresh = ns["folded_tables"](
                 g.normal[g.interior_faces], g.face_dist[g.interior_faces],
                 g.owner[g.interior_faces], g.neighbor_column[g.interior_faces],
-                g.divergence_slots(faces=g.interior_faces))
+                g.divergence_rows(faces=g.interior_faces))
             for have, want in zip(st._tables["folded_tables"][1], fresh):
                 assert all(map(np.array_equal, have, want))  # the folded operator
         # ... and so are the scratch and the boundary faces' loop: nothing a
@@ -349,7 +349,7 @@ class TestTablesFollowTheRankState:
             fresh = ns["folded_tables"](
                 g.normal[g.interior_faces], g.face_dist[g.interior_faces],
                 g.owner[g.interior_faces], g.neighbor_column[g.interior_faces],
-                g.divergence_slots(faces=g.interior_faces))
+                g.divergence_rows(faces=g.interior_faces))
             for have, want in zip(st._tables["folded_tables"][1], fresh):
                 assert all(map(np.array_equal, have, want))
 

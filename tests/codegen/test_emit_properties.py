@@ -212,7 +212,7 @@ def _definitions(emitted: EmittedExpr, scope: dict, sweep=()) -> None:
     sel = scope["sel"]
     for line in (hoisted_lines(emitted.tables)
                  + hoisted_lines([h for h in defs if h.rows], emitted.sweep_registers,
-                                 "buffer", width)
+                                 "buffer", width, rows)
                  + hoisted_lines([h for h in defs if not h.rows], 0, "buffer", width, rows)):
         exec(line, scope)  # noqa: S102 - executing our own emission
     scope["sel"] = sel

@@ -391,8 +391,8 @@ def test_upwind_gather_equals_the_select_of_two_gathers(rows):
     tables = [geom.normal[faces], geom.face_dist[faces], geom.owner[faces],
               geom.neighbor_column[faces]]
     mask, projected, columns = ns["invariant_tables"](*tables)
-    slots = geom.divergence_slots(faces=faces)
-    fold = kernels.fold_upwind(slots, projected, columns, geom.ncells)
+    fold = kernels.fold_upwind(geom.divergence_rows(faces=faces), projected, columns,
+                               geom.ncells)
     # the operator the C tile reads is this one
     (held,) = state.tables(ns["folded_tables"], faces, divergence=True)
     assert all(map(np.array_equal, held, fold))

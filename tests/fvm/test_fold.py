@@ -37,7 +37,7 @@ NB = 3  # components per direction row
 def renumbered(mesh, seed: int, cells: bool):
     """``mesh`` with its cells numbered at random, or each cell's corners
     listed from one at random (which numbers the faces, so the order in
-    which a cell's faces fill its slots, differently)."""
+    which a cell's faces fill its rows, differently)."""
     rng = np.random.default_rng(seed)
     if cells:
         order = rng.permutation(mesh.ncells)
@@ -67,21 +67,33 @@ def directions(dim: int, seed: int) -> np.ndarray:
 
 
 def interior_operator(geom: FVGeometry, s: np.ndarray):
-    """``(slots, table, columns)`` of the interior faces, as the generated
-    ``invariant_tables`` builds them for ``upwind(s, u)``."""
+    """``(rows, table, columns)`` of the interior faces, as the generated
+    ``invariant_tables`` builds them for ``upwind(s, u)``: ``rows`` the
+    divergence's CSR rows, read off the scipy matrix (the oracle of the
+    ones ``geom.divergence_rows`` builds without one)."""
     faces = geom.interior_faces
     table = s @ geom.normal[faces].T
     columns = np.where(table > 0.0, geom.owner[faces], geom.neighbor_column[faces])
-    return geom.divergence_slots(faces=faces), table, columns
+    return csr_rows(geom.divergence[:, faces]), table, columns
 
 
-def gather_form(slots, table, columns, u, table_rows) -> np.ndarray:
+def csr_rows(matrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The storage of a canonical scipy CSR matrix, as ``kernels.entry_rows``
+    returns it."""
+    assert matrix.has_canonical_format
+    return matrix.indptr.astype(np.int64), matrix.indices.astype(np.int64), matrix.data
+
+
+def gather_form(rows, table, columns, u, table_rows) -> np.ndarray:
     """Per row ``i`` (table row ``r``): ``own[r] * u[i]``, then every cell's
-    inflow entries added in slot order — the operator's gather form."""
+    inflow entries added in slot order (entry ``k`` of every cell, one
+    without it at weight zero) — the operator's gather form."""
     own, terms, ncells = np.zeros((len(table), u.shape[1])), [], u.shape[1]
-    for faces, weights, where in slots:
-        cells = where if getattr(where, "dtype", bool) != bool else np.arange(ncells)
-        w = np.where(where, weights, 0.0) if cells is not where else weights
+    indptr, indices, data = rows
+    counts, cells = np.diff(indptr), np.arange(ncells)
+    for k in range(counts.max(initial=0)):
+        at = np.where(counts > k, indptr[:-1] + k, 0)
+        faces, w = indices[at], np.where(counts > k, data[at], 0.0)
         coef, cols = table[:, faces] * w, columns[:, faces]
         own[:, cells] += np.where(cols == cells, coef, 0.0)
         terms.append((cells, cols, np.where((cols != cells) & (cols >= 0), coef, 0.0)))
@@ -123,8 +135,8 @@ def face_centric(geom: FVGeometry, table, columns, u, table_rows) -> np.ndarray:
 def test_folded_operator_equals_gather_scale_divergence(mesh, seed):
     geom = FVGeometry(MESHES[mesh](seed))
     s = directions(geom.dim, seed)
-    slots, table, columns = interior_operator(geom, s)
-    op = kernels.fold_upwind(slots, table, columns, geom.ncells)
+    rows, table, columns = interior_operator(geom, s)
+    op = kernels.fold_upwind(rows, table, columns, geom.ncells)
     table_rows = np.repeat(np.arange(len(s)), NB)
     u = np.random.default_rng(seed).standard_normal((len(table_rows), geom.ncells))
     expected = face_centric(geom, table, columns, u, table_rows)
@@ -132,16 +144,16 @@ def test_folded_operator_equals_gather_scale_divergence(mesh, seed):
     got = apply_folded(op, u, kernels.table_runs(table_rows), out, work)
     assert got is out
     assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
-    assert got.tobytes() == gather_form(slots, table, columns, u, table_rows).tobytes()
+    assert got.tobytes() == gather_form(rows, table, columns, u, table_rows).tobytes()
 
     # index-array selectors — a b-outer ``assemblyLoops`` block (one component
     # of every direction), a band rank's strided rows — and tiles that
     # straddle table rows: each row is computed on its own, so bit for bit
     for sel in (np.arange(0, len(u), NB), np.array([1, 2, 4, 5, 10, 11]),
                 slice(2, 8), slice(NB - 1, NB + 1)):
-        rows = u[sel]
-        part = apply_folded(op, rows, kernels.table_runs(table_rows[sel]),
-                                    np.full(rows.shape, np.nan), work[:len(rows)])
+        block = u[sel]
+        part = apply_folded(op, block, kernels.table_runs(table_rows[sel]),
+                                    np.full(block.shape, np.nan), work[:len(block)])
         assert part.tobytes() == got[sel].tobytes()
     for height in (1, 2, 7):
         for tile in (slice(lo, lo + height) for lo in range(0, len(u), height)):
@@ -180,8 +192,8 @@ def test_inflow_count_varies_per_cell_and_per_row():
     at most one — and every (row, cell) keeps exactly its own."""
     geom = FVGeometry(structured_grid((3, 3, 3)))
     s = np.array([[1.0, 1.0, 1.0], [0.0, 0.0, 1.0]]) / np.sqrt([[3.0], [1.0]])
-    slots, table, columns = interior_operator(geom, s)
-    op = kernels.fold_upwind(slots, table, columns, geom.ncells)
+    rows, table, columns = interior_operator(geom, s)
+    op = kernels.fold_upwind(rows, table, columns, geom.ncells)
     assert np.diff(op.begin).tolist() == [3, 1]
     used = [sum((dense(op, e, geom.ncells)[1] != 0.0).astype(int) for e in row_entries(op, r))
             for r in range(2)]
@@ -232,10 +244,10 @@ def test_a_scattered_numbering_keeps_gathers_in_a_small_build():
     order = np.random.default_rng(0).permutation(grid.ncells)
     geom = FVGeometry(build_mesh(grid.nodes, [grid.cell_nodes(c) for c in order]))
     s = directions(2, 0)
-    slots, table, columns = interior_operator(geom, s)
+    rows, table, columns = interior_operator(geom, s)
     tracemalloc.start()
     try:
-        op = kernels.fold_upwind(slots, table, columns, geom.ncells)
+        op = kernels.fold_upwind(rows, table, columns, geom.ncells)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -245,7 +257,7 @@ def test_a_scattered_numbering_keeps_gathers_in_a_small_build():
     u = np.random.default_rng(1).standard_normal((len(table_rows), geom.ncells))
     got = apply_folded(op, u, kernels.table_runs(table_rows),
                                np.empty_like(u), np.empty_like(u))
-    assert got.tobytes() == gather_form(slots, table, columns, u, table_rows).tobytes()
+    assert got.tobytes() == gather_form(rows, table, columns, u, table_rows).tobytes()
 
 
 @pytest.mark.parametrize("move", ["cells", "read"])
@@ -254,11 +266,11 @@ def test_a_shifted_offset_range_is_caught(move):
     changes the result: the gather form tells it apart."""
     geom = FVGeometry(structured_grid((6, 5)))
     s = directions(2, 0)
-    slots, table, columns = interior_operator(geom, s)
-    op = kernels.fold_upwind(slots, table, columns, geom.ncells)
+    rows, table, columns = interior_operator(geom, s)
+    op = kernels.fold_upwind(rows, table, columns, geom.ncells)
     table_rows = np.repeat(np.arange(len(s)), NB)
     u = np.random.default_rng(0).standard_normal((len(table_rows), geom.ncells))
-    expected = gather_form(slots, table, columns, u, table_rows)
+    expected = gather_form(rows, table, columns, u, table_rows)
     entry = op.entries[op.begin[-2]]  # the last row's first, an offset entry
     assert entry[3] < 0
     step = 1 if entry[1] + (entry[2] if move == "read" else 0) < geom.ncells else -1
@@ -281,7 +293,7 @@ def fold_whole_divergence(shape):
     table = s @ geom.normal.T
     columns = np.where(table > 0.0, geom.owner, geom.neighbor_column)
     assert (columns < 0).any()
-    op = kernels.fold_upwind(geom.divergence_slots(), table, columns, geom.ncells)
+    op = kernels.fold_upwind(csr_rows(geom.divergence), table, columns, geom.ncells)
     u = np.random.default_rng(0).standard_normal((1, geom.ncells))
     reads_cell = columns[0] >= 0
     expected = geom.divergence @ np.where(
@@ -309,9 +321,9 @@ def test_a_boundary_face_has_no_offset():
 @pytest.mark.parametrize("shape", [(1, 1), (1,)])
 def test_a_mesh_without_interior_faces_folds_to_nothing(shape):
     geom = FVGeometry(structured_grid(shape))
-    slots, table, columns = interior_operator(geom, np.eye(geom.dim)[:1])
-    assert slots == []
-    op = kernels.fold_upwind(slots, table, columns, geom.ncells)
+    rows, table, columns = interior_operator(geom, np.eye(geom.dim)[:1])
+    assert rows[0].tolist() == [0] * (geom.ncells + 1) and not len(rows[1])
+    op = kernels.fold_upwind(rows, table, columns, geom.ncells)
     assert op.begin.tolist() == [0, 0] and not len(op.entries) and not op.own.any()
     u = np.ones((2, geom.ncells))
     out = apply_folded(op, u, [(0, 2, 0)], np.full_like(u, np.nan), u.copy())

@@ -1,7 +1,8 @@
 """The pieces a sweep is built from, each against the form it replaced.
 
-* gather-form surface divergence == ``geom.divergence @ x`` (CSR), bit for
-  bit, on every mesh kind and on the device targets' column-sliced
+* the surface divergence over the CSR rows the geometry builds without a
+  matrix == ``geom.divergence @ x`` (scipy), bit for bit, on every mesh kind
+  (a scattered numbering too) and on the device targets' column-sliced
   operators, with signed zeros, inf and NaN in ``x``;
 * the runs of equal table rows and the operator's rows in storage order
   (``kernels.table_runs``, ``kernels.entry_rows``);
@@ -58,20 +59,27 @@ def hostile(shape, seed=0):
     return x
 
 
-def csr_slots(matrix) -> list[tuple[np.ndarray, np.ndarray, object]]:
-    """``kernels.entry_slots`` of a scipy CSR matrix (canonical: sorted
-    indices): the oracle of the slots the geometry builds without one."""
-    rows = np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr))
-    return kernels.entry_slots(rows, matrix.indices, matrix.data, matrix.shape)
+def scattered():
+    """A structured grid with its cells numbered at random."""
+    grid = structured_grid((6, 5))
+    order = np.random.default_rng(5).permutation(grid.ncells)
+    return build_mesh(grid.nodes, [grid.cell_nodes(c) for c in order])
+
+
+def csr_rows(matrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The storage of a canonical scipy CSR matrix (sorted indices): the
+    oracle of the rows the geometry builds without one."""
+    assert matrix.has_canonical_format
+    return matrix.indptr.astype(np.int64), matrix.indices.astype(np.int64), matrix.data
 
 
 # --------------------------------------------------------------------------
-# gather-form divergence
+# the divergence over its CSR rows
 # --------------------------------------------------------------------------
 
-@pytest.mark.parametrize("mesh", sorted(MESHES))
+@pytest.mark.parametrize("mesh", sorted({**MESHES, "scattered": scattered}))
 def test_surface_divergence_equals_the_csr_product_bitwise(mesh):
-    geom = FVGeometry(MESHES[mesh]())
+    geom = FVGeometry({**MESHES, "scattered": scattered}[mesh]())
     x = hostile((7, geom.nfaces))
     with np.errstate(invalid="ignore"):
         expected = (geom.divergence @ x.T).T
@@ -94,15 +102,12 @@ def test_column_sliced_operators_equal_their_csr_product_bitwise(mesh, part):
     geom = FVGeometry(MESHES[mesh]())
     faces = np.flatnonzero(geom.interior_mask) if part == "interior" else geom.bfaces
     operator = geom.divergence[:, faces]
-    slots = csr_slots(operator)
     x = hostile((5, len(faces)), seed=1)
     with np.errstate(invalid="ignore"):
         expected = (operator @ x.T).T
         out = np.full((5, geom.ncells), np.nan)
-        got = kernels.slot_divergence(slots, x, out, np.full_like(out, np.nan))
+        got = kernels.slot_divergence(csr_rows(operator), x, out, np.full_like(out, np.nan))
     assert got is out and got.tobytes() == expected.tobytes()
-    kinds = {True if w is True else w.dtype.kind for _, _, w in slots}
-    assert kinds <= {True, "b", "i"}
 
 
 @pytest.mark.parametrize("mesh", sorted(MESHES))
@@ -117,11 +122,11 @@ def test_boundary_cell_rows_of_the_operator_equal_its_dense_columns_bitwise(mesh
     x = hostile((5, len(geom.bfaces)), seed=3)
     with np.errstate(invalid="ignore"):
         dense = kernels.slot_divergence(
-            csr_slots(geom.divergence[:, geom.bfaces]), x,
+            csr_rows(geom.divergence[:, geom.bfaces]), x,
             np.full((5, geom.ncells), np.nan))
         out, work = np.full((2, 5, len(geom.bcells)), np.nan)
         compact = kernels.slot_divergence(
-            csr_slots(geom.divergence[geom.bcells][:, geom.bfaces]), x, out, work)
+            csr_rows(geom.divergence[geom.bcells][:, geom.bfaces]), x, out, work)
     assert compact.tobytes() == dense[:, geom.bcells].tobytes()
     rest = np.setdiff1d(np.arange(geom.ncells), geom.bcells)
     assert not dense[:, rest].any() and not np.signbit(dense[:, rest]).any()
@@ -138,35 +143,31 @@ def test_first_slot_reproduces_the_csr_start_from_positive_zero():
 
 
 # --------------------------------------------------------------------------
-# the slot builder: straight from owner/neighbour, no matrix
+# the rows builder: straight from owner/neighbour, no matrix, read slot by slot
 # --------------------------------------------------------------------------
 
 def assert_same_slots(got, expected):
-    assert len(got) == len(expected)
-    for (faces, weights, where), (efaces, eweights, ewhere) in zip(got, expected):
-        assert faces.dtype == efaces.dtype and np.array_equal(faces, efaces)
-        assert weights.tobytes() == eweights.tobytes()
-        if ewhere is True:
-            assert where is True
-        else:
-            assert where.dtype == ewhere.dtype and np.array_equal(where, ewhere)
+    """The same CSR rows, and the same slots read off them."""
+    for a, b in zip(got, expected, strict=True):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    for a, b in zip(kernels._slots(got), kernels._slots(expected), strict=True):
+        assert a.tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize("mesh", sorted(SLOT_MESHES))
 def test_divergence_slots_equal_the_slots_of_the_sliced_scipy_matrix(mesh):
-    """``geom.divergence_slots(cells, faces)`` filters and renumbers COO
+    """``geom.divergence_rows(cells, faces)`` filters and renumbers COO
     entries; the oracle slices the scipy CSR matrix (which stores a row's
-    entries by column) and reads its storage: entry for entry the same, for
-    the full operator and the three restrictions the device targets use."""
+    entries by column) and reads its storage: entry for entry, and slot for
+    slot, the same, for the full operator and the three restrictions the
+    device targets use."""
     geom = FVGeometry(SLOT_MESHES[mesh]())
     D, inter = geom.divergence, np.flatnonzero(geom.interior_mask)
-    assert D.has_canonical_format
-    assert_same_slots(geom.divergence_slots(), csr_slots(D))
-    assert_same_slots(geom.divergence_slots(faces=inter), csr_slots(D[:, inter]))
-    assert_same_slots(geom.divergence_slots(faces=geom.bfaces),
-                      csr_slots(D[:, geom.bfaces]))
-    assert_same_slots(geom.divergence_slots(geom.bcells, geom.bfaces),
-                      csr_slots(D[geom.bcells][:, geom.bfaces]))
+    assert_same_slots(geom.divergence_rows(), csr_rows(D))
+    assert_same_slots(geom.divergence_rows(faces=inter), csr_rows(D[:, inter]))
+    assert_same_slots(geom.divergence_rows(faces=geom.bfaces), csr_rows(D[:, geom.bfaces]))
+    assert_same_slots(geom.divergence_rows(geom.bcells, geom.bfaces),
+                      csr_rows(D[geom.bcells][:, geom.bfaces]))
 
 
 def test_entry_slots_order_a_row_by_column_not_by_insertion():
@@ -174,13 +175,15 @@ def test_entry_slots_order_a_row_by_column_not_by_insertion():
     ``tocsr`` stores each row by column, and the sum order is the bits."""
     rows, cols = np.array([0, 1, 0, 1]), np.array([3, 2, 1, 0])
     vals = np.array([1e16, 1.0, 1.0, -1e16])
-    (f0, w0, all0), (f1, w1, all1) = kernels.entry_slots(rows, cols, vals, (2, 4))
-    assert all0 is True and all1 is True
-    assert f0.tolist() == [1, 0] and f1.tolist() == [3, 2]
-    assert w0.tolist() == [1.0, -1e16] and w1.tolist() == [1e16, 1.0]
+    faces, weights, present = kernels._slots(kernels.entry_rows(rows, cols, vals, (2, 4)))
+    assert present.all()
+    assert faces.tolist() == [[1, 0], [3, 2]]
+    assert weights.tolist() == [[1.0, -1e16], [1e16, 1.0]]
     # an empty operator (one cell, no interior face) has no slots at all
     geom = FVGeometry(structured_grid((1, 1)))
-    assert geom.divergence_slots(faces=np.flatnonzero(geom.interior_mask)) == []
+    indptr, indices, data = geom.divergence_rows(faces=np.flatnonzero(geom.interior_mask))
+    assert indptr.tolist() == [0, 0] and not len(indices) and not len(data)
+    assert all(a.shape == (0, 1) for a in kernels._slots((indptr, indices, data)))
 
 
 # --------------------------------------------------------------------------
