@@ -7,8 +7,8 @@ sides of the unknown, the face statement, the FLUX overrides, each column's
 faces in the divergence's CSR order from ``+0.0``), then the cells — or,
 for the boundary part, only the boundary cells' columns.  :func:`lower`
 prints a program's sweeps as one translation unit from the emitter's
-statement record (:class:`~repro.codegen.emit.Stmt`) — with a device-placed
-interior, the step's ``finish_step`` too — :func:`build` compiles it once,
+statement record (:class:`~repro.codegen.emit.Stmt`) — with a device step's
+``finish_step``, the same for every program — :func:`build` compiles it once,
 and :class:`Tile` calls a function of it through :mod:`ctypes` once per
 sweep, its arguments resolved once per state.
 
@@ -87,7 +87,7 @@ class Lowered(NamedTuple):
     shape: str = "cells"
     #: the boundary part's function, printed into the same unit
     boundary: "Lowered | None" = None
-    #: a device step's ``finish_step``, printed into the same unit
+    #: a device step's ``finish_step``, printed into every unit
     finish: "Lowered | None" = None
     #: per C parameter, how it is passed: ``d`` a double, ``l`` a long, ``p`` a pointer
     codes: str = ""
@@ -378,8 +378,7 @@ def _finish() -> Lowered:
               "const long *restrict own", *_REDUCE), rows, True, "finish")
 
 
-def lower(volume, euler: bool, *, folded=None, surface=None, boundary=None,
-          finish: bool = False) -> Lowered:
+def lower(volume, euler: bool, *, folded=None, surface=None, boundary=None) -> Lowered:
     """The C sweep of a ``volume`` statement (``0.0`` when there are no
     volume terms) and of the surface: a ``folded`` statement (a loop over
     the cells), a two-sided ``surface`` statement (a loop over the faces,
@@ -387,8 +386,8 @@ def lower(volume, euler: bool, *, folded=None, surface=None, boundary=None,
     with ``euler`` it stores the forward-Euler update and reduces the stored
     rows, else the right-hand side.  Into the same unit go ``boundary`` —
     ``(statement, in place)`` — the boundary part (:attr:`Lowered.boundary`;
-    the upwinded side is the value handed in where ``in place``), and with
-    ``finish`` a device step's end (:attr:`Lowered.finish`)."""
+    the upwinded side is the value handed in where ``in place``), and a
+    device step's end (:attr:`Lowered.finish`), the same for every program."""
     tile = _Printer()
     faces: list[str] = []
     if surface is not None:  # the faces first, then the cells read ``dv``
@@ -457,10 +456,9 @@ def lower(volume, euler: bool, *, folded=None, surface=None, boundary=None,
         "the boundary cells' add, the\n   columns a cell rank owns"
         + (", each declared reduction of the stored row. */" if euler else ". */"))
     lowered = tile.unit(comment, head, rows, euler, "faces" if faces else "cells")
-    parts = {"boundary": boundary and _boundary(*boundary), "finish": finish and _finish()}
-    parts = {name: part for name, part in parts.items() if part}
-    text = "\n".join([lowered.text, *(part.text for part in parts.values())])
-    return lowered._replace(text=text, **{n: p._replace(text=text) for n, p in parts.items()})
+    parts = [part for part in (boundary and _boundary(*boundary), _finish()) if part]
+    text = "\n".join([lowered.text, *(part.text for part in parts)])
+    return lowered._replace(text=text, **{p.shape: p._replace(text=text) for p in parts})
 
 
 # ---------------------------------------------------------------------------

@@ -950,14 +950,15 @@ def bind_known(emitter: ExprEmitter, reads: set[str]) -> list[str]:
 
 
 def hoisted_lines(defs: list[Hoisted], registers: int = 0, buffer: str = "state.buffer",
-                  ncells: str = "NCELLS", sweep: tuple[str, str, str] = ("", "", "")) -> list[str]:
+                  ncells: str = "NCELLS", sweep: tuple[str, str, str] = ("", "", ""),
+                  tag: str = "") -> list[str]:
     """Assignments evaluating ``defs``, each over its own rows; the lines of
     definitions that use them find the ``registers`` names ``s<i>`` bound to
     arrays of ``buffer(name, shape)`` as tall as those rows.  A table is a
     fresh array (built once per geometry); a definition read per sweep is
-    written into an array of its own, ``width`` wide (``sweep``: the
-    selector of the sweep's rows, their number, and the faces' count) —
-    over its rows, or with no rows over the sweep's."""
+    written, over its rows or else the sweep's (``sweep``: their selector,
+    their number, the faces' count), into an array keyed by ``tag`` (the
+    sweep's) and its name: two sweeps of one state keep an array each."""
     lines: list[str] = []
     rows = None
     for h in defs:
@@ -972,7 +973,7 @@ def hoisted_lines(defs: list[Hoisted], registers: int = 0, buffer: str = "state.
                       f"{h.name} = np.ascontiguousarray({h.code})"]
         else:
             width = ncells if h.width == "cells" else sweep[2]
-            lines += [f"{h.name} = {buffer}({h.name!r}, "
+            lines += [f"{h.name} = {buffer}({tag + h.name!r}, "
                       f"({'len(sel)' if rows else sweep[1]}, {width}))",
                       f"np.copyto({h.name}, {h.code})"]
     return lines
@@ -1018,7 +1019,8 @@ def _invariant_tables(surface: EmittedExpr,
 
 
 def _definitions(surface: EmittedExpr, volume: EmittedExpr, read: tuple[str, ...],
-                 buffer: str, ncells: str, sweep: tuple[str, str, str], sides: str) -> list[str]:
+                 buffer: str, ncells: str, sweep: tuple[str, str, str], sides: str,
+                 tag: str = "") -> list[str]:
     """What a sweep reads that NumPy evaluates before the call: the
     definitions of known variables, once over their own rows, then those it
     reads (``read``) that read the unknown or have no C form, over the
@@ -1027,7 +1029,7 @@ def _definitions(surface: EmittedExpr, volume: EmittedExpr, read: tuple[str, ...
     defs = surface.sweep + volume.sweep
     late = [h for h in defs if not h.rows and h.name in read]
     lines = hoisted_lines([h for h in defs if h.rows], volume.sweep_registers, buffer, ncells,
-                          sweep)
+                          sweep, tag)
     lines = ["# sub-expressions of known variables, once over their own rows"] * bool(lines) + lines
     if "faces" in read and surface.sweep:  # (a surface definition reads the faces' own)
         lines[:0] = ([f"{name} = faces.normal[{axis - 1}]" for axis, name in _AXIS_NAMES.items()
@@ -1038,7 +1040,7 @@ def _definitions(surface: EmittedExpr, volume: EmittedExpr, read: tuple[str, ...
         lines.append("# what has no C form, in NumPy over the sweep's rows")
     if any(re.search(r"\bu[12]\b", h.code) for h in late):
         lines.append(f"u1, u2 = {sides}")
-    return lines + hoisted_lines(late, 0, buffer, ncells, sweep)
+    return lines + hoisted_lines(late, 0, buffer, ncells, sweep, tag)
 
 
 def _boundary_part(emitter: ExprEmitter, surface: EmittedExpr, tables: str,
@@ -1097,7 +1099,8 @@ def _boundary_part(emitter: ExprEmitter, surface: EmittedExpr, tables: str,
             "                                out=state.buffer('ghost', u_bdry.shape))",
         ]
     body += _definitions(surface, EmittedExpr(0.0, 0), lowered.operands, "state.buffer",
-                         "geom.ncells", ("slice(None)", "NCOMP", "len(bfaces)"), "u_bdry, ghost")
+                         "geom.ncells", ("slice(None)", "NCOMP", "len(bfaces)"), "u_bdry, ghost",
+                         "boundary:")
     body += [f"# face flux: {t}" for t in form.surface_terms]
     args = ", ".join(["state.buffer('boundary_tile', bfaces.shape)", *lowered.operands])
     body += [f"BOUNDARY(state.plans, ({', '.join(['dt', *lowered.scalars])},), None, u_bdry, "
@@ -1124,7 +1127,7 @@ def emit_interior(emitter: ExprEmitter, surface: EmittedExpr, volume: EmittedExp
     fills the post-step callbacks' declared reductions (``state.reduced``);
     other steppers get the RHS back.  On the ``device`` it is a launch over
     the interior faces into ``u_new``, ``interior_kernel(state, u, var_*,
-    u_new, buffer, sel)``, before ``finish_step``, printed into the same unit
+    u_new, buffer, sel)``, before ``finish_step``, printed into every unit
     (:attr:`repro.codegen.ctile.Lowered.finish`).  Either is one C call, ``TILE``: a
     statement folded through the divergence (:meth:`ExprEmitter.
     _fold_divergence`) a loop over the cells, its boundary faces the one
@@ -1144,28 +1147,22 @@ def emit_interior(emitter: ExprEmitter, surface: EmittedExpr, volume: EmittedExp
     upwind = surface.upwind
     part = (surface, bool(upwind and upwind.owner_where and not surface.sides))
     tile = ctile.lower(volume, inplace, folded=folded, surface=surface if two_sided else None,
-                       boundary=part if (folded or device) and form.surface_terms else None,
-                       finish=device)
+                       boundary=part if (folded or device) and form.surface_terms else None)
     setup, invariant, tables = _invariant_tables(surface, volume)
     lines = setup
     if device:
         known = "".join(f"var_{n}, " for n in emitter.referenced_known_variables())
         head = f"def interior_kernel(state, u, {known}u_new, buffer, sel=None):"
-        body = [
+        doc = [
             '"""Interior bulk, uniform work per DOF (paper Sec. III-D): the boundary',
             "faces' part is ``finish_step``'s.  ``sel``: the rows touched (a band",
             "rank's; ``None``, all).  ``buffer(name, shape)``: the workspace (the",
             'device\'s, or the host state\'s when the step degrades); the rest, ``state``\'s."""',
-            "geom = state.geom",
-            "dt = state.dt",
-            "rows = sel",
         ]
         buffer, ncells, loop = "buffer", "NCELLS", "interior"
-        read = ("state.tables(folded_tables, geom.interior_faces, divergence=True)" if folded
-                else "state.tables(invariant_tables, geom.interior_faces)")
     else:
         head = "def compute_rhs(state, u, t, rows=None):"
-        body = [
+        doc = [
             '"""Semi-discrete RHS du/dt: volume sources + surface divergence —',
             "returned, or under forward Euler stepped in place, ``u += dt * rhs`` (a",
             "row reads the unknown only through itself, and the boundary values are",
@@ -1173,13 +1170,12 @@ def emit_interior(emitter: ExprEmitter, surface: EmittedExpr, volume: EmittedExp
             "",
             "``rows`` restricts the sweep to those component rows (a rank's owned",
             'bands); the other rows are left untouched."""',
-            "geom = state.geom",
-            "dt = state.dt",
-            *bind_known(emitter, surface.reads | volume.reads),
         ]
         buffer, ncells, loop = "state.buffer", "geom.ncells", "all"
-        read = ("state.tables(folded_tables, geom.interior_faces, divergence=True)"
-                if folded else "state.tables(invariant_tables)")
+    body = [*doc, "geom = state.geom", "dt = state.dt",
+            *(["rows = sel"] if device else bind_known(emitter, surface.reads | volume.reads))]
+    read = ("state.tables(folded_tables, geom.interior_faces, divergence=True)" if folded else
+            f"state.tables(invariant_tables{', geom.interior_faces' * device})")
     if tables:
         body.append(f"[{tables}] = {read}")
     if two_sided:

@@ -29,7 +29,7 @@ up.  Pinned to the CPU (``placement_override={"finish_step": "cpu"}``) the
 same C function runs on the host arrays after a ``d2h`` of ``u_new`` — the
 paper's "one example configuration", the unknown crossing both ways every
 step — as it does in a step a device fault degrades (a function of the
-program's one library, bound with the tile).
+program's one library, the tile's, bound by :func:`step_env`).
 Either way the device owns the unknown only while ``buffers['u'].on_device``:
 any host access takes it back (:meth:`SolverState.claim_unknown`) and the
 next step uploads it again.  The kernel is handed the state it runs for
@@ -55,6 +55,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.codegen import ctile
 from repro.codegen.emit import EmittedExpr, ExprEmitter
 from repro.codegen.placement import Task, TaskGraph, optimize_placement, plan_transfers
 from repro.codegen.placement.transfers import ArrayUse
@@ -401,11 +402,12 @@ def plan_device_step(problem: "Problem", emitter: ExprEmitter, surface: EmittedE
 
 def step_env(problem: "Problem", state: SolverState, plan: dict) -> dict:
     """What the emitted device step reads that is not in the cache key's
-    static environment: the boundary exchange and fault hooks (``finish_step``
-    is a function of the program's one library, bound with the tile).  What
-    the kernel reads of the geometry is the state's it is launched for."""
-    geom = state.geom
+    static environment: ``finish_step`` (a function of the program's one
+    library, the tile's), the boundary exchange and fault hooks.  What the
+    kernel reads of the geometry is the state's it is launched for."""
+    geom, tile = state.geom, plan["tile"]
     return {
+        "finish_step": ctile.Tile(ctile.build(tile.text), tile.finish, state.reductions),
         # the boundary exchange: the cells with a boundary face, and the
         # owner cell of every boundary face
         "BCELLS": geom.bcells,

@@ -282,8 +282,6 @@ class CodegenTarget:
             env["TILE"] = ctile.Tile(lib, tile, state.reductions)
             if tile.boundary is not None:
                 env["BOUNDARY"] = ctile.Tile(lib, tile.boundary)
-            if tile.finish is not None:
-                env["finish_step"] = ctile.Tile(lib, tile.finish, state.reductions)
         solver = GeneratedSolver(
             self.name, artifact.source, env, state,
             code=artifact.code, module_name=artifact.module_name,

@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from repro.fvm.kernels import entry_rows, laid_out, slot_divergence
+from repro.fvm.kernels import entry_rows, laid_out, row_slots, slot_divergence
 from repro.mesh.mesh import Mesh
 from repro.util.errors import CodegenError
 
@@ -197,9 +197,9 @@ class FVGeometry:
         return held
 
     @cached_property
-    def _rows(self) -> tuple:
-        """:meth:`divergence_rows` of every cell and face, on first use."""
-        return self.divergence_rows()
+    def _slots(self) -> tuple:
+        """:meth:`divergence_rows` of every cell and face, slot by slot: on first use."""
+        return row_slots(self.divergence_rows())
 
     @cached_property
     def interior_faces(self) -> np.ndarray:
@@ -243,7 +243,7 @@ class FVGeometry:
         """
         flux = face_flux if face_flux.ndim == 2 else face_flux[None]
         shape = (len(flux), self.ncells)
-        div = slot_divergence(self._rows, flux,
+        div = slot_divergence(self._slots, flux,
                               np.empty(shape) if out is None else out,
                               np.empty(shape) if work is None else work)
         return div if face_flux.ndim == 2 else div[0]

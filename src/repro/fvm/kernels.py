@@ -51,11 +51,12 @@ def entry_rows(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, shape: tupl
     return indptr, cols[keep].astype(np.int64), vals[keep]
 
 
-def _slots(rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def row_slots(rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The CSR rows ``(indptr, indices, data)`` of :func:`entry_rows` slot by
     slot: ``(faces, weights, present)``, each ``(slots, rows)``, slot ``k``
     the ``k``-th stored entry of every row — its column and its value where
-    the row has one (``present``), padded with the row's first elsewhere."""
+    the row has one (``present``), padded with the operator's first entry
+    elsewhere (every reader masks it by ``present``)."""
     indptr, indices, data = rows
     counts = np.diff(indptr)
     k = np.arange(counts.max(initial=0))[:, None]
@@ -130,7 +131,7 @@ def fold_upwind(rows, table: np.ndarray, columns: np.ndarray, ncells: int) -> Fo
     brick.  Every other row keeps gather entries (:func:`_gather_form`), and
     so does every row of a mesh without such planes (triangles, a scattered
     numbering), decided before anything of the planes' size is allocated."""
-    slots = _slots(rows)
+    slots = row_slots(rows)
     planes = _offset_planes(slots, ncells, table.shape[1])
     if planes is None:
         return _flat(*_gather_form(slots, table, columns, ncells))
@@ -187,7 +188,7 @@ def _flat(own: np.ndarray, rows: list[list[tuple]]) -> FoldedOperator:
 
 def _offset_planes(slots, ncells: int, nfaces: int) -> tuple | None:
     """The planes of :func:`fold_upwind`, from an operator's slots
-    (:func:`_slots`) over ``nfaces`` faces alone: ``(offsets, faces,
+    (:func:`row_slots`) over ``nfaces`` faces alone: ``(offsets, faces,
     weights, cells)`` — per plane its offset and, per cell, the face to that
     offset (``nfaces``: none), the weight of its entry and the cell itself
     (``ncells``: none) — in the order of the planes' mean slot.  ``None``
@@ -268,22 +269,26 @@ def _gather_form(slots, table: np.ndarray, columns: np.ndarray,
                  for r, n in enumerate(used.max(axis=1, initial=0).tolist())]
 
 
-def slot_divergence(rows, flux: np.ndarray, out: np.ndarray,
+def slot_divergence(slots, flux: np.ndarray, out: np.ndarray,
                     work: np.ndarray | None = None) -> np.ndarray:
     """``out[:, c] = sum_k weights_k[c] * flux[:, faces_k[c]]`` over the
-    slots of an operator's CSR rows (:func:`entry_rows`) — what ``(matrix @
+    slots of an operator's CSR rows (:func:`row_slots`) — what ``(matrix @
     flux.T).T`` computes, bit for bit (accumulated from ``+0.0`` in storage
     order, so a ``-0.0`` product leaves ``+0.0`` as CSR does), in the row
     layout of ``flux``: no transposed copy in, no strided read back.
     ``work`` is contiguous scratch of at least ``out``'s size."""
+    faces, weights, present = slots
+    full = present.all(axis=1)
     if work is None or work.size < out.size:
         work = np.empty_like(out)
     term = work.reshape(-1)[:out.size].reshape(out.shape)
-    out.fill(0.0)
-    for faces, weights, present in zip(*_slots(rows)):
-        flux.take(faces, axis=1, out=term, mode="clip")
-        np.multiply(term, weights, out=term)
-        np.add(out, term, out=out, where=present)
+    if not (first := len(full) > 0 and bool(full[0])):  # else slot 0 is formed in ``out``
+        out.fill(0.0)
+    for k in range(len(full)):
+        into = out if k == 0 and first else term
+        flux.take(faces[k], axis=1, out=into, mode="clip")
+        np.multiply(into, weights[k], out=into)
+        np.add(out, 0.0 if into is out else term, out=out, where=True if full[k] else present[k])
     return out
 
 
@@ -400,6 +405,7 @@ __all__ = [
     "entry_rows",
     "FoldedOperator",
     "fold_upwind",
+    "row_slots",
     "slot_divergence",
     "muscl_flux",
 ]

@@ -1,6 +1,6 @@
 """Every sweep as generated C (:mod:`repro.codegen.ctile`): one library
-per program shape (a device program's holds its finish), built once per
-process, loaded where nothing is left behind, one foreign call per sweep,
+per program shape (its unit holds a device step's finish too), built once
+per process, loaded where nothing is left behind, one foreign call per sweep,
 the NumPy record's bits, arguments checked before any pointer is passed,
 and a missing or failing compiler as RPR142."""
 
@@ -58,20 +58,19 @@ def compiles(monkeypatch) -> list:
 
 def test_three_programs_compile_once_and_a_warm_generate_compiles_nothing(compiles):
     """Hot spot on the host and on the device, corner source on the host:
-    one text per program shape — the host programs' one, the device
-    program's with its finish printed in — two compiler runs; the warm
-    ``generate()`` of each is a cache hit that compiles nothing — and the C
-    build is no artifact build."""
+    one text — every unit holds the device step's finish — and one compiler
+    run; the warm ``generate()`` of each is a cache hit that compiles nothing
+    — and the C build is no artifact build."""
     with cache_scope() as cache:
         solvers = [program(kind, target).generate()
                    for kind, target in (("hotspot", "cpu"), ("hotspot", "gpu"),
                                         ("corner", "cpu"))]
         assert solvers[1].state.device is not None  # the device kernel, really
-        assert solvers[0].tile.text == solvers[2].tile.text != solvers[1].tile.text
-        assert len(compiles) == 2 and cache.stats.builds == 3
+        assert len({s.tile.text for s in solvers}) == 1 and len(compiles) == 1
+        assert cache.stats.builds == 3
         for kind, target in (("hotspot", "cpu"), ("hotspot", "gpu"), ("corner", "cpu")):
             program(kind, target).generate()
-        assert len(compiles) == 2 and cache.stats.builds == 3 and cache.stats.memory_hits == 3
+        assert len(compiles) == 1 and cache.stats.builds == 3 and cache.stats.memory_hits == 3
     for solver in solvers:
         solver.run(2)
         assert np.isfinite(solver.solution()).all()
@@ -559,10 +558,11 @@ KNOWN_AVERAGE = "surface(vg[b] / Io[b] * Sx[d] * average(I[d,b]))"
     ("gpu", 1, None, None), ("gpu", 1, "gpu", None), ("gpu_distributed", 2, None, None),
     ("gpu_distributed", 3, "gpu", None), ("gpu_distributed", 4, "gpu", None),
     ("cpu", 1, None, None), ("gpu", 1, "gpu", "kernel:device=gpu0,op=launch,at=3"),
-    ("known-average-cpu", 1, None, None), ("known-average-gpu", 1, "gpu", None)],
+    ("known-average-cpu", 1, None, None), ("known-average-gpu", 1, "gpu", None),
+    ("known-average-gpu", 1, "gpu", "kernel:device=gpu0,op=launch,at=3")],
     ids=["gpu-None", "gpu-gpu", "gpu_distributed-None", "gpu_distributed3-gpu",
          "gpu_distributed4-gpu", "rk2-None", "gpu-gpu-kernel-fault", "known-average-cpu",
-         "known-average-gpu"])
+         "known-average-gpu", "known-average-gpu-kernel-fault"])
 def test_a_device_step_resolves_its_arguments_once_per_buffer(target, ranks, finish, fault,
                                                               monkeypatch):
     """The tile and the finish resolve their arguments once per state and
@@ -571,7 +571,8 @@ def test_a_device_step_resolves_its_arguments_once_per_buffer(target, ranks, fin
     peers'.  A step a device fault degrades runs over the host's arrays and
     resolves once each way, onto them and back.  A known variable's
     per-sweep definition over the faces (``known-average``, on the host and
-    in the device kernel) is written into the same array every step."""
+    in the device kernel) is written into the same array every step, one
+    per sweep: a degraded step's interior leaves the boundary part's be."""
     from repro.runtime.faults import fault_run
     from repro.util.context import current
     from tests.codegen.test_fold_selection import indexed_problem
@@ -585,11 +586,15 @@ def test_a_device_step_resolves_its_arguments_once_per_buffer(target, ranks, fin
             problem.enable_gpu()
             problem.extra["gpu_force_offload"] = True
             problem.extra["placement_override"] = {"finish_step": finish}
-        solver = problem.generate()
-        assert solver.tile.shape == "faces" and "swp_s0" in solver.tile.operands
-        solver.run(6)
-        assert resolved.count("tile") == 1
-        assert resolved.count("finish") == target.endswith("gpu")
+        with fault_run(fault):
+            solver = problem.generate()
+            assert solver.tile.shape == "faces" and "swp_s0" in solver.tile.operands
+            solver.run(8)
+            assert len(current().resilience.degraded) == bool(fault)
+        degraded = 2 if fault else 0  # onto the host's arrays, and back
+        assert resolved.count("tile") == 1 + degraded
+        assert resolved.count("boundary") == target.endswith("gpu")
+        assert resolved.count("finish") == (1 + degraded) * target.endswith("gpu")
         return
     scenario = hotspot_scenario(nx=8, ny=8, ndirs=4, n_freq_bands=4, nsteps=30)
     problem, _ = build_bte_problem(scenario)

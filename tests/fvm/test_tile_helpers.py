@@ -106,7 +106,8 @@ def test_column_sliced_operators_equal_their_csr_product_bitwise(mesh, part):
     with np.errstate(invalid="ignore"):
         expected = (operator @ x.T).T
         out = np.full((5, geom.ncells), np.nan)
-        got = kernels.slot_divergence(csr_rows(operator), x, out, np.full_like(out, np.nan))
+        got = kernels.slot_divergence(kernels.row_slots(csr_rows(operator)), x, out,
+                                      np.full_like(out, np.nan))
     assert got is out and got.tobytes() == expected.tobytes()
 
 
@@ -122,11 +123,12 @@ def test_boundary_cell_rows_of_the_operator_equal_its_dense_columns_bitwise(mesh
     x = hostile((5, len(geom.bfaces)), seed=3)
     with np.errstate(invalid="ignore"):
         dense = kernels.slot_divergence(
-            csr_rows(geom.divergence[:, geom.bfaces]), x,
+            kernels.row_slots(csr_rows(geom.divergence[:, geom.bfaces])), x,
             np.full((5, geom.ncells), np.nan))
         out, work = np.full((2, 5, len(geom.bcells)), np.nan)
         compact = kernels.slot_divergence(
-            csr_rows(geom.divergence[geom.bcells][:, geom.bfaces]), x, out, work)
+            kernels.row_slots(csr_rows(geom.divergence[geom.bcells][:, geom.bfaces])), x,
+            out, work)
     assert compact.tobytes() == dense[:, geom.bcells].tobytes()
     rest = np.setdiff1d(np.arange(geom.ncells), geom.bcells)
     assert not dense[:, rest].any() and not np.signbit(dense[:, rest]).any()
@@ -150,7 +152,7 @@ def assert_same_slots(got, expected):
     """The same CSR rows, and the same slots read off them."""
     for a, b in zip(got, expected, strict=True):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-    for a, b in zip(kernels._slots(got), kernels._slots(expected), strict=True):
+    for a, b in zip(kernels.row_slots(got), kernels.row_slots(expected), strict=True):
         assert a.tobytes() == b.tobytes()
 
 
@@ -175,7 +177,7 @@ def test_entry_slots_order_a_row_by_column_not_by_insertion():
     ``tocsr`` stores each row by column, and the sum order is the bits."""
     rows, cols = np.array([0, 1, 0, 1]), np.array([3, 2, 1, 0])
     vals = np.array([1e16, 1.0, 1.0, -1e16])
-    faces, weights, present = kernels._slots(kernels.entry_rows(rows, cols, vals, (2, 4)))
+    faces, weights, present = kernels.row_slots(kernels.entry_rows(rows, cols, vals, (2, 4)))
     assert present.all()
     assert faces.tolist() == [[1, 0], [3, 2]]
     assert weights.tolist() == [[1.0, -1e16], [1e16, 1.0]]
@@ -183,7 +185,7 @@ def test_entry_slots_order_a_row_by_column_not_by_insertion():
     geom = FVGeometry(structured_grid((1, 1)))
     indptr, indices, data = geom.divergence_rows(faces=np.flatnonzero(geom.interior_mask))
     assert indptr.tolist() == [0, 0] and not len(indices) and not len(data)
-    assert all(a.shape == (0, 1) for a in kernels._slots((indptr, indices, data)))
+    assert all(a.shape == (0, 1) for a in kernels.row_slots((indptr, indices, data)))
 
 
 # --------------------------------------------------------------------------
