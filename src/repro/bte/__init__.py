@@ -37,7 +37,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "pseudo_temperature",
         "band_energy_density",
         "equilibrium_intensity",
-        "energy_to_temperature",
         "total_energy_density",
     ),
     "model": ("BTEModel",),

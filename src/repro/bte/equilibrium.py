@@ -7,12 +7,12 @@ The per-band equilibrium energy density (J/m^3) is
 and the *equilibrium intensity* (the BTE's ``Io``) is its isotropic
 per-solid-angle share ``Io_b = e_b / (4 pi)``.
 
-The post-step temperature update inverts the nonlinear relation
-``sum_b e_b(T) = E`` for the per-cell energy ``E`` obtained by integrating
-the intensity over directions and bands — "the relationship between the
-non-linear phonon energy distribution and temperature is highly non-linear"
-(paper Sec. II-B).  :func:`energy_to_temperature` does this with a
-vectorised, safeguarded Newton iteration over all cells simultaneously.
+The post-step temperature update inverts, per cell, the nonlinear relation
+between the band energies obtained by integrating the intensity over
+directions and the temperature — "the relationship between the non-linear
+phonon energy distribution and temperature is highly non-linear" (paper
+Sec. II-B).  :func:`pseudo_temperature_closure` does this with a
+vectorised, safeguarded quasi-Newton iteration over all cells at once.
 """
 
 from __future__ import annotations
@@ -244,54 +244,9 @@ def pseudo_temperature_closure(
     return T, tau, e_T
 
 
-def energy_to_temperature(
-    bands: BandSet,
-    energy: np.ndarray,
-    T_guess: np.ndarray | float = 300.0,
-    tol: float = 1e-10,
-    max_iter: int = 50,
-    T_floor: float = 1.0,
-    T_ceil: float = 5000.0,
-) -> np.ndarray:
-    """Invert ``E(T) = energy`` per cell (vectorised safeguarded Newton).
-
-    Converges in 2-4 iterations from the previous step's temperature (the
-    solver always passes that as ``T_guess``), relative tolerance ``tol``
-    on the energy residual.
-    """
-    energy = np.asarray(energy, dtype=np.float64)
-    if np.any(energy <= 0):
-        raise SolverError("non-positive phonon energy density in temperature solve")
-    T = np.full_like(energy, float(np.mean(T_guess))) if np.ndim(T_guess) == 0 else (
-        np.array(T_guess, dtype=np.float64, copy=True)
-    )
-    T = np.clip(T, T_floor, T_ceil)
-    scale = np.abs(energy)
-    active = np.ones(energy.shape, dtype=bool)
-    for _ in range(max_iter):
-        resid = total_energy_density(bands, T) - energy
-        if not np.isfinite(resid).all():  # NaN compares False: it would "converge"
-            raise SolverError("non-finite phonon energy density in temperature "
-                              f"solve at cell {_first_non_finite(resid)}")
-        active &= np.abs(resid) > tol * scale
-        if not active.any():
-            return T
-        slope = _band_heat_capacity(bands, T).sum(axis=0)
-        # safeguard: cap the Newton step to keep T physical; frozen once
-        # converged (batch-independent results)
-        step = np.clip(resid / np.maximum(slope, 1e-300), -100.0, 100.0)
-        T = np.where(active, np.clip(T - step, T_floor, T_ceil), T)
-    resid = total_energy_density(bands, T) - energy
-    worst = float(np.max(np.abs(resid) / scale))
-    raise SolverError(
-        f"temperature inversion did not converge (worst residual {worst:.2e})"
-    )
-
-
 __all__ = [
     "bose_einstein",
     "band_energy_density",
     "equilibrium_intensity",
     "total_energy_density",
-    "energy_to_temperature",
 ]

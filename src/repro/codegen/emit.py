@@ -1068,20 +1068,18 @@ def _boundary_part(emitter: ExprEmitter, surface: EmittedExpr, tables: str,
     upwind = surface.upwind
     in_place = upwind is not None and upwind.owner_where and not surface.sides
     setup: list[str] = []
-    body += [*bind_known(emitter, surface.reads), "bfaces = geom.bfaces",
-             "faces = geom.face_loop('boundary')"]
+    body += [*bind_known(emitter, surface.reads), "faces = geom.face_loop('boundary')"]
     if in_place:  # the same tables, over the boundary faces' geometry, and the mask
         setup = _function("def boundary_tables(*geometry):", [
             '"""``invariant_tables`` on the boundary faces, and where the flow enters."""',
             f"[{tables}] = invariant_tables(*geometry)",
             f"return [{tables}, ~{upwind.owner_where.name}[tmap_{upwind.rows}]]"])
-        body.append(f"[{tables}, inflow] = state.tables(boundary_tables, bfaces)")
+        body.append(f"[{tables}, inflow] = state.tables(boundary_tables, 'boundary')")
     elif tables:  # the same tables, over the boundary faces' geometry
-        body.append(f"[{tables}] = state.tables(invariant_tables, bfaces)")
+        body.append(f"[{tables}] = state.tables(invariant_tables, 'boundary')")
     body += [
         "# FLUX-type callbacks, evaluated from the owner values as they came",
-        "overrides = state.bset.flux_values(None, t, dt, state.extra, state.buffer,",
-        "                                   owner_values=u_bdry, slots=True)",
+        "overrides = state.bset.flux_overrides(u_bdry, t, dt, state.extra, slots=True)",
     ]
     if in_place:
         # only ``uw`` is read: the owner value, and where the flow enters the
@@ -1089,20 +1087,19 @@ def _boundary_part(emitter: ExprEmitter, surface: EmittedExpr, tables: str,
         body += [
             "# the upwinded side, in place: ghost values (boundary conditions,",
             "# user callbacks) over the owner values where the flow enters",
-            "state.bset.ghost_values(None, t, dt, state.extra, out=u_bdry, owner_values=u_bdry,",
-            "                        where=inflow)",
+            "state.bset.ghost_values(u_bdry, t, dt, state.extra, u_bdry, where=inflow)",
         ]
     else:
         body += [
             "# ghost values from the boundary conditions (user callbacks)",
-            "ghost = state.bset.ghost_values(None, t, dt, state.extra, owner_values=u_bdry,",
-            "                                out=state.buffer('ghost', u_bdry.shape))",
+            "ghost = state.bset.ghost_values(u_bdry, t, dt, state.extra,",
+            "                                state.buffer('ghost', u_bdry.shape))",
         ]
     body += _definitions(surface, EmittedExpr(0.0, 0), lowered.operands, "state.buffer",
-                         "geom.ncells", ("slice(None)", "NCOMP", "len(bfaces)"), "u_bdry, ghost",
-                         "boundary:")
+                         "geom.ncells", ("slice(None)", "NCOMP", "len(faces.side1)"),
+                         "u_bdry, ghost", "boundary:")
     body += [f"# face flux: {t}" for t in form.surface_terms]
-    args = ", ".join(["state.buffer('boundary_tile', bfaces.shape)", *lowered.operands])
+    args = ", ".join(["state.buffer('boundary_tile', faces.side1.shape)", *lowered.operands])
     body += [f"BOUNDARY(state.plans, ({', '.join(['dt', *lowered.scalars])},), None, u_bdry, "
              f"du_bdry,", f"         {args})"]
     body.append("return du_bdry")
@@ -1174,8 +1171,8 @@ def emit_interior(emitter: ExprEmitter, surface: EmittedExpr, volume: EmittedExp
         buffer, ncells, loop = "state.buffer", "geom.ncells", "all"
     body = [*doc, "geom = state.geom", "dt = state.dt",
             *(["rows = sel"] if device else bind_known(emitter, surface.reads | volume.reads))]
-    read = ("state.tables(folded_tables, geom.interior_faces, divergence=True)" if folded else
-            f"state.tables(invariant_tables{', geom.interior_faces' * device})")
+    read = ("state.tables(folded_tables, 'interior', divergence=True)" if folded else
+            f"state.tables(invariant_tables, {'interior' if device else 'all'!r})")
     if tables:
         body.append(f"[{tables}] = {read}")
     if two_sided:
@@ -1190,13 +1187,15 @@ def emit_interior(emitter: ExprEmitter, surface: EmittedExpr, volume: EmittedExp
     if not (folded or device):
         body += [
             "",
-            "# boundary ghost values and FLUX overrides, once per evaluation",
-            "# (user callbacks execute on the CPU)",
-            "ghost = state.bset.ghost_values(",
-            "    u, t, dt, state.extra, out=state.buffer('ghost', (NCOMP, len(geom.bfaces))))",
+            "# FLUX overrides, then the ghost values formed over the owner values",
+            "# of the boundary faces, once per evaluation (user callbacks execute",
+            "# on the CPU)",
+            "ghost = u.take(geom.bowner, axis=1, mode='clip',",
+            "               out=state.buffer('ghost', (NCOMP, len(geom.bowner))))",
         ]
         if form.surface_terms:
-            body.append("overrides = state.bset.flux_values(u, t, dt, state.extra, state.buffer)")
+            body.append("overrides = state.bset.flux_overrides(ghost, t, dt, state.extra)")
+        body.append("state.bset.ghost_values(ghost, t, dt, state.extra, ghost)")
     elif device and two_sided:
         body.append("ghost, overrides = None, ()  # the interior faces alone")
     sweep = ("slice(None) if rows is None else rows", "NCOMP if rows is None else len(rows)",

@@ -106,7 +106,9 @@ class _TermInterpreter:
 
     def rhs(self, state: SolverState, u: np.ndarray, t: float) -> np.ndarray:
         geom = state.geom
-        ghost = state.bset.ghost_values(u, t, state.dt, state.extra)
+        owner_values = u[:, geom.bowner]
+        ids, overrides = state.bset.flux_overrides(owner_values, t, state.dt, state.extra)
+        ghost = state.bset.ghost_values(owner_values, t, state.dt, state.extra)
         u1, u2 = geom.gather_sides(u, ghost)
         ncomp = state.ncomp
         out = np.zeros_like(u)
@@ -162,10 +164,7 @@ class _TermInterpreter:
                 for term in self.form.surface_terms:
                     value = evaluate(term, lookup_surface)
                     flux += np.broadcast_to(value, (geom.nfaces,))
-                for faces, values in state.bset.flux_overrides(
-                    u, t, state.dt, state.extra
-                ):
-                    flux[faces] = values[flat]
+                flux[ids] = overrides[flat]
                 out[flat] += geom.surface_divergence(flux)
         return out
 

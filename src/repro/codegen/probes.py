@@ -105,20 +105,17 @@ def wall_heat_flux(state, model, region: int) -> float:
         raise ConfigError(f"mesh has no boundary region {region}")
     faces = geom.region_faces[region]
     u = state.u
+    owner_values = u[:, geom.bowner]
 
     bc = state.bset.conditions.get(region)
     if bc is not None and bc.kind == BCKind.FLUX:
-        for f_ids, values in state.bset.flux_overrides(
-            u, state.time, state.dt, state.extra
-        ):
-            if np.array_equal(f_ids, faces):
-                # values are the signed integrand: physical outward density
-                # is its negation, reduced over the solid angle
-                density = -(model.weight_comp @ values)
-                return float((density * geom.area[faces]).sum())
-        raise ConfigError(f"no flux override produced for region {region}")
+        ids, values = state.bset.flux_overrides(owner_values, state.time, state.dt, state.extra)
+        # values are the signed integrand: physical outward density is its
+        # negation, reduced over the solid angle
+        density = -(model.weight_comp @ values[:, np.isin(ids, faces)])
+        return float((density * geom.area[faces]).sum())
 
-    ghost = state.bset.ghost_values(u, state.time, state.dt, state.extra)
+    ghost = state.bset.ghost_values(owner_values, state.time, state.dt, state.extra)
     u1, u2 = geom.gather_sides(u, ghost)
     sdotn = (model.dirs.vectors @ geom.normal[faces].T)[model.comp_dir]
     vg = model.vg_comp[:, None]

@@ -16,12 +16,7 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from repro.fvm.boundary import (
-    BCKind,
-    BoundaryCondition,
-    BoundaryContext,
-    BoundarySet,
-)
+from repro.fvm.boundary import BoundaryCondition, BoundaryContext, BoundarySet
 from repro.fvm.fields import CellField
 from repro.fvm.geometry import FVGeometry
 from repro.obs import phase_span
@@ -90,7 +85,8 @@ class SolverState:
         outputs = iter(self.reduced)
         self.post_step_args = [(next(outputs),) if cb.reduce else ()
                                for cb in problem.post_step_callbacks]
-        self._tables: dict[str, tuple[Any, list]] = {}  # builder name -> (builder, its tables)
+        # (builder name, face set) -> (builder, its tables)
+        self._tables: dict[tuple[str, str], tuple[Any, list]] = {}
         self.plans: dict = {}  # the foreign calls' resolved arguments, one entry per call site
 
         # per-step solver metrics (residual, energy drift) — lazily
@@ -330,23 +326,26 @@ class SolverState:
             self._scratch[name] = buf
         return buf
 
-    def tables(self, build, faces=slice(None), divergence: bool = False) -> list:
+    def tables(self, build, which: str, divergence: bool = False) -> list:
         """The generated code's step-invariant tables over this state's
-        geometry, ``build(normal, face_dist, owner, neighbor_column)`` on
-        ``faces`` (one choice per generated builder) — with ``divergence``
-        also handed the CSR rows of the surface divergence on those faces
-        (ids, then): built on first use and again only for another ``build`` of
-        that name (a recompiled source), so every state — each rank state of
-        each run segment, hence each partition an elastic run migrates to —
-        holds its own."""
-        held = self._tables.get(build.__name__)
+        geometry, ``build(normal, face_dist, owner, neighbor_column)`` on the
+        face set ``which`` (:meth:`repro.fvm.geometry.FVGeometry.faces`) —
+        with ``divergence`` also handed the CSR rows of the surface
+        divergence on those faces: built on first use and again only for
+        another ``build`` of that name (a recompiled source).  One entry per
+        builder and face set, so one builder read on two sets builds twice;
+        and every state — each rank state of each run segment, hence each
+        partition an elastic run migrates to — holds its own."""
+        key = (build.__name__, which)
+        held = self._tables.get(key)
         if held is None or held[0] is not build:
             g = self.geom
+            faces = g.faces(which)
             args = [g.normal[faces], g.face_dist[faces], g.owner[faces],
                     g.neighbor_column[faces]]
             if divergence:
                 args.append(g.divergence_rows(faces=faces))
-            held = self._tables[build.__name__] = (build, build(*args))
+            held = self._tables[key] = (build, build(*args))
         return held[1]
 
     # ----------------------------------------------------------------- initial
@@ -388,31 +387,15 @@ class SolverState:
         return bset
 
     def _lower_boundary_spec(self, spec: "BoundarySpec") -> BoundaryCondition:
-        if spec.kind in (BCKind.DIRICHLET, BCKind.NEUMANN0):
-            return BoundaryCondition(
-                region=spec.region, kind=spec.kind, value=spec.value
-            )
-        if spec.kind == BCKind.SYMMETRY:
-            return BoundaryCondition(
-                region=spec.region,
-                kind=spec.kind,
-                reflection_map=spec.reflection_map,
-            )
-        # FLUX / GHOST_CALLBACK: wrap the user callback so DSL-string
-        # arguments are resolved automatically ("the relevant values for
-        # parameters ... will be interpreted automatically by Finch")
-        if spec.python_callback is not None:
-            fn = spec.python_callback
-            return BoundaryCondition(
-                region=spec.region, kind=spec.kind, callback=fn,
-                name=getattr(fn, "__name__", "callback"),
-            )
-        assert spec.call is not None
-        adapter = self._make_callback_adapter(spec.call)
+        # a DSL callback invocation is wrapped so its string arguments are
+        # resolved automatically ("the relevant values for parameters ...
+        # will be interpreted automatically by Finch")
+        call, fn = spec.call, spec.python_callback
         return BoundaryCondition(
-            region=spec.region, kind=spec.kind, callback=adapter,
-            name=spec.call.func,
-        )
+            region=spec.region, kind=spec.kind, value=spec.value,
+            callback=fn if call is None else self._make_callback_adapter(call),
+            reflection_map=spec.reflection_map,
+            name=getattr(fn, "__name__", "") if call is None else call.func)
 
     def _make_callback_adapter(self, call: Call):
         """Bind a parsed ``isothermal(I, vg, ..., 300)`` invocation.

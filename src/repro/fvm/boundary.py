@@ -9,8 +9,9 @@ The paper handles boundaries in two ways, both supported here:
   ``isothermal`` flux), which are pinned to the CPU by the hybrid codegen and
   may either provide ghost values or directly override the face flux.
 
+Both are evaluated from the owner values of the boundary faces alone.
 Callbacks receive a :class:`BoundaryContext` carrying the region's face
-geometry and the owner-side solution, and return an array of shape
+geometry and those values, and return an array of shape
 ``(ncomp, nfaces_in_region)``.
 """
 
@@ -108,20 +109,21 @@ class BoundaryCondition:
 class BoundarySet:
     """All boundary conditions of one variable on one mesh.
 
-    ``ghost_values`` fills the ghost array consumed by
+    Its one input is the owner values of the boundary faces, ``u[:,
+    geom.bowner]``, shape ``(ncomp, n_boundary_faces)`` (one column per
+    ghost slot): all either method reads of the unknown, and all of it a
+    device-resident step sends back.  ``ghost_values`` forms from them the
+    ghost array consumed by
     :meth:`repro.fvm.geometry.FVGeometry.gather_sides`; ``flux_overrides``
-    yields ``(boundary_slot_ids, flux_values)`` pairs applied after the bulk
-    flux computation.  Symmetry regions may carry *per-region* reflection
-    maps because the mirrored direction depends on the wall's orientation.
-
-    Both read ``u`` only at the owner cells of the boundary faces; a caller
-    that holds just those values — ``u[..., geom.bowner]``, shape
-    ``(ncomp, n_boundary_faces)``: all of the unknown a device-resident
-    step sends back — passes them as ``owner_values`` (and ``u=None``).
+    the FLUX regions' face values, one ``(faces, values)`` pair that replaces
+    the bulk flux on those faces.  Symmetry regions may carry *per-region*
+    reflection maps because the mirrored direction depends on the wall's
+    orientation.
 
     A region's :class:`BoundaryContext` is built once, on first use, and
     handed to the callback every step with only ``owner_values``, ``time``,
-    ``dt`` and ``extra`` (the caller's dict) set anew; :meth:`add` drops all.
+    ``dt`` and ``extra`` (the caller's dict) set anew; the FLUX pair's two
+    arrays are allocated once too.  :meth:`add` drops all.
     """
 
     def __init__(self, geom: FVGeometry, ncomp: int):
@@ -129,7 +131,8 @@ class BoundarySet:
         self.ncomp = ncomp
         self.conditions: dict[int, BoundaryCondition] = {}
         self._contexts: dict[int, BoundaryContext] = {}
-        self._flux_faces: dict[bool, tuple] = {}  # flux_values' pair, by ``slots``
+        self._dirichlet: dict[int, Any] = {}  # a DIRICHLET region's value, as put
+        self._flux: dict[bool, tuple] = {}  # flux_overrides' pair, by ``slots``
 
     def add(self, bc: BoundaryCondition) -> None:
         if bc.region not in self.geom.region_faces:
@@ -143,9 +146,14 @@ class BoundarySet:
             raise ConfigError(
                 f"reflection map length {len(bc.reflection_map)} != ncomp {self.ncomp}"
             )
+        if bc.kind == BCKind.DIRICHLET:
+            val = np.asarray(bc.value, dtype=np.float64)
+            if val.ndim and val.shape != (self.ncomp,):
+                raise ConfigError(f"Dirichlet value shape {val.shape} != ({self.ncomp},)")
+            self._dirichlet[bc.region] = val[:, None] if val.ndim else float(val)
         self.conditions[bc.region] = bc
         self._contexts.clear()
-        self._flux_faces.clear()
+        self._flux.clear()
 
     def _static(self, bc: BoundaryCondition) -> BoundaryContext:
         """The region's context, its geometry gathered on first use."""
@@ -158,44 +166,42 @@ class BoundarySet:
                 g.owner[faces], None, 0.0, 0.0, slots=g.region_slots[bc.region])
         return ctx
 
-    def _context(
-        self, bc: BoundaryCondition, u: np.ndarray | None, time: float, dt: float,
-        extra: dict[str, Any] | None, owner_values: np.ndarray | None = None,
-    ) -> BoundaryContext:
+    def _context(self, bc: BoundaryCondition, owner_values: np.ndarray, time: float,
+                 dt: float, extra: dict[str, Any] | None) -> tuple[BoundaryContext, np.ndarray]:
+        """The region's context, set for this call, and what its callback
+        returned for it."""
         ctx = self._static(bc)
-        ctx.owner_values = (u[..., ctx.owner_cells] if owner_values is None
-                            else owner_values[..., ctx.slots])
+        ctx.owner_values = owner_values[..., ctx.slots]
         ctx.time, ctx.dt, ctx.extra = time, dt, {} if extra is None else extra
-        return ctx
+        vals = np.asarray(bc.callback(ctx), dtype=np.float64)
+        if vals.shape != (self.ncomp, ctx.nfaces):
+            raise ConfigError(
+                f"{'flux' if bc.kind == BCKind.FLUX else 'ghost'} callback on region "
+                f"{bc.region} returned shape {vals.shape}, expected {(self.ncomp, ctx.nfaces)}"
+            )
+        return ctx, vals
 
-    def ghost_values(
-        self,
-        u: np.ndarray | None,
-        time: float = 0.0,
-        dt: float = 0.0,
-        extra: dict[str, Any] | None = None,
-        out: np.ndarray | None = None,
-        owner_values: np.ndarray | None = None,
-        where: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Ghost array of shape ``(ncomp, n_boundary_faces)``, filled into
-        ``out`` when given (a copy of the boundary values either way, never
-        a view of ``u``).
+    def ghost_values(self, owner_values: np.ndarray, time: float, dt: float,
+                     extra: dict[str, Any] | None, out: np.ndarray | None = None,
+                     where: np.ndarray | None = None) -> np.ndarray:
+        """Ghost array of shape ``(ncomp, n_boundary_faces)`` from the owner
+        values, filled into ``out`` when given (a fresh array otherwise);
+        ``out`` may be ``owner_values`` itself.
 
-        FLUX regions get zero-gradient ghosts here (their flux is replaced
-        afterwards by :meth:`flux_overrides`, so the ghost value is unused
-        except for keeping shapes uniform).
+        NEUMANN0 and FLUX regions keep the owner values (zero gradient; a
+        FLUX region's flux is replaced by :meth:`flux_overrides`, so its
+        ghost is unused except for keeping shapes uniform).
 
         ``where`` (boolean, of the ghost array's shape) asks for the ghost
         value at those entries only; the others hold the owner value.  With
         the entries where the flow enters that is the upwinded side of every
-        boundary face — and ``out`` may be ``owner_values`` itself.  Each
-        region keeps its columns of the mask while the same array is passed
-        (a step-invariant table: it may not change in place).
+        boundary face, formed in place.  Each region keeps its columns of the
+        mask while the same array is passed (a step-invariant table: it may
+        not change in place).
         """
-        g = self.geom
-        nb = g.boundary_face_count()
-        ghost = np.empty((self.ncomp, nb), dtype=np.float64) if out is None else out
+        ghost = owner_values.copy() if out is None else out
+        if out is not None and out is not owner_values:
+            ghost[...] = owner_values
 
         def put(ctx: BoundaryContext, values) -> None:
             if where is not None:  # the other entries keep what they hold
@@ -205,88 +211,42 @@ class BoundarySet:
                 values = held
             ghost[:, ctx.slots] = values
 
-        # default: zero gradient everywhere (also covers FLUX regions)
-        if owner_values is None:
-            np.take(u.reshape(self.ncomp, -1), g.bowner, axis=1, out=ghost, mode="clip")
-        elif ghost is not owner_values:
-            ghost[...] = owner_values
         for region, bc in self.conditions.items():
             if bc.kind == BCKind.DIRICHLET:
-                val = np.asarray(bc.value, dtype=np.float64)
-                if val.ndim and val.shape != (self.ncomp,):
-                    raise ConfigError(
-                        f"Dirichlet value shape {val.shape} != ({self.ncomp},)"
-                    )
-                put(self._static(bc), val[:, None] if val.ndim else float(val))
+                put(self._static(bc), self._dirichlet[region])
             elif bc.kind == BCKind.SYMMETRY:
                 # the owner values are in place: read them at the mirrored rows
                 ctx = self._static(bc)
                 put(ctx, ghost[ctx.remember("mirror", (bc.reflection_map,), lambda: (
                     np.asarray(bc.reflection_map)[:, None], ctx.slots))])
             elif bc.kind == BCKind.GHOST_CALLBACK:
-                ctx = self._context(bc, u, time, dt, extra, owner_values)
-                vals = np.asarray(bc.callback(ctx), dtype=np.float64)
-                if vals.shape != (self.ncomp, ctx.nfaces):
-                    raise ConfigError(
-                        f"ghost callback on region {region} returned shape "
-                        f"{vals.shape}, expected {(self.ncomp, ctx.nfaces)}"
-                    )
-                put(ctx, vals)
-            # NEUMANN0, FLUX: zero gradient already in place
+                put(*self._context(bc, owner_values, time, dt, extra))
         return ghost
 
-    def flux_overrides(
-        self,
-        u: np.ndarray | None,
-        time: float = 0.0,
-        dt: float = 0.0,
-        extra: dict[str, Any] | None = None,
-        owner_values: np.ndarray | None = None,
-    ) -> list[tuple[np.ndarray, np.ndarray]]:
-        """``(face_ids, flux_values)`` for every FLUX-callback region.
-
-        ``flux_values`` has shape ``(ncomp, nfaces_in_region)`` and is the
-        flux *per unit area* signed with the owner-outward normal.
+    def flux_overrides(self, owner_values: np.ndarray, time: float, dt: float,
+                       extra: dict[str, Any] | None,
+                       slots: bool = False) -> tuple[np.ndarray, np.ndarray]:
+        """``(faces, values)`` of every FLUX-callback region, region after
+        region: the faces' ids (with ``slots``, their positions among the
+        boundary faces) and ``(ncomp, len(faces))`` values, the flux *per
+        unit area* signed with the owner-outward normal.  Both arrays are
+        the set's, the same pair on every call (what a generated sweep
+        resolves once); the values are written anew.
         """
-        out: list[tuple[np.ndarray, np.ndarray]] = []
-        for region, bc in self.conditions.items():
-            if bc.kind != BCKind.FLUX:
-                continue
-            ctx = self._context(bc, u, time, dt, extra, owner_values)
-            vals = np.asarray(bc.callback(ctx), dtype=np.float64)
-            if vals.shape != (self.ncomp, ctx.nfaces):
-                raise ConfigError(
-                    f"flux callback on region {region} returned shape "
-                    f"{vals.shape}, expected {(self.ncomp, ctx.nfaces)}"
-                )
-            out.append((ctx.faces, vals))
-        return out
-
-    def flux_values(self, u: np.ndarray | None, time: float, dt: float,
-                    extra: dict[str, Any] | None, buffer, owner_values: np.ndarray | None = None,
-                    slots: bool = False) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`flux_overrides` as one pair of arrays a generated sweep
-        reads: the faces of every FLUX region, region after region (ids, or
-        with ``slots`` positions among the boundary faces), held by the set;
-        and their values, copied into ``buffer(name, (ncomp, len(faces)))``."""
-        pairs = self.flux_overrides(u, time, dt, extra, owner_values)
-        faces, values = self._flux_faces.get(slots) or (np.concatenate(
-            [np.zeros(0, np.int64), *(self.geom.bface_slot[f] if slots else f for f, _ in pairs)]
-        ).astype(np.int64), None)
-        buf = buffer(f"flux_values:{slots}", (self.ncomp, len(faces)))
-        if buf is not values:  # (one pair while the buffer is one)
-            self._flux_faces[slots] = faces, buf
-        at = 0
-        for _, v in pairs:
-            buf[:, at:at + v.shape[1]] = v
-            at += v.shape[1]
-        return self._flux_faces[slots]
-
-    def has_callbacks(self) -> bool:
-        return any(
-            bc.kind in (BCKind.FLUX, BCKind.GHOST_CALLBACK)
-            for bc in self.conditions.values()
-        )
+        if not self._flux:
+            ids = np.concatenate([np.zeros(0, np.int64), *(
+                self.geom.region_faces[r] for r, bc in self.conditions.items()
+                if bc.kind == BCKind.FLUX)]).astype(np.int64)
+            values = np.empty((self.ncomp, len(ids)))
+            self._flux.update({False: (ids, values), True: (self.geom.bface_slot[ids], values)})
+        pair = self._flux[slots]
+        values, at = pair[1], 0
+        for bc in self.conditions.values():
+            if bc.kind == BCKind.FLUX:
+                vals = self._context(bc, owner_values, time, dt, extra)[1]
+                values[:, at:at + vals.shape[1]] = vals
+                at += vals.shape[1]
+        return pair
 
 
 __all__ = [

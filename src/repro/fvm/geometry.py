@@ -176,24 +176,33 @@ class FVGeometry:
         return entry_rows(*self._stencil(self.area), (self.ncells, self.nfaces),
                           row_ids=cells, col_ids=faces)
 
+    def faces(self, which: str) -> np.ndarray:
+        """The ids of a face set, sorted: ``"all"``, ``"interior"`` (a cell
+        on both sides) or ``"boundary"`` (``bfaces``, in ghost-slot order) —
+        the one naming of what a generated sweep iterates over, read by
+        :meth:`face_loop` and by a solver state's tables."""
+        if which == "all":
+            return np.arange(self.nfaces)
+        return {"interior": self.interior_faces, "boundary": self.bfaces}[which]
+
     def face_loop(self, which: str) -> FaceLoop:
-        """The faces a generated face loop sweeps (built on first use):
-        ``"all"`` — rows of the unknown, the second side a neighbour or a
-        ghost slot, into every cell; ``"interior"`` — the faces with a cell
-        on both sides; ``"boundary"`` — rows of the boundary faces' owner
-        values (one column per ghost slot), the second side the ghost slot,
-        into the cells with a boundary face (``bcells``)."""
+        """The loop over :meth:`faces` ``(which)`` (built on first use):
+        ``"all"`` and ``"interior"`` read rows of the unknown, the second
+        side a neighbour or (``"all"``) a ghost slot, into every cell;
+        ``"boundary"`` rows of the boundary faces' owner values (one column
+        per ghost slot), the second side the ghost slot, into the cells with
+        a boundary face (``bcells``)."""
         held = self._loops.get(which)
         if held is None:
-            faces = {"all": None, "interior": self.interior_faces, "boundary": self.bfaces}[which]
-            pick = slice(None) if faces is None else faces
-            side1 = np.arange(len(faces)) if which == "boundary" else self.owner[pick]
-            side2 = ~side1 if which == "boundary" else self.neighbor_column[pick]
+            faces = self.faces(which)
+            side1 = np.arange(len(faces)) if which == "boundary" else self.owner[faces]
+            side2 = ~side1 if which == "boundary" else self.neighbor_column[faces]
             rows = self.divergence_rows(self.bcells if which == "boundary" else None, faces)
             held = self._loops[which] = FaceLoop(
-                *(np.ascontiguousarray(a, dtype=np.int64) for a in (side1, side2, self.owner[pick])),
-                np.ascontiguousarray(self.normal[pick].T), np.ascontiguousarray(self.face_dist[pick]),
-                *rows)
+                *(np.ascontiguousarray(a, dtype=np.int64)
+                  for a in (side1, side2, self.owner[faces])),
+                np.ascontiguousarray(self.normal[faces].T),
+                np.ascontiguousarray(self.face_dist[faces]), *rows)
         return held
 
     @cached_property
@@ -253,7 +262,6 @@ class FVGeometry:
         u: np.ndarray,
         ghost: np.ndarray | None = None,
         rows=None,
-        out=None,
     ):
         """Owner-side and neighbour-side values of ``u`` on every face.
 
@@ -263,19 +271,14 @@ class FVGeometry:
 
         ``rows`` restricts the gather to those component rows of ``u`` and
         ``ghost`` (a slice or index array): nothing outside them is read.
-        ``out`` is a pair of ``(>= nrows, nfaces)`` scratch arrays; their
-        leading rows are filled and returned instead of fresh arrays, which
-        is how the tiled kernels gather without allocating.
         """
         if rows is not None:
             u = u[rows]
             if ghost is not None:
                 ghost = ghost[rows]
-        o1, o2 = (None, None) if out is None else (o[: len(u)] for o in out)
-        # mode='clip' only skips take's bounds-check buffering of ``out``;
-        # owner/neighbor_safe are valid cell ids by construction
-        u1 = np.take(u, self.owner, axis=-1, out=o1, mode="clip")
-        u2 = np.take(u, self.neighbor_safe, axis=-1, out=o2, mode="clip")
+        # owner/neighbor_safe are valid cell ids by construction: no bounds check
+        u1 = np.take(u, self.owner, axis=-1, mode="clip")
+        u2 = np.take(u, self.neighbor_safe, axis=-1, mode="clip")
         if ghost is not None and len(self.bfaces):
             u2[..., self.bfaces] = ghost
         return u1, u2

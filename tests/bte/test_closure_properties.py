@@ -22,7 +22,6 @@ from repro.bte.dispersion import BandSet, silicon_bands
 from repro.bte.equilibrium import (
     _band_heat_capacity,
     band_energy_density,
-    energy_to_temperature,
     pseudo_temperature_closure,
 )
 from repro.bte.scattering import relaxation_times
@@ -214,15 +213,6 @@ def test_closure_rejects_a_non_finite_band_energy(poison):
     with pytest.raises(SolverError, match="cell 7") as err:
         pseudo_temperature_closure(BANDS, energy, guess)
     assert err.value.code == "RPR301"
-
-
-def test_energy_to_temperature_rejects_nan():
-    from repro.bte.equilibrium import total_energy_density
-
-    energy = total_energy_density(BANDS, np.full(5, 310.0))
-    energy[3] = np.nan
-    with pytest.raises(SolverError, match="cell 3"):
-        energy_to_temperature(BANDS, energy, 300.0)
 
 
 def test_failed_update_leaves_the_published_fields_untouched():

@@ -10,8 +10,8 @@ from repro.bte.dispersion import silicon_bands
 from repro.bte.equilibrium import (
     band_energy_density,
     bose_einstein,
-    energy_to_temperature,
     equilibrium_intensity,
+    pseudo_temperature,
     total_energy_density,
 )
 from repro.util.errors import SolverError
@@ -64,39 +64,41 @@ class TestEnergyDensity:
 
 
 class TestTemperatureInversion:
+    """The closure the temperature update solves inverts the band energies:
+    an equilibrium distribution's pseudo-temperature is its temperature."""
+
     def test_roundtrip_scalar_grid(self):
         bands = silicon_bands(20)
         T_true = np.array([250.0, 300.0, 333.3, 400.0])
-        E = total_energy_density(bands, T_true)
-        T = energy_to_temperature(bands, E, T_guess=300.0)
+        T = pseudo_temperature(bands, band_energy_density(bands, T_true), T_guess=300.0)
         assert np.allclose(T, T_true, rtol=1e-8)
 
     def test_warm_start_converges_fast(self):
         bands = silicon_bands(20)
-        T_true = np.full(100, 305.0)
-        E = total_energy_density(bands, T_true)
-        T = energy_to_temperature(bands, E, T_guess=np.full(100, 300.0), max_iter=6)
+        e = band_energy_density(bands, np.full(100, 305.0))
+        T = pseudo_temperature(bands, e, T_guess=np.full(100, 300.0), max_iter=6)
         assert np.allclose(T, 305.0, rtol=1e-8)
 
     def test_nonpositive_energy_rejected(self):
         bands = silicon_bands(5)
-        with pytest.raises(SolverError):
-            energy_to_temperature(bands, np.array([0.0]))
+        for energy in (0.0, -1.0):
+            with pytest.raises(SolverError):
+                pseudo_temperature(bands, np.full((bands.nbands, 1), energy))
 
     @given(temp=st.floats(min_value=150.0, max_value=800.0))
     @settings(max_examples=30, deadline=None)
     def test_roundtrip_property(self, temp):
         bands = silicon_bands(8)
-        E = total_energy_density(bands, temp)
-        T = energy_to_temperature(bands, np.array([E]), T_guess=300.0)
+        T = pseudo_temperature(bands, band_energy_density(bands, np.array([temp])),
+                               T_guess=300.0)
         assert T[0] == pytest.approx(temp, rel=1e-7)
 
     def test_vector_of_mixed_temperatures(self):
         bands = silicon_bands(12)
         rng = np.random.default_rng(1)
         T_true = rng.uniform(250, 420, size=500)
-        E = total_energy_density(bands, T_true)
-        T = energy_to_temperature(bands, E, T_guess=np.full(500, 300.0))
+        T = pseudo_temperature(bands, band_energy_density(bands, T_true),
+                               T_guess=np.full(500, 300.0))
         assert np.allclose(T, T_true, rtol=1e-8)
 
 

@@ -56,15 +56,15 @@ class TestHoisting:
         assert not any("?" in ln for ln in _c_statements(bte_solver)[:-1])
         state, ns = bte_solver.state, bte_solver.namespace
         geom = state.geom
-        (fold,) = state.tables(ns["folded_tables"], geom.interior_faces, divergence=True)
+        (fold,) = state.tables(ns["folded_tables"], "interior", divergence=True)
         assert fold.own.shape == (8, geom.ncells) and np.diff(fold.begin).tolist() == [2] * 8
         # the boundary part keeps the face tables, over its own faces
-        mask, projected, columns, inflow = state.tables(ns["boundary_tables"], geom.bfaces)
+        mask, projected, columns, inflow = state.tables(ns["boundary_tables"], "boundary")
         assert projected.shape == mask.shape == columns.shape == (8, len(geom.bfaces))
         assert mask.dtype == bool and np.array_equal(mask, projected > 0.0)
         # ... and, per component, where the flow enters: bound once, not per step
         assert np.array_equal(inflow, ~mask[ns["tmap_d"]])
-        assert state.tables(ns["boundary_tables"], geom.bfaces)[3] is inflow
+        assert state.tables(ns["boundary_tables"], "boundary")[3] is inflow
         # the face-centric statement there, in C: the table's row, read once per row
         boundary = tile.boundary
         assert boundary.operands.count("tab_s1") == 1 and boundary.kinds[1] == "T"
@@ -155,18 +155,17 @@ class TestHoisting:
         source = eval(volume.code, scope)  # noqa: S307 - our own emission
         # the boundary part as written: both sides, the overrides, the divergence
         owner = u[:, geom.bowner]
-        ghost = state.bset.ghost_values(None, t, dt, state.extra, owner_values=owner.copy())
+        ghost = state.bset.ghost_values(owner, t, dt, state.extra)
         normal_x, normal_y = geom.normal[geom.bfaces].T
         flux = eval(surface.code, {**scope, "u1": owner, "u2": ghost,  # noqa: S307
                                    "normal_x": normal_x, "normal_y": normal_y})
-        for faces, values in state.bset.flux_overrides(None, t, dt, state.extra,
-                                                        owner_values=owner):
-            flux[:, geom.bface_slot[faces]] = values
+        faces, values = state.bset.flux_overrides(owner, t, dt, state.extra)
+        flux[:, geom.bface_slot[faces]] = values
         bdry = kernels.slot_divergence(
             kernels.row_slots(geom.divergence_rows(geom.bcells, geom.bfaces)), flux,
             np.empty((state.ncomp, len(geom.bcells))))
         # the interior folded, its flat factor after it, as the tile has it
-        (fold,) = state.tables(ns["folded_tables"], geom.interior_faces, divergence=True)
+        (fold,) = state.tables(ns["folded_tables"], "interior", divergence=True)
         div = apply_folded(fold, u, kernels.table_runs(ns["tmap_d"]), np.empty_like(u),
                            np.empty_like(u))
         div = (-1.0 * ns["coef_vg"][:, None]) * div
@@ -219,8 +218,8 @@ class TestHoisting:
         solver = problem.generate()
         kernel_src = solver.source.split("def interior_kernel")[1]
         kernel_src = kernel_src.split("def ")[0]
-        assert ("[fold_s0] = state.tables(folded_tables, geom.interior_faces, "
-                "divergence=True)") in kernel_src
+        assert "[fold_s0] = state.tables(folded_tables, 'interior', divergence=True)" \
+            in kernel_src
         # the one C tile of every target, into ``u_new``, no boundary part
         # and no reduction (``finish_step``'s)
         call = kernel_src[kernel_src.index("TILE("):]
@@ -233,8 +232,9 @@ class TestHoisting:
         # upwinded side in place: ghost values where the tabled flow enters
         boundary = solver.source.split("def compute_boundary_contribution")[1]
         boundary = boundary.split("\ndef ")[0]
-        assert "inflow] = state.tables(boundary_tables, bfaces)" in boundary
+        assert "inflow] = state.tables(boundary_tables, 'boundary')" in boundary
         assert "np.logical_not" not in boundary and "where=inflow" in boundary
-        assert "out=u_bdry, owner_values=u_bdry," in boundary and "np.where" not in boundary
+        assert "(u_bdry, t, dt, state.extra, u_bdry, where=inflow)" in boundary
+        assert "np.where" not in boundary
         cpu = build_bte_problem(tiny_scenario)[0].generate()
         assert boundary in cpu.source

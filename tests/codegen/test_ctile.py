@@ -494,7 +494,7 @@ def numpy_sweep(solver, u, euler: bool, boundary: bool = True) -> np.ndarray:
     surface = emitter.emit_sum(form.surface_terms, "surface")
     volume = emitter.emit_sum(form.volume_terms, "volume")
     folded = surface.folded
-    tables = state.tables(ns["folded_tables"], geom.interior_faces, divergence=True)
+    tables = state.tables(ns["folded_tables"], "interior", divergence=True)
     scope = {**ns, **dict(zip([h.name for h in folded.tables + volume.tables], tables)),
              **{f"var_{n}": state.fields[n].data for n in emitter.referenced_known_variables()}}
     _, v = _numpy_tile(emitter, folded, volume, scope, u, surface.sweep)
@@ -519,8 +519,8 @@ def test_the_vectorized_tile_is_the_numpy_tile_bit_for_bit(width, store):
     solver = run_store(WIDTHS[width](), store, handed)
     assert solver.tile.euler == (store != "rk2")
     state, ns = solver.state, solver.namespace
-    fold, = (t for t in state.tables(ns["folded_tables"], state.geom.interior_faces,
-                                    divergence=True) if isinstance(t, FoldedOperator))
+    fold, = (t for t in state.tables(ns["folded_tables"], "interior", divergence=True)
+             if isinstance(t, FoldedOperator))
     if state.ncells == 33:  # one shift of the row width, odd bounds
         offsets = fold.entries[fold.entries[:, 3] < 0]
         assert (offsets[:, :2] % 2).any()

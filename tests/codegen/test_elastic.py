@@ -287,9 +287,9 @@ class TestTablesFollowTheRankState:
         assert len(states) == 3 + 2  # three ranks, then the two survivors
         # every state holds both builders' tables — the folded interior
         # operator and the boundary faces' tables — and none is shared
-        for name in ("folded_tables", "boundary_tables"):
-            held = [st._tables[name] for st in states]
-            assert all(h[0] is ns[name] for h in held)
+        for key in (("folded_tables", "interior"), ("boundary_tables", "boundary")):
+            held = [st._tables[key] for st in states]
+            assert all(h[0] is ns[key[0]] for h in held)
             assert len({id(h[1]) for h in held}) == len(states)
         for st in states[3:]:
             g = st.geom
@@ -297,13 +297,13 @@ class TestTablesFollowTheRankState:
                 g.normal[g.interior_faces], g.face_dist[g.interior_faces],
                 g.owner[g.interior_faces], g.neighbor_column[g.interior_faces],
                 g.divergence_rows(faces=g.interior_faces))
-            for have, want in zip(st._tables["folded_tables"][1], fresh):
+            for have, want in zip(st._tables["folded_tables", "interior"][1], fresh):
                 assert all(map(np.array_equal, have, want))  # the folded operator
         # ... and so are the scratch and the boundary faces' loop: nothing a
         # sweep writes or indexes through is shared between rank states
         for attr in (lambda st: st._scratch["tile"], lambda st: st._scratch["du_bdry"],
                      lambda st: st._scratch["closure"], lambda st: st.geom._loops["boundary"],
-                     lambda st: st._tables["folded_tables"][1][0].weights):
+                     lambda st: st._tables["folded_tables", "interior"][1][0].weights):
             assert len({id(attr(st)) for st in states}) == len(states)
         # ... nor is anything a step no longer re-derives: each state planned
         # its own tiles, built its own region contexts, and its callbacks
@@ -338,7 +338,7 @@ class TestTablesFollowTheRankState:
         (migration,) = rebalance_log(solver)["migrations"]
         assert migration["kind"] == "rank_loss" and len(states) == 3 + 2
         assert all(st.device is not None for st in states)
-        held = [st._tables["folded_tables"] for st in states]
+        held = [st._tables["folded_tables", "interior"] for st in states]
         assert all(h[0] is ns["folded_tables"] for h in held)
         for built in (lambda h: h[1], lambda h: h[1][0].own, lambda h: h[1][0].weights):
             assert len({id(built(h)) for h in held}) == len(states)
@@ -350,7 +350,7 @@ class TestTablesFollowTheRankState:
                 g.normal[g.interior_faces], g.face_dist[g.interior_faces],
                 g.owner[g.interior_faces], g.neighbor_column[g.interior_faces],
                 g.divergence_rows(faces=g.interior_faces))
-            for have, want in zip(st._tables["folded_tables"][1], fresh):
+            for have, want in zip(st._tables["folded_tables", "interior"][1], fresh):
                 assert all(map(np.array_equal, have, want))
 
     def test_plans_contexts_and_memos_are_rebuilt_after_a_rebalance(self):
@@ -385,9 +385,9 @@ class TestTablesFollowTheRankState:
                                   dt=1e-12, nsteps=1)
             solver = build_bte_problem(sc)[0].solve()
             state = solver.state
-            return (*state.tables(solver.namespace["invariant_tables"], state.geom.bfaces),
-                    state.tables(solver.namespace["folded_tables"],
-                                 state.geom.interior_faces, divergence=True)[0].own)
+            return (*state.tables(solver.namespace["invariant_tables"], "boundary"),
+                    state.tables(solver.namespace["folded_tables"], "interior",
+                                 divergence=True)[0].own)
 
         coarse, fine = tables(6), tables(8)
         assert [t.shape[0] for t in coarse] == [t.shape[0] for t in fine] == [8] * 4

@@ -338,8 +338,7 @@ def test_oblique_ordinates_converge_at_first_order_on_every_target(kind):
     errors = []
     for n in (32, 64):  # (16 -> 32 is still pre-asymptotic: 0.88 structured)
         cpu = oblique_problem(kind, n).solve()
-        fold = cpu.state.tables(cpu.namespace["folded_tables"],
-                                cpu.state.geom.interior_faces, divergence=True)[0]
+        fold = cpu.state.tables(cpu.namespace["folded_tables"], "interior", divergence=True)[0]
         gathers = (fold.entries[:, 3] >= 0).any()
         assert gathers == (kind == "triangulated"), kind
         errors.append(oblique_error(cpu))

@@ -111,22 +111,25 @@ KEEP_TWO_SIDED = {
 #: a host function to read a known variable as ``var_<name>``, bound once
 #: from ``state.fields`` at its top — and again when every sweep became one
 #: C call (a two-sided tile a loop over the faces, ``geom.face_loop``), its
-#: text the call: the solution digests are the parent's.
+#: text the call — and again when the boundary set came to take the owner
+#: values alone (the sweep gathers them, has the FLUX values evaluated from
+#: them, then the ghost values formed in place) and a table builder to be
+#: handed its face set by name: the solution digests are the parent's.
 PINS = {
     "flux_order_2": (
-        "e912ab874bae5839f3afda1c74d8cd3f949a2cebca570f4e52b1473b3ad1f8b1",
+        "a4788ed25ef01dbd2071fe6eb498d3b10692844d142d685425ddc56055172998",
         "d69c9aac5b7b2440fcab4d911fe29dce95dfd9198a557e4fa4c9f0c0e9b8bf8d"),
     "diffusion": (
-        "9a35a359dca750a421748d7f0eb5d48803660253c0d36c33ac6c8f4b966cef40",
+        "e87004bbfd71150a9f213d5978057ec19ffca89aae660b85861620abd14d8035",
         "694bf3ebbbba08c9133e9268f2cc110b6c08c95734ddd8f0fd646136882829ba"),
     "function_source": (
-        "620aacf277fc6983b0c160c9766e90dfa462f8472380d3b4f2cfe60dd4e104d3",
+        "546a169779b258c9ee25560d154495a8aace8db66715f086ea5881774d18f8e5",
         "53ab3aebeb52fb7ed9b369a67b5427018a1495ca78543b6baae771f2657f50b8"),
     "side_read": (
-        "c4c4e4b9ff52b72a26541dea403b3c83d8e5bbda00718412b64ae93582cd0d38",
+        "04ef19a8a985744cf9b1d8210fe546000b15646b225a6fc080c48d7065e092ab",
         "56f08cdaa8a848bb1e9c7fc3c8fd433a6f9ce547753b3b1b7aa529c135eaff63"),
     "central_flux": (
-        "291d79e496ba899082b4530ba8c65398f868dd2ca94888dad3438a6bf132fee3",
+        "50e90b16c4c1f643b2817f8d6ee06c6048f2c8b9e2ee9ce24d32f33306a1453e",
         "3c9ccdf0b09d8861a9fedb25efe190d349edc2ff4981a5eab1e6ae360cbea844"),
     "time_dependent_face_coefficient": (
         "f2018c876d377b8321a5e1623702a1b6262001668845a19d5d401abfc1d718aa",

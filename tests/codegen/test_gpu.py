@@ -237,8 +237,7 @@ class TestGeneratedKernelSource:
         )
         assert "def compute_boundary_contribution" in src
         # the state's tables, dt and memo, as the host's compute_rhs reads them
-        assert ("[fold_s0] = state.tables(folded_tables, geom.interior_faces, "
-                "divergence=True)") in src
+        assert "[fold_s0] = state.tables(folded_tables, 'interior', divergence=True)" in src
         # u_new[sel] = u[sel] + dt * (source + div): the C tile over the
         # launch's rows into ``u_new``, no boundary part (finish_step's)
         assert "TILE(state.plans, (dt,), rows, u, u_new," in src

@@ -227,7 +227,7 @@ def test_gpu_boundary_part_reads_tables_without_a_face_axis(build):
         return p.solve()
 
     gpu, multi = solve(0), solve(2)
-    assert "state.tables(boundary_tables, bfaces)" in gpu.source
+    assert "state.tables(boundary_tables, 'boundary')" in gpu.source
     assert gpu.solution().tobytes() == multi.solution().tobytes()
     assert gpu.solution().tobytes() == build().solve(target="cpu").solution().tobytes()
     interp = build().solve(target="interp")

@@ -105,7 +105,7 @@ class TestCallbackAdapter:
         p.add_boundary("I", 1, BCKind.FLUX, "probe(I, c, d, normal, 42)")
         p.set_conservation_form("I", "-surface(upwind([c;c], I[d]))")
         state = SolverState(p)
-        state.bset.flux_overrides(state.u, 0.0, 1e-3, state.extra)
+        state.bset.flux_overrides(state.u[:, state.geom.bowner], 0.0, 1e-3, state.extra)
         I_vals, c_vals, d_index, normals, number = seen["args"]
         nfaces = len(state.geom.region_faces[1])
         assert I_vals.shape == (3, nfaces)
@@ -141,3 +141,45 @@ class TestScratchBuffers:
     def test_independent_names(self):
         state = SolverState(base_problem())
         assert state.buffer("a", (2,)) is not state.buffer("b", (2,))
+
+
+class TestTables:
+    """``state.tables(build, which)``: one entry per builder and face set."""
+
+    @staticmethod
+    def invariant_tables(normal, face_dist, owner, other):
+        return [normal[:, 0] * face_dist, owner]
+
+    def test_one_entry_per_builder_and_face_set(self):
+        state = SolverState(base_problem())
+        geom, build = state.geom, self.invariant_tables
+        held = {which: state.tables(build, which) for which in ("interior", "boundary")}
+        assert set(state._tables) == {("invariant_tables", "interior"),
+                                      ("invariant_tables", "boundary")}
+        for which, (x, owner) in held.items():  # built on that set's faces, and kept
+            faces = geom.faces(which)
+            assert np.array_equal(owner, geom.owner[faces]) and len(x) == len(faces)
+            assert state.tables(build, which)[0] is x
+        assert len(held["interior"][0]) != len(held["boundary"][0])
+        everywhere = state.tables(build, "all")
+        assert len(everywhere[0]) == geom.nfaces and len(state._tables) == 3
+
+    def test_a_recompiled_builder_builds_anew(self):
+        state = SolverState(base_problem())
+        first = state.tables(self.invariant_tables, "boundary")
+
+        def invariant_tables(normal, face_dist, owner, other):  # the same name
+            return [owner.copy()]
+
+        again = state.tables(invariant_tables, "boundary")
+        assert again is not first and len(again) == 1
+        assert len(state._tables) == 1
+
+
+class TestBoundaryLowering:
+    def test_a_dirichlet_value_of_another_shape_fails_at_generate(self):
+        p = base_problem()
+        p.boundaries = [b for b in p.boundaries if b.region != 1]
+        p.add_boundary("I", 1, BCKind.DIRICHLET, np.ones(2))  # 3 components
+        with pytest.raises(ConfigError, match=r"Dirichlet value shape \(2,\) != \(3,\)"):
+            p.generate()

@@ -22,18 +22,18 @@ import pytest
 from repro.bte.problem import build_bte_problem, hotspot_scenario
 
 FIRST, LAST = 3, 12
-#: per step, the counts plus at most 1 % slack: 260.1 on ``cpu`` and 367.9-369.1
+#: per step, the counts plus at most 1 % slack: 251.1 on ``cpu`` and 358.9-360.1
 #: in a ``cells`` rank, the tile being one foreign call that also reduces
 #: the band energies, the boundary part one more (whether the peer's message
 #: is already there when a rank asks can move a rank's count by a call or
-#: two; the lower of two runs is held to the bound); 432.1 on ``gpu``, a
+#: two; the lower of two runs is held to the bound); 423.1 on ``gpu``, a
 #: served mix's device job (the interior forced onto the device, the finish
 #: on the host at this size: the tile, the boundary part and the finish
 #: three foreign calls, their arguments resolved once per state, the
-#: kernel's tables read from it); 403.1 under ``rk2``, two sweeps into fresh
-#: right-hand sides whose arguments are not resolved again; 757.4-769.0 in
+#: kernel's tables read from it); 385.1 under ``rk2``, two sweeps into fresh
+#: right-hand sides whose arguments are not resolved again; 749.6-756.9 in
 #: one of three ``gpu_distributed`` band ranks.
-BUDGET = {"cpu": 262, "cells": 372, "gpu": 436, "rk2": 407, "gpu_distributed": 776}
+BUDGET = {"cpu": 253, "cells": 363, "gpu": 427, "rk2": 388, "gpu_distributed": 764}
 
 
 def bracket(state, counted: list) -> None:

@@ -19,6 +19,11 @@ def geom():
     return FVGeometry(structured_grid((4, 4)))
 
 
+def owners(geom, u):
+    """The owner values of the boundary faces: all a set reads of ``u``."""
+    return u[:, geom.bowner]
+
+
 def full_set(geom, ncomp=1, overrides=None):
     overrides = overrides or {}
     bset = BoundarySet(geom, ncomp)
@@ -54,6 +59,13 @@ class TestConstruction:
         with pytest.raises(ConfigError):
             bset.add(BoundaryCondition(region=1, kind=BCKind.NEUMANN0))
 
+    def test_dirichlet_shape_checked_when_added(self, geom):
+        bset = BoundarySet(geom, 3)
+        with pytest.raises(ConfigError, match="Dirichlet value shape"):
+            bset.add(BoundaryCondition(region=1, kind=BCKind.DIRICHLET,
+                                       value=np.ones(2)))
+        assert not bset.conditions
+
     def test_reflection_map_length_checked(self, geom):
         bset = BoundarySet(geom, 4)
         with pytest.raises(ConfigError):
@@ -72,7 +84,7 @@ class TestGhostValues:
             {1: BoundaryCondition(region=1, kind=BCKind.DIRICHLET, value=5.0)},
         )
         u = np.zeros((1, geom.ncells))
-        ghost = bset.ghost_values(u)
+        ghost = bset.ghost_values(owners(geom, u), 0.0, 0.0, None)
         slots = geom.region_slots[1]
         assert np.allclose(ghost[:, slots], 5.0)
 
@@ -84,14 +96,14 @@ class TestGhostValues:
             {2: BoundaryCondition(region=2, kind=BCKind.DIRICHLET, value=vals)},
         )
         u = np.zeros((3, geom.ncells))
-        ghost = bset.ghost_values(u)
+        ghost = bset.ghost_values(owners(geom, u), 0.0, 0.0, None)
         slots = geom.region_slots[2]
         assert np.allclose(ghost[:, slots], vals[:, None])
 
     def test_neumann0_copies_owner(self, geom):
         bset = full_set(geom, 1)
         u = np.arange(geom.ncells, dtype=float)[None, :]
-        ghost = bset.ghost_values(u)
+        ghost = bset.ghost_values(owners(geom, u), 0.0, 0.0, None)
         assert np.allclose(ghost[0], u[0, geom.owner[geom.bfaces]])
 
     def test_symmetry_permutes_components(self, geom):
@@ -102,7 +114,7 @@ class TestGhostValues:
             {3: BoundaryCondition(region=3, kind=BCKind.SYMMETRY, reflection_map=refl)},
         )
         u = np.stack([np.full(geom.ncells, 10.0), np.full(geom.ncells, 20.0)])
-        ghost = bset.ghost_values(u)
+        ghost = bset.ghost_values(owners(geom, u), 0.0, 0.0, None)
         slots = geom.region_slots[3]
         assert np.allclose(ghost[0, slots], 20.0)
         assert np.allclose(ghost[1, slots], 10.0)
@@ -116,7 +128,7 @@ class TestGhostValues:
             1,
             {4: BoundaryCondition(region=4, kind=BCKind.GHOST_CALLBACK, callback=cb)},
         )
-        ghost = bset.ghost_values(np.zeros((1, geom.ncells)))
+        ghost = bset.ghost_values(np.zeros((1, len(geom.bfaces))), 0.0, 0.0, None)
         assert np.allclose(ghost[:, geom.region_slots[4]], 42.0)
 
     def test_ghost_callback_shape_checked(self, geom):
@@ -129,7 +141,7 @@ class TestGhostValues:
             {4: BoundaryCondition(region=4, kind=BCKind.GHOST_CALLBACK, callback=bad)},
         )
         with pytest.raises(ConfigError):
-            bset.ghost_values(np.zeros((1, geom.ncells)))
+            bset.ghost_values(np.zeros((1, len(geom.bfaces))), 0.0, 0.0, None)
 
 
 class TestFluxOverrides:
@@ -146,20 +158,43 @@ class TestFluxOverrides:
             {1: BoundaryCondition(region=1, kind=BCKind.FLUX, callback=cb)},
         )
         u = np.arange(geom.ncells, dtype=float)[None, :]
-        out = bset.flux_overrides(u, time=1.5, dt=0.1, extra={"tag": 7})
+        faces, vals = bset.flux_overrides(owners(geom, u), 1.5, 0.1, {"tag": 7})
         ctx = seen["ctx"]
         assert isinstance(ctx, BoundaryContext)
         assert ctx.time == 1.5
         assert ctx.dt == 0.1
         assert ctx.extra["tag"] == 7
         assert np.allclose(ctx.owner_values, u[:, ctx.owner_cells])
-        assert len(out) == 1
-        faces, vals = out[0]
-        assert np.array_equal(faces, geom.region_faces[1])
+        assert np.array_equal(faces, geom.region_faces[1]) and vals.shape == (1, ctx.nfaces)
 
     def test_no_flux_regions_empty(self, geom):
         bset = full_set(geom, 1)
-        assert bset.flux_overrides(np.zeros((1, geom.ncells))) == []
+        faces, values = bset.flux_overrides(np.zeros((1, len(geom.bfaces))), 0.0, 0.0, None)
+        assert faces.shape == (0,) and values.shape == (1, 0)
+
+    def test_the_pair_is_the_same_two_arrays_on_every_call(self, geom):
+        """A generated sweep resolves the pair once: every call returns the
+        set's two arrays, the values written anew, region after region;
+        ``slots`` asks for the faces' positions among the boundary faces
+        instead of their ids.  ``add`` drops the pair."""
+        bset = BoundarySet(geom, 2)
+        for r in (3, 1):
+            bset.add(BoundaryCondition(r, BCKind.FLUX, callback=lambda ctx, r=r: (
+                r * ctx.owner_values + ctx.time)))
+        u = np.random.default_rng(0).random((2, geom.ncells))
+        faces, values = bset.flux_overrides(owners(geom, u), 0.5, 0.1, None)
+        assert np.array_equal(faces, np.concatenate([geom.region_faces[r] for r in (3, 1)]))
+        pair = bset.flux_overrides(owners(geom, 2.0 * u), 0.5, 0.1, None)
+        assert bset.flux_overrides(owners(geom, 2.0 * u), 0.5, 0.1, None) is pair
+        assert pair[0] is faces and pair[1] is values
+        expected = [r * (2.0 * u)[:, geom.owner[geom.region_faces[r]]] + 0.5 for r in (3, 1)]
+        assert values.tobytes() == np.concatenate(expected, axis=1).tobytes()
+        slots, held = bset.flux_overrides(owners(geom, u), 0.5, 0.1, None, slots=True)
+        assert held is values and np.array_equal(slots, geom.bface_slot[faces])
+        assert bset.flux_overrides(owners(geom, u), 0.5, 0.1, None, slots=True)[0] is slots
+        bset.add(BoundaryCondition(2, BCKind.FLUX, callback=lambda ctx: ctx.owner_values))
+        grown, fresh = bset.flux_overrides(owners(geom, u), 0.5, 0.1, None)
+        assert fresh is not values and len(grown) == len(faces) + len(geom.region_faces[2])
 
     def test_flux_shape_checked(self, geom):
         def bad(ctx):
@@ -171,22 +206,14 @@ class TestFluxOverrides:
             {1: BoundaryCondition(region=1, kind=BCKind.FLUX, callback=bad)},
         )
         with pytest.raises(ConfigError):
-            bset.flux_overrides(np.zeros((1, geom.ncells)))
-
-    def test_has_callbacks(self, geom):
-        assert not full_set(geom, 1).has_callbacks()
-        bset = full_set(
-            geom,
-            1,
-            {1: BoundaryCondition(region=1, kind=BCKind.FLUX, callback=lambda c: np.zeros((1, c.nfaces)))},
-        )
-        assert bset.has_callbacks()
+            bset.flux_overrides(np.zeros((1, len(geom.bfaces))), 0.0, 0.0, None)
 
 
 class TestOwnerValues:
-    """All ``ghost_values``/``flux_overrides`` read of ``u`` is its value at
-    the boundary faces' owner cells; handed those values alone — what a
-    device-resident step sends back — they compute the same bits."""
+    """All ``ghost_values``/``flux_overrides`` need of ``u`` is its value at
+    the boundary faces' owner cells: handed those values alone — what a
+    device-resident step sends back — they compute the bits of each region's
+    condition evaluated on the full array, fresh, into ``out`` or in place."""
 
     MESHES = {
         "structured": lambda: structured_grid((5, 4)),
@@ -215,6 +242,27 @@ class TestOwnerValues:
             bset.add(kinds[(i + shift) % len(kinds)](region))
         return bset
 
+    @staticmethod
+    def on_the_full_array(geom, bset, u, time, dt):
+        """Each region's condition evaluated on ``u`` itself: the ghost
+        values, and the FLUX values of the FLUX regions in order."""
+        ghost, flux = u[:, geom.bowner].copy(), []
+        for region, bc in bset.conditions.items():
+            faces, slots = geom.region_faces[region], geom.region_slots[region]
+            cells = geom.owner[faces]
+            if bc.kind == BCKind.DIRICHLET:
+                ghost[:, slots] = np.asarray(bc.value)[:, None]
+            elif bc.kind == BCKind.SYMMETRY:
+                ghost[:, slots] = u[bc.reflection_map][:, cells]
+            elif bc.callback is not None:
+                ctx = BoundaryContext(region, faces, geom.normal[faces], geom.center[faces],
+                                      geom.area[faces], cells, u[:, cells], time, dt)
+                if bc.kind == BCKind.FLUX:
+                    flux.append(bc.callback(ctx))
+                else:
+                    ghost[:, slots] = bc.callback(ctx)
+        return ghost, np.concatenate([np.zeros((u.shape[0], 0)), *flux], axis=1)
+
     @pytest.mark.parametrize("mesh", sorted(MESHES))
     @pytest.mark.parametrize("shift", range(5))
     def test_on_owner_values_equals_on_the_full_array(self, mesh, shift):
@@ -222,19 +270,19 @@ class TestOwnerValues:
         bset = self.bset(geom, shift)
         u = np.random.default_rng(shift).standard_normal((self.NCOMP, geom.ncells))
         u[1, geom.bowner[::3]] = -0.0
-        owners = u[:, geom.bowner]
-        full = bset.ghost_values(u, 0.3, 0.1)
-        out = np.full_like(owners, np.nan)
-        compact = bset.ghost_values(None, 0.3, 0.1, out=out, owner_values=owners)
-        assert compact is out and not np.shares_memory(compact, owners)
-        assert compact.tobytes() == full.tobytes()
-        a = bset.flux_overrides(u, 0.3, 0.1)
-        b = bset.flux_overrides(None, 0.3, 0.1, owner_values=owners)
-        assert len(a) == len(b) == sum(
-            bc.kind == BCKind.FLUX for bc in bset.conditions.values())
-        for (faces_a, values_a), (faces_b, values_b) in zip(a, b):
-            assert np.array_equal(faces_a, faces_b)
-            assert values_a.tobytes() == values_b.tobytes()
+        ghost, flux = self.on_the_full_array(geom, bset, u, 0.3, 0.1)
+        values = u[:, geom.bowner]
+        held = values.copy()
+        assert bset.ghost_values(values, 0.3, 0.1, None).tobytes() == ghost.tobytes()
+        out = np.full_like(values, np.nan)
+        assert bset.ghost_values(values, 0.3, 0.1, None, out) is out
+        assert out.tobytes() == ghost.tobytes() and values.tobytes() == held.tobytes()
+        assert bset.ghost_values(held, 0.3, 0.1, None, held) is held
+        assert held.tobytes() == ghost.tobytes()
+        faces, got = bset.flux_overrides(values, 0.3, 0.1, None)
+        assert np.array_equal(faces, np.concatenate([np.zeros(0, np.int64), *(
+            geom.region_faces[r] for r, bc in bset.conditions.items() if bc.kind == BCKind.FLUX)]))
+        assert got.tobytes() == flux.tobytes()
 
 
 class TestContextsAreBoundOnce:
@@ -254,11 +302,11 @@ class TestContextsAreBoundOnce:
         seen, extra = [], {"tag": 7}
         bset = self.recording_set(geom, seen)
         u = np.arange(geom.ncells, dtype=float)[None, :]
-        bset.flux_overrides(u, time=0.5, dt=0.1, extra=extra)
+        bset.flux_overrides(owners(geom, u), 0.5, 0.1, extra)
         first = seen[0]
         held = (first.faces, first.normals, first.centers, first.areas,
                 first.owner_cells, first.slots, first.memo)
-        bset.flux_overrides(2.0 * u, time=0.6, dt=0.1, extra=extra)
+        bset.flux_overrides(owners(geom, 2.0 * u), 0.6, 0.1, extra)
         again = seen[1]
         assert again is first and all(a is b for a, b in zip(held, (
             again.faces, again.normals, again.centers, again.areas,
@@ -272,10 +320,10 @@ class TestContextsAreBoundOnce:
         bset = BoundarySet(geom, 1)
         bset.add(BoundaryCondition(1, BCKind.FLUX, callback=lambda ctx: (
             seen.append(ctx), ctx.remember("k", (), list), np.zeros((1, ctx.nfaces)))[-1]))
-        u = np.zeros((1, geom.ncells))
-        bset.flux_overrides(u)
+        values = np.zeros((1, len(geom.bfaces)))
+        bset.flux_overrides(values, 0.0, 0.0, None)
         bset.add(BoundaryCondition(2, BCKind.NEUMANN0))
-        bset.flux_overrides(u)
+        bset.flux_overrides(values, 0.0, 0.0, None)
         assert seen[1] is not seen[0] and seen[1].memo["k"][1] is not seen[0].memo["k"][1]
 
     def test_remember_goes_by_the_identity_of_its_arguments(self, geom):
@@ -297,20 +345,18 @@ class TestContextsAreBoundOnce:
         bset = full_set(geom, 2, {
             1: BoundaryCondition(1, BCKind.DIRICHLET, value=5.0),
             2: BoundaryCondition(2, BCKind.SYMMETRY, reflection_map=np.array([1, 0]))})
-        owners = np.random.default_rng(0).random((2, len(geom.bfaces)))
-        where = np.random.default_rng(1).random(owners.shape) > 0.5
-        expected = owners.copy()
-        for region, values in ((1, 5.0), (2, owners[::-1][:, geom.region_slots[2]])):
+        values = np.random.default_rng(0).random((2, len(geom.bfaces)))
+        where = np.random.default_rng(1).random(values.shape) > 0.5
+        expected = values.copy()
+        for region, ghost in ((1, 5.0), (2, values[::-1][:, geom.region_slots[2]])):
             slots = geom.region_slots[region]
-            expected[:, slots] = np.where(where[:, slots], values, owners[:, slots])
+            expected[:, slots] = np.where(where[:, slots], ghost, values[:, slots])
         for _ in range(2):  # cold, then from the kept columns and mirror index
-            got = bset.ghost_values(None, out=owners.copy(), owner_values=owners.copy(),
-                                    where=where)
+            got = bset.ghost_values(values.copy(), 0.0, 0.0, None, values.copy(), where=where)
             assert got.tobytes() == expected.tobytes()
         memo = bset._contexts[2].memo
         assert memo["where"][0][0] is where and set(memo) == {"where", "mirror"}
         other = ~where  # another mask object: its own columns
-        got = bset.ghost_values(None, out=owners.copy(), owner_values=owners.copy(),
-                                where=other)
+        got = bset.ghost_values(values.copy(), 0.0, 0.0, None, values.copy(), where=other)
         assert bset._contexts[2].memo["where"][0][0] is other
         assert not np.array_equal(got, expected)

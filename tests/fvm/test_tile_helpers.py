@@ -248,8 +248,7 @@ def test_direct_gather_with_inflow_patches_equals_the_widened_copy(kind, rows):
     rng = np.random.default_rng(5)
     u = rng.random((NCOMP, geom.ncells))
     bset = boundary_set(geom, kind)
-    ghost = bset.ghost_values(u, 0.0, 1e-3)
-    assert not np.shares_memory(ghost, u)
+    ghost = bset.ghost_values(u[:, geom.bowner], 0.0, 1e-3, None)
     # one direction row per value of d: upwind where a random flow leaves the owner
     outflow = rng.random((ND, geom.nfaces)) > 0.5
     columns = np.where(outflow, geom.owner, geom.neighbor_column)
@@ -259,16 +258,16 @@ def test_direct_gather_with_inflow_patches_equals_the_widened_copy(kind, rows):
     expected = np.take_along_axis(widened, wide_columns[TMAP_D], axis=1)[:, geom.bfaces]
     u_bdry = u[:, geom.bowner]
     inflow = ~outflow[TMAP_D][:, geom.bfaces]
-    got = bset.ghost_values(None, 0.0, 1e-3, out=u_bdry, owner_values=u_bdry, where=inflow)
+    got = bset.ghost_values(u_bdry, 0.0, 1e-3, None, u_bdry, where=inflow)
     assert got is u_bdry and got[rows].tobytes() == expected[rows].tobytes()
     # ... and into a buffer of its own; without ``where`` it is the ghost array
     owner_values = u[:, geom.bowner]
-    into = bset.ghost_values(None, 0.0, 1e-3, out=np.full_like(u_bdry, np.nan),
-                             owner_values=owner_values, where=inflow)
+    into = bset.ghost_values(owner_values, 0.0, 1e-3, None, np.full_like(u_bdry, np.nan),
+                             where=inflow)
     assert into.tobytes() == expected.tobytes()
     assert np.array_equal(owner_values, u[:, geom.bowner])
-    assert bset.ghost_values(None, 0.0, 1e-3, owner_values=owner_values).tobytes() \
-        == ghost.tobytes()
+    fresh = bset.ghost_values(owner_values, 0.0, 1e-3, None)
+    assert not np.shares_memory(fresh, owner_values) and fresh.tobytes() == ghost.tobytes()
 
 
 def test_ghost_values_fill_a_given_buffer():
@@ -277,8 +276,9 @@ def test_ghost_values_fill_a_given_buffer():
     for kind in (BCKind.DIRICHLET, BCKind.SYMMETRY, BCKind.GHOST_CALLBACK):
         bset = boundary_set(geom, kind)
         out = np.full((NCOMP, len(geom.bfaces)), np.nan)
-        assert bset.ghost_values(u, out=out) is out
-        assert out.tobytes() == bset.ghost_values(u).tobytes()
+        owner_values = u[:, geom.bowner]
+        assert bset.ghost_values(owner_values, 0.0, 0.0, None, out) is out
+        assert out.tobytes() == bset.ghost_values(owner_values, 0.0, 0.0, None).tobytes()
 
 
 # --------------------------------------------------------------------------

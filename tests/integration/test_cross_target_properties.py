@@ -62,3 +62,32 @@ def test_gpu_equals_serial(nx, ndirs, nbands):
     solver = p.solve()
     scale = np.abs(u_ref).max()
     assert np.abs(solver.solution() - u_ref).max() <= 1e-12 * scale
+
+
+#: the hot spot's surface with a second, two-sided term: the statement does
+#: not fold, so the device kernel and the boundary part each read the face
+#: tables of their own faces
+TWO_SIDED = ("(Io[b] - I[d,b]) / beta[b] - surface(vg[b] * upwind([Sx[d];Sy[d]], I[d,b])"
+             " + 0.1 * vg[b] * Sx[d] * average(I[d,b]))")
+
+
+@pytest.mark.parametrize("nx", [3, 6])
+def test_a_two_sided_device_program_equals_serial(nx):
+    """A device program's boundary part reads the tables of the boundary
+    faces, not those the interior kernel built on the interior faces: on a
+    3x3 mesh (12 of each) the device solution agrees with the serial one,
+    and on 6x6 (60 interior, 24 boundary faces) it runs."""
+    def solve(gpu):
+        sc = make_scenario(nx, 4, 3, nsteps=3)
+        sc.equation = TWO_SIDED
+        p, _ = build_bte_problem(sc)
+        if gpu:
+            p.enable_gpu()
+            p.extra["gpu_force_offload"] = True
+        return p.solve()
+
+    u_ref = solve(False).solution()
+    solver = solve(True)
+    assert solver.tile.shape == "faces"
+    scale = np.abs(u_ref).max()
+    assert np.abs(solver.solution() - u_ref).max() <= 1e-12 * scale
