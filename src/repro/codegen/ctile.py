@@ -22,7 +22,9 @@ cells has a branch, each is vectorized: one lane is one element); a
 forward-Euler host sweep also accumulates the post-step callbacks' declared
 reductions (:class:`~repro.dsl.entities.Reduction`) of each row it stored,
 in :func:`repro.fvm.kernels.reduce_rows`' order, and a device step's
-finish does, with the same loop.  The text holds no size, count,
+finish does, with the same loop; both then read the outputs once more to
+report whether the unknown they stored is finite (``check_health``'s
+proof).  The text holds no size, count,
 coefficient or name the user chose: one library per program shape,
 memoised per process by (text, compiler, flags) and single-flight, in the
 compilation cache's disk
@@ -271,7 +273,7 @@ class _Printer:
         """The function ``head`` (its parameters but the operands') over the
         rows of the sweep (``rows``), its operands in the order first read."""
         params = [p.format(f"a{k}") for k, (_, _, ps) in enumerate(self.operands) for p in ps]
-        text = "\n".join([comment.rstrip(), f"void {_symbol(shape)}("
+        text = "\n".join([comment.rstrip(), f"int {_symbol(shape)}("
                           + ",\n          ".join(head + params) + ")", "{", *rows, "}"]) + "\n"
         kinds, sources, _ = zip(*self.operands) if self.operands else ((), (), ())
         codes = "".join("p" if "*" in p else p[0] for p in head + params)
@@ -321,6 +323,17 @@ _REDUCE_ROW = ["        for (long q = 0; q < nq; q++) {",
                "            const double we = rw[q * nu + g];",
                "            for (long c = 0; c < n; c++) e[c] = orow[c] * we + e[c];",
                "        }"]
+#: after the rows: 1 when every row was swept and reduced and no output is NaN
+#: or Inf — each element of a row goes into an output, where a non-finite term
+#: stays non-finite, so the stored unknown is finite.  (An exponent of all
+#: ones carries into bit 63 when one is added to it; an OR vectorizes.)
+_PROVE = ["    unsigned long m = 0;",
+          "    for (long q = 0; !rows && q < nq; q++)",
+          "        for (long k = 0; k < rn[q]; k++) {",
+          "            const union { double d; unsigned long b; } v = {ro[q][k]};",
+          "            m = m | ((v.b & 0x7ff0000000000000) + 0x10000000000000);",
+          "        }",
+          "    return !rows && nq > 0 && !(m >> 63);"]
 
 
 def _symbol(shape: str) -> str:
@@ -350,7 +363,7 @@ def _boundary(statement, in_place: bool) -> Lowered:
     b = _Printer("f", statement.upwind and statement.upwind.select, "x1" if in_place else "xw")
     faces = b.face_loop(statement, "dv", "nc")
     rows = [*_ROW, "        double *restrict fl = w, *restrict dv = out + g * nc;",
-            *("        " + p for p in b.rowptrs), *faces, "    }"]
+            *("        " + p for p in b.rowptrs), *faces, "    }", "    return 0;"]
     return b.unit(
         "/* The boundary part, generated (repro.codegen.ctile): per row g, the face\n"
         "   statement over the boundary faces (the first side the value handed in,\n"
@@ -368,7 +381,7 @@ def _finish() -> Lowered:
             "        for (long k = 0; k < no; k++) w[g * no + k] = orow[own[k]];",
             "    }",
             "    for (long g = 0; rows && g < nu; g++)",
-            "        for (long k = 0; k < no; k++) w[g * no + k] = u[g * n + own[k]];"]
+            "        for (long k = 0; k < no; k++) w[g * no + k] = u[g * n + own[k]];", *_PROVE]
     f = _Printer()
     return f.unit(
         "/* finish_step, generated (repro.codegen.ctile): per row g, u + (du * dt) in\n"
@@ -448,6 +461,7 @@ def lower(volume, euler: bool, *, folded=None, surface=None, boundary=None) -> L
         "        for (long k = 0; k < no; k++) orow[own[k]] = o[own[k]];",
         *_REDUCE_ROW * euler,
         "    }",
+        *(_PROVE if euler else ["    return 0;"]),
     ]
     comment = (
         "/* A tile, generated (repro.codegen.ctile): per row g of the sweep, the\n"
@@ -722,7 +736,8 @@ class Tile:
     resolves nothing; a degraded step's workspace, a restore or a
     repartition resolves again.  ``reduced`` is an Euler sweep's outputs of
     the declared ``reductions`` (:class:`~repro.dsl.entities.Reduction`), or
-    empty."""
+    empty.  Each returns 1 when it proved the unknown finite (an Euler tile
+    or the finish, :data:`_PROVE`), else 0."""
 
     def __init__(self, lib: _Build, lowered: Lowered, reductions=()):
         self.lib, self.fn = lib, None
@@ -739,10 +754,10 @@ class Tile:
         fn = getattr(self.lib.result(), self.symbol)
         types = {"d": ctypes.c_double, "l": ctypes.c_long, "p": ctypes.c_void_p}
         with self.lib.lock:
-            fn.argtypes, fn.restype = [types[c] for c in self.lowered.codes], None
+            fn.argtypes, fn.restype = [types[c] for c in self.lowered.codes], ctypes.c_int
         self.fn = fn
 
-    def __call__(self, memo: dict, scalars, rows, u, out, *args) -> None:
+    def __call__(self, memo: dict, scalars, rows, u, out, *args) -> int:
         if self.lowered.scalars and any(isinstance(x, complex) for x in scalars):
             # a plain float gone complex (``(-1)^0.5``): no float operand
             # takes it, so neither does this one
@@ -752,7 +767,7 @@ class Tile:
                tuple(map(id, (rows, *args[:4], *args[4], *args[5:]))))  # reductions' outputs)
         if held is None or held.ids != ids:
             held = memo[self] = self._pointers(rows, u, out, *args)
-        self.fn(*scalars, *held.head, *held.io(u, out), *held.tail)
+        return self.fn(*scalars, *held.head, *held.io(u, out), *held.tail)
 
     def _pointers(self, rows, u, out, scratch, *args) -> _Checked:
         lowered, boundary = self.lowered, self.places == 1

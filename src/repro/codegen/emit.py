@@ -1120,11 +1120,13 @@ def emit_interior(emitter: ExprEmitter, surface: EmittedExpr, volume: EmittedExp
 
     On the host it is ``compute_rhs(state, u, t, rows=None)`` (``rows``: a
     band rank's): under forward Euler the sweep stores ``u + dt * rhs``
-    itself (a cell rank, ``owned_columns``, only in the columns it owns) and
-    fills the post-step callbacks' declared reductions (``state.reduced``);
-    other steppers get the RHS back.  On the ``device`` it is a launch over
-    the interior faces into ``u_new``, ``interior_kernel(state, u, var_*,
-    u_new, buffer, sel)``, before ``finish_step``, printed into every unit
+    itself (a cell rank, ``owned_columns``, only in the columns it owns),
+    fills the post-step callbacks' declared reductions (``state.reduced``)
+    and returns its proof that ``u`` is finite (the host step keeps it,
+    ``state.u_proved_finite``); other steppers get the RHS back.  On the
+    ``device`` it is a launch over the interior faces into ``u_new``,
+    ``interior_kernel(state, u, var_*, u_new, buffer, sel)``, before
+    ``finish_step``, printed into every unit
     (:attr:`repro.codegen.ctile.Lowered.finish`).  Either is one C call, ``TILE``: a
     statement folded through the divergence (:meth:`ExprEmitter.
     _fold_divergence`) a loop over the cells, its boundary faces the one
@@ -1161,9 +1163,9 @@ def emit_interior(emitter: ExprEmitter, surface: EmittedExpr, volume: EmittedExp
         head = "def compute_rhs(state, u, t, rows=None):"
         doc = [
             '"""Semi-discrete RHS du/dt: volume sources + surface divergence —',
-            "returned, or under forward Euler stepped in place, ``u += dt * rhs`` (a",
-            "row reads the unknown only through itself, and the boundary values are",
-            "evaluated from the pre-step ``u`` before the sweep).",
+            "returned, or under forward Euler stepped in place, ``u += dt * rhs``, then",
+            "1 if the sweep proved ``u`` finite (a row reads the unknown only through",
+            "itself; the boundary values are evaluated from the pre-step ``u`` first).",
             "",
             "``rows`` restricts the sweep to those component rows (a rank's owned",
             'bands); the other rows are left untouched."""',
@@ -1224,10 +1226,11 @@ def emit_interior(emitter: ExprEmitter, surface: EmittedExpr, volume: EmittedExp
     reduced = "()" if device or not inplace else "state.reduced"
     body += ["", *(f"# RHS surface: {t}" for t in form.surface_terms),
              *(f"# RHS volume: {t}" for t in form.volume_terms)]
+    scalars, rest = ", ".join(["dt", *tile.scalars]), ", ".join([*places, reduced, *tile.operands])
     body += ["# the sweep, in C (``solver.tile.text``): one foreign call over the rows",
-             f"TILE(state.plans, ({', '.join(['dt', *tile.scalars])},), rows, u, "
+             f"{'return ' * inplace}TILE(state.plans, ({scalars},), rows, u, "
              f"{'u_new' if device else 'u' if inplace else 'rhs'},",
-             f"     {buffer}('tile', ({size},)), {', '.join([*places, reduced, *tile.operands])})"]
+             f"            {buffer}('tile', ({size},)), {rest})"]
     if not inplace:
         body.append("return rhs")
     if folded or device:

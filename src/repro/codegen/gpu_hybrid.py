@@ -235,8 +235,8 @@ def emit_device_step(name: str, plan: dict, rank: str = "") -> list[str]:
             "        state.device_transfers('d2h', [('u_new', u)])",
             "        dev.mark_host_dirty('u')  # finish_step writes the host copy",
             "        state.sanitize_kernel_output(KERNEL.name, lambda: u[sel])",
-            "        finish_step(state.plans, (state.dt,), own, u, u, u_bdry, BCELLS, du_bdry,",
-            "                    BOWNER, reduced)",
+            "        state.u_proved_finite = finish_step(state.plans, (state.dt,), own, u, u,",
+            "            u_bdry, BCELLS, du_bdry, BOWNER, reduced)",
         ]
     lines += [
         "    if faulted is not None:",
@@ -251,6 +251,7 @@ def emit_device_step(name: str, plan: dict, rank: str = "") -> list[str]:
         "        if resident:",
         "            state.claim_unknown()",
         "        dev.mark_host_dirty('u')",
+        "        state.u_proved_finite = 0  # (unproved: a resident step would not renew it)",
         "        with state.timers.time('solve'):",
         "            interior_kernel(state, u, *[state.fields[n[4:]].data for n in",
         "                                        KERNEL_VAR_NAMES], u, state.buffer, own)",

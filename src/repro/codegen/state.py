@@ -88,6 +88,8 @@ class SolverState:
         # (builder name, face set) -> (builder, its tables)
         self._tables: dict[tuple[str, str], tuple[Any, list]] = {}
         self.plans: dict = {}  # the foreign calls' resolved arguments, one entry per call site
+        #: the last host sweep's proof that the unknown is finite (see check_health)
+        self.u_proved_finite = 0
 
         # per-step solver metrics (residual, energy drift) — lazily
         # initialised by observe_step when a live registry is installed
@@ -165,6 +167,7 @@ class SolverState:
     def u(self) -> np.ndarray:
         """The unknown's data, ``(ncomp, ncells)`` — on a device target a
         host access: see :meth:`claim_unknown`."""
+        self.u_proved_finite = 0  # (what the caller writes is unproved)
         if self.device is not None:
             self.claim_unknown()
         return self.fields[self.unknown.name].data
@@ -185,7 +188,8 @@ class SolverState:
         charged to the host clock, and marks the host copy as possibly
         written — a write through the array ``u`` returned cannot be seen,
         so reading and writing are one case — which makes the next step
-        upload it again."""
+        upload it again (and leaves it unproved, :meth:`check_health`)."""
+        self.u_proved_finite = 0
         dev = self.device
         if dev is not None and dev.buffers["u"].on_device:
             self.device_transfers("d2h", [("u", self.host_u)])
@@ -240,9 +244,25 @@ class SolverState:
         return self.fields[name]
 
     def check_health(self) -> None:
-        """NaN/Inf guard, called by generated run loops between steps; it
-        runs where the unknown lives (one flag back from the device, the
-        array only when the flag says to look)."""
+        """NaN/Inf guard, called once at the end of every ``run()``.
+
+        Nothing is read when the last host sweep proved the unknown finite
+        (``u_proved_finite``, :data:`repro.codegen.ctile._PROVE`: the cpu
+        Euler tile or a host-placed ``finish_step`` stored every row, and
+        every output of a declared reduction is finite).  What writes ``u``
+        after that sweep clears the proof: the ``u`` getter (so the setter,
+        the rk2 and interp updates, the SPMD merge, a migration's included,
+        and each ``end_step`` hook that reads ``u``), :meth:`field` of the
+        unknown and :meth:`claim_unknown` (a restore, a checkpoint, a
+        degraded step's take-back), and a degraded device step's emitted
+        code.  A write through ``host_u``, ``fields`` or an array fetched
+        before the sweep is not seen, as a device-resident unknown does not
+        see it.  rk2, interp, a rank, the SPMD driver and a program without
+        a declared reduction never prove it.  Else the check runs where the
+        unknown lives (one flag back from the device, the array only when
+        the flag says to look): the same ``run()`` raises the same error."""
+        if self.u_proved_finite:
+            return
         dev = self.device
         if dev is not None and dev.buffers["u"].on_device:
             mark = self.host_clock.now()
@@ -394,8 +414,7 @@ class SolverState:
         return BoundaryCondition(
             region=spec.region, kind=spec.kind, value=spec.value,
             callback=fn if call is None else self._make_callback_adapter(call),
-            reflection_map=spec.reflection_map,
-            name=getattr(fn, "__name__", "") if call is None else call.func)
+            reflection_map=spec.reflection_map)
 
     def _make_callback_adapter(self, call: Call):
         """Bind a parsed ``isothermal(I, vg, ..., 300)`` invocation.

@@ -337,7 +337,7 @@ class FVTarget(CodegenTarget):
         the sweep stores the forward-Euler update itself and another stepper
         calls it per stage."""
         if problem.config.stepper in EULER:
-            solve = ["compute_rhs(state, state.u, state.time)"]
+            solve = ["state.u_proved_finite = compute_rhs(state, state.u, state.time)"]
         else:
             solve = [
                 "u_new = stepper.advance(state.u, state.time, state.dt,",

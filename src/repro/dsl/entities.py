@@ -176,7 +176,10 @@ class Reduction:
     accumulates it while the row it stored is hot, a device step's
     ``finish_step`` after the kernel; an RK step and the interpreter by the
     one NumPy form, :func:`repro.fvm.kernels.reduce_rows`.  ``name`` names
-    the array in the transfer plan.  Same bits wherever it runs."""
+    the array in the transfer plan.  Same bits wherever it runs.  Every
+    component goes into one output row, so a host sweep whose outputs are
+    all finite has stored a finite unknown: ``check_health`` then reads
+    nothing more."""
 
     name: str
     #: per component, the output row it is added into

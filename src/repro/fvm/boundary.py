@@ -88,7 +88,6 @@ class BoundaryCondition:
     value: float | np.ndarray | None = None  # DIRICHLET constant(s)
     callback: BoundaryCallback | None = None  # FLUX / GHOST_CALLBACK
     reflection_map: np.ndarray | None = None  # SYMMETRY: comp -> reflected comp
-    name: str = ""
 
     def __post_init__(self) -> None:
         if self.kind == BCKind.DIRICHLET and self.value is None:

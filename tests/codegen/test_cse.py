@@ -103,7 +103,7 @@ class TestHoisting:
         sweep = src[src.index("def compute_rhs("):].split("\ndef ")[0]
         tail = sweep[sweep.index("bdry = compute_boundary_contribution("):].splitlines()[2:]
         code = [ln.strip() for ln in tail if ln.strip() and not ln.strip().startswith("#")]
-        assert code[0].startswith("TILE(") and not any("np." in ln for ln in code)
+        assert code[0].startswith("return TILE(") and not any("np." in ln for ln in code)
         assert "state.buffer('tile', (2 * geom.ncells,))" in sweep
         # no pass for a sign: ``Io/beta - I/beta``, not ``(-1 * I)/beta + Io/beta``
         statements = _c_statements(bte_solver)

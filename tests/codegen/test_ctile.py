@@ -87,7 +87,7 @@ def test_a_device_program_is_one_library_that_holds_its_finish(compiles):
         solver = problem.generate()
     (build,) = ctile._BUILDS.values()
     ns = solver.namespace
-    assert len(compiles) == 1 and build.text == solver.tile.text and "void finish(" in build.text
+    assert len(compiles) == 1 and build.text == solver.tile.text and "int finish(" in build.text
     assert ns["TILE"].lib is ns["BOUNDARY"].lib is ns["finish_step"].lib is build
     solver.run(2)
     assert [r.kernel for r in solver.device.profiler.launches][:2] == [

@@ -114,22 +114,24 @@ KEEP_TWO_SIDED = {
 #: text the call — and again when the boundary set came to take the owner
 #: values alone (the sweep gathers them, has the FLUX values evaluated from
 #: them, then the ghost values formed in place) and a table builder to be
-#: handed its face set by name: the solution digests are the parent's.
+#: handed its face set by name — and again when a host Euler sweep came to
+#: return its proof that the unknown is finite (``return TILE(``, kept by the
+#: step as ``state.u_proved_finite``): the solution digests are the parent's.
 PINS = {
     "flux_order_2": (
-        "a4788ed25ef01dbd2071fe6eb498d3b10692844d142d685425ddc56055172998",
+        "292288fbfb27daa08e4a074eb2a2a8091bd86cccb055bd6bd769d2539c25ed90",
         "d69c9aac5b7b2440fcab4d911fe29dce95dfd9198a557e4fa4c9f0c0e9b8bf8d"),
     "diffusion": (
-        "e87004bbfd71150a9f213d5978057ec19ffca89aae660b85861620abd14d8035",
+        "0a6a051be922de717babdb8a4852633d2e8dcc04ca4f7d51656f5fe57b200609",
         "694bf3ebbbba08c9133e9268f2cc110b6c08c95734ddd8f0fd646136882829ba"),
     "function_source": (
-        "546a169779b258c9ee25560d154495a8aace8db66715f086ea5881774d18f8e5",
+        "fe8c7d21bad5535af4ce0607cc49456e9e4c1ccd9aa574a2b722cb8b03b1d883",
         "53ab3aebeb52fb7ed9b369a67b5427018a1495ca78543b6baae771f2657f50b8"),
     "side_read": (
-        "04ef19a8a985744cf9b1d8210fe546000b15646b225a6fc080c48d7065e092ab",
+        "87556b9763f2ddcc17819bd08bce0f95501c87c06b0c3fd2af271db17f1388ad",
         "56f08cdaa8a848bb1e9c7fc3c8fd433a6f9ce547753b3b1b7aa529c135eaff63"),
     "central_flux": (
-        "50e90b16c4c1f643b2817f8d6ee06c6048f2c8b9e2ee9ce24d32f33306a1453e",
+        "17e88f0fd491c24d5e11b795b291cead98e71b2a9c666a345492d969454eac6b",
         "3c9ccdf0b09d8861a9fedb25efe190d349edc2ff4981a5eab1e6ae360cbea844"),
     "time_dependent_face_coefficient": (
         "f2018c876d377b8321a5e1623702a1b6262001668845a19d5d401abfc1d718aa",

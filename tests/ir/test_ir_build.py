@@ -102,6 +102,38 @@ class TestGPUFlavour:
         assert {"Io", "beta"} <= arrays
 
 
+class TestComputeGhosts:
+    """The listing says where a program's boundary code runs: a ghost step
+    with user callbacks (Python wall functions, FLUX values) is marked as
+    the CPU's (paper Sec. III-B); one of plain values is not."""
+
+    MARK = "ghosts(I) (user callbacks on CPU)"
+
+    def test_the_hot_spots_python_walls_are_marked(self, bte_problem_and_form):
+        problem, form = bte_problem_and_form
+        for flavor in ("cpu", "distributed", "gpu"):
+            assert self.MARK in print_ir(build_ir(problem, form, flavor=flavor))
+
+    @pytest.mark.parametrize("kind,marked", [("flux", True), ("dirichlet", False)])
+    def test_one_kind_on_every_region(self, kind, marked):
+        from repro.dsl.problem import Problem
+        from repro.mesh.grid import structured_grid
+
+        p = Problem(f"ghosts-{kind}")
+        p.set_domain(2)
+        p.set_mesh(structured_grid((3, 3)))
+        p.add_variable("I")
+        p.add_coefficient("bx", 1.0)
+        p.add_coefficient("by", 0.5)
+        for region in (1, 2, 3, 4):
+            p.add_boundary("I", region, kind,
+                           (lambda ctx: 0.0 * ctx.owner_values) if kind == "flux" else 1.0)
+        p.set_conservation_form("I", "-surface(upwind([bx;by], I))")
+        _, form = lower_conservation_form(p.equation.source, p.unknown, p.entities, p.operators)
+        text = print_ir(build_ir(p, form))
+        assert "ghosts(I)" in text and (self.MARK in text) == marked
+
+
 class TestPrinting:
     def test_print_ir_is_indented_text(self, bte_problem_and_form):
         problem, form = bte_problem_and_form
