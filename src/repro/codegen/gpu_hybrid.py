@@ -25,8 +25,10 @@ where the two movable ones run, and the step is emitted from its plan:
 With ``finish_step`` on the device (where the optimiser puts it once the
 unknown outweighs three small transfers) the unknown never leaves: a step
 moves ``Io``, ``beta``, ``du_bdry`` down and the reductions and ``u_bdry``
-up.  Pinned to the CPU (``placement_override={"finish_step": "cpu"}``) the
-same C function runs on the host arrays after a ``d2h`` of ``u_new`` — the
+up, and keeps the finish's proof that the unknown is finite (its launch's
+``result``, a function of those reductions) for ``check_health``.  Pinned
+to the CPU (``placement_override={"finish_step": "cpu"}``) the same C
+function runs on the host arrays after a ``d2h`` of ``u_new`` — the
 paper's "one example configuration", the unknown crossing both ways every
 step — as it does in a step a device fault degrades (a function of the
 program's one library, the tile's, bound by :func:`step_env`).
@@ -216,13 +218,15 @@ def emit_device_step(name: str, plan: dict, rank: str = "") -> list[str]:
             "            new, du, ub = (dev.buffers[n].array",
             "                           for n in ('u_new', 'du_bdry', 'u_bdry'))",
             "            with state.timers.time('solve'):",
-            "                dev.launch(FINISH, ndof, state.plans, (state.dt,), own, new, new,",
-            "                           ub, BCELLS, du, BOWNER,",
-            f"                           [dev.buffers[n].array for n in {reductions!r}],",
-            "                           host_time=launch_time)",
+            "                finish = dev.launch(FINISH, ndof, state.plans, (state.dt,), own, new,",
+            "                                    new, ub, BCELLS, du, BOWNER,",
+            f"                                    [dev.buffers[n].array for n in {reductions!r}],",
+            "                                    host_time=launch_time)",
             "            state.await_device(launch_time)",
             f"            state.device_transfers('d2h', [{pairs(transfers.d2h_each_step)}])",
             "            dev.swap('u', 'u_new')",
+            "            # the finish's proof: a function of the reductions just fetched",
+            "            state.u_proved_finite = finish.result",
             "        except GPU_FAULTS as exc:",
             "            faulted = exc",
             "            launch_time = host.now()",
@@ -251,7 +255,7 @@ def emit_device_step(name: str, plan: dict, rank: str = "") -> list[str]:
         "        if resident:",
         "            state.claim_unknown()",
         "        dev.mark_host_dirty('u')",
-        "        state.u_proved_finite = 0  # (unproved: a resident step would not renew it)",
+        "        state.u_proved_finite = 0  # (a degraded step keeps no proof)",
         "        with state.timers.time('solve'):",
         "            interior_kernel(state, u, *[state.fields[n[4:]].data for n in",
         "                                        KERNEL_VAR_NAMES], u, state.buffer, own)",

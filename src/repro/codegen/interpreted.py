@@ -52,8 +52,9 @@ _STEP_ONCE = [
         '"""Interpreted step: evaluate the classified symbolic form directly."""',
         "with state.phase('solve'):",
         "    rhs = interpret_rhs(state, state.u, state.time)",
-        "    state.u = state.u + state.dt * rhs",
-        *indent(REDUCE_STEP),
+        "    with np.errstate(all='ignore'):  # (a blow-up is check_health's to report)",
+        "        state.u = state.u + state.dt * rhs",
+        *indent(REDUCE_STEP, 2),
         *ADVANCE,
     ]),
 ]
@@ -112,60 +113,62 @@ class _TermInterpreter:
         u1, u2 = geom.gather_sides(u, ghost)
         ncomp = state.ncomp
         out = np.zeros_like(u)
+        # silent on overflow and NaN, as the C sweeps are: a blow-up is
+        # check_health's to report (the callbacks above warn as they would)
+        with np.errstate(all="ignore"):
+            for flat in range(ncomp):
+                comp_values = self.space.unflatten(flat) if self.space.names else ()
 
-        for flat in range(ncomp):
-            comp_values = self.space.unflatten(flat) if self.space.names else ()
+                def lookup_volume(node: Expr) -> Any:
+                    if isinstance(node, Indexed):
+                        return self._entity_value(node.base, comp_values, state, "volume")
+                    if isinstance(node, Sym):
+                        if node.name == "dt":
+                            return state.dt
+                        if node.name.startswith("_") and node.name.endswith("_1"):
+                            return self._entity_value(
+                                node.name[1:-2], comp_values, state, "volume"
+                            )
+                    raise DSLError(f"unbound volume leaf {node}")
 
-            def lookup_volume(node: Expr) -> Any:
-                if isinstance(node, Indexed):
-                    return self._entity_value(node.base, comp_values, state, "volume")
-                if isinstance(node, Sym):
-                    if node.name == "dt":
-                        return state.dt
-                    if node.name.startswith("_") and node.name.endswith("_1"):
-                        return self._entity_value(
-                            node.name[1:-2], comp_values, state, "volume"
-                        )
-                raise DSLError(f"unbound volume leaf {node}")
+                def lookup_surface(node: Expr) -> Any:
+                    if isinstance(node, SideValue):
+                        inner = node.expr
+                        name = inner.base if isinstance(inner, Indexed) else inner.name[1:-2]
+                        if name != self.unknown.name:
+                            raise DSLError("only the unknown has face sides")
+                        return (u1 if node.side == 1 else u2)[flat]
+                    if isinstance(node, FaceNormal):
+                        return geom.normal[:, node.component - 1]
+                    if isinstance(node, FaceDistance):
+                        return geom.face_dist
+                    if isinstance(node, Indexed):
+                        vals = self._entity_value(node.base, comp_values, state, "surface")
+                        kind = self.problem.entities.kind_of(node.base)
+                        if kind == "variable":
+                            return vals[geom.owner]  # owner-side evaluation
+                        return vals
+                    if isinstance(node, Sym):
+                        if node.name == "dt":
+                            return state.dt
+                        name = node.name[1:-2]
+                        vals = self._entity_value(name, comp_values, state, "surface")
+                        if self.problem.entities.kind_of(name) == "variable":
+                            return vals[geom.owner]
+                        return vals
+                    raise DSLError(f"unbound surface leaf {node}")
 
-            def lookup_surface(node: Expr) -> Any:
-                if isinstance(node, SideValue):
-                    inner = node.expr
-                    name = inner.base if isinstance(inner, Indexed) else inner.name[1:-2]
-                    if name != self.unknown.name:
-                        raise DSLError("only the unknown has face sides")
-                    return (u1 if node.side == 1 else u2)[flat]
-                if isinstance(node, FaceNormal):
-                    return geom.normal[:, node.component - 1]
-                if isinstance(node, FaceDistance):
-                    return geom.face_dist
-                if isinstance(node, Indexed):
-                    vals = self._entity_value(node.base, comp_values, state, "surface")
-                    kind = self.problem.entities.kind_of(node.base)
-                    if kind == "variable":
-                        return vals[geom.owner]  # owner-side evaluation
-                    return vals
-                if isinstance(node, Sym):
-                    if node.name == "dt":
-                        return state.dt
-                    name = node.name[1:-2]
-                    vals = self._entity_value(name, comp_values, state, "surface")
-                    if self.problem.entities.kind_of(name) == "variable":
-                        return vals[geom.owner]
-                    return vals
-                raise DSLError(f"unbound surface leaf {node}")
-
-            if self.form.volume_terms:
-                for term in self.form.volume_terms:
-                    value = evaluate(term, lookup_volume)
-                    out[flat] += np.broadcast_to(value, (state.ncells,))
-            if self.form.surface_terms:
-                flux = np.zeros(geom.nfaces)
-                for term in self.form.surface_terms:
-                    value = evaluate(term, lookup_surface)
-                    flux += np.broadcast_to(value, (geom.nfaces,))
-                flux[ids] = overrides[flat]
-                out[flat] += geom.surface_divergence(flux)
+                if self.form.volume_terms:
+                    for term in self.form.volume_terms:
+                        value = evaluate(term, lookup_volume)
+                        out[flat] += np.broadcast_to(value, (state.ncells,))
+                if self.form.surface_terms:
+                    flux = np.zeros(geom.nfaces)
+                    for term in self.form.surface_terms:
+                        value = evaluate(term, lookup_surface)
+                        flux += np.broadcast_to(value, (geom.nfaces,))
+                    flux[ids] = overrides[flat]
+                    out[flat] += geom.surface_divergence(flux)
         return out
 
 

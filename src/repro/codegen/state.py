@@ -88,7 +88,7 @@ class SolverState:
         # (builder name, face set) -> (builder, its tables)
         self._tables: dict[tuple[str, str], tuple[Any, list]] = {}
         self.plans: dict = {}  # the foreign calls' resolved arguments, one entry per call site
-        #: the last host sweep's proof that the unknown is finite (see check_health)
+        #: the last sweep's proof that the unknown is finite (see check_health)
         self.u_proved_finite = 0
 
         # per-step solver metrics (residual, energy drift) — lazily
@@ -246,21 +246,24 @@ class SolverState:
     def check_health(self) -> None:
         """NaN/Inf guard, called once at the end of every ``run()``.
 
-        Nothing is read when the last host sweep proved the unknown finite
+        Nothing is read when the last sweep proved the unknown finite
         (``u_proved_finite``, :data:`repro.codegen.ctile._PROVE`: the cpu
-        Euler tile or a host-placed ``finish_step`` stored every row, and
-        every output of a declared reduction is finite).  What writes ``u``
-        after that sweep clears the proof: the ``u`` getter (so the setter,
-        the rk2 and interp updates, the SPMD merge, a migration's included,
-        and each ``end_step`` hook that reads ``u``), :meth:`field` of the
-        unknown and :meth:`claim_unknown` (a restore, a checkpoint, a
-        degraded step's take-back), and a degraded device step's emitted
-        code.  A write through ``host_u``, ``fields`` or an array fetched
-        before the sweep is not seen, as a device-resident unknown does not
-        see it.  rk2, interp, a rank, the SPMD driver and a program without
-        a declared reduction never prove it.  Else the check runs where the
-        unknown lives (one flag back from the device, the array only when
-        the flag says to look): the same ``run()`` raises the same error."""
+        Euler tile, a host-placed ``finish_step`` or a device-placed one —
+        its launch's ``result``, a function of the reductions the step
+        fetches anyway — stored every row, and every output of a declared
+        reduction is finite).  What writes ``u`` after that sweep clears the
+        proof: the ``u`` getter (so the setter, the rk2 and interp updates,
+        the SPMD merge, a migration's included, and each ``end_step`` hook
+        that reads ``u``), :meth:`field` of the unknown and
+        :meth:`claim_unknown` (a restore, a checkpoint, a degraded step's
+        take-back), and a degraded device step's emitted code.  A write
+        through ``host_u``, ``fields``, an array fetched before the sweep or
+        ``device.buffers['u']`` after a proved device step is not seen.
+        rk2, interp, a rank, a band rank's rows on a device, the SPMD driver
+        and a program without a declared reduction never prove it.  Else
+        the check runs where the unknown lives (one ``finite_check`` launch
+        and one flag back from the device, the array only when the flag
+        says to look): the same ``run()`` raises the same error."""
         if self.u_proved_finite:
             return
         dev = self.device

@@ -105,6 +105,23 @@ class BoundaryCondition:
             )
 
 
+@dataclass
+class _Gather:
+    """:meth:`BoundarySet.ghost_values`' plan for one ``where``: the flat
+    positions of the ghost array every SYMMETRY entry reads (``src``) and
+    every SYMMETRY, then DIRICHLET entry writes (``dst``), in the narrowest
+    type that holds them (NumPy's indexing casts them in small blocks); the
+    Dirichlet ``values``; each GHOST_CALLBACK region and its columns of the
+    mask."""
+
+    where: np.ndarray | None
+    shape: tuple[int, ...]
+    src: np.ndarray
+    dst: np.ndarray
+    values: np.ndarray
+    callbacks: list[tuple[int, np.ndarray | None]]
+
+
 class BoundarySet:
     """All boundary conditions of one variable on one mesh.
 
@@ -119,10 +136,13 @@ class BoundarySet:
     reflection maps because the mirrored direction depends on the wall's
     orientation.
 
-    A region's :class:`BoundaryContext` is built once, on first use, and
-    handed to the callback every step with only ``owner_values``, ``time``,
-    ``dt`` and ``extra`` (the caller's dict) set anew; the FLUX pair's two
-    arrays are allocated once too.  :meth:`add` drops all.
+    A callback region's :class:`BoundaryContext` is built once, on first
+    use, and handed to the callback every step with only ``owner_values``,
+    ``time``, ``dt`` and ``extra`` (the caller's dict) set anew; the FLUX
+    pair's two arrays are allocated once too.  The built-in ghosts — every
+    SYMMETRY and DIRICHLET region — are one flat gather and its scatter of a
+    plan built once per ``where`` object (the mirrored values taken before
+    any write).  :meth:`add` drops all.
     """
 
     def __init__(self, geom: FVGeometry, ncomp: int):
@@ -130,7 +150,7 @@ class BoundarySet:
         self.ncomp = ncomp
         self.conditions: dict[int, BoundaryCondition] = {}
         self._contexts: dict[int, BoundaryContext] = {}
-        self._dirichlet: dict[int, Any] = {}  # a DIRICHLET region's value, as put
+        self._gathers: dict[bool, _Gather] = {}  # ghost_values' plans, by ``where is None``
         self._flux: dict[bool, tuple] = {}  # flux_overrides' pair, by ``slots``
 
     def add(self, bc: BoundaryCondition) -> None:
@@ -149,9 +169,9 @@ class BoundarySet:
             val = np.asarray(bc.value, dtype=np.float64)
             if val.ndim and val.shape != (self.ncomp,):
                 raise ConfigError(f"Dirichlet value shape {val.shape} != ({self.ncomp},)")
-            self._dirichlet[bc.region] = val[:, None] if val.ndim else float(val)
         self.conditions[bc.region] = bc
         self._contexts.clear()
+        self._gathers.clear()
         self._flux.clear()
 
     def _static(self, bc: BoundaryCondition) -> BoundaryContext:
@@ -189,38 +209,67 @@ class BoundarySet:
 
         NEUMANN0 and FLUX regions keep the owner values (zero gradient; a
         FLUX region's flux is replaced by :meth:`flux_overrides`, so its
-        ghost is unused except for keeping shapes uniform).
+        ghost is unused except for keeping shapes uniform).  Every SYMMETRY
+        and DIRICHLET entry is one gather and one scatter of the set's plan
+        for ``where`` (:meth:`_gather`): the mirrored owner values are taken
+        before anything is written.
 
         ``where`` (boolean, of the ghost array's shape) asks for the ghost
         value at those entries only; the others hold the owner value.  With
         the entries where the flow enters that is the upwinded side of every
-        boundary face, formed in place.  Each region keeps its columns of the
-        mask while the same array is passed (a step-invariant table: it may
-        not change in place).
+        boundary face, formed in place.  The plan is kept while the same
+        array is passed (a step-invariant table: it may not change in place).
         """
         ghost = owner_values.copy() if out is None else out
         if out is not None and out is not owner_values:
             ghost[...] = owner_values
-
-        def put(ctx: BoundaryContext, values) -> None:
-            if where is not None:  # the other entries keep what they hold
+        plan = self._gather(ghost.shape, where)
+        if len(plan.dst):
+            flat, mirrored = ghost.reshape(-1), len(plan.src)  # (a view if C-contiguous)
+            flat[plan.dst[:mirrored]] = flat[plan.src]  # all taken before any is written
+            flat[plan.dst[mirrored:]] = plan.values
+            if not ghost.flags.c_contiguous:  # (``flat`` is a copy)
+                ghost[...] = flat.reshape(ghost.shape)
+        for region, mask in plan.callbacks:
+            ctx, values = self._context(self.conditions[region], owner_values, time, dt,
+                                        extra)
+            if mask is not None:  # the other entries keep what they hold
                 held = ghost[:, ctx.slots]
-                np.copyto(held, values, where=ctx.remember(
-                    "where", (where,), lambda: where[:, ctx.slots]))
+                np.copyto(held, values, where=mask)
                 values = held
             ghost[:, ctx.slots] = values
-
-        for region, bc in self.conditions.items():
-            if bc.kind == BCKind.DIRICHLET:
-                put(self._static(bc), self._dirichlet[region])
-            elif bc.kind == BCKind.SYMMETRY:
-                # the owner values are in place: read them at the mirrored rows
-                ctx = self._static(bc)
-                put(ctx, ghost[ctx.remember("mirror", (bc.reflection_map,), lambda: (
-                    np.asarray(bc.reflection_map)[:, None], ctx.slots))])
-            elif bc.kind == BCKind.GHOST_CALLBACK:
-                put(*self._context(bc, owner_values, time, dt, extra))
         return ghost
+
+    def _gather(self, shape: tuple[int, ...], where: np.ndarray | None) -> "_Gather":
+        """:meth:`ghost_values`' plan for a ghost array of ``shape`` and
+        ``where``, built on first use and again for another mask object (one
+        mask and the unmasked plan are kept); :meth:`add` drops both."""
+        held = self._gathers.get(where is None)
+        if held is not None and held.where is where and held.shape == shape:
+            return held
+        nrows, nslots = shape
+        index = np.min_scalar_type(max(nrows * nslots - 1, 0))
+        flat = np.arange(nrows)[:, None] * nslots
+        mirrored, fixed, callbacks = [], [], []  # (dst, src), (dst, value), (region, mask)
+        for region, bc in self.conditions.items():
+            slots = self.geom.region_slots[region]
+            keep = np.ones((nrows, len(slots)), bool) if where is None else where[:, slots]
+            if bc.kind == BCKind.SYMMETRY:
+                rows = np.asarray(bc.reflection_map)[:, None] * nslots
+                mirrored.append(((flat + slots)[keep].astype(index),
+                                 (rows + slots)[keep].astype(index)))
+            elif bc.kind == BCKind.DIRICHLET:
+                value = np.asarray(bc.value, dtype=np.float64)
+                fixed.append(((flat + slots)[keep].astype(index), np.broadcast_to(
+                    value[:, None] if value.ndim else value, keep.shape)[keep]))
+            elif bc.kind == BCKind.GHOST_CALLBACK:
+                callbacks.append((region, None if where is None else keep))
+        none = [np.zeros(0, index)]
+        src = np.concatenate(none + [s for _, s in mirrored])
+        dst = np.concatenate(none + [d for d, _ in mirrored + fixed])
+        values = np.concatenate([np.zeros(0), *(v for _, v in fixed)])
+        plan = self._gathers[where is None] = _Gather(where, shape, src, dst, values, callbacks)
+        return plan
 
     def flux_overrides(self, owner_values: np.ndarray, time: float, dt: float,
                        extra: dict[str, Any] | None,

@@ -259,7 +259,8 @@ class Device:
         The body runs now (so results are immediately correct); the kernel
         clock advances by the modelled duration, starting no earlier than
         ``host_time`` (a kernel cannot start before the host issued it).
-        The record goes to ``profiler.launches``.
+        The record goes to ``profiler.launches``; what the body returned is
+        its ``result``.
         """
         self._maybe_inject("launch", what=kernel.name)
         record = model_launch(self.spec, kernel, n_threads, block)
@@ -268,7 +269,7 @@ class Device:
         backlog = max(0.0, self.kernel_clock.now() - host_time)
         self.kernel_clock.advance_to(host_time)
         record.start = self.kernel_clock.now()
-        kernel.body(*args)
+        record.result = kernel.body(*args)
         self.kernel_clock.advance(record.duration)
         record.end = self.kernel_clock.now()
         self.profiler.record_launch(record)

@@ -68,6 +68,9 @@ class KernelLaunchRecord:
     tail_efficiency: float
     start: float = 0.0
     end: float = 0.0
+    #: what the body returned (a device finish: its proof that the unknown
+    #: is finite); not part of the accounting
+    result: Any = field(default=None, compare=False, repr=False)
 
     @property
     def duration(self) -> float:

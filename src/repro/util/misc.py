@@ -49,7 +49,7 @@ def check_finite(name: str, array: np.ndarray) -> np.ndarray:
     """Raise :class:`SolverError` if ``array`` contains NaN/Inf.
 
     ``SolverState.check_health`` calls this once at the end of a ``run()``
-    (unless the last host sweep proved the unknown finite), so a blow-up is
+    (unless the last sweep proved the unknown finite), so a blow-up is
     reported with the variable name and first offending index instead of
     silently propagating NaNs.  One reduction when all is well
     (:func:`sum_is_finite`); the index is searched for only when not.

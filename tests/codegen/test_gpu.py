@@ -115,13 +115,13 @@ class TestTransferPlan:
         assert plan.bytes_d2h_per_step == small["band_energy"] + small["u_bdry"]
         assert solver.placement.bytes_moved_per_step == (
             plan.bytes_h2d_per_step + plan.bytes_d2h_per_step)
-        # the executed step moves what the plan says, plus the health flag
+        # the executed step moves what the plan says; a proved run, no health flag
         solver.run(1)
         before = solver.device.profiler.transfer_summary()
         solver.run(3)
         after = solver.device.profiler.transfer_summary()
         assert after["h2d"]["bytes"] - before["h2d"]["bytes"] == 3 * plan.bytes_h2d_per_step
-        assert after["d2h"]["bytes"] - before["d2h"]["bytes"] == 3 * plan.bytes_d2h_per_step + 8
+        assert after["d2h"]["bytes"] - before["d2h"]["bytes"] == 3 * plan.bytes_d2h_per_step
         for line in ("every step H2D:     du_bdry, var_", "every step D2H:     u_bdry, band_energy",
                      "device only:        u", "h2d(du_bdry, var_", "d2h(u_bdry, band_energy)"):
             assert line in solver.source, line
@@ -195,11 +195,27 @@ class TestResidentTimeline:
         p.extra["placement_override"] = {"finish_step": "gpu"}
         return p.solve()
 
-    def test_three_kernels_per_run(self, solver, gpu_scenario):
+    def test_two_kernels_per_step_and_no_check_on_a_proved_run(self, solver, gpu_scenario):
+        """The finish proved the unknown finite: ``check_health`` launches
+        nothing and moves nothing."""
         names = [r.kernel for r in solver.device.profiler.launches]
         n = gpu_scenario.nsteps
-        assert names == ["I_interior_step", "finish_step"] * n + ["finite_check"]
+        assert names == ["I_interior_step", "finish_step"] * n
         assert solver.device.profiler.report("I_interior_step").n_launches == n
+        assert solver.state.u_proved_finite == 1
+
+    def test_an_unproved_resident_run_ends_with_one_finite_check(self):
+        """No declared reduction, no proof: the unknown stays on the device
+        and the run ends with one ``finite_check`` and its 8-byte flag."""
+        from tests.codegen.test_health_flag import program
+
+        solver = program("gpu", pin="gpu", reduce=False)
+        solver.run(2)
+        profiler = solver.device.profiler
+        assert [r.kernel for r in profiler.launches] == [
+            "I_interior_step", "finish_step"] * 2 + ["finite_check"]
+        assert profiler.transfers[-1].kind == "d2h" and profiler.transfers[-1].nbytes == 8
+        assert solver.device.buffers["u"].on_device
 
     def test_phases_add_up_to_the_host_clock(self, solver):
         phases = solver.state.gpu_phases

@@ -32,9 +32,10 @@ BUMP = 3 * 8 + 3
 
 def program(target: str = "cpu", *, k=(0.5, 0.5), speed: float = 1.0, dt: float = 1e-3,
             wall: float = 0.0, initial=None, post=(), stepper: str = "euler",
-            pin: str | None = None):
+            pin: str | None = None, reduce: bool = True):
     """An ``(ND * NB)``-component decay and advection on 8 x 8 cells, with
-    one declared reduction (its reader does nothing), region 1 a FLUX wall
+    one declared reduction (its reader does nothing; none without
+    ``reduce``), region 1 a FLUX wall
     that returns ``wall`` from the second step on, the rest zero-gradient;
     ``post`` more post-step callbacks; on the device, ``pin`` places the
     finish."""
@@ -55,8 +56,9 @@ def program(target: str = "cpu", *, k=(0.5, 0.5), speed: float = 1.0, dt: float 
         p.add_boundary("I", region, BCKind.NEUMANN0)
     p.initial_values["I"] = (np.ones((ND * NB, 64)) if initial is None else initial)
     p.set_conservation_form("I", "-k[b]*I[d,b] - surface(upwind([Sx[d];Sy[d]], I[d,b]))")
-    p.add_post_step(lambda state, reduced: None, name="reader",
-                    reduce=Reduction("bands", np.arange(ND * NB) % NB, np.ones(ND * NB), NB))
+    if reduce:
+        p.add_post_step(lambda state, reduced: None, name="reader", reduce=Reduction(
+            "bands", np.arange(ND * NB) % NB, np.ones(ND * NB), NB))
     for i, fn in enumerate(post):
         p.add_post_step(fn, name=f"post{i}")
     if target == "gpu":
@@ -173,6 +175,29 @@ def test_an_unstable_dt_in_a_boundary_cells_column_is_reported_by_the_same_run(r
     assert message and column(message) in solver.state.geom.bcells
 
 
+@pytest.mark.parametrize("case", ["rows", "overflowing reduction"])
+def test_an_unproved_resident_run_checks_where_the_unknown_lives(case):
+    """A finish over a list of rows (a band rank's) or one whose reduction
+    overflows on finite values: no proof, so the run ends with one
+    ``finite_check`` launch and one flag back (a program with no declared
+    reduction: ``test_gpu.py``); the unknown being finite, it raises
+    nothing, and only where the flag says "look" (a sum of 1e308s
+    overflows) does the array come back."""
+    if case == "rows":
+        solver = program("gpu", pin="gpu")
+        solver.state.owned_comps = np.arange(ND * NB)
+    else:
+        solver = program("gpu", k=(0.0, 0.0), speed=0.0, initial=np.full((ND * NB, 64), 1e308),
+                         pin="gpu")
+    dev = solver.state.device
+    solver.run(2)
+    assert solver.state.u_proved_finite == 0
+    assert [r.kernel for r in dev.profiler.launches][-3:] == ["I_interior_step", "finish_step",
+                                                             "finite_check"]
+    assert [t.nbytes for t in dev.profiler.transfers].count(8) == 1
+    assert dev.buffers["u"].on_device == (case != "overflowing reduction")
+
+
 def test_a_degraded_device_step_leaves_the_unknown_unproved(run):
     """The host finish proved the first step; the second's launch faults
     and the step degrades to the host, where the wall overflows: the proof
@@ -223,8 +248,6 @@ def test_a_write_between_runs_is_seen_by_run_zero(run, write):
 # what never proves it: the full check, as before
 # --------------------------------------------------------------------------
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                            "ignore:invalid value:RuntimeWarning")  # (NumPy's, interp's)
 @pytest.mark.parametrize("case", ["rk2", "interp", "no reduction"])
 def test_programs_without_a_proving_sweep_check_the_whole_unknown(run, case):
     """A healthy run sums the unknown once; a blow-up raises as before."""
@@ -237,3 +260,14 @@ def test_programs_without_a_proving_sweep_check_the_whole_unknown(run, case):
         unstable = program(target, k=(0.5, 1e200), initial=bump(), **kw)
     assert run(healthy, 2) == (None, 1)
     assert run(unstable, 2)[0] is not None
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("target,pin", [*HOSTS, ("interp", None)])
+def test_a_blow_up_warns_on_no_target(run, target, pin):
+    """With a ``RuntimeWarning`` an error, the unstable run still ends in
+    the health check's ``SolverError``, the same on every target: the
+    interpreter's evaluation is as quiet as the C sweeps."""
+    solver = program(target, k=(0.5, 1e200), initial=bump(), pin=pin)
+    message, _ = run(solver, 2)
+    assert message and column(message) not in solver.state.geom.bcells

@@ -151,7 +151,7 @@ def test_a_window_nobody_looks_at_moves_only_the_small_arrays(ops, quiet, tmp_pa
     down = [name for kind, name in s.moved if kind == "h2d"]
     up = [name for kind, name in s.moved if kind == "d2h"]
     flags = up.count("workspace:finite_flag")
-    assert flags == 1  # the health check of the one run(): a flag, not the array
+    assert flags == 0  # the finish proved the unknown finite: the check moves nothing
     assert sorted(down) == sorted(list(DOWN) * quiet)
     assert sorted(n for n in up if not n.startswith("workspace:")) == sorted(list(UP) * quiet)
     # the first host access afterwards costs one fetch, the next step one upload
@@ -195,18 +195,60 @@ def test_band_partitioned_ranks_agree_with_their_paper_plan_twins(ranks):
 
 
 def test_a_blow_up_is_reported_from_the_device_with_the_host_checks_text():
-    """``check_health`` runs where the unknown lives; when the flag says so
-    the array is fetched and the error reads as ``check_finite`` words it."""
+    """On an unproved state ``check_health`` runs where the unknown lives;
+    when the flag says so the array is fetched and the error reads as
+    ``check_finite`` words it."""
     from repro.util.errors import SolverError
 
     s = Solver("gpu")
     s.solver.run(1)
+    s.state.u_proved_finite = 0  # (what a finish that proved nothing leaves)
     s.moved.clear()
     s.state.check_health()  # finite: one flag came back, nothing else
     assert s.moved == [("d2h", "workspace:finite_flag")]
     s.state.device.buffers["u"].array[3, 7] = np.nan
     with pytest.raises(SolverError, match=r"non-finite value in 'I' at index \(3, 7\): "):
         s.state.check_health()
+
+
+def test_on_a_proved_state_the_check_moves_nothing():
+    """The resident finish proved the step's unknown finite: ``check_health``
+    launches nothing and moves nothing, and the unknown stays on the device."""
+    s = Solver("gpu")
+    s.solver.run(2)
+    launches = len(s.state.device.profiler.launches)
+    s.moved.clear()
+    s.state.check_health()
+    assert s.state.u_proved_finite == 1 and s.moved == []
+    assert len(s.state.device.profiler.launches) == launches
+    assert s.state.device.buffers["u"].on_device
+
+
+@pytest.mark.parametrize("where", ["interior", "boundary"])
+def test_a_nan_a_resident_step_makes_is_reported_by_that_run(where):
+    """An overflow inside the mesh (band 1 decays at 1e200 per second) or in
+    a boundary cell's column (the FLUX wall turns to 1e300 at dt 1e10), made
+    by a step whose finish stays on the device: the reductions are not
+    finite, so the proof fails, and the same ``run()`` raises what
+    ``check_finite`` says of the unknown, after one ``finite_check``."""
+    from repro.util.errors import SolverError
+    from repro.util.misc import check_finite
+    from tests.codegen.test_health_flag import ND, NB, bump, column, program
+
+    if where == "interior":
+        solver = program("gpu", k=(0.5, 1e200), initial=bump(), pin="gpu")
+    else:
+        solver = program("gpu", k=(0.0, 0.0), speed=0.0, dt=1e10, wall=1e300,
+                         initial=np.zeros((ND * NB, 64)), pin="gpu")
+    solver.run(1)
+    assert solver.state.u_proved_finite == 1
+    with pytest.raises(SolverError) as raised:
+        solver.run(1)
+    assert [r.kernel for r in solver.device.profiler.launches][-1] == "finite_check"
+    with pytest.raises(SolverError) as expected:
+        check_finite("I", solver.state.u)
+    assert str(raised.value) == str(expected.value)
+    assert (column(str(raised.value)) in solver.state.geom.bcells) == (where == "boundary")
 
 
 # --------------------------------------------------------------------------
@@ -218,9 +260,9 @@ def test_a_blow_up_is_reported_from_the_device_with_the_host_checks_text():
        at=st.integers(1, 14), plan=st.sampled_from(["gpu", "cpu"]),
        ranks=st.sampled_from([0, 2]))
 def test_a_fault_at_any_step_degrades_to_the_same_bits(kind, op, at, plan, ranks):
-    """An injected device fault — in an upload, the interior launch, the
-    finish launch or the health check, wherever ``at`` lands — re-executes
-    the step on the host: digests equal the fault-free run's, the stale
+    """An injected device fault — in an upload, the interior launch or the
+    finish launch, wherever ``at`` lands — re-executes the step on the
+    host: digests equal the fault-free run's, the stale
     device copy is flagged (the sanitizer's RPR305 note fires for the case it
     was written for), and the step after starts with exactly one upload of
     the unknown."""

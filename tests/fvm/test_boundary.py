@@ -351,12 +351,14 @@ class TestContextsAreBoundOnce:
         for region, ghost in ((1, 5.0), (2, values[::-1][:, geom.region_slots[2]])):
             slots = geom.region_slots[region]
             expected[:, slots] = np.where(where[:, slots], ghost, values[:, slots])
-        for _ in range(2):  # cold, then from the kept columns and mirror index
+        plans = []
+        for _ in range(2):  # cold, then from the kept plan
             got = bset.ghost_values(values.copy(), 0.0, 0.0, None, values.copy(), where=where)
             assert got.tobytes() == expected.tobytes()
-        memo = bset._contexts[2].memo
-        assert memo["where"][0][0] is where and set(memo) == {"where", "mirror"}
-        other = ~where  # another mask object: its own columns
+            plans.append(bset._gathers[False])
+        assert plans[0] is plans[1] and plans[0].where is where
+        assert not bset._contexts  # no region context: no callback
+        other = ~where  # another mask object: its own plan
         got = bset.ghost_values(values.copy(), 0.0, 0.0, None, values.copy(), where=other)
-        assert bset._contexts[2].memo["where"][0][0] is other
+        assert bset._gathers[False].where is other
         assert not np.array_equal(got, expected)
