@@ -88,7 +88,7 @@ class BTEModel:
         All it reads of the intensity is the band energies ``e_act``,
         declared on the post-step record (:meth:`band_energy_reduction`)
         and handed in by every target: this rank's partial sums, over all
-        of the state's cells.
+        of the state's cells (a cell rank's: its piece's, halo included).
         Keeps the per-cell temperature in ``state.extra['T']`` (also the
         Newton starting guess) and the closure's whole result in
         ``state.extra['closure']``, the next step's warm start (a restored
@@ -100,15 +100,7 @@ class BTEModel:
         T_prev = state.extra.get("T")
         if T_prev is None:
             T_prev = np.full(state.ncells, float(state.extra.get("T0", 300.0)))
-        cells = getattr(state, "owned_cells", None)
-        comps = getattr(state, "owned_comps", None)
-        if cells is not None:
-            # cell partitioning: the update restricts to owned cells (ghost
-            # columns never feed volume terms); each column sums on its own
-            T_prev, T_all = T_prev[cells], T_prev.copy()
-            e_act = e_act.take(cells, axis=1, mode="clip",
-                               out=state.buffer("owned_energy", (len(e_act), len(cells))))
-        if comps is not None:
+        if getattr(state, "owned_comps", None) is not None:
             # band partitioning: each rank holds only its components' valid
             # intensities; the closure needs all bands -> allreduce of the
             # partial per-band, per-cell sums (the paper's only band-strategy
@@ -122,17 +114,9 @@ class BTEModel:
             self.bands, e_act, T_prev, buffer=state.buffer,
             warm=state.extra.pop("closure", None))
         state.extra["closure"] = (T.copy(), tau, e_T)
-        Io, beta = state.fields["Io"].data, state.fields["beta"].data
-        if cells is None:
-            state.extra["T"] = T
-            np.divide(e_T, 4.0 * math.pi, out=Io)
-            beta[...] = tau
-        else:
-            T_all[cells] = T
-            state.extra["T"] = T_all
-            Io[:, cells] = np.divide(e_T, 4.0 * math.pi,
-                                     out=state.buffer("band_work", e_T.shape))
-            beta[:, cells] = tau
+        state.extra["T"] = T
+        np.divide(e_T, 4.0 * math.pi, out=state.fields["Io"].data)
+        state.fields["beta"].data[...] = tau
 
     def initial_intensity(self, T0: float) -> np.ndarray:
         """Per-component equilibrium intensity at uniform ``T0``, (ncomp,)."""

@@ -12,15 +12,13 @@ Implements the paper's two CPU parallel strategies (Sec. III-C, Fig. 3):
   temperature update.
 
 Rank programs execute real numerics on real exchanged data (tests assert
-agreement with the serial solver to round-off) while virtual clocks are
+agreement with the serial solver bit for bit) while virtual clocks are
 charged from the calibrated :class:`~repro.perfmodel.costs.CostModel` — see
-DESIGN.md for the substitution rationale.  Rank states keep full-size
-arrays so the generated code stays close to the serial version it derives
-from, but a rank only does its own work: band ranks sweep their owned
-component rows alone (``compute_rhs(..., rows=owned)``), cell ranks every
-row but store only the mesh columns they own, so stale entries are never
-*read* (ghost columns are refreshed by the halo exchange before each step;
-unowned outputs are discarded).
+DESIGN.md for the substitution rationale.  A rank does only its own work: a
+band rank sweeps its owned component rows alone (``compute_rhs(...,
+rows=owned)``); a cell rank is the serial program on its piece of the mesh
+(:func:`~repro.mesh.partition.mesh_pieces`, built at bind and at each
+repartition), whose halo the exchange refreshes before each step.
 
 Note: a distributed run always starts from the declared initial conditions
 or the cut ``restore_from`` names (each rank builds its state from the
@@ -47,6 +45,7 @@ from repro.ir.build import build_ir  # noqa: F401  (the build's stages, named he
 from repro.ir.lowering import lower_conservation_form  # noqa: F401
 from repro.mesh.partition import (
     build_partition_layout,
+    mesh_pieces,
     partition_cells,
     weighted_counts,
 )
@@ -73,31 +72,24 @@ def _solve(sweep: str) -> list[str]:
 #: a rank's post-step work on its communicator clock
 CHARGE_TEMP = ["comm.compute(COST_TEMP[comm.rank], phase='temperature update')"]
 #: what a band rank returns: its rows, and the temperature every rank holds
-BAND_RESULT = [
-    "'u_owned': state.u[owned].copy(),",
-    "'T': None if T is None else np.asarray(T).copy(),",
-]
+BAND_RESULT = ["'u': state.u[owned],", "'T': T,"]
 
 #: The holes of the two rank programs (:func:`emit_step_loop`).
 RANK_LOOPS = {
     "cells": dict(
         doc=['"""One rank of the cell-partitioned solver (Fig. 3, top)."""'],
-        prologue=["owned = state.owned_cells"],
         before_step=[
-            "# refresh ghost columns: send owned interface cells, receive theirs",
+            "# refresh the halo: send owned interface cells, receive theirs",
             "with trace_phase('halo_exchange', cat='comm'):",
             "    sends = {q: np.ascontiguousarray(state.u[:, cells])",
-            "             for q, cells in SEND_CELLS[comm.rank].items()}",
+            "             for q, cells in state.piece.send.items()}",
             "    received = comm.exchange(sends, tag=7)",
             "    for q, data in received.items():",
-            "        state.u[:, RECV_CELLS[comm.rank][q]] = data",
+            "        state.u[:, state.piece.recv[q]] = data",
         ],
-        step=_solve("compute_rhs(state, state.u, state.time)  # stores the owned columns"),
+        step=_solve("compute_rhs(state, state.u, state.time)"),
         charge=CHARGE_TEMP,
-        result=[
-            "'u_owned': state.u[:, owned].copy(),",
-            "'T': None if T is None else np.asarray(T)[owned].copy(),",
-        ],
+        result=["'u': state.u,", "'T': T,"],  # (its piece's: merged by its owned ids)
     ),
     "bands": dict(
         doc=[
@@ -138,12 +130,6 @@ class CPUDistributedTarget(FVTarget):
         return emit_step_loop(self.source_name, spmd=True,
                               **RANK_LOOPS[self.partition(problem)])
 
-    def tables(self, problem: "Problem", plan: dict) -> dict:
-        partition = plan["layout"]
-        if partition is None:
-            partition = _split_components(problem, problem.config.nparts)
-        return {"NPARTS": problem.config.nparts, **_partition_tables(problem)(partition)}
-
     def bind_artifact(self, problem: "Problem", artifact) -> GeneratedSolver:
         return bind_spmd(self, problem, artifact, SolverState(problem))
 
@@ -153,11 +139,11 @@ def bind_spmd(target: CodegenTarget, problem: "Problem", artifact, master, *,
     """The bind half every SPMD target shares: what the driver and the rank
     programs of :func:`emit_step_loop` read from their namespace.
 
-    The partition — the artifact's ``PartitionLayout`` under cell
-    partitioning, the ranks' owned component sets under band partitioning —
-    lives in a box, so the elastic runtime can swap it mid-run:
-    ``make_rank_state`` and the merger read the box, not a fixed layout.
-    ``repartition(nranks, weights)`` builds another one and
+    The partition — the pieces of the artifact's ``PartitionLayout`` under
+    cell partitioning, the ranks' owned component sets under band
+    partitioning — lives in a box, so the elastic runtime can swap it
+    mid-run: ``make_rank_state`` and the merger read the box, not a fixed
+    layout.  ``repartition(nranks, weights)`` builds another one and
     ``tables(partition)`` the namespace entries one decides; both reach the
     :class:`~repro.runtime.rebalance.ElasticRunner`, bound only when the
     problem opted in (``rebalance`` extra: the driver otherwise calls
@@ -166,8 +152,10 @@ def bind_spmd(target: CodegenTarget, problem: "Problem", artifact, master, *,
     """
     cells = problem.config.partition_strategy == "cells"
     if cells:
-        current = artifact.attrs["layout"]
-        repartition = partial(_cell_layout, problem)
+        current = mesh_pieces(problem.mesh, artifact.attrs["layout"])
+
+        def repartition(nranks, weights):
+            return mesh_pieces(problem.mesh, _cell_layout(problem, nranks, weights))
     else:
         current = _split_components(problem, problem.config.nparts)
         repartition = partial(_split_components, problem)
@@ -175,8 +163,8 @@ def bind_spmd(target: CodegenTarget, problem: "Problem", artifact, master, *,
     extra = problem.extra
     box = [current]
 
-    def owned_of(partition):
-        return partition.owned if cells else partition
+    def owned_of(partition):  # per rank, the global ids of its cells or components
+        return [p.cells[p.owned] for p in partition] if cells else partition
 
     controller = None
     if extra.get("rebalance"):
@@ -184,7 +172,7 @@ def bind_spmd(target: CodegenTarget, problem: "Problem", artifact, master, *,
 
         def install(partition, namespace):
             box[0] = partition
-            namespace.update(tables(partition), NPARTS=len(owned_of(partition)))
+            namespace.update(tables(partition), NPARTS=len(partition))
 
         controller = ElasticRunner(
             policy=RebalancePolicy(
@@ -197,9 +185,8 @@ def bind_spmd(target: CodegenTarget, problem: "Problem", artifact, master, *,
         )
 
     def make_rank_state(rank: int) -> SolverState:
-        st = SolverState(problem)
-        # exactly one of the two is set on a rank state
-        setattr(st, "owned_cells" if cells else "owned_comps", owned_of(box[0])[rank])
+        st = SolverState(problem, box[0][rank] if cells else None)
+        st.owned_comps = None if cells else box[0][rank]
         if controller is not None:
             controller.prepare_rank_state(st)
         if prepare is not None:
@@ -211,17 +198,18 @@ def bind_spmd(target: CodegenTarget, problem: "Problem", artifact, master, *,
         the box *now*: an elastic run may have migrated to a different one
         (or another rank count) than the solver was bound with."""
         T = None
-        for owned, out in zip(owned_of(box[0]), result.results):
+        for part, out in zip(box[0], result.results):
+            u, T_rank = out["u"], out["T"]
             if cells:
-                state.u[:, owned] = out["u_owned"]
-                if out["T"] is not None:
+                state.u[:, part.cells[part.owned]] = u[:, part.owned]
+                if T_rank is not None:
                     if T is None:
                         T = np.full(state.ncells, float(extra.get("T0", 0.0)))
-                    T[owned] = out["T"]
+                    T[part.cells[part.owned]] = np.asarray(T_rank)[part.owned]
             else:
-                state.u[owned] = out["u_owned"]
+                state.u[part] = u
                 if T is None:
-                    T = out["T"]  # every band rank holds all of it
+                    T = T_rank  # every band rank holds all of it
         if T is not None:
             state.extra["T"] = T
         state.time += state.dt * nsteps
@@ -229,6 +217,8 @@ def bind_spmd(target: CodegenTarget, problem: "Problem", artifact, master, *,
 
     solver = target.bind_solver(problem, artifact, master, {
         **(env or {}),
+        **tables(current),
+        "NPARTS": len(current),
         "RUN_NSTEPS": [problem.config.nsteps],  # boxed so run_steps can set it
         "NETWORK": IB_CLUSTER,
         "run_spmd": run_spmd,
@@ -292,23 +282,20 @@ def _cell_layout(problem: "Problem", nranks: int, weights=None):
 
 
 def _partition_tables(problem: "Problem"):
-    """``tables(partition)``: the namespace entries a partition decides —
-    the halo maps of a cell layout, and the per-rank cost vectors: each
-    rank's clock advances by *its own* owned work, so partition skew is
-    visible to the imbalance watcher (and correctable by a weighted
-    repartition, which rewrites them)."""
+    """``tables(partition)``: the namespace entries a partition decides, the
+    per-rank cost vectors: each rank's clock advances by *its own* owned
+    work, so partition skew is visible to the imbalance watcher (and
+    correctable by a weighted repartition, which rewrites them)."""
     cost = CostModel(CASCADE_LAKE_FINCH)
     ncomp, ncells = problem.unknown.space.ncomp, problem.mesh.ncells
     nbands = _band_count(problem)
     ndirs = max(1, ncomp // max(nbands, 1))
     n_bfaces = int(np.count_nonzero(problem.mesh.face_cells[:, 1] < 0))
 
-    def cell_tables(layout):
+    def cell_tables(pieces):
         return {
-            "SEND_CELLS": layout.send_cells,
-            "RECV_CELLS": layout.recv_cells,
-            "COST_SOLVE": [cost.intensity_step(len(o), ncomp) for o in layout.owned],
-            "COST_TEMP": [cost.temperature_step(len(o), nbands) for o in layout.owned],
+            "COST_SOLVE": [cost.intensity_step(len(p.owned), ncomp) for p in pieces],
+            "COST_TEMP": [cost.temperature_step(len(p.owned), nbands) for p in pieces],
         }
 
     def band_tables(owned_sets):

@@ -316,12 +316,12 @@ _REDUCE = ["long nq", "double *const *restrict ro", "const long *restrict rn",
            "const long *restrict rg", "const double *restrict rw"]
 _ZERO = ["    for (long q = 0; q < nq; q++)",
          "        for (long k = 0; k < rn[q]; k++) ro[q][k] = 0.0;"]
-#: each declared reduction of the stored row ``orow``, the term first (of two
+#: each declared reduction of the stored row ``o``, the term first (of two
 #: NaNs the term's is kept, as ``np.add.at`` keeps it)
 _REDUCE_ROW = ["        for (long q = 0; q < nq; q++) {",
                "            double *restrict e = ro[q] + rg[q * nu + g] * n;",
                "            const double we = rw[q * nu + g];",
-               "            for (long c = 0; c < n; c++) e[c] = orow[c] * we + e[c];",
+               "            for (long c = 0; c < n; c++) e[c] = o[c] * we + e[c];",
                "        }"]
 #: after the rows: 1 when every row was swept and reduced and no output is NaN
 #: or Inf — each element of a row goes into an output, where a non-finite term
@@ -376,9 +376,9 @@ def _finish() -> Lowered:
     (the unknown, stepped), the boundary cells' add and the declared
     reductions as the Euler tile's, then the owner values of the boundary
     faces into ``w`` — of every row, a band rank's others too."""
-    rows = [*_ZERO, *_ROW, "        double *orow = out + g * n, *o = orow;", _boundary_add(True),
+    rows = [*_ZERO, *_ROW, "        double *o = out + g * n;", _boundary_add(True),
             *_REDUCE_ROW,
-            "        for (long k = 0; k < no; k++) w[g * no + k] = orow[own[k]];",
+            "        for (long k = 0; k < no; k++) w[g * no + k] = o[own[k]];",
             "    }",
             "    for (long g = 0; rows && g < nu; g++)",
             "        for (long k = 0; k < no; k++) w[g * no + k] = u[g * n + own[k]];", *_PROVE]
@@ -417,13 +417,12 @@ def lower(volume, euler: bool, *, folded=None, surface=None, boundary=None) -> L
     source = tile.expr(Leaf("r", "source"))
     folds = len(tile.folds)
     head = _head(tile, "long nb", "const long *restrict bc", "const double *restrict bd",
-                 "long no", "const long *restrict own", *_REDUCE * euler)
+                 *_REDUCE * euler)
     rows = [
         *_ZERO * euler,
         *_ROW,
-        "        double *orow = out + g * n;",
         "        /* o may be ur (in place): element c is read, then written */",
-        f"        double *o = own ? {'w + nf + n' if faces else f'w + {folds} * n'} : orow;",
+        "        double *o = out + g * n;",
         *["        double *restrict fl = w, *restrict dv = w + nf;"] * bool(faces),
         *("        " + p for p in tile.rowptrs),
         *faces,
@@ -458,7 +457,6 @@ def lower(volume, euler: bool, *, folded=None, surface=None, boundary=None) -> L
         f"            o[c] = {'ur[c] + v * s0' if euler else 'v'};",
         "        }",
         _boundary_add(euler),
-        "        for (long k = 0; k < no; k++) orow[own[k]] = o[own[k]];",
         *_REDUCE_ROW * euler,
         "    }",
         *(_PROVE if euler else ["    return 0;"]),
@@ -467,8 +465,8 @@ def lower(volume, euler: bool, *, folded=None, surface=None, boundary=None) -> L
         "/* A tile, generated (repro.codegen.ctile): per row g of the sweep, the\n"
         "   face loop or the folded operators, the statements per cell, the store\n"
         f"   ({'u + v * dt, in place or not' if euler else 'the right-hand side v'}), "
-        "the boundary cells' add, the\n   columns a cell rank owns"
-        + (", each declared reduction of the stored row. */" if euler else ". */"))
+        "the boundary cells' add"
+        + (",\n   each declared reduction of the stored row. */" if euler else ". */"))
     lowered = tile.unit(comment, head, rows, euler, "faces" if faces else "cells")
     parts = [part for part in (boundary and _boundary(*boundary), _finish()) if part]
     text = "\n".join([lowered.text, *(part.text for part in parts)])
@@ -722,12 +720,11 @@ class Tile:
     """A function of a program's built library (:class:`Lowered`), called
     once per sweep.
 
-    ``TILE(memo, scalars, rows, u, out, scratch, bcells, bdry, owned,
-    reduced, *operands)``; the boundary part, ``BOUNDARY(memo, scalars,
-    None, u_bdry, du_bdry, scratch, *operands)``; a device step's end,
-    ``finish_step(memo, (dt,), rows, u, u, u_bdry, bcells, du_bdry, bowner,
-    reduced)`` (the owner values written where a tile's scratch goes, the
-    boundary faces' owners where a cell rank's columns go).  ``scalars`` by
+    ``TILE(memo, scalars, rows, u, out, scratch, bcells, bdry, reduced,
+    *operands)``; the boundary part, ``BOUNDARY(memo, scalars, None, u_bdry,
+    du_bdry, scratch, *operands)``; a device step's end, ``finish_step(memo,
+    (dt,), rows, u, u, u_bdry, bcells, du_bdry, bowner, reduced)`` (the owner
+    values written where a tile's scratch goes).  ``scalars`` by
     value (``dt`` first), ``u`` and ``out`` checked on every call, the rest
     resolved once (:class:`_Checked`) and held in ``memo``, the state's
     ``plans``: one entry per call site, reused while each object is the one
@@ -743,8 +740,8 @@ class Tile:
         self.lib, self.fn = lib, None
         self.lowered, self.reductions = lowered, tuple(reductions)
         self.symbol = _symbol(lowered.shape)
-        #: the arguments after ``out`` that are no operands
-        self.places = 1 if lowered.shape == "boundary" else 5
+        #: the arguments after ``out`` that are no operands (the last: the reductions')
+        self.places = {"boundary": 1, "finish": 5}.get(lowered.shape, 4)
 
     def wait(self) -> None:
         """Wait for the library and declare the function's signature (``d`` a
@@ -763,15 +760,16 @@ class Tile:
             # takes it, so neither does this one
             raise TypeError("a complex value for a real operand of the tile")
         held = memo.get(self)
-        ids = (tuple(map(id, (rows, *args))) if self.places == 1 else  # (``args[4]``: the
-               tuple(map(id, (rows, *args[:4], *args[4], *args[5:]))))  # reductions' outputs)
+        r = self.places - 1
+        ids = (tuple(map(id, (rows, *args))) if self.places == 1 else
+               tuple(map(id, (rows, *args[:r], *args[r], *args[r + 1:]))))
         if held is None or held.ids != ids:
             held = memo[self] = self._pointers(rows, u, out, *args)
         return self.fn(*scalars, *held.head, *held.io(u, out), *held.tail)
 
     def _pointers(self, rows, u, out, scratch, *args) -> _Checked:
         lowered, boundary = self.lowered, self.places == 1
-        reduced = () if boundary else args[3]
+        reduced = () if boundary else args[self.places - 2]
         operands = args[self.places - 1:]
         check = _Checked(self.symbol, u, rows, scratch, *args[:self.places - 1 - (not boundary)],
                          *reduced, *operands)
@@ -791,21 +789,20 @@ class Tile:
             check.out_shape = (nu, nd)
             args = [floats(scratch, (nf,), "scratch", True), nd]
         else:
-            bcells, bdry, owned = args[:3]
+            bcells, bdry = args[:2]
             finish = lowered.shape == "finish"
             if faces is not None and nd != n:
                 raise CodegenError("tile: a face loop into other cells")
             bc = np.zeros(0, np.int64) if bcells is None else indices(bcells, n, "boundary cells")
             if (np.diff(bc) <= 0).any():  # (no cell twice: the add is vectorized)
                 raise CodegenError(f"{self.symbol}: the boundary cells are not increasing")
-            own = None if owned is None else indices(
-                owned, n, "boundary owners" if finish else "owned columns")
-            size = ((nu, len(own)) if finish else (nf + 2 * n,) if faces is not None
-                    else ((lowered.folds + 1) * n,))
+            own = indices(args[2], n, "boundary owners") if finish else None
+            size = ((nu, len(own)) if finish else (nf + n,) if faces is not None
+                    else (lowered.folds * n,))
             args = [floats(scratch, size, "owner values" if finish else "scratch", True),
                     len(bc), bc.ctypes.data,
                     None if bdry is None else floats(bdry, (nu, len(bc)), "boundary part"),
-                    0 if own is None else len(own), None if own is None else own.ctypes.data]
+                    *((len(own), own.ctypes.data) if finish else ())]
             inputs = (bdry, scratch) if finish else ()
             if finish and np.may_share_memory(scratch, bdry):
                 raise CodegenError("finish: the owner values share memory with the boundary part")

@@ -649,7 +649,7 @@ class ExprEmitter:
                                     for a in faces)]
             folds.append(Hoisted(
                 f"fold_s{n}",
-                f"kernels.fold_upwind(divergence, {found.name}, upw, NCELLS)", rows))
+                f"kernels.fold_upwind(divergence, {found.name}, upw)", rows))
         folded = EmittedExpr(0.0, 0)
         regs = self._regs = _Registers("d", folded.statements)
         regs.free.append("acc")  # the first term is formed where the tile sums
@@ -1111,8 +1111,7 @@ EULER = ("euler", "euler_explicit")
 
 
 def emit_interior(emitter: ExprEmitter, surface: EmittedExpr, volume: EmittedExpr,
-                  device: bool, *, stepper: str = "euler",
-                  owned_columns: bool = False) -> list[str]:
+                  device: bool, *, stepper: str = "euler") -> list[str]:
     """The finite-volume interior of every target — the ``surface`` and
     ``volume`` statements ``emitter`` emitted — for where the step's
     placement put ``interior_update``, and the source lines and the printed
@@ -1120,8 +1119,7 @@ def emit_interior(emitter: ExprEmitter, surface: EmittedExpr, volume: EmittedExp
 
     On the host it is ``compute_rhs(state, u, t, rows=None)`` (``rows``: a
     band rank's): under forward Euler the sweep stores ``u + dt * rhs``
-    itself (a cell rank, ``owned_columns``, only in the columns it owns),
-    fills the post-step callbacks' declared reductions (``state.reduced``)
+    itself, fills the post-step callbacks' declared reductions (``state.reduced``)
     and returns its proof that ``u`` is finite (the host step keeps it,
     ``state.u_proved_finite``); other steppers get the RHS back.  On the
     ``device`` it is a launch over the interior faces into ``u_new``,
@@ -1218,11 +1216,9 @@ def emit_interior(emitter: ExprEmitter, surface: EmittedExpr, volume: EmittedExp
         ]
     if not inplace:
         body.append("rhs = np.empty((NCOMP, geom.ncells))")
-    size = (f"{tile.folds + 1} * {ncells}" if tile.shape == "cells" else
-            f"len(faces.side1) + 2 * {ncells}")
-    places = (["None", "None", "None"] if device else
-              ["bcells" if folded else "None", "bdry" if folded else "None",
-               "state.owned_cells" if owned_columns else "None"])
+    size = (f"{tile.folds} * {ncells}" if tile.shape == "cells" else
+            f"len(faces.side1) + {ncells}")
+    places = ["bcells", "bdry"] if folded and not device else ["None", "None"]
     reduced = "()" if device or not inplace else "state.reduced"
     body += ["", *(f"# RHS surface: {t}" for t in form.surface_terms),
              *(f"# RHS volume: {t}" for t in form.volume_terms)]

@@ -21,7 +21,6 @@ from repro.codegen.cpu_distributed import (
     BAND_RESULT,
     CHARGE_TEMP,
     RANK_LOOPS,
-    _partition_tables,
     _split_components,
     bind_spmd,
 )
@@ -81,10 +80,6 @@ class GPUMultiTarget(FVTarget):
     def program(self, problem: "Problem", plan: dict) -> list[str]:
         return (emit_device_step("device_step", plan, rank="state.comm.rank")
                 + emit_step_loop(self.source_name, spmd=True, **RANK_LOOP))
-
-    def tables(self, problem: "Problem", plan: dict) -> dict:
-        owned_sets = _split_components(problem, problem.config.nparts)
-        return {"NPARTS": problem.config.nparts, **_partition_tables(problem)(owned_sets)}
 
     def bind_artifact(self, problem: "Problem", artifact) -> GeneratedSolver:
         master = SolverState(problem)

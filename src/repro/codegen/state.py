@@ -5,7 +5,7 @@ fields (unknown + known variables), the FV geometry, the lowered boundary
 conditions, the component-block structure implied by ``assemblyLoops``, the
 phase timers behind the execution-time breakdowns, and the user ``extra``
 dict that callbacks use to carry problem-specific data (the BTE keeps its
-temperature array there).
+temperature array there).  A cell rank's state runs on its piece of the mesh.
 """
 
 from __future__ import annotations
@@ -33,17 +33,19 @@ from repro.util.timing import TimerRegistry, phase_shares
 
 if TYPE_CHECKING:
     from repro.dsl.problem import BoundarySpec, Problem
+    from repro.mesh.partition import MeshPiece
 
 
 class SolverState:
     """Mutable runtime state of one generated solver."""
 
-    def __init__(self, problem: "Problem"):
+    def __init__(self, problem: "Problem", piece: "MeshPiece | None" = None):
         if problem.mesh is None:
             raise ConfigError("problem has no mesh")
         self.problem = problem
-        self.mesh = problem.mesh
-        self.geom = FVGeometry(problem.mesh)
+        self.piece = piece  # a cell rank's piece of the mesh (None: the whole)
+        self.mesh = problem.mesh if piece is None else piece.mesh
+        self.geom = FVGeometry(self.mesh)
         self.unknown = problem.unknown
         self.dt = problem.config.dt
         self.nsteps = problem.config.nsteps
@@ -55,15 +57,13 @@ class SolverState:
         # it owns) would outlive its solver until the cyclic collector runs
         self.extra.setdefault("state", weakref.proxy(self))
 
-        # distributed context (set by the distributed/gpu targets):
-        # exactly one of owned_comps/owned_cells is set on a rank state;
-        # callbacks use them (plus `comm`) to restrict work and reduce.
+        # distributed context (set by the SPMD targets): a band rank's
+        # components, which callbacks use (plus `comm`) to restrict and reduce
         self.comm = None  # repro.runtime.Communicator on rank states
         # device context (set by the gpu targets' attach_device): while
         # ``device.buffers['u'].on_device`` the device owns the unknown
         self.device = None
         self.owned_comps: np.ndarray | None = None  # band partitioning
-        self.owned_cells: np.ndarray | None = None  # cell partitioning
 
         # fields: the unknown plus every declared variable
         self.fields: dict[str, CellField] = {}
@@ -388,6 +388,8 @@ class SolverState:
                     )
                 continue
             arr = np.asarray(values, dtype=np.float64)
+            if self.piece is not None and arr.shape == (fld.ncomp, self.problem.mesh.ncells):
+                arr = arr[:, self.piece.cells]  # the whole mesh's, at the piece's cells
             if arr.ndim == 0:
                 fld.fill(float(arr))
             elif arr.shape == (fld.ncomp,):
@@ -406,6 +408,8 @@ class SolverState:
         for spec in self.problem.boundaries:
             if spec.variable != self.unknown.name:
                 continue  # conditions of known variables are handled by callbacks
+            if self.piece is not None and spec.region not in self.geom.region_faces:
+                continue  # the region has no face on this piece
             bset.add(self._lower_boundary_spec(spec))
         return bset
 

@@ -340,8 +340,9 @@ class FVTarget(CodegenTarget):
             solve = ["state.u_proved_finite = compute_rhs(state, state.u, state.time)"]
         else:
             solve = [
-                "u_new = stepper.advance(state.u, state.time, state.dt,",
-                "                        lambda uu, tt: compute_rhs(state, uu, tt))",
+                "with np.errstate(all='ignore'):  # (a blow-up is check_health's to report)",
+                "    u_new = stepper.advance(state.u, state.time, state.dt,",
+                "                            lambda uu, tt: compute_rhs(state, uu, tt))",
                 "state.u = u_new",
                 *REDUCE_STEP,
             ]
@@ -386,8 +387,7 @@ class FVTarget(CodegenTarget):
             lines += ["#   " + ln for ln in plan["transfer_plan"].report().splitlines()]
             lines += [""]
         interior, tile = emit_interior(emitter, surface, volume, device,
-                                       stepper=problem.config.stepper,
-                                       owned_columns=self.partition(problem) == "cells")
+                                       stepper=problem.config.stepper)
         ctile.build(tile.text)  # the compiler starts now; bind waits for it
         lines += interior
         lines += self.program(problem, plan)

@@ -105,9 +105,9 @@ def laid_out(arrays) -> bool:
                and a.flags.c_contiguous for a, t, d in arrays)
 
 
-def fold_upwind(rows, table: np.ndarray, columns: np.ndarray, ncells: int) -> FoldedOperator:
+def fold_upwind(rows, table: np.ndarray, columns: np.ndarray) -> FoldedOperator:
     """Fold what multiplies the unknown on its way through an operator (its
-    CSR rows, :func:`entry_rows`, ``ncells`` of them) into the operator: with
+    CSR rows, :func:`entry_rows`, one per cell) into the operator: with
     ``table[r, f]`` a coefficient per (table row, face) and ``columns[r, f]``
     the cell face ``f`` reads under row ``r`` (the generated code's ``upw``
     table: one of the face's two cells, or a negative ghost slot), the
@@ -131,7 +131,7 @@ def fold_upwind(rows, table: np.ndarray, columns: np.ndarray, ncells: int) -> Fo
     brick.  Every other row keeps gather entries (:func:`_gather_form`), and
     so does every row of a mesh without such planes (triangles, a scattered
     numbering), decided before anything of the planes' size is allocated."""
-    slots = row_slots(rows)
+    slots, ncells = row_slots(rows), len(rows[0]) - 1
     planes = _offset_planes(slots, ncells, table.shape[1])
     if planes is None:
         return _flat(*_gather_form(slots, table, columns, ncells))

@@ -11,16 +11,18 @@ Two partitioners are provided:
 :func:`build_partition_layout` derives everything the distributed runtime
 needs from an assignment vector: owned/ghost cell lists, send/receive maps
 per neighbour rank, shared interface faces, and communication-volume
-statistics (the quantity Figure 3 of the paper is about).
+statistics (the quantity Figure 3 of the paper is about); :func:`mesh_pieces`
+each rank's piece of the mesh, on which a cell rank runs as a serial one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from repro.mesh.mesh import Mesh
+from repro.mesh.mesh import Mesh, build_mesh
 from repro.util.errors import MeshError
 
 
@@ -239,11 +241,10 @@ def partition_cells(
 
 @dataclass
 class PartitionLayout:
-    """Everything a rank needs to run on its piece of the mesh.
+    """The cut of the whole mesh into the pieces the ranks run on.
 
-    Every cell id is global: the generated cell-partitioned rank loop keeps
-    the whole mesh's columns and exchanges the ``send_cells`` /
-    ``recv_cells`` columns of each neighbour.
+    Every cell id of the layout is global; :func:`mesh_pieces` numbers each
+    rank's cells, its owned set and its halo maps on its own piece.
     """
 
     nparts: int
@@ -259,18 +260,11 @@ class PartitionLayout:
     @property
     def cut_face_count(self) -> int:
         """Total number of faces crossing a partition boundary."""
-        seen: set[int] = set()
-        for faces in self.interface_faces:
-            seen.update(int(f) for f in faces)
-        return len(seen)
+        return len(set().union(*(faces.tolist() for faces in self.interface_faces)))
 
     def comm_volume_doubles(self, dofs_per_cell: int = 1) -> int:
         """Total values exchanged per halo update (sum over ranks of sends)."""
-        return sum(
-            len(cells) * dofs_per_cell
-            for sends in self.send_cells
-            for cells in sends.values()
-        )
+        return dofs_per_cell * sum(len(c) for sends in self.send_cells for c in sends.values())
 
 
 def build_partition_layout(
@@ -305,9 +299,7 @@ def build_partition_layout(
         seen = set(owned_set)
         current = owned_set
         for _ in range(halo_layers):
-            layer = sorted(
-                {nb for c in current for nb in adj[c]} - seen
-            )
+            layer = sorted({nb for c in current for nb in adj[c]} - seen)
             for g in layer:
                 ghosts_p.append(g)
                 seen.add(g)
@@ -315,9 +307,8 @@ def build_partition_layout(
             current = set(layer)
         ghost_lists.append(ghosts_p)
 
-    recv_cells = [
-        {q: np.array(v, dtype=np.int64) for q, v in sorted(r.items())} for r in recv
-    ]
+    recv_cells = [{q: np.array(v, dtype=np.int64) for q, v in sorted(r.items())}
+                  for r in recv]
     # symmetry by construction: what p receives from q is what q sends to p
     send_cells: list[dict[int, np.ndarray]] = [dict() for _ in range(nparts)]
     for p in range(nparts):
@@ -328,24 +319,44 @@ def build_partition_layout(
     ghosts = [np.array(g, dtype=np.int64) for g in ghost_lists]
 
     # faces cut by the partition (layer-1 interfaces; used for comm stats)
-    iface: list[list[int]] = [[] for _ in range(nparts)]
-    for f in mesh.interior_faces():
-        a, b = (int(c) for c in mesh.face_cells[f])
-        pa, pb = int(parts[a]), int(parts[b])
-        if pa != pb:
-            iface[pa].append(int(f))
-            iface[pb].append(int(f))
-    interface_faces = [np.array(v, dtype=np.int64) for v in iface]
+    inner = mesh.interior_faces()
+    sides = parts[mesh.face_cells[inner]]
+    cut = sides[:, 0] != sides[:, 1]
+    interface_faces = [inner[cut & (sides == p).any(axis=1)] for p in range(nparts)]
+    return PartitionLayout(nparts, parts, owned, ghosts, send_cells, recv_cells,
+                           interface_faces)
 
-    return PartitionLayout(
-        nparts=nparts,
-        parts=parts,
-        owned=owned,
-        ghosts=ghosts,
-        send_cells=send_cells,
-        recv_cells=recv_cells,
-        interface_faces=interface_faces,
-    )
+
+@dataclass
+class MeshPiece:
+    """One rank's owned cells and halo as a mesh of their own, by ascending
+    global id: an owned cell's faces keep their owner, orientation, order and
+    geometry, bit for bit; the halo's outer faces get a fresh region."""
+
+    mesh: Mesh
+    cells: np.ndarray  # global id of each cell of the piece
+    owned: np.ndarray  # local ids of the owned cells
+    send: dict[int, np.ndarray]  # {neighbour part: local ids sent to it}
+    recv: dict[int, np.ndarray]  # {neighbour part: local ids received from it}
+
+
+def mesh_pieces(mesh: Mesh, layout: PartitionLayout) -> list[MeshPiece]:
+    """One :class:`MeshPiece` per part of ``layout`` (built once per layout)."""
+    nodes = np.sort(mesh.face_node_indices.reshape(mesh.nfaces, -1), axis=1)
+    bfaces = mesh.boundary_faces()
+    regions = dict(zip(map(tuple, nodes[bfaces].tolist()), mesh.face_region[bfaces].tolist()))
+    fresh = max(regions.values(), default=0) + 1
+    pieces = []
+    for p, (owned, ghosts) in enumerate(zip(layout.owned, layout.ghosts)):
+        cells = np.sort(np.concatenate([owned, ghosts]))
+        sub = build_mesh(mesh.nodes, [mesh.cell_nodes(c) for c in cells], dim=mesh.dim,
+                         boundary_face_regions=regions, boundary_marker=lambda *_: fresh,
+                         name=f"{mesh.name}/piece{p}")
+        local = partial(np.searchsorted, cells)
+        pieces.append(MeshPiece(sub, cells, local(owned),
+                                {q: local(c) for q, c in layout.send_cells[p].items()},
+                                {q: local(c) for q, c in layout.recv_cells[p].items()}))
+    return pieces
 
 
 __all__ = [
@@ -355,4 +366,6 @@ __all__ = [
     "partition_cells",
     "PartitionLayout",
     "build_partition_layout",
+    "MeshPiece",
+    "mesh_pieces",
 ]

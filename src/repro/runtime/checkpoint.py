@@ -8,7 +8,9 @@ what a restore reads: one file, or the rank files of one step.  Members:
 ``__time``, ``__step_index``, ``field_<name>`` per field, ``__T`` once the
 state holds a temperature, ``__rng`` under fault injection, and on a rank's
 file ``__clock``, ``__owned`` (its owned index set) and ``__axis`` (what
-``__owned`` indexes: ``"cells"`` or ``"comps"``).
+``__owned`` indexes: ``"cells"`` or ``"comps"``).  A snapshot is of the whole
+mesh, a cell rank's (on its piece) its owned columns, ``0`` elsewhere; a
+state on a piece restores its piece's columns.
 
 With ``__owned`` a cut composes itself under any rank count, by one rule: a
 cell rank owns its columns of every field and of ``T``; a band rank owns its
@@ -71,24 +73,34 @@ def save(state, path: str | Path) -> None:
     the same directory, then ``os.replace``, so a reader sees the previous
     file or the whole new one, never half of one."""
     state.claim_unknown()
+    piece = state.piece
+    owned = None if piece is None else piece.cells[piece.owned]
+
+    def whole(a):  # a piece's owned columns of ``a``, whole-width
+        if piece is None:
+            return a
+        out = np.zeros(a.shape[:-1] + (state.problem.mesh.ncells,))
+        out[..., owned] = a[..., piece.owned]
+        return out
+
     payload: dict[str, Any] = {
         "__schema": np.array(CHECKPOINT_SCHEMA),
         "__problem": np.array(problem_identity(state.problem)),
         "__time": np.array(state.time),
         "__step_index": np.array(state.step_index),
-        **{f"field_{name}": fld.data for name, fld in state.fields.items()},
+        **{f"field_{name}": whole(fld.data) for name, fld in state.fields.items()},
     }
     T = state.extra.get("T")
     if T is not None:
-        payload["__T"] = np.asarray(T)
+        payload["__T"] = whole(np.asarray(T))
     injector = current().injector
     if injector.enabled:
         payload["__rng"] = np.array(injector.state_json())
     if state.comm is not None:
         payload["__clock"] = np.array(state.comm.clock.now())
-    for axis, owned in (("cells", state.owned_cells), ("comps", state.owned_comps)):
-        if owned is not None:
-            payload["__owned"], payload["__axis"] = np.asarray(owned), np.array(axis)
+    for axis, ids in (("cells", owned), ("comps", state.owned_comps)):
+        if ids is not None:
+            payload["__owned"], payload["__axis"] = np.asarray(ids), np.array(axis)
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
@@ -126,7 +138,7 @@ def periodic(state) -> None:
 # ---------------------------------------------------------------------- read
 def read(path: str | Path, state) -> Snapshot:
     """One snapshot file, every member read and checked against ``state``'s
-    problem and fields; nothing is applied."""
+    problem and fields, over the whole mesh; nothing is applied."""
     # hostile bytes can make zipfile and np.load raise almost anything: every
     # exception of the decoding is the file's, and refuses it
     try:
@@ -166,15 +178,15 @@ def read(path: str | Path, state) -> Snapshot:
         if schema is not None and str(schema) != CHECKPOINT_SCHEMA:
             raise ConfigError(f"checkpoint {path} has schema {str(schema)!r}, "
                               f"expected {CHECKPOINT_SCHEMA!r}")
-        fields = {}
+        fields, ncells = {}, state.problem.mesh.ncells
         for name, fld in state.fields.items():
             if f"field_{name}" not in archive.files:
                 raise ConfigError(f"checkpoint lacks field {name!r}")
             fields[name] = member(f"field_{name}", "f")
-            if fields[name].shape != fld.data.shape:
+            if fields[name].shape != (fld.ncomp, ncells):
                 raise ConfigError(
                     f"checkpoint field {name!r} has shape {fields[name].shape}, "
-                    f"expected {fld.data.shape} (different problem?)")
+                    f"expected {(fld.ncomp, ncells)} (different problem?)")
         stamp = member("__problem", "U", (), optional=True)
         if stamp is not None and str(stamp) != problem_identity(state.problem):
             raise ConfigError(
@@ -190,7 +202,7 @@ def read(path: str | Path, state) -> Snapshot:
         snap = Snapshot(
             path=str(path), time=float(member("__time", "f", ())),
             step=int(member("__step_index", "iu", ())), fields=fields,
-            T=member("__T", "f", (state.ncells,), optional=True), rng=rng,
+            T=member("__T", "f", (ncells,), optional=True), rng=rng,
             clock=None if clock is None else float(clock),
             owned=member("__owned", "iu", optional=True),
             axis=None if axis is None else str(axis))
@@ -214,7 +226,7 @@ def compose(parts: list[Snapshot], state) -> Snapshot:
                 != (first.step, first.time, first.axis, first.T is None)):
             raise MigrationError(f"checkpoint {part.path} is not of the cut of {first.path}")
     cells = first.axis == "cells"
-    size = state.ncells if cells else state.ncomp
+    size = state.problem.mesh.ncells if cells else state.ncomp
     owned = np.concatenate([part.owned.ravel() for part in parts])
     if not np.array_equal(np.sort(owned), np.arange(size)):
         raise MigrationError(
@@ -250,14 +262,16 @@ def load(path: str | Path, state) -> Snapshot:
 
 # --------------------------------------------------------------------- apply
 def apply(snap: Snapshot, state) -> None:
-    """Set ``state`` to a checked snapshot (each state gets its own arrays)."""
+    """Set ``state`` to a checked snapshot, of its piece's columns on a piece
+    (each state gets its own arrays)."""
     state.claim_unknown()
+    cells = slice(None) if state.piece is None else state.piece.cells
     for name, value in snap.fields.items():
-        state.fields[name].data[...] = value
+        state.fields[name].data[...] = value[:, cells]
     state.time = snap.time
     state.step_index = snap.step
     if snap.T is not None:
-        state.extra["T"] = snap.T.copy()
+        state.extra["T"] = snap.T[cells].copy()
     injector = current().injector
     if snap.rng is not None and injector.enabled:
         injector.load_state(snap.rng)

@@ -123,7 +123,7 @@ class TestPseudoTemperatureClosure:
         assert tau.tobytes() == relaxation_times(bands, T).tobytes()
         assert e_T.tobytes() == band_energy_density(bands, T).tobytes()
 
-    @pytest.mark.parametrize("partition", [None, "cells", "bands"])
+    @pytest.mark.parametrize("partition", [None, "bands"])
     def test_temperature_update_sets_the_fields_a_second_pass_would(self, partition):
         from types import SimpleNamespace
 
@@ -140,16 +140,14 @@ class TestPseudoTemperatureClosure:
             extra={"T": np.full(ncells, 300.0)},
             fields={"Io": SimpleNamespace(data=np.zeros((nb, ncells))),
                     "beta": SimpleNamespace(data=np.ones((nb, ncells)))},
-            owned_cells=np.arange(2, 9) if partition == "cells" else None,
             owned_comps=np.arange(model.ncomp) if partition == "bands" else None,
             comm=SimpleNamespace(allreduce=lambda x: x),
             buffer=lambda name, shape: np.empty(shape),
         )
         model.temperature_update(state, band_energies(model, state.u))
-        own = state.owned_cells if partition == "cells" else slice(None)
-        T = state.extra["T"][own]
+        T = state.extra["T"]
         assert not np.array_equal(T, np.full(len(T), 300.0))
-        assert (state.fields["Io"].data[:, own].tobytes()
+        assert (state.fields["Io"].data.tobytes()
                 == equilibrium_intensity(model.bands, T).tobytes())
-        assert (state.fields["beta"].data[:, own].tobytes()
+        assert (state.fields["beta"].data.tobytes()
                 == relaxation_times(model.bands, T).tobytes())

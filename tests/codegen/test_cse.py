@@ -42,7 +42,7 @@ class TestHoisting:
         assert len(defs) == 1 and "normal_x[None, :] * coef_Sx[sel]" in defs[0]
         assert "sel = trep_d" in tables
         folded = src[src.index("def folded_tables("):src.index("def compute_boundary_")]
-        assert "fold_s0 = kernels.fold_upwind(divergence, tab_s1, upw, NCELLS)" in folded
+        assert "fold_s0 = kernels.fold_upwind(divergence, tab_s1, upw)" in folded
         assert "return [fold_s0]" in folded  # the face tables went into it
         # the tile is C: one folded operator, read once, then the flat factor
         # once per row, after the divergence
@@ -104,7 +104,7 @@ class TestHoisting:
         tail = sweep[sweep.index("bdry = compute_boundary_contribution("):].splitlines()[2:]
         code = [ln.strip() for ln in tail if ln.strip() and not ln.strip().startswith("#")]
         assert code[0].startswith("return TILE(") and not any("np." in ln for ln in code)
-        assert "state.buffer('tile', (2 * geom.ncells,))" in sweep
+        assert "state.buffer('tile', (1 * geom.ncells,))" in sweep
         # no pass for a sign: ``Io/beta - I/beta``, not ``(-1 * I)/beta + Io/beta``
         statements = _c_statements(bte_solver)
         assert not any("(-1.0) * ur[c]" in ln for ln in statements)
@@ -224,7 +224,7 @@ class TestHoisting:
         # and no reduction (``finish_step``'s)
         call = kernel_src[kernel_src.index("TILE("):]
         assert call.startswith("TILE(state.plans, (dt,), rows, u, u_new,")
-        assert "None, None, None, (), fold_s0, tmap_d, coef_vg, swp_v0, tmap_b, swp_v1)" in call
+        assert "None, None, (), fold_s0, tmap_d, coef_vg, swp_v0, tmap_b, swp_v1)" in call
         assert solver.tile == build_bte_problem(tiny_scenario)[0].generate().tile
         assert "slot_divergence" not in kernel_src and "face_pool" not in kernel_src
         assert "for sel, n, " not in kernel_src and "np.where" not in kernel_src

@@ -175,14 +175,14 @@ def test_arrays_of_another_layout_are_refused_before_any_pointer_is_passed():
             tile({}, scalars, rows, u, bad, *rest)
     with pytest.raises(CodegenError, match="out of range"):
         tile({}, scalars, np.array([0, state.ncomp]), u, out, *rest)
-    fold = rest[5]._replace(own=rest[5].own[:, :-1].copy())
+    fold = rest[4]._replace(own=rest[4].own[:, :-1].copy())
     with pytest.raises(CodegenError, match="other cells"):
-        tile({}, scalars, rows, u, out, *rest[:5], fold, *rest[6:])
-    entries = rest[5].entries.copy()
+        tile({}, scalars, rows, u, out, *rest[:4], fold, *rest[5:])
+    entries = rest[4].entries.copy()
     entries[0, 2] += state.ncells  # an offset entry shifted past the row
     with pytest.raises(CodegenError, match="outside its arrays"):
-        tile({}, scalars, rows, u, out, *rest[:5], rest[5]._replace(entries=entries),
-             *rest[6:])
+        tile({}, scalars, rows, u, out, *rest[:4], rest[4]._replace(entries=entries),
+             *rest[5:])
 
 
 def _faces_problem(equation: str, flux, exp: bool = False) -> Problem:
@@ -267,7 +267,7 @@ def test_what_a_sweep_reads_besides_the_unknown_is_refused_before_the_call():
     solver.run(1)
     memo, scalars, rows, u, out, *rest = calls[0]
     kinds = solver.tile.kinds
-    at = {kind: 5 + kinds.index(kind) for kind in "gre"}  # (after scratch and the places)
+    at = {kind: 4 + kinds.index(kind) for kind in "gre"}  # (after scratch and the places)
     ghost, (faces, values), first = (rest[at[k]] for k in "gre")
 
     def call(kind, value):
@@ -324,11 +324,11 @@ def test_a_reduction_output_is_checked_before_any_pointer_is_passed():
     calls, tile = [], ns["TILE"]
     ns["TILE"] = lambda *args: calls.append(args) or tile(*args)
     solver.run(1)
-    memo, scalars, rows, u, out, scratch, bcells, bdry, owned, reduced, *operands = calls[0]
+    memo, scalars, rows, u, out, scratch, bcells, bdry, reduced, *operands = calls[0]
     assert reduced is state.reduced and len(reduced) == 1
 
     def call(outputs):
-        tile({}, scalars, rows, u, out, scratch, bcells, bdry, owned, outputs, *operands)
+        tile({}, scalars, rows, u, out, scratch, bcells, bdry, outputs, *operands)
 
     with pytest.raises(CodegenError, match="no C-ordered float64"):
         call([reduced[0][:-1]])

@@ -317,8 +317,8 @@ def _c_tile(lowered, scope: dict, u: np.ndarray) -> np.ndarray:
     out = np.full_like(u, -777.25)
     operands = [scope.get(name) for name in lowered.operands]
     scalars = tuple(eval(source, scope) for source in lowered.scalars)  # noqa: S307
-    tile({}, (0.0, *scalars), None, u, out, np.empty((lowered.folds + 1) * u.shape[1]),
-         None, None, None, (), *operands)
+    tile({}, (0.0, *scalars), None, u, out, np.empty(lowered.folds * u.shape[1]),
+         None, None, (), *operands)
     return out
 
 
@@ -734,7 +734,7 @@ def test_upwind_select_is_one_gathered_side(env, flip, first):
     assert str(folded.statements[1]) == "np.multiply((-1.0 * coef_vg[sel][:, None]), acc, out=acc)"
     assert folded.code == "acc" and folded.registers == 0
     assert folded.tables == [
-        Hoisted("fold_s0", "kernels.fold_upwind(divergence, tab_s2, upw, NCELLS)", "d")]
+        Hoisted("fold_s0", "kernels.fold_upwind(divergence, tab_s2, upw)", "d")]
 
 
 @seed(20261003)

@@ -116,25 +116,28 @@ KEEP_TWO_SIDED = {
 #: them, then the ghost values formed in place) and a table builder to be
 #: handed its face set by name — and again when a host Euler sweep came to
 #: return its proof that the unknown is finite (``return TILE(``, kept by the
-#: step as ``state.u_proved_finite``): the solution digests are the parent's.
+#: step as ``state.u_proved_finite``) — and again when the tile lost its
+#: owned-column operand and its scratch the column block that operand wrote
+#: (a cell rank sweeps its own piece of the mesh): the solution digests are
+#: the parent's.
 PINS = {
     "flux_order_2": (
-        "292288fbfb27daa08e4a074eb2a2a8091bd86cccb055bd6bd769d2539c25ed90",
+        "17ef54c1c347282bb33fdf712efafd1f7866f0947aca614a9e71c9eb862e35e0",
         "d69c9aac5b7b2440fcab4d911fe29dce95dfd9198a557e4fa4c9f0c0e9b8bf8d"),
     "diffusion": (
-        "0a6a051be922de717babdb8a4852633d2e8dcc04ca4f7d51656f5fe57b200609",
+        "3cb7f7c71071004bfec1a9540bc3fb7031d71cd0a41c58a11054dd2c09c24c1f",
         "694bf3ebbbba08c9133e9268f2cc110b6c08c95734ddd8f0fd646136882829ba"),
     "function_source": (
-        "fe8c7d21bad5535af4ce0607cc49456e9e4c1ccd9aa574a2b722cb8b03b1d883",
+        "9546ea2f252000ca9249c1040634e7e81d62fee73721d2b2d0bb2e5c19d782c2",
         "53ab3aebeb52fb7ed9b369a67b5427018a1495ca78543b6baae771f2657f50b8"),
     "side_read": (
-        "87556b9763f2ddcc17819bd08bce0f95501c87c06b0c3fd2af271db17f1388ad",
+        "3ee95373157f158f322ea0f15813b5810d5404aa1f2fc50d0cd98bfe55c1df06",
         "56f08cdaa8a848bb1e9c7fc3c8fd433a6f9ce547753b3b1b7aa529c135eaff63"),
     "central_flux": (
-        "17e88f0fd491c24d5e11b795b291cead98e71b2a9c666a345492d969454eac6b",
+        "2dae22c802420f8af17c7bcca381513e1b39098b4f28b2d51c576d46f55ceb25",
         "3c9ccdf0b09d8861a9fedb25efe190d349edc2ff4981a5eab1e6ae360cbea844"),
     "time_dependent_face_coefficient": (
-        "f2018c876d377b8321a5e1623702a1b6262001668845a19d5d401abfc1d718aa",
+        "7454659eb071f00ceae0ec3f30c601dd32406fcf38dc18269792f6466239b9ae",
         "54b593370fb9dea3fa75dce72851b33055c18b5acd79dbd40d24ae349fe98c4e"),
 }
 

@@ -22,19 +22,21 @@ import pytest
 from repro.bte.problem import build_bte_problem, hotspot_scenario
 
 FIRST, LAST = 3, 12
-#: per step, the counts plus at most 1 % slack: 231.1 on ``cpu`` and 340.1
-#: in a ``cells`` rank, the tile being one foreign call that also reduces
-#: the band energies, the boundary part one more, the built-in ghosts one
+#: per step, the counts plus at most 1 % slack: 231.1 on ``cpu`` and 306.1
+#: in a ``cells`` rank (a serial program on its piece of the mesh), the tile
+#: being one foreign call that also reduces the band energies, the boundary
+#: part one more, the built-in ghosts one
 #: gather and one scatter (whether the peer's message is already there when a
 #: rank asks can move a rank's count by a call or two; the lower of two runs
 #: is held to the bound); 403.1 on ``gpu``, a served mix's device job (the
 #: interior forced onto the device, the finish on the host at this size: the
 #: tile, the boundary part and the finish three foreign calls, their
 #: arguments resolved once per state, the kernel's tables read from it);
-#: 345.1 under ``rk2``, two sweeps into fresh right-hand sides whose
-#: arguments are not resolved again; 731.1-742.7 in one of three
-#: ``gpu_distributed`` band ranks.
-BUDGET = {"cpu": 233, "cells": 343, "gpu": 407, "rk2": 348, "gpu_distributed": 750}
+#: 350.1 under ``rk2``, two sweeps into fresh right-hand sides whose
+#: arguments are not resolved again, under one ``np.errstate`` (5 calls: a
+#: blow-up is the health check's to report, as on every other target);
+#: 731.1-742.7 in one of three ``gpu_distributed`` band ranks.
+BUDGET = {"cpu": 233, "cells": 309, "gpu": 407, "rk2": 353, "gpu_distributed": 750}
 
 
 def bracket(state, counted: list) -> None:

@@ -260,6 +260,35 @@ def test_band_ranks_sweep_only_their_own_rows():
     assert {rank: len(calls) for rank, calls in swept.items()} == {0: 2, 1: 2}
 
 
+def test_cell_ranks_sweep_only_their_piece():
+    """The C tile of a cell rank is called over every row of its own
+    unknown, once per step: the columns of its piece of the mesh (its owned
+    cells and their halo), fewer than the mesh's."""
+    problem = build_problem()
+    problem.set_partitioning("cells", 2)
+    solver = problem.generate()
+    ns = solver.namespace
+    make_rank_state, tile = ns["make_rank_state"], ns["TILE"]
+    swept: dict[int, list] = {}
+    rank_of: dict[int, tuple] = {}  # id of a rank's unknown -> the rank, its piece
+
+    def recording_rank_state(rank):
+        state = make_rank_state(rank)
+        rank_of[id(state.host_u)] = rank, state.piece
+        return state
+
+    def recording_tile(memo, scalars, rows, u, *rest):
+        rank, piece = rank_of[id(u)]
+        swept.setdefault(rank, []).append(u.shape[1])
+        assert rows is None and u.shape[1] == len(piece.cells) == piece.mesh.ncells
+        return tile(memo, scalars, rows, u, *rest)
+
+    ns["make_rank_state"], ns["TILE"] = recording_rank_state, recording_tile
+    solver.run(2)
+    assert {rank: len(calls) for rank, calls in swept.items()} == {0: 2, 1: 2}
+    assert all(n < solver.state.ncells for calls in swept.values() for n in calls)
+
+
 #: the hotspot's equation with a term that has no C form (an ``exp`` of the
 #: unknown, evaluated in NumPy over the sweep's rows before the call)
 EXP_EQUATION = ("(Io[b] - I[d,b]) / beta[b] - 1e-3 * exp(-I[d,b] / Io[b]) * I[d,b]"
@@ -391,8 +420,7 @@ def test_upwind_gather_equals_the_select_of_two_gathers(rows):
     tables = [geom.normal[faces], geom.face_dist[faces], geom.owner[faces],
               geom.neighbor_column[faces]]
     mask, projected, columns = ns["invariant_tables"](*tables)
-    fold = kernels.fold_upwind(geom.divergence_rows(faces=faces), projected, columns,
-                               geom.ncells)
+    fold = kernels.fold_upwind(geom.divergence_rows(faces=faces), projected, columns)
     # the operator the C tile reads is this one
     (held,) = state.tables(ns["folded_tables"], "interior", divergence=True)
     assert all(map(np.array_equal, held, fold))

@@ -136,7 +136,7 @@ def test_folded_operator_equals_gather_scale_divergence(mesh, seed):
     geom = FVGeometry(MESHES[mesh](seed))
     s = directions(geom.dim, seed)
     rows, table, columns = interior_operator(geom, s)
-    op = kernels.fold_upwind(rows, table, columns, geom.ncells)
+    op = kernels.fold_upwind(rows, table, columns)
     table_rows = np.repeat(np.arange(len(s)), NB)
     u = np.random.default_rng(seed).standard_normal((len(table_rows), geom.ncells))
     expected = face_centric(geom, table, columns, u, table_rows)
@@ -175,7 +175,7 @@ def test_axis_aligned_direction_drops_the_parallel_faces():
     faces, so a cell has one inflow entry, not three."""
     geom = FVGeometry(structured_grid((5, 4)))
     s = np.array([[1.0, 0.0], [0.6, 0.8]])
-    op = kernels.fold_upwind(*interior_operator(geom, s), geom.ncells)
+    op = kernels.fold_upwind(*interior_operator(geom, s))
     assert np.diff(op.begin).tolist() == [1, 2]
     # the axis row reads the cell to the west; the diagonal one the cell
     # below, then the one to the west, as every cell meets its faces
@@ -193,7 +193,7 @@ def test_inflow_count_varies_per_cell_and_per_row():
     geom = FVGeometry(structured_grid((3, 3, 3)))
     s = np.array([[1.0, 1.0, 1.0], [0.0, 0.0, 1.0]]) / np.sqrt([[3.0], [1.0]])
     rows, table, columns = interior_operator(geom, s)
-    op = kernels.fold_upwind(rows, table, columns, geom.ncells)
+    op = kernels.fold_upwind(rows, table, columns)
     assert np.diff(op.begin).tolist() == [3, 1]
     used = [sum((dense(op, e, geom.ncells)[1] != 0.0).astype(int) for e in row_entries(op, r))
             for r in range(2)]
@@ -216,7 +216,7 @@ def test_structured_rows_read_shifted_views(shape):
     component, the mirror for a negative one."""
     geom = FVGeometry(structured_grid(shape))
     s = directions(geom.dim, 0)
-    op = kernels.fold_upwind(*interior_operator(geom, s), geom.ncells)
+    op = kernels.fold_upwind(*interior_operator(geom, s))
     stride = np.cumprod([1, *shape[:-1]])
     for r, d in enumerate(s):
         assert sorted(offsets(op, r)) == sorted(-int(np.sign(x)) * int(n)
@@ -231,7 +231,7 @@ def test_meshes_without_one_offset_order_keep_gathers(mesh):
     different slot orders.  Either way every row keeps index arrays over
     every cell."""
     geom = FVGeometry(MESHES[mesh](0))
-    op = kernels.fold_upwind(*interior_operator(geom, directions(2, 0)), geom.ncells)
+    op = kernels.fold_upwind(*interior_operator(geom, directions(2, 0)))
     assert gathers_only(op, geom.ncells)
 
 
@@ -247,7 +247,7 @@ def test_a_scattered_numbering_keeps_gathers_in_a_small_build():
     rows, table, columns = interior_operator(geom, s)
     tracemalloc.start()
     try:
-        op = kernels.fold_upwind(rows, table, columns, geom.ncells)
+        op = kernels.fold_upwind(rows, table, columns)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -267,7 +267,7 @@ def test_a_shifted_offset_range_is_caught(move):
     geom = FVGeometry(structured_grid((6, 5)))
     s = directions(2, 0)
     rows, table, columns = interior_operator(geom, s)
-    op = kernels.fold_upwind(rows, table, columns, geom.ncells)
+    op = kernels.fold_upwind(rows, table, columns)
     table_rows = np.repeat(np.arange(len(s)), NB)
     u = np.random.default_rng(0).standard_normal((len(table_rows), geom.ncells))
     expected = gather_form(rows, table, columns, u, table_rows)
@@ -293,7 +293,7 @@ def fold_whole_divergence(shape):
     table = s @ geom.normal.T
     columns = np.where(table > 0.0, geom.owner, geom.neighbor_column)
     assert (columns < 0).any()
-    op = kernels.fold_upwind(csr_rows(geom.divergence), table, columns, geom.ncells)
+    op = kernels.fold_upwind(csr_rows(geom.divergence), table, columns)
     u = np.random.default_rng(0).standard_normal((1, geom.ncells))
     reads_cell = columns[0] >= 0
     expected = geom.divergence @ np.where(
@@ -323,7 +323,7 @@ def test_a_mesh_without_interior_faces_folds_to_nothing(shape):
     geom = FVGeometry(structured_grid(shape))
     rows, table, columns = interior_operator(geom, np.eye(geom.dim)[:1])
     assert rows[0].tolist() == [0] * (geom.ncells + 1) and not len(rows[1])
-    op = kernels.fold_upwind(rows, table, columns, geom.ncells)
+    op = kernels.fold_upwind(rows, table, columns)
     assert op.begin.tolist() == [0, 0] and not len(op.entries) and not op.own.any()
     u = np.ones((2, geom.ncells))
     out = apply_folded(op, u, [(0, 2, 0)], np.full_like(u, np.nan), u.copy())
