@@ -5,7 +5,7 @@ with every task of the step on the host — the constant
 :data:`~repro.codegen.target_base.HOST_PLAN`, no device, no placement
 optimiser — and no partition: the paper's Section II-B nested-loop solver,
 a sequential time loop around ``compute_rhs``, one generated C sweep of
-the component rows (:mod:`repro.codegen.ctile`).  The emitted source is
+the component rows (:mod:`repro.codegen.ctile`) per stage of the scheme.  The emitted source is
 plain, readable Python over NumPy + :mod:`repro.fvm.kernels` around it.
 """
 

@@ -12,27 +12,25 @@ statement record (:class:`~repro.codegen.emit.Stmt`) — with a device step's
 and :class:`Tile` calls a function of it through :mod:`ctypes` once per
 sweep, its arguments resolved once per state.
 
-Every operation is printed on the same operands in the same order, spelt
-as the one table of operations gives it (:data:`~repro.codegen.emit.OPS`),
-correctly rounded (:data:`FLAGS`: no FMA contraction), so every element
-keeps its bits; plain floats are computed by Python before the call, and
-what has no C spelling the emitter evaluates in NumPy before it.  The store
-is the program's stepper, fixed when the text is printed (no loop over the
-cells has a branch, each is vectorized: one lane is one element); a
-forward-Euler host sweep also accumulates the post-step callbacks' declared
-reductions (:class:`~repro.dsl.entities.Reduction`) of each row it stored,
-in :func:`repro.fvm.kernels.reduce_rows`' order, and a device step's
+Every operation is printed on the same operands in the same order, spelt as
+the one table of operations gives it (:data:`~repro.codegen.emit.OPS`),
+correctly rounded (:data:`FLAGS`: no FMA contraction), so every element keeps
+its bits; plain floats are computed by Python before the call, and what has no
+C spelling the emitter evaluates in NumPy before it.  The store is the
+program's stepper, fixed when the text is printed (no loop over the cells has
+a branch, each is vectorized: one lane is one element), an RK stage a function
+of its own; a host step's last sweep also accumulates the post-step callbacks'
+declared reductions (:class:`~repro.dsl.entities.Reduction`) of each row it
+stored, in :func:`repro.fvm.kernels.reduce_rows`' order, and a device step's
 finish does, with the same loop; both then read the outputs once more to
-report whether the unknown they stored is finite (``check_health``'s
-proof).  The text holds no size, count,
-coefficient or name the user chose: one library per program shape,
-memoised per process by (text, compiler, flags) and single-flight, in the
-compilation cache's disk
-directory when one is configured and writable (one the loader refuses is
-built again and replaced), else in a private directory removed once the
-library is loaded.  A missing or failing compiler is
-:class:`~repro.util.errors.CodegenError` RPR142 (docs/architecture.md, "The
-tile as C").
+report whether the unknown they stored is finite (``check_health``'s proof).
+The text holds no size, count, coefficient or name the user chose: one library
+per program shape, memoised per process by (text, compiler, flags) and
+single-flight, in the compilation cache's disk directory when one is
+configured and writable (one the loader refuses is built again and replaced),
+else in a private directory removed once the library is loaded.  A missing or
+failing compiler is :class:`~repro.util.errors.CodegenError` RPR142
+(docs/architecture.md, "The tile as C").
 """
 
 from __future__ import annotations
@@ -81,16 +79,17 @@ class Lowered(NamedTuple):
     folds: int
     #: ``(operand, row map)``: the row map indexes the operand's rows
     bounds: tuple[tuple[int, int], ...]
-    #: stores the forward-Euler update and reduces it (else the RHS)
-    euler: bool
+    store: str  # ``euler`` or an RK step's ``last`` (these reduce and prove), ``stage``, none
     #: ``cells`` (a loop over the cells), ``faces`` (a loop over the faces,
     #: then over the cells), ``boundary`` (a loop over the boundary faces
     #: into the boundary cells' columns) or ``finish`` (a device step's end)
-    shape: str = "cells"
+    shape: str
+    symbol: str  # (the C function's name)
     #: the boundary part's function, printed into the same unit
     boundary: "Lowered | None" = None
     #: a device step's ``finish_step``, printed into every unit
     finish: "Lowered | None" = None
+    stages: "tuple[Lowered, ...]" = ()  # (an RK program's before its last: ``stage1``...)
     #: per C parameter, how it is passed: ``d`` a double, ``l`` a long, ``p`` a pointer
     codes: str = ""
 
@@ -268,18 +267,18 @@ class _Printer:
         return [*sides, *declare, *self.body]
 
     # -- the unit -------------------------------------------------------------
-    def unit(self, comment: str, head: list[str], rows: list[str], euler: bool,
-             shape: str) -> Lowered:
-        """The function ``head`` (its parameters but the operands') over the
-        rows of the sweep (``rows``), its operands in the order first read."""
+    def unit(self, comment: str, head: list[str], rows: list[str], store: str,
+             shape: str, symbol: str = "tile") -> Lowered:
+        """The function ``symbol``, ``head`` (its parameters but the operands')
+        over the rows of the sweep (``rows``), its operands in the order first read."""
         params = [p.format(f"a{k}") for k, (_, _, ps) in enumerate(self.operands) for p in ps]
-        text = "\n".join([comment.rstrip(), f"int {_symbol(shape)}("
+        text = "\n".join([comment.rstrip(), f"int {symbol}("
                           + ",\n          ".join(head + params) + ")", "{", *rows, "}"]) + "\n"
         kinds, sources, _ = zip(*self.operands) if self.operands else ((), (), ())
         codes = "".join("p" if "*" in p else p[0] for p in head + params)
         return Lowered(text, tuple(self.scalars), sources, "".join(kinds), len(self.folds),
                        tuple(sorted((int(a[1:]), int(b[1:])) for a, b in self.bounds)),
-                       euler, shape, codes=codes)
+                       store, shape, symbol, codes=codes)
 
     def face_loop(self, statement, into: str, cells: str) -> list[str]:
         """One row's loop over the faces of ``statement``: the sides and the
@@ -336,11 +335,6 @@ _PROVE = ["    unsigned long m = 0;",
           "    return !rows && nq > 0 && !(m >> 63);"]
 
 
-def _symbol(shape: str) -> str:
-    """The C name of a sweep of ``shape``."""
-    return shape if shape in ("boundary", "finish") else "tile"
-
-
 def _head(printer: _Printer, *rest: str) -> list[str]:
     """The parameters every sweep takes first: the scalars by value (``dt``
     first), the rows, the unknown's shape, the unknown, the output and the
@@ -350,11 +344,8 @@ def _head(printer: _Printer, *rest: str) -> list[str]:
             "double *out", "double *restrict w", *rest]
 
 
-def _boundary_add(euler: bool) -> str:
-    """Per row, the boundary cells' add into ``o``: the boundary part, times
-    ``dt`` where the row is stepped (one rounded product, one add)."""
-    return ("        for (long k = 0; k < nb; k++) o[bc[k]] = o[bc[k]] + bd[g * nb + k]"
-            + " * s0" * euler + ";")
+#: per row, the boundary cells' add into the row ``{0}``, times ``dt`` where it is stepped
+_BOUNDARY_ADD = "        for (long k = 0; k < nb; k++) {0}[bc[k]] = {0}[bc[k]] + bd[g * nb + k]{1};"
 
 
 def _boundary(statement, in_place: bool) -> Lowered:
@@ -368,7 +359,7 @@ def _boundary(statement, in_place: bool) -> Lowered:
         "/* The boundary part, generated (repro.codegen.ctile): per row g, the face\n"
         "   statement over the boundary faces (the first side the value handed in,\n"
         "   the second its ghost), the FLUX overrides, the boundary cells' sums. */",
-        _head(b, "long nc"), rows, False, "boundary")
+        _head(b, "long nc"), rows, "", "boundary", "boundary")
 
 
 def _finish() -> Lowered:
@@ -376,7 +367,7 @@ def _finish() -> Lowered:
     (the unknown, stepped), the boundary cells' add and the declared
     reductions as the Euler tile's, then the owner values of the boundary
     faces into ``w`` — of every row, a band rank's others too."""
-    rows = [*_ZERO, *_ROW, "        double *o = out + g * n;", _boundary_add(True),
+    rows = [*_ZERO, *_ROW, "        double *o = out + g * n;", _BOUNDARY_ADD.format("o", " * s0"),
             *_REDUCE_ROW,
             "        for (long k = 0; k < no; k++) w[g * no + k] = o[own[k]];",
             "    }",
@@ -388,19 +379,19 @@ def _finish() -> Lowered:
         "   the boundary cells' columns, each declared reduction of the row, the\n"
         "   owner values of the boundary faces; out is u. */",
         _head(f, "long nb", "const long *restrict bc", "const double *restrict bd", "long no",
-              "const long *restrict own", *_REDUCE), rows, True, "finish")
+              "const long *restrict own", *_REDUCE), rows, "euler", "finish", "finish")
 
 
-def lower(volume, euler: bool, *, folded=None, surface=None, boundary=None) -> Lowered:
-    """The C sweep of a ``volume`` statement (``0.0`` when there are no
-    volume terms) and of the surface: a ``folded`` statement (a loop over
-    the cells), a two-sided ``surface`` statement (a loop over the faces,
-    then over the cells) or none, :class:`~repro.codegen.emit.EmittedExpr`;
-    with ``euler`` it stores the forward-Euler update and reduces the stored
-    rows, else the right-hand side.  Into the same unit go ``boundary`` —
+def lower(volume, scheme, *, folded=None, surface=None, boundary=None) -> Lowered:
+    """The C sweep of a ``volume`` statement (``0.0`` when there are no volume
+    terms) and of the surface: a ``folded`` statement (a loop over the cells),
+    a two-sided ``surface`` statement (a loop over the faces, then over the
+    cells) or none, :class:`~repro.codegen.emit.EmittedExpr`; it stores forward
+    Euler's update and reduces the stored rows, or it is each stage of the RK
+    ``scheme`` (:func:`_stage`).  Into the same unit go ``boundary`` —
     ``(statement, in place)`` — the boundary part (:attr:`Lowered.boundary`;
-    the upwinded side is the value handed in where ``in place``), and a
-    device step's end (:attr:`Lowered.finish`), the same for every program."""
+    the upwinded side is the value handed in where ``in place``), and a device
+    step's end (:attr:`Lowered.finish`), the same for every program."""
     tile = _Printer()
     faces: list[str] = []
     if surface is not None:  # the faces first, then the cells read ``dv``
@@ -416,10 +407,7 @@ def lower(volume, euler: bool, *, folded=None, surface=None, boundary=None) -> L
            tile.expr(Leaf("r", "div")) if folded is not None else "(0.0)")
     source = tile.expr(Leaf("r", "source"))
     folds = len(tile.folds)
-    head = _head(tile, "long nb", "const long *restrict bc", "const double *restrict bd",
-                 *_REDUCE * euler)
     rows = [
-        *_ZERO * euler,
         *_ROW,
         "        /* o may be ur (in place): element c is read, then written */",
         "        double *o = out + g * n;",
@@ -450,27 +438,50 @@ def lower(volume, euler: bool, *, folded=None, surface=None, boundary=None) -> L
             "        }",
         ]
     rows += [f"        const double *restrict f{k} = w + {k} * n;" for k in range(folds)]
-    rows += [
-        "        for (long c = 0; c < n; c++) {",
-        *("            " + ln for ln in tile.element()),
-        f"            const double v = ({source} + {div});",
-        f"            o[c] = {'ur[c] + v * s0' if euler else 'v'};",
-        "        }",
-        _boundary_add(euler),
-        *_REDUCE_ROW * euler,
-        "    }",
-        *(_PROVE if euler else ["    return 0;"]),
-    ]
-    comment = (
-        "/* A tile, generated (repro.codegen.ctile): per row g of the sweep, the\n"
-        "   face loop or the folded operators, the statements per cell, the store\n"
-        f"   ({'u + v * dt, in place or not' if euler else 'the right-hand side v'}), "
-        "the boundary cells' add"
-        + (",\n   each declared reduction of the stored row. */" if euler else ". */"))
-    lowered = tile.unit(comment, head, rows, euler, "faces" if faces else "cells")
+    rows += ["        for (long c = 0; c < n; c++) {",
+             *("            " + ln for ln in tile.element()),
+             f"            const double v = ({source} + {div});"]
+    shape, boundary_head = "faces" if faces else "cells", _head(
+        tile, "long nb", "const long *restrict bc", "const double *restrict bd")
+    if scheme.stages == 1:
+        stages, lowered = (), tile.unit(
+            "/* A tile, generated (repro.codegen.ctile): per row g of the sweep, the\n"
+            "   face loop or the folded operators, the statements per cell, the store\n"
+            "   (u + v * dt, in place or not), the boundary cells' add,\n"
+            "   each declared reduction of the stored row. */",
+            [*boundary_head, *_REDUCE],
+            [*_ZERO, *rows, "            o[c] = ur[c] + v * s0;", "        }",
+             _BOUNDARY_ADD.format("o", " * s0"), *_REDUCE_ROW, "    }", *_PROVE], "euler", shape)
+    else:
+        k = f"    double *restrict kr = w + {'nf + n' if faces else f'{folds} * n'};"
+        arrays = (tile._operand("U", "state.host_u", "const double *{}"), any(scheme.b[:-1]) and
+                  tile._operand("S", "state.buffer('stage_sum', u.shape)", "double *restrict {}"))
+        *stages, lowered = (_stage(tile, scheme, s, boundary_head, [k, *rows], shape, *arrays)
+                            for s in range(scheme.stages))
     parts = [part for part in (boundary and _boundary(*boundary), _finish()) if part]
-    text = "\n".join([lowered.text, *(part.text for part in parts)])
-    return lowered._replace(text=text, **{p.shape: p._replace(text=text) for p in parts})
+    text = "\n".join(part.text for part in [*stages, lowered, *parts])
+    return lowered._replace(text=text, stages=tuple(p._replace(text=text) for p in stages),
+                            **{p.shape: p._replace(text=text) for p in parts})
+
+
+def _stage(tile: _Printer, scheme, s: int, head, rows, shape: str, base: str, sums) -> Lowered:
+    """Stage ``s`` of an RK ``scheme`` over the tile's ``rows``: per row, ``k``
+    (``v``, the boundary add) into ``kr``, then the next input ``b + s0 * k``
+    (``b``: ``base``) and the sum (``sums``) from its first term, or ``u + s0 *
+    (sum)``, as NumPy associates it (:func:`repro.fvm.timesteppers.advance`)."""
+    last, weight = s + 1 == scheme.stages, scheme.b[s]  # (``1.0 * k`` is ``k``, bit for bit)
+    total = "a[c] + " * any(scheme.b[:s]) + f"({weight!r}) * kr[c]" if weight else "a[c]"
+    store = [f"        for (long c = 0; c < n; c++) o[c] = o[c] + s0 * ({total});"] if last else [
+        f"        const double *b = {base} + g * n;", "        for (long c = 0; c < n; c++) {",
+        "            o[c] = b[c] + s0 * kr[c];", *[f"            a[c] = {total};"] * bool(weight),
+        "        }"]
+    rows = [*_ZERO * last, *rows, "            kr[c] = v;", "        }",
+            _BOUNDARY_ADD.format("kr", ""), *[f"        double *restrict a = {sums} + g * n;"]
+            * bool(sums), *store, *_REDUCE_ROW * last, "    }",
+            *(_PROVE if last else ["    return 0;"])]
+    return tile.unit(f"/* {scheme.name} stage {s + 1}, generated (repro.codegen.ctile): as a "
+                     "tile, its values per cell k, then its store. */", [*head, *_REDUCE * last],
+                     rows, "last" if last else "stage", shape, "tile" if last else f"stage{s + 1}")
 
 
 # ---------------------------------------------------------------------------
@@ -637,8 +648,8 @@ class _Checked:
     def io(self, u, out) -> tuple[int, int]:
         """The unknown's and the output's addresses, checked on every call:
         C-ordered float64 of the held shapes, the output writeable, neither
-        overlapping what is ``apart`` from them.  An address is taken when
-        its object changes, and held with it."""
+        overlapping what is ``apart`` from them (or the output alone).  An
+        address is taken when its object changes, and held with it."""
         held = self.held
         for a, shape in ((u, self.shape), (out, self.out_shape)):
             if not ((a.__class__ is np.ndarray or isinstance(a, np.ndarray)) and a.dtype
@@ -651,8 +662,8 @@ class _Checked:
         if out is not held[2]:
             held[2], held[3] = out, out.ctypes.data
         pu, po = held[1], held[3]
-        for lo, hi, why in self.apart:
-            if lo < pu + u.nbytes and pu < hi or lo < po + out.nbytes and po < hi:
+        for lo, hi, why, read in self.apart:
+            if read and lo < pu + u.nbytes and pu < hi or lo < po + out.nbytes and po < hi:
                 raise CodegenError(f"{self.who}: {why}")
         return pu, po
 
@@ -675,7 +686,7 @@ class _Checked:
                                code="RPR141")
         address = self.floats(a, shape, what)
         self.apart.append((address, address + a.nbytes, f"the {what} share memory "
-                           "with the unknown or the output"))
+                           "with the unknown or the output", True))
         return address
 
     def indices(self, a, bound: int, what: str, low: int = 0) -> np.ndarray:
@@ -705,7 +716,7 @@ class _Checked:
             if len(r.group) != nu or any(np.may_share_memory(o, a) for a in inputs):
                 raise CodegenError(f"{self.who}: a reduction over other rows, or into its input")
             self.apart.append((o.ctypes.data, o.ctypes.data + o.nbytes,
-                               "a reduction over other rows, or into its input"))
+                               "a reduction over other rows, or into its input", True))
         ro = np.array([o.ctypes.data for _, o in pairs], dtype=np.uintp)
         rn = np.array([r.rows * n for r, _ in pairs], dtype=np.int64)
         rg = np.concatenate([np.zeros(0, np.int64),
@@ -721,25 +732,25 @@ class Tile:
     once per sweep.
 
     ``TILE(memo, scalars, rows, u, out, scratch, bcells, bdry, reduced,
-    *operands)``; the boundary part, ``BOUNDARY(memo, scalars, None, u_bdry,
-    du_bdry, scratch, *operands)``; a device step's end, ``finish_step(memo,
-    (dt,), rows, u, u, u_bdry, bcells, du_bdry, bowner, reduced)`` (the owner
-    values written where a tile's scratch goes).  ``scalars`` by
-    value (``dt`` first), ``u`` and ``out`` checked on every call, the rest
-    resolved once (:class:`_Checked`) and held in ``memo``, the state's
-    ``plans``: one entry per call site, reused while each object is the one
-    passed (what changes between steps is written into the same arrays).  Rows
-    are the state's (``None``, a band rank's ``owned_comps``), so a step
-    resolves nothing; a degraded step's workspace, a restore or a
-    repartition resolves again.  ``reduced`` is an Euler sweep's outputs of
-    the declared ``reductions`` (:class:`~repro.dsl.entities.Reduction`), or
-    empty.  Each returns 1 when it proved the unknown finite (an Euler tile
-    or the finish, :data:`_PROVE`), else 0."""
+    *operands)`` (an RK stage's too); the boundary part, ``BOUNDARY(memo,
+    scalars, None, u_bdry, du_bdry, scratch, *operands)``; a device step's end,
+    ``finish_step(memo, (dt,), rows, u, u, u_bdry, bcells, du_bdry, bowner,
+    reduced)`` (the owner values written where a tile's scratch goes).
+    ``scalars`` by value (``dt`` first), ``u`` and ``out`` checked on every
+    call, the rest resolved once (:class:`_Checked`) and held in ``memo``, the
+    state's ``plans``: one entry per call site, reused while each object is the
+    one passed (what changes between steps is written into the same arrays).
+    Rows are the state's (``None``, a band rank's ``owned_comps``), so a step
+    resolves nothing; a degraded step's workspace, a restore or a repartition
+    resolves again.  ``reduced`` is a last sweep's outputs of the declared
+    ``reductions`` (:class:`~repro.dsl.entities.Reduction`), or empty.  Each
+    returns 1 when it proved the unknown finite (a step's last sweep or the
+    finish, :data:`_PROVE`), else 0."""
 
     def __init__(self, lib: _Build, lowered: Lowered, reductions=()):
         self.lib, self.fn = lib, None
         self.lowered, self.reductions = lowered, tuple(reductions)
-        self.symbol = _symbol(lowered.shape)
+        self.symbol = lowered.symbol
         #: the arguments after ``out`` that are no operands (the last: the reductions')
         self.places = {"boundary": 1, "finish": 5}.get(lowered.shape, 4)
 
@@ -797,8 +808,8 @@ class Tile:
             if (np.diff(bc) <= 0).any():  # (no cell twice: the add is vectorized)
                 raise CodegenError(f"{self.symbol}: the boundary cells are not increasing")
             own = indices(args[2], n, "boundary owners") if finish else None
-            size = ((nu, len(own)) if finish else (nf + n,) if faces is not None
-                    else (lowered.folds * n,))
+            size = ((nu, len(own)) if finish else (n * (lowered.store != "euler")  # (RK: ``k``)
+                    + (nf + n if faces is not None else lowered.folds * n),))
             args = [floats(scratch, size, "owner values" if finish else "scratch", True),
                     len(bc), bc.ctypes.data,
                     None if bdry is None else floats(bdry, (nu, len(bc)), "boundary part"),
@@ -807,11 +818,9 @@ class Tile:
             if finish and np.may_share_memory(scratch, bdry):
                 raise CodegenError("finish: the owner values share memory with the boundary part")
             check.apart += [(a.ctypes.data, a.ctypes.data + a.nbytes,
-                             "an argument shares memory with the unknown") for a in inputs]
-            if lowered.euler:
+                             "an argument shares memory with the unknown", True) for a in inputs]
+            if lowered.store in ("euler", "last"):
                 args += check.reductions(self.reductions, reduced, *inputs)
-            elif len(reduced):
-                raise CodegenError("tile: a right-hand side reduces nothing")
         extent: dict[int, int] = {}  # operand -> its rows
         for i, (kind, value) in enumerate(zip(lowered.kinds, operands)):
             if kind == "m":
@@ -834,6 +843,11 @@ class Tile:
             elif kind in "eE":
                 args.append(check.private(value, (nrows, n if kind == "e" else nf),
                                           "value evaluated before the sweep"))
+            elif kind in "US":  # the step's unknown, which only the last stage stores, the sum
+                args.append(floats(value, (nu, n), "stage array", kind == "S"))
+                if kind == "S" or lowered.store == "stage":
+                    check.apart.append((args[-1], args[-1] + value.nbytes, "a stage's output or "
+                                        "sum shares memory with the step's unknown", kind == "S"))
             elif kind in "tTnbBkvo":
                 dtype = np.bool_ if kind in "bBk" else np.float64
                 width = {"n": 1, "k": 1, "T": nf, "B": nf, "o": value.shape[1]}.get(kind, n)

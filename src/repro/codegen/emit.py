@@ -59,6 +59,7 @@ from repro.symbolic.expr import (
     Sym,
     preorder,
 )
+from repro.fvm.timesteppers import Tableau
 from repro.symbolic.functions import FUNCTION_CODES
 from repro.util.errors import CodegenError
 
@@ -1106,22 +1107,18 @@ def _boundary_part(emitter: ExprEmitter, surface: EmittedExpr, tables: str,
     return setup + _function(head, body)
 
 
-#: the steppers whose sweep stores the explicit update itself
-EULER = ("euler", "euler_explicit")
-
-
 def emit_interior(emitter: ExprEmitter, surface: EmittedExpr, volume: EmittedExpr,
-                  device: bool, *, stepper: str = "euler") -> list[str]:
+                  device: bool, scheme: Tableau) -> list[str]:
     """The finite-volume interior of every target — the ``surface`` and
     ``volume`` statements ``emitter`` emitted — for where the step's
     placement put ``interior_update``, and the source lines and the printed
     sweep (:func:`repro.codegen.ctile.lower`) it calls.
 
     On the host it is ``compute_rhs(state, u, t, rows=None)`` (``rows``: a
-    band rank's): under forward Euler the sweep stores ``u + dt * rhs``
-    itself, fills the post-step callbacks' declared reductions (``state.reduced``)
-    and returns its proof that ``u`` is finite (the host step keeps it,
-    ``state.u_proved_finite``); other steppers get the RHS back.  On the
+    band rank's): the sweep stores ``u + dt * rhs`` itself — an RK stage,
+    ``compute_rhs(state, u, t, sweep, s, out)``, its part of the ``scheme``
+    — and, the step's last, fills the declared reductions (``state.reduced``)
+    and returns its proof that ``u`` is finite (``state.u_proved_finite``).  On the
     ``device`` it is a launch over the interior faces into ``u_new``,
     ``interior_kernel(state, u, var_*, u_new, buffer, sel)``, before
     ``finish_step``, printed into every unit
@@ -1139,11 +1136,11 @@ def emit_interior(emitter: ExprEmitter, surface: EmittedExpr, volume: EmittedExp
 
     form = emitter.form
     folded = surface.folded
-    inplace = device or stepper in EULER
+    rk = scheme.stages > 1
     two_sided = bool(form.surface_terms) and folded is None
     upwind = surface.upwind
     part = (surface, bool(upwind and upwind.owner_where and not surface.sides))
-    tile = ctile.lower(volume, inplace, folded=folded, surface=surface if two_sided else None,
+    tile = ctile.lower(volume, scheme, folded=folded, surface=surface if two_sided else None,
                        boundary=part if (folded or device) and form.surface_terms else None)
     setup, invariant, tables = _invariant_tables(surface, volume)
     lines = setup
@@ -1158,12 +1155,12 @@ def emit_interior(emitter: ExprEmitter, surface: EmittedExpr, volume: EmittedExp
         ]
         buffer, ncells, loop = "buffer", "NCELLS", "interior"
     else:
-        head = "def compute_rhs(state, u, t, rows=None):"
+        head = f"def compute_rhs(state, u, t, {'sweep, s, out, ' * rk}rows=None):"
         doc = [
             '"""Semi-discrete RHS du/dt: volume sources + surface divergence —',
-            "returned, or under forward Euler stepped in place, ``u += dt * rhs``, then",
-            "1 if the sweep proved ``u`` finite (a row reads the unknown only through",
-            "itself; the boundary values are evaluated from the pre-step ``u`` first).",
+            "stored, ``u += dt * rhs`` in place or an RK stage's ``sweep`` into ``out``,",
+            "then 1 if the sweep proved what it stored finite (a row reads ``u`` only",
+            "through itself; the boundary values are evaluated from ``u`` first).",
             "",
             "``rows`` restricts the sweep to those component rows (a rank's owned",
             'bands); the other rows are left untouched."""',
@@ -1214,21 +1211,18 @@ def emit_interior(emitter: ExprEmitter, surface: EmittedExpr, volume: EmittedExp
             "bdry = compute_boundary_contribution(",
             "    state, u.take(geom.bowner, axis=1, out=u_bdry, mode='clip'), t)",
         ]
-    if not inplace:
-        body.append("rhs = np.empty((NCOMP, geom.ncells))")
     size = (f"{tile.folds} * {ncells}" if tile.shape == "cells" else
-            f"len(faces.side1) + {ncells}")
+            f"len(faces.side1) + {ncells}") + f" + {ncells}" * rk  # (a stage's ``k``: a row)
     places = ["bcells", "bdry"] if folded and not device else ["None", "None"]
-    reduced = "()" if device or not inplace else "state.reduced"
+    reduced = "()" if device else "state.reduced"
     body += ["", *(f"# RHS surface: {t}" for t in form.surface_terms),
              *(f"# RHS volume: {t}" for t in form.volume_terms)]
-    scalars, rest = ", ".join(["dt", *tile.scalars]), ", ".join([*places, reduced, *tile.operands])
+    scalars = ", ".join(["s" if rk else "dt", *tile.scalars])
+    rest = ", ".join([*places, reduced, *tile.operands])
     body += ["# the sweep, in C (``solver.tile.text``): one foreign call over the rows",
-             f"{'return ' * inplace}TILE(state.plans, ({scalars},), rows, u, "
-             f"{'u_new' if device else 'u' if inplace else 'rhs'},",
+             f"{'return ' * (not device)}{'sweep' if rk else 'TILE'}(state.plans, ({scalars},), "
+             f"rows, u, {'u_new' if device else 'out' if rk else 'u'},",
              f"            {buffer}('tile', ({size},)), {rest})"]
-    if not inplace:
-        body.append("return rhs")
     if folded or device:
         lines += _boundary_part(emitter, surface, invariant, tile.boundary)
     lines += [head, *("    " + ln if ln else ln for ln in body)]
@@ -1261,7 +1255,6 @@ __all__ = [
     "ExprEmitter",
     "EmittedExpr",
     "Hoisted",
-    "EULER",
     "Upwind",
     "emit_interior",
     "hoisted_lines",

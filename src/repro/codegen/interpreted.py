@@ -20,13 +20,13 @@ import numpy as np
 from repro.codegen.state import SolverState
 from repro.codegen.target_base import (
     ADVANCE,
-    REDUCE_STEP,
     CodegenTarget,
     GeneratedSolver,
     emit_step_loop,
     indent,
     source_header,
 )
+from repro.fvm.timesteppers import tableau
 from repro.ir.build import build_ir
 from repro.ir.lowering import ClassifiedForm, lower_conservation_form
 from repro.ir.nodes import print_ir
@@ -54,7 +54,8 @@ _STEP_ONCE = [
         "    rhs = interpret_rhs(state, state.u, state.time)",
         "    with np.errstate(all='ignore'):  # (a blow-up is check_health's to report)",
         "        state.u = state.u + state.dt * rhs",
-        *indent(REDUCE_STEP, 2),
+        "        for reduction, out in zip(REDUCTIONS, state.reduced):",
+        "            kernels.reduce_rows(state.u, reduction.group, reduction.weight, out)",
         *ADVANCE,
     ]),
 ]
@@ -180,7 +181,7 @@ class InterpretedTarget(CodegenTarget):
     def build_artifact(self, problem: "Problem"):
         if problem.equation is None:
             raise CodegenError("no conservation_form declared")
-        if problem.config.stepper not in ("euler", "euler_explicit"):
+        if tableau(problem.config.stepper).stages > 1:
             raise CodegenError("the interpreted target implements forward Euler only")
         unknown = problem.unknown
         expanded, form = lower_conservation_form(

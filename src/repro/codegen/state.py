@@ -248,18 +248,18 @@ class SolverState:
 
         Nothing is read when the last sweep proved the unknown finite
         (``u_proved_finite``, :data:`repro.codegen.ctile._PROVE`: the cpu
-        Euler tile, a host-placed ``finish_step`` or a device-placed one —
-        its launch's ``result``, a function of the reductions the step
-        fetches anyway — stored every row, and every output of a declared
-        reduction is finite).  What writes ``u`` after that sweep clears the
-        proof: the ``u`` getter (so the setter, the rk2 and interp updates,
-        the SPMD merge, a migration's included, and each ``end_step`` hook
-        that reads ``u``), :meth:`field` of the unknown and
+        Euler tile or RK step's last stage, a host-placed ``finish_step`` or
+        a device-placed one — its launch's ``result``, a function of the
+        reductions the step fetches anyway — stored every row, and every
+        output of a declared reduction is finite).  What writes ``u`` after
+        that sweep clears the proof: the ``u`` getter (so the setter, the
+        interp update, the SPMD merge, a migration's included, and each
+        ``end_step`` hook that reads ``u``), :meth:`field` of the unknown and
         :meth:`claim_unknown` (a restore, a checkpoint, a degraded step's
         take-back), and a degraded device step's emitted code.  A write
         through ``host_u``, ``fields``, an array fetched before the sweep or
         ``device.buffers['u']`` after a proved device step is not seen.
-        rk2, interp, a rank, a band rank's rows on a device, the SPMD driver
+        Interp, a rank, a band rank's rows on a device, the SPMD driver
         and a program without a declared reduction never prove it.  Else
         the check runs where the unknown lives (one ``finite_check`` launch
         and one flag back from the device, the array only when the flag

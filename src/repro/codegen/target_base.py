@@ -33,10 +33,10 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 from repro.codegen import ctile
-from repro.codegen.emit import EULER, EmittedExpr, ExprEmitter, emit_interior
+from repro.codegen.emit import EmittedExpr, ExprEmitter, emit_interior
 from repro.codegen.state import SolverState
 from repro.fvm import kernels
-from repro.fvm.timesteppers import make_stepper
+from repro.fvm.timesteppers import tableau
 from repro.ir.nodes import print_ir
 from repro.obs import phase_span
 from repro.util.context import current
@@ -227,8 +227,7 @@ class CodegenTarget:
                       build_seconds=info.get("build_seconds"))
         solver = self.bind_artifact(problem, artifact)
         solver.generation_info = info
-        for name in ("TILE", "BOUNDARY", "finish_step"):  # compiled while the state was bound
-            foreign = solver.namespace.get(name)
+        for foreign in list(solver.namespace.values()):  # compiled while the state was bound
             if isinstance(foreign, ctile.Tile):
                 foreign.wait()
         return solver
@@ -280,6 +279,7 @@ class CodegenTarget:
         if tile is not None:  # the library of this text: built, or building
             lib = ctile.build(tile.text)
             env["TILE"] = ctile.Tile(lib, tile, state.reductions)
+            env.update((stage.symbol.upper(), ctile.Tile(lib, stage)) for stage in tile.stages)
             if tile.boundary is not None:
                 env["BOUNDARY"] = ctile.Tile(lib, tile.boundary)
         solver = GeneratedSolver(
@@ -334,18 +334,17 @@ class FVTarget(CodegenTarget):
 
     def program(self, problem: "Problem", plan: dict) -> list[str]:
         """Source of the step and the time loop: the serial host step, where
-        the sweep stores the forward-Euler update itself and another stepper
-        calls it per stage."""
-        if problem.config.stepper in EULER:
-            solve = ["state.u_proved_finite = compute_rhs(state, state.u, state.time)"]
-        else:
-            solve = [
-                "with np.errstate(all='ignore'):  # (a blow-up is check_health's to report)",
-                "    u_new = stepper.advance(state.u, state.time, state.dt,",
-                "                            lambda uu, tt: compute_rhs(state, uu, tt))",
-                "state.u = u_new",
-                *REDUCE_STEP,
-            ]
+        the sweep stores the forward-Euler update itself or is an RK stage."""
+        scheme = tableau(problem.config.stepper)
+        solve = ["state.u_proved_finite = compute_rhs(state, state.u, state.time)"]
+        if scheme.stages > 1:  # (per stage: its input and time, its sweep, factor and output)
+            at = ["u, t", *(f"y, t + {c!r} * dt" for c in scheme.c[1:])]
+            solve = ["u, t, dt = state.u, state.time, state.dt",
+                     "y = state.buffer('stage', u.shape)",
+                     *(f"compute_rhs(state, {at[s]}, STAGE{s + 1}, {a!r} * dt, y)"
+                       for s, a in enumerate(scheme.a)),
+                     f"state.u_proved_finite = compute_rhs(state, {at[-1]}, TILE, "
+                     f"dt / {scheme.div!r}, u)"]
         return ["", "", "def step_once(state):", *indent([
             '"""Advance one explicit step (Eq. 3 of the paper)."""',
             "with state.phase('solve'):",
@@ -364,7 +363,8 @@ class FVTarget(CodegenTarget):
     def build_artifact(self, problem: "Problem"):
         if problem.equation is None:
             raise CodegenError("no conservation_form declared")
-        if self.euler_only and problem.config.stepper not in EULER:
+        scheme = tableau(problem.config.stepper)
+        if self.euler_only and scheme.stages > 1:
             raise CodegenError(
                 f"the {self.name} target implements the paper's forward-Euler "
                 f"scheme; got {problem.config.stepper!r} (use the cpu target "
@@ -386,8 +386,7 @@ class FVTarget(CodegenTarget):
             lines += ["#   " + ln for ln in plan["placement"].report().splitlines()]
             lines += ["#   " + ln for ln in plan["transfer_plan"].report().splitlines()]
             lines += [""]
-        interior, tile = emit_interior(emitter, surface, volume, device,
-                                       stepper=problem.config.stepper)
+        interior, tile = emit_interior(emitter, surface, volume, device, scheme)
         ctile.build(tile.text)  # the compiler starts now; bind waits for it
         lines += interior
         lines += self.program(problem, plan)
@@ -403,8 +402,7 @@ class FVTarget(CodegenTarget):
 
     def bind_host(self, problem: "Problem", artifact, state) -> GeneratedSolver:
         """Bind a host-placed program over ``state``."""
-        solver = self.bind_solver(problem, artifact, state,
-                                  {"stepper": make_stepper(problem.config.stepper)})
+        solver = self.bind_solver(problem, artifact, state, {})
         solver.task_timer_map = HOST_TASK_TIMERS
         return solver
 
@@ -438,12 +436,6 @@ def indent(lines, level: int = 1) -> list[str]:
 #: How every step hole ends: the counters advance with the step, before the
 #: post-step callbacks, so a callback sees the step it follows on any target.
 ADVANCE = ["state.time += state.dt", "state.step_index += 1"]
-#: The declared reductions of a step whose sweep reduced nothing (an RK
-#: stepper, the interpreter), by the one NumPy form.
-REDUCE_STEP = [
-    "for reduction, out in zip(REDUCTIONS, state.reduced):",
-    "    kernels.reduce_rows(state.u, reduction.group, reduction.weight, out)",
-]
 
 
 def emit_step_loop(target: str, *, spmd: bool = False, doc=(), prologue=(),
@@ -537,7 +529,6 @@ def emit_step_loop(target: str, *, spmd: bool = False, doc=(), prologue=(),
 
 __all__ = [
     "ADVANCE",
-    "REDUCE_STEP",
     "CodegenTarget",
     "FVTarget",
     "GeneratedSolver",

@@ -172,10 +172,10 @@ class Reduction:
     form a device can run ("intentionally written for GPU processing"):
     ``out[group[g]] += weight[g] * u[g]``, ``out`` zeroed first, shape
     ``(rows, ncells)``, accumulated over the components ``g`` in order (a
-    band-partitioned rank's own rows only).  A forward-Euler host sweep
+    band-partitioned rank's own rows only).  A host step's last C sweep
     accumulates it while the row it stored is hot, a device step's
-    ``finish_step`` after the kernel; an RK step and the interpreter by the
-    one NumPy form, :func:`repro.fvm.kernels.reduce_rows`.  ``name`` names
+    ``finish_step`` after the kernel; the interpreter by the one NumPy
+    form, :func:`repro.fvm.kernels.reduce_rows`.  ``name`` names
     the array in the transfer plan.  Same bits wherever it runs.  Every
     component goes into one output row, so a host sweep whose outputs are
     all finite has stored a finite unknown: ``check_health`` then reads

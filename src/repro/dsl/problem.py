@@ -26,6 +26,7 @@ from repro.dsl.entities import (
     Variable,
 )
 from repro.fvm.boundary import BCKind
+from repro.fvm.timesteppers import tableau
 from repro.mesh.mesh import Mesh
 from repro.symbolic.expr import Call, Expr, Num, Sym
 from repro.symbolic.operators import OperatorRegistry, default_registry
@@ -72,6 +73,7 @@ class SolverConfig:
             raise ConfigError("band partitioning needs the index to split over")
         if self.nparts < 1:
             raise ConfigError(f"nparts must be >= 1 (got {self.nparts})")
+        tableau(self.stepper)  # (ConfigError on a name no scheme has)
 
 
 @dataclass

@@ -10,19 +10,14 @@
   kept beside them (the folded upwind operator, MUSCL reconstruction);
 * :mod:`~repro.fvm.boundary` — boundary-condition bookkeeping (ghost values,
   flux overrides, callback dispatch);
-* :mod:`~repro.fvm.timesteppers` — explicit schemes (forward Euler, RK2, RK4).
+* :mod:`~repro.fvm.timesteppers` — explicit schemes (forward Euler, RK2, RK4)
+  as Butcher tableaux, and their step in NumPy (the tests' reference).
 """
 
 from repro.fvm.geometry import FVGeometry
 from repro.fvm.fields import CellField, IndexSpace
 from repro.fvm.boundary import BoundaryCondition, BoundarySet, BCKind
-from repro.fvm.timesteppers import (
-    TimeStepper,
-    ForwardEuler,
-    RK2,
-    RK4,
-    make_stepper,
-)
+from repro.fvm.timesteppers import TABLEAUX, Tableau, advance, tableau
 from repro.fvm import kernels
 
 __all__ = [
@@ -32,10 +27,9 @@ __all__ = [
     "BoundaryCondition",
     "BoundarySet",
     "BCKind",
-    "TimeStepper",
-    "ForwardEuler",
-    "RK2",
-    "RK4",
-    "make_stepper",
+    "TABLEAUX",
+    "Tableau",
+    "advance",
+    "tableau",
     "kernels",
 ]

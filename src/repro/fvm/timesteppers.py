@@ -1,86 +1,66 @@
-"""Explicit time-integration schemes.
+"""Explicit time-integration schemes, as Butcher tableaux.
 
 The paper uses forward Euler ("a simple explicit scheme such as forward
 Euler is reasonable" for the small steps the BTE transient needs); RK2/RK4
-are provided as the DSL's other explicit options, exercised by the examples
-and tests.  A stepper advances ``u_{n} -> u_{n+1}`` given a right-hand side
-``rhs(u, t) -> du/dt`` computed by the generated/assembled code.
-"""
+are the DSL's other explicit options.  Each is a :class:`Tableau` of the one
+table every target reads, :data:`TABLEAUX`: the cpu target prints its stages
+into C (:func:`repro.codegen.ctile.lower`); :func:`advance` is its step in
+NumPy, the tests' reference."""
 
 from __future__ import annotations
 
 from collections.abc import Callable
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.util.errors import ConfigError
 
-RHS = Callable[[np.ndarray, float], np.ndarray]
+
+class Tableau(NamedTuple):
+    """An explicit scheme whose stage ``s + 1`` reads ``u + (a[s] * dt) *
+    k_s`` at ``t + c[s + 1] * dt`` and whose step is ``u + (dt / div) *
+    sum(b * k)``, the sum from its first weighted ``k`` itself, left to
+    right (NumPy's association, which the generated stages print)."""
+
+    name: str
+    a: tuple[float, ...]  # per stage after the first: the weight of the last ``k``
+    c: tuple[float, ...]  # per stage: its time
+    b: tuple[float, ...]  # per stage: its ``k``'s combination weight
+    div: float = 1.0
+
+    @property
+    def stages(self) -> int:
+        return len(self.c)
 
 
-class TimeStepper:
-    """Base class: subclasses implement :meth:`advance`."""
-
-    name = "base"
-    stages = 1
-
-    def advance(self, u: np.ndarray, t: float, dt: float, rhs: RHS) -> np.ndarray:
-        raise NotImplementedError
+_EULER = Tableau("euler", (), (0.0,), (1.0,))
+_RK2 = Tableau("rk2", (0.5,), (0.0, 0.5), (0.0, 1.0))  # the explicit midpoint method
+_RK4 = Tableau("rk4", (0.5, 0.5, 1.0), (0.0, 0.5, 0.5, 1.0), (1.0, 2.0, 2.0, 1.0), 6.0)
+#: every scheme by name, with its aliases
+TABLEAUX = {"euler": _EULER, "euler_explicit": _EULER, "rk2": _RK2, "midpoint": _RK2,
+            "rk4": _RK4}
 
 
-class ForwardEuler(TimeStepper):
-    """``u + dt * rhs(u, t)`` — the paper's scheme (EULER_EXPLICIT)."""
-
-    name = "euler"
-    stages = 1
-
-    def advance(self, u: np.ndarray, t: float, dt: float, rhs: RHS) -> np.ndarray:
-        return u + dt * rhs(u, t)
+def tableau(name: str) -> Tableau:
+    """The scheme called ``name`` (any case); :class:`ConfigError` else."""
+    found = TABLEAUX.get(name.lower())
+    if found is None:
+        raise ConfigError(f"unknown time stepper {name!r}; available: {sorted(TABLEAUX)}")
+    return found
 
 
-class RK2(TimeStepper):
-    """Explicit midpoint method (2nd order)."""
-
-    name = "rk2"
-    stages = 2
-
-    def advance(self, u: np.ndarray, t: float, dt: float, rhs: RHS) -> np.ndarray:
-        k1 = rhs(u, t)
-        k2 = rhs(u + 0.5 * dt * k1, t + 0.5 * dt)
-        return u + dt * k2
-
-
-class RK4(TimeStepper):
-    """Classic 4th-order Runge–Kutta."""
-
-    name = "rk4"
-    stages = 4
-
-    def advance(self, u: np.ndarray, t: float, dt: float, rhs: RHS) -> np.ndarray:
-        k1 = rhs(u, t)
-        k2 = rhs(u + 0.5 * dt * k1, t + 0.5 * dt)
-        k3 = rhs(u + 0.5 * dt * k2, t + 0.5 * dt)
-        k4 = rhs(u + dt * k3, t + dt)
-        return u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def advance(scheme: Tableau, u: np.ndarray, t: float, dt: float,
+            rhs: Callable[[np.ndarray, float], np.ndarray]) -> np.ndarray:
+    """One step of ``scheme`` from ``u`` at ``t``, ``rhs(u, t) -> du/dt``."""
+    total, y = None, u
+    for s, (c, w) in enumerate(zip(scheme.c, scheme.b)):
+        k = rhs(y, t + c * dt if s else t)
+        if w:  # (``1.0 * k`` is ``k``, bit for bit)
+            total = w * k if total is None else total + w * k
+        if s + 1 < scheme.stages:
+            y = u + (scheme.a[s] * dt) * k
+    return u + (dt / scheme.div) * total
 
 
-_STEPPERS: dict[str, type[TimeStepper]] = {
-    "euler": ForwardEuler,
-    "euler_explicit": ForwardEuler,
-    "rk2": RK2,
-    "midpoint": RK2,
-    "rk4": RK4,
-}
-
-
-def make_stepper(name: str) -> TimeStepper:
-    """Instantiate a stepper by name (``euler``/``rk2``/``rk4``)."""
-    key = name.lower()
-    if key not in _STEPPERS:
-        raise ConfigError(
-            f"unknown time stepper {name!r}; available: {sorted(set(_STEPPERS))}"
-        )
-    return _STEPPERS[key]()
-
-
-__all__ = ["TimeStepper", "ForwardEuler", "RK2", "RK4", "make_stepper", "RHS"]
+__all__ = ["TABLEAUX", "Tableau", "advance", "tableau"]

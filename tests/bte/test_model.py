@@ -135,6 +135,7 @@ class TestBandEnergies:
 HANDED = {
     "cpu": ("cpu", "euler", None, 0, None),
     "rk2": ("cpu", "rk2", None, 0, None),
+    "rk4": ("cpu", "rk4", None, 0, None),
     "gpu": ("gpu", "euler", None, 0, "cpu"),
     "gpu-resident": ("gpu", "euler", None, 0, "gpu"),
     "cells2": ("distributed", "euler", "cells", 2, None),
@@ -148,7 +149,7 @@ HANDED = {
 @pytest.mark.parametrize("case", sorted(HANDED))
 def test_every_target_hands_the_callback_the_definition(case):
     """The band energies ``temperature_update`` is handed — reduced in the
-    C tile, by ``finish_step``, or by the NumPy form after an RK step — are
+    C tile, an RK step's last stage or ``finish_step`` — are
     the ordered scatter-add over the components the state steps, bit for
     bit, every step (a cell rank's over all of its columns, a band rank's
     over its own rows)."""

@@ -20,6 +20,7 @@ from repro.dsl.entities import CELL, VAR_ARRAY, Reduction
 from repro.dsl.problem import Problem
 from repro.fvm.boundary import BCKind
 from repro.fvm.kernels import FoldedOperator
+from repro.fvm.timesteppers import advance, tableau
 from repro.mesh.grid import structured_grid, triangulated_grid
 from repro.tune.cache import cache_scope
 from repro.util.errors import CodegenError
@@ -304,14 +305,18 @@ def test_the_unknown_and_the_output_are_addressed_without_the_array_interface():
             Counting.reads += 1
             return super().__array_interface__
 
-    for stepper in ("euler", "rk2"):  # in place; into a fresh right-hand side each call
+    for stepper in ("euler", "rk2"):  # in place; an RK stage into its buffer, then back
         problem = program("hotspot")
         problem.set_stepper(stepper)
         solver = problem.generate()
-        state = solver.state
-        u = state.u.copy().view(Counting)
+        state, ns = solver.state, solver.namespace
+        u, y = (state.u.copy().view(Counting) for _ in range(2))
         for _ in range(3):
-            solver.namespace["compute_rhs"](state, u, state.time)
+            if stepper == "euler":
+                ns["compute_rhs"](state, u, state.time)
+            else:
+                ns["compute_rhs"](state, u, state.time, ns["STAGE1"], 0.5 * state.dt, y)
+                ns["compute_rhs"](state, y, state.time, ns["TILE"], state.dt, u)
     assert Counting.reads == 0
 
 
@@ -430,9 +435,9 @@ WIDTHS = {
 ND, NB = 3, 2
 #: where the sweep stores: in place (``u`` is ``out``), into ``u_new`` on the
 #: device (finished there, so the C tile's reduction is the one handed on),
-#: and an RK right-hand side
+#: and an RK step's stages
 STORES = {"in-place": ("cpu", "euler"), "out-of-place": ("gpu", "euler"),
-          "rk2": ("cpu", "rk2")}
+          "rk2": ("cpu", "rk2"), "rk4": ("cpu", "rk4")}
 
 
 def small_problem(mesh, stepper: str, handed: list) -> Problem:
@@ -476,12 +481,13 @@ def run_store(mesh, store: str, handed: list):
     return solver
 
 
-def numpy_sweep(solver, u, euler: bool, boundary: bool = True) -> np.ndarray:
+def numpy_sweep(solver, u, euler: bool, boundary: bool = True, t=None) -> np.ndarray:
     """What one sweep of ``solver``'s folded tile stores for the rows ``u``,
     by the statement record as NumPy (``tests.codegen.test_emit_properties``'s
     run, the folded operator through its oracle): ``u + dt * (source +
-    div)`` under forward ``euler`` (else the right-hand side), the boundary
-    cells' columns completed with the boundary part (``boundary``)."""
+    div)`` under forward ``euler`` (else the right-hand side, an RK stage's
+    ``k``), the boundary cells' columns completed with the boundary part
+    (``boundary``) at ``t`` (the state's time)."""
     from repro.codegen.emit import ExprEmitter
     from repro.ir.lowering import lower_conservation_form
     from tests.codegen.test_emit_properties import _numpy_tile
@@ -500,7 +506,8 @@ def numpy_sweep(solver, u, euler: bool, boundary: bool = True) -> np.ndarray:
     _, v = _numpy_tile(emitter, folded, volume, scope, u, surface.sweep)
     out = u + v * state.dt if euler else v
     if boundary:
-        bdry = ns["compute_boundary_contribution"](state, u[:, geom.bowner].copy(), state.time)
+        bdry = ns["compute_boundary_contribution"](state, u[:, geom.bowner].copy(),
+                                                   state.time if t is None else t)
         out[:, geom.bcells] += bdry * state.dt if euler else bdry
     return out
 
@@ -512,12 +519,14 @@ def test_the_vectorized_tile_is_the_numpy_tile_bit_for_bit(width, store):
     offset entries (odd bounds too), the gathers, the element loop in place
     and out of place, the reductions — stores the bits of its NumPy record
     (:func:`numpy_sweep`), epilogues included, and hands the callback the
-    NumPy form's reduction."""
+    NumPy form's reduction; an RK step's stages store the bits of the NumPy
+    reference step (:func:`repro.fvm.timesteppers.advance`) over that
+    record's right-hand sides."""
     from repro.fvm import kernels
 
     handed: list = []
     solver = run_store(WIDTHS[width](), store, handed)
-    assert solver.tile.euler == (store != "rk2")
+    assert solver.tile.store == ("last" if store.startswith("rk") else "euler")
     state, ns = solver.state, solver.namespace
     fold, = (t for t in state.tables(ns["folded_tables"], "interior", divergence=True)
              if isinstance(t, FoldedOperator))
@@ -538,9 +547,14 @@ def test_the_vectorized_tile_is_the_numpy_tile_bit_for_bit(width, store):
         got = np.full_like(u, np.nan)
         ns["interior_kernel"](state, u, *known, got, state.buffer)
         expected = numpy_sweep(solver, u, euler=True, boundary=False)
-    elif store == "rk2":
-        got = ns["compute_rhs"](state, u, state.time)
-        expected = numpy_sweep(solver, u, euler=False)
+    elif store.startswith("rk"):  # one step, its stages at their times, its proof
+        expected = advance(tableau(store), u, state.time, state.dt,
+                           lambda uu, tt: numpy_sweep(solver, uu, euler=False, t=tt))
+        state.u[...] = u
+        ns["step_once"](state)
+        got = state.host_u
+        assert state.u_proved_finite == 1 and state.reduced[0].tobytes() == kernels.reduce_rows(
+            got, reduction.group, reduction.weight, np.empty((NB, state.ncells))).tobytes()
     else:
         expected = numpy_sweep(solver, u.copy(), euler=True)
         ns["compute_rhs"](state, u, state.time)
@@ -548,6 +562,86 @@ def test_the_vectorized_tile_is_the_numpy_tile_bit_for_bit(width, store):
         assert state.reduced[0].tobytes() == kernels.reduce_rows(
             got, reduction.group, reduction.weight, np.empty((NB, state.ncells))).tobytes()
     assert got.tobytes() == expected.tobytes()
+
+
+def rk_right_hand_side(problem):
+    """``rhs(u, t)`` of ``problem`` by its own C body: the last sweep of its
+    rk2 program, whose store ``o + s0 * k`` over ``-0.0`` with ``s0 = 1.0``
+    is ``k`` bit for bit (``-0.0`` adds nothing, not even to a zero)."""
+    problem.set_stepper("rk2")
+    solver = problem.generate()
+    state, ns = solver.state, solver.namespace
+
+    def rhs(u, t):
+        k = np.full_like(u, -0.0)
+        ns["compute_rhs"](state, np.ascontiguousarray(u), t, ns["TILE"], 1.0, k)
+        return k
+
+    return rhs
+
+
+@pytest.mark.parametrize("stepper", ["rk2", "rk4"])
+@pytest.mark.parametrize("kind", ["two-sided", "time-dependent ghosts"])
+def test_an_rk_step_is_the_reference_step_over_its_right_hand_sides(kind, stepper):
+    """A two-sided program (a loop over the faces, then the cells) and one
+    whose ghost values are a callback of the time: one generated step
+    stores the NumPy reference step's bits, its stages evaluated at the
+    reference's times (``[t, t + dt/2, t + dt/2, t + dt]`` under rk4)."""
+    from tests.codegen.test_fold_selection import indexed_problem
+
+    seen: list = []
+
+    def build():
+        if kind == "two-sided":
+            return indexed_problem(KNOWN_AVERAGE)
+        p = small_problem(WIDTHS["33"](), "euler", [])
+        region = p.mesh.boundary_regions()[0]
+        p.boundaries = [b for b in p.boundaries if b.region != region]
+        p.add_boundary("I", region, BCKind.GHOST_CALLBACK, lambda ctx: (
+            seen.append(ctx.time), np.full((ND * NB, ctx.nfaces), 0.7 + 1e3 * ctx.time))[1])
+        return p
+
+    rhs = rk_right_hand_side(build())
+    problem = build()
+    problem.set_stepper(stepper)
+    solver = problem.generate()
+    solver.run(2)
+    state = solver.state
+    assert solver.tile.shape == ("faces" if kind == "two-sided" else "cells")
+    u, t = state.u.copy(), state.time
+    del seen[:]
+    solver.namespace["step_once"](state)
+    stepped = list(seen)
+    del seen[:]
+    expected = advance(tableau(stepper), u, t, state.dt, rhs)
+    assert state.host_u.tobytes() == expected.tobytes()
+    assert stepped == seen
+    if kind != "two-sided":
+        dt = state.dt
+        assert stepped == ([t, t + 0.5 * dt] if stepper == "rk2" else
+                           [t, t + 0.5 * dt, t + 0.5 * dt, t + dt])
+
+
+def test_a_stage_buffer_sharing_memory_with_the_unknown_is_refused():
+    """Every RK stage reads the step's unknown: a stage's output over it is
+    refused before the sweep stores a row, and so is a stage sum over it."""
+    problem = program("hotspot")
+    problem.set_stepper("rk4")
+    solver = problem.generate()
+    state, ns = solver.state, solver.namespace
+    u, t, dt = state.u, state.time, state.dt
+    before = u.copy()
+    for y in (u, u[:]):  # itself, a view of it
+        with pytest.raises(CodegenError, match="output or sum shares memory with the step's"):
+            ns["compute_rhs"](state, u, t, ns["STAGE1"], 0.5 * dt, y)
+    buffer = state.buffer  # the stage sum formed in the unknown
+    state.buffer = lambda name, shape: u if name == "stage_sum" else buffer(name, shape)
+    with pytest.raises(CodegenError, match="output or sum shares memory with the step's"):
+        ns["compute_rhs"](state, u, t, ns["STAGE1"], 0.5 * dt, buffer("stage", u.shape))
+    assert u.tobytes() == before.tobytes()
+    del state.buffer
+    solver.run(1)  # as printed: no error
+    assert np.isfinite(solver.solution()).all()
 
 
 #: a two-sided surface statement reading a known variable per face
@@ -559,10 +653,10 @@ KNOWN_AVERAGE = "surface(vg[b] / Io[b] * Sx[d] * average(I[d,b]))"
     ("gpu_distributed", 3, "gpu", None), ("gpu_distributed", 4, "gpu", None),
     ("cpu", 1, None, None), ("gpu", 1, "gpu", "kernel:device=gpu0,op=launch,at=3"),
     ("known-average-cpu", 1, None, None), ("known-average-gpu", 1, "gpu", None),
-    ("known-average-gpu", 1, "gpu", "kernel:device=gpu0,op=launch,at=3")],
+    ("known-average-gpu", 1, "gpu", "kernel:device=gpu0,op=launch,at=3"), ("rk4", 1, None, None)],
     ids=["gpu-None", "gpu-gpu", "gpu_distributed-None", "gpu_distributed3-gpu",
          "gpu_distributed4-gpu", "rk2-None", "gpu-gpu-kernel-fault", "known-average-cpu",
-         "known-average-gpu", "known-average-gpu-kernel-fault"])
+         "known-average-gpu", "known-average-gpu-kernel-fault", "rk4-None"])
 def test_a_device_step_resolves_its_arguments_once_per_buffer(target, ranks, finish, fault,
                                                               monkeypatch):
     """The tile and the finish resolve their arguments once per state and
@@ -572,7 +666,8 @@ def test_a_device_step_resolves_its_arguments_once_per_buffer(target, ranks, fin
     resolves once each way, onto them and back.  A known variable's
     per-sweep definition over the faces (``known-average``, on the host and
     in the device kernel) is written into the same array every step, one
-    per sweep: a degraded step's interior leaves the boundary part's be."""
+    per sweep: a degraded step's interior leaves the boundary part's be.
+    Each RK stage is a call site of its own, resolved once."""
     from repro.runtime.faults import fault_run
     from repro.util.context import current
     from tests.codegen.test_fold_selection import indexed_problem
@@ -598,6 +693,11 @@ def test_a_device_step_resolves_its_arguments_once_per_buffer(target, ranks, fin
         return
     scenario = hotspot_scenario(nx=8, ny=8, ndirs=4, n_freq_bands=4, nsteps=30)
     problem, _ = build_bte_problem(scenario)
+    if target == "rk4":
+        problem.set_stepper("rk4")
+        problem.generate().run(30)
+        assert sorted(resolved) == ["boundary", "stage1", "stage2", "stage3", "tile"]
+        return
     if target == "cpu":
         problem.set_stepper("rk2")
     else:

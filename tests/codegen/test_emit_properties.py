@@ -52,6 +52,7 @@ from repro.dsl.entities import CELL, VAR_ARRAY
 from repro.dsl.problem import Problem
 from repro.fvm import kernels
 from repro.fvm.geometry import FaceLoop
+from repro.fvm.timesteppers import TABLEAUX
 from repro.ir.lowering import lower_conservation_form
 from repro.mesh.grid import structured_grid
 from repro.symbolic.evaluate import evaluate
@@ -309,15 +310,22 @@ def _numpy_tile(emitter, folded, volume, scope: dict, u: np.ndarray, sweep=()):
     return s, np.add(source, div, out=np.empty_like(u))
 
 
+#: the scheme whose last sweep :func:`_c_tile` reads the right-hand side from
+RK2 = TABLEAUX["rk2"]
+
+
 def _c_tile(lowered, scope: dict, u: np.ndarray) -> np.ndarray:
-    """The C tile over every row of ``u`` into a fresh array (no Euler
-    update, no boundary part), its operands read from ``scope``."""
+    """The C tile (:data:`RK2`'s last sweep) over every row of ``u`` into a
+    fresh array (no boundary part), its operands read from ``scope``: its
+    store ``o + s0 * k`` over ``-0.0`` with ``s0 = 1.0`` is the right-hand
+    side ``k`` bit for bit (``-0.0`` adds nothing, not even to a zero)."""
     tile = ctile.Tile(ctile.build(lowered.text), lowered)
     tile.wait()
-    out = np.full_like(u, -777.25)
+    out = np.full_like(u, -0.0)
+    scope = {**scope, "state.host_u": u}  # (the step's unknown, which a last sweep reads not)
     operands = [scope.get(name) for name in lowered.operands]
     scalars = tuple(eval(source, scope) for source in lowered.scalars)  # noqa: S307
-    tile({}, (0.0, *scalars), None, u, out, np.empty(lowered.folds * u.shape[1]),
+    tile({}, (1.0, *scalars), None, u, out, np.empty((lowered.folds + 1) * u.shape[1]),
          None, None, (), *operands)
     return out
 
@@ -350,7 +358,7 @@ def assert_c_tile_evaluates(expr: Expr, statement, namespace: dict, u, expected,
     """``expr``'s volume statement takes the C tile, a sub-tree with no C
     form evaluated before it (exactly where :func:`inexact` says), and
     stores ``evaluate``'s bits plus ``0.0`` — or raises where it raises."""
-    lowered = ctile.lower(statement, False)
+    lowered = ctile.lower(statement, RK2)
     assert _evaluated(lowered) == inexact(expr, ("_a_1", "_b_1", "_c_1")), expr
 
     def run():
@@ -386,7 +394,7 @@ def assert_c_tile_matches(expr: Expr, emitter, folded, volume, scope: dict, u,
                           sweep=()) -> None:
     """``expr`` (the tile's ``folded`` or ``volume`` statement) takes the C
     tile and stores the NumPy record's bits."""
-    lowered = ctile.lower(volume, False, folded=folded)
+    lowered = ctile.lower(volume, RK2, folded=folded)
     if _complex_scalar(lowered, scope):
         with pytest.raises(TypeError, match="complex"):
             _c_tile(lowered, scope, u)
@@ -602,7 +610,7 @@ def _c_faces(emitted, namespace: dict, tiles) -> np.ndarray:
     the first side a row handed in, the second its ghost value, each face
     its own output column (``0.0 + 1.0 * flux``) — over each tile of rows,
     what it reads evaluated first as a target does."""
-    lowered = ctile.lower(NO_VOLUME, False, boundary=(emitted, False)).boundary
+    lowered = ctile.lower(NO_VOLUME, RK2, boundary=(emitted, False)).boundary
     tile = ctile.Tile(ctile.build(lowered.text), lowered)
     tile.wait()
     u1, u2 = (np.ascontiguousarray(namespace[k]) for k in ("u1", "u2"))
@@ -834,7 +842,7 @@ def test_c_tile_volume_statement_matches_the_numpy_tile(expr, env):
     variable's rows, a function coefficient's row — are C, what has no C
     form evaluated before the sweep, with the NumPy record's bits."""
     statement = IDX_EMITTER.emit_sum([expr], "volume")
-    lowered = ctile.lower(statement, False)
+    lowered = ctile.lower(statement, RK2)
     assert_evaluated_first_only_without_a_c_form(expr, statement)
     scope, u = _tile_scope(env)
     if _complex_scalar(lowered, scope):

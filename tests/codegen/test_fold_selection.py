@@ -118,26 +118,28 @@ KEEP_TWO_SIDED = {
 #: return its proof that the unknown is finite (``return TILE(``, kept by the
 #: step as ``state.u_proved_finite``) — and again when the tile lost its
 #: owned-column operand and its scratch the column block that operand wrote
-#: (a cell rank sweeps its own piece of the mesh): the solution digests are
-#: the parent's.
+#: (a cell rank sweeps its own piece of the mesh) — and again when
+#: ``compute_rhs`` came to have one form, a sweep that stores (its docstring
+#: lost "returned, or"; an RK scheme's stages are sweeps of their own): the
+#: solution digests are the parent's.
 PINS = {
     "flux_order_2": (
-        "17ef54c1c347282bb33fdf712efafd1f7866f0947aca614a9e71c9eb862e35e0",
+        "a4e01ee1ca07c392830d7f9858326792a7d4162dc9b2944d15511d0d80a9265c",
         "d69c9aac5b7b2440fcab4d911fe29dce95dfd9198a557e4fa4c9f0c0e9b8bf8d"),
     "diffusion": (
-        "3cb7f7c71071004bfec1a9540bc3fb7031d71cd0a41c58a11054dd2c09c24c1f",
+        "826cbb19d3c8ffe33478298461128b1f27dc11dc6beb7ddc024720545a82700e",
         "694bf3ebbbba08c9133e9268f2cc110b6c08c95734ddd8f0fd646136882829ba"),
     "function_source": (
-        "9546ea2f252000ca9249c1040634e7e81d62fee73721d2b2d0bb2e5c19d782c2",
+        "20d4513b3a3a3b420a0ab5527085be5cdb1f8c67bdb793e7d997b872a9b49141",
         "53ab3aebeb52fb7ed9b369a67b5427018a1495ca78543b6baae771f2657f50b8"),
     "side_read": (
-        "3ee95373157f158f322ea0f15813b5810d5404aa1f2fc50d0cd98bfe55c1df06",
+        "a7c1fc35d3b809c8e8dca446c3a1c8c87f48c5d9584d091e7f498f457879b97d",
         "56f08cdaa8a848bb1e9c7fc3c8fd433a6f9ce547753b3b1b7aa529c135eaff63"),
     "central_flux": (
-        "2dae22c802420f8af17c7bcca381513e1b39098b4f28b2d51c576d46f55ceb25",
+        "552722ca5c210f6a14551b927be0c099536b5db005efff4f3f0dc70b81953330",
         "3c9ccdf0b09d8861a9fedb25efe190d349edc2ff4981a5eab1e6ae360cbea844"),
     "time_dependent_face_coefficient": (
-        "7454659eb071f00ceae0ec3f30c601dd32406fcf38dc18269792f6466239b9ae",
+        "4a0467e68b9727a19acb9120a91bacc5d8e01c0bcf5b2e54308f39f21508d3a0",
         "54b593370fb9dea3fa75dce72851b33055c18b5acd79dbd40d24ae349fe98c4e"),
 }
 

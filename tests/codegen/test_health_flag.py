@@ -1,6 +1,7 @@
 """The host sweep proves the unknown finite, and ``check_health`` trusts it.
 
-The C Euler tile and a host-placed ``finish_step`` return 1 when they swept
+The C Euler tile, an RK step's last stage and a host-placed ``finish_step``
+return 1 when they swept
 every row and every output of a declared reduction is finite: every element
 they stored went into one of those outputs, and a NaN or an Inf keeps its
 output non-finite.  ``check_health`` then reads nothing; any path that
@@ -137,6 +138,16 @@ def test_a_finite_value_that_overflows_a_reduction_raises_nothing(run):
     assert np.isfinite(solver.state.u).all()
 
 
+@pytest.mark.parametrize("stepper", ["rk2", "rk4"])
+def test_an_rk_step_proves_the_unknown_its_last_stage_stores(run, stepper):
+    """An RK step's last sweep stores ``u`` in place and proves it as the
+    Euler tile does: a healthy run makes no pass over the unknown, and a
+    blow-up raises the full check's text after one pass."""
+    assert run(program(stepper=stepper), 2) == (None, 0)
+    message, passes = run(program(k=(0.5, 1e200), initial=bump(), stepper=stepper), 2)
+    assert message and passes == 1
+
+
 def test_a_sweep_over_some_rows_proves_nothing():
     """A band rank's sweep stores its own rows alone: the C tile returns 0
     for a cut of the rows, 1 for all of them, on the same healthy state."""
@@ -248,28 +259,27 @@ def test_a_write_between_runs_is_seen_by_run_zero(run, write):
 # what never proves it: the full check, as before
 # --------------------------------------------------------------------------
 
-@pytest.mark.parametrize("case", ["rk2", "interp", "no reduction"])
+@pytest.mark.parametrize("case", ["interp", "no reduction"])
 def test_programs_without_a_proving_sweep_check_the_whole_unknown(run, case):
     """A healthy run sums the unknown once; a blow-up raises as before."""
     if case == "no reduction":
         healthy, unstable = decay_problem(nsteps=2).generate(), decay_problem(k=1e200).generate()
     else:
-        kw = {"stepper": "rk2"} if case == "rk2" else {}
-        target = "interp" if case == "interp" else "cpu"
-        healthy = program(target, **kw)
-        unstable = program(target, k=(0.5, 1e200), initial=bump(), **kw)
+        healthy = program("interp")
+        unstable = program("interp", k=(0.5, 1e200), initial=bump())
     assert run(healthy, 2) == (None, 1)
     assert run(unstable, 2)[0] is not None
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("target,pin", [*HOSTS, ("interp", None), ("rk2", None)])
+@pytest.mark.parametrize("target,pin", [*HOSTS, ("interp", None), ("rk2", None), ("rk4", None)])
 def test_a_blow_up_warns_on_no_target(run, target, pin):
     """With a ``RuntimeWarning`` an error, the unstable run still ends in
     the health check's ``SolverError``, the same on every target: the
-    interpreter's evaluation and rk2's stages are as quiet as the C sweeps."""
-    rk2 = target == "rk2"
-    solver = program("cpu" if rk2 else target, k=(0.5, 1e200), initial=bump(), pin=pin,
-                     stepper="rk2" if rk2 else "euler")
+    interpreter's evaluation is as quiet as the C sweeps, RK stages too."""
+    rk = target.startswith("rk")
+    solver = program("cpu" if rk else target, k=(0.5, 1e200), initial=bump(), pin=pin,
+                     stepper=target if rk else "euler")
     message, _ = run(solver, 2)
-    assert message and column(message) not in solver.state.geom.bcells
+    # (rk4's four stages a step carry the bump to the wall)
+    assert message and (target == "rk4" or column(message) not in solver.state.geom.bcells)

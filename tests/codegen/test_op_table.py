@@ -48,6 +48,7 @@ from tests.codegen.test_emit_properties import (
     NFACES,
     NO_SURFACE,
     NO_VOLUME,
+    RK2,
     UPWIND,
     _I,
     _bits,
@@ -125,7 +126,7 @@ def test_an_operation_prints_c_exactly_when_the_table_gives_it_a_c_spelling(op, 
     else:
         spelling = OPS[op][0].split("{")[0] or OPS[op][1]
         assert op not in applied and any(spelling in code for code in first), (op, first)
-    lowered = ctile.lower(volume, False, folded=folded)
+    lowered = ctile.lower(volume, RK2, folded=folded)
     scope, u = _tile_scope(env())
     with warnings.catch_warnings(), np.errstate(all="ignore"):
         warnings.simplefilter("ignore")
@@ -139,7 +140,7 @@ def test_the_reconstruction_has_no_c_form():
     reconstruct = Stmt("c0", Op("kernels.muscl_flux", (Leaf("u", "us"),)))
     statement = EmittedExpr(Leaf("r", "c0"), 0, statements=[reconstruct])
     with pytest.raises(CodegenError, match="no C form"):
-        ctile.lower(statement, False)
+        ctile.lower(statement, RK2)
     emitted = IDX_EMITTER.emit_sum(
         [Reconstruction("muscl", Mul(FaceNormal(1), Indexed("Sx", ("d",))), _I)], "surface")
     (first,) = [h for h in emitted.sweep if not h.rows]

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.bte.problem import build_bte_problem, hotspot_scenario
-from repro.util.errors import CodegenError
+from repro.util.errors import CodegenError, ConfigError
 
 
 @pytest.fixture
@@ -45,6 +45,25 @@ class TestStepperGuards:
         problem.set_partitioning("bands", 2, index="b")
         with pytest.raises(CodegenError, match="forward-Euler"):
             problem.generate()
+
+    @pytest.mark.parametrize("target", ["cpu", "gpu", "interp", "distributed"])
+    def test_an_unknown_stepper_fails_before_anything_is_built(self, scenario, target,
+                                                               monkeypatch):
+        """Every target reads the one table of schemes: a name it lacks is
+        the configuration's error, with the names there are, raised before
+        lowering or a C build starts."""
+        from repro.codegen import ctile
+
+        problem, _ = build_bte_problem(scenario)
+        problem.set_stepper("leapfrog")
+        if target == "gpu":
+            problem.enable_gpu()
+        elif target == "distributed":
+            problem.set_partitioning("cells", 2)
+        monkeypatch.setattr(ctile, "build", lambda text: pytest.fail("a C build started"))
+        with pytest.raises(ConfigError, match="'leapfrog'; available: .*'rk2'") as err:
+            problem.generate(target if target == "interp" else None)
+        assert err.value.code == "RPR001"
 
 
 class TestTargetNames:

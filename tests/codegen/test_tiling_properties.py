@@ -491,9 +491,10 @@ def test_boundary_values_sharing_memory_with_the_unknown_are_rejected():
     assert np.isfinite(clean.solution()).all()
 
 
-def test_rk_steppers_get_a_fresh_rhs_from_the_same_tile_body(monkeypatch):
-    """Only forward Euler stores in place; ``compute_rhs`` of an RK solver
-    returns a new array, leaves ``u`` alone, and blocks like the rest."""
+def test_rk_stages_store_from_the_same_tile_body(monkeypatch):
+    """An RK stage stores the next stage's input into the buffer it is
+    handed and leaves ``u`` alone, with no NumPy step around it; the
+    temperature closure blocks like the rest."""
     def solve(rows):
         problem = build_problem()
         problem.set_stepper("rk2")
@@ -502,10 +503,12 @@ def test_rk_steppers_get_a_fresh_rhs_from_the_same_tile_body(monkeypatch):
             return problem.solve()
 
     solver = solve(10_000)
-    assert "TILE(state.plans, (dt,), rows, u, rhs," in solver.source
-    state = solver.state
+    assert "return sweep(state.plans, (s,), rows, u, out," in solver.source
+    # (no NumPy step around the sweeps: no errstate, no stepper object)
+    assert "errstate" not in solver.source and "stepper" not in solver.namespace
+    state, ns = solver.state, solver.namespace
     before = state.u.copy()
-    rhs = solver.namespace["compute_rhs"](state, state.u, state.time)
-    assert rhs.shape == before.shape and not np.shares_memory(rhs, state.u)
-    assert np.array_equal(state.u, before)
+    y = np.full_like(before, np.nan)
+    assert ns["compute_rhs"](state, state.u, state.time, ns["STAGE1"], 0.5 * state.dt, y) == 0
+    assert np.array_equal(state.u, before) and np.isfinite(y).all()
     assert digest(solve(3)) == digest(solver)
