@@ -70,9 +70,8 @@ def main() -> None:
     counters, cache = doc["counters"], doc["cache"]
     without_solve = counters["deduped"] + counters["results_reused"]
     dedup_rate = 100.0 * without_solve / max(1, counters["requests"])
-    lookups = cache["memory_hits"] + cache["disk_hits"] + cache["misses"]
-    warm_rate = 100.0 * (cache["memory_hits"] + cache["disk_hits"]) \
-        / max(1, lookups)
+    warm_rate = 100.0 * cache["memory_hits"] \
+        / max(1, cache["memory_hits"] + cache["misses"])
 
     print(f"requests: {counters['requests']}  "
           f"distinct jobs solved: {counters['completed']}")

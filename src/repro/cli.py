@@ -58,8 +58,8 @@ Commands
     rates; plain ``serve --for-seconds S`` just runs the service.
 
 ``bte``, ``profile`` and ``serve`` accept ``--cache-dir DIR``
-(persist the compilation cache across processes; also
-``$REPRO_CACHE_DIR``) and ``--no-cache`` (disable it).
+(persist the compiled C libraries across processes; also
+``$REPRO_CACHE_DIR``) and ``--no-cache`` (disable the compilation cache).
 
 ``bte --sanitize`` additionally runs the transient under the runtime
 sanitizer (NaN/Inf guards, halo checksums, drift/CFL heuristics); findings
@@ -735,8 +735,7 @@ def _run_serve_demo(service, *, tenants: int, requests: int,
     counters, cache = doc["counters"], doc["cache"]
     served_without_solve = counters["deduped"] + counters["results_reused"]
     dedup_rate = served_without_solve / max(1, counters["requests"])
-    lookups = cache["memory_hits"] + cache["disk_hits"] + cache["misses"]
-    warm_rate = (cache["memory_hits"] + cache["disk_hits"]) / max(1, lookups)
+    warm_rate = cache["memory_hits"] / max(1, cache["memory_hits"] + cache["misses"])
     _say(f"jobs solved: {counters['completed']} for {counters['requests']} "
          f"requests (in-flight dedup: {counters['deduped']}, "
          f"result reuse: {counters['results_reused']})")
@@ -790,7 +789,7 @@ def main(argv: list[str] | None = None) -> int:
     # compilation-cache flags shared by the commands that generate solvers
     cache = argparse.ArgumentParser(add_help=False)
     cache.add_argument("--cache-dir", default=None, metavar="DIR",
-                       help="persist the compilation cache under DIR "
+                       help="persist the compiled C libraries under DIR "
                             "(also $REPRO_CACHE_DIR)")
     cache.add_argument("--no-cache", action="store_true",
                        help="disable the compilation cache for this run")

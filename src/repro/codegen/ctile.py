@@ -26,7 +26,7 @@ finish does, with the same loop; both then read the outputs once more to
 report whether the unknown they stored is finite (``check_health``'s proof).
 The text holds no size, count, coefficient or name the user chose: one library
 per program shape, memoised per process by (text, compiler, flags) and
-single-flight, in the compilation cache's disk directory when one is
+single-flight, in the compilation cache's ``tiles/`` directory when one is
 configured and writable (one the loader refuses is built again and replaced),
 else in a private directory removed once the library is loaded.  A missing or
 failing compiler is :class:`~repro.util.errors.CodegenError` RPR142
@@ -507,7 +507,8 @@ class _Build:
         refuses is a miss, built again and replaced (``stats.disk_errors``)."""
         import ctypes
 
-        if os.path.exists(self.path):
+        self.stats = stats
+        if os.path.isfile(self.path):
             try:
                 self.dll = ctypes.CDLL(self.path)
                 self._remove()
@@ -528,13 +529,16 @@ class _Build:
             raise _compiler_error(f"cannot run the C compiler {self.compiler!r}: {exc}") from exc
 
     def result(self):
-        """The loaded library (waits for the compiler)."""
+        """The loaded library (waits for the compiler, once: a failure to
+        load is kept and raised again)."""
         with self.lock:
             if self.dll is None and self.error is None:
                 try:
                     self.dll = self._load()
                 except CodegenError as exc:
                     self.error = exc
+                except OSError as exc:
+                    self.error = _compiler_error(f"cannot load a built library: {exc}")
             if self.error is not None:
                 raise self.error
             return self.dll
@@ -542,26 +546,23 @@ class _Build:
     def _load(self):
         import ctypes
 
-        path = self.path
-        _, status = os.waitpid(self.pid, 0)
-        built = os.path.join(self.work, "tile.so")
-        if os.waitstatus_to_exitcode(status) != 0 or not os.path.exists(built):
-            with open(os.path.join(self.work, "errors"), errors="replace") as fh:
-                message = fh.read().strip()
-            self._remove()
-            raise _compiler_error(f"the C compiler {self.compiler!r} failed on a "
-                                  f"generated function: {message}")
-        if path.startswith(self.work):
-            path = built
-        else:
-            os.replace(built, path)  # (atomic: over an unloadable one too)
         try:
-            lib = ctypes.CDLL(path)
-        except OSError as exc:
-            raise _compiler_error(f"cannot load a built library: {exc}") from exc
+            _, status = os.waitpid(self.pid, 0)
+            built = os.path.join(self.work, "tile.so")
+            if os.waitstatus_to_exitcode(status) != 0 or not os.path.exists(built):
+                with open(os.path.join(self.work, "errors"), errors="replace") as fh:
+                    message = fh.read().strip()
+                raise _compiler_error(f"the C compiler {self.compiler!r} failed on a "
+                                      f"generated function: {message}")
+            if not self.path.startswith(self.work):
+                try:
+                    os.replace(built, self.path)  # (atomic: over an unloadable one too)
+                    built = self.path
+                except OSError:  # (a directory there): loaded privately
+                    self.stats.disk_errors += 1
+            return ctypes.CDLL(built)
         finally:
             self._remove()
-        return lib
 
     def _remove(self) -> None:
         """Remove the private directory (what is left in it)."""

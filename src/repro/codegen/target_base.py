@@ -263,8 +263,8 @@ class CodegenTarget:
         step callbacks, the function coefficients (callables come from the
         problem's entity table, not the artifact: their code identity is in
         the key), the tracing hook — then the solver over ``state``, the
-        compile handed back to the artifact (the memory layer reuses it)
-        and the artifact's picklable attachments copied onto the solver."""
+        compile handed back to the artifact (the cache reuses it) and the
+        artifact's attachments copied onto the solver."""
         env = {
             **artifact.static_env, **env,
             "PRE_STEP_CALLBACKS": list(problem.pre_step_callbacks),

@@ -11,12 +11,11 @@ variants of the same problem share one timeline)::
     ...
 
 Entries written in an older form load through
-:func:`~repro.obs.report.load_run`, which upgrades them.  The layout
-deliberately mirrors :class:`repro.tune.cache.CompilationCache` (two-level
-fan-out, corrupt entries tolerated as warnings) so one ``--cache-dir``-style
-root can hold both.  ``bte history`` reads the timeline back, ``bte
-compare`` diffs two entries, and ``bte history --gc`` prunes old entries so
-long-lived checkouts don't grow unboundedly.
+:func:`~repro.obs.report.load_run`, which upgrades them.  The layout is a
+two-level fan-out by key prefix; corrupt entries are tolerated as warnings.
+``bte history`` reads the timeline back, ``bte compare`` diffs two entries,
+and ``bte history --gc`` prunes old entries so long-lived checkouts don't
+grow unboundedly.
 """
 
 from __future__ import annotations

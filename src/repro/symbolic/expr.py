@@ -64,22 +64,6 @@ class Expr:
             object.__setattr__(self, "_hash", h)
         return h
 
-    # ---- pickling ----------------------------------------------------------
-    # slotted + immutable: the default slot restore goes through the raising
-    # ``__setattr__``, so spell out the state protocol (the compilation cache
-    # persists IR/classified forms, which are Expr trees)
-    def __getstate__(self) -> dict:
-        state: dict = {}
-        for cls in type(self).__mro__:
-            for slot in getattr(cls, "__slots__", ()):
-                if slot != "_hash" and hasattr(self, slot):
-                    state[slot] = getattr(self, slot)
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        for name, value in state.items():
-            object.__setattr__(self, name, value)
-
     # ---- tree protocol ----------------------------------------------------
     @property
     def children(self) -> tuple["Expr", ...]:

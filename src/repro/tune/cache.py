@@ -1,24 +1,20 @@
 """The content-addressed compilation cache.
 
 A :class:`GenerationArtifact` is the expensive, *problem-independent-ish*
-half of one generation: the emitted source, its precompiled code object,
-the picklable static environment (component tables, precomputed layouts,
-assembled operators) and the attachments targets hang on solvers (IR,
-classified form, placement plan, ...).  Everything *live* — solver state,
-callbacks, clocks, devices, closures — is rebuilt on every bind, so
-sharing one artifact across many solvers is safe.
+half of one generation: the emitted source, its compiled code object, the
+static environment (component tables, precomputed layouts, assembled
+operators) and the attachments targets hang on solvers (IR, classified
+form, placement plan, ...).  Everything *live* — solver state, callbacks,
+clocks, devices, closures — is rebuilt on every bind, so sharing one
+artifact across many solvers is safe.
 
-Two layers:
-
-* **memory** (default on, process-wide): keeps the artifact object itself,
-  including the compiled code object — a hit performs zero lowering, zero
-  emission and zero ``compile()`` calls;
-* **disk** (opt-in via ``configure_cache(cache_dir=...)``, the CLI's
-  ``--cache-dir``, or ``$REPRO_CACHE_DIR``): persists ``source.py``, a
-  ``marshal`` of the code object (tagged with the interpreter version; a
-  mismatch falls back to recompiling the stored source — still no
-  lowering/codegen) and a pickle of the static parts.  Artifacts whose
-  static environment resists pickling simply stay memory-only.
+The cache keeps the artifact objects in memory, for the process: a hit
+performs zero lowering, zero emission and zero ``compile()`` calls.  What
+outlives the process is the compiled C library of each program
+(:func:`repro.codegen.ctile.build`), under ``<cache_dir>/tiles/`` when a
+directory is set (``configure_cache(cache_dir=...)``, the CLI's
+``--cache-dir``, or ``$REPRO_CACHE_DIR``); ``stats.disk_errors`` counts what
+that directory refuses.
 
 Observability: hits/misses/build and bind timings go to the metrics
 registry (``codegen_cache_*``, ``codegen_build_seconds``) *and* to a
@@ -28,22 +24,13 @@ suite assert on.
 
 from __future__ import annotations
 
-import marshal
 import os
-import pickle
-import sys
 import threading
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any
 
 from repro.util.context import current
-from repro.util.logging import get_logger
-
-logger = get_logger("tune.cache")
-
-#: Disk-format tag: marshal is only stable within one interpreter version.
-_CODE_TAG = f"py{sys.version_info.major}.{sys.version_info.minor}"
 
 
 @dataclass
@@ -53,13 +40,13 @@ class GenerationArtifact:
     target_name: str
     source: str
     key: str
-    #: picklable namespace entries shared verbatim across binds
+    #: namespace entries shared verbatim across binds
     static_env: dict[str, Any] = field(default_factory=dict)
-    #: picklable solver attachments (ir, classified_form, placement, ...)
+    #: solver attachments (ir, classified_form, placement, ...)
     attrs: dict[str, Any] = field(default_factory=dict)
     #: wall seconds the original build took (cold-path provenance)
     build_seconds: float = 0.0
-    #: compiled code object of ``source`` — memory layer only
+    #: compiled code object of ``source`` (set by the first bind)
     code: Any = None
 
     @property
@@ -68,21 +55,15 @@ class GenerationArtifact:
         stable across processes, idempotent under re-generation."""
         return f"<generated:{self.target_name}:{self.key[:12]}>"
 
-    def __getstate__(self) -> dict[str, Any]:
-        state = self.__dict__.copy()
-        state["code"] = None  # code objects do not pickle; marshalled apart
-        return state
-
 
 @dataclass
 class CacheStats:
     """Registry-independent counters (asserted by tests and benchmarks)."""
 
     memory_hits: int = 0
-    disk_hits: int = 0
     misses: int = 0
     builds: int = 0
-    disk_writes: int = 0
+    #: what the ``tiles/`` directory refused (:func:`repro.codegen.ctile.build`)
     disk_errors: int = 0
     #: concurrent generates that waited on another thread's in-flight build
     #: of the same key and reused its artifact (single-flight dedup)
@@ -90,22 +71,14 @@ class CacheStats:
 
     @property
     def hits(self) -> int:
-        return self.memory_hits + self.disk_hits
+        return self.memory_hits
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "memory_hits": self.memory_hits,
-            "disk_hits": self.disk_hits,
-            "misses": self.misses,
-            "builds": self.builds,
-            "disk_writes": self.disk_writes,
-            "disk_errors": self.disk_errors,
-            "coalesced": self.coalesced,
-        }
+        return asdict(self)
 
 
 class CompilationCache:
-    """Two-layer (memory + optional disk) artifact store."""
+    """The process's artifact store, and where its libraries persist."""
 
     def __init__(self, cache_dir: str | Path | None = None, enabled: bool = True):
         self.enabled = enabled
@@ -129,15 +102,10 @@ class CompilationCache:
                       enabled=self.enabled,
                       cache_dir=str(self.cache_dir) if self.cache_dir else None)
 
-    def clear(self, *, disk: bool = False) -> None:
+    def clear(self) -> None:
         with self._lock:
             self._memory.clear()
             self.stats = CacheStats()
-        if disk and self.cache_dir is not None and self.cache_dir.is_dir():
-            for entry in self.cache_dir.glob("*/artifact.pkl"):
-                for f in entry.parent.iterdir():
-                    f.unlink()
-                entry.parent.rmdir()
 
     def __len__(self) -> int:
         with self._lock:
@@ -145,25 +113,16 @@ class CompilationCache:
 
     # ------------------------------------------------------------------ lookup
     def get(self, key: str) -> GenerationArtifact | None:
+        """:meth:`peek`, counted as a hit or a miss."""
         if not self.enabled or not key:
             return None
-        with self._lock:
-            artifact = self._memory.get(key)
+        artifact = self.peek(key)
         metrics = current().metrics
         if artifact is not None:
             self.stats.memory_hits += 1
             metrics.counter(
                 "codegen_cache_hits_total", "compilation-cache hits"
             ).inc(1, layer="memory", target=artifact.target_name)
-            return artifact
-        artifact = self._disk_get(key)
-        if artifact is not None:
-            self.stats.disk_hits += 1
-            metrics.counter(
-                "codegen_cache_hits_total", "compilation-cache hits"
-            ).inc(1, layer="disk", target=artifact.target_name)
-            with self._lock:
-                self._memory[key] = artifact
             return artifact
         self.stats.misses += 1
         metrics.counter(
@@ -172,7 +131,7 @@ class CompilationCache:
         return None
 
     def peek(self, key: str) -> GenerationArtifact | None:
-        """Stats-free memory lookup.
+        """Stats-free lookup.
 
         Used by the single-flight recheck after acquiring a build lock: the
         original :meth:`get` already counted this request's hit-or-miss, so
@@ -210,51 +169,10 @@ class CompilationCache:
             return
         with self._lock:
             self._memory[key] = artifact
-        self._disk_put(key, artifact)
         elog = current().events
         if elog.debug_enabled:
             elog.emit("tune.cache.put", level="debug", key=key[:12],
                       target=artifact.target_name)
-
-    # -------------------------------------------------------------- disk layer
-    def _entry_dir(self, key: str) -> Path | None:
-        if self.cache_dir is None:
-            return None
-        return self.cache_dir / key[:2] / key
-
-    def _disk_get(self, key: str) -> GenerationArtifact | None:
-        entry = self._entry_dir(key)
-        if entry is None or not (entry / "artifact.pkl").is_file():
-            return None
-        try:
-            with open(entry / "artifact.pkl", "rb") as fh:
-                artifact: GenerationArtifact = pickle.load(fh)
-            code_path = entry / f"code.{_CODE_TAG}.marshal"
-            if code_path.is_file():
-                with open(code_path, "rb") as fh:
-                    artifact.code = marshal.load(fh)
-            return artifact
-        except Exception as exc:  # corrupt entry: treat as a miss
-            self.stats.disk_errors += 1
-            logger.warning("cache entry %s unreadable (%s); ignoring", key[:12], exc)
-            return None
-
-    def _disk_put(self, key: str, artifact: GenerationArtifact) -> None:
-        entry = self._entry_dir(key)
-        if entry is None:
-            return
-        try:
-            entry.mkdir(parents=True, exist_ok=True)
-            (entry / "source.py").write_text(artifact.source)
-            with open(entry / "artifact.pkl", "wb") as fh:
-                pickle.dump(artifact, fh)
-            if artifact.code is not None:
-                with open(entry / f"code.{_CODE_TAG}.marshal", "wb") as fh:
-                    marshal.dump(artifact.code, fh)
-            self.stats.disk_writes += 1
-        except Exception as exc:  # unpicklable static env: stay memory-only
-            self.stats.disk_errors += 1
-            logger.info("cache entry %s not persisted (%s)", key[:12], exc)
 
 
 # ---------------------------------------------------------------------------

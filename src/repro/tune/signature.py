@@ -14,10 +14,11 @@ function of:
 * the codegen options that shape the emitted source or the baked
   operators: stepper, flux order, assembly loop order, partitioning,
   GPU spec, machine rates (they steer the placement optimiser), network
-  name, and the GPU placement knobs in ``problem.extra``;
-* the emitter itself (:func:`emitter_digest`): a persisted ``source.py``
-  calls helpers of ``geom``/``kernels``/``state`` as they were when it was
-  written, so an artifact stored by another emitter must be a miss.
+  name, and the GPU placement knobs in ``problem.extra``.
+
+Not the emitter: an artifact lives in memory only, so it never outlives the
+emitter that built it, and a compiled library that persists is keyed by
+its own C text, the compiler and its flags (:func:`repro.codegen.ctile.build`).
 
 Deliberately **excluded** (bound fresh on every cache hit, see
 ``bind_artifact``): ``dt``/``nsteps``, initial values, and the pre/post
@@ -29,11 +30,8 @@ the entry while re-creating an identical closure does not.
 
 from __future__ import annotations
 
-import functools
 import hashlib
-import importlib.util
 import json
-from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
@@ -51,30 +49,13 @@ _EXTRA_KEYS = (
 )
 
 #: Fields normalised out of :func:`tuning_key` so one run-registry
-#: timeline covers the problem regardless of the knobs currently applied,
-#: and outlives emitter changes (a recorded run is re-measurable, a stored
-#: artifact is not).  (``nparts`` stays — the rank count is a resource,
-#: not a knob.)
-_KNOB_SIG_FIELDS = ("assembly_order", "extra", "emitter")
+#: timeline covers the problem regardless of the knobs currently applied.
+#: (``nparts`` stays — the rank count is a resource, not a knob.)
+_KNOB_SIG_FIELDS = ("assembly_order", "extra")
 
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
-
-
-@functools.cache
-def emitter_digest() -> str:
-    """Content hash of the modules that emit generated source
-    (``repro.codegen``) and of the helpers that source calls into
-    (``repro.fvm``: kernels, geometry, boundary sets); read once per
-    process."""
-    h = hashlib.sha256()
-    for package in ("repro.codegen", "repro.fvm"):
-        root = Path(importlib.util.find_spec(package).origin).parent
-        for path in sorted(root.rglob("*.py")):
-            h.update(str(path.relative_to(root.parent)).encode())
-            h.update(path.read_bytes())
-    return h.hexdigest()
 
 
 def _hash_array(arr: np.ndarray) -> str:
@@ -212,7 +193,7 @@ def _boundary_signature(problem: "Problem", code: bool = True) -> list[dict[str,
 
 def _problem_fields(problem: "Problem", code: bool = True) -> dict[str, Any]:
     """What the problem itself declares: the part of
-    :func:`problem_signature` no target, knob or emitter changes, and the
+    :func:`problem_signature` no target or knob changes, and the
     whole of :func:`problem_identity` but ``dt``."""
     cfg = problem.config
     return {
@@ -237,7 +218,6 @@ def problem_signature(problem: "Problem", target_name: str) -> dict[str, Any]:
     cfg = problem.config
     sig: dict[str, Any] = {
         "schema": SCHEMA,
-        "emitter": emitter_digest(),
         "target": target_name,
         **_problem_fields(problem),
         "assembly_order": list(cfg.assembly_order),
@@ -292,8 +272,8 @@ def problem_identity(problem: "Problem") -> str:
     """What a ``repro.checkpoint/1`` snapshot of ``problem`` may be restored
     into: what the problem declares (:func:`_problem_fields`: the mesh
     content, the equation, the entities, the boundaries, the stepper) and
-    ``dt``.  Not the target, its knobs or the emitter (a run may resume on
-    another target), not ``nsteps`` or the initial values (a resumed run may
+    ``dt``.  Not the target or its knobs (a run may resume on another
+    target), not ``nsteps`` or the initial values (a resumed run may
     go further, and overwrites them), and callables by name only, so the
     identity does not move with the interpreter's bytecode."""
     return signature_digest({**_problem_fields(problem, code=False),
@@ -317,7 +297,6 @@ def tuning_key(problem: "Problem", target_name: str | None = None) -> str:
 __all__ = [
     "SCHEMA",
     "cache_key",
-    "emitter_digest",
     "mesh_signature",
     "problem_identity",
     "problem_signature",

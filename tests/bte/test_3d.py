@@ -15,7 +15,7 @@ from repro.bte.problem import (
     corner_source_scenario,
     hotspot_scenario,
 )
-from repro.tune.signature import problem_signature, signature_digest
+from repro.tune.signature import cache_key
 from repro.util.errors import ConfigError
 
 
@@ -113,8 +113,8 @@ class TestCoarse3DRun:
 class TestOneBuilder:
     """``build_bte_problem`` builds the 2-D and the 3-D problems alike — the
     scenario says the grid, the ordinates, the walls and the equation — into
-    the problems the two former builders built: the declarative part of the
-    cache key and the solution, pinned from them."""
+    the problems the two former builders built: the cache key and the
+    solution, pinned from them."""
 
     CASES = {
         "hotspot": (lambda: hotspot_scenario(nx=8, ny=8, ndirs=4, n_freq_bands=4, nsteps=3),
@@ -137,9 +137,7 @@ class TestOneBuilder:
     def test_problems_equal_the_two_builders(self, case):
         scenario, key, solution = self.CASES[case]
         problem, _ = build_bte_problem(scenario())
-        sig = problem_signature(problem, "cpu")
-        sig.pop("emitter")
-        assert signature_digest(sig) == key
+        assert cache_key(problem, "cpu") == key
         digest = hashlib.sha256(problem.solve().solution().tobytes()).hexdigest()
         assert digest == solution
 

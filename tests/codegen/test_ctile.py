@@ -23,6 +23,7 @@ from repro.fvm.kernels import FoldedOperator
 from repro.fvm.timesteppers import advance, tableau
 from repro.mesh.grid import structured_grid, triangulated_grid
 from repro.tune.cache import cache_scope
+from repro.tune.signature import cache_key
 from repro.util.errors import CodegenError
 
 SRC = str(Path(__file__).parents[2] / "src")
@@ -107,13 +108,21 @@ def test_the_library_leaves_nothing_behind_or_lands_in_the_cache_directory(
     monkeypatch.setattr(ctile, "_BUILDS", {})
     with cache_scope(cache_dir=tmp_path / "cache"):
         program("hotspot").generate()
+    assert [entry.name for entry in (tmp_path / "cache").iterdir()] == ["tiles"]
     (library,) = (tmp_path / "cache" / "tiles").iterdir()
     assert library.suffix == ".so" and len(compiles) == 2
-    # another process (a fresh memo) loads it from there: no compiler run
+    # another process (a fresh memo) loads it from there: no compiler run, one
+    # artifact built in memory, and an artifact entry an older version of the
+    # cache wrote there is never read
+    key = cache_key(program("hotspot"), "cpu")
+    stale = tmp_path / "cache" / key[:2] / key / "artifact.pkl"
+    stale.parent.mkdir(parents=True)
+    stale.write_bytes(b"garbage")
     monkeypatch.setattr(ctile, "_BUILDS", {})
-    with cache_scope(cache_dir=tmp_path / "cache"):
+    with cache_scope(cache_dir=tmp_path / "cache") as cache:
         program("hotspot").solve()
     assert len(compiles) == 2 and list((tmp_path / "cache" / "tiles").iterdir()) == [library]
+    assert (cache.stats.builds, cache.stats.memory_hits, cache.stats.disk_errors) == (1, 0, 0)
 
 
 def test_a_folded_exact_tile_is_one_foreign_call_per_sweep():
@@ -372,11 +381,11 @@ def test_a_known_variable_over_every_index_is_read_by_its_component_map(monkeypa
 
 def test_a_corrupt_cached_library_is_a_miss_built_again_and_replaced(compiles, tmp_path,
                                                                        monkeypatch):
-    """The artifact cache's rule: an unreadable entry is a miss.  A library
-    in the cache directory the loader refuses (7 bytes where it should be)
-    is built again, replaced in place, and counted as a disk error.  (The
-    corrupt file sits in a directory of its own: this process never loaded
-    a library from that path.)"""
+    """An unreadable entry is a miss.  A library in the cache directory the
+    loader refuses (7 bytes where it should be) is built again, replaced in
+    place, and counted as a disk error.  (The corrupt file sits in a
+    directory of its own: this process never loaded a library from that
+    path.)"""
     with cache_scope(cache_dir=tmp_path / "good"):
         program("hotspot").generate()
     (good,) = (tmp_path / "good" / "tiles").iterdir()
@@ -396,12 +405,56 @@ def test_a_corrupt_cached_library_is_a_miss_built_again_and_replaced(compiles, t
     assert cache.stats.disk_errors == 0 and len(compiles) == 2
 
 
+def test_a_library_path_that_cannot_be_replaced_loads_the_library_privately(
+        compiles, tmp_path, monkeypatch):
+    """A directory where the library should land cannot be replaced: the
+    library is loaded from the private build directory, which is removed,
+    and the failure counts as a disk error.  The build keeps its library, so
+    the next solve of that text in the process reuses it."""
+    with cache_scope(cache_dir=tmp_path / "good"):
+        program("hotspot").generate()
+    (good,) = (tmp_path / "good" / "tiles").iterdir()
+    library = tmp_path / "cache" / "tiles" / good.name
+    library.mkdir(parents=True)
+    monkeypatch.setattr(ctile, "_BUILDS", {})  # another process
+    with cache_scope(cache_dir=tmp_path / "cache") as cache:
+        solver = program("hotspot").solve()
+    assert np.isfinite(solver.solution()).all()
+    assert cache.stats.disk_errors == 1 and len(compiles) == 2
+    assert list(library.parent.iterdir()) == [library] and library.is_dir()
+    with cache_scope(cache_dir=tmp_path / "cache") as cache:
+        again = program("hotspot").solve()
+    assert again.solution().tobytes() == solver.solution().tobytes()
+    assert cache.stats.builds == 1 and len(compiles) == 2
+
+
+def test_a_failure_to_load_is_kept_and_the_compiler_waited_for_once(compiles, monkeypatch):
+    """Whatever fails while a built library is loaded (here: the compiler's
+    process is already gone) is one RPR142, raised to every later caller
+    without waiting again, and the private directory is removed."""
+    waits = []
+
+    def reaped(pid, options):
+        waits.append(pid)
+        raise ChildProcessError(10, "No child processes")
+
+    with cache_scope():
+        lib = ctile.build("int zero(void) { return 0; }\n")
+    os.waitpid(lib.pid, 0)
+    monkeypatch.setattr(os, "waitpid", reaped)
+    for _ in range(2):
+        with pytest.raises(CodegenError, match="cannot load a built library") as raised:
+            lib.result()
+        assert raised.value.code == "RPR142"
+    assert len(waits) == 1 and not os.path.exists(lib.work)
+
+
 def test_an_unwritable_cache_directory_builds_the_library_privately(compiles, tmp_path,
                                                                     monkeypatch):
     """A ``tiles/`` directory no library can be written into (as root, a
-    ``mkdtemp`` there that fails) keeps the cache memory-only, as the
-    artifact cache does: the library is built privately, nothing lands in
-    the directory, and it counts as a disk error."""
+    ``mkdtemp`` there that fails) keeps the cache memory-only: the library
+    is built privately, nothing lands in the directory, and it counts as a
+    disk error."""
     import tempfile
 
     mkdtemp = tempfile.mkdtemp

@@ -1,4 +1,4 @@
-"""Compilation cache: memory layer, disk round-trip, artifact identity."""
+"""Compilation cache: the memory layer and artifact identity."""
 
 import numpy as np
 
@@ -44,41 +44,6 @@ class TestMemoryLayer:
             warm = make_problem().generate()
             warm.run()
         assert np.array_equal(cold.solution(), warm.solution())
-
-
-class TestDiskLayer:
-    def test_cross_process_shape_round_trip(self, tmp_path):
-        """A second cache instance over the same dir (what a new process
-        sees) serves the artifact from disk — no rebuild, no re-lowering."""
-        with cache_scope(cache_dir=tmp_path) as cache:
-            solver_cold = make_problem().generate()
-            assert cache.stats.disk_writes == 1
-        with cache_scope(cache_dir=tmp_path) as fresh:
-            solver_warm = make_problem().generate()
-            assert fresh.stats.builds == 0
-            assert fresh.stats.disk_hits == 1
-        assert solver_warm.source == solver_cold.source
-        solver_warm.run()  # the revived artifact must actually work
-
-    def test_disk_entry_layout(self, tmp_path):
-        with cache_scope(cache_dir=tmp_path):
-            problem = make_problem()
-            key = cache_key(problem, "cpu")
-            problem.generate()
-        entry = tmp_path / key[:2] / key
-        assert (entry / "source.py").is_file()
-        assert (entry / "artifact.pkl").is_file()
-
-    def test_corrupt_entry_is_a_miss(self, tmp_path):
-        with cache_scope(cache_dir=tmp_path) as cache:
-            problem = make_problem()
-            key = cache_key(problem, "cpu")
-            problem.generate()
-            (tmp_path / key[:2] / key / "artifact.pkl").write_bytes(b"garbage")
-        with cache_scope(cache_dir=tmp_path) as fresh:
-            make_problem().generate()
-            assert fresh.stats.disk_errors == 1
-            assert fresh.stats.builds == 1  # rebuilt, did not crash
 
 
 class TestArtifactIdentity:

@@ -5,14 +5,7 @@ import sys
 import pytest
 
 from repro.bte.problem import build_bte_problem, hotspot_scenario
-from repro.tune import signature
-from repro.tune.signature import (
-    cache_key,
-    emitter_digest,
-    problem_signature,
-    signature_digest,
-    tuning_key,
-)
+from repro.tune.signature import cache_key, problem_signature, tuning_key
 
 
 def make_problem(nx=8, bands=4, dt=1e-12, nsteps=3, **scenario_kw):
@@ -54,13 +47,10 @@ class TestKeysSurviveTheFusionKnobRemoval:
     @pytest.mark.skipif(sys.version_info[:2] != (3, 11),
                         reason="digests recorded under CPython 3.11 bytecode")
     def test_digests_equal_the_parent_commits(self):
-        """The declarative part of the signature still hashes to PR 13's
-        ``cache_key``; the key itself now also carries the emitter's
-        identity (below), the tuning key does not."""
+        """Both keys equal the digests recorded before the emitter's
+        identity was ever hashed."""
         problem = make_problem()
-        sig = problem_signature(problem, "cpu")
-        assert sig.pop("emitter") == emitter_digest()
-        assert signature_digest(sig) == (
+        assert cache_key(problem, "cpu") == (
             "17cf22d23ed9a86eda6cbb821619815465bd632f76380e7bf74db3383a67f0a9")
         assert tuning_key(problem) == (
             "6e597a1af946ade6b3c161c8f3b43fc1d06f34e4d29ed98aa013d80155bf9ef9")
@@ -115,36 +105,6 @@ class TestCallbackVersion:
         declared += [b.python_callback.callback_version for b in problem.boundaries
                      if b.python_callback is not None]
         assert declared and all(v == 1 for v in declared)
-
-
-class TestEmitterIdentity:
-    """A persisted artifact is bound only by the emitter that wrote it: its
-    ``source.py`` calls ``geom``/``kernels``/``state`` helpers as they were."""
-
-    def test_digest_covers_the_emitting_and_the_called_modules(self, monkeypatch):
-        from pathlib import Path
-
-        assert len(emitter_digest()) == 64
-        hashed = []
-        monkeypatch.setattr(Path, "read_bytes",
-                            lambda self: hashed.append(self.name) or b"")
-        emitter_digest.__wrapped__()  # the uncached function
-        assert {"emit.py", "cpu_serial.py", "gpu_hybrid.py", "state.py",
-                "kernels.py", "geometry.py"} <= set(hashed)
-
-    def test_artifact_stored_under_another_emitter_is_a_miss(self, tmp_path, monkeypatch):
-        from repro.tune.cache import cache_scope
-
-        with cache_scope(cache_dir=tmp_path) as cache:
-            make_problem().generate()
-            assert (cache.stats.builds, cache.stats.disk_writes) == (1, 1)
-        with cache_scope(cache_dir=tmp_path) as cache:  # a new process, same emitter
-            make_problem().generate()
-            assert (cache.stats.builds, cache.stats.disk_hits) == (0, 1)
-        monkeypatch.setattr(signature, "emitter_digest", lambda: "0" * 64)
-        with cache_scope(cache_dir=tmp_path) as cache:  # ... after an upgrade
-            make_problem().generate()
-            assert (cache.stats.builds, cache.stats.disk_hits) == (1, 0)
 
 
 class TestInvalidation:

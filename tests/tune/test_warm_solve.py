@@ -47,19 +47,6 @@ def test_warm_solve_zero_codegen_zero_compile():
     assert np.array_equal(cold.solution(), warm.solution())
 
 
-def test_warm_disk_solve_skips_codegen(tmp_path):
-    """Same acceptance across a simulated process boundary: the warm cache
-    instance starts empty in memory and revives the artifact from disk."""
-    with cache_scope(cache_dir=tmp_path):
-        make_problem().solve()
-    with cache_scope(cache_dir=tmp_path) as fresh:
-        with metrics_run() as warm_metrics:
-            make_problem().solve()
-    assert _total(warm_metrics, "codegen_build_total") == 0
-    assert fresh.stats.disk_hits == 1
-    assert fresh.stats.builds == 0
-
-
 def test_run_report_generation_records_cache_outcome():
     with cache_scope():
         make_problem().generate()
