@@ -495,26 +495,25 @@ class _Build:
     directory ``work``, removed once the library is loaded (or moved into
     the cache directory: ``path``)."""
 
-    def __init__(self, text: str, compiler: str, path: str, work: str):
-        self.text, self.compiler, self.path, self.work = text, compiler, path, work
+    def __init__(self, text: str, compiler: str, path: str, work: str, stats):
+        self.text, self.compiler, self.path, self.work, self.stats = text, compiler, path, work, stats
         self.lock = threading.Lock()
         self.pid: int | None = None
         self.dll = None
         self.error: CodegenError | None = None
 
-    def start(self, stats) -> None:
+    def start(self) -> None:
         """Load the library at ``path`` or start the compiler: one the loader
         refuses is a miss, built again and replaced (``stats.disk_errors``)."""
         import ctypes
 
-        self.stats = stats
         if os.path.isfile(self.path):
             try:
                 self.dll = ctypes.CDLL(self.path)
                 self._remove()
                 return
             except OSError:
-                stats.disk_errors += 1
+                self.stats.disk_errors += 1
         source, built = os.path.join(self.work, "tile.c"), os.path.join(self.work, "tile.so")
         with open(source, "w") as fh:
             fh.write(self.text)
@@ -625,8 +624,8 @@ def build(text: str) -> _Build:
         if work is None:
             work = tempfile.mkdtemp(prefix="repro-tile-")
             path = os.path.join(work, "tile.so")
-        held = _Build(text, compiler, path, work)
-        held.start(cache.stats)
+        held = _Build(text, compiler, path, work, cache.stats)
+        held.start()
         _BUILDS[key] = held
     return held
 

@@ -48,8 +48,8 @@ def compiles(monkeypatch) -> list:
     runs: list = []
     start = ctile._Build.start
 
-    def counted(build, stats):
-        start(build, stats)
+    def counted(build):
+        start(build)
         if build.pid is not None:
             runs.append(build.path)
 
